@@ -60,8 +60,9 @@ print("\ntwo-mode m=1 seed amplitudes at lam=1:", np.round(seed.diag_amplitudes,
 
 print("\nMandel Q of the per-mode marginal (lam = 0.1)")
 for m in range(4):
-    marg = moments.marginal_table(states.spatsv(SpatsvSpec(0.1, m), cutoff=100))
-    print(f"  m={m}: Q = {moments.mandel_q(marg):+.4f}")
+    # exact two-mode moments; Mandel Q reads the first mode
+    table = moments.spatsv_moment_table(0.1, m)
+    print(f"  m={m}: Q = {moments.mandel_q(table):+.4f}")
 
 # ---------------------------------------------------------------------------
 # Joint photon-number distribution.

@@ -24,7 +24,8 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, replace
-from math import pi, sqrt
+from math import inf, isfinite, pi, sqrt
+from numbers import Integral
 
 from . import fock, metrology, moments, states
 from .errors import (
@@ -59,6 +60,16 @@ CORRELATED_METRICS = (
     "quad_diff_var_seed",
 )
 AXES = ("lam", "mu", "eta", "phi", "psi", "chi", "one_minus_tau")
+#: accepted range of each scene value, fixed or swept; all must be finite
+_SCENE_RANGES = {
+    "lam": (0.0, inf),
+    "mu": (0.0, inf),
+    "eta": (0.0, 1.0),
+    "one_minus_tau": (0.0, 1.0),
+    "phi": (-inf, inf),
+    "psi": (-inf, inf),
+    "chi": (-inf, inf),
+}
 FLAG_OK = "ok"
 FLAG_SINGULAR = "singular"
 FLAG_OUT_OF_RANGE = "out_of_range"
@@ -82,7 +93,6 @@ class SweepConfig:
     chi: float = 0.0
     balanced: bool = False
     digits: int | None = None
-    cutoff: int | None = None
     preset: str | None = None
 
     def validate(self) -> None:
@@ -93,7 +103,9 @@ class SweepConfig:
             problems.append(f"axis: got {self.axis!r}, want one of {AXES}")
         if not self.values:
             problems.append("values: at least one axis value required")
-        if not self.m_list or any(m < 0 or int(m) != m for m in self.m_list):
+        if not self.m_list or any(
+            not isinstance(m, Integral) or m < 0 for m in self.m_list
+        ):
             problems.append("m: nonempty list of nonnegative integers required")
         allowed = SINGLE_METRICS if self.scheme == "single" else CORRELATED_METRICS
         for met in self.metrics:
@@ -101,12 +113,16 @@ class SweepConfig:
                 problems.append(f"metric: {met!r} not valid for scheme {self.scheme}")
         if not self.metrics:
             problems.append("metric: at least one metric required")
-        if self.mu < 0:
-            problems.append("mu: must be >= 0")
-        if not 0.0 <= self.eta <= 1.0 and self.axis != "eta":
-            problems.append("eta: must lie in [0, 1]")
-        if self.lam < 0 and self.axis != "lam":
-            problems.append("lam: must be >= 0")
+        for key, (lo, hi) in _SCENE_RANGES.items():
+            if key == self.axis:
+                where, values = f"values ({key})", self.values
+            elif key in _FLOAT_KEYS:
+                where, values = key, (getattr(self, key),)
+            else:
+                continue
+            bad = [v for v in values if not (isfinite(v) and lo <= v <= hi)]
+            if bad:
+                problems.append(f"{where}: want finite values in [{lo}, {hi}], got {bad}")
         if self.digits is not None and self.digits < 15:
             problems.append("digits: must be >= 15")
         if problems:
@@ -194,9 +210,7 @@ def _single_metric(metric: str, m: int, p: dict, cfg: SweepConfig, digits) -> fl
         return 2.0 * (p["mu"] + states.passv_mean_photons(lam, m))
     if metric == "var_y":
         table = moments.passv_moment_table(lam, m, chi=p["chi"])
-        if p["eta"] < 1.0:
-            table = moments.apply_loss(table, p["eta"])
-        return moments.quadrature_variance(table, pi / 2)
+        return moments.quadrature_variance(moments.apply_loss(table, p["eta"]), pi / 2)
     scene = SingleMziConfig(spec, mu=p["mu"], phi=p["phi"], psi=p["psi"], eta=p["eta"])
     if metric == "U":
         return metrology.single_phase_uncertainty(scene)
@@ -215,14 +229,10 @@ def _correlated_metric(metric: str, m: int, p: dict, cfg: SweepConfig, digits) -
     if metric == "mean_photons":
         return states.spatsv_mean_photons(lam, m)
     if metric == "mandel_q":
-        state = states.spatsv(spec, cutoff=cfg.cutoff)
-        table = moments.marginal_table(state, max_order=4)
-        if p["eta"] < 1.0:
-            table = moments.apply_loss(table, p["eta"])
-        return moments.mandel_q(table)
+        table = moments.spatsv_moment_table(lam, m, chi=p["chi"])
+        return moments.mandel_q(moments.apply_loss(table, p["eta"]))
     if metric == "quad_diff_var":
-        state = states.spatsv(spec, cutoff=cfg.cutoff)
-        table = moments.table_from_state(state, max_order=2)
+        table = moments.spatsv_moment_table(lam, m, chi=p["chi"])
         return moments.quadrature_difference_variance(table, p["chi"])
     if metric == "quad_diff_var_seed":
         seed = states.spatsv_seed(spec)
@@ -433,9 +443,29 @@ def _parse_float(key: str, text: str) -> float:
         raise ConfigInvalid(f"{key}: not a number: {text!r}") from exc
 
 
+def _parse_int(key: str, text: str) -> int:
+    value = _parse_float(key, text)
+    if not value.is_integer():
+        raise ConfigInvalid(f"{key}: not an integer: {text!r}")
+    return int(value)
+
+
+def _reject_unknown_keys(data: dict, known: set) -> None:
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ConfigInvalid(f"unknown keys: {', '.join(unknown)}")
+
+
+_SWEEP_KEYS = {
+    "scheme", "axis", "values", "m", "metric", "balanced", "digits", *_FLOAT_KEYS
+}
+_ORACLE_KEYS = {"scheme", "lam", "m", "mu", "phi", "psi", "eta", "loss", "cutoff"}
+
+
 def sweep_config_from_file(path: str) -> SweepConfig:
     data = parse_config(path)
     if "preset" in data:
+        _reject_unknown_keys(data, {"preset", "digits"})
         name = data["preset"]
         if name == JOINT_DISTRIBUTION_PRESET:
             raise ConfigInvalid(
@@ -445,8 +475,9 @@ def sweep_config_from_file(path: str) -> SweepConfig:
             raise ConfigInvalid(f"preset: unknown name {name!r}")
         cfg = PRESETS[name]
         if "digits" in data:
-            cfg = replace(cfg, digits=int(_parse_float("digits", data["digits"])))
+            cfg = replace(cfg, digits=_parse_int("digits", data["digits"]))
         return cfg
+    _reject_unknown_keys(data, _SWEEP_KEYS)
     required = {"scheme", "axis", "values", "m", "metric"}
     missing = sorted(required - set(data))
     if missing:
@@ -457,9 +488,7 @@ def sweep_config_from_file(path: str) -> SweepConfig:
         "values": tuple(
             _parse_float("values", v) for v in data["values"].split(",") if v.strip()
         ),
-        "m_list": tuple(
-            int(_parse_float("m", v)) for v in data["m"].split(",") if v.strip()
-        ),
+        "m_list": tuple(_parse_int("m", v) for v in data["m"].split(",") if v.strip()),
         "metrics": tuple(v.strip() for v in data["metric"].split(",") if v.strip()),
     }
     for key in _FLOAT_KEYS:
@@ -470,9 +499,8 @@ def sweep_config_from_file(path: str) -> SweepConfig:
         if text not in ("true", "false"):
             raise ConfigInvalid(f"balanced: expected true|false, got {data['balanced']!r}")
         kwargs["balanced"] = text == "true"
-    for key in ("digits", "cutoff"):
-        if key in data:
-            kwargs[key] = int(_parse_float(key, data[key]))
+    if "digits" in data:
+        kwargs["digits"] = _parse_int("digits", data["digits"])
     cfg = SweepConfig(**kwargs)
     cfg.validate()
     return cfg
@@ -527,31 +555,31 @@ def oracle_compare(
     loss: str = "thinning",
     quantum_cutoff: int | None = None,
 ) -> OracleComparison:
-    """Compare engine read-out moments against the brute-force Fock oracle."""
+    """Compare engine read-out moments against the brute-force Fock oracle.
+
+    The engine side is :func:`photsub.metrology.readout_moments`, the same
+    scene construction every figure of merit uses.
+    """
+    if scheme not in ("single", "correlated"):
+        raise ConfigInvalid(f"scheme: got {scheme!r}, want single|correlated")
     if mu > _ORACLE_MU_BOUND:
         raise MemoryBoundExceeded(
             f"oracle limited to mu <= {_ORACLE_MU_BOUND}, got {mu}"
         )
+    single = scheme == "single"
+    try:
+        spec = (PassvSpec if single else SpatsvSpec)(lam, m)
+        config = SingleMziConfig if single else CorrelatedConfig
+        cfg = config(spec, mu=mu, phi=phi, psi=psi, eta=eta)
+    except ValueError as exc:
+        raise ConfigInvalid(f"scene: {exc}") from exc
+    engine = metrology.readout_moments(cfg)
+    q = (states.passv if single else states.spatsv)(spec, cutoff=quantum_cutoff)
+    scene = fock.OracleScene(
+        kind=scheme, quantum=q, mu=mu, psi=psi, phi1=phi, phi2=phi, eta=eta, loss=loss
+    )
+    oracle = fock.oracle_interferometer(scene).moments
     entries = []
-    if scheme == "single":
-        cfg = SingleMziConfig(PassvSpec(lam, m), mu=mu, phi=phi, psi=psi, eta=eta)
-        engine = metrology.single_readout_moments(cfg)
-        q = states.passv(PassvSpec(lam, m), cutoff=quantum_cutoff)
-        scene = fock.OracleScene(
-            kind="single", quantum=q, mu=mu, psi=psi, phi1=phi, eta=eta, loss=loss
-        )
-        oracle = fock.oracle_interferometer(scene).moments
-    elif scheme == "correlated":
-        cfg = CorrelatedConfig(SpatsvSpec(lam, m), mu=mu, phi=phi, psi=psi, eta=eta)
-        engine = metrology.correlated_readout_moments(cfg)
-        q = states.spatsv(SpatsvSpec(lam, m), cutoff=quantum_cutoff)
-        scene = fock.OracleScene(
-            kind="correlated", quantum=q, mu=mu, psi=psi, phi1=phi, phi2=phi,
-            eta=eta, loss=loss,
-        )
-        oracle = fock.oracle_interferometer(scene).moments
-    else:
-        raise ConfigInvalid(f"scheme: got {scheme!r}, want single|correlated")
     for key in sorted(engine):
         if key not in oracle:
             continue
@@ -562,20 +590,21 @@ def oracle_compare(
 
 def oracle_compare_from_file(path: str) -> OracleComparison:
     data = parse_config(path)
+    _reject_unknown_keys(data, _ORACLE_KEYS)
     if "scheme" not in data:
         raise ConfigInvalid("missing keys: scheme")
     kwargs = {"scheme": data["scheme"]}
     for key, default in (
-        ("lam", 0.3), ("m", 1), ("mu", 2.0), ("phi", 0.7), ("psi", 0.0), ("eta", 1.0),
+        ("lam", 0.3), ("mu", 2.0), ("phi", 0.7), ("psi", 0.0), ("eta", 1.0),
     ):
         kwargs[key] = _parse_float(key, data[key]) if key in data else default
-    kwargs["m"] = int(kwargs["m"])
+    kwargs["m"] = _parse_int("m", data["m"]) if "m" in data else 1
     if "loss" in data:
         if data["loss"] not in ("thinning", "ancilla"):
             raise ConfigInvalid(f"loss: got {data['loss']!r}, want thinning|ancilla")
         kwargs["loss"] = data["loss"]
     if "cutoff" in data:
-        kwargs["quantum_cutoff"] = int(_parse_float("cutoff", data["cutoff"]))
+        kwargs["quantum_cutoff"] = _parse_int("cutoff", data["cutoff"])
     return oracle_compare(**kwargs)
 
 

@@ -22,15 +22,25 @@ read-out operator images are u(phi_k) a_k + v(phi_k) beta with beta the
 coherent amplitude, which is exact because the substituted polynomials are
 normal-ordered (no vacuum contractions survive the expectation).
 
-Detection loss eta is a beamsplitter to vacuum on each read-out channel:
-every normally-ordered read-out monomial is scaled by eta^(total degree/2)
-before the port substitution.
+Every figure of merit is an expectation taken by one read-out engine,
+:class:`_Scene`: a normally-ordered read-out observable is substituted
+through the port map and contracted against the input moment tables.
+
+Detection loss eta is a beamsplitter to vacuum on each read-out port.  The
+loss is the same on every port, so it commutes with the passive
+interferometer map and is applied once, to the inputs, by
+:func:`photsub.moments.apply_loss` (each normally-ordered moment scaled by
+eta^(degree/2)).  The coherent drive is thinned by the same function: the
+single scheme uses the thinned coherent table as mode 0, and the
+correlated scheme takes beta = sqrt(eta mu) e^{i psi} from its first
+moment.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from math import cos, isfinite, pi, sin, sqrt
+from math import cos, isfinite, pi, sqrt, ulp
 
 import mpmath as mp
 
@@ -47,6 +57,16 @@ from .states import PassvSpec, SpatsvSpec
 SQRT2 = sqrt(2.0)
 
 
+def _check_scene(cfg) -> None:
+    for name in ("mu", "phi", "psi", "eta"):
+        if not isfinite(getattr(cfg, name)):
+            raise ValueError(f"{name} must be finite")
+    if cfg.mu < 0:
+        raise ValueError("mu must be >= 0")
+    if not 0.0 <= cfg.eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class SingleMziConfig:
     """Single Mach-Zehnder scene: quantum input, coherent input, phase, loss."""
@@ -58,10 +78,7 @@ class SingleMziConfig:
     eta: float = 1.0  # detection efficiency on both read-out ports
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
+        _check_scene(self)
 
 
 @dataclass(frozen=True)
@@ -79,10 +96,7 @@ class CorrelatedConfig:
     eta: float = 1.0
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
+        _check_scene(self)
 
     @property
     def tau(self) -> float:
@@ -97,80 +111,112 @@ def phi_for_tau(tau: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Shared engine pieces
+# The read-out engine
 # ---------------------------------------------------------------------------
 
 
-def _scale_loss(poly: OperatorPolynomial, eta) -> OperatorPolynomial:
-    """Apply equal-efficiency detection loss to a read-out-level polynomial."""
-    if eta == 1:
-        return poly
-    out = {}
-    for m, c in poly.terms.items():
-        total = sum(p + q for _, p, q in m)
-        out[m] = c * eta ** (total / 2.0) if total else c
-    return OperatorPolynomial(out)
-
-
-def _phase_jet(phi, slot: int):
-    """e^{i phi} as a jet differentiating in slot 1 or 2."""
-    e = mp.exp(mp.mpc(0, phi))
-    de = mp.mpc(0, 1) * e
-    if slot == 1:
-        return Jet(e, d1=de)
-    return Jet(e, d2=de)
+def _working_digits(mu: float) -> int:
+    """Decimal digits for the high-precision accumulation path."""
+    return 40 + 3 * int(mp.log10(mu + 10))
 
 
 def _mzi_entries(phi, slot: int = 0):
-    """(u, v) Mach-Zehnder map entries; jets when slot is 1 or 2."""
+    """(u, v) Mach-Zehnder map entries at working precision; jets in slot 1 or 2."""
+    e = mp.exp(mp.mpc(0, phi))
     if slot:
-        e = _phase_jet(phi, slot)
-        half = mp.mpf("0.5")
-        return (e + 1) * half, (e - 1) * half
-    e = complex(mp.exp(mp.mpc(0, phi)))
-    return (e + 1) / 2, (e - 1) / 2
+        de = mp.mpc(0, 1) * e
+        e = Jet(e, d1=de) if slot == 1 else Jet(e, d2=de)
+    half = mp.mpf("0.5")
+    return (e + 1) * half, (e - 1) * half
 
 
-def _single_port_map(phi, jet: bool = False) -> LinearModeMap:
-    """Read-out modes (0, 1) expressed in input modes (0 coherent, 1 quantum)."""
-    u, v = _mzi_entries(phi, 1 if jet else 0)
-    return LinearModeMap({0: ({0: u, 1: v}, 0), 1: ({0: v, 1: u}, 0)})
+def _input_tables(cfg, eta) -> tuple:
+    """(coherent, quantum) input moment tables, both thinned by ``eta``.
+
+    The coherent table is mode 0; the quantum table covers mode 1 (single
+    scheme) or the mode pair (0, 1) (correlated scheme).
+    """
+    alpha = mp.sqrt(mp.mpf(cfg.mu)) * mp.exp(mp.mpc(0, cfg.psi))
+    spec = cfg.quantum
+    if isinstance(cfg, SingleMziConfig):
+        quantum = moments.passv_moment_table(spec.lam, spec.m, chi=spec.chi, mode=1)
+    else:
+        quantum = moments.spatsv_moment_table(
+            spec.lam, spec.m, max_order=8, chi=spec.chi, modes=(0, 1)
+        )
+    coherent = moments.coherent_table(alpha, mode=0)
+    return moments.apply_loss(coherent, eta), moments.apply_loss(quantum, eta)
 
 
-def _jet_value(x):
-    return x.f if isinstance(x, Jet) else x
+class _Scene:
+    """Lossy input tables behind the read-out port map of one scene.
+
+    Read-out ports are modes 0 and 1.  With ``jet`` the map entries carry the
+    phase derivatives: slot 1 for the single phase, slots 1 and 2 for phi1
+    and phi2.  Build it through :func:`_scene`, at working precision.
+    """
+
+    def __init__(self, cfg, jet: bool = False):
+        coherent, quantum = _input_tables(cfg, mp.mpf(cfg.eta))
+        u1, v1 = _mzi_entries(cfg.phi, 1 if jet else 0)
+        if isinstance(cfg, SingleMziConfig):
+            self.tables = [coherent, quantum]
+            images = {0: ({0: u1, 1: v1}, 0), 1: ({0: v1, 1: u1}, 0)}
+        else:
+            self.tables = [quantum]
+            beta = coherent.entry((0, 1))
+            u2, v2 = _mzi_entries(cfg.phi, 2 if jet else 0)
+            images = {0: ({0: u1}, v1 * beta), 1: ({1: u2}, v2 * beta)}
+        self.port_map = LinearModeMap(images)
+
+    def expect(self, obs: OperatorPolynomial, min_digits: int | None = None):
+        """Expectation of a read-out-level observable (a jet when ``jet``)."""
+        return opalg.expect(
+            opalg.substitute(obs, self.port_map), self.tables, min_digits
+        )
+
+
+@contextmanager
+def _scene(cfg, jet: bool = False, dps: int | None = None):
+    """Yield the scene's read-out engine inside its working precision.
+
+    That is ``dps`` digits, else 40 + 3 log10(mu) for the correlated scheme
+    and the ambient precision for the single one.
+    """
+    if dps is None and isinstance(cfg, SingleMziConfig):
+        dps = mp.mp.dps
+    with mp.workdps(dps or _working_digits(cfg.mu)):
+        yield _Scene(cfg, jet)
+
+
+def _port_difference() -> OperatorPolynomial:
+    return OperatorPolynomial.number(0) - OperatorPolynomial.number(1)
+
+
+def readout_moments(
+    cfg: SingleMziConfig | CorrelatedConfig, dps: int | None = None
+) -> dict:
+    """Moments (p, q) -> <N_a^p N_b^q> of the two lossy read-out ports.
+
+    p + q <= 2 for a :class:`SingleMziConfig`, p + q <= 4 for a
+    :class:`CorrelatedConfig`: the orders its figures of merit use.  These
+    are the quantities the oracle comparison checks.
+    """
+    order = 2 if isinstance(cfg, SingleMziConfig) else 4
+    n_a, n_b = OperatorPolynomial.number(0), OperatorPolynomial.number(1)
+    out = {}
+    with _scene(cfg, dps=dps) as scene:
+        for p in range(order + 1):
+            for q in range(order + 1 - p):
+                if p + q:
+                    obs = opalg.multiply(opalg.power(n_a, p), opalg.power(n_b, q))
+                    out[(p, q)] = float(mp.re(scene.expect(obs)))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Single-interferometer figures of merit
 # ---------------------------------------------------------------------------
-
-
-def single_readout_moments(cfg: SingleMziConfig) -> dict:
-    """Moments (p, q) -> <N5^p N6^q>, p + q <= 2, of the lossy read-out ports.
-
-    Exposed for the oracle-comparison path: these are exactly the quantities
-    that enter the uncertainty formula.
-    """
-    port_map = _single_port_map(cfg.phi)
-    tables = _single_tables(cfg)
-    out = {}
-    for p, q in [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]:
-        obs = opalg.power(OperatorPolynomial.number(0), p)
-        obs = opalg.multiply(obs, opalg.power(OperatorPolynomial.number(1), q))
-        obs = _scale_loss(obs, cfg.eta)
-        val = opalg.expect(opalg.substitute(obs, port_map), tables)
-        out[(p, q)] = complex(val).real
-    return out
-
-
-def _single_tables(cfg: SingleMziConfig):
-    alpha = sqrt(cfg.mu) * complex(mp.exp(mp.mpc(0, cfg.psi)))
-    spec = cfg.quantum
-    return [
-        moments.coherent_table(alpha, mode=0),
-        moments.passv_moment_table(spec.lam, spec.m, chi=spec.chi, mode=1),
-    ]
 
 
 def single_phase_uncertainty(cfg: SingleMziConfig) -> float:
@@ -179,16 +225,12 @@ def single_phase_uncertainty(cfg: SingleMziConfig) -> float:
     The phase derivative is carried analytically through the beamsplitter
     map; a vanishing derivative raises Singular.
     """
-    port_map = _single_port_map(cfg.phi, jet=True)
-    tables = _single_tables(cfg)
-    diff = OperatorPolynomial.number(0) - OperatorPolynomial.number(1)
-    mean = opalg.expect(opalg.substitute(_scale_loss(diff, cfg.eta), port_map), tables)
-    second = opalg.expect(
-        opalg.substitute(_scale_loss(opalg.multiply(diff, diff), cfg.eta), port_map),
-        tables,
-    )
-    mean_v = complex(_jet_value(mean)).real
-    var = complex(_jet_value(second)).real - mean_v**2
+    diff = _port_difference()
+    with _scene(cfg, jet=True) as scene:
+        mean = Jet.lift(scene.expect(diff))
+        second = Jet.lift(scene.expect(opalg.multiply(diff, diff)))
+    mean_v = complex(mean.f).real
+    var = complex(second.f).real - mean_v**2
     slope = complex(mean.d1).real
     if abs(slope) < 1e-300 or not isfinite(slope):
         raise Singular("read-out mean has zero phase derivative at this working point")
@@ -210,7 +252,7 @@ def qfi(cfg: SingleMziConfig) -> float:
                 OperatorPolynomial.ladder(m1, dagger=True),
                 OperatorPolynomial.ladder(m2),
             ).scaled(half)
-    tables = _single_tables(cfg)
+    tables = _input_tables(cfg, 1)
     mean = complex(opalg.expect(n3, tables)).real
     second = complex(opalg.expect(opalg.multiply(n3, n3), tables)).real
     return 4.0 * max(second - mean**2, 0.0)
@@ -228,74 +270,20 @@ def cramer_rao_bound(fq: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _working_digits(mu: float) -> int:
-    """Decimal digits for the high-precision accumulation path."""
-    return 40 + 3 * int(mp.log10(mu + 10))
-
-
-def _correlated_port_map(cfg: CorrelatedConfig, jet: bool) -> LinearModeMap:
-    """Read-out operators a5, a7 over quantum modes 0, 1 (displacement-first)."""
-    beta = mp.sqrt(mp.mpf(cfg.mu)) * mp.exp(mp.mpc(0, cfg.psi))
-    u1, v1 = _mzi_entries(cfg.phi, 1 if jet else 0)
-    u2, v2 = _mzi_entries(cfg.phi, 2 if jet else 0)
-    return LinearModeMap(
-        {0: ({0: u1}, v1 * beta), 1: ({1: u2}, v2 * beta)}
-    )
-
-
-def _correlated_table(cfg: CorrelatedConfig, max_order: int = 8):
-    spec = cfg.quantum
-    return moments.spatsv_moment_table(
-        spec.lam, spec.m, max_order=max_order, chi=spec.chi, modes=(0, 1)
-    )
-
-
-def correlated_readout_moments(cfg: CorrelatedConfig, dps: int | None = None) -> dict:
-    """Moments (p, q) -> <N5^p N7^q>, p + q <= 4, of the lossy read-out ports."""
-    with mp.workdps(dps or _working_digits(cfg.mu)):
-        port_map = _correlated_port_map(cfg, jet=False)
-        table = _correlated_table(cfg)
-        out = {}
-        for p in range(5):
-            for q in range(5 - p):
-                if p + q == 0:
-                    continue
-                obs = opalg.power(OperatorPolynomial.number(0), p)
-                obs = opalg.multiply(obs, opalg.power(OperatorPolynomial.number(1), q))
-                obs = _scale_loss(obs, mp.mpf(cfg.eta))
-                val = opalg.expect(opalg.substitute(obs, port_map), [table])
-                out[(p, q)] = float(mp.re(val))
-        return out
-
-
 def nrf(cfg: CorrelatedConfig, dps: int | None = None) -> float:
     """Noise reduction factor Var(N5 - N7) / (<N5> + <N7>).
 
     Values below 1 flag non-classical photon-number correlation between the
     two read-out ports; a dark read-out (zero mean) raises ZeroMeanPhoton.
     """
-    with mp.workdps(dps or _working_digits(cfg.mu)):
-        port_map = _correlated_port_map(cfg, jet=False)
-        table = _correlated_table(cfg)
-        eta = mp.mpf(cfg.eta)
-        diff = OperatorPolynomial.number(0) - OperatorPolynomial.number(1)
-        total = OperatorPolynomial.number(0) + OperatorPolynomial.number(1)
-        mean_sum = mp.re(
-            opalg.expect(opalg.substitute(_scale_loss(total, eta), port_map), [table])
-        )
+    diff = _port_difference()
+    total = OperatorPolynomial.number(0) + OperatorPolynomial.number(1)
+    with _scene(cfg, dps=dps) as scene:
+        mean_sum = mp.re(scene.expect(total))
         if mean_sum <= 0:
             raise ZeroMeanPhoton("no photons reach the read-out ports")
-        mean_diff = mp.re(
-            opalg.expect(opalg.substitute(_scale_loss(diff, eta), port_map), [table])
-        )
-        second = mp.re(
-            opalg.expect(
-                opalg.substitute(
-                    _scale_loss(opalg.multiply(diff, diff), eta), port_map
-                ),
-                [table],
-            )
-        )
+        mean_diff = mp.re(scene.expect(diff))
+        second = mp.re(scene.expect(opalg.multiply(diff, diff)))
         return float((second - mean_diff**2) / mean_sum)
 
 
@@ -306,32 +294,29 @@ def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> flo
     sqrt(2 Var C) / |d^2 <C> / dphi1 dphi2| with the mixed derivative carried
     analytically (phi1, phi2 as independent jet slots, evaluated at the
     common working point).  The result is divided by the coherent-only bound
-    sqrt(2) / (eta mu cos^2(phi/2)).
+    sqrt(2) / (eta mu cos^2(phi/2)), so a working point where cos(phi/2)
+    vanishes at float resolution (phi an odd multiple of pi) raises Singular.
     """
-    with mp.workdps(dps or _working_digits(cfg.mu)):
-        port_map = _correlated_port_map(cfg, jet=True)
-        table = _correlated_table(cfg)
-        eta = mp.mpf(cfg.eta)
-        diff = OperatorPolynomial.number(0) - OperatorPolynomial.number(1)
-        c_op = opalg.multiply(diff, diff)
-        mean_c = opalg.expect(
-            opalg.substitute(_scale_loss(c_op, eta), port_map), [table]
-        )
+    if abs(cos(cfg.phi / 2.0)) <= ulp(cfg.phi):
+        raise Singular("no coherent light reaches the read-out: cos(phi/2) = 0")
+    diff = _port_difference()
+    c_op = opalg.multiply(diff, diff)
+    with _scene(cfg, jet=True, dps=dps) as scene:
+        mean_c = scene.expect(c_op)
         mixed = mp.re(mean_c.d12)
         if abs(mixed) < mp.mpf("1e-300"):
             raise Singular("mixed phase derivative of <C> vanishes here")
-        # Var C through the lossy channel: center by the lossy mean, then
-        # loss-scale the normally-ordered square (exact, since the mean is
-        # the lossy expectation of C itself).
+        # Var C = <(C - <C>)^2>: centring before squaring keeps the
+        # bright-beam cancellation inside the exactly contracted polynomial.
         centered = opalg.center(c_op, Jet(mean_c.f))
-        sq = _scale_loss(opalg.multiply(centered, centered), eta)
         var_c = mp.re(
-            _jet_value(
-                opalg.expect(opalg.substitute(sq, port_map), [table], min_digits=8)
-            )
+            Jet.lift(
+                scene.expect(opalg.multiply(centered, centered), min_digits=8)
+            ).f
         )
         var_c = var_c if var_c > 0 else mp.mpf(0)
         raw = mp.sqrt(2 * var_c) / abs(mixed)
+        eta = mp.mpf(cfg.eta)
         classical = mp.sqrt(2) / (eta * mp.mpf(cfg.mu) * mp.cos(cfg.phi / 2) ** 2)
         return float(raw / classical)
 

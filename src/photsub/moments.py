@@ -47,9 +47,6 @@ class MomentTable:
         self._entries[key] = val
         return val
 
-    def known_keys(self):
-        return list(self._entries)
-
 
 def vacuum_table(modes) -> MomentTable:
     """All moments vanish except the identity."""
@@ -141,34 +138,17 @@ def _diag_two_mode_moment(d, p, q, r, s):
     return complex(np.sum(np.conj(d[m]) * d[n] * fac))
 
 
-def marginal_table(state: TwoModeDiagonalState, max_order: int = 4, mode=0) -> MomentTable:
-    """Single-mode marginal moments of a |n,n>-supported state.
-
-    The marginal is the classical mixture P(n) = |c_n|^2, so only diagonal
-    moments survive.
-    """
-    p_n = np.abs(state.diag_amplitudes) ** 2
-    n = np.arange(len(p_n), dtype=float)
-    entries = {}
-    for p in range(max_order + 1):
-        for q in range(max_order + 1 - p):
-            if p != q:
-                entries[(p, q)] = 0.0
-            else:
-                fall = np.exp(gammaln(n + 1) - gammaln(np.maximum(n - p, 0) + 1))
-                fall[n < p] = 0.0
-                entries[(p, q)] = float(np.dot(fall, p_n))
-    return MomentTable((mode,), max_order, entries)
-
-
 def apply_loss(table: MomentTable, eta: float) -> MomentTable:
     """Bernoulli thinning: entry scaled by eta^{(sum of exponents)/2}.
 
     Composition law apply_loss(eta1) o apply_loss(eta2) = apply_loss(eta1*eta2)
-    holds exactly.
+    holds exactly.  This is the package's one implementation of loss: the
+    read-out engine applies it to the interferometer inputs.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
+    if eta == 1:
+        return table
 
     def compute(key):
         total = sum(key)
@@ -234,13 +214,15 @@ def quadrature_difference_variance(table: MomentTable, chi: float = 0.0) -> floa
 
 
 def mandel_q(table: MomentTable) -> float:
-    """Mandel Q = (Var N - <N>)/<N>; negative is sub-Poissonian."""
-    if len(table.modes) != 1:
-        raise MomentOrderMissing("mandel_q needs a single-mode table")
-    n = float(np.real(complex(table.entry((1, 1)))))
+    """Mandel Q = (Var N - <N>)/<N> of the table's first mode.
+
+    Negative is sub-Poissonian.
+    """
+    rest = (0, 0) * (len(table.modes) - 1)
+    n = complex(table.entry((1, 1) + rest)).real
     if n <= 0.0:
         raise ZeroMeanPhoton("Mandel Q undefined for zero mean photon number")
-    a2 = float(np.real(complex(table.entry((2, 2)))))
+    a2 = complex(table.entry((2, 2) + rest)).real
     return (a2 - n * n) / n
 
 

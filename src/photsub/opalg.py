@@ -287,31 +287,13 @@ class LinearModeMap:
     """Affine substitution a_j -> sum_k u[j][k] a_k + beta[j].
 
     ``images`` maps a source mode to ``(coeffs, beta)`` where ``coeffs`` is a
-    dict target-mode -> coefficient.  When ``unitary`` is set, u u^dag = 1 is
-    checked (scalar coefficients only).
+    dict target-mode -> coefficient.
     """
 
-    def __init__(self, images: dict, unitary: bool = False):
+    def __init__(self, images: dict):
         self.images = {
             j: (dict(coeffs), beta) for j, (coeffs, beta) in images.items()
         }
-        self.unitary = unitary
-        if unitary:
-            self._check_unitary()
-
-    def _check_unitary(self):
-        modes = sorted(self.images)
-        targets = sorted({t for j in modes for t in self.images[j][0]})
-        import numpy as np
-
-        u = np.zeros((len(modes), len(targets)), dtype=complex)
-        for i, j in enumerate(modes):
-            for k, t in enumerate(targets):
-                c = self.images[j][0].get(t, 0)
-                u[i, k] = complex(c.f if isinstance(c, Jet) else c)
-        g = u @ u.conj().T
-        if not np.allclose(g, np.eye(len(modes)), atol=1e-12):
-            raise ValueError("map flagged unitary but u u^dag != 1 within 1e-12")
 
     def image_poly(self, mode: int, dagger: bool) -> OperatorPolynomial:
         coeffs, beta = self.images[mode]
@@ -370,23 +352,6 @@ def center(poly: OperatorPolynomial, mean) -> OperatorPolynomial:
     out = poly.copy()
     out._add_term((), -1 * mean if not isinstance(mean, Jet) else -mean)
     return out
-
-
-def drop_vacuum_modes(poly: OperatorPolynomial, modes) -> OperatorPolynomial:
-    """Discard monomials with any ladder power on the given vacuum modes.
-
-    Only valid after normal ordering (which our canonical form guarantees):
-    a normally-ordered monomial touching a vacuum-state mode has expectation
-    zero against any state that factorizes with vacuum on those modes.
-    """
-    modes = set(modes)
-    return OperatorPolynomial(
-        {
-            m: c
-            for m, c in poly.terms.items()
-            if not any(mode in modes for mode, _, _ in m)
-        }
-    )
 
 
 # ---------------------------------------------------------------------------

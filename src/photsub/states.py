@@ -9,7 +9,8 @@ energy-balancing solver used in fixed-total-energy comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial, sqrt
+from math import comb, factorial, isfinite, sqrt
+from numbers import Integral
 
 import numpy as np
 from scipy.optimize import bisect
@@ -17,6 +18,15 @@ from scipy.optimize import bisect
 from . import fock
 from .errors import OutOfRange
 from .fock import FockState1, TwoModeDiagonalState
+
+
+def _check_spec(spec) -> None:
+    if not isfinite(spec.lam) or spec.lam < 0:
+        raise ValueError("lam must be finite and >= 0")
+    if not isinstance(spec.m, Integral) or spec.m < 0:
+        raise ValueError("m must be a nonnegative integer")
+    if not isfinite(spec.chi):
+        raise ValueError("chi must be finite")
 
 
 @dataclass(frozen=True)
@@ -28,10 +38,7 @@ class PassvSpec:
     chi: float = 0.0  # squeezing angle
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.m < 0 or int(self.m) != self.m:
-            raise ValueError("m must be a nonnegative integer")
+        _check_spec(self)
 
     @property
     def r(self) -> float:
@@ -47,10 +54,7 @@ class SpatsvSpec:
     chi: float = 0.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.m < 0 or int(self.m) != self.m:
-            raise ValueError("m must be a nonnegative integer")
+        _check_spec(self)
 
     @property
     def r(self) -> float:

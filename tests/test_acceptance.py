@@ -227,11 +227,11 @@ def test_acceptance_11_oracle_equivalence():
         )
         joint2 = fock.oracle_interferometer(scene2).joint
         for eta in (1.0, 0.8):
-            eng1 = metrology.single_readout_moments(
+            eng1 = metrology.readout_moments(
                 SingleMziConfig(PassvSpec(lam, m), mu=mu, phi=phi, psi=psi, eta=eta)
             )
             ora1 = fock._moments_from_joint(thin(joint1, eta))
-            eng2 = metrology.correlated_readout_moments(
+            eng2 = metrology.readout_moments(
                 CorrelatedConfig(SpatsvSpec(lam, m), mu=mu, phi=phi, psi=psi, eta=eta)
             )
             ora2 = fock._moments_from_joint(thin(joint2, eta))
@@ -278,13 +278,13 @@ def test_acceptance_12_property_suite():
         if abs(complex(once.entry(key)) - complex(both.entry(key))) > 1e-10:
             ok, detail = False, "loss-composition"
     # Mandel thinning law Q -> eta Q
-    marg = moments.marginal_table(states.spatsv(SpatsvSpec(0.4, 1), cutoff=120))
+    marg = moments.spatsv_moment_table(0.4, 1)
     q0 = moments.mandel_q(marg)
     for eta in (0.3, 0.7):
         if abs(moments.mandel_q(moments.apply_loss(marg, eta)) - eta * q0) > 1e-9:
             ok, detail = False, "mandel-thinning"
     # sub-Poissonian marginal after double subtraction at low energy
-    marg2 = moments.marginal_table(states.spatsv(SpatsvSpec(0.1, 2), cutoff=120))
+    marg2 = moments.spatsv_moment_table(0.1, 2)
     if not moments.mandel_q(moments.apply_loss(marg2, 0.98)) < 0.0:
         ok, detail = False, "mandel-negativity"
     # perfect twin-beam correlation without coherent light or loss

@@ -204,3 +204,113 @@ def test_digits_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("PHOTSUB_DIGITS", "30")
     result = run_sweep(_small_config())
     assert result.digits_used == 30
+
+
+def _one_point(metric, **overrides):
+    base = dict(
+        scheme="correlated", axis="lam", values=(10.0,), m_list=(3,), metrics=(metric,)
+    )
+    base.update(overrides)
+    return run_sweep(SweepConfig(**base)).rows[0]
+
+
+def test_mandel_q_uses_exact_moments():
+    # lam = 10, m = 3: the subtraction-amplified tail defeats a Fock cutoff
+    # chosen before subtraction; 9.781988264703782 is a 60-digit evaluation
+    row = _one_point("mandel_q")
+    assert row.flag == "ok"
+    assert abs(row.value - 9.781988264703782) < 1e-7 * 9.781988264703782
+
+
+def test_quad_diff_var_matches_converged_fock_value():
+    from photsub import moments, states
+    from photsub.states import SpatsvSpec
+
+    state = states.spatsv(SpatsvSpec(10.0, 3), cutoff=3000)
+    fock_value = moments.quadrature_difference_variance(
+        moments.table_from_state(state, max_order=2)
+    )
+    row = _one_point("quad_diff_var")
+    assert row.flag == "ok"
+    assert abs(row.value - fock_value) < 1e-9 * fock_value
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "cfg.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+_SWEEP_TEXT = {
+    "single": "scheme = single\naxis = lam\nvalues = 0.5\nm = 1\nmetric = U\n",
+    "correlated": "scheme = correlated\naxis = lam\nvalues = 0.5\nm = 1\nmetric = nrf\n",
+}
+
+
+@pytest.mark.parametrize(
+    "extra, unknown",
+    [
+        ("cutof = 5\n", "cutof"),
+        ("cutoff = 200\n", "cutoff"),
+        ("mu = 5\nbogus = 1\n", "bogus"),
+    ],
+)
+def test_sweep_config_rejects_unknown_keys(tmp_path, extra, unknown):
+    path = _write(tmp_path, _SWEEP_TEXT["single"] + extra)
+    with pytest.raises(ConfigInvalid, match=f"unknown keys: {unknown}"):
+        sweep_config_from_file(path)
+
+
+def test_preset_config_accepts_only_digits(tmp_path):
+    ok = sweep_config_from_file(_write(tmp_path, "preset = fig1b\ndigits = 50\n"))
+    assert ok.digits == 50
+    with pytest.raises(ConfigInvalid, match="unknown keys: mu"):
+        sweep_config_from_file(_write(tmp_path, "preset = fig1b\nmu = 5\n"))
+
+
+def test_oracle_config_rejects_unknown_keys(tmp_path):
+    path = _write(tmp_path, "scheme = single\nlam = 0.3\nquantum_cutoff = 20\n")
+    with pytest.raises(ConfigInvalid, match="unknown keys: quantum_cutoff"):
+        experiments.oracle_compare_from_file(path)
+
+
+@pytest.mark.parametrize("scheme", ["single", "correlated"])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(mu=float("nan")),
+        dict(axis="mu", values=(5.0,), lam=float("inf")),
+        dict(phi=float("nan")),
+        dict(psi=float("inf")),
+        dict(chi=float("nan")),
+        dict(eta=float("nan")),
+        dict(values=(0.5, float("nan"))),
+        dict(axis="mu", values=(float("inf"),)),
+        dict(axis="eta", values=(1.5,)),
+        dict(axis="one_minus_tau", values=(float("nan"),)),
+        dict(m_list=(1.0,)),
+    ],
+    ids=[
+        "mu-nan", "lam-inf", "phi-nan", "psi-inf", "chi-nan", "eta-nan",
+        "lam-axis-nan", "mu-axis-inf", "eta-axis-range", "tau-axis-nan", "m-float",
+    ],
+)
+def test_validate_rejects_non_finite_and_non_integral(scheme, overrides):
+    metric = "U" if scheme == "single" else "nrf"
+    cfg = _small_config(scheme=scheme, metrics=(metric,), **overrides)
+    with pytest.raises(ConfigInvalid):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("scheme", ["single", "correlated"])
+@pytest.mark.parametrize("line", ["mu = nan\n", "values = inf\n", "m = 1.5\n", "m = nan\n"])
+def test_cli_rejects_bad_scene_values(tmp_path, capsys, scheme, line):
+    path = _write(tmp_path, _SWEEP_TEXT[scheme] + line)
+    assert main(["sweep", "--config", path]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme", ["single", "correlated"])
+def test_cli_oracle_compare_rejects_bad_scene_values(tmp_path, scheme):
+    path = _write(tmp_path, f"scheme = {scheme}\nlam = nan\n")
+    assert main(["oracle-compare", "--config", path]) == EXIT_CONFIG

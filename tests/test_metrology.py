@@ -56,7 +56,7 @@ def test_readout_slope_matches_finite_difference():
     base = dict(mu=4.0, phi=0.8)
 
     def diff_mean(phi):
-        m = metrology.single_readout_moments(
+        m = metrology.readout_moments(
             SingleMziConfig(PassvSpec(0.5, 1), mu=base["mu"], phi=phi)
         )
         return m[(1, 0)] - m[(0, 1)]
@@ -64,7 +64,7 @@ def test_readout_slope_matches_finite_difference():
     fd = (diff_mean(base["phi"] + h) - diff_mean(base["phi"] - h)) / (2 * h)
     # reconstruct the analytic slope from the uncertainty and the variance
     cfg = SingleMziConfig(PassvSpec(0.5, 1), mu=base["mu"], phi=base["phi"])
-    m = metrology.single_readout_moments(cfg)
+    m = metrology.readout_moments(cfg)
     mean = m[(1, 0)] - m[(0, 1)]
     var = m[(2, 0)] + m[(0, 2)] - 2 * m[(1, 1)] - mean**2
     slope = np.sqrt(var) / metrology.single_phase_uncertainty(cfg)
@@ -103,6 +103,14 @@ def test_singular_working_point():
     with pytest.raises(Singular):
         metrology.single_phase_uncertainty(
             SingleMziConfig(PassvSpec(0.5, 0), mu=10.0, phi=0.0)
+        )
+
+
+def test_dark_single_input_is_singular():
+    # every read-out moment vanishes, so the slope does too
+    with pytest.raises(Singular):
+        metrology.single_phase_uncertainty(
+            SingleMziConfig(PassvSpec(0.0, 0), mu=0.0, phi=1.0)
         )
 
 
@@ -246,8 +254,73 @@ def test_correlated_uncertainty_improves_with_efficiency_property(eta):
 def test_correlated_readout_moments_match_port_means():
     lam, mu, phi, eta = 0.3, 2.0, 0.7, 0.9
     cfg = CorrelatedConfig(SpatsvSpec(lam, 0), mu=mu, phi=phi, eta=eta, psi=0.3)
-    m = metrology.correlated_readout_moments(cfg)
+    m = metrology.readout_moments(cfg)
     tau = np.cos(phi / 2) ** 2
     expected = eta * ((1 - tau) * mu + tau * lam)
     assert abs(m[(1, 0)] - expected) < 1e-10
     assert abs(m[(0, 1)] - expected) < 1e-10
+
+
+def test_correlated_uncertainty_flags_odd_multiple_of_pi():
+    # cos(phi/2) vanishes at float resolution: no coherent light is detected
+    # and the normalisation would divide by ~4e-33
+    spec = SpatsvSpec(0.5, 1)
+    with pytest.raises(Singular):
+        metrology.correlated_uncertainty(
+            CorrelatedConfig(spec, mu=1e4, phi=np.pi, eta=0.98)
+        )
+    near = metrology.correlated_uncertainty(
+        CorrelatedConfig(spec, mu=1e4, phi=np.pi - 1e-3, eta=0.98)
+    )
+    assert np.isfinite(near) and near > 0
+
+
+def test_nrf_is_algebra_on_readout_moments():
+    # the metric and the oracle-checked moments come from one engine
+    cfg = CorrelatedConfig(SpatsvSpec(0.3, 2), mu=2.0, phi=0.7, psi=0.4, eta=0.9)
+    m = metrology.readout_moments(cfg)
+    mean_diff = m[(1, 0)] - m[(0, 1)]
+    var_diff = m[(2, 0)] + m[(0, 2)] - 2 * m[(1, 1)] - mean_diff**2
+    expected = var_diff / (m[(1, 0)] + m[(0, 1)])
+    assert abs(metrology.nrf(cfg) - expected) < 1e-12 * abs(expected)
+
+
+def test_readout_moment_orders():
+    single = metrology.readout_moments(
+        SingleMziConfig(PassvSpec(0.4, 1), mu=2.0, phi=0.8, eta=0.9)
+    )
+    correlated = metrology.readout_moments(
+        CorrelatedConfig(SpatsvSpec(0.4, 1), mu=2.0, phi=0.8, eta=0.9)
+    )
+    assert max(p + q for p, q in single) == 2 and len(single) == 5
+    assert max(p + q for p, q in correlated) == 4 and len(correlated) == 14
+
+
+_SCHEMES = [
+    pytest.param(PassvSpec, SingleMziConfig, id="single"),
+    pytest.param(SpatsvSpec, CorrelatedConfig, id="correlated"),
+]
+
+
+@pytest.mark.parametrize("spec_cls", [PassvSpec, SpatsvSpec])
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(m=1.0), dict(m=-1), dict(lam=float("nan")), dict(lam=float("inf")),
+     dict(chi=float("nan"))],
+    ids=["m-float", "m-negative", "lam-nan", "lam-inf", "chi-nan"],
+)
+def test_spec_rejects_invalid_inputs(spec_cls, kwargs):
+    args = dict(lam=0.5, m=1, chi=0.0)
+    args.update(kwargs)
+    with pytest.raises(ValueError):
+        spec_cls(**args)
+
+
+@pytest.mark.parametrize("spec_cls, cfg_cls", _SCHEMES)
+@pytest.mark.parametrize("name", ["mu", "phi", "psi", "eta"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_inputs(spec_cls, cfg_cls, name, bad):
+    args = dict(mu=10.0, phi=0.5, psi=0.0, eta=0.9)
+    args[name] = bad
+    with pytest.raises(ValueError):
+        cfg_cls(spec_cls(0.5, 1), **args)
