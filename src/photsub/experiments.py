@@ -233,11 +233,14 @@ def _correlated_metric(metric: str, m: int, p: dict, cfg: SweepConfig, digits) -
         return moments.mandel_q(moments.apply_loss(table, p["eta"]))
     if metric == "quad_diff_var":
         table = moments.spatsv_moment_table(lam, m, chi=p["chi"])
-        return moments.quadrature_difference_variance(table, p["chi"])
+        return moments.quadrature_difference_variance(
+            moments.apply_loss(table, p["eta"]), p["chi"]
+        )
     if metric == "quad_diff_var_seed":
-        seed = states.spatsv_seed(spec)
-        table = moments.table_from_state(seed, max_order=2)
-        return moments.quadrature_difference_variance(table, p["chi"])
+        table = moments.table_from_state(states.spatsv_seed(spec), max_order=2)
+        return moments.quadrature_difference_variance(
+            moments.apply_loss(table, p["eta"]), p["chi"]
+        )
     scene = CorrelatedConfig(spec, mu=p["mu"], phi=p["phi"], psi=p["psi"], eta=p["eta"])
     if metric == "U_norm":
         return metrology.correlated_uncertainty(scene, dps=digits)

@@ -40,13 +40,14 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import cos, isfinite, pi, sqrt, ulp
+from math import cos, isfinite, pi, sin, sqrt, ulp
 
 import mpmath as mp
 
 from . import moments, opalg
 from .errors import (
     NonPositiveQfi,
+    PrecisionInsufficient,
     Singular,
     UnsupportedOrder,
     ZeroMeanPhoton,
@@ -222,18 +223,33 @@ def readout_moments(
 def single_phase_uncertainty(cfg: SingleMziConfig) -> float:
     """Uncertainty sqrt(Var o) / |d<o>/dphi| of the photon-number difference.
 
-    The phase derivative is carried analytically through the beamsplitter
-    map; a vanishing derivative raises Singular.
+    The phase derivative eta (<n_q> - mu) sin(phi) is carried analytically
+    through the beamsplitter map.  It cancels between the two inputs, so
+    fewer than 8 working digits surviving against its scale
+    eta (mu + <n_q>) |sin(phi)| raise PrecisionInsufficient.  A derivative
+    that vanishes exactly, and still does with 20 more digits, raises
+    Singular.
     """
     diff = _port_difference()
     with _scene(cfg, jet=True) as scene:
         mean = Jet.lift(scene.expect(diff))
         second = Jet.lift(scene.expect(opalg.multiply(diff, diff)))
+        photons = sum(complex(t.entry((1, 1))).real for t in scene.tables)
+        digits = mp.mp.dps
     mean_v = complex(mean.f).real
     var = complex(second.f).real - mean_v**2
     slope = complex(mean.d1).real
-    if abs(slope) < 1e-300 or not isfinite(slope):
-        raise Singular("read-out mean has zero phase derivative at this working point")
+    if not isfinite(slope):
+        raise Singular("read-out mean has no finite phase derivative here")
+    if abs(slope) < 1e-300:
+        with _scene(cfg, jet=True, dps=digits + 20) as scene:
+            finer = mp.re(Jet.lift(scene.expect(diff)).d1)
+        if finer == 0:
+            raise Singular("read-out mean has zero phase derivative at this working point")
+    if abs(slope) < 10.0 ** (8 - digits) * photons * abs(sin(cfg.phi)):
+        raise PrecisionInsufficient(
+            f"read-out slope {slope:.3g} cancels: fewer than 8 of {digits} digits survive"
+        )
     var = max(var, 0.0)
     return sqrt(var) / abs(slope)
 

@@ -4,14 +4,15 @@ A :class:`MomentTable` maps normally-ordered moment indices to expectation
 values for one subsystem: ``(p, q)`` for a single mode meaning
 ``<a^dag^p a^q>``, or ``(p, q, r, s)`` for a mode pair meaning
 ``<a1^dag^p a1^q a2^dag^r a2^s>``.  Tables are either filled eagerly by
-direct Fock summation over a truncated state, or lazily from exact
-Bogoliubov-transformed vacuum words (cutoff-free, arbitrary precision via
-mpmath) for the squeezed-state families.
+direct Fock summation over a truncated state, or lazily, for the
+squeezed-state families, from closed-form Wick pairing sums over the
+Gaussian (squeezed or two-mode squeezed) vacuum, cutoff-free and at the
+working mpmath precision.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import factorial
 
 import mpmath as mp
 import numpy as np
@@ -234,95 +235,55 @@ def joint_photon_distribution(state: TwoModeDiagonalState) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Exact Bogoliubov-vacuum moments (cutoff-free, mpmath precision)
+# Exact Gaussian-vacuum moments (cutoff-free, mpmath precision)
 # ---------------------------------------------------------------------------
-
-
-def _apply_word_1m(word, dim):
-    """Apply a sequence of (c_a, c_adag) single-mode factors to |0>.
-
-    Each factor is c_a * a + c_adag * a^dag; returns the final amplitude of
-    |0> as an mpmath complex.
-    """
-    state = {0: mp.mpc(1)}
-    for c_a, c_adag in reversed(word):
-        new = {}
-        for n, amp in state.items():
-            if c_a != 0 and n >= 1:
-                new[n - 1] = new.get(n - 1, mp.mpc(0)) + c_a * mp.sqrt(n) * amp
-            if c_adag != 0 and n + 1 <= dim:
-                new[n + 1] = new.get(n + 1, mp.mpc(0)) + c_adag * mp.sqrt(n + 1) * amp
-        state = new
-        if not state:
-            return mp.mpc(0)
-    return state.get(0, mp.mpc(0))
 
 
 def bogoliubov_vacuum_moment_1m(p: int, q: int, lam, chi: float = 0.0):
     """<a^dag^p a^q> on a squeezed vacuum with mean photons lam, exactly.
 
-    Uses S^dag a S = cosh(r) a + e^{i chi} sinh(r) a^dag with
-    cosh r = sqrt(1 + lam), sinh r = sqrt(lam).
+    The state is Gaussian, so the moment is a Wick pairing sum of the
+    contractions <a^dag a> = lam and <a a> = sqrt(lam (1 + lam)) e^{i chi}.
+    With k (a^dag, a) pairs, the other a^dag pair among themselves (i of
+    those pairs) and so do the other a (j pairs), in
+    p! q! / (k! i! j! 2^(i+j)) ways.  Every term is a nonnegative real times
+    the common phase e^{i chi (q - p)/2}, so the sum cannot cancel.
     """
     if (p - q) % 2 != 0:
         return mp.mpc(0)
     lam = mp.mpf(lam)
-    c = mp.sqrt(1 + lam)
-    s = mp.sqrt(lam)
-    ph = mp.exp(mp.mpc(0, chi)) if chi else mp.mpc(1)
-    # transformed a: (c, s e^{i chi}); transformed a^dag: (s e^{-i chi}, c)
-    word = [(s * _mp_conj(ph), c)] * p + [(c, s * ph)] * q
-    return _apply_word_1m(word, p + q + 1)
-
-
-def _mp_conj(z):
-    return mp.mpc(z).conjugate()
-
-
-def _apply_word_2m(word, dim):
-    """Two-mode analogue; factors are (c_a1, c_a1dag, c_a2, c_a2dag)."""
-    state = {(0, 0): mp.mpc(1)}
-    for c1, c1d, c2, c2d in reversed(word):
-        new = {}
-        for (n1, n2), amp in state.items():
-            if c1 != 0 and n1 >= 1:
-                k = (n1 - 1, n2)
-                new[k] = new.get(k, mp.mpc(0)) + c1 * mp.sqrt(n1) * amp
-            if c1d != 0 and n1 + 1 <= dim:
-                k = (n1 + 1, n2)
-                new[k] = new.get(k, mp.mpc(0)) + c1d * mp.sqrt(n1 + 1) * amp
-            if c2 != 0 and n2 >= 1:
-                k = (n1, n2 - 1)
-                new[k] = new.get(k, mp.mpc(0)) + c2 * mp.sqrt(n2) * amp
-            if c2d != 0 and n2 + 1 <= dim:
-                k = (n1, n2 + 1)
-                new[k] = new.get(k, mp.mpc(0)) + c2d * mp.sqrt(n2 + 1) * amp
-        state = new
-        if not state:
-            return mp.mpc(0)
-    return state.get((0, 0), mp.mpc(0))
+    g = mp.sqrt(lam * (1 + lam))
+    total = mp.mpf(0)
+    for k in range(p % 2, min(p, q) + 1, 2):
+        i, j = (p - k) // 2, (q - k) // 2
+        pairings = factorial(p) * factorial(q) // (
+            factorial(k) * factorial(i) * factorial(j) * 2 ** (i + j)
+        )
+        total += pairings * lam**k * g ** (i + j)
+    return total * mp.exp(mp.mpc(0, chi)) ** ((q - p) // 2)
 
 
 def bogoliubov_vacuum_moment_2m(p: int, q: int, r: int, s: int, lam, chi: float = 0.0):
     """<a1^dag^p a1^q a2^dag^r a2^s> on a TSV with mean photons/mode lam.
 
-    Uses S^dag a1 S = cosh(rho) a1 + e^{i chi} sinh(rho) a2^dag and the
-    mode-swapped counterpart.
+    A Wick pairing sum of <a_j^dag a_j> = lam and <a1 a2> =
+    sqrt(lam (1 + lam)) e^{i chi} over k, the number of (a1^dag, a1) pairs:
+    the other a1^dag pair with a2^dag, the other a1 with a2, and the
+    r - p + k (a2^dag, a2) left pair among themselves, in
+    p! q! r! s! / (k! (p-k)! (q-k)! (r-p+k)!) ways.  Every term is a
+    nonnegative real times the common phase e^{i chi (q - p)}.
     """
     if p - q != r - s:
         return mp.mpc(0)
     lam = mp.mpf(lam)
-    c = mp.sqrt(1 + lam)
-    sh = mp.sqrt(lam)
-    ph = mp.exp(mp.mpc(0, chi)) if chi else mp.mpc(1)
-    phc = _mp_conj(ph)
-    a1 = (c, 0, 0, sh * ph)
-    a1d = (0, c, sh * phc, 0)
-    a2 = (0, sh * ph, c, 0)
-    a2d = (sh * phc, 0, 0, c)
-    word = [a1d] * p + [a2d] * r + [a1] * q + [a2] * s
-    dim = p + q + r + s + 1
-    return _apply_word_2m(word, dim)
+    g = mp.sqrt(lam * (1 + lam))
+    total = mp.mpf(0)
+    for k in range(max(0, p - r), min(p, q) + 1):
+        pairings = factorial(p) * factorial(q) * factorial(r) * factorial(s) // (
+            factorial(k) * factorial(p - k) * factorial(q - k) * factorial(r - p + k)
+        )
+        total += pairings * lam ** (2 * k + r - p) * g ** (p + q - 2 * k)
+    return total * mp.exp(mp.mpc(0, chi)) ** (q - p)
 
 
 def passv_moment_table(lam, m: int, max_order: int = 8, chi: float = 0.0, mode=0) -> MomentTable:

@@ -13,11 +13,12 @@ from math import comb, factorial, isfinite, sqrt
 from numbers import Integral
 
 import numpy as np
-from scipy.optimize import bisect
+from scipy.optimize import brentq
 
 from . import fock
 from .errors import OutOfRange
 from .fock import FockState1, TwoModeDiagonalState
+from .moments import bogoliubov_vacuum_moment_1m, bogoliubov_vacuum_moment_2m
 
 
 def _check_spec(spec) -> None:
@@ -135,18 +136,11 @@ def spatsv_seed(spec: SpatsvSpec) -> TwoModeDiagonalState:
 # ---------------------------------------------------------------------------
 
 
-def _ssv_factorial_moment(k: int, lam: float) -> float:
-    """<a^dag^k a^k> of a squeezed vacuum with mean photons lam, by recursion
-    over the Bogoliubov word applied to vacuum (exact, cutoff-free)."""
-    from .moments import bogoliubov_vacuum_moment_1m
-
-    return bogoliubov_vacuum_moment_1m(k, k, lam)
-
-
 def passv_mean_photons(lam: float, m: int) -> float:
     """Mean photon number of the m-subtracted squeezed vacuum.
 
-    Closed forms for m <= 3; computed from exact factorial moments above.
+    Closed forms for m <= 3; above, the ratio of the squeezed vacuum's
+    factorial moments <a^dag^(m+1) a^(m+1)> / <a^dag^m a^m>.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
@@ -161,8 +155,8 @@ def passv_mean_photons(lam: float, m: int) -> float:
     if lam == 0:
         # the subtracted state degenerates to |0> (even m) or |1> (odd m)
         return float(m % 2)
-    num = _ssv_factorial_moment(m + 1, lam)
-    den = _ssv_factorial_moment(m, lam)
+    num = bogoliubov_vacuum_moment_1m(m + 1, m + 1, lam)
+    den = bogoliubov_vacuum_moment_1m(m, m, lam)
     return float((num / den).real)
 
 
@@ -174,8 +168,6 @@ def spatsv_mean_photons(lam: float, m: int) -> float:
         return lam
     if lam == 0:
         return 0.0
-    from .moments import bogoliubov_vacuum_moment_2m
-
     num = bogoliubov_vacuum_moment_2m(m + 1, m + 1, m, m, lam)
     den = bogoliubov_vacuum_moment_2m(m, m, m, m, lam)
     return float((num / den).real)
@@ -185,7 +177,8 @@ def balance_energy(target_lam: float, m: int, kind: str = "single") -> float:
     """Invert the mean-photon map: find lam0 with mean(lam0, m) = target_lam.
 
     ``kind`` selects the single-mode (PASSV) or two-mode (SPATSV) map.  The
-    maps are monotone in lam, so a bracketed bisection is used.  Raises
+    maps are monotone in lam: the root is bracketed by doubling from
+    [0, max(target, 1)] and found by Brent's method.  Raises
     OutOfRange when the target lies below the map's infimum (odd-m PASSV has
     mean >= 1 for every lam).
     """
@@ -212,6 +205,5 @@ def balance_energy(target_lam: float, m: int, kind: str = "single") -> float:
         hi *= 2.0
         if hi > 1e12:
             raise OutOfRange("target energy unreachable")
-    root = bisect(lambda lam: mean(lam) - target_lam, lo, hi, xtol=1e-15, rtol=1e-14)
-    # polish the relative residual
+    root = brentq(lambda lam: mean(lam) - target_lam, lo, hi, xtol=1e-15, rtol=1e-14)
     return float(root)

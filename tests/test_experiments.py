@@ -1,5 +1,7 @@
 """Presets, config-driven sweeps, oracle comparison and the CLI."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -314,3 +316,23 @@ def test_cli_rejects_bad_scene_values(tmp_path, capsys, scheme, line):
 def test_cli_oracle_compare_rejects_bad_scene_values(tmp_path, scheme):
     path = _write(tmp_path, f"scheme = {scheme}\nlam = nan\n")
     assert main(["oracle-compare", "--config", path]) == EXIT_CONFIG
+
+
+def test_fig1c_vanishing_slope_rows_are_flagged():
+    # at lam = mu = 100 balancing makes <n_q> = mu, so the read-out slope
+    # cancels: exactly for m = 0 and for m = 1 (lam0 = 33, 3 lam0 + 1 = 100),
+    # to round-off of the balancing root for m >= 2
+    cfg = dataclasses.replace(PRESETS["fig1c"], values=(100.0,), metrics=("U",))
+    flags = {row.m: row.flag for row in run_sweep(cfg).rows}
+    assert flags == {0: "singular", 1: "singular", 2: "precision",
+                     3: "precision", 4: "precision"}
+
+
+@pytest.mark.parametrize("metric", ["quad_diff_var", "quad_diff_var_seed"])
+def test_quad_diff_var_obeys_loss_law(metric):
+    # V(eta) = eta V(1) + (1 - eta)/2: loss mixes in vacuum at the 0.5 level
+    lossless = _one_point(metric, values=(0.7,), m_list=(1,)).value
+    for eta in (0.5, 0.9):
+        row = _one_point(metric, values=(0.7,), m_list=(1,), eta=eta)
+        expected = eta * lossless + (1.0 - eta) / 2.0
+        assert abs(row.value - expected) < 1e-12 * expected

@@ -1,5 +1,8 @@
 """Exact moment tables: Fock cross-validation, loss, quadratures, Mandel Q."""
 
+import itertools
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,3 +155,104 @@ def test_bogoliubov_moments_match_fock():
     for p, q in [(1, 1), (2, 2), (2, 0), (3, 1), (3, 3)]:
         exact = complex(moments.bogoliubov_vacuum_moment_1m(p, q, lam))
         assert abs(complex(num.entry((p, q))) - exact) < 1e-8 * max(1.0, abs(exact))
+
+
+# Reference: the Bogoliubov transform applied to vacuum word by word over a
+# dict of amplitudes, O(L^2) per entry.  The Wick sums must reproduce it.
+
+
+def _apply_word_1m(word, dim):
+    """Apply a sequence of (c_a, c_adag) single-mode factors to |0>.
+
+    Each factor is c_a * a + c_adag * a^dag; returns the final amplitude of
+    |0> as an mpmath complex.
+    """
+    state = {0: mp.mpc(1)}
+    for c_a, c_adag in reversed(word):
+        new = {}
+        for n, amp in state.items():
+            if c_a != 0 and n >= 1:
+                new[n - 1] = new.get(n - 1, mp.mpc(0)) + c_a * mp.sqrt(n) * amp
+            if c_adag != 0 and n + 1 <= dim:
+                new[n + 1] = new.get(n + 1, mp.mpc(0)) + c_adag * mp.sqrt(n + 1) * amp
+        state = new
+        if not state:
+            return mp.mpc(0)
+    return state.get(0, mp.mpc(0))
+
+
+def _apply_word_2m(word, dim):
+    """Two-mode analogue; factors are (c_a1, c_a1dag, c_a2, c_a2dag)."""
+    state = {(0, 0): mp.mpc(1)}
+    for c1, c1d, c2, c2d in reversed(word):
+        new = {}
+        for (n1, n2), amp in state.items():
+            if c1 != 0 and n1 >= 1:
+                k = (n1 - 1, n2)
+                new[k] = new.get(k, mp.mpc(0)) + c1 * mp.sqrt(n1) * amp
+            if c1d != 0 and n1 + 1 <= dim:
+                k = (n1 + 1, n2)
+                new[k] = new.get(k, mp.mpc(0)) + c1d * mp.sqrt(n1 + 1) * amp
+            if c2 != 0 and n2 >= 1:
+                k = (n1, n2 - 1)
+                new[k] = new.get(k, mp.mpc(0)) + c2 * mp.sqrt(n2) * amp
+            if c2d != 0 and n2 + 1 <= dim:
+                k = (n1, n2 + 1)
+                new[k] = new.get(k, mp.mpc(0)) + c2d * mp.sqrt(n2 + 1) * amp
+        state = new
+        if not state:
+            return mp.mpc(0)
+    return state.get((0, 0), mp.mpc(0))
+
+
+def _word_moment_1m(p, q, lam, chi):
+    """<a^dag^p a^q> from S^dag a S = cosh(r) a + e^{i chi} sinh(r) a^dag."""
+    c, s = mp.sqrt(1 + mp.mpf(lam)), mp.sqrt(mp.mpf(lam))
+    ph = mp.exp(mp.mpc(0, chi))
+    word = [(s * mp.conj(ph), c)] * p + [(c, s * ph)] * q
+    return _apply_word_1m(word, p + q + 1)
+
+
+def _word_moment_2m(p, q, r, s, lam, chi):
+    """<a1^dag^p a1^q a2^dag^r a2^s> from S^dag a1 S = cosh a1 + e^{i chi} sinh a2^dag."""
+    c, sh = mp.sqrt(1 + mp.mpf(lam)), mp.sqrt(mp.mpf(lam))
+    ph = mp.exp(mp.mpc(0, chi))
+    a1, a1d = (c, 0, 0, sh * ph), (0, c, sh * mp.conj(ph), 0)
+    a2, a2d = (0, sh * ph, c, 0), (sh * mp.conj(ph), 0, 0, c)
+    word = [a1d] * p + [a2d] * r + [a1] * q + [a2] * s
+    return _apply_word_2m(word, p + q + r + s + 1)
+
+
+def _assert_close(got, ref, rel):
+    if ref == 0:
+        assert got == 0
+    else:
+        assert abs(got - ref) <= rel * abs(ref)
+
+
+WICK_LAMS = [0, 1e-3, 0.7, 37, 100]
+WICK_CHIS = [0, 0.3, -1.1]
+
+
+@pytest.mark.parametrize("chi", WICK_CHIS)
+@pytest.mark.parametrize("lam", WICK_LAMS)
+def test_wick_sum_matches_word_applier_1m(lam, chi):
+    with mp.workdps(50):
+        for p, q in itertools.product(range(9), repeat=2):
+            got = moments.bogoliubov_vacuum_moment_1m(p, q, lam, chi)
+            assert isinstance(got, mp.mpc)
+            _assert_close(got, _word_moment_1m(p, q, lam, chi), mp.mpf("1e-40"))
+
+
+@pytest.mark.parametrize("chi", WICK_CHIS)
+@pytest.mark.parametrize("lam", WICK_LAMS)
+def test_wick_sum_matches_word_applier_2m(lam, chi):
+    with mp.workdps(50):
+        for p, q, r, s in itertools.product(range(9), repeat=4):
+            got = moments.bogoliubov_vacuum_moment_2m(p, q, r, s, lam, chi)
+            assert isinstance(got, mp.mpc)
+            if p - q != r - s:
+                assert got == 0
+                continue
+            _assert_close(got, _word_moment_2m(p, q, r, s, lam, chi), mp.mpf("1e-40"))
+

@@ -18,7 +18,7 @@ def test_legendre_recurrence_values():
 
 
 @pytest.mark.parametrize("lam", [0.2, 1.0, 5.0])
-@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6])
 def test_single_mode_norm_squared_matches_factorial_moment(lam, m):
     from photsub.moments import bogoliubov_vacuum_moment_1m
 
@@ -27,7 +27,7 @@ def test_single_mode_norm_squared_matches_factorial_moment(lam, m):
 
 
 @pytest.mark.parametrize("lam", [0.2, 1.0, 5.0])
-@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6])
 def test_two_mode_norm_squared_matches_factorial_moment(lam, m):
     from photsub.moments import bogoliubov_vacuum_moment_2m
 
@@ -115,15 +115,14 @@ def test_single_seed_rejects_zero_energy():
 
 
 def test_balance_energy_round_trip():
-    for m, kind in [(1, "single"), (2, "single"), (3, "single"), (2, "two_mode")]:
-        target = 7.5
-        lam0 = states.balance_energy(target, m, kind)
-        mean = (
-            states.passv_mean_photons(lam0, m)
-            if kind == "single"
-            else states.spatsv_mean_photons(lam0, m)
-        )
-        assert abs(mean - target) < 1e-9 * target
+    for kind, mean in [
+        ("single", states.passv_mean_photons),
+        ("two_mode", states.spatsv_mean_photons),
+    ]:
+        for m in range(1, 6):
+            for target in (1.5, 7.5, 60.0, 1e3):
+                lam0 = states.balance_energy(target, m, kind)
+                assert abs(mean(lam0, m) - target) < 1e-12 * target
 
 
 def test_balance_energy_below_infimum():
