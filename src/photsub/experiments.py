@@ -27,6 +27,8 @@ from dataclasses import dataclass, replace
 from math import inf, isfinite, pi, sqrt
 from numbers import Integral
 
+import mpmath as mp
+
 from . import fock, metrology, moments, states
 from .errors import (
     ConfigInvalid,
@@ -209,8 +211,11 @@ def _single_metric(metric: str, m: int, p: dict, cfg: SweepConfig, digits) -> fl
     if metric == "qfi_classical":
         return 2.0 * (p["mu"] + states.passv_mean_photons(lam, m))
     if metric == "var_y":
-        table = moments.passv_moment_table(lam, m, chi=p["chi"])
-        return moments.quadrature_variance(moments.apply_loss(table, p["eta"]), pi / 2)
+        # <n> and Re<a^2> cancel to ~1e-4 of their size at large lam
+        with mp.workdps(mp.mp.dps + 20):
+            table = moments.passv_moment_table(lam, m, chi=p["chi"])
+            table = moments.apply_loss(table, mp.mpf(p["eta"]))
+            return moments.quadrature_variance(table, pi / 2)
     scene = SingleMziConfig(spec, mu=p["mu"], phi=p["phi"], psi=p["psi"], eta=p["eta"])
     if metric == "U":
         return metrology.single_phase_uncertainty(scene)

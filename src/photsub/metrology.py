@@ -19,12 +19,14 @@ Correlated scheme: modes 0 and 1 carry the two entangled quantum modes,
 each mixed in its own interferometer (phases phi1, phi2) with an identical
 coherent state.  The coherent inputs are handled displacement-first: the
 read-out operator images are u(phi_k) a_k + v(phi_k) beta with beta the
-coherent amplitude, which is exact because the substituted polynomials are
+coherent amplitude, which is exact because the observables are
 normal-ordered (no vacuum contractions survive the expectation).
 
 Every figure of merit is an expectation taken by one read-out engine,
-:class:`_Scene`: a normally-ordered read-out observable is substituted
-through the port map and contracted against the input moment tables.
+:class:`_Scene`: :func:`photsub.opalg.contract` expands the port images of
+each monomial of a normally-ordered read-out observable straight into
+moment keys of the input tables.  Phase derivatives ride along as jets only
+in the expectations whose derivatives are read.
 
 Detection loss eta is a beamsplitter to vacuum on each read-out port.  The
 loss is the same on every port, so it commutes with the passive
@@ -52,7 +54,7 @@ from .errors import (
     UnsupportedOrder,
     ZeroMeanPhoton,
 )
-from .opalg import Jet, LinearModeMap, OperatorPolynomial
+from .opalg import Jet, OperatorPolynomial
 from .states import PassvSpec, SpatsvSpec
 
 SQRT2 = sqrt(2.0)
@@ -152,33 +154,35 @@ def _input_tables(cfg, eta) -> tuple:
 class _Scene:
     """Lossy input tables behind the read-out port map of one scene.
 
-    Read-out ports are modes 0 and 1.  With ``jet`` the map entries carry the
-    phase derivatives: slot 1 for the single phase, slots 1 and 2 for phi1
-    and phi2.  Build it through :func:`_scene`, at working precision.
+    Read-out ports are modes 0 and 1.  The scene keeps the port map twice:
+    with plain entries, and with entries that carry the phase derivatives as
+    jets (slot 1 for the single phase, slots 1 and 2 for phi1 and phi2), for
+    the expectations whose derivatives are read.  Build it through
+    :func:`_scene`, at working precision.
     """
 
-    def __init__(self, cfg, jet: bool = False):
+    def __init__(self, cfg):
         coherent, quantum = _input_tables(cfg, mp.mpf(cfg.eta))
-        u1, v1 = _mzi_entries(cfg.phi, 1 if jet else 0)
-        if isinstance(cfg, SingleMziConfig):
-            self.tables = [coherent, quantum]
-            images = {0: ({0: u1, 1: v1}, 0), 1: ({0: v1, 1: u1}, 0)}
-        else:
-            self.tables = [quantum]
-            beta = coherent.entry((0, 1))
-            u2, v2 = _mzi_entries(cfg.phi, 2 if jet else 0)
-            images = {0: ({0: u1}, v1 * beta), 1: ({1: u2}, v2 * beta)}
-        self.port_map = LinearModeMap(images)
+        single = isinstance(cfg, SingleMziConfig)
+        self.tables = [coherent, quantum] if single else [quantum]
+        beta = 0 if single else coherent.entry((0, 1))
+        self._images = {}
+        for jet in (False, True):
+            u1, v1 = _mzi_entries(cfg.phi, 1 if jet else 0)
+            if single:
+                images = {0: ({0: u1, 1: v1}, 0), 1: ({0: v1, 1: u1}, 0)}
+            else:
+                u2, v2 = _mzi_entries(cfg.phi, 2 if jet else 0)
+                images = {0: ({0: u1}, v1 * beta), 1: ({1: u2}, v2 * beta)}
+            self._images[jet] = images
 
-    def expect(self, obs: OperatorPolynomial, min_digits: int | None = None):
-        """Expectation of a read-out-level observable (a jet when ``jet``)."""
-        return opalg.expect(
-            opalg.substitute(obs, self.port_map), self.tables, min_digits
-        )
+    def expect(self, obs: OperatorPolynomial, jet: bool = False, min_digits: int | None = None):
+        """Expectation of a read-out-level observable; a :class:`Jet` with ``jet``."""
+        return opalg.contract(obs, self._images[jet], self.tables, min_digits)
 
 
 @contextmanager
-def _scene(cfg, jet: bool = False, dps: int | None = None):
+def _scene(cfg, dps: int | None = None):
     """Yield the scene's read-out engine inside its working precision.
 
     That is ``dps`` digits, else 40 + 3 log10(mu) for the correlated scheme
@@ -187,7 +191,7 @@ def _scene(cfg, jet: bool = False, dps: int | None = None):
     if dps is None and isinstance(cfg, SingleMziConfig):
         dps = mp.mp.dps
     with mp.workdps(dps or _working_digits(cfg.mu)):
-        yield _Scene(cfg, jet)
+        yield _Scene(cfg)
 
 
 def _port_difference() -> OperatorPolynomial:
@@ -231,19 +235,19 @@ def single_phase_uncertainty(cfg: SingleMziConfig) -> float:
     Singular.
     """
     diff = _port_difference()
-    with _scene(cfg, jet=True) as scene:
-        mean = Jet.lift(scene.expect(diff))
-        second = Jet.lift(scene.expect(opalg.multiply(diff, diff)))
+    with _scene(cfg) as scene:
+        mean = Jet.lift(scene.expect(diff, jet=True))
+        second = scene.expect(opalg.multiply(diff, diff))
         photons = sum(complex(t.entry((1, 1))).real for t in scene.tables)
         digits = mp.mp.dps
     mean_v = complex(mean.f).real
-    var = complex(second.f).real - mean_v**2
+    var = complex(second).real - mean_v**2
     slope = complex(mean.d1).real
     if not isfinite(slope):
         raise Singular("read-out mean has no finite phase derivative here")
     if abs(slope) < 1e-300:
-        with _scene(cfg, jet=True, dps=digits + 20) as scene:
-            finer = mp.re(Jet.lift(scene.expect(diff)).d1)
+        with _scene(cfg, dps=digits + 20) as scene:
+            finer = mp.re(Jet.lift(scene.expect(diff, jet=True)).d1)
         if finer == 0:
             raise Singular("read-out mean has zero phase derivative at this working point")
     if abs(slope) < 10.0 ** (8 - digits) * photons * abs(sin(cfg.phi)):
@@ -269,8 +273,9 @@ def qfi(cfg: SingleMziConfig) -> float:
                 OperatorPolynomial.ladder(m2),
             ).scaled(half)
     tables = _input_tables(cfg, 1)
-    mean = complex(opalg.expect(n3, tables)).real
-    second = complex(opalg.expect(opalg.multiply(n3, n3), tables)).real
+    inputs = {0: ({0: 1}, 0), 1: ({1: 1}, 0)}
+    mean = complex(opalg.contract(n3, inputs, tables)).real
+    second = complex(opalg.contract(opalg.multiply(n3, n3), inputs, tables)).real
     return 4.0 * max(second - mean**2, 0.0)
 
 
@@ -317,19 +322,15 @@ def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> flo
         raise Singular("no coherent light reaches the read-out: cos(phi/2) = 0")
     diff = _port_difference()
     c_op = opalg.multiply(diff, diff)
-    with _scene(cfg, jet=True, dps=dps) as scene:
-        mean_c = scene.expect(c_op)
+    with _scene(cfg, dps=dps) as scene:
+        mean_c = scene.expect(c_op, jet=True)
         mixed = mp.re(mean_c.d12)
         if abs(mixed) < mp.mpf("1e-300"):
             raise Singular("mixed phase derivative of <C> vanishes here")
         # Var C = <(C - <C>)^2>: centring before squaring keeps the
         # bright-beam cancellation inside the exactly contracted polynomial.
-        centered = opalg.center(c_op, Jet(mean_c.f))
-        var_c = mp.re(
-            Jet.lift(
-                scene.expect(opalg.multiply(centered, centered), min_digits=8)
-            ).f
-        )
+        centered = c_op - mean_c.f
+        var_c = mp.re(scene.expect(opalg.multiply(centered, centered), min_digits=8))
         var_c = var_c if var_c > 0 else mp.mpf(0)
         raw = mp.sqrt(2 * var_c) / abs(mixed)
         eta = mp.mpf(cfg.eta)

@@ -151,11 +151,13 @@ def apply_loss(table: MomentTable, eta: float) -> MomentTable:
     if eta == 1:
         return table
 
+    factors = {0: 1}
+
     def compute(key):
         total = sum(key)
-        if total == 0:
-            return table.entry(key)
-        return eta ** (total / 2) * table.entry(key)
+        if total not in factors:
+            factors[total] = eta ** (total / 2)
+        return factors[total] * table.entry(key)
 
     return MomentTable(table.modes, table.max_order, compute=compute)
 
@@ -166,16 +168,18 @@ def apply_loss(table: MomentTable, eta: float) -> MomentTable:
 
 
 def quadrature_variance(table: MomentTable, theta: float = 0.0) -> float:
-    """Var(X_theta) with X_theta = (a e^{-i theta} + a^dag e^{i theta})/sqrt 2."""
+    """Var(X_theta) with X_theta = (a e^{-i theta} + a^dag e^{i theta})/sqrt 2.
+
+    Evaluated in mpmath at the working precision: for strong squeezing <n>
+    and Re<a^2 e^{-2i theta}> nearly cancel, so build the table and call
+    this with guard digits set.
+    """
     if len(table.modes) != 1:
         raise MomentOrderMissing("quadrature_variance needs a single-mode table")
-    e = np.exp(-1j * theta)
-    a = complex(table.entry((0, 1)))
-    aa = complex(table.entry((0, 2)))
-    n = complex(table.entry((1, 1)))
-    mean = (e * a + np.conj(e * a)) / np.sqrt(2.0)
-    second = (e * e * aa + np.conj(e * e * aa) + 2.0 * n + 1.0) / 2.0
-    return float((second - mean**2).real)
+    e = mp.expj(-theta)
+    mean = mp.sqrt(2) * mp.re(e * table.entry((0, 1)))
+    second = mp.re(e * e * table.entry((0, 2)) + table.entry((1, 1))) + mp.mpf(0.5)
+    return float(second - mean**2)
 
 
 def quadrature_difference_variance(table: MomentTable, chi: float = 0.0) -> float:

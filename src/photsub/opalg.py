@@ -12,16 +12,19 @@ Normal ordering uses the per-mode identity
     a^q a^dag^p = sum_k k! C(q,k) C(p,k) a^dag^{p-k} a^{q-k},
 
 which makes the canonical form unique: two polynomials are equal iff their
-maps are equal.
+maps are equal.  :func:`contract` takes the expectation of a polynomial
+through a linear mode map over a product of moment tables.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, prod
 
-from .errors import DegreeBoundExceeded, MomentOrderMissing, PrecisionInsufficient
+from .errors import DegreeBoundExceeded, PrecisionInsufficient
 
 DEFAULT_DEGREE_CAP = 16
+_EXP_BITS = 16
+_EXP_MASK = (1 << _EXP_BITS) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +232,6 @@ class OperatorPolynomial:
             out._add_term(key, _conj(c))
         return out
 
-    def drop_zero(self, tol: float = 0.0):
-        """Remove exactly-zero (or, with tol, negligible) coefficients."""
-        if tol:
-            scale = max((_abs_value(c) for c in self.terms.values()), default=0.0)
-            return OperatorPolynomial(
-                {k: c for k, c in self.terms.items() if _abs_value(c) > tol * scale}
-            )
-        return OperatorPolynomial(
-            {k: c for k, c in self.terms.items() if _abs_value(c) != 0.0}
-        )
-
     def __len__(self):
         return len(self.terms)
 
@@ -279,31 +271,8 @@ def power(a: OperatorPolynomial, n: int, degree_cap: int | None = None) -> Opera
 
 
 # ---------------------------------------------------------------------------
-# Linear mode substitution
+# Expectation through a linear mode map
 # ---------------------------------------------------------------------------
-
-
-class LinearModeMap:
-    """Affine substitution a_j -> sum_k u[j][k] a_k + beta[j].
-
-    ``images`` maps a source mode to ``(coeffs, beta)`` where ``coeffs`` is a
-    dict target-mode -> coefficient.
-    """
-
-    def __init__(self, images: dict):
-        self.images = {
-            j: (dict(coeffs), beta) for j, (coeffs, beta) in images.items()
-        }
-
-    def image_poly(self, mode: int, dagger: bool) -> OperatorPolynomial:
-        coeffs, beta = self.images[mode]
-        out = OperatorPolynomial()
-        for target, c in coeffs.items():
-            cc = _conj(c) if dagger else c
-            out._add_term(mono((target, 1, 0) if dagger else (target, 0, 1)), cc)
-        if not _is_zero(beta):
-            out._add_term((), _conj(beta) if dagger else beta)
-        return out
 
 
 def _is_zero(x) -> bool:
@@ -315,94 +284,111 @@ def _is_zero(x) -> bool:
         return False
 
 
-def substitute(poly: OperatorPolynomial, mode_map: LinearModeMap, degree_cap: int | None = None) -> OperatorPolynomial:
-    """Apply a linear mode map to every monomial, re-expand and normal-order.
+def contract(poly: OperatorPolynomial, images: dict, tables, min_digits: int | None = None):
+    """Expectation of ``poly`` after the substitution a_j -> sum_t c_jt a_t + beta_j.
 
-    Valid for canonical (commutation-preserving) maps: images of commuting
-    factors commute, so the creation block may be multiplied in any order.
+    ``images`` maps each mode of ``poly`` to ``(coeffs, beta)``, with
+    ``coeffs`` a dict target mode -> c_jt.  ``tables`` describe a product
+    state: each exposes ``modes`` (tuple of mode ids, together covering every
+    target mode once) and ``entry(key)``, ``key`` concatenating (p, q) pairs
+    in the table's mode order.  The map must preserve commutators.
+
+    An a^dag image holds only creation operators and scalars and an a image
+    only annihilation operators and scalars, so the image of a
+    normally-ordered monomial is normally ordered as it expands: each
+    ``(image)^n`` is expanded once per call, its products go straight to
+    moment keys, and a key whose moment vanishes is skipped before any
+    coefficient arithmetic.
+
+    With ``min_digits`` set, fewer than that many working digits surviving
+    between the largest single product (coefficient times moments, before
+    products sharing a key are summed) and the result raise
+    PrecisionInsufficient.
     """
-    cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
-    out = OperatorPolynomial()
-    image_pow = {}
-
-    def img_pow(mode, dagger, n):
-        key = (mode, dagger, n)
-        if key not in image_pow:
-            if mode not in mode_map.images:
-                raise KeyError(f"map does not cover mode {mode}")
-            base = mode_map.image_poly(mode, dagger)
-            image_pow[key] = power(base, n, cap)
-        return image_pow[key]
-
-    for m, c in poly.terms.items():
-        acc = OperatorPolynomial.identity(c)
-        for mode, p, _ in m:
-            if p:
-                acc = multiply(acc, img_pow(mode, True, p), cap)
-        for mode, _, q in m:
-            if q:
-                acc = multiply(acc, img_pow(mode, False, q), cap)
-        for k, cc in acc.terms.items():
-            out._add_term(k, cc)
-    return out
-
-
-def center(poly: OperatorPolynomial, mean) -> OperatorPolynomial:
-    """Subtract mean * identity, so variances evaluate as <centered^2>."""
-    out = poly.copy()
-    out._add_term((), -1 * mean if not isinstance(mean, Jet) else -mean)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Expectation against factorized subsystem moment tables
-# ---------------------------------------------------------------------------
-
-
-def expect(poly: OperatorPolynomial, tables, min_digits: int | None = None):
-    """Expectation of ``poly`` over a product state described by moment tables.
-
-    ``tables`` is an iterable of objects exposing ``modes`` (tuple of mode
-    ids) and ``entry(key)`` where ``key`` concatenates (p, q) pairs in the
-    table's mode order.  Every mode in ``poly`` must be covered by exactly
-    one table.  With ``min_digits`` set, a cancellation estimate (largest
-    partial term vs. result) guards the working precision.
-    """
-    owner = {}
+    tables = list(tables)
+    slot = {}
+    spans = []
     for t in tables:
+        lo = 2 * len(slot)
         for mode in t.modes:
-            owner[mode] = t
-    total = 0
-    max_term = 0.0
+            slot[mode] = len(slot)
+        spans.append((t, lo, 2 * len(slot)))
+    # a key is the exponent vector (p, q per target mode) packed into one
+    # int, _EXP_BITS bits per exponent, so that multiplying monomials is adding
+    width = 2 * len(slot)
+    powers = {}
+    found = {}
+
+    def expansion(mode, dagger, n):
+        """[(exponents, coefficient, largest product)] of an image's n-th power."""
+        if (mode, dagger, n) not in powers:
+            coeffs, beta = images[mode]
+            base = [(1 << _EXP_BITS * (2 * slot[t] + (not dagger)), c) for t, c in coeffs.items()]
+            if not _is_zero(beta):
+                base.append((0, beta))
+            base = [(w, _conj(b) if dagger else b) for w, b in base]
+            out = {0: (1, 1.0)}
+            for _ in range(n):
+                grown = {}
+                for v, (a, ma) in out.items():
+                    for w, b in base:
+                        _accumulate(grown, v + w, a * b, ma * _abs_value(b))
+                out = grown
+            powers[mode, dagger, n] = [(v, a, ma) for v, (a, ma) in out.items()]
+        return powers[mode, dagger, n]
+
+    def moment(key):
+        """(per-table moments, |their product|), or None when one vanishes."""
+        if key not in found:
+            exps = [key >> _EXP_BITS * i & _EXP_MASK for i in range(width)]
+            # a table whose modes the key leaves alone contributes <1> = 1
+            entries = [t.entry(tuple(exps[lo:hi])) for t, lo, hi in spans if any(exps[lo:hi])]
+            vanishes = any(_is_zero(e) for e in entries)
+            found[key] = None if vanishes else (entries, prod(map(_abs_value, entries)))
+        return found[key]
+
+    coeffs = {}
+    largest = 0.0
     for m, c in poly.terms.items():
-        exps = {}
-        for mode, p, q in m:
-            if mode not in owner:
-                raise KeyError(f"no moment table covers mode {mode}")
-            exps.setdefault(owner[mode], {})[mode] = (p, q)
+        blocks = [expansion(mode, True, p) for mode, p, _ in m if p]
+        blocks += [expansion(mode, False, q) for mode, _, q in m if q]
+        partial = {0: (c, _abs_value(c))}
+        for n, block in enumerate(blocks, 1):
+            grown = {}
+            for v, (a, ma) in partial.items():
+                for w, b, mb in block:
+                    key = v + w
+                    if n < len(blocks) or moment(key) is not None:
+                        _accumulate(grown, key, a * b, ma * mb)
+            partial = grown
+        for key, (a, ma) in partial.items():
+            hit = moment(key)
+            if hit is not None:
+                largest = max(largest, ma * hit[1])
+                coeffs[key] = coeffs[key] + a if key in coeffs else a
+    total = 0
+    for key, c in coeffs.items():
         value = c
-        skip = False
-        for t, per_mode in exps.items():
-            key = tuple(x for mode in t.modes for x in per_mode.get(mode, (0, 0)))
-            entry = t.entry(key)
-            if _is_zero(entry):
-                skip = True
-                break
-            value = value * entry
-        if skip:
-            continue
+        for e in found[key][0]:
+            value = value * e
         total = value + total
-        mag = _abs_value(value)
-        if mag > max_term:
-            max_term = mag
-    if min_digits is not None and max_term > 0.0:
+    if min_digits is not None and largest > 0.0:
         import mpmath as mp
 
-        result_mag = _abs_value(total)
-        lost = mp.log10(max_term / result_mag) if result_mag > 0 else mp.inf
+        magnitude = _abs_value(total)
+        lost = mp.log10(largest / magnitude) if magnitude > 0 else mp.inf
         if mp.mp.dps - lost < min_digits:
             raise PrecisionInsufficient(
                 f"cancellation lost ~{float(lost):.1f} digits at dps={mp.mp.dps}; "
                 f"fewer than {min_digits} remain"
             )
     return total
+
+
+def _accumulate(into: dict, key, c, largest: float) -> None:
+    """Add ``c`` at ``key``, keeping the largest product summed there."""
+    if key in into:
+        old, old_largest = into[key]
+        into[key] = (old + c, max(old_largest, largest))
+    else:
+        into[key] = (c, largest)

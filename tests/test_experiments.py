@@ -336,3 +336,38 @@ def test_quad_diff_var_obeys_loss_law(metric):
         row = _one_point(metric, values=(0.7,), m_list=(1,), eta=eta)
         expected = eta * lossless + (1.0 - eta) / 2.0
         assert abs(row.value - expected) < 1e-12 * expected
+
+
+def test_user_digits_give_the_default_value_or_a_precision_flag():
+    # at mu = 1e16 Var C cancels through ~50 digits; below the default
+    # working precision the old guard saw only the merged coefficients and
+    # passed wrong values (0.0 at digits 16-19, 0.2596 at 20) as ok
+    base = dict(scheme="correlated", axis="phi", values=(1e-3,), m_list=(2,),
+                metrics=("U_norm",), lam=2.0, mu=1e16, psi=np.pi / 2, eta=0.98)
+    default = run_sweep(SweepConfig(**base)).rows[0]
+    assert default.flag == "ok"
+    for digits in range(16, 31):
+        row = run_sweep(SweepConfig(**base, digits=digits)).rows[0]
+        assert row.flag in ("ok", "precision"), digits
+        if row.flag == "ok":
+            assert abs(row.value - default.value) < 1e-8 * default.value, digits
+
+
+def test_fig1a_strong_squeezing_var_y_rows_are_accurate():
+    # eta (<n> - Re<a^2>) + 1/2 at theta = pi/2, with <n> and <a^2> read off
+    # the squeezed-vacuum Wick sums at 60 digits; <n> ~ 4 lam cancels to ~0.013
+    import mpmath as mp
+
+    from photsub.moments import bogoliubov_vacuum_moment_1m as moment
+
+    rows = [r for r in run_preset("fig1a").rows if r.swept_value > 50 and r.m >= 3]
+    assert len(rows) == 6
+    with mp.workdps(60):
+        for row in rows:
+            lam, m = row.swept_value, row.m
+            norm = moment(m, m, lam)
+            n = mp.re(moment(m + 1, m + 1, lam) / norm)
+            aa = mp.re(moment(m, m + 2, lam) / norm)
+            exact = mp.mpf(0.98) * (n - aa) + mp.mpf(0.5)
+            assert row.flag == "ok"
+            assert abs(row.value - exact) < 1e-14 * exact, (lam, m)
