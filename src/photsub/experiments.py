@@ -236,16 +236,17 @@ def _correlated_metric(metric: str, m: int, p: dict, cfg: SweepConfig, digits) -
     if metric == "mandel_q":
         table = moments.spatsv_moment_table(lam, m, chi=p["chi"])
         return moments.mandel_q(moments.apply_loss(table, p["eta"]))
-    if metric == "quad_diff_var":
-        table = moments.spatsv_moment_table(lam, m, chi=p["chi"])
-        return moments.quadrature_difference_variance(
-            moments.apply_loss(table, p["eta"]), p["chi"]
+    if metric in ("quad_diff_var", "quad_diff_var_seed"):
+        build = (
+            moments.spatsv_moment_table
+            if metric == "quad_diff_var"
+            else moments.spatsv_seed_moment_table
         )
-    if metric == "quad_diff_var_seed":
-        table = moments.table_from_state(states.spatsv_seed(spec), max_order=2)
-        return moments.quadrature_difference_variance(
-            moments.apply_loss(table, p["eta"]), p["chi"]
-        )
+        # photon numbers and pair correlations cancel at strong squeezing
+        with mp.workdps(mp.mp.dps + 20):
+            table = build(lam, m, max_order=2, chi=p["chi"])
+            table = moments.apply_loss(table, mp.mpf(p["eta"]))
+            return moments.quadrature_difference_variance(table, p["chi"])
     scene = CorrelatedConfig(spec, mu=p["mu"], phi=p["phi"], psi=p["psi"], eta=p["eta"])
     if metric == "U_norm":
         return metrology.correlated_uncertainty(scene, dps=digits)
@@ -404,13 +405,12 @@ def _joint_distribution_preset(lam: float = 0.6, n_max: int = 8) -> SweepResult:
         scheme="correlated", axis="lam", values=(lam,), m_list=m_list,
         metrics=("mean_photons",), lam=lam, preset=JOINT_DISTRIBUTION_PRESET,
     )
+    joint = {m: moments.joint_photon_distribution(lam, m, n_max) for m in m_list}
     rows = []
     for j in range(n_max + 1):
         for m in m_list:
-            state = states.spatsv(SpatsvSpec(lam, m))
-            joint = moments.joint_photon_distribution(state)
             for k in range(n_max + 1):
-                p = float(joint[j, k]) if j < joint.shape[0] and k < joint.shape[1] else 0.0
+                p = float(joint[m][j, k])
                 rows.append(SweepRow(float(j), m, f"p_k{k}", p, FLAG_OK))
     return SweepResult(cfg, tuple(rows), None)
 

@@ -1,8 +1,8 @@
 """Truncated Fock-space numerics.
 
 Exact small-scale state construction (coherent, squeezed, two-mode squeezed),
-photon subtraction, squeeze-operator application, and a brute-force multimode
-interferometer oracle used to validate the symbolic moment engine.
+photon subtraction, and a brute-force multimode interferometer oracle used to
+validate the symbolic moment engine.
 
 Conventions
 -----------
@@ -19,8 +19,8 @@ a zero-mean-quadrature state in port 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import comb, factorial
+from dataclasses import dataclass
+from math import comb, lgamma, log
 
 import numpy as np
 from scipy.special import gammaln
@@ -55,9 +55,6 @@ class FockState1:
         p = np.abs(self.amplitudes) ** 2
         return float(np.dot(np.arange(len(p)), p))
 
-    def photon_distribution(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 @dataclass(frozen=True)
 class TwoModeDiagonalState:
@@ -74,10 +71,6 @@ class TwoModeDiagonalState:
         if norm < NULL_THRESHOLD:
             raise NullState("cannot normalize a null state")
         return TwoModeDiagonalState(self.diag_amplitudes / norm)
-
-    def mean_photons_per_mode(self) -> float:
-        p = np.abs(self.diag_amplitudes) ** 2
-        return float(np.dot(np.arange(len(p)), p))
 
 
 def _adaptive_cutoff(weights, cutoff):
@@ -107,16 +100,12 @@ def coherent_state(alpha: complex, cutoff: int | None = None) -> FockState1:
 
     def weight(n):
         # Poisson pmf, computed stably in log space
-        from math import lgamma, log
-
         if mu == 0.0:
             return 1.0 if n == 0 else 0.0
         return np.exp(n * log(mu) - mu - lgamma(n + 1))
 
     cut = _adaptive_cutoff(weight, cutoff)
     n = np.arange(cut + 1)
-    from scipy.special import gammaln
-
     amps = np.zeros(cut + 1, dtype=complex)
     if alpha == 0:
         amps[0] = 1.0
@@ -137,8 +126,6 @@ def squeezed_vacuum(r: float, chi: float = 0.0, cutoff: int | None = None) -> Fo
             return 0.0
         k = n // 2
         # |c_{2k}|^2 = t^{2k} (2k)! / (4^k k!^2 cosh r)
-        from math import lgamma, log
-
         if t == 0.0:
             return 1.0 if k == 0 else 0.0
         return np.exp(
@@ -192,9 +179,7 @@ def subtract_photons(state, m: int):
             raise NullState(f"state has no support above |{m}>")
         n = np.arange(m, len(a))
         # a^m |n> = sqrt(n!/(n-m)!) |n-m>
-        fac = np.exp(
-            0.5 * (_lgamma_arr(n + 1) - _lgamma_arr(n - m + 1))
-        )
+        fac = np.exp(0.5 * (gammaln(n + 1) - gammaln(n - m + 1)))
         new = a[m:] * fac
         norm = float(np.linalg.norm(new))
         if norm < NULL_THRESHOLD:
@@ -205,97 +190,13 @@ def subtract_photons(state, m: int):
         if len(d) <= m:
             raise NullState(f"state has no support above |{m},{m}>")
         n = np.arange(m, len(d))
-        fac = np.exp(_lgamma_arr(n + 1) - _lgamma_arr(n - m + 1))
+        fac = np.exp(gammaln(n + 1) - gammaln(n - m + 1))
         new = d[m:] * fac
         norm = float(np.linalg.norm(new))
         if norm < NULL_THRESHOLD:
             raise NullState("photon subtraction annihilated the state")
         return TwoModeDiagonalState(new / norm), norm
     raise TypeError(f"unsupported state type {type(state)!r}")
-
-
-def _lgamma_arr(x):
-    from scipy.special import gammaln
-
-    return gammaln(x)
-
-
-def overlap(a, b) -> complex:
-    """Inner product <a|b>, reconciling cutoffs by zero-padding."""
-    if isinstance(a, FockState1) and isinstance(b, FockState1):
-        va, vb = a.amplitudes, b.amplitudes
-    elif isinstance(a, TwoModeDiagonalState) and isinstance(b, TwoModeDiagonalState):
-        va, vb = a.diag_amplitudes, b.diag_amplitudes
-    else:
-        raise ModeMismatch(
-            f"cannot overlap {type(a).__name__} with {type(b).__name__}"
-        )
-    n = max(len(va), len(vb))
-    pa = np.zeros(n, dtype=complex)
-    pb = np.zeros(n, dtype=complex)
-    pa[: len(va)] = va
-    pb[: len(vb)] = vb
-    return complex(np.vdot(pa, pb))
-
-
-def fidelity(a, b) -> float:
-    return abs(overlap(a, b)) ** 2
-
-
-# ---------------------------------------------------------------------------
-# Squeeze-operator application (for seed-representation equivalence checks)
-# ---------------------------------------------------------------------------
-
-
-def squeeze_apply(state: FockState1, r: float, chi: float = 0.0, cutoff: int | None = None) -> FockState1:
-    """Apply S(r e^{i chi}) = exp((z a^dag^2 - z* a^2)/2), z = r e^{i chi}."""
-    from scipy.linalg import expm
-
-    if cutoff is None:
-        lam = np.sinh(r) ** 2
-        base = squeezed_vacuum(r).cutoff
-        cutoff = max(2 * (base + state.cutoff + 10), 4 * state.cutoff + 20)
-    dim = cutoff + 1
-    n = np.arange(1, dim)
-    a = np.diag(np.sqrt(n), k=1)
-    adag = a.conj().T
-    z = r * np.exp(1j * chi)
-    gen = 0.5 * (z * adag @ adag - np.conj(z) * a @ a)
-    u = expm(gen)
-    vec = np.zeros(dim, dtype=complex)
-    vec[: len(state.amplitudes)] = state.amplitudes
-    out = u @ vec
-    tail = np.sum(np.abs(out[-CUTOFF_MARGIN:]) ** 2)
-    if tail > TAIL_TOL:
-        raise CutoffTooSmall(f"squeeze_apply cutoff {cutoff} too small (tail {tail:.2e})")
-    return FockState1(out).normalized()
-
-
-def two_mode_squeeze_apply(
-    state: TwoModeDiagonalState, r: float, chi: float = 0.0, cutoff: int | None = None
-) -> TwoModeDiagonalState:
-    """Apply S_12 = exp(z a1^dag a2^dag - z* a1 a2) within the |n,n> subspace."""
-    from scipy.linalg import expm
-
-    if cutoff is None:
-        base = two_mode_squeezed_vacuum(np.sinh(r) ** 2).cutoff
-        cutoff = max(2 * (base + state.cutoff + 10), 4 * state.cutoff + 20)
-    dim = cutoff + 1
-    # On |n,n>: a1^dag a2^dag |n,n> = (n+1)|n+1,n+1>, a1 a2 |n,n> = n |n-1,n-1>
-    kplus = np.diag(np.arange(1, dim), k=-1)
-    kminus = np.diag(np.arange(1, dim), k=1)
-    z = r * np.exp(1j * chi)
-    gen = z * kplus - np.conj(z) * kminus
-    u = expm(gen)
-    vec = np.zeros(dim, dtype=complex)
-    vec[: len(state.diag_amplitudes)] = state.diag_amplitudes
-    out = u @ vec
-    tail = np.sum(np.abs(out[-CUTOFF_MARGIN:]) ** 2)
-    if tail > TAIL_TOL:
-        raise CutoffTooSmall(
-            f"two_mode_squeeze_apply cutoff {cutoff} too small (tail {tail:.2e})"
-        )
-    return TwoModeDiagonalState(out).normalized()
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +209,6 @@ class MultiModeState:
     """Pure state over k modes as a complex amplitude tensor."""
 
     amplitudes: np.ndarray
-
-    @property
-    def nmodes(self) -> int:
-        return self.amplitudes.ndim
-
-    def normalized(self) -> "MultiModeState":
-        norm = np.linalg.norm(self.amplitudes.ravel())
-        if norm < NULL_THRESHOLD:
-            raise NullState("cannot normalize a null state")
-        return MultiModeState(self.amplitudes / norm)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2

@@ -3,32 +3,32 @@
 A :class:`MomentTable` maps normally-ordered moment indices to expectation
 values for one subsystem: ``(p, q)`` for a single mode meaning
 ``<a^dag^p a^q>``, or ``(p, q, r, s)`` for a mode pair meaning
-``<a1^dag^p a1^q a2^dag^r a2^s>``.  Tables are either filled eagerly by
-direct Fock summation over a truncated state, or lazily, for the
-squeezed-state families, from closed-form Wick pairing sums over the
-Gaussian (squeezed or two-mode squeezed) vacuum, cutoff-free and at the
-working mpmath precision.
+``<a1^dag^p a1^q a2^dag^r a2^s>``.  Tables are filled lazily, entry by
+entry, at the working mpmath precision and without a Fock cutoff: the
+squeezed-state families from closed-form Wick pairing sums over the
+Gaussian (squeezed or two-mode squeezed) vacuum, and the finite SPATSV
+seeds from finite sums over their m + 1 amplitudes.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import comb, factorial
 
 import mpmath as mp
-import numpy as np
-from scipy.special import gammaln
 
 from .errors import MomentOrderMissing, NullState, ZeroMeanPhoton
-from .fock import FockState1, TwoModeDiagonalState
 
 
 class MomentTable:
-    """Map from moment index tuples to expectation values for one subsystem."""
+    """Map from moment index tuples to expectation values for one subsystem.
 
-    def __init__(self, modes, max_order, entries=None, compute=None):
+    ``compute(key)`` fills an entry on first request; entries are cached.
+    """
+
+    def __init__(self, modes, max_order, compute):
         self.modes = tuple(modes)
         self.max_order = int(max_order)
-        self._entries = dict(entries) if entries else {}
+        self._entries = {}
         self._compute = compute
 
     def entry(self, key):
@@ -40,23 +40,9 @@ class MomentTable:
             raise MomentOrderMissing(
                 f"order {sum(key)} beyond table max_order {self.max_order}"
             )
-        if key in self._entries:
-            return self._entries[key]
-        if self._compute is None:
-            raise MomentOrderMissing(f"entry {key} not present in eager table")
-        val = self._compute(key)
-        self._entries[key] = val
-        return val
-
-
-def vacuum_table(modes) -> MomentTable:
-    """All moments vanish except the identity."""
-    modes = tuple(modes)
-
-    def compute(key):
-        return 1.0 if not any(key) else 0.0
-
-    return MomentTable(modes, max_order=10**6, compute=compute)
+        if key not in self._entries:
+            self._entries[key] = self._compute(key)
+        return self._entries[key]
 
 
 def coherent_table(alpha, mode=0, max_order=10**6) -> MomentTable:
@@ -71,72 +57,6 @@ def coherent_table(alpha, mode=0, max_order=10**6) -> MomentTable:
 
 def _conj(x):
     return x.conjugate() if hasattr(x, "conjugate") else complex(x).conjugate()
-
-
-# ---------------------------------------------------------------------------
-# Direct Fock summation (truncated states, float precision)
-# ---------------------------------------------------------------------------
-
-
-def table_from_state(state, max_order: int = 4, modes=None) -> MomentTable:
-    """Moments by direct Fock summation over a truncated state.
-
-    The photon-number phase selection rule of |n,n>-supported states is
-    enforced exactly (entries with p - q != r - s are identically zero).
-    """
-    if isinstance(state, FockState1):
-        modes = (0,) if modes is None else tuple(modes)
-        amps = state.amplitudes
-        entries = {}
-        for p in range(max_order + 1):
-            for q in range(max_order + 1 - p):
-                entries[(p, q)] = _single_mode_moment(amps, p, q)
-        return MomentTable(modes, max_order, entries)
-    if isinstance(state, TwoModeDiagonalState):
-        modes = (0, 1) if modes is None else tuple(modes)
-        d = state.diag_amplitudes
-        entries = {}
-        for p in range(max_order + 1):
-            for q in range(max_order + 1 - p):
-                for r in range(max_order + 1 - p - q):
-                    for s in range(max_order + 1 - p - q - r):
-                        if p - q != r - s:
-                            entries[(p, q, r, s)] = 0.0
-                        else:
-                            entries[(p, q, r, s)] = _diag_two_mode_moment(d, p, q, r, s)
-        return MomentTable(modes, max_order, entries)
-    raise TypeError(f"unsupported state type {type(state)!r}")
-
-
-def _ladder_factor(n, down, up):
-    """sqrt(n!/(n-down)!) * sqrt((n-down+up)!/(n-down)!) for vector n."""
-    n = np.asarray(n, dtype=float)
-    return np.exp(
-        0.5 * (gammaln(n + 1) - gammaln(n - down + 1))
-        + 0.5 * (gammaln(n - down + up + 1) - gammaln(n - down + 1))
-    )
-
-
-def _single_mode_moment(amps, p, q):
-    n = np.arange(q, len(amps))
-    m = n - q + p
-    keep = m < len(amps)
-    n, m = n[keep], m[keep]
-    if len(n) == 0:
-        return 0.0
-    fac = _ladder_factor(n, q, p)
-    return complex(np.sum(np.conj(amps[m]) * amps[n] * fac))
-
-
-def _diag_two_mode_moment(d, p, q, r, s):
-    n = np.arange(max(q, s), len(d))
-    m = n - q + p
-    keep = m < len(d)
-    n, m = n[keep], m[keep]
-    if len(n) == 0:
-        return 0.0
-    fac = _ladder_factor(n, q, p) * _ladder_factor(n, s, r)
-    return complex(np.sum(np.conj(d[m]) * d[n] * fac))
 
 
 def apply_loss(table: MomentTable, eta: float) -> MomentTable:
@@ -185,37 +105,22 @@ def quadrature_variance(table: MomentTable, theta: float = 0.0) -> float:
 def quadrature_difference_variance(table: MomentTable, chi: float = 0.0) -> float:
     """Var(X_{1,chi} - X_{2,chi}) / 2, normalized so vacuum sits at 0.5.
 
-    Values below 0.5 signal non-classical amplitude correlation.
+    Values below 0.5 signal non-classical amplitude correlation.  Evaluated
+    in mpmath at the working precision: for strong squeezing the photon
+    numbers and the pair correlations nearly cancel, so build the table and
+    call this with guard digits set.
     """
     if len(table.modes) != 2:
         raise MomentOrderMissing("quadrature_difference_variance needs a mode pair")
-    e = np.exp(-1j * chi)
-
-    def ent(k):
-        return complex(table.entry(k))
-
-    mean1 = (e * ent((0, 1, 0, 0)) + np.conj(e * ent((0, 1, 0, 0)))) / np.sqrt(2.0)
-    mean2 = (e * ent((0, 0, 0, 1)) + np.conj(e * ent((0, 0, 0, 1)))) / np.sqrt(2.0)
-    x1sq = (
-        e * e * ent((0, 2, 0, 0))
-        + np.conj(e * e * ent((0, 2, 0, 0)))
-        + 2.0 * ent((1, 1, 0, 0))
-        + 1.0
-    ) / 2.0
-    x2sq = (
-        e * e * ent((0, 0, 0, 2))
-        + np.conj(e * e * ent((0, 0, 0, 2)))
-        + 2.0 * ent((0, 0, 1, 1))
-        + 1.0
-    ) / 2.0
-    cross = (
-        e * e * ent((0, 1, 0, 1))
-        + np.conj(e * e * ent((0, 1, 0, 1)))
-        + ent((1, 0, 0, 1))
-        + ent((0, 1, 1, 0))
-    ) / 2.0
-    var = x1sq + x2sq - 2.0 * cross - (mean1 - mean2) ** 2
-    return float(var.real) / 2.0
+    ent = table.entry
+    e = mp.expj(-chi)
+    mean = mp.sqrt(2) * mp.re(e * (ent((0, 1, 0, 0)) - ent((0, 0, 0, 1))))
+    pairs = ent((0, 2, 0, 0)) + ent((0, 0, 0, 2)) - 2 * ent((0, 1, 0, 1))
+    numbers = (
+        ent((1, 1, 0, 0)) + ent((0, 0, 1, 1)) - ent((1, 0, 0, 1)) - ent((0, 1, 1, 0))
+    )
+    var = mp.re(e * e * pairs) + mp.re(numbers) + 1 - mean**2
+    return float(var / 2)
 
 
 def mandel_q(table: MomentTable) -> float:
@@ -231,11 +136,24 @@ def mandel_q(table: MomentTable) -> float:
     return (a2 - n * n) / n
 
 
-def joint_photon_distribution(state: TwoModeDiagonalState) -> np.ndarray:
-    """P(j, k) matrix; diagonal-only support for |n,n> states."""
-    p = np.abs(state.diag_amplitudes) ** 2
-    p = p / p.sum()
-    return np.diag(p)
+def joint_photon_distribution(lam, m: int, n_max: int) -> mp.matrix:
+    """SPATSV photon-number distribution P(j, k), j, k <= n_max, exactly.
+
+    Only |k,k> is populated.  The two-mode squeezed vacuum has
+    P(n, n) = (1 - t) t^n with t = lam/(1 + lam), and (a1 a2)^m maps
+    |k+m, k+m> to ((k+m)!/k!) |k,k>, so
+    P(k, k) = (1 - t) t^(k+m) ((k+m)!/k!)^2 / <(a1^dag a2^dag)^m (a1 a2)^m>.
+    """
+    if m > 0 and lam == 0:
+        raise NullState("photon subtraction annihilates the vacuum")
+    lam = mp.mpf(lam)
+    t = lam / (1 + lam)
+    norm = mp.re(bogoliubov_vacuum_moment_2m(m, m, m, m, lam))
+    out = mp.matrix(n_max + 1, n_max + 1)
+    for k in range(n_max + 1):
+        ladder = factorial(k + m) // factorial(k)
+        out[k, k] = (1 - t) * t ** (k + m) * ladder**2 / norm
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -324,3 +242,34 @@ def spatsv_moment_table(
         return bogoliubov_vacuum_moment_2m(p + m, q + m, r + m, s + m, lam, chi) / norm
 
     return MomentTable(tuple(modes), max_order, compute=compute)
+
+
+def spatsv_seed_moment_table(
+    lam, m: int, max_order: int = 4, chi: float = 0.0
+) -> MomentTable:
+    """Exact moments of the SPATSV seed sum_k C(m,k) t^{k/2} e^{i chi k} |k,k>.
+
+    t = lam/(1 + lam).  The seed has m + 1 amplitudes, so each moment
+    <a1^dag^p a1^q a2^dag^r a2^s> (with d = p - q = r - s) is the finite sum
+    e^{-i chi d} sum_n C(m,n+d) C(m,n) t^{n+d/2} n!(n+d)!/((n-q)!(n-s)!)
+    over the norm sum_k C(m,k)^2 t^k.
+    """
+    lam = mp.mpf(lam)
+    t = lam / (1 + lam)
+    rt = mp.sqrt(t)
+    norm = mp.fsum(comb(m, k) ** 2 * t**k for k in range(m + 1))
+
+    def compute(key):
+        p, q, r, s = key
+        d = p - q
+        if d != r - s:
+            return mp.mpc(0)
+        total = mp.mpf(0)
+        for n in range(max(q, s), min(m, m - d) + 1):
+            ladder = factorial(n) * factorial(n + d) // (
+                factorial(n - q) * factorial(n - s)
+            )
+            total += comb(m, n + d) * comb(m, n) * ladder * rt ** (2 * n + d)
+        return total / norm * mp.expj(-chi * d)
+
+    return MomentTable((0, 1), max_order, compute=compute)

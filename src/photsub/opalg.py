@@ -225,13 +225,6 @@ class OperatorPolynomial:
             return multiply(other, self)
         return self.scaled(other)
 
-    def adjoint(self):
-        out = OperatorPolynomial()
-        for m, c in self.terms.items():
-            key = tuple((mode, q, p) for mode, p, q in m)
-            out._add_term(key, _conj(c))
-        return out
-
     def __len__(self):
         return len(self.terms)
 

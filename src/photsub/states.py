@@ -62,29 +62,6 @@ class SpatsvSpec:
         return float(np.arcsinh(np.sqrt(self.lam)))
 
 
-def legendre_p(m: int, x):
-    """Legendre polynomial P_m(x) by the three-term recurrence (complex ok)."""
-    if m < 0 or int(m) != m:
-        raise ValueError("m must be a nonnegative integer")
-    if m == 0:
-        return 1.0 + 0 * x
-    p_prev, p = 1.0 + 0 * x, x
-    for k in range(1, m):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    return p
-
-
-def passv_norm_squared(lam: float, m: int) -> float:
-    """<SSV| a^dag^m a^m |SSV> = m! (-i sqrt(lam))^m P_m(i sqrt(lam))."""
-    val = factorial(m) * (-1j * sqrt(lam)) ** m * legendre_p(m, 1j * sqrt(lam))
-    return float(val.real)
-
-
-def spatsv_norm_squared(lam: float, m: int) -> float:
-    """<TSV| (a1^dag a2^dag)^m (a1 a2)^m |TSV> = (m!)^2 lam^m P_m(2 lam + 1)."""
-    return float(factorial(m) ** 2 * lam**m * legendre_p(m, 2.0 * lam + 1.0))
-
-
 def passv(spec: PassvSpec, cutoff: int | None = None) -> FockState1:
     """PASSV state: m-fold photon subtraction from squeezed vacuum."""
     ssv = fock.squeezed_vacuum(spec.r, spec.chi, cutoff)

@@ -1,0 +1,189 @@
+"""Reference implementations used only by the tests.
+
+Production code reads every moment from the exact, lazily filled tables in
+:mod:`photsub.moments`.  The float Fock-space routines here are independent
+ways to the same numbers: moments by direct summation over a truncated
+state, squeeze operators applied as matrix exponentials, overlaps and
+fidelities.  The tests check the exact engine and the state constructors
+against them.
+"""
+
+from math import factorial, sqrt
+
+import numpy as np
+from scipy.sparse import diags
+from scipy.sparse.linalg import expm_multiply
+from scipy.special import gammaln
+
+from photsub import fock, moments
+from photsub.errors import CutoffTooSmall, ModeMismatch
+from photsub.fock import CUTOFF_MARGIN, TAIL_TOL, FockState1, TwoModeDiagonalState
+
+
+def vacuum_table(modes) -> moments.MomentTable:
+    """All moments vanish except the identity."""
+
+    def compute(key):
+        return 1.0 if not any(key) else 0.0
+
+    return moments.MomentTable(modes, max_order=10**6, compute=compute)
+
+
+def legendre_p(m: int, x):
+    """Legendre polynomial P_m(x) by the three-term recurrence (complex ok)."""
+    if m < 0 or int(m) != m:
+        raise ValueError("m must be a nonnegative integer")
+    if m == 0:
+        return 1.0 + 0 * x
+    p_prev, p = 1.0 + 0 * x, x
+    for k in range(1, m):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p
+
+
+def passv_norm_squared(lam: float, m: int) -> float:
+    """<SSV| a^dag^m a^m |SSV> = m! (-i sqrt(lam))^m P_m(i sqrt(lam))."""
+    val = factorial(m) * (-1j * sqrt(lam)) ** m * legendre_p(m, 1j * sqrt(lam))
+    return float(val.real)
+
+
+def spatsv_norm_squared(lam: float, m: int) -> float:
+    """<TSV| (a1^dag a2^dag)^m (a1 a2)^m |TSV> = (m!)^2 lam^m P_m(2 lam + 1)."""
+    return float(factorial(m) ** 2 * lam**m * legendre_p(m, 2.0 * lam + 1.0))
+
+
+def mean_photons_per_mode(state: TwoModeDiagonalState) -> float:
+    p = np.abs(state.diag_amplitudes) ** 2
+    return float(np.dot(np.arange(len(p)), p))
+
+
+def overlap(a, b) -> complex:
+    """Inner product <a|b>, reconciling cutoffs by zero-padding."""
+    if isinstance(a, FockState1) and isinstance(b, FockState1):
+        va, vb = a.amplitudes, b.amplitudes
+    elif isinstance(a, TwoModeDiagonalState) and isinstance(b, TwoModeDiagonalState):
+        va, vb = a.diag_amplitudes, b.diag_amplitudes
+    else:
+        raise ModeMismatch(f"cannot overlap {type(a).__name__} with {type(b).__name__}")
+    n = max(len(va), len(vb))
+    pa = np.zeros(n, dtype=complex)
+    pb = np.zeros(n, dtype=complex)
+    pa[: len(va)] = va
+    pb[: len(vb)] = vb
+    return complex(np.vdot(pa, pb))
+
+
+def fidelity(a, b) -> float:
+    return abs(overlap(a, b)) ** 2
+
+
+# ---------------------------------------------------------------------------
+# Squeeze-operator application (for seed-representation equivalence checks)
+# ---------------------------------------------------------------------------
+
+
+def _evolve(gen, amplitudes, cutoff, name):
+    """exp(gen) applied to the zero-padded amplitudes, with a tail check."""
+    vec = np.zeros(cutoff + 1, dtype=complex)
+    vec[: len(amplitudes)] = amplitudes
+    out = expm_multiply(gen, vec)
+    tail = np.sum(np.abs(out[-CUTOFF_MARGIN:]) ** 2)
+    if tail > TAIL_TOL:
+        raise CutoffTooSmall(f"{name} cutoff {cutoff} too small (tail {tail:.2e})")
+    return out
+
+
+def squeeze_apply(state: FockState1, r: float, chi: float = 0.0, cutoff: int | None = None) -> FockState1:
+    """Apply S(r e^{i chi}) = exp((z a^dag^2 - z* a^2)/2), z = r e^{i chi}."""
+    if cutoff is None:
+        base = fock.squeezed_vacuum(r).cutoff
+        cutoff = max(2 * (base + state.cutoff + 10), 4 * state.cutoff + 20)
+    a = diags(np.sqrt(np.arange(1, cutoff + 1)), 1, format="csr", dtype=complex)
+    adag = a.T.tocsr()
+    z = r * np.exp(1j * chi)
+    gen = 0.5 * (z * (adag @ adag) - np.conj(z) * (a @ a))
+    out = _evolve(gen, state.amplitudes, cutoff, "squeeze_apply")
+    return FockState1(out).normalized()
+
+
+def two_mode_squeeze_apply(
+    state: TwoModeDiagonalState, r: float, chi: float = 0.0, cutoff: int | None = None
+) -> TwoModeDiagonalState:
+    """Apply S_12 = exp(z a1^dag a2^dag - z* a1 a2) within the |n,n> subspace."""
+    if cutoff is None:
+        base = fock.two_mode_squeezed_vacuum(np.sinh(r) ** 2).cutoff
+        cutoff = max(2 * (base + state.cutoff + 10), 4 * state.cutoff + 20)
+    # On |n,n>: a1^dag a2^dag |n,n> = (n+1)|n+1,n+1>, a1 a2 |n,n> = n |n-1,n-1>
+    n = np.arange(1, cutoff + 1)
+    kplus = diags(n, -1, format="csr", dtype=complex)
+    kminus = diags(n, 1, format="csr", dtype=complex)
+    z = r * np.exp(1j * chi)
+    gen = z * kplus - np.conj(z) * kminus
+    out = _evolve(gen, state.diag_amplitudes, cutoff, "two_mode_squeeze_apply")
+    return TwoModeDiagonalState(out).normalized()
+
+
+# ---------------------------------------------------------------------------
+# Moments by direct Fock summation (truncated states, float precision)
+# ---------------------------------------------------------------------------
+
+
+def table_from_state(state, max_order: int = 4, modes=None) -> moments.MomentTable:
+    """Moments by direct Fock summation over a truncated state.
+
+    The photon-number phase selection rule of |n,n>-supported states is
+    enforced exactly (entries with p - q != r - s are identically zero).
+    """
+    if isinstance(state, FockState1):
+        modes = (0,) if modes is None else tuple(modes)
+        amps = state.amplitudes
+        entries = {}
+        for p in range(max_order + 1):
+            for q in range(max_order + 1 - p):
+                entries[(p, q)] = _single_mode_moment(amps, p, q)
+        return moments.MomentTable(modes, max_order, compute=entries.__getitem__)
+    if isinstance(state, TwoModeDiagonalState):
+        modes = (0, 1) if modes is None else tuple(modes)
+        d = state.diag_amplitudes
+        entries = {}
+        for p in range(max_order + 1):
+            for q in range(max_order + 1 - p):
+                for r in range(max_order + 1 - p - q):
+                    for s in range(max_order + 1 - p - q - r):
+                        if p - q != r - s:
+                            entries[(p, q, r, s)] = 0.0
+                        else:
+                            entries[(p, q, r, s)] = _diag_two_mode_moment(d, p, q, r, s)
+        return moments.MomentTable(modes, max_order, compute=entries.__getitem__)
+    raise TypeError(f"unsupported state type {type(state)!r}")
+
+
+def _ladder_factor(n, down, up):
+    """sqrt(n!/(n-down)!) * sqrt((n-down+up)!/(n-down)!) for vector n."""
+    n = np.asarray(n, dtype=float)
+    return np.exp(
+        0.5 * (gammaln(n + 1) - gammaln(n - down + 1))
+        + 0.5 * (gammaln(n - down + up + 1) - gammaln(n - down + 1))
+    )
+
+
+def _single_mode_moment(amps, p, q):
+    n = np.arange(q, len(amps))
+    m = n - q + p
+    keep = m < len(amps)
+    n, m = n[keep], m[keep]
+    if len(n) == 0:
+        return 0.0
+    fac = _ladder_factor(n, q, p)
+    return complex(np.sum(np.conj(amps[m]) * amps[n] * fac))
+
+
+def _diag_two_mode_moment(d, p, q, r, s):
+    n = np.arange(max(q, s), len(d))
+    m = n - q + p
+    keep = m < len(d)
+    n, m = n[keep], m[keep]
+    if len(n) == 0:
+        return 0.0
+    fac = _ladder_factor(n, q, p) * _ladder_factor(n, s, r)
+    return complex(np.sum(np.conj(d[m]) * d[n] * fac))

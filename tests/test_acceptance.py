@@ -15,6 +15,7 @@ from photsub import experiments, fock, metrology, moments, states
 from photsub.errors import OutOfRange
 from photsub.metrology import CorrelatedConfig, SingleMziConfig, phi_for_tau
 from photsub.states import PassvSpec, SpatsvSpec
+from reference import fidelity, squeeze_apply, two_mode_squeeze_apply
 
 SQRT2 = np.sqrt(2.0)
 
@@ -51,16 +52,16 @@ def test_acceptance_02_seed_representation_equivalence():
         for m in range(5):
             spec = PassvSpec(lam, m)
             seed = states.passv_seed(spec)
-            squeezed = fock.squeeze_apply(seed, spec.r, spec.chi, cutoff=500)
-            worst = min(worst, fock.fidelity(squeezed, states.passv(spec, cutoff=500)))
+            squeezed = squeeze_apply(seed, spec.r, spec.chi, cutoff=500)
+            worst = min(worst, fidelity(squeezed, states.passv(spec, cutoff=500)))
         for m in range(4):
             spec2 = SpatsvSpec(lam, m)
             seed2 = states.spatsv_seed(spec2)
-            squeezed2 = fock.two_mode_squeeze_apply(
+            squeezed2 = two_mode_squeeze_apply(
                 seed2, spec2.r, spec2.chi, cutoff=300
             )
             worst = min(
-                worst, fock.fidelity(squeezed2, states.spatsv(spec2, cutoff=300))
+                worst, fidelity(squeezed2, states.spatsv(spec2, cutoff=300))
             )
     ok = worst >= 1 - 1e-12
     assert _report(2, "seed-representation-equivalence", ok, f"min fidelity 1-{1-worst:.1e}")

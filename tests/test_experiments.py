@@ -109,6 +109,41 @@ def test_joint_distribution_preset_rows():
     assert 0.99 < total[0]
 
 
+def test_fig6_rows_match_the_closed_form_at_40_digits():
+    # P(k, k) = (1-t) t^(k+m) ((k+m)!/k!)^2 / ((m!)^2 lam^m P_m(2 lam + 1)),
+    # with the norm taken from the Legendre form, not the Wick sum
+    from math import factorial
+
+    import mpmath as mp
+
+    from reference import legendre_p
+
+    for row in run_preset("fig6").rows:
+        j, m, k = int(row.swept_value), row.m, int(row.metric.removeprefix("p_k"))
+        if j != k:
+            assert row.value == 0.0
+            continue
+        with mp.workdps(40):
+            lam = mp.mpf(0.6)
+            t = lam / (1 + lam)
+            norm = factorial(m) ** 2 * lam**m * legendre_p(m, 2 * lam + 1)
+            exact = (1 - t) * t ** (k + m) * (factorial(k + m) // factorial(k)) ** 2 / norm
+        assert abs(row.value - exact) <= 1e-14 * exact, (j, m, row.value)
+
+
+def test_fig5b_rows_match_a_40_digit_evaluation():
+    import mpmath as mp
+
+    from photsub import moments
+
+    for row in run_preset("fig5b").rows:
+        assert row.flag == "ok"
+        with mp.workdps(40):
+            table = moments.spatsv_moment_table(row.swept_value, row.m, max_order=2)
+            exact = moments.quadrature_difference_variance(table)
+        assert abs(row.value - exact) <= 1e-14 * exact, (row.swept_value, row.m)
+
+
 def test_sweep_config_from_file(tmp_path):
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(
@@ -227,10 +262,11 @@ def test_mandel_q_uses_exact_moments():
 def test_quad_diff_var_matches_converged_fock_value():
     from photsub import moments, states
     from photsub.states import SpatsvSpec
+    from reference import table_from_state
 
     state = states.spatsv(SpatsvSpec(10.0, 3), cutoff=3000)
     fock_value = moments.quadrature_difference_variance(
-        moments.table_from_state(state, max_order=2)
+        table_from_state(state, max_order=2)
     )
     row = _one_point("quad_diff_var")
     assert row.flag == "ok"

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from photsub import fock, moments, states
 from photsub.errors import MomentOrderMissing
+from photsub.experiments import PRESETS
 from photsub.states import PassvSpec, SpatsvSpec
+from reference import table_from_state, vacuum_table
 
 
 def _real(x):
@@ -25,7 +27,7 @@ def test_coherent_table_entries():
 
 
 def test_vacuum_table_entries():
-    t = moments.vacuum_table((0,))
+    t = vacuum_table((0,))
     assert complex(t.entry((0, 0))) == 1.0
     assert complex(t.entry((1, 1))) == 0.0
     assert complex(t.entry((3, 2))) == 0.0
@@ -35,7 +37,7 @@ def test_vacuum_table_entries():
 @pytest.mark.parametrize("lam", [0.4, 2.0])
 def test_single_mode_table_matches_fock(lam, m):
     state = states.passv(PassvSpec(lam, m), cutoff=300)
-    num = moments.table_from_state(state, max_order=4)
+    num = table_from_state(state, max_order=4)
     exact = moments.passv_moment_table(lam, m, max_order=4)
     for p in range(3):
         for q in range(3):
@@ -48,7 +50,7 @@ def test_single_mode_table_matches_fock(lam, m):
 def test_two_mode_table_matches_fock(m):
     lam = 0.6
     state = states.spatsv(SpatsvSpec(lam, m), cutoff=200)
-    num = moments.table_from_state(state, max_order=4)
+    num = table_from_state(state, max_order=4)
     exact = moments.spatsv_moment_table(lam, m, max_order=8)
     for key in [(1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1), (2, 2, 0, 0), (1, 0, 0, 1)]:
         a = complex(num.entry(key))
@@ -136,14 +138,53 @@ def test_mandel_q_thins_linearly(eta):
 
 
 def test_joint_distribution_normalized_and_diagonal():
-    p = moments.joint_photon_distribution(states.spatsv(SpatsvSpec(0.6, 1), cutoff=80))
+    p = moments.joint_photon_distribution(0.6, 1, n_max=80)
+    p = np.array(p.tolist(), dtype=float)
     assert abs(p.sum() - 1.0) < 1e-10
     off = p - np.diag(np.diag(p))
     assert np.max(np.abs(off)) < 1e-14
 
 
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_joint_distribution_matches_converged_fock_state(m):
+    lam, n_max = 0.6, 8
+    fock_p = np.abs(states.spatsv(SpatsvSpec(lam, m), cutoff=300).diag_amplitudes) ** 2
+    exact = moments.joint_photon_distribution(lam, m, n_max)
+    for k in range(n_max + 1):
+        p = float(exact[k, k])
+        assert abs(fock_p[k] - p) <= 1e-12 * p
+
+
+@pytest.mark.parametrize("chi", [0.0, 0.7])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_seed_table_matches_fock_summation(m, chi):
+    # fig5a's lam grid; the reference sums over the float seed amplitudes
+    keys = [k for k in itertools.product(range(5), repeat=4) if sum(k) <= 4]
+    for lam in PRESETS["fig5a"].values:
+        exact = moments.spatsv_seed_moment_table(lam, m, max_order=4, chi=chi)
+        num = table_from_state(states.spatsv_seed(SpatsvSpec(lam, m, chi)), max_order=4)
+        for key in keys:
+            a, b = complex(num.entry(key)), complex(exact.entry(key))
+            assert abs(a - b) < 1e-12 * max(1.0, abs(b)), (lam, key)
+
+
+def test_moments_module_needs_no_fock_numerics():
+    # production moments come only from the exact tables
+    import ast
+    import inspect
+
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(moments))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[0])
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {"numpy", "scipy", "fock"}
+
+
 def test_missing_order_raises():
-    t = moments.table_from_state(states.passv(PassvSpec(0.5, 0), cutoff=100), max_order=2)
+    t = moments.passv_moment_table(0.5, 0, max_order=2)
     with pytest.raises(MomentOrderMissing):
         t.entry((3, 3))
 
@@ -151,7 +192,7 @@ def test_missing_order_raises():
 def test_bogoliubov_moments_match_fock():
     lam = 0.9
     state = fock.squeezed_vacuum(float(np.arcsinh(np.sqrt(lam))), cutoff=300)
-    num = moments.table_from_state(state, max_order=6)
+    num = table_from_state(state, max_order=6)
     for p, q in [(1, 1), (2, 2), (2, 0), (3, 1), (3, 3)]:
         exact = complex(moments.bogoliubov_vacuum_moment_1m(p, q, lam))
         assert abs(complex(num.entry((p, q))) - exact) < 1e-8 * max(1.0, abs(exact))
