@@ -2,7 +2,10 @@
 
 Exact small-scale state construction (coherent, squeezed, two-mode squeezed),
 photon subtraction, and a brute-force multimode interferometer oracle used to
-validate the symbolic moment engine.
+validate the symbolic moment engine.  The oracle evolves the full amplitude
+tensor, one photon-number block at a time: a passive two-mode map couples
+only states of equal total photon number, so a D x D plane costs about
+(2/3) D^3 per lead index where a dense matrix would take D^4.
 
 Conventions
 -----------
@@ -20,10 +23,10 @@ a zero-mean-quadrature state in port 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lgamma, log
+from math import lgamma, log, prod
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import comb, gammaln
 
 from .errors import CutoffTooSmall, MemoryBoundExceeded, ModeMismatch, NullState
 
@@ -115,10 +118,8 @@ def coherent_state(alpha: complex, cutoff: int | None = None) -> FockState1:
     return FockState1(amps).normalized()
 
 
-def squeezed_vacuum(r: float, chi: float = 0.0, cutoff: int | None = None) -> FockState1:
-    """Single-mode squeezed vacuum S(r e^{i chi})|0> with <N> = sinh^2 r."""
-    if r < 0:
-        raise ValueError("squeezing parameter r must be >= 0")
+def squeezed_weights(r: float):
+    """Level weights |<n|S(r)|0>|^2 of the squeezed vacuum, as a function of n."""
     t = np.tanh(r)
 
     def weight(n):
@@ -132,9 +133,16 @@ def squeezed_vacuum(r: float, chi: float = 0.0, cutoff: int | None = None) -> Fo
             2 * k * log(t) + lgamma(2 * k + 1) - k * log(4) - 2 * lgamma(k + 1)
         ) / np.cosh(r)
 
-    cut = _adaptive_cutoff(weight, cutoff)
+    return weight
+
+
+def squeezed_vacuum(r: float, chi: float = 0.0, cutoff: int | None = None) -> FockState1:
+    """Single-mode squeezed vacuum S(r e^{i chi})|0> with <N> = sinh^2 r."""
+    if r < 0:
+        raise ValueError("squeezing parameter r must be >= 0")
+    cut = _adaptive_cutoff(squeezed_weights(r), cutoff)
     amps = np.zeros(cut + 1, dtype=complex)
-    s = t * np.exp(1j * chi)
+    s = np.tanh(r) * np.exp(1j * chi)
     c = 1.0 / np.sqrt(np.cosh(r)) + 0j
     amps[0] = c
     for k in range(1, cut // 2 + 1):
@@ -144,6 +152,12 @@ def squeezed_vacuum(r: float, chi: float = 0.0, cutoff: int | None = None) -> Fo
     return FockState1(amps).normalized()
 
 
+def two_mode_squeezed_weights(lam: float):
+    """Weights |<n,n|TSV>|^2 = (1 - x) x^n, x = lam / (1 + lam), as a function of n."""
+    x = lam / (1.0 + lam)
+    return lambda n: (1.0 - x) * x**n
+
+
 def two_mode_squeezed_vacuum(
     lam: float, chi: float = 0.0, cutoff: int | None = None
 ) -> TwoModeDiagonalState:
@@ -151,15 +165,27 @@ def two_mode_squeezed_vacuum(
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     x = lam / (1.0 + lam)
-
-    def weight(n):
-        return (1.0 - x) * x**n
-
-    cut = _adaptive_cutoff(weight, cutoff)
+    cut = _adaptive_cutoff(two_mode_squeezed_weights(lam), cutoff)
     n = np.arange(cut + 1)
     # amplitude phase: (e^{i chi} tanh r)^n with tanh^2 r = x
     amps = np.sqrt(1.0 - x) * (np.sqrt(x) * np.exp(1j * chi)) ** n
     return TwoModeDiagonalState(amps).normalized()
+
+
+def subtracted_cutoff(weight, m: int, power: int, moment: float) -> int:
+    """Cutoff to build a state with, so that its m-subtracted state keeps the tail contract.
+
+    Subtracting a^m (``power`` 1) or (a1 a2)^m (``power`` 2, diagonal two-mode
+    state) gives level n the weight weight(n + m) ((n + m)!/n!)^power / moment,
+    with ``moment`` the factorial moment that normalises it.
+    """
+    if moment <= 0.0:
+        raise NullState("photon subtraction annihilated the state")
+
+    def subtracted(n):
+        return weight(n + m) * np.exp(power * (lgamma(n + m + 1) - lgamma(n + 1))) / moment
+
+    return _adaptive_cutoff(subtracted, None) + m
 
 
 def subtract_photons(state, m: int):
@@ -174,29 +200,20 @@ def subtract_photons(state, m: int):
     if m == 0:
         return state, 1.0
     if isinstance(state, FockState1):
-        a = state.amplitudes
-        if len(a) <= m:
-            raise NullState(f"state has no support above |{m}>")
-        n = np.arange(m, len(a))
-        # a^m |n> = sqrt(n!/(n-m)!) |n-m>
-        fac = np.exp(0.5 * (gammaln(n + 1) - gammaln(n - m + 1)))
-        new = a[m:] * fac
-        norm = float(np.linalg.norm(new))
-        if norm < NULL_THRESHOLD:
-            raise NullState("photon subtraction annihilated the state")
-        return FockState1(new / norm), norm
-    if isinstance(state, TwoModeDiagonalState):
-        d = state.diag_amplitudes
-        if len(d) <= m:
-            raise NullState(f"state has no support above |{m},{m}>")
-        n = np.arange(m, len(d))
-        fac = np.exp(gammaln(n + 1) - gammaln(n - m + 1))
-        new = d[m:] * fac
-        norm = float(np.linalg.norm(new))
-        if norm < NULL_THRESHOLD:
-            raise NullState("photon subtraction annihilated the state")
-        return TwoModeDiagonalState(new / norm), norm
-    raise TypeError(f"unsupported state type {type(state)!r}")
+        amps, power, kind = state.amplitudes, 1, FockState1
+    elif isinstance(state, TwoModeDiagonalState):
+        amps, power, kind = state.diag_amplitudes, 2, TwoModeDiagonalState
+    else:
+        raise TypeError(f"unsupported state type {type(state)!r}")
+    if len(amps) <= m:
+        raise NullState(f"state has no support above level {m}")
+    n = np.arange(m, len(amps))
+    # a^m |n> = sqrt(n!/(n-m)!) |n-m>, once per mode
+    new = amps[m:] * np.exp(0.5 * power * (gammaln(n + 1) - gammaln(n - m + 1)))
+    norm = float(np.linalg.norm(new))
+    if norm < NULL_THRESHOLD:
+        raise NullState("photon subtraction annihilated the state")
+    return kind(new / norm), norm
 
 
 # ---------------------------------------------------------------------------
@@ -215,75 +232,66 @@ class MultiModeState:
 
 
 def _check_memory(shape, max_amplitudes):
-    total = 1
-    for s in shape:
-        total *= s
+    total = prod(shape)
     if total > max_amplitudes:
         raise MemoryBoundExceeded(
             f"tensor of {total} amplitudes exceeds bound {max_amplitudes}"
         )
 
 
-def two_mode_unitary_matrix(u2: np.ndarray, c1: int, c2: int) -> np.ndarray:
-    """Fock-space matrix of the passive 2x2 map a_out = u2 . a_in.
+def _photon_blocks(u2: np.ndarray, d1: int, d2: int):
+    """Yield ``(lo, G)`` for each photon number n = 0 .. d1 + d2 - 2 of a d1 x d2 plane.
 
-    Returns M with shape ((c1+1)(c2+1), (c1+1)(c2+1)); photon number beyond
-    the cutoffs is silently truncated (callers must keep headroom).
+    G[p - lo, k - lo] = <p, n-p|U|k, n-k> for the passive map a_out = u2 . a_in,
+    over the p, k from lo = max(0, n - d2 + 1) to min(n, d1 - 1) that fit the
+    plane.  As U a_k^dag U^dag = u2[:, k] . a^dag, block n follows from n-1 by
+
+        U|k, n-k> = (sqrt(k) u2[:, 0].a^dag U|k-1, n-k> + sqrt(n-k) u2[:, 1].a^dag U|k, n-k-1>) / n,
+
+    a step of operator norm <= 1, so rounding errors add up instead of growing
+    with n.  Row p needs only rows p-1 and p of block n-1, so the windows keep
+    the plane's truncation exactly.
     """
-    d1, d2 = c1 + 1, c2 + 1
-    mat = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-    # U a1^dag U^dag = u2[0,0] a1^dag + u2[0,1]... derived from a_out = u2 a_in:
-    # U a_k^dag U^dag = sum_i u2[i,k] a_i^dag
-    A = (u2[0, 0], u2[1, 0])  # image of a1^dag
-    B = (u2[0, 1], u2[1, 1])  # image of a2^dag
-    lg = gammaln(np.arange(c1 + c2 + 2) + 1.0)
-    dmax = max(d1, d2)
-    # binomial-weighted power ladders, vectorized over the expansion indices
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pow_a0 = _safe_powers(A[0], dmax)
-        pow_a1 = _safe_powers(A[1], dmax)
-        pow_b0 = _safe_powers(B[0], dmax)
-        pow_b1 = _safe_powers(B[1], dmax)
-    for m in range(d1):
-        j = np.arange(m + 1)
-        wa = np.exp(lg[m] - lg[j] - lg[m - j]) * pow_a0[j] * pow_a1[m - j]
-        for n in range(d2):
-            col = m * d2 + n
-            k = np.arange(n + 1)
-            wb = np.exp(lg[n] - lg[k] - lg[n - k]) * pow_b0[k] * pow_b1[n - k]
-            # (A)^m (B)^n |0,0> / sqrt(m! n!)
-            p1 = j[:, None] + k[None, :]
-            p2 = m + n - p1
-            coef = wa[:, None] * wb[None, :]
-            coef = coef * np.exp(0.5 * (lg[p1] + lg[p2] - lg[m] - lg[n]))
-            valid = (p1 < d1) & (p2 < d2)
-            np.add.at(
-                mat[:, col], (p1[valid] * d2 + p2[valid]).ravel(), coef[valid].ravel()
-            )
-    return mat
-
-
-def _safe_powers(base: complex, count: int) -> np.ndarray:
-    """[base^0 .. base^(count-1)] with the 0^0 = 1 convention."""
-    out = np.ones(count, dtype=complex)
-    for i in range(1, count):
-        out[i] = out[i - 1] * base
-    return out
+    sq = np.sqrt(np.arange(d1 + d2, dtype=float))
+    block, lo = np.ones((1, 1), dtype=complex), 0
+    yield lo, block
+    for n in range(1, d1 + d2 - 1):
+        prev_lo, lo = lo, max(0, n - d2 + 1)
+        p = np.arange(lo, min(n, d1 - 1) + 1)
+        # block n-1 on rows and columns lo-1 .. hi, zero outside its window
+        padded = np.zeros((len(p) + 1, len(p) + 1), dtype=complex)
+        off = prev_lo - lo + 1
+        padded[off : off + len(block), off : off + len(block)] = block
+        # c0 a1^dag + c1 a2^dag takes rows p-1 and p of block n-1 to row p
+        up, down = sq[p, None], sq[n - p, None]
+        a1 = u2[0, 0] * up * padded[:-1, :-1] + u2[1, 0] * down * padded[1:, :-1]
+        a2 = u2[0, 1] * up * padded[:-1, 1:] + u2[1, 1] * down * padded[1:, 1:]
+        block = (sq[p] * a1 + sq[n - p] * a2) / n
+        yield lo, block
 
 
 def apply_two_mode_unitary(state: MultiModeState, i: int, j: int, u2: np.ndarray) -> MultiModeState:
-    """Apply a passive 2x2 mode map to tensor axes i and j."""
+    """Apply a passive 2x2 mode map to tensor axes i and j.
+
+    The map keeps the photon number n of the two axes, so it acts on each
+    anti-diagonal |k, n-k> of the (d1, d2) plane, a strided slice of the
+    flattened plane, by one block of :func:`_photon_blocks`: about (2/3) D^3
+    multiply-adds per lead index for D = d1 = d2, where a dense plane matrix
+    takes D^4, and O(D^2) memory beyond the input, output and one transposed
+    copy.  Photon number beyond an axis's cutoff is dropped: keep headroom.
+    """
     amps = state.amplitudes
-    c1 = amps.shape[i] - 1
-    c2 = amps.shape[j] - 1
-    mat = two_mode_unitary_matrix(u2, c1, c2)
+    d1, d2 = amps.shape[i], amps.shape[j]
     moved = np.moveaxis(amps, (i, j), (-2, -1))
-    lead = moved.shape[:-2]
-    flat = moved.reshape(-1, (c1 + 1) * (c2 + 1))
-    out = flat @ mat.T
-    out = out.reshape(*lead, c1 + 1, c2 + 1)
-    out = np.moveaxis(out, (-2, -1), (i, j))
-    return MultiModeState(out)
+    flat = moved.reshape(-1, d1 * d2)
+    out = np.empty(flat.shape, dtype=complex)
+    step = max(d2 - 1, 1)
+    for n, (lo, block) in enumerate(_photon_blocks(u2, d1, d2)):
+        start = lo * d2 + n - lo
+        diag = slice(start, start + (len(block) - 1) * step + 1, step)
+        out[:, diag] = flat[:, diag] @ block.T
+    out = out.reshape(moved.shape)
+    return MultiModeState(np.moveaxis(out, (-2, -1), (i, j)))
 
 
 def mzi_unitary(phi: float) -> np.ndarray:
@@ -300,11 +308,10 @@ def binomial_thinning(p: np.ndarray, eta: float, axis: int) -> np.ndarray:
     followed by marginalization over the ancilla outcome (valid because only
     photon-number observables are read out after the loss).
     """
-    n = p.shape[axis]
-    mat = np.zeros((n, n))
-    for nn in range(n):
-        for k in range(nn + 1):
-            mat[k, nn] = comb(nn, k) * eta**k * (1.0 - eta) ** (nn - k)
+    n = np.arange(p.shape[axis])
+    k, nn = n[:, None], n[None, :]
+    # mat[k, n] = C(n, k) eta^k (1 - eta)^(n - k); comb vanishes for k > n
+    mat = comb(nn, k) * eta**k * (1.0 - eta) ** np.maximum(nn - k, 0)
     moved = np.moveaxis(p, axis, -1)
     out = moved @ mat.T
     return np.moveaxis(out, -1, axis)
@@ -366,94 +373,67 @@ def _oracle_single(scene: OracleScene, coh: FockState1) -> OracleResult:
         raise ModeMismatch("single-MZI scene needs a FockState1 quantum input")
     # pad both modes to the joint photon capacity so the beamsplitter cannot
     # push amplitude past a cutoff
-    dim = len(coh.amplitudes) + len(q.amplitudes) - 1
-    shape = (dim, dim)
-    _check_memory(shape, scene.max_amplitudes)
-    ca = np.zeros(dim, dtype=complex)
-    ca[: len(coh.amplitudes)] = coh.amplitudes
-    qa = np.zeros(dim, dtype=complex)
-    qa[: len(q.amplitudes)] = q.amplitudes
-    amps = np.tensordot(ca, qa, axes=0)
-    st = MultiModeState(amps)
-    st = apply_two_mode_unitary(st, 0, 1, mzi_unitary(scene.phi1))
-    total_mean = _tensor_total_mean(st.probabilities())
-    if scene.eta < 1.0 and scene.loss == "ancilla":
-        # trim negligible occupations before attaching the loss ancillas
-        full = st.probabilities()
-        keep = _axis_cutoffs(full, tail=1e-13)
-        trimmed = st.amplitudes[: keep[0], : keep[1]]
-        _check_memory((*trimmed.shape, keep[0], keep[1]), scene.max_amplitudes)
-        bs = _loss_unitary(scene.eta)
-        vac0 = np.zeros(keep[0], dtype=complex)
-        vac0[0] = 1.0
-        vac1 = np.zeros(keep[1], dtype=complex)
-        vac1[0] = 1.0
-        big = np.tensordot(np.tensordot(trimmed, vac0, axes=0), vac1, axes=0)
-        st2 = MultiModeState(big)
-        st2 = apply_two_mode_unitary(st2, 0, 2, bs)
-        st2 = apply_two_mode_unitary(st2, 1, 3, bs)
-        probs2 = st2.probabilities().sum(axis=(2, 3))
-        joint = np.zeros_like(full)
-        joint[: probs2.shape[0], : probs2.shape[1]] = probs2
-    else:
-        joint = st.probabilities()
-        if scene.eta < 1.0:
-            joint = binomial_thinning(joint, scene.eta, axis=0)
-            joint = binomial_thinning(joint, scene.eta, axis=1)
-    return OracleResult(joint, _moments_from_joint(joint), total_mean)
+    nc, nq = len(coh.amplitudes), len(q.amplitudes)
+    dim = nc + nq - 1
+    _check_memory((dim, dim), scene.max_amplitudes)
+    padded = np.pad(coh.amplitudes, (0, nq - 1)), np.pad(q.amplitudes, (0, nc - 1))
+    st = MultiModeState(np.outer(*padded))
+    return _read_out(scene, apply_two_mode_unitary(st, 0, 1, mzi_unitary(scene.phi1)))
 
 
 def _oracle_correlated(scene: OracleScene, coh: FockState1) -> OracleResult:
     q = scene.quantum
     if not isinstance(q, TwoModeDiagonalState):
         raise ModeMismatch("correlated scene needs a TwoModeDiagonalState quantum input")
-    d = q.diag_amplitudes
-    nc = len(coh.amplitudes)
+    d, nc = q.diag_amplitudes, len(coh.amplitudes)
     nq = len(d)
     dim = nc + nq - 1  # joint photon capacity of each MZI pair
-    shape = (dim, dim, dim, dim)
+    shape = (dim,) * 4
     _check_memory(shape, scene.max_amplitudes)
-    amps = np.zeros(shape, dtype=complex)
-    ca = np.zeros(dim, dtype=complex)
-    ca[:nc] = coh.amplitudes
-    cc = np.tensordot(ca, ca, axes=0)
+    st = MultiModeState(np.zeros(shape, dtype=complex))
+    ca = np.pad(coh.amplitudes, (0, nq - 1))
+    cc = np.outer(ca, ca)
     for n in range(nq):
-        amps[n, n, :, :] = d[n] * cc
-    st = MultiModeState(amps)
+        st.amplitudes[n, n, :, :] = d[n] * cc
     # MZI_k mixes coherent port (axis 2+k) with quantum port (axis k); the
     # read-out port keeps the tau-weighted quantum component, i.e. the
     # quantum-port axis after the map.
     st = apply_two_mode_unitary(st, 2, 0, mzi_unitary(scene.phi1))
     st = apply_two_mode_unitary(st, 3, 1, mzi_unitary(scene.phi2))
+    return _read_out(scene, st)
+
+
+def _read_out(scene: OracleScene, st: MultiModeState) -> OracleResult:
+    """Joint photon counts of read-out axes 0 and 1 after detection loss."""
     probs = st.probabilities()
     total_mean = _tensor_total_mean(probs)
-    joint = probs.sum(axis=(2, 3))
-    if scene.eta < 1.0:
-        if scene.loss == "ancilla":
-            # explicit ancilla route: trim negligible occupations first so the
-            # six-mode tensor stays within the amplitude budget
-            bs = _loss_unitary(scene.eta)
-            keep = _axis_cutoffs(probs, tail=1e-13)
-            trimmed = st.amplitudes[
-                : keep[0], : keep[1], : keep[2], : keep[3]
-            ]
-            anc0, anc1 = keep[0], keep[1]
-            _check_memory((*trimmed.shape, anc0, anc1), scene.max_amplitudes)
-            vac0 = np.zeros(anc0, dtype=complex)
-            vac0[0] = 1.0
-            vac1 = np.zeros(anc1, dtype=complex)
-            vac1[0] = 1.0
-            big = np.tensordot(np.tensordot(trimmed, vac0, axes=0), vac1, axes=0)
-            st2 = MultiModeState(big)
-            st2 = apply_two_mode_unitary(st2, 0, 4, bs)
-            st2 = apply_two_mode_unitary(st2, 1, 5, bs)
-            probs2 = st2.probabilities().sum(axis=(2, 3, 4, 5))
-            joint = np.zeros_like(joint)
-            joint[: probs2.shape[0], : probs2.shape[1]] = probs2
-        else:
+    if scene.eta < 1.0 and scene.loss == "ancilla":
+        joint = _ancilla_joint(st, probs, scene.eta, scene.max_amplitudes)
+    else:
+        joint = probs.sum(axis=tuple(range(2, probs.ndim)))
+        if scene.eta < 1.0:
             joint = binomial_thinning(joint, scene.eta, axis=0)
             joint = binomial_thinning(joint, scene.eta, axis=1)
     return OracleResult(joint, _moments_from_joint(joint), total_mean)
+
+
+def _ancilla_joint(st: MultiModeState, probs: np.ndarray, eta: float, max_amplitudes: int):
+    """Loss by beamsplitters to vacuum ancillas on axes 0 and 1, then marginals."""
+    # trim negligible occupations first so the tensor with its two ancilla
+    # axes stays within the amplitude budget
+    keep = _axis_cutoffs(probs, tail=1e-12)
+    nd = len(keep)
+    shape = (*keep, keep[0], keep[1])
+    _check_memory(shape, max_amplitudes)
+    big = np.zeros(shape, dtype=complex)
+    big[..., 0, 0] = st.amplitudes[tuple(slice(c) for c in keep)]
+    bs = _loss_unitary(eta)
+    st2 = apply_two_mode_unitary(MultiModeState(big), 0, nd, bs)
+    st2 = apply_two_mode_unitary(st2, 1, nd + 1, bs)
+    probs2 = st2.probabilities().sum(axis=tuple(range(2, nd + 2)))
+    joint = np.zeros(probs.shape[:2])
+    joint[: probs2.shape[0], : probs2.shape[1]] = probs2
+    return joint
 
 
 def _loss_unitary(eta: float) -> np.ndarray:
@@ -463,22 +443,24 @@ def _loss_unitary(eta: float) -> np.ndarray:
 
 
 def _axis_cutoffs(probs: np.ndarray, tail: float) -> list:
-    """Per-axis dimensions holding all but ``tail`` of the probability mass."""
+    """Per-axis dimensions that drop at most ``tail`` of each marginal's mass.
+
+    Read-out axes 0 and 1 carry moments up to fourth order, so there the
+    trim is judged by the share of <(N+1)^4> it removes.
+    """
     keep = []
-    for ax in range(probs.ndim):
-        marg = probs.sum(axis=tuple(k for k in range(probs.ndim) if k != ax))
-        c = len(marg)
-        dropped = 0.0
-        while c > 1 and dropped + marg[c - 1] <= tail:
-            dropped += marg[c - 1]
-            c -= 1
-        keep.append(c)
+    for ax, marg in enumerate(_marginals(probs)):
+        if ax < 2:
+            marg = marg * (1.0 + np.arange(len(marg))) ** 4
+        beyond = np.cumsum(marg[::-1])[::-1]  # beyond[c]: weight of levels >= c
+        keep.append(max(1, int(np.count_nonzero(beyond > tail * beyond[0]))))
     return keep
 
 
-def _tensor_total_mean(probs: np.ndarray) -> float:
-    total = 0.0
+def _marginals(probs: np.ndarray):
     for ax in range(probs.ndim):
-        marg = probs.sum(axis=tuple(k for k in range(probs.ndim) if k != ax))
-        total += float(np.dot(np.arange(len(marg)), marg))
-    return total
+        yield probs.sum(axis=tuple(k for k in range(probs.ndim) if k != ax))
+
+
+def _tensor_total_mean(probs: np.ndarray) -> float:
+    return sum(float(np.dot(np.arange(len(marg)), marg)) for marg in _marginals(probs))

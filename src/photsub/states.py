@@ -63,14 +63,30 @@ class SpatsvSpec:
 
 
 def passv(spec: PassvSpec, cutoff: int | None = None) -> FockState1:
-    """PASSV state: m-fold photon subtraction from squeezed vacuum."""
+    """PASSV state: m-fold photon subtraction from squeezed vacuum.
+
+    ``cutoff`` bounds the squeezed vacuum before subtraction; by default it
+    is the smallest that leaves the subtracted state a tail below
+    ``fock.TAIL_TOL``.
+    """
+    if cutoff is None:
+        moment = float(bogoliubov_vacuum_moment_1m(spec.m, spec.m, spec.lam).real)
+        cutoff = fock.subtracted_cutoff(fock.squeezed_weights(spec.r), spec.m, 1, moment)
     ssv = fock.squeezed_vacuum(spec.r, spec.chi, cutoff)
     state, _ = fock.subtract_photons(ssv, spec.m)
     return state
 
 
 def spatsv(spec: SpatsvSpec, cutoff: int | None = None) -> TwoModeDiagonalState:
-    """SPATSV state: symmetric m-fold subtraction from two-mode squeezed vacuum."""
+    """SPATSV state: symmetric m-fold subtraction from two-mode squeezed vacuum.
+
+    ``cutoff`` bounds the TSV before subtraction; the default is sized on
+    the subtracted state, as in :func:`passv`.
+    """
+    if cutoff is None:
+        moment = bogoliubov_vacuum_moment_2m(spec.m, spec.m, spec.m, spec.m, spec.lam)
+        weights = fock.two_mode_squeezed_weights(spec.lam)
+        cutoff = fock.subtracted_cutoff(weights, spec.m, 2, float(moment.real))
     tsv = fock.two_mode_squeezed_vacuum(spec.lam, spec.chi, cutoff)
     state, _ = fock.subtract_photons(tsv, spec.m)
     return state

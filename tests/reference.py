@@ -4,8 +4,9 @@ Production code reads every moment from the exact, lazily filled tables in
 :mod:`photsub.moments`.  The float Fock-space routines here are independent
 ways to the same numbers: moments by direct summation over a truncated
 state, squeeze operators applied as matrix exponentials, overlaps and
-fidelities.  The tests check the exact engine and the state constructors
-against them.
+fidelities, and passive two-mode maps as dense plane matrices.  The tests
+check the exact engine, the state constructors and the oracle's block
+propagation against them.
 """
 
 from math import factorial, sqrt
@@ -187,3 +188,59 @@ def _diag_two_mode_moment(d, p, q, r, s):
         return 0.0
     fac = _ladder_factor(n, q, p) * _ladder_factor(n, s, r)
     return complex(np.sum(np.conj(d[m]) * d[n] * fac))
+
+
+def two_mode_unitary_matrix(u2: np.ndarray, c1: int, c2: int) -> np.ndarray:
+    """Fock-space matrix of the passive 2x2 map a_out = u2 . a_in.
+
+    Returns M with shape ((c1+1)(c2+1), (c1+1)(c2+1)); photon number beyond
+    the cutoffs is silently truncated (callers must keep headroom).
+    """
+    d1, d2 = c1 + 1, c2 + 1
+    mat = np.zeros((d1 * d2, d1 * d2), dtype=complex)
+    # U a1^dag U^dag = u2[0,0] a1^dag + u2[0,1]... derived from a_out = u2 a_in:
+    # U a_k^dag U^dag = sum_i u2[i,k] a_i^dag
+    A = (u2[0, 0], u2[1, 0])  # image of a1^dag
+    B = (u2[0, 1], u2[1, 1])  # image of a2^dag
+    lg = gammaln(np.arange(c1 + c2 + 2) + 1.0)
+    dmax = max(d1, d2)
+    # binomial-weighted power ladders, vectorized over the expansion indices
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pow_a0 = _safe_powers(A[0], dmax)
+        pow_a1 = _safe_powers(A[1], dmax)
+        pow_b0 = _safe_powers(B[0], dmax)
+        pow_b1 = _safe_powers(B[1], dmax)
+    for m in range(d1):
+        j = np.arange(m + 1)
+        wa = np.exp(lg[m] - lg[j] - lg[m - j]) * pow_a0[j] * pow_a1[m - j]
+        for n in range(d2):
+            col = m * d2 + n
+            k = np.arange(n + 1)
+            wb = np.exp(lg[n] - lg[k] - lg[n - k]) * pow_b0[k] * pow_b1[n - k]
+            # (A)^m (B)^n |0,0> / sqrt(m! n!)
+            p1 = j[:, None] + k[None, :]
+            p2 = m + n - p1
+            coef = wa[:, None] * wb[None, :]
+            coef = coef * np.exp(0.5 * (lg[p1] + lg[p2] - lg[m] - lg[n]))
+            valid = (p1 < d1) & (p2 < d2)
+            np.add.at(
+                mat[:, col], (p1[valid] * d2 + p2[valid]).ravel(), coef[valid].ravel()
+            )
+    return mat
+
+
+def _safe_powers(base: complex, count: int) -> np.ndarray:
+    """[base^0 .. base^(count-1)] with the 0^0 = 1 convention."""
+    out = np.ones(count, dtype=complex)
+    for i in range(1, count):
+        out[i] = out[i - 1] * base
+    return out
+
+
+def apply_dense_two_mode_unitary(amps: np.ndarray, i: int, j: int, u2: np.ndarray) -> np.ndarray:
+    """Apply u2 to tensor axes i and j through the dense plane matrix."""
+    d1, d2 = amps.shape[i], amps.shape[j]
+    mat = two_mode_unitary_matrix(u2, d1 - 1, d2 - 1)
+    moved = np.moveaxis(amps, (i, j), (-2, -1))
+    out = moved.reshape(-1, d1 * d2) @ mat.T
+    return np.moveaxis(out.reshape(*moved.shape), (-2, -1), (i, j))

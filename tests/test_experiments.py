@@ -188,6 +188,13 @@ def test_oracle_compare_correlated_small_scene():
     assert cmp.passed
 
 
+def test_oracle_compare_default_cutoff_passes_after_subtraction():
+    # the default quantum cutoff is sized on the subtracted state: sized on
+    # the squeezed vacuum before subtraction, this scene failed at 2.7e-7
+    cmp = oracle_compare("single", lam=1.0, m=3, mu=1.0, phi=0.7)
+    assert cmp.passed
+
+
 def test_oracle_compare_memory_bound():
     with pytest.raises(MemoryBoundExceeded):
         oracle_compare("single", lam=0.3, m=0, mu=100.0, phi=0.5)

@@ -1,5 +1,7 @@
 """Truncated-Fock state construction and the brute-force interferometer oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,12 @@ from hypothesis import strategies as st
 
 from photsub import fock
 from photsub.errors import MemoryBoundExceeded, ModeMismatch, NullState
-from reference import fidelity, mean_photons_per_mode, squeeze_apply
+from reference import (
+    apply_dense_two_mode_unitary,
+    fidelity,
+    mean_photons_per_mode,
+    squeeze_apply,
+)
 
 
 def test_coherent_state_mean_and_norm():
@@ -167,3 +174,75 @@ def test_oracle_memory_bound():
     )
     with pytest.raises(MemoryBoundExceeded):
         fock.oracle_interferometer(scene)
+
+
+_MAPS = {
+    "mzi": fock.mzi_unitary(0.7),
+    "mzi_dark": fock.mzi_unitary(2.9),
+    "loss": fock._loss_unitary(0.8),
+}
+
+
+@pytest.mark.parametrize("u2", _MAPS.values(), ids=_MAPS.keys())
+@pytest.mark.parametrize(
+    "shape, axes",
+    [
+        ((7, 9), (0, 1)),  # rectangular plane
+        ((9, 4), (1, 0)),  # truncating, axes swapped
+        ((1, 5), (0, 1)),
+        ((6, 1), (0, 1)),
+        ((8, 8), (0, 1)),
+        ((3, 4, 5, 6), (2, 0)),
+        ((4, 5, 6, 3), (1, 3)),
+        ((3, 4, 2, 5, 3, 2), (2, 0)),
+        ((3, 4, 2, 5, 3, 2), (1, 3)),
+    ],
+)
+def test_block_propagation_matches_dense_reference(u2, shape, axes):
+    rng = np.random.default_rng(sum(shape) + 10 * axes[0] + axes[1])
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    amps /= np.abs(amps).max()
+    out = fock.apply_two_mode_unitary(fock.MultiModeState(amps), *axes, u2).amplitudes
+    ref = apply_dense_two_mode_unitary(amps, *axes, u2)
+    assert out.shape == amps.shape
+    assert np.abs(out - ref).max() < 1e-13
+
+
+@pytest.mark.parametrize("u2", _MAPS.values(), ids=_MAPS.keys())
+def test_photon_blocks_stay_unitary_at_high_photon_number(u2):
+    # the dense binomial expansion loses 1e-8 of unitarity by n = 60; the
+    # block recurrence must not lose accuracy with n
+    worst = 0.0
+    for n, (lo, block) in enumerate(fock._photon_blocks(u2, 301, 301)):
+        if n in (10, 100, 300):
+            assert lo == 0 and block.shape == (n + 1, n + 1)
+            worst = max(worst, np.abs(block @ block.conj().T - np.eye(n + 1)).max())
+    assert worst < 1e-12
+
+
+def _traced_peak(scene):
+    tracemalloc.start()
+    try:
+        fock.oracle_interferometer(scene)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_memory_stays_a_small_multiple_of_the_tensor():
+    from photsub import states
+
+    # the single scheme at the oracle's documented limit mu = 10: block
+    # propagation needs O(D^2) beyond the D x D tensor, where a dense plane
+    # matrix takes D^4 amplitudes (8.3 GB at this D = 151)
+    q = states.passv(states.PassvSpec(1.0, 3))
+    scene = fock.OracleScene(kind="single", quantum=q, mu=10.0, psi=0.0, phi1=0.7)
+    dim = len(fock.coherent_state(np.sqrt(10.0)).amplitudes) + len(q.amplitudes) - 1
+    assert _traced_peak(scene) <= 10 * dim**2 * 16
+    # correlated: input, output and one transposed copy of the D^4 tensor
+    q2 = states.spatsv(states.SpatsvSpec(0.2, 1))
+    scene2 = fock.OracleScene(
+        kind="correlated", quantum=q2, mu=1.0, psi=0.0, phi1=0.7, phi2=0.7, eta=0.9
+    )
+    dim2 = len(fock.coherent_state(1.0).amplitudes) + len(q2.diag_amplitudes) - 1
+    assert _traced_peak(scene2) <= 3.5 * dim2**4 * 16

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photsub import fock, states
-from photsub.errors import OutOfRange
+from photsub.errors import NullState, OutOfRange
 from photsub.states import PassvSpec, SpatsvSpec
 from reference import (
     fidelity,
@@ -153,3 +153,32 @@ def test_balance_round_trip_property(lam, m):
     target = states.passv_mean_photons(lam, m)
     lam0 = states.balance_energy(target, m, "single")
     assert abs(lam0 - lam) < 1e-7 * max(1.0, lam)
+
+
+@pytest.mark.parametrize(
+    "build, spec",
+    [
+        (states.passv, PassvSpec(1.0, 3)),
+        (states.passv, PassvSpec(1.0, 5)),
+        (states.spatsv, SpatsvSpec(1.0, 3)),
+        (states.spatsv, SpatsvSpec(1.0, 5)),
+    ],
+)
+def test_default_cutoff_keeps_the_subtracted_tail_contract(build, spec):
+    # subtraction weighs level n by n!/(n-m)! (squared for the twin beam), so
+    # a cutoff sized before subtraction leaves tails of 4.7e-9 to 3.4e-5 here
+    def amplitudes(state):
+        return state.amplitudes if build is states.passv else state.diag_amplitudes
+
+    kept = amplitudes(build(spec))
+    wide = amplitudes(build(spec, cutoff=600))
+    tail = 1.0 - float(np.sum(np.abs(wide[: len(kept)]) ** 2))
+    assert tail < fock.TAIL_TOL
+
+
+@pytest.mark.parametrize(
+    "build, spec", [(states.passv, PassvSpec(0.0, 2)), (states.spatsv, SpatsvSpec(0.0, 1))]
+)
+def test_default_cutoff_of_a_null_subtraction_raises(build, spec):
+    with pytest.raises(NullState):
+        build(spec)
