@@ -14,8 +14,7 @@ bytes.
 
 Config files are flat ``key = value`` text; lists are comma-separated.  The
 full schema is documented in the README.  The only environment override is
-``PHOTSUB_DIGITS`` (working precision for the correlated high-precision
-path).
+``PHOTSUB_DIGITS`` (working precision of both schemes' read-out engine).
 """
 
 from __future__ import annotations
@@ -218,11 +217,11 @@ def _single_metric(metric: str, m: int, p: dict, cfg: SweepConfig, digits) -> fl
             return moments.quadrature_variance(table, pi / 2)
     scene = SingleMziConfig(spec, mu=p["mu"], phi=p["phi"], psi=p["psi"], eta=p["eta"])
     if metric == "U":
-        return metrology.single_phase_uncertainty(scene)
+        return metrology.single_phase_uncertainty(scene, dps=digits)
     if metric == "qfi":
-        return metrology.qfi(scene)
+        return metrology.qfi(scene, dps=digits)
     if metric == "crb":
-        return metrology.cramer_rao_bound(metrology.qfi(scene))
+        return metrology.cramer_rao_bound(metrology.qfi(scene, dps=digits))
     raise ConfigInvalid(f"metric: unknown single-scheme metric {metric!r}")
 
 

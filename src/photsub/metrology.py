@@ -26,7 +26,8 @@ Every figure of merit is an expectation taken by one read-out engine,
 :class:`_Scene`: :func:`photsub.opalg.contract` expands the port images of
 each monomial of a normally-ordered read-out observable straight into
 moment keys of the input tables.  Phase derivatives ride along as jets only
-in the expectations whose derivatives are read.
+in the expectations whose derivatives are read, and every variance is
+formed, and guarded against cancellation, by :meth:`_Scene.variance`.
 
 Detection loss eta is a beamsplitter to vacuum on each read-out port.  The
 loss is the same on every port, so it commutes with the passive
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import cos, isfinite, pi, sin, sqrt, ulp
+from math import cos, isfinite, pi, sqrt, ulp
 
 import mpmath as mp
 
@@ -119,7 +120,7 @@ def phi_for_tau(tau: float) -> float:
 
 
 def _working_digits(mu: float) -> int:
-    """Decimal digits for the high-precision accumulation path."""
+    """Default working decimal digits of a scene with coherent power mu."""
     return 40 + 3 * int(mp.log10(mu + 10))
 
 
@@ -152,50 +153,83 @@ def _input_tables(cfg, eta) -> tuple:
 
 
 class _Scene:
-    """Lossy input tables behind the read-out port map of one scene.
+    """Input moment tables behind the read-out port images of one scene.
 
-    Read-out ports are modes 0 and 1.  The scene keeps the port map twice:
-    with plain entries, and with entries that carry the phase derivatives as
-    jets (slot 1 for the single phase, slots 1 and 2 for phi1 and phi2), for
-    the expectations whose derivatives are read.  Build it through
-    :func:`_scene`, at working precision.
+    Read-out ports are modes 0 and 1.  ``images`` maps ``False`` to the port
+    images with plain entries and, where phase derivatives are read, ``True``
+    to the images whose entries carry them as jets (slot 1 for the single
+    phase, slots 1 and 2 for phi1 and phi2).  Every figure of merit reads its
+    variance from :meth:`variance`.  Build it at working precision.
     """
 
-    def __init__(self, cfg):
-        coherent, quantum = _input_tables(cfg, mp.mpf(cfg.eta))
-        single = isinstance(cfg, SingleMziConfig)
-        self.tables = [coherent, quantum] if single else [quantum]
-        beta = 0 if single else coherent.entry((0, 1))
-        self._images = {}
-        for jet in (False, True):
-            u1, v1 = _mzi_entries(cfg.phi, 1 if jet else 0)
-            if single:
-                images = {0: ({0: u1, 1: v1}, 0), 1: ({0: v1, 1: u1}, 0)}
-            else:
-                u2, v2 = _mzi_entries(cfg.phi, 2 if jet else 0)
-                images = {0: ({0: u1}, v1 * beta), 1: ({1: u2}, v2 * beta)}
-            self._images[jet] = images
+    def __init__(self, tables, images: dict):
+        self.tables = tables
+        self._images = images
 
-    def expect(self, obs: OperatorPolynomial, jet: bool = False, min_digits: int | None = None):
+    def expect(self, obs: OperatorPolynomial, jet: bool = False):
         """Expectation of a read-out-level observable; a :class:`Jet` with ``jet``."""
-        return opalg.contract(obs, self._images[jet], self.tables, min_digits)
+        value = opalg.contract(obs, self._images[jet], self.tables)[0]
+        return Jet.lift(value) if jet else value
+
+    def variance(self, obs: OperatorPolynomial, jet: bool = False) -> tuple:
+        """(<o>, Var o) of a Hermitian read-out observable; <o> a Jet with ``jet``.
+
+        Var o is <o^2> - <o>^2 at working precision, clipped at 0.  Fewer
+        than 8 working digits surviving between the largest single product of
+        <o^2> and the larger of |Var o| and the shot-noise scale
+        <N_a> + <N_b> raise PrecisionInsufficient.  With ``jet``, so do fewer
+        than 8 surviving between the largest product of <o> and its nonzero
+        derivative in jet slot 1, the slope a single-phase read-out divides
+        by.
+        """
+        mean, mean_scale = opalg.contract(obs, self._images[jet], self.tables)
+        second, scale = opalg.contract(
+            opalg.multiply(obs, obs), self._images[False], self.tables
+        )
+        lifted = Jet.lift(mean)
+        var = mp.re(second) - mp.re(lifted.f) ** 2
+        kept = mp.mpf(10) ** (8 - mp.mp.dps)
+        slope = mp.re(lifted.d1)
+        if slope and abs(slope) < kept * mean_scale:
+            raise PrecisionInsufficient(
+                f"slope cancels from {mean_scale:.3g} to {float(slope):.3g}: "
+                f"fewer than 8 of {mp.mp.dps} digits survive"
+            )
+        if abs(var) < kept * scale and mp.re(self.expect(_port_sum())) < kept * scale:
+            raise PrecisionInsufficient(
+                f"variance cancels from {scale:.3g} to {float(var):.3g}: "
+                f"fewer than 8 of {mp.mp.dps} digits survive"
+            )
+        return (lifted if jet else mean), max(var, mp.mpf(0))
 
 
 @contextmanager
 def _scene(cfg, dps: int | None = None):
     """Yield the scene's read-out engine inside its working precision.
 
-    That is ``dps`` digits, else 40 + 3 log10(mu) for the correlated scheme
-    and the ambient precision for the single one.
+    That is ``dps`` digits, else 40 + 3 log10(mu) for either scheme.
     """
-    if dps is None and isinstance(cfg, SingleMziConfig):
-        dps = mp.mp.dps
     with mp.workdps(dps or _working_digits(cfg.mu)):
-        yield _Scene(cfg)
+        coherent, quantum = _input_tables(cfg, mp.mpf(cfg.eta))
+        single = isinstance(cfg, SingleMziConfig)
+        beta = 0 if single else coherent.entry((0, 1))
+        images = {}
+        for jet in (False, True):
+            u1, v1 = _mzi_entries(cfg.phi, 1 if jet else 0)
+            if single:
+                images[jet] = {0: ({0: u1, 1: v1}, 0), 1: ({0: v1, 1: u1}, 0)}
+            else:
+                u2, v2 = _mzi_entries(cfg.phi, 2 if jet else 0)
+                images[jet] = {0: ({0: u1}, v1 * beta), 1: ({1: u2}, v2 * beta)}
+        yield _Scene([coherent, quantum] if single else [quantum], images)
 
 
 def _port_difference() -> OperatorPolynomial:
     return OperatorPolynomial.number(0) - OperatorPolynomial.number(1)
+
+
+def _port_sum() -> OperatorPolynomial:
+    return OperatorPolynomial.number(0) + OperatorPolynomial.number(1)
 
 
 def readout_moments(
@@ -224,59 +258,36 @@ def readout_moments(
 # ---------------------------------------------------------------------------
 
 
-def single_phase_uncertainty(cfg: SingleMziConfig) -> float:
+def single_phase_uncertainty(cfg: SingleMziConfig, dps: int | None = None) -> float:
     """Uncertainty sqrt(Var o) / |d<o>/dphi| of the photon-number difference.
 
     The phase derivative eta (<n_q> - mu) sin(phi) is carried analytically
-    through the beamsplitter map.  It cancels between the two inputs, so
-    fewer than 8 working digits surviving against its scale
-    eta (mu + <n_q>) |sin(phi)| raise PrecisionInsufficient.  A derivative
-    that vanishes exactly, and still does with 20 more digits, raises
-    Singular.
+    through the beamsplitter map.  It cancels where <n_q> nears mu, so it is
+    guarded against cancellation with Var o, by :meth:`_Scene.variance`.  A
+    derivative that vanishes raises Singular.
     """
-    diff = _port_difference()
-    with _scene(cfg) as scene:
-        mean = Jet.lift(scene.expect(diff, jet=True))
-        second = scene.expect(opalg.multiply(diff, diff))
-        photons = sum(complex(t.entry((1, 1))).real for t in scene.tables)
-        digits = mp.mp.dps
-    mean_v = complex(mean.f).real
-    var = complex(second).real - mean_v**2
-    slope = complex(mean.d1).real
-    if not isfinite(slope):
-        raise Singular("read-out mean has no finite phase derivative here")
-    if abs(slope) < 1e-300:
-        with _scene(cfg, dps=digits + 20) as scene:
-            finer = mp.re(Jet.lift(scene.expect(diff, jet=True)).d1)
-        if finer == 0:
+    with _scene(cfg, dps=dps) as scene:
+        mean, var = scene.variance(_port_difference(), jet=True)
+        slope = mp.re(mean.d1)
+        if abs(slope) < mp.mpf("1e-300"):
             raise Singular("read-out mean has zero phase derivative at this working point")
-    if abs(slope) < 10.0 ** (8 - digits) * photons * abs(sin(cfg.phi)):
-        raise PrecisionInsufficient(
-            f"read-out slope {slope:.3g} cancels: fewer than 8 of {digits} digits survive"
-        )
-    var = max(var, 0.0)
-    return sqrt(var) / abs(slope)
+        return float(mp.sqrt(var) / abs(slope))
 
 
-def qfi(cfg: SingleMziConfig) -> float:
+def qfi(cfg: SingleMziConfig, dps: int | None = None) -> float:
     """Quantum Fisher information 4 Var(n3) for the lossless pure inputs.
 
     The phase generator is the photon number of the internal mode
-    a3 = (a_coh + a_quantum)/sqrt(2); eta plays no role here.
+    a3 = (a_coh + a_quantum)/sqrt(2); eta plays no role here.  It is read as
+    Var(2 n3), whose operator coefficients are integers.
     """
-    half = 0.5
-    n3 = OperatorPolynomial()
-    for m1 in (0, 1):
-        for m2 in (0, 1):
-            n3 = n3 + opalg.multiply(
-                OperatorPolynomial.ladder(m1, dagger=True),
-                OperatorPolynomial.ladder(m2),
-            ).scaled(half)
-    tables = _input_tables(cfg, 1)
-    inputs = {0: ({0: 1}, 0), 1: ({1: 1}, 0)}
-    mean = complex(opalg.contract(n3, inputs, tables)).real
-    second = complex(opalg.contract(opalg.multiply(n3, n3), inputs, tables)).real
-    return 4.0 * max(second - mean**2, 0.0)
+    ladder = OperatorPolynomial.ladder
+    up = ladder(0, dagger=True) + ladder(1, dagger=True)
+    two_n3 = opalg.multiply(up, ladder(0) + ladder(1))
+    with mp.workdps(dps or _working_digits(cfg.mu)):
+        identity = {0: ({0: 1}, 0), 1: ({1: 1}, 0)}
+        inputs = _Scene(_input_tables(cfg, 1), {False: identity})
+        return float(inputs.variance(two_n3)[1])
 
 
 def cramer_rao_bound(fq: float) -> float:
@@ -297,15 +308,11 @@ def nrf(cfg: CorrelatedConfig, dps: int | None = None) -> float:
     Values below 1 flag non-classical photon-number correlation between the
     two read-out ports; a dark read-out (zero mean) raises ZeroMeanPhoton.
     """
-    diff = _port_difference()
-    total = OperatorPolynomial.number(0) + OperatorPolynomial.number(1)
     with _scene(cfg, dps=dps) as scene:
-        mean_sum = mp.re(scene.expect(total))
+        mean_sum = mp.re(scene.expect(_port_sum()))
         if mean_sum <= 0:
             raise ZeroMeanPhoton("no photons reach the read-out ports")
-        mean_diff = mp.re(scene.expect(diff))
-        second = mp.re(scene.expect(opalg.multiply(diff, diff)))
-        return float((second - mean_diff**2) / mean_sum)
+        return float(scene.variance(_port_difference())[1] / mean_sum)
 
 
 def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> float:
@@ -317,22 +324,17 @@ def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> flo
     common working point).  The result is divided by the coherent-only bound
     sqrt(2) / (eta mu cos^2(phi/2)), so a working point where cos(phi/2)
     vanishes at float resolution (phi an odd multiple of pi) raises Singular.
+    A vanishing mixed derivative raises Singular before Var C is guarded.
     """
     if abs(cos(cfg.phi / 2.0)) <= ulp(cfg.phi):
         raise Singular("no coherent light reaches the read-out: cos(phi/2) = 0")
     diff = _port_difference()
     c_op = opalg.multiply(diff, diff)
     with _scene(cfg, dps=dps) as scene:
-        mean_c = scene.expect(c_op, jet=True)
-        mixed = mp.re(mean_c.d12)
+        mixed = mp.re(scene.expect(c_op, jet=True).d12)
         if abs(mixed) < mp.mpf("1e-300"):
             raise Singular("mixed phase derivative of <C> vanishes here")
-        # Var C = <(C - <C>)^2>: centring before squaring keeps the
-        # bright-beam cancellation inside the exactly contracted polynomial.
-        centered = c_op - mean_c.f
-        var_c = mp.re(scene.expect(opalg.multiply(centered, centered), min_digits=8))
-        var_c = var_c if var_c > 0 else mp.mpf(0)
-        raw = mp.sqrt(2 * var_c) / abs(mixed)
+        raw = mp.sqrt(2 * scene.variance(c_op)[1]) / abs(mixed)
         eta = mp.mpf(cfg.eta)
         classical = mp.sqrt(2) / (eta * mp.mpf(cfg.mu) * mp.cos(cfg.phi / 2) ** 2)
         return float(raw / classical)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from math import comb, factorial, prod
 
-from .errors import DegreeBoundExceeded, PrecisionInsufficient
+from .errors import DegreeBoundExceeded
 
 DEFAULT_DEGREE_CAP = 16
 _EXP_BITS = 16
@@ -68,8 +68,9 @@ class Jet:
     def __neg__(self):
         return Jet(-self.f, -self.d1, -self.d2, -self.d12)
 
-    def __mul__(self, other):
-        o = Jet.lift(other)
+    def __mul__(self, o):
+        if not isinstance(o, Jet):
+            return Jet(self.f * o, self.d1 * o, self.d2 * o, self.d12 * o)
         return Jet(
             self.f * o.f,
             self.f * o.d1 + self.d1 * o.f,
@@ -277,8 +278,8 @@ def _is_zero(x) -> bool:
         return False
 
 
-def contract(poly: OperatorPolynomial, images: dict, tables, min_digits: int | None = None):
-    """Expectation of ``poly`` after the substitution a_j -> sum_t c_jt a_t + beta_j.
+def contract(poly: OperatorPolynomial, images: dict, tables) -> tuple:
+    """(expectation, scale) of ``poly`` after a_j -> sum_t c_jt a_t + beta_j.
 
     ``images`` maps each mode of ``poly`` to ``(coeffs, beta)``, with
     ``coeffs`` a dict target mode -> c_jt.  ``tables`` describe a product
@@ -293,10 +294,10 @@ def contract(poly: OperatorPolynomial, images: dict, tables, min_digits: int | N
     moment keys, and a key whose moment vanishes is skipped before any
     coefficient arithmetic.
 
-    With ``min_digits`` set, fewer than that many working digits surviving
-    between the largest single product (coefficient times moments, before
-    products sharing a key are summed) and the result raise
-    PrecisionInsufficient.
+    ``scale`` is the magnitude of the largest single product (coefficient
+    times moments, before products sharing a key are summed), as a float: the
+    size the result may have cancelled from, which a caller sets against the
+    working precision to count the digits lost.
     """
     tables = list(tables)
     slot = {}
@@ -320,12 +321,13 @@ def contract(poly: OperatorPolynomial, images: dict, tables, min_digits: int | N
             if not _is_zero(beta):
                 base.append((0, beta))
             base = [(w, _conj(b) if dagger else b) for w, b in base]
+            base = [(w, b, _abs_value(b)) for w, b in base]
             out = {0: (1, 1.0)}
             for _ in range(n):
                 grown = {}
                 for v, (a, ma) in out.items():
-                    for w, b in base:
-                        _accumulate(grown, v + w, a * b, ma * _abs_value(b))
+                    for w, b, mb in base:
+                        _accumulate(grown, v + w, a * b, ma * mb)
                 out = grown
             powers[mode, dagger, n] = [(v, a, ma) for v, (a, ma) in out.items()]
         return powers[mode, dagger, n]
@@ -365,17 +367,7 @@ def contract(poly: OperatorPolynomial, images: dict, tables, min_digits: int | N
         for e in found[key][0]:
             value = value * e
         total = value + total
-    if min_digits is not None and largest > 0.0:
-        import mpmath as mp
-
-        magnitude = _abs_value(total)
-        lost = mp.log10(largest / magnitude) if magnitude > 0 else mp.inf
-        if mp.mp.dps - lost < min_digits:
-            raise PrecisionInsufficient(
-                f"cancellation lost ~{float(lost):.1f} digits at dps={mp.mp.dps}; "
-                f"fewer than {min_digits} remain"
-            )
-    return total
+    return total, largest
 
 
 def _accumulate(into: dict, key, c, largest: float) -> None:

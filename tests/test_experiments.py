@@ -363,12 +363,26 @@ def test_cli_oracle_compare_rejects_bad_scene_values(tmp_path, scheme):
 
 def test_fig1c_vanishing_slope_rows_are_flagged():
     # at lam = mu = 100 balancing makes <n_q> = mu, so the read-out slope
-    # cancels: exactly for m = 0 and for m = 1 (lam0 = 33, 3 lam0 + 1 = 100),
-    # to round-off of the balancing root for m >= 2
+    # cancels: exactly for m = 0 and for m = 1 (lam0 = 33, 3 lam0 + 1 = 100).
+    # For m >= 2 it cancels to the round-off of the float balancing root, a
+    # slope ~1e-13 of its scale that the working precision resolves: the
+    # values equal a 60-digit evaluation of the same scene
+    from photsub import metrology
+    from photsub.states import PassvSpec, balance_energy
+
     cfg = dataclasses.replace(PRESETS["fig1c"], values=(100.0,), metrics=("U",))
-    flags = {row.m: row.flag for row in run_sweep(cfg).rows}
-    assert flags == {0: "singular", 1: "singular", 2: "precision",
-                     3: "precision", 4: "precision"}
+    rows = {row.m: row for row in run_sweep(cfg).rows}
+    assert {m: row.flag for m, row in rows.items()} == {
+        0: "singular", 1: "singular", 2: "ok", 3: "ok", 4: "ok"}
+    pinned = {2: 1.48089264141e15, 3: 1.21615912581e14, 4: 3.49389730166e15}
+    for m, value in pinned.items():
+        spec = PassvSpec(balance_energy(100.0, m, "single"), m, cfg.chi)
+        scene = metrology.SingleMziConfig(
+            spec, mu=cfg.mu, phi=cfg.phi, psi=cfg.psi, eta=cfg.eta
+        )
+        exact = metrology.single_phase_uncertainty(scene, dps=60)
+        assert abs(rows[m].value - exact) <= 1e-14 * exact, m
+        assert abs(rows[m].value - value) <= 5e-12 * value, m
 
 
 @pytest.mark.parametrize("metric", ["quad_diff_var", "quad_diff_var_seed"])
@@ -381,19 +395,55 @@ def test_quad_diff_var_obeys_loss_law(metric):
         assert abs(row.value - expected) < 1e-12 * expected
 
 
-def test_user_digits_give_the_default_value_or_a_precision_flag():
-    # at mu = 1e16 Var C cancels through ~50 digits; below the default
-    # working precision the old guard saw only the merged coefficients and
-    # passed wrong values (0.0 at digits 16-19, 0.2596 at 20) as ok
-    base = dict(scheme="correlated", axis="phi", values=(1e-3,), m_list=(2,),
-                metrics=("U_norm",), lam=2.0, mu=1e16, psi=np.pi / 2, eta=0.98)
+@pytest.mark.parametrize(
+    "base",
+    [
+        # at mu = 1e16 each variance cancels through ~16 digits or more.
+        # Var C cancels through ~50: below the default working precision an
+        # old guard saw only the merged coefficients and passed wrong values
+        # (0.0 at digits 16-19, 0.2596 at 20) as ok
+        dict(scheme="correlated", axis="phi", values=(1e-3,), m_list=(2,),
+             metrics=("U_norm",), lam=2.0, mu=1e16, psi=np.pi / 2, eta=0.98),
+        dict(scheme="single", axis="mu", values=(1e16,), m_list=(2,),
+             metrics=("U",), lam=1.0, phi=np.pi / 2, eta=0.98),
+        dict(scheme="correlated", axis="one_minus_tau", values=(0.1,), m_list=(1,),
+             metrics=("nrf",), lam=0.05, mu=1e16, psi=np.pi / 2),
+        # fig1c's balanced lam = mu = 100: the slope cancels to ~1e-13
+        dict(scheme="single", axis="lam", values=(100.0,), m_list=(2,),
+             metrics=("U",), mu=100.0, phi=np.pi / 2, eta=0.98, balanced=True),
+    ],
+    ids=["U_norm", "single-U", "nrf", "single-U-slope"],
+)
+def test_user_digits_give_the_default_value_or_a_precision_flag(base):
     default = run_sweep(SweepConfig(**base)).rows[0]
     assert default.flag == "ok"
+    flags = set()
     for digits in range(16, 31):
         row = run_sweep(SweepConfig(**base, digits=digits)).rows[0]
+        flags.add(row.flag)
         assert row.flag in ("ok", "precision"), digits
         if row.flag == "ok":
             assert abs(row.value - default.value) < 1e-8 * default.value, digits
+    assert flags == {"ok", "precision"}
+
+
+@pytest.mark.parametrize("mu", [1.0, 1e4, 1e8, 1e12, 1e16])
+def test_bright_single_scheme_is_exact_or_flagged(mu):
+    # coherent light alone: U sqrt(mu) = 1 and F_Q = 2 mu exactly
+    coherent = dict(scheme="single", axis="mu", values=(mu,), m_list=(0,),
+                    metrics=("U", "qfi"), lam=0.0, phi=np.pi / 2)
+    u, fq = run_sweep(SweepConfig(**coherent)).rows
+    for row, exact in ((u, 1.0 / np.sqrt(mu)), (fq, 2.0 * mu)):
+        assert row.flag == "precision" or (
+            row.flag == "ok" and abs(row.value - exact) <= 1e-12 * exact
+        ), row
+    # PASSV at the fringe slope, against the same scene at 80 digits
+    passv = dict(coherent, m_list=(2,), lam=1.0, eta=0.98)
+    rows = run_sweep(SweepConfig(**passv)).rows
+    fine = run_sweep(SweepConfig(**passv, digits=80)).rows
+    for row, ref in zip(rows, fine):
+        assert row.flag == ref.flag == "ok"
+        assert abs(row.value - ref.value) <= 1e-12 * ref.value, row
 
 
 def test_fig1a_strong_squeezing_var_y_rows_are_accurate():

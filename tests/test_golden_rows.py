@@ -1,10 +1,8 @@
 """One-point sweeps per engine metric, each pinned to its CSV row.
 
 A cheap stand-in for diffing the full preset CSVs: a refactor of the
-read-out engine must leave these rows alone.  The correlated metrics run on
-the high-precision path, so their rows must match byte for byte.  The single
-scheme accumulates at float precision, so its values may move by round-off
-and are compared to 1e-10 relative.
+read-out engine must leave these rows alone.  The engine runs at working
+precision for both schemes, so every row must match byte for byte.
 """
 
 from math import pi
@@ -80,9 +78,4 @@ GOLDEN = [
 )
 def test_golden_row(kwargs, expected):
     row = run_sweep(SweepConfig(**kwargs)).to_csv().splitlines()[-1]
-    if kwargs["scheme"] == "correlated":
-        assert row == expected
-        return
-    got, want = row.split(","), expected.split(",")
-    assert got[:3] + got[4:] == want[:3] + want[4:]
-    assert abs(float(got[3]) - float(want[3])) <= 1e-10 * abs(float(want[3]))
+    assert row == expected

@@ -261,6 +261,14 @@ def test_correlated_readout_moments_match_port_means():
     assert abs(m[(0, 1)] - expected) < 1e-10
 
 
+def test_correlated_uncertainty_flags_a_dark_detector():
+    # eta = 0: every read-out moment vanishes, so the mixed derivative does too
+    with pytest.raises(Singular):
+        metrology.correlated_uncertainty(
+            CorrelatedConfig(SpatsvSpec(0.5, 1), mu=1e4, phi=0.3, eta=0.0)
+        )
+
+
 def test_correlated_uncertainty_flags_odd_multiple_of_pi():
     # cos(phi/2) vanishes at float resolution: no coherent light is detected
     # and the normalisation would divide by ~4e-33
