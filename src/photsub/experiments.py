@@ -171,12 +171,15 @@ class SweepResult:
 
 def _effective_digits(cfg: SweepConfig) -> int | None:
     env = os.environ.get("PHOTSUB_DIGITS")
-    if env is not None:
-        try:
-            return max(15, int(env))
-        except ValueError as exc:
-            raise ConfigInvalid(f"PHOTSUB_DIGITS: not an integer: {env!r}") from exc
-    return cfg.digits
+    if env is None:
+        return cfg.digits
+    try:
+        digits = int(env)
+    except ValueError as exc:
+        raise ConfigInvalid(f"PHOTSUB_DIGITS: not an integer: {env!r}") from exc
+    if digits < 15:
+        raise ConfigInvalid(f"PHOTSUB_DIGITS: must be >= 15, got {digits}")
+    return digits
 
 
 def _scene_params(cfg: SweepConfig, axis_value: float) -> dict:
@@ -466,7 +469,7 @@ def _reject_unknown_keys(data: dict, known: set) -> None:
 _SWEEP_KEYS = {
     "scheme", "axis", "values", "m", "metric", "balanced", "digits", *_FLOAT_KEYS
 }
-_ORACLE_KEYS = {"scheme", "lam", "m", "mu", "phi", "psi", "eta", "loss", "cutoff"}
+_ORACLE_KEYS = {"scheme", "lam", "m", "mu", "phi", "psi", "eta", "cutoff"}
 
 
 def sweep_config_from_file(path: str) -> SweepConfig:
@@ -559,7 +562,6 @@ def oracle_compare(
     phi: float,
     psi: float = 0.0,
     eta: float = 1.0,
-    loss: str = "thinning",
     quantum_cutoff: int | None = None,
 ) -> OracleComparison:
     """Compare engine read-out moments against the brute-force Fock oracle.
@@ -569,6 +571,8 @@ def oracle_compare(
     """
     if scheme not in ("single", "correlated"):
         raise ConfigInvalid(f"scheme: got {scheme!r}, want single|correlated")
+    if quantum_cutoff is not None and quantum_cutoff < 0:
+        raise ConfigInvalid(f"cutoff: must be >= 0, got {quantum_cutoff}")
     if mu > _ORACLE_MU_BOUND:
         raise MemoryBoundExceeded(
             f"oracle limited to mu <= {_ORACLE_MU_BOUND}, got {mu}"
@@ -582,14 +586,10 @@ def oracle_compare(
         raise ConfigInvalid(f"scene: {exc}") from exc
     engine = metrology.readout_moments(cfg)
     q = (states.passv if single else states.spatsv)(spec, cutoff=quantum_cutoff)
-    scene = fock.OracleScene(
-        kind=scheme, quantum=q, mu=mu, psi=psi, phi1=phi, phi2=phi, eta=eta, loss=loss
-    )
+    scene = fock.OracleScene(q, mu=mu, psi=psi, phi=phi, eta=eta)
     oracle = fock.oracle_interferometer(scene).moments
     entries = []
     for key in sorted(engine):
-        if key not in oracle:
-            continue
         eng, ora = float(engine[key]), float(oracle[key])
         entries.append((f"N^{key[0]} N^{key[1]}", eng, ora, _rel_err(eng, ora)))
     return OracleComparison(scheme, tuple(entries))
@@ -606,10 +606,6 @@ def oracle_compare_from_file(path: str) -> OracleComparison:
     ):
         kwargs[key] = _parse_float(key, data[key]) if key in data else default
     kwargs["m"] = _parse_int("m", data["m"]) if "m" in data else 1
-    if "loss" in data:
-        if data["loss"] not in ("thinning", "ancilla"):
-            raise ConfigInvalid(f"loss: got {data['loss']!r}, want thinning|ancilla")
-        kwargs["loss"] = data["loss"]
     if "cutoff" in data:
         kwargs["quantum_cutoff"] = _parse_int("cutoff", data["cutoff"])
     return oracle_compare(**kwargs)

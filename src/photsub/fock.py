@@ -319,17 +319,19 @@ def binomial_thinning(p: np.ndarray, eta: float, axis: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OracleScene:
-    """Full scene description for the brute-force interferometer oracle."""
+    """Scene for the brute-force interferometer oracle.
 
-    kind: str  # "single" or "correlated"
-    quantum: object  # FockState1 (single) or TwoModeDiagonalState (correlated)
+    The quantum input picks the scheme: a :class:`FockState1` enters one MZI
+    beside the coherent state; a :class:`TwoModeDiagonalState` feeds twin
+    MZIs, each beside its own copy of the coherent state.  Every MZI runs at
+    ``phi``.
+    """
+
+    quantum: object
     mu: float
     psi: float
-    phi1: float
-    phi2: float = 0.0
+    phi: float
     eta: float = 1.0
-    loss: str = "thinning"  # "thinning" or "ancilla"
-    coherent_cutoff: int | None = None
     max_amplitudes: int = MAX_AMPLITUDES
 
 
@@ -339,128 +341,60 @@ class OracleResult:
 
     joint: np.ndarray  # P(n_a, n_b) over the two read-out ports
     moments: dict  # (p, q) -> <N_a^p N_b^q>, p + q <= 4
-    total_mean_photons: float  # over all ports, before loss
 
 
-def _moments_from_joint(joint: np.ndarray, max_order: int = 4) -> dict:
+def _moments_from_joint(joint: np.ndarray) -> dict:
     na = np.arange(joint.shape[0], dtype=float)
     nb = np.arange(joint.shape[1], dtype=float)
     out = {}
-    for p in range(max_order + 1):
-        for q in range(max_order + 1 - p):
+    for p in range(5):
+        for q in range(5 - p):
             out[(p, q)] = float(na**p @ joint @ nb**q)
     return out
 
 
-def oracle_interferometer(scene: OracleScene) -> OracleResult:
-    """Evolve the full multimode state by direct summation and read out.
+def oracle_output(scene: OracleScene) -> MultiModeState:
+    """Lossless output state by direct summation; axes 0 and 1 are read out.
 
-    Only feasible for small coherent energy (mu <~ 10); the memory bound is
-    enforced before any tensor is allocated.
+    Every mode is padded to the joint photon capacity of its MZI, so the
+    beamsplitter cannot push amplitude past a cutoff.  Only feasible for
+    small coherent energy (mu <~ 10); the memory bound is enforced before
+    any tensor is allocated.
     """
-    alpha = np.sqrt(scene.mu) * np.exp(1j * scene.psi)
-    coh = coherent_state(alpha, scene.coherent_cutoff)
-    if scene.kind == "single":
-        return _oracle_single(scene, coh)
-    if scene.kind == "correlated":
-        return _oracle_correlated(scene, coh)
-    raise ValueError(f"unknown scene kind {scene.kind!r}")
-
-
-def _oracle_single(scene: OracleScene, coh: FockState1) -> OracleResult:
-    q = scene.quantum
-    if not isinstance(q, FockState1):
-        raise ModeMismatch("single-MZI scene needs a FockState1 quantum input")
-    # pad both modes to the joint photon capacity so the beamsplitter cannot
-    # push amplitude past a cutoff
-    nc, nq = len(coh.amplitudes), len(q.amplitudes)
-    dim = nc + nq - 1
-    _check_memory((dim, dim), scene.max_amplitudes)
-    padded = np.pad(coh.amplitudes, (0, nq - 1)), np.pad(q.amplitudes, (0, nc - 1))
-    st = MultiModeState(np.outer(*padded))
-    return _read_out(scene, apply_two_mode_unitary(st, 0, 1, mzi_unitary(scene.phi1)))
-
-
-def _oracle_correlated(scene: OracleScene, coh: FockState1) -> OracleResult:
-    q = scene.quantum
+    coh = coherent_state(np.sqrt(scene.mu) * np.exp(1j * scene.psi)).amplitudes
+    q, u2 = scene.quantum, mzi_unitary(scene.phi)
+    if isinstance(q, FockState1):
+        nc, nq = len(coh), len(q.amplitudes)
+        dim = nc + nq - 1
+        _check_memory((dim, dim), scene.max_amplitudes)
+        padded = np.pad(coh, (0, nq - 1)), np.pad(q.amplitudes, (0, nc - 1))
+        return apply_two_mode_unitary(MultiModeState(np.outer(*padded)), 0, 1, u2)
     if not isinstance(q, TwoModeDiagonalState):
-        raise ModeMismatch("correlated scene needs a TwoModeDiagonalState quantum input")
-    d, nc = q.diag_amplitudes, len(coh.amplitudes)
+        raise ModeMismatch(
+            "oracle needs a FockState1 (single MZI) or a TwoModeDiagonalState "
+            f"(twin MZIs) quantum input, got {type(q).__name__}"
+        )
+    d, nc = q.diag_amplitudes, len(coh)
     nq = len(d)
-    dim = nc + nq - 1  # joint photon capacity of each MZI pair
-    shape = (dim,) * 4
+    shape = (nc + nq - 1,) * 4
     _check_memory(shape, scene.max_amplitudes)
     st = MultiModeState(np.zeros(shape, dtype=complex))
-    ca = np.pad(coh.amplitudes, (0, nq - 1))
+    ca = np.pad(coh, (0, nq - 1))
     cc = np.outer(ca, ca)
     for n in range(nq):
         st.amplitudes[n, n, :, :] = d[n] * cc
     # MZI_k mixes coherent port (axis 2+k) with quantum port (axis k); the
     # read-out port keeps the tau-weighted quantum component, i.e. the
     # quantum-port axis after the map.
-    st = apply_two_mode_unitary(st, 2, 0, mzi_unitary(scene.phi1))
-    st = apply_two_mode_unitary(st, 3, 1, mzi_unitary(scene.phi2))
-    return _read_out(scene, st)
+    st = apply_two_mode_unitary(st, 2, 0, u2)
+    return apply_two_mode_unitary(st, 3, 1, u2)
 
 
-def _read_out(scene: OracleScene, st: MultiModeState) -> OracleResult:
-    """Joint photon counts of read-out axes 0 and 1 after detection loss."""
-    probs = st.probabilities()
-    total_mean = _tensor_total_mean(probs)
-    if scene.eta < 1.0 and scene.loss == "ancilla":
-        joint = _ancilla_joint(st, probs, scene.eta, scene.max_amplitudes)
-    else:
-        joint = probs.sum(axis=tuple(range(2, probs.ndim)))
-        if scene.eta < 1.0:
-            joint = binomial_thinning(joint, scene.eta, axis=0)
-            joint = binomial_thinning(joint, scene.eta, axis=1)
-    return OracleResult(joint, _moments_from_joint(joint), total_mean)
-
-
-def _ancilla_joint(st: MultiModeState, probs: np.ndarray, eta: float, max_amplitudes: int):
-    """Loss by beamsplitters to vacuum ancillas on axes 0 and 1, then marginals."""
-    # trim negligible occupations first so the tensor with its two ancilla
-    # axes stays within the amplitude budget
-    keep = _axis_cutoffs(probs, tail=1e-12)
-    nd = len(keep)
-    shape = (*keep, keep[0], keep[1])
-    _check_memory(shape, max_amplitudes)
-    big = np.zeros(shape, dtype=complex)
-    big[..., 0, 0] = st.amplitudes[tuple(slice(c) for c in keep)]
-    bs = _loss_unitary(eta)
-    st2 = apply_two_mode_unitary(MultiModeState(big), 0, nd, bs)
-    st2 = apply_two_mode_unitary(st2, 1, nd + 1, bs)
-    probs2 = st2.probabilities().sum(axis=tuple(range(2, nd + 2)))
-    joint = np.zeros(probs.shape[:2])
-    joint[: probs2.shape[0], : probs2.shape[1]] = probs2
-    return joint
-
-
-def _loss_unitary(eta: float) -> np.ndarray:
-    t = np.sqrt(eta)
-    r = np.sqrt(1.0 - eta)
-    return np.array([[t, r], [-r, t]])
-
-
-def _axis_cutoffs(probs: np.ndarray, tail: float) -> list:
-    """Per-axis dimensions that drop at most ``tail`` of each marginal's mass.
-
-    Read-out axes 0 and 1 carry moments up to fourth order, so there the
-    trim is judged by the share of <(N+1)^4> it removes.
-    """
-    keep = []
-    for ax, marg in enumerate(_marginals(probs)):
-        if ax < 2:
-            marg = marg * (1.0 + np.arange(len(marg))) ** 4
-        beyond = np.cumsum(marg[::-1])[::-1]  # beyond[c]: weight of levels >= c
-        keep.append(max(1, int(np.count_nonzero(beyond > tail * beyond[0]))))
-    return keep
-
-
-def _marginals(probs: np.ndarray):
-    for ax in range(probs.ndim):
-        yield probs.sum(axis=tuple(k for k in range(probs.ndim) if k != ax))
-
-
-def _tensor_total_mean(probs: np.ndarray) -> float:
-    return sum(float(np.dot(np.arange(len(marg)), marg)) for marg in _marginals(probs))
+def oracle_interferometer(scene: OracleScene) -> OracleResult:
+    """Joint photon counts of the read-out ports, binomially thinned by eta."""
+    probs = oracle_output(scene).probabilities()
+    joint = probs.sum(axis=tuple(range(2, probs.ndim)))
+    if scene.eta < 1.0:
+        joint = binomial_thinning(joint, scene.eta, axis=0)
+        joint = binomial_thinning(joint, scene.eta, axis=1)
+    return OracleResult(joint, _moments_from_joint(joint))

@@ -240,13 +240,12 @@ def _as_poly(x):
     return OperatorPolynomial.identity(x)
 
 
-def multiply(a: OperatorPolynomial, b: OperatorPolynomial, degree_cap: int | None = None) -> OperatorPolynomial:
-    """Normal-ordered product of two polynomials."""
-    cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
+def multiply(a: OperatorPolynomial, b: OperatorPolynomial) -> OperatorPolynomial:
+    """Normal-ordered product of two polynomials, of degree at most DEFAULT_DEGREE_CAP."""
     max_deg = a.degree() + b.degree()
-    if max_deg > cap:
+    if max_deg > DEFAULT_DEGREE_CAP:
         raise DegreeBoundExceeded(
-            f"product degree {max_deg} exceeds cap {cap}; raise degree_cap explicitly"
+            f"product degree {max_deg} exceeds cap {DEFAULT_DEGREE_CAP}"
         )
     out = OperatorPolynomial()
     for m1, c1 in a.terms.items():
@@ -257,10 +256,10 @@ def multiply(a: OperatorPolynomial, b: OperatorPolynomial, degree_cap: int | Non
     return out
 
 
-def power(a: OperatorPolynomial, n: int, degree_cap: int | None = None) -> OperatorPolynomial:
+def power(a: OperatorPolynomial, n: int) -> OperatorPolynomial:
     out = OperatorPolynomial.identity(1)
     for _ in range(n):
-        out = multiply(out, a, degree_cap)
+        out = multiply(out, a)
     return out
 
 

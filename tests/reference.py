@@ -4,9 +4,10 @@ Production code reads every moment from the exact, lazily filled tables in
 :mod:`photsub.moments`.  The float Fock-space routines here are independent
 ways to the same numbers: moments by direct summation over a truncated
 state, squeeze operators applied as matrix exponentials, overlaps and
-fidelities, and passive two-mode maps as dense plane matrices.  The tests
-check the exact engine, the state constructors and the oracle's block
-propagation against them.
+fidelities, passive two-mode maps as dense plane matrices, and detection loss
+as beamsplitters to vacuum ancillas.  The tests check the exact engine, the
+state constructors, the oracle's block propagation and its binomial thinning
+against them.
 """
 
 from math import factorial, sqrt
@@ -18,7 +19,13 @@ from scipy.special import gammaln
 
 from photsub import fock, moments
 from photsub.errors import CutoffTooSmall, ModeMismatch
-from photsub.fock import CUTOFF_MARGIN, TAIL_TOL, FockState1, TwoModeDiagonalState
+from photsub.fock import (
+    CUTOFF_MARGIN,
+    TAIL_TOL,
+    FockState1,
+    MultiModeState,
+    TwoModeDiagonalState,
+)
 
 
 def vacuum_table(modes) -> moments.MomentTable:
@@ -244,3 +251,58 @@ def apply_dense_two_mode_unitary(amps: np.ndarray, i: int, j: int, u2: np.ndarra
     moved = np.moveaxis(amps, (i, j), (-2, -1))
     out = moved.reshape(-1, d1 * d2) @ mat.T
     return np.moveaxis(out.reshape(*moved.shape), (-2, -1), (i, j))
+
+
+# ---------------------------------------------------------------------------
+# Detection loss by explicit vacuum ancillas (checks the oracle's thinning)
+# ---------------------------------------------------------------------------
+
+
+def loss_unitary(eta: float) -> np.ndarray:
+    """Beamsplitter of transmission eta between a mode and its vacuum ancilla."""
+    t = np.sqrt(eta)
+    r = np.sqrt(1.0 - eta)
+    return np.array([[t, r], [-r, t]])
+
+
+def ancilla_joint(scene: fock.OracleScene) -> np.ndarray:
+    """Read-out joint of the oracle scene, loss by beamsplitters to vacuum ancillas.
+
+    Each read-out axis of :func:`photsub.fock.oracle_output` meets its own
+    vacuum ancilla at transmission ``scene.eta``; ancillas and idle ports are
+    then summed out.  :func:`photsub.fock.oracle_interferometer` reaches the
+    same joint by binomial thinning.
+    """
+    st = fock.oracle_output(scene)
+    probs = st.probabilities()
+    # trim negligible occupations first so the tensor with its two ancilla
+    # axes stays within the amplitude budget
+    keep = _axis_cutoffs(probs, tail=1e-12)
+    nd = len(keep)
+    shape = (*keep, keep[0], keep[1])
+    fock._check_memory(shape, scene.max_amplitudes)
+    big = np.zeros(shape, dtype=complex)
+    big[..., 0, 0] = st.amplitudes[tuple(slice(c) for c in keep)]
+    bs = loss_unitary(scene.eta)
+    st2 = fock.apply_two_mode_unitary(MultiModeState(big), 0, nd, bs)
+    st2 = fock.apply_two_mode_unitary(st2, 1, nd + 1, bs)
+    probs2 = st2.probabilities().sum(axis=tuple(range(2, nd + 2)))
+    joint = np.zeros(probs.shape[:2])
+    joint[: probs2.shape[0], : probs2.shape[1]] = probs2
+    return joint
+
+
+def _axis_cutoffs(probs: np.ndarray, tail: float) -> list:
+    """Per-axis dimensions that drop at most ``tail`` of each marginal's mass.
+
+    Read-out axes 0 and 1 carry moments up to fourth order, so there the
+    trim is judged by the share of <(N+1)^4> it removes.
+    """
+    keep = []
+    for ax in range(probs.ndim):
+        marg = probs.sum(axis=tuple(k for k in range(probs.ndim) if k != ax))
+        if ax < 2:
+            marg = marg * (1.0 + np.arange(len(marg))) ** 4
+        beyond = np.cumsum(marg[::-1])[::-1]  # beyond[c]: weight of levels >= c
+        keep.append(max(1, int(np.count_nonzero(beyond > tail * beyond[0]))))
+    return keep

@@ -11,11 +11,11 @@ analysis of any such case.
 import numpy as np
 import pytest
 
-from photsub import experiments, fock, metrology, moments, states
+from photsub import fock, metrology, moments, states
 from photsub.errors import OutOfRange
 from photsub.metrology import CorrelatedConfig, SingleMziConfig, phi_for_tau
 from photsub.states import PassvSpec, SpatsvSpec
-from reference import fidelity, squeeze_apply, two_mode_squeeze_apply
+from reference import ancilla_joint, fidelity, squeeze_apply, two_mode_squeeze_apply
 
 SQRT2 = np.sqrt(2.0)
 
@@ -217,15 +217,11 @@ def test_acceptance_11_oracle_equivalence():
     for m in range(3):
         # single interferometer: second-order read-out moments
         q1 = states.passv(PassvSpec(lam, m), cutoff=40)
-        scene1 = fock.OracleScene(
-            kind="single", quantum=q1, mu=mu, psi=psi, phi1=phi
-        )
+        scene1 = fock.OracleScene(q1, mu=mu, psi=psi, phi=phi)
         joint1 = fock.oracle_interferometer(scene1).joint
         # correlated twin interferometers: fourth-order read-out moments
         q2 = states.spatsv(SpatsvSpec(lam, m), cutoff=28)
-        scene2 = fock.OracleScene(
-            kind="correlated", quantum=q2, mu=mu, psi=psi, phi1=phi, phi2=phi
-        )
+        scene2 = fock.OracleScene(q2, mu=mu, psi=psi, phi=phi)
         joint2 = fock.oracle_interferometer(scene2).joint
         for eta in (1.0, 0.8):
             eng1 = metrology.readout_moments(
@@ -241,13 +237,18 @@ def test_acceptance_11_oracle_equivalence():
                     worst = max(worst, rel(val, ora[key]))
     # loss-channel cross-check: an explicit vacuum-ancilla beamsplitter in
     # place of binomial thinning (reduced correlated scene for memory)
-    anc1 = experiments.oracle_compare(
-        "single", lam=0.3, m=1, mu=2.0, phi=0.7, eta=0.8, loss="ancilla"
-    )
-    anc2 = experiments.oracle_compare(
-        "correlated", lam=0.1, m=1, mu=0.3, phi=0.7, psi=0.4, eta=0.8, loss="ancilla"
-    )
-    worst = max(worst, anc1.worst, anc2.worst)
+    for cfg, build in (
+        (SingleMziConfig(PassvSpec(0.3, 1), mu=2.0, phi=phi, eta=0.8), states.passv),
+        (
+            CorrelatedConfig(SpatsvSpec(0.1, 1), mu=0.3, phi=phi, psi=psi, eta=0.8),
+            states.spatsv,
+        ),
+    ):
+        q = build(cfg.quantum)
+        scene = fock.OracleScene(q, mu=cfg.mu, psi=cfg.psi, phi=cfg.phi, eta=cfg.eta)
+        ora = fock._moments_from_joint(ancilla_joint(scene))
+        for key, val in metrology.readout_moments(cfg).items():
+            worst = max(worst, rel(val, ora[key]))
     ok = worst <= 1e-8
     assert _report(11, "oracle-equivalence", ok, f"worst rel err {worst:.2e}")
 

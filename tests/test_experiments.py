@@ -245,6 +245,10 @@ def test_digits_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("PHOTSUB_DIGITS", "not-a-number")
     with pytest.raises(ConfigInvalid):
         run_sweep(_small_config())
+    # fewer than 15 digits is refused, as it is for a config's digits
+    monkeypatch.setenv("PHOTSUB_DIGITS", "10")
+    with pytest.raises(ConfigInvalid, match="PHOTSUB_DIGITS"):
+        run_sweep(_small_config())
     monkeypatch.setenv("PHOTSUB_DIGITS", "30")
     result = run_sweep(_small_config())
     assert result.digits_used == 30
@@ -313,10 +317,23 @@ def test_preset_config_accepts_only_digits(tmp_path):
         sweep_config_from_file(_write(tmp_path, "preset = fig1b\nmu = 5\n"))
 
 
-def test_oracle_config_rejects_unknown_keys(tmp_path):
-    path = _write(tmp_path, "scheme = single\nlam = 0.3\nquantum_cutoff = 20\n")
-    with pytest.raises(ConfigInvalid, match="unknown keys: quantum_cutoff"):
-        experiments.oracle_compare_from_file(path)
+def test_oracle_config_rejects_unknown_keys(tmp_path, capsys):
+    for line, unknown in (
+        ("quantum_cutoff = 20\n", "quantum_cutoff"),
+        # the oracle reads detection loss only as binomial thinning
+        ("eta = 0.8\nloss = ancilla\n", "loss"),
+    ):
+        path = _write(tmp_path, "scheme = single\nlam = 0.3\n" + line)
+        with pytest.raises(ConfigInvalid, match=f"unknown keys: {unknown}"):
+            experiments.oracle_compare_from_file(path)
+        assert main(["oracle-compare", "--config", path]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+
+def test_cli_oracle_compare_rejects_negative_cutoff(tmp_path, capsys):
+    path = _write(tmp_path, "scheme = single\nlam = 0.3\ncutoff = -3\n")
+    assert main(["oracle-compare", "--config", path]) == EXIT_CONFIG
+    assert "cutoff: must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scheme", ["single", "correlated"])

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from photsub import fock
 from photsub.errors import MemoryBoundExceeded, ModeMismatch, NullState
 from reference import (
+    ancilla_joint,
     apply_dense_two_mode_unitary,
     fidelity,
+    loss_unitary,
     mean_photons_per_mode,
     squeeze_apply,
 )
@@ -103,18 +105,16 @@ def test_thinning_preserves_poisson():
     assert np.allclose(thinned[:30], target[:30], atol=1e-10)
 
 
-def _single_scene(lam, m, mu, phi, eta=1.0, psi=0.0, loss="thinning"):
+def _single_scene(lam, m, mu, phi, eta=1.0, psi=0.0):
     from photsub import states
 
     q = states.passv(states.PassvSpec(lam, m))
-    return fock.OracleScene(
-        kind="single", quantum=q, mu=mu, psi=psi, phi1=phi, eta=eta, loss=loss
-    )
+    return fock.OracleScene(q, mu=mu, psi=psi, phi=phi, eta=eta)
 
 
 def test_oracle_single_conserves_photons():
     res = fock.oracle_interferometer(_single_scene(0.5, 0, 2.0, 0.8))
-    assert abs(res.total_mean_photons - 2.5) < 1e-9
+    assert abs(res.moments[(1, 0)] + res.moments[(0, 1)] - 2.5) < 1e-9
 
 
 def test_oracle_single_difference_mean():
@@ -134,10 +134,11 @@ def test_oracle_single_loss_scales_means():
 
 def test_oracle_ancilla_equals_thinning_single():
     mu, lam, phi, eta = 1.0, 0.3, 0.8, 0.75
-    anc = fock.oracle_interferometer(_single_scene(lam, 1, mu, phi, eta=eta, loss="ancilla"))
-    thin = fock.oracle_interferometer(_single_scene(lam, 1, mu, phi, eta=eta))
+    scene = _single_scene(lam, 1, mu, phi, eta=eta)
+    anc = fock._moments_from_joint(ancilla_joint(scene))
+    thin = fock.oracle_interferometer(scene)
     for key, val in thin.moments.items():
-        assert abs(anc.moments[key] - val) <= 1e-9 * max(1.0, abs(val))
+        assert abs(anc[key] - val) <= 1e-9 * max(1.0, abs(val))
 
 
 def test_oracle_correlated_port_means():
@@ -145,9 +146,7 @@ def test_oracle_correlated_port_means():
 
     mu, lam, phi, eta = 2.0, 0.3, 0.7, 0.9
     q = states.spatsv(states.SpatsvSpec(lam, 0))
-    scene = fock.OracleScene(
-        kind="correlated", quantum=q, mu=mu, psi=0.3, phi1=phi, phi2=phi, eta=eta
-    )
+    scene = fock.OracleScene(q, mu=mu, psi=0.3, phi=phi, eta=eta)
     res = fock.oracle_interferometer(scene)
     tau = np.cos(phi / 2) ** 2
     expected = eta * ((1 - tau) * mu + tau * lam)
@@ -158,8 +157,9 @@ def test_oracle_correlated_port_means():
 def test_oracle_rejects_wrong_state_kind():
     from photsub import states
 
-    q = states.spatsv(states.SpatsvSpec(0.3, 0))
-    scene = fock.OracleScene(kind="single", quantum=q, mu=1.0, psi=0.0, phi1=0.5)
+    # a bare amplitude vector is neither input the oracle can place
+    q = states.passv(states.PassvSpec(0.3, 0)).amplitudes
+    scene = fock.OracleScene(q, mu=1.0, psi=0.0, phi=0.5)
     with pytest.raises(ModeMismatch):
         fock.oracle_interferometer(scene)
 
@@ -168,10 +168,7 @@ def test_oracle_memory_bound():
     from photsub import states
 
     q = states.spatsv(states.SpatsvSpec(0.3, 0))
-    scene = fock.OracleScene(
-        kind="correlated", quantum=q, mu=9.0, psi=0.0, phi1=0.5, phi2=0.5,
-        max_amplitudes=10_000,
-    )
+    scene = fock.OracleScene(q, mu=9.0, psi=0.0, phi=0.5, max_amplitudes=10_000)
     with pytest.raises(MemoryBoundExceeded):
         fock.oracle_interferometer(scene)
 
@@ -179,7 +176,7 @@ def test_oracle_memory_bound():
 _MAPS = {
     "mzi": fock.mzi_unitary(0.7),
     "mzi_dark": fock.mzi_unitary(2.9),
-    "loss": fock._loss_unitary(0.8),
+    "loss": loss_unitary(0.8),
 }
 
 
@@ -236,13 +233,11 @@ def test_oracle_memory_stays_a_small_multiple_of_the_tensor():
     # propagation needs O(D^2) beyond the D x D tensor, where a dense plane
     # matrix takes D^4 amplitudes (8.3 GB at this D = 151)
     q = states.passv(states.PassvSpec(1.0, 3))
-    scene = fock.OracleScene(kind="single", quantum=q, mu=10.0, psi=0.0, phi1=0.7)
+    scene = fock.OracleScene(q, mu=10.0, psi=0.0, phi=0.7)
     dim = len(fock.coherent_state(np.sqrt(10.0)).amplitudes) + len(q.amplitudes) - 1
     assert _traced_peak(scene) <= 10 * dim**2 * 16
     # correlated: input, output and one transposed copy of the D^4 tensor
     q2 = states.spatsv(states.SpatsvSpec(0.2, 1))
-    scene2 = fock.OracleScene(
-        kind="correlated", quantum=q2, mu=1.0, psi=0.0, phi1=0.7, phi2=0.7, eta=0.9
-    )
+    scene2 = fock.OracleScene(q2, mu=1.0, psi=0.0, phi=0.7, eta=0.9)
     dim2 = len(fock.coherent_state(1.0).amplitudes) + len(q2.diag_amplitudes) - 1
     assert _traced_peak(scene2) <= 3.5 * dim2**4 * 16

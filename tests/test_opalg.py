@@ -137,7 +137,7 @@ def test_adjoint_involution_and_product_rule():
 
 def test_degree_cap_enforced():
     with pytest.raises(DegreeBoundExceeded):
-        opalg.power(_ad(), 9, degree_cap=8)
+        opalg.power(_ad(), opalg.DEFAULT_DEGREE_CAP + 1)
 
 
 def test_jet_product_rule_vs_finite_differences():
