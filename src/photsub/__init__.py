@@ -7,8 +7,8 @@ phase estimation with photon-subtracted squeezed vacuum states:
   interferometer oracle used to validate the analytic engine.
 - ``states``: subtracted-state constructors, seed representations,
   closed-form mean photon numbers and the energy-balancing solver.
-- ``opalg``: exact normal-ordered operator algebra with analytic phase
-  derivatives (jets) and arbitrary-precision expectation values.
+- ``opalg``: the normal-ordered moments of the two read-out ports, with
+  analytic phase derivatives (jets) at arbitrary precision.
 - ``moments``: exact cutoff-free moment tables for all input states.
 - ``metrology``: phase uncertainty, quantum Fisher information, noise
   reduction factor and correlated covariance uncertainty, with all

@@ -217,7 +217,7 @@ def _single_metric(metric: str, m: int, p: dict, cfg: SweepConfig, digits) -> fl
         with mp.workdps(mp.mp.dps + 20):
             table = moments.passv_moment_table(lam, m, chi=p["chi"])
             table = moments.apply_loss(table, mp.mpf(p["eta"]))
-            return moments.quadrature_variance(table, pi / 2)
+            return moments.quadrature_variance(table, mp.pi / 2)
     scene = SingleMziConfig(spec, mu=p["mu"], phi=p["phi"], psi=p["psi"], eta=p["eta"])
     if metric == "U":
         return metrology.single_phase_uncertainty(scene, dps=digits)

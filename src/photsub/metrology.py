@@ -3,40 +3,39 @@
 Single Mach-Zehnder quantities (read-out difference uncertainty, quantum
 Fisher information, Cramer-Rao bound) and correlated-interferometer
 quantities (noise reduction factor, normalized covariance uncertainty),
-all evaluated exactly through the symbolic operator engine, plus the
-asymptotic closed forms used for cross-checks and regime analysis.
+all evaluated exactly from the read-out ports' normal-ordered moments,
+plus the asymptotic closed forms used for cross-checks and regime analysis.
 
 Mode bookkeeping
 ----------------
-Single scheme: mode 0 carries the coherent state |sqrt(mu) e^{i psi}>,
-mode 1 the quantum (subtracted squeezed) state.  The beamsplitter pair of
-the Mach-Zehnder with internal phase phi acts as the 2x2 map with entries
+Single scheme: the coherent state |alpha>, alpha = sqrt(mu) e^{i psi}, and
+the quantum (subtracted squeezed) state, with annihilator a, enter the
+Mach-Zehnder with internal phase phi, which acts as the 2x2 map with entries
 u = (e^{i phi} + 1)/2 and v = (e^{i phi} - 1)/2, chosen so that the
 read-out photon-number difference has mean (mu - lam) cos(phi) for the
-unsubtracted state.
+unsubtracted state.  The read-out ports are A = u alpha + v a and
+B = v alpha + u a.
 
-Correlated scheme: modes 0 and 1 carry the two entangled quantum modes,
-each mixed in its own interferometer (phases phi1, phi2) with an identical
-coherent state.  The coherent inputs are handled displacement-first: the
-read-out operator images are u(phi_k) a_k + v(phi_k) beta with beta the
-coherent amplitude, which is exact because the observables are
-normal-ordered (no vacuum contractions survive the expectation).
+Correlated scheme: the two entangled quantum modes a0 and a1 are each mixed
+in their own interferometer (phases phi1, phi2) with an identical coherent
+state, so the ports are A = u(phi1) a0 + v(phi1) alpha and
+B = u(phi2) a1 + v(phi2) alpha.
 
-Every figure of merit is an expectation taken by one read-out engine,
-:class:`_Scene`: :func:`photsub.opalg.contract` expands the port images of
-each monomial of a normally-ordered read-out observable straight into
-moment keys of the input tables.  Phase derivatives ride along as jets only
-in the expectations whose derivatives are read, and every variance is
-formed, and guarded against cancellation, by :meth:`_Scene.variance`.
+In both schemes the coherent inputs enter as displacements, which is exact
+because every read-out observable is normally ordered.  One read-out
+engine, :class:`_Scene`, holds the port moments
+F(i, j) = <A^dag^i A^i B^dag^j B^j> of :func:`photsub.opalg.port_moments`,
+and every figure of merit is algebra on them: ordinary moments by Stirling
+numbers, the single slope from F(1, 0) - F(0, 1), the correlated mixed
+derivative from F(1, 1).  Phase derivatives ride as jets on u and v, only in
+the entries whose derivatives are read, and every variance is formed, and
+guarded against cancellation, by :meth:`_Scene.variance`.
 
-Detection loss eta is a beamsplitter to vacuum on each read-out port.  The
-loss is the same on every port, so it commutes with the passive
-interferometer map and is applied once, to the inputs, by
-:func:`photsub.moments.apply_loss` (each normally-ordered moment scaled by
-eta^(degree/2)).  The coherent drive is thinned by the same function: the
-single scheme uses the thinned coherent table as mode 0, and the
-correlated scheme takes beta = sqrt(eta mu) e^{i psi} from its first
-moment.
+Detection loss eta is a beamsplitter to vacuum on each read-out port.  Every
+term of F(i, j) has degree 2(i + j), so F(i, j) under loss is exactly
+eta^(i+j) times its lossless value (the photodetection factorial-moment
+law): the engine builds F from the lossless inputs and thins it once, with
+:func:`photsub.moments.apply_loss`.
 """
 
 from __future__ import annotations
@@ -50,12 +49,11 @@ import mpmath as mp
 from . import moments, opalg
 from .errors import (
     NonPositiveQfi,
-    PrecisionInsufficient,
     Singular,
     UnsupportedOrder,
     ZeroMeanPhoton,
 )
-from .opalg import Jet, OperatorPolynomial
+from .opalg import Jet
 from .states import PassvSpec, SpatsvSpec
 
 SQRT2 = sqrt(2.0)
@@ -134,45 +132,57 @@ def _mzi_entries(phi, slot: int = 0):
     return (e + 1) * half, (e - 1) * half
 
 
-def _input_tables(cfg, eta) -> tuple:
-    """(coherent, quantum) input moment tables, both thinned by ``eta``.
+def _amplitude(cfg):
+    """Lossless coherent amplitude sqrt(mu) e^{i psi} at working precision."""
+    return mp.sqrt(mp.mpf(cfg.mu)) * mp.exp(mp.mpc(0, cfg.psi))
 
-    The coherent table is mode 0; the quantum table covers mode 1 (single
-    scheme) or the mode pair (0, 1) (correlated scheme).
-    """
-    alpha = mp.sqrt(mp.mpf(cfg.mu)) * mp.exp(mp.mpc(0, cfg.psi))
+
+def _quantum_table(cfg):
+    """Lossless moment table of the scene's quantum input, at working precision."""
     spec = cfg.quantum
     if isinstance(cfg, SingleMziConfig):
-        quantum = moments.passv_moment_table(spec.lam, spec.m, chi=spec.chi, mode=1)
-    else:
-        quantum = moments.spatsv_moment_table(
-            spec.lam, spec.m, max_order=8, chi=spec.chi, modes=(0, 1)
-        )
-    coherent = moments.coherent_table(alpha, mode=0)
-    return moments.apply_loss(coherent, eta), moments.apply_loss(quantum, eta)
+        return moments.passv_moment_table(spec.lam, spec.m, chi=spec.chi)
+    return moments.spatsv_moment_table(spec.lam, spec.m, max_order=8, chi=spec.chi)
+
+
+#: read-out observables as {(p, q): weight of N_a^p N_b^q}
+_DIFFERENCE = {(1, 0): 1, (0, 1): -1}
+_SUM = {(1, 0): 1, (0, 1): 1}
+
+
+def _times(x: dict, y: dict) -> dict:
+    """Product of two polynomials in the commuting port counts N_a, N_b."""
+    out = {}
+    for (p1, q1), c1 in x.items():
+        for (p2, q2), c2 in y.items():
+            key = (p1 + p2, q1 + q2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+_COVARIANCE = _times(_DIFFERENCE, _DIFFERENCE)  # C = (N_a - N_b)^2
 
 
 class _Scene:
-    """Input moment tables behind the read-out port images of one scene.
+    """The lossy port-moment tables of one scene.
 
-    Read-out ports are modes 0 and 1.  ``images`` maps ``False`` to the port
-    images with plain entries and, where phase derivatives are read, ``True``
-    to the images whose entries carry them as jets (slot 1 for the single
-    phase, slots 1 and 2 for phi1 and phi2).  Every figure of merit reads its
-    variance from :meth:`variance`.  Build it at working precision.
+    ``tables[False]`` holds F(i, j) with plain entries and ``tables[True]``
+    with the phase derivatives as jets (slot 1 for the single phase, slots 1
+    and 2 for phi1 and phi2); both fill lazily, so the jets are computed only
+    for the entries whose derivatives are read.  Every figure of merit reads
+    its variance from :meth:`variance`.  Build it at working precision.
     """
 
-    def __init__(self, tables, images: dict):
+    def __init__(self, tables: dict):
         self.tables = tables
-        self._images = images
 
-    def expect(self, obs: OperatorPolynomial, jet: bool = False):
-        """Expectation of a read-out-level observable; a :class:`Jet` with ``jet``."""
-        value = opalg.contract(obs, self._images[jet], self.tables)[0]
-        return Jet.lift(value) if jet else value
+    def expect(self, poly: dict, jet: bool = False) -> tuple:
+        """(<poly(N_a, N_b)>, its scale); the value a :class:`Jet` with ``jet``."""
+        value, scale = opalg.port_expectation(self.tables[jet], poly)
+        return (Jet.lift(value) if jet else value), scale
 
-    def variance(self, obs: OperatorPolynomial, jet: bool = False) -> tuple:
-        """(<o>, Var o) of a Hermitian read-out observable; <o> a Jet with ``jet``.
+    def variance(self, poly: dict, jet: bool = False) -> tuple:
+        """(<o>, Var o) of a read-out observable o; <o> a Jet with ``jet``.
 
         Var o is <o^2> - <o>^2 at working precision, clipped at 0.  Fewer
         than 8 working digits surviving between the largest single product of
@@ -182,54 +192,38 @@ class _Scene:
         derivative in jet slot 1, the slope a single-phase read-out divides
         by.
         """
-        mean, mean_scale = opalg.contract(obs, self._images[jet], self.tables)
-        second, scale = opalg.contract(
-            opalg.multiply(obs, obs), self._images[False], self.tables
-        )
-        lifted = Jet.lift(mean)
-        var = mp.re(second) - mp.re(lifted.f) ** 2
-        kept = mp.mpf(10) ** (8 - mp.mp.dps)
-        slope = mp.re(lifted.d1)
-        if slope and abs(slope) < kept * mean_scale:
-            raise PrecisionInsufficient(
-                f"slope cancels from {mean_scale:.3g} to {float(slope):.3g}: "
-                f"fewer than 8 of {mp.mp.dps} digits survive"
-            )
-        if abs(var) < kept * scale and mp.re(self.expect(_port_sum())) < kept * scale:
-            raise PrecisionInsufficient(
-                f"variance cancels from {scale:.3g} to {float(var):.3g}: "
-                f"fewer than 8 of {mp.mp.dps} digits survive"
-            )
-        return (lifted if jet else mean), max(var, mp.mpf(0))
+        mean, mean_scale = self.expect(poly, jet)
+        second, scale = self.expect(_times(poly, poly))
+        var = mp.re(second) - mp.re(mean.f if jet else mean) ** 2
+        if jet and mp.re(mean.d1):
+            moments.require_digits(mp.re(mean.d1), mean_scale, "slope")
+        shot = mp.re(self.expect(_SUM)[0])
+        moments.require_digits(max(abs(var), shot), scale, "variance")
+        return mean, max(var, mp.mpf(0))
 
 
 @contextmanager
 def _scene(cfg, dps: int | None = None):
-    """Yield the scene's read-out engine inside its working precision.
+    """Yield the scene's port moments inside its working precision.
 
-    That is ``dps`` digits, else 40 + 3 log10(mu) for either scheme.
+    That is ``dps`` digits, else 40 + 3 log10(mu) for either scheme.  F is
+    built from the lossless inputs and thinned once: under efficiency eta
+    each F(i, j) is exactly eta^(i+j) times its lossless value.
     """
     with mp.workdps(dps or _working_digits(cfg.mu)):
-        coherent, quantum = _input_tables(cfg, mp.mpf(cfg.eta))
+        alpha, quantum = _amplitude(cfg), _quantum_table(cfg)
         single = isinstance(cfg, SingleMziConfig)
-        beta = 0 if single else coherent.entry((0, 1))
-        images = {}
+        tables = {}
         for jet in (False, True):
             u1, v1 = _mzi_entries(cfg.phi, 1 if jet else 0)
             if single:
-                images[jet] = {0: ({0: u1, 1: v1}, 0), 1: ({0: v1, 1: u1}, 0)}
+                ports = (({0: v1}, u1 * alpha), ({0: u1}, v1 * alpha))
             else:
                 u2, v2 = _mzi_entries(cfg.phi, 2 if jet else 0)
-                images[jet] = {0: ({0: u1}, v1 * beta), 1: ({1: u2}, v2 * beta)}
-        yield _Scene([coherent, quantum] if single else [quantum], images)
-
-
-def _port_difference() -> OperatorPolynomial:
-    return OperatorPolynomial.number(0) - OperatorPolynomial.number(1)
-
-
-def _port_sum() -> OperatorPolynomial:
-    return OperatorPolynomial.number(0) + OperatorPolynomial.number(1)
+                ports = (({0: u1}, v1 * alpha), ({1: u2}, v2 * alpha))
+            table = opalg.port_moments(ports, quantum, 2 if single else 4)
+            tables[jet] = moments.apply_loss(table, mp.mpf(cfg.eta))
+        yield _Scene(tables)
 
 
 def readout_moments(
@@ -242,14 +236,12 @@ def readout_moments(
     are the quantities the oracle comparison checks.
     """
     order = 2 if isinstance(cfg, SingleMziConfig) else 4
-    n_a, n_b = OperatorPolynomial.number(0), OperatorPolynomial.number(1)
     out = {}
     with _scene(cfg, dps=dps) as scene:
         for p in range(order + 1):
             for q in range(order + 1 - p):
                 if p + q:
-                    obs = opalg.multiply(opalg.power(n_a, p), opalg.power(n_b, q))
-                    out[(p, q)] = float(mp.re(scene.expect(obs)))
+                    out[(p, q)] = float(mp.re(scene.expect({(p, q): 1})[0]))
     return out
 
 
@@ -267,7 +259,7 @@ def single_phase_uncertainty(cfg: SingleMziConfig, dps: int | None = None) -> fl
     derivative that vanishes raises Singular.
     """
     with _scene(cfg, dps=dps) as scene:
-        mean, var = scene.variance(_port_difference(), jet=True)
+        mean, var = scene.variance(_DIFFERENCE, jet=True)
         slope = mp.re(mean.d1)
         if abs(slope) < mp.mpf("1e-300"):
             raise Singular("read-out mean has zero phase derivative at this working point")
@@ -277,17 +269,17 @@ def single_phase_uncertainty(cfg: SingleMziConfig, dps: int | None = None) -> fl
 def qfi(cfg: SingleMziConfig, dps: int | None = None) -> float:
     """Quantum Fisher information 4 Var(n3) for the lossless pure inputs.
 
-    The phase generator is the photon number of the internal mode
-    a3 = (a_coh + a_quantum)/sqrt(2); eta plays no role here.  It is read as
-    Var(2 n3), whose operator coefficients are integers.
+    The phase generator is the photon number n3 of the internal mode
+    a3 = (a_coh + a_quantum)/sqrt(2); eta plays no role here.  The internal
+    modes a3 and a4 = (a_coh - a_quantum)/sqrt(2) are read as the two ports,
+    so the QFI is Var(2 N_a) = 4 (F(2, 0) + F(1, 0) - F(1, 0)^2).
     """
-    ladder = OperatorPolynomial.ladder
-    up = ladder(0, dagger=True) + ladder(1, dagger=True)
-    two_n3 = opalg.multiply(up, ladder(0) + ladder(1))
     with mp.workdps(dps or _working_digits(cfg.mu)):
-        identity = {0: ({0: 1}, 0), 1: ({1: 1}, 0)}
-        inputs = _Scene(_input_tables(cfg, 1), {False: identity})
-        return float(inputs.variance(two_n3)[1])
+        half = mp.sqrt(mp.mpf(2)) / 2
+        alpha = _amplitude(cfg) * half
+        ports = (({0: half}, alpha), ({0: -half}, alpha))
+        scene = _Scene({False: opalg.port_moments(ports, _quantum_table(cfg), 2)})
+        return float(scene.variance({(1, 0): 2})[1])
 
 
 def cramer_rao_bound(fq: float) -> float:
@@ -309,10 +301,10 @@ def nrf(cfg: CorrelatedConfig, dps: int | None = None) -> float:
     two read-out ports; a dark read-out (zero mean) raises ZeroMeanPhoton.
     """
     with _scene(cfg, dps=dps) as scene:
-        mean_sum = mp.re(scene.expect(_port_sum()))
+        mean_sum = mp.re(scene.expect(_SUM)[0])
         if mean_sum <= 0:
             raise ZeroMeanPhoton("no photons reach the read-out ports")
-        return float(scene.variance(_port_difference())[1] / mean_sum)
+        return float(scene.variance(_DIFFERENCE)[1] / mean_sum)
 
 
 def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> float:
@@ -321,20 +313,20 @@ def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> flo
     The joint observable is C = (N5 - N7)^2; the raw uncertainty is
     sqrt(2 Var C) / |d^2 <C> / dphi1 dphi2| with the mixed derivative carried
     analytically (phi1, phi2 as independent jet slots, evaluated at the
-    common working point).  The result is divided by the coherent-only bound
-    sqrt(2) / (eta mu cos^2(phi/2)), so a working point where cos(phi/2)
-    vanishes at float resolution (phi an odd multiple of pi) raises Singular.
-    A vanishing mixed derivative raises Singular before Var C is guarded.
+    common working point).  Only <N5 N7> = F(1, 1) depends on both phases, so
+    the mixed derivative is -2 d^2 F(1, 1) / dphi1 dphi2.  The result is
+    divided by the coherent-only bound sqrt(2) / (eta mu cos^2(phi/2)), so a
+    working point where cos(phi/2) vanishes at float resolution (phi an odd
+    multiple of pi) raises Singular.  A vanishing mixed derivative raises
+    Singular before Var C is guarded.
     """
     if abs(cos(cfg.phi / 2.0)) <= ulp(cfg.phi):
         raise Singular("no coherent light reaches the read-out: cos(phi/2) = 0")
-    diff = _port_difference()
-    c_op = opalg.multiply(diff, diff)
     with _scene(cfg, dps=dps) as scene:
-        mixed = mp.re(scene.expect(c_op, jet=True).d12)
+        mixed = -2 * mp.re(scene.expect({(1, 1): 1}, jet=True)[0].d12)
         if abs(mixed) < mp.mpf("1e-300"):
             raise Singular("mixed phase derivative of <C> vanishes here")
-        raw = mp.sqrt(2 * scene.variance(c_op)[1]) / abs(mixed)
+        raw = mp.sqrt(2 * scene.variance(_COVARIANCE)[1]) / abs(mixed)
         eta = mp.mpf(cfg.eta)
         classical = mp.sqrt(2) / (eta * mp.mpf(cfg.mu) * mp.cos(cfg.phi / 2) ** 2)
         return float(raw / classical)

@@ -16,7 +16,12 @@ from math import comb, factorial
 
 import mpmath as mp
 
-from .errors import MomentOrderMissing, NullState, ZeroMeanPhoton
+from .errors import (
+    MomentOrderMissing,
+    NullState,
+    PrecisionInsufficient,
+    ZeroMeanPhoton,
+)
 
 
 class MomentTable:
@@ -87,19 +92,39 @@ def apply_loss(table: MomentTable, eta: float) -> MomentTable:
 # ---------------------------------------------------------------------------
 
 
+def require_digits(size, scale, what: str) -> None:
+    """Raise PrecisionInsufficient unless ``size`` keeps 8 working digits.
+
+    ``scale`` is the magnitude of the largest single term a result was
+    summed from, the size it may have cancelled from; ``size`` is the
+    magnitude the result is read against.  This is the package's one
+    digits-lost rule: the read-out engine and the quadrature variances
+    apply it at the working precision.
+    """
+    if abs(size) < mp.mpf(10) ** (8 - mp.mp.dps) * scale:
+        raise PrecisionInsufficient(
+            f"{what} cancels from {float(scale):.3g} to {float(size):.3g}: "
+            f"fewer than 8 of {mp.mp.dps} digits survive"
+        )
+
+
 def quadrature_variance(table: MomentTable, theta: float = 0.0) -> float:
     """Var(X_theta) with X_theta = (a e^{-i theta} + a^dag e^{i theta})/sqrt 2.
 
     Evaluated in mpmath at the working precision: for strong squeezing <n>
     and Re<a^2 e^{-2i theta}> nearly cancel, so build the table and call
-    this with guard digits set.
+    this with guard digits set.  Fewer than 8 working digits surviving
+    between the largest term and |Var| raise PrecisionInsufficient.
     """
     if len(table.modes) != 1:
         raise MomentOrderMissing("quadrature_variance needs a single-mode table")
     e = mp.expj(-theta)
     mean = mp.sqrt(2) * mp.re(e * table.entry((0, 1)))
     second = mp.re(e * e * table.entry((0, 2)) + table.entry((1, 1))) + mp.mpf(0.5)
-    return float(second - mean**2)
+    var = second - mean**2
+    terms = (table.entry((0, 2)), table.entry((1, 1)), 0.5, mean**2)
+    require_digits(var, max(abs(t) for t in terms), "quadrature variance")
+    return float(var)
 
 
 def quadrature_difference_variance(table: MomentTable, chi: float = 0.0) -> float:
@@ -108,7 +133,8 @@ def quadrature_difference_variance(table: MomentTable, chi: float = 0.0) -> floa
     Values below 0.5 signal non-classical amplitude correlation.  Evaluated
     in mpmath at the working precision: for strong squeezing the photon
     numbers and the pair correlations nearly cancel, so build the table and
-    call this with guard digits set.
+    call this with guard digits set.  Fewer than 8 working digits surviving
+    between the largest term and |Var| raise PrecisionInsufficient.
     """
     if len(table.modes) != 2:
         raise MomentOrderMissing("quadrature_difference_variance needs a mode pair")
@@ -120,6 +146,9 @@ def quadrature_difference_variance(table: MomentTable, chi: float = 0.0) -> floa
         ent((1, 1, 0, 0)) + ent((0, 0, 1, 1)) - ent((1, 0, 0, 1)) - ent((0, 1, 1, 0))
     )
     var = mp.re(e * e * pairs) + mp.re(numbers) + 1 - mean**2
+    keys = ((0, 2, 0, 0), (0, 0, 0, 2), (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0))
+    terms = [ent(key) for key in keys] + [2 * ent((0, 1, 0, 1)), 1, mean**2]
+    require_digits(var, max(abs(t) for t in terms), "quadrature difference variance")
     return float(var / 2)
 
 

@@ -7,10 +7,12 @@ state, squeeze operators applied as matrix exponentials, overlaps and
 fidelities, passive two-mode maps as dense plane matrices, and detection loss
 as beamsplitters to vacuum ancillas.  The tests check the exact engine, the
 state constructors, the oracle's block propagation and its binomial thinning
-against them.
+against them.  The general normal-ordered operator algebra at the end
+(:class:`OperatorPolynomial`, :func:`multiply`, :func:`contract`) is the
+reference the port-moment kernel of :mod:`photsub.opalg` is checked against.
 """
 
-from math import factorial, sqrt
+from math import comb, factorial, prod, sqrt
 
 import numpy as np
 from scipy.sparse import diags
@@ -18,7 +20,7 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
 from photsub import fock, moments
-from photsub.errors import CutoffTooSmall, ModeMismatch
+from photsub.errors import CutoffTooSmall, DegreeBoundExceeded, ModeMismatch
 from photsub.fock import (
     CUTOFF_MARGIN,
     TAIL_TOL,
@@ -26,6 +28,7 @@ from photsub.fock import (
     MultiModeState,
     TwoModeDiagonalState,
 )
+from photsub.opalg import Jet, _abs_value, _accumulate, _conj, _is_zero
 
 
 def vacuum_table(modes) -> moments.MomentTable:
@@ -306,3 +309,260 @@ def _axis_cutoffs(probs: np.ndarray, tail: float) -> list:
         beyond = np.cumsum(marg[::-1])[::-1]  # beyond[c]: weight of levels >= c
         keep.append(max(1, int(np.count_nonzero(beyond > tail * beyond[0]))))
     return keep
+
+
+# ---------------------------------------------------------------------------
+# General normal-ordered operator algebra: the reference for the port-moment
+# kernel of photsub.opalg (a polynomial of ladder monomials, its products,
+# and its expectation through a linear mode map over moment tables)
+# ---------------------------------------------------------------------------
+
+DEFAULT_DEGREE_CAP = 16
+_EXP_BITS = 16
+_EXP_MASK = (1 << _EXP_BITS) - 1
+
+
+def mono(*triples) -> tuple:
+    """Build a canonical monomial from (mode, p, q) triples."""
+    items = [(int(m), int(p), int(q)) for m, p, q in triples if p or q]
+    items.sort()
+    modes = [m for m, _, _ in items]
+    if len(set(modes)) != len(modes):
+        raise ValueError("duplicate mode in monomial")
+    return tuple(items)
+
+
+def mono_degree(monomial) -> int:
+    return sum(p + q for _, p, q in monomial)
+
+
+def _mono_mul(m1, m2):
+    """Product of two normal-ordered monomials as [(int weight, monomial)]."""
+    per_mode = {}
+    for m, p, q in m1:
+        per_mode[m] = [p, q, 0, 0]
+    for m, p, q in m2:
+        if m in per_mode:
+            per_mode[m][2] = p
+            per_mode[m][3] = q
+        else:
+            per_mode[m] = [0, 0, p, q]
+    terms = [(1, [])]
+    for m in sorted(per_mode):
+        p1, q1, p2, q2 = per_mode[m]
+        options = []
+        for k in range(min(q1, p2) + 1):
+            w = comb(q1, k) * comb(p2, k) * factorial(k)
+            p, q = p1 + p2 - k, q1 + q2 - k
+            options.append((w, (m, p, q) if (p or q) else None))
+        new_terms = []
+        for w0, acc in terms:
+            for w, triple in options:
+                entry = acc if triple is None else acc + [triple]
+                new_terms.append((w0 * w, entry))
+        terms = new_terms
+    return [(w, tuple(acc)) for w, acc in terms]
+
+
+# ---------------------------------------------------------------------------
+# Polynomials
+# ---------------------------------------------------------------------------
+
+
+class OperatorPolynomial:
+    """Complex-weighted sum of normally-ordered ladder monomials."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = dict(terms) if terms else {}
+
+    @staticmethod
+    def identity(coeff=1):
+        return OperatorPolynomial({(): coeff})
+
+    @staticmethod
+    def ladder(mode: int, dagger: bool = False, coeff=1):
+        key = mono((mode, 1, 0)) if dagger else mono((mode, 0, 1))
+        return OperatorPolynomial({key: coeff})
+
+    @staticmethod
+    def number(mode: int, coeff=1):
+        return OperatorPolynomial({mono((mode, 1, 1)): coeff})
+
+    def copy(self):
+        return OperatorPolynomial(self.terms)
+
+    def degree(self) -> int:
+        return max((mono_degree(m) for m in self.terms), default=0)
+
+    def modes(self) -> set:
+        out = set()
+        for m in self.terms:
+            out.update(mode for mode, _, _ in m)
+        return out
+
+    def _add_term(self, key, coeff):
+        if key in self.terms:
+            self.terms[key] = self.terms[key] + coeff
+        else:
+            self.terms[key] = coeff
+
+    def __add__(self, other):
+        out = self.copy()
+        for k, c in _as_poly(other).terms.items():
+            out._add_term(k, c)
+        return out
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (_as_poly(other) * -1)
+
+    def __rsub__(self, other):
+        return _as_poly(other) + (self * -1)
+
+    def __neg__(self):
+        return self * -1
+
+    def scaled(self, factor):
+        return OperatorPolynomial({k: factor * c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, OperatorPolynomial):
+            return multiply(self, other)
+        return self.scaled(other)
+
+    def __rmul__(self, other):
+        if isinstance(other, OperatorPolynomial):
+            return multiply(other, self)
+        return self.scaled(other)
+
+    def __len__(self):
+        return len(self.terms)
+
+    def __repr__(self):
+        parts = [f"{c!r}*{m}" for m, c in sorted(self.terms.items())]
+        return "OperatorPolynomial(" + " + ".join(parts[:8]) + (" ..." if len(parts) > 8 else "") + ")"
+
+
+def _as_poly(x):
+    if isinstance(x, OperatorPolynomial):
+        return x
+    return OperatorPolynomial.identity(x)
+
+
+def multiply(a: OperatorPolynomial, b: OperatorPolynomial) -> OperatorPolynomial:
+    """Normal-ordered product of two polynomials, of degree at most DEFAULT_DEGREE_CAP."""
+    max_deg = a.degree() + b.degree()
+    if max_deg > DEFAULT_DEGREE_CAP:
+        raise DegreeBoundExceeded(
+            f"product degree {max_deg} exceeds cap {DEFAULT_DEGREE_CAP}"
+        )
+    out = OperatorPolynomial()
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            c = c1 * c2
+            for w, key in _mono_mul(m1, m2):
+                out._add_term(key, c if w == 1 else w * c)
+    return out
+
+
+def power(a: OperatorPolynomial, n: int) -> OperatorPolynomial:
+    out = OperatorPolynomial.identity(1)
+    for _ in range(n):
+        out = multiply(out, a)
+    return out
+
+
+
+def contract(poly: OperatorPolynomial, images: dict, tables) -> tuple:
+    """(expectation, scale) of ``poly`` after a_j -> sum_t c_jt a_t + beta_j.
+
+    ``images`` maps each mode of ``poly`` to ``(coeffs, beta)``, with
+    ``coeffs`` a dict target mode -> c_jt.  ``tables`` describe a product
+    state: each exposes ``modes`` (tuple of mode ids, together covering every
+    target mode once) and ``entry(key)``, ``key`` concatenating (p, q) pairs
+    in the table's mode order.  The map must preserve commutators.
+
+    An a^dag image holds only creation operators and scalars and an a image
+    only annihilation operators and scalars, so the image of a
+    normally-ordered monomial is normally ordered as it expands: each
+    ``(image)^n`` is expanded once per call, its products go straight to
+    moment keys, and a key whose moment vanishes is skipped before any
+    coefficient arithmetic.
+
+    ``scale`` is the magnitude of the largest single product (coefficient
+    times moments, before products sharing a key are summed), as a float: the
+    size the result may have cancelled from, which a caller sets against the
+    working precision to count the digits lost.
+    """
+    tables = list(tables)
+    slot = {}
+    spans = []
+    for t in tables:
+        lo = 2 * len(slot)
+        for mode in t.modes:
+            slot[mode] = len(slot)
+        spans.append((t, lo, 2 * len(slot)))
+    # a key is the exponent vector (p, q per target mode) packed into one
+    # int, _EXP_BITS bits per exponent, so that multiplying monomials is adding
+    width = 2 * len(slot)
+    powers = {}
+    found = {}
+
+    def expansion(mode, dagger, n):
+        """[(exponents, coefficient, largest product)] of an image's n-th power."""
+        if (mode, dagger, n) not in powers:
+            coeffs, beta = images[mode]
+            base = [(1 << _EXP_BITS * (2 * slot[t] + (not dagger)), c) for t, c in coeffs.items()]
+            if not _is_zero(beta):
+                base.append((0, beta))
+            base = [(w, _conj(b) if dagger else b) for w, b in base]
+            base = [(w, b, _abs_value(b)) for w, b in base]
+            out = {0: (1, 1.0)}
+            for _ in range(n):
+                grown = {}
+                for v, (a, ma) in out.items():
+                    for w, b, mb in base:
+                        _accumulate(grown, v + w, a * b, ma * mb)
+                out = grown
+            powers[mode, dagger, n] = [(v, a, ma) for v, (a, ma) in out.items()]
+        return powers[mode, dagger, n]
+
+    def moment(key):
+        """(per-table moments, |their product|), or None when one vanishes."""
+        if key not in found:
+            exps = [key >> _EXP_BITS * i & _EXP_MASK for i in range(width)]
+            # a table whose modes the key leaves alone contributes <1> = 1
+            entries = [t.entry(tuple(exps[lo:hi])) for t, lo, hi in spans if any(exps[lo:hi])]
+            vanishes = any(_is_zero(e) for e in entries)
+            found[key] = None if vanishes else (entries, prod(map(_abs_value, entries)))
+        return found[key]
+
+    coeffs = {}
+    largest = 0.0
+    for m, c in poly.terms.items():
+        blocks = [expansion(mode, True, p) for mode, p, _ in m if p]
+        blocks += [expansion(mode, False, q) for mode, _, q in m if q]
+        partial = {0: (c, _abs_value(c))}
+        for n, block in enumerate(blocks, 1):
+            grown = {}
+            for v, (a, ma) in partial.items():
+                for w, b, mb in block:
+                    key = v + w
+                    if n < len(blocks) or moment(key) is not None:
+                        _accumulate(grown, key, a * b, ma * mb)
+            partial = grown
+        for key, (a, ma) in partial.items():
+            hit = moment(key)
+            if hit is not None:
+                largest = max(largest, ma * hit[1])
+                coeffs[key] = coeffs[key] + a if key in coeffs else a
+    total = 0
+    for key, c in coeffs.items():
+        value = c
+        for e in found[key][0]:
+            value = value * e
+        total = value + total
+    return total, largest

@@ -481,3 +481,55 @@ def test_fig1a_strong_squeezing_var_y_rows_are_accurate():
             exact = mp.mpf(0.98) * (n - aa) + mp.mpf(0.5)
             assert row.flag == "ok"
             assert abs(row.value - exact) < 1e-14 * exact, (lam, m)
+
+
+def test_var_y_far_squeezed_matches_the_closed_form():
+    # m = 0, eta = 1: Var Y = 1/(2 (sqrt(lam + 1) + sqrt(lam))^2).  About 25
+    # of the 35 working digits cancel at lam = 1e12, so theta = pi/2 must
+    # hold to those digits: the float pi/2 alone moves the value by 6e-8.
+    import mpmath as mp
+
+    lam = 1e12
+    sweep = SweepConfig(
+        scheme="single", axis="lam", values=(lam,), m_list=(0,), metrics=("var_y",)
+    )
+    [row] = run_sweep(sweep).rows
+    with mp.workdps(60):
+        exact = 1 / (2 * (mp.sqrt(lam + 1) + mp.sqrt(lam)) ** 2)
+    assert row.flag == "ok"
+    assert abs(row.value - exact) <= 1e-9 * exact
+
+
+@pytest.mark.parametrize(
+    "metric, lam, m, flag",
+    [
+        ("var_y", 1e16, 0, "precision"),
+        ("quad_diff_var", 1e16, 0, "precision"),
+        ("quad_diff_var", 1e16, 2, "precision"),
+        ("var_y", 1e12, 0, "ok"),
+        ("quad_diff_var", 1e12, 0, "ok"),
+        ("quad_diff_var", 1e12, 2, "ok"),
+    ],
+)
+def test_quadrature_variances_keep_eight_digits_or_flag(metric, lam, m, flag):
+    # the variances are read in dB, so their surviving digits are counted
+    # against |Var| itself: about 10 of 35 survive at lam = 1e12, 2 at 1e16
+    import mpmath as mp
+
+    from photsub import moments
+
+    scheme = "single" if metric == "var_y" else "correlated"
+    sweep = SweepConfig(
+        scheme=scheme, axis="lam", values=(lam,), m_list=(m,), metrics=(metric,)
+    )
+    [row] = run_sweep(sweep).rows
+    assert row.flag == flag
+    if flag == "ok":
+        with mp.workdps(140):
+            if metric == "var_y":
+                table = moments.passv_moment_table(lam, m)
+                exact = moments.quadrature_variance(table, mp.pi / 2)
+            else:
+                table = moments.spatsv_moment_table(lam, m, max_order=2)
+                exact = moments.quadrature_difference_variance(table)
+        assert abs(row.value - exact) <= 1e-8 * exact

@@ -68,6 +68,26 @@ GOLDEN = [
              metrics=("mean_photons",)),
         "0.7,3,mean_photons,6.00562015504,ok",
     ),
+    (
+        dict(scheme="single", axis="mu", values=(1e8,), m_list=(1,), metrics=("U",),
+             lam=1.3, phi=pi / 2 - 0.3, psi=0.2, eta=0.9),
+        "100000000,1,U,0.000120890540306,ok",
+    ),
+    (
+        dict(scheme="single", axis="lam", values=(20.0,), m_list=(4,), metrics=("qfi",),
+             mu=100.0, psi=0.3),
+        "20,4,qfi,74559.9014766,ok",
+    ),
+    (
+        dict(scheme="correlated", axis="lam", values=(0.4,), m_list=(3,),
+             metrics=("nrf",), mu=3.0, phi=0.9, psi=0.5, eta=0.85),
+        "0.4,3,nrf,1.71767014135,ok",
+    ),
+    (
+        dict(scheme="correlated", axis="lam", values=(30.0,), m_list=(1,),
+             metrics=("U_norm",), mu=1e6, phi=0.7, psi=pi / 2, eta=0.6),
+        "30,1,U_norm,0.672610573432,ok",
+    ),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Normal-ordered operator algebra, jets, substitution and expectation."""
+"""The general normal-ordered operator algebra of tests/reference.py, and jets."""
 
 import random
 
@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photsub import moments, opalg
+import reference as opalg
+from photsub import moments
 from photsub.errors import DegreeBoundExceeded
-from photsub.opalg import Jet, OperatorPolynomial, _abs_value, _conj, _is_zero, mono
-from reference import vacuum_table
+from photsub.opalg import Jet, _abs_value, _conj, _is_zero
+from reference import OperatorPolynomial, mono, vacuum_table
 
 # ---------------------------------------------------------------------------
 # Reference: substitute through the map as a polynomial, then contract
