@@ -6,6 +6,12 @@ a deterministic CSV emitter, and a dual-path engine-vs-oracle check.  The
 module doubles as the ``photsub`` console entry point with the verbs
 ``preset``, ``sweep`` and ``oracle-compare``.
 
+Each scheme has one metric table, mapping a metric name to its evaluation on
+a point's scene; ``SINGLE_METRICS`` and ``CORRELATED_METRICS`` are its keys.
+A sweep builds the scene (the balanced energy, the subtraction spec and the
+interferometer config) once per (axis value, m), and the oracle comparison
+builds its scene with the same constructor.
+
 CSV schema: a few ``#``-prefixed metadata lines, then the header
 ``swept_param,m,metric,value,flag``.  Rows are ordered by (axis index, m,
 metric); failed points carry an empty value and a non-``ok`` flag, so NaN is
@@ -14,7 +20,8 @@ bytes.
 
 Config files are flat ``key = value`` text; lists are comma-separated.  The
 full schema is documented in the README.  The only environment override is
-``PHOTSUB_DIGITS`` (working precision of both schemes' read-out engine).
+``PHOTSUB_DIGITS``: the working precision of both schemes' read-out engine
+and of the quadrature metrics, as a config's ``digits`` sets it.
 """
 
 from __future__ import annotations
@@ -43,23 +50,6 @@ from .errors import (
 from .metrology import CorrelatedConfig, SingleMziConfig, phi_for_tau
 from .states import PassvSpec, SpatsvSpec, balance_energy
 
-SINGLE_METRICS = (
-    "U",
-    "qfi",
-    "crb",
-    "snl",
-    "qfi_classical",
-    "var_y",
-    "mean_photons",
-)
-CORRELATED_METRICS = (
-    "U_norm",
-    "nrf",
-    "mean_photons",
-    "mandel_q",
-    "quad_diff_var",
-    "quad_diff_var_seed",
-)
 AXES = ("lam", "mu", "eta", "phi", "psi", "chi", "one_minus_tau")
 #: accepted range of each scene value, fixed or swept; all must be finite
 _SCENE_RANGES = {
@@ -198,64 +188,88 @@ def _scene_params(cfg: SweepConfig, axis_value: float) -> dict:
     return p
 
 
-def _single_metric(metric: str, m: int, p: dict, cfg: SweepConfig, digits) -> float:
-    lam = p["lam"]
-    if cfg.balanced and m > 0:
-        lam = balance_energy(lam, m, "single")
-    spec = PassvSpec(lam, m, p["chi"])
-    if metric == "mean_photons":
-        return states.passv_mean_photons(lam, m)
-    if metric == "snl":
-        n_tot = p["mu"] + states.passv_mean_photons(lam, m)
-        if p["eta"] * n_tot <= 0:
-            raise ZeroMeanPhoton("shot-noise reference undefined for a dark input")
-        return 1.0 / sqrt(p["eta"] * n_tot)
-    if metric == "qfi_classical":
-        return 2.0 * (p["mu"] + states.passv_mean_photons(lam, m))
-    if metric == "var_y":
-        # <n> and Re<a^2> cancel to ~1e-4 of their size at large lam
-        with mp.workdps(mp.mp.dps + 20):
-            table = moments.passv_moment_table(lam, m, chi=p["chi"])
-            table = moments.apply_loss(table, mp.mpf(p["eta"]))
-            return moments.quadrature_variance(table, mp.pi / 2)
-    scene = SingleMziConfig(spec, mu=p["mu"], phi=p["phi"], psi=p["psi"], eta=p["eta"])
-    if metric == "U":
-        return metrology.single_phase_uncertainty(scene, dps=digits)
-    if metric == "qfi":
-        return metrology.qfi(scene, dps=digits)
-    if metric == "crb":
-        return metrology.cramer_rao_bound(metrology.qfi(scene, dps=digits))
-    raise ConfigInvalid(f"metric: unknown single-scheme metric {metric!r}")
+def _scene(scheme: str, m: int, *, lam, mu, phi, psi, eta, chi=0.0, balanced=False):
+    """The interferometer config of one point, its energy balanced at most once."""
+    single = scheme == "single"
+    if balanced and m > 0:
+        lam = balance_energy(lam, m, "single" if single else "two_mode")
+    spec = (PassvSpec if single else SpatsvSpec)(lam, m, chi)
+    config = SingleMziConfig if single else CorrelatedConfig
+    return config(spec, mu=mu, phi=phi, psi=psi, eta=eta)
 
 
-def _correlated_metric(metric: str, m: int, p: dict, cfg: SweepConfig, digits) -> float:
-    lam = p["lam"]
-    if cfg.balanced and m > 0:
-        lam = balance_energy(lam, m, "two_mode")
-    spec = SpatsvSpec(lam, m, p["chi"])
-    if metric == "mean_photons":
-        return states.spatsv_mean_photons(lam, m)
-    if metric == "mandel_q":
-        table = moments.spatsv_moment_table(lam, m, chi=p["chi"])
-        return moments.mandel_q(moments.apply_loss(table, p["eta"]))
-    if metric in ("quad_diff_var", "quad_diff_var_seed"):
-        build = (
-            moments.spatsv_moment_table
-            if metric == "quad_diff_var"
-            else moments.spatsv_seed_moment_table
-        )
-        # photon numbers and pair correlations cancel at strong squeezing
-        with mp.workdps(mp.mp.dps + 20):
-            table = build(lam, m, max_order=2, chi=p["chi"])
-            table = moments.apply_loss(table, mp.mpf(p["eta"]))
-            return moments.quadrature_difference_variance(table, p["chi"])
-    scene = CorrelatedConfig(spec, mu=p["mu"], phi=p["phi"], psi=p["psi"], eta=p["eta"])
-    if metric == "U_norm":
-        return metrology.correlated_uncertainty(scene, dps=digits)
-    if metric == "nrf":
-        return metrology.nrf(scene, dps=digits)
-    raise ConfigInvalid(f"metric: unknown correlated-scheme metric {metric!r}")
+def _mean_photons(cfg, dps=None) -> float:
+    spec = cfg.quantum
+    if isinstance(cfg, SingleMziConfig):
+        return states.passv_mean_photons(spec.lam, spec.m)
+    return states.spatsv_mean_photons(spec.lam, spec.m)
 
+
+def _snl(cfg, dps) -> float:
+    n = cfg.eta * (cfg.mu + _mean_photons(cfg))
+    if n <= 0:
+        raise ZeroMeanPhoton("shot-noise reference undefined for a dark input")
+    return 1.0 / sqrt(n)
+
+
+def _mandel_q(cfg, dps) -> float:
+    spec = cfg.quantum
+    table = moments.spatsv_moment_table(spec.lam, spec.m, chi=spec.chi)
+    return moments.mandel_q(moments.apply_loss(table, cfg.eta))
+
+
+def _quadrature(table, coeffs):
+    """Var X of the quadrature ``coeffs(spec)`` over the lossy ``table(spec)``.
+
+    Photon numbers and pair correlations cancel at strong squeezing, so it
+    runs at the row's digits, else at 20 guard digits over the ambient ones.
+    """
+
+    def metric(cfg, dps) -> float:
+        with mp.workdps(dps or mp.mp.dps + 20):
+            lossy = moments.apply_loss(table(cfg.quantum), mp.mpf(cfg.eta))
+            return moments.quadrature_variance(lossy, coeffs(cfg.quantum))
+
+    return metric
+
+
+def _difference(spec) -> tuple:
+    """e^{-i chi} (1, -1)/sqrt 2: the pair's difference quadrature at angle chi."""
+    c = mp.expj(-spec.chi) / mp.sqrt(2)
+    return (c, -c)
+
+
+#: each scheme's metrics: name -> evaluation on a point's config at dps digits
+_METRICS = {
+    "single": {
+        "U": lambda c, dps: metrology.single_phase_uncertainty(c, dps=dps),
+        "qfi": lambda c, dps: metrology.qfi(c, dps=dps),
+        "crb": lambda c, dps: metrology.cramer_rao_bound(metrology.qfi(c, dps=dps)),
+        "snl": _snl,
+        "qfi_classical": lambda c, dps: 2.0 * (c.mu + _mean_photons(c)),
+        "var_y": _quadrature(
+            lambda s: moments.passv_moment_table(s.lam, s.m, chi=s.chi),
+            lambda s: (mp.expj(-mp.pi / 2),),
+        ),
+        "mean_photons": _mean_photons,
+    },
+    "correlated": {
+        "U_norm": lambda c, dps: metrology.correlated_uncertainty(c, dps=dps),
+        "nrf": lambda c, dps: metrology.nrf(c, dps=dps),
+        "mean_photons": _mean_photons,
+        "mandel_q": _mandel_q,
+        "quad_diff_var": _quadrature(
+            lambda s: moments.spatsv_moment_table(s.lam, s.m, max_order=2, chi=s.chi),
+            _difference,
+        ),
+        "quad_diff_var_seed": _quadrature(
+            lambda s: moments.spatsv_seed_moment_table(s.lam, s.m, max_order=2, chi=s.chi),
+            _difference,
+        ),
+    },
+}
+SINGLE_METRICS = tuple(_METRICS["single"])
+CORRELATED_METRICS = tuple(_METRICS["correlated"])
 
 _FLAG_FOR_ERROR = (
     (Singular, FLAG_SINGULAR),
@@ -264,27 +278,36 @@ _FLAG_FOR_ERROR = (
 )
 
 
+def _flagged(evaluate, *args, **kwargs) -> tuple:
+    """(value, "ok") of ``evaluate``, or (None, flag) for a package error."""
+    try:
+        return evaluate(*args, **kwargs), FLAG_OK
+    except PhotsubError as exc:
+        for kinds, name in _FLAG_FOR_ERROR:
+            if isinstance(exc, kinds):
+                return None, name
+        raise
+
+
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Evaluate every (axis value, m, metric) point; errors become flagged rows."""
+    """Evaluate every (axis value, m, metric) point; errors become flagged rows.
+
+    Each (axis value, m) builds its scene once; a scene that cannot be built
+    (an unreachable balancing target) flags every metric row of its point.
+    """
     cfg.validate()
     digits = _effective_digits(cfg)
-    evaluate = _single_metric if cfg.scheme == "single" else _correlated_metric
+    metrics = _METRICS[cfg.scheme]
     rows = []
     for value in cfg.values:
         p = _scene_params(cfg, value)
         for m in cfg.m_list:
+            scene, flag = _flagged(_scene, cfg.scheme, m, balanced=cfg.balanced, **p)
             for metric in cfg.metrics:
-                flag, result = FLAG_OK, None
-                try:
-                    result = evaluate(metric, m, p, cfg, digits)
-                except PhotsubError as exc:
-                    for kinds, name in _FLAG_FOR_ERROR:
-                        if isinstance(exc, kinds):
-                            flag = name
-                            break
-                    else:
-                        raise
-                rows.append(SweepRow(float(value), int(m), metric, result, flag))
+                result, row_flag = (
+                    (None, flag) if scene is None else _flagged(metrics[metric], scene, digits)
+                )
+                rows.append(SweepRow(float(value), int(m), metric, result, row_flag))
     return SweepResult(cfg, tuple(rows), digits)
 
 
@@ -577,15 +600,13 @@ def oracle_compare(
         raise MemoryBoundExceeded(
             f"oracle limited to mu <= {_ORACLE_MU_BOUND}, got {mu}"
         )
-    single = scheme == "single"
     try:
-        spec = (PassvSpec if single else SpatsvSpec)(lam, m)
-        config = SingleMziConfig if single else CorrelatedConfig
-        cfg = config(spec, mu=mu, phi=phi, psi=psi, eta=eta)
+        cfg = _scene(scheme, m, lam=lam, mu=mu, phi=phi, psi=psi, eta=eta)
     except ValueError as exc:
         raise ConfigInvalid(f"scene: {exc}") from exc
     engine = metrology.readout_moments(cfg)
-    q = (states.passv if single else states.spatsv)(spec, cutoff=quantum_cutoff)
+    build = states.passv if scheme == "single" else states.spatsv
+    q = build(cfg.quantum, cutoff=quantum_cutoff)
     scene = fock.OracleScene(q, mu=mu, psi=psi, phi=phi, eta=eta)
     oracle = fock.oracle_interferometer(scene).moments
     entries = []

@@ -54,10 +54,6 @@ class FockState1:
             raise NullState("cannot normalize a null state")
         return FockState1(self.amplitudes / norm)
 
-    def mean_photons(self) -> float:
-        p = np.abs(self.amplitudes) ** 2
-        return float(np.dot(np.arange(len(p)), p))
-
 
 @dataclass(frozen=True)
 class TwoModeDiagonalState:

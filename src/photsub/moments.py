@@ -50,20 +50,6 @@ class MomentTable:
         return self._entries[key]
 
 
-def coherent_table(alpha, mode=0, max_order=10**6) -> MomentTable:
-    """Coherent-eigenstate moments: <a^dag^p a^q> = conj(alpha)^p alpha^q."""
-
-    def compute(key):
-        p, q = key
-        return _conj(alpha) ** p * alpha**q
-
-    return MomentTable((mode,), max_order, compute=compute)
-
-
-def _conj(x):
-    return x.conjugate() if hasattr(x, "conjugate") else complex(x).conjugate()
-
-
 def apply_loss(table: MomentTable, eta: float) -> MomentTable:
     """Bernoulli thinning: entry scaled by eta^{(sum of exponents)/2}.
 
@@ -108,48 +94,39 @@ def require_digits(size, scale, what: str) -> None:
         )
 
 
-def quadrature_variance(table: MomentTable, theta: float = 0.0) -> float:
-    """Var(X_theta) with X_theta = (a e^{-i theta} + a^dag e^{i theta})/sqrt 2.
+def quadrature_variance(table: MomentTable, coeffs) -> float:
+    """Var X of the quadrature X = sum_t (c_t a_t + conj(c_t) a_t^dag)/sqrt 2.
 
-    Evaluated in mpmath at the working precision: for strong squeezing <n>
-    and Re<a^2 e^{-2i theta}> nearly cancel, so build the table and call
-    this with guard digits set.  Fewer than 8 working digits surviving
-    between the largest term and |Var| raise PrecisionInsufficient.
+    ``coeffs`` holds one c_t per mode of ``table``: (e^{-i theta},) gives
+    X_theta of one mode, and e^{-i chi} (1, -1)/sqrt 2 the difference
+    quadrature of a pair, normalized so vacuum sits at 0.5.  Normal ordering
+    gives <X^2> = Re sum c_s c_t <a_s a_t> + sum conj(c_s) c_t <a_s^dag a_t>
+    + sum |c_t|^2 / 2.  For strong squeezing the terms nearly cancel, so
+    build the table and call this with guard digits set.  Fewer than 8
+    working digits surviving between the largest single product and |Var X|
+    raise PrecisionInsufficient.
     """
-    if len(table.modes) != 1:
-        raise MomentOrderMissing("quadrature_variance needs a single-mode table")
-    e = mp.expj(-theta)
-    mean = mp.sqrt(2) * mp.re(e * table.entry((0, 1)))
-    second = mp.re(e * e * table.entry((0, 2)) + table.entry((1, 1))) + mp.mpf(0.5)
-    var = second - mean**2
-    terms = (table.entry((0, 2)), table.entry((1, 1)), 0.5, mean**2)
-    require_digits(var, max(abs(t) for t in terms), "quadrature variance")
+    if len(coeffs) != len(table.modes):
+        raise MomentOrderMissing(f"{len(coeffs)} coefficients for {len(table.modes)} modes")
+    zero = [0] * (2 * len(coeffs))
+
+    def entry(*slots):
+        key = list(zero)
+        for slot in slots:
+            key[slot] += 1
+        return table.entry(tuple(key))
+
+    mean = mp.sqrt(2) * mp.re(mp.fsum(c * entry(2 * t + 1) for t, c in enumerate(coeffs)))
+    vacuum = mp.fsum(abs(c) ** 2 for c in coeffs) / 2
+    products = []
+    for s, cs in enumerate(coeffs):
+        for t, ct in enumerate(coeffs):
+            products.append(cs * ct * entry(2 * s + 1, 2 * t + 1))
+            products.append(mp.conj(cs) * ct * entry(2 * s, 2 * t + 1))
+    var = mp.re(mp.fsum(products)) + vacuum - mean**2
+    scale = max(abs(x) for x in products + [vacuum, mean**2])
+    require_digits(var, scale, "quadrature variance")
     return float(var)
-
-
-def quadrature_difference_variance(table: MomentTable, chi: float = 0.0) -> float:
-    """Var(X_{1,chi} - X_{2,chi}) / 2, normalized so vacuum sits at 0.5.
-
-    Values below 0.5 signal non-classical amplitude correlation.  Evaluated
-    in mpmath at the working precision: for strong squeezing the photon
-    numbers and the pair correlations nearly cancel, so build the table and
-    call this with guard digits set.  Fewer than 8 working digits surviving
-    between the largest term and |Var| raise PrecisionInsufficient.
-    """
-    if len(table.modes) != 2:
-        raise MomentOrderMissing("quadrature_difference_variance needs a mode pair")
-    ent = table.entry
-    e = mp.expj(-chi)
-    mean = mp.sqrt(2) * mp.re(e * (ent((0, 1, 0, 0)) - ent((0, 0, 0, 1))))
-    pairs = ent((0, 2, 0, 0)) + ent((0, 0, 0, 2)) - 2 * ent((0, 1, 0, 1))
-    numbers = (
-        ent((1, 1, 0, 0)) + ent((0, 0, 1, 1)) - ent((1, 0, 0, 1)) - ent((0, 1, 1, 0))
-    )
-    var = mp.re(e * e * pairs) + mp.re(numbers) + 1 - mean**2
-    keys = ((0, 2, 0, 0), (0, 0, 0, 2), (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0))
-    terms = [ent(key) for key in keys] + [2 * ent((0, 1, 0, 1)), 1, mean**2]
-    require_digits(var, max(abs(t) for t in terms), "quadrature difference variance")
-    return float(var / 2)
 
 
 def mandel_q(table: MomentTable) -> float:

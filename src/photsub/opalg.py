@@ -70,12 +70,6 @@ class Jet:
         o = Jet.lift(other)
         return Jet(self.f - o.f, self.d1 - o.d1, self.d2 - o.d2, self.d12 - o.d12)
 
-    def __rsub__(self, other):
-        return Jet.lift(other).__sub__(self)
-
-    def __neg__(self):
-        return Jet(-self.f, -self.d1, -self.d2, -self.d12)
-
     def __mul__(self, o):
         if not isinstance(o, Jet):
             return Jet(self.f * o, self.d1 * o, self.d2 * o, self.d12 * o)

@@ -21,25 +21,21 @@ from .fock import FockState1, TwoModeDiagonalState
 from .moments import bogoliubov_vacuum_moment_1m, bogoliubov_vacuum_moment_2m
 
 
-def _check_spec(spec) -> None:
-    if not isfinite(spec.lam) or spec.lam < 0:
-        raise ValueError("lam must be finite and >= 0")
-    if not isinstance(spec.m, Integral) or spec.m < 0:
-        raise ValueError("m must be a nonnegative integer")
-    if not isfinite(spec.chi):
-        raise ValueError("chi must be finite")
-
-
 @dataclass(frozen=True)
-class PassvSpec:
-    """Single-mode subtraction spec: pre-subtraction energy, order, angle."""
+class _SubtractionSpec:
+    """Pre-subtraction energy, subtraction order and squeezing angle."""
 
-    lam: float  # mean photons of the pre-subtraction squeezed vacuum, sinh^2 r
-    m: int = 0  # number of subtracted photons
+    lam: float  # mean photons (per mode for a pair) before subtraction, sinh^2 r
+    m: int = 0  # number of subtracted photons (from each mode of a pair)
     chi: float = 0.0  # squeezing angle
 
     def __post_init__(self):
-        _check_spec(self)
+        if not isfinite(self.lam) or self.lam < 0:
+            raise ValueError("lam must be finite and >= 0")
+        if not isinstance(self.m, Integral) or self.m < 0:
+            raise ValueError("m must be a nonnegative integer")
+        if not isfinite(self.chi):
+            raise ValueError("chi must be finite")
 
     @property
     def r(self) -> float:
@@ -47,19 +43,13 @@ class PassvSpec:
 
 
 @dataclass(frozen=True)
-class SpatsvSpec:
+class PassvSpec(_SubtractionSpec):
+    """Single-mode subtraction spec: pre-subtraction energy, order, angle."""
+
+
+@dataclass(frozen=True)
+class SpatsvSpec(_SubtractionSpec):
     """Two-mode symmetric subtraction spec."""
-
-    lam: float  # mean photons per mode of the pre-subtraction TSV
-    m: int = 0
-    chi: float = 0.0
-
-    def __post_init__(self):
-        _check_spec(self)
-
-    @property
-    def r(self) -> float:
-        return float(np.arcsinh(np.sqrt(self.lam)))
 
 
 def passv(spec: PassvSpec, cutoff: int | None = None) -> FockState1:

@@ -40,6 +40,16 @@ def vacuum_table(modes) -> moments.MomentTable:
     return moments.MomentTable(modes, max_order=10**6, compute=compute)
 
 
+def coherent_table(alpha, mode=0, max_order=10**6) -> moments.MomentTable:
+    """Coherent-eigenstate moments: <a^dag^p a^q> = conj(alpha)^p alpha^q."""
+
+    def compute(key):
+        p, q = key
+        return _conj(alpha) ** p * alpha**q
+
+    return moments.MomentTable((mode,), max_order, compute=compute)
+
+
 def legendre_p(m: int, x):
     """Legendre polynomial P_m(x) by the three-term recurrence (complex ok)."""
     if m < 0 or int(m) != m:
@@ -61,6 +71,12 @@ def passv_norm_squared(lam: float, m: int) -> float:
 def spatsv_norm_squared(lam: float, m: int) -> float:
     """<TSV| (a1^dag a2^dag)^m (a1 a2)^m |TSV> = (m!)^2 lam^m P_m(2 lam + 1)."""
     return float(factorial(m) ** 2 * lam**m * legendre_p(m, 2.0 * lam + 1.0))
+
+
+def mean_photons(state: FockState1) -> float:
+    """Mean photon number of a single-mode Fock-basis state."""
+    p = np.abs(state.amplitudes) ** 2
+    return float(np.dot(np.arange(len(p)), p))
 
 
 def mean_photons_per_mode(state: TwoModeDiagonalState) -> float:

@@ -140,7 +140,8 @@ def test_fig5b_rows_match_a_40_digit_evaluation():
         assert row.flag == "ok"
         with mp.workdps(40):
             table = moments.spatsv_moment_table(row.swept_value, row.m, max_order=2)
-            exact = moments.quadrature_difference_variance(table)
+            c = 1 / mp.sqrt(2)
+            exact = moments.quadrature_variance(table, (c, -c))
         assert abs(row.value - exact) <= 1e-14 * exact, (row.swept_value, row.m)
 
 
@@ -276,9 +277,8 @@ def test_quad_diff_var_matches_converged_fock_value():
     from reference import table_from_state
 
     state = states.spatsv(SpatsvSpec(10.0, 3), cutoff=3000)
-    fock_value = moments.quadrature_difference_variance(
-        table_from_state(state, max_order=2)
-    )
+    c = 2**-0.5
+    fock_value = moments.quadrature_variance(table_from_state(state, max_order=2), (c, -c))
     row = _one_point("quad_diff_var")
     assert row.flag == "ok"
     assert abs(row.value - fock_value) < 1e-9 * fock_value
@@ -528,8 +528,35 @@ def test_quadrature_variances_keep_eight_digits_or_flag(metric, lam, m, flag):
         with mp.workdps(140):
             if metric == "var_y":
                 table = moments.passv_moment_table(lam, m)
-                exact = moments.quadrature_variance(table, mp.pi / 2)
+                exact = moments.quadrature_variance(table, (mp.expj(-mp.pi / 2),))
             else:
                 table = moments.spatsv_moment_table(lam, m, max_order=2)
-                exact = moments.quadrature_difference_variance(table)
+                c = 1 / mp.sqrt(2)
+                exact = moments.quadrature_variance(table, (c, -c))
         assert abs(row.value - exact) <= 1e-8 * exact
+
+
+@pytest.mark.parametrize("metric, m", [("var_y", 0), ("quad_diff_var", 2)])
+def test_digits_rescue_a_precision_flagged_quadrature_variance(metric, m):
+    # at lam = 1e16 the variance keeps ~2 of the default 35 digits and is
+    # flagged; 80 working digits keep ~47 of them
+    import mpmath as mp
+
+    from photsub import moments
+
+    scheme = "single" if metric == "var_y" else "correlated"
+    sweep = SweepConfig(
+        scheme=scheme, axis="lam", values=(1e16,), m_list=(m,), metrics=(metric,)
+    )
+    assert run_sweep(sweep).rows[0].flag == "precision"
+    [row] = run_sweep(dataclasses.replace(sweep, digits=80)).rows
+    with mp.workdps(140):
+        if metric == "var_y":
+            table = moments.passv_moment_table(1e16, m)
+            exact = moments.quadrature_variance(table, (mp.expj(-mp.pi / 2),))
+        else:
+            table = moments.spatsv_moment_table(1e16, m, max_order=2)
+            c = 1 / mp.sqrt(2)
+            exact = moments.quadrature_variance(table, (c, -c))
+    assert row.flag == "ok"
+    assert abs(row.value - exact) <= 1e-12 * exact

@@ -1,15 +1,18 @@
-"""One-point sweeps per engine metric, each pinned to its CSV row.
+"""Pinned sweep output: one-point rows per metric and the cheap preset CSVs.
 
-A cheap stand-in for diffing the full preset CSVs: a refactor of the
-read-out engine must leave these rows alone.  The engine runs at working
-precision for both schemes, so every row must match byte for byte.
+A refactor of the read-out engine or of the sweep plumbing must leave these
+alone.  The engine runs at working precision for both schemes, so every row
+must match byte for byte.  The preset hashes cover every sweep metric but
+U_norm and crb, which the golden rows pin; a change that moves a number on
+purpose updates the hash next to its entry in CHANGES.md.
 """
 
+import hashlib
 from math import pi
 
 import pytest
 
-from photsub.experiments import SweepConfig, run_sweep
+from photsub.experiments import SweepConfig, run_preset, run_sweep
 
 GOLDEN = [
     (
@@ -88,6 +91,31 @@ GOLDEN = [
              metrics=("U_norm",), mu=1e6, phi=0.7, psi=pi / 2, eta=0.6),
         "30,1,U_norm,0.672610573432,ok",
     ),
+    (
+        dict(scheme="single", axis="lam", values=(2.5,), m_list=(1,), metrics=("crb",),
+             mu=100.0, psi=pi / 2),
+        "2.5,1,crb,0.0732888785876,ok",
+    ),
+    (
+        dict(scheme="single", axis="lam", values=(1.3,), m_list=(2,), metrics=("snl",),
+             mu=100.0, eta=0.9),
+        "1.3,2,snl,0.101636775072,ok",
+    ),
+    (
+        dict(scheme="single", axis="lam", values=(0.8,), m_list=(3,),
+             metrics=("qfi_classical",), mu=50.0),
+        "0.8,3,qfi_classical,114.114285714,ok",
+    ),
+    (
+        dict(scheme="correlated", axis="lam", values=(1.5,), m_list=(2,),
+             metrics=("mandel_q",), eta=0.7),
+        "1.5,2,mandel_q,0.903631694791,ok",
+    ),
+    (
+        dict(scheme="correlated", axis="lam", values=(0.6,), m_list=(1,),
+             metrics=("quad_diff_var",), chi=0.4, eta=0.9),
+        "0.6,1,quad_diff_var,0.298019551867,ok",
+    ),
 ]
 
 
@@ -99,3 +127,49 @@ GOLDEN = [
 def test_golden_row(kwargs, expected):
     row = run_sweep(SweepConfig(**kwargs)).to_csv().splitlines()[-1]
     assert row == expected
+
+
+_ALL_SINGLE = ("U", "qfi", "crb", "snl", "qfi_classical", "var_y", "mean_photons")
+
+#: whole points, all metric rows in order: one scene serves every metric
+GOLDEN_POINTS = {
+    "balanced-ok": (
+        dict(scheme="single", axis="lam", values=(4.0,), m_list=(2,),
+             metrics=("U", "snl"), mu=100.0, phi=pi / 2 - 0.3, eta=0.95,
+             balanced=True),
+        ["4,2,U,0.0750925092997,ok", "4,2,snl,0.100605454573,ok"],
+    ),
+    # odd-m PASSV carries at least one photon: target 0.2 cannot be balanced
+    "balanced-unreachable": (
+        dict(scheme="single", axis="lam", values=(0.2,), m_list=(1,),
+             metrics=_ALL_SINGLE, balanced=True),
+        [f"0.2,1,{metric},,out_of_range" for metric in _ALL_SINGLE],
+    ),
+}
+
+
+@pytest.mark.parametrize("kwargs, expected", GOLDEN_POINTS.values(), ids=GOLDEN_POINTS)
+def test_golden_point(kwargs, expected):
+    rows = run_sweep(SweepConfig(**kwargs)).to_csv().splitlines()[5:]
+    assert rows == expected
+
+
+PRESET_SHA256 = {
+    "fig1a": "8f32dc79a402f5231fcb520b787c85275770bbcada56a8b72a38b6a22fafcbce",
+    "fig1b": "20927e9c295a237ba55d8ec29286efd0e0d3575b47b14561c42a68792c65559a",
+    "fig1c": "8fe5d3771673665f84036fd11186d210a77affd780a93d185b2d6e5749017910",
+    "fig_anyangle": "85753c07c7e36373b4d5a5acd7a5a740749fb24f6e9cc6ef8388baa6466492d6",
+    "fig3a": "7ccdcba48fd53c5ddaf29a7df7d88e96972a381430f8853d9fe9d28b9772540d",
+    "fig3b": "e6e48aa149428b897049dedc1ff9393b080e5c32feda337d8c5e87b2913482bd",
+    "fig5a": "6a689bdf18f8891b21d5ef34955f5ad8e6cda761c6f3d24039b954f752285889",
+    "fig5b": "9e22d9e425daf0c0336f0fbe7006e6c521edfd44dc079a0b567053997fe1d531",
+    "fig_mandel": "267a47d42ccd5c3323a36a4c4fbf89a1c97b4ddf1ec90af41809427fbc46d352",
+    "fig8": "af7c4b2a3bcf9758237a3e939881ea2a3e668c9f0adb9e3a023cbf4cdc660f96",
+    "fig6": "a6205a2f2098c0838fe83e654180799ca9215c6f52a8aabcfe846f4da28e8bf5",
+}
+
+
+@pytest.mark.parametrize("name, digest", PRESET_SHA256.items(), ids=PRESET_SHA256)
+def test_preset_csv_hash(name, digest):
+    csv = run_preset(name).to_csv().encode("utf-8")
+    assert hashlib.sha256(csv).hexdigest() == digest

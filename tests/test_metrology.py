@@ -121,7 +121,7 @@ def test_quadrature_variance_correspondence():
     cfg = SingleMziConfig(PassvSpec(lam, m), mu=mu, phi=np.pi / 2, eta=eta)
     u = metrology.single_phase_uncertainty(cfg)
     vy = moments.quadrature_variance(
-        moments.passv_moment_table(lam, m, max_order=4), np.pi / 2
+        moments.passv_moment_table(lam, m, max_order=4), (np.exp(-0.5j * np.pi),)
     )
     predicted = np.sqrt(2 * (eta * vy + (1 - eta) / 2) / (eta * mu))
     assert abs(u - predicted) < 0.01 * predicted

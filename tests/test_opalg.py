@@ -12,7 +12,7 @@ import reference as opalg
 from photsub import moments
 from photsub.errors import DegreeBoundExceeded
 from photsub.opalg import Jet, _abs_value, _conj, _is_zero
-from reference import OperatorPolynomial, mono, vacuum_table
+from reference import OperatorPolynomial, coherent_table, mono, vacuum_table
 
 # ---------------------------------------------------------------------------
 # Reference: substitute through the map as a polynomial, then contract
@@ -201,7 +201,7 @@ def test_interferometer_difference_mean():
     sub = substitute(diff, bs)
     tables = [
         moments.passv_moment_table(lam, 0, max_order=4),
-        moments.coherent_table(np.sqrt(mu), mode=1),
+        coherent_table(np.sqrt(mu), mode=1),
     ]
     val = expect(sub, tables)
     assert abs(complex(val).real - (mu - lam) * np.cos(phi)) < 1e-10
@@ -248,7 +248,7 @@ def _single_shape(rng):
     alpha = mp.sqrt(rng.uniform(0.5, 4.0)) * mp.expj(rng.uniform(0, 3))
     eta = mp.mpf(rng.uniform(0.5, 1.0))
     tables = [
-        moments.apply_loss(moments.coherent_table(alpha, mode=0), eta),
+        moments.apply_loss(coherent_table(alpha, mode=0), eta),
         moments.apply_loss(
             moments.passv_moment_table(
                 rng.uniform(0.1, 2.0), rng.randrange(4), chi=rng.uniform(-1, 1), mode=1

@@ -13,7 +13,14 @@ import pytest
 
 from photsub import moments, opalg
 from photsub.opalg import Jet
-from reference import OperatorPolynomial, contract, mono, multiply, power
+from reference import (
+    OperatorPolynomial,
+    coherent_table,
+    contract,
+    mono,
+    multiply,
+    power,
+)
 
 SLOTS = ("f", "d1", "d2", "d12")
 
@@ -35,7 +42,7 @@ def _scene(scheme, rng):
         ports = (({0: v1}, u1 * alpha), ({0: u1}, v1 * alpha))
         images = {0: ({0: u1, 1: v1}, 0), 1: ({0: v1, 1: u1}, 0)}
         tables = [
-            moments.apply_loss(moments.coherent_table(alpha, mode=0), eta),
+            moments.apply_loss(coherent_table(alpha, mode=0), eta),
             moments.apply_loss(moments.passv_moment_table(lam, m, chi=chi, mode=1), eta),
         ]
         return ports, quantum, eta, images, tables, 2
