@@ -234,8 +234,12 @@ def _quadrature(table, coeffs):
 
 
 def _difference(spec) -> tuple:
-    """e^{-i chi} (1, -1)/sqrt 2: the pair's difference quadrature at angle chi."""
-    c = mp.expj(-spec.chi) / mp.sqrt(2)
+    """e^{-i chi/2} (1, -1)/sqrt 2: the pair's squeezed difference quadrature.
+
+    The pair correlation <a1 a2> carries e^{i chi}, so the difference
+    quadrature is squeezed at angle chi/2, where this reads it at every chi.
+    """
+    c = mp.expj(-spec.chi / 2) / mp.sqrt(2)
     return (c, -c)
 
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from math import cos, isfinite, pi, sqrt, ulp
 
 import mpmath as mp
@@ -132,17 +133,27 @@ def _mzi_entries(phi, slot: int = 0):
     return (e + 1) * half, (e - 1) * half
 
 
-def _amplitude(cfg):
+def _amplitude(mu: float, psi: float):
     """Lossless coherent amplitude sqrt(mu) e^{i psi} at working precision."""
-    return mp.sqrt(mp.mpf(cfg.mu)) * mp.exp(mp.mpc(0, cfg.psi))
+    return mp.sqrt(mp.mpf(mu)) * mp.exp(mp.mpc(0, psi))
 
 
-def _quantum_table(cfg):
-    """Lossless moment table of the scene's quantum input, at working precision."""
-    spec = cfg.quantum
-    if isinstance(cfg, SingleMziConfig):
-        return moments.passv_moment_table(spec.lam, spec.m, chi=spec.chi)
-    return moments.spatsv_moment_table(spec.lam, spec.m, max_order=8, chi=spec.chi)
+#: entries of each memo below: a sweep runs every order (at most 5 in a
+#: preset) at one axis value before the next, so this holds the orders of
+#: the last few points and stays flat for a long-lived caller
+_MEMO_SIZE = 16
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _input_table(single: bool, spec, dps: int) -> moments.MomentTable:
+    """Lossless moment table of a quantum input, filled at ``dps`` digits."""
+    with mp.workdps(dps):
+        if single:
+            table = moments.passv_moment_table(spec.lam, spec.m, chi=spec.chi)
+        else:
+            table = moments.spatsv_moment_table(spec.lam, spec.m, max_order=8, chi=spec.chi)
+    table.dps = dps
+    return table
 
 
 #: read-out observables as {(p, q): weight of N_a^p N_b^q}
@@ -202,28 +213,39 @@ class _Scene:
         return mean, max(var, mp.mpf(0))
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _lossless_ports(single: bool, spec, mu: float, phi: float, psi: float, dps: int) -> dict:
+    """Lossless F tables {jet: table} of a scene, filled at ``dps`` digits."""
+    with mp.workdps(dps):
+        alpha, quantum = _amplitude(mu, psi), _input_table(single, spec, dps)
+        tables = {}
+        for jet in (False, True):
+            u1, v1 = _mzi_entries(phi, 1 if jet else 0)
+            if single:
+                ports = (({0: v1}, u1 * alpha), ({0: u1}, v1 * alpha))
+            else:
+                u2, v2 = _mzi_entries(phi, 2 if jet else 0)
+                ports = (({0: u1}, v1 * alpha), ({1: u2}, v2 * alpha))
+            tables[jet] = opalg.port_moments(ports, quantum, 2 if single else 4)
+            tables[jet].dps = dps
+    return tables
+
+
 @contextmanager
 def _scene(cfg, dps: int | None = None):
     """Yield the scene's port moments inside its working precision.
 
     That is ``dps`` digits, else 40 + 3 log10(mu) for either scheme.  F is
     built from the lossless inputs and thinned once: under efficiency eta
-    each F(i, j) is exactly eta^(i+j) times its lossless value.
+    each F(i, j) is exactly eta^(i+j) times its lossless value, so scenes
+    that differ only in eta share their lossless F.
     """
-    with mp.workdps(dps or _working_digits(cfg.mu)):
-        alpha, quantum = _amplitude(cfg), _quantum_table(cfg)
+    dps = dps or _working_digits(cfg.mu)
+    with mp.workdps(dps):
         single = isinstance(cfg, SingleMziConfig)
-        tables = {}
-        for jet in (False, True):
-            u1, v1 = _mzi_entries(cfg.phi, 1 if jet else 0)
-            if single:
-                ports = (({0: v1}, u1 * alpha), ({0: u1}, v1 * alpha))
-            else:
-                u2, v2 = _mzi_entries(cfg.phi, 2 if jet else 0)
-                ports = (({0: u1}, v1 * alpha), ({1: u2}, v2 * alpha))
-            table = opalg.port_moments(ports, quantum, 2 if single else 4)
-            tables[jet] = moments.apply_loss(table, mp.mpf(cfg.eta))
-        yield _Scene(tables)
+        lossless = _lossless_ports(single, cfg.quantum, cfg.mu, cfg.phi, cfg.psi, dps)
+        eta = mp.mpf(cfg.eta)
+        yield _Scene({jet: moments.apply_loss(t, eta) for jet, t in lossless.items()})
 
 
 def readout_moments(
@@ -276,9 +298,10 @@ def qfi(cfg: SingleMziConfig, dps: int | None = None) -> float:
     """
     with mp.workdps(dps or _working_digits(cfg.mu)):
         half = mp.sqrt(mp.mpf(2)) / 2
-        alpha = _amplitude(cfg) * half
+        alpha = _amplitude(cfg.mu, cfg.psi) * half
         ports = (({0: half}, alpha), ({0: -half}, alpha))
-        scene = _Scene({False: opalg.port_moments(ports, _quantum_table(cfg), 2)})
+        quantum = _input_table(True, cfg.quantum, mp.mp.dps)
+        scene = _Scene({False: opalg.port_moments(ports, quantum, 2)})
         return float(scene.variance({(1, 0): 2})[1])
 
 

@@ -28,11 +28,15 @@ class MomentTable:
     """Map from moment index tuples to expectation values for one subsystem.
 
     ``compute(key)`` fills an entry on first request; entries are cached.
+    Entries fill at the ambient precision, or at ``dps`` working digits once
+    it is set: a table reused across calls fills at the digits it was built
+    for, whatever the caller's.
     """
 
     def __init__(self, modes, max_order, compute):
         self.modes = tuple(modes)
         self.max_order = int(max_order)
+        self.dps = None
         self._entries = {}
         self._compute = compute
 
@@ -46,7 +50,11 @@ class MomentTable:
                 f"order {sum(key)} beyond table max_order {self.max_order}"
             )
         if key not in self._entries:
-            self._entries[key] = self._compute(key)
+            if self.dps is None:
+                self._entries[key] = self._compute(key)
+            else:
+                with mp.workdps(self.dps):
+                    self._entries[key] = self._compute(key)
         return self._entries[key]
 
 
@@ -98,8 +106,9 @@ def quadrature_variance(table: MomentTable, coeffs) -> float:
     """Var X of the quadrature X = sum_t (c_t a_t + conj(c_t) a_t^dag)/sqrt 2.
 
     ``coeffs`` holds one c_t per mode of ``table``: (e^{-i theta},) gives
-    X_theta of one mode, and e^{-i chi} (1, -1)/sqrt 2 the difference
-    quadrature of a pair, normalized so vacuum sits at 0.5.  Normal ordering
+    X_theta of one mode, and e^{-i chi/2} (1, -1)/sqrt 2 the squeezed
+    difference quadrature of a pair whose <a1 a2> carries e^{i chi},
+    normalized so vacuum sits at 0.5.  Normal ordering
     gives <X^2> = Re sum c_s c_t <a_s a_t> + sum conj(c_s) c_t <a_s^dag a_t>
     + sum |c_t|^2 / 2.  For strong squeezing the terms nearly cancel, so
     build the table and call this with guard digits set.  Fewer than 8

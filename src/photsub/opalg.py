@@ -110,10 +110,7 @@ def _abs_value(x):
 def _is_zero(x) -> bool:
     if isinstance(x, Jet):
         return _is_zero(x.f) and _is_zero(x.d1) and _is_zero(x.d2) and _is_zero(x.d12)
-    try:
-        return complex(x) == 0
-    except TypeError:
-        return False
+    return not x
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ energy-balancing solver used in fixed-total-energy comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial, isfinite, sqrt
 from numbers import Integral
 
@@ -163,8 +164,14 @@ def balance_energy(target_lam: float, m: int, kind: str = "single") -> float:
     maps are monotone in lam: the root is bracketed by doubling from
     [0, max(target, 1)] and found by Brent's method.  Raises
     OutOfRange when the target lies below the map's infimum (odd-m PASSV has
-    mean >= 1 for every lam).
+    mean >= 1 for every lam).  Roots are memoised by (target, m, kind), so a
+    sweep whose points share a target solves it once.
     """
+    return _balance_root(target_lam, m, kind)
+
+
+@lru_cache(maxsize=16)
+def _balance_root(target_lam: float, m: int, kind: str) -> float:
     if kind == "single":
         mean = lambda lam: passv_mean_photons(lam, m)
     elif kind == "two_mode":

@@ -2,10 +2,11 @@
 
 import dataclasses
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from photsub import experiments
+from photsub import experiments, moments
 from photsub.errors import ConfigInvalid, MemoryBoundExceeded, UnknownPreset
 from photsub.experiments import (
     EXIT_CONFIG,
@@ -410,6 +411,32 @@ def test_quad_diff_var_obeys_loss_law(metric):
         row = _one_point(metric, values=(0.7,), m_list=(1,), eta=eta)
         expected = eta * lossless + (1.0 - eta) / 2.0
         assert abs(row.value - expected) < 1e-12 * expected
+
+
+@pytest.mark.parametrize(
+    "metric, table",
+    [
+        ("quad_diff_var", moments.spatsv_moment_table),
+        ("quad_diff_var_seed", moments.spatsv_seed_moment_table),
+    ],
+)
+def test_difference_quadrature_is_read_at_its_squeezed_angle(metric, table):
+    # <a1 a2> carries e^{i chi}, so the difference quadrature is squeezed at
+    # chi/2: the row is the least variance over all angles, whatever chi is
+    rows = [
+        _one_point(metric, values=(0.6,), m_list=(1,), chi=chi, eta=0.9)
+        for chi in (0.0, 0.4, 1.0, -2.5)
+    ]
+    assert all(row.flag == "ok" for row in rows)
+    assert len({row.value for row in rows}) == 1
+    with mp.workdps(40):
+        lossy = moments.apply_loss(table(0.6, 1, max_order=2, chi=1.0), mp.mpf(0.9))
+        scan = []
+        for k in range(629):
+            c = mp.expj(-mp.mpf(k) / 100) / mp.sqrt(2)
+            scan.append(moments.quadrature_variance(lossy, (c, -c)))
+    assert rows[0].value <= min(scan) + 1e-12
+    assert min(scan) - rows[0].value < 1e-3 * rows[0].value
 
 
 @pytest.mark.parametrize(

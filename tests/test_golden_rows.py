@@ -2,9 +2,9 @@
 
 A refactor of the read-out engine or of the sweep plumbing must leave these
 alone.  The engine runs at working precision for both schemes, so every row
-must match byte for byte.  The preset hashes cover every sweep metric but
-U_norm and crb, which the golden rows pin; a change that moves a number on
-purpose updates the hash next to its entry in CHANGES.md.
+must match byte for byte.  The preset hashes cover every preset, so every
+sweep metric but crb, which the golden rows pin; a change that moves a
+number on purpose updates the hash next to its entry in CHANGES.md.
 """
 
 import hashlib
@@ -114,7 +114,7 @@ GOLDEN = [
     (
         dict(scheme="correlated", axis="lam", values=(0.6,), m_list=(1,),
              metrics=("quad_diff_var",), chi=0.4, eta=0.9),
-        "0.6,1,quad_diff_var,0.298019551867,ok",
+        "0.6,1,quad_diff_var,0.120831217522,ok",
     ),
 ]
 
@@ -165,6 +165,11 @@ PRESET_SHA256 = {
     "fig5b": "9e22d9e425daf0c0336f0fbe7006e6c521edfd44dc079a0b567053997fe1d531",
     "fig_mandel": "267a47d42ccd5c3323a36a4c4fbf89a1c97b4ddf1ec90af41809427fbc46d352",
     "fig8": "af7c4b2a3bcf9758237a3e939881ea2a3e668c9f0adb9e3a023cbf4cdc660f96",
+    "fig9a": "89bca24673cb3d4171f1994715bc62c8eca47fb1820d0933c5a3c5416f20d776",
+    "fig9b": "094b0a7fcadcc74e03700217b33311eefb3c07e9f61bdeb03e3f28a18b0047b2",
+    "fig9c": "9377d7a13e269bfda712889e5f7b06e54af19abedd1af8e7a77802ea35512f3c",
+    "fig10a": "fa39dae66d5421f0008dfa4dbac3c0cc293fe82db27f9db090b0e8a5a66e9a5f",
+    "fig10b": "a561142e5232d95cb67e140ddc608f629285e81a3d64dc0b2e9f424fff85a186",
     "fig6": "a6205a2f2098c0838fe83e654180799ca9215c6f52a8aabcfe846f4da28e8bf5",
 }
 
