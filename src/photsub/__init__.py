@@ -1,6 +1,6 @@
 """photsub: phase estimation with multi-photon-subtracted squeezed light.
 
-A numpy/scipy/mpmath toolkit for single- and correlated-interferometer
+A numpy/mpmath toolkit for single- and correlated-interferometer
 phase estimation with photon-subtracted squeezed vacuum states:
 
 - ``fock``: truncated Fock-space state construction and a brute-force

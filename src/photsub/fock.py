@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from math import lgamma, log, prod
 
 import numpy as np
-from scipy.special import comb, gammaln
 
 from .errors import CutoffTooSmall, MemoryBoundExceeded, ModeMismatch, NullState
 
@@ -72,6 +71,11 @@ class TwoModeDiagonalState:
         return TwoModeDiagonalState(self.diag_amplitudes / norm)
 
 
+def _log_factorials(size: int) -> np.ndarray:
+    """log n! for n = 0 .. size - 1."""
+    return np.array([lgamma(n + 1) for n in range(size)])
+
+
 def _adaptive_cutoff(weights, cutoff):
     """Find the smallest cutoff with tail mass < TAIL_TOL, plus margin.
 
@@ -110,7 +114,7 @@ def coherent_state(alpha: complex, cutoff: int | None = None) -> FockState1:
         amps[0] = 1.0
     else:
         phase = np.exp(1j * np.angle(alpha) * n)
-        amps = np.exp(n * np.log(abs(alpha)) - mu / 2 - gammaln(n + 1) / 2) * phase
+        amps = np.exp(n * np.log(abs(alpha)) - mu / 2 - _log_factorials(cut + 1) / 2) * phase
     return FockState1(amps).normalized()
 
 
@@ -203,9 +207,9 @@ def subtract_photons(state, m: int):
         raise TypeError(f"unsupported state type {type(state)!r}")
     if len(amps) <= m:
         raise NullState(f"state has no support above level {m}")
-    n = np.arange(m, len(amps))
+    log_fact = _log_factorials(len(amps))
     # a^m |n> = sqrt(n!/(n-m)!) |n-m>, once per mode
-    new = amps[m:] * np.exp(0.5 * power * (gammaln(n + 1) - gammaln(n - m + 1)))
+    new = amps[m:] * np.exp(0.5 * power * (log_fact[m:] - log_fact[: len(amps) - m]))
     norm = float(np.linalg.norm(new))
     if norm < NULL_THRESHOLD:
         raise NullState("photon subtraction annihilated the state")
@@ -304,10 +308,13 @@ def binomial_thinning(p: np.ndarray, eta: float, axis: int) -> np.ndarray:
     followed by marginalization over the ancilla outcome (valid because only
     photon-number observables are read out after the loss).
     """
-    n = np.arange(p.shape[axis])
+    log_fact = _log_factorials(p.shape[axis])
+    n = np.arange(len(log_fact))
     k, nn = n[:, None], n[None, :]
-    # mat[k, n] = C(n, k) eta^k (1 - eta)^(n - k); comb vanishes for k > n
-    mat = comb(nn, k) * eta**k * (1.0 - eta) ** np.maximum(nn - k, 0)
+    lost = np.maximum(nn - k, 0)
+    # mat[k, n] = C(n, k) eta^k (1 - eta)^(n - k), zero for k > n
+    binom = np.exp(log_fact[nn] - log_fact[k] - log_fact[lost])
+    mat = np.triu(binom * eta**k * (1.0 - eta) ** lost)
     moved = np.moveaxis(p, axis, -1)
     out = moved @ mat.T
     return np.moveaxis(out, -1, axis)

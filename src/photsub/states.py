@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, isfinite, sqrt
+from math import comb, factorial, inf, isfinite, isnan, sqrt
 from numbers import Integral
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import fock
 from .errors import OutOfRange
@@ -162,7 +161,8 @@ def balance_energy(target_lam: float, m: int, kind: str = "single") -> float:
 
     ``kind`` selects the single-mode (PASSV) or two-mode (SPATSV) map.  The
     maps are monotone in lam: the root is bracketed by doubling from
-    [0, max(target, 1)] and found by Brent's method.  Raises
+    [0, max(target, 1)] and found by :func:`brentq`, the package's own port
+    of Brent's method, which reuses the two bracket values.  Raises
     OutOfRange when the target lies below the map's infimum (odd-m PASSV has
     mean >= 1 for every lam).  Roots are memoised by (target, m, kind), so a
     sweep whose points share a target solves it once.
@@ -191,9 +191,75 @@ def _balance_root(target_lam: float, m: int, kind: str) -> float:
             f"target {target_lam} below the infimum {mean(lo)} of the m={m} map"
         )
     hi = max(target_lam, 1.0)
-    while mean(hi) < target_lam:
+    while (f_hi := mean(hi) - target_lam) < 0:
         hi *= 2.0
         if hi > 1e12:
             raise OutOfRange("target energy unreachable")
-    root = brentq(lambda lam: mean(lam) - target_lam, lo, hi, xtol=1e-15, rtol=1e-14)
+    root = brentq(
+        lambda lam: mean(lam) - target_lam, lo, hi, fa=f_lo, fb=f_hi, xtol=1e-15, rtol=1e-14
+    )
     return float(root)
+
+
+def _reject_nan(fx: float, x: float) -> float:
+    if isnan(fx):
+        raise ValueError(f"the function value at x={x} is NaN")
+    return fx
+
+
+def _brent_step(xpre, xcur, xblk, fpre, fcur, fblk) -> float:
+    """Secant (xpre = xblk) or inverse quadratic step from xcur; inf where
+    it would divide by zero, which makes the caller bisect as C does."""
+    try:
+        if xpre == xblk:
+            return -fcur * (xcur - xpre) / (fcur - fpre)
+        dpre = (fpre - fcur) / (xpre - xcur)
+        dblk = (fblk - fcur) / (xblk - xcur)
+        return -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+    except ZeroDivisionError:
+        return inf
+
+
+def brentq(f, a, b, *, fa, fb, xtol, rtol, maxiter=100):
+    """Root of f in the bracket [a, b] by Brent's method.
+
+    Step for step the algorithm of scipy's ``brentq.c`` (bracket swap,
+    secant or inverse quadratic step, bisection fallback, tolerance
+    2 delta = xtol + rtol |x|), so it returns the same float.  ``fa`` and
+    ``fb`` are f(a) and f(b), which the caller has from bracketing.  Raises
+    ValueError when f(a) and f(b) have the same sign or f returns NaN, and
+    RuntimeError when ``maxiter`` iterations do not converge.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = _reject_nan(fa, a), _reject_nan(fb, b)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if (
+            abs(spre) > delta
+            and abs(fcur) < abs(fpre)
+            and 2 * abs(stry := _brent_step(xpre, xcur, xblk, fpre, fcur, fblk))
+            < min(abs(spre), 3 * abs(sbis) - delta)
+        ):
+            spre, scur = scur, stry  # a good short step
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _reject_nan(f(xcur), xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")

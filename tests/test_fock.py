@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +105,58 @@ def test_thinning_preserves_poisson():
     thinned = fock.binomial_thinning(p.reshape(-1, 1), eta, axis=0).ravel()
     target = np.abs(fock.coherent_state(np.sqrt(eta * mu), cutoff=40).amplitudes) ** 2
     assert np.allclose(thinned[:30], target[:30], atol=1e-10)
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.5, 0.93])
+def test_thinning_matrix_is_the_binomial_pmf(eta):
+    # thinning the point mass at n gives column n: C(n, k) eta^k (1 - eta)^(n - k)
+    dim = 80
+    mat = fock.binomial_thinning(np.eye(dim), eta, axis=0)
+    with mp.workdps(30):
+        e = mp.mpf(eta)
+        exact = np.array(
+            [[float(mp.binomial(n, k) * e**k * (1 - e) ** (n - k)) if k <= n else 0.0
+              for n in range(dim)] for k in range(dim)]
+        )
+    assert np.all(mat[exact == 0.0] == 0.0)
+    big = exact > 1e-300
+    assert np.max(np.abs(mat[big] / exact[big] - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.5, 0.93])
+def test_thinning_keeps_probability_and_scales_the_mean(eta):
+    n = np.arange(80)
+    p = np.random.default_rng(5).random(80)
+    p /= p.sum()
+    thinned = fock.binomial_thinning(p, eta, axis=0)
+    assert abs(thinned.sum() - 1.0) < 1e-14
+    assert abs(n @ thinned - eta * (n @ p)) < 1e-14 * (n @ p)
+
+
+@pytest.mark.parametrize("mu, psi", [(0.3, 0.0), (2.0, 1.1), (10.0, -2.5)])
+def test_coherent_amplitudes_match_high_precision(mu, psi):
+    state = fock.coherent_state(np.sqrt(mu) * np.exp(1j * psi))
+    with mp.workdps(50):
+        alpha = mp.sqrt(mu) * mp.expj(psi)
+        exact = [mp.exp(-mp.mpf(mu) / 2) * alpha**n / mp.sqrt(mp.factorial(n))
+                 for n in range(len(state.amplitudes))]
+        exact = np.array([complex(a) for a in exact])
+    assert np.max(np.abs(state.amplitudes / exact - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("two_mode", [False, True])
+def test_subtraction_ladder_matches_high_precision(m, two_mode):
+    # a^m |n> = sqrt(n!/(n-m)!) |n-m>, once per mode of a twin beam
+    dim = 60
+    ones = np.ones(dim, dtype=complex)
+    state = fock.TwoModeDiagonalState(ones) if two_mode else fock.FockState1(ones)
+    out, norm = fock.subtract_photons(state, m)
+    ladder = norm * (out.diag_amplitudes if two_mode else out.amplitudes)
+    with mp.workdps(50):
+        exact = [mp.factorial(n) / mp.factorial(n - m) for n in range(m, dim)]
+        exact = np.array([float(x if two_mode else mp.sqrt(x)) for x in exact])
+    assert np.max(np.abs(ladder.real / exact - 1.0)) < 1e-13
 
 
 def _single_scene(lam, m, mu, phi, eta=1.0, psi=0.0):

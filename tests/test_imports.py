@@ -1,0 +1,52 @@
+"""photsub runs on numpy and mpmath alone: scipy is a test dependency."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import photsub
+
+PACKAGE = Path(photsub.__file__).parent
+
+
+def _imported_roots(path: Path) -> set:
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_no_module_imports_scipy():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    assert [m.name for m in modules if "scipy" in _imported_roots(m)] == []
+
+
+_RUN = """
+import sys
+from math import pi
+from photsub.experiments import SweepConfig, oracle_compare, run_sweep
+
+rows = run_sweep(SweepConfig(scheme="single", axis="phi", values=(pi / 2 - 0.3,),
+                             m_list=(2,), metrics=("U",), balanced=True)).rows
+rows += run_sweep(SweepConfig(scheme="correlated", axis="phi", values=(1e-3,),
+                              m_list=(1,), metrics=("nrf",), mu=1e4, balanced=True)).rows
+assert [row.flag for row in rows] == ["ok", "ok"], rows
+assert oracle_compare("single", 0.5, 1, mu=2.0, phi=1.0, eta=0.8).passed
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_balanced_points_and_the_lossy_oracle_run_without_scipy():
+    # a fresh interpreter, so no test's own scipy import can hide one
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", _RUN], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -141,6 +141,72 @@ def test_balance_energy_below_infimum():
         states.balance_energy(0.5, 1, "single")
 
 
+def _balancing_problems():
+    """(target, m, kind) over m 1-5, both maps, targets log-spread over
+    1e-3 .. 1e3; odd-m PASSV only above its infimum of one photon."""
+    for target in np.logspace(-3, 3, 25):
+        for m in range(1, 6):
+            yield float(target), m, "two_mode"
+            if m % 2 == 0 or target > 1:
+                yield float(target), m, "single"
+
+
+def test_brent_port_matches_scipy_bit_for_bit(monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+    port, roots = states.brentq, []
+
+    def both(f, a, b, **kwargs):
+        want = optimize.brentq(f, a, b, xtol=kwargs["xtol"], rtol=kwargs["rtol"])
+        roots.append((port(f, a, b, **kwargs), want))
+        return roots[-1][0]
+
+    monkeypatch.setattr(states, "brentq", both)
+    for problem in _balancing_problems():
+        states.balance_energy(*problem)
+    assert len(roots) >= 200
+    assert [a.hex() for a, _ in roots] == [b.hex() for _, b in roots]
+
+
+@pytest.mark.parametrize(
+    "f, a, b", [(lambda x: x**3 - 2.0, 0.0, 2.0), (lambda x: np.cos(x) - x, 0.0, 1.0)]
+)
+def test_brent_port_matches_scipy_at_its_default_tolerances(f, a, b):
+    optimize = pytest.importorskip("scipy.optimize")
+    xtol, rtol = 2e-12, 4 * np.finfo(float).eps
+    want = optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
+    assert states.brentq(f, a, b, fa=f(a), fb=f(b), xtol=xtol, rtol=rtol).hex() == want.hex()
+
+
+def test_brent_port_raises_on_a_bad_bracket_or_no_convergence():
+    def solve(f, a, b, **kwargs):
+        return states.brentq(f, a, b, fa=f(a), fb=f(b), xtol=1e-15, rtol=1e-14, **kwargs)
+
+    cube = lambda x: x**3 - 2.0
+    with pytest.raises(ValueError, match="different signs"):
+        solve(cube, 2.0, 3.0)
+    with pytest.raises(ValueError, match="NaN"):
+        solve(lambda x: np.nan if 0.5 < x < 2 else x - 1.0, 0.0, 2.0)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        solve(cube, 0.0, 2.0, maxiter=3)
+
+
+@pytest.mark.parametrize(
+    "kind, name", [("single", "passv_mean_photons"), ("two_mode", "spatsv_mean_photons")]
+)
+def test_balancing_evaluates_the_mean_photon_map_once_per_point(monkeypatch, kind, name):
+    # the bracket ends f(0) and f(hi) are handed to Brent, not evaluated again
+    mean, points = getattr(states, name), []
+
+    def counted(lam, m):
+        points.append(lam)
+        return mean(lam, m)
+
+    monkeypatch.setattr(states, name, counted)
+    states.balance_energy(7.5, 2, kind)
+    assert len(points) > 3
+    assert len(points) == len(set(points))
+
+
 @given(lam=st.floats(min_value=1e-3, max_value=50.0), m=st.integers(0, 4))
 @settings(max_examples=40, deadline=None)
 def test_mean_photons_dominate_pre_subtraction_energy(lam, m):
