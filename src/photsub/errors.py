@@ -21,10 +21,6 @@ class MemoryBoundExceeded(PhotsubError):
     """A multimode tensor would exceed the configured amplitude budget."""
 
 
-class DegreeBoundExceeded(PhotsubError):
-    """An operator product exceeded the configured total-degree cap."""
-
-
 class MomentOrderMissing(PhotsubError):
     """A moment table was queried beyond its declared maximum order."""
 

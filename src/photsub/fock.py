@@ -1,11 +1,14 @@
 """Truncated Fock-space numerics.
 
 Exact small-scale state construction (coherent, squeezed, two-mode squeezed),
-photon subtraction, and a brute-force multimode interferometer oracle used to
-validate the symbolic moment engine.  The oracle evolves the full amplitude
-tensor, one photon-number block at a time: a passive two-mode map couples
-only states of equal total photon number, so a D x D plane costs about
-(2/3) D^3 per lead index where a dense matrix would take D^4.
+photon subtraction, and a brute-force interferometer oracle used to validate
+the symbolic moment engine.  The oracle evolves a stack of single-MZI planes
+|coherent> (x) |quantum>: one plane for the single scheme, one per |n, n> of
+the twin beam for the correlated scheme, whose twin-MZI output is the sum of
+products of two planes.  Each plane goes through the MZI one photon-number
+block at a time: a passive two-mode map couples only states of equal total
+photon number, so a D x D plane costs about (2/3) D^3 where a dense matrix
+would take D^4.
 
 Conventions
 -----------
@@ -33,7 +36,7 @@ TAIL_TOL = 1e-12
 NULL_THRESHOLD = 1e-300
 #: adaptive constructors keep this many slots of headroom above the tail
 CUTOFF_MARGIN = 5
-#: default bound on the number of amplitudes in a multimode oracle tensor
+#: default bound on the number of amplitudes in the oracle's stack of planes
 MAX_AMPLITUDES = 30_000_000
 
 
@@ -221,16 +224,6 @@ def subtract_photons(state, m: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiModeState:
-    """Pure state over k modes as a complex amplitude tensor."""
-
-    amplitudes: np.ndarray
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
 def _check_memory(shape, max_amplitudes):
     total = prod(shape)
     if total > max_amplitudes:
@@ -270,28 +263,26 @@ def _photon_blocks(u2: np.ndarray, d1: int, d2: int):
         yield lo, block
 
 
-def apply_two_mode_unitary(state: MultiModeState, i: int, j: int, u2: np.ndarray) -> MultiModeState:
-    """Apply a passive 2x2 mode map to tensor axes i and j.
+def apply_two_mode_unitary(amps: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Apply a passive 2x2 mode map to the last two axes of ``amps``.
 
     The map keeps the photon number n of the two axes, so it acts on each
     anti-diagonal |k, n-k> of the (d1, d2) plane, a strided slice of the
     flattened plane, by one block of :func:`_photon_blocks`: about (2/3) D^3
-    multiply-adds per lead index for D = d1 = d2, where a dense plane matrix
-    takes D^4, and O(D^2) memory beyond the input, output and one transposed
-    copy.  Photon number beyond an axis's cutoff is dropped: keep headroom.
+    multiply-adds per plane for D = d1 = d2, where a dense plane matrix
+    takes D^4, and O(D^2) memory beyond the input and output (and a copy of
+    an input that is not contiguous).  Photon number beyond an axis's cutoff
+    is dropped: keep headroom.
     """
-    amps = state.amplitudes
-    d1, d2 = amps.shape[i], amps.shape[j]
-    moved = np.moveaxis(amps, (i, j), (-2, -1))
-    flat = moved.reshape(-1, d1 * d2)
+    d1, d2 = amps.shape[-2:]
+    flat = amps.reshape(-1, d1 * d2)
     out = np.empty(flat.shape, dtype=complex)
     step = max(d2 - 1, 1)
     for n, (lo, block) in enumerate(_photon_blocks(u2, d1, d2)):
         start = lo * d2 + n - lo
         diag = slice(start, start + (len(block) - 1) * step + 1, step)
         out[:, diag] = flat[:, diag] @ block.T
-    out = out.reshape(moved.shape)
-    return MultiModeState(np.moveaxis(out, (-2, -1), (i, j)))
+    return out.reshape(amps.shape)
 
 
 def mzi_unitary(phi: float) -> np.ndarray:
@@ -327,7 +318,8 @@ class OracleScene:
     The quantum input picks the scheme: a :class:`FockState1` enters one MZI
     beside the coherent state; a :class:`TwoModeDiagonalState` feeds twin
     MZIs, each beside its own copy of the coherent state.  Every MZI runs at
-    ``phi``.
+    ``phi``.  ``max_amplitudes`` bounds the stack of D x D planes the oracle
+    evolves: one plane for one MZI, one per |n, n> level for twin MZIs.
     """
 
     quantum: object
@@ -356,47 +348,44 @@ def _moments_from_joint(joint: np.ndarray) -> dict:
     return out
 
 
-def oracle_output(scene: OracleScene) -> MultiModeState:
-    """Lossless output state by direct summation; axes 0 and 1 are read out.
+def oracle_interferometer(scene: OracleScene) -> OracleResult:
+    """Joint photon counts of the read-out ports, binomially thinned by eta.
 
-    Every mode is padded to the joint photon capacity of its MZI, so the
-    beamsplitter cannot push amplitude past a cutoff.  Only feasible for
-    small coherent energy (mu <~ 10); the memory bound is enforced before
-    any tensor is allocated.
+    One path serves both schemes: a stack of single-MZI planes
+    |coh> (x) |q_r>, each padded to the joint photon capacity of its MZI so
+    the map cannot push amplitude past a cutoff, goes through
+    ``mzi_unitary(phi)`` once.  A :class:`FockState1` gives one plane, read
+    on both axes.  The twin-MZI input sum_n d_n |n, n> gives one plane psi_n
+    per |n>, and its output is sum_n d_n psi_n (x) psi_n; with
+    G_nk(a) = sum_c psi_n[c, a] conj(psi_k[c, a]) over each MZI's discarded
+    coherent-port axis c, the quantum-port joint is
+    P(a, b) = sum_{n,k} d_n conj(d_k) G_nk(a) G_nk(b).  Only feasible for
+    small coherent energy (mu <~ 10); the memory bound is enforced on the
+    stack before it is allocated.
     """
     coh = coherent_state(np.sqrt(scene.mu) * np.exp(1j * scene.psi)).amplitudes
-    q, u2 = scene.quantum, mzi_unitary(scene.phi)
-    if isinstance(q, FockState1):
-        nc, nq = len(coh), len(q.amplitudes)
-        dim = nc + nq - 1
-        _check_memory((dim, dim), scene.max_amplitudes)
-        padded = np.pad(coh, (0, nq - 1)), np.pad(q.amplitudes, (0, nc - 1))
-        return apply_two_mode_unitary(MultiModeState(np.outer(*padded)), 0, 1, u2)
-    if not isinstance(q, TwoModeDiagonalState):
+    q = scene.quantum
+    twin = isinstance(q, TwoModeDiagonalState)
+    if not twin and not isinstance(q, FockState1):
         raise ModeMismatch(
             "oracle needs a FockState1 (single MZI) or a TwoModeDiagonalState "
             f"(twin MZIs) quantum input, got {type(q).__name__}"
         )
-    d, nc = q.diag_amplitudes, len(coh)
-    nq = len(d)
-    shape = (nc + nq - 1,) * 4
-    _check_memory(shape, scene.max_amplitudes)
-    st = MultiModeState(np.zeros(shape, dtype=complex))
-    ca = np.pad(coh, (0, nq - 1))
-    cc = np.outer(ca, ca)
-    for n in range(nq):
-        st.amplitudes[n, n, :, :] = d[n] * cc
-    # MZI_k mixes coherent port (axis 2+k) with quantum port (axis k); the
-    # read-out port keeps the tau-weighted quantum component, i.e. the
-    # quantum-port axis after the map.
-    st = apply_two_mode_unitary(st, 2, 0, u2)
-    return apply_two_mode_unitary(st, 3, 1, u2)
-
-
-def oracle_interferometer(scene: OracleScene) -> OracleResult:
-    """Joint photon counts of the read-out ports, binomially thinned by eta."""
-    probs = oracle_output(scene).probabilities()
-    joint = probs.sum(axis=tuple(range(2, probs.ndim)))
+    planes = np.eye(len(q.diag_amplitudes)) if twin else q.amplitudes[None, :]
+    rows, nc, nq = len(planes), len(coh), planes.shape[1]
+    dim = nc + nq - 1
+    _check_memory((rows, dim, dim), scene.max_amplitudes)
+    stack = np.zeros((rows, dim, dim), dtype=complex)
+    stack[:, :nc, :nq] = coh[:, None] * planes[:, None, :]
+    out = apply_two_mode_unitary(stack, mzi_unitary(scene.phi))
+    if twin:
+        # g[a, n, k] = G_nk(a), then the (n, k) sum as one product
+        by_port = np.ascontiguousarray(out.transpose(2, 0, 1))
+        g = (by_port @ by_port.conj().transpose(0, 2, 1)).reshape(dim, -1)
+        d = q.diag_amplitudes
+        joint = ((g * np.outer(d, d.conj()).ravel()) @ g.T).real
+    else:
+        joint = np.abs(out[0]) ** 2
     if scene.eta < 1.0:
         joint = binomial_thinning(joint, scene.eta, axis=0)
         joint = binomial_thinning(joint, scene.eta, axis=1)

@@ -235,8 +235,6 @@ def passv_moment_table(lam, m: int, max_order: int = 8, chi: float = 0.0, mode=0
 
     def compute(key):
         p, q = key
-        if (p - q) % 2 != 0:
-            return mp.mpc(0)
         return bogoliubov_vacuum_moment_1m(p + m, q + m, lam, chi) / norm
 
     return MomentTable((mode,), max_order, compute=compute)
@@ -252,8 +250,6 @@ def spatsv_moment_table(
 
     def compute(key):
         p, q, r, s = key
-        if p - q != r - s:
-            return mp.mpc(0)
         return bogoliubov_vacuum_moment_2m(p + m, q + m, r + m, s + m, lam, chi) / norm
 
     return MomentTable(tuple(modes), max_order, compute=compute)

@@ -4,12 +4,14 @@ Production code reads every moment from the exact, lazily filled tables in
 :mod:`photsub.moments`.  The float Fock-space routines here are independent
 ways to the same numbers: moments by direct summation over a truncated
 state, squeeze operators applied as matrix exponentials, overlaps and
-fidelities, passive two-mode maps as dense plane matrices, and detection loss
-as beamsplitters to vacuum ancillas.  The tests check the exact engine, the
-state constructors, the oracle's block propagation and its binomial thinning
-against them.  The general normal-ordered operator algebra at the end
-(:class:`OperatorPolynomial`, :func:`multiply`, :func:`contract`) is the
-reference the port-moment kernel of :mod:`photsub.opalg` is checked against.
+fidelities, passive two-mode maps as dense plane matrices, the oracle's
+lossless output as one amplitude tensor, and detection loss as beamsplitters
+to vacuum ancillas.  The tests check the exact engine, the state
+constructors, the oracle's block propagation, its stack of single-MZI planes
+and its binomial thinning against them.  The general normal-ordered
+operator algebra at the end (:class:`OperatorPolynomial`, :func:`multiply`,
+:func:`contract`) is the reference the port-moment kernel of
+:mod:`photsub.opalg` is checked against.
 """
 
 from math import comb, factorial, prod, sqrt
@@ -20,14 +22,8 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
 from photsub import fock, moments
-from photsub.errors import CutoffTooSmall, DegreeBoundExceeded, ModeMismatch
-from photsub.fock import (
-    CUTOFF_MARGIN,
-    TAIL_TOL,
-    FockState1,
-    MultiModeState,
-    TwoModeDiagonalState,
-)
+from photsub.errors import CutoffTooSmall, ModeMismatch, PhotsubError
+from photsub.fock import CUTOFF_MARGIN, TAIL_TOL, FockState1, TwoModeDiagonalState
 from photsub.opalg import Jet, _abs_value, _accumulate, _conj, _is_zero
 
 
@@ -273,8 +269,51 @@ def apply_dense_two_mode_unitary(amps: np.ndarray, i: int, j: int, u2: np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Detection loss by explicit vacuum ancillas (checks the oracle's thinning)
+# The oracle's lossless output as one amplitude tensor, and detection loss by
+# explicit vacuum ancillas (check the oracle's plane stack and its thinning)
 # ---------------------------------------------------------------------------
+
+
+def apply_on_axes(amps: np.ndarray, i: int, j: int, u2: np.ndarray) -> np.ndarray:
+    """:func:`photsub.fock.apply_two_mode_unitary` on tensor axes i and j."""
+    moved = np.moveaxis(amps, (i, j), (-2, -1))
+    return np.moveaxis(fock.apply_two_mode_unitary(moved, u2), (-2, -1), (i, j))
+
+
+def oracle_output(scene: fock.OracleScene) -> np.ndarray:
+    """Lossless output amplitudes of the oracle scene; axes 0 and 1 are read out.
+
+    Every mode is padded to the joint photon capacity of its MZI.  One MZI
+    gives the (coherent, quantum) plane.  Twin MZIs give the 4-D tensor over
+    (quantum 1, quantum 2, coherent 1, coherent 2), filled with
+    sum_n d_n |n, n> beside two coherent states; MZI k mixes axes 2 + k and
+    k, and its read-out port is the quantum axis.
+    """
+    coh = fock.coherent_state(np.sqrt(scene.mu) * np.exp(1j * scene.psi)).amplitudes
+    q, u2 = scene.quantum, fock.mzi_unitary(scene.phi)
+    if isinstance(q, FockState1):
+        nc, nq = len(coh), len(q.amplitudes)
+        fock._check_memory((nc + nq - 1,) * 2, scene.max_amplitudes)
+        padded = np.pad(coh, (0, nq - 1)), np.pad(q.amplitudes, (0, nc - 1))
+        return apply_on_axes(np.outer(*padded), 0, 1, u2)
+    d, nc = q.diag_amplitudes, len(coh)
+    shape = (nc + len(d) - 1,) * 4
+    fock._check_memory(shape, scene.max_amplitudes)
+    amps = np.zeros(shape, dtype=complex)
+    ca = np.pad(coh, (0, len(d) - 1))
+    for n in range(len(d)):
+        amps[n, n] = d[n] * np.outer(ca, ca)
+    return apply_on_axes(apply_on_axes(amps, 2, 0, u2), 3, 1, u2)
+
+
+def readout_joint(amps: np.ndarray, eta: float) -> np.ndarray:
+    """Joint counts of axes 0 and 1 of an output tensor, binomially thinned."""
+    probs = np.abs(amps) ** 2
+    joint = probs.sum(axis=tuple(range(2, probs.ndim)))
+    if eta < 1.0:
+        joint = fock.binomial_thinning(joint, eta, axis=0)
+        joint = fock.binomial_thinning(joint, eta, axis=1)
+    return joint
 
 
 def loss_unitary(eta: float) -> np.ndarray:
@@ -287,13 +326,13 @@ def loss_unitary(eta: float) -> np.ndarray:
 def ancilla_joint(scene: fock.OracleScene) -> np.ndarray:
     """Read-out joint of the oracle scene, loss by beamsplitters to vacuum ancillas.
 
-    Each read-out axis of :func:`photsub.fock.oracle_output` meets its own
-    vacuum ancilla at transmission ``scene.eta``; ancillas and idle ports are
-    then summed out.  :func:`photsub.fock.oracle_interferometer` reaches the
-    same joint by binomial thinning.
+    Each read-out axis of :func:`oracle_output` meets its own vacuum ancilla
+    at transmission ``scene.eta``; ancillas and idle ports are then summed
+    out.  :func:`photsub.fock.oracle_interferometer` reaches the same joint
+    by binomial thinning.
     """
-    st = fock.oracle_output(scene)
-    probs = st.probabilities()
+    amps = oracle_output(scene)
+    probs = np.abs(amps) ** 2
     # trim negligible occupations first so the tensor with its two ancilla
     # axes stays within the amplitude budget
     keep = _axis_cutoffs(probs, tail=1e-12)
@@ -301,11 +340,10 @@ def ancilla_joint(scene: fock.OracleScene) -> np.ndarray:
     shape = (*keep, keep[0], keep[1])
     fock._check_memory(shape, scene.max_amplitudes)
     big = np.zeros(shape, dtype=complex)
-    big[..., 0, 0] = st.amplitudes[tuple(slice(c) for c in keep)]
+    big[..., 0, 0] = amps[tuple(slice(c) for c in keep)]
     bs = loss_unitary(scene.eta)
-    st2 = fock.apply_two_mode_unitary(MultiModeState(big), 0, nd, bs)
-    st2 = fock.apply_two_mode_unitary(st2, 1, nd + 1, bs)
-    probs2 = st2.probabilities().sum(axis=tuple(range(2, nd + 2)))
+    big = apply_on_axes(apply_on_axes(big, 0, nd, bs), 1, nd + 1, bs)
+    probs2 = (np.abs(big) ** 2).sum(axis=tuple(range(2, nd + 2)))
     joint = np.zeros(probs.shape[:2])
     joint[: probs2.shape[0], : probs2.shape[1]] = probs2
     return joint
@@ -332,6 +370,11 @@ def _axis_cutoffs(probs: np.ndarray, tail: float) -> list:
 # kernel of photsub.opalg (a polynomial of ladder monomials, its products,
 # and its expectation through a linear mode map over moment tables)
 # ---------------------------------------------------------------------------
+
+
+class DegreeBoundExceeded(PhotsubError):
+    """An operator product exceeded the total-degree cap."""
+
 
 DEFAULT_DEGREE_CAP = 16
 _EXP_BITS = 16

@@ -17,6 +17,8 @@ from reference import (
     loss_unitary,
     mean_photons,
     mean_photons_per_mode,
+    oracle_output,
+    readout_joint,
     squeeze_apply,
 )
 
@@ -208,6 +210,28 @@ def test_oracle_correlated_port_means():
     assert abs(res.moments[(0, 1)] - expected) < 1e-7
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("phi, psi", [(0.7, 0.3), (2.6, -1.2)])
+def test_oracle_correlated_joint_matches_the_output_tensor(m, phi, psi):
+    # the plane stack's G_nk sum against the twin-MZI tensor over all four axes
+    from photsub import states
+
+    q = states.spatsv(states.SpatsvSpec(0.1, m))
+    amps = oracle_output(fock.OracleScene(q, mu=0.5, psi=psi, phi=phi))
+    for eta in (1.0, 0.85):
+        scene = fock.OracleScene(q, mu=0.5, psi=psi, phi=phi, eta=eta)
+        joint = fock.oracle_interferometer(scene).joint
+        assert np.abs(joint - readout_joint(amps, eta)).max() < 1e-13
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.85])
+@pytest.mark.parametrize("m", [0, 2])
+def test_oracle_single_joint_is_the_output_plane(m, eta):
+    scene = _single_scene(0.4, m, 2.0, 0.9, eta=eta, psi=0.5)
+    joint = fock.oracle_interferometer(scene).joint
+    assert np.array_equal(joint, readout_joint(oracle_output(scene), eta))
+
+
 def test_oracle_rejects_wrong_state_kind():
     from photsub import states
 
@@ -253,7 +277,8 @@ def test_block_propagation_matches_dense_reference(u2, shape, axes):
     rng = np.random.default_rng(sum(shape) + 10 * axes[0] + axes[1])
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     amps /= np.abs(amps).max()
-    out = fock.apply_two_mode_unitary(fock.MultiModeState(amps), *axes, u2).amplitudes
+    moved = fock.apply_two_mode_unitary(np.moveaxis(amps, axes, (-2, -1)), u2)
+    out = np.moveaxis(moved, (-2, -1), axes)
     ref = apply_dense_two_mode_unitary(amps, *axes, u2)
     assert out.shape == amps.shape
     assert np.abs(out - ref).max() < 1e-13
@@ -295,3 +320,15 @@ def test_oracle_memory_stays_a_small_multiple_of_the_tensor():
     scene2 = fock.OracleScene(q2, mu=1.0, psi=0.0, phi=0.7, eta=0.9)
     dim2 = len(fock.coherent_state(1.0).amplitudes) + len(q2.diag_amplitudes) - 1
     assert _traced_peak(scene2) <= 3.5 * dim2**4 * 16
+
+
+def test_correlated_oracle_memory_stays_a_small_multiple_of_the_stack():
+    from photsub import states
+
+    # one D x D plane per |n, n> of the twin beam: a few copies of that
+    # stack, where the four-axis twin-MZI tensor needs D^4 amplitudes
+    q = states.spatsv(states.SpatsvSpec(0.2, 1))
+    scene = fock.OracleScene(q, mu=1.0, psi=0.0, phi=0.7, eta=0.9)
+    rows = len(q.diag_amplitudes)
+    dim = len(fock.coherent_state(1.0).amplitudes) + rows - 1
+    assert _traced_peak(scene) <= 6 * rows * dim**2 * 16

@@ -10,9 +10,14 @@ from hypothesis import strategies as st
 
 import reference as opalg
 from photsub import moments
-from photsub.errors import DegreeBoundExceeded
 from photsub.opalg import Jet, _abs_value, _conj, _is_zero
-from reference import OperatorPolynomial, coherent_table, mono, vacuum_table
+from reference import (
+    DegreeBoundExceeded,
+    OperatorPolynomial,
+    coherent_table,
+    mono,
+    vacuum_table,
+)
 
 # ---------------------------------------------------------------------------
 # Reference: substitute through the map as a polynomial, then contract
