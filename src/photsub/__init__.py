@@ -8,7 +8,7 @@ phase estimation with photon-subtracted squeezed vacuum states:
 - ``states``: subtracted-state constructors, seed representations,
   closed-form mean photon numbers and the energy-balancing solver.
 - ``opalg``: the normal-ordered moments of the two read-out ports, with
-  analytic phase derivatives (jets) at arbitrary precision.
+  analytic phase derivatives, summed with certified error bounds.
 - ``moments``: exact cutoff-free moment tables for all input states.
 - ``metrology``: phase uncertainty, quantum Fisher information, noise
   reduction factor and correlated covariance uncertainty, with all

@@ -16,45 +16,29 @@ from math import comb, factorial
 
 import mpmath as mp
 
-from .errors import (
-    MomentOrderMissing,
-    NullState,
-    PrecisionInsufficient,
-    ZeroMeanPhoton,
-)
+from .errors import MomentOrderMissing, NullState, PrecisionInsufficient, ZeroMeanPhoton
 
 
 class MomentTable:
     """Map from moment index tuples to expectation values for one subsystem.
 
-    ``compute(key)`` fills an entry on first request; entries are cached.
-    Entries fill at the ambient precision, or at ``dps`` working digits once
-    it is set: a table reused across calls fills at the digits it was built
-    for, whatever the caller's.
+    ``compute(key)`` fills an entry on first request, at the ambient
+    precision; entries are cached.
     """
 
     def __init__(self, modes, max_order, compute):
         self.modes = tuple(modes)
         self.max_order = int(max_order)
-        self.dps = None
         self._entries = {}
         self._compute = compute
 
     def entry(self, key):
         if len(key) != 2 * len(self.modes):
-            raise MomentOrderMissing(
-                f"key {key} does not match arity {len(self.modes)}"
-            )
+            raise MomentOrderMissing(f"key {key} does not match arity {len(self.modes)}")
         if sum(key) > self.max_order:
-            raise MomentOrderMissing(
-                f"order {sum(key)} beyond table max_order {self.max_order}"
-            )
+            raise MomentOrderMissing(f"order {sum(key)} beyond table max_order {self.max_order}")
         if key not in self._entries:
-            if self.dps is None:
-                self._entries[key] = self._compute(key)
-            else:
-                with mp.workdps(self.dps):
-                    self._entries[key] = self._compute(key)
+            self._entries[key] = self._compute(key)
         return self._entries[key]
 
 
@@ -62,8 +46,8 @@ def apply_loss(table: MomentTable, eta: float) -> MomentTable:
     """Bernoulli thinning: entry scaled by eta^{(sum of exponents)/2}.
 
     Composition law apply_loss(eta1) o apply_loss(eta2) = apply_loss(eta1*eta2)
-    holds exactly.  This is the package's one implementation of loss: the
-    read-out engine applies it to the interferometer inputs.
+    holds exactly.  The read-out engine applies the same law to its port
+    moments, exactly in binary (:mod:`photsub.opalg`).
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
@@ -86,19 +70,109 @@ def apply_loss(table: MomentTable, eta: float) -> MomentTable:
 # ---------------------------------------------------------------------------
 
 
-def require_digits(size, scale, what: str) -> None:
-    """Raise PrecisionInsufficient unless ``size`` keeps 8 working digits.
+#: guard digits over the working ones at which certified sums take their
+#: inputs: mpmath's own rounding of an input then stays below one unit in
+#: the last place of the working precision, which :func:`fixed` counts
+GUARD_DIGITS = 10
 
-    ``scale`` is the magnitude of the largest single term a result was
-    summed from, the size it may have cancelled from; ``size`` is the
-    magnitude the result is read against.  This is the package's one
-    digits-lost rule: the read-out engine and the quadrature variances
-    apply it at the working precision.
+
+def fixed(x, bits: int, ulps: int = 4) -> tuple:
+    """``x`` as a block floating-point number (re, im, exp, size, ulps).
+
+    That is (re + i im) 2^exp with integer parts of at most ``bits`` bits,
+    |x|^2 < 2^size and a relative error of at most ulps 2^-bits: the
+    truncation errs by less than 2 sqrt 2 units, and the input by one.
     """
-    if abs(size) < mp.mpf(10) ** (8 - mp.mp.dps) * scale:
+    if not hasattr(x, "_mpc_") and not hasattr(x, "_mpf_"):
+        with mp.workprec(53):  # a Python or numpy number, exact in binary
+            x = mp.mpc(x)
+    parts = getattr(x, "_mpc_", None) or (x._mpf_, (0, 0, 0, 0))  # not rounded to mp.prec
+    parts = [(-man if sign else man, exp) for sign, man, exp, _ in parts]
+    exp = max((exp + man.bit_length() for man, exp in parts if man), default=0) - bits
+    re, im = (man << (e - exp) if e >= exp else man >> (exp - e) for man, e in parts)
+    return re, im, exp, (re * re + im * im).bit_length() + 2 * exp, ulps
+
+
+def fixed_mul(x: tuple, y: tuple, bits: int) -> tuple:
+    """The product of two :func:`fixed` numbers, truncated to ``bits`` bits."""
+    a, b, ex, _, ux = x
+    c, d, ey, _, uy = y
+    re, im, exp, ulps = a * c - b * d, a * d + b * c, ex + ey, ux + uy + 1
+    shift = max(abs(re).bit_length(), abs(im).bit_length()) - bits
+    if shift > 0:
+        re, im, exp, ulps = re >> shift, im >> shift, exp + shift, ulps + 3
+    return re, im, exp, (re * re + im * im).bit_length() + 2 * exp, ulps
+
+
+class Bounded:
+    """A real ``man`` 2^``exp`` known to within ``err`` 2^``exp``.
+
+    Sums, squares and integer or float (binary, so exact) multiples are
+    exact, so combining certified sums loses nothing of their bounds.
+    """
+
+    __slots__ = ("man", "err", "exp")
+
+    def __init__(self, man: int, err: int, exp: int):
+        self.man, self.err, self.exp = man, err, exp
+
+    def __add__(self, other):
+        if isinstance(other, int):  # the 0 that sum() starts from
+            return self
+        exp = min(self.exp, other.exp)
+        a, b = self.exp - exp, other.exp - exp
+        return Bounded((self.man << a) + (other.man << b), (self.err << a) + (other.err << b), exp)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -1 * other
+
+    def __rmul__(self, factor):
+        num, den = factor.as_integer_ratio()
+        return Bounded(num * self.man, abs(num) * self.err, self.exp + 1 - den.bit_length())
+
+    def squared(self):
+        return Bounded(self.man**2, (2 * abs(self.man) + self.err) * self.err, 2 * self.exp)
+
+    value = property(lambda self: mp.mpf((self.man, self.exp)))
+    error = property(lambda self: mp.mpf((self.err, self.exp)))
+
+
+def certified_sum(pairs, bits: int) -> Bounded:
+    """Re sum x y over pairs of :func:`fixed` numbers, with a certified error.
+
+    Each product is formed exactly and truncated once, keeping ``bits`` bits
+    of the largest (block floating point).  The error is the standard
+    summation bound: each term's ``ulps``, scaled by its size against the
+    largest, plus a unit for its truncation, in units of 2^-bits of the
+    largest.  This is the package's one error bound.
+    """
+    rows = [
+        (a * c - b * d, ex + ey, sx + sy, ux + uy + 1)
+        for (a, b, ex, sx, ux), (c, d, ey, sy, uy) in pairs
+        if (a or b) and (c or d)
+    ]
+    top = max((row[2] for row in rows), default=0)
+    exp = (top + 1) // 2 - bits
+    man = err = 0
+    for re, e, size, ulps in rows:
+        man += re >> (exp - e) if e <= exp else re << (e - exp)
+        err += (ulps >> ((top - size) // 2)) + 2
+    return Bounded(man, err, exp)
+
+
+def require_digits(x: Bounded, what: str, size=None) -> None:
+    """Raise PrecisionInsufficient unless the error of ``x`` certifies 8 digits.
+
+    The digits are those of |x|, or of ``size`` where ``x`` is read against
+    another magnitude.  This is the package's one digits-lost rule.
+    """
+    size = abs(x.value) if size is None else size
+    if x.error > size * mp.mpf("1e-8"):
         raise PrecisionInsufficient(
-            f"{what} cancels from {float(scale):.3g} to {float(size):.3g}: "
-            f"fewer than 8 of {mp.mp.dps} digits survive"
+            f"{what}: {float(size):.3g} known only to within {float(x.error):.3g}, "
+            f"fewer than 8 of {mp.mp.dps} working digits"
         )
 
 
@@ -110,32 +184,36 @@ def quadrature_variance(table: MomentTable, coeffs) -> float:
     difference quadrature of a pair whose <a1 a2> carries e^{i chi},
     normalized so vacuum sits at 0.5.  Normal ordering
     gives <X^2> = Re sum c_s c_t <a_s a_t> + sum conj(c_s) c_t <a_s^dag a_t>
-    + sum |c_t|^2 / 2.  For strong squeezing the terms nearly cancel, so
-    build the table and call this with guard digits set.  Fewer than 8
-    working digits surviving between the largest single product and |Var X|
-    raise PrecisionInsufficient.
+    + sum |c_t|^2 / 2.  For strong squeezing the terms nearly cancel: they
+    are summed by :func:`certified_sum` at the working precision, over
+    entries filled at guard digits, and 8 digits of Var X must be certified.
     """
     if len(coeffs) != len(table.modes):
         raise MomentOrderMissing(f"{len(coeffs)} coefficients for {len(table.modes)} modes")
+    bits = mp.mp.prec
     zero = [0] * (2 * len(coeffs))
+    # a few roundings at the working precision formed each coefficient
+    coeffs = [fixed(c, bits, ulps=8) for c in coeffs]
+    conj = [(re, -im, exp, size, ulps) for re, im, exp, size, ulps in coeffs]
 
     def entry(*slots):
         key = list(zero)
         for slot in slots:
             key[slot] += 1
-        return table.entry(tuple(key))
+        with mp.workdps(mp.mp.dps + GUARD_DIGITS):
+            return fixed(table.entry(tuple(key)), bits)
 
-    mean = mp.sqrt(2) * mp.re(mp.fsum(c * entry(2 * t + 1) for t, c in enumerate(coeffs)))
-    vacuum = mp.fsum(abs(c) ** 2 for c in coeffs) / 2
-    products = []
+    # <X> = sqrt 2 Re sum c_t <a_t>, so <X>^2 = 2 (Re sum c_t <a_t>)^2
+    mean = certified_sum(((c, entry(2 * t + 1)) for t, c in enumerate(coeffs)), bits)
+    pairs = []
     for s, cs in enumerate(coeffs):
         for t, ct in enumerate(coeffs):
-            products.append(cs * ct * entry(2 * s + 1, 2 * t + 1))
-            products.append(mp.conj(cs) * ct * entry(2 * s, 2 * t + 1))
-    var = mp.re(mp.fsum(products)) + vacuum - mean**2
-    scale = max(abs(x) for x in products + [vacuum, mean**2])
-    require_digits(var, scale, "quadrature variance")
-    return float(var)
+            pairs.append((fixed_mul(cs, ct, bits), entry(2 * s + 1, 2 * t + 1)))
+            pairs.append((fixed_mul(conj[s], ct, bits), entry(2 * s, 2 * t + 1)))
+    vacuum = certified_sum(zip(coeffs, conj), bits)
+    var = certified_sum(pairs, bits) + 0.5 * vacuum - 2 * mean.squared()
+    require_digits(var, "quadrature variance")
+    return float(var.value)
 
 
 def mandel_q(table: MomentTable) -> float:

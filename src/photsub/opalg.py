@@ -1,202 +1,204 @@
-"""Normal-ordered moments of the two read-out ports, with phase jets.
+"""Normal-ordered moments of the two read-out ports, in certified fixed point.
 
-Every figure of merit reads the photon counts N_a = A^dag A and
-N_b = B^dag B of two read-out ports.  Each port is one quantum mode plus a
-displacement,
+Every figure of merit reads the photon counts N_a = A^dag A, N_b = B^dag B
+of two read-out ports, each one quantum mode plus a displacement: single
+scheme A = v a + u alpha, B = u a + v alpha; correlated A = u a0 + v alpha,
+B = u a1 + v alpha; u = (e^{i phi} + 1)/2, v = (e^{i phi} - 1)/2 and alpha
+the coherent amplitude, an eigenvalue of its annihilator.  Expanding A^i B^j
+turns F(i, j) = <A^dag^i A^i B^dag^j B^j> into a short sum over pairs of
+port monomials,
 
-    X = sum_t c_t a_t + delta,
+    F(i, j) = sum_{K, K'} H(K, K') conj(u^a v^(n-a)) u^b v^(n-b),   n = i + j,
 
-over the annihilators a_t of the quantum input: the coherent input is an
-eigenstate of its annihilator, so it enters through delta alone.  The
-ports commute as modes of the whole interferometer, so
+with a and b the powers of u in the terms K and K' of the expansion, and H
+binomials times powers of alpha times an entry of the quantum input's
+moment table.  H does not depend on phi: :class:`PortCoefficients` compiles
+it once per scene family and :func:`port_moments` sums it at each phase.
+Pair (K', K) is the conjugate of (K, K'), so a > b is folded onto a < b.
+Ordinary moments follow by Stirling numbers (:func:`port_expectation`).
 
-    F(i, j) = <A^dag^i A^i B^dag^j B^j> = <A^dag^i B^dag^j A^i B^j>
-
-is normally ordered in the input modes.  Writing A^i B^j = sum_k d_k a^k,
-with a^k a monomial of input annihilators, gives the short sum
-
-    F(i, j) = sum_{k, l} conj(d_k) d_l <a^dag^k a^l>
-
-over entries of the input's moment table (:func:`port_moments`).  Every
-figure of merit is then algebra on F: an ordinary moment is
-<N_a^p N_b^q> = sum_{i, j} S(p, i) S(q, j) F(i, j), with S the Stirling
-numbers of the second kind (:func:`port_expectation`).
-
-Coefficients are generic: mpmath numbers at the working precision, or
-:class:`Jet` objects carrying first and mixed second derivatives with
-respect to up to two phase parameters.  Each F carries, as a float, the
-magnitude of the largest single product summed into it: the size its value
-may have cancelled from, which a caller sets against the working precision.
+Phase derivatives are analytic: du/dphi = dv/dphi = t = i e^{i phi}/2.  The
+correlated mixed derivative d^2 F(1, 1)/dphi1 dphi2 takes port A's
+phi1-derivative monomials against port B's phi2-derivative ones.  Every sum
+runs in block floating point with a certified error bound
+(:func:`photsub.moments.certified_sum`), and detection loss multiplies
+F(i, j) by eta^(i+j) exactly (the photodetection factorial-moment law).
 """
 
 from __future__ import annotations
 
-from operator import add
+from math import comb
 
-from .moments import MomentTable
+import mpmath as mp
 
-# ---------------------------------------------------------------------------
-# Jets: truncated Taylor coefficients in up to two independent variables
-# ---------------------------------------------------------------------------
+from .moments import GUARD_DIGITS, Bounded, MomentTable, certified_sum, fixed, fixed_mul
+
+_ONE = (1, 0, 0, 1, 0)  # the number 1, exactly
+_GUARD_BITS = 10  # kept over the working bits: ~1/1000 of its last unit per term
 
 
-class Jet:
-    """Value plus d/dx1, d/dx2 and d^2/dx1 dx2 of an analytic expression.
+def _conj(x: tuple) -> tuple:
+    return (x[0], -x[1]) + x[2:]
 
-    Multiplication implements the bilinear product rule, so any arithmetic
-    expression built from jets carries its mixed second derivative exactly
-    (no finite differencing).
+
+def _times(x: tuple, k: int) -> tuple:
+    """``x`` times a positive integer, exactly."""
+    re, im, exp, size, ulps = x
+    return re * k, im * k, exp, size + (k * k).bit_length(), ulps
+
+
+class PortCoefficients:
+    """The phi-independent coefficients H of a scene family's port moments.
+
+    The family is a scheme, a lossless quantum input ``table`` and a coherent
+    amplitude ``alpha``, both built at guard digits; ``bits`` is the working
+    binary precision.  Each F(i, j) compiles on first request.
     """
 
-    __slots__ = ("f", "d1", "d2", "d12")
+    def __init__(self, single: bool, table: MomentTable, alpha, bits: int):
+        self.single, self.table, self.bits = single, table, bits + _GUARD_BITS
+        self._alpha = alpha
+        self._dps = mp.libmp.prec_to_dps(bits) + GUARD_DIGITS
+        self._displacements = {}
+        self._terms = {}
 
-    def __init__(self, f, d1=0, d2=0, d12=0):
-        self.f = f
-        self.d1 = d1
-        self.d2 = d2
-        self.d12 = d12
+    def _displacement(self, m: int, m2: int) -> tuple:
+        """conj(alpha)^m alpha^m2, as a fixed-point number."""
+        if (m, m2) not in self._displacements:
+            with mp.workdps(self._dps):
+                value = mp.conj(self._alpha) ** m * self._alpha**m2
+            self._displacements[m, m2] = fixed(value, self.bits)
+        return self._displacements[m, m2]
 
-    @staticmethod
-    def lift(x):
-        return x if isinstance(x, Jet) else Jet(x)
+    def terms(self, i: int, j: int) -> list:
+        """[(a, b, (ka, kb), (ka', kb'), H)] of F(i, j) for a <= b, with ka and
+        kb the powers of u that ports A and B give the monomial of K."""
+        if (i, j) in self._terms:
+            return self._terms[i, j]
+        expansion = [(k, l, comb(i, k) * comb(j, l), (i - k if self.single else k, l))
+                     for k in range(i + 1) for l in range(j + 1)]
+        terms = self._terms[i, j] = []
+        for k, l, ck, (ka, kb) in expansion:
+            for k2, l2, ck2, (ka2, kb2) in expansion:
+                a, b = ka + kb, ka2 + kb2
+                if a > b:
+                    continue
+                with mp.workdps(self._dps):
+                    entry = self.table.entry((k + l, k2 + l2) if self.single else (k, k2, l, l2))
+                if entry:
+                    alpha = self._displacement(i + j - k - l, i + j - k2 - l2)
+                    h = fixed_mul(alpha, fixed(entry, self.bits), self.bits)
+                    terms.append((a, b, (ka, kb), (ka2, kb2), _times(h, ck * ck2 * (1 + (a < b)))))
+        return terms
 
-    def __add__(self, other):
-        o = Jet.lift(other)
-        return Jet(self.f + o.f, self.d1 + o.d1, self.d2 + o.d2, self.d12 + o.d12)
 
-    __radd__ = __add__
+class PortMoments:
+    """F(i, j) of one scene, and its phase derivatives, as certified sums.
 
-    def __sub__(self, other):
-        o = Jet.lift(other)
-        return Jet(self.f - o.f, self.d1 - o.d1, self.d2 - o.d2, self.d12 - o.d12)
+    Built by :func:`port_moments`; entries are summed on first request.
+    """
 
-    def __mul__(self, o):
-        if not isinstance(o, Jet):
-            return Jet(self.f * o, self.d1 * o, self.d2 * o, self.d12 * o)
-        return Jet(
-            self.f * o.f,
-            self.f * o.d1 + self.d1 * o.f,
-            self.f * o.d2 + self.d2 * o.f,
-            self.f * o.d12 + self.d12 * o.f + self.d1 * o.d2 + self.d2 * o.d1,
+    def __init__(self, coefficients: PortCoefficients, u, v, t, eta: float):
+        self.coefficients, self.eta, self.bits = coefficients, eta, coefficients.bits
+        self._u, self._v = fixed(u, self.bits), fixed(v, self.bits)
+        self._t = None if t is None else fixed(t, self.bits)
+        self._powers = [[_ONE]]
+        self._pairs = {}
+        self._entries = {}
+
+    def _monomials(self, n: int) -> list:
+        """[u^a v^(n - a) for a = 0..n]."""
+        while len(self._powers) <= n:
+            low = self._powers[-1]
+            self._powers.append(
+                [fixed_mul(low[0], self._v, self.bits)]
+                + [fixed_mul(x, self._u, self.bits) for x in low]
+            )
+        return self._powers[n]
+
+    def _pair(self, n: int, a: int, b: int) -> tuple:
+        """conj(u^a v^(n-a)) u^b v^(n-b)."""
+        if (n, a, b) not in self._pairs:
+            p = self._monomials(n)
+            self._pairs[n, a, b] = fixed_mul(_conj(p[a]), p[b], self.bits)
+        return self._pairs[n, a, b]
+
+    def _pair_slope(self, n: int, a: int, b: int) -> list:
+        """Terms of d/dphi [conj(u^a v^(n-a)) u^b v^(n-b)].
+
+        d(u^a v^(n-a))/dphi = t (a u^(a-1) v^(n-a) + (n-a) u^a v^(n-a-1)).
+        """
+        if self._t is None:
+            raise ValueError("these port moments carry no phase")
+        p, low, bits = self._monomials(n), self._monomials(n - 1), self.bits
+
+        def slope(a):
+            return [_times(fixed_mul(self._t, low[i], bits), k)
+                    for k, i in ((a, a - 1), (n - a, a)) if k]
+
+        return [fixed_mul(_conj(d), p[b], bits) for d in slope(a)] + [
+            fixed_mul(_conj(p[a]), d, bits) for d in slope(b)
+        ]
+
+    def _sum(self, pairs, n: int) -> Bounded:
+        """The certified sum of ``pairs``, thinned by eta^n."""
+        total = certified_sum(pairs, self.bits)
+        for _ in range(n if self.eta != 1 else 0):
+            total = self.eta * total
+        return total
+
+    def entry(self, i: int, j: int) -> Bounded:
+        """F(i, j)."""
+        if (i, j) not in self._entries:
+            n, terms = i + j, self.coefficients.terms(i, j)
+            pairs = ((h, self._pair(n, a, b)) for a, b, _, _, h in terms)
+            self._entries[i, j] = self._sum(pairs, n)
+        return self._entries[i, j]
+
+    def slope(self, i: int, j: int) -> Bounded:
+        """dF(i, j)/dphi, both ports moving with the one phase."""
+        n, terms = i + j, self.coefficients.terms(i, j)
+        return self._sum(((h, x) for a, b, _, _, h in terms for x in self._pair_slope(n, a, b)), n)
+
+    def mixed(self) -> Bounded:
+        """d^2 F(1, 1)/dphi1 dphi2 of the correlated scheme at phi1 = phi2.
+
+        Port A moves with phi1 and port B with phi2, so each term takes the
+        phi1-derivative of its port-A monomials against the phi2-derivative
+        of its port-B ones.
+        """
+        pairs = (
+            (h, fixed_mul(x, y, self.bits))
+            for _, _, (ka, kb), (ka2, kb2), h in self.coefficients.terms(1, 1)
+            for x in self._pair_slope(1, ka, ka2)
+            for y in self._pair_slope(1, kb, kb2)
         )
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        return Jet(
-            _conj(self.f), _conj(self.d1), _conj(self.d2), _conj(self.d12)
-        )
-
-    def __repr__(self):
-        return f"Jet({self.f}, d1={self.d1}, d2={self.d2}, d12={self.d12})"
+        return self._sum(pairs, 2)
 
 
-def _conj(x):
-    if isinstance(x, Jet):
-        return x.conjugate()
-    return x.conjugate() if hasattr(x, "conjugate") else complex(x).conjugate()
+def port_moments(coefficients: PortCoefficients, u, v, t, eta: float = 1.0) -> PortMoments:
+    """The port moments of one scene of a compiled family.
 
-
-def _abs_value(x):
-    """Magnitude of the value part, as a float (for cancellation tracking)."""
-    if isinstance(x, Jet):
-        x = x.f
-    try:
-        return abs(complex(x))
-    except (TypeError, OverflowError):
-        return float(abs(x))
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, Jet):
-        return _is_zero(x.f) and _is_zero(x.d1) and _is_zero(x.d2) and _is_zero(x.d12)
-    return not x
-
-
-# ---------------------------------------------------------------------------
-# The port-moment kernel
-# ---------------------------------------------------------------------------
-
-
-class PortMoment:
-    """A port moment ``value`` and the largest product ``scale`` summed into it.
-
-    A scalar factor scales both, so :func:`photsub.moments.apply_loss` thins
-    a table of them as it thins any moment table.
+    ``u`` and ``v`` are the Mach-Zehnder entries and ``t`` = du/dphi =
+    dv/dphi (None where no derivative is read), at guard digits; ``eta`` is
+    the detection efficiency on both ports.
     """
-
-    __slots__ = ("value", "scale")
-
-    def __init__(self, value, scale: float):
-        self.value = value
-        self.scale = scale
-
-    def __rmul__(self, factor):
-        return PortMoment(factor * self.value, float(abs(factor)) * self.scale)
+    return PortMoments(coefficients, u, v, t, eta)
 
 
-def port_moments(ports, table: MomentTable, order: int) -> MomentTable:
-    """F(i, j) for i + j <= ``order``, as a table over the two ports.
+def port_expectation(ports: PortMoments, poly: dict, slope: bool = False) -> Bounded:
+    """<poly(N_a, N_b)>, or its phase derivative with ``slope``, as a :class:`Bounded`.
 
-    ``ports`` holds the images ``(coeffs, delta)`` of A and B, ``coeffs``
-    mapping modes of the quantum input ``table`` to their coefficients.
-    F(i, j) is the :class:`PortMoment` at key ``(i, i, j, j)``, filled on
-    first request; a product whose table entry vanishes (the parity and
-    pair-number selection rules of the subtracted states) is skipped.
-    """
-    zero = (0,) * len(table.modes)
-    bases = []
-    for coeffs, delta in ports:
-        base = {
-            tuple(int(m == t) for m in table.modes): (c, _abs_value(c))
-            for t, c in coeffs.items()
-        }
-        if not _is_zero(delta):
-            base[zero] = (delta, _abs_value(delta))
-        bases.append(base)
-    powers = {}
-
-    def raised(x, n):
-        """{exponents: (coefficient, largest product)} of port ``x`` to the n."""
-        if (x, n) not in powers:
-            powers[x, n] = {zero: (1, 1.0)} if n == 0 else _product(raised(x, n - 1), bases[x])
-        return powers[x, n]
-
-    def compute(key):
-        i, _, j, _ = key
-        expansion = _product(raised(0, i), raised(1, j))
-        total, largest = 0, 0.0
-        for k, (ck, mk) in expansion.items():
-            for l, (cl, ml) in expansion.items():
-                entry = table.entry(tuple(e for pair in zip(k, l) for e in pair))
-                if not _is_zero(entry):
-                    total = total + _conj(ck) * cl * entry
-                    largest = max(largest, mk * ml * _abs_value(entry))
-        return PortMoment(total, largest)
-
-    return MomentTable((0, 1), 2 * order, compute)
-
-
-def port_expectation(table: MomentTable, poly: dict) -> tuple:
-    """(<poly(N_a, N_b)>, scale) from a :func:`port_moments` table.
-
-    ``poly`` maps (p, q) to the weight of N_a^p N_b^q.  The weights of each
-    F(i, j) are summed first; ``scale`` is the largest |weight| times the
-    scale of its F.
+    ``poly`` maps (p, q) to the integer weight of N_a^p N_b^q.  The weights
+    of each F(i, j) are summed first.
     """
     weights = {}
     for (p, q), c in poly.items():
         for i in range(p + 1):
             for j in range(q + 1):
-                key = (i, i, j, j)
-                weights[key] = weights.get(key, 0) + c * _stirling2(p, i) * _stirling2(q, j)
-    total, largest = 0, 0.0
-    for key, w in weights.items():
-        if w:
-            f = table.entry(key)
-            total = total + w * f.value
-            largest = max(largest, abs(w) * f.scale)
-    return total, largest
+                weights[i, j] = weights.get((i, j), 0) + c * _stirling2(p, i) * _stirling2(q, j)
+    read = ports.slope if slope else ports.entry
+    return sum(w * read(i, j) for (i, j), w in weights.items() if w)
 
 
 def _stirling2(n: int, k: int) -> int:
@@ -206,21 +208,3 @@ def _stirling2(n: int, k: int) -> int:
     if not 0 < k < n:
         return 0
     return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
-
-
-def _product(x: dict, y: dict) -> dict:
-    """Product of two expansions {exponents: (coefficient, largest product)}."""
-    out = {}
-    for kx, (cx, mx) in x.items():
-        for ky, (cy, my) in y.items():
-            _accumulate(out, tuple(map(add, kx, ky)), cx * cy, mx * my)
-    return out
-
-
-def _accumulate(into: dict, key, c, largest: float) -> None:
-    """Add ``c`` at ``key``, keeping the largest product summed there."""
-    if key in into:
-        old, old_largest = into[key]
-        into[key] = (old + c, max(old_largest, largest))
-    else:
-        into[key] = (c, largest)

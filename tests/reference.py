@@ -10,8 +10,9 @@ to vacuum ancillas.  The tests check the exact engine, the state
 constructors, the oracle's block propagation, its stack of single-MZI planes
 and its binomial thinning against them.  The general normal-ordered
 operator algebra at the end (:class:`OperatorPolynomial`, :func:`multiply`,
-:func:`contract`) is the reference the port-moment kernel of
-:mod:`photsub.opalg` is checked against.
+:func:`contract`), with :class:`Jet` phase derivatives, is the reference
+the port-moment kernel of :mod:`photsub.opalg` and its analytic
+derivatives are checked against.
 """
 
 from math import comb, factorial, prod, sqrt
@@ -24,7 +25,93 @@ from scipy.special import gammaln
 from photsub import fock, moments
 from photsub.errors import CutoffTooSmall, ModeMismatch, PhotsubError
 from photsub.fock import CUTOFF_MARGIN, TAIL_TOL, FockState1, TwoModeDiagonalState
-from photsub.opalg import Jet, _abs_value, _accumulate, _conj, _is_zero
+
+
+# ---------------------------------------------------------------------------
+# Jets: truncated Taylor coefficients in up to two independent variables
+# ---------------------------------------------------------------------------
+
+
+class Jet:
+    """Value plus d/dx1, d/dx2 and d^2/dx1 dx2 of an analytic expression.
+
+    Multiplication implements the bilinear product rule, so any arithmetic
+    expression built from jets carries its mixed second derivative exactly
+    (no finite differencing).
+    """
+
+    __slots__ = ("f", "d1", "d2", "d12")
+
+    def __init__(self, f, d1=0, d2=0, d12=0):
+        self.f = f
+        self.d1 = d1
+        self.d2 = d2
+        self.d12 = d12
+
+    @staticmethod
+    def lift(x):
+        return x if isinstance(x, Jet) else Jet(x)
+
+    def __add__(self, other):
+        o = Jet.lift(other)
+        return Jet(self.f + o.f, self.d1 + o.d1, self.d2 + o.d2, self.d12 + o.d12)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = Jet.lift(other)
+        return Jet(self.f - o.f, self.d1 - o.d1, self.d2 - o.d2, self.d12 - o.d12)
+
+    def __mul__(self, o):
+        if not isinstance(o, Jet):
+            return Jet(self.f * o, self.d1 * o, self.d2 * o, self.d12 * o)
+        return Jet(
+            self.f * o.f,
+            self.f * o.d1 + self.d1 * o.f,
+            self.f * o.d2 + self.d2 * o.f,
+            self.f * o.d12 + self.d12 * o.f + self.d1 * o.d2 + self.d2 * o.d1,
+        )
+
+    __rmul__ = __mul__
+
+    def conjugate(self):
+        return Jet(
+            _conj(self.f), _conj(self.d1), _conj(self.d2), _conj(self.d12)
+        )
+
+    def __repr__(self):
+        return f"Jet({self.f}, d1={self.d1}, d2={self.d2}, d12={self.d12})"
+
+
+def _conj(x):
+    if isinstance(x, Jet):
+        return x.conjugate()
+    return x.conjugate() if hasattr(x, "conjugate") else complex(x).conjugate()
+
+
+def _abs_value(x):
+    """Magnitude of the value part, as a float (for cancellation tracking)."""
+    if isinstance(x, Jet):
+        x = x.f
+    try:
+        return abs(complex(x))
+    except (TypeError, OverflowError):
+        return float(abs(x))
+
+
+def _is_zero(x) -> bool:
+    if isinstance(x, Jet):
+        return _is_zero(x.f) and _is_zero(x.d1) and _is_zero(x.d2) and _is_zero(x.d12)
+    return not x
+
+
+def _accumulate(into: dict, key, c, largest: float) -> None:
+    """Add ``c`` at ``key``, keeping the largest product summed there."""
+    if key in into:
+        old, old_largest = into[key]
+        into[key] = (old + c, max(old_largest, largest))
+    else:
+        into[key] = (c, largest)
 
 
 def vacuum_table(modes) -> moments.MomentTable:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from photsub import metrology, moments
 from photsub.errors import (
     NonPositiveQfi,
+    PrecisionInsufficient,
     Singular,
     UnsupportedOrder,
     ZeroMeanPhoton,
@@ -259,6 +260,24 @@ def test_correlated_readout_moments_match_port_means():
     expected = eta * ((1 - tau) * mu + tau * lam)
     assert abs(m[(1, 0)] - expected) < 1e-10
     assert abs(m[(0, 1)] - expected) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SingleMziConfig(PassvSpec(0.5, 1), mu=2.0, phi=0.7),
+        CorrelatedConfig(SpatsvSpec(0.3, 1), mu=2.0, phi=0.7),
+    ],
+    ids=["single", "correlated"],
+)
+def test_readout_moments_flag_uncertified_digits(cfg):
+    # 5 working digits cannot certify 8 of any moment: unguarded, they came
+    # back silently wrong in the 7th digit (2.4412117 for 2.4412105)
+    exact = metrology.readout_moments(cfg, dps=60)
+    for key, value in metrology.readout_moments(cfg).items():
+        assert abs(value - exact[key]) <= 1e-8 * abs(exact[key]), key
+    with pytest.raises(PrecisionInsufficient):
+        metrology.readout_moments(cfg, dps=5)
 
 
 def test_correlated_uncertainty_flags_a_dark_detector():

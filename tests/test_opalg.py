@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 import reference as opalg
 from photsub import moments
-from photsub.opalg import Jet, _abs_value, _conj, _is_zero
 from reference import (
+    Jet,
+    _abs_value,
+    _conj,
+    _is_zero,
     DegreeBoundExceeded,
     OperatorPolynomial,
     coherent_table,

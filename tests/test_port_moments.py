@@ -1,9 +1,10 @@
 """The port-moment kernel against the general operator algebra of reference.py.
 
-Each scene is drawn from a seeded stream with chi != 0, psi off {0, pi/2},
-eta < 1 and phase jets in u and v.  The reference contracts the same port
-observables through the interferometer images over the thinned input
-tables, as the read-out engine did before it read everything from F.
+Each scene is drawn from a seeded stream with chi != 0, psi off {0, pi/2}
+and eta < 1.  The reference contracts the same port observables through
+the interferometer images over the thinned input tables, with the phase
+derivatives carried as jets on u and v (slot 1 for phi, or phi1 and phi2
+for the two correlated ports); the kernel derives them analytically.
 """
 
 import random
@@ -12,8 +13,8 @@ import mpmath as mp
 import pytest
 
 from photsub import moments, opalg
-from photsub.opalg import Jet
 from reference import (
+    Jet,
     OperatorPolynomial,
     coherent_table,
     contract,
@@ -22,7 +23,7 @@ from reference import (
     power,
 )
 
-SLOTS = ("f", "d1", "d2", "d12")
+DPS = 60
 
 
 def _mzi(phi, slot):
@@ -31,57 +32,86 @@ def _mzi(phi, slot):
     return (j + 1) * mp.mpf(0.5), (j - 1) * mp.mpf(0.5)
 
 
+def _kernel(single, quantum, alpha, phi, eta):
+    """The kernel's port moments of a scene, its inputs at guard digits.
+
+    ``quantum`` builds the lossless input table.
+    """
+    with mp.workdps(DPS + moments.GUARD_DIGITS):
+        e = mp.expj(phi)
+        coefficients = opalg.PortCoefficients(
+            single, quantum(), +alpha, mp.libmp.dps_to_prec(DPS)
+        )
+        return opalg.port_moments(coefficients, (e + 1) / 2, (e - 1) / 2, 1j * e / 2, eta)
+
+
 def _scene(scheme, rng):
-    """(kernel ports, lossless quantum table, alpha, eta, reference images, tables)."""
+    """(kernel port moments, reference images, tables, order)."""
     alpha = mp.sqrt(rng.uniform(0.5, 4.0)) * mp.expj(rng.uniform(0.1, 1.4))
-    eta = mp.mpf(rng.uniform(0.5, 0.95))
+    eta = rng.uniform(0.5, 0.95)
     lam, m, chi = rng.uniform(0.1, 2.0), rng.randrange(4), rng.uniform(0.2, 1.0)
-    u1, v1 = _mzi(rng.uniform(0.1, 3.0), 1)
+    phi = rng.uniform(0.1, 3.0)
+    u1, v1 = _mzi(phi, 1)
     if scheme == "single":
-        quantum = moments.passv_moment_table(lam, m, chi=chi)
-        ports = (({0: v1}, u1 * alpha), ({0: u1}, v1 * alpha))
+        ports = _kernel(True, lambda: moments.passv_moment_table(lam, m, chi=chi), alpha, phi, eta)
         images = {0: ({0: u1, 1: v1}, 0), 1: ({0: v1, 1: u1}, 0)}
         tables = [
-            moments.apply_loss(coherent_table(alpha, mode=0), eta),
-            moments.apply_loss(moments.passv_moment_table(lam, m, chi=chi, mode=1), eta),
+            moments.apply_loss(coherent_table(alpha, mode=0), mp.mpf(eta)),
+            moments.apply_loss(moments.passv_moment_table(lam, m, chi=chi, mode=1), mp.mpf(eta)),
         ]
-        return ports, quantum, eta, images, tables, 2
-    quantum = moments.spatsv_moment_table(lam, m, max_order=8, chi=chi)
-    u2, v2 = _mzi(rng.uniform(0.1, 3.0), 2)
-    ports = (({0: u1}, v1 * alpha), ({1: u2}, v2 * alpha))
+        return ports, images, tables, 2
+    ports = _kernel(
+        False, lambda: moments.spatsv_moment_table(lam, m, max_order=8, chi=chi), alpha, phi, eta
+    )
+    u2, v2 = _mzi(phi, 2)
     beta = alpha * mp.sqrt(eta)
     images = {0: ({0: u1}, v1 * beta), 1: ({1: u2}, v2 * beta)}
-    return ports, quantum, eta, images, [moments.apply_loss(quantum, eta)], 4
+    quantum = moments.spatsv_moment_table(lam, m, max_order=8, chi=chi)
+    tables = [moments.apply_loss(quantum, mp.mpf(eta))]
+    return ports, images, tables, 4
 
 
 def _number_power(mode, n):
     return power(OperatorPolynomial.number(mode), n)
 
 
+def _check(got, want, want_scale, slope_of, i, j):
+    """The kernel's value and phase slope against the reference jet."""
+    want = Jet.lift(want)
+    assert abs(got.value - mp.re(want.f)) <= 1e-40 * want_scale, (i, j)
+    slope = slope_of()
+    assert abs(slope.value - mp.re(want.d1 + want.d2)) <= 1e-40 * want_scale, (i, j)
+
+
 @pytest.mark.parametrize("scheme", ["single", "correlated"])
 @pytest.mark.parametrize("seed", range(3))
 def test_port_moments_match_reference_contraction(scheme, seed):
     rng = random.Random(seed)
-    with mp.workdps(60):
-        ports, quantum, eta, images, tables, order = _scene(scheme, rng)
-        table = moments.apply_loss(opalg.port_moments(ports, quantum, order), eta)
+    with mp.workdps(DPS):
+        ports, images, tables, order = _scene(scheme, rng)
         for i in range(order + 1):
             for j in range(order + 1 - i):
                 poly = OperatorPolynomial({mono((0, i, i), (1, j, j)): 1})
                 want, want_scale = contract(poly, images, tables)
-                got = table.entry((i, i, j, j))
-                for slot in SLOTS:
-                    diff = getattr(Jet.lift(got.value), slot) - getattr(Jet.lift(want), slot)
-                    assert abs(diff) <= 1e-40 * want_scale, (i, j, slot)
-                assert got.scale == pytest.approx(want_scale, rel=1e-12)
+                _check(ports.entry(i, j), want, want_scale,
+                       lambda: ports.slope(i, j), i, j)
                 # the ordinary moment <N_a^i N_b^j> through the Stirling transform
                 poly = multiply(_number_power(0, i), _number_power(1, j))
                 want, want_scale = contract(poly, images, tables)
-                got, got_scale = opalg.port_expectation(table, {(i, j): 1})
-                for slot in SLOTS:
-                    diff = getattr(Jet.lift(got), slot) - getattr(Jet.lift(want), slot)
-                    assert abs(diff) <= 1e-40 * want_scale, (i, j, slot)
-                assert got_scale == pytest.approx(want_scale, rel=1e-12)
+                got = opalg.port_expectation(ports, {(i, j): 1})
+                _check(got, want, want_scale,
+                       lambda: opalg.port_expectation(ports, {(i, j): 1}, slope=True), i, j)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mixed_derivative_matches_the_reference_jet(seed):
+    rng = random.Random(seed)
+    with mp.workdps(DPS):
+        ports, images, tables, _ = _scene("correlated", rng)
+        poly = OperatorPolynomial({mono((0, 1, 1), (1, 1, 1)): 1})
+        want, want_scale = contract(poly, images, tables)
+        got = ports.mixed()
+        assert abs(got.value - mp.re(want.d12)) <= 1e-40 * want_scale
 
 
 @pytest.mark.parametrize("scheme", ["single", "correlated"])
@@ -89,17 +119,25 @@ def test_port_moments_match_reference_contraction(scheme, seed):
 def test_loss_scales_port_moments_by_eta_to_the_order(scheme, seed):
     rng = random.Random(100 + seed)
     with mp.workdps(50):
-        ports, quantum, eta, _, _, order = _scene(scheme, rng)
-        lossless = opalg.port_moments(ports, quantum, order)
+        alpha = mp.sqrt(rng.uniform(0.5, 4.0)) * mp.expj(rng.uniform(0.1, 1.4))
+        eta = rng.uniform(0.5, 0.95)
+        lam, m, chi = rng.uniform(0.1, 2.0), rng.randrange(4), rng.uniform(0.2, 1.0)
+        phi = rng.uniform(0.1, 3.0)
+        single = scheme == "single"
+        order = 2 if single else 4
+
+        def quantum():
+            if single:
+                return moments.passv_moment_table(lam, m, chi=chi)
+            return moments.spatsv_moment_table(lam, m, max_order=8, chi=chi)
+
+        lossy = _kernel(single, quantum, alpha, phi, eta)
         # the same ports over thinned inputs: the quantum table and the
         # displacement, which is linear in the coherent amplitude
-        root = mp.sqrt(eta)
-        thinned_ports = tuple((coeffs, delta * root) for coeffs, delta in ports)
-        thinned = opalg.port_moments(thinned_ports, moments.apply_loss(quantum, eta), order)
+        thinned = _kernel(single, lambda: moments.apply_loss(quantum(), mp.mpf(eta)),
+                          alpha * mp.sqrt(eta), phi, 1.0)
         for i in range(order + 1):
             for j in range(order + 1 - i):
-                want = Jet.lift(thinned.entry((i, i, j, j)).value)
-                got = Jet.lift(eta ** (i + j) * lossless.entry((i, i, j, j)).value)
-                for slot in SLOTS:
-                    diff = getattr(got, slot) - getattr(want, slot)
-                    assert abs(diff) <= 1e-45 * (1 + abs(want.f)), (i, j, slot)
+                want = thinned.entry(i, j).value
+                got = lossy.entry(i, j).value
+                assert abs(got - want) <= 1e-45 * (1 + abs(want)), (i, j)

@@ -1,4 +1,4 @@
-"""Reuse across sweep points: input tables, lossless port moments and
+"""Reuse across sweep points: input tables, compiled port moments and
 balancing roots are built once per key, stay correct and stay bounded."""
 
 from math import pi
@@ -39,19 +39,23 @@ def _sweep(**kwargs):
 
 
 def test_eta_sweep_builds_port_moments_once_per_order_and_jet(monkeypatch):
-    ports = _counted(monkeypatch, opalg, "port_moments")
+    compiled = _counted(monkeypatch, opalg, "PortCoefficients")
     inputs = _counted(monkeypatch, moments, "spatsv_moment_table")
     _sweep(axis="eta", values=(0.6, 0.8, 1.0))
-    assert len(ports) == 2 * 2  # (m, jet variant)
+    # one compilation per m serves the values and the analytic derivatives
+    assert len(compiled) == 2
     assert len(inputs) == 2
 
 
 def test_phi_sweep_builds_one_input_table_per_order(monkeypatch):
+    compiled = _counted(monkeypatch, opalg, "PortCoefficients")
     ports = _counted(monkeypatch, opalg, "port_moments")
     inputs = _counted(monkeypatch, moments, "spatsv_moment_table")
     _sweep(axis="phi", values=(1e-7, 1e-6, 1e-5))
     assert len(inputs) == 2
-    assert len(ports) == 3 * 2 * 2  # the ports move with phi
+    # the coefficients are compiled without phi: once per m, summed per point
+    assert len(compiled) == 2
+    assert len(ports) == 3 * 2
 
 
 def test_balanced_sweep_solves_each_root_once(monkeypatch):
@@ -70,15 +74,14 @@ _SCENES = (
 
 def _values(cfg, digits) -> tuple:
     """Port moments at working precision, and the public figures of merit."""
-    with metrology._scene(cfg, dps=digits) as scene:
+    with metrology._scene(cfg, dps=digits) as ports:
         exact = tuple(
-            scene.expect({(p, q): 1}, jet=jet)[0]
+            (x.man, x.err, x.exp)
             for p, q in ((1, 0), (1, 1), (2, 2))
-            for jet in (False, True)
+            for slope in (False, True)
             if p + q <= (2 if isinstance(cfg, SingleMziConfig) else 4)
+            for x in [opalg.port_expectation(ports, {(p, q): 1}, slope)]
         )
-        exact = tuple((v.f, v.d1, v.d2, v.d12) if isinstance(v, opalg.Jet) else v
-                      for v in exact)
     if isinstance(cfg, SingleMziConfig):
         figures = (metrology.single_phase_uncertainty(cfg, dps=digits),
                    metrology.qfi(cfg, dps=digits))
@@ -90,6 +93,7 @@ def _values(cfg, digits) -> tuple:
 
 @pytest.mark.parametrize("cfg", _SCENES, ids=("correlated", "single"))
 def test_working_digits_are_part_of_every_memo_key(cfg, memos):
+    assert metrology._port_coefficients in memos
     sequence = (50, None, 50)
     memoised = [_values(cfg, digits) for digits in sequence]
     fresh = []
@@ -103,6 +107,7 @@ def test_working_digits_are_part_of_every_memo_key(cfg, memos):
 
 
 def test_memos_stay_bounded(memos):
+    assert {metrology._port_coefficients, states._balance_root} <= set(memos)
     values = tuple(0.5 + 0.25 * i for i in range(metrology._MEMO_SIZE + 4))
     run_sweep(SweepConfig(scheme="single", axis="lam", values=values, m_list=(1,),
                           metrics=("U", "qfi"), mu=100.0, balanced=True))
@@ -113,10 +118,10 @@ def test_memos_stay_bounded(memos):
 
 
 def test_a_memoised_table_fills_at_its_own_digits():
-    table = metrology._input_table(False, SpatsvSpec(2.0, 2), 50)
-    assert table.dps == 50
+    coefficients = metrology._port_coefficients(False, SpatsvSpec(2.0, 2), 1e12, pi / 2, 50)
     with mp.workdps(20):
-        entry = table.entry((2, 2, 2, 2))
-    with mp.workdps(50):
+        coefficients.terms(2, 2)
+        entry = coefficients.table.entry((2, 2, 2, 2))
+    with mp.workdps(50 + moments.GUARD_DIGITS):
         want = moments.spatsv_moment_table(2.0, 2, chi=0.0).entry((2, 2, 2, 2))
     assert entry == want
