@@ -20,8 +20,8 @@ bytes.
 
 Config files are flat ``key = value`` text; lists are comma-separated.  The
 full schema is documented in the README.  The only environment override is
-``PHOTSUB_DIGITS``: the working precision of both schemes' read-out engine
-and of the quadrature metrics, as a config's ``digits`` sets it.
+``PHOTSUB_DIGITS``: the working precision of both schemes' read-out engine,
+of the quadrature metrics and of ``mandel_q``, as a config's ``digits`` sets it.
 """
 
 from __future__ import annotations
@@ -212,23 +212,22 @@ def _snl(cfg, dps) -> float:
     return 1.0 / sqrt(n)
 
 
-def _mandel_q(cfg, dps) -> float:
-    spec = cfg.quantum
-    table = moments.spatsv_moment_table(spec.lam, spec.m, chi=spec.chi)
-    return moments.mandel_q(moments.apply_loss(table, cfg.eta))
-
-
-def _quadrature(table, coeffs):
-    """Var X of the quadrature ``coeffs(spec)`` over the lossy ``table(spec)``.
+def _exact(build, coeffs=None, **options):
+    """Mandel Q of a point's quantum input, or with ``coeffs`` the variance of
+    its quadrature ``coeffs(spec)``, from its table ``build(lam, m, chi=chi,
+    **options)``.
 
     Photon numbers and pair correlations cancel at strong squeezing, so it
     runs at the row's digits, else at 20 guard digits over the ambient ones.
     """
 
     def metric(cfg, dps) -> float:
+        s = cfg.quantum
         with mp.workdps(dps or mp.mp.dps + 20):
-            lossy = moments.apply_loss(table(cfg.quantum), mp.mpf(cfg.eta))
-            return moments.quadrature_variance(lossy, coeffs(cfg.quantum))
+            table = build(s.lam, s.m, chi=s.chi, **options)
+            if coeffs is None:
+                return moments.mandel_q(table, cfg.eta)
+            return moments.quadrature_variance(table, coeffs(s), cfg.eta)
 
     return metric
 
@@ -251,25 +250,16 @@ _METRICS = {
         "crb": lambda c, dps: metrology.cramer_rao_bound(metrology.qfi(c, dps=dps)),
         "snl": _snl,
         "qfi_classical": lambda c, dps: 2.0 * (c.mu + _mean_photons(c)),
-        "var_y": _quadrature(
-            lambda s: moments.passv_moment_table(s.lam, s.m, chi=s.chi),
-            lambda s: (mp.expj(-mp.pi / 2),),
-        ),
+        "var_y": _exact(moments.passv_moment_table, lambda s: (mp.expj(-mp.pi / 2),)),
         "mean_photons": _mean_photons,
     },
     "correlated": {
         "U_norm": lambda c, dps: metrology.correlated_uncertainty(c, dps=dps),
         "nrf": lambda c, dps: metrology.nrf(c, dps=dps),
         "mean_photons": _mean_photons,
-        "mandel_q": _mandel_q,
-        "quad_diff_var": _quadrature(
-            lambda s: moments.spatsv_moment_table(s.lam, s.m, max_order=2, chi=s.chi),
-            _difference,
-        ),
-        "quad_diff_var_seed": _quadrature(
-            lambda s: moments.spatsv_seed_moment_table(s.lam, s.m, max_order=2, chi=s.chi),
-            _difference,
-        ),
+        "mandel_q": _exact(moments.spatsv_moment_table),
+        "quad_diff_var": _exact(moments.spatsv_moment_table, _difference, max_order=2),
+        "quad_diff_var_seed": _exact(moments.spatsv_seed_moment_table, _difference, max_order=2),
     },
 }
 SINGLE_METRICS = tuple(_METRICS["single"])

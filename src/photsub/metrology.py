@@ -17,7 +17,7 @@ numbers, the single slope from F(1, 0) - F(0, 1), the correlated mixed
 derivative from F(1, 1).  Each comes with a certified error, and every
 variance is formed, and its surviving digits checked, by :func:`_variance`.
 Detection loss eta, a beamsplitter to vacuum on each read-out port, scales
-F(i, j) by eta^(i+j).
+F(i, j) by eta^(i+j) (:func:`moments.thin`, the package's one loss law).
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ SQRT2 = sqrt(2.0)
 
 
 def _check_scene(cfg) -> None:
+    spec = PassvSpec if isinstance(cfg, SingleMziConfig) else SpatsvSpec
+    if not isinstance(cfg.quantum, spec):
+        raise ValueError(f"quantum must be a {spec.__name__}, got {type(cfg.quantum).__name__}")
     for name in ("mu", "phi", "psi", "eta"):
         if not isfinite(getattr(cfg, name)):
             raise ValueError(f"{name} must be finite")
@@ -64,8 +67,8 @@ class SingleMziConfig:
 class CorrelatedConfig:
     """Twin-interferometer scene: entangled pair, two identical coherent states.
 
-    The central phases are equal, phi1 = phi2 = phi; ``tau`` = cos^2(phi/2)
-    is the fraction of quantum light transmitted to each read-out port.
+    The central phases are equal, phi1 = phi2 = phi, and cos^2(phi/2) is
+    the fraction of quantum light transmitted to each read-out port.
     """
 
     quantum: SpatsvSpec
@@ -76,10 +79,6 @@ class CorrelatedConfig:
 
     def __post_init__(self):
         _check_scene(self)
-
-    @property
-    def tau(self) -> float:
-        return cos(self.phi / 2.0) ** 2
 
 
 def phi_for_tau(tau: float) -> float:

@@ -1,4 +1,4 @@
-"""Moment tables for input subsystems and scalar field statistics.
+"""Moment tables for input subsystems, certified sums and field statistics.
 
 A :class:`MomentTable` maps normally-ordered moment indices to expectation
 values for one subsystem: ``(p, q)`` for a single mode meaning
@@ -8,6 +8,11 @@ entry, at the working mpmath precision and without a Fock cutoff: the
 squeezed-state families from closed-form Wick pairing sums over the
 Gaussian (squeezed or two-mode squeezed) vacuum, and the finite SPATSV
 seeds from finite sums over their m + 1 amplitudes.
+
+Sums that may cancel are certified (:func:`certified_sum`), and detection
+loss has one law, :func:`thin`, through which the read-out engine
+(:mod:`photsub.opalg`), :func:`quadrature_variance` and :func:`mandel_q`
+scale such sums of lossless moments.
 """
 
 from __future__ import annotations
@@ -40,29 +45,6 @@ class MomentTable:
         if key not in self._entries:
             self._entries[key] = self._compute(key)
         return self._entries[key]
-
-
-def apply_loss(table: MomentTable, eta: float) -> MomentTable:
-    """Bernoulli thinning: entry scaled by eta^{(sum of exponents)/2}.
-
-    Composition law apply_loss(eta1) o apply_loss(eta2) = apply_loss(eta1*eta2)
-    holds exactly.  The read-out engine applies the same law to its port
-    moments, exactly in binary (:mod:`photsub.opalg`).
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    if eta == 1:
-        return table
-
-    factors = {0: 1}
-
-    def compute(key):
-        total = sum(key)
-        if total not in factors:
-            factors[total] = eta ** (total / 2)
-        return factors[total] * table.entry(key)
-
-    return MomentTable(table.modes, table.max_order, compute=compute)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +84,9 @@ def fixed_mul(x: tuple, y: tuple, bits: int) -> tuple:
     if shift > 0:
         re, im, exp, ulps = re >> shift, im >> shift, exp + shift, ulps + 3
     return re, im, exp, (re * re + im * im).bit_length() + 2 * exp, ulps
+
+
+ONE = (1, 0, 0, 1, 0)  # the number 1 as a fixed number, exactly
 
 
 class Bounded:
@@ -162,6 +147,31 @@ def certified_sum(pairs, bits: int) -> Bounded:
     return Bounded(man, err, exp)
 
 
+def thin(x: Bounded, eta: float, n: int) -> Bounded:
+    """``x``, a sum of normal-ordered moments (or products of them) of 2n
+    ladder operators each, detected with efficiency ``eta``: eta^n x.
+
+    Loss, a beamsplitter to vacuum, scales each ladder operator by sqrt(eta)
+    (Bernoulli thinning: eta1 then eta2 is eta1 eta2).  A binary eta
+    multiplies exactly, so ``x`` keeps its bound.  This is the one loss law.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
+    for _ in range(n if eta != 1 else 0):
+        x = eta * x
+    return x
+
+
+def _read(table: MomentTable, bits: int, *slots) -> tuple:
+    """The entry of ``table`` whose key counts ``slots``, as a :func:`fixed`
+    number, filled at guard digits."""
+    key = [0] * (2 * len(table.modes))
+    for slot in slots:
+        key[slot] += 1
+    with mp.workdps(mp.mp.dps + GUARD_DIGITS):
+        return fixed(table.entry(tuple(key)), bits)
+
+
 def require_digits(x: Bounded, what: str, size=None) -> None:
     """Raise PrecisionInsufficient unless the error of ``x`` certifies 8 digits.
 
@@ -176,57 +186,60 @@ def require_digits(x: Bounded, what: str, size=None) -> None:
         )
 
 
-def quadrature_variance(table: MomentTable, coeffs) -> float:
+def quadrature_variance(table: MomentTable, coeffs, eta: float = 1.0) -> float:
     """Var X of the quadrature X = sum_t (c_t a_t + conj(c_t) a_t^dag)/sqrt 2.
 
     ``coeffs`` holds one c_t per mode of ``table``: (e^{-i theta},) gives
     X_theta of one mode, and e^{-i chi/2} (1, -1)/sqrt 2 the squeezed
     difference quadrature of a pair whose <a1 a2> carries e^{i chi},
-    normalized so vacuum sits at 0.5.  Normal ordering
-    gives <X^2> = Re sum c_s c_t <a_s a_t> + sum conj(c_s) c_t <a_s^dag a_t>
-    + sum |c_t|^2 / 2.  For strong squeezing the terms nearly cancel: they
-    are summed by :func:`certified_sum` at the working precision, over
-    entries filled at guard digits, and 8 digits of Var X must be certified.
+    normalized so vacuum sits at 0.5; ``eta`` is the detection efficiency.
+    Normal ordering gives Var X = eta S + sum |c_t|^2 / 2, with
+    S = Re sum c_s c_t <a_s a_t> + sum conj(c_s) c_t <a_s^dag a_t>
+    - 2 (Re sum c_t <a_t>)^2 over the lossless table.  For strong squeezing
+    the terms nearly cancel: they are summed by :func:`certified_sum` at the
+    working precision, over entries filled at guard digits, and 8 digits of
+    Var X must be certified.
     """
     if len(coeffs) != len(table.modes):
         raise MomentOrderMissing(f"{len(coeffs)} coefficients for {len(table.modes)} modes")
     bits = mp.mp.prec
-    zero = [0] * (2 * len(coeffs))
     # a few roundings at the working precision formed each coefficient
     coeffs = [fixed(c, bits, ulps=8) for c in coeffs]
     conj = [(re, -im, exp, size, ulps) for re, im, exp, size, ulps in coeffs]
 
-    def entry(*slots):
-        key = list(zero)
-        for slot in slots:
-            key[slot] += 1
-        with mp.workdps(mp.mp.dps + GUARD_DIGITS):
-            return fixed(table.entry(tuple(key)), bits)
-
     # <X> = sqrt 2 Re sum c_t <a_t>, so <X>^2 = 2 (Re sum c_t <a_t>)^2
-    mean = certified_sum(((c, entry(2 * t + 1)) for t, c in enumerate(coeffs)), bits)
+    mean = certified_sum(((c, _read(table, bits, 2 * t + 1)) for t, c in enumerate(coeffs)), bits)
     pairs = []
     for s, cs in enumerate(coeffs):
         for t, ct in enumerate(coeffs):
-            pairs.append((fixed_mul(cs, ct, bits), entry(2 * s + 1, 2 * t + 1)))
-            pairs.append((fixed_mul(conj[s], ct, bits), entry(2 * s, 2 * t + 1)))
+            pairs.append((fixed_mul(cs, ct, bits), _read(table, bits, 2 * s + 1, 2 * t + 1)))
+            pairs.append((fixed_mul(conj[s], ct, bits), _read(table, bits, 2 * s, 2 * t + 1)))
     vacuum = certified_sum(zip(coeffs, conj), bits)
-    var = certified_sum(pairs, bits) + 0.5 * vacuum - 2 * mean.squared()
+    spread = certified_sum(pairs, bits) - 2 * mean.squared()
+    var = thin(spread, eta, 1) + 0.5 * vacuum
     require_digits(var, "quadrature variance")
     return float(var.value)
 
 
-def mandel_q(table: MomentTable) -> float:
+def mandel_q(table: MomentTable, eta: float = 1.0) -> float:
     """Mandel Q = (Var N - <N>)/<N> of the table's first mode.
 
-    Negative is sub-Poissonian.
+    Negative is sub-Poissonian.  With ``eta`` the detection efficiency and
+    F_k = <a^dag^k a^k> of the lossless table, <N> = eta F_1 and
+    Var N - <N> = eta^2 (F_2 - F_1^2), so Q thins to eta Q.  The F_k are
+    read as :func:`quadrature_variance` reads its entries, and 8 digits of
+    Var N must be certified against the larger of |Var N| and <N>, so an
+    exact Q = 0 stays certified.
     """
-    rest = (0, 0) * (len(table.modes) - 1)
-    n = complex(table.entry((1, 1) + rest)).real
-    if n <= 0.0:
+    bits = mp.mp.prec
+    f1, f2 = (certified_sum([(ONE, _read(table, bits, *(0, 1) * k))], bits) for k in (1, 2))
+    mean = thin(f1, eta, 1)
+    if mean.value <= 0:
         raise ZeroMeanPhoton("Mandel Q undefined for zero mean photon number")
-    a2 = complex(table.entry((2, 2) + rest)).real
-    return (a2 - n * n) / n
+    excess = thin(f2 - f1.squared(), eta, 2)
+    var = excess + mean
+    require_digits(var, "photon-number variance", size=max(abs(var.value), mean.value))
+    return float(excess.value / mean.value)
 
 
 def joint_photon_distribution(lam, m: int, n_max: int) -> mp.matrix:

@@ -21,8 +21,9 @@ Phase derivatives are analytic: du/dphi = dv/dphi = t = i e^{i phi}/2.  The
 correlated mixed derivative d^2 F(1, 1)/dphi1 dphi2 takes port A's
 phi1-derivative monomials against port B's phi2-derivative ones.  Every sum
 runs in block floating point with a certified error bound
-(:func:`photsub.moments.certified_sum`), and detection loss multiplies
-F(i, j) by eta^(i+j) exactly (the photodetection factorial-moment law).
+(:func:`photsub.moments.certified_sum`), and detection loss thins each sum
+F(i, j), a moment of 2(i + j) ladder operators, by eta^(i+j) through the
+package's one loss law (:func:`photsub.moments.thin`).
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from math import comb
 
 import mpmath as mp
 
-from .moments import GUARD_DIGITS, Bounded, MomentTable, certified_sum, fixed, fixed_mul
+from .moments import GUARD_DIGITS, ONE, Bounded, MomentTable, certified_sum, fixed, fixed_mul, thin
 
-_ONE = (1, 0, 0, 1, 0)  # the number 1, exactly
 _GUARD_BITS = 10  # kept over the working bits: ~1/1000 of its last unit per term
 
 
@@ -102,7 +102,7 @@ class PortMoments:
         self.coefficients, self.eta, self.bits = coefficients, eta, coefficients.bits
         self._u, self._v = fixed(u, self.bits), fixed(v, self.bits)
         self._t = None if t is None else fixed(t, self.bits)
-        self._powers = [[_ONE]]
+        self._powers = [[ONE]]
         self._pairs = {}
         self._entries = {}
 
@@ -142,10 +142,7 @@ class PortMoments:
 
     def _sum(self, pairs, n: int) -> Bounded:
         """The certified sum of ``pairs``, thinned by eta^n."""
-        total = certified_sum(pairs, self.bits)
-        for _ in range(n if self.eta != 1 else 0):
-            total = self.eta * total
-        return total
+        return thin(certified_sum(pairs, self.bits), self.eta, n)
 
     def entry(self, i: int, j: int) -> Bounded:
         """F(i, j)."""

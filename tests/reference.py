@@ -8,7 +8,9 @@ fidelities, passive two-mode maps as dense plane matrices, the oracle's
 lossless output as one amplitude tensor, and detection loss as beamsplitters
 to vacuum ancillas.  The tests check the exact engine, the state
 constructors, the oracle's block propagation, its stack of single-MZI planes
-and its binomial thinning against them.  The general normal-ordered
+and its binomial thinning against them.  A whole moment table thinned entry
+by entry (:func:`apply_loss`) is the reference for the loss law
+:func:`photsub.moments.thin`.  The general normal-ordered
 operator algebra at the end (:class:`OperatorPolynomial`, :func:`multiply`,
 :func:`contract`), with :class:`Jet` phase derivatives, is the reference
 the port-moment kernel of :mod:`photsub.opalg` and its analytic
@@ -17,6 +19,7 @@ derivatives are checked against.
 
 from math import comb, factorial, prod, sqrt
 
+import mpmath as mp
 import numpy as np
 from scipy.sparse import diags
 from scipy.sparse.linalg import expm_multiply
@@ -131,6 +134,34 @@ def coherent_table(alpha, mode=0, max_order=10**6) -> moments.MomentTable:
         return _conj(alpha) ** p * alpha**q
 
     return moments.MomentTable((mode,), max_order, compute=compute)
+
+
+def apply_loss(table: moments.MomentTable, eta) -> moments.MomentTable:
+    """Bernoulli thinning: each entry scaled by eta^{(sum of exponents)/2}.
+
+    The reference thinning, entry by entry at the entry's precision, that
+    the production law :func:`photsub.moments.thin` is checked against.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
+    if eta == 1:
+        return table
+
+    factors = {0: 1}
+
+    def compute(key):
+        total = sum(key)
+        if total not in factors:
+            factors[total] = eta ** (total / 2)
+        return factors[total] * table.entry(key)
+
+    return moments.MomentTable(table.modes, table.max_order, compute=compute)
+
+
+def bounded(x) -> moments.Bounded:
+    """``x`` as a one-term certified sum at the working precision."""
+    bits = mp.mp.prec
+    return moments.certified_sum([(moments.ONE, moments.fixed(x, bits))], bits)
 
 
 def legendre_p(m: int, x):

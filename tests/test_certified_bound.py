@@ -17,7 +17,7 @@ from photsub import experiments, metrology, moments, opalg
 from photsub.errors import PhotsubError
 from photsub.metrology import CorrelatedConfig, SingleMziConfig
 from photsub.states import PassvSpec, SpatsvSpec
-from reference import Jet, OperatorPolynomial, coherent_table, contract, mono
+from reference import Jet, OperatorPolynomial, apply_loss, coherent_table, contract, mono
 
 REFERENCE_DPS = 120
 
@@ -89,14 +89,14 @@ def _reference(cfg) -> dict:
     if single:
         images = {0: ({0: u1, 1: v1}, 0), 1: ({0: v1, 1: u1}, 0)}
         quantum = moments.passv_moment_table(spec.lam, spec.m, chi=spec.chi, mode=1)
-        tables = [moments.apply_loss(coherent_table(alpha, mode=0), eta),
-                  moments.apply_loss(quantum, eta)]
+        tables = [apply_loss(coherent_table(alpha, mode=0), eta),
+                  apply_loss(quantum, eta)]
     else:
         u2, v2 = _mzi(cfg.phi, 2)
         beta = alpha * mp.sqrt(eta)
         images = {0: ({0: u1}, v1 * beta), 1: ({1: u2}, v2 * beta)}
         quantum = moments.spatsv_moment_table(spec.lam, spec.m, max_order=8, chi=spec.chi)
-        tables = [moments.apply_loss(quantum, eta)]
+        tables = [apply_loss(quantum, eta)]
     order = 2 if single else 4
     out = {}
     for i in range(order + 1):

@@ -272,6 +272,38 @@ def test_mandel_q_uses_exact_moments():
     assert abs(row.value - 9.781988264703782) < 1e-7 * 9.781988264703782
 
 
+def _mandel_q_120(lam, m, eta):
+    """eta Q of the SPATSV marginal, at 120 digits straight from its table."""
+    with mp.workdps(120):
+        table = moments.spatsv_moment_table(lam, m)
+        n, f2 = (mp.re(table.entry((k, k, 0, 0))) for k in (1, 2))
+        return eta * (f2 - n * n) / n
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_mandel_q_is_finite_at_huge_energy(m):
+    # <a^dag^2 a^2> ~ 1e320 overflows a float: the row is right or flagged
+    row = _one_point("mandel_q", values=(1e160,), m_list=(m,), eta=0.98)
+    if row.flag == "ok":
+        exact = _mandel_q_120(1e160, m, 0.98)
+        assert abs(row.value - exact) <= 1e-8 * abs(exact)
+    else:
+        assert row.flag == "precision" and row.value is None
+
+
+def test_mandel_q_is_right_through_its_sign_change():
+    # Q of m = 3 crosses zero near lam = 0.2346, where <a^dag^2 a^2> and
+    # <N>^2 cancel through every float digit.  Var N is checked against <N>,
+    # so the rows stay ok, and each must carry the 120-digit value.
+    root = 0.23461404548421105
+    values = [root] + [root * (1 + s * 10.0**-k) for k in range(1, 9) for s in (1, -1)]
+    rows = [_one_point("mandel_q", values=(lam,), eta=0.98) for lam in values]
+    for lam, row in zip(values, rows):
+        exact = _mandel_q_120(lam, 3, 0.98)
+        assert row.flag == "ok", lam
+        assert abs(row.value - exact) <= 1e-11 * abs(exact), (lam, row.value, exact)
+
+
 def test_quad_diff_var_matches_converged_fock_value():
     from photsub import moments, states
     from photsub.states import SpatsvSpec
@@ -421,6 +453,8 @@ def test_quad_diff_var_obeys_loss_law(metric):
     ],
 )
 def test_difference_quadrature_is_read_at_its_squeezed_angle(metric, table):
+    from reference import apply_loss
+
     # <a1 a2> carries e^{i chi}, so the difference quadrature is squeezed at
     # chi/2: the row is the least variance over all angles, whatever chi is
     rows = [
@@ -430,7 +464,7 @@ def test_difference_quadrature_is_read_at_its_squeezed_angle(metric, table):
     assert all(row.flag == "ok" for row in rows)
     assert len({row.value for row in rows}) == 1
     with mp.workdps(40):
-        lossy = moments.apply_loss(table(0.6, 1, max_order=2, chi=1.0), mp.mpf(0.9))
+        lossy = apply_loss(table(0.6, 1, max_order=2, chi=1.0), mp.mpf(0.9))
         scan = []
         for k in range(629):
             c = mp.expj(-mp.mpf(k) / 100) / mp.sqrt(2)

@@ -115,6 +115,21 @@ def test_dark_single_input_is_singular():
         )
 
 
+@pytest.mark.parametrize(
+    "metric, config, spec, expected",
+    [
+        (metrology.single_phase_uncertainty, SingleMziConfig, SpatsvSpec, "PassvSpec"),
+        (metrology.qfi, SingleMziConfig, SpatsvSpec, "PassvSpec"),
+        (metrology.nrf, CorrelatedConfig, PassvSpec, "SpatsvSpec"),
+    ],
+)
+def test_a_spec_of_the_other_scheme_is_rejected(metric, config, spec, expected):
+    # the engine reads only lam, m and chi of a spec, so the other scheme's
+    # spec would silently give the other scheme's state
+    with pytest.raises(ValueError, match=expected):
+        metric(config(spec(1.0, 1), mu=10.0, phi=1.0))
+
+
 def test_quadrature_variance_correspondence():
     # at phi = pi/2 and bright drive the uncertainty reduces to the lossy
     # squeezed-quadrature variance: U = sqrt(2 VarY_lossy / (eta mu))

@@ -17,6 +17,7 @@ from reference import (
     _is_zero,
     DegreeBoundExceeded,
     OperatorPolynomial,
+    apply_loss,
     coherent_table,
     mono,
     vacuum_table,
@@ -256,8 +257,8 @@ def _single_shape(rng):
     alpha = mp.sqrt(rng.uniform(0.5, 4.0)) * mp.expj(rng.uniform(0, 3))
     eta = mp.mpf(rng.uniform(0.5, 1.0))
     tables = [
-        moments.apply_loss(coherent_table(alpha, mode=0), eta),
-        moments.apply_loss(
+        apply_loss(coherent_table(alpha, mode=0), eta),
+        apply_loss(
             moments.passv_moment_table(
                 rng.uniform(0.1, 2.0), rng.randrange(4), chi=rng.uniform(-1, 1), mode=1
             ),

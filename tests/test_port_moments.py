@@ -16,6 +16,7 @@ from photsub import moments, opalg
 from reference import (
     Jet,
     OperatorPolynomial,
+    apply_loss,
     coherent_table,
     contract,
     mono,
@@ -56,8 +57,8 @@ def _scene(scheme, rng):
         ports = _kernel(True, lambda: moments.passv_moment_table(lam, m, chi=chi), alpha, phi, eta)
         images = {0: ({0: u1, 1: v1}, 0), 1: ({0: v1, 1: u1}, 0)}
         tables = [
-            moments.apply_loss(coherent_table(alpha, mode=0), mp.mpf(eta)),
-            moments.apply_loss(moments.passv_moment_table(lam, m, chi=chi, mode=1), mp.mpf(eta)),
+            apply_loss(coherent_table(alpha, mode=0), mp.mpf(eta)),
+            apply_loss(moments.passv_moment_table(lam, m, chi=chi, mode=1), mp.mpf(eta)),
         ]
         return ports, images, tables, 2
     ports = _kernel(
@@ -67,7 +68,7 @@ def _scene(scheme, rng):
     beta = alpha * mp.sqrt(eta)
     images = {0: ({0: u1}, v1 * beta), 1: ({1: u2}, v2 * beta)}
     quantum = moments.spatsv_moment_table(lam, m, max_order=8, chi=chi)
-    tables = [moments.apply_loss(quantum, mp.mpf(eta))]
+    tables = [apply_loss(quantum, mp.mpf(eta))]
     return ports, images, tables, 4
 
 
@@ -134,7 +135,7 @@ def test_loss_scales_port_moments_by_eta_to_the_order(scheme, seed):
         lossy = _kernel(single, quantum, alpha, phi, eta)
         # the same ports over thinned inputs: the quantum table and the
         # displacement, which is linear in the coherent amplitude
-        thinned = _kernel(single, lambda: moments.apply_loss(quantum(), mp.mpf(eta)),
+        thinned = _kernel(single, lambda: apply_loss(quantum(), mp.mpf(eta)),
                           alpha * mp.sqrt(eta), phi, 1.0)
         for i in range(order + 1):
             for j in range(order + 1 - i):
