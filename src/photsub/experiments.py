@@ -19,15 +19,14 @@ never emitted.  Identical config and precision always produce identical
 bytes.
 
 Config files are flat ``key = value`` text; lists are comma-separated.  The
-full schema is documented in the README.  The only environment override is
-``PHOTSUB_DIGITS``: the working precision of both schemes' read-out engine,
-of the quadrature metrics and of ``mandel_q``, as a config's ``digits`` sets it.
+full schema is documented in the README.  A config's ``digits`` is the one
+precision setting: the working digits of both schemes' read-out engine, of
+the quadrature metrics and of ``mandel_q``.  No environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, replace
 from math import inf, isfinite, pi, sqrt
@@ -39,6 +38,7 @@ from . import fock, metrology, moments, states
 from .errors import (
     ConfigInvalid,
     MemoryBoundExceeded,
+    NonPositiveQfi,
     NullState,
     OutOfRange,
     PhotsubError,
@@ -133,7 +133,6 @@ class SweepRow:
 class SweepResult:
     config: SweepConfig
     rows: tuple
-    digits_used: int | None
 
     def to_csv(self) -> str:
         lines = [
@@ -141,7 +140,7 @@ class SweepResult:
             f"# version=photsub-0.1.0",
             f"# scheme={self.config.scheme} axis={self.config.axis} "
             f"balanced={str(self.config.balanced).lower()}",
-            f"# digits={self.digits_used if self.digits_used else '-'}",
+            f"# digits={self.config.digits or '-'}",
             "swept_param,m,metric,value,flag",
         ]
         for row in self.rows:
@@ -159,28 +158,8 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _effective_digits(cfg: SweepConfig) -> int | None:
-    env = os.environ.get("PHOTSUB_DIGITS")
-    if env is None:
-        return cfg.digits
-    try:
-        digits = int(env)
-    except ValueError as exc:
-        raise ConfigInvalid(f"PHOTSUB_DIGITS: not an integer: {env!r}") from exc
-    if digits < 15:
-        raise ConfigInvalid(f"PHOTSUB_DIGITS: must be >= 15, got {digits}")
-    return digits
-
-
 def _scene_params(cfg: SweepConfig, axis_value: float) -> dict:
-    p = {
-        "lam": cfg.lam,
-        "mu": cfg.mu,
-        "psi": cfg.psi,
-        "phi": cfg.phi,
-        "eta": cfg.eta,
-        "chi": cfg.chi,
-    }
+    p = {key: getattr(cfg, key) for key in _FLOAT_KEYS}
     if cfg.axis == "one_minus_tau":
         p["phi"] = phi_for_tau(1.0 - axis_value)
     else:
@@ -200,9 +179,8 @@ def _scene(scheme: str, m: int, *, lam, mu, phi, psi, eta, chi=0.0, balanced=Fal
 
 def _mean_photons(cfg, dps=None) -> float:
     spec = cfg.quantum
-    if isinstance(cfg, SingleMziConfig):
-        return states.passv_mean_photons(spec.lam, spec.m)
-    return states.spatsv_mean_photons(spec.lam, spec.m)
+    mean = states.passv_mean_photons if isinstance(spec, PassvSpec) else states.spatsv_mean_photons
+    return mean(spec.lam, spec.m)
 
 
 def _snl(cfg, dps) -> float:
@@ -268,19 +246,23 @@ CORRELATED_METRICS = tuple(_METRICS["correlated"])
 _FLAG_FOR_ERROR = (
     (Singular, FLAG_SINGULAR),
     (PrecisionInsufficient, FLAG_PRECISION),
-    ((OutOfRange, ZeroMeanPhoton, NullState), FLAG_OUT_OF_RANGE),
+    ((OutOfRange, ZeroMeanPhoton, NullState, NonPositiveQfi), FLAG_OUT_OF_RANGE),
 )
 
 
 def _flagged(evaluate, *args, **kwargs) -> tuple:
-    """(value, "ok") of ``evaluate``, or (None, flag) for a package error."""
+    """(value, "ok") of ``evaluate``, or (None, flag) for a package error or
+    for a float that overflowed (no ``ok`` row is non-finite)."""
     try:
-        return evaluate(*args, **kwargs), FLAG_OK
+        value = evaluate(*args, **kwargs)
     except PhotsubError as exc:
         for kinds, name in _FLAG_FOR_ERROR:
             if isinstance(exc, kinds):
                 return None, name
         raise
+    if isinstance(value, float) and not isfinite(value):
+        return None, FLAG_OUT_OF_RANGE
+    return value, FLAG_OK
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -290,7 +272,6 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     (an unreachable balancing target) flags every metric row of its point.
     """
     cfg.validate()
-    digits = _effective_digits(cfg)
     metrics = _METRICS[cfg.scheme]
     rows = []
     for value in cfg.values:
@@ -299,10 +280,10 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             scene, flag = _flagged(_scene, cfg.scheme, m, balanced=cfg.balanced, **p)
             for metric in cfg.metrics:
                 result, row_flag = (
-                    (None, flag) if scene is None else _flagged(metrics[metric], scene, digits)
+                    (None, flag) if scene is None else _flagged(metrics[metric], scene, cfg.digits)
                 )
                 rows.append(SweepRow(float(value), int(m), metric, result, row_flag))
-    return SweepResult(cfg, tuple(rows), digits)
+    return SweepResult(cfg, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +412,7 @@ def _joint_distribution_preset(lam: float = 0.6, n_max: int = 8) -> SweepResult:
             for k in range(n_max + 1):
                 p = float(joint[m][j, k])
                 rows.append(SweepRow(float(j), m, f"p_k{k}", p, FLAG_OK))
-    return SweepResult(cfg, tuple(rows), None)
+    return SweepResult(cfg, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

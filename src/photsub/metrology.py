@@ -5,6 +5,8 @@ Fisher information, Cramer-Rao bound) and correlated-interferometer
 quantities (noise reduction factor, normalized covariance uncertainty),
 all evaluated exactly from the read-out ports' normal-ordered moments,
 plus the asymptotic closed forms used for cross-checks and regime analysis.
+Each figure of merit takes only its own scheme's config and raises
+ValueError for the other's; :func:`readout_moments` serves both.
 
 Single scheme: the coherent state |alpha>, alpha = sqrt(mu) e^{i psi}, and
 the quantum (subtracted squeezed) state enter one Mach-Zehnder with internal
@@ -30,7 +32,7 @@ from math import cos, isfinite, pi, sqrt, ulp
 import mpmath as mp
 
 from . import moments, opalg
-from .errors import NonPositiveQfi, Singular, UnsupportedOrder, ZeroMeanPhoton
+from .errors import NonPositiveQfi, OutOfRange, Singular, UnsupportedOrder, ZeroMeanPhoton
 from .states import PassvSpec, SpatsvSpec
 
 SQRT2 = sqrt(2.0)
@@ -110,11 +112,6 @@ def _mzi_entries(phi):
         return h * mp.cos(half), mp.mpc(0, 1) * h * mp.sin(half), mp.mpc(0, 1) * h**2 / 2
 
 
-def _amplitude(mu: float, psi: float):
-    """Lossless coherent amplitude sqrt(mu) e^{i psi} at the ambient precision."""
-    return mp.sqrt(mp.mpf(mu)) * mp.exp(mp.mpc(0, psi))
-
-
 #: entries of the memo below: a sweep runs every order (at most 5 in a
 #: preset) at one axis value before the next, so this holds the orders of
 #: the last few points and stays flat for a long-lived caller
@@ -122,18 +119,20 @@ _MEMO_SIZE = 16
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _port_coefficients(single: bool, spec, mu: float, psi: float, dps: int):
+def _port_coefficients(spec, mu: float, psi: float, dps: int):
     """The port moments of a scene family compiled for ``dps`` working digits.
 
     Everything but the phase and the loss, so one compilation serves every
-    point of a phi or eta sweep; the inputs are filled at guard digits.
+    point of a phi or eta sweep; the inputs are filled at guard digits.  The
+    spec's type picks the input table, whose arity sets the port layout.
     """
     with mp.workdps(dps + moments.GUARD_DIGITS):
-        if single:
+        if isinstance(spec, PassvSpec):
             table = moments.passv_moment_table(spec.lam, spec.m, chi=spec.chi)
         else:
             table = moments.spatsv_moment_table(spec.lam, spec.m, max_order=8, chi=spec.chi)
-        return opalg.PortCoefficients(single, table, _amplitude(mu, psi), mp.libmp.dps_to_prec(dps))
+        alpha = mp.sqrt(mp.mpf(mu)) * mp.exp(mp.mpc(0, psi))  # lossless coherent amplitude
+        return opalg.PortCoefficients(table, alpha, mp.libmp.dps_to_prec(dps))
 
 
 #: read-out observables as {(p, q): weight of N_a^p N_b^q}
@@ -176,17 +175,22 @@ def _nonzero(x: moments.Bounded, what: str):
     return x.value
 
 
+def _require(cfg, scheme: type) -> None:
+    if not isinstance(cfg, scheme):
+        raise ValueError(f"expected a {scheme.__name__}, got {type(cfg).__name__}")
+
+
 @contextmanager
 def _scene(cfg, dps: int | None = None):
     """Yield the scene's port moments inside its working precision.
 
-    That is ``dps`` digits, else 40 + 3 log10(mu) for either scheme.  Scenes
-    that differ only in phi and eta share one compilation.
+    That is ``dps`` digits, else 40 + 3 log10(mu) for either scheme; the
+    config's quantum spec carries the scheme.  Scenes that differ only in phi
+    and eta share one compilation.
     """
     dps = dps or _working_digits(cfg.mu)
     with mp.workdps(dps):
-        single = isinstance(cfg, SingleMziConfig)
-        coefficients = _port_coefficients(single, cfg.quantum, cfg.mu, cfg.psi, dps)
+        coefficients = _port_coefficients(cfg.quantum, cfg.mu, cfg.psi, dps)
         yield opalg.port_moments(coefficients, *_mzi_entries(cfg.phi), cfg.eta)
 
 
@@ -220,6 +224,7 @@ def single_phase_uncertainty(cfg: SingleMziConfig, dps: int | None = None) -> fl
     where <n_q> nears mu: one that sums to zero raises Singular, and one not
     certified to 8 digits PrecisionInsufficient.
     """
+    _require(cfg, SingleMziConfig)
     with _scene(cfg, dps=dps) as ports:
         var = _variance(ports, _DIFFERENCE)
         slope = _nonzero(opalg.port_expectation(ports, _DIFFERENCE, slope=True), "read-out slope")
@@ -234,18 +239,21 @@ def qfi(cfg: SingleMziConfig, dps: int | None = None) -> float:
     modes a3 and a4 = (a_coh - a_quantum)/sqrt(2) are read as the two ports,
     so the QFI is Var(2 N_a) = 4 (F(2, 0) + F(1, 0) - F(1, 0)^2).
     """
+    _require(cfg, SingleMziConfig)
     dps = dps or _working_digits(cfg.mu)
     with mp.workdps(dps):
-        coefficients = _port_coefficients(True, cfg.quantum, cfg.mu, cfg.psi, dps)
+        coefficients = _port_coefficients(cfg.quantum, cfg.mu, cfg.psi, dps)
         with mp.workdps(dps + moments.GUARD_DIGITS):
             half = mp.sqrt(mp.mpf(2)) / 2
         return float(_variance(opalg.port_moments(coefficients, half, half, None), {(1, 0): 2}))
 
 
 def cramer_rao_bound(fq: float) -> float:
-    """Lower uncertainty bound 1/sqrt(F_Q)."""
+    """Lower uncertainty bound 1/sqrt(F_Q); an F_Q that overflowed to inf is OutOfRange."""
     if fq <= 0:
         raise NonPositiveQfi(f"Fisher information must be positive, got {fq}")
+    if not isfinite(fq):
+        raise OutOfRange(f"Fisher information {fq} overflows a float")
     return 1.0 / sqrt(fq)
 
 
@@ -260,6 +268,7 @@ def nrf(cfg: CorrelatedConfig, dps: int | None = None) -> float:
     Values below 1 flag non-classical photon-number correlation between the
     two read-out ports; a dark read-out (zero mean) raises ZeroMeanPhoton.
     """
+    _require(cfg, CorrelatedConfig)
     with _scene(cfg, dps=dps) as ports:
         mean_sum = opalg.port_expectation(ports, _SUM).value
         if mean_sum <= 0:
@@ -275,12 +284,14 @@ def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> flo
     derivative at the common working point.  Only <N5 N7> = F(1, 1) depends on both phases, so
     the mixed derivative is -2 d^2 F(1, 1) / dphi1 dphi2.  The result is
     divided by the coherent-only bound sqrt(2) / (eta mu cos^2(phi/2)), so a
-    working point where cos(phi/2) vanishes at float resolution (phi an odd
-    multiple of pi) raises Singular.  The mixed derivative is checked as the
-    single slope is, before Var C.
+    working point without coherent light at the read-out (mu = 0, or
+    cos(phi/2) zero at float resolution: phi an odd multiple of pi) raises
+    Singular.  The mixed derivative is checked as the single slope is,
+    before Var C.
     """
-    if abs(cos(cfg.phi / 2.0)) <= ulp(cfg.phi):
-        raise Singular("no coherent light reaches the read-out: cos(phi/2) = 0")
+    _require(cfg, CorrelatedConfig)
+    if not cfg.mu or abs(cos(cfg.phi / 2.0)) <= ulp(cfg.phi):
+        raise Singular("no coherent light reaches the read-out: mu = 0 or cos(phi/2) = 0")
     with _scene(cfg, dps=dps) as ports:
         mixed = _nonzero(-2 * ports.mixed(), "mixed phase derivative of <C>")
         raw = mp.sqrt(2 * _variance(ports, _COVARIANCE)) / abs(mixed)

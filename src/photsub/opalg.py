@@ -50,13 +50,14 @@ def _times(x: tuple, k: int) -> tuple:
 class PortCoefficients:
     """The phi-independent coefficients H of a scene family's port moments.
 
-    The family is a scheme, a lossless quantum input ``table`` and a coherent
-    amplitude ``alpha``, both built at guard digits; ``bits`` is the working
-    binary precision.  Each F(i, j) compiles on first request.
+    The family is a lossless quantum input ``table`` and a coherent amplitude
+    ``alpha``, both built at guard digits; ``bits`` is the working binary
+    precision.  The table's arity sets the port layout: one mode is the single
+    scheme, two the correlated one.  Each F(i, j) compiles on first request.
     """
 
-    def __init__(self, single: bool, table: MomentTable, alpha, bits: int):
-        self.single, self.table, self.bits = single, table, bits + _GUARD_BITS
+    def __init__(self, table: MomentTable, alpha, bits: int):
+        self.table, self.bits, self.single = table, bits + _GUARD_BITS, len(table.modes) == 1
         self._alpha = alpha
         self._dps = mp.libmp.prec_to_dps(bits) + GUARD_DIGITS
         self._displacements = {}

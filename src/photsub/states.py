@@ -122,22 +122,24 @@ def spatsv_seed(spec: SpatsvSpec) -> TwoModeDiagonalState:
 def passv_mean_photons(lam: float, m: int) -> float:
     """Mean photon number of the m-subtracted squeezed vacuum.
 
-    Closed forms for m <= 3; above, the ratio of the squeezed vacuum's
-    factorial moments <a^dag^(m+1) a^(m+1)> / <a^dag^m a^m>.
+    Closed forms for m <= 3 while lam^2 stays a finite float; otherwise the
+    ratio of the squeezed vacuum's factorial moments
+    <a^dag^(m+1) a^(m+1)> / <a^dag^m a^m>.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
     if m == 0:
         return lam
-    if m == 1:
-        return 3.0 * lam + 1.0
-    if m == 2:
-        return 3.0 * lam * (3.0 + 5.0 * lam) / (1.0 + 3.0 * lam)
-    if m == 3:
-        return (3.0 + 30.0 * lam + 35.0 * lam**2) / (3.0 + 5.0 * lam)
-    if lam == 0:
-        # the subtracted state degenerates to |0> (even m) or |1> (odd m)
-        return float(m % 2)
+    if lam < 1e150:
+        if m == 1:
+            return 3.0 * lam + 1.0
+        if m == 2:
+            return 3.0 * lam * (3.0 + 5.0 * lam) / (1.0 + 3.0 * lam)
+        if m == 3:
+            return (3.0 + 30.0 * lam + 35.0 * lam**2) / (3.0 + 5.0 * lam)
+        if lam == 0:
+            # the subtracted state degenerates to |0> (even m) or |1> (odd m)
+            return float(m % 2)
     num = bogoliubov_vacuum_moment_1m(m + 1, m + 1, lam)
     den = bogoliubov_vacuum_moment_1m(m, m, lam)
     return float((num / den).real)

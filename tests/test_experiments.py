@@ -1,6 +1,7 @@
 """Presets, config-driven sweeps, oracle comparison and the CLI."""
 
 import dataclasses
+import hashlib
 
 import mpmath as mp
 import numpy as np
@@ -14,6 +15,7 @@ from photsub.experiments import (
     EXIT_OK,
     PRESETS,
     SweepConfig,
+    SweepResult,
     main,
     oracle_compare,
     run_preset,
@@ -243,17 +245,58 @@ def test_cli_oracle_compare_pass_and_numerical_failure(tmp_path, capsys):
     assert main(["oracle-compare", "--config", str(big)]) == EXIT_NUMERICAL
 
 
-def test_digits_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("PHOTSUB_DIGITS", "not-a-number")
-    with pytest.raises(ConfigInvalid):
-        run_sweep(_small_config())
-    # fewer than 15 digits is refused, as it is for a config's digits
-    monkeypatch.setenv("PHOTSUB_DIGITS", "10")
-    with pytest.raises(ConfigInvalid, match="PHOTSUB_DIGITS"):
-        run_sweep(_small_config())
-    monkeypatch.setenv("PHOTSUB_DIGITS", "30")
-    result = run_sweep(_small_config())
-    assert result.digits_used == 30
+def test_digits_env_is_not_read(monkeypatch):
+    # a config's digits is the one precision setting
+    plain = run_sweep(_small_config()).to_csv()
+    for env in ("30", "not-a-number"):
+        monkeypatch.setenv("PHOTSUB_DIGITS", env)
+        assert run_sweep(_small_config()).to_csv() == plain
+    assert [f.name for f in dataclasses.fields(SweepResult)] == ["config", "rows"]
+
+
+def test_a_preset_config_sets_the_working_digits(tmp_path):
+    path = tmp_path / "fig5b.cfg"
+    path.write_text("preset = fig5b\ndigits = 40\n")
+    csv = run_sweep(sweep_config_from_file(str(path))).to_csv()
+    assert "# preset=fig5b\n" in csv and "# digits=40\n" in csv
+    digest = "a113738dc1d08c6b5b7d0a6d3e3a283734c65d57e6fc497f0694d483c3e49824"
+    assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == digest
+
+
+def test_no_ok_row_is_non_finite():
+    assert experiments._flagged(lambda: float("inf")) == (None, "out_of_range")
+    assert experiments._flagged(lambda: 1e308) == (1e308, "ok")
+    # at lam = 1e200 the QFI (~2e400) overflows a float, and with it the bound
+    rows = run_sweep(_small_config(values=(1e200,), m_list=(0, 4), metrics=("qfi", "crb"))).rows
+    assert [row.flag for row in rows] == ["out_of_range"] * 4
+
+
+def test_crb_of_a_vacuum_scene_is_out_of_range():
+    # lam = mu = 0: F_Q = 0 has no bound
+    vacuum = _small_config(values=(0.0,), m_list=(0,), metrics=("qfi", "crb"), mu=0.0)
+    rows = run_sweep(vacuum).rows
+    assert [(row.value, row.flag) for row in rows] == [(0.0, "ok"), (None, "out_of_range")]
+
+
+def test_correlated_mu_sweep_through_zero_flags_u_norm():
+    rows = run_sweep(_small_config(scheme="correlated", axis="mu", values=(0.0, 10.0),
+                                   m_list=(1,), metrics=("U_norm",))).rows
+    assert [row.flag for row in rows] == ["singular", "ok"]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_snl_and_mean_photons_at_huge_energy(m):
+    # lam^2 overflows a float past lam ~ 1e154: the closed forms of m = 2, 3
+    # give way to the factorial-moment ratio
+    rows = run_sweep(_small_config(values=(1e200,), m_list=(m,), metrics=("snl", "mean_photons"),
+                                   mu=100.0, eta=0.98)).rows
+    with mp.workdps(30):
+        n = (moments.bogoliubov_vacuum_moment_1m(m + 1, m + 1, 1e200)
+             / moments.bogoliubov_vacuum_moment_1m(m, m, 1e200)).real
+        want = {"snl": 1 / mp.sqrt(mp.mpf(0.98) * (100 + n)), "mean_photons": n}
+    for row in rows:
+        assert row.flag == "ok"
+        assert abs(row.value - want[row.metric]) <= 1e-15 * want[row.metric]
 
 
 def _one_point(metric, **overrides):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from photsub import metrology, moments
 from photsub.errors import (
     NonPositiveQfi,
+    OutOfRange,
     PrecisionInsufficient,
     Singular,
     UnsupportedOrder,
@@ -92,6 +93,12 @@ def test_cramer_rao_bound():
         metrology.cramer_rao_bound(0.0)
 
 
+def test_cramer_rao_bound_rejects_an_overflowed_qfi():
+    # 1/sqrt(inf) = 0 would pass for a bound
+    with pytest.raises(OutOfRange):
+        metrology.cramer_rao_bound(float("inf"))
+
+
 def test_uncertainty_saturates_bound():
     # exact read-out uncertainty never beats the quantum bound
     cfg = SingleMziConfig(PassvSpec(1.5, 1), mu=200.0, phi=np.pi / 2, psi=np.pi / 2)
@@ -128,6 +135,27 @@ def test_a_spec_of_the_other_scheme_is_rejected(metric, config, spec, expected):
     # spec would silently give the other scheme's state
     with pytest.raises(ValueError, match=expected):
         metric(config(spec(1.0, 1), mu=10.0, phi=1.0))
+
+
+_SINGLE = SingleMziConfig(PassvSpec(1.0, 1), mu=10.0, phi=1.0)
+_CORRELATED = CorrelatedConfig(SpatsvSpec(1.0, 1), mu=10.0, phi=1.0)
+
+
+@pytest.mark.parametrize(
+    "metric, config, expected",
+    [
+        (metrology.single_phase_uncertainty, _CORRELATED, "SingleMziConfig"),
+        (metrology.qfi, _CORRELATED, "SingleMziConfig"),
+        (metrology.nrf, _SINGLE, "CorrelatedConfig"),
+        (metrology.correlated_uncertainty, _SINGLE, "CorrelatedConfig"),
+    ],
+    ids=["U", "qfi", "nrf", "U_norm"],
+)
+def test_a_config_of_the_other_scheme_is_rejected(metric, config, expected):
+    # each figure of merit belongs to one scheme; the other scheme's config
+    # would silently give a number of the wrong interferometer
+    with pytest.raises(ValueError, match=expected):
+        metric(config)
 
 
 def test_quadrature_variance_correspondence():
@@ -301,6 +329,12 @@ def test_correlated_uncertainty_flags_a_dark_detector():
         metrology.correlated_uncertainty(
             CorrelatedConfig(SpatsvSpec(0.5, 1), mu=1e4, phi=0.3, eta=0.0)
         )
+
+
+def test_correlated_uncertainty_flags_no_coherent_light():
+    # mu = 0: the coherent-only bound sqrt(2) / (eta mu cos^2(phi/2)) divides by 0
+    with pytest.raises(Singular):
+        metrology.correlated_uncertainty(CorrelatedConfig(SpatsvSpec(1.0, 1), mu=0.0, phi=1.0))
 
 
 def test_correlated_uncertainty_flags_odd_multiple_of_pi():

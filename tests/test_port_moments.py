@@ -33,16 +33,14 @@ def _mzi(phi, slot):
     return (j + 1) * mp.mpf(0.5), (j - 1) * mp.mpf(0.5)
 
 
-def _kernel(single, quantum, alpha, phi, eta):
+def _kernel(quantum, alpha, phi, eta):
     """The kernel's port moments of a scene, its inputs at guard digits.
 
     ``quantum`` builds the lossless input table.
     """
     with mp.workdps(DPS + moments.GUARD_DIGITS):
         e = mp.expj(phi)
-        coefficients = opalg.PortCoefficients(
-            single, quantum(), +alpha, mp.libmp.dps_to_prec(DPS)
-        )
+        coefficients = opalg.PortCoefficients(quantum(), +alpha, mp.libmp.dps_to_prec(DPS))
         return opalg.port_moments(coefficients, (e + 1) / 2, (e - 1) / 2, 1j * e / 2, eta)
 
 
@@ -54,7 +52,7 @@ def _scene(scheme, rng):
     phi = rng.uniform(0.1, 3.0)
     u1, v1 = _mzi(phi, 1)
     if scheme == "single":
-        ports = _kernel(True, lambda: moments.passv_moment_table(lam, m, chi=chi), alpha, phi, eta)
+        ports = _kernel(lambda: moments.passv_moment_table(lam, m, chi=chi), alpha, phi, eta)
         images = {0: ({0: u1, 1: v1}, 0), 1: ({0: v1, 1: u1}, 0)}
         tables = [
             apply_loss(coherent_table(alpha, mode=0), mp.mpf(eta)),
@@ -62,7 +60,7 @@ def _scene(scheme, rng):
         ]
         return ports, images, tables, 2
     ports = _kernel(
-        False, lambda: moments.spatsv_moment_table(lam, m, max_order=8, chi=chi), alpha, phi, eta
+        lambda: moments.spatsv_moment_table(lam, m, max_order=8, chi=chi), alpha, phi, eta
     )
     u2, v2 = _mzi(phi, 2)
     beta = alpha * mp.sqrt(eta)
@@ -132,10 +130,10 @@ def test_loss_scales_port_moments_by_eta_to_the_order(scheme, seed):
                 return moments.passv_moment_table(lam, m, chi=chi)
             return moments.spatsv_moment_table(lam, m, max_order=8, chi=chi)
 
-        lossy = _kernel(single, quantum, alpha, phi, eta)
+        lossy = _kernel(quantum, alpha, phi, eta)
         # the same ports over thinned inputs: the quantum table and the
         # displacement, which is linear in the coherent amplitude
-        thinned = _kernel(single, lambda: apply_loss(quantum(), mp.mpf(eta)),
+        thinned = _kernel(lambda: apply_loss(quantum(), mp.mpf(eta)),
                           alpha * mp.sqrt(eta), phi, 1.0)
         for i in range(order + 1):
             for j in range(order + 1 - i):

@@ -118,7 +118,7 @@ def test_memos_stay_bounded(memos):
 
 
 def test_a_memoised_table_fills_at_its_own_digits():
-    coefficients = metrology._port_coefficients(False, SpatsvSpec(2.0, 2), 1e12, pi / 2, 50)
+    coefficients = metrology._port_coefficients(SpatsvSpec(2.0, 2), 1e12, pi / 2, 50)
     with mp.workdps(20):
         coefficients.terms(2, 2)
         entry = coefficients.table.entry((2, 2, 2, 2))
