@@ -196,12 +196,12 @@ def _exact(build, coeffs=None, **options):
     **options)``.
 
     Photon numbers and pair correlations cancel at strong squeezing, so it
-    runs at the row's digits, else at 20 guard digits over the ambient ones.
+    runs at the row's digits, else at 35.
     """
 
     def metric(cfg, dps) -> float:
         s = cfg.quantum
-        with mp.workdps(dps or mp.mp.dps + 20):
+        with mp.workdps(dps or 35):
             table = build(s.lam, s.m, chi=s.chi, **options)
             if coeffs is None:
                 return moments.mandel_q(table, cfg.eta)

@@ -15,9 +15,10 @@ mixed with an identical coherent state in their own interferometer, at
 phases phi1 = phi2 = phi.  The read-out ports and their moments
 F(i, j) = <A^dag^i A^i B^dag^j B^j> are those of :mod:`photsub.opalg`, and
 every figure of merit is algebra on them: ordinary moments by Stirling
-numbers, the single slope from F(1, 0) - F(0, 1), the correlated mixed
-derivative from F(1, 1).  Each comes with a certified error, and every
-variance is formed, and its surviving digits checked, by :func:`_variance`.
+numbers; the single slope of F(1, 0) - F(0, 1) and the correlated mixed
+derivative of F(1, 1) in closed form.  Each comes with a certified error,
+and every variance is formed, and its surviving digits checked, by
+:func:`_variance`.
 Detection loss eta, a beamsplitter to vacuum on each read-out port, scales
 F(i, j) by eta^(i+j) (:func:`moments.thin`, the package's one loss law).
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, isfinite, pi, sqrt, ulp
+from math import cos, isfinite, log10, pi, sqrt, ulp
 
 import mpmath as mp
 
@@ -83,6 +84,7 @@ class CorrelatedConfig:
         _check_scene(self)
 
 
+@moments.at_float_digits
 def phi_for_tau(tau: float) -> float:
     """Working phase whose quantum-light transmission cos^2(phi/2) equals tau."""
     if not 0.0 <= tau <= 1.0:
@@ -97,11 +99,11 @@ def phi_for_tau(tau: float) -> float:
 
 def _working_digits(mu: float) -> int:
     """Default working decimal digits of a scene with coherent power mu."""
-    return 40 + 3 * int(mp.log10(mu + 10))
+    return 40 + 3 * int(log10(mu + 10))
 
 
 def _mzi_entries(phi):
-    """(u, v, du/dphi) of the Mach-Zehnder map, at guard digits.
+    """(u, v) of the Mach-Zehnder map, at guard digits.
 
     u = e^{i phi/2} cos(phi/2) and v = i e^{i phi/2} sin(phi/2) keep their
     relative accuracy at any phase, where (e^{i phi} -+ 1)/2 would cancel.
@@ -109,7 +111,7 @@ def _mzi_entries(phi):
     with mp.workdps(mp.mp.dps + moments.GUARD_DIGITS):
         half = mp.mpf(phi) / 2
         h = mp.expj(half)
-        return h * mp.cos(half), mp.mpc(0, 1) * h * mp.sin(half), mp.mpc(0, 1) * h**2 / 2
+        return h * mp.cos(half), mp.mpc(0, 1) * h * mp.sin(half)
 
 
 #: entries of the memo below: a sweep runs every order (at most 5 in a
@@ -220,14 +222,14 @@ def readout_moments(cfg: SingleMziConfig | CorrelatedConfig, dps: int | None = N
 def single_phase_uncertainty(cfg: SingleMziConfig, dps: int | None = None) -> float:
     """Uncertainty sqrt(Var o) / |d<o>/dphi| of the photon-number difference.
 
-    The phase derivative eta (<n_q> - mu) sin(phi) is analytic.  It cancels
+    The phase derivative eta (<n_q> - mu) sin(phi) is a closed form.  It cancels
     where <n_q> nears mu: one that sums to zero raises Singular, and one not
     certified to 8 digits PrecisionInsufficient.
     """
     _require(cfg, SingleMziConfig)
     with _scene(cfg, dps=dps) as ports:
         var = _variance(ports, _DIFFERENCE)
-        slope = _nonzero(opalg.port_expectation(ports, _DIFFERENCE, slope=True), "read-out slope")
+        slope = _nonzero(ports.slope(), "read-out slope")
         return float(mp.sqrt(var) / abs(slope))
 
 
@@ -245,7 +247,7 @@ def qfi(cfg: SingleMziConfig, dps: int | None = None) -> float:
         coefficients = _port_coefficients(cfg.quantum, cfg.mu, cfg.psi, dps)
         with mp.workdps(dps + moments.GUARD_DIGITS):
             half = mp.sqrt(mp.mpf(2)) / 2
-        return float(_variance(opalg.port_moments(coefficients, half, half, None), {(1, 0): 2}))
+        return float(_variance(opalg.port_moments(coefficients, half, half), {(1, 0): 2}))
 
 
 def cramer_rao_bound(fq: float) -> float:
@@ -280,7 +282,7 @@ def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> flo
     """Normalized covariance-measurement uncertainty U_m.
 
     The joint observable is C = (N5 - N7)^2; the raw uncertainty is
-    sqrt(2 Var C) / |d^2 <C> / dphi1 dphi2| with the analytic mixed
+    sqrt(2 Var C) / |d^2 <C> / dphi1 dphi2| with the closed-form mixed
     derivative at the common working point.  Only <N5 N7> = F(1, 1) depends on both phases, so
     the mixed derivative is -2 d^2 F(1, 1) / dphi1 dphi2.  The result is
     divided by the coherent-only bound sqrt(2) / (eta mu cos^2(phi/2)), so a

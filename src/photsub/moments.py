@@ -52,6 +52,10 @@ class MomentTable:
 # ---------------------------------------------------------------------------
 
 
+#: runs a map with float results (mean photons, a phase, a distribution) at
+#: mpmath's default 15 digits, whatever the caller's ambient precision
+at_float_digits = mp.workdps(15)
+
 #: guard digits over the working ones at which certified sums take their
 #: inputs: mpmath's own rounding of an input then stays below one unit in
 #: the last place of the working precision, which :func:`fixed` counts
@@ -83,6 +87,21 @@ def fixed_mul(x: tuple, y: tuple, bits: int) -> tuple:
     shift = max(abs(re).bit_length(), abs(im).bit_length()) - bits
     if shift > 0:
         re, im, exp, ulps = re >> shift, im >> shift, exp + shift, ulps + 3
+    return re, im, exp, (re * re + im * im).bit_length() + 2 * exp, ulps
+
+
+def fixed_conj(x: tuple) -> tuple:
+    """The conjugate of a :func:`fixed` number, exactly."""
+    re, im, exp, size, ulps = x
+    return re, -im, exp, size, ulps
+
+
+def fixed_times(x: tuple, k, halvings: int = 0) -> tuple:
+    """A :func:`fixed` number times k 2^-halvings, exactly, for a Gaussian
+    integer ``k``: an int, or a complex with integer parts such as -2j."""
+    re, im, exp, _, ulps = x
+    kr, ki = int(k.real), int(k.imag)
+    re, im, exp = re * kr - im * ki, re * ki + im * kr, exp - halvings
     return re, im, exp, (re * re + im * im).bit_length() + 2 * exp, ulps
 
 
@@ -181,7 +200,7 @@ def require_digits(x: Bounded, what: str, size=None) -> None:
     size = abs(x.value) if size is None else size
     if x.error > size * mp.mpf("1e-8"):
         raise PrecisionInsufficient(
-            f"{what}: {float(size):.3g} known only to within {float(x.error):.3g}, "
+            f"{what}: {mp.nstr(size, 3)} known only to within {mp.nstr(x.error, 3)}, "
             f"fewer than 8 of {mp.mp.dps} working digits"
         )
 
@@ -205,7 +224,7 @@ def quadrature_variance(table: MomentTable, coeffs, eta: float = 1.0) -> float:
     bits = mp.mp.prec
     # a few roundings at the working precision formed each coefficient
     coeffs = [fixed(c, bits, ulps=8) for c in coeffs]
-    conj = [(re, -im, exp, size, ulps) for re, im, exp, size, ulps in coeffs]
+    conj = [fixed_conj(c) for c in coeffs]
 
     # <X> = sqrt 2 Re sum c_t <a_t>, so <X>^2 = 2 (Re sum c_t <a_t>)^2
     mean = certified_sum(((c, _read(table, bits, 2 * t + 1)) for t, c in enumerate(coeffs)), bits)
@@ -242,6 +261,7 @@ def mandel_q(table: MomentTable, eta: float = 1.0) -> float:
     return float(excess.value / mean.value)
 
 
+@at_float_digits
 def joint_photon_distribution(lam, m: int, n_max: int) -> mp.matrix:
     """SPATSV photon-number distribution P(j, k), j, k <= n_max, exactly.
 
@@ -314,36 +334,28 @@ def bogoliubov_vacuum_moment_2m(p: int, q: int, r: int, s: int, lam, chi: float 
     return total * mp.exp(mp.mpc(0, chi)) ** (q - p)
 
 
-def passv_moment_table(lam, m: int, max_order: int = 8, chi: float = 0.0, mode=0) -> MomentTable:
-    """Exact PASSV moments <a^dag^p a^q> at working mpmath precision.
-
-    The subtraction is folded in algebraically:
-    <a^dag^p a^q>_PASSV = <a^dag^{p+m} a^{q+m}>_SSV / <a^dag^m a^m>_SSV.
-    """
+def _subtracted(vacuum_moment, modes, lam, m: int, max_order: int, chi) -> MomentTable:
+    """The moments of a squeezed vacuum less m photons from each mode: each
+    key k reads vacuum_moment(k + m) over the norm vacuum_moment(m, ..., m)."""
     if m > 0 and lam == 0:
         raise NullState("photon subtraction annihilates the vacuum")
-    norm = bogoliubov_vacuum_moment_1m(m, m, lam, chi) if m else mp.mpf(1)
+    norm = vacuum_moment(*[m] * 2 * len(modes), lam, chi) if m else mp.mpf(1)
+    return MomentTable(
+        modes, max_order, lambda key: vacuum_moment(*(k + m for k in key), lam, chi) / norm
+    )
 
-    def compute(key):
-        p, q = key
-        return bogoliubov_vacuum_moment_1m(p + m, q + m, lam, chi) / norm
 
-    return MomentTable((mode,), max_order, compute=compute)
+def passv_moment_table(lam, m: int, max_order: int = 8, chi: float = 0.0, mode=0) -> MomentTable:
+    """Exact PASSV moments <a^dag^p a^q> at working mpmath precision:
+    <a^dag^{p+m} a^{q+m}>_SSV / <a^dag^m a^m>_SSV."""
+    return _subtracted(bogoliubov_vacuum_moment_1m, (mode,), lam, m, max_order, chi)
 
 
 def spatsv_moment_table(
     lam, m: int, max_order: int = 16, chi: float = 0.0, modes=(0, 1)
 ) -> MomentTable:
     """Exact SPATSV moments <a1^dag^p a1^q a2^dag^r a2^s>, lazily computed."""
-    if m > 0 and lam == 0:
-        raise NullState("photon subtraction annihilates the vacuum")
-    norm = bogoliubov_vacuum_moment_2m(m, m, m, m, lam, chi) if m else mp.mpf(1)
-
-    def compute(key):
-        p, q, r, s = key
-        return bogoliubov_vacuum_moment_2m(p + m, q + m, r + m, s + m, lam, chi) / norm
-
-    return MomentTable(tuple(modes), max_order, compute=compute)
+    return _subtracted(bogoliubov_vacuum_moment_2m, tuple(modes), lam, m, max_order, chi)
 
 
 def spatsv_seed_moment_table(

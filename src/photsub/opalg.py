@@ -17,9 +17,10 @@ it once per scene family and :func:`port_moments` sums it at each phase.
 Pair (K', K) is the conjugate of (K, K'), so a > b is folded onto a < b.
 Ordinary moments follow by Stirling numbers (:func:`port_expectation`).
 
-Phase derivatives are analytic: du/dphi = dv/dphi = t = i e^{i phi}/2.  The
-correlated mixed derivative d^2 F(1, 1)/dphi1 dphi2 takes port A's
-phi1-derivative monomials against port B's phi2-derivative ones.  Every sum
+The phase derivatives the figures of merit divide by are closed forms in a
+few input moments, by the inputs' selection rules: the single slope
+eta (<n> - mu) sin phi (:meth:`PortMoments.slope`) and the correlated mixed
+derivative d^2 F(1, 1)/dphi1 dphi2 (:meth:`PortMoments.mixed`).  Every sum
 runs in block floating point with a certified error bound
 (:func:`photsub.moments.certified_sum`), and detection loss thins each sum
 F(i, j), a moment of 2(i + j) ladder operators, by eta^(i+j) through the
@@ -32,19 +33,12 @@ from math import comb
 
 import mpmath as mp
 
-from .moments import GUARD_DIGITS, ONE, Bounded, MomentTable, certified_sum, fixed, fixed_mul, thin
+from .moments import (
+    GUARD_DIGITS, ONE, Bounded, MomentTable, certified_sum, fixed, fixed_conj, fixed_mul,
+    fixed_times, thin,
+)
 
 _GUARD_BITS = 10  # kept over the working bits: ~1/1000 of its last unit per term
-
-
-def _conj(x: tuple) -> tuple:
-    return (x[0], -x[1]) + x[2:]
-
-
-def _times(x: tuple, k: int) -> tuple:
-    """``x`` times a positive integer, exactly."""
-    re, im, exp, size, ulps = x
-    return re * k, im * k, exp, size + (k * k).bit_length(), ulps
 
 
 class PortCoefficients:
@@ -63,7 +57,12 @@ class PortCoefficients:
         self._displacements = {}
         self._terms = {}
 
-    def _displacement(self, m: int, m2: int) -> tuple:
+    def moment(self, key: tuple) -> tuple:
+        """The input table's entry ``key``, filled at guard digits, as a fixed-point number."""
+        with mp.workdps(self._dps):
+            return fixed(self.table.entry(key), self.bits)
+
+    def displacement(self, m: int, m2: int) -> tuple:
         """conj(alpha)^m alpha^m2, as a fixed-point number."""
         if (m, m2) not in self._displacements:
             with mp.workdps(self._dps):
@@ -72,24 +71,22 @@ class PortCoefficients:
         return self._displacements[m, m2]
 
     def terms(self, i: int, j: int) -> list:
-        """[(a, b, (ka, kb), (ka', kb'), H)] of F(i, j) for a <= b, with ka and
-        kb the powers of u that ports A and B give the monomial of K."""
+        """[(a, b, H)] of F(i, j) for a <= b, with a and b the powers of u in
+        the monomials of K and K'."""
         if (i, j) in self._terms:
             return self._terms[i, j]
-        expansion = [(k, l, comb(i, k) * comb(j, l), (i - k if self.single else k, l))
+        expansion = [(k, l, comb(i, k) * comb(j, l), (i - k if self.single else k) + l)
                      for k in range(i + 1) for l in range(j + 1)]
         terms = self._terms[i, j] = []
-        for k, l, ck, (ka, kb) in expansion:
-            for k2, l2, ck2, (ka2, kb2) in expansion:
-                a, b = ka + kb, ka2 + kb2
+        for k, l, ck, a in expansion:
+            for k2, l2, ck2, b in expansion:
                 if a > b:
                     continue
-                with mp.workdps(self._dps):
-                    entry = self.table.entry((k + l, k2 + l2) if self.single else (k, k2, l, l2))
-                if entry:
-                    alpha = self._displacement(i + j - k - l, i + j - k2 - l2)
-                    h = fixed_mul(alpha, fixed(entry, self.bits), self.bits)
-                    terms.append((a, b, (ka, kb), (ka2, kb2), _times(h, ck * ck2 * (1 + (a < b)))))
+                entry = self.moment((k + l, k2 + l2) if self.single else (k, k2, l, l2))
+                if entry[0] or entry[1]:
+                    alpha = self.displacement(i + j - k - l, i + j - k2 - l2)
+                    h = fixed_mul(alpha, entry, self.bits)
+                    terms.append((a, b, fixed_times(h, ck * ck2 * (1 + (a < b)))))
         return terms
 
 
@@ -99,10 +96,9 @@ class PortMoments:
     Built by :func:`port_moments`; entries are summed on first request.
     """
 
-    def __init__(self, coefficients: PortCoefficients, u, v, t, eta: float):
+    def __init__(self, coefficients: PortCoefficients, u, v, eta: float):
         self.coefficients, self.eta, self.bits = coefficients, eta, coefficients.bits
         self._u, self._v = fixed(u, self.bits), fixed(v, self.bits)
-        self._t = None if t is None else fixed(t, self.bits)
         self._powers = [[ONE]]
         self._pairs = {}
         self._entries = {}
@@ -121,25 +117,8 @@ class PortMoments:
         """conj(u^a v^(n-a)) u^b v^(n-b)."""
         if (n, a, b) not in self._pairs:
             p = self._monomials(n)
-            self._pairs[n, a, b] = fixed_mul(_conj(p[a]), p[b], self.bits)
+            self._pairs[n, a, b] = fixed_mul(fixed_conj(p[a]), p[b], self.bits)
         return self._pairs[n, a, b]
-
-    def _pair_slope(self, n: int, a: int, b: int) -> list:
-        """Terms of d/dphi [conj(u^a v^(n-a)) u^b v^(n-b)].
-
-        d(u^a v^(n-a))/dphi = t (a u^(a-1) v^(n-a) + (n-a) u^a v^(n-a-1)).
-        """
-        if self._t is None:
-            raise ValueError("these port moments carry no phase")
-        p, low, bits = self._monomials(n), self._monomials(n - 1), self.bits
-
-        def slope(a):
-            return [_times(fixed_mul(self._t, low[i], bits), k)
-                    for k, i in ((a, a - 1), (n - a, a)) if k]
-
-        return [fixed_mul(_conj(d), p[b], bits) for d in slope(a)] + [
-            fixed_mul(_conj(p[a]), d, bits) for d in slope(b)
-        ]
 
     def _sum(self, pairs, n: int) -> Bounded:
         """The certified sum of ``pairs``, thinned by eta^n."""
@@ -149,43 +128,46 @@ class PortMoments:
         """F(i, j)."""
         if (i, j) not in self._entries:
             n, terms = i + j, self.coefficients.terms(i, j)
-            pairs = ((h, self._pair(n, a, b)) for a, b, _, _, h in terms)
-            self._entries[i, j] = self._sum(pairs, n)
+            self._entries[i, j] = self._sum(((h, self._pair(n, a, b)) for a, b, h in terms), n)
         return self._entries[i, j]
 
-    def slope(self, i: int, j: int) -> Bounded:
-        """dF(i, j)/dphi, both ports moving with the one phase."""
-        n, terms = i + j, self.coefficients.terms(i, j)
-        return self._sum(((h, x) for a, b, _, _, h in terms for x in self._pair_slope(n, a, b)), n)
+    def slope(self) -> Bounded:
+        """d(F(1, 0) - F(0, 1))/dphi = eta (<n> - mu) sin phi of the single scheme.
+
+        The subtracted squeezed vacuum has definite photon-number parity, so
+        <a> = 0 and F(1, 0) - F(0, 1) = -eta (<n> - mu) cos phi, with
+        mu = |alpha|^2; sin phi = Re(-2i conj(u) v).
+        """
+        c = self.coefficients
+        sin = fixed_times(self._pair(1, 1, 0), -2j)
+        return self._sum([(c.moment((1, 1)), sin), (fixed_times(c.displacement(1, 1), -1), sin)], 1)
 
     def mixed(self) -> Bounded:
         """d^2 F(1, 1)/dphi1 dphi2 of the correlated scheme at phi1 = phi2.
 
-        Port A moves with phi1 and port B with phi2, so each term takes the
-        phi1-derivative of its port-A monomials against the phi2-derivative
-        of its port-B ones.
+        Port A moves with phi1 and port B with phi2.  The pair populates only
+        |n, n>, so <a0> = <a0^dag a1> = <n0 a1> = 0, which leaves
+        eta^2 [|uv|^2 <(n0 - mu)(n1 - mu)> - cos^2 phi Re(conj(alpha)^2 <a0 a1>)/2],
+        with |uv|^2 = sin^2(phi)/4 and cos^2 phi = 1 - 4 |uv|^2.
         """
-        pairs = (
-            (h, fixed_mul(x, y, self.bits))
-            for _, _, (ka, kb), (ka2, kb2), h in self.coefficients.terms(1, 1)
-            for x in self._pair_slope(1, ka, ka2)
-            for y in self._pair_slope(1, kb, kb2)
-        )
+        c, bits, w = self.coefficients, self.bits, self._pair(2, 1, 1)
+        minus_mu = fixed_times(c.displacement(1, 1), -1)
+        y = fixed_mul(c.displacement(2, 0), c.moment((0, 1, 0, 1)), bits)
+        pairs = [(w, c.moment((1, 1, 1, 1))), (w, c.displacement(2, 2)),
+                 (w, fixed_mul(minus_mu, c.moment((1, 1, 0, 0)), bits)),
+                 (w, fixed_mul(minus_mu, c.moment((0, 0, 1, 1)), bits)),
+                 (fixed_times(w, 2), y), (fixed_times(ONE, -1, 1), y)]
         return self._sum(pairs, 2)
 
 
-def port_moments(coefficients: PortCoefficients, u, v, t, eta: float = 1.0) -> PortMoments:
-    """The port moments of one scene of a compiled family.
-
-    ``u`` and ``v`` are the Mach-Zehnder entries and ``t`` = du/dphi =
-    dv/dphi (None where no derivative is read), at guard digits; ``eta`` is
-    the detection efficiency on both ports.
-    """
-    return PortMoments(coefficients, u, v, t, eta)
+def port_moments(coefficients: PortCoefficients, u, v, eta: float = 1.0) -> PortMoments:
+    """The port moments of one scene of a compiled family: ``u`` and ``v`` are
+    its Mach-Zehnder entries at guard digits, ``eta`` the detection efficiency."""
+    return PortMoments(coefficients, u, v, eta)
 
 
-def port_expectation(ports: PortMoments, poly: dict, slope: bool = False) -> Bounded:
-    """<poly(N_a, N_b)>, or its phase derivative with ``slope``, as a :class:`Bounded`.
+def port_expectation(ports: PortMoments, poly: dict) -> Bounded:
+    """<poly(N_a, N_b)> as a :class:`Bounded`.
 
     ``poly`` maps (p, q) to the integer weight of N_a^p N_b^q.  The weights
     of each F(i, j) are summed first.
@@ -195,8 +177,7 @@ def port_expectation(ports: PortMoments, poly: dict, slope: bool = False) -> Bou
         for i in range(p + 1):
             for j in range(q + 1):
                 weights[i, j] = weights.get((i, j), 0) + c * _stirling2(p, i) * _stirling2(q, j)
-    read = ports.slope if slope else ports.entry
-    return sum(w * read(i, j) for (i, j), w in weights.items() if w)
+    return sum(w * ports.entry(i, j) for (i, j), w in weights.items() if w)
 
 
 def _stirling2(n: int, k: int) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 from . import fock
 from .errors import OutOfRange
 from .fock import FockState1, TwoModeDiagonalState
-from .moments import bogoliubov_vacuum_moment_1m, bogoliubov_vacuum_moment_2m
+from .moments import at_float_digits, bogoliubov_vacuum_moment_1m, bogoliubov_vacuum_moment_2m
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,7 @@ class SpatsvSpec(_SubtractionSpec):
     """Two-mode symmetric subtraction spec."""
 
 
+@at_float_digits
 def passv(spec: PassvSpec, cutoff: int | None = None) -> FockState1:
     """PASSV state: m-fold photon subtraction from squeezed vacuum.
 
@@ -67,6 +68,7 @@ def passv(spec: PassvSpec, cutoff: int | None = None) -> FockState1:
     return state
 
 
+@at_float_digits
 def spatsv(spec: SpatsvSpec, cutoff: int | None = None) -> TwoModeDiagonalState:
     """SPATSV state: symmetric m-fold subtraction from two-mode squeezed vacuum.
 
@@ -119,6 +121,7 @@ def spatsv_seed(spec: SpatsvSpec) -> TwoModeDiagonalState:
 # ---------------------------------------------------------------------------
 
 
+@at_float_digits
 def passv_mean_photons(lam: float, m: int) -> float:
     """Mean photon number of the m-subtracted squeezed vacuum.
 
@@ -145,6 +148,7 @@ def passv_mean_photons(lam: float, m: int) -> float:
     return float((num / den).real)
 
 
+@at_float_digits
 def spatsv_mean_photons(lam: float, m: int) -> float:
     """Mean photons per mode of the symmetrically m-subtracted TSV."""
     if lam < 0:

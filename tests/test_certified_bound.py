@@ -30,7 +30,7 @@ def _reads(cfg, dps) -> dict:
     with metrology._scene(cfg, dps=dps) as ports:
         out = {(i, j): ports.entry(i, j) for i in range(order + 1) for j in range(order + 1 - i)}
         if single:
-            out["slope"] = opalg.port_expectation(ports, poly, slope=True)
+            out["slope"] = ports.slope()
         else:
             out["mixed"] = ports.mixed()
         second = opalg.port_expectation(ports, metrology._times(poly, poly))

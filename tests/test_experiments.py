@@ -22,6 +22,7 @@ from photsub.experiments import (
     run_sweep,
     sweep_config_from_file,
 )
+from test_golden_rows import PRESET_SHA256
 
 
 def _small_config(**overrides):
@@ -546,6 +547,18 @@ def test_user_digits_give_the_default_value_or_a_precision_flag(base):
         if row.flag == "ok":
             assert abs(row.value - default.value) < 1e-8 * default.value, digits
     assert flags == {"ok", "precision"}
+
+
+@pytest.mark.parametrize("ambient", [8, 30])
+def test_the_ambient_mpmath_precision_changes_no_row(ambient):
+    # mean photon numbers, balancing roots, phases, the joint distribution
+    # and the quadrature tables once ran at the caller's mpmath precision
+    with mp.workdps(ambient):
+        for name in ("fig1b", "fig6", "fig8", "fig10b"):
+            csv = run_preset(name).to_csv().encode("utf-8")
+            assert hashlib.sha256(csv).hexdigest() == PRESET_SHA256[name], name
+        rows = run_sweep(_small_config(values=(1e16,), m_list=(0,), metrics=("var_y",))).rows
+    assert [row.flag for row in rows] == ["precision"]
 
 
 @pytest.mark.parametrize("mu", [1.0, 1e4, 1e8, 1e12, 1e16])

@@ -1,5 +1,7 @@
 """Phase-estimation figures of merit: exact engine and asymptotic closed forms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -321,6 +323,16 @@ def test_readout_moments_flag_uncertified_digits(cfg):
         assert abs(value - exact[key]) <= 1e-8 * abs(exact[key]), key
     with pytest.raises(PrecisionInsufficient):
         metrology.readout_moments(cfg, dps=5)
+
+
+def test_a_precision_flag_reads_magnitudes_past_the_float_range():
+    # Var C near 1e796 once read "inf known only to within inf"
+    cfg = CorrelatedConfig(SpatsvSpec(1.0, 1), mu=1e300, phi=1.5707963)
+    with pytest.raises(PrecisionInsufficient) as info:
+        metrology.correlated_uncertainty(cfg, dps=400)
+    message = str(info.value)
+    assert "inf" not in message
+    assert re.match(r"variance: [\d.]+e\+7\d\d known only to within [\d.]+e\+7\d\d,", message)
 
 
 def test_correlated_uncertainty_flags_a_dark_detector():

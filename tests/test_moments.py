@@ -1,6 +1,7 @@
 """Exact moment tables: Fock cross-validation, loss, quadratures, Mandel Q."""
 
 import itertools
+import random
 
 import mpmath as mp
 import numpy as np
@@ -58,12 +59,29 @@ def test_two_mode_table_matches_fock(m):
         assert abs(a - b) < 1e-9 * max(1.0, abs(b))
 
 
-def test_two_mode_selection_rule():
-    # |n,n> support forces equal net ladder change in both modes
-    t = moments.spatsv_moment_table(0.7, 1, max_order=8)
-    assert complex(t.entry((1, 0, 0, 0))) == 0.0
-    assert complex(t.entry((2, 0, 1, 0))) == 0.0
+#: SPATSV keys of the moments the closed-form mixed derivative drops:
+#: <a0>, <a0^dag a1>, <n0 a1>, their conjugates and their mode mirrors
+_DROPPED = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0),
+            (1, 0, 0, 1), (0, 1, 1, 0),
+            (1, 1, 0, 1), (1, 1, 1, 0), (0, 1, 1, 1), (1, 0, 1, 1))
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_two_mode_selection_rule(m):
+    # |n,n> support forces equal net ladder change in both modes, and the
+    # definite parity of a subtracted squeezed vacuum zeroes odd p - q
+    rng = random.Random(m)
+    lam, chi = rng.uniform(0.1, 3.0), rng.uniform(0.2, 3.0)
+    t = moments.spatsv_moment_table(lam, m, max_order=8, chi=chi)
+    for key in _DROPPED + ((2, 0, 1, 0),):
+        assert t.entry(key) == 0, key
     assert abs(complex(t.entry((2, 0, 2, 0)))) > 0.0  # p-q = r-s = 2 survives
+    assert abs(complex(t.entry((0, 1, 0, 1)))) > 0.0  # <a0 a1>, which the mixed derivative reads
+    single = moments.passv_moment_table(lam, m, max_order=8, chi=chi)
+    for p, q in itertools.product(range(9), repeat=2):
+        if p + q <= 8 and (p - q) % 2:
+            assert single.entry((p, q)) == 0, (p, q)
+    assert abs(complex(single.entry((2, 0)))) > 0.0
 
 
 def test_loss_scales_normal_moments():

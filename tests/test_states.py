@@ -1,5 +1,6 @@
 """Subtracted-state constructors, closed forms, seeds and energy balancing."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +242,18 @@ def test_default_cutoff_keeps_the_subtracted_tail_contract(build, spec):
     wide = amplitudes(build(spec, cutoff=600))
     tail = 1.0 - float(np.sum(np.abs(wide[: len(kept)]) ** 2))
     assert tail < fock.TAIL_TOL
+
+
+@pytest.mark.parametrize("ambient", [8, 30])
+def test_default_cutoff_ignores_the_ambient_mpmath_precision(ambient):
+    # the cutoff weighs the tail against <a^dag^m a^m>: at 8 ambient digits
+    # that moment, once read at the caller's precision, cut 32 levels to 26
+    for build, spec, attr in ((states.passv, PassvSpec(0.1, 2), "amplitudes"),
+                              (states.spatsv, SpatsvSpec(0.7, 3), "diag_amplitudes")):
+        want = getattr(build(spec), attr)
+        with mp.workdps(ambient):
+            got = getattr(build(spec), attr)
+        assert got.shape == want.shape and np.array_equal(got, want), build.__name__
 
 
 @pytest.mark.parametrize(

@@ -74,15 +74,15 @@ _SCENES = (
 
 def _values(cfg, digits) -> tuple:
     """Port moments at working precision, and the public figures of merit."""
+    single = isinstance(cfg, SingleMziConfig)
     with metrology._scene(cfg, dps=digits) as ports:
         exact = tuple(
             (x.man, x.err, x.exp)
-            for p, q in ((1, 0), (1, 1), (2, 2))
-            for slope in (False, True)
-            if p + q <= (2 if isinstance(cfg, SingleMziConfig) else 4)
-            for x in [opalg.port_expectation(ports, {(p, q): 1}, slope)]
+            for x in [opalg.port_expectation(ports, {(p, q): 1})
+                      for p, q in ((1, 0), (1, 1), (2, 2)) if p + q <= (2 if single else 4)]
+            + [ports.slope() if single else ports.mixed()]
         )
-    if isinstance(cfg, SingleMziConfig):
+    if single:
         figures = (metrology.single_phase_uncertainty(cfg, dps=digits),
                    metrology.qfi(cfg, dps=digits))
     else:
