@@ -15,9 +15,15 @@ phase estimation with photon-subtracted squeezed vacuum states:
   asymptotic closed forms.
 - ``experiments``: figure presets, config-driven parameter sweeps and the
   engine-vs-oracle comparison harness (also exposed as the ``photsub`` CLI).
+
+The figures of merit run on mpmath alone.  Only the Fock oracle uses numpy,
+so ``fock`` is imported on first use (``photsub.fock``, or the oracle and
+the state constructors that call it), and a sweep never imports numpy.
 """
 
-from . import errors, experiments, fock, metrology, moments, opalg, states
+import importlib
+
+from . import errors, experiments, metrology, moments, opalg, states
 from .errors import PhotsubError
 from .metrology import (
     CorrelatedConfig,
@@ -44,6 +50,13 @@ from .states import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name == "fock":
+        return importlib.import_module(".fock", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CorrelatedConfig",

@@ -34,7 +34,7 @@ from numbers import Integral
 
 import mpmath as mp
 
-from . import fock, metrology, moments, states
+from . import metrology, moments, states
 from .errors import (
     ConfigInvalid,
     MemoryBoundExceeded,
@@ -291,14 +291,47 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _log_grid(lo: float, hi: float, n: int) -> tuple:
-    import numpy as np
-
-    return tuple(float(x) for x in np.logspace(np.log10(lo), np.log10(hi), n))
-
-
-_LAM_GRID = _log_grid(0.05, 100.0, 25)
-_PHI_GRID = _log_grid(1e-8, 1e-3, 21)
+#: the log-spaced preset axes, numpy.logspace(log10(lo), log10(hi), n) for
+#: the (lo, hi, n) named on each, spelled out so that the presets need no
+#: numpy (tests/test_experiments.py checks every digit)
+#: (0.05, 100, 25)
+_LAM_GRID = (
+    0.049999999999999996, 0.06862982963688709, 0.09420107031976296, 0.12930006815315506,
+    0.1774768329877785, 0.24360409624891013, 0.33437015248821095, 0.4589553320185177,
+    0.6299605249474366, 0.8646816701021308, 1.1868591141849656, 1.6290787761900183,
+    2.2360679774997894, 3.0692192870461863, 4.212799935764557, 5.782474837716209,
+    7.9370052598409995, 10.894306376199298, 14.953487812212204, 20.525106420587832,
+    28.172691138478424, 38.66973986492824, 53.07795318065536, 72.85461768526098, 100.0,
+)
+#: (1e-8, 1e-3, 21)
+_PHI_GRID = (
+    1e-08, 1.7782794100389228e-08, 3.162277660168379e-08, 5.6234132519034905e-08, 1e-07,
+    1.7782794100389227e-07, 3.162277660168379e-07, 5.62341325190349e-07, 1e-06,
+    1.7782794100389227e-06, 3.162277660168379e-06, 5.623413251903491e-06,
+    9.999999999999999e-06, 1.778279410038923e-05, 3.1622776601683795e-05,
+    5.623413251903491e-05, 0.0001, 0.00017782794100389227, 0.00031622776601683794,
+    0.0005623413251903491, 0.001,
+)
+#: (0.01, 10, 25)
+_PAIR_LAM_GRID = (
+    0.01, 0.01333521432163324, 0.01778279410038923, 0.023713737056616554,
+    0.03162277660168379, 0.042169650342858224, 0.056234132519034905,
+    0.07498942093324558, 0.1, 0.1333521432163324, 0.1778279410038923,
+    0.23713737056616552, 0.31622776601683794, 0.4216965034285822, 0.5623413251903491,
+    0.7498942093324558, 1.0, 1.333521432163324, 1.7782794100389228, 2.371373705661655,
+    3.1622776601683795, 4.216965034285822, 5.62341325190349, 7.498942093324558, 10.0,
+)
+#: (1e-5, 0.99, 25)
+_LOSS_GRID = (
+    9.999999999999999e-06, 1.6149216857661613e-05, 2.607972051157821e-05,
+    4.2116706212868215e-05, 6.80151821962033e-05, 0.00010983919268998538,
+    0.00017738169422210558, 0.00028645754465722053, 0.0004626065009182741,
+    0.0007470732703093245, 0.0012064648250787735, 0.0019483462091337922,
+    0.0031464265445104536, 0.00508123245940022, 0.00820579248910435,
+    0.013251712239551704, 0.021400477469184914, 0.03456009515073686,
+    0.055811847121066904, 0.09013176223847674, 0.14555573741523556, 0.23506111683954944,
+    0.37960529506460183, 0.613032823031488, 0.99,
+)
 _ETA_GRID = tuple(0.5 + 0.025 * i for i in range(21))
 
 PRESETS: dict[str, SweepConfig] = {
@@ -336,21 +369,21 @@ PRESETS: dict[str, SweepConfig] = {
     ),
     # Two-mode quadrature-difference squeezing: seeds and subtracted states.
     "fig5a": SweepConfig(
-        scheme="correlated", axis="lam", values=_log_grid(0.01, 10.0, 25),
+        scheme="correlated", axis="lam", values=_PAIR_LAM_GRID,
         m_list=(0, 1, 2, 3), metrics=("quad_diff_var_seed",), preset="fig5a",
     ),
     "fig5b": SweepConfig(
-        scheme="correlated", axis="lam", values=_log_grid(0.01, 10.0, 25),
+        scheme="correlated", axis="lam", values=_PAIR_LAM_GRID,
         m_list=(0, 1, 2, 3), metrics=("quad_diff_var",), preset="fig5b",
     ),
     # Mandel Q of the thinned marginal.
     "fig_mandel": SweepConfig(
-        scheme="correlated", axis="lam", values=_log_grid(0.01, 10.0, 25),
+        scheme="correlated", axis="lam", values=_PAIR_LAM_GRID,
         m_list=(0, 1, 2, 3), metrics=("mandel_q",), eta=0.98, preset="fig_mandel",
     ),
     # Noise reduction factor vs the fringe-position loss 1 - tau.
     "fig8": SweepConfig(
-        scheme="correlated", axis="one_minus_tau", values=_log_grid(1e-5, 0.99, 25),
+        scheme="correlated", axis="one_minus_tau", values=_LOSS_GRID,
         m_list=(0, 1, 2), metrics=("nrf",), lam=0.05, mu=1e6, psi=pi / 2,
         eta=1.0, preset="fig8",
     ),
@@ -579,6 +612,8 @@ def oracle_compare(
         cfg = _scene(scheme, m, lam=lam, mu=mu, phi=phi, psi=psi, eta=eta)
     except ValueError as exc:
         raise ConfigInvalid(f"scene: {exc}") from exc
+    from . import fock  # the oracle alone needs numpy
+
     engine = metrology.readout_moments(cfg)
     build = states.passv if scheme == "single" else states.spatsv
     q = build(cfg.quantum, cutoff=quantum_cutoff)

@@ -4,10 +4,15 @@ A :class:`MomentTable` maps normally-ordered moment indices to expectation
 values for one subsystem: ``(p, q)`` for a single mode meaning
 ``<a^dag^p a^q>``, or ``(p, q, r, s)`` for a mode pair meaning
 ``<a1^dag^p a1^q a2^dag^r a2^s>``.  Tables are filled lazily, entry by
-entry, at the working mpmath precision and without a Fock cutoff: the
-squeezed-state families from closed-form Wick pairing sums over the
-Gaussian (squeezed or two-mode squeezed) vacuum, and the finite SPATSV
-seeds from finite sums over their m + 1 amplitudes.
+entry, at the working mpmath precision and without a Fock cutoff.  The
+finite SPATSV seeds are finite sums over their m + 1 amplitudes.  The
+subtracted squeezed-state families are Wick pairing sums over the Gaussian
+(squeezed or two-mode squeezed) vacuum: each entry is a list of integer
+terms (count, a, b) summed as count lam^a g^b, g = sqrt(lam (1 + lam)),
+times a power of e^{i chi}.  A table forms lam, g and e^{i chi} once at the
+precision it is filled at and reads their powers off ladders, so a fill is a
+few multiplications per term; an entry the selection rule zeroes is an
+exact 0.
 
 Sums that may cancel are certified (:func:`certified_sum`), and detection
 loss has one law, :func:`thin`, through which the read-out engine
@@ -58,7 +63,14 @@ at_float_digits = mp.workdps(15)
 
 #: guard digits over the working ones at which certified sums take their
 #: inputs: mpmath's own rounding of an input then stays below one unit in
-#: the last place of the working precision, which :func:`fixed` counts
+#: the last place of the working precision, which :func:`fixed` counts.
+#: A Wick-filled entry is such an input.  Its terms are nonnegative reals
+#: times one phase, so nothing cancels, and its relative error is at most
+#: the sum of one rounding per ladder step, product, sum and division that
+#: formed it (three for g): a few dozen at the orders in use.  Ten digits
+#: are 33 bits, so even a thousand of them err by less than 2^-23 of a unit
+#: of the working bits plus the 10 guard bits of :mod:`photsub.opalg`, far
+#: below the one unit that :func:`fixed` allows the input.
 GUARD_DIGITS = 10
 
 
@@ -287,75 +299,141 @@ def joint_photon_distribution(lam, m: int, n_max: int) -> mp.matrix:
 # ---------------------------------------------------------------------------
 
 
-def bogoliubov_vacuum_moment_1m(p: int, q: int, lam, chi: float = 0.0):
-    """<a^dag^p a^q> on a squeezed vacuum with mean photons lam, exactly.
+def _wick_terms_1m(p: int, q: int) -> tuple:
+    """<a^dag^p a^q> on a squeezed vacuum as integer Wick terms.
 
     The state is Gaussian, so the moment is a Wick pairing sum of the
-    contractions <a^dag a> = lam and <a a> = sqrt(lam (1 + lam)) e^{i chi}.
+    contractions <a^dag a> = lam and <a a> = g e^{i chi}, g = sqrt(lam (1 + lam)).
     With k (a^dag, a) pairs, the other a^dag pair among themselves (i of
     those pairs) and so do the other a (j pairs), in
-    p! q! / (k! i! j! 2^(i+j)) ways.  Every term is a nonnegative real times
-    the common phase e^{i chi (q - p)/2}, so the sum cannot cancel.
+    p! q! / (k! i! j! 2^(i+j)) ways.  Returns (turns, [(count, a, b)]) with
+    the moment e^{i chi turns} sum count lam^a g^b: every term is a
+    nonnegative real times the common phase, so the sum cannot cancel.  The
+    list is empty where the selection rule (p - q odd) makes the moment 0.
     """
     if (p - q) % 2 != 0:
+        return 0, []
+    terms = []
+    for k in range(p % 2, min(p, q) + 1, 2):
+        i, j = (p - k) // 2, (q - k) // 2
+        count = factorial(p) * factorial(q) // (
+            factorial(k) * factorial(i) * factorial(j) * 2 ** (i + j)
+        )
+        terms.append((count, k, i + j))
+    return (q - p) // 2, terms
+
+
+def _wick_terms_2m(p: int, q: int, r: int, s: int) -> tuple:
+    """<a1^dag^p a1^q a2^dag^r a2^s> on a TSV as integer Wick terms.
+
+    A Wick pairing sum of <a_j^dag a_j> = lam and <a1 a2> = g e^{i chi} over
+    k, the number of (a1^dag, a1) pairs: the other a1^dag pair with a2^dag,
+    the other a1 with a2, and the r - p + k (a2^dag, a2) left pair among
+    themselves, in p! q! r! s! / (k! (p-k)! (q-k)! (r-p+k)!) ways.  Returns
+    (turns, [(count, a, b)]) as :func:`_wick_terms_1m` does; the list is
+    empty where p - q != r - s.
+    """
+    if p - q != r - s:
+        return 0, []
+    terms = []
+    for k in range(max(0, p - r), min(p, q) + 1):
+        count = factorial(p) * factorial(q) * factorial(r) * factorial(s) // (
+            factorial(k) * factorial(p - k) * factorial(q - k) * factorial(r - p + k)
+        )
+        terms.append((count, 2 * k + r - p, p + q - 2 * k))
+    return q - p, terms
+
+
+def _vacuum_moment(wick: tuple, lam, chi):
+    """The moment ``wick`` = (turns, terms) at the ambient precision, each
+    power formed on its own."""
+    turns, terms = wick
+    if not terms:
         return mp.mpc(0)
     lam = mp.mpf(lam)
     g = mp.sqrt(lam * (1 + lam))
     total = mp.mpf(0)
-    for k in range(p % 2, min(p, q) + 1, 2):
-        i, j = (p - k) // 2, (q - k) // 2
-        pairings = factorial(p) * factorial(q) // (
-            factorial(k) * factorial(i) * factorial(j) * 2 ** (i + j)
-        )
-        total += pairings * lam**k * g ** (i + j)
-    return total * mp.exp(mp.mpc(0, chi)) ** ((q - p) // 2)
+    for count, a, b in terms:
+        total += count * lam**a * g**b
+    return total * mp.exp(mp.mpc(0, chi)) ** turns
+
+
+def bogoliubov_vacuum_moment_1m(p: int, q: int, lam, chi: float = 0.0):
+    """<a^dag^p a^q> on a squeezed vacuum with mean photons lam, exactly
+    (the Wick sum of :func:`_wick_terms_1m`)."""
+    return _vacuum_moment(_wick_terms_1m(p, q), lam, chi)
 
 
 def bogoliubov_vacuum_moment_2m(p: int, q: int, r: int, s: int, lam, chi: float = 0.0):
-    """<a1^dag^p a1^q a2^dag^r a2^s> on a TSV with mean photons/mode lam.
+    """<a1^dag^p a1^q a2^dag^r a2^s> on a TSV with mean photons/mode lam,
+    exactly (the Wick sum of :func:`_wick_terms_2m`)."""
+    return _vacuum_moment(_wick_terms_2m(p, q, r, s), lam, chi)
 
-    A Wick pairing sum of <a_j^dag a_j> = lam and <a1 a2> =
-    sqrt(lam (1 + lam)) e^{i chi} over k, the number of (a1^dag, a1) pairs:
-    the other a1^dag pair with a2^dag, the other a1 with a2, and the
-    r - p + k (a2^dag, a2) left pair among themselves, in
-    p! q! r! s! / (k! (p-k)! (q-k)! (r-p+k)!) ways.  Every term is a
-    nonnegative real times the common phase e^{i chi (q - p)}.
+
+_ZERO = mp.mpc(0)
+
+
+class _WickFill:
+    """``compute`` of a table of a squeezed vacuum less m photons from each
+    mode: key k reads the vacuum moment of k + m over the norm, the moment
+    of m, with the vacuum moments as integer Wick terms ``wick_terms``.
+
+    At the precision an entry is filled at, lam, g = sqrt(lam (1 + lam)),
+    e^{i chi} and the norm are formed once; powers come off ladders, each
+    rung one multiplication from the last.  A key the selection rule zeroes
+    is an exact 0, with no arithmetic.
     """
-    if p - q != r - s:
-        return mp.mpc(0)
-    lam = mp.mpf(lam)
-    g = mp.sqrt(lam * (1 + lam))
-    total = mp.mpf(0)
-    for k in range(max(0, p - r), min(p, q) + 1):
-        pairings = factorial(p) * factorial(q) * factorial(r) * factorial(s) // (
-            factorial(k) * factorial(p - k) * factorial(q - k) * factorial(r - p + k)
-        )
-        total += pairings * lam ** (2 * k + r - p) * g ** (p + q - 2 * k)
-    return total * mp.exp(mp.mpc(0, chi)) ** (q - p)
+
+    def __init__(self, wick_terms, lam, m: int, chi):
+        self.wick_terms, self.lam, self.m, self.chi = wick_terms, lam, m, chi
+        self.prec = None
+
+    @staticmethod
+    def _power(ladder: list, k: int):
+        while len(ladder) <= k:
+            ladder.append(ladder[-1] * ladder[1])
+        return ladder[k]
+
+    def _sum(self, terms: list):
+        return mp.fsum(count * self._power(self._lam, a) * self._power(self._g, b)
+                       for count, a, b in terms)
+
+    def __call__(self, key: tuple):
+        turns, terms = self.wick_terms(*(k + self.m for k in key))
+        if not terms:
+            return _ZERO
+        if self.prec != mp.mp.prec:
+            self.prec, lam = mp.mp.prec, mp.mpf(self.lam)
+            self._lam, self._g = [mp.mpf(1), lam], [mp.mpf(1), mp.sqrt(lam * (1 + lam))]
+            self._phase = [mp.mpc(1), mp.expj(self.chi)]
+            self._norm = self._sum(self.wick_terms(*[self.m] * len(key))[1])
+        value = self._sum(terms)
+        if self.m:
+            value /= self._norm
+        if not (self.chi and turns):
+            return mp.mpc(value)
+        phase = self._power(self._phase, abs(turns))
+        return value * (phase if turns > 0 else mp.conj(phase))
 
 
-def _subtracted(vacuum_moment, modes, lam, m: int, max_order: int, chi) -> MomentTable:
-    """The moments of a squeezed vacuum less m photons from each mode: each
-    key k reads vacuum_moment(k + m) over the norm vacuum_moment(m, ..., m)."""
+def _subtracted(wick_terms, modes, lam, m: int, max_order: int, chi) -> MomentTable:
+    """The moments of a squeezed vacuum less m photons from each mode."""
     if m > 0 and lam == 0:
         raise NullState("photon subtraction annihilates the vacuum")
-    norm = vacuum_moment(*[m] * 2 * len(modes), lam, chi) if m else mp.mpf(1)
-    return MomentTable(
-        modes, max_order, lambda key: vacuum_moment(*(k + m for k in key), lam, chi) / norm
-    )
+    return MomentTable(modes, max_order, _WickFill(wick_terms, lam, m, chi))
 
 
 def passv_moment_table(lam, m: int, max_order: int = 8, chi: float = 0.0, mode=0) -> MomentTable:
     """Exact PASSV moments <a^dag^p a^q> at working mpmath precision:
     <a^dag^{p+m} a^{q+m}>_SSV / <a^dag^m a^m>_SSV."""
-    return _subtracted(bogoliubov_vacuum_moment_1m, (mode,), lam, m, max_order, chi)
+    return _subtracted(_wick_terms_1m, (mode,), lam, m, max_order, chi)
 
 
 def spatsv_moment_table(
     lam, m: int, max_order: int = 16, chi: float = 0.0, modes=(0, 1)
 ) -> MomentTable:
     """Exact SPATSV moments <a1^dag^p a1^q a2^dag^r a2^s>, lazily computed."""
-    return _subtracted(bogoliubov_vacuum_moment_2m, tuple(modes), lam, m, max_order, chi)
+    return _subtracted(_wick_terms_2m, tuple(modes), lam, m, max_order, chi)
 
 
 def spatsv_seed_moment_table(

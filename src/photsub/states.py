@@ -3,7 +3,9 @@
 Builds PASSV (photon-annihilated single-mode squeezed vacuum) and SPATSV
 (symmetrically photon-annihilated two-mode squeezed vacuum) states, their
 finite seed-superposition representations, the mean-photon maps and the
-energy-balancing solver used in fixed-total-energy comparisons.
+energy-balancing solver used in fixed-total-energy comparisons.  The
+constructors build Fock-space states, which only the oracle reads, so they
+import :mod:`photsub.fock` (and numpy) when called: a sweep never does.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, inf, isfinite, isnan, sqrt
 from numbers import Integral
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import fock
 from .errors import OutOfRange
-from .fock import FockState1, TwoModeDiagonalState
 from .moments import at_float_digits, bogoliubov_vacuum_moment_1m, bogoliubov_vacuum_moment_2m
+
+if TYPE_CHECKING:
+    from .fock import FockState1, TwoModeDiagonalState
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,8 @@ class _SubtractionSpec:
 
     @property
     def r(self) -> float:
+        import numpy as np
+
         return float(np.arcsinh(np.sqrt(self.lam)))
 
 
@@ -60,6 +64,8 @@ def passv(spec: PassvSpec, cutoff: int | None = None) -> FockState1:
     is the smallest that leaves the subtracted state a tail below
     ``fock.TAIL_TOL``.
     """
+    from . import fock
+
     if cutoff is None:
         moment = float(bogoliubov_vacuum_moment_1m(spec.m, spec.m, spec.lam).real)
         cutoff = fock.subtracted_cutoff(fock.squeezed_weights(spec.r), spec.m, 1, moment)
@@ -75,6 +81,8 @@ def spatsv(spec: SpatsvSpec, cutoff: int | None = None) -> TwoModeDiagonalState:
     ``cutoff`` bounds the TSV before subtraction; the default is sized on
     the subtracted state, as in :func:`passv`.
     """
+    from . import fock
+
     if cutoff is None:
         moment = bogoliubov_vacuum_moment_2m(spec.m, spec.m, spec.m, spec.m, spec.lam)
         weights = fock.two_mode_squeezed_weights(spec.lam)
@@ -90,6 +98,10 @@ def passv_seed(spec: PassvSpec) -> FockState1:
     Components |m - 2l>, l = 0..floor(m/2), with weights
     (1/(l! sqrt((m-2l)!))) * (e^{-i chi} sqrt((1+lam)/lam) / 2)^l.
     """
+    import numpy as np
+
+    from .fock import FockState1
+
     m, lam, chi = spec.m, spec.lam, spec.chi
     if m == 0:
         return FockState1(np.array([1.0 + 0j]))
@@ -108,6 +120,10 @@ def spatsv_seed(spec: SpatsvSpec) -> TwoModeDiagonalState:
     C^m_k is binomial-weighted: C(m,k) (lam/(1+lam))^{k/2} e^{i chi k}, with
     overall normalization sqrt((1+lam)^m / P_m(2 lam + 1)).
     """
+    import numpy as np
+
+    from .fock import TwoModeDiagonalState
+
     m, lam, chi = spec.m, spec.lam, spec.chi
     amps = np.zeros(m + 1, dtype=complex)
     ratio = sqrt(lam / (1.0 + lam)) if lam > 0 else 0.0

@@ -8,7 +8,9 @@ fidelities, passive two-mode maps as dense plane matrices, the oracle's
 lossless output as one amplitude tensor, and detection loss as beamsplitters
 to vacuum ancillas.  The tests check the exact engine, the state
 constructors, the oracle's block propagation, its stack of single-MZI planes
-and its binomial thinning against them.  A whole moment table thinned entry
+and its binomial thinning against them.  The Wick pairing sums formed entry
+by entry from scratch (:func:`vacuum_moment_1m`, :func:`subtracted_table`)
+are the reference for the ladder fill of the production tables.  A whole moment table thinned entry
 by entry (:func:`apply_loss`) is the reference for the loss law
 :func:`photsub.moments.thin`.  The general normal-ordered
 operator algebra at the end (:class:`OperatorPolynomial`, :func:`multiply`,
@@ -156,6 +158,63 @@ def apply_loss(table: moments.MomentTable, eta) -> moments.MomentTable:
         return factors[total] * table.entry(key)
 
     return moments.MomentTable(table.modes, table.max_order, compute=compute)
+
+
+# ---------------------------------------------------------------------------
+# Per-entry Wick sums: each moment formed from scratch
+# ---------------------------------------------------------------------------
+
+
+def vacuum_moment_1m(p: int, q: int, lam, chi: float = 0.0):
+    """<a^dag^p a^q> on a squeezed vacuum with mean photons lam.
+
+    The Wick pairing sum of <a^dag a> = lam and <a a> = sqrt(lam (1 + lam))
+    e^{i chi}, with k (a^dag, a) pairs and the other a^dag (i pairs) and a
+    (j pairs) paired among themselves, in p! q! / (k! i! j! 2^(i+j)) ways,
+    each entry formed from scratch (sqrt, phase, factorials and powers).
+    """
+    if (p - q) % 2 != 0:
+        return mp.mpc(0)
+    lam = mp.mpf(lam)
+    g = mp.sqrt(lam * (1 + lam))
+    total = mp.mpf(0)
+    for k in range(p % 2, min(p, q) + 1, 2):
+        i, j = (p - k) // 2, (q - k) // 2
+        pairings = factorial(p) * factorial(q) // (
+            factorial(k) * factorial(i) * factorial(j) * 2 ** (i + j)
+        )
+        total += pairings * lam**k * g ** (i + j)
+    return total * mp.exp(mp.mpc(0, chi)) ** ((q - p) // 2)
+
+
+def vacuum_moment_2m(p: int, q: int, r: int, s: int, lam, chi: float = 0.0):
+    """<a1^dag^p a1^q a2^dag^r a2^s> on a TSV with mean photons/mode lam.
+
+    The Wick pairing sum over k, the number of (a1^dag, a1) pairs, in
+    p! q! r! s! / (k! (p-k)! (q-k)! (r-p+k)!) ways, formed from scratch.
+    """
+    if p - q != r - s:
+        return mp.mpc(0)
+    lam = mp.mpf(lam)
+    g = mp.sqrt(lam * (1 + lam))
+    total = mp.mpf(0)
+    for k in range(max(0, p - r), min(p, q) + 1):
+        pairings = factorial(p) * factorial(q) * factorial(r) * factorial(s) // (
+            factorial(k) * factorial(p - k) * factorial(q - k) * factorial(r - p + k)
+        )
+        total += pairings * lam ** (2 * k + r - p) * g ** (p + q - 2 * k)
+    return total * mp.exp(mp.mpc(0, chi)) ** (q - p)
+
+
+def subtracted_table(modes, lam, m: int, max_order: int, chi: float = 0.0) -> moments.MomentTable:
+    """The moments of a squeezed vacuum (one mode) or TSV (two) less m
+    photons from each mode, entry by entry: key k reads the vacuum moment of
+    k + m over the norm, the moment of m, each summed on its own."""
+    vacuum_moment = vacuum_moment_1m if len(modes) == 1 else vacuum_moment_2m
+    norm = vacuum_moment(*[m] * 2 * len(modes), lam, chi) if m else mp.mpf(1)
+    return moments.MomentTable(
+        modes, max_order, lambda key: vacuum_moment(*(k + m for k in key), lam, chi) / norm
+    )
 
 
 def bounded(x) -> moments.Bounded:

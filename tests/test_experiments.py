@@ -92,6 +92,23 @@ def test_preset_registry_complete():
         cfg.validate()
 
 
+#: each log-spaced preset axis: (lo, hi, n) of its numpy.logspace
+_LOG_AXES = {
+    ("fig1a", "fig1b", "fig1c", "fig_anyangle", "fig3a", "fig3b"): (0.05, 100.0, 25),
+    ("fig5a", "fig5b", "fig_mandel"): (0.01, 10.0, 25),
+    ("fig8",): (1e-5, 0.99, 25),
+    ("fig9a", "fig9b", "fig9c"): (1e-8, 1e-3, 21),
+}
+
+
+@pytest.mark.parametrize("names", _LOG_AXES, ids=lambda names: names[0])
+def test_preset_grids_are_numpy_logspace_bit_for_bit(names):
+    lo, hi, n = _LOG_AXES[names]
+    want = tuple(float(x) for x in np.logspace(np.log10(lo), np.log10(hi), n))
+    for name in names:
+        assert PRESETS[name].values == want, name
+
+
 def test_unknown_preset():
     with pytest.raises(UnknownPreset):
         run_preset("fig99")

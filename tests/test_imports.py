@@ -1,4 +1,5 @@
-"""photsub runs on numpy and mpmath alone: scipy is a test dependency."""
+"""photsub runs on numpy and mpmath alone: scipy is a test dependency, and
+only the Fock oracle imports numpy."""
 
 import ast
 import os
@@ -50,3 +51,31 @@ def test_balanced_points_and_the_lossy_oracle_run_without_scipy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+_SWEEPS_WITHOUT_NUMPY = """
+import sys
+from math import pi
+import photsub
+from photsub.experiments import SweepConfig, oracle_compare, run_sweep
+
+rows = run_sweep(SweepConfig(scheme="single", axis="lam", values=(0.7,), m_list=(2,),
+                             metrics=("U", "qfi", "snl"), balanced=True)).rows
+rows += run_sweep(SweepConfig(scheme="correlated", axis="phi", values=(1e-6, 1e-5),
+                              m_list=(1,), metrics=("U_norm", "nrf"), mu=1e12,
+                              balanced=True)).rows
+assert {row.flag for row in rows} == {"ok"}, rows
+print("numpy" in sys.modules)
+assert oracle_compare("correlated", 0.3, 1, mu=2.0, phi=0.7, eta=0.9).passed
+print(photsub.fock.__name__, "numpy" in sys.modules)
+"""
+
+
+def test_sweeps_leave_numpy_unimported_and_the_oracle_imports_it():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", _SWEEPS_WITHOUT_NUMPY], env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "photsub.fock", "True"]
