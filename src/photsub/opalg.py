@@ -14,9 +14,6 @@ with a and b the powers of u in the terms K and K' of the expansion, and H
 binomials times powers of alpha times an entry of the quantum input's
 moment table.  H does not depend on phi: :class:`PortCoefficients` compiles
 it once per scene family and :func:`port_moments` sums it at each phase.
-Loss does not enter H or the sums either: the family keeps the lossless sums
-of its last phase, so the points of an eta sweep sum each F(i, j) once and
-only thin it.
 Pair (K', K) is the conjugate of (K, K'), so a > b is folded onto a < b.
 Ordinary moments follow by Stirling numbers (:func:`port_expectation`).
 
@@ -58,22 +55,17 @@ class PortCoefficients:
         self._alpha = alpha
         self._dps = mp.libmp.prec_to_dps(bits) + GUARD_DIGITS
         self._moments, self._displacements, self._terms = {}, {}, {}
-        self._lossless = None, {}
 
     def moment(self, key: tuple) -> tuple:
-        """The input table's entry ``key``, filled at guard digits, as a fixed-point number."""
+        """The input table's entry ``key``, filled at guard digits, as a fixed-point number.
+
+        Kept per key: compiling a family's terms reads each entry about three
+        times, and the phase derivatives read theirs at every point.
+        """
         if key not in self._moments:
             with mp.workdps(self._dps):
                 self._moments[key] = fixed(self.table.entry(key), self.bits)
         return self._moments[key]
-
-    def lossless(self, u: tuple, v: tuple) -> dict:
-        """The lossless certified sums at the fixed-point port entries (u, v),
-        by name.  Only the last (u, v) is kept: the points of an eta sweep
-        share its sums, and a new phase starts an empty set."""
-        if self._lossless[0] != (u, v):
-            self._lossless = (u, v), {}
-        return self._lossless[1]
 
     def displacement(self, m: int, m2: int) -> tuple:
         """conj(alpha)^m alpha^m2, as a fixed-point number."""
@@ -106,15 +98,12 @@ class PortCoefficients:
 class PortMoments:
     """F(i, j) of one scene, and its phase derivatives, as certified sums.
 
-    Built by :func:`port_moments`.  Each sum is taken on first request, once
-    per phase of the family (:meth:`PortCoefficients.lossless`), and thinned
-    by this scene's eta.
+    Built by :func:`port_moments`; entries are summed on first request.
     """
 
     def __init__(self, coefficients: PortCoefficients, u, v, eta: float):
         self.coefficients, self.eta, self.bits = coefficients, eta, coefficients.bits
         self._u, self._v = fixed(u, self.bits), fixed(v, self.bits)
-        self._lossless = coefficients.lossless(self._u, self._v)
         self._powers = [[ONE]]
         self._pairs = {}
         self._entries = {}
@@ -136,20 +125,15 @@ class PortMoments:
             self._pairs[n, a, b] = fixed_mul(fixed_conj(p[a]), p[b], self.bits)
         return self._pairs[n, a, b]
 
-    def _sum(self, name, pairs, n: int) -> Bounded:
-        """The certified sum ``name`` of the pairs ``pairs()`` yields, summed
-        once per phase, thinned by eta^n."""
-        if name not in self._lossless:
-            self._lossless[name] = certified_sum(pairs(), self.bits)
-        return thin(self._lossless[name], self.eta, n)
+    def _sum(self, pairs, n: int) -> Bounded:
+        """The certified sum of ``pairs``, thinned by eta^n."""
+        return thin(certified_sum(pairs, self.bits), self.eta, n)
 
     def entry(self, i: int, j: int) -> Bounded:
         """F(i, j)."""
         if (i, j) not in self._entries:
             n, terms = i + j, self.coefficients.terms(i, j)
-            self._entries[i, j] = self._sum(
-                (i, j), lambda: ((h, self._pair(n, a, b)) for a, b, h in terms), n
-            )
+            self._entries[i, j] = self._sum(((h, self._pair(n, a, b)) for a, b, h in terms), n)
         return self._entries[i, j]
 
     def slope(self) -> Bounded:
@@ -159,11 +143,9 @@ class PortMoments:
         <a> = 0 and F(1, 0) - F(0, 1) = -eta (<n> - mu) cos phi, with
         mu = |alpha|^2; sin phi = Re(-2i conj(u) v).
         """
-        def pairs():
-            c, sin = self.coefficients, fixed_times(self._pair(1, 1, 0), -2j)
-            return [(c.moment((1, 1)), sin), (fixed_times(c.displacement(1, 1), -1), sin)]
-
-        return self._sum("slope", pairs, 1)
+        c = self.coefficients
+        sin = fixed_times(self._pair(1, 1, 0), -2j)
+        return self._sum([(c.moment((1, 1)), sin), (fixed_times(c.displacement(1, 1), -1), sin)], 1)
 
     def mixed(self) -> Bounded:
         """d^2 F(1, 1)/dphi1 dphi2 of the correlated scheme at phi1 = phi2.
@@ -173,16 +155,14 @@ class PortMoments:
         eta^2 [|uv|^2 <(n0 - mu)(n1 - mu)> - cos^2 phi Re(conj(alpha)^2 <a0 a1>)/2],
         with |uv|^2 = sin^2(phi)/4 and cos^2 phi = 1 - 4 |uv|^2.
         """
-        def pairs():
-            c, bits, w = self.coefficients, self.bits, self._pair(2, 1, 1)
-            minus_mu = fixed_times(c.displacement(1, 1), -1)
-            y = fixed_mul(c.displacement(2, 0), c.moment((0, 1, 0, 1)), bits)
-            return [(w, c.moment((1, 1, 1, 1))), (w, c.displacement(2, 2)),
-                    (w, fixed_mul(minus_mu, c.moment((1, 1, 0, 0)), bits)),
-                    (w, fixed_mul(minus_mu, c.moment((0, 0, 1, 1)), bits)),
-                    (fixed_times(w, 2), y), (fixed_times(ONE, -1, 1), y)]
-
-        return self._sum("mixed", pairs, 2)
+        c, bits, w = self.coefficients, self.bits, self._pair(2, 1, 1)
+        minus_mu = fixed_times(c.displacement(1, 1), -1)
+        y = fixed_mul(c.displacement(2, 0), c.moment((0, 1, 0, 1)), bits)
+        pairs = [(w, c.moment((1, 1, 1, 1))), (w, c.displacement(2, 2)),
+                 (w, fixed_mul(minus_mu, c.moment((1, 1, 0, 0)), bits)),
+                 (w, fixed_mul(minus_mu, c.moment((0, 0, 1, 1)), bits)),
+                 (fixed_times(w, 2), y), (fixed_times(ONE, -1, 1), y)]
+        return self._sum(pairs, 2)
 
 
 def port_moments(coefficients: PortCoefficients, u, v, eta: float = 1.0) -> PortMoments:

@@ -56,7 +56,6 @@ def test_balanced_points_and_the_lossy_oracle_run_without_scipy():
 _SWEEPS_WITHOUT_NUMPY = """
 import sys
 from math import pi
-import photsub
 from photsub.experiments import SweepConfig, oracle_compare, run_sweep
 
 rows = run_sweep(SweepConfig(scheme="single", axis="lam", values=(0.7,), m_list=(2,),
@@ -67,15 +66,32 @@ rows += run_sweep(SweepConfig(scheme="correlated", axis="phi", values=(1e-6, 1e-
 assert {row.flag for row in rows} == {"ok"}, rows
 print("numpy" in sys.modules)
 assert oracle_compare("correlated", 0.3, 1, mu=2.0, phi=0.7, eta=0.9).passed
+print("numpy" in sys.modules)
+"""
+
+_FOCK_BY_ATTRIBUTE = """
+import sys
+import photsub
+
+print("numpy" in sys.modules)
 print(photsub.fock.__name__, "numpy" in sys.modules)
 """
 
 
-def test_sweeps_leave_numpy_unimported_and_the_oracle_imports_it():
+def _fresh(script: str) -> list:
+    """The printed words of ``script`` run in a fresh interpreter, where no
+    test's own imports can hide or supply a module."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run(
-        [sys.executable, "-c", _SWEEPS_WITHOUT_NUMPY], env=env, capture_output=True,
-        text=True, timeout=300,
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "photsub.fock", "True"]
+    return out.stdout.split()
+
+
+def test_sweeps_leave_numpy_unimported_and_the_oracle_imports_it():
+    assert _fresh(_SWEEPS_WITHOUT_NUMPY) == ["False", "True"]
+
+
+def test_the_package_attribute_fock_imports_the_oracle():
+    assert _fresh(_FOCK_BY_ATTRIBUTE) == ["False", "photsub.fock", "True"]
