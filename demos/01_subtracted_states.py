@@ -18,7 +18,8 @@ from photsub.states import PassvSpec, SpatsvSpec
 #
 # Counter-intuitively, *removing* photons raises the mean energy: the
 # annihilation operator re-weights the distribution toward larger photon
-# numbers.  The closed forms below are exact (no Fock truncation).
+# numbers.  The maps below are exact: ratios of integer polynomials in lam,
+# evaluated exactly and rounded once (no Fock truncation).
 # ---------------------------------------------------------------------------
 
 print("mean photons of the m-subtracted squeezed vacuum")
@@ -27,8 +28,8 @@ for lam in (0.1, 1.0, 5.0):
     row = [states.passv_mean_photons(lam, m) for m in range(5)]
     print(f"{lam:>6.2f} " + " ".join(f"{v:>10.4f}" for v in row))
 
-# The same closed forms can be inverted: energy balancing finds the
-# pre-subtraction squeezing whose subtracted state carries a target energy,
+# The same maps can be inverted: energy balancing finds the float nearest
+# the pre-subtraction squeezing whose subtracted state carries a target energy,
 # so different subtraction orders can be compared at equal input power.
 target = 5.0
 print(f"\npre-subtraction energy giving mean photons = {target}")

@@ -6,7 +6,7 @@ phase estimation with photon-subtracted squeezed vacuum states:
 - ``fock``: truncated Fock-space state construction and a brute-force
   interferometer oracle used to validate the analytic engine.
 - ``states``: subtracted-state constructors, seed representations,
-  closed-form mean photon numbers and the energy-balancing solver.
+  exact mean photon numbers and the correctly rounded energy balancing.
 - ``opalg``: the normal-ordered moments of the two read-out ports, with
   analytic phase derivatives, summed with certified error bounds.
 - ``moments``: exact cutoff-free moment tables for all input states.

@@ -270,17 +270,23 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
     Each (axis value, m) builds its scene once; a scene that cannot be built
     (an unreachable balancing target) flags every metric row of its point.
+    Balancing a single-scheme point to a target equal to mu zeroes the
+    read-out slope eta (<n> - mu) sin phi, whatever the last bits of the
+    root, so its U, which divides by that slope, is singular.
     """
     cfg.validate()
     metrics = _METRICS[cfg.scheme]
     rows = []
     for value in cfg.values:
         p = _scene_params(cfg, value)
+        flat = cfg.balanced and cfg.scheme == "single" and p["lam"] == p["mu"]
         for m in cfg.m_list:
             scene, flag = _flagged(_scene, cfg.scheme, m, balanced=cfg.balanced, **p)
             for metric in cfg.metrics:
                 result, row_flag = (
-                    (None, flag) if scene is None else _flagged(metrics[metric], scene, cfg.digits)
+                    (None, flag) if scene is None
+                    else (None, FLAG_SINGULAR) if flat and metric == "U"
+                    else _flagged(metrics[metric], scene, cfg.digits)
                 )
                 rows.append(SweepRow(float(value), int(m), metric, result, row_flag))
     return SweepResult(cfg, tuple(rows))

@@ -29,7 +29,7 @@ package's one loss law (:func:`photsub.moments.thin`).
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial
 
 import mpmath as mp
 
@@ -171,6 +171,15 @@ def port_moments(coefficients: PortCoefficients, u, v, eta: float = 1.0) -> Port
     return PortMoments(coefficients, u, v, eta)
 
 
+#: Stirling numbers of the second kind S(n, k), N^n = sum_k S(n, k) a^dag^k a^k,
+#: by their explicit sum, for n up to 16, the largest input table order
+_STIRLING2 = [
+    [sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1)) // factorial(k)
+     for k in range(n + 1)]
+    for n in range(17)
+]
+
+
 def port_expectation(ports: PortMoments, poly: dict) -> Bounded:
     """<poly(N_a, N_b)> as a :class:`Bounded`.
 
@@ -181,14 +190,5 @@ def port_expectation(ports: PortMoments, poly: dict) -> Bounded:
     for (p, q), c in poly.items():
         for i in range(p + 1):
             for j in range(q + 1):
-                weights[i, j] = weights.get((i, j), 0) + c * _stirling2(p, i) * _stirling2(q, j)
+                weights[i, j] = weights.get((i, j), 0) + c * _STIRLING2[p][i] * _STIRLING2[q][j]
     return sum(w * ports.entry(i, j) for (i, j), w in weights.items() if w)
-
-
-def _stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind: N^n = sum_k S(n, k) a^dag^k a^k."""
-    if k == n:
-        return 1
-    if not 0 < k < n:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)

@@ -1,23 +1,32 @@
-"""Photon-subtracted squeezed state constructors and closed-form properties.
+"""Photon-subtracted squeezed state constructors and exact properties.
 
 Builds PASSV (photon-annihilated single-mode squeezed vacuum) and SPATSV
 (symmetrically photon-annihilated two-mode squeezed vacuum) states, their
-finite seed-superposition representations, the mean-photon maps and the
-energy-balancing solver used in fixed-total-energy comparisons.  The
-constructors build Fock-space states, which only the oracle reads, so they
-import :mod:`photsub.fock` (and numpy) when called: a sweep never does.
+finite seed-superposition representations, the mean-photon maps (ratios of
+integer polynomials in lam, evaluated exactly and rounded once) and the
+energy balancing of fixed-total-energy comparisons, whose root is the float
+nearest the exact one.  The constructors build Fock-space states, which
+only the oracle reads, so they import :mod:`photsub.fock` (and numpy) when
+called: a sweep never does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, inf, isfinite, isnan, sqrt
+from math import comb, factorial, inf, isfinite, sqrt
 from numbers import Integral
+from struct import pack, unpack
 from typing import TYPE_CHECKING
 
 from .errors import OutOfRange
-from .moments import at_float_digits, bogoliubov_vacuum_moment_1m, bogoliubov_vacuum_moment_2m
+from .moments import (
+    _wick_terms_1m,
+    _wick_terms_2m,
+    at_float_digits,
+    bogoliubov_vacuum_moment_1m,
+    bogoliubov_vacuum_moment_2m,
+)
 
 if TYPE_CHECKING:
     from .fock import FockState1, TwoModeDiagonalState
@@ -133,155 +142,136 @@ def spatsv_seed(spec: SpatsvSpec) -> TwoModeDiagonalState:
 
 
 # ---------------------------------------------------------------------------
-# Mean photon numbers
+# Mean photon numbers and energy balancing
 # ---------------------------------------------------------------------------
 
+#: (kind, m) -> (P, Q), the integer coefficients (lowest power first, one
+#: length) of the mean-photon map P(lam)/Q(lam); a sweep uses a few orders
+_MAPS = {}
 
-@at_float_digits
+
+def _mean_photon_map(kind: str, m: int) -> tuple:
+    """(P, Q): the vacuum moments of m + 1 and of m photons from each mode,
+    sums count lam^a g^b with b even, so g^b = (lam (1 + lam))^(b/2), as
+    polynomials in lam with their common power of lam divided out: P(0)/Q(0)
+    is the lam = 0 limit (m mod 2 for PASSV, 0 for SPATSV)."""
+    if (kind, m) not in _MAPS:
+        if kind not in ("single", "two_mode") or m < 0:
+            raise ValueError(f"no mean-photon map of kind {kind!r} and order {m}")
+        p, q = ([0] * (2 * m + 3) for _ in range(2))
+        for poly, n in ((p, m + 1), (q, m)):
+            wick = _wick_terms_1m(n, n) if kind == "single" else _wick_terms_2m(n, n, m, m)
+            for count, a, b in wick[1]:
+                for j in range(b // 2 + 1):
+                    poly[a + b // 2 + j] += count * comb(b // 2, j)
+        while not (p[0] or q[0]):
+            del p[0], q[0]
+        while not (p[-1] or q[-1]):
+            del p[-1], q[-1]
+        _MAPS[kind, m] = (tuple(p), tuple(q))
+    return _MAPS[kind, m]
+
+
+def _at(pq: tuple, n: int, shift: int) -> tuple:
+    """P and Q at lam = n 2^-shift, both times 2^(shift deg P), as exact
+    integers (homogeneous Horner)."""
+    hp = hq = s = 0
+    for p, q in zip(reversed(pq[0]), reversed(pq[1])):
+        hp, hq, s = hp * n + (p << s), hq * n + (q << s), s + shift
+    return hp, hq
+
+
+def _mean_photons(kind: str, lam: float, m: int) -> float:
+    if not 0 <= lam < inf:
+        raise ValueError("lam must be finite and >= 0")
+    n, d = float(lam).as_integer_ratio()
+    hp, hq = _at(_mean_photon_map(kind, m), n, d.bit_length() - 1)
+    try:
+        return hp / hq  # int / int rounds correctly
+    except OverflowError:
+        return inf
+
+
 def passv_mean_photons(lam: float, m: int) -> float:
-    """Mean photon number of the m-subtracted squeezed vacuum.
-
-    Closed forms for m <= 3 while lam^2 stays a finite float; otherwise the
-    ratio of the squeezed vacuum's factorial moments
-    <a^dag^(m+1) a^(m+1)> / <a^dag^m a^m>.
-    """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    if m == 0:
-        return lam
-    if lam < 1e150:
-        if m == 1:
-            return 3.0 * lam + 1.0
-        if m == 2:
-            return 3.0 * lam * (3.0 + 5.0 * lam) / (1.0 + 3.0 * lam)
-        if m == 3:
-            return (3.0 + 30.0 * lam + 35.0 * lam**2) / (3.0 + 5.0 * lam)
-        if lam == 0:
-            # the subtracted state degenerates to |0> (even m) or |1> (odd m)
-            return float(m % 2)
-    num = bogoliubov_vacuum_moment_1m(m + 1, m + 1, lam)
-    den = bogoliubov_vacuum_moment_1m(m, m, lam)
-    return float((num / den).real)
+    """Mean photon number of the m-subtracted squeezed vacuum, correctly rounded:
+    <a^dag^(m+1) a^(m+1)> / <a^dag^m a^m> of the squeezed vacuum, a ratio of
+    integer polynomials (3 lam + 1 for m = 1) evaluated exactly at lam."""
+    return _mean_photons("single", lam, m)
 
 
-@at_float_digits
 def spatsv_mean_photons(lam: float, m: int) -> float:
-    """Mean photons per mode of the symmetrically m-subtracted TSV."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    if m == 0:
-        return lam
-    if lam == 0:
-        return 0.0
-    num = bogoliubov_vacuum_moment_2m(m + 1, m + 1, m, m, lam)
-    den = bogoliubov_vacuum_moment_2m(m, m, m, m, lam)
-    return float((num / den).real)
+    """Mean photons per mode of the symmetrically m-subtracted TSV, correctly rounded."""
+    return _mean_photons("two_mode", lam, m)
 
 
 def balance_energy(target_lam: float, m: int, kind: str = "single") -> float:
-    """Invert the mean-photon map: find lam0 with mean(lam0, m) = target_lam.
+    """Invert the mean-photon map: the float lam0 nearest the root of
+    mean(lam0, m) = target_lam, correctly rounded (:func:`_nearest_root`).
 
-    ``kind`` selects the single-mode (PASSV) or two-mode (SPATSV) map.  The
-    maps are monotone in lam: the root is bracketed by doubling from
-    [0, max(target, 1)] and found by :func:`brentq`, the package's own port
-    of Brent's method, which reuses the two bracket values.  Raises
-    OutOfRange when the target lies below the map's infimum (odd-m PASSV has
-    mean >= 1 for every lam).  Roots are memoised by (target, m, kind), so a
-    sweep whose points share a target solves it once.
+    ``kind`` selects the single-mode (PASSV) or two-mode (SPATSV) map.
+    Raises OutOfRange when the target lies below the map's value at lam = 0
+    (odd-m PASSV has mean >= 1 for every lam).  Roots are memoised by
+    (target, m, kind), so a sweep whose points share a target solves it once.
     """
     return _balance_root(target_lam, m, kind)
 
 
 @lru_cache(maxsize=16)
 def _balance_root(target_lam: float, m: int, kind: str) -> float:
-    if kind == "single":
-        mean = lambda lam: passv_mean_photons(lam, m)
-    elif kind == "two_mode":
-        mean = lambda lam: spatsv_mean_photons(lam, m)
-    else:
-        raise ValueError("kind must be 'single' or 'two_mode'")
-    if m == 0:
-        if target_lam < 0:
-            raise OutOfRange("target energy must be >= 0")
-        return float(target_lam)
-    lo = 0.0
-    f_lo = mean(lo) - target_lam
-    if abs(f_lo) < 1e-14:
-        return lo
-    if f_lo > 0:
-        raise OutOfRange(
-            f"target {target_lam} below the infimum {mean(lo)} of the m={m} map"
-        )
-    hi = max(target_lam, 1.0)
-    while (f_hi := mean(hi) - target_lam) < 0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise OutOfRange("target energy unreachable")
-    root = brentq(
-        lambda lam: mean(lam) - target_lam, lo, hi, fa=f_lo, fb=f_hi, xtol=1e-15, rtol=1e-14
-    )
-    return float(root)
+    pq = _mean_photon_map(kind, m)
+    target = float(target_lam)
+    tn, td = target.as_integer_ratio()
+    (p0, *_), (q0, *_) = pq
+    if td * p0 > tn * q0:
+        raise OutOfRange(f"target {target_lam} below the infimum {p0 / q0} of the m={m} map")
+    return 0.0 if td * p0 == tn * q0 else _nearest_root(pq, target)
 
 
-def _reject_nan(fx: float, x: float) -> float:
-    if isnan(fx):
-        raise ValueError(f"the function value at x={x} is NaN")
-    return fx
+def _nearest_root(pq: tuple, target: float) -> float:
+    """The float nearest the root of the increasing P/Q = target > P(0)/Q(0).
 
+    Float Newton steps from the map's asymptote c1 lam + c0 (the asymptote
+    alone where a huge target overflows P), then one step on the exact
+    residual, estimate it.  The answer is the least float bit pattern whose
+    upper midpoint has td P >= tn Q, target = tn/td (a root on a midpoint
+    rounds down), found by four neighbour steps from the estimate, else by
+    bisecting [0, max(target, 1)], which brackets the root as P - lam Q has
+    no negative coefficient, in at most 63 steps."""
+    tn, td = target.as_integer_ratio()
 
-def _brent_step(xpre, xcur, xblk, fpre, fcur, fblk) -> float:
-    """Secant (xpre = xblk) or inverse quadratic step from xcur; inf where
-    it would divide by zero, which makes the caller bisect as C does."""
-    try:
-        if xpre == xblk:
-            return -fcur * (xcur - xpre) / (fcur - fpre)
-        dpre = (fpre - fcur) / (xpre - xcur)
-        dblk = (fblk - fcur) / (xblk - xcur)
-        return -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-    except ZeroDivisionError:
-        return inf
+    def residual(n: int, shift: int) -> tuple:
+        """td hq (P/Q - target) and td hq at lam = n 2^-shift, exactly."""
+        hp, hq = _at(pq, n, shift) if shift >= 0 else _at(pq, n << -shift, 0)
+        return td * hp - tn * hq, td * hq
 
+    def reaches(k: int) -> bool:
+        exp = k >> 52
+        mantissa = (k & (1 << 52) - 1) | (1 << 52 if exp else 0)
+        return residual(2 * mantissa + 1, 1076 - max(exp, 1))[0] >= 0
 
-def brentq(f, a, b, *, fa, fb, xtol, rtol, maxiter=100):
-    """Root of f in the bracket [a, b] by Brent's method.
-
-    Step for step the algorithm of scipy's ``brentq.c`` (bracket swap,
-    secant or inverse quadratic step, bisection fallback, tolerance
-    2 delta = xtol + rtol |x|), so it returns the same float.  ``fa`` and
-    ``fb`` are f(a) and f(b), which the caller has from bracketing.  Raises
-    ValueError when f(a) and f(b) have the same sign or f returns NaN, and
-    RuntimeError when ``maxiter`` iterations do not converge.
-    """
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = _reject_nan(fa, a), _reject_nan(fb, b)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if (
-            abs(spre) > delta
-            and abs(fcur) < abs(fpre)
-            and 2 * abs(stry := _brent_step(xpre, xcur, xblk, fpre, fcur, fblk))
-            < min(abs(spre), 3 * abs(sbis) - delta)
-        ):
-            spre, scur = scur, stry  # a good short step
+    p, q = ([c / pq[1][-2] for c in poly] for poly in pq)  # Q's leading coefficient 1
+    slope, cap = p[-1], max(target, 1.0)
+    x = max((target - p[-2] + slope * (q[-3] if len(q) > 2 else 0.0)) / slope, 0.0)
+    for _ in range(40):
+        f = df = g = dg = 0.0
+        for a, b in zip(reversed(p), reversed(q)):
+            df, f, dg, g = df * x + f, f * x + a, dg * x + g, g * x + b
+        if not (gradient := (df - f / g * dg) / g) > 0:  # (P/Q)' = (P' - (P/Q) Q')/Q
+            break
+        slope, last = gradient, x
+        x = min(max(x - (f / g - target) / slope, 0.0), cap)
+        if abs(x - last) <= 1e-15 * x:
+            break
+    n, d = x.as_integer_ratio()
+    num, den = residual(n, d.bit_length() - 1)
+    bits = lambda x: unpack("<q", pack("<d", x))[0]  # orders the floats >= 0
+    lo, hi = -1, bits(cap)
+    k, steps = min(max(bits(x - num / den / slope), 0), hi), 0
+    while hi - lo > 1:
+        k = k if steps < 4 else (lo + hi) // 2
+        if reaches(k):
+            hi, k = k, k - 1
         else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = _reject_nan(f(xcur), xcur)
-    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
+            lo, k = k, k + 1
+        steps += 1
+    return unpack("<d", pack("<q", hi))[0]

@@ -19,6 +19,7 @@ the port-moment kernel of :mod:`photsub.opalg` and its analytic
 derivatives are checked against.
 """
 
+from fractions import Fraction
 from math import comb, factorial, prod, sqrt
 
 import mpmath as mp
@@ -215,6 +216,33 @@ def subtracted_table(modes, lam, m: int, max_order: int, chi: float = 0.0) -> mo
     return moments.MomentTable(
         modes, max_order, lambda key: vacuum_moment(*(k + m for k in key), lam, chi) / norm
     )
+
+
+def mean_photons_exact(kind: str, lam, m: int) -> Fraction:
+    """The mean-photon map of the m-subtracted PASSV (``kind`` "single") or
+    SPATSV ("two_mode") at the rational ``lam``, exactly.
+
+    The ratio of the diagonal Wick pairing sums of m + 1 and of m photons
+    from each mode, formed from scratch; on the diagonal g appears squared,
+    g^2 = lam (1 + lam).  Undefined (0/0) at lam = 0 for m > 0.
+    """
+    lam = Fraction(lam)
+    g2 = lam * (1 + lam)
+
+    def single(p):
+        return sum(Fraction(factorial(p) ** 2, factorial(k) * factorial((p - k) // 2) ** 2
+                            * 4 ** ((p - k) // 2)) * lam**k * g2 ** ((p - k) // 2)
+                   for k in range(p % 2, p + 1, 2))
+
+    def pair(p, r):
+        return sum(Fraction(factorial(p) ** 2 * factorial(r) ** 2,
+                            factorial(k) * factorial(p - k) ** 2 * factorial(r - p + k))
+                   * lam ** (2 * k + r - p) * g2 ** (p - k)
+                   for k in range(max(0, p - r), p + 1))
+
+    if kind == "single":
+        return single(m + 1) / single(m)
+    return pair(m + 1, m) / pair(m, m)
 
 
 def bounded(x) -> moments.Bounded:

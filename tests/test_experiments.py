@@ -14,6 +14,7 @@ from photsub.experiments import (
     EXIT_NUMERICAL,
     EXIT_OK,
     PRESETS,
+    SINGLE_METRICS,
     SweepConfig,
     SweepResult,
     main,
@@ -474,26 +475,29 @@ def test_cli_oracle_compare_rejects_bad_scene_values(tmp_path, scheme):
 
 def test_fig1c_vanishing_slope_rows_are_flagged():
     # at lam = mu = 100 balancing makes <n_q> = mu, so the read-out slope
-    # cancels: exactly for m = 0 and for m = 1 (lam0 = 33, 3 lam0 + 1 = 100).
-    # For m >= 2 it cancels to the round-off of the float balancing root, a
-    # slope ~1e-13 of its scale that the working precision resolves: the
-    # values equal a 60-digit evaluation of the same scene
-    from photsub import metrology
-    from photsub.states import PassvSpec, balance_energy
+    # vanishes for every m.  For m >= 2 the float root leaves a slope of the
+    # root's round-off, ~1e-13 of its scale, whose U (1e14 to 6e15, moving
+    # with the last bits of the root) is noise: flagged as m = 0, 1 are
+    cfg = dataclasses.replace(PRESETS["fig1c"], values=(100.0,))
+    rows = run_sweep(cfg).rows
+    assert {(row.m, row.metric): row.flag for row in rows} == {
+        **{(m, "U"): "singular" for m in range(5)}, **{(m, "snl"): "ok" for m in range(5)}}
 
-    cfg = dataclasses.replace(PRESETS["fig1c"], values=(100.0,), metrics=("U",))
-    rows = {row.m: row for row in run_sweep(cfg).rows}
-    assert {m: row.flag for m, row in rows.items()} == {
-        0: "singular", 1: "singular", 2: "ok", 3: "ok", 4: "ok"}
-    pinned = {2: 1.48089264141e15, 3: 1.21615912581e14, 4: 3.49389730166e15}
-    for m, value in pinned.items():
-        spec = PassvSpec(balance_energy(100.0, m, "single"), m, cfg.chi)
-        scene = metrology.SingleMziConfig(
-            spec, mu=cfg.mu, phi=cfg.phi, psi=cfg.psi, eta=cfg.eta
-        )
-        exact = metrology.single_phase_uncertainty(scene, dps=60)
-        assert abs(rows[m].value - exact) <= 1e-14 * exact, m
-        assert abs(rows[m].value - value) <= 5e-12 * value, m
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("mu", [2.5, 100.0, 1e4])
+def test_a_single_point_balanced_to_mu_flags_only_its_slope_metric(mu, m):
+    base = dict(scheme="single", axis="lam", m_list=(m,), metrics=SINGLE_METRICS, mu=mu,
+                phi=np.pi / 2 - 0.3, eta=0.98, balanced=True)
+    at_mu, off_mu = (run_sweep(SweepConfig(**base, values=(value,))).rows
+                     for value in (mu, mu * (1 + 1e-6)))
+    assert {row.metric: row.flag for row in at_mu} == {
+        metric: "singular" if metric == "U" else "ok" for metric in SINGLE_METRICS}
+    # a target off mu keeps its slope, and an unbalanced point at lam = mu
+    # is not forced onto the mean photons
+    assert {row.flag for row in off_mu} == {"ok"}
+    unbalanced = run_sweep(SweepConfig(**{**base, "balanced": False}, values=(mu,))).rows
+    assert {row.flag for row in unbalanced} == {"ok"}
 
 
 @pytest.mark.parametrize("metric", ["quad_diff_var", "quad_diff_var_seed"])
@@ -547,9 +551,10 @@ def test_difference_quadrature_is_read_at_its_squeezed_angle(metric, table):
              metrics=("U",), lam=1.0, phi=np.pi / 2, eta=0.98),
         dict(scheme="correlated", axis="one_minus_tau", values=(0.1,), m_list=(1,),
              metrics=("nrf",), lam=0.05, mu=1e16, psi=np.pi / 2),
-        # fig1c's balanced lam = mu = 100: the slope cancels to ~1e-13
+        # a balanced target 1e-12 below mu (fig1c's lam = mu = 100 is now
+        # singular): the slope cancels through 12 digits
         dict(scheme="single", axis="lam", values=(100.0,), m_list=(2,),
-             metrics=("U",), mu=100.0, phi=np.pi / 2, eta=0.98, balanced=True),
+             metrics=("U",), mu=100.0000000001, phi=np.pi / 2, eta=0.98, balanced=True),
     ],
     ids=["U_norm", "single-U", "nrf", "single-U-slope"],
 )

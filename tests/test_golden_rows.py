@@ -157,7 +157,7 @@ def test_golden_point(kwargs, expected):
 PRESET_SHA256 = {
     "fig1a": "8f32dc79a402f5231fcb520b787c85275770bbcada56a8b72a38b6a22fafcbce",
     "fig1b": "20927e9c295a237ba55d8ec29286efd0e0d3575b47b14561c42a68792c65559a",
-    "fig1c": "8fe5d3771673665f84036fd11186d210a77affd780a93d185b2d6e5749017910",
+    "fig1c": "cfe7b17c84446547c4ebfd46741fc394d6a96e6ae27fb41fb65eb3c60f78cac8",
     "fig_anyangle": "85753c07c7e36373b4d5a5acd7a5a740749fb24f6e9cc6ef8388baa6466492d6",
     "fig3a": "7ccdcba48fd53c5ddaf29a7df7d88e96972a381430f8853d9fe9d28b9772540d",
     "fig3b": "e6e48aa149428b897049dedc1ff9393b080e5c32feda337d8c5e87b2913482bd",

@@ -1,5 +1,6 @@
-"""photsub runs on numpy and mpmath alone: scipy is a test dependency, and
-only the Fock oracle imports numpy."""
+"""photsub runs on numpy and mpmath alone: scipy is a test dependency, only
+the Fock oracle imports numpy, and a sweep imports neither fractions nor
+decimal."""
 
 import ast
 import os
@@ -95,3 +96,22 @@ def test_sweeps_leave_numpy_unimported_and_the_oracle_imports_it():
 
 def test_the_package_attribute_fock_imports_the_oracle():
     assert _fresh(_FOCK_BY_ATTRIBUTE) == ["False", "photsub.fock", "True"]
+
+
+_BALANCED_POINTS = """
+import sys
+from photsub.experiments import SweepConfig, run_sweep
+
+rows = run_sweep(SweepConfig(scheme="single", axis="lam", values=(8.5,), m_list=(3,),
+                             metrics=("U", "qfi"), mu=1e3, balanced=True)).rows
+rows += run_sweep(SweepConfig(scheme="correlated", axis="lam", values=(0.4,), m_list=(2,),
+                              metrics=("nrf",), mu=1e6, balanced=True)).rows
+assert {row.flag for row in rows} == {"ok"}, rows
+print(sorted(name for name in ("fractions", "decimal", "numpy") if name in sys.modules))
+"""
+
+
+def test_balanced_points_import_no_fractions_decimal_or_numpy():
+    # exact balancing runs on Python integers: fractions would pull in
+    # decimal, and either would cost every sweep its import time and memory
+    assert _fresh(_BALANCED_POINTS) == ["[]"]

@@ -146,3 +146,21 @@ def test_loss_scales_port_moments_by_eta_to_the_order(scheme, seed):
                 want = thinned.entry(i, j).value
                 got = lossy.entry(i, j).value
                 assert abs(got - want) <= 1e-45 * (1 + abs(want)), (i, j)
+
+
+def _stirling2(n: int, k: int) -> int:
+    """S(n, k) by the recursion S(n, k) = k S(n - 1, k) + S(n - 1, k - 1)."""
+    if k == n:
+        return 1
+    if not 0 < k < n:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def test_the_stirling_table_matches_the_recursion():
+    # every (n, k) port_expectation can read: n up to the order of the
+    # largest input table, 16; the figures of merit read n <= 4
+    assert [len(row) for row in opalg._STIRLING2] == list(range(1, 18))
+    for n, row in enumerate(opalg._STIRLING2):
+        assert row == [_stirling2(n, k) for k in range(n + 1)], n
+

@@ -1,13 +1,18 @@
 """Subtracted-state constructors, closed forms, seeds and energy balancing."""
 
+from fractions import Fraction
+from math import inf, nextafter
+
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from photsub import fock, states
 from photsub.errors import NullState, OutOfRange
+from photsub.experiments import SweepConfig, run_sweep
 from photsub.states import PassvSpec, SpatsvSpec
 from reference import (
     fidelity,
@@ -152,59 +157,80 @@ def _balancing_problems():
                 yield float(target), m, "single"
 
 
-def test_brent_port_matches_scipy_bit_for_bit(monkeypatch):
-    optimize = pytest.importorskip("scipy.optimize")
-    port, roots = states.brentq, []
+#: (target, m, kind) at the edges: just above an infimum, below 1e-14, at
+#: the extremes of the float range and where the root is exactly 0
+_EDGE_PROBLEMS = [
+    (1 + 2**-50, 1, "single"), (1 + 2**-50, 3, "single"), (1 + 2**-52, 5, "single"),
+    (1e-15, 2, "single"), (1e-15, 2, "two_mode"), (1e-300, 4, "single"),
+    (1e-300, 3, "two_mode"), (5e-324, 1, "two_mode"), (1e16, 3, "single"),
+    (1e17, 4, "two_mode"), (1e200, 2, "single"), (1e200, 5, "two_mode"),
+    (1.7e308, 1, "two_mode"), (1.0, 1, "single"), (0.0, 2, "single"), (0.0, 3, "two_mode"),
+]
 
-    def both(f, a, b, **kwargs):
-        want = optimize.brentq(f, a, b, xtol=kwargs["xtol"], rtol=kwargs["rtol"])
-        roots.append((port(f, a, b, **kwargs), want))
-        return roots[-1][0]
 
-    monkeypatch.setattr(states, "brentq", both)
-    for problem in _balancing_problems():
+def _midpoint(x: float, direction: float) -> Fraction:
+    return (Fraction(x) + Fraction(nextafter(x, direction))) / 2
+
+
+@pytest.mark.parametrize("problems", ["grid", "edges"])
+def test_balancing_roots_are_correctly_rounded(problems):
+    # the exact map crosses the target between the midpoints around the root
+    cases = list(_balancing_problems()) if problems == "grid" else _EDGE_PROBLEMS
+    for target, m, kind in cases:
+        root = states.balance_energy(target, m, kind)
+        assert reference.mean_photons_exact(kind, _midpoint(root, inf), m) >= target
+        if root > 0:  # no lam < 0 competes with a root of 0
+            assert reference.mean_photons_exact(kind, _midpoint(root, 0.0), m) < target
+
+
+def test_a_target_just_above_the_infimum_has_a_positive_root():
+    # a tolerance on the map's value at 0 once returned 0 for every target
+    # within 1e-14 of it: 1 + 2^-50 then fell below the odd-m infimum
+    assert states.balance_energy(1 + 2**-50, 1, "single") == 2.0**-50 / 3
+    # the m = 2 pair map is 9 lam (1 + O(lam)) near 0
+    assert states.balance_energy(1e-15, 2, "two_mode") == pytest.approx(1e-15 / 9, rel=1e-14, abs=0)
+    rows = run_sweep(SweepConfig(scheme="single", axis="lam", values=(1 + 2**-50,), m_list=(1,),
+                                 metrics=("snl", "qfi"), balanced=True)).rows
+    assert [row.flag for row in rows] == ["ok", "ok"]
+
+
+def _exact_evaluations(monkeypatch) -> list:
+    """The points lam = n 2^-shift at which the maps are evaluated exactly."""
+    points, at = [], states._at
+
+    def counted(pq, n, shift):
+        points.append(Fraction(n, 1 << shift))
+        return at(pq, n, shift)
+
+    monkeypatch.setattr(states, "_at", counted)
+    return points
+
+
+def test_balancing_bounds_its_exact_evaluations(monkeypatch):
+    points = _exact_evaluations(monkeypatch)
+    counts = []
+    for problem in list(_balancing_problems()) + _EDGE_PROBLEMS:
+        states._balance_root.cache_clear()
+        del points[:]
         states.balance_energy(*problem)
-    assert len(roots) >= 200
-    assert [a.hex() for a, _ in roots] == [b.hex() for _, b in roots]
-
-
-@pytest.mark.parametrize(
-    "f, a, b", [(lambda x: x**3 - 2.0, 0.0, 2.0), (lambda x: np.cos(x) - x, 0.0, 1.0)]
-)
-def test_brent_port_matches_scipy_at_its_default_tolerances(f, a, b):
-    optimize = pytest.importorskip("scipy.optimize")
-    xtol, rtol = 2e-12, 4 * np.finfo(float).eps
-    want = optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
-    assert states.brentq(f, a, b, fa=f(a), fb=f(b), xtol=xtol, rtol=rtol).hex() == want.hex()
-
-
-def test_brent_port_raises_on_a_bad_bracket_or_no_convergence():
-    def solve(f, a, b, **kwargs):
-        return states.brentq(f, a, b, fa=f(a), fb=f(b), xtol=1e-15, rtol=1e-14, **kwargs)
-
-    cube = lambda x: x**3 - 2.0
-    with pytest.raises(ValueError, match="different signs"):
-        solve(cube, 2.0, 3.0)
-    with pytest.raises(ValueError, match="NaN"):
-        solve(lambda x: np.nan if 0.5 < x < 2 else x - 1.0, 0.0, 2.0)
-    with pytest.raises(RuntimeError, match="did not converge"):
-        solve(cube, 0.0, 2.0, maxiter=3)
+        counts.append(len(points))
+        # one on the Newton estimate, four neighbour steps, 63 bisection steps
+        assert len(points) <= 1 + 4 + 63, problem
+    # the Newton estimate is within a float of the root: the residual there,
+    # then the two midpoints around it
+    assert max(counts[: len(list(_balancing_problems()))]) == 3
 
 
 @pytest.mark.parametrize(
     "kind, name", [("single", "passv_mean_photons"), ("two_mode", "spatsv_mean_photons")]
 )
 def test_balancing_evaluates_the_mean_photon_map_once_per_point(monkeypatch, kind, name):
-    # the bracket ends f(0) and f(hi) are handed to Brent, not evaluated again
-    mean, points = getattr(states, name), []
-
-    def counted(lam, m):
-        points.append(lam)
-        return mean(lam, m)
-
-    monkeypatch.setattr(states, name, counted)
+    # the root reads the exact map, never the rounded public one, and no
+    # point twice
+    points = _exact_evaluations(monkeypatch)
+    monkeypatch.setattr(states, name, lambda lam, m: pytest.fail("rounded map read"))
     states.balance_energy(7.5, 2, kind)
-    assert len(points) > 3
+    assert 2 <= len(points) <= 3
     assert len(points) == len(set(points))
 
 

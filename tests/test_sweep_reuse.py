@@ -84,7 +84,7 @@ def test_alternating_phases_on_one_family_give_fresh_values(memos):
 
 
 def test_balanced_sweep_solves_each_root_once(monkeypatch):
-    roots = _counted(monkeypatch, states, "brentq")
+    roots = _counted(monkeypatch, states, "_nearest_root")
     _sweep(axis="phi", values=(1e-7, 1e-6, 1e-5), balanced=True)
     assert len(roots) == 2
     _sweep(axis="eta", values=(0.6, 0.8), balanced=True)

@@ -1,10 +1,12 @@
 """The ladder fill of the subtracted squeezed-vacuum tables against the
 per-entry Wick sums it replaced (:mod:`reference`): within one unit of the
 working precision, exact zeros where the selection rule forces them, and
-bit for bit in the vacuum moments and mean-photon maps that balancing reads."""
+bit for bit in the vacuum moments; the mean-photon maps that balancing
+reads are the correctly rounded ratios of the per-entry sums."""
 
 import itertools
 import random
+from math import log10
 
 import mpmath as mp
 import pytest
@@ -70,10 +72,23 @@ def test_vacuum_moments_are_bit_identical_to_the_per_entry_sums(chi):
                 assert got._mpc_ == reference.vacuum_moment_2m(*key, lam, chi)._mpc_
 
 
-def test_mean_photon_maps_are_bit_identical_to_the_per_entry_sums(monkeypatch):
-    maps = (states.passv_mean_photons, states.spatsv_mean_photons)
+def test_mean_photon_maps_are_bit_identical_to_the_per_entry_sums():
+    # the exact polynomial maps round once: each value is the float of the
+    # per-entry Wick sums' ratio, and the lam = 0 limit there.  The ratio
+    # takes 60 digits plus twice the decimal exponent of lam: at 60 alone,
+    # 3 lam + 1 (m = 1) at lam = 1e150 lies a tie away from a float, and the
+    # + 1 that breaks the tie is lost (5 such points on this grid)
     grid = [(lam, m) for lam in _LAMS + (3.3e149, 5e299) for m in range(7)]
-    fill = [[mean(lam, m) for lam, m in grid] for mean in maps]
-    monkeypatch.setattr(states, "bogoliubov_vacuum_moment_1m", reference.vacuum_moment_1m)
-    monkeypatch.setattr(states, "bogoliubov_vacuum_moment_2m", reference.vacuum_moment_2m)
-    assert fill == [[mean(lam, m) for lam, m in grid] for mean in maps]
+    for kind, mean, vacuum_moment in (
+        ("single", states.passv_mean_photons, reference.vacuum_moment_1m),
+        ("two_mode", states.spatsv_mean_photons, reference.vacuum_moment_2m),
+    ):
+        for lam, m in grid:
+            if lam == 0:
+                want = float(m % 2) if kind == "single" and m else 0.0
+            else:
+                key = [m + 1] * 2 + ([m] * 2 if kind == "two_mode" else [])
+                with mp.workdps(60 + 2 * max(0, int(log10(lam)))):
+                    ratio = vacuum_moment(*key, lam) / vacuum_moment(*[m] * len(key), lam)
+                want = float(ratio.real)
+            assert mean(lam, m).hex() == want.hex(), (kind, lam, m)
