@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, replace
-from math import inf, isfinite, pi, sqrt
+from math import inf, isfinite, nextafter, pi, sqrt
 from numbers import Integral
 
 import mpmath as mp
@@ -196,13 +196,14 @@ def _exact(build, coeffs=None, **options):
     **options)``.
 
     Photon numbers and pair correlations cancel at strong squeezing, so it
-    runs at the row's digits, else at 35.
+    runs at the row's digits, else at 35, over a table built at guard digits.
     """
 
     def metric(cfg, dps) -> float:
-        s = cfg.quantum
-        with mp.workdps(dps or 35):
+        s, dps = cfg.quantum, dps or 35
+        with mp.workdps(dps + moments.GUARD_DIGITS):
             table = build(s.lam, s.m, chi=s.chi, **options)
+        with mp.workdps(dps):
             if coeffs is None:
                 return moments.mandel_q(table, cfg.eta)
             return moments.quadrature_variance(table, coeffs(s), cfg.eta)
@@ -265,27 +266,35 @@ def _flagged(evaluate, *args, **kwargs) -> tuple:
     return value, FLAG_OK
 
 
+def _flat(cfg: SingleMziConfig) -> bool:
+    """Whether balancing left the read-out slope eta (<n> - mu) sin phi zero
+    (m = 0: lam = mu) or only the rounding of the root (m > 0: mu between
+    the mean photons at the floats either side of it)."""
+    lam, m = cfg.quantum.lam, cfg.quantum.m
+    ends = (lam, lam) if m == 0 else (nextafter(lam, 0.0), nextafter(lam, inf))
+    below, above = (states.passv_mean_photons(end, m) for end in ends)
+    return below <= cfg.mu <= above
+
+
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evaluate every (axis value, m, metric) point; errors become flagged rows.
 
     Each (axis value, m) builds its scene once; a scene that cannot be built
     (an unreachable balancing target) flags every metric row of its point.
-    Balancing a single-scheme point to a target equal to mu zeroes the
-    read-out slope eta (<n> - mu) sin phi, whatever the last bits of the
-    root, so its U, which divides by that slope, is singular.
+    A balanced single-scheme U that divides by a flat fringe (:func:`_flat`)
+    is singular.
     """
     cfg.validate()
     metrics = _METRICS[cfg.scheme]
     rows = []
     for value in cfg.values:
         p = _scene_params(cfg, value)
-        flat = cfg.balanced and cfg.scheme == "single" and p["lam"] == p["mu"]
         for m in cfg.m_list:
             scene, flag = _flagged(_scene, cfg.scheme, m, balanced=cfg.balanced, **p)
             for metric in cfg.metrics:
                 result, row_flag = (
                     (None, flag) if scene is None
-                    else (None, FLAG_SINGULAR) if flat and metric == "U"
+                    else (None, FLAG_SINGULAR) if metric == "U" and cfg.balanced and _flat(scene)
                     else _flagged(metrics[metric], scene, cfg.digits)
                 )
                 rows.append(SweepRow(float(value), int(m), metric, result, row_flag))

@@ -4,15 +4,14 @@ A :class:`MomentTable` maps normally-ordered moment indices to expectation
 values for one subsystem: ``(p, q)`` for a single mode meaning
 ``<a^dag^p a^q>``, or ``(p, q, r, s)`` for a mode pair meaning
 ``<a1^dag^p a1^q a2^dag^r a2^s>``.  Tables are filled lazily, entry by
-entry, at the working mpmath precision and without a Fock cutoff.  The
-finite SPATSV seeds are finite sums over their m + 1 amplitudes.  The
-subtracted squeezed-state families are Wick pairing sums over the Gaussian
-(squeezed or two-mode squeezed) vacuum: each entry is a list of integer
-terms (count, a, b) summed as count lam^a g^b, g = sqrt(lam (1 + lam)),
-times a power of e^{i chi}.  A table forms lam, g and e^{i chi} once at the
-precision it is filled at and reads their powers off ladders, so a fill is a
-few multiplications per term; an entry the selection rule zeroes is an
-exact 0.
+entry, at the mpmath precision they are built at and without a Fock
+cutoff.  The finite SPATSV seeds are finite sums over their m + 1
+amplitudes.  The subtracted squeezed-state families are Wick pairing sums
+over the Gaussian (squeezed or two-mode squeezed) vacuum, integer terms
+(count, a, b) summed as count lam^a g^b times a power of e^{i chi}: as
+g^2 = lam (1 + lam), g^(b mod 2) times an integer polynomial in lam, which
+:func:`_horner` evaluates exactly, for the mean-photon maps of
+:mod:`photsub.states` too.  A key the selection rule zeroes is an exact 0.
 
 Sums that may cancel are certified (:func:`certified_sum`), and detection
 loss has one law, :func:`thin`, through which the read-out engine
@@ -61,16 +60,14 @@ class MomentTable:
 #: mpmath's default 15 digits, whatever the caller's ambient precision
 at_float_digits = mp.workdps(15)
 
-#: guard digits over the working ones at which certified sums take their
-#: inputs: mpmath's own rounding of an input then stays below one unit in
-#: the last place of the working precision, which :func:`fixed` counts.
-#: A Wick-filled entry is such an input.  Its terms are nonnegative reals
-#: times one phase, so nothing cancels, and its relative error is at most
-#: the sum of one rounding per ladder step, product, sum and division that
-#: formed it (three for g): a few dozen at the orders in use.  Ten digits
-#: are 33 bits, so even a thousand of them err by less than 2^-23 of a unit
-#: of the working bits plus the 10 guard bits of :mod:`photsub.opalg`, far
-#: below the one unit that :func:`fixed` allows the input.
+#: guard digits over the working ones at which the tables that certified
+#: sums read are built, so that an entry errs by far less than the one unit
+#: in the last place of the working precision that :func:`fixed` allows it.
+#: A Wick-filled entry errs by three roundings at most, a unit 2^(1 - prec)
+#: each: the ratio of exact integers (half a unit), g (a root and a product)
+#: and the phase (a cosine and sine, and a product).  Ten digits are 33
+#: bits, so that is below 2^-20 of a unit of the working bits plus the 10
+#: guard bits of :mod:`photsub.opalg`.
 GUARD_DIGITS = 10
 
 
@@ -195,12 +192,11 @@ def thin(x: Bounded, eta: float, n: int) -> Bounded:
 
 def _read(table: MomentTable, bits: int, *slots) -> tuple:
     """The entry of ``table`` whose key counts ``slots``, as a :func:`fixed`
-    number, filled at guard digits."""
+    number: tables read here are built at guard digits."""
     key = [0] * (2 * len(table.modes))
     for slot in slots:
         key[slot] += 1
-    with mp.workdps(mp.mp.dps + GUARD_DIGITS):
-        return fixed(table.entry(tuple(key)), bits)
+    return fixed(table.entry(tuple(key)), bits)
 
 
 def require_digits(x: Bounded, what: str, size=None) -> None:
@@ -228,8 +224,8 @@ def quadrature_variance(table: MomentTable, coeffs, eta: float = 1.0) -> float:
     S = Re sum c_s c_t <a_s a_t> + sum conj(c_s) c_t <a_s^dag a_t>
     - 2 (Re sum c_t <a_t>)^2 over the lossless table.  For strong squeezing
     the terms nearly cancel: they are summed by :func:`certified_sum` at the
-    working precision, over entries filled at guard digits, and 8 digits of
-    Var X must be certified.
+    working precision, over the entries of a table built at guard digits,
+    and 8 digits of Var X must be certified.
     """
     if len(coeffs) != len(table.modes):
         raise MomentOrderMissing(f"{len(coeffs)} coefficients for {len(table.modes)} modes")
@@ -344,30 +340,33 @@ def _wick_terms_2m(p: int, q: int, r: int, s: int) -> tuple:
     return q - p, terms
 
 
-def _vacuum_moment(wick: tuple, lam, chi):
-    """The moment ``wick`` = (turns, terms) at the ambient precision, each
-    power formed on its own."""
-    turns, terms = wick
-    if not terms:
-        return mp.mpc(0)
-    lam = mp.mpf(lam)
-    g = mp.sqrt(lam * (1 + lam))
-    total = mp.mpf(0)
+def _polynomial(terms: list) -> list:
+    """The Wick sum of ``terms``, whose b share one parity, over g^(b mod 2),
+    as integer coefficients in lam (lowest power first): g^2 = lam (1 + lam)."""
+    poly = [0] * (max(a + b // 2 * 2 for _, a, b in terms) + 1)
     for count, a, b in terms:
-        total += count * lam**a * g**b
-    return total * mp.exp(mp.mpc(0, chi)) ** turns
+        for j in range(b // 2 + 1):
+            poly[a + b // 2 + j] += count * comb(b // 2, j)
+    return poly
 
 
-def bogoliubov_vacuum_moment_1m(p: int, q: int, lam, chi: float = 0.0):
-    """<a^dag^p a^q> on a squeezed vacuum with mean photons lam, exactly
-    (the Wick sum of :func:`_wick_terms_1m`)."""
-    return _vacuum_moment(_wick_terms_1m(p, q), lam, chi)
+def _horner(poly: list, n: int, shift: int) -> int:
+    """``poly`` at lam = n 2^-shift, times 2^(shift (len(poly) - 1)), exactly
+    (homogeneous Horner): the package's one evaluation of a Wick sum."""
+    h = s = 0
+    for c in reversed(poly):
+        h, s = h * n + (c << s), s + shift
+    return h
 
 
-def bogoliubov_vacuum_moment_2m(p: int, q: int, r: int, s: int, lam, chi: float = 0.0):
-    """<a1^dag^p a1^q a2^dag^r a2^s> on a TSV with mean photons/mode lam,
-    exactly (the Wick sum of :func:`_wick_terms_2m`)."""
-    return _vacuum_moment(_wick_terms_2m(p, q, r, s), lam, chi)
+def _binary(lam) -> tuple:
+    """(n, shift) with lam, read as a float, = n 2^-shift; ValueError unless
+    lam is finite and >= 0."""
+    lam = float(lam)
+    if not (0 <= lam and mp.isfinite(lam)):
+        raise ValueError("lam must be finite and >= 0")
+    n, d = lam.as_integer_ratio()
+    return n, d.bit_length() - 1
 
 
 _ZERO = mp.mpc(0)
@@ -375,65 +374,66 @@ _ZERO = mp.mpc(0)
 
 class _WickFill:
     """``compute`` of a table of a squeezed vacuum less m photons from each
-    mode: key k reads the vacuum moment of k + m over the norm, the moment
-    of m, with the vacuum moments as integer Wick terms ``wick_terms``.
+    of its ``arity`` modes: key k reads the vacuum moment of k + m over the
+    norm, the moment of m, with the vacuum moments as integer Wick terms.
 
-    At the precision an entry is filled at, lam, g = sqrt(lam (1 + lam)),
-    e^{i chi} and the norm are formed once; powers come off ladders, each
-    rung one multiplication from the last.  A key the selection rule zeroes
-    is an exact 0, with no arithmetic.
+    An entry is P(lam)/Q(lam) g^(b mod 2) e^{i chi turns}, P and Q exact
+    integers (:func:`_polynomial`): the ratio rounds once, and g and the
+    phase add a rounding each, at the precision the table was built at.  A
+    key the selection rule zeroes is an exact 0, with no arithmetic.
     """
 
-    def __init__(self, wick_terms, lam, m: int, chi):
-        self.wick_terms, self.lam, self.m, self.chi = wick_terms, lam, m, chi
-        self.prec = None
-
-    @staticmethod
-    def _power(ladder: list, k: int):
-        while len(ladder) <= k:
-            ladder.append(ladder[-1] * ladder[1])
-        return ladder[k]
-
-    def _sum(self, terms: list):
-        return mp.fsum(count * self._power(self._lam, a) * self._power(self._g, b)
-                       for count, a, b in terms)
+    def __init__(self, wick_terms, lam, m: int, chi, arity: int):
+        self.wick_terms, self.m, self.prec = wick_terms, m, mp.mp.prec
+        self.n, self.shift = _binary(lam)
+        if m > 0 and not self.n:
+            raise NullState("photon subtraction annihilates the vacuum")
+        norm = _polynomial(wick_terms(*[m] * 2 * arity)[1])
+        self.norm, self.norm_degree = _horner(norm, self.n, self.shift), len(norm) - 1
+        # g^2 = n (n + 2^shift) 2^(-2 shift), exactly; the root rounds once
+        g2 = mp.libmp.from_man_exp(self.n * (self.n + (1 << self.shift)), -2 * self.shift)
+        self.g, self.chi = mp.libmp.mpf_sqrt(g2, self.prec, "n"), float(chi)
 
     def __call__(self, key: tuple):
         turns, terms = self.wick_terms(*(k + self.m for k in key))
         if not terms:
             return _ZERO
-        if self.prec != mp.mp.prec:
-            self.prec, lam = mp.mp.prec, mp.mpf(self.lam)
-            self._lam, self._g = [mp.mpf(1), lam], [mp.mpf(1), mp.sqrt(lam * (1 + lam))]
-            self._phase = [mp.mpc(1), mp.expj(self.chi)]
-            self._norm = self._sum(self.wick_terms(*[self.m] * len(key))[1])
-        value = self._sum(terms)
-        if self.m:
-            value /= self._norm
-        if not (self.chi and turns):
-            return mp.mpc(value)
-        phase = self._power(self._phase, abs(turns))
-        return value * (phase if turns > 0 else mp.conj(phase))
+        lib, prec, poly = mp.libmp, self.prec, _polynomial(terms)
+        num = _horner(poly, self.n, self.shift) << self.shift * self.norm_degree
+        value = lib.from_rational(num, self.norm << self.shift * (len(poly) - 1), prec, "n")
+        if terms[0][2] % 2:
+            value = lib.mpf_mul(value, self.g, prec, "n")
+        if not (turns and self.chi):
+            return mp.make_mpc((value, lib.fzero))
+        angle = lib.mpf_mul(lib.from_float(self.chi), lib.from_int(turns))  # exact
+        cos, sin = lib.mpf_cos_sin(angle, prec, "n")
+        return mp.make_mpc((lib.mpf_mul(value, cos, prec, "n"), lib.mpf_mul(value, sin, prec, "n")))
 
 
-def _subtracted(wick_terms, modes, lam, m: int, max_order: int, chi) -> MomentTable:
-    """The moments of a squeezed vacuum less m photons from each mode."""
-    if m > 0 and lam == 0:
-        raise NullState("photon subtraction annihilates the vacuum")
-    return MomentTable(modes, max_order, _WickFill(wick_terms, lam, m, chi))
+def bogoliubov_vacuum_moment_1m(p: int, q: int, lam, chi: float = 0.0):
+    """<a^dag^p a^q> on a squeezed vacuum with mean photons lam, exactly
+    (the Wick sum of :func:`_wick_terms_1m`), at the ambient precision."""
+    return _WickFill(_wick_terms_1m, lam, 0, chi, 1)((p, q))
+
+
+def bogoliubov_vacuum_moment_2m(p: int, q: int, r: int, s: int, lam, chi: float = 0.0):
+    """<a1^dag^p a1^q a2^dag^r a2^s> on a TSV with mean photons/mode lam,
+    exactly (the Wick sum of :func:`_wick_terms_2m`), at the ambient precision."""
+    return _WickFill(_wick_terms_2m, lam, 0, chi, 2)((p, q, r, s))
 
 
 def passv_moment_table(lam, m: int, max_order: int = 8, chi: float = 0.0, mode=0) -> MomentTable:
-    """Exact PASSV moments <a^dag^p a^q> at working mpmath precision:
-    <a^dag^{p+m} a^{q+m}>_SSV / <a^dag^m a^m>_SSV."""
-    return _subtracted(_wick_terms_1m, (mode,), lam, m, max_order, chi)
+    """Exact PASSV moments <a^dag^p a^q>, lazily computed at the precision
+    the table is built at: <a^dag^{p+m} a^{q+m}>_SSV / <a^dag^m a^m>_SSV."""
+    return MomentTable((mode,), max_order, _WickFill(_wick_terms_1m, lam, m, chi, 1))
 
 
 def spatsv_moment_table(
     lam, m: int, max_order: int = 16, chi: float = 0.0, modes=(0, 1)
 ) -> MomentTable:
-    """Exact SPATSV moments <a1^dag^p a1^q a2^dag^r a2^s>, lazily computed."""
-    return _subtracted(_wick_terms_2m, tuple(modes), lam, m, max_order, chi)
+    """Exact SPATSV moments <a1^dag^p a1^q a2^dag^r a2^s>, lazily computed at
+    the precision the table is built at."""
+    return MomentTable(modes, max_order, _WickFill(_wick_terms_2m, lam, m, chi, 2))
 
 
 def spatsv_seed_moment_table(
@@ -444,9 +444,10 @@ def spatsv_seed_moment_table(
     t = lam/(1 + lam).  The seed has m + 1 amplitudes, so each moment
     <a1^dag^p a1^q a2^dag^r a2^s> (with d = p - q = r - s) is the finite sum
     e^{-i chi d} sum_n C(m,n+d) C(m,n) t^{n+d/2} n!(n+d)!/((n-q)!(n-s)!)
-    over the norm sum_k C(m,k)^2 t^k.
+    over the norm sum_k C(m,k)^2 t^k, at the precision the table is built at.
     """
-    lam = mp.mpf(lam)
+    _binary(lam)  # ValueError unless lam is finite and >= 0
+    prec, lam = mp.mp.prec, mp.mpf(lam)
     t = lam / (1 + lam)
     rt = mp.sqrt(t)
     norm = mp.fsum(comb(m, k) ** 2 * t**k for k in range(m + 1))
@@ -456,12 +457,13 @@ def spatsv_seed_moment_table(
         d = p - q
         if d != r - s:
             return mp.mpc(0)
-        total = mp.mpf(0)
-        for n in range(max(q, s), min(m, m - d) + 1):
-            ladder = factorial(n) * factorial(n + d) // (
-                factorial(n - q) * factorial(n - s)
-            )
-            total += comb(m, n + d) * comb(m, n) * ladder * rt ** (2 * n + d)
-        return total / norm * mp.expj(-chi * d)
+        with mp.workprec(prec):
+            total = mp.mpf(0)
+            for n in range(max(q, s), min(m, m - d) + 1):
+                ladder = factorial(n) * factorial(n + d) // (
+                    factorial(n - q) * factorial(n - s)
+                )
+                total += comb(m, n + d) * comb(m, n) * ladder * rt ** (2 * n + d)
+            return total / norm * mp.expj(-chi * d)
 
     return MomentTable((0, 1), max_order, compute=compute)

@@ -57,14 +57,13 @@ class PortCoefficients:
         self._moments, self._displacements, self._terms = {}, {}, {}
 
     def moment(self, key: tuple) -> tuple:
-        """The input table's entry ``key``, filled at guard digits, as a fixed-point number.
+        """The input table's entry ``key``, built at guard digits, as a fixed-point number.
 
         Kept per key: compiling a family's terms reads each entry about three
         times, and the phase derivatives read theirs at every point.
         """
         if key not in self._moments:
-            with mp.workdps(self._dps):
-                self._moments[key] = fixed(self.table.entry(key), self.bits)
+            self._moments[key] = fixed(self.table.entry(key), self.bits)
         return self._moments[key]
 
     def displacement(self, m: int, m2: int) -> tuple:

@@ -21,6 +21,9 @@ from typing import TYPE_CHECKING
 
 from .errors import OutOfRange
 from .moments import (
+    _binary,
+    _horner,
+    _polynomial,
     _wick_terms_1m,
     _wick_terms_2m,
     at_float_digits,
@@ -41,8 +44,7 @@ class _SubtractionSpec:
     chi: float = 0.0  # squeezing angle
 
     def __post_init__(self):
-        if not isfinite(self.lam) or self.lam < 0:
-            raise ValueError("lam must be finite and >= 0")
+        _binary(self.lam)  # ValueError unless lam is finite and >= 0
         if not isinstance(self.m, Integral) or self.m < 0:
             raise ValueError("m must be a nonnegative integer")
         if not isfinite(self.chi):
@@ -151,41 +153,29 @@ _MAPS = {}
 
 
 def _mean_photon_map(kind: str, m: int) -> tuple:
-    """(P, Q): the vacuum moments of m + 1 and of m photons from each mode,
-    sums count lam^a g^b with b even, so g^b = (lam (1 + lam))^(b/2), as
-    polynomials in lam with their common power of lam divided out: P(0)/Q(0)
-    is the lam = 0 limit (m mod 2 for PASSV, 0 for SPATSV)."""
+    """(P, Q): the vacuum moments of m + 1 and of m photons from each mode as
+    integer polynomials in lam (:func:`photsub.moments._polynomial`) of one
+    length, their common power of lam divided out: P(0)/Q(0) is the lam = 0
+    limit (m mod 2 for PASSV, 0 for SPATSV)."""
     if (kind, m) not in _MAPS:
         if kind not in ("single", "two_mode") or m < 0:
             raise ValueError(f"no mean-photon map of kind {kind!r} and order {m}")
-        p, q = ([0] * (2 * m + 3) for _ in range(2))
-        for poly, n in ((p, m + 1), (q, m)):
-            wick = _wick_terms_1m(n, n) if kind == "single" else _wick_terms_2m(n, n, m, m)
-            for count, a, b in wick[1]:
-                for j in range(b // 2 + 1):
-                    poly[a + b // 2 + j] += count * comb(b // 2, j)
+        wick = _wick_terms_1m if kind == "single" else lambda p, q: _wick_terms_2m(p, q, m, m)
+        p, q = (_polynomial(wick(n, n)[1]) for n in (m + 1, m))
+        q += [0] * (len(p) - len(q))
         while not (p[0] or q[0]):
             del p[0], q[0]
-        while not (p[-1] or q[-1]):
-            del p[-1], q[-1]
         _MAPS[kind, m] = (tuple(p), tuple(q))
     return _MAPS[kind, m]
 
 
 def _at(pq: tuple, n: int, shift: int) -> tuple:
-    """P and Q at lam = n 2^-shift, both times 2^(shift deg P), as exact
-    integers (homogeneous Horner)."""
-    hp = hq = s = 0
-    for p, q in zip(reversed(pq[0]), reversed(pq[1])):
-        hp, hq, s = hp * n + (p << s), hq * n + (q << s), s + shift
-    return hp, hq
+    """P and Q at lam = n 2^-shift, both times 2^(shift deg P) (:func:`_horner`)."""
+    return _horner(pq[0], n, shift), _horner(pq[1], n, shift)
 
 
 def _mean_photons(kind: str, lam: float, m: int) -> float:
-    if not 0 <= lam < inf:
-        raise ValueError("lam must be finite and >= 0")
-    n, d = float(lam).as_integer_ratio()
-    hp, hq = _at(_mean_photon_map(kind, m), n, d.bit_length() - 1)
+    hp, hq = _at(_mean_photon_map(kind, m), *_binary(lam))
     try:
         return hp / hq  # int / int rounds correctly
     except OverflowError:
@@ -262,8 +252,7 @@ def _nearest_root(pq: tuple, target: float) -> float:
         x = min(max(x - (f / g - target) / slope, 0.0), cap)
         if abs(x - last) <= 1e-15 * x:
             break
-    n, d = x.as_integer_ratio()
-    num, den = residual(n, d.bit_length() - 1)
+    num, den = residual(*_binary(x))
     bits = lambda x: unpack("<q", pack("<d", x))[0]  # orders the floats >= 0
     lo, hi = -1, bits(cap)
     k, steps = min(max(bits(x - num / den / slope), 0), hi), 0

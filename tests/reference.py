@@ -10,7 +10,7 @@ to vacuum ancillas.  The tests check the exact engine, the state
 constructors, the oracle's block propagation, its stack of single-MZI planes
 and its binomial thinning against them.  The Wick pairing sums formed entry
 by entry from scratch (:func:`vacuum_moment_1m`, :func:`subtracted_table`)
-are the reference for the ladder fill of the production tables.  A whole moment table thinned entry
+are the reference for the exact-polynomial fill of the production tables.  A whole moment table thinned entry
 by entry (:func:`apply_loss`) is the reference for the loss law
 :func:`photsub.moments.thin`.  The general normal-ordered
 operator algebra at the end (:class:`OperatorPolynomial`, :func:`multiply`,

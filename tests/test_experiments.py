@@ -500,6 +500,18 @@ def test_a_single_point_balanced_to_mu_flags_only_its_slope_metric(mu, m):
     assert {row.flag for row in unbalanced} == {"ok"}
 
 
+def test_a_target_a_float_off_mu_flags_the_slope_of_its_root_as_singular():
+    # the root of a target one ulp from mu = 100 has mu between the means at
+    # its float neighbours, so its U (5e14 to 1.5e15) reads only the rounding
+    # of the root.  An m = 0 point, whose lam is the target, is exact
+    targets = (np.nextafter(100.0, -np.inf), np.nextafter(100.0, np.inf))
+    rows = run_sweep(SweepConfig(scheme="single", axis="lam", values=targets, m_list=(0, 2, 3, 4),
+                                 metrics=("U",), mu=100.0, eta=0.98, phi=np.pi / 2,
+                                 balanced=True)).rows
+    assert {(row.m, row.flag) for row in rows} == {(0, "ok"), (2, "singular"), (3, "singular"),
+                                                    (4, "singular")}
+
+
 @pytest.mark.parametrize("metric", ["quad_diff_var", "quad_diff_var_seed"])
 def test_quad_diff_var_obeys_loss_law(metric):
     # V(eta) = eta V(1) + (1 - eta)/2: loss mixes in vacuum at the 0.5 level

@@ -1,6 +1,6 @@
 """photsub runs on numpy and mpmath alone: scipy is a test dependency, only
-the Fock oracle imports numpy, and a sweep imports neither fractions nor
-decimal."""
+the Fock oracle imports numpy, and a sweep, balanced or reading the exact
+tables, imports neither fractions nor decimal."""
 
 import ast
 import os
@@ -115,3 +115,22 @@ def test_balanced_points_import_no_fractions_decimal_or_numpy():
     # exact balancing runs on Python integers: fractions would pull in
     # decimal, and either would cost every sweep its import time and memory
     assert _fresh(_BALANCED_POINTS) == ["[]"]
+
+
+_EXACT_TABLE_POINTS = """
+import sys
+from photsub.experiments import SweepConfig, run_sweep
+
+rows = run_sweep(SweepConfig(scheme="single", axis="lam", values=(3.5,), m_list=(2,),
+                             metrics=("var_y",))).rows
+rows += run_sweep(SweepConfig(scheme="correlated", axis="lam", values=(0.8,), m_list=(1,),
+                              metrics=("mandel_q", "quad_diff_var"))).rows
+assert [row.flag for row in rows] == ["ok"] * 3, rows
+print(sorted(name for name in ("fractions", "decimal", "numpy") if name in sys.modules))
+"""
+
+
+def test_exact_table_points_import_no_fractions_decimal_or_numpy():
+    # their tables evaluate Wick sums as exact integer polynomials, rounded
+    # by mpmath alone
+    assert _fresh(_EXACT_TABLE_POINTS) == ["[]"]

@@ -1,12 +1,15 @@
-"""The ladder fill of the subtracted squeezed-vacuum tables against the
-per-entry Wick sums it replaced (:mod:`reference`): within one unit of the
-working precision, exact zeros where the selection rule forces them, and
-bit for bit in the vacuum moments; the mean-photon maps that balancing
-reads are the correctly rounded ratios of the per-entry sums."""
+"""The exact-polynomial fill of the subtracted squeezed-vacuum tables
+against the per-entry Wick sums (:mod:`reference`) and exact rationals:
+within one unit of the working precision, exact zeros where the selection
+rule forces them, the vacuum moments correctly rounded on the diagonal and
+within three roundings elsewhere, at the precision a table was built at;
+the mean-photon maps that balancing reads are the correctly rounded ratios
+of the per-entry sums, and so round the tables' mean-photon entries."""
 
 import itertools
 import random
-from math import log10
+from fractions import Fraction
+from math import inf, log10, nan
 
 import mpmath as mp
 import pytest
@@ -45,31 +48,117 @@ def test_the_fill_agrees_with_the_per_entry_sums(arity, m):
 
 
 @pytest.mark.parametrize("arity", (1, 2), ids=("single", "pair"))
-def test_a_key_the_selection_rule_zeroes_is_an_exact_zero(arity):
+def test_a_key_the_selection_rule_zeroes_is_an_exact_zero(arity, monkeypatch):
     table = _table(arity, 1.7, 2, 0.4)
     want = reference.subtracted_table(table.modes, 1.7, 2, 8, 0.4)
     zeroed = [key for key in _keys(arity, 8) if want.entry(key) == 0]
     assert len(zeroed) > 10
+    evaluations, horner = [], moments._horner
+
+    def counted(*args):
+        evaluations.append(args)
+        return horner(*args)
+
+    monkeypatch.setattr(moments, "_horner", counted)
     for key in zeroed:
         entry = table.entry(key)
         assert entry.real == 0 and entry.imag == 0, key
-    # no ladder was formed: a zero costs no arithmetic
-    assert table._compute.prec is None
+    # no polynomial was evaluated: a zero costs no arithmetic
+    assert evaluations == []
+    table.entry((1,) * 2 * arity)
+    assert len(evaluations) == 1
 
 
 _LAMS = (0.0, 1e-9, 0.05, 0.7, 2.0, 37.5, 1e4, 1e16, 1e150, 1e200)
 
 
+def _exact_vacuum_moment(wick: tuple, lam: float) -> Fraction:
+    """A diagonal vacuum moment (b even, no phase) at the binary lam, exactly."""
+    lam = Fraction(lam)
+    return sum(count * lam**a * (lam * (1 + lam)) ** (b // 2) for count, a, b in wick[1])
+
+
+def test_diagonal_vacuum_moments_are_the_correctly_rounded_exact_rationals():
+    # on the diagonal at chi = 0 a moment is an integer polynomial in lam
+    # and the ratio to the norm 1 is its only rounding
+    prec = mp.libmp.dps_to_prec(15)
+    for lam in _LAMS:
+        for p in range(6):
+            exact = _exact_vacuum_moment(moments._wick_terms_1m(p, p), lam)
+            want = mp.libmp.from_rational(exact.numerator, exact.denominator, prec, "n")
+            with mp.workdps(15):
+                got = moments.bogoliubov_vacuum_moment_1m(p, p, lam)
+            assert got._mpc_ == (want, mp.libmp.fzero), (lam, p)
+            for r in range(6 - p):
+                exact = _exact_vacuum_moment(moments._wick_terms_2m(p, p, r, r), lam)
+                want = mp.libmp.from_rational(exact.numerator, exact.denominator, prec, "n")
+                with mp.workdps(15):
+                    got = moments.bogoliubov_vacuum_moment_2m(p, p, r, r, lam)
+                assert got._mpc_ == (want, mp.libmp.fzero), (lam, p, r)
+
+
 @pytest.mark.parametrize("chi", (0.0, 0.7, -2.9))
-def test_vacuum_moments_are_bit_identical_to_the_per_entry_sums(chi):
-    with mp.workdps(15):
-        for lam in _LAMS:
-            for p, q in _keys(1, 10):
-                got = moments.bogoliubov_vacuum_moment_1m(p, q, lam, chi)
-                assert got._mpc_ == reference.vacuum_moment_1m(p, q, lam, chi)._mpc_
-            for key in _keys(2, 10):
-                got = moments.bogoliubov_vacuum_moment_2m(*key, lam, chi)
-                assert got._mpc_ == reference.vacuum_moment_2m(*key, lam, chi)._mpc_
+def test_vacuum_moments_lie_within_three_roundings_of_the_per_entry_sums(chi):
+    # the ratio, g and the phase round once each, at most a unit 2^(1 - prec)
+    # apiece, against the per-entry sums at 100 digits
+    units = 3 * mp.mpf(2) ** (1 - mp.libmp.dps_to_prec(15))
+    for lam in _LAMS:
+        for arity, vacuum_moment, reference_moment in (
+            (1, moments.bogoliubov_vacuum_moment_1m, reference.vacuum_moment_1m),
+            (2, moments.bogoliubov_vacuum_moment_2m, reference.vacuum_moment_2m),
+        ):
+            for key in _keys(arity, 10):
+                with mp.workdps(15):
+                    got = vacuum_moment(*key, lam, chi)
+                with mp.workdps(100):
+                    want = reference_moment(*key, lam, chi)
+                    if want == 0:
+                        assert got.real == 0 and got.imag == 0, (lam, key)
+                    else:
+                        assert abs(got - want) <= units * abs(want), (lam, key)
+
+
+def test_a_table_reads_the_same_at_any_ambient_precision():
+    # a table's precision is fixed when it is built
+    for arity in (1, 2):
+        with mp.workdps(50):
+            low, high = (_table(arity, 3.7, 2, 0.9) for _ in range(2))
+        for key in _keys(arity, 6):
+            with mp.workdps(8):
+                a = low.entry(key)
+            with mp.workdps(80):
+                b = high.entry(key)
+            assert a._mpc_ == b._mpc_, key
+
+
+def test_the_mean_photon_entries_round_to_the_mean_photon_maps():
+    # entry (1, 1) of PASSV and (1, 1, 0, 0) of SPATSV are the mean-photon
+    # maps; at 60 digits plus twice the decimal exponent of lam (see below)
+    # each rounds to the float of the exact map
+    for lam in _LAMS[1:] + (3.3e149, 5e299):
+        for m in range(7):
+            with mp.workdps(60 + 2 * max(0, int(log10(lam)))):
+                single = moments.passv_moment_table(lam, m).entry((1, 1))
+                pair = moments.spatsv_moment_table(lam, m).entry((1, 1, 0, 0))
+            assert float(single.real).hex() == states.passv_mean_photons(lam, m).hex(), (lam, m)
+            assert float(pair.real).hex() == states.spatsv_mean_photons(lam, m).hex(), (lam, m)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda lam: moments.bogoliubov_vacuum_moment_1m(1, 3, lam),
+        lambda lam: moments.bogoliubov_vacuum_moment_2m(2, 2, 1, 1, lam),
+        lambda lam: moments.passv_moment_table(lam, 0),
+        lambda lam: moments.spatsv_moment_table(lam, 1),
+        lambda lam: moments.spatsv_seed_moment_table(lam, 1),
+    ],
+    ids=("vacuum_1m", "vacuum_2m", "passv", "spatsv", "seed"),
+)
+@pytest.mark.parametrize("lam", (-0.5, -1e-300, inf, -inf, nan, mp.mpf(-2), mp.inf))
+def test_a_negative_or_non_finite_lam_is_rejected(build, lam):
+    with pytest.raises(ValueError, match="lam must be finite"):
+        build(lam)
 
 
 def test_mean_photon_maps_are_bit_identical_to_the_per_entry_sums():
