@@ -7,8 +7,9 @@ the symbolic moment engine.  The oracle evolves a stack of single-MZI planes
 the twin beam for the correlated scheme, whose twin-MZI output is the sum of
 products of two planes.  Each plane goes through the MZI one photon-number
 block at a time: a passive two-mode map couples only states of equal total
-photon number, so a D x D plane costs about (2/3) D^3 where a dense matrix
-would take D^4.
+photon number, and the blocks stop at the highest photon number the plane
+holds, so a plane padded to D x D for fewer than D photons costs about
+(1/3) D^3 where a dense matrix would take D^4.
 
 Conventions
 -----------
@@ -243,23 +244,30 @@ def _photon_blocks(u2: np.ndarray, d1: int, d2: int):
 
     a step of operator norm <= 1, so rounding errors add up instead of growing
     with n.  Row p needs only rows p-1 and p of block n-1, so the windows keep
-    the plane's truncation exactly.
+    the plane's truncation exactly.  Blocks are computed as they are drawn:
+    stop drawing at the last photon number needed.
     """
     sq = np.sqrt(np.arange(d1 + d2, dtype=float))
+    # u2[i, j] sqrt(p) as a column over p: the factor of row p-1 (i = 0) or p (i = 1)
+    c00, c10, c01, c11 = (u2[i, j] * sq[:, None] for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    # prev[i, j] is block n-1 at p, k = its lo - 1 + (i, j): zero on row and
+    # column 0 and past its hi, and what a longer block left past a shorter
+    # one lies outside every later window
+    prev = np.zeros((min(d1, d2) + 2,) * 2, dtype=complex)
     block, lo = np.ones((1, 1), dtype=complex), 0
+    prev[1, 1] = 1.0
     yield lo, block
     for n in range(1, d1 + d2 - 1):
-        prev_lo, lo = lo, max(0, n - d2 + 1)
-        p = np.arange(lo, min(n, d1 - 1) + 1)
-        # block n-1 on rows and columns lo-1 .. hi, zero outside its window
-        padded = np.zeros((len(p) + 1, len(p) + 1), dtype=complex)
-        off = prev_lo - lo + 1
-        padded[off : off + len(block), off : off + len(block)] = block
+        prev_lo, lo, hi = lo, max(0, n - d2 + 1), min(n, d1 - 1)
+        # block n-1 on rows and columns lo-1 .. hi
+        s, size = lo - prev_lo, hi - lo + 1
+        padded = prev[s : s + size + 1, s : s + size + 1]
         # c0 a1^dag + c1 a2^dag takes rows p-1 and p of block n-1 to row p
-        up, down = sq[p, None], sq[n - p, None]
-        a1 = u2[0, 0] * up * padded[:-1, :-1] + u2[1, 0] * down * padded[1:, :-1]
-        a2 = u2[0, 1] * up * padded[:-1, 1:] + u2[1, 1] * down * padded[1:, 1:]
-        block = (sq[p] * a1 + sq[n - p] * a2) / n
+        p, n_p = slice(lo, hi + 1), slice(n - hi, n - lo + 1)  # p, and n - p reversed
+        a1 = c00[p] * padded[:-1, :-1] + c10[n_p][::-1] * padded[1:, :-1]
+        a2 = c01[p] * padded[:-1, 1:] + c11[n_p][::-1] * padded[1:, 1:]
+        block = (sq[p] * a1 + sq[n_p][::-1] * a2) / n
+        prev[1 : size + 1, 1 : size + 1] = block
         yield lo, block
 
 
@@ -268,17 +276,22 @@ def apply_two_mode_unitary(amps: np.ndarray, u2: np.ndarray) -> np.ndarray:
 
     The map keeps the photon number n of the two axes, so it acts on each
     anti-diagonal |k, n-k> of the (d1, d2) plane, a strided slice of the
-    flattened plane, by one block of :func:`_photon_blocks`: about (2/3) D^3
-    multiply-adds per plane for D = d1 = d2, where a dense plane matrix
-    takes D^4, and O(D^2) memory beyond the input and output (and a copy of
-    an input that is not contiguous).  Photon number beyond an axis's cutoff
-    is dropped: keep headroom.
+    flattened plane, by one block of :func:`_photon_blocks`, and leaves every
+    n above the input's highest occupied one empty: the blocks stop there.
+    That costs about (2/3) D^3 multiply-adds for a full D x D plane, and
+    (1/3) D^3 for one that holds fewer than D photons, as the oracle pads
+    its planes, where a dense plane matrix takes D^4; and O(D^2) memory
+    beyond the input and output (and a copy of an input that is not
+    contiguous).  Photon number beyond an axis's cutoff is dropped: keep
+    headroom.
     """
     d1, d2 = amps.shape[-2:]
     flat = amps.reshape(-1, d1 * d2)
-    out = np.empty(flat.shape, dtype=complex)
+    out = np.zeros(flat.shape, dtype=complex)
+    photons = np.add.outer(np.arange(d1), np.arange(d2)).ravel()
+    top = int(photons[flat.any(axis=0)].max(initial=-1))  # -1 for an empty input
     step = max(d2 - 1, 1)
-    for n, (lo, block) in enumerate(_photon_blocks(u2, d1, d2)):
+    for n, (lo, block) in zip(range(top + 1), _photon_blocks(u2, d1, d2)):
         start = lo * d2 + n - lo
         diag = slice(start, start + (len(block) - 1) * step + 1, step)
         out[:, diag] = flat[:, diag] @ block.T
@@ -339,13 +352,12 @@ class OracleResult:
 
 
 def _moments_from_joint(joint: np.ndarray) -> dict:
-    na = np.arange(joint.shape[0], dtype=float)
-    nb = np.arange(joint.shape[1], dtype=float)
-    out = {}
-    for p in range(5):
-        for q in range(5 - p):
-            out[(p, q)] = float(na**p @ joint @ nb**q)
-    return out
+    powers = np.arange(5)[:, None]
+    na = np.arange(joint.shape[0], dtype=float) ** powers
+    nb = np.arange(joint.shape[1], dtype=float) ** powers
+    # every <N_a^p N_b^q> for p, q <= 4 as one product
+    table = na @ joint @ nb.T
+    return {(p, q): float(table[p, q]) for p in range(5) for q in range(5 - p)}
 
 
 def oracle_interferometer(scene: OracleScene) -> OracleResult:

@@ -393,6 +393,7 @@ class _WickFill:
         # g^2 = n (n + 2^shift) 2^(-2 shift), exactly; the root rounds once
         g2 = mp.libmp.from_man_exp(self.n * (self.n + (1 << self.shift)), -2 * self.shift)
         self.g, self.chi = mp.libmp.mpf_sqrt(g2, self.prec, "n"), float(chi)
+        self.phases = {}  # turns -> (cos, sin) of chi turns, once per table
 
     def __call__(self, key: tuple):
         turns, terms = self.wick_terms(*(k + self.m for k in key))
@@ -405,8 +406,10 @@ class _WickFill:
             value = lib.mpf_mul(value, self.g, prec, "n")
         if not (turns and self.chi):
             return mp.make_mpc((value, lib.fzero))
-        angle = lib.mpf_mul(lib.from_float(self.chi), lib.from_int(turns))  # exact
-        cos, sin = lib.mpf_cos_sin(angle, prec, "n")
+        if turns not in self.phases:
+            angle = lib.mpf_mul(lib.from_float(self.chi), lib.from_int(turns))  # exact
+            self.phases[turns] = lib.mpf_cos_sin(angle, prec, "n")
+        cos, sin = self.phases[turns]
         return mp.make_mpc((lib.mpf_mul(value, cos, prec, "n"), lib.mpf_mul(value, sin, prec, "n")))
 
 

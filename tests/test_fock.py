@@ -197,6 +197,18 @@ def test_oracle_ancilla_equals_thinning_single():
         assert abs(anc[key] - val) <= 1e-9 * max(1.0, abs(val))
 
 
+def test_joint_moments_match_the_per_power_sums():
+    rng = np.random.default_rng(5)
+    joint = rng.random((23, 31))
+    joint /= joint.sum()
+    got = fock._moments_from_joint(joint)
+    assert sorted(got) == [(p, q) for p in range(5) for q in range(5 - p)]
+    na, nb = np.arange(23.0), np.arange(31.0)
+    for (p, q), value in got.items():
+        want = float(na**p @ joint @ nb**q)
+        assert abs(value - want) <= 1e-14 * want, (p, q)
+
+
 def test_oracle_correlated_port_means():
     from photsub import states
 
@@ -258,30 +270,81 @@ _MAPS = {
 }
 
 
+def _held_below(amps, axes, top):
+    """``amps`` with every amplitude above photon number ``top`` of ``axes`` zeroed."""
+    photons = np.add.outer(np.arange(amps.shape[axes[0]]), np.arange(amps.shape[axes[1]]))
+    moved = np.moveaxis(amps, axes, (-2, -1)) * (photons <= top)
+    return np.moveaxis(moved, (-2, -1), axes)
+
+
+_PLANES = [
+    ((7, 9), (0, 1)),  # rectangular plane
+    ((9, 4), (1, 0)),  # truncating, axes swapped
+    ((1, 5), (0, 1)),
+    ((6, 1), (0, 1)),
+    ((8, 8), (0, 1)),
+    ((3, 4, 5, 6), (2, 0)),
+    ((4, 5, 6, 3), (1, 3)),
+    ((3, 4, 2, 5, 3, 2), (2, 0)),
+    ((3, 4, 2, 5, 3, 2), (1, 3)),
+]
+
+
 @pytest.mark.parametrize("u2", _MAPS.values(), ids=_MAPS.keys())
 @pytest.mark.parametrize(
-    "shape, axes",
-    [
-        ((7, 9), (0, 1)),  # rectangular plane
-        ((9, 4), (1, 0)),  # truncating, axes swapped
-        ((1, 5), (0, 1)),
-        ((6, 1), (0, 1)),
-        ((8, 8), (0, 1)),
-        ((3, 4, 5, 6), (2, 0)),
-        ((4, 5, 6, 3), (1, 3)),
-        ((3, 4, 2, 5, 3, 2), (2, 0)),
-        ((3, 4, 2, 5, 3, 2), (1, 3)),
+    "shape, axes, top",
+    # full planes, with pytest's default ids for (shape, axes)
+    [pytest.param(*plane, None, id=f"shape{i}-axes{i}") for i, plane in enumerate(_PLANES)]
+    # inputs that hold at most ``top`` photons, below the plane's d1 + d2 - 2
+    + [
+        pytest.param((8, 8), (0, 1), 7, id="padded-square"),  # as the oracle pads a plane
+        pytest.param((9, 4), (1, 0), 6, id="truncating-rectangle"),
+        pytest.param((3, 4, 2, 5, 3, 2), (1, 3), 4, id="stack"),
     ],
 )
-def test_block_propagation_matches_dense_reference(u2, shape, axes):
+def test_block_propagation_matches_dense_reference(u2, shape, axes, top):
     rng = np.random.default_rng(sum(shape) + 10 * axes[0] + axes[1])
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     amps /= np.abs(amps).max()
+    if top is not None:
+        amps = _held_below(amps, axes, top)
     moved = fock.apply_two_mode_unitary(np.moveaxis(amps, axes, (-2, -1)), u2)
     out = np.moveaxis(moved, (-2, -1), axes)
     ref = apply_dense_two_mode_unitary(amps, *axes, u2)
     assert out.shape == amps.shape
     assert np.abs(out - ref).max() < 1e-13
+    if top is not None:
+        # a passive map keeps photon number: nothing lands above top
+        assert np.array_equal(out, _held_below(out, axes, top))
+
+
+@pytest.fixture
+def drawn_blocks(monkeypatch):
+    """The blocks :func:`photsub.fock.apply_two_mode_unitary` draws, in order."""
+    drawn, blocks = [], fock._photon_blocks
+
+    def counted(*args):
+        for lo_block in blocks(*args):
+            drawn.append(lo_block)
+            yield lo_block
+
+    monkeypatch.setattr(fock, "_photon_blocks", counted)
+    return drawn
+
+
+def test_an_empty_input_maps_to_exact_zeros(drawn_blocks):
+    out = fock.apply_two_mode_unitary(np.zeros((3, 6, 5), dtype=complex), fock.mzi_unitary(0.7))
+    assert out.shape == (3, 6, 5) and not out.any()
+    assert drawn_blocks == []
+
+
+@pytest.mark.parametrize("shape, top", [((8, 8), 7), ((9, 4), 6), ((2, 7, 5), 3), ((6, 6), 10)])
+def test_blocks_stop_at_the_highest_photon_number_the_input_holds(shape, top, drawn_blocks):
+    amps = np.zeros(shape, dtype=complex)
+    k = min(top, shape[-1] - 1)
+    amps[..., top - k, k] = 1.0
+    fock.apply_two_mode_unitary(amps, fock.mzi_unitary(0.7))
+    assert len(drawn_blocks) == top + 1
 
 
 @pytest.mark.parametrize("u2", _MAPS.values(), ids=_MAPS.keys())

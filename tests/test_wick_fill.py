@@ -69,6 +69,22 @@ def test_a_key_the_selection_rule_zeroes_is_an_exact_zero(arity, monkeypatch):
     assert len(evaluations) == 1
 
 
+@pytest.mark.parametrize("arity", (1, 2), ids=("single", "pair"))
+def test_a_table_computes_each_phase_once(arity, monkeypatch):
+    calls, cos_sin = [], mp.libmp.mpf_cos_sin
+
+    def counted(*args):
+        calls.append(args)
+        return cos_sin(*args)
+
+    monkeypatch.setattr(mp.libmp, "mpf_cos_sin", counted)
+    table = _table(arity, 1.7, 2, 0.4)
+    # an entry's phase is e^{i chi (q - p)}, key = (p, q, ...)
+    turns = {key[1] - key[0] for key in _keys(arity, 8) if table.entry(key).imag != 0}
+    assert len(turns) > 2
+    assert len(calls) == len(turns)
+
+
 _LAMS = (0.0, 1e-9, 0.05, 0.7, 2.0, 37.5, 1e4, 1e16, 1e150, 1e200)
 
 
