@@ -103,15 +103,15 @@ def _working_digits(mu: float) -> int:
 
 
 def _mzi_entries(phi):
-    """(u, v) of the Mach-Zehnder map, at guard digits.
-
-    u = e^{i phi/2} cos(phi/2) and v = i e^{i phi/2} sin(phi/2) keep their
-    relative accuracy at any phase, where (e^{i phi} -+ 1)/2 would cancel.
+    """(u, v) of the Mach-Zehnder map at guard digits, from one cosine c and
+    sine s of phi/2: u = e^{i phi/2} cos(phi/2) = c^2 + i cs and
+    v = i e^{i phi/2} sin(phi/2) = -s^2 + i cs keep their relative accuracy
+    at any phase, where (e^{i phi} -+ 1)/2 would cancel.
     """
-    with mp.workdps(mp.mp.dps + moments.GUARD_DIGITS):
-        half = mp.mpf(phi) / 2
-        h = mp.expj(half)
-        return h * mp.cos(half), mp.mpc(0, 1) * h * mp.sin(half)
+    lib, prec = mp.libmp, mp.libmp.dps_to_prec(mp.mp.dps + moments.GUARD_DIGITS)
+    c, s = lib.mpf_cos_sin(lib.mpf_shift(lib.from_float(phi), -1), prec, "n")
+    cs, c2, s2 = (lib.mpf_mul(x, y, prec, "n") for x, y in ((c, s), (c, c), (s, s)))
+    return mp.make_mpc((c2, cs)), mp.make_mpc((lib.mpf_neg(s2), cs))
 
 
 #: entries of the memo below: a sweep runs every order (at most 5 in a
@@ -125,16 +125,15 @@ def _port_coefficients(spec, mu: float, psi: float, dps: int):
     """The port moments of a scene family compiled for ``dps`` working digits.
 
     Everything but the phase and the loss, so one compilation serves every
-    point of a phi or eta sweep; the inputs are filled at guard digits.  The
-    spec's type picks the input table, whose arity sets the port layout.
+    point of a phi or eta sweep; the input table is built at guard digits.
+    The spec's type picks the input table, whose arity sets the port layout.
     """
     with mp.workdps(dps + moments.GUARD_DIGITS):
         if isinstance(spec, PassvSpec):
             table = moments.passv_moment_table(spec.lam, spec.m, chi=spec.chi)
         else:
             table = moments.spatsv_moment_table(spec.lam, spec.m, max_order=8, chi=spec.chi)
-        alpha = mp.sqrt(mp.mpf(mu)) * mp.exp(mp.mpc(0, psi))  # lossless coherent amplitude
-        return opalg.PortCoefficients(table, alpha, mp.libmp.dps_to_prec(dps))
+    return opalg.PortCoefficients(table, mu, psi, mp.libmp.dps_to_prec(dps))
 
 
 #: read-out observables as {(p, q): weight of N_a^p N_b^q}

@@ -21,7 +21,7 @@ scale such sums of lossless moments.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, isfinite, isqrt
 
 import mpmath as mp
 
@@ -31,8 +31,8 @@ from .errors import MomentOrderMissing, NullState, PrecisionInsufficient, ZeroMe
 class MomentTable:
     """Map from moment index tuples to expectation values for one subsystem.
 
-    ``compute(key)`` fills an entry on first request, at the ambient
-    precision; entries are cached.
+    ``compute(key)`` fills an entry on first request, at the precision the
+    table was built at; entries are cached.
     """
 
     def __init__(self, modes, max_order, compute):
@@ -50,6 +50,11 @@ class MomentTable:
             self._entries[key] = self._compute(key)
         return self._entries[key]
 
+    def fixed(self, key, bits: int) -> tuple:
+        """Entry ``key`` as a :func:`fixed` number, in integers if the fill can."""
+        fill = getattr(self._compute, "fixed", None)
+        return fill(key, bits) if fill else fixed(self.entry(key), bits)
+
 
 # ---------------------------------------------------------------------------
 # Scalar statistics
@@ -60,14 +65,12 @@ class MomentTable:
 #: mpmath's default 15 digits, whatever the caller's ambient precision
 at_float_digits = mp.workdps(15)
 
-#: guard digits over the working ones at which the tables that certified
-#: sums read are built, so that an entry errs by far less than the one unit
-#: in the last place of the working precision that :func:`fixed` allows it.
-#: A Wick-filled entry errs by three roundings at most, a unit 2^(1 - prec)
-#: each: the ratio of exact integers (half a unit), g (a root and a product)
-#: and the phase (a cosine and sine, and a product).  Ten digits are 33
-#: bits, so that is below 2^-20 of a unit of the working bits plus the 10
-#: guard bits of :mod:`photsub.opalg`.
+#: guard digits over the working ones of a table that a certified sum reads
+#: through mpmath (:func:`_read`, or :meth:`MomentTable.fixed` without an
+#: integer fill), so that an entry errs by far less than the unit that
+#: :func:`fixed` allows it: a Wick-filled entry errs by 1.03 units 2^-prec at
+#: most (:class:`_WickFill`), and ten digits are 33 bits.  The integer fill
+#: itself counts its roundings in ``ulps``.
 GUARD_DIGITS = 10
 
 
@@ -88,15 +91,38 @@ def fixed(x, bits: int, ulps: int = 4) -> tuple:
     return re, im, exp, (re * re + im * im).bit_length() + 2 * exp, ulps
 
 
-def fixed_mul(x: tuple, y: tuple, bits: int) -> tuple:
-    """The product of two :func:`fixed` numbers, truncated to ``bits`` bits."""
-    a, b, ex, _, ux = x
-    c, d, ey, _, uy = y
-    re, im, exp, ulps = a * c - b * d, a * d + b * c, ex + ey, ux + uy + 1
+def fixed_from(re: int, im: int, exp: int, bits: int, ulps: int) -> tuple:
+    """(re + i im) 2^exp, of relative error ulps 2^-bits, as a :func:`fixed`
+    number: truncated to ``bits`` bits where longer, which adds 3 ulps."""
     shift = max(abs(re).bit_length(), abs(im).bit_length()) - bits
     if shift > 0:
         re, im, exp, ulps = re >> shift, im >> shift, exp + shift, ulps + 3
     return re, im, exp, (re * re + im * im).bit_length() + 2 * exp, ulps
+
+
+def fixed_mul(x: tuple, y: tuple, bits: int) -> tuple:
+    """The product of two :func:`fixed` numbers, truncated to ``bits`` bits."""
+    a, b, ex, _, ux = x
+    c, d, ey, _, uy = y
+    return fixed_from(a * c - b * d, a * d + b * c, ex + ey, bits, ux + uy + 1)
+
+
+class Phases(dict):
+    """(turns, prec) -> (c, s, e, ulps): cos and sin of ``x`` turns as (c, s)
+    2^e, rounded to nearest at prec bits (ulps 1) unless exact (ulps 0)."""
+
+    def __init__(self, x: float):
+        self.x = float(x)
+
+    def __missing__(self, key):
+        lib, (turns, prec) = mp.libmp, key
+        if not (turns and self.x):
+            return self.setdefault(key, (1, 0, 0, 0))
+        angle = lib.mpf_mul(lib.from_float(self.x), lib.from_int(turns))  # exact
+        (cs, cm, ce, _), (ss, sm, se, _) = lib.mpf_cos_sin(angle, prec, "n")
+        e = min(ce, se)
+        c, s = (-cm if cs else cm) << ce - e, (-sm if ss else sm) << se - e
+        return self.setdefault(key, (c, s, e, 1))
 
 
 def fixed_conj(x: tuple) -> tuple:
@@ -363,13 +389,13 @@ def _binary(lam) -> tuple:
     """(n, shift) with lam, read as a float, = n 2^-shift; ValueError unless
     lam is finite and >= 0."""
     lam = float(lam)
-    if not (0 <= lam and mp.isfinite(lam)):
+    if not (0 <= lam and isfinite(lam)):
         raise ValueError("lam must be finite and >= 0")
     n, d = lam.as_integer_ratio()
     return n, d.bit_length() - 1
 
 
-_ZERO = mp.mpc(0)
+_ENTRIES = {}  # (Wick terms, key) -> lam-free (turns, polynomial, g parity, degree)
 
 
 class _WickFill:
@@ -377,10 +403,10 @@ class _WickFill:
     of its ``arity`` modes: key k reads the vacuum moment of k + m over the
     norm, the moment of m, with the vacuum moments as integer Wick terms.
 
-    An entry is P(lam)/Q(lam) g^(b mod 2) e^{i chi turns}, P and Q exact
-    integers (:func:`_polynomial`): the ratio rounds once, and g and the
-    phase add a rounding each, at the precision the table was built at.  A
-    key the selection rule zeroes is an exact 0, with no arithmetic.
+    An entry is P(lam)/Q(lam) g^(b mod 2) e^{i chi turns}, P, Q and g^2
+    exact integers: :meth:`fixed` forms it in integers, and a call rounds
+    that, or the ratio alone, once to the precision the table was built at.
+    A key the selection rule zeroes is an exact 0, with no arithmetic.
     """
 
     def __init__(self, wick_terms, lam, m: int, chi, arity: int):
@@ -388,29 +414,44 @@ class _WickFill:
         self.n, self.shift = _binary(lam)
         if m > 0 and not self.n:
             raise NullState("photon subtraction annihilates the vacuum")
-        norm = _polynomial(wick_terms(*[m] * 2 * arity)[1])
-        self.norm, self.norm_degree = _horner(norm, self.n, self.shift), len(norm) - 1
-        # g^2 = n (n + 2^shift) 2^(-2 shift), exactly; the root rounds once
-        g2 = mp.libmp.from_man_exp(self.n * (self.n + (1 << self.shift)), -2 * self.shift)
-        self.g, self.chi = mp.libmp.mpf_sqrt(g2, self.prec, "n"), float(chi)
-        self.phases = {}  # turns -> (cos, sin) of chi turns, once per table
+        _, norm, _, self.norm_degree = self._entry((0,) * 2 * arity)
+        self.norm, self.phases = _horner(norm, self.n, self.shift), Phases(chi)
+        self.g2 = self.n * (self.n + (1 << self.shift))  # g^2 2^(2 shift)
+
+    def _entry(self, key: tuple) -> tuple:
+        key = (self.wick_terms,) + tuple(k + self.m for k in key)
+        if key not in _ENTRIES:
+            turns, terms = key[0](*key[1:])
+            poly = _polynomial(terms) if terms else None
+            _ENTRIES[key] = turns, poly, terms and terms[0][2] % 2, len(poly or ()) - 1
+        return _ENTRIES[key]
 
     def __call__(self, key: tuple):
-        turns, terms = self.wick_terms(*(k + self.m for k in key))
-        if not terms:
-            return _ZERO
-        lib, prec, poly = mp.libmp, self.prec, _polynomial(terms)
+        turns, poly, odd, degree = self._entry(key)
+        lib, prec = mp.libmp, self.prec
+        if poly is None or odd or turns and self.phases.x:  # 1.03 units 2^-prec at most
+            re, im, exp, _, _ = self.fixed(key, prec + 8)
+            return mp.make_mpc(tuple(lib.from_man_exp(x, exp, prec, "n") for x in (re, im)))
         num = _horner(poly, self.n, self.shift) << self.shift * self.norm_degree
-        value = lib.from_rational(num, self.norm << self.shift * (len(poly) - 1), prec, "n")
-        if terms[0][2] % 2:
-            value = lib.mpf_mul(value, self.g, prec, "n")
-        if not (turns and self.chi):
-            return mp.make_mpc((value, lib.fzero))
-        if turns not in self.phases:
-            angle = lib.mpf_mul(lib.from_float(self.chi), lib.from_int(turns))  # exact
-            self.phases[turns] = lib.mpf_cos_sin(angle, prec, "n")
-        cos, sin = self.phases[turns]
-        return mp.make_mpc((lib.mpf_mul(value, cos, prec, "n"), lib.mpf_mul(value, sin, prec, "n")))
+        ratio = lib.from_rational(num, self.norm << self.shift * degree, prec, "n")
+        return mp.make_mpc((ratio, lib.fzero))
+
+    def fixed(self, key: tuple, bits: int) -> tuple:
+        """The entry ``key`` as a :func:`fixed` number, in integers alone: the
+        ratio floor(P 2^k / Q) and g, an isqrt, have bits + 1 bits or more and
+        err by under half a unit 2^-bits each, the phase by under a quarter."""
+        turns, poly, odd, degree = self._entry(key)
+        if poly is None:
+            return 0, 0, 0, 0, 0
+        num = _horner(poly, self.n, self.shift)
+        k = bits + 2 + self.norm.bit_length() - num.bit_length()
+        man = (num << k) // self.norm if k >= 0 else num // (self.norm << -k)
+        exp = self.shift * (self.norm_degree - degree) - k
+        if odd:  # an exact 0 at lam = 0
+            t = max(0, bits + 2 - self.g2.bit_length() // 2)
+            man, exp = man * isqrt(self.g2 << 2 * t), exp - self.shift - t
+        c, s, e, ulps = self.phases[turns, max(self.prec, bits + 2)]
+        return fixed_from(man * c, man * s, exp + e, bits, 1 + odd + ulps)
 
 
 def bogoliubov_vacuum_moment_1m(p: int, q: int, lam, chi: float = 0.0):

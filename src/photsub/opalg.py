@@ -11,9 +11,10 @@ port monomials,
     F(i, j) = sum_{K, K'} H(K, K') conj(u^a v^(n-a)) u^b v^(n-b),   n = i + j,
 
 with a and b the powers of u in the terms K and K' of the expansion, and H
-binomials times powers of alpha times an entry of the quantum input's
-moment table.  H does not depend on phi: :class:`PortCoefficients` compiles
-it once per scene family and :func:`port_moments` sums it at each phase.
+binomials times conj(alpha)^m alpha^m2 = mu^((m + m2)/2) e^{i psi (m2 - m)}
+(m + m2 is even) times an entry of the quantum input's moment table, all in
+integers.  H does not depend on phi: :class:`PortCoefficients` compiles it
+once per scene family and :func:`port_moments` sums it at each phase.
 Pair (K', K) is the conjugate of (K, K'), so a > b is folded onto a < b.
 Ordinary moments follow by Stirling numbers (:func:`port_expectation`).
 
@@ -34,64 +35,76 @@ from math import comb, factorial
 import mpmath as mp
 
 from .moments import (
-    GUARD_DIGITS, ONE, Bounded, MomentTable, certified_sum, fixed, fixed_conj, fixed_mul,
-    fixed_times, thin,
+    ONE, Bounded, MomentTable, Phases, certified_sum, fixed, fixed_conj, fixed_from,
+    fixed_mul, fixed_times, thin,
 )
 
 _GUARD_BITS = 10  # kept over the working bits: ~1/1000 of its last unit per term
+
+_TEMPLATES = {}  # (single, i, j) -> the lam-free pairs of terms of F(i, j)
+
+
+def _template(single: bool, i: int, j: int) -> list:
+    """[(a, b, input key, m, m2, weight)] of the pairs (K, K') of F(i, j)
+    with a <= b whose input entry the selection rule leaves nonzero; the
+    weight is the binomials, doubled where a < b by the fold."""
+    if (single, i, j) not in _TEMPLATES:
+        n = i + j
+        expansion = [(k, l, comb(i, k) * comb(j, l), (i - k if single else k) + l)
+                     for k in range(i + 1) for l in range(j + 1)]
+        _TEMPLATES[single, i, j] = [
+            (a, b, (k + l, k2 + l2) if single else (k, k2, l, l2), n - k - l, n - k2 - l2,
+             ck * ck2 * (1 + (a < b)))
+            for k, l, ck, a in expansion for k2, l2, ck2, b in expansion
+            if a <= b and ((k + l - k2 - l2) % 2 == 0 if single else k - k2 == l - l2)
+        ]
+    return _TEMPLATES[single, i, j]
 
 
 class PortCoefficients:
     """The phi-independent coefficients H of a scene family's port moments.
 
-    The family is a lossless quantum input ``table`` and a coherent amplitude
-    ``alpha``, both built at guard digits; ``bits`` is the working binary
-    precision.  The table's arity sets the port layout: one mode is the single
-    scheme, two the correlated one.  Each F(i, j) compiles on first request.
+    The family is a lossless quantum input ``table`` and a coherent state of
+    mean photons ``mu``, read exactly if a float, and phase ``psi``; ``bits``
+    is the working binary precision.  The table's arity sets the port
+    layout: one mode is the single scheme, two the correlated one.  Its
+    entries keep the selection rules of the subtracted squeezed vacua:
+    <a^dag^p a^q> = 0 for odd p - q, <a1^dag^p a1^q a2^dag^r a2^s> = 0 unless
+    p - q = r - s.  Each F(i, j) compiles on first request.
     """
 
-    def __init__(self, table: MomentTable, alpha, bits: int):
+    def __init__(self, table: MomentTable, mu, psi: float, bits: int):
         self.table, self.bits, self.single = table, bits + _GUARD_BITS, len(table.modes) == 1
-        self._alpha = alpha
-        self._dps = mp.libmp.prec_to_dps(bits) + GUARD_DIGITS
+        self._mu, self._phases = mp.mpf(mu).man_exp, Phases(psi)
         self._moments, self._displacements, self._terms = {}, {}, {}
 
     def moment(self, key: tuple) -> tuple:
-        """The input table's entry ``key``, built at guard digits, as a fixed-point number.
-
-        Kept per key: compiling a family's terms reads each entry about three
-        times, and the phase derivatives read theirs at every point.
-        """
+        """The input table's entry ``key`` as a fixed-point number, kept per key."""
         if key not in self._moments:
-            self._moments[key] = fixed(self.table.entry(key), self.bits)
+            self._moments[key] = self.table.fixed(key, self.bits)
         return self._moments[key]
 
     def displacement(self, m: int, m2: int) -> tuple:
-        """conj(alpha)^m alpha^m2, as a fixed-point number."""
+        """conj(alpha)^m alpha^m2 = mu^((m + m2)/2) e^{i psi (m2 - m)} as a
+        fixed-point number, exact where m = m2 and it fits in the bits."""
         if (m, m2) not in self._displacements:
-            with mp.workdps(self._dps):
-                value = mp.conj(self._alpha) ** m * self._alpha**m2
-            self._displacements[m, m2] = fixed(value, self.bits)
+            (man, exp), k = self._mu, (m + m2) // 2
+            c, s, e, ulps = self._phases[m2 - m, self.bits + 2]
+            self._displacements[m, m2] = fixed_from(
+                man**k * c, man**k * s, e + exp * k, self.bits, ulps)
         return self._displacements[m, m2]
 
     def terms(self, i: int, j: int) -> list:
         """[(a, b, H)] of F(i, j) for a <= b, with a and b the powers of u in
         the monomials of K and K'."""
-        if (i, j) in self._terms:
-            return self._terms[i, j]
-        expansion = [(k, l, comb(i, k) * comb(j, l), (i - k if self.single else k) + l)
-                     for k in range(i + 1) for l in range(j + 1)]
-        terms = self._terms[i, j] = []
-        for k, l, ck, a in expansion:
-            for k2, l2, ck2, b in expansion:
-                if a > b:
-                    continue
-                entry = self.moment((k + l, k2 + l2) if self.single else (k, k2, l, l2))
-                if entry[0] or entry[1]:
-                    alpha = self.displacement(i + j - k - l, i + j - k2 - l2)
-                    h = fixed_mul(alpha, entry, self.bits)
-                    terms.append((a, b, fixed_times(h, ck * ck2 * (1 + (a < b)))))
-        return terms
+        if (i, j) not in self._terms:
+            self._terms[i, j] = []
+            for a, b, key, m, m2, weight in _template(self.single, i, j):
+                entry = self.moment(key)
+                if entry[0] or entry[1]:  # lam = 0 zeroes more than the selection rule
+                    h = fixed_mul(self.displacement(m, m2), entry, self.bits)
+                    self._terms[i, j].append((a, b, fixed_times(h, weight)))
+        return self._terms[i, j]
 
 
 class PortMoments:

@@ -1,0 +1,150 @@
+"""The integer forms of a family's inputs: table entries
+(:meth:`photsub.moments.MomentTable.fixed`) and coherent displacements
+(:meth:`photsub.opalg.PortCoefficients.displacement`).  Each lies within its
+own counted ``ulps`` 2^-bits of the per-entry values of :mod:`reference`,
+formed far beyond ``bits``; a key the selection rule zeroes is an exact 0
+that costs no arithmetic and that no compile asks for."""
+
+import itertools
+from fractions import Fraction
+
+import mpmath as mp
+import pytest
+
+import reference
+from photsub import moments, opalg
+
+LAMS = (0.0, 1e-300, 0.3, 7.0, 1e200)
+BITS = (60, 61, 128, 255, 400)
+#: the per-entry values are formed this many bits beyond the largest BITS,
+#: and at 100 digits at least, so their own rounding is far below a unit
+REFERENCE_PREC = max(BITS[-1] + 64, mp.libmp.dps_to_prec(100))
+
+
+def _keys(arity: int, order: int) -> list:
+    return [k for k in itertools.product(range(order + 1), repeat=2 * arity) if sum(k) <= order]
+
+
+def _value(x: tuple):
+    """The exact value of a fixed-point number."""
+    re, im, exp, _, _ = x
+    return mp.mpc(mp.mpf((re, exp)), mp.mpf((im, exp)))
+
+
+def _assert_within_ulps(got: tuple, want, what) -> None:
+    """``got`` within its ulps 2^-bits of ``want`` (relative), or exactly 0."""
+    if want == 0:
+        assert got[0] == 0 and got[1] == 0, what
+        return
+    _, _, _, _, ulps = got
+    bits = what[-1]
+    assert max(abs(got[0]), abs(got[1])).bit_length() <= bits, what
+    error = abs(_value(got) - want) / abs(want)
+    # the reference's own rounding: a few units 2^-REFERENCE_PREC
+    assert error <= ulps * mp.mpf(2) ** -bits + mp.mpf(2) ** (32 - REFERENCE_PREC), what
+
+
+@pytest.mark.parametrize("chi", (0.0, 0.4))
+@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("arity", (1, 2), ids=("single", "pair"))
+def test_integer_entries_lie_within_their_counted_ulps(arity, m, chi):
+    build = moments.passv_moment_table if arity == 1 else moments.spatsv_moment_table
+    checked = 0
+    for lam in LAMS:
+        if m and not lam:
+            continue  # the vacuum less a photon is no state
+        table = build(lam, m, max_order=8, chi=chi)
+        with mp.workprec(REFERENCE_PREC):
+            want = reference.subtracted_table(table.modes, lam, m, 8, chi)
+            for key in _keys(arity, 8):
+                ref = want.entry(key)
+                for bits in BITS:
+                    _assert_within_ulps(table.fixed(key, bits), ref, (lam, key, bits))
+                    checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("arity", (1, 2), ids=("single", "pair"))
+def test_a_zeroed_key_is_an_exact_zero_without_arithmetic(arity, monkeypatch):
+    build = moments.passv_moment_table if arity == 1 else moments.spatsv_moment_table
+    table = build(0.3, 2, max_order=8, chi=0.4)
+    want = reference.subtracted_table(table.modes, 0.3, 2, 8, 0.4)
+    zeroed = [key for key in _keys(arity, 8) if want.entry(key) == 0]
+    assert len(zeroed) > 10
+    evaluations, horner = [], moments._horner
+
+    def counted(*args):
+        evaluations.append(args)
+        return horner(*args)
+
+    monkeypatch.setattr(moments, "_horner", counted)
+    for key in zeroed:
+        for bits in BITS:
+            re, im, _, _, ulps = table.fixed(key, bits)
+            assert re == im == ulps == 0, key
+    assert evaluations == []
+    table.fixed((1,) * 2 * arity, 60)
+    assert len(evaluations) == 1
+
+
+def _coefficients(mu, psi, bits, arity=1):
+    build = moments.passv_moment_table if arity == 1 else moments.spatsv_moment_table
+    return opalg.PortCoefficients(build(0.3, 1, max_order=8), mu, psi, bits)
+
+
+@pytest.mark.parametrize("mu", (0.0, 1.0, 3.0, 0.1, 1e12, 2.5e-7))
+def test_diagonal_displacements_are_exact_powers_of_mu(mu):
+    for bits in BITS:
+        coefficients = _coefficients(mu, 0.7, bits)
+        for m in range(5):
+            exact = Fraction(mu) ** m
+            if exact and exact.numerator.bit_length() > coefficients.bits:
+                continue  # does not fit: truncated, and its ulps say so
+            re, im, exp, _, ulps = coefficients.displacement(m, m)
+            assert (im, ulps) == (0, 0), (mu, m, bits)
+            assert Fraction(re) * Fraction(2) ** exp == exact, (mu, m, bits)
+
+
+@pytest.mark.parametrize("psi", (0.0, 0.7, -2.3, 3.1))
+@pytest.mark.parametrize("mu", (1.0, 0.1, 37.25, 1e12))
+def test_displacements_lie_within_their_counted_ulps(mu, psi):
+    for bits in BITS:
+        coefficients = _coefficients(mu, psi, bits)
+        with mp.workprec(REFERENCE_PREC):
+            alpha = mp.sqrt(mp.mpf(mu)) * mp.expj(mp.mpf(psi))
+            for m, m2 in itertools.product(range(5), repeat=2):
+                if (m + m2) % 2:
+                    continue  # no key the selection rule leaves reads these
+                want = mp.conj(alpha) ** m * alpha**m2
+                got = coefficients.displacement(m, m2)
+                _assert_within_ulps(got, want, (mu, psi, m, m2, coefficients.bits))
+
+
+@pytest.mark.parametrize("arity", (1, 2), ids=("single", "pair"))
+def test_a_compile_never_asks_for_a_zeroed_key(arity):
+    coefficients = _coefficients(1e4, 0.7, 128, arity)
+    table, requested = coefficients.table, []
+    fill = table.fixed
+
+    def counted(key, bits):
+        requested.append(key)
+        return fill(key, bits)
+
+    table.fixed = counted
+    order = 2 if arity == 1 else 4
+    for i in range(order + 1):
+        for j in range(order + 1 - i):
+            assert coefficients.terms(i, j), (i, j)
+    want = reference.subtracted_table(table.modes, 0.3, 1, 8)
+    assert len(requested) >= 5
+    assert all(want.entry(key) != 0 for key in requested), requested
+    # each entry is read from the table once and kept by the family
+    assert len(set(requested)) == len(requested)
+
+
+def test_an_mpf_mu_compiles_as_its_float():
+    # mu is read exactly: a float, or an mpmath number as the parent took it
+    for arity in (1, 2):
+        exact, other = (_coefficients(mu, 0.7, 128, arity) for mu in (37.25, mp.mpf(37.25)))
+        for i, j in ((1, 0), (1, 1), (2, 0)):
+            assert exact.terms(i, j) == other.terms(i, j), (arity, i, j)

@@ -33,26 +33,28 @@ def _mzi(phi, slot):
     return (j + 1) * mp.mpf(0.5), (j - 1) * mp.mpf(0.5)
 
 
-def _kernel(quantum, alpha, phi, eta):
+def _kernel(quantum, mu, psi, phi, eta):
     """The kernel's port moments of a scene, its inputs at guard digits.
 
-    ``quantum`` builds the lossless input table.
+    ``quantum`` builds the lossless input table; the coherent state has mean
+    photons ``mu`` and phase ``psi``.
     """
     with mp.workdps(DPS + moments.GUARD_DIGITS):
         e = mp.expj(phi)
-        coefficients = opalg.PortCoefficients(quantum(), +alpha, mp.libmp.dps_to_prec(DPS))
+        coefficients = opalg.PortCoefficients(quantum(), mu, psi, mp.libmp.dps_to_prec(DPS))
         return opalg.port_moments(coefficients, (e + 1) / 2, (e - 1) / 2, eta)
 
 
 def _scene(scheme, rng):
     """(kernel port moments, reference images, tables, order)."""
-    alpha = mp.sqrt(rng.uniform(0.5, 4.0)) * mp.expj(rng.uniform(0.1, 1.4))
+    mu, psi = rng.uniform(0.5, 4.0), rng.uniform(0.1, 1.4)
+    alpha = mp.sqrt(mu) * mp.expj(psi)
     eta = rng.uniform(0.5, 0.95)
     lam, m, chi = rng.uniform(0.1, 2.0), rng.randrange(4), rng.uniform(0.2, 1.0)
     phi = rng.uniform(0.1, 3.0)
     u1, v1 = _mzi(phi, 1)
     if scheme == "single":
-        ports = _kernel(lambda: moments.passv_moment_table(lam, m, chi=chi), alpha, phi, eta)
+        ports = _kernel(lambda: moments.passv_moment_table(lam, m, chi=chi), mu, psi, phi, eta)
         images = {0: ({0: u1, 1: v1}, 0), 1: ({0: v1, 1: u1}, 0)}
         tables = [
             apply_loss(coherent_table(alpha, mode=0), mp.mpf(eta)),
@@ -60,7 +62,7 @@ def _scene(scheme, rng):
         ]
         return ports, images, tables, 2
     ports = _kernel(
-        lambda: moments.spatsv_moment_table(lam, m, max_order=8, chi=chi), alpha, phi, eta
+        lambda: moments.spatsv_moment_table(lam, m, max_order=8, chi=chi), mu, psi, phi, eta
     )
     u2, v2 = _mzi(phi, 2)
     beta = alpha * mp.sqrt(eta)
@@ -124,7 +126,7 @@ def test_mixed_derivative_matches_the_reference_jet(seed):
 def test_loss_scales_port_moments_by_eta_to_the_order(scheme, seed):
     rng = random.Random(100 + seed)
     with mp.workdps(50):
-        alpha = mp.sqrt(rng.uniform(0.5, 4.0)) * mp.expj(rng.uniform(0.1, 1.4))
+        mu, psi = rng.uniform(0.5, 4.0), rng.uniform(0.1, 1.4)
         eta = rng.uniform(0.5, 0.95)
         lam, m, chi = rng.uniform(0.1, 2.0), rng.randrange(4), rng.uniform(0.2, 1.0)
         phi = rng.uniform(0.1, 3.0)
@@ -136,11 +138,11 @@ def test_loss_scales_port_moments_by_eta_to_the_order(scheme, seed):
                 return moments.passv_moment_table(lam, m, chi=chi)
             return moments.spatsv_moment_table(lam, m, max_order=8, chi=chi)
 
-        lossy = _kernel(quantum, alpha, phi, eta)
+        lossy = _kernel(quantum, mu, psi, phi, eta)
         # the same ports over thinned inputs: the quantum table and the
-        # displacement, which is linear in the coherent amplitude
+        # coherent state, whose mean photons thin to eta mu (exact: 106 bits)
         thinned = _kernel(lambda: apply_loss(quantum(), mp.mpf(eta)),
-                          alpha * mp.sqrt(eta), phi, 1.0)
+                          mp.mpf(mu) * eta, psi, phi, 1.0)
         for i in range(order + 1):
             for j in range(order + 1 - i):
                 want = thinned.entry(i, j).value
