@@ -14,13 +14,13 @@ phase phi.  Correlated scheme: the two entangled quantum modes are each
 mixed with an identical coherent state in their own interferometer, at
 phases phi1 = phi2 = phi.  The read-out ports and their moments
 F(i, j) = <A^dag^i A^i B^dag^j B^j> are those of :mod:`photsub.opalg`, and
-every figure of merit is algebra on them: ordinary moments by Stirling
-numbers; the single slope of F(1, 0) - F(0, 1) and the correlated mixed
-derivative of F(1, 1) in closed form.  Each comes with a certified error,
-and every variance is formed, and its surviving digits checked, by
-:func:`_variance`.
-Detection loss eta, a beamsplitter to vacuum on each read-out port, scales
-F(i, j) by eta^(i+j) (:func:`moments.thin`, the package's one loss law).
+every figure of merit is algebra on them: each observable it reads is
+folded once per scene family and summed once per point, and the single
+slope and the correlated mixed derivative are closed forms.  Each comes
+with a certified error, and every variance is formed, and its surviving
+digits checked, by :func:`_variance`.  Detection loss eta, a beamsplitter
+to vacuum on each read-out port, scales F(i, j) by eta^(i+j)
+(:func:`moments.thin`, the package's one loss law).
 """
 
 from __future__ import annotations
@@ -207,7 +207,8 @@ def readout_moments(cfg: SingleMziConfig | CorrelatedConfig, dps: int | None = N
     out = {}
     with _scene(cfg, dps=dps) as ports:
         for key in [(p, q) for p in range(order + 1) for q in range(order + 1 - p) if p + q]:
-            out[key] = opalg.port_expectation(ports, {key: 1})
+            # combined from F(i, j), which every moment shares, not folded each
+            out[key] = sum(w * ports.entry(*ij) for ij, w in opalg.normal_ordered({key: 1}))
             moments.require_digits(out[key], "read-out moment")
             out[key] = float(out[key].value)
     return out
@@ -246,7 +247,7 @@ def qfi(cfg: SingleMziConfig, dps: int | None = None) -> float:
         coefficients = _port_coefficients(cfg.quantum, cfg.mu, cfg.psi, dps)
         with mp.workdps(dps + moments.GUARD_DIGITS):
             half = mp.sqrt(mp.mpf(2)) / 2
-        return float(_variance(opalg.port_moments(coefficients, half, half), {(1, 0): 2}))
+        return float(_variance(opalg.port_moments(coefficients, half, half, turn=1), {(1, 0): 2}))
 
 
 def cramer_rao_bound(fq: float) -> float:

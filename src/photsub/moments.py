@@ -206,14 +206,14 @@ def thin(x: Bounded, eta: float, n: int) -> Bounded:
     ladder operators each, detected with efficiency ``eta``: eta^n x.
 
     Loss, a beamsplitter to vacuum, scales each ladder operator by sqrt(eta)
-    (Bernoulli thinning: eta1 then eta2 is eta1 eta2).  A binary eta
-    multiplies exactly, so ``x`` keeps its bound.  This is the one loss law.
+    (Bernoulli thinning: eta1 then eta2 is eta1 eta2).  A binary eta, num
+    2^-shift, multiplies exactly, in one step by num^n 2^(-n shift), so ``x``
+    keeps its bound.  This is the one loss law.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    for _ in range(n if eta != 1 else 0):
-        x = eta * x
-    return x
+    num, den = eta.as_integer_ratio()
+    return Bounded(num**n * x.man, num**n * x.err, x.exp - n * (den.bit_length() - 1))
 
 
 def _read(table: MomentTable, bits: int, *slots) -> tuple:

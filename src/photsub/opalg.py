@@ -3,33 +3,30 @@
 Every figure of merit reads the photon counts N_a = A^dag A, N_b = B^dag B
 of two read-out ports, each one quantum mode plus a displacement: single
 scheme A = v a + u alpha, B = u a + v alpha; correlated A = u a0 + v alpha,
-B = u a1 + v alpha; u = (e^{i phi} + 1)/2, v = (e^{i phi} - 1)/2 and alpha
-the coherent amplitude, an eigenvalue of its annihilator.  Expanding A^i B^j
-turns F(i, j) = <A^dag^i A^i B^dag^j B^j> into a short sum over pairs of
-port monomials,
-
-    F(i, j) = sum_{K, K'} H(K, K') conj(u^a v^(n-a)) u^b v^(n-b),   n = i + j,
-
-with a and b the powers of u in the terms K and K' of the expansion, and H
-binomials times conj(alpha)^m alpha^m2 = mu^((m + m2)/2) e^{i psi (m2 - m)}
-(m + m2 is even) times an entry of the quantum input's moment table, all in
-integers.  H does not depend on phi: :class:`PortCoefficients` compiles it
-once per scene family and :func:`port_moments` sums it at each phase.
-Pair (K', K) is the conjugate of (K, K'), so a > b is folded onto a < b.
-Ordinary moments follow by Stirling numbers (:func:`port_expectation`).
-
-The phase derivatives the figures of merit divide by are closed forms in a
-few input moments, by the inputs' selection rules: the single slope
-eta (<n> - mu) sin phi (:meth:`PortMoments.slope`) and the correlated mixed
-derivative d^2 F(1, 1)/dphi1 dphi2 (:meth:`PortMoments.mixed`).  Every sum
-runs in block floating point with a certified error bound
-(:func:`photsub.moments.certified_sum`), and detection loss thins each sum
-F(i, j), a moment of 2(i + j) ladder operators, by eta^(i+j) through the
-package's one loss law (:func:`photsub.moments.thin`).
+B = u a1 + v alpha, with alpha the coherent amplitude.  F(i, j) =
+<A^dag^i A^i B^dag^j B^j> sums H conj(u^a v^(n-a)) u^b v^(n-b), n = i + j,
+over pairs (K, K') of terms of A^i B^j with a and b their powers of u; a > b
+is folded onto its conjugate a < b.  H is binomials times
+conj(alpha)^m alpha^m2 = mu^((m + m2)/2) e^{i psi (m2 - m)} times an entry
+of the quantum input's moment table, in integers.  With x = |u|^2,
+y = |v|^2 and z = conj(u) v = omega |uv|, where omega (the ``turn``) is i
+for the Mach-Zehnder entries u, v = (e^{i phi} +- 1)/2 and 1 for the QFI's
+u = v = 1/sqrt 2, a pair is omega^(a-b) x^(k/2) y^(n-k/2) for even
+k = a + b and omega^(a-b) conj(omega) z x^((k-1)/2) y^((2n-k-1)/2) for odd k.
+So an observable sum w F(i, j) under detection loss eta is
+sum_n sum_k G(n, k) eta^n M(n, k), with phase and loss in the monomials M
+alone: :class:`PortCoefficients` folds each row G once per scene family and
+observable, exactly in integers, and a point is one certified sum
+(:meth:`PortMoments.expect`, :func:`photsub.moments.certified_sum`), its
+eta^n from the package's one loss law (:func:`photsub.moments.thin`).
+Ordinary moments follow by Stirling numbers (:func:`port_expectation`), and
+the phase derivatives the figures of merit divide by are closed forms
+(:meth:`PortMoments.slope`, :meth:`PortMoments.mixed`).
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb, factorial
 
 import mpmath as mp
@@ -41,42 +38,79 @@ from .moments import (
 
 _GUARD_BITS = 10  # kept over the working bits: ~1/1000 of its last unit per term
 
-_TEMPLATES = {}  # (single, i, j) -> the lam-free pairs of terms of F(i, j)
+_ROWS = {}  # (single, weights, turn) -> the lam-free rows of an observable
 
 
-def _template(single: bool, i: int, j: int) -> list:
-    """[(a, b, input key, m, m2, weight)] of the pairs (K, K') of F(i, j)
-    with a <= b whose input entry the selection rule leaves nonzero; the
-    weight is the binomials, doubled where a < b by the fold."""
-    if (single, i, j) not in _TEMPLATES:
-        n = i + j
-        expansion = [(k, l, comb(i, k) * comb(j, l), (i - k if single else k) + l)
-                     for k in range(i + 1) for l in range(j + 1)]
-        _TEMPLATES[single, i, j] = [
-            (a, b, (k + l, k2 + l2) if single else (k, k2, l, l2), n - k - l, n - k2 - l2,
-             ck * ck2 * (1 + (a < b)))
-            for k, l, ck, a in expansion for k2, l2, ck2, b in expansion
-            if a <= b and ((k + l - k2 - l2) % 2 == 0 if single else k - k2 == l - l2)
-        ]
-    return _TEMPLATES[single, i, j]
+def _rows(single: bool, weights: tuple, turn) -> list:
+    """[((n, k), [(input key, m, m2, weight)])] of the observable sum w F(i, j)
+    over ``weights``: its pairs (K, K') with a <= b and k = a + b, less those
+    the selection rule zeroes, merged by (n, k) and then by (key, m, m2).  A
+    pair weighs w times its binomials, doubled where a < b, times
+    omega^(a-b) conj(omega)^(k mod 2) = conj(omega)^(2 ceil((b-a)/2)), a sign
+    for the Gaussian unit omega = ``turn``."""
+    if (single, weights, turn) not in _ROWS:
+        if turn not in (1, -1, 1j, -1j):
+            raise ValueError(f"turn must be a Gaussian unit, got {turn!r}")
+        sign, rows = round((turn.conjugate() ** 2).real), {}
+        for (i, j), w in weights:
+            n = i + j
+            expansion = [(k, l, comb(i, k) * comb(j, l), (i - k if single else k) + l)
+                         for k in range(i + 1) for l in range(j + 1)]
+            for (k, l, ck, a), (k2, l2, ck2, b) in product(expansion, repeat=2):
+                if a <= b and ((k + l - k2 - l2) % 2 == 0 if single else k - k2 == l - l2):
+                    key = (k + l, k2 + l2) if single else (k, k2, l, l2)
+                    row, term = rows.setdefault((n, a + b), {}), (key, n - k - l, n - k2 - l2)
+                    weight = w * ck * ck2 * (1 + (a < b)) * sign ** ((b - a + 1) // 2)
+                    row[term] = row.get(term, 0) + weight
+        _ROWS[single, weights, turn] = [(nk, [(*term, w) for term, w in row.items() if w])
+                                        for nk, row in sorted(rows.items()) if any(row.values())]
+    return _ROWS[single, weights, turn]
+
+
+def _exact_sum(summands):
+    """sum w h over pairs of an integer w and a :func:`fixed` number h, exactly,
+    or None where every h is an exact 0, which adds no error.  The sum may
+    cancel, so its error, the summands' ulps, is counted against the size of
+    its largest summand and then carried in units of its own size; one that
+    cancels to an exact 0 keeps the largest size (see :func:`_point_sum`)."""
+    terms = [(w * re, w * im, e, size + (w * w - 1).bit_length(), ulps)
+             for w, (re, im, e, size, ulps) in summands if re or im]
+    if len(terms) < 2:
+        return terms[0] if terms else None  # w h, exactly
+    low, top = min(t[2] for t in terms), max(t[3] for t in terms)
+    re = im = ulps = 0
+    for x, y, e, size, u in terms:
+        re, im = re + (x << (e - low)), im + (y << (e - low))
+        ulps += (u >> ((top - size) // 2)) + 1
+    if not (re or im):
+        return 0, 0, low, top, ulps
+    size = (re * re + im * im).bit_length() + 2 * low
+    return re, im, low, size, ulps << max(0, (top - size + 1) // 2)
+
+
+def _point_sum(pairs: list, bits: int) -> Bounded:
+    """:func:`certified_sum` of ``pairs`` (g, m), where a g that cancelled to
+    an exact 0 still adds its error, its ulps at its size, times |m|."""
+    cancelled = sum(Bounded(0, g[4], (g[3] + m[3] + 1) // 2 - bits)
+                    for g, m in pairs if not (g[0] or g[1]) and (m[0] or m[1]))
+    return certified_sum(pairs, bits) + cancelled
 
 
 class PortCoefficients:
-    """The phi-independent coefficients H of a scene family's port moments.
+    """The phi- and eta-free rows G of a scene family's port moments.
 
-    The family is a lossless quantum input ``table`` and a coherent state of
-    mean photons ``mu``, read exactly if a float, and phase ``psi``; ``bits``
-    is the working binary precision.  The table's arity sets the port
-    layout: one mode is the single scheme, two the correlated one.  Its
-    entries keep the selection rules of the subtracted squeezed vacua:
+    The family is a lossless quantum input ``table``, whose arity (one mode
+    or two) sets the scheme, and a coherent state of mean photons ``mu``,
+    read exactly if a float, and phase ``psi``, at ``bits`` working bits.
+    The table keeps the selection rules of the subtracted squeezed vacua:
     <a^dag^p a^q> = 0 for odd p - q, <a1^dag^p a1^q a2^dag^r a2^s> = 0 unless
-    p - q = r - s.  Each F(i, j) compiles on first request.
+    p - q = r - s.
     """
 
     def __init__(self, table: MomentTable, mu, psi: float, bits: int):
         self.table, self.bits, self.single = table, bits + _GUARD_BITS, len(table.modes) == 1
         self._mu, self._phases = mp.mpf(mu).man_exp, Phases(psi)
-        self._moments, self._displacements, self._terms = {}, {}, {}
+        self._moments, self._displacements, self._products, self._folds = {}, {}, {}, {}
 
     def moment(self, key: tuple) -> tuple:
         """The input table's entry ``key`` as a fixed-point number, kept per key."""
@@ -94,93 +128,107 @@ class PortCoefficients:
                 man**k * c, man**k * s, e + exp * k, self.bits, ulps)
         return self._displacements[m, m2]
 
-    def terms(self, i: int, j: int) -> list:
-        """[(a, b, H)] of F(i, j) for a <= b, with a and b the powers of u in
-        the monomials of K and K'."""
-        if (i, j) not in self._terms:
-            self._terms[i, j] = []
-            for a, b, key, m, m2, weight in _template(self.single, i, j):
-                entry = self.moment(key)
-                if entry[0] or entry[1]:  # lam = 0 zeroes more than the selection rule
-                    h = fixed_mul(self.displacement(m, m2), entry, self.bits)
-                    self._terms[i, j].append((a, b, fixed_times(h, weight)))
-        return self._terms[i, j]
+    def fold(self, weights: tuple, turn=1j) -> list:
+        """[(n, k, G(n, k))] of the observable sum w F(i, j) over ``weights``,
+        sorted ((i, j), w) pairs, for the port entries' unit ``turn``: each G
+        a :func:`_exact_sum` of displacement-entry products, each product
+        formed once per family."""
+        if (weights, turn) not in self._folds:
+            products, rows = self._products, []
+            for (n, k), row in _rows(self.single, weights, turn):
+                summands = []
+                for key, m, m2, w in row:
+                    if (key, m, m2) not in products:
+                        products[key, m, m2] = fixed_mul(
+                            self.displacement(m, m2), self.moment(key), self.bits)
+                    summands.append((w, products[key, m, m2]))
+                g = _exact_sum(summands)
+                rows += [(n, k, g)] if g else []
+            self._folds[weights, turn] = rows
+        return self._folds[weights, turn]
+
+    def terms(self, i: int, j: int, turn=1j) -> list:
+        """The folded rows of F(i, j) alone."""
+        return self.fold((((i, j), 1),), turn)
 
 
 class PortMoments:
-    """F(i, j) of one scene, and its phase derivatives, as certified sums.
+    """Observables of one scene, and its phase derivatives, as certified sums:
+    ``u`` and ``v`` are its port entries at guard digits, conj(u) v =
+    ``turn`` |uv|, and ``eta`` is the detection efficiency."""
 
-    Built by :func:`port_moments`; entries are summed on first request.
-    """
+    def __init__(self, coefficients: PortCoefficients, u, v, eta: float, turn):
+        self.coefficients, self.eta, self.turn = coefficients, eta, turn
+        bits = self.bits = coefficients.bits
+        u, v = fixed(u, bits), fixed(v, bits)
+        self._z = fixed_mul(fixed_conj(u), v, bits)
+        self._powers = ([ONE, fixed_mul(fixed_conj(u), u, bits)],
+                        [ONE, fixed_mul(fixed_conj(v), v, bits)])
+        self._monomials, self._scales, self._values = {}, {}, {}
 
-    def __init__(self, coefficients: PortCoefficients, u, v, eta: float):
-        self.coefficients, self.eta, self.bits = coefficients, eta, coefficients.bits
-        self._u, self._v = fixed(u, self.bits), fixed(v, self.bits)
-        self._powers = [[ONE]]
-        self._pairs = {}
-        self._entries = {}
+    def _monomial(self, n: int, k: int) -> tuple:
+        """M(n, k) = eta^n x^(k//2) y^(n - (k+1)//2) z^(k mod 2), kept per point."""
+        if (n, k) not in self._monomials:
+            p, q = k // 2, n - (k + 1) // 2
+            for powers, r in zip(self._powers, (p, q)):
+                while len(powers) <= r:
+                    powers.append(fixed_mul(powers[-1], powers[1], self.bits))
+            x, y = self._powers[0][p], self._powers[1][q]
+            m = fixed_mul(x, y, self.bits) if p and q else x if p else y
+            if k % 2:
+                m = fixed_mul(m, self._z, self.bits)
+            if n not in self._scales:
+                self._scales[n] = thin(Bounded(1, 0, 0), self.eta, n)  # eta^n, exactly
+            self._monomials[n, k] = fixed_times(m, self._scales[n].man, -self._scales[n].exp)
+        return self._monomials[n, k]
 
-    def _monomials(self, n: int) -> list:
-        """[u^a v^(n - a) for a = 0..n]."""
-        while len(self._powers) <= n:
-            low = self._powers[-1]
-            self._powers.append(
-                [fixed_mul(low[0], self._v, self.bits)]
-                + [fixed_mul(x, self._u, self.bits) for x in low]
-            )
-        return self._powers[n]
-
-    def _pair(self, n: int, a: int, b: int) -> tuple:
-        """conj(u^a v^(n-a)) u^b v^(n-b)."""
-        if (n, a, b) not in self._pairs:
-            p = self._monomials(n)
-            self._pairs[n, a, b] = fixed_mul(fixed_conj(p[a]), p[b], self.bits)
-        return self._pairs[n, a, b]
-
-    def _sum(self, pairs, n: int) -> Bounded:
-        """The certified sum of ``pairs``, thinned by eta^n."""
-        return thin(certified_sum(pairs, self.bits), self.eta, n)
+    def expect(self, weights: tuple) -> Bounded:
+        """sum w F(i, j) over ``weights``, sorted ((i, j), w) pairs, kept per point."""
+        if weights not in self._values:
+            rows = self.coefficients.fold(weights, self.turn)
+            self._values[weights] = _point_sum(
+                [(g, self._monomial(n, k)) for n, k, g in rows], self.bits)
+        return self._values[weights]
 
     def entry(self, i: int, j: int) -> Bounded:
         """F(i, j)."""
-        if (i, j) not in self._entries:
-            n, terms = i + j, self.coefficients.terms(i, j)
-            self._entries[i, j] = self._sum(((h, self._pair(n, a, b)) for a, b, h in terms), n)
-        return self._entries[i, j]
+        return self.expect((((i, j), 1),))
 
     def slope(self) -> Bounded:
         """d(F(1, 0) - F(0, 1))/dphi = eta (<n> - mu) sin phi of the single scheme.
 
         The subtracted squeezed vacuum has definite photon-number parity, so
         <a> = 0 and F(1, 0) - F(0, 1) = -eta (<n> - mu) cos phi, with
-        mu = |alpha|^2; sin phi = Re(-2i conj(u) v).
+        mu = |alpha|^2; sin phi = Re(-2i z).  <n> - mu is one exact difference,
+        so <n> = mu gives an exact 0 at every phase.
         """
         c = self.coefficients
-        sin = fixed_times(self._pair(1, 1, 0), -2j)
-        return self._sum([(c.moment((1, 1)), sin), (fixed_times(c.displacement(1, 1), -1), sin)], 1)
+        gap = _exact_sum([(1, c.moment((1, 1))), (-1, c.displacement(1, 1))])
+        pairs = [(gap, fixed_times(self._z, -2j))] if gap else []
+        return thin(_point_sum(pairs, self.bits), self.eta, 1)
 
     def mixed(self) -> Bounded:
         """d^2 F(1, 1)/dphi1 dphi2 of the correlated scheme at phi1 = phi2.
 
         Port A moves with phi1 and port B with phi2.  The pair populates only
         |n, n>, so <a0> = <a0^dag a1> = <n0 a1> = 0, which leaves
-        eta^2 [|uv|^2 <(n0 - mu)(n1 - mu)> - cos^2 phi Re(conj(alpha)^2 <a0 a1>)/2],
-        with |uv|^2 = sin^2(phi)/4 and cos^2 phi = 1 - 4 |uv|^2.
+        eta^2 [xy <(n0 - mu)(n1 - mu)> - cos^2 phi Re(conj(alpha)^2 <a0 a1>)/2],
+        with xy = |uv|^2 = sin^2(phi)/4 and cos^2 phi = 1 - 4 xy.
         """
-        c, bits, w = self.coefficients, self.bits, self._pair(2, 1, 1)
+        c, bits = self.coefficients, self.bits
+        w = fixed_mul(self._powers[0][1], self._powers[1][1], bits)
         minus_mu = fixed_times(c.displacement(1, 1), -1)
         y = fixed_mul(c.displacement(2, 0), c.moment((0, 1, 0, 1)), bits)
         pairs = [(w, c.moment((1, 1, 1, 1))), (w, c.displacement(2, 2)),
                  (w, fixed_mul(minus_mu, c.moment((1, 1, 0, 0)), bits)),
                  (w, fixed_mul(minus_mu, c.moment((0, 0, 1, 1)), bits)),
                  (fixed_times(w, 2), y), (fixed_times(ONE, -1, 1), y)]
-        return self._sum(pairs, 2)
+        return thin(certified_sum(pairs, bits), self.eta, 2)
 
 
-def port_moments(coefficients: PortCoefficients, u, v, eta: float = 1.0) -> PortMoments:
-    """The port moments of one scene of a compiled family: ``u`` and ``v`` are
-    its Mach-Zehnder entries at guard digits, ``eta`` the detection efficiency."""
-    return PortMoments(coefficients, u, v, eta)
+def port_moments(coefficients: PortCoefficients, u, v, eta: float = 1.0, turn=1j) -> PortMoments:
+    """The :class:`PortMoments` of one scene of a compiled family."""
+    return PortMoments(coefficients, u, v, eta, turn)
 
 
 #: Stirling numbers of the second kind S(n, k), N^n = sum_k S(n, k) a^dag^k a^k,
@@ -191,16 +239,22 @@ _STIRLING2 = [
     for n in range(17)
 ]
 
+_WEIGHTS = {}  # sorted items of a polynomial in N_a, N_b -> its normal-ordered weights
+
+
+def normal_ordered(poly: dict) -> tuple:
+    """The sorted nonzero weights ((i, j), w) of F(i, j) in <poly(N_a, N_b)>,
+    by Stirling numbers; ``poly`` maps (p, q) to the weight of N_a^p N_b^q."""
+    key = tuple(sorted(poly.items()))
+    if key not in _WEIGHTS:
+        weights = {}
+        for (p, q), c in key:
+            for i, j in product(range(p + 1), range(q + 1)):
+                weights[i, j] = weights.get((i, j), 0) + c * _STIRLING2[p][i] * _STIRLING2[q][j]
+        _WEIGHTS[key] = tuple(sorted((ij, w) for ij, w in weights.items() if w))
+    return _WEIGHTS[key]
+
 
 def port_expectation(ports: PortMoments, poly: dict) -> Bounded:
-    """<poly(N_a, N_b)> as a :class:`Bounded`.
-
-    ``poly`` maps (p, q) to the integer weight of N_a^p N_b^q.  The weights
-    of each F(i, j) are summed first.
-    """
-    weights = {}
-    for (p, q), c in poly.items():
-        for i in range(p + 1):
-            for j in range(q + 1):
-                weights[i, j] = weights.get((i, j), 0) + c * _STIRLING2[p][i] * _STIRLING2[q][j]
-    return sum(w * ports.entry(i, j) for (i, j), w in weights.items() if w)
+    """<poly(N_a, N_b)> as a :class:`Bounded`: one folded observable."""
+    return ports.expect(normal_ordered(poly))

@@ -553,16 +553,19 @@ def test_difference_quadrature_is_read_at_its_squeezed_angle(metric, table):
 @pytest.mark.parametrize(
     "base",
     [
-        # at mu = 1e16 each variance cancels through ~16 digits or more.
-        # Var C cancels through ~50: below the default working precision an
-        # old guard saw only the merged coefficients and passed wrong values
-        # (0.0 at digits 16-19, 0.2596 at 20) as ok
+        # the folded port sums cancel the twin beams' mu^2 terms exactly, so
+        # lam = 2 at mu = 1e16 is now certified at every digits from 16; at
+        # lam = 1e6 Var C still cancels through ~24 digits.  Below the default
+        # working precision an old guard saw only the merged coefficients and
+        # passed wrong values (0.0 at digits 16-19, 0.2596 at 20) as ok
         dict(scheme="correlated", axis="phi", values=(1e-3,), m_list=(2,),
-             metrics=("U_norm",), lam=2.0, mu=1e16, psi=np.pi / 2, eta=0.98),
+             metrics=("U_norm",), lam=1e6, mu=1e16, psi=np.pi / 2, eta=0.98),
         dict(scheme="single", axis="mu", values=(1e16,), m_list=(2,),
              metrics=("U",), lam=1.0, phi=np.pi / 2, eta=0.98),
-        dict(scheme="correlated", axis="one_minus_tau", values=(0.1,), m_list=(1,),
-             metrics=("nrf",), lam=0.05, mu=1e16, psi=np.pi / 2),
+        # likewise lam = 0.05 at mu = 1e16: a squeezed input of 1e15 photons
+        # against 1e4 coherent ones still cancels through ~20 digits
+        dict(scheme="correlated", axis="one_minus_tau", values=(1e-4,), m_list=(1,),
+             metrics=("nrf",), lam=1e15, mu=1e4, psi=0.3),
         # a balanced target 1e-12 below mu (fig1c's lam = mu = 100 is now
         # singular): the slope cancels through 12 digits
         dict(scheme="single", axis="lam", values=(100.0,), m_list=(2,),

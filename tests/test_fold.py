@@ -1,0 +1,147 @@
+"""The folded port sums of :mod:`photsub.opalg`.
+
+Each observable of a scene family folds into a few rows G(n, k), formed
+once per family, and a point is one certified sum of them times its phase
+and loss monomials.  Every observable a figure of merit reads must lie within
+its certified bound of the 120-digit kernel, also at phases where c or s
+nearly vanishes and at the QFI's port entries; a row that cancels to an
+exact 0 keeps its bound; a phase sweep folds each observable once per family.
+"""
+
+from collections import Counter
+from math import pi
+
+import mpmath as mp
+import pytest
+
+from photsub import metrology, moments, opalg
+from photsub.experiments import SweepConfig, run_sweep
+from photsub.metrology import CorrelatedConfig, SingleMziConfig
+from photsub.states import PassvSpec, SpatsvSpec
+
+REFERENCE_DPS = 120
+
+#: near 0, pi and 2 pi one of c = cos(phi/2), s = sin(phi/2) nearly vanishes
+PHASES = (1e-9, pi / 2, pi - 1e-9, 2 * pi - 1e-6, -0.7, "qfi")
+
+SCENES = {
+    "single": SingleMziConfig(PassvSpec(1.3, 2, 0.4), mu=1e8, phi=0.0, psi=0.2, eta=0.9),
+    "correlated": CorrelatedConfig(SpatsvSpec(2.0, 2, 0.3), mu=1e12, phi=0.0, psi=pi / 2,
+                                   eta=0.98),
+}
+
+
+def _observables(single: bool) -> list:
+    """The read-out observables the scheme's figures of merit read."""
+    square = metrology._COVARIANCE  # (N_a - N_b)^2, which U and nrf read too
+    if single:
+        two_a = {(1, 0): 2}  # the QFI's 2 N_a
+        return [metrology._SUM, metrology._DIFFERENCE, square, two_a,
+                metrology._times(two_a, two_a)]
+    return [metrology._SUM, metrology._DIFFERENCE, square, metrology._times(square, square)]
+
+
+def _reads(cfg, phase, dps) -> dict:
+    """Every certified quantity the figures of merit of ``cfg`` read at ``phase``."""
+    single = isinstance(cfg, SingleMziConfig)
+    dps = dps or metrology._working_digits(cfg.mu)
+    with mp.workdps(dps):
+        coefficients = metrology._port_coefficients(cfg.quantum, cfg.mu, cfg.psi, dps)
+        if phase == "qfi":
+            with mp.workdps(dps + moments.GUARD_DIGITS):
+                half = mp.sqrt(mp.mpf(2)) / 2
+            ports = opalg.port_moments(coefficients, half, half, turn=1)
+        else:
+            ports = opalg.port_moments(coefficients, *metrology._mzi_entries(phase), cfg.eta)
+        out = {tuple(sorted(poly.items())): opalg.port_expectation(ports, poly)
+               for poly in _observables(single)}
+        order = 2 if single else 4
+        out.update({(i, j): ports.entry(i, j)
+                    for i in range(order + 1) for j in range(order + 1 - i)})
+        if phase != "qfi":
+            out["derivative"] = ports.slope() if single else ports.mixed()
+    return out
+
+
+def _exact(x: moments.Bounded):
+    return mp.mpf(x.man) * mp.mpf(2) ** x.exp
+
+
+def _bound(x: moments.Bounded):
+    return mp.mpf(x.err) * mp.mpf(2) ** x.exp
+
+
+@pytest.mark.parametrize("dps", (None, 20), ids=("default", "digits20"))
+@pytest.mark.parametrize("phase", PHASES)
+@pytest.mark.parametrize("scheme", sorted(SCENES))
+def test_every_read_lies_within_its_bound_of_the_120_digit_kernel(scheme, phase, dps):
+    cfg = SCENES[scheme]
+    want, got = _reads(cfg, phase, REFERENCE_DPS), _reads(cfg, phase, dps)
+    assert set(got) == set(want) and len(got) >= 9
+    with mp.workdps(2 * REFERENCE_DPS):
+        for key, x in got.items():
+            error = abs(_exact(x) - _exact(want[key]))
+            assert error <= _bound(x) + _bound(want[key]), (scheme, phase, dps, key)
+
+
+@pytest.mark.parametrize("gap", (0, 5, -3))
+def test_a_row_counts_its_summands_errors_at_their_own_size(gap):
+    # two thirds known to 1000 units each, equal or a few units apart: the
+    # row cancels, to an exact 0 or to its last bits, and its bound must
+    # still hold both summands' errors, measured against a third
+    bits = 100
+    third = moments.fixed(mp.mpf(1) / 3, bits, ulps=1000)
+    other = moments.fixed_from(third[0] - gap, 0, third[2], bits, 1000)
+    row = opalg._exact_sum([(1, third), (-1, other)])
+    total = opalg._point_sum([(row, moments.ONE)], bits)
+    with mp.workdps(60):
+        assert abs(_exact(total) - gap * mp.mpf(2) ** third[2]) <= _bound(total)
+        assert _bound(total) >= 2 * 1000 * mp.mpf(2) ** -bits * _exact(
+            moments.Bounded(third[0], 0, third[2]))
+    if not gap:
+        # certified_sum alone drops an exact-zero row, and with it its error
+        assert row[:2] == (0, 0) and total.man == 0
+        assert moments.certified_sum([(row, moments.ONE)], bits).err == 0
+
+
+def test_a_twin_beam_difference_cancels_to_zero_within_its_bound():
+    # <n0> and <n1> of the pair are one integer fill, so the rows of
+    # <N_a - N_b> cancel exactly, and keep the fill's error
+    cfg = CorrelatedConfig(SpatsvSpec(2.0, 2, 0.3), mu=1e12, phi=0.7, psi=pi / 2, eta=0.98)
+    with metrology._scene(cfg) as ports:
+        weights = opalg.normal_ordered(metrology._DIFFERENCE)
+        rows = ports.coefficients.fold(weights, ports.turn)
+        mean = ports.expect(weights)
+    assert rows and all(g[0] == g[1] == 0 and g[4] > 0 for _, _, g in rows)
+    assert mean.man == 0 and mean.err > 0
+
+
+def _counted(monkeypatch, name) -> list:
+    calls, fn = [], getattr(opalg, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(opalg, name, counted)
+    return calls
+
+
+def test_a_phase_sweep_folds_each_observable_once_per_family(monkeypatch):
+    folds = _counted(monkeypatch, "_rows")  # called on a fold-memo miss only
+    rows = run_sweep(SweepConfig(
+        scheme="correlated", axis="phi", values=(1e-7, 1e-6, 1e-5, 1e-4), m_list=(1, 2),
+        metrics=("U_norm", "nrf"), lam=2.0, mu=1e12, psi=pi / 2, eta=0.98)).rows
+    assert len(rows) == 16 and all(row.flag == "ok" for row in rows)
+    # U_norm reads <C^2>, <C> and <N_a + N_b>; nrf adds <N_a - N_b>
+    # (C = (N_a - N_b)^2): four observables, each once for each of two m
+    weights = Counter(args[1] for args in folds)
+    assert len(weights) == 4
+    assert set(weights.values()) == {2}
+
+
+def test_a_point_sums_each_observable_once(monkeypatch):
+    sums = _counted(monkeypatch, "_point_sum")
+    metrology.nrf(CorrelatedConfig(SpatsvSpec(2.0, 1), mu=1e6, phi=0.4))
+    # <N_a + N_b> is read twice, as the mean and as the variance's scale
+    assert len(sums) == 3

@@ -116,6 +116,17 @@ def test_singular_working_point():
         )
 
 
+@pytest.mark.parametrize("lam", [0.75, 1.0, 2.0, 100.0])
+def test_a_balanced_slope_is_singular_at_every_phase(lam):
+    # m = 0 gives <n> = lam exactly, so mu = lam zeroes the slope
+    # eta (<n> - mu) sin phi at every phase: <n> - mu must be one exact
+    # difference, as two rows truncated apart leave a few units at some phases
+    for phi in (1e-6, 0.3, 1.0, np.pi / 2, 2.0, 3.0, -0.7, 5.0):
+        with pytest.raises(Singular):
+            metrology.single_phase_uncertainty(
+                SingleMziConfig(PassvSpec(lam, 0), mu=lam, phi=phi, eta=0.98))
+
+
 def test_dark_single_input_is_singular():
     # every read-out moment vanishes, so the slope does too
     with pytest.raises(Singular):
@@ -326,10 +337,12 @@ def test_readout_moments_flag_uncertified_digits(cfg):
 
 
 def test_a_precision_flag_reads_magnitudes_past_the_float_range():
-    # Var C near 1e796 once read "inf known only to within inf"
-    cfg = CorrelatedConfig(SpatsvSpec(1.0, 1), mu=1e300, phi=1.5707963)
+    # Var C near 1e796 once read "inf known only to within inf".  That scene,
+    # lam = 1 at mu = 1e300, is now certified; lam = 1e80 still cancels Var C,
+    # near 1e728, through more than 30 digits
+    cfg = CorrelatedConfig(SpatsvSpec(1e80, 1), mu=1e300, phi=1.5707963)
     with pytest.raises(PrecisionInsufficient) as info:
-        metrology.correlated_uncertainty(cfg, dps=400)
+        metrology.correlated_uncertainty(cfg, dps=30)
     message = str(info.value)
     assert "inf" not in message
     assert re.match(r"variance: [\d.]+e\+7\d\d known only to within [\d.]+e\+7\d\d,", message)

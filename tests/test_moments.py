@@ -93,6 +93,18 @@ def test_loss_scales_normal_moments():
         assert abs(float(lossy.value) - expected) < 1e-12 * max(1.0, abs(expected))
 
 
+def test_loss_in_one_step_equals_the_n_fold_product():
+    rng = random.Random(7)
+    for eta in [0.0, 1.0, 0.5] + [rng.random() for _ in range(200)]:
+        n, man = rng.randrange(9), rng.randrange(-(2**80), 2**80)
+        x = moments.Bounded(man, rng.randrange(2**10), rng.randrange(-90, 9))
+        want = x
+        for _ in range(n):
+            want = eta * want
+        got = moments.thin(x, eta, n)
+        assert (got.man, got.err, got.exp) == (want.man, want.err, want.exp), (eta, n)
+
+
 def test_loss_composition():
     t = moments.passv_moment_table(1.3, 2, max_order=6)
     for key in [(1, 1), (2, 2), (3, 3)]:
