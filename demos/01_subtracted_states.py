@@ -77,5 +77,5 @@ print(f"{'n':>3} " + " ".join(f"{f'm={m}':>9}" for m in (0, 1, 3)))
 # exact and cutoff-free: P(k, k) is a closed form in lam and m
 tables = {m: moments.joint_photon_distribution(0.6, m, n_max=5) for m in (0, 1, 3)}
 for n in range(6):
-    row = " ".join(f"{float(tables[m][n, n]):>9.5f}" for m in (0, 1, 3))
+    row = " ".join(f"{tables[m][n, n]:>9.5f}" for m in (0, 1, 3))
     print(f"{n:>3} {row}")

@@ -1,6 +1,6 @@
 """photsub: phase estimation with multi-photon-subtracted squeezed light.
 
-A numpy/mpmath toolkit for single- and correlated-interferometer
+A toolkit for single- and correlated-interferometer
 phase estimation with photon-subtracted squeezed vacuum states:
 
 - ``fock``: truncated Fock-space state construction and a brute-force
@@ -16,9 +16,10 @@ phase estimation with photon-subtracted squeezed vacuum states:
 - ``experiments``: figure presets, config-driven parameter sweeps and the
   engine-vs-oracle comparison harness (also exposed as the ``photsub`` CLI).
 
-The figures of merit run on mpmath alone.  Only the Fock oracle uses numpy,
-so ``fock`` is imported on first use (``photsub.fock``, or the oracle and
-the state constructors that call it), and a sweep never imports numpy.
+The figures of merit run on Python integers alone.  Only the Fock oracle
+uses numpy, so ``fock`` is imported on first use (``photsub.fock``, or the
+oracle and the state constructors that call it), and a sweep never imports
+numpy.
 """
 
 import importlib
@@ -58,32 +59,5 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "CorrelatedConfig",
-    "PassvSpec",
-    "PhotsubError",
-    "SingleMziConfig",
-    "SpatsvSpec",
-    "balance_energy",
-    "correlated_uncertainty",
-    "correlated_uncertainty_asymptotic",
-    "cramer_rao_bound",
-    "errors",
-    "experiments",
-    "fock",
-    "metrology",
-    "moments",
-    "nrf",
-    "nrf_asymptotic",
-    "opalg",
-    "passv",
-    "passv_mean_photons",
-    "passv_seed",
-    "phi_for_tau",
-    "qfi",
-    "single_phase_uncertainty",
-    "spatsv",
-    "spatsv_mean_photons",
-    "spatsv_seed",
-    "states",
-]
+#: every module and name imported above, and the lazily imported ``fock``
+__all__ = sorted({name for name in dir() if not name.startswith("_")} - {"importlib"} | {"fock"})

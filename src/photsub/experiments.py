@@ -29,10 +29,8 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, replace
-from math import inf, isfinite, nextafter, pi, sqrt
+from math import inf, isfinite, isqrt, nextafter, pi, sqrt
 from numbers import Integral
-
-import mpmath as mp
 
 from . import metrology, moments, states
 from .errors import (
@@ -192,33 +190,32 @@ def _snl(cfg, dps) -> float:
 
 def _exact(build, coeffs=None, **options):
     """Mandel Q of a point's quantum input, or with ``coeffs`` the variance of
-    its quadrature ``coeffs(spec)``, from its table ``build(lam, m, chi=chi,
-    **options)``.
+    its quadrature ``coeffs(spec, bits)``, from its table ``build(lam, m,
+    chi=chi, **options)``.
 
     Photon numbers and pair correlations cancel at strong squeezing, so it
-    runs at the row's digits, else at 35, over a table built at guard digits.
+    runs at the bits of the row's digits, else of 35.
     """
 
     def metric(cfg, dps) -> float:
-        s, dps = cfg.quantum, dps or 35
-        with mp.workdps(dps + moments.GUARD_DIGITS):
-            table = build(s.lam, s.m, chi=s.chi, **options)
-        with mp.workdps(dps):
-            if coeffs is None:
-                return moments.mandel_q(table, cfg.eta)
-            return moments.quadrature_variance(table, coeffs(s), cfg.eta)
+        s = cfg.quantum
+        bits = moments.digits_to_bits(dps or moments.DEFAULT_DIGITS)
+        table = build(s.lam, s.m, chi=s.chi, **options)
+        if coeffs is None:
+            return moments.mandel_q(table, cfg.eta, bits)
+        return moments.quadrature_variance(table, coeffs(s, bits), cfg.eta, bits)
 
     return metric
 
 
-def _difference(spec) -> tuple:
-    """e^{-i chi/2} (1, -1)/sqrt 2: the pair's squeezed difference quadrature.
-
-    The pair correlation <a1 a2> carries e^{i chi}, so the difference
-    quadrature is squeezed at angle chi/2, where this reads it at every chi.
-    """
-    c = mp.expj(-spec.chi / 2) / mp.sqrt(2)
-    return (c, -c)
+def _difference(spec, bits: int) -> tuple:
+    """e^{-i chi/2} (1, -1)/sqrt 2 at ``bits`` bits, sqrt 2 and the phase to a
+    quarter ulp each: the pair correlation <a1 a2> carries e^{i chi}, so the
+    difference quadrature is squeezed at angle chi/2, where this reads it."""
+    c, s, e, ulps = moments.Phases(-spec.chi / 2)[1, bits + 2]
+    root = isqrt(1 << 2 * bits + 5)  # sqrt 2 2^(bits + 2)
+    half = moments.fixed_from(c * root, s * root, e - bits - 3, bits, ulps + 1)
+    return half, moments.fixed_times(half, -1)
 
 
 #: each scheme's metrics: name -> evaluation on a point's config at dps digits
@@ -229,7 +226,7 @@ _METRICS = {
         "crb": lambda c, dps: metrology.cramer_rao_bound(metrology.qfi(c, dps=dps)),
         "snl": _snl,
         "qfi_classical": lambda c, dps: 2.0 * (c.mu + _mean_photons(c)),
-        "var_y": _exact(moments.passv_moment_table, lambda s: (mp.expj(-mp.pi / 2),)),
+        "var_y": _exact(moments.passv_moment_table, lambda s, bits: (-1j,)),
         "mean_photons": _mean_photons,
     },
     "correlated": {
@@ -454,13 +451,9 @@ def _joint_distribution_preset(lam: float = 0.6, n_max: int = 8) -> SweepResult:
         metrics=("mean_photons",), lam=lam, preset=JOINT_DISTRIBUTION_PRESET,
     )
     joint = {m: moments.joint_photon_distribution(lam, m, n_max) for m in m_list}
-    rows = []
-    for j in range(n_max + 1):
-        for m in m_list:
-            for k in range(n_max + 1):
-                p = float(joint[m][j, k])
-                rows.append(SweepRow(float(j), m, f"p_k{k}", p, FLAG_OK))
-    return SweepResult(cfg, tuple(rows))
+    return SweepResult(cfg, tuple(
+        SweepRow(float(j), m, f"p_k{k}", joint[m].get((j, k), 0.0), FLAG_OK)
+        for j in range(n_max + 1) for m in m_list for k in range(n_max + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ slope and the correlated mixed derivative are closed forms.  Each comes
 with a certified error, and every variance is formed, and its surviving
 digits checked, by :func:`_variance`.  Detection loss eta, a beamsplitter
 to vacuum on each read-out port, scales F(i, j) by eta^(i+j)
-(:func:`moments.thin`, the package's one loss law).
+(:func:`moments.thin`, the package's one loss law).  Each figure is formed
+in integers at the bits of its ``dps`` digits: an isqrt, then one int / int.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, isfinite, log10, pi, sqrt, ulp
-
-import mpmath as mp
+from math import cos, isfinite, isqrt, log10, pi, sqrt, ulp
 
 from . import moments, opalg
 from .errors import NonPositiveQfi, OutOfRange, Singular, UnsupportedOrder, ZeroMeanPhoton
@@ -84,12 +83,17 @@ class CorrelatedConfig:
         _check_scene(self)
 
 
-@moments.at_float_digits
 def phi_for_tau(tau: float) -> float:
-    """Working phase whose quantum-light transmission cos^2(phi/2) equals tau."""
+    """Working phase whose quantum-light transmission cos^2(phi/2) equals tau:
+    2 acos(sqrt tau), each rounded at mpmath's 15 digits (53 bits).  mpmath
+    is imported here alone, as ``math.acos`` may miss that value by an ulp.
+    """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    return 2.0 * float(mp.acos(mp.sqrt(tau)))
+    from mpmath import libmp
+
+    root = libmp.mpf_sqrt(libmp.from_float(tau), 53, "n")
+    return 2.0 * libmp.to_float(libmp.mpf_acos(root, 53, "n"))
 
 
 # ---------------------------------------------------------------------------
@@ -102,16 +106,16 @@ def _working_digits(mu: float) -> int:
     return 40 + 3 * int(log10(mu + 10))
 
 
-def _mzi_entries(phi):
-    """(u, v) of the Mach-Zehnder map at guard digits, from one cosine c and
-    sine s of phi/2: u = e^{i phi/2} cos(phi/2) = c^2 + i cs and
-    v = i e^{i phi/2} sin(phi/2) = -s^2 + i cs keep their relative accuracy
-    at any phase, where (e^{i phi} -+ 1)/2 would cancel.
-    """
-    lib, prec = mp.libmp, mp.libmp.dps_to_prec(mp.mp.dps + moments.GUARD_DIGITS)
-    c, s = lib.mpf_cos_sin(lib.mpf_shift(lib.from_float(phi), -1), prec, "n")
-    cs, c2, s2 = (lib.mpf_mul(x, y, prec, "n") for x, y in ((c, s), (c, c), (s, s)))
-    return mp.make_mpc((c2, cs)), mp.make_mpc((lib.mpf_neg(s2), cs))
+def _mzi_entries(phi: float, bits: int) -> tuple:
+    """x = c^2, y = s^2 and z = i cs at ``bits`` bits, c and s the cosine and
+    sine of phi/2 (:func:`moments.cos_sin`), each to an ulp: the Mach-Zehnder
+    entries u = c^2 + i cs, v = -s^2 + i cs keep their relative accuracy at
+    any phase, where (e^{i phi} -+ 1)/2 would cancel."""
+    num, den = phi.as_integer_ratio()
+    (c, ec), (s, es) = moments.cos_sin(num, den.bit_length(), bits)  # phi/2
+    return (moments.fixed_from(c * c, 0, 2 * ec, bits, 3),
+            moments.fixed_from(s * s, 0, 2 * es, bits, 3),
+            moments.fixed_from(0, c * s, ec + es, bits, 3))
 
 
 #: entries of the memo below: a sweep runs every order (at most 5 in a
@@ -121,19 +125,20 @@ _MEMO_SIZE = 16
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _port_coefficients(spec, mu: float, psi: float, dps: int):
-    """The port moments of a scene family compiled for ``dps`` working digits.
+def _port_coefficients(spec, mu: float, psi: float, dps: int | None):
+    """The port moments of a scene family at ``dps`` working digits, else at
+    40 + 3 log10(mu) for either scheme, compiled for their bits.
 
     Everything but the phase and the loss, so one compilation serves every
-    point of a phi or eta sweep; the input table is built at guard digits.
-    The spec's type picks the input table, whose arity sets the port layout.
+    point of a phi or eta sweep.  The spec's type picks the input table,
+    whose arity sets the port layout.
     """
-    with mp.workdps(dps + moments.GUARD_DIGITS):
-        if isinstance(spec, PassvSpec):
-            table = moments.passv_moment_table(spec.lam, spec.m, chi=spec.chi)
-        else:
-            table = moments.spatsv_moment_table(spec.lam, spec.m, max_order=8, chi=spec.chi)
-    return opalg.PortCoefficients(table, mu, psi, mp.libmp.dps_to_prec(dps))
+    bits = moments.digits_to_bits(dps or _working_digits(mu))
+    if isinstance(spec, PassvSpec):
+        table = moments.passv_moment_table(spec.lam, spec.m, chi=spec.chi)
+    else:
+        table = moments.spatsv_moment_table(spec.lam, spec.m, max_order=8, chi=spec.chi)
+    return opalg.PortCoefficients(table, mu, psi, bits)
 
 
 #: read-out observables as {(p, q): weight of N_a^p N_b^q}
@@ -154,7 +159,7 @@ def _times(x: dict, y: dict) -> dict:
 _COVARIANCE = _times(_DIFFERENCE, _DIFFERENCE)  # C = (N_a - N_b)^2
 
 
-def _variance(ports: opalg.PortMoments, poly: dict):
+def _variance(ports: opalg.PortMoments, poly: dict) -> moments.Bounded:
     """Var o = <o^2> - <o>^2 of a read-out observable o, clipped at 0.
 
     Unless its certified error keeps 8 digits of the larger of |Var o| and
@@ -162,18 +167,26 @@ def _variance(ports: opalg.PortMoments, poly: dict):
     """
     var = opalg.port_expectation(ports, _times(poly, poly))
     var = var - opalg.port_expectation(ports, poly).squared()
-    shot = opalg.port_expectation(ports, _SUM).value
-    moments.require_digits(var, "variance", size=max(abs(var.value), shot))
-    return max(var.value, mp.mpf(0))
+    moments.require_digits(var, "variance", opalg.port_expectation(ports, _SUM))
+    return var if var.man > 0 else moments.Bounded(0, var.err, var.exp)
 
 
-def _nonzero(x: moments.Bounded, what: str):
-    """The value of a derivative to divide by: Singular where it sums to
-    exactly zero, PrecisionInsufficient unless 8 digits are certified."""
+def _nonzero(x: moments.Bounded, what: str) -> moments.Bounded:
+    """A derivative to divide by: Singular where it sums to exactly zero,
+    PrecisionInsufficient unless 8 digits are certified."""
     if not x.man:
         raise Singular(f"{what} vanishes at this working point")
     moments.require_digits(x, what)
-    return x.value
+    return x
+
+
+def _root_over(var: moments.Bounded, den: moments.Bounded, factor: int = 1, exp: int = 0):
+    """sqrt(var) factor 2^exp / |den| as a float: the root an isqrt of at
+    least 70 bits, then one correctly rounded int / int."""
+    man, e = (var.man << 1, var.exp - 1) if var.exp % 2 else (var.man, var.exp)
+    t = max(0, 71 - man.bit_length() // 2)
+    root = isqrt(man << 2 * t)  # sqrt(man) 2^t, floored
+    return moments.ratio(root * factor, abs(den.man), e // 2 - t + exp - den.exp)
 
 
 def _require(cfg, scheme: type) -> None:
@@ -183,16 +196,11 @@ def _require(cfg, scheme: type) -> None:
 
 @contextmanager
 def _scene(cfg, dps: int | None = None):
-    """Yield the scene's port moments inside its working precision.
-
-    That is ``dps`` digits, else 40 + 3 log10(mu) for either scheme; the
-    config's quantum spec carries the scheme.  Scenes that differ only in phi
-    and eta share one compilation.
-    """
-    dps = dps or _working_digits(cfg.mu)
-    with mp.workdps(dps):
-        coefficients = _port_coefficients(cfg.quantum, cfg.mu, cfg.psi, dps)
-        yield opalg.port_moments(coefficients, *_mzi_entries(cfg.phi), cfg.eta)
+    """Yield the scene's port moments at its working precision (see
+    :func:`_port_coefficients`); the config's spec carries the scheme."""
+    coefficients = _port_coefficients(cfg.quantum, cfg.mu, cfg.psi, dps)
+    x, y, z = _mzi_entries(cfg.phi, coefficients.bits)
+    yield opalg.PortMoments(coefficients, x, y, z, cfg.eta)
 
 
 def readout_moments(cfg: SingleMziConfig | CorrelatedConfig, dps: int | None = None) -> dict:
@@ -210,7 +218,7 @@ def readout_moments(cfg: SingleMziConfig | CorrelatedConfig, dps: int | None = N
             # combined from F(i, j), which every moment shares, not folded each
             out[key] = sum(w * ports.entry(*ij) for ij, w in opalg.normal_ordered({key: 1}))
             moments.require_digits(out[key], "read-out moment")
-            out[key] = float(out[key].value)
+            out[key] = out[key].value
     return out
 
 
@@ -229,8 +237,7 @@ def single_phase_uncertainty(cfg: SingleMziConfig, dps: int | None = None) -> fl
     _require(cfg, SingleMziConfig)
     with _scene(cfg, dps=dps) as ports:
         var = _variance(ports, _DIFFERENCE)
-        slope = _nonzero(ports.slope(), "read-out slope")
-        return float(mp.sqrt(var) / abs(slope))
+        return _root_over(var, _nonzero(ports.slope(), "read-out slope"))
 
 
 def qfi(cfg: SingleMziConfig, dps: int | None = None) -> float:
@@ -242,12 +249,10 @@ def qfi(cfg: SingleMziConfig, dps: int | None = None) -> float:
     so the QFI is Var(2 N_a) = 4 (F(2, 0) + F(1, 0) - F(1, 0)^2).
     """
     _require(cfg, SingleMziConfig)
-    dps = dps or _working_digits(cfg.mu)
-    with mp.workdps(dps):
-        coefficients = _port_coefficients(cfg.quantum, cfg.mu, cfg.psi, dps)
-        with mp.workdps(dps + moments.GUARD_DIGITS):
-            half = mp.sqrt(mp.mpf(2)) / 2
-        return float(_variance(opalg.port_moments(coefficients, half, half, turn=1), {(1, 0): 2}))
+    coefficients = _port_coefficients(cfg.quantum, cfg.mu, cfg.psi, dps)
+    half = moments.fixed_from(1, 0, -1, coefficients.bits, 0)  # x = y = z = 1/2, exactly
+    ports = opalg.PortMoments(coefficients, half, half, half, turn=1)
+    return _variance(ports, {(1, 0): 2}).value
 
 
 def cramer_rao_bound(fq: float) -> float:
@@ -272,10 +277,11 @@ def nrf(cfg: CorrelatedConfig, dps: int | None = None) -> float:
     """
     _require(cfg, CorrelatedConfig)
     with _scene(cfg, dps=dps) as ports:
-        mean_sum = opalg.port_expectation(ports, _SUM).value
-        if mean_sum <= 0:
+        mean_sum = opalg.port_expectation(ports, _SUM)
+        if mean_sum.man <= 0:
             raise ZeroMeanPhoton("no photons reach the read-out ports")
-        return float(_variance(ports, _DIFFERENCE) / mean_sum)
+        var = _variance(ports, _DIFFERENCE)
+        return moments.ratio(var.man, mean_sum.man, var.exp - mean_sum.exp)
 
 
 def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> float:
@@ -285,7 +291,8 @@ def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> flo
     sqrt(2 Var C) / |d^2 <C> / dphi1 dphi2| with the closed-form mixed
     derivative at the common working point.  Only <N5 N7> = F(1, 1) depends on both phases, so
     the mixed derivative is -2 d^2 F(1, 1) / dphi1 dphi2.  The result is
-    divided by the coherent-only bound sqrt(2) / (eta mu cos^2(phi/2)), so a
+    divided by the coherent-only bound sqrt(2) / (eta mu cos^2(phi/2)), with
+    cos^2(phi/2) the port entries' x, so U = sqrt(Var C) eta mu x / |mixed|; a
     working point without coherent light at the read-out (mu = 0, or
     cos(phi/2) zero at float resolution: phi an odd multiple of pi) raises
     Singular.  The mixed derivative is checked as the single slope is,
@@ -296,10 +303,10 @@ def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> flo
         raise Singular("no coherent light reaches the read-out: mu = 0 or cos(phi/2) = 0")
     with _scene(cfg, dps=dps) as ports:
         mixed = _nonzero(-2 * ports.mixed(), "mixed phase derivative of <C>")
-        raw = mp.sqrt(2 * _variance(ports, _COVARIANCE)) / abs(mixed)
-        eta = mp.mpf(cfg.eta)
-        classical = mp.sqrt(2) / (eta * mp.mpf(cfg.mu) * mp.cos(cfg.phi / 2) ** 2)
-        return float(raw / classical)
+        var = _variance(ports, _COVARIANCE)
+        (eta, e1), (mu, e2) = moments.man_exp(cfg.eta), moments.man_exp(cfg.mu)
+        x, _, e3, _, _ = ports.x
+        return _root_over(var, mixed, eta * mu * x, e1 + e2 + e3)
 
 
 # ---------------------------------------------------------------------------

@@ -4,74 +4,81 @@ A :class:`MomentTable` maps normally-ordered moment indices to expectation
 values for one subsystem: ``(p, q)`` for a single mode meaning
 ``<a^dag^p a^q>``, or ``(p, q, r, s)`` for a mode pair meaning
 ``<a1^dag^p a1^q a2^dag^r a2^s>``.  Tables are filled lazily, entry by
-entry, at the mpmath precision they are built at and without a Fock
-cutoff.  The finite SPATSV seeds are finite sums over their m + 1
-amplitudes.  The subtracted squeezed-state families are Wick pairing sums
-over the Gaussian (squeezed or two-mode squeezed) vacuum, integer terms
-(count, a, b) summed as count lam^a g^b times a power of e^{i chi}: as
-g^2 = lam (1 + lam), g^(b mod 2) times an integer polynomial in lam, which
-:func:`_horner` evaluates exactly, for the mean-photon maps of
-:mod:`photsub.states` too.  A key the selection rule zeroes is an exact 0.
+entry, in Python integers at the bits a reader asks for, without a Fock
+cutoff.  An entry is P(lam)/Q(lam) g^(b mod 2) e^{i chi turns}, P and Q
+integer polynomials and g^2 = lam (1 + lam): Wick pairing sums over the
+Gaussian (squeezed or two-mode squeezed) vacuum, integer terms (count, a, b)
+summed as count lam^a g^b, or the finite sums of the SPATSV seeds.
+:func:`_horner` evaluates each exactly, for the mean-photon maps of
+:mod:`photsub.states` too; a key the selection rule zeroes is an exact 0,
+and phases come from one integer cosine and sine (:func:`cos_sin`).
 
 Sums that may cancel are certified (:func:`certified_sum`), and detection
 loss has one law, :func:`thin`, through which the read-out engine
 (:mod:`photsub.opalg`), :func:`quadrature_variance` and :func:`mandel_q`
-scale such sums of lossless moments.
+scale such sums of lossless moments.  Precision is a ``bits`` argument.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial, isfinite, isqrt
-
-import mpmath as mp
+from math import comb, factorial, floor, inf, isfinite, isqrt
 
 from .errors import MomentOrderMissing, NullState, PrecisionInsufficient, ZeroMeanPhoton
 
 
 class MomentTable:
-    """Map from moment index tuples to expectation values for one subsystem.
+    """Map from moment index tuples to expectation values for one subsystem,
+    filled lazily by ``fill``, whose ``fixed(key, bits)`` forms an entry in
+    integers at the bits asked for."""
 
-    ``compute(key)`` fills an entry on first request, at the precision the
-    table was built at; entries are cached.
-    """
-
-    def __init__(self, modes, max_order, compute):
+    def __init__(self, modes, max_order, fill):
         self.modes = tuple(modes)
         self.max_order = int(max_order)
-        self._entries = {}
-        self._compute = compute
+        self._fill = fill
 
-    def entry(self, key):
+    def fixed(self, key, bits: int) -> tuple:
+        """Entry ``key`` as a :func:`fixed` number."""
         if len(key) != 2 * len(self.modes):
             raise MomentOrderMissing(f"key {key} does not match arity {len(self.modes)}")
         if sum(key) > self.max_order:
             raise MomentOrderMissing(f"order {sum(key)} beyond table max_order {self.max_order}")
-        if key not in self._entries:
-            self._entries[key] = self._compute(key)
-        return self._entries[key]
+        return self._fill.fixed(key, bits)
 
-    def fixed(self, key, bits: int) -> tuple:
-        """Entry ``key`` as a :func:`fixed` number, in integers if the fill can."""
-        fill = getattr(self._compute, "fixed", None)
-        return fill(key, bits) if fill else fixed(self.entry(key), bits)
+    def entry(self, key) -> complex:
+        """Entry ``key`` as a complex float, for inspection."""
+        re, im, exp, _, _ = self.fixed(key, 64)
+        return complex(ratio(re, 1, exp), ratio(im, 1, exp))
 
 
 # ---------------------------------------------------------------------------
-# Scalar statistics
+# Fixed-point numbers and certified sums
 # ---------------------------------------------------------------------------
 
 
-#: runs a map with float results (mean photons, a phase, a distribution) at
-#: mpmath's default 15 digits, whatever the caller's ambient precision
-at_float_digits = mp.workdps(15)
+def digits_to_bits(digits: int) -> int:
+    """The working bits of ``digits`` decimal digits (as mpmath counts them)."""
+    return max(1, round((digits + 1) * 3.3219280948873626))
 
-#: guard digits over the working ones of a table that a certified sum reads
-#: through mpmath (:func:`_read`, or :meth:`MomentTable.fixed` without an
-#: integer fill), so that an entry errs by far less than the unit that
-#: :func:`fixed` allows it: a Wick-filled entry errs by 1.03 units 2^-prec at
-#: most (:class:`_WickFill`), and ten digits are 33 bits.  The integer fill
-#: itself counts its roundings in ``ulps``.
-GUARD_DIGITS = 10
+
+def ratio(num: int, den: int, exp: int = 0) -> float:
+    """num/den 2^exp, den > 0, correctly rounded (int / int), +-inf past floats."""
+    try:
+        return (num << exp) / den if exp >= 0 else num / (den << -exp)
+    except OverflowError:
+        return inf if num > 0 else -inf
+
+
+def man_exp(x) -> tuple:
+    """(man, exp), man odd or 0, with x = man 2^exp exactly: x an mpmath real,
+    or a Python or numpy int or float (binary, so exact)."""
+    if hasattr(x, "_mpf_"):
+        sign, man, exp, _ = x._mpf_
+        return -man if sign else man, exp
+    n, d = (x if isinstance(x, int) else float(x)).as_integer_ratio()
+    if not n:
+        return 0, 0
+    zeros = (n & -n).bit_length() - 1
+    return n >> zeros, zeros + 1 - d.bit_length()
 
 
 def fixed(x, bits: int, ulps: int = 4) -> tuple:
@@ -80,12 +87,9 @@ def fixed(x, bits: int, ulps: int = 4) -> tuple:
     That is (re + i im) 2^exp with integer parts of at most ``bits`` bits,
     |x|^2 < 2^size and a relative error of at most ulps 2^-bits: the
     truncation errs by less than 2 sqrt 2 units, and the input by one.
+    ``x`` is read exactly (:func:`man_exp`), real or complex.
     """
-    if not hasattr(x, "_mpc_") and not hasattr(x, "_mpf_"):
-        with mp.workprec(53):  # a Python or numpy number, exact in binary
-            x = mp.mpc(x)
-    parts = getattr(x, "_mpc_", None) or (x._mpf_, (0, 0, 0, 0))  # not rounded to mp.prec
-    parts = [(-man if sign else man, exp) for sign, man, exp, _ in parts]
+    parts = [man_exp(x.real), man_exp(x.imag)]
     exp = max((exp + man.bit_length() for man, exp in parts if man), default=0) - bits
     re, im = (man << (e - exp) if e >= exp else man >> (exp - e) for man, e in parts)
     return re, im, exp, (re * re + im * im).bit_length() + 2 * exp, ulps
@@ -107,28 +111,82 @@ def fixed_mul(x: tuple, y: tuple, bits: int) -> tuple:
     return fixed_from(a * c - b * d, a * d + b * c, ex + ey, bits, ux + uy + 1)
 
 
+_PI = {}  # bits -> pi 2^bits within 2, by Machin's formula
+
+
+def _pi(bits: int) -> int:
+    """pi 2^bits to within 2, from pi/4 = 4 atan(1/5) - atan(1/239): each
+    series term floors once, and the guard bits hold those floors."""
+    if bits not in _PI:
+        guard = bits.bit_length() + 8
+
+        def atan(x: int) -> int:  # atan(1/x) 2^(bits + guard)
+            total, term, k = 0, (1 << bits + guard) // x, 1
+            while term:
+                total, term, k = total + (-1) ** (k // 2) * (term // k), term // (x * x), k + 2
+            return total
+
+        _PI[bits] = (16 * atan(5) - 4 * atan(239)) >> guard
+    return _PI[bits]
+
+
+def _trim(man: int, exp: int, bits: int) -> tuple:  # to ``bits`` bits, toward 0
+    shift = max(0, abs(man).bit_length() - bits)
+    return (man >> shift if man >= 0 else -(-man >> shift)), exp + shift
+
+
+def cos_sin(n: int, shift: int, bits: int) -> tuple:
+    """cos and sin of the angle n 2^-shift as ((c, ec), (s, es)): c 2^ec and
+    s 2^es, each within one ulp, 2^-bits of its own size, or exact at 0.
+
+    r, the angle less its nearest multiple k of pi/2, keeps bits + 25 bits, pi
+    (:func:`_pi`) having as many as k and r's nearness to 0 take.  cos r and
+    sin(r)/r, both over 0.7, sum at bits + 24 bits, where the 4 units each
+    term may err cost under 1/8 ulp; each is truncated to bits + 4, 1/8 more.
+    """
+    if not n:
+        return (1, 0), (0, 0)
+    size, work = abs(n), bits + 24
+    scale = max(shift, work + max(0, size.bit_length() - shift) + 4)
+    while True:
+        scale = -(-scale // 32) * 32  # pi at few distinct precisions
+        quarter = _pi(scale - 1)  # pi/2 2^scale
+        angle = size << (scale - shift)
+        k = (2 * angle + quarter) // (2 * quarter)
+        r = angle - k * quarter  # r 2^scale within 2k
+        if not k or abs(r).bit_length() >= k.bit_length() + work + 3:
+            break
+        scale += k.bit_length() + work + 4 - abs(r).bit_length()
+    r2 = r * r >> (2 * scale - work)
+    term = c = s = 1 << work
+    j = 1
+    while term:  # term = (-r^2)^j/(2j)!, and that over 2j + 1 for sin(r)/r
+        term = -(term * r2 >> work) // ((2 * j - 1) * (2 * j))
+        c, s, j = c + term, s + term // (2 * j + 1), j + 1
+    cos, sin = (c, -work), (r * s, -scale - work)
+    for _ in range(k % 4):  # cos(x + pi/2) = -sin x, sin(x + pi/2) = cos x
+        cos, sin = (-sin[0], sin[1]), cos
+    if n < 0:
+        sin = (-sin[0], sin[1])
+    return _trim(*cos, bits + 4), _trim(*sin, bits + 4)
+
+
 class Phases(dict):
-    """(turns, prec) -> (c, s, e, ulps): cos and sin of ``x`` turns as (c, s)
-    2^e, rounded to nearest at prec bits (ulps 1) unless exact (ulps 0)."""
+    """(turns, bits) -> (c, s, e, ulps): cos and sin of ``x`` turns as (c, s)
+    2^e within ulps 2^-bits of the unit phase (:func:`cos_sin`, the smaller
+    part truncated at the larger's unit): ulps 1, or 0 where it is exactly 1."""
 
     def __init__(self, x: float):
-        self.x = float(x)
+        self.n, d = float(x).as_integer_ratio()
+        self.shift = d.bit_length() - 1
 
     def __missing__(self, key):
-        lib, (turns, prec) = mp.libmp, key
-        if not (turns and self.x):
+        turns, bits = key
+        if not (turns and self.n):
             return self.setdefault(key, (1, 0, 0, 0))
-        angle = lib.mpf_mul(lib.from_float(self.x), lib.from_int(turns))  # exact
-        (cs, cm, ce, _), (ss, sm, se, _) = lib.mpf_cos_sin(angle, prec, "n")
-        e = min(ce, se)
-        c, s = (-cm if cs else cm) << ce - e, (-sm if ss else sm) << se - e
-        return self.setdefault(key, (c, s, e, 1))
-
-
-def fixed_conj(x: tuple) -> tuple:
-    """The conjugate of a :func:`fixed` number, exactly."""
-    re, im, exp, size, ulps = x
-    return re, -im, exp, size, ulps
+        (c, ec), (s, es) = cos_sin(self.n * turns, self.shift, bits)
+        e = max(ec, es)
+        return self.setdefault(key, (c >> e - ec, s >> e - es, e, 1))
 
 
 def fixed_times(x: tuple, k, halvings: int = 0) -> tuple:
@@ -148,6 +206,7 @@ class Bounded:
 
     Sums, squares and integer or float (binary, so exact) multiples are
     exact, so combining certified sums loses nothing of their bounds.
+    ``value`` is the float nearest man 2^exp.
     """
 
     __slots__ = ("man", "err", "exp")
@@ -174,8 +233,7 @@ class Bounded:
     def squared(self):
         return Bounded(self.man**2, (2 * abs(self.man) + self.err) * self.err, 2 * self.exp)
 
-    value = property(lambda self: mp.mpf((self.man, self.exp)))
-    error = property(lambda self: mp.mpf((self.err, self.exp)))
+    value = property(lambda self: ratio(self.man, 1, self.exp))
 
 
 def certified_sum(pairs, bits: int) -> Bounded:
@@ -216,108 +274,111 @@ def thin(x: Bounded, eta: float, n: int) -> Bounded:
     return Bounded(num**n * x.man, num**n * x.err, x.exp - n * (den.bit_length() - 1))
 
 
-def _read(table: MomentTable, bits: int, *slots) -> tuple:
-    """The entry of ``table`` whose key counts ``slots``, as a :func:`fixed`
-    number: tables read here are built at guard digits."""
-    key = [0] * (2 * len(table.modes))
-    for slot in slots:
-        key[slot] += 1
-    return fixed(table.entry(tuple(key)), bits)
+def _decimal(man: int, exp: int) -> str:
+    """|man| 2^exp to 3 significant digits, also past the float range."""
+    digits = floor((abs(man).bit_length() + exp - 1) * 0.30103)  # log10 of it, or 1 below
+    lead = ratio(abs(man) * 10 ** max(-digits, 0), 10 ** max(digits, 0), exp)
+    lead, digits = (lead / 10, digits + 1) if lead >= 10 else (lead, digits)
+    return f"{lead:.3g}e{digits:+d}"
 
 
-def require_digits(x: Bounded, what: str, size=None) -> None:
-    """Raise PrecisionInsufficient unless the error of ``x`` certifies 8 digits.
-
-    The digits are those of |x|, or of ``size`` where ``x`` is read against
-    another magnitude.  This is the package's one digits-lost rule.
-    """
-    size = abs(x.value) if size is None else size
-    if x.error > size * mp.mpf("1e-8"):
+def require_digits(x: Bounded, what: str, *sizes: Bounded) -> None:
+    """Raise PrecisionInsufficient unless the error of ``x`` certifies 8 digits
+    of the largest of |x| and the magnitudes ``sizes`` it is read against,
+    compared in integers.  This is the package's one digits-lost rule."""
+    low = min(b.exp for b in (x, *sizes))
+    size = max(abs(b.man) << (b.exp - low) for b in (x, *sizes))
+    if (x.err << (x.exp - low)) * 10**8 > size:
         raise PrecisionInsufficient(
-            f"{what}: {mp.nstr(size, 3)} known only to within {mp.nstr(x.error, 3)}, "
-            f"fewer than 8 of {mp.mp.dps} working digits"
+            f"{what}: {_decimal(size, low)} known only to within {_decimal(x.err, x.exp)}, "
+            "fewer than 8 certified digits"
         )
 
 
-def quadrature_variance(table: MomentTable, coeffs, eta: float = 1.0) -> float:
+#: the working digits of the quadrature metrics and Mandel Q unless given
+DEFAULT_DIGITS = 35
+
+
+def quadrature_variance(table: MomentTable, coeffs, eta: float = 1.0,
+                        bits: int = digits_to_bits(DEFAULT_DIGITS)) -> float:
     """Var X of the quadrature X = sum_t (c_t a_t + conj(c_t) a_t^dag)/sqrt 2.
 
-    ``coeffs`` holds one c_t per mode of ``table``: (e^{-i theta},) gives
-    X_theta of one mode, and e^{-i chi/2} (1, -1)/sqrt 2 the squeezed
-    difference quadrature of a pair whose <a1 a2> carries e^{i chi},
-    normalized so vacuum sits at 0.5; ``eta`` is the detection efficiency.
-    Normal ordering gives Var X = eta S + sum |c_t|^2 / 2, with
+    ``coeffs`` holds one c_t per mode of ``table``, a number or a
+    :func:`fixed` number: (-1j,) gives X_theta of one mode at theta = pi/2,
+    and e^{-i chi/2} (1, -1)/sqrt 2 the squeezed difference quadrature of a
+    pair whose <a1 a2> carries e^{i chi}, normalized so vacuum sits at 0.5;
+    ``eta`` is the detection efficiency.  Normal ordering gives
+    Var X = eta S + sum |c_t|^2 / 2, with
     S = Re sum c_s c_t <a_s a_t> + sum conj(c_s) c_t <a_s^dag a_t>
     - 2 (Re sum c_t <a_t>)^2 over the lossless table.  For strong squeezing
-    the terms nearly cancel: they are summed by :func:`certified_sum` at the
-    working precision, over the entries of a table built at guard digits,
-    and 8 digits of Var X must be certified.
+    the terms nearly cancel: they are summed by :func:`certified_sum` at
+    ``bits`` working bits, and 8 digits of Var X must be certified.
     """
-    if len(coeffs) != len(table.modes):
-        raise MomentOrderMissing(f"{len(coeffs)} coefficients for {len(table.modes)} modes")
-    bits = mp.mp.prec
-    # a few roundings at the working precision formed each coefficient
-    coeffs = [fixed(c, bits, ulps=8) for c in coeffs]
-    conj = [fixed_conj(c) for c in coeffs]
+    arity = len(table.modes)
+    if len(coeffs) != arity:
+        raise MomentOrderMissing(f"{len(coeffs)} coefficients for {arity} modes")
+    # a few roundings at the working precision formed a coefficient given as a number
+    coeffs = [c if isinstance(c, tuple) else fixed(c, bits, ulps=8) for c in coeffs]
+    conj = [(re, -im, *rest) for re, im, *rest in coeffs]
+
+    def read(*slots):  # the entry that counts a_t^dag in slot 2t, a_t in slot 2t + 1
+        return table.fixed(tuple(slots.count(i) for i in range(2 * arity)), bits)
 
     # <X> = sqrt 2 Re sum c_t <a_t>, so <X>^2 = 2 (Re sum c_t <a_t>)^2
-    mean = certified_sum(((c, _read(table, bits, 2 * t + 1)) for t, c in enumerate(coeffs)), bits)
+    mean = certified_sum(((c, read(2 * t + 1)) for t, c in enumerate(coeffs)), bits)
     pairs = []
     for s, cs in enumerate(coeffs):
         for t, ct in enumerate(coeffs):
-            pairs.append((fixed_mul(cs, ct, bits), _read(table, bits, 2 * s + 1, 2 * t + 1)))
-            pairs.append((fixed_mul(conj[s], ct, bits), _read(table, bits, 2 * s, 2 * t + 1)))
+            pairs.append((fixed_mul(cs, ct, bits), read(2 * s + 1, 2 * t + 1)))
+            pairs.append((fixed_mul(conj[s], ct, bits), read(2 * s, 2 * t + 1)))
     vacuum = certified_sum(zip(coeffs, conj), bits)
     spread = certified_sum(pairs, bits) - 2 * mean.squared()
     var = thin(spread, eta, 1) + 0.5 * vacuum
     require_digits(var, "quadrature variance")
-    return float(var.value)
+    return var.value
 
 
-def mandel_q(table: MomentTable, eta: float = 1.0) -> float:
+def mandel_q(table: MomentTable, eta: float = 1.0,
+             bits: int = digits_to_bits(DEFAULT_DIGITS)) -> float:
     """Mandel Q = (Var N - <N>)/<N> of the table's first mode.
 
     Negative is sub-Poissonian.  With ``eta`` the detection efficiency and
     F_k = <a^dag^k a^k> of the lossless table, <N> = eta F_1 and
     Var N - <N> = eta^2 (F_2 - F_1^2), so Q thins to eta Q.  The F_k are
-    read as :func:`quadrature_variance` reads its entries, and 8 digits of
-    Var N must be certified against the larger of |Var N| and <N>, so an
-    exact Q = 0 stays certified.
+    read at ``bits`` working bits, and 8 digits of Var N must be certified
+    against the larger of |Var N| and <N>, so an exact Q = 0 stays certified.
     """
-    bits = mp.mp.prec
-    f1, f2 = (certified_sum([(ONE, _read(table, bits, *(0, 1) * k))], bits) for k in (1, 2))
+    rest = (0,) * (2 * len(table.modes) - 2)
+    f1, f2 = (certified_sum([(ONE, table.fixed((k, k) + rest, bits))], bits) for k in (1, 2))
     mean = thin(f1, eta, 1)
-    if mean.value <= 0:
+    if mean.man <= 0:
         raise ZeroMeanPhoton("Mandel Q undefined for zero mean photon number")
     excess = thin(f2 - f1.squared(), eta, 2)
-    var = excess + mean
-    require_digits(var, "photon-number variance", size=max(abs(var.value), mean.value))
-    return float(excess.value / mean.value)
+    require_digits(excess + mean, "photon-number variance", mean)
+    return ratio(excess.man, mean.man, excess.exp - mean.exp)
 
 
-@at_float_digits
-def joint_photon_distribution(lam, m: int, n_max: int) -> mp.matrix:
-    """SPATSV photon-number distribution P(j, k), j, k <= n_max, exactly.
+def joint_photon_distribution(lam, m: int, n_max: int) -> dict:
+    """SPATSV photon-number distribution {(k, k): P(k, k)}, k <= n_max
+    (P(j, k) = 0 for j != k), each step rounded to the nearest float.
 
-    Only |k,k> is populated.  The two-mode squeezed vacuum has
-    P(n, n) = (1 - t) t^n with t = lam/(1 + lam), and (a1 a2)^m maps
-    |k+m, k+m> to ((k+m)!/k!) |k,k>, so
+    The two-mode squeezed vacuum has P(n, n) = (1 - t) t^n, t = lam/(1 + lam),
+    and (a1 a2)^m maps |k+m, k+m> to ((k+m)!/k!) |k,k>, so
     P(k, k) = (1 - t) t^(k+m) ((k+m)!/k!)^2 / <(a1^dag a2^dag)^m (a1 a2)^m>.
     """
     if m > 0 and lam == 0:
         raise NullState("photon subtraction annihilates the vacuum")
-    lam = mp.mpf(lam)
-    t = lam / (1 + lam)
-    norm = mp.re(bogoliubov_vacuum_moment_2m(m, m, m, m, lam))
-    out = mp.matrix(n_max + 1, n_max + 1)
+    norm, t = vacuum_moment(_wick_terms_2m(m, m, m, m), lam), lam / (1 + lam)
+    tn, td = t.as_integer_ratio()
+    out = {}
     for k in range(n_max + 1):
-        ladder = factorial(k + m) // factorial(k)
-        out[k, k] = (1 - t) * t ** (k + m) * ladder**2 / norm
+        num, den = ((1 - t) * ratio(tn ** (k + m), td ** (k + m))).as_integer_ratio()
+        out[k, k] = ratio(num * (factorial(k + m) // factorial(k)) ** 2, den) / norm
     return out
 
 
 # ---------------------------------------------------------------------------
-# Exact Gaussian-vacuum moments (cutoff-free, mpmath precision)
+# Exact Gaussian-vacuum moments (cutoff-free, in integers)
 # ---------------------------------------------------------------------------
 
 
@@ -395,46 +456,64 @@ def _binary(lam) -> tuple:
     return n, d.bit_length() - 1
 
 
-_ENTRIES = {}  # (Wick terms, key) -> lam-free (turns, polynomial, g parity, degree)
+def vacuum_moment(wick: tuple, lam) -> float:
+    """A diagonal vacuum moment, its (turns, Wick terms) ``wick``, at lam:
+    an integer polynomial P(lam), so one correctly rounded int / int."""
+    poly, (n, shift) = _polynomial(wick[1]), _binary(lam)
+    return ratio(_horner(poly, n, shift), 1, -shift * (len(poly) - 1))
 
 
-class _WickFill:
-    """``compute`` of a table of a squeezed vacuum less m photons from each
-    of its ``arity`` modes: key k reads the vacuum moment of k + m over the
-    norm, the moment of m, with the vacuum moments as integer Wick terms.
+_ENTRIES = {}  # (source, m, key) -> lam-free (turns, polynomial, g parity, degree)
 
-    An entry is P(lam)/Q(lam) g^(b mod 2) e^{i chi turns}, P, Q and g^2
-    exact integers: :meth:`fixed` forms it in integers, and a call rounds
-    that, or the ratio alone, once to the precision the table was built at.
-    A key the selection rule zeroes is an exact 0, with no arithmetic.
+
+def _vacuum_entry(m: int, key: tuple) -> tuple:
+    """(turns, P or None, g parity) of the vacuum moment of key + m: of the
+    squeezed vacuum for a one-mode key, of the TSV for a two-mode one."""
+    wick_terms = _wick_terms_1m if len(key) == 2 else _wick_terms_2m
+    turns, terms = wick_terms(*(k + m for k in key))
+    return turns, _polynomial(terms) if terms else None, terms and terms[0][2] % 2
+
+
+def _seed_entry(m: int, key: tuple) -> tuple:
+    """(turns, P or None, g parity) of a SPATSV seed moment, d = p - q:
+    e^{-i chi d} sum_n C(m,n+d) C(m,n) n!(n+d)!/((n-q)!(n-s)!) t^(e/2),
+    e = 2n + d, over sum_k C(m,k)^2 t^k (the P of key 0).  As t = lam/(1 + lam)
+    and sqrt t = g/(1 + lam), a term times (1 + lam)^(m+1) is
+    lam^(e//2) (1 + lam)^(m + 1 - ceil(e/2)) g^(e mod 2)."""
+    p, q, r, s = key
+    d = p - q
+    poly = [0] * (m + 2)
+    for n in range(max(q, s), min(m, m - d) + 1) if d == r - s else ():
+        weight = comb(m, n + d) * comb(m, n) * factorial(n) * factorial(n + d) // (
+            factorial(n - q) * factorial(n - s))
+        e = 2 * n + d
+        for j in range(m + 2 - (e + 1) // 2):
+            poly[e // 2 + j] += weight * comb(m + 1 - (e + 1) // 2, j)
+    return -d, poly if any(poly) else None, d % 2
+
+
+class _RationalFill:
+    """A table's fill: entry ``key`` is P(lam)/Q(lam) g^(b mod 2) e^{i chi turns}
+    for the lam-free (turns, P, g parity) of ``source(m, key)``, Q the P of the
+    zero key and g^2 = lam (1 + lam), formed in integers (:meth:`fixed`).  A
+    zeroed key is an exact 0, with no arithmetic; a zero norm raises NullState.
     """
 
-    def __init__(self, wick_terms, lam, m: int, chi, arity: int):
-        self.wick_terms, self.m, self.prec = wick_terms, m, mp.mp.prec
+    def __init__(self, source, lam, m: int, chi, arity: int):
+        self.source, self.m = source, m
         self.n, self.shift = _binary(lam)
-        if m > 0 and not self.n:
-            raise NullState("photon subtraction annihilates the vacuum")
         _, norm, _, self.norm_degree = self._entry((0,) * 2 * arity)
         self.norm, self.phases = _horner(norm, self.n, self.shift), Phases(chi)
+        if not self.norm:
+            raise NullState("photon subtraction annihilates the vacuum")
         self.g2 = self.n * (self.n + (1 << self.shift))  # g^2 2^(2 shift)
 
     def _entry(self, key: tuple) -> tuple:
-        key = (self.wick_terms,) + tuple(k + self.m for k in key)
-        if key not in _ENTRIES:
-            turns, terms = key[0](*key[1:])
-            poly = _polynomial(terms) if terms else None
-            _ENTRIES[key] = turns, poly, terms and terms[0][2] % 2, len(poly or ()) - 1
-        return _ENTRIES[key]
-
-    def __call__(self, key: tuple):
-        turns, poly, odd, degree = self._entry(key)
-        lib, prec = mp.libmp, self.prec
-        if poly is None or odd or turns and self.phases.x:  # 1.03 units 2^-prec at most
-            re, im, exp, _, _ = self.fixed(key, prec + 8)
-            return mp.make_mpc(tuple(lib.from_man_exp(x, exp, prec, "n") for x in (re, im)))
-        num = _horner(poly, self.n, self.shift) << self.shift * self.norm_degree
-        ratio = lib.from_rational(num, self.norm << self.shift * degree, prec, "n")
-        return mp.make_mpc((ratio, lib.fzero))
+        memo = (self.source, self.m, key)
+        if memo not in _ENTRIES:
+            turns, poly, odd = self.source(self.m, key)
+            _ENTRIES[memo] = turns, poly, odd if poly else 0, len(poly or ()) - 1
+        return _ENTRIES[memo]
 
     def fixed(self, key: tuple, bits: int) -> tuple:
         """The entry ``key`` as a :func:`fixed` number, in integers alone: the
@@ -450,64 +529,29 @@ class _WickFill:
         if odd:  # an exact 0 at lam = 0
             t = max(0, bits + 2 - self.g2.bit_length() // 2)
             man, exp = man * isqrt(self.g2 << 2 * t), exp - self.shift - t
-        c, s, e, ulps = self.phases[turns, max(self.prec, bits + 2)]
+        c, s, e, ulps = self.phases[turns, bits + 2]
         return fixed_from(man * c, man * s, exp + e, bits, 1 + odd + ulps)
 
 
-def bogoliubov_vacuum_moment_1m(p: int, q: int, lam, chi: float = 0.0):
-    """<a^dag^p a^q> on a squeezed vacuum with mean photons lam, exactly
-    (the Wick sum of :func:`_wick_terms_1m`), at the ambient precision."""
-    return _WickFill(_wick_terms_1m, lam, 0, chi, 1)((p, q))
-
-
-def bogoliubov_vacuum_moment_2m(p: int, q: int, r: int, s: int, lam, chi: float = 0.0):
-    """<a1^dag^p a1^q a2^dag^r a2^s> on a TSV with mean photons/mode lam,
-    exactly (the Wick sum of :func:`_wick_terms_2m`), at the ambient precision."""
-    return _WickFill(_wick_terms_2m, lam, 0, chi, 2)((p, q, r, s))
-
-
 def passv_moment_table(lam, m: int, max_order: int = 8, chi: float = 0.0, mode=0) -> MomentTable:
-    """Exact PASSV moments <a^dag^p a^q>, lazily computed at the precision
-    the table is built at: <a^dag^{p+m} a^{q+m}>_SSV / <a^dag^m a^m>_SSV."""
-    return MomentTable((mode,), max_order, _WickFill(_wick_terms_1m, lam, m, chi, 1))
+    """Exact PASSV moments <a^dag^p a^q>, lazily filled at the bits each
+    read asks for: <a^dag^{p+m} a^{q+m}>_SSV / <a^dag^m a^m>_SSV.  At m = 0
+    these are the squeezed vacuum's own moments."""
+    return MomentTable((mode,), max_order, _RationalFill(_vacuum_entry, lam, m, chi, 1))
 
 
 def spatsv_moment_table(
     lam, m: int, max_order: int = 16, chi: float = 0.0, modes=(0, 1)
 ) -> MomentTable:
-    """Exact SPATSV moments <a1^dag^p a1^q a2^dag^r a2^s>, lazily computed at
-    the precision the table is built at."""
-    return MomentTable(modes, max_order, _WickFill(_wick_terms_2m, lam, m, chi, 2))
+    """Exact SPATSV moments <a1^dag^p a1^q a2^dag^r a2^s>, lazily filled at
+    the bits each read asks for; at m = 0 the TSV's own."""
+    return MomentTable(modes, max_order, _RationalFill(_vacuum_entry, lam, m, chi, 2))
 
 
 def spatsv_seed_moment_table(
     lam, m: int, max_order: int = 4, chi: float = 0.0
 ) -> MomentTable:
-    """Exact moments of the SPATSV seed sum_k C(m,k) t^{k/2} e^{i chi k} |k,k>.
-
-    t = lam/(1 + lam).  The seed has m + 1 amplitudes, so each moment
-    <a1^dag^p a1^q a2^dag^r a2^s> (with d = p - q = r - s) is the finite sum
-    e^{-i chi d} sum_n C(m,n+d) C(m,n) t^{n+d/2} n!(n+d)!/((n-q)!(n-s)!)
-    over the norm sum_k C(m,k)^2 t^k, at the precision the table is built at.
-    """
-    _binary(lam)  # ValueError unless lam is finite and >= 0
-    prec, lam = mp.mp.prec, mp.mpf(lam)
-    t = lam / (1 + lam)
-    rt = mp.sqrt(t)
-    norm = mp.fsum(comb(m, k) ** 2 * t**k for k in range(m + 1))
-
-    def compute(key):
-        p, q, r, s = key
-        d = p - q
-        if d != r - s:
-            return mp.mpc(0)
-        with mp.workprec(prec):
-            total = mp.mpf(0)
-            for n in range(max(q, s), min(m, m - d) + 1):
-                ladder = factorial(n) * factorial(n + d) // (
-                    factorial(n - q) * factorial(n - s)
-                )
-                total += comb(m, n + d) * comb(m, n) * ladder * rt ** (2 * n + d)
-            return total / norm * mp.expj(-chi * d)
-
-    return MomentTable((0, 1), max_order, compute=compute)
+    """Exact moments of the SPATSV seed sum_k C(m,k) t^{k/2} e^{i chi k} |k,k>,
+    t = lam/(1 + lam): the seed has m + 1 amplitudes, so each moment is a
+    finite sum (:func:`_seed_entry`), filled in integers as the Wick tables are."""
+    return MomentTable((0, 1), max_order, _RationalFill(_seed_entry, lam, m, chi, 2))

@@ -29,11 +29,9 @@ from __future__ import annotations
 from itertools import product
 from math import comb, factorial
 
-import mpmath as mp
-
 from .moments import (
-    ONE, Bounded, MomentTable, Phases, certified_sum, fixed, fixed_conj, fixed_from,
-    fixed_mul, fixed_times, thin,
+    ONE, Bounded, MomentTable, Phases, certified_sum, fixed_from, fixed_mul, fixed_times,
+    man_exp, thin,
 )
 
 _GUARD_BITS = 10  # kept over the working bits: ~1/1000 of its last unit per term
@@ -101,7 +99,8 @@ class PortCoefficients:
 
     The family is a lossless quantum input ``table``, whose arity (one mode
     or two) sets the scheme, and a coherent state of mean photons ``mu``,
-    read exactly if a float, and phase ``psi``, at ``bits`` working bits.
+    read exactly (a float or an mpmath real), and phase ``psi``, at ``bits``
+    working bits.
     The table keeps the selection rules of the subtracted squeezed vacua:
     <a^dag^p a^q> = 0 for odd p - q, <a1^dag^p a1^q a2^dag^r a2^s> = 0 unless
     p - q = r - s.
@@ -109,7 +108,7 @@ class PortCoefficients:
 
     def __init__(self, table: MomentTable, mu, psi: float, bits: int):
         self.table, self.bits, self.single = table, bits + _GUARD_BITS, len(table.modes) == 1
-        self._mu, self._phases = mp.mpf(mu).man_exp, Phases(psi)
+        self._mu, self._phases = man_exp(mu), Phases(psi)
         self._moments, self._displacements, self._products, self._folds = {}, {}, {}, {}
 
     def moment(self, key: tuple) -> tuple:
@@ -154,16 +153,14 @@ class PortCoefficients:
 
 class PortMoments:
     """Observables of one scene, and its phase derivatives, as certified sums:
-    ``u`` and ``v`` are its port entries at guard digits, conj(u) v =
-    ``turn`` |uv|, and ``eta`` is the detection efficiency."""
+    ``x`` = |u|^2, ``y`` = |v|^2 and ``z`` = conj(u) v = ``turn`` |uv| of its
+    port entries u, v, fixed-point numbers at the family's bits, and ``eta``
+    the detection efficiency."""
 
-    def __init__(self, coefficients: PortCoefficients, u, v, eta: float, turn):
+    def __init__(self, coefficients: PortCoefficients, x, y, z, eta: float = 1.0, turn=1j):
         self.coefficients, self.eta, self.turn = coefficients, eta, turn
-        bits = self.bits = coefficients.bits
-        u, v = fixed(u, bits), fixed(v, bits)
-        self._z = fixed_mul(fixed_conj(u), v, bits)
-        self._powers = ([ONE, fixed_mul(fixed_conj(u), u, bits)],
-                        [ONE, fixed_mul(fixed_conj(v), v, bits)])
+        self.bits, self.x, self._z = coefficients.bits, x, z
+        self._powers = ([ONE, x], [ONE, y])
         self._monomials, self._scales, self._values = {}, {}, {}
 
     def _monomial(self, n: int, k: int) -> tuple:
@@ -216,7 +213,7 @@ class PortMoments:
         with xy = |uv|^2 = sin^2(phi)/4 and cos^2 phi = 1 - 4 xy.
         """
         c, bits = self.coefficients, self.bits
-        w = fixed_mul(self._powers[0][1], self._powers[1][1], bits)
+        w = fixed_mul(self.x, self._powers[1][1], bits)
         minus_mu = fixed_times(c.displacement(1, 1), -1)
         y = fixed_mul(c.displacement(2, 0), c.moment((0, 1, 0, 1)), bits)
         pairs = [(w, c.moment((1, 1, 1, 1))), (w, c.displacement(2, 2)),
@@ -224,11 +221,6 @@ class PortMoments:
                  (w, fixed_mul(minus_mu, c.moment((0, 0, 1, 1)), bits)),
                  (fixed_times(w, 2), y), (fixed_times(ONE, -1, 1), y)]
         return thin(certified_sum(pairs, bits), self.eta, 2)
-
-
-def port_moments(coefficients: PortCoefficients, u, v, eta: float = 1.0, turn=1j) -> PortMoments:
-    """The :class:`PortMoments` of one scene of a compiled family."""
-    return PortMoments(coefficients, u, v, eta, turn)
 
 
 #: Stirling numbers of the second kind S(n, k), N^n = sum_k S(n, k) a^dag^k a^k,

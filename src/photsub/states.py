@@ -20,16 +20,7 @@ from struct import pack, unpack
 from typing import TYPE_CHECKING
 
 from .errors import OutOfRange
-from .moments import (
-    _binary,
-    _horner,
-    _polynomial,
-    _wick_terms_1m,
-    _wick_terms_2m,
-    at_float_digits,
-    bogoliubov_vacuum_moment_1m,
-    bogoliubov_vacuum_moment_2m,
-)
+from .moments import _binary, _horner, _polynomial, _wick_terms_1m, _wick_terms_2m, vacuum_moment
 
 if TYPE_CHECKING:
     from .fock import FockState1, TwoModeDiagonalState
@@ -67,7 +58,6 @@ class SpatsvSpec(_SubtractionSpec):
     """Two-mode symmetric subtraction spec."""
 
 
-@at_float_digits
 def passv(spec: PassvSpec, cutoff: int | None = None) -> FockState1:
     """PASSV state: m-fold photon subtraction from squeezed vacuum.
 
@@ -78,14 +68,13 @@ def passv(spec: PassvSpec, cutoff: int | None = None) -> FockState1:
     from . import fock
 
     if cutoff is None:
-        moment = float(bogoliubov_vacuum_moment_1m(spec.m, spec.m, spec.lam).real)
+        moment = vacuum_moment(_wick_terms_1m(spec.m, spec.m), spec.lam)
         cutoff = fock.subtracted_cutoff(fock.squeezed_weights(spec.r), spec.m, 1, moment)
     ssv = fock.squeezed_vacuum(spec.r, spec.chi, cutoff)
     state, _ = fock.subtract_photons(ssv, spec.m)
     return state
 
 
-@at_float_digits
 def spatsv(spec: SpatsvSpec, cutoff: int | None = None) -> TwoModeDiagonalState:
     """SPATSV state: symmetric m-fold subtraction from two-mode squeezed vacuum.
 
@@ -95,9 +84,9 @@ def spatsv(spec: SpatsvSpec, cutoff: int | None = None) -> TwoModeDiagonalState:
     from . import fock
 
     if cutoff is None:
-        moment = bogoliubov_vacuum_moment_2m(spec.m, spec.m, spec.m, spec.m, spec.lam)
+        moment = vacuum_moment(_wick_terms_2m(*[spec.m] * 4), spec.lam)
         weights = fock.two_mode_squeezed_weights(spec.lam)
-        cutoff = fock.subtracted_cutoff(weights, spec.m, 2, float(moment.real))
+        cutoff = fock.subtracted_cutoff(weights, spec.m, 2, moment)
     tsv = fock.two_mode_squeezed_vacuum(spec.lam, spec.chi, cutoff)
     state, _ = fock.subtract_photons(tsv, spec.m)
     return state

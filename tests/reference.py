@@ -29,7 +29,7 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
 from photsub import fock, moments
-from photsub.errors import CutoffTooSmall, ModeMismatch, PhotsubError
+from photsub.errors import CutoffTooSmall, ModeMismatch, MomentOrderMissing, PhotsubError
 from photsub.fock import CUTOFF_MARGIN, TAIL_TOL, FockState1, TwoModeDiagonalState
 
 
@@ -120,26 +120,51 @@ def _accumulate(into: dict, key, c, largest: float) -> None:
         into[key] = (c, largest)
 
 
-def vacuum_table(modes) -> moments.MomentTable:
+class ReferenceTable:
+    """A moment table of given numbers, ``compute(key)``, with the interface
+    of :class:`photsub.moments.MomentTable`: its entries as numbers
+    (``entry``) for the algebra here, as fixed-point numbers for the engine."""
+
+    def __init__(self, modes, max_order, compute):
+        self.modes, self.max_order, self._compute = tuple(modes), int(max_order), compute
+
+    def entry(self, key):
+        if len(key) != 2 * len(self.modes) or sum(key) > self.max_order:
+            raise MomentOrderMissing(f"key {key} outside the table")
+        return self._compute(key)
+
+    def fixed(self, key, bits: int) -> tuple:
+        return moments.fixed(self.entry(key), bits)
+
+
+def entry(table, key):
+    """Entry ``key`` of a reference table, or of a production table read at
+    mpmath's ambient precision and eight guard bits."""
+    if isinstance(table, ReferenceTable):
+        return table.entry(key)
+    return fixed_value(table.fixed(key, mp.mp.prec + 8))
+
+
+def vacuum_table(modes) -> ReferenceTable:
     """All moments vanish except the identity."""
 
     def compute(key):
         return 1.0 if not any(key) else 0.0
 
-    return moments.MomentTable(modes, max_order=10**6, compute=compute)
+    return ReferenceTable(modes, max_order=10**6, compute=compute)
 
 
-def coherent_table(alpha, mode=0, max_order=10**6) -> moments.MomentTable:
+def coherent_table(alpha, mode=0, max_order=10**6) -> ReferenceTable:
     """Coherent-eigenstate moments: <a^dag^p a^q> = conj(alpha)^p alpha^q."""
 
     def compute(key):
         p, q = key
         return _conj(alpha) ** p * alpha**q
 
-    return moments.MomentTable((mode,), max_order, compute=compute)
+    return ReferenceTable((mode,), max_order, compute=compute)
 
 
-def apply_loss(table: moments.MomentTable, eta) -> moments.MomentTable:
+def apply_loss(table, eta) -> ReferenceTable:
     """Bernoulli thinning: each entry scaled by eta^{(sum of exponents)/2}.
 
     The reference thinning, entry by entry at the entry's precision, that
@@ -156,9 +181,9 @@ def apply_loss(table: moments.MomentTable, eta) -> moments.MomentTable:
         total = sum(key)
         if total not in factors:
             factors[total] = eta ** (total / 2)
-        return factors[total] * table.entry(key)
+        return factors[total] * entry(table, key)
 
-    return moments.MomentTable(table.modes, table.max_order, compute=compute)
+    return ReferenceTable(table.modes, table.max_order, compute=compute)
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +232,13 @@ def vacuum_moment_2m(p: int, q: int, r: int, s: int, lam, chi: float = 0.0):
     return total * mp.exp(mp.mpc(0, chi)) ** (q - p)
 
 
-def subtracted_table(modes, lam, m: int, max_order: int, chi: float = 0.0) -> moments.MomentTable:
+def subtracted_table(modes, lam, m: int, max_order: int, chi: float = 0.0) -> ReferenceTable:
     """The moments of a squeezed vacuum (one mode) or TSV (two) less m
     photons from each mode, entry by entry: key k reads the vacuum moment of
     k + m over the norm, the moment of m, each summed on its own."""
     vacuum_moment = vacuum_moment_1m if len(modes) == 1 else vacuum_moment_2m
     norm = vacuum_moment(*[m] * 2 * len(modes), lam, chi) if m else mp.mpf(1)
-    return moments.MomentTable(
+    return ReferenceTable(
         modes, max_order, lambda key: vacuum_moment(*(k + m for k in key), lam, chi) / norm
     )
 
@@ -243,6 +268,12 @@ def mean_photons_exact(kind: str, lam, m: int) -> Fraction:
     if kind == "single":
         return single(m + 1) / single(m)
     return pair(m + 1, m) / pair(m, m)
+
+
+def fixed_value(x: tuple):
+    """The exact value of a :func:`photsub.moments.fixed` number."""
+    re, im, exp, _, _ = x
+    return mp.mpc(mp.mpf((re, exp)), mp.mpf((im, exp)))
 
 
 def bounded(x) -> moments.Bounded:
@@ -356,7 +387,7 @@ def two_mode_squeeze_apply(
 # ---------------------------------------------------------------------------
 
 
-def table_from_state(state, max_order: int = 4, modes=None) -> moments.MomentTable:
+def table_from_state(state, max_order: int = 4, modes=None) -> ReferenceTable:
     """Moments by direct Fock summation over a truncated state.
 
     The photon-number phase selection rule of |n,n>-supported states is
@@ -369,7 +400,7 @@ def table_from_state(state, max_order: int = 4, modes=None) -> moments.MomentTab
         for p in range(max_order + 1):
             for q in range(max_order + 1 - p):
                 entries[(p, q)] = _single_mode_moment(amps, p, q)
-        return moments.MomentTable(modes, max_order, compute=entries.__getitem__)
+        return ReferenceTable(modes, max_order, compute=entries.__getitem__)
     if isinstance(state, TwoModeDiagonalState):
         modes = (0, 1) if modes is None else tuple(modes)
         d = state.diag_amplitudes
@@ -382,7 +413,7 @@ def table_from_state(state, max_order: int = 4, modes=None) -> moments.MomentTab
                             entries[(p, q, r, s)] = 0.0
                         else:
                             entries[(p, q, r, s)] = _diag_two_mode_moment(d, p, q, r, s)
-        return moments.MomentTable(modes, max_order, compute=entries.__getitem__)
+        return ReferenceTable(modes, max_order, compute=entries.__getitem__)
     raise TypeError(f"unsupported state type {type(state)!r}")
 
 
@@ -746,8 +777,8 @@ def contract(poly: OperatorPolynomial, images: dict, tables) -> tuple:
     ``images`` maps each mode of ``poly`` to ``(coeffs, beta)``, with
     ``coeffs`` a dict target mode -> c_jt.  ``tables`` describe a product
     state: each exposes ``modes`` (tuple of mode ids, together covering every
-    target mode once) and ``entry(key)``, ``key`` concatenating (p, q) pairs
-    in the table's mode order.  The map must preserve commutators.
+    target mode once) and is read by :func:`entry`, a key concatenating
+    (p, q) pairs in the table's mode order.  The map must preserve commutators.
 
     An a^dag image holds only creation operators and scalars and an a image
     only annihilation operators and scalars, so the image of a
@@ -799,7 +830,7 @@ def contract(poly: OperatorPolynomial, images: dict, tables) -> tuple:
         if key not in found:
             exps = [key >> _EXP_BITS * i & _EXP_MASK for i in range(width)]
             # a table whose modes the key leaves alone contributes <1> = 1
-            entries = [t.entry(tuple(exps[lo:hi])) for t, lo, hi in spans if any(exps[lo:hi])]
+            entries = [entry(t, tuple(exps[lo:hi])) for t, lo, hi in spans if any(exps[lo:hi])]
             vanishes = any(_is_zero(e) for e in entries)
             found[key] = None if vanishes else (entries, prod(map(_abs_value, entries)))
         return found[key]

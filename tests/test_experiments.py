@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import reference
 from photsub import experiments, moments
 from photsub.errors import ConfigInvalid, MemoryBoundExceeded, UnknownPreset
 from photsub.experiments import (
@@ -163,7 +164,7 @@ def test_fig5b_rows_match_a_40_digit_evaluation():
         with mp.workdps(40):
             table = moments.spatsv_moment_table(row.swept_value, row.m, max_order=2)
             c = 1 / mp.sqrt(2)
-            exact = moments.quadrature_variance(table, (c, -c))
+            exact = moments.quadrature_variance(table, (c, -c), bits=moments.digits_to_bits(40))
         assert abs(row.value - exact) <= 1e-14 * exact, (row.swept_value, row.m)
 
 
@@ -309,9 +310,10 @@ def test_snl_and_mean_photons_at_huge_energy(m):
     # give way to the factorial-moment ratio
     rows = run_sweep(_small_config(values=(1e200,), m_list=(m,), metrics=("snl", "mean_photons"),
                                    mu=100.0, eta=0.98)).rows
+    from reference import vacuum_moment_1m
+
     with mp.workdps(30):
-        n = (moments.bogoliubov_vacuum_moment_1m(m + 1, m + 1, 1e200)
-             / moments.bogoliubov_vacuum_moment_1m(m, m, 1e200)).real
+        n = (vacuum_moment_1m(m + 1, m + 1, 1e200) / vacuum_moment_1m(m, m, 1e200)).real
         want = {"snl": 1 / mp.sqrt(mp.mpf(0.98) * (100 + n)), "mean_photons": n}
     for row in rows:
         assert row.flag == "ok"
@@ -338,7 +340,7 @@ def _mandel_q_120(lam, m, eta):
     """eta Q of the SPATSV marginal, at 120 digits straight from its table."""
     with mp.workdps(120):
         table = moments.spatsv_moment_table(lam, m)
-        n, f2 = (mp.re(table.entry((k, k, 0, 0))) for k in (1, 2))
+        n, f2 = (mp.re(reference.entry(table, (k, k, 0, 0))) for k in (1, 2))
         return eta * (f2 - n * n) / n
 
 
@@ -622,7 +624,7 @@ def test_fig1a_strong_squeezing_var_y_rows_are_accurate():
     # the squeezed-vacuum Wick sums at 60 digits; <n> ~ 4 lam cancels to ~0.013
     import mpmath as mp
 
-    from photsub.moments import bogoliubov_vacuum_moment_1m as moment
+    from reference import vacuum_moment_1m as moment
 
     rows = [r for r in run_preset("fig1a").rows if r.swept_value > 50 and r.m >= 3]
     assert len(rows) == 6
@@ -680,13 +682,14 @@ def test_quadrature_variances_keep_eight_digits_or_flag(metric, lam, m, flag):
     assert row.flag == flag
     if flag == "ok":
         with mp.workdps(140):
+            bits = moments.digits_to_bits(140)
             if metric == "var_y":
                 table = moments.passv_moment_table(lam, m)
-                exact = moments.quadrature_variance(table, (mp.expj(-mp.pi / 2),))
+                exact = moments.quadrature_variance(table, (mp.expj(-mp.pi / 2),), bits=bits)
             else:
                 table = moments.spatsv_moment_table(lam, m, max_order=2)
                 c = 1 / mp.sqrt(2)
-                exact = moments.quadrature_variance(table, (c, -c))
+                exact = moments.quadrature_variance(table, (c, -c), bits=bits)
         assert abs(row.value - exact) <= 1e-8 * exact
 
 
@@ -705,12 +708,13 @@ def test_digits_rescue_a_precision_flagged_quadrature_variance(metric, m):
     assert run_sweep(sweep).rows[0].flag == "precision"
     [row] = run_sweep(dataclasses.replace(sweep, digits=80)).rows
     with mp.workdps(140):
+        bits = moments.digits_to_bits(140)
         if metric == "var_y":
             table = moments.passv_moment_table(1e16, m)
-            exact = moments.quadrature_variance(table, (mp.expj(-mp.pi / 2),))
+            exact = moments.quadrature_variance(table, (mp.expj(-mp.pi / 2),), bits=bits)
         else:
             table = moments.spatsv_moment_table(1e16, m, max_order=2)
             c = 1 / mp.sqrt(2)
-            exact = moments.quadrature_variance(table, (c, -c))
+            exact = moments.quadrature_variance(table, (c, -c), bits=bits)
     assert row.flag == "ok"
     assert abs(row.value - exact) <= 1e-12 * exact

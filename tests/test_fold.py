@@ -44,22 +44,20 @@ def _observables(single: bool) -> list:
 def _reads(cfg, phase, dps) -> dict:
     """Every certified quantity the figures of merit of ``cfg`` read at ``phase``."""
     single = isinstance(cfg, SingleMziConfig)
-    dps = dps or metrology._working_digits(cfg.mu)
-    with mp.workdps(dps):
-        coefficients = metrology._port_coefficients(cfg.quantum, cfg.mu, cfg.psi, dps)
-        if phase == "qfi":
-            with mp.workdps(dps + moments.GUARD_DIGITS):
-                half = mp.sqrt(mp.mpf(2)) / 2
-            ports = opalg.port_moments(coefficients, half, half, turn=1)
-        else:
-            ports = opalg.port_moments(coefficients, *metrology._mzi_entries(phase), cfg.eta)
-        out = {tuple(sorted(poly.items())): opalg.port_expectation(ports, poly)
-               for poly in _observables(single)}
-        order = 2 if single else 4
-        out.update({(i, j): ports.entry(i, j)
-                    for i in range(order + 1) for j in range(order + 1 - i)})
-        if phase != "qfi":
-            out["derivative"] = ports.slope() if single else ports.mixed()
+    coefficients = metrology._port_coefficients(cfg.quantum, cfg.mu, cfg.psi, dps)
+    if phase == "qfi":  # the QFI's port entries u = v = 1/sqrt 2: x = y = z = 1/2
+        half = moments.fixed_from(1, 0, -1, coefficients.bits, 0)
+        ports = opalg.PortMoments(coefficients, half, half, half, turn=1)
+    else:
+        entries = metrology._mzi_entries(phase, coefficients.bits)
+        ports = opalg.PortMoments(coefficients, *entries, cfg.eta)
+    out = {tuple(sorted(poly.items())): opalg.port_expectation(ports, poly)
+           for poly in _observables(single)}
+    order = 2 if single else 4
+    out.update({(i, j): ports.entry(i, j)
+                for i in range(order + 1) for j in range(order + 1 - i)})
+    if phase != "qfi":
+        out["derivative"] = ports.slope() if single else ports.mixed()
     return out
 
 

@@ -13,7 +13,7 @@ from photsub import fock, moments, states
 from photsub.errors import MomentOrderMissing
 from photsub.experiments import PRESETS
 from photsub.states import PassvSpec, SpatsvSpec
-from reference import bounded, coherent_table, table_from_state, vacuum_table
+from reference import bounded, coherent_table, fixed_value, table_from_state, vacuum_table
 
 
 def _real(x):
@@ -168,10 +168,8 @@ def test_mandel_q_thins_linearly(eta):
 
 def test_joint_distribution_normalized_and_diagonal():
     p = moments.joint_photon_distribution(0.6, 1, n_max=80)
-    p = np.array(p.tolist(), dtype=float)
-    assert abs(p.sum() - 1.0) < 1e-10
-    off = p - np.diag(np.diag(p))
-    assert np.max(np.abs(off)) < 1e-14
+    assert abs(sum(p.values()) - 1.0) < 1e-10
+    assert set(p) == {(k, k) for k in range(81)}  # every other entry is an exact 0
 
 
 @pytest.mark.parametrize("m", [0, 1, 3])
@@ -222,8 +220,9 @@ def test_bogoliubov_moments_match_fock():
     lam = 0.9
     state = fock.squeezed_vacuum(float(np.arcsinh(np.sqrt(lam))), cutoff=300)
     num = table_from_state(state, max_order=6)
+    vacuum = moments.passv_moment_table(lam, 0)  # m = 0: the squeezed vacuum itself
     for p, q in [(1, 1), (2, 2), (2, 0), (3, 1), (3, 3)]:
-        exact = complex(moments.bogoliubov_vacuum_moment_1m(p, q, lam))
+        exact = complex(fixed_value(vacuum.fixed((p, q), 60)))
         assert abs(complex(num.entry((p, q))) - exact) < 1e-8 * max(1.0, abs(exact))
 
 
@@ -307,20 +306,21 @@ WICK_CHIS = [0, 0.3, -1.1]
 @pytest.mark.parametrize("chi", WICK_CHIS)
 @pytest.mark.parametrize("lam", WICK_LAMS)
 def test_wick_sum_matches_word_applier_1m(lam, chi):
+    # the m = 0 table, read in integers at the bits of 50 digits
+    vacuum, bits = moments.passv_moment_table(lam, 0, max_order=16, chi=chi), 170
     with mp.workdps(50):
         for p, q in itertools.product(range(9), repeat=2):
-            got = moments.bogoliubov_vacuum_moment_1m(p, q, lam, chi)
-            assert isinstance(got, mp.mpc)
+            got = fixed_value(vacuum.fixed((p, q), bits))
             _assert_close(got, _word_moment_1m(p, q, lam, chi), mp.mpf("1e-40"))
 
 
 @pytest.mark.parametrize("chi", WICK_CHIS)
 @pytest.mark.parametrize("lam", WICK_LAMS)
 def test_wick_sum_matches_word_applier_2m(lam, chi):
+    vacuum, bits = moments.spatsv_moment_table(lam, 0, max_order=32, chi=chi), 170
     with mp.workdps(50):
         for p, q, r, s in itertools.product(range(9), repeat=4):
-            got = moments.bogoliubov_vacuum_moment_2m(p, q, r, s, lam, chi)
-            assert isinstance(got, mp.mpc)
+            got = fixed_value(vacuum.fixed((p, q, r, s), bits))
             if p - q != r - s:
                 assert got == 0
                 continue

@@ -93,7 +93,7 @@ def expect(poly, tables):
             exps.setdefault(owner[mode], {})[mode] = (p, q)
         value = c
         for t, per_mode in exps.items():
-            value = value * t.entry(
+            value = value * opalg.entry(t, 
                 tuple(x for mode in t.modes for x in per_mode.get(mode, (0, 0)))
             )
         total = value + total

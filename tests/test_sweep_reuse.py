@@ -49,7 +49,7 @@ def test_eta_sweep_builds_port_moments_once_per_order_and_jet(monkeypatch):
 
 def test_phi_sweep_builds_one_input_table_per_order(monkeypatch):
     compiled = _counted(monkeypatch, opalg, "PortCoefficients")
-    ports = _counted(monkeypatch, opalg, "port_moments")
+    ports = _counted(monkeypatch, opalg, "PortMoments")
     inputs = _counted(monkeypatch, moments, "spatsv_moment_table")
     _sweep(axis="phi", values=(1e-7, 1e-6, 1e-5))
     assert len(inputs) == 2
@@ -143,10 +143,13 @@ def test_memos_stay_bounded(memos):
 
 
 def test_a_memoised_table_fills_at_its_own_digits():
-    coefficients = metrology._port_coefficients(SpatsvSpec(2.0, 2), 1e12, pi / 2, 50)
-    with mp.workdps(20):
-        coefficients.terms(2, 2)
-        entry = coefficients.table.entry((2, 2, 2, 2))
-    with mp.workdps(50 + moments.GUARD_DIGITS):
-        want = moments.spatsv_moment_table(2.0, 2, chi=0.0).entry((2, 2, 2, 2))
-    assert entry == want
+    # each family reads its table at its own bits, whatever the caller's
+    # mpmath precision, and families at other digits share no entry
+    key, fresh = (2, 2, 2, 2), moments.spatsv_moment_table(2.0, 2, chi=0.0)
+    for digits in (50, 20):
+        coefficients = metrology._port_coefficients(SpatsvSpec(2.0, 2), 1e12, pi / 2, digits)
+        with mp.workdps(70 - digits):
+            coefficients.terms(2, 2)
+            entry = coefficients.moment(key)
+        assert entry == fresh.fixed(key, coefficients.bits)
+        assert max(abs(entry[0]), abs(entry[1])).bit_length() == coefficients.bits

@@ -1,10 +1,12 @@
 """The exact-polynomial fill of the subtracted squeezed-vacuum tables
-against the per-entry Wick sums (:mod:`reference`) and exact rationals:
-within one unit of the working precision, exact zeros where the selection
-rule forces them, the vacuum moments correctly rounded on the diagonal and
-within three roundings elsewhere, at the precision a table was built at;
-the mean-photon maps that balancing reads are the correctly rounded ratios
-of the per-entry sums, and so round the tables' mean-photon entries."""
+against the per-entry Wick sums (:mod:`reference`) and exact rationals,
+each entry read in integers (``MomentTable.fixed``): within one unit of the
+working precision, exact zeros where the selection rule forces them, the
+vacuum moments (the m = 0 tables) the exact rationals floored once on the
+diagonal and within their counted roundings elsewhere, the same at any
+ambient mpmath precision; the mean-photon maps that balancing reads are the
+correctly rounded ratios of the per-entry sums, and so round the tables'
+mean-photon entries."""
 
 import itertools
 import random
@@ -16,6 +18,7 @@ import pytest
 
 import reference
 from photsub import moments, states
+from reference import fixed_value
 
 WORKING_DIGITS = 40
 
@@ -32,15 +35,17 @@ def _table(arity: int, lam, m: int, chi):
 @pytest.mark.parametrize("m", range(4))
 @pytest.mark.parametrize("arity", (1, 2), ids=("single", "pair"))
 def test_the_fill_agrees_with_the_per_entry_sums(arity, m):
+    # read at ten guard digits over the working ones, as the engine reads
     rng = random.Random(10 * arity + m)
-    ulp = mp.mpf(2) ** -mp.libmp.dps_to_prec(WORKING_DIGITS)
+    ulp = mp.mpf(2) ** -moments.digits_to_bits(WORKING_DIGITS)
+    bits = moments.digits_to_bits(WORKING_DIGITS + 10)
     for lam in (10 ** rng.uniform(-3, 4), 10 ** rng.uniform(-3, 4)):
         chi = rng.uniform(0.2, 3.0) * rng.choice((-1, 1))
-        with mp.workdps(WORKING_DIGITS + moments.GUARD_DIGITS):
+        with mp.workdps(WORKING_DIGITS + 10):
             fill = _table(arity, lam, m, chi)
             want = reference.subtracted_table(fill.modes, lam, m, 8, chi)
             for key in _keys(arity, 8):
-                got, ref = fill.entry(key), want.entry(key)
+                got, ref = fixed_value(fill.fixed(key, bits)), want.entry(key)
                 if ref == 0:
                     assert got == 0, key
                 else:
@@ -61,26 +66,26 @@ def test_a_key_the_selection_rule_zeroes_is_an_exact_zero(arity, monkeypatch):
 
     monkeypatch.setattr(moments, "_horner", counted)
     for key in zeroed:
-        entry = table.entry(key)
-        assert entry.real == 0 and entry.imag == 0, key
+        entry = table.fixed(key, 100)
+        assert entry[0] == 0 and entry[1] == 0, key
     # no polynomial was evaluated: a zero costs no arithmetic
     assert evaluations == []
-    table.entry((1,) * 2 * arity)
+    table.fixed((1,) * 2 * arity, 100)
     assert len(evaluations) == 1
 
 
 @pytest.mark.parametrize("arity", (1, 2), ids=("single", "pair"))
 def test_a_table_computes_each_phase_once(arity, monkeypatch):
-    calls, cos_sin = [], mp.libmp.mpf_cos_sin
+    calls, cos_sin = [], moments.cos_sin
 
     def counted(*args):
         calls.append(args)
         return cos_sin(*args)
 
-    monkeypatch.setattr(mp.libmp, "mpf_cos_sin", counted)
+    monkeypatch.setattr(moments, "cos_sin", counted)
     table = _table(arity, 1.7, 2, 0.4)
     # an entry's phase is e^{i chi (q - p)}, key = (p, q, ...)
-    turns = {key[1] - key[0] for key in _keys(arity, 8) if table.entry(key).imag != 0}
+    turns = {key[1] - key[0] for key in _keys(arity, 8) if table.fixed(key, 100)[1] != 0}
     assert len(turns) > 2
     assert len(calls) == len(turns)
 
@@ -94,57 +99,52 @@ def _exact_vacuum_moment(wick: tuple, lam: float) -> Fraction:
     return sum(count * lam**a * (lam * (1 + lam)) ** (b // 2) for count, a, b in wick[1])
 
 
-def test_diagonal_vacuum_moments_are_the_correctly_rounded_exact_rationals():
-    # on the diagonal at chi = 0 a moment is an integer polynomial in lam
-    # and the ratio to the norm 1 is its only rounding
-    prec = mp.libmp.dps_to_prec(15)
+def test_diagonal_vacuum_moments_are_the_exact_rationals_floored_once():
+    # on the diagonal at chi = 0 a moment is an integer polynomial in lam,
+    # over the norm 1 at m = 0, so the fill's one rounding floors it
     for lam in _LAMS:
-        for p in range(6):
-            exact = _exact_vacuum_moment(moments._wick_terms_1m(p, p), lam)
-            want = mp.libmp.from_rational(exact.numerator, exact.denominator, prec, "n")
-            with mp.workdps(15):
-                got = moments.bogoliubov_vacuum_moment_1m(p, p, lam)
-            assert got._mpc_ == (want, mp.libmp.fzero), (lam, p)
-            for r in range(6 - p):
-                exact = _exact_vacuum_moment(moments._wick_terms_2m(p, p, r, r), lam)
-                want = mp.libmp.from_rational(exact.numerator, exact.denominator, prec, "n")
-                with mp.workdps(15):
-                    got = moments.bogoliubov_vacuum_moment_2m(p, p, r, r, lam)
-                assert got._mpc_ == (want, mp.libmp.fzero), (lam, p, r)
+        for arity, wick in ((1, moments._wick_terms_1m), (2, moments._wick_terms_2m)):
+            vacuum = moments.passv_moment_table if arity == 1 else moments.spatsv_moment_table
+            vacuum = vacuum(lam, 0, max_order=10)
+            for key in _keys(arity, 10):
+                if key[0::2] != key[1::2]:
+                    continue
+                exact = _exact_vacuum_moment(wick(*key), lam)
+                re, im, exp, _, _ = vacuum.fixed(key, 53)
+                assert im == 0 and re == exact * Fraction(2) ** -exp // 1, (lam, key)
 
 
 @pytest.mark.parametrize("chi", (0.0, 0.7, -2.9))
 def test_vacuum_moments_lie_within_three_roundings_of_the_per_entry_sums(chi):
-    # the ratio, g and the phase round once each, at most a unit 2^(1 - prec)
-    # apiece, against the per-entry sums at 100 digits
-    units = 3 * mp.mpf(2) ** (1 - mp.libmp.dps_to_prec(15))
+    # the ratio, g and the phase round once each; fixed counts them in its
+    # ulps, against the per-entry sums at 100 digits
+    bits = 53
     for lam in _LAMS:
-        for arity, vacuum_moment, reference_moment in (
-            (1, moments.bogoliubov_vacuum_moment_1m, reference.vacuum_moment_1m),
-            (2, moments.bogoliubov_vacuum_moment_2m, reference.vacuum_moment_2m),
-        ):
+        for arity, reference_moment in ((1, reference.vacuum_moment_1m),
+                                        (2, reference.vacuum_moment_2m)):
+            vacuum = moments.passv_moment_table if arity == 1 else moments.spatsv_moment_table
+            vacuum = vacuum(lam, 0, max_order=10, chi=chi)
             for key in _keys(arity, 10):
-                with mp.workdps(15):
-                    got = vacuum_moment(*key, lam, chi)
+                got = vacuum.fixed(key, bits)
                 with mp.workdps(100):
                     want = reference_moment(*key, lam, chi)
                     if want == 0:
-                        assert got.real == 0 and got.imag == 0, (lam, key)
+                        assert got[0] == 0 and got[1] == 0, (lam, key)
                     else:
-                        assert abs(got - want) <= units * abs(want), (lam, key)
+                        error = abs(fixed_value(got) - want)
+                        assert error <= got[4] * mp.mpf(2) ** -bits * abs(want), (lam, key)
 
 
 def test_a_table_reads_the_same_at_any_ambient_precision():
-    # a table's precision is fixed when it is built
+    # a table reads at the bits asked for, whatever mpmath's precision
     for arity in (1, 2):
-        with mp.workdps(50):
-            low, high = (_table(arity, 3.7, 2, 0.9) for _ in range(2))
+        low, high = (_table(arity, 3.7, 2, 0.9) for _ in range(2))
         for key in _keys(arity, 6):
             with mp.workdps(8):
-                a = low.entry(key)
+                a = low.fixed(key, 150)
             with mp.workdps(80):
-                b = high.entry(key)
-            assert a._mpc_ == b._mpc_, key
+                b = high.fixed(key, 150)
+            assert a == b, key
 
 
 def test_the_mean_photon_entries_round_to_the_mean_photon_maps():
@@ -154,8 +154,8 @@ def test_the_mean_photon_entries_round_to_the_mean_photon_maps():
     for lam in _LAMS[1:] + (3.3e149, 5e299):
         for m in range(7):
             with mp.workdps(60 + 2 * max(0, int(log10(lam)))):
-                single = moments.passv_moment_table(lam, m).entry((1, 1))
-                pair = moments.spatsv_moment_table(lam, m).entry((1, 1, 0, 0))
+                single = reference.entry(moments.passv_moment_table(lam, m), (1, 1))
+                pair = reference.entry(moments.spatsv_moment_table(lam, m), (1, 1, 0, 0))
             assert float(single.real).hex() == states.passv_mean_photons(lam, m).hex(), (lam, m)
             assert float(pair.real).hex() == states.spatsv_mean_photons(lam, m).hex(), (lam, m)
 
@@ -163,9 +163,9 @@ def test_the_mean_photon_entries_round_to_the_mean_photon_maps():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda lam: moments.bogoliubov_vacuum_moment_1m(1, 3, lam),
-        lambda lam: moments.bogoliubov_vacuum_moment_2m(2, 2, 1, 1, lam),
         lambda lam: moments.passv_moment_table(lam, 0),
+        lambda lam: moments.spatsv_moment_table(lam, 0),
+        lambda lam: moments.passv_moment_table(lam, 2),
         lambda lam: moments.spatsv_moment_table(lam, 1),
         lambda lam: moments.spatsv_seed_moment_table(lam, 1),
     ],
