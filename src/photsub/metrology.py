@@ -29,7 +29,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, isfinite, isqrt, log10, pi, sqrt, ulp
+from math import acos, cos, isfinite, isqrt, log10, nextafter, pi, sqrt, ulp
 
 from . import moments, opalg
 from .errors import NonPositiveQfi, OutOfRange, Singular, UnsupportedOrder, ZeroMeanPhoton
@@ -85,15 +85,35 @@ class CorrelatedConfig:
 
 def phi_for_tau(tau: float) -> float:
     """Working phase whose quantum-light transmission cos^2(phi/2) equals tau:
-    2 acos(sqrt tau), each rounded at mpmath's 15 digits (53 bits).  mpmath
-    is imported here alone, as ``math.acos`` may miss that value by an ulp.
-    """
+    2 acos(sqrt tau), the root and its acos each correctly rounded.  x steps
+    from ``math.acos``, which may miss by an ulp, until the cosines of the
+    midpoints either side bracket the root, each sign decided in integers
+    (:func:`moments.cos_sin`, at 64 bits, doubled while within an ulp), as a
+    nonzero dyadic's cosine is never the root."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    from mpmath import libmp
+    root = sqrt(tau)
+    (man, exp), x = moments.man_exp(root), acos(root)
 
-    root = libmp.mpf_sqrt(libmp.from_float(tau), 53, "n")
-    return 2.0 * libmp.to_float(libmp.mpf_acos(root, 53, "n"))
+    def above(y: float) -> bool:  # cos((x + y)/2) > root
+        (nx, dx), (ny, dy), bits = x.as_integer_ratio(), y.as_integer_ratio(), 64
+        den = max(dx, dy)  # (x + y)/2 = n/(2 den)
+        n = nx * (den // dx) + ny * (den // dy)
+        while True:
+            (c, e), _ = moments.cos_sin(n, den.bit_length(), bits)
+            unit = c.bit_length() + e - bits  # c is within 2^unit, 2^-bits of its size
+            low = min(e, exp, unit)
+            gap = (c << (e - low)) - (man << (exp - low))
+            if abs(gap) > 1 << (unit - low):
+                return gap > 0
+            bits *= 2
+
+    while root < 1.0:  # acos(1) = 0 exactly
+        lower, upper = above(nextafter(x, 0.0)), above(nextafter(x, 4.0))
+        if lower and not upper:
+            return 2.0 * x
+        x = nextafter(x, 4.0 if upper else 0.0)
+    return 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -26,37 +26,13 @@ from math import comb, factorial, floor, inf, isfinite, isqrt
 from .errors import MomentOrderMissing, NullState, PrecisionInsufficient, ZeroMeanPhoton
 
 
-class MomentTable:
-    """Map from moment index tuples to expectation values for one subsystem,
-    filled lazily by ``fill``, whose ``fixed(key, bits)`` forms an entry in
-    integers at the bits asked for."""
-
-    def __init__(self, modes, max_order, fill):
-        self.modes = tuple(modes)
-        self.max_order = int(max_order)
-        self._fill = fill
-
-    def fixed(self, key, bits: int) -> tuple:
-        """Entry ``key`` as a :func:`fixed` number."""
-        if len(key) != 2 * len(self.modes):
-            raise MomentOrderMissing(f"key {key} does not match arity {len(self.modes)}")
-        if sum(key) > self.max_order:
-            raise MomentOrderMissing(f"order {sum(key)} beyond table max_order {self.max_order}")
-        return self._fill.fixed(key, bits)
-
-    def entry(self, key) -> complex:
-        """Entry ``key`` as a complex float, for inspection."""
-        re, im, exp, _, _ = self.fixed(key, 64)
-        return complex(ratio(re, 1, exp), ratio(im, 1, exp))
-
-
 # ---------------------------------------------------------------------------
 # Fixed-point numbers and certified sums
 # ---------------------------------------------------------------------------
 
 
 def digits_to_bits(digits: int) -> int:
-    """The working bits of ``digits`` decimal digits (as mpmath counts them)."""
+    """The working bits of ``digits`` decimal digits: round((digits + 1) log2 10)."""
     return max(1, round((digits + 1) * 3.3219280948873626))
 
 
@@ -69,11 +45,8 @@ def ratio(num: int, den: int, exp: int = 0) -> float:
 
 
 def man_exp(x) -> tuple:
-    """(man, exp), man odd or 0, with x = man 2^exp exactly: x an mpmath real,
-    or a Python or numpy int or float (binary, so exact)."""
-    if hasattr(x, "_mpf_"):
-        sign, man, exp, _ = x._mpf_
-        return -man if sign else man, exp
+    """(man, exp), man odd or 0, with x = man 2^exp exactly: x a Python or
+    numpy int or float (binary, so exact)."""
     n, d = (x if isinstance(x, int) else float(x)).as_integer_ratio()
     if not n:
         return 0, 0
@@ -492,17 +465,18 @@ def _seed_entry(m: int, key: tuple) -> tuple:
     return -d, poly if any(poly) else None, d % 2
 
 
-class _RationalFill:
-    """A table's fill: entry ``key`` is P(lam)/Q(lam) g^(b mod 2) e^{i chi turns}
-    for the lam-free (turns, P, g parity) of ``source(m, key)``, Q the P of the
-    zero key and g^2 = lam (1 + lam), formed in integers (:meth:`fixed`).  A
-    zeroed key is an exact 0, with no arithmetic; a zero norm raises NullState.
-    """
+class MomentTable:
+    """Exact moments of one subsystem over ``modes``, to ``max_order``: entry
+    ``key`` is P(lam)/Q(lam) g^(b mod 2) e^{i chi turns} for the lam-free
+    (turns, P, g parity) of ``source(m, key)``, Q the P of the zero key and
+    g^2 = lam (1 + lam), formed lazily in integers at the bits a reader asks
+    for (:meth:`fixed`).  A zeroed key is an exact 0, with no arithmetic; a
+    zero norm raises NullState."""
 
-    def __init__(self, source, lam, m: int, chi, arity: int):
-        self.source, self.m = source, m
+    def __init__(self, modes, max_order, source, lam, m: int, chi):
+        self.modes, self.max_order, self.source, self.m = tuple(modes), int(max_order), source, m
         self.n, self.shift = _binary(lam)
-        _, norm, _, self.norm_degree = self._entry((0,) * 2 * arity)
+        _, norm, _, self.norm_degree = self._entry((0,) * 2 * len(self.modes))
         self.norm, self.phases = _horner(norm, self.n, self.shift), Phases(chi)
         if not self.norm:
             raise NullState("photon subtraction annihilates the vacuum")
@@ -519,6 +493,10 @@ class _RationalFill:
         """The entry ``key`` as a :func:`fixed` number, in integers alone: the
         ratio floor(P 2^k / Q) and g, an isqrt, have bits + 1 bits or more and
         err by under half a unit 2^-bits each, the phase by under a quarter."""
+        if len(key) != 2 * len(self.modes):
+            raise MomentOrderMissing(f"key {key} does not match arity {len(self.modes)}")
+        if sum(key) > self.max_order:
+            raise MomentOrderMissing(f"order {sum(key)} beyond table max_order {self.max_order}")
         turns, poly, odd, degree = self._entry(key)
         if poly is None:
             return 0, 0, 0, 0, 0
@@ -532,12 +510,17 @@ class _RationalFill:
         c, s, e, ulps = self.phases[turns, bits + 2]
         return fixed_from(man * c, man * s, exp + e, bits, 1 + odd + ulps)
 
+    def entry(self, key) -> complex:
+        """Entry ``key`` as a complex float, for inspection."""
+        re, im, exp, _, _ = self.fixed(key, 64)
+        return complex(ratio(re, 1, exp), ratio(im, 1, exp))
+
 
 def passv_moment_table(lam, m: int, max_order: int = 8, chi: float = 0.0, mode=0) -> MomentTable:
     """Exact PASSV moments <a^dag^p a^q>, lazily filled at the bits each
     read asks for: <a^dag^{p+m} a^{q+m}>_SSV / <a^dag^m a^m>_SSV.  At m = 0
     these are the squeezed vacuum's own moments."""
-    return MomentTable((mode,), max_order, _RationalFill(_vacuum_entry, lam, m, chi, 1))
+    return MomentTable((mode,), max_order, _vacuum_entry, lam, m, chi)
 
 
 def spatsv_moment_table(
@@ -545,7 +528,7 @@ def spatsv_moment_table(
 ) -> MomentTable:
     """Exact SPATSV moments <a1^dag^p a1^q a2^dag^r a2^s>, lazily filled at
     the bits each read asks for; at m = 0 the TSV's own."""
-    return MomentTable(modes, max_order, _RationalFill(_vacuum_entry, lam, m, chi, 2))
+    return MomentTable(modes, max_order, _vacuum_entry, lam, m, chi)
 
 
 def spatsv_seed_moment_table(
@@ -554,4 +537,4 @@ def spatsv_seed_moment_table(
     """Exact moments of the SPATSV seed sum_k C(m,k) t^{k/2} e^{i chi k} |k,k>,
     t = lam/(1 + lam): the seed has m + 1 amplitudes, so each moment is a
     finite sum (:func:`_seed_entry`), filled in integers as the Wick tables are."""
-    return MomentTable((0, 1), max_order, _RationalFill(_seed_entry, lam, m, chi, 2))
+    return MomentTable((0, 1), max_order, _seed_entry, lam, m, chi)

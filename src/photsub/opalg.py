@@ -99,8 +99,7 @@ class PortCoefficients:
 
     The family is a lossless quantum input ``table``, whose arity (one mode
     or two) sets the scheme, and a coherent state of mean photons ``mu``,
-    read exactly (a float or an mpmath real), and phase ``psi``, at ``bits``
-    working bits.
+    a float read exactly, and phase ``psi``, at ``bits`` working bits.
     The table keeps the selection rules of the subtracted squeezed vacua:
     <a^dag^p a^q> = 0 for odd p - q, <a1^dag^p a1^q a2^dag^r a2^s> = 0 unless
     p - q = r - s.
@@ -145,10 +144,6 @@ class PortCoefficients:
                 rows += [(n, k, g)] if g else []
             self._folds[weights, turn] = rows
         return self._folds[weights, turn]
-
-    def terms(self, i: int, j: int, turn=1j) -> list:
-        """The folded rows of F(i, j) alone."""
-        return self.fold((((i, j), 1),), turn)
 
 
 class PortMoments:

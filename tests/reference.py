@@ -21,6 +21,7 @@ derivatives are checked against.
 
 from fractions import Fraction
 from math import comb, factorial, prod, sqrt
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -28,7 +29,7 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
-from photsub import fock, moments
+from photsub import fock, moments, opalg
 from photsub.errors import CutoffTooSmall, ModeMismatch, MomentOrderMissing, PhotsubError
 from photsub.fock import CUTOFF_MARGIN, TAIL_TOL, FockState1, TwoModeDiagonalState
 
@@ -134,7 +135,7 @@ class ReferenceTable:
         return self._compute(key)
 
     def fixed(self, key, bits: int) -> tuple:
-        return moments.fixed(self.entry(key), bits)
+        return fixed_exact(self.entry(key), bits)
 
 
 def entry(table, key):
@@ -270,6 +271,34 @@ def mean_photons_exact(kind: str, lam, m: int) -> Fraction:
     return pair(m + 1, m) / pair(m, m)
 
 
+def man_exp_exact(x) -> tuple:
+    """(man, exp) with x = man 2^exp exactly, as :func:`photsub.moments.man_exp`
+    gives it, for an mpmath real too, read from its own mantissa."""
+    if hasattr(x, "_mpf_"):
+        sign, man, exp, _ = x._mpf_
+        return -man if sign else man, exp
+    return moments.man_exp(x)
+
+
+def fixed_exact(x, bits: int, ulps: int = 4) -> tuple:
+    """:func:`photsub.moments.fixed` of the exact value of ``x``, an mpmath or
+    Python number, real or complex: its parts, brought to one exponent, are
+    read there as the integers moments.fixed reads exactly."""
+    parts = [man_exp_exact(part) for part in (x.real, x.imag)]
+    low = min(exp for _, exp in parts)
+    re, im = (man << (exp - low) for man, exp in parts)
+    re, im, exp, size, ulps = moments.fixed(SimpleNamespace(real=re, imag=im), bits, ulps)
+    return re, im, exp + low, size + 2 * low, ulps
+
+
+def port_coefficients(table, mu, psi: float, bits: int) -> opalg.PortCoefficients:
+    """The :class:`photsub.opalg.PortCoefficients` of a family whose mean
+    photons ``mu`` may be an mpmath real past a float's 53 bits, read exactly."""
+    coefficients = opalg.PortCoefficients(table, 0.0, psi, bits)
+    coefficients._mu = man_exp_exact(mu)
+    return coefficients
+
+
 def fixed_value(x: tuple):
     """The exact value of a :func:`photsub.moments.fixed` number."""
     re, im, exp, _, _ = x
@@ -279,7 +308,7 @@ def fixed_value(x: tuple):
 def bounded(x) -> moments.Bounded:
     """``x`` as a one-term certified sum at the working precision."""
     bits = mp.mp.prec
-    return moments.certified_sum([(moments.ONE, moments.fixed(x, bits))], bits)
+    return moments.certified_sum([(moments.ONE, fixed_exact(x, bits))], bits)
 
 
 def legendre_p(m: int, x):

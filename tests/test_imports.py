@@ -1,8 +1,8 @@
-"""photsub runs on Python integers and numpy: scipy is a test dependency,
-only the Fock oracle imports numpy, and a sweep, balanced or reading the
-exact tables, imports neither fractions nor decimal.  mpmath is imported
-only by ``phi_for_tau`` (the 1 - tau axis): the package import, the presets,
-a balanced covariance point and the oracle comparison never import it."""
+"""photsub runs on Python integers and numpy: scipy and mpmath are test
+dependencies, only the Fock oracle imports numpy, and a sweep, balanced or
+reading the exact tables, imports neither fractions nor decimal.  With mpmath
+blocked, the package import, the presets (the 1 - tau axis too), balanced
+points and the oracle comparison all run."""
 
 import ast
 import os
@@ -134,34 +134,38 @@ print(sorted(name for name in ("fractions", "decimal", "numpy") if name in sys.m
 
 def test_exact_table_points_import_no_fractions_decimal_or_numpy():
     # their tables evaluate Wick sums as exact integer polynomials, rounded
-    # by mpmath alone
+    # once in integers
     assert _fresh(_EXACT_TABLE_POINTS) == ["[]"]
 
 
 _WITHOUT_MPMATH = """
 import sys
-from math import pi
-import photsub
 
-print("mpmath" in sys.modules)
+sys.modules["mpmath"] = None  # from here on, importing mpmath raises ImportError
+from math import pi
 from photsub.experiments import SweepConfig, oracle_compare, run_preset, run_sweep
 
-for name in ("fig9a", "fig1b", "fig_mandel"):
+for name in ("fig8", "fig9a", "fig1b", "fig_mandel"):
     assert "ok" in {row.flag for row in run_preset(name).rows}, name
-    print("mpmath" in sys.modules)
-rows = run_sweep(SweepConfig(scheme="correlated", axis="eta", values=(0.9,), m_list=(2,),
-                             metrics=("U_norm",), lam=2.0, mu=1e12, phi=1e-8, psi=pi / 2,
+    print(name)
+rows = run_sweep(SweepConfig(scheme="correlated", axis="one_minus_tau", values=(0.3,),
+                             m_list=(1,), metrics=("nrf",), lam=0.4, mu=1e6, psi=pi / 2,
                              balanced=True)).rows
-assert [row.flag for row in rows] == ["ok"], rows
-print("mpmath" in sys.modules)
+rows += run_sweep(SweepConfig(scheme="correlated", axis="eta", values=(0.9,), m_list=(2,),
+                              metrics=("U_norm",), lam=2.0, mu=1e12, phi=1e-8, psi=pi / 2,
+                              balanced=True)).rows
+assert [row.flag for row in rows] == ["ok", "ok"], rows
+print("sweeps")
 for scheme, cutoff in (("single", 40), ("correlated", 25)):
     assert oracle_compare(scheme, 0.2, 1, mu=1.0, phi=0.7, eta=0.9, quantum_cutoff=cutoff).passed
-    print("mpmath" in sys.modules)
+    print(scheme)
 """
 
 
 def test_the_import_presets_sweeps_and_oracle_import_no_mpmath():
-    # each figure evaluates in integers, so a fresh process never pays the
-    # mpmath import: after the package, each of three presets, a balanced
-    # U_norm point at mu = 1e12 and the oracle comparison of both schemes
-    assert _fresh(_WITHOUT_MPMATH) == ["False"] * 7
+    # photsub has no mpmath at run time: with the module blocked, the
+    # package, four presets (fig8's 1 - tau axis among them), a balanced
+    # 1 - tau nrf point, a balanced U_norm point at mu = 1e12 and the oracle
+    # comparison of both schemes all run
+    assert _fresh(_WITHOUT_MPMATH) == [
+        "fig8", "fig9a", "fig1b", "fig_mandel", "sweeps", "single", "correlated"]

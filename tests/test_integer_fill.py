@@ -134,7 +134,7 @@ def test_a_compile_never_asks_for_a_zeroed_key(arity):
     order = 2 if arity == 1 else 4
     for i in range(order + 1):
         for j in range(order + 1 - i):
-            assert coefficients.terms(i, j), (i, j)
+            assert coefficients.fold((((i, j), 1),)), (i, j)
     want = reference.subtracted_table(table.modes, 0.3, 1, 8)
     assert len(requested) >= 5
     assert all(want.entry(key) != 0 for key in requested), requested
@@ -143,8 +143,10 @@ def test_a_compile_never_asks_for_a_zeroed_key(arity):
 
 
 def test_an_mpf_mu_compiles_as_its_float():
-    # mu is read exactly: a float, or an mpmath number as the parent took it
+    # mu is read as a float, exactly: an mpmath number holding a float's
+    # value compiles as that float
     for arity in (1, 2):
         exact, other = (_coefficients(mu, 0.7, 128, arity) for mu in (37.25, mp.mpf(37.25)))
         for i, j in ((1, 0), (1, 1), (2, 0)):
-            assert exact.terms(i, j) == other.terms(i, j), (arity, i, j)
+            weights = (((i, j), 1),)
+            assert exact.fold(weights) == other.fold(weights), (arity, i, j)

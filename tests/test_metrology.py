@@ -1,11 +1,15 @@
 """Phase-estimation figures of merit: exact engine and asymptotic closed forms."""
 
+import math
+import random
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
 from photsub import metrology, moments
 from photsub.errors import (
@@ -16,6 +20,7 @@ from photsub.errors import (
     UnsupportedOrder,
     ZeroMeanPhoton,
 )
+from photsub.experiments import PRESETS
 from photsub.metrology import CorrelatedConfig, SingleMziConfig, phi_for_tau
 from photsub.states import PassvSpec, SpatsvSpec
 
@@ -26,6 +31,33 @@ def test_phi_for_tau_round_trip():
     for tau in [0.1, 0.5, 0.9, 1.0]:
         phi = phi_for_tau(tau)
         assert abs(np.cos(phi / 2) ** 2 - tau) < 1e-14
+
+
+def _acos_80_digits(tau: float) -> float:
+    """2 acos(sqrt tau), the root correctly rounded, its acos at 80 digits."""
+    with mp.workdps(80):
+        return 2.0 * float(mp.acos(mp.mpf(math.sqrt(tau))))
+
+
+def test_phi_for_tau_is_correctly_rounded():
+    # mpmath's 53-bit acos, which phi_for_tau once used, is half an ulp
+    # off here and rounds down to 2.8292178240060446
+    assert phi_for_tau(0.02419678859974761) == 2.829217824006045
+    rng = random.Random(20)
+    taus = [rng.random() for _ in range(2000)]
+    taus += [0.0, 1.0, 5e-324, 0.5]
+    taus += [rng.uniform(0.0, 1e-12) for _ in range(20)]
+    taus += [1.0 - rng.uniform(0.0, 1e-12) for _ in range(20)]
+    for tau in taus:
+        assert phi_for_tau(tau) == _acos_80_digits(tau), tau
+
+
+def test_phi_for_tau_keeps_every_fig8_phase():
+    # the values the 53-bit mpmath acos gave, so the fig8 preset is unchanged
+    for loss in PRESETS["fig8"].values:
+        root = libmp.mpf_sqrt(libmp.from_float(1.0 - loss), 53, "n")
+        old = 2.0 * libmp.to_float(libmp.mpf_acos(root, 53, "n"))
+        assert phi_for_tau(1.0 - loss) == old, loss
 
 
 def test_shot_noise_limit():

@@ -19,8 +19,10 @@ from reference import (
     apply_loss,
     coherent_table,
     contract,
+    fixed_exact,
     mono,
     multiply,
+    port_coefficients,
     power,
 )
 
@@ -43,9 +45,9 @@ def _kernel(quantum, mu, psi, phi, eta):
     with mp.workdps(DPS + 10):
         e = mp.expj(phi)
         u, v = (e + 1) / 2, (e - 1) / 2
-        coefficients = opalg.PortCoefficients(quantum(), mu, psi, moments.digits_to_bits(DPS))
-        x, y, z = (moments.fixed(w, coefficients.bits) for w in (abs(u) ** 2, abs(v) ** 2,
-                                                                   mp.conj(u) * v))
+        coefficients = port_coefficients(quantum(), mu, psi, moments.digits_to_bits(DPS))
+        x, y, z = (fixed_exact(w, coefficients.bits) for w in (abs(u) ** 2, abs(v) ** 2,
+                                                                mp.conj(u) * v))
         return opalg.PortMoments(coefficients, x, y, z, eta)
 
 

@@ -149,7 +149,7 @@ def test_a_memoised_table_fills_at_its_own_digits():
     for digits in (50, 20):
         coefficients = metrology._port_coefficients(SpatsvSpec(2.0, 2), 1e12, pi / 2, digits)
         with mp.workdps(70 - digits):
-            coefficients.terms(2, 2)
+            coefficients.fold((((2, 2), 1),))
             entry = coefficients.moment(key)
         assert entry == fresh.fixed(key, coefficients.bits)
         assert max(abs(entry[0]), abs(entry[1])).bit_length() == coefficients.bits
