@@ -612,14 +612,14 @@ def oracle_compare(
         raise ConfigInvalid(f"scheme: got {scheme!r}, want single|correlated")
     if quantum_cutoff is not None and quantum_cutoff < 0:
         raise ConfigInvalid(f"cutoff: must be >= 0, got {quantum_cutoff}")
-    if mu > _ORACLE_MU_BOUND:
-        raise MemoryBoundExceeded(
-            f"oracle limited to mu <= {_ORACLE_MU_BOUND}, got {mu}"
-        )
     try:
         cfg = _scene(scheme, m, lam=lam, mu=mu, phi=phi, psi=psi, eta=eta)
     except ValueError as exc:
         raise ConfigInvalid(f"scene: {exc}") from exc
+    if mu > _ORACLE_MU_BOUND:
+        raise MemoryBoundExceeded(
+            f"oracle limited to mu <= {_ORACLE_MU_BOUND}, got {mu}"
+        )
     from . import fock  # the oracle alone needs numpy
 
     engine = metrology.readout_moments(cfg)

@@ -7,9 +7,9 @@ the symbolic moment engine.  The oracle evolves a stack of single-MZI planes
 the twin beam for the correlated scheme, whose twin-MZI output is the sum of
 products of two planes.  Each plane goes through the MZI one photon-number
 block at a time: a passive two-mode map couples only states of equal total
-photon number, and the blocks stop at the highest photon number the plane
-holds, so a plane padded to D x D for fewer than D photons costs about
-(1/3) D^3 where a dense matrix would take D^4.
+photon number, the blocks stop at the highest photon number the plane holds,
+and block n spans only the w_n input columns the nc x nq corner can occupy,
+so a plane costs sum_n (n + 1) w_n where a dense matrix would take D^4.
 
 Conventions
 -----------
@@ -233,41 +233,51 @@ def _check_memory(shape, max_amplitudes):
         )
 
 
-def _photon_blocks(u2: np.ndarray, d1: int, d2: int):
-    """Yield ``(lo, G)`` for each photon number n = 0 .. d1 + d2 - 2 of a d1 x d2 plane.
+def _photon_blocks(u2: np.ndarray, d1: int, d2: int, c1: int | None = None, c2: int | None = None):
+    """Yield ``(lo, G)`` for each photon number n = 0 .. c1 + c2 of a d1 x d2 plane.
 
-    G[p - lo, k - lo] = <p, n-p|U|k, n-k> for the passive map a_out = u2 . a_in,
-    over the p, k from lo = max(0, n - d2 + 1) to min(n, d1 - 1) that fit the
-    plane.  As U a_k^dag U^dag = u2[:, k] . a^dag, block n follows from n-1 by
+    G[p - lo, k - klo] = <p, n-p|U|k, n-k> for the passive map a_out = u2 . a_in,
+    over the rows p from lo = max(0, n - d2 + 1) to min(n, d1 - 1) that fit the
+    plane and the columns k from klo = max(0, n - c2) to min(n, c1) of an input
+    held in rows <= c1 and columns <= c2 (by default the plane: G is square).
+    As U a_k^dag U^dag = u2[:, k] . a^dag, block n follows from n-1 by
 
         U|k, n-k> = (sqrt(k) u2[:, 0].a^dag U|k-1, n-k> + sqrt(n-k) u2[:, 1].a^dag U|k, n-k-1>) / n,
 
     a step of operator norm <= 1, so rounding errors add up instead of growing
-    with n.  Row p needs only rows p-1 and p of block n-1, so the windows keep
-    the plane's truncation exactly.  Blocks are computed as they are drawn:
-    stop drawing at the last photon number needed.
+    with n.  Row p needs only rows p-1 and p of block n-1, and column k only
+    its columns k-1 and k, so the windows keep the plane's truncation exactly
+    and a column is the same, bit for bit, in every window that holds it.
+    Blocks are computed as they are drawn: stop at the last n needed.
     """
+    c1, c2 = d1 - 1 if c1 is None else c1, d2 - 1 if c2 is None else c2
     sq = np.sqrt(np.arange(d1 + d2, dtype=float))
     # u2[i, j] sqrt(p) as a column over p: the factor of row p-1 (i = 0) or p (i = 1)
     c00, c10, c01, c11 = (u2[i, j] * sq[:, None] for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)))
-    # prev[i, j] is block n-1 at p, k = its lo - 1 + (i, j): zero on row and
-    # column 0 and past its hi, and what a longer block left past a shorter
-    # one lies outside every later window
-    prev = np.zeros((min(d1, d2) + 2,) * 2, dtype=complex)
-    block, lo = np.ones((1, 1), dtype=complex), 0
+    scale = sq[: c1 + c2 + 1] / np.maximum(np.arange(c1 + c2 + 1), 1)[:, None]  # sqrt(k) / n
+    # prev[i, j] is block n-1 at p, k = its lo - 1 + i, klo - 1 + j: zero on
+    # row and column 0 and past its ends, and what a longer block left past a
+    # shorter one lies outside every later window
+    prev = np.zeros((min(d1, d2) + 2, min(c1, c2) + 3), dtype=complex)
+    block, lo, klo = np.ones((1, 1), dtype=complex), 0, 0
     prev[1, 1] = 1.0
     yield lo, block
-    for n in range(1, d1 + d2 - 1):
+    for n in range(1, c1 + c2 + 1):
         prev_lo, lo, hi = lo, max(0, n - d2 + 1), min(n, d1 - 1)
-        # block n-1 on rows and columns lo-1 .. hi
-        s, size = lo - prev_lo, hi - lo + 1
-        padded = prev[s : s + size + 1, s : s + size + 1]
+        prev_klo, klo, khi = klo, max(0, n - c2), min(n, c1)
+        # block n-1 on rows lo-1 .. hi and columns klo-1 .. khi
+        s, t, rows, cols = lo - prev_lo, klo - prev_klo, hi - lo + 1, khi - klo + 1
+        padded = prev[s : s + rows + 1, t : t + cols + 1]
         # c0 a1^dag + c1 a2^dag takes rows p-1 and p of block n-1 to row p
         p, n_p = slice(lo, hi + 1), slice(n - hi, n - lo + 1)  # p, and n - p reversed
-        a1 = c00[p] * padded[:-1, :-1] + c10[n_p][::-1] * padded[1:, :-1]
-        a2 = c01[p] * padded[:-1, 1:] + c11[n_p][::-1] * padded[1:, 1:]
-        block = (sq[p] * a1 + sq[n_p][::-1] * a2) / n
-        prev[1 : size + 1, 1 : size + 1] = block
+        block = c00[p] * padded[:-1, :-1]
+        block += c10[n_p][::-1] * padded[1:, :-1]
+        block *= scale[n, klo : khi + 1]
+        a2 = c01[p] * padded[:-1, 1:]
+        a2 += c11[n_p][::-1] * padded[1:, 1:]
+        a2 *= scale[n, n - khi : n - klo + 1][::-1]
+        block += a2
+        prev[1 : rows + 1, 1 : cols + 1] = block
         yield lo, block
 
 
@@ -278,23 +288,27 @@ def apply_two_mode_unitary(amps: np.ndarray, u2: np.ndarray) -> np.ndarray:
     anti-diagonal |k, n-k> of the (d1, d2) plane, a strided slice of the
     flattened plane, by one block of :func:`_photon_blocks`, and leaves every
     n above the input's highest occupied one empty: the blocks stop there.
-    That costs about (2/3) D^3 multiply-adds for a full D x D plane, and
-    (1/3) D^3 for one that holds fewer than D photons, as the oracle pads
-    its planes, where a dense plane matrix takes D^4; and O(D^2) memory
+    A block covers only the w_n columns that the rows <= c1 and columns <= c2
+    holding every plane's amplitude can occupy, sum_n (n + 1) w_n
+    multiply-adds where a dense plane matrix takes D^4, in O(D^2) memory
     beyond the input and output (and a copy of an input that is not
-    contiguous).  Photon number beyond an axis's cutoff is dropped: keep
-    headroom.
+    contiguous); padded with zeros for the product, it gives the square
+    blocks' output bit for bit.  Photon number beyond an axis's cutoff is
+    dropped: keep headroom.
     """
     d1, d2 = amps.shape[-2:]
     flat = amps.reshape(-1, d1 * d2)
     out = np.zeros(flat.shape, dtype=complex)
-    photons = np.add.outer(np.arange(d1), np.arange(d2)).ravel()
-    top = int(photons[flat.any(axis=0)].max(initial=-1))  # -1 for an empty input
+    occupied = flat.any(axis=0).reshape(d1, d2)
+    top = int(np.add.outer(np.arange(d1), np.arange(d2))[occupied].max(initial=-1))  # -1 if empty
+    c1, c2 = (int(np.flatnonzero(occupied.any(axis=a)).max(initial=-1)) for a in (1, 0))
     step = max(d2 - 1, 1)
-    for n, (lo, block) in zip(range(top + 1), _photon_blocks(u2, d1, d2)):
-        start = lo * d2 + n - lo
-        diag = slice(start, start + (len(block) - 1) * step + 1, step)
-        out[:, diag] = flat[:, diag] @ block.T
+    for n, (lo, block) in zip(range(top + 1), _photon_blocks(u2, d1, d2, c1, c2)):
+        rows, left, start = len(block), max(0, n - c2) - lo, lo * d2 + n - lo
+        square = np.zeros((rows, rows), dtype=complex)
+        square[:, left : left + block.shape[1]] = block
+        diag = slice(start, start + (rows - 1) * step + 1, step)
+        out[:, diag] = flat[:, diag] @ square.T
     return out.reshape(amps.shape)
 
 
@@ -305,6 +319,15 @@ def mzi_unitary(phi: float) -> np.ndarray:
     return np.array([[u, v], [v, u]])
 
 
+def _thinning_matrix(size: int, eta: float) -> np.ndarray:
+    """mat[k, n] = C(n, k) eta^k (1 - eta)^(n - k), zero for k > n, over 0 .. size - 1."""
+    log_fact = _log_factorials(size)
+    k, nn = np.ogrid[:size, :size]
+    lost = np.maximum(nn - k, 0)
+    binom = np.exp(log_fact[nn] - log_fact[k] - log_fact[lost])
+    return np.triu(binom * eta**k * (1.0 - eta) ** lost)
+
+
 def binomial_thinning(p: np.ndarray, eta: float, axis: int) -> np.ndarray:
     """Bernoulli-thin a photon-number distribution along one axis.
 
@@ -312,16 +335,8 @@ def binomial_thinning(p: np.ndarray, eta: float, axis: int) -> np.ndarray:
     followed by marginalization over the ancilla outcome (valid because only
     photon-number observables are read out after the loss).
     """
-    log_fact = _log_factorials(p.shape[axis])
-    n = np.arange(len(log_fact))
-    k, nn = n[:, None], n[None, :]
-    lost = np.maximum(nn - k, 0)
-    # mat[k, n] = C(n, k) eta^k (1 - eta)^(n - k), zero for k > n
-    binom = np.exp(log_fact[nn] - log_fact[k] - log_fact[lost])
-    mat = np.triu(binom * eta**k * (1.0 - eta) ** lost)
-    moved = np.moveaxis(p, axis, -1)
-    out = moved @ mat.T
-    return np.moveaxis(out, -1, axis)
+    moved = np.moveaxis(p, axis, -1) @ _thinning_matrix(p.shape[axis], eta).T
+    return np.moveaxis(moved, -1, axis)
 
 
 @dataclass(frozen=True)
@@ -399,6 +414,6 @@ def oracle_interferometer(scene: OracleScene) -> OracleResult:
     else:
         joint = np.abs(out[0]) ** 2
     if scene.eta < 1.0:
-        joint = binomial_thinning(joint, scene.eta, axis=0)
-        joint = binomial_thinning(joint, scene.eta, axis=1)
+        mat = _thinning_matrix(dim, scene.eta)
+        joint = mat @ joint @ mat.T
     return OracleResult(joint, _moments_from_joint(joint))

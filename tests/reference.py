@@ -540,9 +540,23 @@ def apply_dense_two_mode_unitary(amps: np.ndarray, i: int, j: int, u2: np.ndarra
 
 
 def apply_on_axes(amps: np.ndarray, i: int, j: int, u2: np.ndarray) -> np.ndarray:
-    """:func:`photsub.fock.apply_two_mode_unitary` on tensor axes i and j."""
+    """Apply u2 to tensor axes i and j one full photon-number block at a time.
+
+    Each anti-diagonal |k, n-k> of the (i, j) plane goes through the square
+    block n of :func:`photsub.fock._photon_blocks` over the whole plane, for
+    every n, so the result does not rest on the input windows that
+    :func:`photsub.fock.apply_two_mode_unitary` cuts its blocks to.
+    """
     moved = np.moveaxis(amps, (i, j), (-2, -1))
-    return np.moveaxis(fock.apply_two_mode_unitary(moved, u2), (-2, -1), (i, j))
+    d1, d2 = moved.shape[-2:]
+    flat = moved.reshape(-1, d1 * d2)
+    out = np.zeros(flat.shape, dtype=complex)
+    step = max(d2 - 1, 1)
+    for n, (lo, block) in enumerate(fock._photon_blocks(u2, d1, d2)):
+        start = lo * d2 + n - lo
+        diag = slice(start, start + (len(block) - 1) * step + 1, step)
+        out[:, diag] = flat[:, diag] @ block.T
+    return np.moveaxis(out.reshape(moved.shape), (-2, -1), (i, j))
 
 
 def oracle_output(scene: fock.OracleScene) -> np.ndarray:

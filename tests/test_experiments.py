@@ -2,6 +2,10 @@
 
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -230,6 +234,19 @@ def test_cli_preset_writes_csv(tmp_path):
     assert code == EXIT_OK
     text = out.read_text()
     assert "swept_param,m,metric,value,flag" in text
+
+
+def test_python_m_photsub_runs_the_cli_from_a_checkout(tmp_path):
+    # a fresh interpreter that finds the package only on PYTHONPATH, as
+    # ``PYTHONPATH=src python -m photsub`` from a checkout
+    out = tmp_path / "fig8.csv"
+    env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "photsub", "preset", "fig8", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0 and run.stderr == ""
+    assert out.read_bytes() == run_preset("fig8").to_csv().encode("utf-8")
 
 
 def test_cli_unknown_preset_exit_code(tmp_path):
@@ -473,6 +490,15 @@ def test_cli_rejects_bad_scene_values(tmp_path, capsys, scheme, line):
 def test_cli_oracle_compare_rejects_bad_scene_values(tmp_path, scheme):
     path = _write(tmp_path, f"scheme = {scheme}\nlam = nan\n")
     assert main(["oracle-compare", "--config", path]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("scheme", ["single", "correlated"])
+@pytest.mark.parametrize("mu", ["inf", "1e400"])
+def test_cli_oracle_compare_rejects_an_infinite_mu_as_a_config_error(tmp_path, capsys, scheme, mu):
+    # the scene is checked before the oracle's mu bound, which is for finite mu
+    path = _write(tmp_path, f"scheme = {scheme}\nmu = {mu}\n")
+    assert main(["oracle-compare", "--config", path]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_fig1c_vanishing_slope_rows_are_flagged():

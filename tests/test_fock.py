@@ -277,6 +277,20 @@ def _held_below(amps, axes, top):
     return np.moveaxis(moved, (-2, -1), axes)
 
 
+def _held_in(amps, axes, c1, c2, twin=False):
+    """``amps`` zeroed outside rows <= c1 and columns <= c2 of the ``axes`` plane.
+
+    With ``twin``, plane r of the stack over axis 0 keeps only its column r,
+    as the oracle's planes |coherent> (x) |r> of a twin beam.
+    """
+    d1, d2 = amps.shape[axes[0]], amps.shape[axes[1]]
+    moved = np.moveaxis(amps, axes, (-2, -1))
+    moved = moved * ((np.arange(d1) <= c1)[:, None] & (np.arange(d2) <= c2))
+    if twin:
+        moved = moved * (np.arange(d2) == np.arange(len(moved))[:, None])[:, None, :]
+    return np.moveaxis(moved, (-2, -1), axes)
+
+
 _PLANES = [
     ((7, 9), (0, 1)),  # rectangular plane
     ((9, 4), (1, 0)),  # truncating, axes swapped
@@ -292,20 +306,29 @@ _PLANES = [
 
 @pytest.mark.parametrize("u2", _MAPS.values(), ids=_MAPS.keys())
 @pytest.mark.parametrize(
-    "shape, axes, top",
+    "shape, axes, top, corner",
     # full planes, with pytest's default ids for (shape, axes)
-    [pytest.param(*plane, None, id=f"shape{i}-axes{i}") for i, plane in enumerate(_PLANES)]
+    [pytest.param(*plane, None, None, id=f"shape{i}-axes{i}") for i, plane in enumerate(_PLANES)]
     # inputs that hold at most ``top`` photons, below the plane's d1 + d2 - 2
     + [
-        pytest.param((8, 8), (0, 1), 7, id="padded-square"),  # as the oracle pads a plane
-        pytest.param((9, 4), (1, 0), 6, id="truncating-rectangle"),
-        pytest.param((3, 4, 2, 5, 3, 2), (1, 3), 4, id="stack"),
+        pytest.param((8, 8), (0, 1), 7, None, id="padded-square"),  # as the oracle pads a plane
+        pytest.param((9, 4), (1, 0), 6, None, id="truncating-rectangle"),
+        pytest.param((3, 4, 2, 5, 3, 2), (1, 3), 4, None, id="stack"),
+    ]
+    # inputs held in the ``corner`` (c1, c2, twin) of the plane, top = c1 + c2:
+    # the blocks span only the columns such an input occupies
+    + [
+        pytest.param((12, 12), (0, 1), 11, (4, 7, False), id="padded-corner"),
+        pytest.param((9, 4), (1, 0), 8, (2, 6, False), id="truncating-corner"),
+        pytest.param((5, 10, 10), (1, 2), 9, (5, 4, True), id="twin-stack"),
     ],
 )
-def test_block_propagation_matches_dense_reference(u2, shape, axes, top):
+def test_block_propagation_matches_dense_reference(u2, shape, axes, top, corner):
     rng = np.random.default_rng(sum(shape) + 10 * axes[0] + axes[1])
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     amps /= np.abs(amps).max()
+    if corner is not None:
+        amps = _held_in(amps, axes, *corner)
     if top is not None:
         amps = _held_below(amps, axes, top)
     moved = fock.apply_two_mode_unitary(np.moveaxis(amps, axes, (-2, -1)), u2)
@@ -345,6 +368,27 @@ def test_blocks_stop_at_the_highest_photon_number_the_input_holds(shape, top, dr
     amps[..., top - k, k] = 1.0
     fock.apply_two_mode_unitary(amps, fock.mzi_unitary(0.7))
     assert len(drawn_blocks) == top + 1
+
+
+@pytest.mark.parametrize("shape, c1, c2", [((12, 12), 4, 7), ((3, 10, 10), 5, 4), ((9, 4), 8, 1)])
+def test_blocks_span_only_the_columns_a_corner_input_occupies(shape, c1, c2, drawn_blocks):
+    amps = np.zeros(shape, dtype=complex)
+    amps[..., : c1 + 1, : c2 + 1] = 1.0
+    fock.apply_two_mode_unitary(amps, fock.mzi_unitary(0.7))
+    # block n spans k = max(0, n - c2) .. min(n, c1), at most min(c1, c2) + 1 columns
+    widths = [min(n, c1) - max(0, n - c2) + 1 for n in range(c1 + c2 + 1)]
+    assert [block.shape[1] for _, block in drawn_blocks] == widths
+    assert max(widths) == min(c1, c2) + 1
+
+
+@pytest.mark.parametrize("u2", _MAPS.values(), ids=_MAPS.keys())
+def test_windowed_blocks_are_columns_of_the_full_blocks(u2):
+    full, windowed = fock._photon_blocks(u2, 301, 301), fock._photon_blocks(u2, 301, 301, 20, 300)
+    for n, ((lo, block), (wlo, wblock)) in enumerate(zip(full, windowed)):
+        if n in (10, 100, 300):
+            klo = max(0, n - 300)
+            assert wlo == lo and wblock.shape == (n + 1, min(n, 20) - klo + 1)
+            assert np.abs(wblock - block[:, klo : klo + wblock.shape[1]]).max() <= 1e-14
 
 
 @pytest.mark.parametrize("u2", _MAPS.values(), ids=_MAPS.keys())
