@@ -2,14 +2,18 @@
 
 Exact small-scale state construction (coherent, squeezed, two-mode squeezed),
 photon subtraction, and a brute-force interferometer oracle used to validate
-the symbolic moment engine.  The oracle evolves a stack of single-MZI planes
-|coherent> (x) |quantum>: one plane for the single scheme, one per |n, n> of
-the twin beam for the correlated scheme, whose twin-MZI output is the sum of
-products of two planes.  Each plane goes through the MZI one photon-number
-block at a time: a passive two-mode map couples only states of equal total
-photon number, the blocks stop at the highest photon number the plane holds,
-and block n spans only the w_n input columns the nc x nq corner can occupy,
-so a plane costs sum_n (n + 1) w_n where a dense matrix would take D^4.
+the symbolic moment engine.  Each state is one amplitude function
+n -> <n|state>; one filler turns it into an array, by default up to the
+least level whose tail mass is below TAIL_TOL plus CUTOFF_MARGIN levels, and
+checks a given cutoff against the same tail.  The oracle evolves a stack of
+single-MZI planes |coherent> (x) |quantum>: one plane for the single scheme,
+one per |n, n> of the twin beam for the correlated scheme, whose twin-MZI
+output is the sum of products of two planes.  Each plane goes through the
+MZI one photon-number block at a time: a passive two-mode map couples only
+states of equal total photon number, the blocks stop at the highest photon
+number the plane holds, and block n spans only the w_n input columns the
+nc x nq corner can occupy, so a plane costs sum_n (n + 1) w_n where a dense
+matrix would take D^4.
 
 Conventions
 -----------
@@ -26,8 +30,9 @@ a zero-mean-quadrature state in port 2.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from math import lgamma, log, prod
+from math import cosh, lgamma, log, prod, sqrt, tanh
 
 import numpy as np
 
@@ -37,7 +42,7 @@ TAIL_TOL = 1e-12
 NULL_THRESHOLD = 1e-300
 #: adaptive constructors keep this many slots of headroom above the tail
 CUTOFF_MARGIN = 5
-#: default bound on the number of amplitudes in the oracle's stack of planes
+#: bound on the number of amplitudes in the oracle's stack of planes, read at each call
 MAX_AMPLITUDES = 30_000_000
 
 
@@ -75,91 +80,72 @@ class TwoModeDiagonalState:
         return TwoModeDiagonalState(self.diag_amplitudes / norm)
 
 
-def _log_factorials(size: int) -> np.ndarray:
-    """log n! for n = 0 .. size - 1."""
-    return np.array([lgamma(n + 1) for n in range(size)])
+def _filled(amplitude, cutoff: int | None = None) -> np.ndarray:
+    """The amplitudes ``amplitude(n)`` of a unit-norm state for n = 0 .. cutoff.
 
-
-def _adaptive_cutoff(weights, cutoff):
-    """Find the smallest cutoff with tail mass < TAIL_TOL, plus margin.
-
-    ``weights(n)`` returns the |amplitude|^2 of level n for a state of unit
-    norm.  If ``cutoff`` is given, the tail contract is checked against it.
+    By default the cutoff is the least level whose tail mass is below
+    TAIL_TOL, plus CUTOFF_MARGIN; a given ``cutoff`` that leaves a larger
+    tail raises CutoffTooSmall.
     """
-    total = 0.0
-    n = 0
-    limit = cutoff if cutoff is not None else 1_000_000
-    while total < 1.0 - TAIL_TOL:
-        if n > limit:
-            if cutoff is not None:
-                raise CutoffTooSmall(
-                    f"cutoff={cutoff} leaves tail mass {1.0 - total:.3e} > {TAIL_TOL}"
-                )
-            raise CutoffTooSmall("tail contract not satisfiable below hard limit")
-        total += weights(n)
-        n += 1
-    return (n - 1 + CUTOFF_MARGIN) if cutoff is None else cutoff
+    amps, tail = [], 1.0  # the tail as it shrinks rounds far finer than the mass near 1
+    while tail > TAIL_TOL:
+        if len(amps) > (1_000_000 if cutoff is None else cutoff):
+            raise CutoffTooSmall(f"{len(amps)} levels leave tail mass {tail:.3e} > {TAIL_TOL}")
+        amps.append(amplitude(len(amps)))
+        tail -= abs(amps[-1]) ** 2
+    stop = len(amps) + CUTOFF_MARGIN if cutoff is None else cutoff + 1
+    amps += map(amplitude, range(len(amps), stop))
+    return np.array(amps, dtype=complex)
+
+
+def _coherent(alpha: complex):
+    """n -> <n|alpha> = e^{-|alpha|^2/2} alpha^n / sqrt(n!), in log space."""
+    if alpha == 0:
+        return lambda n: complex(n == 0)
+    log_r, theta, mu = log(abs(alpha)), cmath.phase(alpha), abs(alpha) ** 2
+    return lambda n: cmath.exp(complex(n * log_r - mu / 2 - lgamma(n + 1) / 2, n * theta))
+
+
+def _squeezed(r: float, chi: float):
+    """n -> <n|S(r e^{i chi})|0>: zero at odd n, and at n = 2k
+
+        c_2k = c_{2k-2} e^{i chi} tanh(r) sqrt((2k - 1)/(2k)),   c_0 = 1/sqrt(cosh r),
+
+    each level computed once, in order, as it is first asked for.
+    """
+    s, even = tanh(r) * cmath.exp(1j * chi), [1.0 / sqrt(cosh(r)) + 0j]
+
+    def amplitude(n):
+        while len(even) <= n // 2:
+            k = len(even)
+            even.append(even[-1] * s * sqrt((2 * k - 1) / (2 * k)))
+        return 0j if n % 2 else even[n // 2]
+
+    return amplitude
+
+
+def _two_mode_squeezed(lam: float, chi: float):
+    """n -> <n,n|TSV> = sqrt(1 - x) (e^{i chi} sqrt x)^n, x = lam / (1 + lam)."""
+    x = lam / (1.0 + lam)
+    s = sqrt(x) * cmath.exp(1j * chi)
+    return lambda n: sqrt(1.0 - x) * s**n
+
+
+def _falling(n: int, m: int, power: int) -> float:
+    """((n + m)!/n!)^(power/2): a^m takes |n + m> to this times |n> in each of ``power`` modes."""
+    return float(prod(range(n + 1, n + m + 1))) ** (power / 2)
 
 
 def coherent_state(alpha: complex, cutoff: int | None = None) -> FockState1:
     """Coherent state |alpha>, amplitudes e^{-|a|^2/2} a^n / sqrt(n!)."""
-    mu = abs(alpha) ** 2
-
-    def weight(n):
-        # Poisson pmf, computed stably in log space
-        if mu == 0.0:
-            return 1.0 if n == 0 else 0.0
-        return np.exp(n * log(mu) - mu - lgamma(n + 1))
-
-    cut = _adaptive_cutoff(weight, cutoff)
-    n = np.arange(cut + 1)
-    amps = np.zeros(cut + 1, dtype=complex)
-    if alpha == 0:
-        amps[0] = 1.0
-    else:
-        phase = np.exp(1j * np.angle(alpha) * n)
-        amps = np.exp(n * np.log(abs(alpha)) - mu / 2 - _log_factorials(cut + 1) / 2) * phase
-    return FockState1(amps).normalized()
-
-
-def squeezed_weights(r: float):
-    """Level weights |<n|S(r)|0>|^2 of the squeezed vacuum, as a function of n."""
-    t = np.tanh(r)
-
-    def weight(n):
-        if n % 2 == 1:
-            return 0.0
-        k = n // 2
-        # |c_{2k}|^2 = t^{2k} (2k)! / (4^k k!^2 cosh r)
-        if t == 0.0:
-            return 1.0 if k == 0 else 0.0
-        return np.exp(
-            2 * k * log(t) + lgamma(2 * k + 1) - k * log(4) - 2 * lgamma(k + 1)
-        ) / np.cosh(r)
-
-    return weight
+    return FockState1(_filled(_coherent(alpha), cutoff)).normalized()
 
 
 def squeezed_vacuum(r: float, chi: float = 0.0, cutoff: int | None = None) -> FockState1:
     """Single-mode squeezed vacuum S(r e^{i chi})|0> with <N> = sinh^2 r."""
     if r < 0:
         raise ValueError("squeezing parameter r must be >= 0")
-    cut = _adaptive_cutoff(squeezed_weights(r), cutoff)
-    amps = np.zeros(cut + 1, dtype=complex)
-    s = np.tanh(r) * np.exp(1j * chi)
-    c = 1.0 / np.sqrt(np.cosh(r)) + 0j
-    amps[0] = c
-    for k in range(1, cut // 2 + 1):
-        # c_{2k} = c_{2k-2} * s * sqrt((2k)(2k-1)) / (2k)
-        c = c * s * np.sqrt((2 * k) * (2 * k - 1)) / (2 * k)
-        amps[2 * k] = c
-    return FockState1(amps).normalized()
-
-
-def two_mode_squeezed_weights(lam: float):
-    """Weights |<n,n|TSV>|^2 = (1 - x) x^n, x = lam / (1 + lam), as a function of n."""
-    x = lam / (1.0 + lam)
-    return lambda n: (1.0 - x) * x**n
+    return FockState1(_filled(_squeezed(r, chi), cutoff)).normalized()
 
 
 def two_mode_squeezed_vacuum(
@@ -168,28 +154,7 @@ def two_mode_squeezed_vacuum(
     """Two-mode squeezed vacuum with mean photons per mode lambda."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    x = lam / (1.0 + lam)
-    cut = _adaptive_cutoff(two_mode_squeezed_weights(lam), cutoff)
-    n = np.arange(cut + 1)
-    # amplitude phase: (e^{i chi} tanh r)^n with tanh^2 r = x
-    amps = np.sqrt(1.0 - x) * (np.sqrt(x) * np.exp(1j * chi)) ** n
-    return TwoModeDiagonalState(amps).normalized()
-
-
-def subtracted_cutoff(weight, m: int, power: int, moment: float) -> int:
-    """Cutoff to build a state with, so that its m-subtracted state keeps the tail contract.
-
-    Subtracting a^m (``power`` 1) or (a1 a2)^m (``power`` 2, diagonal two-mode
-    state) gives level n the weight weight(n + m) ((n + m)!/n!)^power / moment,
-    with ``moment`` the factorial moment that normalises it.
-    """
-    if moment <= 0.0:
-        raise NullState("photon subtraction annihilated the state")
-
-    def subtracted(n):
-        return weight(n + m) * np.exp(power * (lgamma(n + m + 1) - lgamma(n + 1))) / moment
-
-    return _adaptive_cutoff(subtracted, None) + m
+    return TwoModeDiagonalState(_filled(_two_mode_squeezed(lam, chi), cutoff)).normalized()
 
 
 def subtract_photons(state, m: int):
@@ -211,9 +176,7 @@ def subtract_photons(state, m: int):
         raise TypeError(f"unsupported state type {type(state)!r}")
     if len(amps) <= m:
         raise NullState(f"state has no support above level {m}")
-    log_fact = _log_factorials(len(amps))
-    # a^m |n> = sqrt(n!/(n-m)!) |n-m>, once per mode
-    new = amps[m:] * np.exp(0.5 * power * (log_fact[m:] - log_fact[: len(amps) - m]))
+    new = amps[m:] * [_falling(n, m, power) for n in range(len(amps) - m)]
     norm = float(np.linalg.norm(new))
     if norm < NULL_THRESHOLD:
         raise NullState("photon subtraction annihilated the state")
@@ -225,11 +188,11 @@ def subtract_photons(state, m: int):
 # ---------------------------------------------------------------------------
 
 
-def _check_memory(shape, max_amplitudes):
+def _check_memory(shape):
     total = prod(shape)
-    if total > max_amplitudes:
+    if total > MAX_AMPLITUDES:
         raise MemoryBoundExceeded(
-            f"tensor of {total} amplitudes exceeds bound {max_amplitudes}"
+            f"tensor of {total} amplitudes exceeds bound {MAX_AMPLITUDES}"
         )
 
 
@@ -319,23 +282,20 @@ def mzi_unitary(phi: float) -> np.ndarray:
     return np.array([[u, v], [v, u]])
 
 
-def _thinning_matrix(size: int, eta: float) -> np.ndarray:
-    """mat[k, n] = C(n, k) eta^k (1 - eta)^(n - k), zero for k > n, over 0 .. size - 1."""
-    log_fact = _log_factorials(size)
-    k, nn = np.ogrid[:size, :size]
-    lost = np.maximum(nn - k, 0)
-    binom = np.exp(log_fact[nn] - log_fact[k] - log_fact[lost])
-    return np.triu(binom * eta**k * (1.0 - eta) ** lost)
-
-
 def binomial_thinning(p: np.ndarray, eta: float, axis: int) -> np.ndarray:
     """Bernoulli-thin a photon-number distribution along one axis.
 
     Equivalent to a beamsplitter of transmission eta to a vacuum ancilla
     followed by marginalization over the ancilla outcome (valid because only
-    photon-number observables are read out after the loss).
+    photon-number observables are read out after the loss): count n keeps k
+    with probability C(n, k) eta^k (1 - eta)^(n - k).
     """
-    moved = np.moveaxis(p, axis, -1) @ _thinning_matrix(p.shape[axis], eta).T
+    log_fact = np.array([lgamma(n + 1) for n in range(p.shape[axis])])
+    k, n = np.ogrid[: len(log_fact), : len(log_fact)]
+    lost = np.maximum(n - k, 0)
+    binom = np.exp(log_fact[n] - log_fact[k] - log_fact[lost])
+    mat = np.triu(binom * eta**k * (1.0 - eta) ** lost)  # mat[k, n], zero for k > n
+    moved = np.moveaxis(p, axis, -1) @ mat.T
     return np.moveaxis(moved, -1, axis)
 
 
@@ -346,8 +306,8 @@ class OracleScene:
     The quantum input picks the scheme: a :class:`FockState1` enters one MZI
     beside the coherent state; a :class:`TwoModeDiagonalState` feeds twin
     MZIs, each beside its own copy of the coherent state.  Every MZI runs at
-    ``phi``.  ``max_amplitudes`` bounds the stack of D x D planes the oracle
-    evolves: one plane for one MZI, one per |n, n> level for twin MZIs.
+    ``phi``.  :data:`MAX_AMPLITUDES` bounds the stack of D x D planes the
+    oracle evolves: one plane for one MZI, one per |n, n> level for twin MZIs.
     """
 
     quantum: object
@@ -355,7 +315,6 @@ class OracleScene:
     psi: float
     phi: float
     eta: float = 1.0
-    max_amplitudes: int = MAX_AMPLITUDES
 
 
 @dataclass(frozen=True)
@@ -401,7 +360,7 @@ def oracle_interferometer(scene: OracleScene) -> OracleResult:
     planes = np.eye(len(q.diag_amplitudes)) if twin else q.amplitudes[None, :]
     rows, nc, nq = len(planes), len(coh), planes.shape[1]
     dim = nc + nq - 1
-    _check_memory((rows, dim, dim), scene.max_amplitudes)
+    _check_memory((rows, dim, dim))
     stack = np.zeros((rows, dim, dim), dtype=complex)
     stack[:, :nc, :nq] = coh[:, None] * planes[:, None, :]
     out = apply_two_mode_unitary(stack, mzi_unitary(scene.phi))
@@ -414,6 +373,5 @@ def oracle_interferometer(scene: OracleScene) -> OracleResult:
     else:
         joint = np.abs(out[0]) ** 2
     if scene.eta < 1.0:
-        mat = _thinning_matrix(dim, scene.eta)
-        joint = mat @ joint @ mat.T
+        joint = binomial_thinning(binomial_thinning(joint, scene.eta, 0), scene.eta, 1)
     return OracleResult(joint, _moments_from_joint(joint))

@@ -523,12 +523,10 @@ def passv_moment_table(lam, m: int, max_order: int = 8, chi: float = 0.0, mode=0
     return MomentTable((mode,), max_order, _vacuum_entry, lam, m, chi)
 
 
-def spatsv_moment_table(
-    lam, m: int, max_order: int = 16, chi: float = 0.0, modes=(0, 1)
-) -> MomentTable:
+def spatsv_moment_table(lam, m: int, max_order: int = 16, chi: float = 0.0) -> MomentTable:
     """Exact SPATSV moments <a1^dag^p a1^q a2^dag^r a2^s>, lazily filled at
     the bits each read asks for; at m = 0 the TSV's own."""
-    return MomentTable(modes, max_order, _vacuum_entry, lam, m, chi)
+    return MomentTable((0, 1), max_order, _vacuum_entry, lam, m, chi)
 
 
 def spatsv_seed_moment_table(

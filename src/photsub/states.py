@@ -19,7 +19,7 @@ from numbers import Integral
 from struct import pack, unpack
 from typing import TYPE_CHECKING
 
-from .errors import OutOfRange
+from .errors import NullState, OutOfRange
 from .moments import _binary, _horner, _polynomial, _wick_terms_1m, _wick_terms_2m, vacuum_moment
 
 if TYPE_CHECKING:
@@ -61,35 +61,49 @@ class SpatsvSpec(_SubtractionSpec):
 def passv(spec: PassvSpec, cutoff: int | None = None) -> FockState1:
     """PASSV state: m-fold photon subtraction from squeezed vacuum.
 
-    ``cutoff`` bounds the squeezed vacuum before subtraction; by default it
-    is the smallest that leaves the subtracted state a tail below
+    ``cutoff`` bounds the squeezed vacuum before subtraction and is checked
+    against its tail.  By default the subtracted state is filled level by
+    level from its own amplitudes, so that its tail stays below
     ``fock.TAIL_TOL``.
     """
-    from . import fock
-
-    if cutoff is None:
-        moment = vacuum_moment(_wick_terms_1m(spec.m, spec.m), spec.lam)
-        cutoff = fock.subtracted_cutoff(fock.squeezed_weights(spec.r), spec.m, 1, moment)
-    ssv = fock.squeezed_vacuum(spec.r, spec.chi, cutoff)
-    state, _ = fock.subtract_photons(ssv, spec.m)
-    return state
+    return _subtracted(spec, cutoff, 1)
 
 
 def spatsv(spec: SpatsvSpec, cutoff: int | None = None) -> TwoModeDiagonalState:
     """SPATSV state: symmetric m-fold subtraction from two-mode squeezed vacuum.
 
-    ``cutoff`` bounds the TSV before subtraction; the default is sized on
-    the subtracted state, as in :func:`passv`.
+    ``cutoff`` bounds the TSV before subtraction, as in :func:`passv`; the
+    default is sized on the subtracted state.
+    """
+    return _subtracted(spec, cutoff, 2)
+
+
+def _subtracted(spec: _SubtractionSpec, cutoff: int | None, power: int):
+    """a^m on each mode of the squeezed vacuum of ``spec``: PASSV with one
+    mode (``power`` 1), SPATSV with two.
+
+    By default the state is filled from its amplitude at n: the squeezed
+    vacuum's at n + m, times ((n + m)!/n!)^(power/2), over the square root
+    of the exact moment <(a^dag^m a^m)^power>.
     """
     from . import fock
 
-    if cutoff is None:
-        moment = vacuum_moment(_wick_terms_2m(*[spec.m] * 4), spec.lam)
-        weights = fock.two_mode_squeezed_weights(spec.lam)
-        cutoff = fock.subtracted_cutoff(weights, spec.m, 2, moment)
-    tsv = fock.two_mode_squeezed_vacuum(spec.lam, spec.chi, cutoff)
-    state, _ = fock.subtract_photons(tsv, spec.m)
-    return state
+    single, m = power == 1, spec.m
+    kind = fock.FockState1 if single else fock.TwoModeDiagonalState
+    build, amplitude, squeezing = (
+        (fock.squeezed_vacuum, fock._squeezed, spec.r)
+        if single
+        else (fock.two_mode_squeezed_vacuum, fock._two_mode_squeezed, spec.lam)
+    )
+    if cutoff is not None:
+        return fock.subtract_photons(build(squeezing, spec.chi, cutoff), m)[0]
+    wick = _wick_terms_1m(m, m) if single else _wick_terms_2m(m, m, m, m)
+    moment = vacuum_moment(wick, spec.lam)
+    if moment <= 0.0:
+        raise NullState("photon subtraction annihilated the state")
+    parent, scale = amplitude(squeezing, spec.chi), 1.0 / sqrt(moment)
+    amps = fock._filled(lambda n: parent(n + m) * fock._falling(n, m, power) * scale)
+    return kind(amps).normalized()
 
 
 def passv_seed(spec: PassvSpec) -> FockState1:

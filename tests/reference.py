@@ -572,12 +572,12 @@ def oracle_output(scene: fock.OracleScene) -> np.ndarray:
     q, u2 = scene.quantum, fock.mzi_unitary(scene.phi)
     if isinstance(q, FockState1):
         nc, nq = len(coh), len(q.amplitudes)
-        fock._check_memory((nc + nq - 1,) * 2, scene.max_amplitudes)
+        fock._check_memory((nc + nq - 1,) * 2)
         padded = np.pad(coh, (0, nq - 1)), np.pad(q.amplitudes, (0, nc - 1))
         return apply_on_axes(np.outer(*padded), 0, 1, u2)
     d, nc = q.diag_amplitudes, len(coh)
     shape = (nc + len(d) - 1,) * 4
-    fock._check_memory(shape, scene.max_amplitudes)
+    fock._check_memory(shape)
     amps = np.zeros(shape, dtype=complex)
     ca = np.pad(coh, (0, len(d) - 1))
     for n in range(len(d)):
@@ -617,7 +617,7 @@ def ancilla_joint(scene: fock.OracleScene) -> np.ndarray:
     keep = _axis_cutoffs(probs, tail=1e-12)
     nd = len(keep)
     shape = (*keep, keep[0], keep[1])
-    fock._check_memory(shape, scene.max_amplitudes)
+    fock._check_memory(shape)
     big = np.zeros(shape, dtype=complex)
     big[..., 0, 0] = amps[tuple(slice(c) for c in keep)]
     bs = loss_unitary(scene.eta)

@@ -254,11 +254,12 @@ def test_oracle_rejects_wrong_state_kind():
         fock.oracle_interferometer(scene)
 
 
-def test_oracle_memory_bound():
+def test_oracle_memory_bound(monkeypatch):
     from photsub import states
 
+    monkeypatch.setattr(fock, "MAX_AMPLITUDES", 10_000)
     q = states.spatsv(states.SpatsvSpec(0.3, 0))
-    scene = fock.OracleScene(q, mu=9.0, psi=0.0, phi=0.5, max_amplitudes=10_000)
+    scene = fock.OracleScene(q, mu=9.0, psi=0.0, phi=0.5)
     with pytest.raises(MemoryBoundExceeded):
         fock.oracle_interferometer(scene)
 

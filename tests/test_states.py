@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import reference
 from photsub import fock, states
-from photsub.errors import NullState, OutOfRange
+from photsub.errors import CutoffTooSmall, NullState, OutOfRange
 from photsub.experiments import SweepConfig, run_sweep
 from photsub.states import PassvSpec, SpatsvSpec
 from reference import (
@@ -271,6 +271,62 @@ def test_default_cutoff_keeps_the_subtracted_tail_contract(build, spec):
     wide = amplitudes(build(spec, cutoff=600))
     tail = 1.0 - float(np.sum(np.abs(wide[: len(kept)]) ** 2))
     assert tail < fock.TAIL_TOL
+
+
+def _levels(state) -> np.ndarray:
+    return state.amplitudes if isinstance(state, fock.FockState1) else state.diag_amplitudes
+
+
+#: name -> build(mean photons, m, cutoff) of every state the oracle is fed
+_BUILDS = {
+    "coherent": lambda mu, m, cut=None: fock.coherent_state(np.sqrt(mu) * np.exp(0.6j), cut),
+    "squeezed": lambda lam, m, cut=None: fock.squeezed_vacuum(PassvSpec(lam).r, 0.6, cut),
+    "two_mode_squeezed": lambda lam, m, cut=None: fock.two_mode_squeezed_vacuum(lam, 0.6, cut),
+    "passv": lambda lam, m, cut=None: states.passv(PassvSpec(lam, m, 0.6), cut),
+    "spatsv": lambda lam, m, cut=None: states.spatsv(SpatsvSpec(lam, m, 0.6), cut),
+}
+
+
+@pytest.mark.parametrize("energy", [0.3, 2.0, 8.0])
+@pytest.mark.parametrize(
+    "name, m",
+    [("coherent", 0), ("squeezed", 0), ("two_mode_squeezed", 0)]
+    + [(name, m) for name in ("passv", "spatsv") for m in (0, 1, 3)],
+)
+def test_default_cutoff_is_the_least_level_of_the_tail_contract_plus_margin(name, m, energy):
+    # against a build twice as wide (given cutoffs bound the state before
+    # subtraction): the kept levels leave a tail mass below TAIL_TOL even
+    # without their last CUTOFF_MARGIN levels, and without one more they do not
+    build = _BUILDS[name]
+    kept = _levels(build(energy, m))
+    wide = _levels(build(energy, m, 2 * len(kept) + m))
+    tails = np.cumsum(np.abs(wide[::-1]) ** 2)[::-1]  # tails[n]: the mass of levels >= n
+    assert tails[len(kept) - fock.CUTOFF_MARGIN] < fock.TAIL_TOL
+    assert tails[len(kept) - fock.CUTOFF_MARGIN - 1] > fock.TAIL_TOL
+    assert np.max(np.abs(kept - wide[: len(kept)])) < 1e-11
+
+
+@pytest.mark.parametrize("lam", [0.3, 2.0])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("name, parent", [("passv", "squeezed"), ("spatsv", "two_mode_squeezed")])
+def test_an_explicit_cutoff_bounds_the_state_before_subtraction(name, parent, m, lam):
+    # the parent's default cutoff C leaves C + 1 - m levels after subtraction;
+    # below its least level of the tail contract the parent's tail raises
+    cutoff = _levels(_BUILDS[parent](lam, 0)).size - 1
+    assert len(_levels(_BUILDS[name](lam, m, cutoff))) == cutoff + 1 - m
+    least = cutoff - fock.CUTOFF_MARGIN
+    assert len(_levels(_BUILDS[name](lam, m, least))) == least + 1 - m
+    with pytest.raises(CutoffTooSmall):
+        _BUILDS[name](lam, m, least - 1)
+
+
+@pytest.mark.parametrize("energy", [0.3, 2.0])
+@pytest.mark.parametrize("name", ["coherent", "squeezed", "two_mode_squeezed"])
+def test_a_cutoff_below_the_tail_contract_raises(name, energy):
+    least = len(_levels(_BUILDS[name](energy, 0))) - 1 - fock.CUTOFF_MARGIN
+    assert len(_levels(_BUILDS[name](energy, 0, least))) == least + 1
+    with pytest.raises(CutoffTooSmall):
+        _BUILDS[name](energy, 0, least - 1)
 
 
 @pytest.mark.parametrize("ambient", [8, 30])
