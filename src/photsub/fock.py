@@ -87,9 +87,11 @@ def _filled(amplitude, cutoff: int | None = None) -> np.ndarray:
     TAIL_TOL, plus CUTOFF_MARGIN; a given ``cutoff`` that leaves a larger
     tail raises CutoffTooSmall.
     """
-    amps, tail = [], 1.0  # the tail as it shrinks rounds far finer than the mass near 1
+    amps = []
+    tail = 1.0  # the tail as it shrinks rounds far finer than the mass near 1
+    limit = 1_000_000 if cutoff is None else cutoff
     while tail > TAIL_TOL:
-        if len(amps) > (1_000_000 if cutoff is None else cutoff):
+        if len(amps) > limit:
             raise CutoffTooSmall(f"{len(amps)} levels leave tail mass {tail:.3e} > {TAIL_TOL}")
         amps.append(amplitude(len(amps)))
         tail -= abs(amps[-1]) ** 2
@@ -102,7 +104,9 @@ def _coherent(alpha: complex):
     """n -> <n|alpha> = e^{-|alpha|^2/2} alpha^n / sqrt(n!), in log space."""
     if alpha == 0:
         return lambda n: complex(n == 0)
-    log_r, theta, mu = log(abs(alpha)), cmath.phase(alpha), abs(alpha) ** 2
+    log_r = log(abs(alpha))
+    theta = cmath.phase(alpha)
+    mu = abs(alpha) ** 2
     return lambda n: cmath.exp(complex(n * log_r - mu / 2 - lgamma(n + 1) / 2, n * theta))
 
 
@@ -113,7 +117,8 @@ def _squeezed(r: float, chi: float):
 
     each level computed once, in order, as it is first asked for.
     """
-    s, even = tanh(r) * cmath.exp(1j * chi), [1.0 / sqrt(cosh(r)) + 0j]
+    s = tanh(r) * cmath.exp(1j * chi)
+    even = [1.0 / sqrt(cosh(r)) + 0j]
 
     def amplitude(n):
         while len(even) <= n // 2:

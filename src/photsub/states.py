@@ -62,48 +62,49 @@ def passv(spec: PassvSpec, cutoff: int | None = None) -> FockState1:
     """PASSV state: m-fold photon subtraction from squeezed vacuum.
 
     ``cutoff`` bounds the squeezed vacuum before subtraction and is checked
-    against its tail.  By default the subtracted state is filled level by
-    level from its own amplitudes, so that its tail stays below
-    ``fock.TAIL_TOL``.
+    against its tail.  By default it is the least that leaves the subtracted
+    state a tail below ``fock.TAIL_TOL``, plus ``fock.CUTOFF_MARGIN``.
     """
-    return _subtracted(spec, cutoff, 1)
+    from . import fock
+
+    wick = _wick_terms_1m(spec.m, spec.m)
+    return _subtracted(spec, cutoff, 1, fock.squeezed_vacuum, fock._squeezed, spec.r, wick)
 
 
 def spatsv(spec: SpatsvSpec, cutoff: int | None = None) -> TwoModeDiagonalState:
     """SPATSV state: symmetric m-fold subtraction from two-mode squeezed vacuum.
 
-    ``cutoff`` bounds the TSV before subtraction, as in :func:`passv`; the
-    default is sized on the subtracted state.
-    """
-    return _subtracted(spec, cutoff, 2)
-
-
-def _subtracted(spec: _SubtractionSpec, cutoff: int | None, power: int):
-    """a^m on each mode of the squeezed vacuum of ``spec``: PASSV with one
-    mode (``power`` 1), SPATSV with two.
-
-    By default the state is filled from its amplitude at n: the squeezed
-    vacuum's at n + m, times ((n + m)!/n!)^(power/2), over the square root
-    of the exact moment <(a^dag^m a^m)^power>.
+    ``cutoff`` bounds the TSV before subtraction; the default is sized on
+    the subtracted state, as in :func:`passv`.
     """
     from . import fock
 
-    single, m = power == 1, spec.m
-    kind = fock.FockState1 if single else fock.TwoModeDiagonalState
-    build, amplitude, squeezing = (
-        (fock.squeezed_vacuum, fock._squeezed, spec.r)
-        if single
-        else (fock.two_mode_squeezed_vacuum, fock._two_mode_squeezed, spec.lam)
-    )
-    if cutoff is not None:
-        return fock.subtract_photons(build(squeezing, spec.chi, cutoff), m)[0]
-    wick = _wick_terms_1m(m, m) if single else _wick_terms_2m(m, m, m, m)
-    moment = vacuum_moment(wick, spec.lam)
-    if moment <= 0.0:
-        raise NullState("photon subtraction annihilated the state")
-    parent, scale = amplitude(squeezing, spec.chi), 1.0 / sqrt(moment)
-    amps = fock._filled(lambda n: parent(n + m) * fock._falling(n, m, power) * scale)
-    return kind(amps).normalized()
+    wick = _wick_terms_2m(spec.m, spec.m, spec.m, spec.m)
+    build = fock.two_mode_squeezed_vacuum
+    return _subtracted(spec, cutoff, 2, build, fock._two_mode_squeezed, spec.lam, wick)
+
+
+def _subtracted(spec: _SubtractionSpec, cutoff, power, build, amplitude, squeezing, wick):
+    """a^m on each of the ``power`` modes of ``build(squeezing, spec.chi, cutoff)``.
+
+    The default cutoff comes from filling the subtracted state: its level n
+    is the parent's ``amplitude`` at n + m, times ((n + m)!/n!)^(power/2),
+    over the square root of the exact vacuum moment of ``wick``.  The fill
+    takes chi = 0, which leaves every level's mass as it is, so the cutoff
+    depends on lam and m alone.
+    """
+    from . import fock
+
+    m = spec.m
+    if cutoff is None:
+        moment = vacuum_moment(wick, spec.lam)
+        if moment <= 0.0:
+            raise NullState("photon subtraction annihilated the state")
+        parent = amplitude(squeezing, 0.0)
+        scale = 1.0 / sqrt(moment)
+        filled = fock._filled(lambda n: parent(n + m) * fock._falling(n, m, power) * scale)
+        cutoff = len(filled) - 1 + m
+    return fock.subtract_photons(build(squeezing, spec.chi, cutoff), m)[0]
 
 
 def passv_seed(spec: PassvSpec) -> FockState1:

@@ -1,5 +1,6 @@
 """Subtracted-state constructors, closed forms, seeds and energy balancing."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import inf, nextafter
 
@@ -327,6 +328,16 @@ def test_a_cutoff_below_the_tail_contract_raises(name, energy):
     assert len(_levels(_BUILDS[name](energy, 0, least))) == least + 1
     with pytest.raises(CutoffTooSmall):
         _BUILDS[name](energy, 0, least - 1)
+
+
+@pytest.mark.parametrize(
+    "build, spec", [(states.passv, PassvSpec(15.0, 5)), (states.spatsv, SpatsvSpec(12.0, 2))]
+)
+def test_default_cutoff_of_a_subtracted_state_is_free_of_chi(build, spec):
+    # the squeezing angle leaves every level's mass as it is; at these two
+    # states its rounding in complex amplitudes once moved the least level
+    lengths = {build(replace(spec, chi=chi)).cutoff for chi in (0.0, 0.7, 2.0)}
+    assert lengths == {build(spec).cutoff}
 
 
 @pytest.mark.parametrize("ambient", [8, 30])
