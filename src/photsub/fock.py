@@ -5,15 +5,14 @@ photon subtraction, and a brute-force interferometer oracle used to validate
 the symbolic moment engine.  Each state is one amplitude function
 n -> <n|state>; one filler turns it into an array, by default up to the
 least level whose tail mass is below TAIL_TOL plus CUTOFF_MARGIN levels, and
-checks a given cutoff against the same tail.  The oracle evolves a stack of
-single-MZI planes |coherent> (x) |quantum>: one plane for the single scheme,
-one per |n, n> of the twin beam for the correlated scheme, whose twin-MZI
-output is the sum of products of two planes.  Each plane goes through the
-MZI one photon-number block at a time: a passive two-mode map couples only
-states of equal total photon number, the blocks stop at the highest photon
-number the plane holds, and block n spans only the w_n input columns the
-nc x nq corner can occupy, so a plane costs sum_n (n + 1) w_n where a dense
-matrix would take D^4.
+checks a given cutoff against the same tail.  The oracle forms a stack of
+single-MZI output planes U(|coherent> (x) |quantum>): one plane for the
+single scheme, one per |n, n> of the twin beam for the correlated scheme,
+whose twin-MZI output is the sum of products of two planes.  The MZI turns
+the coherent port's displacement into one displacement of each output port,
+so a plane is two displacement matrices, their entries normalised Laguerre
+functions filled by a recurrence over the nq quantum levels, around the
+closed-form image of |0> (x) |quantum>: O(D nq^2) work for a D x D plane.
 
 Conventions
 -----------
@@ -111,20 +110,21 @@ def _coherent(alpha: complex):
 
 
 def _squeezed(r: float, chi: float):
-    """n -> <n|S(r e^{i chi})|0>: zero at odd n, and at n = 2k
+    """n -> <n|S(r e^{i chi})|0>: zero at odd n, and at n = 2k e^{i chi k} c_2k with
 
-        c_2k = c_{2k-2} e^{i chi} tanh(r) sqrt((2k - 1)/(2k)),   c_0 = 1/sqrt(cosh r),
+        c_2k = c_{2k-2} tanh(r) sqrt((2k - 1)/(2k)),   c_0 = 1/sqrt(cosh r),
 
-    each level computed once, in order, as it is first asked for.
+    each real level computed once, in order, as it is first asked for, so the
+    level masses, and with them the default cutoff, do not depend on chi.
     """
-    s = tanh(r) * cmath.exp(1j * chi)
-    even = [1.0 / sqrt(cosh(r)) + 0j]
+    t = tanh(r)
+    even = [1.0 / sqrt(cosh(r))]
 
     def amplitude(n):
         while len(even) <= n // 2:
             k = len(even)
-            even.append(even[-1] * s * sqrt((2 * k - 1) / (2 * k)))
-        return 0j if n % 2 else even[n // 2]
+            even.append(even[-1] * t * sqrt((2 * k - 1) / (2 * k)))
+        return 0j if n % 2 else even[n // 2] * cmath.exp(1j * chi * (n // 2))
 
     return amplitude
 
@@ -201,83 +201,46 @@ def _check_memory(shape):
         )
 
 
-def _photon_blocks(u2: np.ndarray, d1: int, d2: int, c1: int | None = None, c2: int | None = None):
-    """Yield ``(lo, G)`` for each photon number n = 0 .. c1 + c2 of a d1 x d2 plane.
+def _displacements(betas, dim: int, cols: int) -> np.ndarray:
+    """<m|D(beta)|n> for each of ``betas``, over rows m < dim and columns n < cols <= dim.
 
-    G[p - lo, k - klo] = <p, n-p|U|k, n-k> for the passive map a_out = u2 . a_in,
-    over the rows p from lo = max(0, n - d2 + 1) to min(n, d1 - 1) that fit the
-    plane and the columns k from klo = max(0, n - c2) to min(n, c1) of an input
-    held in rows <= c1 and columns <= c2 (by default the plane: G is square).
-    As U a_k^dag U^dag = u2[:, k] . a^dag, block n follows from n-1 by
+    Along each diagonal a = |m - n| the entries are normalised Laguerre
+    functions of x = |beta|^2 (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)),
 
-        U|k, n-k> = (sqrt(k) u2[:, 0].a^dag U|k-1, n-k> + sqrt(n-k) u2[:, 1].a^dag U|k, n-k-1>) / n,
+        f_n(a) = sqrt(n! / (n + a)!) x^(a/2) e^(-x/2) L_n^(a)(x),
+        <n + a|D(beta)|n> = e^(i a arg beta) f_n(a),
+        <n|D(beta)|n + a> = (-e^(-i arg beta))^a f_n(a),
 
-    a step of operator norm <= 1, so rounding errors add up instead of growing
-    with n.  Row p needs only rows p-1 and p of block n-1, and column k only
-    its columns k-1 and k, so the windows keep the plane's truncation exactly
-    and a column is the same, bit for bit, in every window that holds it.
-    Blocks are computed as they are drawn: stop at the last n needed.
+    filled from f_0(a) = e^(-x/2) x^(a/2) / sqrt(a!) by the three-term recurrence
+
+        sqrt(n (n + a)) f_n = (2n - 1 + a - x) f_{n-1} - sqrt((n - 1)(n - 1 + a)) f_{n-2}.
+
+    Every f_n(a) is an entry of a unitary, so the recurrence stays bounded,
+    where the column recursion D|n> = (a^dag - beta*) D|n-1> / sqrt(n) grows
+    without bound in floats.  beta = 0 gives the identity exactly.
     """
-    c1, c2 = d1 - 1 if c1 is None else c1, d2 - 1 if c2 is None else c2
-    sq = np.sqrt(np.arange(d1 + d2, dtype=float))
-    # u2[i, j] sqrt(p) as a column over p: the factor of row p-1 (i = 0) or p (i = 1)
-    c00, c10, c01, c11 = (u2[i, j] * sq[:, None] for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)))
-    scale = sq[: c1 + c2 + 1] / np.maximum(np.arange(c1 + c2 + 1), 1)[:, None]  # sqrt(k) / n
-    # prev[i, j] is block n-1 at p, k = its lo - 1 + i, klo - 1 + j: zero on
-    # row and column 0 and past its ends, and what a longer block left past a
-    # shorter one lies outside every later window
-    prev = np.zeros((min(d1, d2) + 2, min(c1, c2) + 3), dtype=complex)
-    block, lo, klo = np.ones((1, 1), dtype=complex), 0, 0
-    prev[1, 1] = 1.0
-    yield lo, block
-    for n in range(1, c1 + c2 + 1):
-        prev_lo, lo, hi = lo, max(0, n - d2 + 1), min(n, d1 - 1)
-        prev_klo, klo, khi = klo, max(0, n - c2), min(n, c1)
-        # block n-1 on rows lo-1 .. hi and columns klo-1 .. khi
-        s, t, rows, cols = lo - prev_lo, klo - prev_klo, hi - lo + 1, khi - klo + 1
-        padded = prev[s : s + rows + 1, t : t + cols + 1]
-        # c0 a1^dag + c1 a2^dag takes rows p-1 and p of block n-1 to row p
-        p, n_p = slice(lo, hi + 1), slice(n - hi, n - lo + 1)  # p, and n - p reversed
-        block = c00[p] * padded[:-1, :-1]
-        block += c10[n_p][::-1] * padded[1:, :-1]
-        block *= scale[n, klo : khi + 1]
-        a2 = c01[p] * padded[:-1, 1:]
-        a2 += c11[n_p][::-1] * padded[1:, 1:]
-        a2 *= scale[n, n - khi : n - klo + 1][::-1]
-        block += a2
-        prev[1 : rows + 1, 1 : cols + 1] = block
-        yield lo, block
-
-
-def apply_two_mode_unitary(amps: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Apply a passive 2x2 mode map to the last two axes of ``amps``.
-
-    The map keeps the photon number n of the two axes, so it acts on each
-    anti-diagonal |k, n-k> of the (d1, d2) plane, a strided slice of the
-    flattened plane, by one block of :func:`_photon_blocks`, and leaves every
-    n above the input's highest occupied one empty: the blocks stop there.
-    A block covers only the w_n columns that the rows <= c1 and columns <= c2
-    holding every plane's amplitude can occupy, sum_n (n + 1) w_n
-    multiply-adds where a dense plane matrix takes D^4, in O(D^2) memory
-    beyond the input and output (and a copy of an input that is not
-    contiguous); padded with zeros for the product, it gives the square
-    blocks' output bit for bit.  Photon number beyond an axis's cutoff is
-    dropped: keep headroom.
-    """
-    d1, d2 = amps.shape[-2:]
-    flat = amps.reshape(-1, d1 * d2)
-    out = np.zeros(flat.shape, dtype=complex)
-    occupied = flat.any(axis=0).reshape(d1, d2)
-    top = int(np.add.outer(np.arange(d1), np.arange(d2))[occupied].max(initial=-1))  # -1 if empty
-    c1, c2 = (int(np.flatnonzero(occupied.any(axis=a)).max(initial=-1)) for a in (1, 0))
-    step = max(d2 - 1, 1)
-    for n, (lo, block) in zip(range(top + 1), _photon_blocks(u2, d1, d2, c1, c2)):
-        rows, left, start = len(block), max(0, n - c2) - lo, lo * d2 + n - lo
-        square = np.zeros((rows, rows), dtype=complex)
-        square[:, left : left + block.shape[1]] = block
-        diag = slice(start, start + (rows - 1) * step + 1, step)
-        out[:, diag] = flat[:, diag] @ square.T
-    return out.reshape(amps.shape)
+    betas = np.asarray(betas, dtype=complex)[:, None]
+    x = np.abs(betas) ** 2
+    a = np.arange(dim)
+    n = np.arange(1, cols)[:, None]
+    lin = 2 * n - 1 + a - x[:, None]  # lin[b, n - 1, a], one row per beta
+    back = np.sqrt((n - 1) * (n - 1 + a))
+    den = np.sqrt(n * (n + a))
+    f = np.empty((len(betas), cols, dim))
+    # f_0 in log space, which no x overflows; at x = 0 only f_0(0) = 1 is non-zero
+    log_x = np.log(x, out=np.zeros_like(x), where=x > 0)
+    log_fact = np.array([lgamma(k + 1) for k in range(dim)])
+    f[:, 0] = np.where(x > 0, np.exp((a * log_x - x - log_fact) / 2), a == 0)
+    before = np.zeros((len(betas), dim))
+    for k in range(1, cols):
+        f[:, k] = (lin[:, k - 1] * f[:, k - 1] - back[k - 1] * before) / den[k - 1]
+        before = f[:, k - 1]
+    rows, columns = np.arange(dim)[:, None], np.arange(cols)
+    offset = rows - columns
+    # the phase of diagonal d = m - n, at index d + cols - 1
+    d = np.arange(1 - cols, dim)
+    phase = np.exp(1j * np.angle(betas) * d) * np.where((d < 0) & (d % 2 == 1), -1.0, 1.0)
+    return f[:, np.minimum(rows, columns), np.abs(offset)] * phase[:, offset + cols - 1]
 
 
 def mzi_unitary(phi: float) -> np.ndarray:
@@ -285,6 +248,15 @@ def mzi_unitary(phi: float) -> np.ndarray:
     u = (np.exp(1j * phi) + 1.0) / 2.0
     v = (np.exp(1j * phi) - 1.0) / 2.0
     return np.array([[u, v], [v, u]])
+
+
+def _thinning(dim: int, eta: float) -> np.ndarray:
+    """mat[k, n] = C(n, k) eta^k (1 - eta)^(n - k) for counts k, n < dim, zero for k > n."""
+    log_fact = np.array([lgamma(n + 1) for n in range(dim)])
+    k, n = np.ogrid[:dim, :dim]
+    lost = np.maximum(n - k, 0)
+    binom = np.exp(log_fact[n] - log_fact[k] - log_fact[lost])
+    return np.triu(binom * eta**k * (1.0 - eta) ** lost)
 
 
 def binomial_thinning(p: np.ndarray, eta: float, axis: int) -> np.ndarray:
@@ -295,12 +267,7 @@ def binomial_thinning(p: np.ndarray, eta: float, axis: int) -> np.ndarray:
     photon-number observables are read out after the loss): count n keeps k
     with probability C(n, k) eta^k (1 - eta)^(n - k).
     """
-    log_fact = np.array([lgamma(n + 1) for n in range(p.shape[axis])])
-    k, n = np.ogrid[: len(log_fact), : len(log_fact)]
-    lost = np.maximum(n - k, 0)
-    binom = np.exp(log_fact[n] - log_fact[k] - log_fact[lost])
-    mat = np.triu(binom * eta**k * (1.0 - eta) ** lost)  # mat[k, n], zero for k > n
-    moved = np.moveaxis(p, axis, -1) @ mat.T
+    moved = np.moveaxis(p, axis, -1) @ _thinning(p.shape[axis], eta).T
     return np.moveaxis(moved, -1, axis)
 
 
@@ -343,9 +310,13 @@ def oracle_interferometer(scene: OracleScene) -> OracleResult:
     """Joint photon counts of the read-out ports, binomially thinned by eta.
 
     One path serves both schemes: a stack of single-MZI planes
-    |coh> (x) |q_r>, each padded to the joint photon capacity of its MZI so
-    the map cannot push amplitude past a cutoff, goes through
-    ``mzi_unitary(phi)`` once.  A :class:`FockState1` gives one plane, read
+    U(|alpha> (x) |q_r>), U = ``mzi_unitary(phi)``, each on the D x D plane
+    of its MZI's joint photon capacity D = nc + nq - 1.  As the coherent port
+    holds a displaced vacuum, U(|alpha> (x) |q>) = D_1(u00 alpha) D_2(u10 alpha)
+    U(|0> (x) |q>), and U|0, j> = sum_p sqrt(C(j, p)) u01^p u11^(j-p) |p, j-p>,
+    so a plane is Da Y Db^T: Y holds U(|0> (x) |q_r>) on the nq x nq corner
+    and Da, Db are the two displacements' first nq columns (the coherent
+    state enters untruncated).  A :class:`FockState1` gives one plane, read
     on both axes.  The twin-MZI input sum_n d_n |n, n> gives one plane psi_n
     per |n>, and its output is sum_n d_n psi_n (x) psi_n; with
     G_nk(a) = sum_c psi_n[c, a] conj(psi_k[c, a]) over each MZI's discarded
@@ -354,7 +325,7 @@ def oracle_interferometer(scene: OracleScene) -> OracleResult:
     small coherent energy (mu <~ 10); the memory bound is enforced on the
     stack before it is allocated.
     """
-    coh = coherent_state(np.sqrt(scene.mu) * np.exp(1j * scene.psi)).amplitudes
+    alpha = np.sqrt(scene.mu) * np.exp(1j * scene.psi)
     q = scene.quantum
     twin = isinstance(q, TwoModeDiagonalState)
     if not twin and not isinstance(q, FockState1):
@@ -362,21 +333,35 @@ def oracle_interferometer(scene: OracleScene) -> OracleResult:
             "oracle needs a FockState1 (single MZI) or a TwoModeDiagonalState "
             f"(twin MZIs) quantum input, got {type(q).__name__}"
         )
-    planes = np.eye(len(q.diag_amplitudes)) if twin else q.amplitudes[None, :]
-    rows, nc, nq = len(planes), len(coh), planes.shape[1]
-    dim = nc + nq - 1
+    d = q.diag_amplitudes if twin else q.amplitudes
+    nq = len(d)
+    rows = nq if twin else 1
+    dim = len(coherent_state(alpha).amplitudes) + nq - 1
     _check_memory((rows, dim, dim))
-    stack = np.zeros((rows, dim, dim), dtype=complex)
-    stack[:, :nc, :nq] = coh[:, None] * planes[:, None, :]
-    out = apply_two_mode_unitary(stack, mzi_unitary(scene.phi))
+    u2 = mzi_unitary(scene.phi)
+    da, db = _displacements(u2[:, 0] * alpha, dim, nq)
+    # y[p, s] = sqrt(C(p + s, p)) u01^p u11^s as products down each column:
+    # every partial product is such an amplitude, of modulus <= 1
+    p, s = np.ogrid[:nq, :nq]
+    y = u2[0, 1] * np.sqrt((p + s) / np.maximum(p, 1))
+    y[0] = u2[1, 1]
+    y[0, 0] = 1.0
+    y[0] = np.cumprod(y[0])
+    y = np.cumprod(y, axis=0)
     if twin:
+        # plane r holds U|0, r> alone: w[s, r, c] = y[r - s, s] Da[c, r - s], and
+        # the planes come out port-major, by_port[a, r, c] = sum_s Db[a, s] w[s, r, c]
+        s, r = np.ogrid[:nq, :nq]
+        lag = np.maximum(r - s, 0)
+        w = (y[lag, s] * (r >= s))[:, :, None] * da.T[lag]
+        by_port = (db @ w.reshape(nq, -1)).reshape(dim, rows, dim)
         # g[a, n, k] = G_nk(a), then the (n, k) sum as one product
-        by_port = np.ascontiguousarray(out.transpose(2, 0, 1))
         g = (by_port @ by_port.conj().transpose(0, 2, 1)).reshape(dim, -1)
-        d = q.diag_amplitudes
         joint = ((g * np.outer(d, d.conj()).ravel()) @ g.T).real
     else:
-        joint = np.abs(out[0]) ** 2
+        y = y * np.append(d, np.zeros(nq - 1))[p + s]
+        joint = np.abs(da @ y @ db.T) ** 2
     if scene.eta < 1.0:
-        joint = binomial_thinning(binomial_thinning(joint, scene.eta, 0), scene.eta, 1)
+        thin = _thinning(dim, scene.eta)
+        joint = thin @ joint @ thin.T
     return OracleResult(joint, _moments_from_joint(joint))

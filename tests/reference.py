@@ -7,8 +7,9 @@ state, squeeze operators applied as matrix exponentials, overlaps and
 fidelities, passive two-mode maps as dense plane matrices, the oracle's
 lossless output as one amplitude tensor, and detection loss as beamsplitters
 to vacuum ancillas.  The tests check the exact engine, the state
-constructors, the oracle's block propagation, its stack of single-MZI planes
-and its binomial thinning against them.  The Wick pairing sums formed entry
+constructors, the oracle's stack of single-MZI planes and its binomial
+thinning against them, and the photon-number block recursion that builds
+the output tensor against the dense plane matrices.  The Wick pairing sums formed entry
 by entry from scratch (:func:`vacuum_moment_1m`, :func:`subtracted_table`)
 are the reference for the exact-polynomial fill of the production tables.  A whole moment table thinned entry
 by entry (:func:`apply_loss`) is the reference for the loss law
@@ -539,20 +540,49 @@ def apply_dense_two_mode_unitary(amps: np.ndarray, i: int, j: int, u2: np.ndarra
 # ---------------------------------------------------------------------------
 
 
+def photon_blocks(u2: np.ndarray, d1: int, d2: int):
+    """Yield ``(lo, G)`` for each photon number n = 0 .. d1 + d2 - 2 of a d1 x d2 plane.
+
+    G[p - lo, k - lo] = <p, n-p|U|k, n-k> for the passive map a_out = u2 . a_in,
+    over the rows and columns from lo = max(0, n - d2 + 1) to min(n, d1 - 1)
+    that fit the plane.  As U a_k^dag U^dag = u2[:, k] . a^dag, block n
+    follows from n-1 by
+
+        U|k, n-k> = (sqrt(k) u2[:, 0].a^dag U|k-1, n-k> + sqrt(n-k) u2[:, 1].a^dag U|k, n-k-1>) / n,
+
+    a step of operator norm <= 1, so rounding errors add up instead of growing
+    with n.
+    """
+    sq = np.sqrt(np.arange(d1 + d2, dtype=float))
+    # block n-1 at prev[p + 1, k + 1], zero elsewhere
+    prev = np.zeros((d1 + 1, d1 + 1), dtype=complex)
+    prev[1, 1] = 1.0
+    yield 0, prev[1:2, 1:2].copy()
+    for n in range(1, d1 + d2 - 1):
+        lo, hi = max(0, n - d2 + 1), min(n, d1 - 1)
+        p = np.arange(lo, hi + 1)
+        at, up = slice(lo, hi + 1), slice(lo + 1, hi + 2)  # p - 1 and p of block n-1
+        a1, a2 = sq[p][:, None], sq[n - p][:, None]  # sqrt(p), sqrt(n - p) by row
+        block = sq[p] * (u2[0, 0] * a1 * prev[at, at] + u2[1, 0] * a2 * prev[up, at])
+        block += sq[n - p] * (u2[0, 1] * a1 * prev[at, up] + u2[1, 1] * a2 * prev[up, up])
+        block /= n
+        prev = np.zeros_like(prev)
+        prev[up, up] = block
+        yield lo, block
+
+
 def apply_on_axes(amps: np.ndarray, i: int, j: int, u2: np.ndarray) -> np.ndarray:
     """Apply u2 to tensor axes i and j one full photon-number block at a time.
 
     Each anti-diagonal |k, n-k> of the (i, j) plane goes through the square
-    block n of :func:`photsub.fock._photon_blocks` over the whole plane, for
-    every n, so the result does not rest on the input windows that
-    :func:`photsub.fock.apply_two_mode_unitary` cuts its blocks to.
+    block n of :func:`photon_blocks`, for every n.
     """
     moved = np.moveaxis(amps, (i, j), (-2, -1))
     d1, d2 = moved.shape[-2:]
     flat = moved.reshape(-1, d1 * d2)
     out = np.zeros(flat.shape, dtype=complex)
     step = max(d2 - 1, 1)
-    for n, (lo, block) in enumerate(fock._photon_blocks(u2, d1, d2)):
+    for n, (lo, block) in enumerate(photon_blocks(u2, d1, d2)):
         start = lo * d2 + n - lo
         diag = slice(start, start + (len(block) - 1) * step + 1, step)
         out[:, diag] = flat[:, diag] @ block.T
@@ -562,26 +592,27 @@ def apply_on_axes(amps: np.ndarray, i: int, j: int, u2: np.ndarray) -> np.ndarra
 def oracle_output(scene: fock.OracleScene) -> np.ndarray:
     """Lossless output amplitudes of the oracle scene; axes 0 and 1 are read out.
 
-    Every mode is padded to the joint photon capacity of its MZI.  One MZI
-    gives the (coherent, quantum) plane.  Twin MZIs give the 4-D tensor over
-    (quantum 1, quantum 2, coherent 1, coherent 2), filled with
+    Every mode is padded to the joint photon capacity of its MZI, and the
+    coherent port holds the coherent state's exact amplitudes over that
+    whole padded axis, neither truncated at its own cutoff nor renormalised.
+    One MZI gives the (coherent, quantum) plane.  Twin MZIs give the 4-D
+    tensor over (quantum 1, quantum 2, coherent 1, coherent 2), filled with
     sum_n d_n |n, n> beside two coherent states; MZI k mixes axes 2 + k and
     k, and its read-out port is the quantum axis.
     """
-    coh = fock.coherent_state(np.sqrt(scene.mu) * np.exp(1j * scene.psi)).amplitudes
+    alpha = np.sqrt(scene.mu) * np.exp(1j * scene.psi)
     q, u2 = scene.quantum, fock.mzi_unitary(scene.phi)
+    d = q.amplitudes if isinstance(q, FockState1) else q.diag_amplitudes
+    dim = len(fock.coherent_state(alpha).amplitudes) + len(d) - 1
+    coh = np.array([fock._coherent(alpha)(n) for n in range(dim)])
     if isinstance(q, FockState1):
-        nc, nq = len(coh), len(q.amplitudes)
-        fock._check_memory((nc + nq - 1,) * 2)
-        padded = np.pad(coh, (0, nq - 1)), np.pad(q.amplitudes, (0, nc - 1))
-        return apply_on_axes(np.outer(*padded), 0, 1, u2)
-    d, nc = q.diag_amplitudes, len(coh)
-    shape = (nc + len(d) - 1,) * 4
+        fock._check_memory((dim, dim))
+        return apply_on_axes(np.outer(coh, np.pad(d, (0, dim - len(d)))), 0, 1, u2)
+    shape = (dim,) * 4
     fock._check_memory(shape)
     amps = np.zeros(shape, dtype=complex)
-    ca = np.pad(coh, (0, len(d) - 1))
     for n in range(len(d)):
-        amps[n, n] = d[n] * np.outer(ca, ca)
+        amps[n, n] = d[n] * np.outer(coh, coh)
     return apply_on_axes(apply_on_axes(amps, 2, 0, u2), 3, 1, u2)
 
 

@@ -8,16 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photsub import fock
+from photsub import experiments, fock
 from photsub.errors import MemoryBoundExceeded, ModeMismatch, NullState
 from reference import (
     ancilla_joint,
     apply_dense_two_mode_unitary,
+    apply_on_axes,
     fidelity,
     loss_unitary,
     mean_photons,
     mean_photons_per_mode,
     oracle_output,
+    photon_blocks,
     readout_joint,
     squeeze_apply,
 )
@@ -48,6 +50,14 @@ def test_squeezed_vacuum_quadrature_direction():
     a_sq = float(np.real(np.sum(np.conj(a[:-2]) * a[2:] * np.sqrt((n[2:] - 1) * n[2:]))))
     var_y = 0.5 + mean_n - a_sq
     assert abs(var_y - 0.5 * np.exp(-2 * r)) < 1e-10
+
+
+def test_squeezed_vacuum_default_length_is_free_of_chi():
+    # at this lambda the tail lands near TAIL_TOL, where rounding of the
+    # levels' masses could move the least level with the squeezing angle
+    r = float(np.arcsinh(np.sqrt(7.3681)))
+    lengths = {len(fock.squeezed_vacuum(r, k * np.pi / 4).amplitudes) for k in range(8)}
+    assert len(lengths) == 1
 
 
 def test_two_mode_squeezed_vacuum_thermal_marginal():
@@ -161,6 +171,47 @@ def test_subtraction_ladder_matches_high_precision(m, two_mode):
     assert np.max(np.abs(ladder.real / exact - 1.0)) < 1e-13
 
 
+@pytest.mark.parametrize("x", [0.3, 10.0, 30.0])
+def test_displacement_matches_the_laguerre_closed_form(x):
+    # <m|D(beta)|n> = sqrt(lo!/hi!) z^(hi - lo) e^(-x/2) L_lo^(hi - lo)(x), x = |beta|^2,
+    # with z = beta below the diagonal and -conj(beta) above it
+    dim = 300
+    beta = np.sqrt(x) * np.exp(0.7j)
+    disp = fock._displacements([beta], dim, dim)[0]
+    rng = np.random.default_rng(int(10 * x))
+    rows = rng.integers(0, dim, 150)
+    cols = np.clip(rows + rng.integers(-60, 61, 150), 0, dim - 1)
+    worst = 0.0
+    with mp.workdps(50):
+        b = mp.mpc(beta.real, beta.imag)
+        for m, n in zip(rows.tolist(), cols.tolist()):
+            lo, hi = min(m, n), max(m, n)
+            z = b if m >= n else -mp.conj(b)
+            exact = (mp.sqrt(mp.factorial(lo) / mp.factorial(hi)) * z ** (hi - lo)
+                     * mp.exp(-abs(b) ** 2 / 2) * mp.laguerre(lo, hi - lo, abs(b) ** 2))
+            worst = max(worst, abs(complex(exact) - disp[m, n]))
+    assert worst <= 2e-13
+
+
+def test_displacement_by_zero_is_exactly_the_identity():
+    disp = fock._displacements([0.0, 0j], 40, 25)
+    assert np.array_equal(disp, np.broadcast_to(np.eye(40, 25), disp.shape))
+
+
+def test_displacement_columns_stay_unit_vectors_at_large_displacement():
+    # at x = 1500, e^(-x/2) underflows and x^(a/2) / sqrt(a!) overflows on its own
+    disp = fock._displacements([np.sqrt(1500.0) * np.exp(0.3j)], 1900, 3)[0]
+    assert np.abs(np.linalg.norm(disp, axis=0) - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("modulus, angle", [(0.5, 0.0), (1.7, 2.1), (3.2, -0.4)])
+def test_displacement_column_zero_is_the_coherent_state(modulus, angle):
+    beta = modulus * np.exp(1j * angle)
+    column = fock._displacements([beta], 80, 1)[0, :, 0]
+    coherent = fock.coherent_state(beta, cutoff=79).amplitudes
+    assert np.abs(column - coherent).max() <= 1e-15
+
+
 def _single_scene(lam, m, mu, phi, eta=1.0, psi=0.0):
     from photsub import states
 
@@ -241,7 +292,15 @@ def test_oracle_correlated_joint_matches_the_output_tensor(m, phi, psi):
 def test_oracle_single_joint_is_the_output_plane(m, eta):
     scene = _single_scene(0.4, m, 2.0, 0.9, eta=eta, psi=0.5)
     joint = fock.oracle_interferometer(scene).joint
-    assert np.array_equal(joint, readout_joint(oracle_output(scene), eta))
+    assert np.abs(joint - readout_joint(oracle_output(scene), eta)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("scheme", ["single", "correlated"])
+@pytest.mark.parametrize("mu, phi", [(0.0, 0.8), (2.0, 0.0), (2.0, np.pi)])
+def test_oracle_matches_the_engine_where_a_displacement_vanishes(scheme, mu, phi):
+    # mu = 0 displaces neither port; phi = 0 and pi leave the coherent light in one port
+    cmp = experiments.oracle_compare(scheme, lam=0.4, m=1, mu=mu, phi=phi, psi=0.3, eta=0.9)
+    assert cmp.worst <= experiments.ORACLE_TOLERANCE
 
 
 def test_oracle_rejects_wrong_state_kind():
@@ -316,8 +375,8 @@ _PLANES = [
         pytest.param((9, 4), (1, 0), 6, None, id="truncating-rectangle"),
         pytest.param((3, 4, 2, 5, 3, 2), (1, 3), 4, None, id="stack"),
     ]
-    # inputs held in the ``corner`` (c1, c2, twin) of the plane, top = c1 + c2:
-    # the blocks span only the columns such an input occupies
+    # inputs held in the ``corner`` (c1, c2, twin) of the plane, top = c1 + c2,
+    # as the oracle's planes hold |coherent> (x) |quantum>
     + [
         pytest.param((12, 12), (0, 1), 11, (4, 7, False), id="padded-corner"),
         pytest.param((9, 4), (1, 0), 8, (2, 6, False), id="truncating-corner"),
@@ -332,8 +391,7 @@ def test_block_propagation_matches_dense_reference(u2, shape, axes, top, corner)
         amps = _held_in(amps, axes, *corner)
     if top is not None:
         amps = _held_below(amps, axes, top)
-    moved = fock.apply_two_mode_unitary(np.moveaxis(amps, axes, (-2, -1)), u2)
-    out = np.moveaxis(moved, (-2, -1), axes)
+    out = apply_on_axes(amps, *axes, u2)
     ref = apply_dense_two_mode_unitary(amps, *axes, u2)
     assert out.shape == amps.shape
     assert np.abs(out - ref).max() < 1e-13
@@ -342,62 +400,12 @@ def test_block_propagation_matches_dense_reference(u2, shape, axes, top, corner)
         assert np.array_equal(out, _held_below(out, axes, top))
 
 
-@pytest.fixture
-def drawn_blocks(monkeypatch):
-    """The blocks :func:`photsub.fock.apply_two_mode_unitary` draws, in order."""
-    drawn, blocks = [], fock._photon_blocks
-
-    def counted(*args):
-        for lo_block in blocks(*args):
-            drawn.append(lo_block)
-            yield lo_block
-
-    monkeypatch.setattr(fock, "_photon_blocks", counted)
-    return drawn
-
-
-def test_an_empty_input_maps_to_exact_zeros(drawn_blocks):
-    out = fock.apply_two_mode_unitary(np.zeros((3, 6, 5), dtype=complex), fock.mzi_unitary(0.7))
-    assert out.shape == (3, 6, 5) and not out.any()
-    assert drawn_blocks == []
-
-
-@pytest.mark.parametrize("shape, top", [((8, 8), 7), ((9, 4), 6), ((2, 7, 5), 3), ((6, 6), 10)])
-def test_blocks_stop_at_the_highest_photon_number_the_input_holds(shape, top, drawn_blocks):
-    amps = np.zeros(shape, dtype=complex)
-    k = min(top, shape[-1] - 1)
-    amps[..., top - k, k] = 1.0
-    fock.apply_two_mode_unitary(amps, fock.mzi_unitary(0.7))
-    assert len(drawn_blocks) == top + 1
-
-
-@pytest.mark.parametrize("shape, c1, c2", [((12, 12), 4, 7), ((3, 10, 10), 5, 4), ((9, 4), 8, 1)])
-def test_blocks_span_only_the_columns_a_corner_input_occupies(shape, c1, c2, drawn_blocks):
-    amps = np.zeros(shape, dtype=complex)
-    amps[..., : c1 + 1, : c2 + 1] = 1.0
-    fock.apply_two_mode_unitary(amps, fock.mzi_unitary(0.7))
-    # block n spans k = max(0, n - c2) .. min(n, c1), at most min(c1, c2) + 1 columns
-    widths = [min(n, c1) - max(0, n - c2) + 1 for n in range(c1 + c2 + 1)]
-    assert [block.shape[1] for _, block in drawn_blocks] == widths
-    assert max(widths) == min(c1, c2) + 1
-
-
-@pytest.mark.parametrize("u2", _MAPS.values(), ids=_MAPS.keys())
-def test_windowed_blocks_are_columns_of_the_full_blocks(u2):
-    full, windowed = fock._photon_blocks(u2, 301, 301), fock._photon_blocks(u2, 301, 301, 20, 300)
-    for n, ((lo, block), (wlo, wblock)) in enumerate(zip(full, windowed)):
-        if n in (10, 100, 300):
-            klo = max(0, n - 300)
-            assert wlo == lo and wblock.shape == (n + 1, min(n, 20) - klo + 1)
-            assert np.abs(wblock - block[:, klo : klo + wblock.shape[1]]).max() <= 1e-14
-
-
 @pytest.mark.parametrize("u2", _MAPS.values(), ids=_MAPS.keys())
 def test_photon_blocks_stay_unitary_at_high_photon_number(u2):
     # the dense binomial expansion loses 1e-8 of unitarity by n = 60; the
     # block recurrence must not lose accuracy with n
     worst = 0.0
-    for n, (lo, block) in enumerate(fock._photon_blocks(u2, 301, 301)):
+    for n, (lo, block) in enumerate(photon_blocks(u2, 301, 301)):
         if n in (10, 100, 300):
             assert lo == 0 and block.shape == (n + 1, n + 1)
             worst = max(worst, np.abs(block @ block.conj().T - np.eye(n + 1)).max())
