@@ -10,7 +10,8 @@ can even turn sub-Poissonian.
 
 import numpy as np
 
-from photsub import moments, states
+from photsub import metrology, moments, states
+from photsub.metrology import CorrelatedConfig
 from photsub.states import PassvSpec, SpatsvSpec
 
 # ---------------------------------------------------------------------------
@@ -61,9 +62,9 @@ print("\ntwo-mode m=1 seed amplitudes at lam=1:", np.round(seed.diag_amplitudes,
 
 print("\nMandel Q of the per-mode marginal (lam = 0.1)")
 for m in range(4):
-    # exact two-mode moments; Mandel Q reads the first mode
-    table = moments.spatsv_moment_table(0.1, m)
-    print(f"  m={m}: Q = {moments.mandel_q(table):+.4f}")
+    # the pair alone, no coherent light: Mandel Q reads the first mode's port
+    pair = CorrelatedConfig(SpatsvSpec(0.1, m), mu=0.0, phi=0.0)
+    print(f"  m={m}: Q = {metrology.mandel_q(pair):+.4f}")
 
 # ---------------------------------------------------------------------------
 # Joint photon-number distribution.

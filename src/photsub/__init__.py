@@ -11,15 +11,15 @@ phase estimation with photon-subtracted squeezed vacuum states:
   analytic phase derivatives, summed with certified error bounds.
 - ``moments``: exact cutoff-free moment tables for all input states.
 - ``metrology``: phase uncertainty, quantum Fisher information, noise
-  reduction factor and correlated covariance uncertainty, with all
+  reduction factor, correlated covariance uncertainty and Mandel Q, with all
   asymptotic closed forms.
 - ``experiments``: figure presets, config-driven parameter sweeps and the
   engine-vs-oracle comparison harness (also exposed as the ``photsub`` CLI).
 
 The figures of merit run on Python integers alone.  Only the Fock oracle
-uses numpy, so ``fock`` is imported on first use (``photsub.fock``, or the
-oracle and the state constructors that call it), and a sweep never imports
-numpy.
+uses numpy (the ``oracle`` extra), so ``fock`` is imported on first use
+(``photsub.fock``, or the oracle and the state constructors that call it),
+and a sweep never imports numpy.
 """
 
 import importlib

@@ -20,8 +20,8 @@ bytes.
 
 Config files are flat ``key = value`` text; lists are comma-separated.  The
 full schema is documented in the README.  A config's ``digits`` is the one
-precision setting: the working digits of both schemes' read-out engine, of
-the quadrature metrics and of ``mandel_q``.  No environment variable is read.
+precision setting: the working digits of the read-out engine, ``mandel_q``
+too, and of the quadrature metrics.  No environment variable is read.
 """
 
 from __future__ import annotations
@@ -188,21 +188,18 @@ def _snl(cfg, dps) -> float:
     return 1.0 / sqrt(n)
 
 
-def _exact(build, coeffs=None, **options):
-    """Mandel Q of a point's quantum input, or with ``coeffs`` the variance of
-    its quadrature ``coeffs(spec, bits)``, from its table ``build(lam, m,
-    chi=chi, **options)``.
+def _exact(build, coeffs, **options):
+    """The variance of a point's quadrature ``coeffs(spec, bits)``, from its
+    table ``build(lam, m, chi=chi, **options)``.
 
-    Photon numbers and pair correlations cancel at strong squeezing, so it
-    runs at the bits of the row's digits, else of 35.
+    Pair correlations cancel at strong squeezing, so it runs at the bits of
+    the row's digits, else of 35.
     """
 
     def metric(cfg, dps) -> float:
         s = cfg.quantum
         bits = moments.digits_to_bits(dps or moments.DEFAULT_DIGITS)
         table = build(s.lam, s.m, chi=s.chi, **options)
-        if coeffs is None:
-            return moments.mandel_q(table, cfg.eta, bits)
         return moments.quadrature_variance(table, coeffs(s, bits), cfg.eta, bits)
 
     return metric
@@ -233,7 +230,7 @@ _METRICS = {
         "U_norm": lambda c, dps: metrology.correlated_uncertainty(c, dps=dps),
         "nrf": lambda c, dps: metrology.nrf(c, dps=dps),
         "mean_photons": _mean_photons,
-        "mandel_q": _exact(moments.spatsv_moment_table),
+        "mandel_q": lambda c, dps: metrology.mandel_q(c, dps=dps),
         "quad_diff_var": _exact(moments.spatsv_moment_table, _difference, max_order=2),
         "quad_diff_var_seed": _exact(moments.spatsv_seed_moment_table, _difference, max_order=2),
     },
@@ -696,6 +693,11 @@ def main(argv=None) -> int:
         return EXIT_OK if comparison.passed else EXIT_NUMERICAL
     except (ConfigInvalid, UnknownPreset) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":  # the oracle's alone, an optional extra
+            raise
+        print(f"{exc}: the oracle needs numpy, pip install 'photsub[oracle]'", file=sys.stderr)
         return EXIT_CONFIG
     except PrecisionInsufficient as exc:
         print(f"numerical contract failure: {exc}", file=sys.stderr)

@@ -5,14 +5,13 @@ photon subtraction, and a brute-force interferometer oracle used to validate
 the symbolic moment engine.  Each state is one amplitude function
 n -> <n|state>; one filler turns it into an array, by default up to the
 least level whose tail mass is below TAIL_TOL plus CUTOFF_MARGIN levels, and
-checks a given cutoff against the same tail.  The oracle forms a stack of
-single-MZI output planes U(|coherent> (x) |quantum>): one plane for the
-single scheme, one per |n, n> of the twin beam for the correlated scheme,
-whose twin-MZI output is the sum of products of two planes.  The MZI turns
-the coherent port's displacement into one displacement of each output port,
-so a plane is two displacement matrices, their entries normalised Laguerre
-functions filled by a recurrence over the nq quantum levels, around the
-closed-form image of |0> (x) |quantum>: O(D nq^2) work for a D x D plane.
+checks a given cutoff against the same tail.  The MZI turns the coherent
+port's displacement into one displacement of each output port around the
+closed-form image of |0> (x) |quantum>, their entries normalised Laguerre
+functions filled by a recurrence over the nq quantum levels.  The single
+scheme's output is one D x D plane: O(D nq^2) work.  The twin MZIs'
+discarded coherent ports drop out of the read-out by the unitarity of their
+displacements, which leaves one nq x nq Gram matrix per read-out count.
 
 Conventions
 -----------
@@ -41,7 +40,7 @@ TAIL_TOL = 1e-12
 NULL_THRESHOLD = 1e-300
 #: adaptive constructors keep this many slots of headroom above the tail
 CUTOFF_MARGIN = 5
-#: bound on the number of amplitudes in the oracle's stack of planes, read at each call
+#: bound on the number of amplitudes in the oracle's largest array, read at each call
 MAX_AMPLITUDES = 30_000_000
 
 
@@ -278,8 +277,8 @@ class OracleScene:
     The quantum input picks the scheme: a :class:`FockState1` enters one MZI
     beside the coherent state; a :class:`TwoModeDiagonalState` feeds twin
     MZIs, each beside its own copy of the coherent state.  Every MZI runs at
-    ``phi``.  :data:`MAX_AMPLITUDES` bounds the stack of D x D planes the
-    oracle evolves: one plane for one MZI, one per |n, n> level for twin MZIs.
+    ``phi``.  :data:`MAX_AMPLITUDES` bounds the oracle's largest array: the
+    D x D plane of one MZI, or the D Gram matrices, nq x nq, of twin MZIs.
     """
 
     quantum: object
@@ -309,21 +308,21 @@ def _moments_from_joint(joint: np.ndarray) -> dict:
 def oracle_interferometer(scene: OracleScene) -> OracleResult:
     """Joint photon counts of the read-out ports, binomially thinned by eta.
 
-    One path serves both schemes: a stack of single-MZI planes
-    U(|alpha> (x) |q_r>), U = ``mzi_unitary(phi)``, each on the D x D plane
-    of its MZI's joint photon capacity D = nc + nq - 1.  As the coherent port
-    holds a displaced vacuum, U(|alpha> (x) |q>) = D_1(u00 alpha) D_2(u10 alpha)
-    U(|0> (x) |q>), and U|0, j> = sum_p sqrt(C(j, p)) u01^p u11^(j-p) |p, j-p>,
-    so a plane is Da Y Db^T: Y holds U(|0> (x) |q_r>) on the nq x nq corner
-    and Da, Db are the two displacements' first nq columns (the coherent
-    state enters untruncated).  A :class:`FockState1` gives one plane, read
-    on both axes.  The twin-MZI input sum_n d_n |n, n> gives one plane psi_n
-    per |n>, and its output is sum_n d_n psi_n (x) psi_n; with
-    G_nk(a) = sum_c psi_n[c, a] conj(psi_k[c, a]) over each MZI's discarded
-    coherent-port axis c, the quantum-port joint is
-    P(a, b) = sum_{n,k} d_n conj(d_k) G_nk(a) G_nk(b).  Only feasible for
-    small coherent energy (mu <~ 10); the memory bound is enforced on the
-    stack before it is allocated.
+    Each MZI, U = ``mzi_unitary(phi)``, works on photon counts below its
+    joint capacity D = nc + nq - 1.  As the coherent port holds a displaced
+    vacuum, U(|alpha> (x) |q>) = D_1(u00 alpha) D_2(u10 alpha) U(|0> (x) |q>),
+    and U|0, j> = sum_p y[p, j-p] |p, j-p>, y[p, s] = sqrt(C(p+s, p)) u01^p u11^s.
+    A :class:`FockState1` gives the plane Da Y Db^T, read on both axes: Y
+    holds U(|0> (x) |q>) on the nq x nq corner and Da, Db are the two
+    displacements' first nq columns (the coherent state enters untruncated).
+    The twin-MZI input sum_n d_n |n, n> has output sum_n d_n psi_n (x) psi_n,
+    psi_n = U(|alpha> (x) |n>).  D_1 acts on each MZI's discarded coherent
+    port alone, so by its unitarity it drops out of
+    G_nk(a) = sum_c psi_n[c, a] conj(psi_k[c, a]), which is
+    sum_p y[p, n-p] conj(y[p, k-p]) Db[a, n-p] conj(Db[a, k-p]), and the
+    quantum-port joint is P(a, b) = sum_{n,k} d_n conj(d_k) G_nk(a) G_nk(b).
+    Only feasible for small coherent energy (mu <~ 10); the memory bound is
+    enforced on the largest array before it is allocated.
     """
     alpha = np.sqrt(scene.mu) * np.exp(1j * scene.psi)
     q = scene.quantum
@@ -335,11 +334,11 @@ def oracle_interferometer(scene: OracleScene) -> OracleResult:
         )
     d = q.diag_amplitudes if twin else q.amplitudes
     nq = len(d)
-    rows = nq if twin else 1
-    dim = len(coherent_state(alpha).amplitudes) + nq - 1
-    _check_memory((rows, dim, dim))
+    dim = len(_filled(_coherent(alpha))) + nq - 1
+    _check_memory((dim, nq, nq) if twin else (dim, dim))
     u2 = mzi_unitary(scene.phi)
-    da, db = _displacements(u2[:, 0] * alpha, dim, nq)
+    # Da and Db, or for twin MZIs Db alone: their Da drops out of the read-out
+    *da, db = _displacements(u2[int(twin):, 0] * alpha, dim, nq)
     # y[p, s] = sqrt(C(p + s, p)) u01^p u11^s as products down each column:
     # every partial product is such an amplitude, of modulus <= 1
     p, s = np.ogrid[:nq, :nq]
@@ -349,18 +348,16 @@ def oracle_interferometer(scene: OracleScene) -> OracleResult:
     y[0] = np.cumprod(y[0])
     y = np.cumprod(y, axis=0)
     if twin:
-        # plane r holds U|0, r> alone: w[s, r, c] = y[r - s, s] Da[c, r - s], and
-        # the planes come out port-major, by_port[a, r, c] = sum_s Db[a, s] w[s, r, c]
-        s, r = np.ogrid[:nq, :nq]
-        lag = np.maximum(r - s, 0)
-        w = (y[lag, s] * (r >= s))[:, :, None] * da.T[lag]
-        by_port = (db @ w.reshape(nq, -1)).reshape(dim, rows, dim)
-        # g[a, n, k] = G_nk(a), then the (n, k) sum as one product
-        g = (by_port @ by_port.conj().transpose(0, 2, 1)).reshape(dim, -1)
+        # v[a, n, p] = y[p, n - p] Db[a, n - p], g[a, n, k] = G_nk(a) = (v v^H)[a],
+        # then the (n, k) sum as one product
+        n, p = np.ogrid[:nq, :nq]
+        lag = np.maximum(n - p, 0)
+        v = (y[p, lag] * (n >= p)) * db[:, lag]
+        g = (v @ v.conj().transpose(0, 2, 1)).reshape(dim, -1)
         joint = ((g * np.outer(d, d.conj()).ravel()) @ g.T).real
     else:
         y = y * np.append(d, np.zeros(nq - 1))[p + s]
-        joint = np.abs(da @ y @ db.T) ** 2
+        joint = np.abs(da[0] @ y @ db.T) ** 2
     if scene.eta < 1.0:
         thin = _thinning(dim, scene.eta)
         joint = thin @ joint @ thin.T

@@ -2,9 +2,10 @@
 
 Single Mach-Zehnder quantities (read-out difference uncertainty, quantum
 Fisher information, Cramer-Rao bound) and correlated-interferometer
-quantities (noise reduction factor, normalized covariance uncertainty),
-all evaluated exactly from the read-out ports' normal-ordered moments,
-plus the asymptotic closed forms used for cross-checks and regime analysis.
+quantities (noise reduction factor, normalized covariance uncertainty, the
+Mandel Q of one mode of the pair), all evaluated exactly from the read-out
+ports' normal-ordered moments, plus the asymptotic closed forms used for
+cross-checks and regime analysis.
 Each figure of merit takes only its own scheme's config and raises
 ValueError for the other's; :func:`readout_moments` serves both.
 
@@ -17,8 +18,8 @@ F(i, j) = <A^dag^i A^i B^dag^j B^j> are those of :mod:`photsub.opalg`, and
 every figure of merit is algebra on them: each observable it reads is
 folded once per scene family and summed once per point, and the single
 slope and the correlated mixed derivative are closed forms.  Each comes
-with a certified error, and every variance is formed, and its surviving
-digits checked, by :func:`_variance`.  Detection loss eta, a beamsplitter
+with a certified error, and every variance but Mandel Q's is formed, and
+its digits checked, by :func:`_variance`.  Detection loss eta, a beamsplitter
 to vacuum on each read-out port, scales F(i, j) by eta^(i+j)
 (:func:`moments.thin`, the package's one loss law).  Each figure is formed
 in integers at the bits of its ``dps`` digits: an isqrt, then one int / int.
@@ -26,7 +27,6 @@ in integers at the bits of its ``dps`` digits: an isqrt, then one int / int.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from math import acos, cos, isfinite, isqrt, log10, nextafter, pi, sqrt, ulp
@@ -214,13 +214,12 @@ def _require(cfg, scheme: type) -> None:
         raise ValueError(f"expected a {scheme.__name__}, got {type(cfg).__name__}")
 
 
-@contextmanager
-def _scene(cfg, dps: int | None = None):
-    """Yield the scene's port moments at its working precision (see
+def _scene(cfg, dps: int | None = None) -> opalg.PortMoments:
+    """The scene's port moments at its working precision (see
     :func:`_port_coefficients`); the config's spec carries the scheme."""
     coefficients = _port_coefficients(cfg.quantum, cfg.mu, cfg.psi, dps)
     x, y, z = _mzi_entries(cfg.phi, coefficients.bits)
-    yield opalg.PortMoments(coefficients, x, y, z, cfg.eta)
+    return opalg.PortMoments(coefficients, x, y, z, cfg.eta)
 
 
 def readout_moments(cfg: SingleMziConfig | CorrelatedConfig, dps: int | None = None) -> dict:
@@ -232,13 +231,12 @@ def readout_moments(cfg: SingleMziConfig | CorrelatedConfig, dps: int | None = N
     to 8 digits raises PrecisionInsufficient.
     """
     order = 2 if isinstance(cfg, SingleMziConfig) else 4
-    out = {}
-    with _scene(cfg, dps=dps) as ports:
-        for key in [(p, q) for p in range(order + 1) for q in range(order + 1 - p) if p + q]:
-            # combined from F(i, j), which every moment shares, not folded each
-            out[key] = sum(w * ports.entry(*ij) for ij, w in opalg.normal_ordered({key: 1}))
-            moments.require_digits(out[key], "read-out moment")
-            out[key] = out[key].value
+    out, ports = {}, _scene(cfg, dps=dps)
+    for key in [(p, q) for p in range(order + 1) for q in range(order + 1 - p) if p + q]:
+        # combined from F(i, j), which every moment shares, not folded each
+        out[key] = sum(w * ports.entry(*ij) for ij, w in opalg.normal_ordered({key: 1}))
+        moments.require_digits(out[key], "read-out moment")
+        out[key] = out[key].value
     return out
 
 
@@ -255,9 +253,9 @@ def single_phase_uncertainty(cfg: SingleMziConfig, dps: int | None = None) -> fl
     certified to 8 digits PrecisionInsufficient.
     """
     _require(cfg, SingleMziConfig)
-    with _scene(cfg, dps=dps) as ports:
-        var = _variance(ports, _DIFFERENCE)
-        return _root_over(var, _nonzero(ports.slope(), "read-out slope"))
+    ports = _scene(cfg, dps=dps)
+    var = _variance(ports, _DIFFERENCE)
+    return _root_over(var, _nonzero(ports.slope(), "read-out slope"))
 
 
 def qfi(cfg: SingleMziConfig, dps: int | None = None) -> float:
@@ -296,12 +294,33 @@ def nrf(cfg: CorrelatedConfig, dps: int | None = None) -> float:
     two read-out ports; a dark read-out (zero mean) raises ZeroMeanPhoton.
     """
     _require(cfg, CorrelatedConfig)
-    with _scene(cfg, dps=dps) as ports:
-        mean_sum = opalg.port_expectation(ports, _SUM)
-        if mean_sum.man <= 0:
-            raise ZeroMeanPhoton("no photons reach the read-out ports")
-        var = _variance(ports, _DIFFERENCE)
-        return moments.ratio(var.man, mean_sum.man, var.exp - mean_sum.exp)
+    ports = _scene(cfg, dps=dps)
+    mean_sum = opalg.port_expectation(ports, _SUM)
+    if mean_sum.man <= 0:
+        raise ZeroMeanPhoton("no photons reach the read-out ports")
+    var = _variance(ports, _DIFFERENCE)
+    return moments.ratio(var.man, mean_sum.man, var.exp - mean_sum.exp)
+
+
+def mandel_q(cfg: CorrelatedConfig, dps: int | None = None) -> float:
+    """Mandel Q = (Var N - <N>)/<N> of one mode of the pair, detected with
+    efficiency eta; negative is sub-Poissonian.
+
+    Port A reads that mode alone, u = 1 and v = 0, at mu = 0 (43 digits unless
+    ``dps`` is given; phi and psi play no role): <N> = F(1, 0) and Var N - <N>
+    = F(2, 0) - F(1, 0)^2, so Q thins to eta Q.  A dark mode raises
+    ZeroMeanPhoton.  8 digits of Var N must be certified against the larger of
+    |Var N| and <N>, so an exact Q = 0 stays certified.
+    """
+    _require(cfg, CorrelatedConfig)
+    coefficients = _port_coefficients(cfg.quantum, 0.0, 0.0, dps)
+    ports = opalg.PortMoments(coefficients, moments.ONE, (0,) * 5, (0,) * 5, cfg.eta, turn=1)
+    mean = ports.entry(1, 0)
+    if mean.man <= 0:
+        raise ZeroMeanPhoton("Mandel Q undefined for zero mean photon number")
+    excess = ports.entry(2, 0) - mean.squared()
+    moments.require_digits(excess + mean, "photon-number variance", mean)
+    return moments.ratio(excess.man, mean.man, excess.exp - mean.exp)
 
 
 def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> float:
@@ -321,12 +340,12 @@ def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> flo
     _require(cfg, CorrelatedConfig)
     if not cfg.mu or abs(cos(cfg.phi / 2.0)) <= ulp(cfg.phi):
         raise Singular("no coherent light reaches the read-out: mu = 0 or cos(phi/2) = 0")
-    with _scene(cfg, dps=dps) as ports:
-        mixed = _nonzero(-2 * ports.mixed(), "mixed phase derivative of <C>")
-        var = _variance(ports, _COVARIANCE)
-        (eta, e1), (mu, e2) = moments.man_exp(cfg.eta), moments.man_exp(cfg.mu)
-        x, _, e3, _, _ = ports.x
-        return _root_over(var, mixed, eta * mu * x, e1 + e2 + e3)
+    ports = _scene(cfg, dps=dps)
+    mixed = _nonzero(-2 * ports.mixed(), "mixed phase derivative of <C>")
+    var = _variance(ports, _COVARIANCE)
+    (eta, e1), (mu, e2) = moments.man_exp(cfg.eta), moments.man_exp(cfg.mu)
+    x, _, e3, _, _ = ports.x
+    return _root_over(var, mixed, eta * mu * x, e1 + e2 + e3)
 
 
 # ---------------------------------------------------------------------------

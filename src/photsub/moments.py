@@ -15,15 +15,15 @@ and phases come from one integer cosine and sine (:func:`cos_sin`).
 
 Sums that may cancel are certified (:func:`certified_sum`), and detection
 loss has one law, :func:`thin`, through which the read-out engine
-(:mod:`photsub.opalg`), :func:`quadrature_variance` and :func:`mandel_q`
-scale such sums of lossless moments.  Precision is a ``bits`` argument.
+(:mod:`photsub.opalg`) and :func:`quadrature_variance` scale such sums of
+lossless moments.  Precision is a ``bits`` argument.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial, floor, inf, isfinite, isqrt
 
-from .errors import MomentOrderMissing, NullState, PrecisionInsufficient, ZeroMeanPhoton
+from .errors import MomentOrderMissing, NullState, PrecisionInsufficient
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +268,7 @@ def require_digits(x: Bounded, what: str, *sizes: Bounded) -> None:
         )
 
 
-#: the working digits of the quadrature metrics and Mandel Q unless given
+#: the working digits of the quadrature metrics unless given
 DEFAULT_DIGITS = 35
 
 
@@ -309,26 +309,6 @@ def quadrature_variance(table: MomentTable, coeffs, eta: float = 1.0,
     var = thin(spread, eta, 1) + 0.5 * vacuum
     require_digits(var, "quadrature variance")
     return var.value
-
-
-def mandel_q(table: MomentTable, eta: float = 1.0,
-             bits: int = digits_to_bits(DEFAULT_DIGITS)) -> float:
-    """Mandel Q = (Var N - <N>)/<N> of the table's first mode.
-
-    Negative is sub-Poissonian.  With ``eta`` the detection efficiency and
-    F_k = <a^dag^k a^k> of the lossless table, <N> = eta F_1 and
-    Var N - <N> = eta^2 (F_2 - F_1^2), so Q thins to eta Q.  The F_k are
-    read at ``bits`` working bits, and 8 digits of Var N must be certified
-    against the larger of |Var N| and <N>, so an exact Q = 0 stays certified.
-    """
-    rest = (0,) * (2 * len(table.modes) - 2)
-    f1, f2 = (certified_sum([(ONE, table.fixed((k, k) + rest, bits))], bits) for k in (1, 2))
-    mean = thin(f1, eta, 1)
-    if mean.man <= 0:
-        raise ZeroMeanPhoton("Mandel Q undefined for zero mean photon number")
-    excess = thin(f2 - f1.squared(), eta, 2)
-    require_digits(excess + mean, "photon-number variance", mean)
-    return ratio(excess.man, mean.man, excess.exp - mean.exp)
 
 
 def joint_photon_distribution(lam, m: int, n_max: int) -> dict:

@@ -288,14 +288,15 @@ def test_acceptance_12_property_suite():
         if abs(once.value - both.value) > 1e-10:
             ok, detail = False, "loss-composition"
     # Mandel thinning law Q -> eta Q
-    marg = moments.spatsv_moment_table(0.4, 1)
-    q0 = moments.mandel_q(marg)
+    def marginal(lam, m, eta=1.0):  # the pair alone, as Mandel Q reads it
+        return CorrelatedConfig(SpatsvSpec(lam, m), mu=0.0, phi=0.0, eta=eta)
+
+    q0 = metrology.mandel_q(marginal(0.4, 1))
     for eta in (0.3, 0.7):
-        if abs(moments.mandel_q(marg, eta) - eta * q0) > 1e-9:
+        if abs(metrology.mandel_q(marginal(0.4, 1, eta)) - eta * q0) > 1e-9:
             ok, detail = False, "mandel-thinning"
     # sub-Poissonian marginal after double subtraction at low energy
-    marg2 = moments.spatsv_moment_table(0.1, 2)
-    if not moments.mandel_q(marg2, 0.98) < 0.0:
+    if not metrology.mandel_q(marginal(0.1, 2, 0.98)) < 0.0:
         ok, detail = False, "mandel-negativity"
     # perfect twin-beam correlation without coherent light or loss
     if not metrology.nrf(CorrelatedConfig(SpatsvSpec(0.5, 0), mu=0.0, phi=0.0)) < 1e-12:

@@ -27,14 +27,14 @@ def _reads(cfg, dps) -> dict:
     single = isinstance(cfg, SingleMziConfig)
     order = 2 if single else 4
     poly = metrology._DIFFERENCE if single else metrology._COVARIANCE
-    with metrology._scene(cfg, dps=dps) as ports:
-        out = {(i, j): ports.entry(i, j) for i in range(order + 1) for j in range(order + 1 - i)}
-        if single:
-            out["slope"] = ports.slope()
-        else:
-            out["mixed"] = ports.mixed()
-        second = opalg.port_expectation(ports, metrology._times(poly, poly))
-        out["variance"] = second - opalg.port_expectation(ports, poly).squared()
+    ports = metrology._scene(cfg, dps=dps)
+    out = {(i, j): ports.entry(i, j) for i in range(order + 1) for j in range(order + 1 - i)}
+    if single:
+        out["slope"] = ports.slope()
+    else:
+        out["mixed"] = ports.mixed()
+    second = opalg.port_expectation(ports, metrology._times(poly, poly))
+    out["variance"] = second - opalg.port_expectation(ports, poly).squared()
     return out
 
 

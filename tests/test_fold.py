@@ -106,10 +106,10 @@ def test_a_twin_beam_difference_cancels_to_zero_within_its_bound():
     # <n0> and <n1> of the pair are one integer fill, so the rows of
     # <N_a - N_b> cancel exactly, and keep the fill's error
     cfg = CorrelatedConfig(SpatsvSpec(2.0, 2, 0.3), mu=1e12, phi=0.7, psi=pi / 2, eta=0.98)
-    with metrology._scene(cfg) as ports:
-        weights = opalg.normal_ordered(metrology._DIFFERENCE)
-        rows = ports.coefficients.fold(weights, ports.turn)
-        mean = ports.expect(weights)
+    ports = metrology._scene(cfg)
+    weights = opalg.normal_ordered(metrology._DIFFERENCE)
+    rows = ports.coefficients.fold(weights, ports.turn)
+    mean = ports.expect(weights)
     assert rows and all(g[0] == g[1] == 0 and g[4] > 0 for _, _, g in rows)
     assert mean.man == 0 and mean.err > 0
 

@@ -1,8 +1,9 @@
-"""photsub runs on Python integers and numpy: scipy and mpmath are test
-dependencies, only the Fock oracle imports numpy, and a sweep, balanced or
-reading the exact tables, imports neither fractions nor decimal.  With mpmath
-blocked, the package import, the presets (the 1 - tau axis too), balanced
-points and the oracle comparison all run."""
+"""photsub runs on Python integers: scipy and mpmath are test dependencies,
+only the Fock oracle imports numpy (the ``oracle`` extra), and a sweep,
+balanced or reading the exact tables, imports neither fractions nor decimal.
+With mpmath blocked, the package import, the presets (the 1 - tau axis too),
+balanced points and the oracle comparison all run; with numpy blocked, the
+CLI runs presets and its oracle comparison names the extra it needs."""
 
 import ast
 import os
@@ -169,3 +170,29 @@ def test_the_import_presets_sweeps_and_oracle_import_no_mpmath():
     # comparison of both schemes all run
     assert _fresh(_WITHOUT_MPMATH) == [
         "fig8", "fig9a", "fig1b", "fig_mandel", "sweeps", "single", "correlated"]
+
+
+_CLI_WITHOUT_NUMPY = """
+import runpy
+import sys
+
+sys.modules["numpy"] = None  # every import of numpy fails, as without the oracle extra
+sys.argv = ["photsub", *sys.argv[1:]]
+runpy.run_module("photsub", run_name="__main__")
+"""
+
+
+def _cli_without_numpy(cwd, *args):
+    """``python -m photsub *args`` in a fresh interpreter that cannot import numpy."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    return subprocess.run([sys.executable, "-c", _CLI_WITHOUT_NUMPY, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_the_cli_runs_presets_without_numpy_and_names_the_oracle_extra(tmp_path):
+    preset = _cli_without_numpy(tmp_path, "preset", "fig9a", "--out", "fig9a.csv")
+    assert preset.returncode == 0, preset.stderr
+    (tmp_path / "scene.cfg").write_text("scheme = single\nlam = 0.3\n")
+    oracle = _cli_without_numpy(tmp_path, "oracle-compare", "--config", "scene.cfg")
+    assert oracle.returncode == 1
+    assert "photsub[oracle]" in oracle.stderr and "Traceback" not in oracle.stderr

@@ -193,8 +193,9 @@ _CORRELATED = CorrelatedConfig(SpatsvSpec(1.0, 1), mu=10.0, phi=1.0)
         (metrology.qfi, _CORRELATED, "SingleMziConfig"),
         (metrology.nrf, _SINGLE, "CorrelatedConfig"),
         (metrology.correlated_uncertainty, _SINGLE, "CorrelatedConfig"),
+        (metrology.mandel_q, _SINGLE, "CorrelatedConfig"),
     ],
-    ids=["U", "qfi", "nrf", "U_norm"],
+    ids=["U", "qfi", "nrf", "U_norm", "mandel_q"],
 )
 def test_a_config_of_the_other_scheme_is_rejected(metric, config, expected):
     # each figure of merit belongs to one scheme; the other scheme's config
@@ -242,6 +243,42 @@ def test_nrf_matches_small_energy_expansion(m):
 def test_nrf_asymptotic_unsupported_order():
     with pytest.raises(UnsupportedOrder):
         metrology.nrf_asymptotic(3, 0.9, 0.01)
+
+
+def _pair(lam, m, eta=1.0):
+    """A scene of the pair alone, as Mandel Q reads it."""
+    return CorrelatedConfig(SpatsvSpec(lam, m), mu=0.0, phi=0.0, eta=eta)
+
+
+def test_mandel_q_thermal():
+    # the single-mode marginal of a TSV is thermal: Q = mean photons
+    lam = 0.8
+    assert abs(metrology.mandel_q(_pair(lam, 0)) - lam) < 1e-8
+
+
+def test_mandel_q_negative_for_subtracted_state():
+    assert metrology.mandel_q(_pair(0.1, 2)) < 0.0
+
+
+@given(eta=st.floats(min_value=0.05, max_value=1.0))
+@settings(max_examples=25, deadline=None)
+def test_mandel_q_thins_linearly(eta):
+    # binomial loss scales Mandel Q by eta for any state
+    q0 = metrology.mandel_q(_pair(0.4, 1))
+    q_eta = metrology.mandel_q(_pair(0.4, 1, eta))
+    assert abs(q_eta - eta * q0) < 1e-9
+
+
+def test_mandel_q_reads_the_pair_alone():
+    # Q reads the pair at mu = 0, 43 digits: coherent light and phase play no role
+    cfg = CorrelatedConfig(SpatsvSpec(0.4, 1), mu=1e6, phi=2.1, psi=0.3, eta=0.9)
+    assert metrology.mandel_q(cfg) == metrology.mandel_q(_pair(0.4, 1, 0.9), dps=43)
+
+
+@pytest.mark.parametrize("lam, eta", [(0.0, 1.0), (0.5, 0.0)])
+def test_mandel_q_of_a_dark_mode_raises(lam, eta):
+    with pytest.raises(ZeroMeanPhoton):
+        metrology.mandel_q(_pair(lam, 0, eta))
 
 
 def test_correlated_vacuum_benchmark():

@@ -1,4 +1,4 @@
-"""Exact moment tables: Fock cross-validation, loss, quadratures, Mandel Q."""
+"""Exact moment tables: Fock cross-validation, loss, quadratures."""
 
 import itertools
 import random
@@ -6,8 +6,6 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from photsub import fock, moments, states
 from photsub.errors import MomentOrderMissing
@@ -142,28 +140,6 @@ def test_two_mode_difference_quadrature():
     # the orthogonal angle is anti-squeezed
     c = np.exp(-0.5j * np.pi) * 2**-0.5
     assert abs(moments.quadrature_variance(t, (c, -c)) - 0.5 * np.exp(2 * r)) < 1e-10
-
-
-def test_mandel_q_coherent_and_thermal():
-    assert abs(moments.mandel_q(coherent_table(1.7))) < 1e-12
-    # the single-mode marginal of a TSV is thermal: Q = mean photons
-    lam = 0.8
-    assert abs(moments.mandel_q(moments.spatsv_moment_table(lam, 0)) - lam) < 1e-8
-
-
-def test_mandel_q_negative_for_subtracted_state():
-    t = moments.spatsv_moment_table(0.1, 2)
-    assert moments.mandel_q(t) < 0.0
-
-
-@given(eta=st.floats(min_value=0.05, max_value=1.0))
-@settings(max_examples=25, deadline=None)
-def test_mandel_q_thins_linearly(eta):
-    # binomial loss scales Mandel Q by eta for any state
-    t = moments.spatsv_moment_table(0.4, 1)
-    q0 = moments.mandel_q(t)
-    q_eta = moments.mandel_q(t, eta)
-    assert abs(q_eta - eta * q0) < 1e-9
 
 
 def test_joint_distribution_normalized_and_diagonal():

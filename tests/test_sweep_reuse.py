@@ -100,13 +100,13 @@ _SCENES = (
 def _values(cfg, digits) -> tuple:
     """Port moments at working precision, and the public figures of merit."""
     single = isinstance(cfg, SingleMziConfig)
-    with metrology._scene(cfg, dps=digits) as ports:
-        exact = tuple(
-            (x.man, x.err, x.exp)
-            for x in [opalg.port_expectation(ports, {(p, q): 1})
-                      for p, q in ((1, 0), (1, 1), (2, 2)) if p + q <= (2 if single else 4)]
-            + [ports.slope() if single else ports.mixed()]
-        )
+    ports = metrology._scene(cfg, dps=digits)
+    exact = tuple(
+        (x.man, x.err, x.exp)
+        for x in [opalg.port_expectation(ports, {(p, q): 1})
+                  for p, q in ((1, 0), (1, 1), (2, 2)) if p + q <= (2 if single else 4)]
+        + [ports.slope() if single else ports.mixed()]
+    )
     if single:
         figures = (metrology.single_phase_uncertainty(cfg, dps=digits),
                    metrology.qfi(cfg, dps=digits))
