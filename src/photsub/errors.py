@@ -22,7 +22,8 @@ class MemoryBoundExceeded(PhotsubError):
 
 
 class MomentOrderMissing(PhotsubError):
-    """A moment table was queried beyond its declared maximum order."""
+    """A moment table was queried with a key outside it: of the wrong arity,
+    or past a truncated table's order."""
 
 
 class PrecisionInsufficient(PhotsubError):

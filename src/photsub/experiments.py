@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, replace
-from math import inf, isfinite, isqrt, nextafter, pi, sqrt
+from math import inf, isfinite, nextafter, pi, sqrt
 from numbers import Integral
 
 from . import metrology, moments, states
@@ -188,31 +188,28 @@ def _snl(cfg, dps) -> float:
     return 1.0 / sqrt(n)
 
 
-def _exact(build, coeffs, **options):
-    """The variance of a point's quadrature ``coeffs(spec, bits)``, from its
-    table ``build(lam, m, chi=chi, **options)``.
+#: the working digits of the quadrature metrics unless a config sets them
+DEFAULT_DIGITS = 35
 
-    Pair correlations cancel at strong squeezing, so it runs at the bits of
-    the row's digits, else of 35.
+
+def _quadrature(build, n_key: tuple, pair_key: tuple):
+    """The variance of a point's squeezed quadrature from two entries of its
+    table ``build(spec)``: the photon number ``n_key`` and the pair
+    correlation ``pair_key``.  The selection rules zero every mean and cross
+    term, so Var = eta (n - Re pair) + 1/2; the two nearly cancel at strong
+    squeezing, so the sum is certified at the row's digits, else 35.
     """
 
     def metric(cfg, dps) -> float:
-        s = cfg.quantum
-        bits = moments.digits_to_bits(dps or moments.DEFAULT_DIGITS)
-        table = build(s.lam, s.m, chi=s.chi, **options)
-        return moments.quadrature_variance(table, coeffs(s, bits), cfg.eta, bits)
+        bits = moments.digits_to_bits(dps or DEFAULT_DIGITS)
+        table = build(cfg.quantum)
+        n, pair = table.fixed(n_key, bits), table.fixed(pair_key, bits)
+        spread = moments.certified_sum([(moments.ONE, n), ((-1, 0, 0, 1, 0), pair)], bits)
+        var = moments.thin(spread, cfg.eta, 1) + moments.Bounded(1, 0, -1)
+        moments.require_digits(var, "quadrature variance")
+        return var.value
 
     return metric
-
-
-def _difference(spec, bits: int) -> tuple:
-    """e^{-i chi/2} (1, -1)/sqrt 2 at ``bits`` bits, sqrt 2 and the phase to a
-    quarter ulp each: the pair correlation <a1 a2> carries e^{i chi}, so the
-    difference quadrature is squeezed at angle chi/2, where this reads it."""
-    c, s, e, ulps = moments.Phases(-spec.chi / 2)[1, bits + 2]
-    root = isqrt(1 << 2 * bits + 5)  # sqrt 2 2^(bits + 2)
-    half = moments.fixed_from(c * root, s * root, e - bits - 3, bits, ulps + 1)
-    return half, moments.fixed_times(half, -1)
 
 
 #: each scheme's metrics: name -> evaluation on a point's config at dps digits
@@ -223,7 +220,9 @@ _METRICS = {
         "crb": lambda c, dps: metrology.cramer_rao_bound(metrology.qfi(c, dps=dps)),
         "snl": _snl,
         "qfi_classical": lambda c, dps: 2.0 * (c.mu + _mean_photons(c)),
-        "var_y": _exact(moments.passv_moment_table, lambda s, bits: (-1j,)),
+        "var_y": _quadrature(
+            lambda s: moments.passv_moment_table(s.lam, s.m, chi=s.chi), (1, 1), (0, 2)
+        ),
         "mean_photons": _mean_photons,
     },
     "correlated": {
@@ -231,8 +230,16 @@ _METRICS = {
         "nrf": lambda c, dps: metrology.nrf(c, dps=dps),
         "mean_photons": _mean_photons,
         "mandel_q": lambda c, dps: metrology.mandel_q(c, dps=dps),
-        "quad_diff_var": _exact(moments.spatsv_moment_table, _difference, max_order=2),
-        "quad_diff_var_seed": _exact(moments.spatsv_seed_moment_table, _difference, max_order=2),
+        # <a1 a2> carries e^{i chi}, and the difference quadrature is read at
+        # its squeezed angle chi/2, whose e^{-i chi} cancels that phase
+        # exactly: the variance does not depend on chi, so the pair tables
+        # are read at chi = 0
+        "quad_diff_var": _quadrature(
+            lambda s: moments.spatsv_moment_table(s.lam, s.m), (1, 1, 0, 0), (0, 1, 0, 1)
+        ),
+        "quad_diff_var_seed": _quadrature(
+            lambda s: moments.spatsv_seed_moment_table(s.lam, s.m), (1, 1, 0, 0), (0, 1, 0, 1)
+        ),
     },
 }
 SINGLE_METRICS = tuple(_METRICS["single"])

@@ -1,6 +1,6 @@
 """Truncated Fock-space numerics.
 
-Exact small-scale state construction (coherent, squeezed, two-mode squeezed),
+Exact small-scale state construction (squeezed, two-mode squeezed),
 photon subtraction, and a brute-force interferometer oracle used to validate
 the symbolic moment engine.  Each state is one amplitude function
 n -> <n|state>; one filler turns it into an array, by default up to the
@@ -140,11 +140,6 @@ def _falling(n: int, m: int, power: int) -> float:
     return float(prod(range(n + 1, n + m + 1))) ** (power / 2)
 
 
-def coherent_state(alpha: complex, cutoff: int | None = None) -> FockState1:
-    """Coherent state |alpha>, amplitudes e^{-|a|^2/2} a^n / sqrt(n!)."""
-    return FockState1(_filled(_coherent(alpha), cutoff)).normalized()
-
-
 def squeezed_vacuum(r: float, chi: float = 0.0, cutoff: int | None = None) -> FockState1:
     """Single-mode squeezed vacuum S(r e^{i chi})|0> with <N> = sinh^2 r."""
     if r < 0:
@@ -250,24 +245,13 @@ def mzi_unitary(phi: float) -> np.ndarray:
 
 
 def _thinning(dim: int, eta: float) -> np.ndarray:
-    """mat[k, n] = C(n, k) eta^k (1 - eta)^(n - k) for counts k, n < dim, zero for k > n."""
+    """mat[k, n] = C(n, k) eta^k (1 - eta)^(n - k) for counts k, n < dim, zero for k > n:
+    detection loss, a beamsplitter to vacuum, as read out in photon numbers."""
     log_fact = np.array([lgamma(n + 1) for n in range(dim)])
     k, n = np.ogrid[:dim, :dim]
     lost = np.maximum(n - k, 0)
     binom = np.exp(log_fact[n] - log_fact[k] - log_fact[lost])
     return np.triu(binom * eta**k * (1.0 - eta) ** lost)
-
-
-def binomial_thinning(p: np.ndarray, eta: float, axis: int) -> np.ndarray:
-    """Bernoulli-thin a photon-number distribution along one axis.
-
-    Equivalent to a beamsplitter of transmission eta to a vacuum ancilla
-    followed by marginalization over the ancilla outcome (valid because only
-    photon-number observables are read out after the loss): count n keeps k
-    with probability C(n, k) eta^k (1 - eta)^(n - k).
-    """
-    moved = np.moveaxis(p, axis, -1) @ _thinning(p.shape[axis], eta).T
-    return np.moveaxis(moved, -1, axis)
 
 
 @dataclass(frozen=True)

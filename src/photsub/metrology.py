@@ -157,7 +157,7 @@ def _port_coefficients(spec, mu: float, psi: float, dps: int | None):
     if isinstance(spec, PassvSpec):
         table = moments.passv_moment_table(spec.lam, spec.m, chi=spec.chi)
     else:
-        table = moments.spatsv_moment_table(spec.lam, spec.m, max_order=8, chi=spec.chi)
+        table = moments.spatsv_moment_table(spec.lam, spec.m, chi=spec.chi)
     return opalg.PortCoefficients(table, mu, psi, bits)
 
 

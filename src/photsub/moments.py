@@ -15,8 +15,8 @@ and phases come from one integer cosine and sine (:func:`cos_sin`).
 
 Sums that may cancel are certified (:func:`certified_sum`), and detection
 loss has one law, :func:`thin`, through which the read-out engine
-(:mod:`photsub.opalg`) and :func:`quadrature_variance` scale such sums of
-lossless moments.  Precision is a ``bits`` argument.
+(:mod:`photsub.opalg`) and the quadrature metrics, two entries each, scale
+such sums of lossless moments.  Precision is a ``bits`` argument.
 """
 
 from __future__ import annotations
@@ -54,23 +54,11 @@ def man_exp(x) -> tuple:
     return n >> zeros, zeros + 1 - d.bit_length()
 
 
-def fixed(x, bits: int, ulps: int = 4) -> tuple:
-    """``x`` as a block floating-point number (re, im, exp, size, ulps).
-
-    That is (re + i im) 2^exp with integer parts of at most ``bits`` bits,
-    |x|^2 < 2^size and a relative error of at most ulps 2^-bits: the
-    truncation errs by less than 2 sqrt 2 units, and the input by one.
-    ``x`` is read exactly (:func:`man_exp`), real or complex.
-    """
-    parts = [man_exp(x.real), man_exp(x.imag)]
-    exp = max((exp + man.bit_length() for man, exp in parts if man), default=0) - bits
-    re, im = (man << (e - exp) if e >= exp else man >> (exp - e) for man, e in parts)
-    return re, im, exp, (re * re + im * im).bit_length() + 2 * exp, ulps
-
-
 def fixed_from(re: int, im: int, exp: int, bits: int, ulps: int) -> tuple:
-    """(re + i im) 2^exp, of relative error ulps 2^-bits, as a :func:`fixed`
-    number: truncated to ``bits`` bits where longer, which adds 3 ulps."""
+    """(re + i im) 2^exp, of relative error ulps 2^-bits, as a fixed number
+    (re, im, exp, size, ulps): block floating point, its integer parts
+    truncated to ``bits`` bits where longer, which adds 3 ulps, and
+    |x|^2 < 2^size."""
     shift = max(abs(re).bit_length(), abs(im).bit_length()) - bits
     if shift > 0:
         re, im, exp, ulps = re >> shift, im >> shift, exp + shift, ulps + 3
@@ -78,7 +66,7 @@ def fixed_from(re: int, im: int, exp: int, bits: int, ulps: int) -> tuple:
 
 
 def fixed_mul(x: tuple, y: tuple, bits: int) -> tuple:
-    """The product of two :func:`fixed` numbers, truncated to ``bits`` bits."""
+    """The product of two :func:`fixed_from` numbers, truncated to ``bits`` bits."""
     a, b, ex, _, ux = x
     c, d, ey, _, uy = y
     return fixed_from(a * c - b * d, a * d + b * c, ex + ey, bits, ux + uy + 1)
@@ -163,7 +151,7 @@ class Phases(dict):
 
 
 def fixed_times(x: tuple, k, halvings: int = 0) -> tuple:
-    """A :func:`fixed` number times k 2^-halvings, exactly, for a Gaussian
+    """A :func:`fixed_from` number times k 2^-halvings, exactly, for a Gaussian
     integer ``k``: an int, or a complex with integer parts such as -2j."""
     re, im, exp, _, ulps = x
     kr, ki = int(k.real), int(k.imag)
@@ -210,7 +198,7 @@ class Bounded:
 
 
 def certified_sum(pairs, bits: int) -> Bounded:
-    """Re sum x y over pairs of :func:`fixed` numbers, with a certified error.
+    """Re sum x y over pairs of :func:`fixed_from` numbers, with a certified error.
 
     Each product is formed exactly and truncated once, keeping ``bits`` bits
     of the largest (block floating point).  The error is the standard
@@ -266,49 +254,6 @@ def require_digits(x: Bounded, what: str, *sizes: Bounded) -> None:
             f"{what}: {_decimal(size, low)} known only to within {_decimal(x.err, x.exp)}, "
             "fewer than 8 certified digits"
         )
-
-
-#: the working digits of the quadrature metrics unless given
-DEFAULT_DIGITS = 35
-
-
-def quadrature_variance(table: MomentTable, coeffs, eta: float = 1.0,
-                        bits: int = digits_to_bits(DEFAULT_DIGITS)) -> float:
-    """Var X of the quadrature X = sum_t (c_t a_t + conj(c_t) a_t^dag)/sqrt 2.
-
-    ``coeffs`` holds one c_t per mode of ``table``, a number or a
-    :func:`fixed` number: (-1j,) gives X_theta of one mode at theta = pi/2,
-    and e^{-i chi/2} (1, -1)/sqrt 2 the squeezed difference quadrature of a
-    pair whose <a1 a2> carries e^{i chi}, normalized so vacuum sits at 0.5;
-    ``eta`` is the detection efficiency.  Normal ordering gives
-    Var X = eta S + sum |c_t|^2 / 2, with
-    S = Re sum c_s c_t <a_s a_t> + sum conj(c_s) c_t <a_s^dag a_t>
-    - 2 (Re sum c_t <a_t>)^2 over the lossless table.  For strong squeezing
-    the terms nearly cancel: they are summed by :func:`certified_sum` at
-    ``bits`` working bits, and 8 digits of Var X must be certified.
-    """
-    arity = len(table.modes)
-    if len(coeffs) != arity:
-        raise MomentOrderMissing(f"{len(coeffs)} coefficients for {arity} modes")
-    # a few roundings at the working precision formed a coefficient given as a number
-    coeffs = [c if isinstance(c, tuple) else fixed(c, bits, ulps=8) for c in coeffs]
-    conj = [(re, -im, *rest) for re, im, *rest in coeffs]
-
-    def read(*slots):  # the entry that counts a_t^dag in slot 2t, a_t in slot 2t + 1
-        return table.fixed(tuple(slots.count(i) for i in range(2 * arity)), bits)
-
-    # <X> = sqrt 2 Re sum c_t <a_t>, so <X>^2 = 2 (Re sum c_t <a_t>)^2
-    mean = certified_sum(((c, read(2 * t + 1)) for t, c in enumerate(coeffs)), bits)
-    pairs = []
-    for s, cs in enumerate(coeffs):
-        for t, ct in enumerate(coeffs):
-            pairs.append((fixed_mul(cs, ct, bits), read(2 * s + 1, 2 * t + 1)))
-            pairs.append((fixed_mul(conj[s], ct, bits), read(2 * s, 2 * t + 1)))
-    vacuum = certified_sum(zip(coeffs, conj), bits)
-    spread = certified_sum(pairs, bits) - 2 * mean.squared()
-    var = thin(spread, eta, 1) + 0.5 * vacuum
-    require_digits(var, "quadrature variance")
-    return var.value
 
 
 def joint_photon_distribution(lam, m: int, n_max: int) -> dict:
@@ -446,15 +391,15 @@ def _seed_entry(m: int, key: tuple) -> tuple:
 
 
 class MomentTable:
-    """Exact moments of one subsystem over ``modes``, to ``max_order``: entry
+    """Exact moments of one subsystem over ``modes``, any order: entry
     ``key`` is P(lam)/Q(lam) g^(b mod 2) e^{i chi turns} for the lam-free
     (turns, P, g parity) of ``source(m, key)``, Q the P of the zero key and
     g^2 = lam (1 + lam), formed lazily in integers at the bits a reader asks
     for (:meth:`fixed`).  A zeroed key is an exact 0, with no arithmetic; a
     zero norm raises NullState."""
 
-    def __init__(self, modes, max_order, source, lam, m: int, chi):
-        self.modes, self.max_order, self.source, self.m = tuple(modes), int(max_order), source, m
+    def __init__(self, modes, source, lam, m: int, chi):
+        self.modes, self.source, self.m = tuple(modes), source, m
         self.n, self.shift = _binary(lam)
         _, norm, _, self.norm_degree = self._entry((0,) * 2 * len(self.modes))
         self.norm, self.phases = _horner(norm, self.n, self.shift), Phases(chi)
@@ -470,13 +415,11 @@ class MomentTable:
         return _ENTRIES[memo]
 
     def fixed(self, key: tuple, bits: int) -> tuple:
-        """The entry ``key`` as a :func:`fixed` number, in integers alone: the
+        """The entry ``key`` as a :func:`fixed_from` number, in integers alone: the
         ratio floor(P 2^k / Q) and g, an isqrt, have bits + 1 bits or more and
         err by under half a unit 2^-bits each, the phase by under a quarter."""
         if len(key) != 2 * len(self.modes):
             raise MomentOrderMissing(f"key {key} does not match arity {len(self.modes)}")
-        if sum(key) > self.max_order:
-            raise MomentOrderMissing(f"order {sum(key)} beyond table max_order {self.max_order}")
         turns, poly, odd, degree = self._entry(key)
         if poly is None:
             return 0, 0, 0, 0, 0
@@ -496,23 +439,21 @@ class MomentTable:
         return complex(ratio(re, 1, exp), ratio(im, 1, exp))
 
 
-def passv_moment_table(lam, m: int, max_order: int = 8, chi: float = 0.0, mode=0) -> MomentTable:
+def passv_moment_table(lam, m: int, chi: float = 0.0, mode=0) -> MomentTable:
     """Exact PASSV moments <a^dag^p a^q>, lazily filled at the bits each
     read asks for: <a^dag^{p+m} a^{q+m}>_SSV / <a^dag^m a^m>_SSV.  At m = 0
     these are the squeezed vacuum's own moments."""
-    return MomentTable((mode,), max_order, _vacuum_entry, lam, m, chi)
+    return MomentTable((mode,), _vacuum_entry, lam, m, chi)
 
 
-def spatsv_moment_table(lam, m: int, max_order: int = 16, chi: float = 0.0) -> MomentTable:
+def spatsv_moment_table(lam, m: int, chi: float = 0.0) -> MomentTable:
     """Exact SPATSV moments <a1^dag^p a1^q a2^dag^r a2^s>, lazily filled at
     the bits each read asks for; at m = 0 the TSV's own."""
-    return MomentTable((0, 1), max_order, _vacuum_entry, lam, m, chi)
+    return MomentTable((0, 1), _vacuum_entry, lam, m, chi)
 
 
-def spatsv_seed_moment_table(
-    lam, m: int, max_order: int = 4, chi: float = 0.0
-) -> MomentTable:
+def spatsv_seed_moment_table(lam, m: int, chi: float = 0.0) -> MomentTable:
     """Exact moments of the SPATSV seed sum_k C(m,k) t^{k/2} e^{i chi k} |k,k>,
     t = lam/(1 + lam): the seed has m + 1 amplitudes, so each moment is a
     finite sum (:func:`_seed_entry`), filled in integers as the Wick tables are."""
-    return MomentTable((0, 1), max_order, _seed_entry, lam, m, chi)
+    return MomentTable((0, 1), _seed_entry, lam, m, chi)

@@ -66,7 +66,7 @@ def _rows(single: bool, weights: tuple, turn) -> list:
 
 
 def _exact_sum(summands):
-    """sum w h over pairs of an integer w and a :func:`fixed` number h, exactly,
+    """sum w h over pairs of an integer w and a :func:`fixed_from` number h, exactly,
     or None where every h is an exact 0, which adds no error.  The sum may
     cancel, so its error, the summands' ulps, is counted against the size of
     its largest summand and then carried in units of its own size; one that

@@ -3,17 +3,21 @@
 Production code reads every moment from the exact, lazily filled tables in
 :mod:`photsub.moments`.  The float Fock-space routines here are independent
 ways to the same numbers: moments by direct summation over a truncated
-state, squeeze operators applied as matrix exponentials, overlaps and
-fidelities, passive two-mode maps as dense plane matrices, the oracle's
-lossless output as one amplitude tensor, and detection loss as beamsplitters
-to vacuum ancillas.  The tests check the exact engine, the state
-constructors, the oracle's stack of single-MZI planes and its binomial
-thinning against them, and the photon-number block recursion that builds
-the output tensor against the dense plane matrices.  The Wick pairing sums formed entry
-by entry from scratch (:func:`vacuum_moment_1m`, :func:`subtracted_table`)
-are the reference for the exact-polynomial fill of the production tables.  A whole moment table thinned entry
-by entry (:func:`apply_loss`) is the reference for the loss law
-:func:`photsub.moments.thin`.  The general normal-ordered
+state, normalised coherent states, squeeze operators applied as matrix
+exponentials, overlaps and fidelities, passive two-mode maps as dense plane
+matrices, the oracle's lossless output as one amplitude tensor, and
+detection loss as beamsplitters to vacuum ancillas or binomial thinning.
+The tests check the exact engine, the state constructors, the oracle's
+output planes and Gram matrices and its thinning against them, and the
+photon-number block recursion that builds the output tensor against the
+dense plane matrices.  The Wick pairing sums formed entry by entry from
+scratch (:func:`vacuum_moment_1m`, :func:`subtracted_table`) are the
+reference for the exact-polynomial fill of the production tables.  A whole
+moment table thinned entry by entry (:func:`apply_loss`) is the reference
+for the loss law :func:`photsub.moments.thin`, and the variance of any
+linear quadrature over a table (:func:`quadrature_variance`, on numbers
+made fixed by :func:`fixed`) the reference for the two-entry quadrature
+metrics of :mod:`photsub.experiments`.  The general normal-ordered
 operator algebra at the end (:class:`OperatorPolynomial`, :func:`multiply`,
 :func:`contract`), with :class:`Jet` phase derivatives, is the reference
 the port-moment kernel of :mod:`photsub.opalg` and its analytic
@@ -185,7 +189,8 @@ def apply_loss(table, eta) -> ReferenceTable:
             factors[total] = eta ** (total / 2)
         return factors[total] * entry(table, key)
 
-    return ReferenceTable(table.modes, table.max_order, compute=compute)
+    # a production table has no order bound
+    return ReferenceTable(table.modes, getattr(table, "max_order", 10**6), compute=compute)
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +286,29 @@ def man_exp_exact(x) -> tuple:
     return moments.man_exp(x)
 
 
+def fixed(x, bits: int, ulps: int = 4) -> tuple:
+    """``x`` as a block floating-point number (re, im, exp, size, ulps), the
+    fixed numbers of :func:`photsub.moments.fixed_from`.
+
+    That is (re + i im) 2^exp with integer parts of at most ``bits`` bits,
+    |x|^2 < 2^size and a relative error of at most ulps 2^-bits: the
+    truncation errs by less than 2 sqrt 2 units, and the input by one.
+    ``x`` is read exactly (:func:`photsub.moments.man_exp`), real or complex.
+    """
+    parts = [moments.man_exp(x.real), moments.man_exp(x.imag)]
+    exp = max((exp + man.bit_length() for man, exp in parts if man), default=0) - bits
+    re, im = (man << (e - exp) if e >= exp else man >> (exp - e) for man, e in parts)
+    return re, im, exp, (re * re + im * im).bit_length() + 2 * exp, ulps
+
+
 def fixed_exact(x, bits: int, ulps: int = 4) -> tuple:
-    """:func:`photsub.moments.fixed` of the exact value of ``x``, an mpmath or
-    Python number, real or complex: its parts, brought to one exponent, are
-    read there as the integers moments.fixed reads exactly."""
+    """:func:`fixed` of the exact value of ``x``, an mpmath or Python number,
+    real or complex: its parts, brought to one exponent, are read there as
+    the integers :func:`fixed` reads exactly."""
     parts = [man_exp_exact(part) for part in (x.real, x.imag)]
     low = min(exp for _, exp in parts)
     re, im = (man << (exp - low) for man, exp in parts)
-    re, im, exp, size, ulps = moments.fixed(SimpleNamespace(real=re, imag=im), bits, ulps)
+    re, im, exp, size, ulps = fixed(SimpleNamespace(real=re, imag=im), bits, ulps)
     return re, im, exp + low, size + 2 * low, ulps
 
 
@@ -310,6 +330,48 @@ def bounded(x) -> moments.Bounded:
     """``x`` as a one-term certified sum at the working precision."""
     bits = mp.mp.prec
     return moments.certified_sum([(moments.ONE, fixed_exact(x, bits))], bits)
+
+
+def quadrature_variance(table, coeffs, eta: float = 1.0,
+                        bits: int = moments.digits_to_bits(35)) -> float:
+    """Var X of the quadrature X = sum_t (c_t a_t + conj(c_t) a_t^dag)/sqrt 2.
+
+    The general bilinear form, independent of the two-entry closed form the
+    quadrature metrics of :mod:`photsub.experiments` read.  ``coeffs`` holds
+    one c_t per mode of ``table``, a number or a :func:`fixed` number: (-1j,)
+    gives X_theta of one mode at theta = pi/2, and e^{-i chi/2} (1, -1)/sqrt 2
+    the squeezed difference quadrature of a pair whose <a1 a2> carries
+    e^{i chi}, normalized so vacuum sits at 0.5; ``eta`` is the detection
+    efficiency.  Normal ordering gives Var X = eta S + sum |c_t|^2 / 2, with
+    S = Re sum c_s c_t <a_s a_t> + sum conj(c_s) c_t <a_s^dag a_t>
+    - 2 (Re sum c_t <a_t>)^2 over the lossless table, every mean and pair
+    read from the table.  For strong squeezing the terms nearly cancel: they
+    are summed by :func:`photsub.moments.certified_sum` at ``bits`` working
+    bits, and 8 digits of Var X must be certified.
+    """
+    arity = len(table.modes)
+    if len(coeffs) != arity:
+        raise MomentOrderMissing(f"{len(coeffs)} coefficients for {arity} modes")
+    # a few roundings at the working precision formed a coefficient given as a
+    # number, read exactly (an mpmath one too)
+    coeffs = [c if isinstance(c, tuple) else fixed_exact(c, bits, ulps=8) for c in coeffs]
+    conj = [(re, -im, *rest) for re, im, *rest in coeffs]
+
+    def read(*slots):  # the entry that counts a_t^dag in slot 2t, a_t in slot 2t + 1
+        return table.fixed(tuple(slots.count(i) for i in range(2 * arity)), bits)
+
+    # <X> = sqrt 2 Re sum c_t <a_t>, so <X>^2 = 2 (Re sum c_t <a_t>)^2
+    mean = moments.certified_sum(((c, read(2 * t + 1)) for t, c in enumerate(coeffs)), bits)
+    pairs = []
+    for s, cs in enumerate(coeffs):
+        for t, ct in enumerate(coeffs):
+            pairs.append((moments.fixed_mul(cs, ct, bits), read(2 * s + 1, 2 * t + 1)))
+            pairs.append((moments.fixed_mul(conj[s], ct, bits), read(2 * s, 2 * t + 1)))
+    vacuum = moments.certified_sum(zip(coeffs, conj), bits)
+    spread = moments.certified_sum(pairs, bits) - 2 * mean.squared()
+    var = moments.thin(spread, eta, 1) + 0.5 * vacuum
+    moments.require_digits(var, "quadrature variance")
+    return var.value
 
 
 def legendre_p(m: int, x):
@@ -589,6 +651,25 @@ def apply_on_axes(amps: np.ndarray, i: int, j: int, u2: np.ndarray) -> np.ndarra
     return np.moveaxis(out.reshape(moved.shape), (-2, -1), (i, j))
 
 
+def coherent_state(alpha: complex, cutoff: int | None = None) -> FockState1:
+    """Coherent state |alpha>, amplitudes e^{-|a|^2/2} a^n / sqrt(n!), sized
+    by the oracle's own filler."""
+    return FockState1(fock._filled(fock._coherent(alpha), cutoff)).normalized()
+
+
+def binomial_thinning(p: np.ndarray, eta: float, axis: int) -> np.ndarray:
+    """Bernoulli-thin a photon-number distribution along one axis.
+
+    Equivalent to a beamsplitter of transmission eta to a vacuum ancilla
+    followed by marginalization over the ancilla outcome (valid because only
+    photon-number observables are read out after the loss): count n keeps k
+    with probability C(n, k) eta^k (1 - eta)^(n - k), the oracle's own
+    thinning matrix.
+    """
+    moved = np.moveaxis(p, axis, -1) @ fock._thinning(p.shape[axis], eta).T
+    return np.moveaxis(moved, -1, axis)
+
+
 def oracle_output(scene: fock.OracleScene) -> np.ndarray:
     """Lossless output amplitudes of the oracle scene; axes 0 and 1 are read out.
 
@@ -603,7 +684,7 @@ def oracle_output(scene: fock.OracleScene) -> np.ndarray:
     alpha = np.sqrt(scene.mu) * np.exp(1j * scene.psi)
     q, u2 = scene.quantum, fock.mzi_unitary(scene.phi)
     d = q.amplitudes if isinstance(q, FockState1) else q.diag_amplitudes
-    dim = len(fock.coherent_state(alpha).amplitudes) + len(d) - 1
+    dim = len(coherent_state(alpha).amplitudes) + len(d) - 1
     coh = np.array([fock._coherent(alpha)(n) for n in range(dim)])
     if isinstance(q, FockState1):
         fock._check_memory((dim, dim))
@@ -621,8 +702,8 @@ def readout_joint(amps: np.ndarray, eta: float) -> np.ndarray:
     probs = np.abs(amps) ** 2
     joint = probs.sum(axis=tuple(range(2, probs.ndim)))
     if eta < 1.0:
-        joint = fock.binomial_thinning(joint, eta, axis=0)
-        joint = fock.binomial_thinning(joint, eta, axis=1)
+        joint = binomial_thinning(joint, eta, axis=0)
+        joint = binomial_thinning(joint, eta, axis=1)
     return joint
 
 

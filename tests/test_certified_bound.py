@@ -95,7 +95,7 @@ def _reference(cfg) -> dict:
         u2, v2 = _mzi(cfg.phi, 2)
         beta = alpha * mp.sqrt(eta)
         images = {0: ({0: u1}, v1 * beta), 1: ({1: u2}, v2 * beta)}
-        quantum = moments.spatsv_moment_table(spec.lam, spec.m, max_order=8, chi=spec.chi)
+        quantum = moments.spatsv_moment_table(spec.lam, spec.m, chi=spec.chi)
         tables = [apply_loss(quantum, eta)]
     order = 2 if single else 4
     out = {}

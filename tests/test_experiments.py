@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -166,9 +167,9 @@ def test_fig5b_rows_match_a_40_digit_evaluation():
     for row in run_preset("fig5b").rows:
         assert row.flag == "ok"
         with mp.workdps(40):
-            table = moments.spatsv_moment_table(row.swept_value, row.m, max_order=2)
+            table = moments.spatsv_moment_table(row.swept_value, row.m)
             c = 1 / mp.sqrt(2)
-            exact = moments.quadrature_variance(table, (c, -c), bits=moments.digits_to_bits(40))
+            exact = reference.quadrature_variance(table, (c, -c), bits=moments.digits_to_bits(40))
         assert abs(row.value - exact) <= 1e-14 * exact, (row.swept_value, row.m)
 
 
@@ -392,7 +393,7 @@ def test_quad_diff_var_matches_converged_fock_value():
 
     state = states.spatsv(SpatsvSpec(10.0, 3), cutoff=3000)
     c = 2**-0.5
-    fock_value = moments.quadrature_variance(table_from_state(state, max_order=2), (c, -c))
+    fock_value = reference.quadrature_variance(table_from_state(state, max_order=2), (c, -c))
     row = _one_point("quad_diff_var")
     assert row.flag == "ok"
     assert abs(row.value - fock_value) < 1e-9 * fock_value
@@ -569,11 +570,11 @@ def test_difference_quadrature_is_read_at_its_squeezed_angle(metric, table):
     assert all(row.flag == "ok" for row in rows)
     assert len({row.value for row in rows}) == 1
     with mp.workdps(40):
-        lossy = apply_loss(table(0.6, 1, max_order=2, chi=1.0), mp.mpf(0.9))
+        lossy = apply_loss(table(0.6, 1, chi=1.0), mp.mpf(0.9))
         scan = []
         for k in range(629):
             c = mp.expj(-mp.mpf(k) / 100) / mp.sqrt(2)
-            scan.append(moments.quadrature_variance(lossy, (c, -c)))
+            scan.append(reference.quadrature_variance(lossy, (c, -c)))
     assert rows[0].value <= min(scan) + 1e-12
     assert min(scan) - rows[0].value < 1e-3 * rows[0].value
 
@@ -691,6 +692,8 @@ def test_var_y_far_squeezed_matches_the_closed_form():
         ("var_y", 1e12, 0, "ok"),
         ("quad_diff_var", 1e12, 0, "ok"),
         ("quad_diff_var", 1e12, 2, "ok"),
+        ("var_y", 5e12, 0, "ok"),
+        ("quad_diff_var", 5e12, 0, "ok"),
     ],
 )
 def test_quadrature_variances_keep_eight_digits_or_flag(metric, lam, m, flag):
@@ -711,12 +714,38 @@ def test_quadrature_variances_keep_eight_digits_or_flag(metric, lam, m, flag):
             bits = moments.digits_to_bits(140)
             if metric == "var_y":
                 table = moments.passv_moment_table(lam, m)
-                exact = moments.quadrature_variance(table, (mp.expj(-mp.pi / 2),), bits=bits)
+                exact = reference.quadrature_variance(table, (mp.expj(-mp.pi / 2),), bits=bits)
             else:
-                table = moments.spatsv_moment_table(lam, m, max_order=2)
+                table = moments.spatsv_moment_table(lam, m)
                 c = 1 / mp.sqrt(2)
-                exact = moments.quadrature_variance(table, (c, -c), bits=bits)
+                exact = reference.quadrature_variance(table, (c, -c), bits=bits)
         assert abs(row.value - exact) <= 1e-8 * exact
+
+
+def test_quadrature_rows_equal_the_general_bilinear_form_bit_for_bit():
+    # the metrics read two table entries in closed form, the pair tables at
+    # chi = 0; the reference contracts the whole coefficient vector over every
+    # mean and pair, the difference quadrature rotated to chi/2 over the
+    # table at the scene's chi, at the same 35 digits
+    rng = random.Random(33)
+    bits = moments.digits_to_bits(experiments.DEFAULT_DIGITS)
+    pair_tables = (moments.spatsv_moment_table, moments.spatsv_seed_moment_table)
+    for _ in range(300):
+        lam, m = 10 ** rng.uniform(-6, 6), rng.randrange(5)
+        chi, eta = rng.uniform(-4.0, 4.0), rng.uniform(0.0, 1.0)
+        point = dict(axis="lam", values=(lam,), m_list=(m,), chi=chi, eta=eta)
+        rows = run_sweep(SweepConfig(scheme="single", metrics=("var_y",), **point)).rows
+        rows += run_sweep(SweepConfig(scheme="correlated", **point,
+                                      metrics=("quad_diff_var", "quad_diff_var_seed"))).rows
+        with mp.workdps(60):
+            c = reference.fixed_exact(mp.expj(-mp.mpf(chi) / 2) / mp.sqrt(2), bits)
+        single = moments.passv_moment_table(lam, m, chi=chi)
+        want = [reference.quadrature_variance(single, (-1j,), eta, bits)] + [
+            reference.quadrature_variance(build(lam, m, chi=chi),
+                                          (c, moments.fixed_times(c, -1)), eta, bits)
+            for build in pair_tables
+        ]
+        assert [(row.flag, row.value) for row in rows] == [("ok", w) for w in want], point
 
 
 @pytest.mark.parametrize("metric, m", [("var_y", 0), ("quad_diff_var", 2)])
@@ -737,10 +766,10 @@ def test_digits_rescue_a_precision_flagged_quadrature_variance(metric, m):
         bits = moments.digits_to_bits(140)
         if metric == "var_y":
             table = moments.passv_moment_table(1e16, m)
-            exact = moments.quadrature_variance(table, (mp.expj(-mp.pi / 2),), bits=bits)
+            exact = reference.quadrature_variance(table, (mp.expj(-mp.pi / 2),), bits=bits)
         else:
-            table = moments.spatsv_moment_table(1e16, m, max_order=2)
+            table = moments.spatsv_moment_table(1e16, m)
             c = 1 / mp.sqrt(2)
-            exact = moments.quadrature_variance(table, (c, -c), bits=bits)
+            exact = reference.quadrature_variance(table, (c, -c), bits=bits)
     assert row.flag == "ok"
     assert abs(row.value - exact) <= 1e-12 * exact

@@ -14,6 +14,8 @@ from reference import (
     ancilla_joint,
     apply_dense_two_mode_unitary,
     apply_on_axes,
+    binomial_thinning,
+    coherent_state,
     fidelity,
     loss_unitary,
     mean_photons,
@@ -26,7 +28,7 @@ from reference import (
 
 
 def test_coherent_state_mean_and_norm():
-    state = fock.coherent_state(np.sqrt(3.0))
+    state = coherent_state(np.sqrt(3.0))
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
     assert abs(mean_photons(state) - 3.0) < 1e-10
 
@@ -101,21 +103,21 @@ def test_squeeze_apply_matches_direct_construction():
 )
 @settings(max_examples=25, deadline=None)
 def test_thinning_composes(eta1, eta2):
-    p = np.abs(fock.coherent_state(1.3, cutoff=25).amplitudes) ** 2
+    p = np.abs(coherent_state(1.3, cutoff=25).amplitudes) ** 2
     p = p.reshape(-1, 1)
-    once = fock.binomial_thinning(
-        fock.binomial_thinning(p, eta1, axis=0), eta2, axis=0
+    once = binomial_thinning(
+        binomial_thinning(p, eta1, axis=0), eta2, axis=0
     )
-    both = fock.binomial_thinning(p, eta1 * eta2, axis=0)
+    both = binomial_thinning(p, eta1 * eta2, axis=0)
     assert np.allclose(once, both, atol=1e-12)
 
 
 def test_thinning_preserves_poisson():
     # a thinned Poisson distribution stays Poisson with scaled mean
     mu, eta = 2.0, 0.65
-    p = np.abs(fock.coherent_state(np.sqrt(mu), cutoff=40).amplitudes) ** 2
-    thinned = fock.binomial_thinning(p.reshape(-1, 1), eta, axis=0).ravel()
-    target = np.abs(fock.coherent_state(np.sqrt(eta * mu), cutoff=40).amplitudes) ** 2
+    p = np.abs(coherent_state(np.sqrt(mu), cutoff=40).amplitudes) ** 2
+    thinned = binomial_thinning(p.reshape(-1, 1), eta, axis=0).ravel()
+    target = np.abs(coherent_state(np.sqrt(eta * mu), cutoff=40).amplitudes) ** 2
     assert np.allclose(thinned[:30], target[:30], atol=1e-10)
 
 
@@ -123,7 +125,7 @@ def test_thinning_preserves_poisson():
 def test_thinning_matrix_is_the_binomial_pmf(eta):
     # thinning the point mass at n gives column n: C(n, k) eta^k (1 - eta)^(n - k)
     dim = 80
-    mat = fock.binomial_thinning(np.eye(dim), eta, axis=0)
+    mat = binomial_thinning(np.eye(dim), eta, axis=0)
     with mp.workdps(30):
         e = mp.mpf(eta)
         exact = np.array(
@@ -140,14 +142,14 @@ def test_thinning_keeps_probability_and_scales_the_mean(eta):
     n = np.arange(80)
     p = np.random.default_rng(5).random(80)
     p /= p.sum()
-    thinned = fock.binomial_thinning(p, eta, axis=0)
+    thinned = binomial_thinning(p, eta, axis=0)
     assert abs(thinned.sum() - 1.0) < 1e-14
     assert abs(n @ thinned - eta * (n @ p)) < 1e-14 * (n @ p)
 
 
 @pytest.mark.parametrize("mu, psi", [(0.3, 0.0), (2.0, 1.1), (10.0, -2.5)])
 def test_coherent_amplitudes_match_high_precision(mu, psi):
-    state = fock.coherent_state(np.sqrt(mu) * np.exp(1j * psi))
+    state = coherent_state(np.sqrt(mu) * np.exp(1j * psi))
     with mp.workdps(50):
         alpha = mp.sqrt(mu) * mp.expj(psi)
         exact = [mp.exp(-mp.mpf(mu) / 2) * alpha**n / mp.sqrt(mp.factorial(n))
@@ -208,7 +210,7 @@ def test_displacement_columns_stay_unit_vectors_at_large_displacement():
 def test_displacement_column_zero_is_the_coherent_state(modulus, angle):
     beta = modulus * np.exp(1j * angle)
     column = fock._displacements([beta], 80, 1)[0, :, 0]
-    coherent = fock.coherent_state(beta, cutoff=79).amplitudes
+    coherent = coherent_state(beta, cutoff=79).amplitudes
     assert np.abs(column - coherent).max() <= 1e-15
 
 
@@ -276,7 +278,7 @@ def test_oracle_correlated_port_means():
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 @pytest.mark.parametrize("phi, psi", [(0.7, 0.3), (2.6, -1.2)])
 def test_oracle_correlated_joint_matches_the_output_tensor(m, phi, psi):
-    # the plane stack's G_nk sum against the twin-MZI tensor over all four axes
+    # the Gram matrices' G_nk sum against the twin-MZI tensor over all four axes
     from photsub import states
 
     q = states.spatsv(states.SpatsvSpec(0.1, m))
@@ -424,27 +426,29 @@ def _traced_peak(scene):
 def test_oracle_memory_stays_a_small_multiple_of_the_tensor():
     from photsub import states
 
-    # the single scheme at the oracle's documented limit mu = 10: block
-    # propagation needs O(D^2) beyond the D x D tensor, where a dense plane
-    # matrix takes D^4 amplitudes (8.3 GB at this D = 151)
+    # the single scheme at the oracle's documented limit mu = 10: the
+    # displacement identity needs the D x D plane and D x nq displacement
+    # matrices, where a dense plane matrix takes D^4 amplitudes (8.3 GB at
+    # this D = 151)
     q = states.passv(states.PassvSpec(1.0, 3))
     scene = fock.OracleScene(q, mu=10.0, psi=0.0, phi=0.7)
-    dim = len(fock.coherent_state(np.sqrt(10.0)).amplitudes) + len(q.amplitudes) - 1
+    dim = len(coherent_state(np.sqrt(10.0)).amplitudes) + len(q.amplitudes) - 1
     assert _traced_peak(scene) <= 10 * dim**2 * 16
-    # correlated: input, output and one transposed copy of the D^4 tensor
+    # correlated: far below the D^4 four-axis tensor of the twin MZIs
     q2 = states.spatsv(states.SpatsvSpec(0.2, 1))
     scene2 = fock.OracleScene(q2, mu=1.0, psi=0.0, phi=0.7, eta=0.9)
-    dim2 = len(fock.coherent_state(1.0).amplitudes) + len(q2.diag_amplitudes) - 1
+    dim2 = len(coherent_state(1.0).amplitudes) + len(q2.diag_amplitudes) - 1
     assert _traced_peak(scene2) <= 3.5 * dim2**4 * 16
 
 
-def test_correlated_oracle_memory_stays_a_small_multiple_of_the_stack():
+def test_correlated_oracle_memory_stays_a_small_multiple_of_the_gram_matrices():
     from photsub import states
 
-    # one D x D plane per |n, n> of the twin beam: a few copies of that
-    # stack, where the four-axis twin-MZI tensor needs D^4 amplitudes
+    # one nq x nq Gram matrix per read-out count, D of them: a few copies of
+    # those (3.4 x here, about 3.1 x on larger scenes), where the four-axis
+    # twin-MZI tensor needs D^4 amplitudes
     q = states.spatsv(states.SpatsvSpec(0.2, 1))
     scene = fock.OracleScene(q, mu=1.0, psi=0.0, phi=0.7, eta=0.9)
     rows = len(q.diag_amplitudes)
-    dim = len(fock.coherent_state(1.0).amplitudes) + rows - 1
-    assert _traced_peak(scene) <= 6 * rows * dim**2 * 16
+    dim = len(coherent_state(1.0).amplitudes) + rows - 1
+    assert _traced_peak(scene) <= 5 * dim * rows**2 * 16

@@ -18,6 +18,7 @@ from photsub import metrology, moments, opalg
 from photsub.experiments import SweepConfig, run_sweep
 from photsub.metrology import CorrelatedConfig, SingleMziConfig
 from photsub.states import PassvSpec, SpatsvSpec
+from reference import fixed
 
 REFERENCE_DPS = 120
 
@@ -88,7 +89,7 @@ def test_a_row_counts_its_summands_errors_at_their_own_size(gap):
     # row cancels, to an exact 0 or to its last bits, and its bound must
     # still hold both summands' errors, measured against a third
     bits = 100
-    third = moments.fixed(mp.mpf(1) / 3, bits, ulps=1000)
+    third = fixed(mp.mpf(1) / 3, bits, ulps=1000)
     other = moments.fixed_from(third[0] - gap, 0, third[2], bits, 1000)
     row = opalg._exact_sum([(1, third), (-1, other)])
     total = opalg._point_sum([(row, moments.ONE)], bits)

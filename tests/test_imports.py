@@ -3,7 +3,8 @@ only the Fock oracle imports numpy (the ``oracle`` extra), and a sweep,
 balanced or reading the exact tables, imports neither fractions nor decimal.
 With mpmath blocked, the package import, the presets (the 1 - tau axis too),
 balanced points and the oracle comparison all run; with numpy blocked, the
-CLI runs presets and its oracle comparison names the extra it needs."""
+CLI runs presets and its oracle comparison names the extra it needs.  Every
+module-level function and class of the package has a caller in it."""
 
 import ast
 import os
@@ -30,6 +31,38 @@ def test_no_module_imports_scipy():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 5
     assert [m.name for m in modules if "scipy" in _imported_roots(m)] == []
+
+
+def _named(node) -> set:
+    """The names ``node`` refers to: bare, as attributes, or imported."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_every_module_level_function_and_class_has_a_caller_in_the_package():
+    # no helper without a production caller: each top-level def or class of
+    # photsub is named by another top-level statement of photsub (dunders,
+    # which the interpreter calls, aside); one that only tests call belongs
+    # in tests/reference.py
+    statements = [(path.name, node, _named(node))
+                  for path in sorted(PACKAGE.glob("*.py"))
+                  for node in ast.parse(path.read_text()).body]
+    defs = [(module, node) for module, node, _ in statements
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    assert len(defs) > 50
+    unused = [
+        f"{module}:{node.name}" for module, node in defs
+        if not node.name.startswith("__")
+        and not any(node.name in names for _, other, names in statements if other is not node)
+    ]
+    assert unused == []
 
 
 _RUN = """

@@ -23,6 +23,7 @@ from photsub.errors import (
 from photsub.experiments import PRESETS
 from photsub.metrology import CorrelatedConfig, SingleMziConfig, phi_for_tau
 from photsub.states import PassvSpec, SpatsvSpec
+from reference import quadrature_variance
 
 SQRT2 = np.sqrt(2.0)
 
@@ -210,8 +211,8 @@ def test_quadrature_variance_correspondence():
     lam, m, eta, mu = 1.0, 1, 0.9, 1e6
     cfg = SingleMziConfig(PassvSpec(lam, m), mu=mu, phi=np.pi / 2, eta=eta)
     u = metrology.single_phase_uncertainty(cfg)
-    vy = moments.quadrature_variance(
-        moments.passv_moment_table(lam, m, max_order=4), (np.exp(-0.5j * np.pi),)
+    vy = quadrature_variance(
+        moments.passv_moment_table(lam, m), (np.exp(-0.5j * np.pi),)
     )
     predicted = np.sqrt(2 * (eta * vy + (1 - eta) / 2) / (eta * mu))
     assert abs(u - predicted) < 0.01 * predicted

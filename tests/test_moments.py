@@ -11,7 +11,14 @@ from photsub import fock, moments, states
 from photsub.errors import MomentOrderMissing
 from photsub.experiments import PRESETS
 from photsub.states import PassvSpec, SpatsvSpec
-from reference import bounded, coherent_table, fixed_value, table_from_state, vacuum_table
+from reference import (
+    bounded,
+    coherent_table,
+    fixed_value,
+    quadrature_variance,
+    table_from_state,
+    vacuum_table,
+)
 
 
 def _real(x):
@@ -37,7 +44,7 @@ def test_vacuum_table_entries():
 def test_single_mode_table_matches_fock(lam, m):
     state = states.passv(PassvSpec(lam, m), cutoff=300)
     num = table_from_state(state, max_order=4)
-    exact = moments.passv_moment_table(lam, m, max_order=4)
+    exact = moments.passv_moment_table(lam, m)
     for p in range(3):
         for q in range(3):
             a = complex(num.entry((p, q)))
@@ -50,7 +57,7 @@ def test_two_mode_table_matches_fock(m):
     lam = 0.6
     state = states.spatsv(SpatsvSpec(lam, m), cutoff=200)
     num = table_from_state(state, max_order=4)
-    exact = moments.spatsv_moment_table(lam, m, max_order=8)
+    exact = moments.spatsv_moment_table(lam, m)
     for key in [(1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1), (2, 2, 0, 0), (1, 0, 0, 1)]:
         a = complex(num.entry(key))
         b = complex(exact.entry(key))
@@ -70,12 +77,12 @@ def test_two_mode_selection_rule(m):
     # definite parity of a subtracted squeezed vacuum zeroes odd p - q
     rng = random.Random(m)
     lam, chi = rng.uniform(0.1, 3.0), rng.uniform(0.2, 3.0)
-    t = moments.spatsv_moment_table(lam, m, max_order=8, chi=chi)
+    t = moments.spatsv_moment_table(lam, m, chi=chi)
     for key in _DROPPED + ((2, 0, 1, 0),):
         assert t.entry(key) == 0, key
     assert abs(complex(t.entry((2, 0, 2, 0)))) > 0.0  # p-q = r-s = 2 survives
     assert abs(complex(t.entry((0, 1, 0, 1)))) > 0.0  # <a0 a1>, which the mixed derivative reads
-    single = moments.passv_moment_table(lam, m, max_order=8, chi=chi)
+    single = moments.passv_moment_table(lam, m, chi=chi)
     for p, q in itertools.product(range(9), repeat=2):
         if p + q <= 8 and (p - q) % 2:
             assert single.entry((p, q)) == 0, (p, q)
@@ -84,7 +91,7 @@ def test_two_mode_selection_rule(m):
 
 def test_loss_scales_normal_moments():
     lam, eta = 0.9, 0.55
-    t = moments.passv_moment_table(lam, 1, max_order=6)
+    t = moments.passv_moment_table(lam, 1)
     for p, q in [(1, 1), (2, 2), (2, 0)]:
         expected = complex(t.entry((p, q))) * eta ** ((p + q) / 2)
         lossy = moments.thin(bounded(t.entry((p, q))), eta, (p + q) // 2)
@@ -104,7 +111,7 @@ def test_loss_in_one_step_equals_the_n_fold_product():
 
 
 def test_loss_composition():
-    t = moments.passv_moment_table(1.3, 2, max_order=6)
+    t = moments.passv_moment_table(1.3, 2)
     for key in [(1, 1), (2, 2), (3, 3)]:
         x, n = bounded(t.entry(key)), sum(key) // 2
         once = moments.thin(moments.thin(x, 0.8, n), 0.7, n)
@@ -115,18 +122,18 @@ def test_loss_composition():
 def test_squeezed_vacuum_quadrature_variances():
     lam = 1.1
     r = float(np.arcsinh(np.sqrt(lam)))
-    t = moments.passv_moment_table(lam, 0, max_order=4)
+    t = moments.passv_moment_table(lam, 0)
     # chi = 0 squeezes Y and anti-squeezes X
     y, x = (np.exp(-0.5j * np.pi),), (1.0,)
-    assert abs(moments.quadrature_variance(t, y) - 0.5 * np.exp(-2 * r)) < 1e-10
-    assert abs(moments.quadrature_variance(t, x) - 0.5 * np.exp(2 * r)) < 1e-10
+    assert abs(quadrature_variance(t, y) - 0.5 * np.exp(-2 * r)) < 1e-10
+    assert abs(quadrature_variance(t, x) - 0.5 * np.exp(2 * r)) < 1e-10
 
 
 def test_quadrature_heisenberg_bound():
     for m in range(3):
-        t = moments.passv_moment_table(0.8, m, max_order=4)
-        vx = moments.quadrature_variance(t, (1.0,))
-        vy = moments.quadrature_variance(t, (np.exp(-0.5j * np.pi),))
+        t = moments.passv_moment_table(0.8, m)
+        vx = quadrature_variance(t, (1.0,))
+        vy = quadrature_variance(t, (np.exp(-0.5j * np.pi),))
         assert vx * vy >= 0.25 - 1e-12
 
 
@@ -134,12 +141,12 @@ def test_two_mode_difference_quadrature():
     # the TSV difference quadrature is squeezed from the vacuum level 0.5
     lam = 0.9
     r = float(np.arcsinh(np.sqrt(lam)))
-    t = moments.spatsv_moment_table(lam, 0, max_order=8)
+    t = moments.spatsv_moment_table(lam, 0)
     c = 2**-0.5
-    assert abs(moments.quadrature_variance(t, (c, -c)) - 0.5 * np.exp(-2 * r)) < 1e-10
+    assert abs(quadrature_variance(t, (c, -c)) - 0.5 * np.exp(-2 * r)) < 1e-10
     # the orthogonal angle is anti-squeezed
     c = np.exp(-0.5j * np.pi) * 2**-0.5
-    assert abs(moments.quadrature_variance(t, (c, -c)) - 0.5 * np.exp(2 * r)) < 1e-10
+    assert abs(quadrature_variance(t, (c, -c)) - 0.5 * np.exp(2 * r)) < 1e-10
 
 
 def test_joint_distribution_normalized_and_diagonal():
@@ -164,7 +171,7 @@ def test_seed_table_matches_fock_summation(m, chi):
     # fig5a's lam grid; the reference sums over the float seed amplitudes
     keys = [k for k in itertools.product(range(5), repeat=4) if sum(k) <= 4]
     for lam in PRESETS["fig5a"].values:
-        exact = moments.spatsv_seed_moment_table(lam, m, max_order=4, chi=chi)
+        exact = moments.spatsv_seed_moment_table(lam, m, chi=chi)
         num = table_from_state(states.spatsv_seed(SpatsvSpec(lam, m, chi)), max_order=4)
         for key in keys:
             a, b = complex(num.entry(key)), complex(exact.entry(key))
@@ -186,10 +193,13 @@ def test_moments_module_needs_no_fock_numerics():
     assert not imported & {"numpy", "scipy", "fock"}
 
 
-def test_missing_order_raises():
-    t = moments.passv_moment_table(0.5, 0, max_order=2)
+def test_a_key_of_the_wrong_arity_raises():
+    # a table fills any order on demand; only a key for another number of
+    # modes lies outside it
     with pytest.raises(MomentOrderMissing):
-        t.entry((3, 3))
+        moments.passv_moment_table(0.5, 0).entry((1, 1, 0, 0))
+    with pytest.raises(MomentOrderMissing):
+        moments.spatsv_moment_table(0.5, 1).entry((1, 1))
 
 
 def test_bogoliubov_moments_match_fock():
@@ -283,7 +293,7 @@ WICK_CHIS = [0, 0.3, -1.1]
 @pytest.mark.parametrize("lam", WICK_LAMS)
 def test_wick_sum_matches_word_applier_1m(lam, chi):
     # the m = 0 table, read in integers at the bits of 50 digits
-    vacuum, bits = moments.passv_moment_table(lam, 0, max_order=16, chi=chi), 170
+    vacuum, bits = moments.passv_moment_table(lam, 0, chi=chi), 170
     with mp.workdps(50):
         for p, q in itertools.product(range(9), repeat=2):
             got = fixed_value(vacuum.fixed((p, q), bits))
@@ -293,7 +303,7 @@ def test_wick_sum_matches_word_applier_1m(lam, chi):
 @pytest.mark.parametrize("chi", WICK_CHIS)
 @pytest.mark.parametrize("lam", WICK_LAMS)
 def test_wick_sum_matches_word_applier_2m(lam, chi):
-    vacuum, bits = moments.spatsv_moment_table(lam, 0, max_order=32, chi=chi), 170
+    vacuum, bits = moments.spatsv_moment_table(lam, 0, chi=chi), 170
     with mp.workdps(50):
         for p, q, r, s in itertools.product(range(9), repeat=4):
             got = fixed_value(vacuum.fixed((p, q, r, s), bits))

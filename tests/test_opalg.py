@@ -209,7 +209,7 @@ def test_interferometer_difference_mean():
     diff = OperatorPolynomial.number(1) - OperatorPolynomial.number(0)
     sub = substitute(diff, bs)
     tables = [
-        moments.passv_moment_table(lam, 0, max_order=4),
+        moments.passv_moment_table(lam, 0),
         coherent_table(np.sqrt(mu), mode=1),
     ]
     val = expect(sub, tables)
@@ -275,7 +275,7 @@ def _correlated_shape(rng):
     beta = mp.sqrt(rng.uniform(0.5, 4.0)) * mp.expj(rng.uniform(0, 3))
     images = {0: ({0: u1}, v1 * beta), 1: ({1: u2}, v2 * beta)}
     table = moments.spatsv_moment_table(
-        rng.uniform(0.1, 2.0), rng.randrange(4), max_order=8, chi=rng.uniform(-1, 1)
+        rng.uniform(0.1, 2.0), rng.randrange(4), chi=rng.uniform(-1, 1)
     )
     return images, [table]
 

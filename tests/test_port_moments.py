@@ -72,12 +72,12 @@ def _scene(scheme, rng):
         ]
         return ports, images, tables, 2
     ports = _kernel(
-        lambda: moments.spatsv_moment_table(lam, m, max_order=8, chi=chi), mu, psi, phi, eta
+        lambda: moments.spatsv_moment_table(lam, m, chi=chi), mu, psi, phi, eta
     )
     u2, v2 = _mzi(phi, 2)
     beta = alpha * mp.sqrt(eta)
     images = {0: ({0: u1}, v1 * beta), 1: ({1: u2}, v2 * beta)}
-    quantum = moments.spatsv_moment_table(lam, m, max_order=8, chi=chi)
+    quantum = moments.spatsv_moment_table(lam, m, chi=chi)
     tables = [apply_loss(quantum, mp.mpf(eta))]
     return ports, images, tables, 4
 
@@ -146,7 +146,7 @@ def test_loss_scales_port_moments_by_eta_to_the_order(scheme, seed):
         def quantum():
             if single:
                 return moments.passv_moment_table(lam, m, chi=chi)
-            return moments.spatsv_moment_table(lam, m, max_order=8, chi=chi)
+            return moments.spatsv_moment_table(lam, m, chi=chi)
 
         lossy = _kernel(quantum, mu, psi, phi, eta)
         # the same ports over thinned inputs: the quantum table and the

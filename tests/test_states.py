@@ -16,6 +16,7 @@ from photsub.errors import CutoffTooSmall, NullState, OutOfRange
 from photsub.experiments import SweepConfig, run_sweep
 from photsub.states import PassvSpec, SpatsvSpec
 from reference import (
+    coherent_state,
     fidelity,
     legendre_p,
     mean_photons,
@@ -280,7 +281,7 @@ def _levels(state) -> np.ndarray:
 
 #: name -> build(mean photons, m, cutoff) of every state the oracle is fed
 _BUILDS = {
-    "coherent": lambda mu, m, cut=None: fock.coherent_state(np.sqrt(mu) * np.exp(0.6j), cut),
+    "coherent": lambda mu, m, cut=None: coherent_state(np.sqrt(mu) * np.exp(0.6j), cut),
     "squeezed": lambda lam, m, cut=None: fock.squeezed_vacuum(PassvSpec(lam).r, 0.6, cut),
     "two_mode_squeezed": lambda lam, m, cut=None: fock.two_mode_squeezed_vacuum(lam, 0.6, cut),
     "passv": lambda lam, m, cut=None: states.passv(PassvSpec(lam, m, 0.6), cut),

@@ -29,7 +29,7 @@ def _keys(arity: int, order: int) -> list:
 
 def _table(arity: int, lam, m: int, chi):
     build = moments.passv_moment_table if arity == 1 else moments.spatsv_moment_table
-    return build(lam, m, max_order=8, chi=chi)
+    return build(lam, m, chi=chi)
 
 
 @pytest.mark.parametrize("m", range(4))
@@ -105,7 +105,7 @@ def test_diagonal_vacuum_moments_are_the_exact_rationals_floored_once():
     for lam in _LAMS:
         for arity, wick in ((1, moments._wick_terms_1m), (2, moments._wick_terms_2m)):
             vacuum = moments.passv_moment_table if arity == 1 else moments.spatsv_moment_table
-            vacuum = vacuum(lam, 0, max_order=10)
+            vacuum = vacuum(lam, 0)
             for key in _keys(arity, 10):
                 if key[0::2] != key[1::2]:
                     continue
@@ -123,7 +123,7 @@ def test_vacuum_moments_lie_within_three_roundings_of_the_per_entry_sums(chi):
         for arity, reference_moment in ((1, reference.vacuum_moment_1m),
                                         (2, reference.vacuum_moment_2m)):
             vacuum = moments.passv_moment_table if arity == 1 else moments.spatsv_moment_table
-            vacuum = vacuum(lam, 0, max_order=10, chi=chi)
+            vacuum = vacuum(lam, 0, chi=chi)
             for key in _keys(arity, 10):
                 got = vacuum.fixed(key, bits)
                 with mp.workdps(100):
