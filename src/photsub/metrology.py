@@ -5,7 +5,7 @@ Fisher information, Cramer-Rao bound) and correlated-interferometer
 quantities (noise reduction factor, normalized covariance uncertainty, the
 Mandel Q of one mode of the pair), all evaluated exactly from the read-out
 ports' normal-ordered moments, plus the asymptotic closed forms used for
-cross-checks and regime analysis.
+cross-checks and regime analysis, each one expression in the order m <= 4.
 Each figure of merit takes only its own scheme's config and raises
 ValueError for the other's; :func:`readout_moments` serves both.
 
@@ -353,16 +353,22 @@ def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> flo
 # ---------------------------------------------------------------------------
 
 
+def _check_closed_form(m, lam, tau, eta) -> None:
+    """UnsupportedOrder unless m is one of the paper's orders 0..4; ValueError
+    unless lam is finite and >= 0 (:func:`moments._binary`) and tau and eta
+    lie in [0, 1]."""
+    if m not in range(5):
+        raise UnsupportedOrder(f"closed forms cover m = 0..4, got m={m}")
+    moments._binary(lam)
+    if not (0.0 <= tau <= 1.0 and 0.0 <= eta <= 1.0):
+        raise ValueError("tau and eta must lie in [0, 1]")
+
+
 def nrf_asymptotic(m: int, tau: float, lam: float) -> float:
-    """Small-energy noise-reduction-factor expansions, orders m = 0, 1, 2."""
-    s = sqrt(lam)
-    if m == 0:
-        return 1.0 - 2.0 * tau * (s - lam)
-    if m == 1:
-        return 1.0 - 4.0 * tau * (s - 2.0 * lam)
-    if m == 2:
-        return 1.0 - 6.0 * tau * (s - 3.0 * lam)
-    raise UnsupportedOrder(f"no closed small-energy form for m={m}")
+    """Small-energy noise reduction factor 1 - 2(m+1) tau (sqrt(lam) - (m+1) lam),
+    m = 0..4, to O(lam^(3/2))."""
+    _check_closed_form(m, lam, tau, 1.0)
+    return 1.0 - 2 * (m + 1) * tau * (sqrt(lam) - (m + 1) * lam)
 
 
 CORRELATED_REGIMES = (
@@ -376,27 +382,20 @@ CORRELATED_REGIMES = (
 def correlated_uncertainty_asymptotic(
     regime: str, m: int, *, lam: float = 0.0, tau: float = 1.0, eta: float = 1.0
 ) -> float:
-    """Closed-form normalized uncertainty in the four asymptotic regimes.
+    """Closed-form normalized uncertainty in the four asymptotic regimes, m = 0..4.
 
-    ``low_lambda_bright``: bright coherent beam, weak squeezing (per-order
-    expansions in sqrt(lam)).  ``high_lambda_bright``: bright beam, strong
-    squeezing (order-independent).  ``dark_fringe_low_lambda`` /
+    ``low_lambda_bright``: bright coherent beam, weak squeezing,
+    sqrt(2) [1 - eta tau (2(m+1) sqrt(lam) + lam (3/4 m(m+1) eta tau - 2(m+1)^2))]
+    to O(lam^(3/2)).  ``high_lambda_bright``: bright beam, strong squeezing
+    (order-independent).  ``dark_fringe_low_lambda`` /
     ``dark_fringe_high_lambda``: quantum-light-dominated read-out near
-    phi = 0, limited by detection efficiency only.
+    phi = 0, limited by detection efficiency only; the high-lambda limit is
+    2 sqrt((4m + 5)/(2m + 1)) (1 - eta).
     """
-    if m < 0 or m > 3:
-        raise UnsupportedOrder(f"closed forms cover m = 0..3, got m={m}")
+    _check_closed_form(m, lam, tau, eta)
     if regime == "low_lambda_bright":
-        s = sqrt(lam)
         te = tau * eta
-        if m == 0:
-            inner = 2.0 * s - 2.0 * lam
-        elif m == 1:
-            inner = 4.0 * s + 0.5 * lam * (3.0 * eta * tau - 16.0)
-        elif m == 2:
-            inner = 6.0 * s + 4.5 * lam * (eta * tau - 4.0)
-        else:
-            inner = 8.0 * s + lam * (9.0 * eta * tau - 32.0)
+        inner = 2 * (m + 1) * sqrt(lam) + lam * (0.75 * m * (m + 1) * te - 2 * (m + 1) ** 2)
         return SQRT2 * (1.0 - te * inner)
     if regime == "high_lambda_bright":
         if lam <= 0:
@@ -407,6 +406,5 @@ def correlated_uncertainty_asymptotic(
             raise ValueError("dark_fringe_low_lambda requires eta > 0")
         return SQRT2 * sqrt((1.0 - eta) / eta)
     if regime == "dark_fringe_high_lambda":
-        factors = {0: sqrt(5.0), 1: sqrt(3.0), 2: sqrt(13.0 / 5.0), 3: sqrt(17.0 / 7.0)}
-        return 2.0 * factors[m] * (1.0 - eta)
+        return 2.0 * sqrt((4 * m + 5) / (2 * m + 1)) * (1.0 - eta)
     raise ValueError(f"unknown regime {regime!r}; expected one of {CORRELATED_REGIMES}")

@@ -258,20 +258,23 @@ def require_digits(x: Bounded, what: str, *sizes: Bounded) -> None:
 
 def joint_photon_distribution(lam, m: int, n_max: int) -> dict:
     """SPATSV photon-number distribution {(k, k): P(k, k)}, k <= n_max
-    (P(j, k) = 0 for j != k), each step rounded to the nearest float.
+    (P(j, k) = 0 for j != k), each entry correctly rounded.
 
     The two-mode squeezed vacuum has P(n, n) = (1 - t) t^n, t = lam/(1 + lam),
     and (a1 a2)^m maps |k+m, k+m> to ((k+m)!/k!) |k,k>, so
-    P(k, k) = (1 - t) t^(k+m) ((k+m)!/k!)^2 / <(a1^dag a2^dag)^m (a1 a2)^m>.
+    P(k, k) = (1 - t) t^(k+m) ((k+m)!/k!)^2 / Q(lam), Q the norm
+    <(a1^dag a2^dag)^m (a1 a2)^m>, a polynomial of degree d.  At lam = n 2^-s
+    that is n^(k+m) ((k+m)!/k!)^2 2^(s (d+1)) / ((2^s + n)^(k+m+1) Q^), Q^ the
+    homogeneous :func:`_horner` value: one int / int.
     """
-    if m > 0 and lam == 0:
+    (n, shift), norm = _binary(lam), _polynomial(_wick_terms_2m(m, m, m, m)[1])
+    den = _horner(norm, n, shift)
+    if not den:
         raise NullState("photon subtraction annihilates the vacuum")
-    norm, t = vacuum_moment(_wick_terms_2m(m, m, m, m), lam), lam / (1 + lam)
-    tn, td = t.as_integer_ratio()
-    out = {}
+    base, out = (1 << shift) + n, {}
     for k in range(n_max + 1):
-        num, den = ((1 - t) * ratio(tn ** (k + m), td ** (k + m))).as_integer_ratio()
-        out[k, k] = ratio(num * (factorial(k + m) // factorial(k)) ** 2, den) / norm
+        num = n ** (k + m) * (factorial(k + m) // factorial(k)) ** 2 << shift * len(norm)
+        out[k, k] = ratio(num, base ** (k + m + 1) * den)
     return out
 
 

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, inf, isfinite, sqrt
+from math import comb, factorial, isfinite, sqrt
 from numbers import Integral
 from struct import pack, unpack
 from typing import TYPE_CHECKING
 
 from .errors import NullState, OutOfRange
-from .moments import _binary, _horner, _polynomial, _wick_terms_1m, _wick_terms_2m, vacuum_moment
+from .moments import (
+    _binary, _horner, _polynomial, _wick_terms_1m, _wick_terms_2m, ratio, vacuum_moment)
 
 if TYPE_CHECKING:
     from .fock import FockState1, TwoModeDiagonalState
@@ -179,11 +180,7 @@ def _at(pq: tuple, n: int, shift: int) -> tuple:
 
 
 def _mean_photons(kind: str, lam: float, m: int) -> float:
-    hp, hq = _at(_mean_photon_map(kind, m), *_binary(lam))
-    try:
-        return hp / hq  # int / int rounds correctly
-    except OverflowError:
-        return inf
+    return ratio(*_at(_mean_photon_map(kind, m), *_binary(lam)))
 
 
 def passv_mean_photons(lam: float, m: int) -> float:

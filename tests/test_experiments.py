@@ -137,9 +137,10 @@ def test_joint_distribution_preset_rows():
     assert 0.99 < total[0]
 
 
-def test_fig6_rows_match_the_closed_form_at_40_digits():
+def test_fig6_rows_are_correctly_rounded():
     # P(k, k) = (1-t) t^(k+m) ((k+m)!/k!)^2 / ((m!)^2 lam^m P_m(2 lam + 1)),
-    # with the norm taken from the Legendre form, not the Wick sum
+    # with the norm taken from the Legendre form, not the Wick sum: each entry
+    # is one int / int, so it is the float nearest this 80-digit value
     from math import factorial
 
     import mpmath as mp
@@ -151,12 +152,12 @@ def test_fig6_rows_match_the_closed_form_at_40_digits():
         if j != k:
             assert row.value == 0.0
             continue
-        with mp.workdps(40):
+        with mp.workdps(80):
             lam = mp.mpf(0.6)
             t = lam / (1 + lam)
             norm = factorial(m) ** 2 * lam**m * legendre_p(m, 2 * lam + 1)
             exact = (1 - t) * t ** (k + m) * (factorial(k + m) // factorial(k)) ** 2 / norm
-        assert abs(row.value - exact) <= 1e-14 * exact, (j, m, row.value)
+        assert row.value == float(exact), (m, k, row.value, float(exact))
 
 
 def test_fig5b_rows_match_a_40_digit_evaluation():

@@ -434,11 +434,6 @@ def test_oracle_memory_stays_a_small_multiple_of_the_tensor():
     scene = fock.OracleScene(q, mu=10.0, psi=0.0, phi=0.7)
     dim = len(coherent_state(np.sqrt(10.0)).amplitudes) + len(q.amplitudes) - 1
     assert _traced_peak(scene) <= 10 * dim**2 * 16
-    # correlated: far below the D^4 four-axis tensor of the twin MZIs
-    q2 = states.spatsv(states.SpatsvSpec(0.2, 1))
-    scene2 = fock.OracleScene(q2, mu=1.0, psi=0.0, phi=0.7, eta=0.9)
-    dim2 = len(coherent_state(1.0).amplitudes) + len(q2.diag_amplitudes) - 1
-    assert _traced_peak(scene2) <= 3.5 * dim2**4 * 16
 
 
 def test_correlated_oracle_memory_stays_a_small_multiple_of_the_gram_matrices():

@@ -234,7 +234,7 @@ def test_nrf_dark_readout_raises():
         metrology.nrf(CorrelatedConfig(SpatsvSpec(0.0, 0), mu=0.0, phi=0.0))
 
 
-@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 def test_nrf_matches_small_energy_expansion(m):
     lam, tau = 1e-4, 0.9
     cfg = CorrelatedConfig(SpatsvSpec(lam, m), mu=1e6, phi=phi_for_tau(tau))
@@ -243,7 +243,7 @@ def test_nrf_matches_small_energy_expansion(m):
 
 def test_nrf_asymptotic_unsupported_order():
     with pytest.raises(UnsupportedOrder):
-        metrology.nrf_asymptotic(3, 0.9, 0.01)
+        metrology.nrf_asymptotic(5, 0.9, 0.01)
 
 
 def _pair(lam, m, eta=1.0):
@@ -288,7 +288,7 @@ def test_correlated_vacuum_benchmark():
     assert abs(metrology.correlated_uncertainty(cfg) - SQRT2) < 1e-5
 
 
-@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 def test_correlated_matches_low_energy_bright_expansion(m):
     lam, tau, eta, mu = 1e-4, 0.9, 0.95, 1e8
     cfg = CorrelatedConfig(
@@ -336,7 +336,7 @@ def test_dark_fringe_closed_forms():
 
 def test_asymptotic_eta_tau_symmetry():
     # the bright-beam expansions depend on eta and tau only through eta*tau
-    for m in range(4):
+    for m in range(5):
         a = metrology.correlated_uncertainty_asymptotic(
             "low_lambda_bright", m, lam=1e-3, tau=0.9, eta=0.7
         )
@@ -348,9 +348,104 @@ def test_asymptotic_eta_tau_symmetry():
 
 def test_asymptotic_unsupported_order_and_regime():
     with pytest.raises(UnsupportedOrder):
-        metrology.correlated_uncertainty_asymptotic("low_lambda_bright", 4, lam=0.1)
+        metrology.correlated_uncertainty_asymptotic("low_lambda_bright", 5, lam=0.1)
     with pytest.raises(ValueError):
         metrology.correlated_uncertainty_asymptotic("no_such_regime", 0)
+
+
+@pytest.mark.parametrize("m", [5, -1, 1.5])
+def test_closed_forms_cover_the_orders_0_to_4_only(m):
+    with pytest.raises(UnsupportedOrder):
+        metrology.nrf_asymptotic(m, 0.9, 0.01)
+    for regime in metrology.CORRELATED_REGIMES:
+        with pytest.raises(UnsupportedOrder):
+            metrology.correlated_uncertainty_asymptotic(regime, m, lam=0.1, tau=0.9, eta=0.9)
+
+
+_CORRELATED = metrology.correlated_uncertainty_asymptotic
+
+
+@pytest.mark.parametrize("call, args, kwargs", [
+    pytest.param(_CORRELATED, ("dark_fringe_high_lambda", 0), {"eta": 1.5}, id="dark-eta-1.5"),
+    pytest.param(_CORRELATED, ("low_lambda_bright", 0), {"lam": 0.1, "eta": -0.1}, id="eta-neg"),
+    pytest.param(_CORRELATED, ("high_lambda_bright", 0), {"lam": math.inf}, id="lam-inf"),
+    pytest.param(_CORRELATED, ("low_lambda_bright", 2), {"lam": -1.0}, id="lam-neg"),
+    pytest.param(_CORRELATED, ("high_lambda_bright", 1), {"lam": 1.0, "tau": math.nan},
+                 id="tau-nan"),
+    pytest.param(metrology.nrf_asymptotic, (1, 0.9, math.nan), {}, id="nrf-lam-nan"),
+    pytest.param(metrology.nrf_asymptotic, (1, 1.5, 0.01), {}, id="nrf-tau-1.5"),
+    pytest.param(metrology.nrf_asymptotic, (1, -0.5, 0.01), {}, id="nrf-tau-neg"),
+    pytest.param(metrology.nrf_asymptotic, (0, 0.9, -1.0), {}, id="nrf-lam-neg"),
+    pytest.param(metrology.nrf_asymptotic, (0, 0.9, math.inf), {}, id="nrf-lam-inf"),
+])
+def test_closed_forms_reject_inputs_outside_their_domain(call, args, kwargs):
+    # unchecked, these gave a negative uncertainty, a nan, a value for
+    # tau > 1, 0.0 at lam = inf or a bare math domain error
+    with pytest.raises(ValueError, match="must"):
+        call(*args, **kwargs)
+
+
+def _old_nrf_asymptotic(m, tau, lam):
+    """The per-order constants the closed forms were typed as, m <= 2."""
+    s = math.sqrt(lam)
+    return {0: lambda: 1.0 - 2.0 * tau * (s - lam),
+            1: lambda: 1.0 - 4.0 * tau * (s - 2.0 * lam),
+            2: lambda: 1.0 - 6.0 * tau * (s - 3.0 * lam)}[m]()
+
+
+def _old_low_lambda_bright(m, lam, tau, eta):
+    """The per-order low-lambda bright-beam constants, m <= 3."""
+    s = math.sqrt(lam)
+    inner = [2.0 * s - 2.0 * lam,
+             4.0 * s + 0.5 * lam * (3.0 * eta * tau - 16.0),
+             6.0 * s + 4.5 * lam * (eta * tau - 4.0),
+             8.0 * s + lam * (9.0 * eta * tau - 32.0)][m]
+    return SQRT2 * (1.0 - tau * eta * inner)
+
+
+_OLD_DARK_FRINGE_FACTORS = [math.sqrt(5.0), math.sqrt(3.0), math.sqrt(13.0 / 5.0),
+                            math.sqrt(17.0 / 7.0)]
+
+
+def test_closed_forms_reproduce_the_per_order_constants():
+    rng = random.Random(34)
+    for _ in range(2000):
+        lam, tau, eta = 10 ** rng.uniform(-8, 1), rng.random(), rng.random()
+        for m in range(3):
+            assert metrology.nrf_asymptotic(m, tau, lam) == _old_nrf_asymptotic(m, tau, lam)
+        for m in range(4):
+            new = metrology.correlated_uncertainty_asymptotic(
+                "low_lambda_bright", m, lam=lam, tau=tau, eta=eta)
+            old = _old_low_lambda_bright(m, lam, tau, eta)
+            assert abs(new - old) <= 1e-15 * abs(old), (m, lam, tau, eta)
+            dark = metrology.correlated_uncertainty_asymptotic(
+                "dark_fringe_high_lambda", m, eta=eta)
+            assert dark == 2.0 * _OLD_DARK_FRINGE_FACTORS[m] * (1.0 - eta)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_engine_approaches_each_closed_form_at_its_order(m):
+    # the dropped terms are O(lam^(3/2)) at low lam, so engine minus closed
+    # form shrinks about 30x per decade (10x is required); the dark-fringe
+    # ratio U/closed form tends to 1 as lam grows
+    tau = 0.9
+    nrf_residual, u_residual, dark_deviation = [], [], []
+    for lam in (1e-3, 1e-4):
+        cfg = CorrelatedConfig(SpatsvSpec(lam, m), mu=1e6, phi=phi_for_tau(tau))
+        nrf_residual.append(abs(metrology.nrf(cfg) - metrology.nrf_asymptotic(m, tau, lam)))
+        cfg = CorrelatedConfig(
+            SpatsvSpec(lam, m), mu=1e8, phi=phi_for_tau(tau), eta=0.95, psi=np.pi / 2)
+        closed = metrology.correlated_uncertainty_asymptotic(
+            "low_lambda_bright", m, lam=lam, tau=tau, eta=0.95)
+        u_residual.append(abs(metrology.correlated_uncertainty(cfg) - closed))
+    for lam in (1e3, 1e4):
+        cfg = CorrelatedConfig(SpatsvSpec(lam, m), mu=1e8, phi=1e-9, eta=0.98, psi=np.pi / 2)
+        closed = metrology.correlated_uncertainty_asymptotic(
+            "dark_fringe_high_lambda", m, eta=0.98)
+        dark_deviation.append(abs(metrology.correlated_uncertainty(cfg) / closed - 1.0))
+    assert nrf_residual[1] <= nrf_residual[0] / 10, nrf_residual
+    assert u_residual[1] <= u_residual[0] / 10, u_residual
+    assert dark_deviation[1] < dark_deviation[0], dark_deviation
 
 
 def test_subtraction_improves_correlated_uncertainty():
