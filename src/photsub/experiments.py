@@ -112,8 +112,8 @@ class SweepConfig:
             bad = [v for v in values if not (isfinite(v) and lo <= v <= hi)]
             if bad:
                 problems.append(f"{where}: want finite values in [{lo}, {hi}], got {bad}")
-        if self.digits is not None and self.digits < 15:
-            problems.append("digits: must be >= 15")
+        if not (self.digits is None or isinstance(self.digits, Integral) and self.digits >= 15):
+            problems.append(f"digits: an integer >= 15 required, got {self.digits!r}")
         if problems:
             raise ConfigInvalid("; ".join(problems))
 
@@ -433,6 +433,11 @@ PRESETS: dict[str, SweepConfig] = {
 }
 
 JOINT_DISTRIBUTION_PRESET = "fig6"
+#: fig6: SPATSV's P(j, k) for j, k <= _JOINT_N_MAX at lam = 0.6, m = 0, 1, 3
+_JOINT_N_MAX = 8
+_JOINT_CONFIG = SweepConfig(
+    scheme="correlated", axis="lam", values=(0.6,), m_list=(0, 1, 3),
+    metrics=("mean_photons",), lam=0.6, preset=JOINT_DISTRIBUTION_PRESET)
 
 
 def run_preset(name: str) -> SweepResult:
@@ -447,17 +452,13 @@ def run_preset(name: str) -> SweepResult:
     return run_sweep(cfg)
 
 
-def _joint_distribution_preset(lam: float = 0.6, n_max: int = 8) -> SweepResult:
+def _joint_distribution_preset() -> SweepResult:
     """Joint photon-number distribution P(j, k): axis is j, metrics are p_k<k>."""
-    m_list = (0, 1, 3)
-    cfg = SweepConfig(
-        scheme="correlated", axis="lam", values=(lam,), m_list=m_list,
-        metrics=("mean_photons",), lam=lam, preset=JOINT_DISTRIBUTION_PRESET,
-    )
-    joint = {m: moments.joint_photon_distribution(lam, m, n_max) for m in m_list}
+    cfg, levels = _JOINT_CONFIG, range(_JOINT_N_MAX + 1)
+    joint = {m: moments.joint_photon_distribution(cfg.lam, m, _JOINT_N_MAX) for m in cfg.m_list}
     return SweepResult(cfg, tuple(
         SweepRow(float(j), m, f"p_k{k}", joint[m].get((j, k), 0.0), FLAG_OK)
-        for j in range(n_max + 1) for m in m_list for k in range(n_max + 1)))
+        for j in levels for m in cfg.m_list for k in levels))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ cutoff.  An entry is P(lam)/Q(lam) g^(b mod 2) e^{i chi turns}, P and Q
 integer polynomials and g^2 = lam (1 + lam): Wick pairing sums over the
 Gaussian (squeezed or two-mode squeezed) vacuum, integer terms (count, a, b)
 summed as count lam^a g^b, or the finite sums of the SPATSV seeds.
-:func:`_horner` evaluates each exactly, for the mean-photon maps of
-:mod:`photsub.states` too; a key the selection rule zeroes is an exact 0,
+This module alone turns Wick terms into polynomials: the mean-photon maps
+of :mod:`photsub.states` read these lam-free entries, and :func:`_horner`
+evaluates each exactly; a key the selection rule zeroes is an exact 0,
 and phases come from one integer cosine and sine (:func:`cos_sin`).
 
 Sums that may cancel are certified (:func:`certified_sum`), and detection
@@ -22,6 +23,7 @@ such sums of lossless moments.  Precision is a ``bits`` argument.
 from __future__ import annotations
 
 from math import comb, factorial, floor, inf, isfinite, isqrt
+from numbers import Integral
 
 from .errors import MomentOrderMissing, NullState, PrecisionInsufficient
 
@@ -265,17 +267,12 @@ def joint_photon_distribution(lam, m: int, n_max: int) -> dict:
     P(k, k) = (1 - t) t^(k+m) ((k+m)!/k!)^2 / Q(lam), Q the norm
     <(a1^dag a2^dag)^m (a1 a2)^m>, a polynomial of degree d.  At lam = n 2^-s
     that is n^(k+m) ((k+m)!/k!)^2 2^(s (d+1)) / ((2^s + n)^(k+m+1) Q^), Q^ the
-    homogeneous :func:`_horner` value: one int / int.
+    norm of the SPATSV table (which raises NullState where it is 0): one int / int.
     """
-    (n, shift), norm = _binary(lam), _polynomial(_wick_terms_2m(m, m, m, m)[1])
-    den = _horner(norm, n, shift)
-    if not den:
-        raise NullState("photon subtraction annihilates the vacuum")
-    base, out = (1 << shift) + n, {}
-    for k in range(n_max + 1):
-        num = n ** (k + m) * (factorial(k + m) // factorial(k)) ** 2 << shift * len(norm)
-        out[k, k] = ratio(num, base ** (k + m + 1) * den)
-    return out
+    table = spatsv_moment_table(lam, m)
+    return {(k, k): ratio(table.n ** (k + m) * (factorial(k + m) // factorial(k)) ** 2,
+                          ((1 << table.shift) + table.n) ** (k + m + 1) * table.norm,
+                          table.shift * (table.norm_degree + 1)) for k in range(n_max + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +354,6 @@ def _binary(lam) -> tuple:
     return n, d.bit_length() - 1
 
 
-def vacuum_moment(wick: tuple, lam) -> float:
-    """A diagonal vacuum moment, its (turns, Wick terms) ``wick``, at lam:
-    an integer polynomial P(lam), so one correctly rounded int / int."""
-    poly, (n, shift) = _polynomial(wick[1]), _binary(lam)
-    return ratio(_horner(poly, n, shift), 1, -shift * (len(poly) - 1))
-
-
 _ENTRIES = {}  # (source, m, key) -> lam-free (turns, polynomial, g parity, degree)
 
 
@@ -399,9 +389,11 @@ class MomentTable:
     (turns, P, g parity) of ``source(m, key)``, Q the P of the zero key and
     g^2 = lam (1 + lam), formed lazily in integers at the bits a reader asks
     for (:meth:`fixed`).  A zeroed key is an exact 0, with no arithmetic; a
-    zero norm raises NullState."""
+    zero norm raises NullState, and an m not a nonnegative integer ValueError."""
 
     def __init__(self, modes, source, lam, m: int, chi):
+        if not isinstance(m, Integral) or m < 0:
+            raise ValueError("m must be a nonnegative integer")
         self.modes, self.source, self.m = tuple(modes), source, m
         self.n, self.shift = _binary(lam)
         _, norm, _, self.norm_degree = self._entry((0,) * 2 * len(self.modes))

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .errors import NullState, OutOfRange
 from .moments import (
-    _binary, _horner, _polynomial, _wick_terms_1m, _wick_terms_2m, ratio, vacuum_moment)
+    _binary, _horner, _vacuum_entry, passv_moment_table, ratio, spatsv_moment_table)
 
 if TYPE_CHECKING:
     from .fock import FockState1, TwoModeDiagonalState
@@ -66,10 +66,7 @@ def passv(spec: PassvSpec, cutoff: int | None = None) -> FockState1:
     against its tail.  By default it is the least that leaves the subtracted
     state a tail below ``fock.TAIL_TOL``, plus ``fock.CUTOFF_MARGIN``.
     """
-    from . import fock
-
-    wick = _wick_terms_1m(spec.m, spec.m)
-    return _subtracted(spec, cutoff, 1, fock.squeezed_vacuum, fock._squeezed, spec.r, wick)
+    return _subtracted(spec, cutoff, 1)
 
 
 def spatsv(spec: SpatsvSpec, cutoff: int | None = None) -> TwoModeDiagonalState:
@@ -78,31 +75,30 @@ def spatsv(spec: SpatsvSpec, cutoff: int | None = None) -> TwoModeDiagonalState:
     ``cutoff`` bounds the TSV before subtraction; the default is sized on
     the subtracted state, as in :func:`passv`.
     """
-    from . import fock
-
-    wick = _wick_terms_2m(spec.m, spec.m, spec.m, spec.m)
-    build = fock.two_mode_squeezed_vacuum
-    return _subtracted(spec, cutoff, 2, build, fock._two_mode_squeezed, spec.lam, wick)
+    return _subtracted(spec, cutoff, 2)
 
 
-def _subtracted(spec: _SubtractionSpec, cutoff, power, build, amplitude, squeezing, wick):
-    """a^m on each of the ``power`` modes of ``build(squeezing, spec.chi, cutoff)``.
+def _subtracted(spec: _SubtractionSpec, cutoff, power):
+    """a^m on each of the ``power`` modes of the squeezed vacuum (1) or TSV (2).
 
     The default cutoff comes from filling the subtracted state: its level n
-    is the parent's ``amplitude`` at n + m, times ((n + m)!/n!)^(power/2),
-    over the square root of the exact vacuum moment of ``wick``.  The fill
+    is the parent's amplitude at n + m, times ((n + m)!/n!)^(power/2), over
+    the square root of the norm of the state's own moment table.  The fill
     takes chi = 0, which leaves every level's mass as it is, so the cutoff
     depends on lam and m alone.
     """
     from . import fock
 
     m = spec.m
+    build, amplitude, squeezing, moment_table = (
+        (fock.squeezed_vacuum, fock._squeezed, spec.r, passv_moment_table) if power == 1 else
+        (fock.two_mode_squeezed_vacuum, fock._two_mode_squeezed, spec.lam, spatsv_moment_table))
     if cutoff is None:
-        moment = vacuum_moment(wick, spec.lam)
-        if moment <= 0.0:
+        table = moment_table(spec.lam, m)
+        moment = ratio(table.norm, 1, -table.shift * table.norm_degree)
+        if moment <= 0.0:  # a nonzero norm can underflow
             raise NullState("photon subtraction annihilated the state")
-        parent = amplitude(squeezing, 0.0)
-        scale = 1.0 / sqrt(moment)
+        parent, scale = amplitude(squeezing, 0.0), 1.0 / sqrt(moment)
         filled = fock._filled(lambda n: parent(n + m) * fock._falling(n, m, power) * scale)
         cutoff = len(filled) - 1 + m
     return fock.subtract_photons(build(squeezing, spec.chi, cutoff), m)[0]
@@ -158,15 +154,15 @@ _MAPS = {}
 
 
 def _mean_photon_map(kind: str, m: int) -> tuple:
-    """(P, Q): the vacuum moments of m + 1 and of m photons from each mode as
-    integer polynomials in lam (:func:`photsub.moments._polynomial`) of one
-    length, their common power of lam divided out: P(0)/Q(0) is the lam = 0
-    limit (m mod 2 for PASSV, 0 for SPATSV)."""
+    """(P, Q): the lam-free vacuum entries (:func:`photsub.moments._vacuum_entry`)
+    of m + 1 and of m photons from the first mode, m from any second, padded
+    to one length, their common power of lam divided out: P(0)/Q(0) is the
+    lam = 0 limit (m mod 2 for PASSV, 0 for SPATSV)."""
     if (kind, m) not in _MAPS:
         if kind not in ("single", "two_mode") or m < 0:
             raise ValueError(f"no mean-photon map of kind {kind!r} and order {m}")
-        wick = _wick_terms_1m if kind == "single" else lambda p, q: _wick_terms_2m(p, q, m, m)
-        p, q = (_polynomial(wick(n, n)[1]) for n in (m + 1, m))
+        key = (1, 1) if kind == "single" else (1, 1, 0, 0)
+        p, q = (_vacuum_entry(m, k)[1] for k in (key, (0,) * len(key)))
         q += [0] * (len(p) - len(q))
         while not (p[0] or q[0]):
             del p[0], q[0]
@@ -200,17 +196,18 @@ def balance_energy(target_lam: float, m: int, kind: str = "single") -> float:
     mean(lam0, m) = target_lam, correctly rounded (:func:`_nearest_root`).
 
     ``kind`` selects the single-mode (PASSV) or two-mode (SPATSV) map.
-    Raises OutOfRange when the target lies below the map's value at lam = 0
-    (odd-m PASSV has mean >= 1 for every lam).  Roots are memoised by
-    (target, m, kind), so a sweep whose points share a target solves it once.
+    Raises ValueError for a target of inf or nan, and OutOfRange for one below
+    the map's value at lam = 0 (odd-m PASSV has mean >= 1 for every lam).
+    Roots are memoised by (target, m, kind): a sweep solves a shared one once.
     """
     return _balance_root(target_lam, m, kind)
 
 
 @lru_cache(maxsize=16)
 def _balance_root(target_lam: float, m: int, kind: str) -> float:
-    pq = _mean_photon_map(kind, m)
-    target = float(target_lam)
+    pq, target = _mean_photon_map(kind, m), float(target_lam)
+    if not isfinite(target):
+        raise ValueError("target_lam must be finite")
     tn, td = target.as_integer_ratio()
     (p0, *_), (q0, *_) = pq
     if td * p0 > tn * q0:

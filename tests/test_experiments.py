@@ -88,6 +88,17 @@ def test_config_validation_collects_problems():
         assert fragment in text
 
 
+@pytest.mark.parametrize("digits", [float("nan"), float("inf"), 20.5, 14])
+def test_digits_must_be_an_integer_of_at_least_15(digits):
+    # before, nan and inf passed validation and crashed the sweep, and 20.5
+    # ran and printed "# digits=20.5"
+    cfg = SweepConfig(scheme="single", axis="lam", values=(0.5,), m_list=(1,),
+                      metrics=("U",), digits=digits)
+    with pytest.raises(ConfigInvalid, match="digits: an integer >= 15 required"):
+        run_sweep(cfg)
+    dataclasses.replace(cfg, digits=15).validate()
+
+
 def test_preset_registry_complete():
     expected = {
         "fig1a", "fig1b", "fig1c", "fig_anyangle", "fig3a", "fig3b",

@@ -65,6 +65,15 @@ def test_every_module_level_function_and_class_has_a_caller_in_the_package():
     assert unused == []
 
 
+def test_only_moments_turns_wick_terms_into_polynomials():
+    # one source for the exact polynomials of a subtracted state: the other
+    # modules read the moment tables' lam-free entries
+    helpers = {"_wick_terms_1m", "_wick_terms_2m", "_polynomial"}
+    naming = [path.name for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "moments.py" and helpers & _named(ast.parse(path.read_text()))]
+    assert naming == []
+
+
 _RUN = """
 import sys
 from math import pi

@@ -193,6 +193,18 @@ def test_moments_module_needs_no_fock_numerics():
     assert not imported & {"numpy", "scipy", "fock"}
 
 
+@pytest.mark.parametrize("m", [-1, 1.5, None])
+def test_a_table_of_a_bad_order_raises_at_construction(m):
+    # before, passv_moment_table(1.0, -1) built and failed on its first read,
+    # and fig6 at m = -1 on an empty max()
+    for build in (moments.passv_moment_table, moments.spatsv_moment_table,
+                  moments.spatsv_seed_moment_table):
+        with pytest.raises(ValueError, match="m must be a nonnegative integer"):
+            build(1.0, m)
+    with pytest.raises(ValueError, match="m must be a nonnegative integer"):
+        moments.joint_photon_distribution(0.5, m, 3)
+
+
 def test_a_key_of_the_wrong_arity_raises():
     # a table fills any order on demand; only a key for another number of
     # modes lies outside it

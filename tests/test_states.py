@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from photsub import fock, states
+from photsub import fock, moments, states
 from photsub.errors import CutoffTooSmall, NullState, OutOfRange
 from photsub.experiments import SweepConfig, run_sweep
 from photsub.states import PassvSpec, SpatsvSpec
@@ -38,21 +38,19 @@ def test_legendre_recurrence_values():
 @pytest.mark.parametrize("lam", [0.2, 1.0, 5.0])
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6])
 def test_single_mode_norm_squared_matches_factorial_moment(lam, m):
-    # the moment the default cutoff reads: one int / int of its polynomial
-    from photsub import moments
-    from photsub.moments import _wick_terms_1m
-
-    direct = moments.vacuum_moment(_wick_terms_1m(m, m), lam)
+    # the moment the default cutoff reads: the PASSV table's norm, one int / int
+    direct = _table_norm(moments.passv_moment_table(lam, m))
     assert abs(passv_norm_squared(lam, m) - direct) < 1e-10 * max(1.0, direct)
+
+
+def _table_norm(table) -> float:
+    return moments.ratio(table.norm, 1, -table.shift * table.norm_degree)
 
 
 @pytest.mark.parametrize("lam", [0.2, 1.0, 5.0])
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6])
 def test_two_mode_norm_squared_matches_factorial_moment(lam, m):
-    from photsub import moments
-    from photsub.moments import _wick_terms_2m
-
-    direct = moments.vacuum_moment(_wick_terms_2m(m, m, m, m), lam)
+    direct = _table_norm(moments.spatsv_moment_table(lam, m))
     assert abs(spatsv_norm_squared(lam, m) - direct) < 1e-10 * max(1.0, direct)
 
 
@@ -150,6 +148,17 @@ def test_balance_energy_below_infimum():
     # odd-m single-mode subtracted states carry at least one photon
     with pytest.raises(OutOfRange):
         states.balance_energy(0.5, 1, "single")
+
+
+@pytest.mark.parametrize("kind", ["single", "two_mode"])
+def test_a_non_finite_balancing_target_is_a_value_error(kind):
+    # a finite target below the infimum, negative ones too, is out of range;
+    # inf and nan are no targets at all (inf raised OverflowError before)
+    for target in (inf, -inf, float("nan")):
+        with pytest.raises(ValueError, match="target_lam must be finite"):
+            states.balance_energy(target, 1, kind)
+    with pytest.raises(OutOfRange):
+        states.balance_energy(-1.0, 1, kind)
 
 
 def _balancing_problems():
