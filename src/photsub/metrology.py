@@ -15,9 +15,12 @@ phase phi.  Correlated scheme: the two entangled quantum modes are each
 mixed with an identical coherent state in their own interferometer, at
 phases phi1 = phi2 = phi.  The read-out ports and their moments
 F(i, j) = <A^dag^i A^i B^dag^j B^j> are those of :mod:`photsub.opalg`, and
-every figure of merit is algebra on them: each observable it reads is
-folded once per scene family and summed once per point, and the single
-slope and the correlated mixed derivative are closed forms.  Each comes
+every figure of merit is algebra on them: each observable it reads has its
+weights formed once, at import, is folded once per scene family and is
+summed once per point, and the single slope and the correlated mixed
+derivative are closed forms whose phi-free terms the family forms once.
+A ``dps``, the working digits, is None or a positive integer, else
+ValueError.  Each comes
 with a certified error, and every variance but Mandel Q's is formed, and
 its digits checked, by :func:`_variance`.  Detection loss eta, a beamsplitter
 to vacuum on each read-out port, scales F(i, j) by eta^(i+j)
@@ -30,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import acos, cos, isfinite, isqrt, log10, nextafter, pi, sqrt, ulp
+from numbers import Integral
 
 from . import moments, opalg
 from .errors import NonPositiveQfi, OutOfRange, Singular, UnsupportedOrder, ZeroMeanPhoton
@@ -121,6 +125,13 @@ def phi_for_tau(tau: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_dps(dps) -> None:
+    """ValueError unless ``dps``, the working decimal digits, is None (the
+    default, :func:`_working_digits`) or a positive integer."""
+    if not (dps is None or isinstance(dps, Integral) and dps > 0):
+        raise ValueError(f"dps must be None or a positive integer, got {dps!r}")
+
+
 def _working_digits(mu: float) -> int:
     """Default working decimal digits of a scene with coherent power mu."""
     return 40 + 3 * int(log10(mu + 10))
@@ -179,15 +190,25 @@ def _times(x: dict, y: dict) -> dict:
 _COVARIANCE = _times(_DIFFERENCE, _DIFFERENCE)  # C = (N_a - N_b)^2
 
 
-def _variance(ports: opalg.PortMoments, poly: dict) -> moments.Bounded:
-    """Var o = <o^2> - <o>^2 of a read-out observable o, clipped at 0.
+#: the F weights (:func:`opalg.normal_ordered`) of o and o^2 for each o
+#: whose variance a figure reads (the QFI's is 2 N_a), and of the shot-noise
+#: scale <N_a> + <N_b>, formed once
+_DIFFERENCE_WEIGHTS, _COVARIANCE_WEIGHTS, _QFI_WEIGHTS = (
+    (opalg.normal_ordered(o), opalg.normal_ordered(_times(o, o)))
+    for o in (_DIFFERENCE, _COVARIANCE, {(1, 0): 2}))
+_SUM_WEIGHTS = opalg.normal_ordered(_SUM)
+
+
+def _variance(ports: opalg.PortMoments, observable: tuple) -> moments.Bounded:
+    """Var o = <o^2> - <o>^2 of a read-out observable o, clipped at 0, from
+    the weights of o and o^2 in ``observable``.
 
     Unless its certified error keeps 8 digits of the larger of |Var o| and
     the shot-noise scale <N_a> + <N_b>, PrecisionInsufficient is raised.
     """
-    var = opalg.port_expectation(ports, _times(poly, poly))
-    var = var - opalg.port_expectation(ports, poly).squared()
-    moments.require_digits(var, "variance", opalg.port_expectation(ports, _SUM))
+    mean, square = observable
+    var = ports.expect(square) - ports.expect(mean).squared()
+    moments.require_digits(var, "variance", ports.expect(_SUM_WEIGHTS))
     return var if var.man > 0 else moments.Bounded(0, var.err, var.exp)
 
 
@@ -209,7 +230,9 @@ def _root_over(var: moments.Bounded, den: moments.Bounded, factor: int = 1, exp:
     return moments.ratio(root * factor, abs(den.man), e // 2 - t + exp - den.exp)
 
 
-def _require(cfg, scheme: type) -> None:
+def _require(cfg, scheme: type, dps) -> None:
+    """ValueError unless ``cfg`` is a ``scheme`` config and ``dps`` valid digits."""
+    _check_dps(dps)
     if not isinstance(cfg, scheme):
         raise ValueError(f"expected a {scheme.__name__}, got {type(cfg).__name__}")
 
@@ -230,6 +253,7 @@ def readout_moments(cfg: SingleMziConfig | CorrelatedConfig, dps: int | None = N
     are the quantities the oracle comparison checks; a moment not certified
     to 8 digits raises PrecisionInsufficient.
     """
+    _check_dps(dps)
     order = 2 if isinstance(cfg, SingleMziConfig) else 4
     out, ports = {}, _scene(cfg, dps=dps)
     for key in [(p, q) for p in range(order + 1) for q in range(order + 1 - p) if p + q]:
@@ -252,9 +276,9 @@ def single_phase_uncertainty(cfg: SingleMziConfig, dps: int | None = None) -> fl
     where <n_q> nears mu: one that sums to zero raises Singular, and one not
     certified to 8 digits PrecisionInsufficient.
     """
-    _require(cfg, SingleMziConfig)
+    _require(cfg, SingleMziConfig, dps)
     ports = _scene(cfg, dps=dps)
-    var = _variance(ports, _DIFFERENCE)
+    var = _variance(ports, _DIFFERENCE_WEIGHTS)
     return _root_over(var, _nonzero(ports.slope(), "read-out slope"))
 
 
@@ -266,11 +290,11 @@ def qfi(cfg: SingleMziConfig, dps: int | None = None) -> float:
     modes a3 and a4 = (a_coh - a_quantum)/sqrt(2) are read as the two ports,
     so the QFI is Var(2 N_a) = 4 (F(2, 0) + F(1, 0) - F(1, 0)^2).
     """
-    _require(cfg, SingleMziConfig)
+    _require(cfg, SingleMziConfig, dps)
     coefficients = _port_coefficients(cfg.quantum, cfg.mu, cfg.psi, dps)
     half = moments.fixed_from(1, 0, -1, coefficients.bits, 0)  # x = y = z = 1/2, exactly
     ports = opalg.PortMoments(coefficients, half, half, half, turn=1)
-    return _variance(ports, {(1, 0): 2}).value
+    return _variance(ports, _QFI_WEIGHTS).value
 
 
 def cramer_rao_bound(fq: float) -> float:
@@ -293,12 +317,12 @@ def nrf(cfg: CorrelatedConfig, dps: int | None = None) -> float:
     Values below 1 flag non-classical photon-number correlation between the
     two read-out ports; a dark read-out (zero mean) raises ZeroMeanPhoton.
     """
-    _require(cfg, CorrelatedConfig)
+    _require(cfg, CorrelatedConfig, dps)
     ports = _scene(cfg, dps=dps)
     mean_sum = opalg.port_expectation(ports, _SUM)
     if mean_sum.man <= 0:
         raise ZeroMeanPhoton("no photons reach the read-out ports")
-    var = _variance(ports, _DIFFERENCE)
+    var = _variance(ports, _DIFFERENCE_WEIGHTS)
     return moments.ratio(var.man, mean_sum.man, var.exp - mean_sum.exp)
 
 
@@ -312,7 +336,7 @@ def mandel_q(cfg: CorrelatedConfig, dps: int | None = None) -> float:
     ZeroMeanPhoton.  8 digits of Var N must be certified against the larger of
     |Var N| and <N>, so an exact Q = 0 stays certified.
     """
-    _require(cfg, CorrelatedConfig)
+    _require(cfg, CorrelatedConfig, dps)
     coefficients = _port_coefficients(cfg.quantum, 0.0, 0.0, dps)
     ports = opalg.PortMoments(coefficients, moments.ONE, (0,) * 5, (0,) * 5, cfg.eta, turn=1)
     mean = ports.entry(1, 0)
@@ -337,12 +361,12 @@ def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> flo
     Singular.  The mixed derivative is checked as the single slope is,
     before Var C.
     """
-    _require(cfg, CorrelatedConfig)
+    _require(cfg, CorrelatedConfig, dps)
     if not cfg.mu or abs(cos(cfg.phi / 2.0)) <= ulp(cfg.phi):
         raise Singular("no coherent light reaches the read-out: mu = 0 or cos(phi/2) = 0")
     ports = _scene(cfg, dps=dps)
     mixed = _nonzero(-2 * ports.mixed(), "mixed phase derivative of <C>")
-    var = _variance(ports, _COVARIANCE)
+    var = _variance(ports, _COVARIANCE_WEIGHTS)
     (eta, e1), (mu, e2) = moments.man_exp(cfg.eta), moments.man_exp(cfg.mu)
     x, _, e3, _, _ = ports.x
     return _root_over(var, mixed, eta * mu * x, e1 + e2 + e3)

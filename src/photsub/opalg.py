@@ -17,15 +17,18 @@ So an observable sum w F(i, j) under detection loss eta is
 sum_n sum_k G(n, k) eta^n M(n, k), with phase and loss in the monomials M
 alone: :class:`PortCoefficients` folds each row G once per scene family and
 observable, exactly in integers, and a point is one certified sum
-(:meth:`PortMoments.expect`, :func:`photsub.moments.certified_sum`), its
-eta^n from the package's one loss law (:func:`photsub.moments.thin`).
-Ordinary moments follow by Stirling numbers (:func:`port_expectation`), and
-the phase derivatives the figures of merit divide by are closed forms
-(:meth:`PortMoments.slope`, :meth:`PortMoments.mixed`).
+(:meth:`PortMoments.expect`, :func:`photsub.moments.certified_sum`).  M's
+powers of x, y and z add up to n, so eta^n M(n, k) is M(n, k) of eta x,
+eta y and eta z: a point scales its entries by eta once, by the package's
+one loss law (:func:`photsub.moments.thin`).  Ordinary moments follow by
+Stirling numbers (:func:`normal_ordered`), and the phase derivatives the
+figures of merit divide by are closed forms (:meth:`PortMoments.slope`,
+:meth:`PortMoments.mixed`) whose phi-free terms the family forms once.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 from math import comb, factorial
 
@@ -131,7 +134,8 @@ class PortCoefficients:
         sorted ((i, j), w) pairs, for the port entries' unit ``turn``: each G
         a :func:`_exact_sum` of displacement-entry products, each product
         formed once per family."""
-        if (weights, turn) not in self._folds:
+        rows = self._folds.get((weights, turn))
+        if rows is None:
             products, rows = self._products, []
             for (n, k), row in _rows(self.single, weights, turn):
                 summands = []
@@ -143,44 +147,66 @@ class PortCoefficients:
                 g = _exact_sum(summands)
                 rows += [(n, k, g)] if g else []
             self._folds[weights, turn] = rows
-        return self._folds[weights, turn]
+        return rows
+
+    @cached_property
+    def gap(self):
+        """<n> - mu of the single scheme, one exact difference, or None where
+        it is an exact 0 (:func:`_exact_sum`): the phi-free part of
+        :meth:`PortMoments.slope`."""
+        return _exact_sum([(1, self.moment((1, 1))), (-1, self.displacement(1, 1))])
+
+    @cached_property
+    def mixed_terms(self) -> tuple:
+        """The phi-free parts of :meth:`PortMoments.mixed`: the four terms of
+        <(n0 - mu)(n1 - mu)>, <n0 n1>, mu^2, -mu <n0> and -mu <n1>, and
+        conj(alpha)^2 <a0 a1>."""
+        bits, minus_mu = self.bits, fixed_times(self.displacement(1, 1), -1)
+        return ([self.moment((1, 1, 1, 1)), self.displacement(2, 2),
+                 fixed_mul(minus_mu, self.moment((1, 1, 0, 0)), bits),
+                 fixed_mul(minus_mu, self.moment((0, 0, 1, 1)), bits)],
+                fixed_mul(self.displacement(2, 0), self.moment((0, 1, 0, 1)), bits))
 
 
 class PortMoments:
     """Observables of one scene, and its phase derivatives, as certified sums:
     ``x`` = |u|^2, ``y`` = |v|^2 and ``z`` = conj(u) v = ``turn`` |uv| of its
     port entries u, v, fixed-point numbers at the family's bits, and ``eta``
-    the detection efficiency."""
+    the detection efficiency.  The monomials read the entries times eta,
+    truncated to the bits (:func:`fixed_from` counts the ulps); the phase
+    derivatives and ``x`` itself stay lossless."""
 
     def __init__(self, coefficients: PortCoefficients, x, y, z, eta: float = 1.0, turn=1j):
         self.coefficients, self.eta, self.turn = coefficients, eta, turn
-        self.bits, self.x, self._z = coefficients.bits, x, z
-        self._powers = ([ONE, x], [ONE, y])
-        self._monomials, self._scales, self._values = {}, {}, {}
+        self.bits, self.x, self.y, self._z = coefficients.bits, x, y, z
+        scale = thin(Bounded(1, 0, 0), eta, 1)  # eta = man 2^exp, exactly
+        lossy = [fixed_from(re * scale.man, im * scale.man, exp + scale.exp, self.bits, ulps)
+                 for re, im, exp, _, ulps in (x, y, z)]
+        self._powers, self._lossy_z = ([ONE, lossy[0]], [ONE, lossy[1]]), lossy[2]
+        self._monomials, self._values = {}, {}
 
     def _monomial(self, n: int, k: int) -> tuple:
-        """M(n, k) = eta^n x^(k//2) y^(n - (k+1)//2) z^(k mod 2), kept per point."""
-        if (n, k) not in self._monomials:
+        """eta^n M(n, k) = (eta x)^(k//2) (eta y)^(n - (k+1)//2) (eta z)^(k mod 2),
+        kept per point."""
+        m = self._monomials.get((n, k))
+        if m is None:
             p, q = k // 2, n - (k + 1) // 2
             for powers, r in zip(self._powers, (p, q)):
                 while len(powers) <= r:
                     powers.append(fixed_mul(powers[-1], powers[1], self.bits))
             x, y = self._powers[0][p], self._powers[1][q]
             m = fixed_mul(x, y, self.bits) if p and q else x if p else y
-            if k % 2:
-                m = fixed_mul(m, self._z, self.bits)
-            if n not in self._scales:
-                self._scales[n] = thin(Bounded(1, 0, 0), self.eta, n)  # eta^n, exactly
-            self._monomials[n, k] = fixed_times(m, self._scales[n].man, -self._scales[n].exp)
-        return self._monomials[n, k]
+            m = self._monomials[n, k] = fixed_mul(m, self._lossy_z, self.bits) if k % 2 else m
+        return m
 
     def expect(self, weights: tuple) -> Bounded:
         """sum w F(i, j) over ``weights``, sorted ((i, j), w) pairs, kept per point."""
-        if weights not in self._values:
+        value = self._values.get(weights)
+        if value is None:
             rows = self.coefficients.fold(weights, self.turn)
-            self._values[weights] = _point_sum(
+            value = self._values[weights] = _point_sum(
                 [(g, self._monomial(n, k)) for n, k, g in rows], self.bits)
-        return self._values[weights]
+        return value
 
     def entry(self, i: int, j: int) -> Bounded:
         """F(i, j)."""
@@ -191,11 +217,11 @@ class PortMoments:
 
         The subtracted squeezed vacuum has definite photon-number parity, so
         <a> = 0 and F(1, 0) - F(0, 1) = -eta (<n> - mu) cos phi, with
-        mu = |alpha|^2; sin phi = Re(-2i z).  <n> - mu is one exact difference,
-        so <n> = mu gives an exact 0 at every phase.
+        mu = |alpha|^2; sin phi = Re(-2i z).  <n> - mu is one exact difference
+        (:attr:`PortCoefficients.gap`), so <n> = mu gives an exact 0 at every
+        phase.
         """
-        c = self.coefficients
-        gap = _exact_sum([(1, c.moment((1, 1))), (-1, c.displacement(1, 1))])
+        gap = self.coefficients.gap
         pairs = [(gap, fixed_times(self._z, -2j))] if gap else []
         return thin(_point_sum(pairs, self.bits), self.eta, 1)
 
@@ -205,17 +231,14 @@ class PortMoments:
         Port A moves with phi1 and port B with phi2.  The pair populates only
         |n, n>, so <a0> = <a0^dag a1> = <n0 a1> = 0, which leaves
         eta^2 [xy <(n0 - mu)(n1 - mu)> - cos^2 phi Re(conj(alpha)^2 <a0 a1>)/2],
-        with xy = |uv|^2 = sin^2(phi)/4 and cos^2 phi = 1 - 4 xy.
+        with xy = |uv|^2 = sin^2(phi)/4 and cos^2 phi = 1 - 4 xy; the terms
+        in the input moments are the family's (:attr:`PortCoefficients.mixed_terms`).
         """
-        c, bits = self.coefficients, self.bits
-        w = fixed_mul(self.x, self._powers[1][1], bits)
-        minus_mu = fixed_times(c.displacement(1, 1), -1)
-        y = fixed_mul(c.displacement(2, 0), c.moment((0, 1, 0, 1)), bits)
-        pairs = [(w, c.moment((1, 1, 1, 1))), (w, c.displacement(2, 2)),
-                 (w, fixed_mul(minus_mu, c.moment((1, 1, 0, 0)), bits)),
-                 (w, fixed_mul(minus_mu, c.moment((0, 0, 1, 1)), bits)),
-                 (fixed_times(w, 2), y), (fixed_times(ONE, -1, 1), y)]
-        return thin(certified_sum(pairs, bits), self.eta, 2)
+        terms, pair = self.coefficients.mixed_terms
+        w = fixed_mul(self.x, self.y, self.bits)
+        pairs = [(w, term) for term in terms]
+        pairs += [(fixed_times(w, 2), pair), (fixed_times(ONE, -1, 1), pair)]
+        return thin(certified_sum(pairs, self.bits), self.eta, 2)
 
 
 #: Stirling numbers of the second kind S(n, k), N^n = sum_k S(n, k) a^dag^k a^k,

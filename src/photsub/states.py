@@ -157,10 +157,13 @@ def _mean_photon_map(kind: str, m: int) -> tuple:
     """(P, Q): the lam-free vacuum entries (:func:`photsub.moments._vacuum_entry`)
     of m + 1 and of m photons from the first mode, m from any second, padded
     to one length, their common power of lam divided out: P(0)/Q(0) is the
-    lam = 0 limit (m mod 2 for PASSV, 0 for SPATSV)."""
+    lam = 0 limit (m mod 2 for PASSV, 0 for SPATSV).  ValueError unless m is a
+    nonnegative integer, by the rule of the tables it reads."""
+    if not isinstance(m, Integral) or m < 0:
+        raise ValueError("m must be a nonnegative integer")
     if (kind, m) not in _MAPS:
-        if kind not in ("single", "two_mode") or m < 0:
-            raise ValueError(f"no mean-photon map of kind {kind!r} and order {m}")
+        if kind not in ("single", "two_mode"):
+            raise ValueError(f"no mean-photon map of kind {kind!r}")
         key = (1, 1) if kind == "single" else (1, 1, 0, 0)
         p, q = (_vacuum_entry(m, k)[1] for k in (key, (0,) * len(key)))
         q += [0] * (len(p) - len(q))

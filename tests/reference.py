@@ -17,7 +17,9 @@ moment table thinned entry by entry (:func:`apply_loss`) is the reference
 for the loss law :func:`photsub.moments.thin`, and the variance of any
 linear quadrature over a table (:func:`quadrature_variance`, on numbers
 made fixed by :func:`fixed`) the reference for the two-entry quadrature
-metrics of :mod:`photsub.experiments`.  The general normal-ordered
+metrics of :mod:`photsub.experiments`.  The dark-fringe U as a closed
+form in three SPATSV entries (:func:`dark_fringe_uncertainty`) checks the
+port engine's Var C and mixed derivative at phi = 0.  The general normal-ordered
 operator algebra at the end (:class:`OperatorPolynomial`, :func:`multiply`,
 :func:`contract`), with :class:`Jet` phase derivatives, is the reference
 the port-moment kernel of :mod:`photsub.opalg` and its analytic
@@ -318,6 +320,23 @@ def port_coefficients(table, mu, psi: float, bits: int) -> opalg.PortCoefficient
     coefficients = opalg.PortCoefficients(table, 0.0, psi, bits)
     coefficients._mu = man_exp_exact(mu)
     return coefficients
+
+
+def dark_fringe_uncertainty(table, eta):
+    """The correlated scheme's normalized uncertainty U at phi = 0 from three
+    entries of its SPATSV ``table``, at mpmath's precision, reading no port
+    fold.  Each port then holds one mode of the pair alone, so the difference
+    D of the detected counts is a difference of two binomial thinnings of
+    one n: with p = eta (1 - eta), E D^2 = 2p<n> and
+    E D^4 = 2p(1 - 6p)<n> + 12p^2<n^2>, and
+    U = sqrt(E D^4 - (E D^2)^2)/(eta |<a0 a1>|), with <n> the entry
+    (1, 1, 0, 0), <n^2> (2, 2, 0, 0) + (1, 1, 0, 0) and <a0 a1> (0, 1, 0, 1)."""
+    n = mp.re(entry(table, (1, 1, 0, 0)))
+    n2 = mp.re(entry(table, (2, 2, 0, 0))) + n
+    pair = abs(entry(table, (0, 1, 0, 1)))
+    eta = mp.mpf(eta)
+    p = eta * (1 - eta)
+    return mp.sqrt(2 * p * (1 - 6 * p) * n + 12 * p**2 * n2 - 4 * p**2 * n**2) / (eta * pair)
 
 
 def fixed_value(x: tuple):

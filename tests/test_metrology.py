@@ -23,7 +23,7 @@ from photsub.errors import (
 from photsub.experiments import PRESETS
 from photsub.metrology import CorrelatedConfig, SingleMziConfig, phi_for_tau
 from photsub.states import PassvSpec, SpatsvSpec
-from reference import quadrature_variance
+from reference import dark_fringe_uncertainty, quadrature_variance
 
 SQRT2 = np.sqrt(2.0)
 
@@ -499,6 +499,50 @@ def test_readout_moments_flag_uncertified_digits(cfg):
         assert abs(value - exact[key]) <= 1e-8 * abs(exact[key]), key
     with pytest.raises(PrecisionInsufficient):
         metrology.readout_moments(cfg, dps=5)
+
+
+_SINGLE, _PAIR = (SingleMziConfig(PassvSpec(0.5, 1), mu=2.0, phi=0.7),
+                  CorrelatedConfig(SpatsvSpec(0.3, 1), mu=2.0, phi=0.7))
+_TAKING_DIGITS = {
+    "readout_moments": (metrology.readout_moments, _PAIR),
+    "single_phase_uncertainty": (metrology.single_phase_uncertainty, _SINGLE),
+    "qfi": (metrology.qfi, _SINGLE),
+    "nrf": (metrology.nrf, _PAIR),
+    "mandel_q": (metrology.mandel_q, _PAIR),
+    "correlated_uncertainty": (metrology.correlated_uncertainty, _PAIR),
+}
+
+
+@pytest.mark.parametrize("dps", [0, -1, 1.5, math.nan, math.inf, "40"])
+@pytest.mark.parametrize("name", sorted(_TAKING_DIGITS))
+def test_working_digits_are_none_or_a_positive_integer(name, dps):
+    # before, inf raised OverflowError, nan a ValueError of int(), 0 ran at
+    # the default digits and 1.5 was accepted
+    figure, cfg = _TAKING_DIGITS[name]
+    with pytest.raises(ValueError, match="dps must be None or a positive integer"):
+        figure(cfg, dps=dps)
+    # refused before the family memo, which stays empty
+    assert metrology._port_coefficients.cache_info().currsize == 0
+    assert figure(cfg, dps=30) == pytest.approx(figure(cfg), rel=1e-12)
+
+
+@pytest.mark.parametrize("eta", [0.8, 0.98])
+@pytest.mark.parametrize("m", range(5))
+@pytest.mark.parametrize("lam", [1e-4, 0.05, 2.0, 1e3])
+def test_the_dark_fringe_uncertainty_is_its_three_entry_form(lam, m, eta):
+    # at phi = 0 the engine's Var C and mixed derivative, which the form does
+    # not read, give U to within U's certified relative error: half Var C's
+    # plus the mixed derivative's, and 2^-52 for the root's floor (2^-70),
+    # the final int / int (2^-53) and the 50-digit form
+    cfg = CorrelatedConfig(SpatsvSpec(lam, m), mu=1e8, phi=0.0, psi=math.pi / 2, eta=eta)
+    ports = metrology._scene(cfg)
+    var = metrology._variance(ports, metrology._COVARIANCE_WEIGHTS)
+    mixed = ports.mixed()
+    with mp.workdps(50):
+        want = dark_fringe_uncertainty(moments.spatsv_moment_table(lam, m), eta)
+        tol = (mp.mpf(var.err) / (2 * var.man) + mp.mpf(mixed.err) / abs(mixed.man)
+               + mp.mpf(2) ** -52)
+        assert abs(metrology.correlated_uncertainty(cfg) - want) <= tol * want
 
 
 def test_a_precision_flag_reads_magnitudes_past_the_float_range():

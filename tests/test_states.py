@@ -161,6 +161,19 @@ def test_a_non_finite_balancing_target_is_a_value_error(kind):
         states.balance_energy(-1.0, 1, kind)
 
 
+@pytest.mark.parametrize("m", [1.5, None, float("nan"), inf])
+@pytest.mark.parametrize("call", [
+    lambda m: states.passv_mean_photons(0.5, m),
+    lambda m: states.spatsv_mean_photons(0.5, m),
+    lambda m: states.balance_energy(2.0, m, "single"),
+    lambda m: states.balance_energy(2.0, m, "two_mode"),
+], ids=["passv_mean_photons", "spatsv_mean_photons", "balance_single", "balance_two_mode"])
+def test_a_mean_photon_map_of_a_bad_order_is_a_value_error(call, m):
+    # the rule of the moment tables: before, each raised a bare TypeError
+    with pytest.raises(ValueError, match="m must be a nonnegative integer"):
+        call(m)
+
+
 def _balancing_problems():
     """(target, m, kind) over m 1-5, both maps, targets log-spread over
     1e-3 .. 1e3; odd-m PASSV only above its infimum of one photon."""

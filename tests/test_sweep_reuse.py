@@ -83,6 +83,33 @@ def test_alternating_phases_on_one_family_give_fresh_values(memos):
     assert memoised == fresh
 
 
+#: the work of a family's derivative constants (they read input entries and
+#: displacements) and of the observables' weights (formed at import)
+_FAMILY_WORK = ((opalg.PortCoefficients, "moment"), (opalg.PortCoefficients, "displacement"),
+                (opalg, "normal_ordered"), (metrology, "_times"))
+
+
+@pytest.mark.parametrize("sweep", [
+    dict(scheme="correlated", metrics=("U_norm",), lam=2.0, mu=1e12, psi=pi / 2, eta=0.98,
+         values=(1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)),
+    dict(scheme="single", metrics=("U",), lam=1.3, mu=1e8, psi=0.2, eta=0.9,
+         values=(0.3, 0.6, 0.9, 1.2, 1.5, 1.8)),
+], ids=("U_norm", "U"))
+def test_a_phase_point_forms_no_family_constant_or_weight(monkeypatch, memos, sweep):
+    calls = [_counted(monkeypatch, owner, name) for owner, name in _FAMILY_WORK]
+    counts = []
+    for values in (sweep["values"][:1], sweep["values"]):
+        _clear(memos)
+        for c in calls:
+            c.clear()
+        rows = run_sweep(SweepConfig(**{**sweep, "values": values}, axis="phi", m_list=(2,))).rows
+        assert [row.flag for row in rows] == ["ok"] * len(values)
+        counts.append([len(c) for c in calls])
+    # six points read what one point reads: every read is per family
+    assert counts[1] == counts[0]
+    assert counts[0][2:] == [0, 0]
+
+
 def test_balanced_sweep_solves_each_root_once(monkeypatch):
     roots = _counted(monkeypatch, states, "_nearest_root")
     _sweep(axis="phi", values=(1e-7, 1e-6, 1e-5), balanced=True)
