@@ -30,7 +30,6 @@ import argparse
 import sys
 from dataclasses import dataclass, replace
 from math import inf, isfinite, nextafter, pi, sqrt
-from numbers import Integral
 
 from . import metrology, moments, states
 from .errors import (
@@ -44,21 +43,13 @@ from .errors import (
     Singular,
     UnknownPreset,
     ZeroMeanPhoton,
+    check,
+    problem,
 )
 from .metrology import CorrelatedConfig, SingleMziConfig, phi_for_tau
 from .states import PassvSpec, SpatsvSpec, balance_energy
 
 AXES = ("lam", "mu", "eta", "phi", "psi", "chi", "one_minus_tau")
-#: accepted range of each scene value, fixed or swept; all must be finite
-_SCENE_RANGES = {
-    "lam": (0.0, inf),
-    "mu": (0.0, inf),
-    "eta": (0.0, 1.0),
-    "one_minus_tau": (0.0, 1.0),
-    "phi": (-inf, inf),
-    "psi": (-inf, inf),
-    "chi": (-inf, inf),
-}
 FLAG_OK = "ok"
 FLAG_SINGULAR = "singular"
 FLAG_OUT_OF_RANGE = "out_of_range"
@@ -90,30 +81,18 @@ class SweepConfig:
             problems.append(f"scheme: got {self.scheme!r}, want single|correlated")
         if self.axis not in AXES:
             problems.append(f"axis: got {self.axis!r}, want one of {AXES}")
-        if not self.values:
-            problems.append("values: at least one axis value required")
-        if not self.m_list or any(
-            not isinstance(m, Integral) or m < 0 for m in self.m_list
-        ):
-            problems.append("m: nonempty list of nonnegative integers required")
+        for key, items in (("values", self.values), ("m", self.m_list), ("metric", self.metrics)):
+            if not items:
+                problems.append(f"{key}: at least one required")
         allowed = SINGLE_METRICS if self.scheme == "single" else CORRELATED_METRICS
-        for met in self.metrics:
-            if met not in allowed:
-                problems.append(f"metric: {met!r} not valid for scheme {self.scheme}")
-        if not self.metrics:
-            problems.append("metric: at least one metric required")
-        for key, (lo, hi) in _SCENE_RANGES.items():
-            if key == self.axis:
-                where, values = f"values ({key})", self.values
-            elif key in _FLOAT_KEYS:
-                where, values = key, (getattr(self, key),)
-            else:
-                continue
-            bad = [v for v in values if not (isfinite(v) and lo <= v <= hi)]
-            if bad:
-                problems.append(f"{where}: want finite values in [{lo}, {hi}], got {bad}")
-        if not (self.digits is None or isinstance(self.digits, Integral) and self.digits >= 15):
-            problems.append(f"digits: an integer >= 15 required, got {self.digits!r}")
+        problems += [f"metric: {met!r} not valid for scheme {self.scheme}"
+                     for met in self.metrics if met not in allowed]
+        # every number against the input contract, the axis values under the axis's name
+        named = [(key, getattr(self, key)) for key in _FLOAT_KEYS if key != self.axis]
+        named += [("m", m) for m in self.m_list] + [("digits", self.digits)]
+        named += [(self.axis, v) for v in self.values] if self.axis in AXES else []
+        problems += [f"{name}: {want} required, got {value!r}"
+                     for name, value in named if (want := problem(name, value))]
         if problems:
             raise ConfigInvalid("; ".join(problems))
 
@@ -465,7 +444,7 @@ def _joint_distribution_preset() -> SweepResult:
 # Config files
 # ---------------------------------------------------------------------------
 
-_FLOAT_KEYS = {"lam", "mu", "psi", "phi", "eta", "chi"}
+_FLOAT_KEYS = ("lam", "mu", "psi", "phi", "eta", "chi")
 _NAMED_PHASES = {"pi/2": pi / 2, "pi": pi, "pi/4": pi / 4, "0": 0.0}
 
 
@@ -488,20 +467,14 @@ def parse_config(path: str) -> dict:
     return data
 
 
-def _parse_float(key: str, text: str) -> float:
-    if text in _NAMED_PHASES:
-        return _NAMED_PHASES[text]
+def _number(text: str, integral: bool = False):
+    """The number ``text`` spells (or names, as pi/2), an int where ``integral``
+    and it is one; else the text itself, which the input contract refuses."""
     try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigInvalid(f"{key}: not a number: {text!r}") from exc
-
-
-def _parse_int(key: str, text: str) -> int:
-    value = _parse_float(key, text)
-    if not value.is_integer():
-        raise ConfigInvalid(f"{key}: not an integer: {text!r}")
-    return int(value)
+        value = _NAMED_PHASES[text] if text in _NAMED_PHASES else float(text)
+    except ValueError:
+        return text
+    return int(value) if integral and value.is_integer() else value
 
 
 def _reject_unknown_keys(data: dict, known: set) -> None:
@@ -529,7 +502,7 @@ def sweep_config_from_file(path: str) -> SweepConfig:
             raise ConfigInvalid(f"preset: unknown name {name!r}")
         cfg = PRESETS[name]
         if "digits" in data:
-            cfg = replace(cfg, digits=_parse_int("digits", data["digits"]))
+            cfg = replace(cfg, digits=_number(data["digits"], integral=True))
         return cfg
     _reject_unknown_keys(data, _SWEEP_KEYS)
     required = {"scheme", "axis", "values", "m", "metric"}
@@ -539,22 +512,18 @@ def sweep_config_from_file(path: str) -> SweepConfig:
     kwargs = {
         "scheme": data["scheme"],
         "axis": data["axis"],
-        "values": tuple(
-            _parse_float("values", v) for v in data["values"].split(",") if v.strip()
-        ),
-        "m_list": tuple(_parse_int("m", v) for v in data["m"].split(",") if v.strip()),
+        "values": tuple(_number(v) for v in data["values"].split(",") if v.strip()),
+        "m_list": tuple(_number(v, integral=True) for v in data["m"].split(",") if v.strip()),
         "metrics": tuple(v.strip() for v in data["metric"].split(",") if v.strip()),
     }
-    for key in _FLOAT_KEYS:
+    for key in (*_FLOAT_KEYS, "digits"):
         if key in data:
-            kwargs[key] = _parse_float(key, data[key])
+            kwargs[key] = _number(data[key], integral=key == "digits")
     if "balanced" in data:
         text = data["balanced"].lower()
         if text not in ("true", "false"):
             raise ConfigInvalid(f"balanced: expected true|false, got {data['balanced']!r}")
         kwargs["balanced"] = text == "true"
-    if "digits" in data:
-        kwargs["digits"] = _parse_int("digits", data["digits"])
     cfg = SweepConfig(**kwargs)
     cfg.validate()
     return cfg
@@ -611,13 +580,13 @@ def oracle_compare(
     """Compare engine read-out moments against the brute-force Fock oracle.
 
     The engine side is :func:`photsub.metrology.readout_moments`, the same
-    scene construction every figure of merit uses.
+    scene construction every figure of merit uses.  Inputs outside the input
+    contract raise ConfigInvalid, a scene too large MemoryBoundExceeded.
     """
     if scheme not in ("single", "correlated"):
         raise ConfigInvalid(f"scheme: got {scheme!r}, want single|correlated")
-    if quantum_cutoff is not None and quantum_cutoff < 0:
-        raise ConfigInvalid(f"cutoff: must be >= 0, got {quantum_cutoff}")
     try:
+        check(quantum_cutoff=quantum_cutoff)
         cfg = _scene(scheme, m, lam=lam, mu=mu, phi=phi, psi=psi, eta=eta)
     except ValueError as exc:
         raise ConfigInvalid(f"scene: {exc}") from exc
@@ -627,6 +596,10 @@ def oracle_compare(
         )
     from . import fock  # the oracle alone needs numpy
 
+    # before any fill: nq quantum levels (an explicit cutoff fixes them, a default one
+    # gives more than the mean photons) make an array of nq^2 (one MZI) or nq^3 (twins)
+    nq = _mean_photons(cfg) if quantum_cutoff is None else quantum_cutoff + 1 - m
+    fock._check_memory((nq,) * (2 if scheme == "single" else 3))
     engine = metrology.readout_moments(cfg)
     build = states.passv if scheme == "single" else states.spatsv
     q = build(cfg.quantum, cutoff=quantum_cutoff)
@@ -644,14 +617,9 @@ def oracle_compare_from_file(path: str) -> OracleComparison:
     _reject_unknown_keys(data, _ORACLE_KEYS)
     if "scheme" not in data:
         raise ConfigInvalid("missing keys: scheme")
-    kwargs = {"scheme": data["scheme"]}
-    for key, default in (
-        ("lam", 0.3), ("mu", 2.0), ("phi", 0.7), ("psi", 0.0), ("eta", 1.0),
-    ):
-        kwargs[key] = _parse_float(key, data[key]) if key in data else default
-    kwargs["m"] = _parse_int("m", data["m"]) if "m" in data else 1
-    if "cutoff" in data:
-        kwargs["quantum_cutoff"] = _parse_int("cutoff", data["cutoff"])
+    kwargs = {"lam": 0.3, "m": 1, "mu": 2.0, "phi": 0.7, "scheme": data.pop("scheme")}
+    for key, text in data.items():
+        kwargs["quantum_cutoff" if key == "cutoff" else key] = _number(text, key in ("m", "cutoff"))
     return oracle_compare(**kwargs)
 
 

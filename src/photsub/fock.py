@@ -30,18 +30,17 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import cosh, lgamma, log, prod, sqrt, tanh
+from math import cosh, lgamma, log, prod, sinh, sqrt, tanh
 
 import numpy as np
 
-from .errors import CutoffTooSmall, MemoryBoundExceeded, ModeMismatch, NullState
+from .errors import (  # MAX_AMPLITUDES bounds the oracle's largest array, read at each call
+    MAX_AMPLITUDES, CutoffTooSmall, MemoryBoundExceeded, ModeMismatch, NullState, check)
 
 TAIL_TOL = 1e-12
 NULL_THRESHOLD = 1e-300
 #: adaptive constructors keep this many slots of headroom above the tail
 CUTOFF_MARGIN = 5
-#: bound on the number of amplitudes in the oracle's largest array, read at each call
-MAX_AMPLITUDES = 30_000_000
 
 
 @dataclass(frozen=True)
@@ -78,16 +77,19 @@ class TwoModeDiagonalState:
         return TwoModeDiagonalState(self.diag_amplitudes / norm)
 
 
-def _filled(amplitude, cutoff: int | None = None) -> np.ndarray:
+def _filled(amplitude, cutoff: int | None = None, mean: float = 0.0) -> np.ndarray:
     """The amplitudes ``amplitude(n)`` of a unit-norm state for n = 0 .. cutoff.
 
     By default the cutoff is the least level whose tail mass is below
-    TAIL_TOL, plus CUTOFF_MARGIN; a given ``cutoff`` that leaves a larger
-    tail raises CutoffTooSmall.
+    TAIL_TOL, plus CUTOFF_MARGIN, at most 10^6.  CutoffTooSmall is raised for
+    a given ``cutoff`` that leaves a larger tail and, before any fill, for a
+    ``mean`` photon number past the cutoff or that limit.
     """
     amps = []
     tail = 1.0  # the tail as it shrinks rounds far finer than the mass near 1
     limit = 1_000_000 if cutoff is None else cutoff
+    if mean > limit:
+        raise CutoffTooSmall(f"a state of {mean:.3g} mean photons needs more than {limit} levels")
     while tail > TAIL_TOL:
         if len(amps) > limit:
             raise CutoffTooSmall(f"{len(amps)} levels leave tail mass {tail:.3e} > {TAIL_TOL}")
@@ -117,12 +119,12 @@ def _squeezed(r: float, chi: float):
     level masses, and with them the default cutoff, do not depend on chi.
     """
     t = tanh(r)
-    even = [1.0 / sqrt(cosh(r))]
+    even = []
 
     def amplitude(n):
         while len(even) <= n // 2:
             k = len(even)
-            even.append(even[-1] * t * sqrt((2 * k - 1) / (2 * k)))
+            even.append(even[-1] * t * sqrt((2 * k - 1) / (2 * k)) if k else 1.0 / sqrt(cosh(r)))
         return 0j if n % 2 else even[n // 2] * cmath.exp(1j * chi * (n // 2))
 
     return amplitude
@@ -141,19 +143,18 @@ def _falling(n: int, m: int, power: int) -> float:
 
 
 def squeezed_vacuum(r: float, chi: float = 0.0, cutoff: int | None = None) -> FockState1:
-    """Single-mode squeezed vacuum S(r e^{i chi})|0> with <N> = sinh^2 r."""
-    if r < 0:
-        raise ValueError("squeezing parameter r must be >= 0")
-    return FockState1(_filled(_squeezed(r, chi), cutoff)).normalized()
+    """Single-mode squeezed vacuum S(r e^{i chi})|0> with <N> = sinh^2 r, which the
+    fill's mean check reads at min(r, 99): past any level limit, and finite."""
+    check(r=r, chi=chi, cutoff=cutoff)
+    return FockState1(_filled(_squeezed(r, chi), cutoff, sinh(min(r, 99.0)) ** 2)).normalized()
 
 
 def two_mode_squeezed_vacuum(
     lam: float, chi: float = 0.0, cutoff: int | None = None
 ) -> TwoModeDiagonalState:
     """Two-mode squeezed vacuum with mean photons per mode lambda."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    return TwoModeDiagonalState(_filled(_two_mode_squeezed(lam, chi), cutoff)).normalized()
+    check(lam=lam, chi=chi, cutoff=cutoff)
+    return TwoModeDiagonalState(_filled(_two_mode_squeezed(lam, chi), cutoff, lam)).normalized()
 
 
 def subtract_photons(state, m: int):
@@ -162,9 +163,7 @@ def subtract_photons(state, m: int):
     Returns ``(new_state, norm)`` where ``norm`` is the pre-normalization norm
     of the subtracted vector (the success amplitude).
     """
-    if m < 0 or int(m) != m:
-        raise ValueError("m must be a nonnegative integer")
-    m = int(m)
+    check(m=m)
     if m == 0:
         return state, 1.0
     if isinstance(state, FockState1):
@@ -271,6 +270,9 @@ class OracleScene:
     phi: float
     eta: float = 1.0
 
+    def __post_init__(self):
+        check(mu=self.mu, psi=self.psi, phi=self.phi, eta=self.eta)
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -308,7 +310,7 @@ def oracle_interferometer(scene: OracleScene) -> OracleResult:
     Only feasible for small coherent energy (mu <~ 10); the memory bound is
     enforced on the largest array before it is allocated.
     """
-    alpha = np.sqrt(scene.mu) * np.exp(1j * scene.psi)
+    alpha = sqrt(scene.mu) * np.exp(1j * scene.psi)
     q = scene.quantum
     twin = isinstance(q, TwoModeDiagonalState)
     if not twin and not isinstance(q, FockState1):
@@ -318,7 +320,7 @@ def oracle_interferometer(scene: OracleScene) -> OracleResult:
         )
     d = q.diag_amplitudes if twin else q.amplitudes
     nq = len(d)
-    dim = len(_filled(_coherent(alpha))) + nq - 1
+    dim = len(_filled(_coherent(alpha), mean=scene.mu)) + nq - 1
     _check_memory((dim, nq, nq) if twin else (dim, dim))
     u2 = mzi_unitary(scene.phi)
     # Da and Db, or for twin MZIs Db alone: their Da drops out of the read-out

@@ -19,11 +19,11 @@ every figure of merit is algebra on them: each observable it reads has its
 weights formed once, at import, is folded once per scene family and is
 summed once per point, and the single slope and the correlated mixed
 derivative are closed forms whose phi-free terms the family forms once.
-A ``dps``, the working digits, is None or a positive integer, else
-ValueError.  Each comes
-with a certified error, and every variance but Mandel Q's is formed, and
-its digits checked, by :func:`_variance`.  Detection loss eta, a beamsplitter
-to vacuum on each read-out port, scales F(i, j) by eta^(i+j)
+Inputs, ``dps`` (the working digits) too, obey the one input contract,
+:data:`photsub.errors.PARAMETERS`.  Each figure comes with a certified
+error, and every variance but Mandel Q's is formed, and its digits checked,
+by :func:`_variance`.  Detection loss eta, a beamsplitter to vacuum on each
+read-out port, scales F(i, j) by eta^(i+j)
 (:func:`moments.thin`, the package's one loss law).  Each figure is formed
 in integers at the bits of its ``dps`` digits: an isqrt, then one int / int.
 """
@@ -33,26 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import acos, cos, isfinite, isqrt, log10, nextafter, pi, sqrt, ulp
-from numbers import Integral
 
 from . import moments, opalg
-from .errors import NonPositiveQfi, OutOfRange, Singular, UnsupportedOrder, ZeroMeanPhoton
+from .errors import (
+    NonPositiveQfi, OutOfRange, Singular, UnsupportedOrder, ZeroMeanPhoton, check, check_type)
 from .states import PassvSpec, SpatsvSpec
 
 SQRT2 = sqrt(2.0)
-
-
-def _check_scene(cfg) -> None:
-    spec = PassvSpec if isinstance(cfg, SingleMziConfig) else SpatsvSpec
-    if not isinstance(cfg.quantum, spec):
-        raise ValueError(f"quantum must be a {spec.__name__}, got {type(cfg.quantum).__name__}")
-    for name in ("mu", "phi", "psi", "eta"):
-        if not isfinite(getattr(cfg, name)):
-            raise ValueError(f"{name} must be finite")
-    if cfg.mu < 0:
-        raise ValueError("mu must be >= 0")
-    if not 0.0 <= cfg.eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -66,7 +53,8 @@ class SingleMziConfig:
     eta: float = 1.0  # detection efficiency on both read-out ports
 
     def __post_init__(self):
-        _check_scene(self)
+        check_type("quantum", self.quantum, PassvSpec)
+        check(mu=self.mu, phi=self.phi, psi=self.psi, eta=self.eta)
 
 
 @dataclass(frozen=True)
@@ -84,7 +72,8 @@ class CorrelatedConfig:
     eta: float = 1.0
 
     def __post_init__(self):
-        _check_scene(self)
+        check_type("quantum", self.quantum, SpatsvSpec)
+        check(mu=self.mu, phi=self.phi, psi=self.psi, eta=self.eta)
 
 
 def phi_for_tau(tau: float) -> float:
@@ -94,8 +83,7 @@ def phi_for_tau(tau: float) -> float:
     midpoints either side bracket the root, each sign decided in integers
     (:func:`moments.cos_sin`, at 64 bits, doubled while within an ulp), as a
     nonzero dyadic's cosine is never the root."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
+    check(tau=tau)
     root = sqrt(tau)
     (man, exp), x = moments.man_exp(root), acos(root)
 
@@ -123,13 +111,6 @@ def phi_for_tau(tau: float) -> float:
 # ---------------------------------------------------------------------------
 # The read-out engine
 # ---------------------------------------------------------------------------
-
-
-def _check_dps(dps) -> None:
-    """ValueError unless ``dps``, the working decimal digits, is None (the
-    default, :func:`_working_digits`) or a positive integer."""
-    if not (dps is None or isinstance(dps, Integral) and dps > 0):
-        raise ValueError(f"dps must be None or a positive integer, got {dps!r}")
 
 
 def _working_digits(mu: float) -> int:
@@ -232,9 +213,8 @@ def _root_over(var: moments.Bounded, den: moments.Bounded, factor: int = 1, exp:
 
 def _require(cfg, scheme: type, dps) -> None:
     """ValueError unless ``cfg`` is a ``scheme`` config and ``dps`` valid digits."""
-    _check_dps(dps)
-    if not isinstance(cfg, scheme):
-        raise ValueError(f"expected a {scheme.__name__}, got {type(cfg).__name__}")
+    check(dps=dps)
+    check_type("cfg", cfg, scheme)
 
 
 def _scene(cfg, dps: int | None = None) -> opalg.PortMoments:
@@ -253,7 +233,7 @@ def readout_moments(cfg: SingleMziConfig | CorrelatedConfig, dps: int | None = N
     are the quantities the oracle comparison checks; a moment not certified
     to 8 digits raises PrecisionInsufficient.
     """
-    _check_dps(dps)
+    check(dps=dps)
     order = 2 if isinstance(cfg, SingleMziConfig) else 4
     out, ports = {}, _scene(cfg, dps=dps)
     for key in [(p, q) for p in range(order + 1) for q in range(order + 1 - p) if p + q]:
@@ -299,6 +279,7 @@ def qfi(cfg: SingleMziConfig, dps: int | None = None) -> float:
 
 def cramer_rao_bound(fq: float) -> float:
     """Lower uncertainty bound 1/sqrt(F_Q); an F_Q that overflowed to inf is OutOfRange."""
+    check(fq=fq)
     if fq <= 0:
         raise NonPositiveQfi(f"Fisher information must be positive, got {fq}")
     if not isfinite(fq):
@@ -377,21 +358,17 @@ def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> flo
 # ---------------------------------------------------------------------------
 
 
-def _check_closed_form(m, lam, tau, eta) -> None:
-    """UnsupportedOrder unless m is one of the paper's orders 0..4; ValueError
-    unless lam is finite and >= 0 (:func:`moments._binary`) and tau and eta
-    lie in [0, 1]."""
+def _check_closed_form(m, **values) -> None:
+    """UnsupportedOrder unless m is one of the paper's orders 0..4, then :func:`check`."""
     if m not in range(5):
         raise UnsupportedOrder(f"closed forms cover m = 0..4, got m={m}")
-    moments._binary(lam)
-    if not (0.0 <= tau <= 1.0 and 0.0 <= eta <= 1.0):
-        raise ValueError("tau and eta must lie in [0, 1]")
+    check(**values)
 
 
 def nrf_asymptotic(m: int, tau: float, lam: float) -> float:
     """Small-energy noise reduction factor 1 - 2(m+1) tau (sqrt(lam) - (m+1) lam),
     m = 0..4, to O(lam^(3/2))."""
-    _check_closed_form(m, lam, tau, 1.0)
+    _check_closed_form(m, tau=tau, lam=lam)
     return 1.0 - 2 * (m + 1) * tau * (sqrt(lam) - (m + 1) * lam)
 
 
@@ -414,20 +391,21 @@ def correlated_uncertainty_asymptotic(
     (order-independent).  ``dark_fringe_low_lambda`` /
     ``dark_fringe_high_lambda``: quantum-light-dominated read-out near
     phi = 0, limited by detection efficiency only; the high-lambda limit is
-    2 sqrt((4m + 5)/(2m + 1)) (1 - eta).
+    2 sqrt((4m + 5)/(2m + 1)) (1 - eta).  The two forms that divide by lam
+    or eta are Singular where it is 0.
     """
-    _check_closed_form(m, lam, tau, eta)
+    _check_closed_form(m, lam=lam, tau=tau, eta=eta)
     if regime == "low_lambda_bright":
         te = tau * eta
         inner = 2 * (m + 1) * sqrt(lam) + lam * (0.75 * m * (m + 1) * te - 2 * (m + 1) ** 2)
         return SQRT2 * (1.0 - te * inner)
     if regime == "high_lambda_bright":
         if lam <= 0:
-            raise ValueError("high_lambda_bright requires lam > 0")
+            raise Singular("high_lambda_bright diverges at lam = 0")
         return SQRT2 * (1.0 - tau * eta - tau * eta / (4.0 * lam))
     if regime == "dark_fringe_low_lambda":
         if eta <= 0:
-            raise ValueError("dark_fringe_low_lambda requires eta > 0")
+            raise Singular("dark_fringe_low_lambda diverges at eta = 0")
         return SQRT2 * sqrt((1.0 - eta) / eta)
     if regime == "dark_fringe_high_lambda":
         return 2.0 * sqrt((4 * m + 5) / (2 * m + 1)) * (1.0 - eta)

@@ -22,10 +22,9 @@ such sums of lossless moments.  Precision is a ``bits`` argument.
 
 from __future__ import annotations
 
-from math import comb, factorial, floor, inf, isfinite, isqrt
-from numbers import Integral
+from math import comb, factorial, floor, inf, isqrt
 
-from .errors import MomentOrderMissing, NullState, PrecisionInsufficient
+from .errors import MomentOrderMissing, NullState, PrecisionInsufficient, check
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +230,7 @@ def thin(x: Bounded, eta: float, n: int) -> Bounded:
     2^-shift, multiplies exactly, in one step by num^n 2^(-n shift), so ``x``
     keeps its bound.  This is the one loss law.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
+    check(eta=eta)
     num, den = eta.as_integer_ratio()
     return Bounded(num**n * x.man, num**n * x.err, x.exp - n * (den.bit_length() - 1))
 
@@ -269,6 +267,7 @@ def joint_photon_distribution(lam, m: int, n_max: int) -> dict:
     that is n^(k+m) ((k+m)!/k!)^2 2^(s (d+1)) / ((2^s + n)^(k+m+1) Q^), Q^ the
     norm of the SPATSV table (which raises NullState where it is 0): one int / int.
     """
+    check(n_max=n_max)
     table = spatsv_moment_table(lam, m)
     return {(k, k): ratio(table.n ** (k + m) * (factorial(k + m) // factorial(k)) ** 2,
                           ((1 << table.shift) + table.n) ** (k + m + 1) * table.norm,
@@ -345,12 +344,8 @@ def _horner(poly: list, n: int, shift: int) -> int:
 
 
 def _binary(lam) -> tuple:
-    """(n, shift) with lam, read as a float, = n 2^-shift; ValueError unless
-    lam is finite and >= 0."""
-    lam = float(lam)
-    if not (0 <= lam and isfinite(lam)):
-        raise ValueError("lam must be finite and >= 0")
-    n, d = lam.as_integer_ratio()
+    """(n, shift) with lam, a finite float or a number read as one, = n 2^-shift."""
+    n, d = float(lam).as_integer_ratio()
     return n, d.bit_length() - 1
 
 
@@ -389,11 +384,11 @@ class MomentTable:
     (turns, P, g parity) of ``source(m, key)``, Q the P of the zero key and
     g^2 = lam (1 + lam), formed lazily in integers at the bits a reader asks
     for (:meth:`fixed`).  A zeroed key is an exact 0, with no arithmetic; a
-    zero norm raises NullState, and an m not a nonnegative integer ValueError."""
+    zero norm raises NullState, and lam, m or chi outside the input contract
+    ValueError, before any entry."""
 
     def __init__(self, modes, source, lam, m: int, chi):
-        if not isinstance(m, Integral) or m < 0:
-            raise ValueError("m must be a nonnegative integer")
+        check(lam=lam, m=m, chi=chi)
         self.modes, self.source, self.m = tuple(modes), source, m
         self.n, self.shift = _binary(lam)
         _, norm, _, self.norm_degree = self._entry((0,) * 2 * len(self.modes))

@@ -51,7 +51,7 @@ def _rows(single: bool, weights: tuple, turn) -> list:
     for the Gaussian unit omega = ``turn``."""
     if (single, weights, turn) not in _ROWS:
         if turn not in (1, -1, 1j, -1j):
-            raise ValueError(f"turn must be a Gaussian unit, got {turn!r}")
+            raise ValueError(f"unknown turn {turn!r}: want a Gaussian unit")
         sign, rows = round((turn.conjugate() ** 2).real), {}
         for (i, j), w in weights:
             n = i + j

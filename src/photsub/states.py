@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, isfinite, sqrt
-from numbers import Integral
+from math import comb, factorial, sqrt
 from struct import pack, unpack
 from typing import TYPE_CHECKING
 
-from .errors import NullState, OutOfRange
+from .errors import NullState, OutOfRange, check
 from .moments import (
     _binary, _horner, _vacuum_entry, passv_moment_table, ratio, spatsv_moment_table)
 
@@ -36,17 +35,13 @@ class _SubtractionSpec:
     chi: float = 0.0  # squeezing angle
 
     def __post_init__(self):
-        _binary(self.lam)  # ValueError unless lam is finite and >= 0
-        if not isinstance(self.m, Integral) or self.m < 0:
-            raise ValueError("m must be a nonnegative integer")
-        if not isfinite(self.chi):
-            raise ValueError("chi must be finite")
+        check(lam=self.lam, m=self.m, chi=self.chi)
 
     @property
     def r(self) -> float:
         import numpy as np
 
-        return float(np.arcsinh(np.sqrt(self.lam)))
+        return float(np.arcsinh(np.sqrt(float(self.lam))))
 
 
 @dataclass(frozen=True)
@@ -89,6 +84,7 @@ def _subtracted(spec: _SubtractionSpec, cutoff, power):
     """
     from . import fock
 
+    check(cutoff=cutoff)
     m = spec.m
     build, amplitude, squeezing, moment_table = (
         (fock.squeezed_vacuum, fock._squeezed, spec.r, passv_moment_table) if power == 1 else
@@ -99,7 +95,8 @@ def _subtracted(spec: _SubtractionSpec, cutoff, power):
         if moment <= 0.0:  # a nonzero norm can underflow
             raise NullState("photon subtraction annihilated the state")
         parent, scale = amplitude(squeezing, 0.0), 1.0 / sqrt(moment)
-        filled = fock._filled(lambda n: parent(n + m) * fock._falling(n, m, power) * scale)
+        filled = fock._filled(lambda n: parent(n + m) * fock._falling(n, m, power) * scale,
+                              mean=spec.lam)  # below the subtracted state's mean
         cutoff = len(filled) - 1 + m
     return fock.subtract_photons(build(squeezing, spec.chi, cutoff), m)[0]
 
@@ -157,13 +154,10 @@ def _mean_photon_map(kind: str, m: int) -> tuple:
     """(P, Q): the lam-free vacuum entries (:func:`photsub.moments._vacuum_entry`)
     of m + 1 and of m photons from the first mode, m from any second, padded
     to one length, their common power of lam divided out: P(0)/Q(0) is the
-    lam = 0 limit (m mod 2 for PASSV, 0 for SPATSV).  ValueError unless m is a
-    nonnegative integer, by the rule of the tables it reads."""
-    if not isinstance(m, Integral) or m < 0:
-        raise ValueError("m must be a nonnegative integer")
+    lam = 0 limit (m mod 2 for PASSV, 0 for SPATSV)."""
     if (kind, m) not in _MAPS:
         if kind not in ("single", "two_mode"):
-            raise ValueError(f"no mean-photon map of kind {kind!r}")
+            raise ValueError(f"unknown mean-photon map kind {kind!r}")
         key = (1, 1) if kind == "single" else (1, 1, 0, 0)
         p, q = (_vacuum_entry(m, k)[1] for k in (key, (0,) * len(key)))
         q += [0] * (len(p) - len(q))
@@ -179,6 +173,7 @@ def _at(pq: tuple, n: int, shift: int) -> tuple:
 
 
 def _mean_photons(kind: str, lam: float, m: int) -> float:
+    check(lam=lam, m=m)
     return ratio(*_at(_mean_photon_map(kind, m), *_binary(lam)))
 
 
@@ -203,14 +198,13 @@ def balance_energy(target_lam: float, m: int, kind: str = "single") -> float:
     the map's value at lam = 0 (odd-m PASSV has mean >= 1 for every lam).
     Roots are memoised by (target, m, kind): a sweep solves a shared one once.
     """
+    check(target_lam=target_lam, m=m)
     return _balance_root(target_lam, m, kind)
 
 
 @lru_cache(maxsize=16)
 def _balance_root(target_lam: float, m: int, kind: str) -> float:
     pq, target = _mean_photon_map(kind, m), float(target_lam)
-    if not isfinite(target):
-        raise ValueError("target_lam must be finite")
     tn, td = target.as_integer_ratio()
     (p0, *_), (q0, *_) = pq
     if td * p0 > tn * q0:

@@ -241,6 +241,26 @@ def test_oracle_compare_memory_bound():
         oracle_compare("single", lam=0.3, m=0, mu=100.0, phi=0.5)
 
 
+@pytest.mark.parametrize("scheme, lam, cutoff", [
+    ("single", 0.3, 10**5), ("correlated", 0.3, 400), ("single", 1e4, None),
+    ("correlated", 1e3, None),
+])
+def test_the_oracle_refuses_a_scene_past_its_bound_before_any_fill(monkeypatch, scheme, lam,
+                                                                     cutoff):
+    # nq quantum levels make an array of at least nq^2 (one MZI) or nq^3
+    # (twins) amplitudes: an explicit cutoff fixes nq, and a default one
+    # exceeds the mean photons.  Before, the state was filled first (0.2 s
+    # at a cutoff of 10^5), and a cutoff of 10^400 did not return
+    from photsub import fock
+
+    def no_fill(*args, **kwargs):
+        raise AssertionError("filled a Fock state")
+
+    monkeypatch.setattr(fock, "_filled", no_fill)
+    with pytest.raises(MemoryBoundExceeded):
+        oracle_compare(scheme, lam=lam, m=1, mu=1.0, phi=0.5, quantum_cutoff=cutoff)
+
+
 def test_cli_preset_writes_csv(tmp_path):
     out = tmp_path / "out.csv"
     code = main(["preset", "fig5a", "--out", str(out)])
@@ -460,7 +480,7 @@ def test_oracle_config_rejects_unknown_keys(tmp_path, capsys):
 def test_cli_oracle_compare_rejects_negative_cutoff(tmp_path, capsys):
     path = _write(tmp_path, "scheme = single\nlam = 0.3\ncutoff = -3\n")
     assert main(["oracle-compare", "--config", path]) == EXIT_CONFIG
-    assert "cutoff: must be >= 0" in capsys.readouterr().err
+    assert "quantum_cutoff must be None or a nonnegative integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scheme", ["single", "correlated"])

@@ -4,7 +4,8 @@ balanced or reading the exact tables, imports neither fractions nor decimal.
 With mpmath blocked, the package import, the presets (the 1 - tau axis too),
 balanced points and the oracle comparison all run; with numpy blocked, the
 CLI runs presets and its oracle comparison names the extra it needs.  Every
-module-level function and class of the package has a caller in it."""
+module-level function and class of the package has a caller in it, and only
+``errors`` raises ValueError on a parameter's range or type."""
 
 import ast
 import os
@@ -72,6 +73,22 @@ def test_only_moments_turns_wick_terms_into_polynomials():
     naming = [path.name for path in sorted(PACKAGE.glob("*.py"))
               if path.name != "moments.py" and helpers & _named(ast.parse(path.read_text()))]
     assert naming == []
+
+
+def test_only_errors_raises_a_value_error_on_a_parameter():
+    # one input contract: every module reads errors.PARAMETERS through
+    # errors.check, and raises ValueError itself only for a name that
+    # selects nothing (an unknown regime, map kind or turn)
+    raising = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Raise) and node.exc is not None
+                    and "ValueError" in _named(node.exc) and path.name != "errors.py"):
+                message = node.exc.args[0] if isinstance(node.exc, ast.Call) else None
+                lead = message.values[0] if isinstance(message, ast.JoinedStr) else message
+                if not (isinstance(lead, ast.Constant) and lead.value.startswith("unknown ")):
+                    raising.append(f"{path.name}:{node.lineno}")
+    assert raising == []
 
 
 _RUN = """
