@@ -182,8 +182,8 @@ def _quadrature(build, n_key: tuple, pair_key: tuple):
     def metric(cfg, dps) -> float:
         bits = moments.digits_to_bits(dps or DEFAULT_DIGITS)
         table = build(cfg.quantum)
-        n, pair = table.fixed(n_key, bits), table.fixed(pair_key, bits)
-        spread = moments.certified_sum([(moments.ONE, n), ((-1, 0, 0, 1, 0), pair)], bits)
+        n, pair = table.fixed(n_key, bits), moments.fixed_times(table.fixed(pair_key, bits), -1)
+        spread = moments.certified_sum([(moments.ONE, n), (moments.ONE, pair)], bits)
         var = moments.thin(spread, cfg.eta, 1) + moments.Bounded(1, 0, -1)
         moments.require_digits(var, "quadrature variance")
         return var.value

@@ -77,18 +77,21 @@ class TwoModeDiagonalState:
         return TwoModeDiagonalState(self.diag_amplitudes / norm)
 
 
-def _filled(amplitude, cutoff: int | None = None, mean: float = 0.0) -> np.ndarray:
+def _filled(amplitude, cutoff: int | None = None, mean: float = 0.0,
+            floor=lambda n: 0.0) -> np.ndarray:
     """The amplitudes ``amplitude(n)`` of a unit-norm state for n = 0 .. cutoff.
 
     By default the cutoff is the least level whose tail mass is below
     TAIL_TOL, plus CUTOFF_MARGIN, at most 10^6.  CutoffTooSmall is raised for
     a given ``cutoff`` that leaves a larger tail and, before any fill, for a
-    ``mean`` photon number past the cutoff or that limit.
+    ``mean`` photon number past the cutoff or that limit, or where
+    ``floor(n)``, a lower bound on the mass from level n on, passes 1000
+    TAIL_TOL past it: the fill, its float tail within 1e-12, refuses it too.
     """
     amps = []
     tail = 1.0  # the tail as it shrinks rounds far finer than the mass near 1
     limit = 1_000_000 if cutoff is None else cutoff
-    if mean > limit:
+    if mean > limit or floor(limit + 1) > 1000 * TAIL_TOL:
         raise CutoffTooSmall(f"a state of {mean:.3g} mean photons needs more than {limit} levels")
     while tail > TAIL_TOL:
         if len(amps) > limit:
@@ -144,17 +147,22 @@ def _falling(n: int, m: int, power: int) -> float:
 
 def squeezed_vacuum(r: float, chi: float = 0.0, cutoff: int | None = None) -> FockState1:
     """Single-mode squeezed vacuum S(r e^{i chi})|0> with <N> = sinh^2 r, which the
-    fill's mean check reads at min(r, 99): past any level limit, and finite."""
+    fill's mean check reads at min(r, 99): past any level limit, and finite.  Past
+    it, cosh r is finite, and the levels from n on hold their first even one, 2k <=
+    n + 1, of mass sech(r) tanh(r)^2k C(2k, k)/4^k >= sech(r) tanh(r)^(n+1) sqrt(2/(n+1))."""
     check(r=r, chi=chi, cutoff=cutoff)
-    return FockState1(_filled(_squeezed(r, chi), cutoff, sinh(min(r, 99.0)) ** 2)).normalized()
+    floor = lambda n: tanh(r) ** (n + 1) * sqrt(2 / (n + 1)) / cosh(r)
+    return FockState1(_filled(_squeezed(r, chi), cutoff, sinh(min(r, 99)) ** 2, floor)).normalized()
 
 
 def two_mode_squeezed_vacuum(
     lam: float, chi: float = 0.0, cutoff: int | None = None
 ) -> TwoModeDiagonalState:
-    """Two-mode squeezed vacuum with mean photons per mode lambda."""
+    """Two-mode squeezed vacuum with mean photons per mode lambda: the levels from
+    n on hold (lam/(1 + lam))^n, which the fill checks before it fills."""
     check(lam=lam, chi=chi, cutoff=cutoff)
-    return TwoModeDiagonalState(_filled(_two_mode_squeezed(lam, chi), cutoff, lam)).normalized()
+    return TwoModeDiagonalState(_filled(_two_mode_squeezed(lam, chi), cutoff, lam,
+                                        lambda n: (lam / (1.0 + lam)) ** n)).normalized()
 
 
 def subtract_photons(state, m: int):

@@ -120,14 +120,15 @@ def _working_digits(mu: float) -> int:
 
 def _mzi_entries(phi: float, bits: int) -> tuple:
     """x = c^2, y = s^2 and z = i cs at ``bits`` bits, c and s the cosine and
-    sine of phi/2 (:func:`moments.cos_sin`), each to an ulp: the Mach-Zehnder
-    entries u = c^2 + i cs, v = -s^2 + i cs keep their relative accuracy at
-    any phase, where (e^{i phi} -+ 1)/2 would cancel."""
+    sine of phi/2 (:func:`moments.cos_sin`), each within 2^-bits of its own
+    size, so a radius of (|c| >> bits) + 2 units, or exact at phi = 0: the
+    Mach-Zehnder entries u = c^2 + i cs, v = -s^2 + i cs keep their relative
+    accuracy at any phase, where (e^{i phi} -+ 1)/2 would cancel."""
     num, den = phi.as_integer_ratio()
-    (c, ec), (s, es) = moments.cos_sin(num, den.bit_length(), bits)  # phi/2
-    return (moments.fixed_from(c * c, 0, 2 * ec, bits, 3),
-            moments.fixed_from(s * s, 0, 2 * es, bits, 3),
-            moments.fixed_from(0, c * s, ec + es, bits, 3))
+    c, s = (moments.fixed_from(man, 0, (abs(man) >> bits) + 2 if num else 0, exp, bits + 4)
+            for man, exp in moments.cos_sin(num, den.bit_length(), bits))  # phi/2
+    return (moments.fixed_mul(c, c, bits), moments.fixed_mul(s, s, bits),
+            moments.fixed_mul(c, moments.fixed_times(s, 1j), bits))
 
 
 #: entries of the memo below: a sweep runs every order (at most 5 in a
@@ -272,7 +273,7 @@ def qfi(cfg: SingleMziConfig, dps: int | None = None) -> float:
     """
     _require(cfg, SingleMziConfig, dps)
     coefficients = _port_coefficients(cfg.quantum, cfg.mu, cfg.psi, dps)
-    half = moments.fixed_from(1, 0, -1, coefficients.bits, 0)  # x = y = z = 1/2, exactly
+    half = moments.fixed_times(moments.ONE, 1, 1)  # x = y = z = 1/2, exactly
     ports = opalg.PortMoments(coefficients, half, half, half, turn=1)
     return _variance(ports, _QFI_WEIGHTS).value
 
@@ -319,7 +320,7 @@ def mandel_q(cfg: CorrelatedConfig, dps: int | None = None) -> float:
     """
     _require(cfg, CorrelatedConfig, dps)
     coefficients = _port_coefficients(cfg.quantum, 0.0, 0.0, dps)
-    ports = opalg.PortMoments(coefficients, moments.ONE, (0,) * 5, (0,) * 5, cfg.eta, turn=1)
+    ports = opalg.PortMoments(coefficients, *_mzi_entries(0.0, coefficients.bits), cfg.eta, turn=1)
     mean = ports.entry(1, 0)
     if mean.man <= 0:
         raise ZeroMeanPhoton("Mandel Q undefined for zero mean photon number")
@@ -349,8 +350,8 @@ def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> flo
     mixed = _nonzero(-2 * ports.mixed(), "mixed phase derivative of <C>")
     var = _variance(ports, _COVARIANCE_WEIGHTS)
     (eta, e1), (mu, e2) = moments.man_exp(cfg.eta), moments.man_exp(cfg.mu)
-    x, _, e3, _, _ = ports.x
-    return _root_over(var, mixed, eta * mu * x, e1 + e2 + e3)
+    x = moments.certified_sum([(ports.x, moments.ONE)], ports.bits)  # its midpoint, exactly
+    return _root_over(var, mixed, eta * mu * x.man, e1 + e2 + x.exp)
 
 
 # ---------------------------------------------------------------------------

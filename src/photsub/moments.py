@@ -14,10 +14,13 @@ of :mod:`photsub.states` read these lam-free entries, and :func:`_horner`
 evaluates each exactly; a key the selection rule zeroes is an exact 0,
 and phases come from one integer cosine and sine (:func:`cos_sin`).
 
-Sums that may cancel are certified (:func:`certified_sum`), and detection
-loss has one law, :func:`thin`, through which the read-out engine
-(:mod:`photsub.opalg`) and the quadrature metrics, two entries each, scale
-such sums of lossless moments.  Precision is a ``bits`` argument.
+Every number has one error model, an absolute radius: a fixed number
+(re, im, err, exp) is the ball of midpoint (re + i im) 2^exp and radius
+err 2^exp, and a :class:`Bounded` the real ball :func:`certified_sum`
+makes of their products, so a sum that cancels keeps its radius.
+Detection loss has one law, :func:`thin`, through which the read-out
+engine (:mod:`photsub.opalg`) and the quadrature metrics, two entries each,
+scale such sums of lossless moments.  Precision is a ``bits`` argument.
 """
 
 from __future__ import annotations
@@ -55,22 +58,24 @@ def man_exp(x) -> tuple:
     return n >> zeros, zeros + 1 - d.bit_length()
 
 
-def fixed_from(re: int, im: int, exp: int, bits: int, ulps: int) -> tuple:
-    """(re + i im) 2^exp, of relative error ulps 2^-bits, as a fixed number
-    (re, im, exp, size, ulps): block floating point, its integer parts
-    truncated to ``bits`` bits where longer, which adds 3 ulps, and
-    |x|^2 < 2^size."""
-    shift = max(abs(re).bit_length(), abs(im).bit_length()) - bits
+def fixed_from(re: int, im: int, err: int, exp: int, bits: int) -> tuple:
+    """(re + i im) 2^exp within err 2^exp as a fixed number (re, im, err, exp), a
+    ball whose radius is absolute, in units of 2^exp, as in :class:`Bounded`:
+    integer parts longer than ``bits`` bits are truncated to it (block floating
+    point), which adds 2 units, and an exact number that fits keeps radius 0."""
+    shift = max(re.bit_length(), im.bit_length()) - bits
     if shift > 0:
-        re, im, exp, ulps = re >> shift, im >> shift, exp + shift, ulps + 3
-    return re, im, exp, (re * re + im * im).bit_length() + 2 * exp, ulps
+        return re >> shift, im >> shift, 2 - (-err >> shift), exp + shift
+    return re, im, err, exp
 
 
 def fixed_mul(x: tuple, y: tuple, bits: int) -> tuple:
-    """The product of two :func:`fixed_from` numbers, truncated to ``bits`` bits."""
-    a, b, ex, _, ux = x
-    c, d, ey, _, uy = y
-    return fixed_from(a * c - b * d, a * d + b * c, ex + ey, bits, ux + uy + 1)
+    """The product of two fixed numbers, truncated to ``bits`` bits: its radius
+    |x| r_y + |y| r_x + r_x r_y, each |re + i im| bounded by |re| + |im|."""
+    a, b, rx, ex = x
+    c, d, ry, ey = y
+    err = (abs(a) + abs(b)) * ry + (abs(c) + abs(d) + ry) * rx
+    return fixed_from(a * c - b * d, a * d + b * c, err, ex + ey, bits)
 
 
 _PI = {}  # bits -> pi 2^bits within 2, by Machin's formula
@@ -134,9 +139,9 @@ def cos_sin(n: int, shift: int, bits: int) -> tuple:
 
 
 class Phases(dict):
-    """(turns, bits) -> (c, s, e, ulps): cos and sin of ``x`` turns as (c, s)
-    2^e within ulps 2^-bits of the unit phase (:func:`cos_sin`, the smaller
-    part truncated at the larger's unit): ulps 1, or 0 where it is exactly 1."""
+    """(turns, bits) -> e^{i turns x} as a fixed number: cos and sin (:func:`cos_sin`)
+    at the larger's unit, within 2^-bits plus that unit of the unit phase, or
+    exactly 1, radius 0, where turns or x is 0."""
 
     def __init__(self, x: float):
         self.n, d = float(x).as_integer_ratio()
@@ -145,22 +150,21 @@ class Phases(dict):
     def __missing__(self, key):
         turns, bits = key
         if not (turns and self.n):
-            return self.setdefault(key, (1, 0, 0, 0))
+            return self.setdefault(key, ONE)
         (c, ec), (s, es) = cos_sin(self.n * turns, self.shift, bits)
         e = max(ec, es)
-        return self.setdefault(key, (c >> e - ec, s >> e - es, e, 1))
+        return self.setdefault(key, (c >> e - ec, s >> e - es, (1 << max(0, -bits - e)) + 1, e))
 
 
 def fixed_times(x: tuple, k, halvings: int = 0) -> tuple:
-    """A :func:`fixed_from` number times k 2^-halvings, exactly, for a Gaussian
-    integer ``k``: an int, or a complex with integer parts such as -2j."""
-    re, im, exp, _, ulps = x
+    """A fixed number times k 2^-halvings, exactly, its radius times |Re k| + |Im k|,
+    for a Gaussian integer ``k``: an int, or a complex with integer parts such as -2j."""
+    re, im, err, exp = x
     kr, ki = int(k.real), int(k.imag)
-    re, im, exp = re * kr - im * ki, re * ki + im * kr, exp - halvings
-    return re, im, exp, (re * re + im * im).bit_length() + 2 * exp, ulps
+    return re * kr - im * ki, re * ki + im * kr, err * (abs(kr) + abs(ki)), exp - halvings
 
 
-ONE = (1, 0, 0, 1, 0)  # the number 1 as a fixed number, exactly
+ONE, ZERO = (1, 0, 0, 0), (0, 0, 0, 0)  # the numbers 1 and 0 as fixed numbers, exactly
 
 
 class Bounded:
@@ -199,26 +203,25 @@ class Bounded:
 
 
 def certified_sum(pairs, bits: int) -> Bounded:
-    """Re sum x y over pairs of :func:`fixed_from` numbers, with a certified error.
+    """Re sum x y over pairs of fixed numbers (:func:`fixed_from`), as a Bounded.
 
-    Each product is formed exactly and truncated once, keeping ``bits`` bits
-    of the largest (block floating point).  The error is the standard
-    summation bound: each term's ``ulps``, scaled by its size against the
-    largest, plus a unit for its truncation, in units of 2^-bits of the
-    largest.  This is the package's one error bound.
+    Each product carries the radius of :func:`fixed_mul`, also where its
+    midpoint is 0; the products are summed exactly at the least exponent,
+    and the sum is truncated once to ``bits`` bits (block floating point),
+    which adds a unit.  This is the package's one point sum.
     """
-    rows = [
-        (a * c - b * d, ex + ey, sx + sy, ux + uy + 1)
-        for (a, b, ex, sx, ux), (c, d, ey, sy, uy) in pairs
-        if (a or b) and (c or d)
-    ]
-    top = max((row[2] for row in rows), default=0)
-    exp = (top + 1) // 2 - bits
-    man = err = 0
-    for re, e, size, ulps in rows:
-        man += re >> (exp - e) if e <= exp else re << (e - exp)
-        err += (ulps >> ((top - size) // 2)) + 2
-    return Bounded(man, err, exp)
+    man = err = low = 0
+    for (a, b, rx, ex), (c, d, ry, ey) in pairs:
+        if (a or b or rx) and (c or d or ry):
+            e = ex + ey
+            if e < low:
+                man, err, low = man << low - e, err << low - e, e
+            man += a * c - b * d << e - low
+            err += (abs(a) + abs(b)) * ry + (abs(c) + abs(d) + ry) * rx << e - low
+    shift = max(man.bit_length(), err.bit_length()) - bits
+    if shift > 0:
+        man, err, low = man >> shift, 1 - (-err >> shift), low + shift
+    return Bounded(man, err, low)
 
 
 def thin(x: Bounded, eta: float, n: int) -> Bounded:
@@ -406,26 +409,27 @@ class MomentTable:
 
     def fixed(self, key: tuple, bits: int) -> tuple:
         """The entry ``key`` as a :func:`fixed_from` number, in integers alone: the
-        ratio floor(P 2^k / Q) and g, an isqrt, have bits + 1 bits or more and
-        err by under half a unit 2^-bits each, the phase by under a quarter."""
+        ratio floor(P 2^k / Q) and g, an isqrt, each of bits + 1 bits or more and
+        within a unit, 0 where exact, times the phase (:class:`Phases`)."""
         if len(key) != 2 * len(self.modes):
             raise MomentOrderMissing(f"key {key} does not match arity {len(self.modes)}")
         turns, poly, odd, degree = self._entry(key)
         if poly is None:
-            return 0, 0, 0, 0, 0
+            return ZERO
         num = _horner(poly, self.n, self.shift)
         k = bits + 2 + self.norm.bit_length() - num.bit_length()
-        man = (num << k) // self.norm if k >= 0 else num // (self.norm << -k)
-        exp = self.shift * (self.norm_degree - degree) - k
+        man, rest = divmod(num << k, self.norm) if k >= 0 else divmod(num, self.norm << -k)
+        err, exp = int(rest > 0), self.shift * (self.norm_degree - degree) - k
         if odd:  # an exact 0 at lam = 0
             t = max(0, bits + 2 - self.g2.bit_length() // 2)
-            man, exp = man * isqrt(self.g2 << 2 * t), exp - self.shift - t
-        c, s, e, ulps = self.phases[turns, bits + 2]
-        return fixed_from(man * c, man * s, exp + e, bits, 1 + odd + ulps)
+            g = isqrt(self.g2 << 2 * t)
+            off = int(g * g < self.g2 << 2 * t)
+            man, err, exp = man * g, man * off + (g + off) * err, exp - self.shift - t
+        return fixed_mul((man, 0, err, exp), self.phases[turns, bits + 2], bits)
 
     def entry(self, key) -> complex:
         """Entry ``key`` as a complex float, for inspection."""
-        re, im, exp, _, _ = self.fixed(key, 64)
+        re, im, _, exp = self.fixed(key, 64)
         return complex(ratio(re, 1, exp), ratio(im, 1, exp))
 
 

@@ -15,9 +15,9 @@ u = v = 1/sqrt 2, a pair is omega^(a-b) x^(k/2) y^(n-k/2) for even
 k = a + b and omega^(a-b) conj(omega) z x^((k-1)/2) y^((2n-k-1)/2) for odd k.
 So an observable sum w F(i, j) under detection loss eta is
 sum_n sum_k G(n, k) eta^n M(n, k), with phase and loss in the monomials M
-alone: :class:`PortCoefficients` folds each row G once per scene family and
-observable, exactly in integers, and a point is one certified sum
-(:meth:`PortMoments.expect`, :func:`photsub.moments.certified_sum`).  M's
+alone: :class:`PortCoefficients` folds each row G once per family and
+observable, exactly, with its summands' radii, and a point is the one point
+sum (:meth:`PortMoments.expect`, :func:`photsub.moments.certified_sum`).  M's
 powers of x, y and z add up to n, so eta^n M(n, k) is M(n, k) of eta x,
 eta y and eta z: a point scales its entries by eta once, by the package's
 one loss law (:func:`photsub.moments.thin`).  Ordinary moments follow by
@@ -69,32 +69,17 @@ def _rows(single: bool, weights: tuple, turn) -> list:
 
 
 def _exact_sum(summands):
-    """sum w h over pairs of an integer w and a :func:`fixed_from` number h, exactly,
-    or None where every h is an exact 0, which adds no error.  The sum may
-    cancel, so its error, the summands' ulps, is counted against the size of
-    its largest summand and then carried in units of its own size; one that
-    cancels to an exact 0 keeps the largest size (see :func:`_point_sum`)."""
-    terms = [(w * re, w * im, e, size + (w * w - 1).bit_length(), ulps)
-             for w, (re, im, e, size, ulps) in summands if re or im]
-    if len(terms) < 2:
-        return terms[0] if terms else None  # w h, exactly
-    low, top = min(t[2] for t in terms), max(t[3] for t in terms)
-    re = im = ulps = 0
-    for x, y, e, size, u in terms:
-        re, im = re + (x << (e - low)), im + (y << (e - low))
-        ulps += (u >> ((top - size) // 2)) + 1
-    if not (re or im):
-        return 0, 0, low, top, ulps
-    size = (re * re + im * im).bit_length() + 2 * low
-    return re, im, low, size, ulps << max(0, (top - size + 1) // 2)
-
-
-def _point_sum(pairs: list, bits: int) -> Bounded:
-    """:func:`certified_sum` of ``pairs`` (g, m), where a g that cancelled to
-    an exact 0 still adds its error, its ulps at its size, times |m|."""
-    cancelled = sum(Bounded(0, g[4], (g[3] + m[3] + 1) // 2 - bits)
-                    for g, m in pairs if not (g[0] or g[1]) and (m[0] or m[1]))
-    return certified_sum(pairs, bits) + cancelled
+    """sum w h over pairs of an integer w and a :func:`fixed_from` number h,
+    exactly, at the least exponent: its radius is sum |w| r, so a row that
+    cancels, to a 0 midpoint too, keeps its summands' radii; None where the
+    sum is an exact 0, which adds no error."""
+    terms = [(w, h) for w, h in summands if h[0] or h[1] or h[2]]
+    low = min((h[3] for _, h in terms), default=0)
+    re = im = err = 0
+    for w, (x, y, r, e) in terms:
+        re, im, err = (re + (w * x << e - low), im + (w * y << e - low),
+                       err + (abs(w) * r << e - low))
+    return (re, im, err, low) if re or im or err else None
 
 
 class PortCoefficients:
@@ -121,12 +106,12 @@ class PortCoefficients:
 
     def displacement(self, m: int, m2: int) -> tuple:
         """conj(alpha)^m alpha^m2 = mu^((m + m2)/2) e^{i psi (m2 - m)} as a
-        fixed-point number, exact where m = m2 and it fits in the bits."""
+        fixed-point number, its radius the phase's times mu^((m + m2)/2):
+        exact where m = m2 and it fits in the bits."""
         if (m, m2) not in self._displacements:
             (man, exp), k = self._mu, (m + m2) // 2
-            c, s, e, ulps = self._phases[m2 - m, self.bits + 2]
-            self._displacements[m, m2] = fixed_from(
-                man**k * c, man**k * s, e + exp * k, self.bits, ulps)
+            phase = fixed_times(self._phases[m2 - m, self.bits + 2], man**k, -exp * k)
+            self._displacements[m, m2] = fixed_from(*phase, self.bits)
         return self._displacements[m, m2]
 
     def fold(self, weights: tuple, turn=1j) -> list:
@@ -173,15 +158,14 @@ class PortMoments:
     ``x`` = |u|^2, ``y`` = |v|^2 and ``z`` = conj(u) v = ``turn`` |uv| of its
     port entries u, v, fixed-point numbers at the family's bits, and ``eta``
     the detection efficiency.  The monomials read the entries times eta,
-    truncated to the bits (:func:`fixed_from` counts the ulps); the phase
+    truncated to the bits (:func:`fixed_from` adds it to the radius); the phase
     derivatives and ``x`` itself stay lossless."""
 
     def __init__(self, coefficients: PortCoefficients, x, y, z, eta: float = 1.0, turn=1j):
         self.coefficients, self.eta, self.turn = coefficients, eta, turn
         self.bits, self.x, self.y, self._z = coefficients.bits, x, y, z
         scale = thin(Bounded(1, 0, 0), eta, 1)  # eta = man 2^exp, exactly
-        lossy = [fixed_from(re * scale.man, im * scale.man, exp + scale.exp, self.bits, ulps)
-                 for re, im, exp, _, ulps in (x, y, z)]
+        lossy = [fixed_from(*fixed_times(v, scale.man, -scale.exp), self.bits) for v in (x, y, z)]
         self._powers, self._lossy_z = ([ONE, lossy[0]], [ONE, lossy[1]]), lossy[2]
         self._monomials, self._values = {}, {}
 
@@ -204,7 +188,7 @@ class PortMoments:
         value = self._values.get(weights)
         if value is None:
             rows = self.coefficients.fold(weights, self.turn)
-            value = self._values[weights] = _point_sum(
+            value = self._values[weights] = certified_sum(
                 [(g, self._monomial(n, k)) for n, k, g in rows], self.bits)
         return value
 
@@ -223,7 +207,7 @@ class PortMoments:
         """
         gap = self.coefficients.gap
         pairs = [(gap, fixed_times(self._z, -2j))] if gap else []
-        return thin(_point_sum(pairs, self.bits), self.eta, 1)
+        return thin(certified_sum(pairs, self.bits), self.eta, 1)
 
     def mixed(self) -> Bounded:
         """d^2 F(1, 1)/dphi1 dphi2 of the correlated scheme at phi1 = phi2.

@@ -104,8 +104,9 @@ def _subtracted(spec: _SubtractionSpec, cutoff, power):
 def passv_seed(spec: PassvSpec) -> FockState1:
     """Seed superposition whose squeezing reproduces the PASSV state.
 
-    Components |m - 2l>, l = 0..floor(m/2), with weights
-    (1/(l! sqrt((m-2l)!))) * (e^{-i chi} sqrt((1+lam)/lam) / 2)^l.
+    Components |m - 2l>, l = 0..floor(m/2), with weights z^l/(l! sqrt((m-2l)!)),
+    z = e^{-i chi} sqrt((1+lam)/lam)/2, over |z|^floor(m/2) so that none
+    overflows as lam -> 0, where the seed tends to |m mod 2>.
     """
     import numpy as np
 
@@ -117,9 +118,10 @@ def passv_seed(spec: PassvSpec) -> FockState1:
     if lam == 0:
         raise OutOfRange("seed representation is singular at lam = 0 for m > 0")
     amps = np.zeros(m + 1, dtype=complex)
-    z = np.exp(-1j * chi) * 0.5 * sqrt((1.0 + lam) / lam)
+    r = 2.0 * sqrt(lam / (1.0 + lam))  # 1/|z|
     for l in range(m // 2 + 1):
-        amps[m - 2 * l] = z**l / (factorial(l) * sqrt(factorial(m - 2 * l)))
+        amps[m - 2 * l] = np.exp(-1j * chi * l) * r ** (m // 2 - l) / (
+            factorial(l) * sqrt(factorial(m - 2 * l)))
     return FockState1(amps).normalized()
 
 

@@ -7,6 +7,7 @@ import inspect
 import pytest
 
 import photsub
+from photsub import moments, opalg, states
 
 
 def _memos() -> tuple:
@@ -22,10 +23,21 @@ def _memos() -> tuple:
 
 MEMOS = _memos()
 
+#: the dict memos, named here rather than found: a dict such as
+#: experiments._METRICS is a table, not a memo
+DICT_MEMOS = (opalg._ROWS, opalg._WEIGHTS, moments._ENTRIES, moments._PI, states._MAPS)
+
+
+def clear() -> None:
+    """Empty every memo of the package."""
+    for memo in MEMOS:
+        memo.cache_clear()
+    for memo in DICT_MEMOS:
+        memo.clear()
+
 
 @pytest.fixture(autouse=True)
 def memos():
-    """The memos a sweep reuses across points, emptied."""
-    for memo in MEMOS:
-        memo.cache_clear()
+    """The memos a sweep reuses across points, emptied with the dict memos."""
+    clear()
     return MEMOS

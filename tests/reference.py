@@ -288,30 +288,29 @@ def man_exp_exact(x) -> tuple:
     return moments.man_exp(x)
 
 
-def fixed(x, bits: int, ulps: int = 4) -> tuple:
-    """``x`` as a block floating-point number (re, im, exp, size, ulps), the
-    fixed numbers of :func:`photsub.moments.fixed_from`.
+def fixed(x, bits: int, err: int = 0) -> tuple:
+    """``x`` as a fixed number (re, im, err, exp) of :mod:`photsub.moments`.
 
-    That is (re + i im) 2^exp with integer parts of at most ``bits`` bits,
-    |x|^2 < 2^size and a relative error of at most ulps 2^-bits: the
-    truncation errs by less than 2 sqrt 2 units, and the input by one.
-    ``x`` is read exactly (:func:`photsub.moments.man_exp`), real or complex.
+    That is (re + i im) 2^exp with integer parts of ``bits`` bits, known to
+    within ``err`` units 2^exp, and 2 more where the parts were truncated
+    (each by under a unit).  ``x`` is read exactly
+    (:func:`photsub.moments.man_exp`), real or complex.
     """
     parts = [moments.man_exp(x.real), moments.man_exp(x.imag)]
     exp = max((exp + man.bit_length() for man, exp in parts if man), default=0) - bits
     re, im = (man << (e - exp) if e >= exp else man >> (exp - e) for man, e in parts)
-    return re, im, exp, (re * re + im * im).bit_length() + 2 * exp, ulps
+    cut = any(e < exp and man & ((1 << (exp - e)) - 1) for man, e in parts)
+    return moments.fixed_from(re, im, err + 2 * cut, exp, bits)
 
 
-def fixed_exact(x, bits: int, ulps: int = 4) -> tuple:
+def fixed_exact(x, bits: int, err: int = 0) -> tuple:
     """:func:`fixed` of the exact value of ``x``, an mpmath or Python number,
     real or complex: its parts, brought to one exponent, are read there as
     the integers :func:`fixed` reads exactly."""
     parts = [man_exp_exact(part) for part in (x.real, x.imag)]
     low = min(exp for _, exp in parts)
     re, im = (man << (exp - low) for man, exp in parts)
-    re, im, exp, size, ulps = fixed(SimpleNamespace(real=re, imag=im), bits, ulps)
-    return re, im, exp + low, size + 2 * low, ulps
+    return moments.fixed_times(fixed(SimpleNamespace(real=re, imag=im), bits, err), 1, -low)
 
 
 def port_coefficients(table, mu, psi: float, bits: int) -> opalg.PortCoefficients:
@@ -340,8 +339,8 @@ def dark_fringe_uncertainty(table, eta):
 
 
 def fixed_value(x: tuple):
-    """The exact value of a :func:`photsub.moments.fixed` number."""
-    re, im, exp, _, _ = x
+    """The midpoint of a :func:`photsub.moments.fixed_from` number, exactly."""
+    re, im, _, exp = x
     return mp.mpc(mp.mpf((re, exp)), mp.mpf((im, exp)))
 
 
@@ -373,7 +372,7 @@ def quadrature_variance(table, coeffs, eta: float = 1.0,
         raise MomentOrderMissing(f"{len(coeffs)} coefficients for {arity} modes")
     # a few roundings at the working precision formed a coefficient given as a
     # number, read exactly (an mpmath one too)
-    coeffs = [c if isinstance(c, tuple) else fixed_exact(c, bits, ulps=8) for c in coeffs]
+    coeffs = [c if isinstance(c, tuple) else fixed_exact(c, bits, err=8) for c in coeffs]
     conj = [(re, -im, *rest) for re, im, *rest in coeffs]
 
     def read(*slots):  # the entry that counts a_t^dag in slot 2t, a_t in slot 2t + 1

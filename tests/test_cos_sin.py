@@ -4,7 +4,7 @@ and the phases built on them, against mpmath at twice the bits.
 Every cosine and sine lies within its one counted ulp of its own size, also
 at tiny angles, near multiples of pi/2 (where the reduction cancels), at
 turns up to 16 of phases up to 1e6 and at 53 to 1000 bits; each phase and
-each Mach-Zehnder port entry lies within the ulps it carries.
+each Mach-Zehnder port entry lies within the radius it carries.
 """
 
 import random
@@ -68,26 +68,33 @@ def test_machin_pi_lies_within_two_units():
 
 
 @pytest.mark.parametrize("bits", (53, 130, 400))
-def test_phases_lie_within_their_counted_ulps(bits):
+def test_phases_lie_within_their_radius(bits):
+    # within 2^-bits of the unit phase plus a unit of the smaller part's
+    # truncation, or exactly 1, radius 0, at turns 0 or x 0
     for x in ANGLES:
         phases = moments.Phases(x)
         for turns in range(-16, 17):
-            c, s, e, ulps = phases[turns, bits]
-            assert ulps == (1 if turns and x else 0), (x, turns)
+            c, s, err, e = phases[turns, bits]
+            assert (err == 0) == (not (turns and x)), (x, turns)
             with mp.workprec(2 * bits + 64):
                 want = mp.expj(mp.mpf(x) * turns)
                 got = mp.mpc(c, s) * mp.mpf(2) ** e
-                assert abs(got - want) <= ulps * mp.mpf(2) ** -bits, (x, turns, bits)
+                radius = err * mp.mpf(2) ** e
+                assert abs(got - want) <= radius, (x, turns, bits)
+                assert radius <= mp.mpf(2) ** -bits + mp.mpf(2) ** (e + 1), (x, turns, bits)
 
 
 @pytest.mark.parametrize("bits", (60, 266, 700))
-def test_mzi_entries_lie_within_their_counted_ulps(bits):
+def test_mzi_entries_lie_within_their_radius(bits):
     # x = cos^2(phi/2), y = sin^2(phi/2) and z = i cos sin each to their own
-    # relative accuracy, where one of cos and sin nearly vanishes too
+    # relative accuracy, where one of cos and sin nearly vanishes too; the
+    # entries at phi = 0 are exact
     for phi in (1e-9, 1e-300, 0.7, pi / 2, pi - 1e-9, pi, 2 * pi - 1e-6, -2.5, 1e6):
         entries = metrology._mzi_entries(phi, bits)
         with mp.workprec(2 * bits + 64):
             c, s = mp.cos(mp.mpf(phi) / 2), mp.sin(mp.mpf(phi) / 2)
             for got, want in zip(entries, (c * c, s * s, mp.mpc(0, c * s))):
-                error = abs(fixed_value(got) - want)
-                assert error <= got[4] * mp.mpf(2) ** -bits * abs(want), (phi, bits)
+                radius = got[2] * mp.mpf(2) ** got[3]
+                assert abs(fixed_value(got) - want) <= radius, (phi, bits)
+                assert radius <= 10 * mp.mpf(2) ** -bits * abs(want), (phi, bits)
+    assert metrology._mzi_entries(0.0, bits) == (moments.ONE, moments.ZERO, moments.ZERO)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photsub import experiments, fock
-from photsub.errors import MemoryBoundExceeded, ModeMismatch, NullState
+from photsub.errors import CutoffTooSmall, MemoryBoundExceeded, ModeMismatch, NullState
 from reference import (
     ancilla_joint,
     apply_dense_two_mode_unitary,
@@ -60,6 +60,41 @@ def test_squeezed_vacuum_default_length_is_free_of_chi():
     r = float(np.arcsinh(np.sqrt(7.3681)))
     lengths = {len(fock.squeezed_vacuum(r, k * np.pi / 4).amplitudes) for k in range(8)}
     assert len(lengths) == 1
+
+
+def _counted_amplitudes(monkeypatch, name) -> list:
+    """Count the amplitude calls of the states ``fock.name`` builds."""
+    calls, build = [], getattr(fock, name)
+
+    def counted(*args):
+        amplitude = build(*args)
+        return lambda n: calls.append(n) or amplitude(n)
+
+    monkeypatch.setattr(fock, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("build, arg, name", [
+    (fock.squeezed_vacuum, 7.0, "_squeezed"),
+    (fock.two_mode_squeezed_vacuum, 3e5, "_two_mode_squeezed"),
+])
+def test_a_tail_past_the_level_limit_is_refused_before_any_fill(monkeypatch, build, arg, name):
+    # mean photons below the 10^6-level limit, but a tail past it: refused
+    # before any amplitude is formed, where it took ~1 s of filling to refuse
+    calls = _counted_amplitudes(monkeypatch, name)
+    with pytest.raises(CutoffTooSmall):
+        build(arg)
+    assert calls == []
+
+
+def test_a_tail_below_the_level_limit_still_fills():
+    # the early refusal refuses only what the fill would refuse: r = 5 keeps
+    # its default cutoff, and its tail contract at an explicit cutoff
+    assert fock.squeezed_vacuum(5.0).cutoff == 281_459
+    assert fock.two_mode_squeezed_vacuum(1e3).cutoff == len(
+        fock._filled(fock._two_mode_squeezed(1e3, 0.0))) - 1
+    with pytest.raises(CutoffTooSmall):
+        fock.two_mode_squeezed_vacuum(1e3, cutoff=20_000)
 
 
 def test_two_mode_squeezed_vacuum_thermal_marginal():

@@ -4,8 +4,9 @@ Each observable of a scene family folds into a few rows G(n, k), formed
 once per family, and a point is one certified sum of them times its phase
 and loss monomials.  Every observable a figure of merit reads must lie within
 its certified bound of the 120-digit kernel, also at phases where c or s
-nearly vanishes and at the QFI's port entries; a row that cancels to an
-exact 0 keeps its bound; a phase sweep folds each observable once per family.
+nearly vanishes and at the QFI's port entries; a row whose midpoint cancels
+to 0 keeps its radius through the point sum; a phase sweep folds each
+observable once per family.
 """
 
 from collections import Counter
@@ -47,7 +48,7 @@ def _reads(cfg, phase, dps) -> dict:
     single = isinstance(cfg, SingleMziConfig)
     coefficients = metrology._port_coefficients(cfg.quantum, cfg.mu, cfg.psi, dps)
     if phase == "qfi":  # the QFI's port entries u = v = 1/sqrt 2: x = y = z = 1/2
-        half = moments.fixed_from(1, 0, -1, coefficients.bits, 0)
+        half = moments.fixed_times(moments.ONE, 1, 1)
         ports = opalg.PortMoments(coefficients, half, half, half, turn=1)
     else:
         entries = metrology._mzi_entries(phase, coefficients.bits)
@@ -84,34 +85,42 @@ def test_every_read_lies_within_its_bound_of_the_120_digit_kernel(scheme, phase,
 
 
 @pytest.mark.parametrize("gap", (0, 5, -3))
-def test_a_row_counts_its_summands_errors_at_their_own_size(gap):
+def test_a_cancelled_row_keeps_its_summands_radii_through_the_point_sum(gap):
     # two thirds known to 1000 units each, equal or a few units apart: the
-    # row cancels, to an exact 0 or to its last bits, and its bound must
-    # still hold both summands' errors, measured against a third
+    # row cancels, to an exact 0 or to its last bits, and its radius, both
+    # summands', reaches the point's Bounded through certified_sum
     bits = 100
-    third = fixed(mp.mpf(1) / 3, bits, ulps=1000)
-    other = moments.fixed_from(third[0] - gap, 0, third[2], bits, 1000)
+    third = fixed(mp.mpf(1) / 3, bits, err=1000)
+    other = moments.fixed_from(third[0] - gap, 0, 1000, third[3], bits)
     row = opalg._exact_sum([(1, third), (-1, other)])
-    total = opalg._point_sum([(row, moments.ONE)], bits)
+    assert row == (gap, 0, 2 * third[2], third[3])
+    total = moments.certified_sum([(row, moments.ONE)], bits)
     with mp.workdps(60):
-        assert abs(_exact(total) - gap * mp.mpf(2) ** third[2]) <= _bound(total)
-        assert _bound(total) >= 2 * 1000 * mp.mpf(2) ** -bits * _exact(
-            moments.Bounded(third[0], 0, third[2]))
+        assert abs(_exact(total) - gap * mp.mpf(2) ** third[3]) <= _bound(total)
+        assert _bound(total) >= 2 * third[2] * mp.mpf(2) ** third[3]
     if not gap:
-        # certified_sum alone drops an exact-zero row, and with it its error
-        assert row[:2] == (0, 0) and total.man == 0
-        assert moments.certified_sum([(row, moments.ONE)], bits).err == 0
+        assert total.man == 0
+
+
+def test_exact_summands_that_cancel_give_an_exact_zero_row():
+    # exact summands cancel to no row at all, and a point reads an exact 0
+    exact = moments.fixed_from(3, -1, 0, -4, 60)
+    assert opalg._exact_sum([(2, exact), (-1, moments.fixed_times(exact, 2))]) is None
+    assert opalg._exact_sum([(5, moments.ZERO)]) is None
+    total = moments.certified_sum([(exact, moments.ONE), (moments.fixed_times(exact, -1),
+                                                          moments.ONE)], 60)
+    assert (total.man, total.err) == (0, 0)
 
 
 def test_a_twin_beam_difference_cancels_to_zero_within_its_bound():
     # <n0> and <n1> of the pair are one integer fill, so the rows of
-    # <N_a - N_b> cancel exactly, and keep the fill's error
+    # <N_a - N_b> cancel exactly, and keep the fill's radius
     cfg = CorrelatedConfig(SpatsvSpec(2.0, 2, 0.3), mu=1e12, phi=0.7, psi=pi / 2, eta=0.98)
     ports = metrology._scene(cfg)
     weights = opalg.normal_ordered(metrology._DIFFERENCE)
     rows = ports.coefficients.fold(weights, ports.turn)
     mean = ports.expect(weights)
-    assert rows and all(g[0] == g[1] == 0 and g[4] > 0 for _, _, g in rows)
+    assert rows and all(g[0] == g[1] == 0 and g[2] > 0 for _, _, g in rows)
     assert mean.man == 0 and mean.err > 0
 
 
@@ -140,7 +149,7 @@ def test_a_phase_sweep_folds_each_observable_once_per_family(monkeypatch):
 
 
 def test_a_point_sums_each_observable_once(monkeypatch):
-    sums = _counted(monkeypatch, "_point_sum")
+    sums = _counted(monkeypatch, "certified_sum")
     metrology.nrf(CorrelatedConfig(SpatsvSpec(2.0, 1), mu=1e6, phi=0.4))
     # <N_a + N_b> is read twice, as the mean and as the variance's scale
     assert len(sums) == 3

@@ -1,9 +1,10 @@
 """The integer forms of a family's inputs: table entries
 (:meth:`photsub.moments.MomentTable.fixed`) and coherent displacements
 (:meth:`photsub.opalg.PortCoefficients.displacement`).  Each lies within its
-own counted ``ulps`` 2^-bits of the per-entry values of :mod:`reference`,
-formed far beyond ``bits``; a key the selection rule zeroes is an exact 0
-that costs no arithmetic and that no compile asks for."""
+own radius, a few units of its last bit, of the per-entry values of
+:mod:`reference`, formed far beyond ``bits``; a key the selection rule zeroes
+is an exact 0, radius 0, that costs no arithmetic and that no compile asks
+for."""
 
 import itertools
 from fractions import Fraction
@@ -26,28 +27,30 @@ def _keys(arity: int, order: int) -> list:
 
 
 def _value(x: tuple):
-    """The exact value of a fixed-point number."""
-    re, im, exp, _, _ = x
+    """The midpoint of a fixed-point number, exactly."""
+    re, im, _, exp = x
     return mp.mpc(mp.mpf((re, exp)), mp.mpf((im, exp)))
 
 
-def _assert_within_ulps(got: tuple, want, what) -> None:
-    """``got`` within its ulps 2^-bits of ``want`` (relative), or exactly 0."""
+def _assert_within_radius(got: tuple, want, what, units: int = 4) -> None:
+    """``got`` within its radius of ``want``, a radius of at most ``units``
+    units 2^exp, or an exact 0."""
     if want == 0:
-        assert got[0] == 0 and got[1] == 0, what
+        assert got[:3] == (0, 0, 0), what
         return
-    _, _, _, _, ulps = got
+    _, _, err, exp = got
     bits = what[-1]
     assert max(abs(got[0]), abs(got[1])).bit_length() <= bits, what
-    error = abs(_value(got) - want) / abs(want)
+    assert err <= units, what
+    error = abs(_value(got) - want)
     # the reference's own rounding: a few units 2^-REFERENCE_PREC
-    assert error <= ulps * mp.mpf(2) ** -bits + mp.mpf(2) ** (32 - REFERENCE_PREC), what
+    assert error <= err * mp.mpf(2) ** exp + abs(want) * mp.mpf(2) ** (32 - REFERENCE_PREC), what
 
 
 @pytest.mark.parametrize("chi", (0.0, 0.4))
 @pytest.mark.parametrize("m", range(4))
 @pytest.mark.parametrize("arity", (1, 2), ids=("single", "pair"))
-def test_integer_entries_lie_within_their_counted_ulps(arity, m, chi):
+def test_integer_entries_lie_within_their_radius(arity, m, chi):
     build = moments.passv_moment_table if arity == 1 else moments.spatsv_moment_table
     checked = 0
     for lam in LAMS:
@@ -59,7 +62,7 @@ def test_integer_entries_lie_within_their_counted_ulps(arity, m, chi):
             for key in _keys(arity, 8):
                 ref = want.entry(key)
                 for bits in BITS:
-                    _assert_within_ulps(table.fixed(key, bits), ref, (lam, key, bits))
+                    _assert_within_radius(table.fixed(key, bits), ref, (lam, key, bits))
                     checked += 1
     assert checked > 100
 
@@ -80,8 +83,7 @@ def test_a_zeroed_key_is_an_exact_zero_without_arithmetic(arity, monkeypatch):
     monkeypatch.setattr(moments, "_horner", counted)
     for key in zeroed:
         for bits in BITS:
-            re, im, _, _, ulps = table.fixed(key, bits)
-            assert re == im == ulps == 0, key
+            assert table.fixed(key, bits) == moments.ZERO, key
     assert evaluations == []
     table.fixed((1,) * 2 * arity, 60)
     assert len(evaluations) == 1
@@ -99,15 +101,15 @@ def test_diagonal_displacements_are_exact_powers_of_mu(mu):
         for m in range(5):
             exact = Fraction(mu) ** m
             if exact and exact.numerator.bit_length() > coefficients.bits:
-                continue  # does not fit: truncated, and its ulps say so
-            re, im, exp, _, ulps = coefficients.displacement(m, m)
-            assert (im, ulps) == (0, 0), (mu, m, bits)
+                continue  # does not fit: truncated, and its radius says so
+            re, im, err, exp = coefficients.displacement(m, m)
+            assert (im, err) == (0, 0), (mu, m, bits)
             assert Fraction(re) * Fraction(2) ** exp == exact, (mu, m, bits)
 
 
 @pytest.mark.parametrize("psi", (0.0, 0.7, -2.3, 3.1))
 @pytest.mark.parametrize("mu", (1.0, 0.1, 37.25, 1e12))
-def test_displacements_lie_within_their_counted_ulps(mu, psi):
+def test_displacements_lie_within_their_radius(mu, psi):
     for bits in BITS:
         coefficients = _coefficients(mu, psi, bits)
         with mp.workprec(REFERENCE_PREC):
@@ -117,7 +119,7 @@ def test_displacements_lie_within_their_counted_ulps(mu, psi):
                     continue  # no key the selection rule leaves reads these
                 want = mp.conj(alpha) ** m * alpha**m2
                 got = coefficients.displacement(m, m2)
-                _assert_within_ulps(got, want, (mu, psi, m, m2, coefficients.bits))
+                _assert_within_radius(got, want, (mu, psi, m, m2, coefficients.bits))
 
 
 @pytest.mark.parametrize("arity", (1, 2), ids=("single", "pair"))

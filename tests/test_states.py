@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
-from math import inf, nextafter
+from math import factorial, inf, nextafter
 
 import mpmath as mp
 import numpy as np
@@ -126,6 +126,32 @@ def test_two_mode_seed_m1_amplitudes():
     assert np.allclose(
         np.abs(seed.diag_amplitudes), [np.sqrt(2 / 3), np.sqrt(1 / 3)], atol=1e-12
     )
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e-100, 1e-40])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_single_seed_tends_to_one_fock_level_as_lam_vanishes(lam, m):
+    # the weights z^l, z = sqrt((1 + lam)/lam)/2, are finite, but their norm
+    # overflowed and normalizing gave an all-zero seed
+    amps = states.passv_seed(PassvSpec(lam, m, 0.3)).amplitudes
+    want = np.zeros(m + 1)
+    want[m % 2] = 1.0
+    assert abs(np.linalg.norm(amps) - 1.0) < 1e-15
+    assert np.max(np.abs(np.abs(amps) - want)) < 1e-15
+
+
+@pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("m", range(7))
+def test_single_seed_weights_are_z_to_the_l(lam, m):
+    # |m - 2l> weighs z^l/(l! sqrt((m - 2l)!)), z = e^{-i chi} sqrt((1 + lam)/lam)/2
+    chi = 0.7
+    z = np.exp(-1j * chi) * 0.5 * np.sqrt((1.0 + lam) / lam)
+    want = np.zeros(m + 1, dtype=complex)
+    for l in range(m // 2 + 1):
+        want[m - 2 * l] = z**l / (factorial(l) * np.sqrt(factorial(m - 2 * l)))
+    want /= np.linalg.norm(want)
+    got = states.passv_seed(PassvSpec(lam, m, chi)).amplitudes
+    assert np.max(np.abs(got - want)) < 1e-15
 
 
 def test_single_seed_rejects_zero_energy():

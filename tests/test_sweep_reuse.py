@@ -5,6 +5,7 @@ from math import pi
 
 import mpmath as mp
 import pytest
+from conftest import DICT_MEMOS, MEMOS, clear
 
 from photsub import metrology, moments, opalg, states
 from photsub.experiments import SweepConfig, run_sweep
@@ -23,11 +24,6 @@ def _counted(monkeypatch, module, name) -> list:
 
     monkeypatch.setattr(module, name, counted)
     return calls
-
-
-def _clear(memos) -> None:
-    for memo in memos:
-        memo.cache_clear()
 
 
 def _sweep(**kwargs):
@@ -63,7 +59,7 @@ def test_an_eta_sweep_equals_fresh_points(memos):
     rows = _sweep(axis="eta", values=etas)
     fresh = []
     for eta in etas:
-        _clear(memos)
+        clear()
         fresh += _sweep(axis="eta", values=(eta,))
     assert rows == tuple(fresh)
 
@@ -78,7 +74,7 @@ def test_alternating_phases_on_one_family_give_fresh_values(memos):
     assert metrology._port_coefficients.cache_info().currsize == 1
     fresh = []
     for metric, cfg in calls:
-        _clear(memos)
+        clear()
         fresh.append(metric(cfg))
     assert memoised == fresh
 
@@ -99,7 +95,7 @@ def test_a_phase_point_forms_no_family_constant_or_weight(monkeypatch, memos, sw
     calls = [_counted(monkeypatch, owner, name) for owner, name in _FAMILY_WORK]
     counts = []
     for values in (sweep["values"][:1], sweep["values"]):
-        _clear(memos)
+        clear()
         for c in calls:
             c.clear()
         rows = run_sweep(SweepConfig(**{**sweep, "values": values}, axis="phi", m_list=(2,))).rows
@@ -150,7 +146,7 @@ def test_working_digits_are_part_of_every_memo_key(cfg, memos):
     memoised = [_values(cfg, digits) for digits in sequence]
     fresh = []
     for digits in sequence:
-        _clear(memos)
+        clear()
         fresh.append(_values(cfg, digits))
     assert memoised == fresh
     # the two precisions give different port moments, so a memo that
@@ -180,3 +176,10 @@ def test_a_memoised_table_fills_at_its_own_digits():
             entry = coefficients.moment(key)
         assert entry == fresh.fixed(key, coefficients.bits)
         assert max(abs(entry[0]), abs(entry[1])).bit_length() == coefficients.bits
+
+
+def test_every_test_starts_with_the_memos_empty():
+    # the autouse fixture of conftest empties the lru memos and the named
+    # dict memos, which an earlier test's sweep filled
+    assert all(memo.cache_info().currsize == 0 for memo in MEMOS)
+    assert all(not memo for memo in DICT_MEMOS)
