@@ -50,7 +50,7 @@ for m in range(5):
 # ---------------------------------------------------------------------------
 
 seed = states.spatsv_seed(SpatsvSpec(1.0, 1))
-print("\ntwo-mode m=1 seed amplitudes at lam=1:", np.round(seed.diag_amplitudes, 6))
+print("\ntwo-mode m=1 seed amplitudes at lam=1:", np.round(seed.amplitudes, 6))
 
 # ---------------------------------------------------------------------------
 # Sub-Poissonian marginals.

@@ -47,13 +47,16 @@ from .errors import (
     problem,
 )
 from .metrology import CorrelatedConfig, SingleMziConfig, phi_for_tau
-from .states import PassvSpec, SpatsvSpec, balance_energy
+from .states import balance_energy
 
 AXES = ("lam", "mu", "eta", "phi", "psi", "chi", "one_minus_tau")
 FLAG_OK = "ok"
 FLAG_SINGULAR = "singular"
 FLAG_OUT_OF_RANGE = "out_of_range"
 FLAG_PRECISION = "precision"
+#: scheme -> its config (which names its spec), balancing kind and oracle input
+_SCHEMES = {"single": (SingleMziConfig, "single", states.passv),
+            "correlated": (CorrelatedConfig, "two_mode", states.spatsv)}
 
 
 @dataclass(frozen=True)
@@ -146,18 +149,15 @@ def _scene_params(cfg: SweepConfig, axis_value: float) -> dict:
 
 def _scene(scheme: str, m: int, *, lam, mu, phi, psi, eta, chi=0.0, balanced=False):
     """The interferometer config of one point, its energy balanced at most once."""
-    single = scheme == "single"
+    config, kind, _ = _SCHEMES[scheme]
     if balanced and m > 0:
-        lam = balance_energy(lam, m, "single" if single else "two_mode")
-    spec = (PassvSpec if single else SpatsvSpec)(lam, m, chi)
-    config = SingleMziConfig if single else CorrelatedConfig
-    return config(spec, mu=mu, phi=phi, psi=psi, eta=eta)
+        lam = balance_energy(lam, m, kind)
+    return config(config.spec(lam, m, chi), mu=mu, phi=phi, psi=psi, eta=eta)
 
 
 def _mean_photons(cfg, dps=None) -> float:
-    spec = cfg.quantum
-    mean = states.passv_mean_photons if isinstance(spec, PassvSpec) else states.spatsv_mean_photons
-    return mean(spec.lam, spec.m)
+    mean = states.passv_mean_photons if cfg.quantum.modes == 1 else states.spatsv_mean_photons
+    return mean(cfg.quantum.lam, cfg.quantum.m)
 
 
 def _snl(cfg, dps) -> float:
@@ -199,9 +199,7 @@ _METRICS = {
         "crb": lambda c, dps: metrology.cramer_rao_bound(metrology.qfi(c, dps=dps)),
         "snl": _snl,
         "qfi_classical": lambda c, dps: 2.0 * (c.mu + _mean_photons(c)),
-        "var_y": _quadrature(
-            lambda s: moments.passv_moment_table(s.lam, s.m, chi=s.chi), (1, 1), (0, 2)
-        ),
+        "var_y": _quadrature(lambda s: s.table(), (1, 1), (0, 2)),
         "mean_photons": _mean_photons,
     },
     "correlated": {
@@ -214,8 +212,7 @@ _METRICS = {
         # exactly: the variance does not depend on chi, so the pair tables
         # are read at chi = 0
         "quad_diff_var": _quadrature(
-            lambda s: moments.spatsv_moment_table(s.lam, s.m), (1, 1, 0, 0), (0, 1, 0, 1)
-        ),
+            lambda s: replace(s, chi=0.0).table(), (1, 1, 0, 0), (0, 1, 0, 1)),
         "quad_diff_var_seed": _quadrature(
             lambda s: moments.spatsv_seed_moment_table(s.lam, s.m), (1, 1, 0, 0), (0, 1, 0, 1)
         ),
@@ -599,10 +596,9 @@ def oracle_compare(
     # before any fill: nq quantum levels (an explicit cutoff fixes them, a default one
     # gives more than the mean photons) make an array of nq^2 (one MZI) or nq^3 (twins)
     nq = _mean_photons(cfg) if quantum_cutoff is None else quantum_cutoff + 1 - m
-    fock._check_memory((nq,) * (2 if scheme == "single" else 3))
+    fock._check_memory((nq,) * (cfg.quantum.modes + 1))
     engine = metrology.readout_moments(cfg)
-    build = states.passv if scheme == "single" else states.spatsv
-    q = build(cfg.quantum, cutoff=quantum_cutoff)
+    q = _SCHEMES[scheme][2](cfg.quantum, cutoff=quantum_cutoff)
     scene = fock.OracleScene(q, mu=mu, psi=psi, phi=phi, eta=eta)
     oracle = fock.oracle_interferometer(scene).moments
     entries = []

@@ -1,8 +1,8 @@
 """Truncated Fock-space numerics.
 
-Exact small-scale state construction (squeezed, two-mode squeezed),
-photon subtraction, and a brute-force interferometer oracle used to validate
-the symbolic moment engine.  Each state is one amplitude function
+Exact small-scale states (squeezed, two-mode squeezed: each class declares
+its mode count), photon subtraction, and a brute-force interferometer oracle
+used to validate the symbolic moment engine.  Each state is one amplitude function
 n -> <n|state>; one filler turns it into an array, by default up to the
 least level whose tail mass is below TAIL_TOL plus CUTOFF_MARGIN levels, and
 checks a given cutoff against the same tail.  The MZI turns the coherent
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import cosh, lgamma, log, prod, sinh, sqrt, tanh
+from math import ceil, cosh, lgamma, log, prod, sinh, sqrt, tanh
 
 import numpy as np
 
@@ -44,8 +44,8 @@ CUTOFF_MARGIN = 5
 
 
 @dataclass(frozen=True)
-class FockState1:
-    """Single-mode pure state as a complex amplitude vector over |0..cutoff>."""
+class _FockState:
+    """Pure state as amplitudes over levels 0..cutoff, |n> or |n, n> as ``modes`` is 1 or 2."""
 
     amplitudes: np.ndarray
 
@@ -53,28 +53,25 @@ class FockState1:
     def cutoff(self) -> int:
         return len(self.amplitudes) - 1
 
-    def normalized(self) -> "FockState1":
+    def normalized(self) -> "_FockState":
         norm = np.linalg.norm(self.amplitudes)
         if norm < NULL_THRESHOLD:
             raise NullState("cannot normalize a null state")
-        return FockState1(self.amplitudes / norm)
+        return type(self)(self.amplitudes / norm)
 
 
 @dataclass(frozen=True)
-class TwoModeDiagonalState:
+class FockState1(_FockState):
+    """Single-mode pure state as a complex amplitude vector over |0..cutoff>."""
+
+    modes = 1
+
+
+@dataclass(frozen=True)
+class TwoModeDiagonalState(_FockState):
     """Two-mode pure state supported on {|n,n>}; entry n multiplies |n,n>."""
 
-    diag_amplitudes: np.ndarray
-
-    @property
-    def cutoff(self) -> int:
-        return len(self.diag_amplitudes) - 1
-
-    def normalized(self) -> "TwoModeDiagonalState":
-        norm = np.linalg.norm(self.diag_amplitudes)
-        if norm < NULL_THRESHOLD:
-            raise NullState("cannot normalize a null state")
-        return TwoModeDiagonalState(self.diag_amplitudes / norm)
+    modes = 2
 
 
 def _filled(amplitude, cutoff: int | None = None, mean: float = 0.0,
@@ -140,18 +137,20 @@ def _two_mode_squeezed(lam: float, chi: float):
     return lambda n: sqrt(1.0 - x) * s**n
 
 
-def _falling(n: int, m: int, power: int) -> float:
-    """((n + m)!/n!)^(power/2): a^m takes |n + m> to this times |n> in each of ``power`` modes."""
-    return float(prod(range(n + 1, n + m + 1))) ** (power / 2)
+def _falling(n: int, m: int, modes: int) -> float:
+    """((n + m)!/n!)^(modes/2): a^m takes |n + m> to this times |n> in each of ``modes`` modes."""
+    return float(prod(range(n + 1, n + m + 1))) ** (modes / 2)
 
 
 def squeezed_vacuum(r: float, chi: float = 0.0, cutoff: int | None = None) -> FockState1:
     """Single-mode squeezed vacuum S(r e^{i chi})|0> with <N> = sinh^2 r, which the
     fill's mean check reads at min(r, 99): past any level limit, and finite.  Past
-    it, cosh r is finite, and the levels from n on hold their first even one, 2k <=
-    n + 1, of mass sech(r) tanh(r)^2k C(2k, k)/4^k >= sech(r) tanh(r)^(n+1) sqrt(2/(n+1))."""
+    it, r < 99: the J = ceil(cosh^2 r) even levels 2k from n on, 2k <= n + 2J - 1,
+    each hold sech(r) tanh(r)^2k C(2k, k)/4^k >= sech(r) tanh(r)^(n+2J-1)/sqrt(2(n+2J-1)),
+    which the floor sums, where one level falls short of the tail by about cosh^2 r."""
     check(r=r, chi=chi, cutoff=cutoff)
-    floor = lambda n: tanh(r) ** (n + 1) * sqrt(2 / (n + 1)) / cosh(r)
+    j = ceil(cosh(min(r, 99)) ** 2)
+    floor = lambda n: j * tanh(r) ** (n + 2 * j - 1) / (cosh(r) * sqrt(2 * (n + 2 * j - 1)))
     return FockState1(_filled(_squeezed(r, chi), cutoff, sinh(min(r, 99)) ** 2, floor)).normalized()
 
 
@@ -166,7 +165,7 @@ def two_mode_squeezed_vacuum(
 
 
 def subtract_photons(state, m: int):
-    """Apply a^m (per mode for two-mode diagonal states) and renormalize.
+    """Apply a^m to each of the state's modes and renormalize.
 
     Returns ``(new_state, norm)`` where ``norm`` is the pre-normalization norm
     of the subtracted vector (the success amplitude).
@@ -174,19 +173,16 @@ def subtract_photons(state, m: int):
     check(m=m)
     if m == 0:
         return state, 1.0
-    if isinstance(state, FockState1):
-        amps, power, kind = state.amplitudes, 1, FockState1
-    elif isinstance(state, TwoModeDiagonalState):
-        amps, power, kind = state.diag_amplitudes, 2, TwoModeDiagonalState
-    else:
+    if not isinstance(state, _FockState):
         raise TypeError(f"unsupported state type {type(state)!r}")
+    amps = state.amplitudes
     if len(amps) <= m:
         raise NullState(f"state has no support above level {m}")
-    new = amps[m:] * [_falling(n, m, power) for n in range(len(amps) - m)]
+    new = amps[m:] * [_falling(n, m, state.modes) for n in range(len(amps) - m)]
     norm = float(np.linalg.norm(new))
     if norm < NULL_THRESHOLD:
         raise NullState("photon subtraction annihilated the state")
-    return kind(new / norm), norm
+    return type(state)(new / norm), norm
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +261,8 @@ def _thinning(dim: int, eta: float) -> np.ndarray:
 class OracleScene:
     """Scene for the brute-force interferometer oracle.
 
-    The quantum input picks the scheme: a :class:`FockState1` enters one MZI
-    beside the coherent state; a :class:`TwoModeDiagonalState` feeds twin
+    The input's ``modes`` picks the scheme: a :class:`FockState1` enters one
+    MZI beside the coherent state; a :class:`TwoModeDiagonalState` feeds twin
     MZIs, each beside its own copy of the coherent state.  Every MZI runs at
     ``phi``.  :data:`MAX_AMPLITUDES` bounds the oracle's largest array: the
     D x D plane of one MZI, or the D Gram matrices, nq x nq, of twin MZIs.
@@ -320,13 +316,12 @@ def oracle_interferometer(scene: OracleScene) -> OracleResult:
     """
     alpha = sqrt(scene.mu) * np.exp(1j * scene.psi)
     q = scene.quantum
-    twin = isinstance(q, TwoModeDiagonalState)
-    if not twin and not isinstance(q, FockState1):
+    if not isinstance(q, _FockState):
         raise ModeMismatch(
             "oracle needs a FockState1 (single MZI) or a TwoModeDiagonalState "
             f"(twin MZIs) quantum input, got {type(q).__name__}"
         )
-    d = q.diag_amplitudes if twin else q.amplitudes
+    d, twin = q.amplitudes, q.modes == 2
     nq = len(d)
     dim = len(_filled(_coherent(alpha), mean=scene.mu)) + nq - 1
     _check_memory((dim, nq, nq) if twin else (dim, dim))

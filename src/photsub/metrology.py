@@ -6,8 +6,9 @@ quantities (noise reduction factor, normalized covariance uncertainty, the
 Mandel Q of one mode of the pair), all evaluated exactly from the read-out
 ports' normal-ordered moments, plus the asymptotic closed forms used for
 cross-checks and regime analysis, each one expression in the order m <= 4.
-Each figure of merit takes only its own scheme's config and raises
-ValueError for the other's; :func:`readout_moments` serves both.
+Each config names its spec, whose mode count the engine reads.  Each
+figure of merit takes only its own scheme's config and raises ValueError
+for the other's; :func:`readout_moments` serves both.
 
 Single scheme: the coherent state |alpha>, alpha = sqrt(mu) e^{i psi}, and
 the quantum (subtracted squeezed) state enter one Mach-Zehnder with internal
@@ -30,7 +31,7 @@ in integers at the bits of its ``dps`` digits: an isqrt, then one int / int.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import acos, cos, isfinite, isqrt, log10, nextafter, pi, sqrt, ulp
 
@@ -43,37 +44,37 @@ SQRT2 = sqrt(2.0)
 
 
 @dataclass(frozen=True)
-class SingleMziConfig:
-    """Single Mach-Zehnder scene: quantum input, coherent input, phase, loss."""
+class _Config:
+    """Interferometer scene: quantum input (a ``spec``), coherent input, phase, loss."""
 
-    quantum: PassvSpec
+    quantum: PassvSpec | SpatsvSpec
     mu: float  # coherent mean photon number |alpha|^2
     phi: float  # interferometer working phase
     psi: float = 0.0  # coherent phase
     eta: float = 1.0  # detection efficiency on both read-out ports
 
     def __post_init__(self):
-        check_type("quantum", self.quantum, PassvSpec)
+        check_type("quantum", self.quantum, self.spec)
         check(mu=self.mu, phi=self.phi, psi=self.psi, eta=self.eta)
 
 
 @dataclass(frozen=True)
-class CorrelatedConfig:
+class SingleMziConfig(_Config):
+    """Single Mach-Zehnder scene: a PASSV beside the coherent state."""
+
+    spec = PassvSpec
+
+
+@dataclass(frozen=True)
+class CorrelatedConfig(_Config):
     """Twin-interferometer scene: entangled pair, two identical coherent states.
 
     The central phases are equal, phi1 = phi2 = phi, and cos^2(phi/2) is
     the fraction of quantum light transmitted to each read-out port.
     """
 
-    quantum: SpatsvSpec
-    mu: float
-    phi: float
+    spec = SpatsvSpec
     psi: float = pi / 2
-    eta: float = 1.0
-
-    def __post_init__(self):
-        check_type("quantum", self.quantum, SpatsvSpec)
-        check(mu=self.mu, phi=self.phi, psi=self.psi, eta=self.eta)
 
 
 def phi_for_tau(tau: float) -> float:
@@ -143,15 +144,11 @@ def _port_coefficients(spec, mu: float, psi: float, dps: int | None):
     40 + 3 log10(mu) for either scheme, compiled for their bits.
 
     Everything but the phase and the loss, so one compilation serves every
-    point of a phi or eta sweep.  The spec's type picks the input table,
-    whose arity sets the port layout.
+    point of a phi or eta sweep.  The spec gives its input table, whose
+    arity sets the port layout.
     """
     bits = moments.digits_to_bits(dps or _working_digits(mu))
-    if isinstance(spec, PassvSpec):
-        table = moments.passv_moment_table(spec.lam, spec.m, chi=spec.chi)
-    else:
-        table = moments.spatsv_moment_table(spec.lam, spec.m, chi=spec.chi)
-    return opalg.PortCoefficients(table, mu, psi, bits)
+    return opalg.PortCoefficients(spec.table(), mu, psi, bits)
 
 
 #: read-out observables as {(p, q): weight of N_a^p N_b^q}
@@ -173,12 +170,14 @@ _COVARIANCE = _times(_DIFFERENCE, _DIFFERENCE)  # C = (N_a - N_b)^2
 
 
 #: the F weights (:func:`opalg.normal_ordered`) of o and o^2 for each o
-#: whose variance a figure reads (the QFI's is 2 N_a), and of the shot-noise
-#: scale <N_a> + <N_b>, formed once
+#: whose variance a figure reads (the QFI's is 2 N_a), of the shot-noise
+#: scale <N_a> + <N_b> and of each read-out moment N_a^p N_b^q, formed once
 _DIFFERENCE_WEIGHTS, _COVARIANCE_WEIGHTS, _QFI_WEIGHTS = (
     (opalg.normal_ordered(o), opalg.normal_ordered(_times(o, o)))
     for o in (_DIFFERENCE, _COVARIANCE, {(1, 0): 2}))
 _SUM_WEIGHTS = opalg.normal_ordered(_SUM)
+_READOUT_WEIGHTS = {(p, q): opalg.normal_ordered({(p, q): 1})
+                    for p in range(5) for q in range(5 - p) if p + q}
 
 
 def _variance(ports: opalg.PortMoments, observable: tuple) -> moments.Bounded:
@@ -229,19 +228,19 @@ def _scene(cfg, dps: int | None = None) -> opalg.PortMoments:
 def readout_moments(cfg: SingleMziConfig | CorrelatedConfig, dps: int | None = None) -> dict:
     """Moments (p, q) -> <N_a^p N_b^q> of the two lossy read-out ports.
 
-    p + q <= 2 for a :class:`SingleMziConfig`, p + q <= 4 for a
-    :class:`CorrelatedConfig`: the orders its figures of merit use.  These
-    are the quantities the oracle comparison checks; a moment not certified
-    to 8 digits raises PrecisionInsufficient.
+    p + q <= 2 per mode of the quantum input, 2 for a :class:`SingleMziConfig`
+    and 4 for a :class:`CorrelatedConfig`: the orders its figures of merit
+    use.  These are the quantities the oracle comparison checks; a moment not
+    certified to 8 digits raises PrecisionInsufficient.
     """
     check(dps=dps)
-    order = 2 if isinstance(cfg, SingleMziConfig) else 4
     out, ports = {}, _scene(cfg, dps=dps)
-    for key in [(p, q) for p in range(order + 1) for q in range(order + 1 - p) if p + q]:
-        # combined from F(i, j), which every moment shares, not folded each
-        out[key] = sum(w * ports.entry(*ij) for ij, w in opalg.normal_ordered({key: 1}))
-        moments.require_digits(out[key], "read-out moment")
-        out[key] = out[key].value
+    for key, weights in _READOUT_WEIGHTS.items():
+        if sum(key) <= 2 * cfg.quantum.modes:
+            # combined from F(i, j), which every moment shares, not folded each
+            out[key] = sum(w * ports.entry(*ij) for ij, w in weights)
+            moments.require_digits(out[key], "read-out moment")
+            out[key] = out[key].value
     return out
 
 
@@ -312,15 +311,14 @@ def mandel_q(cfg: CorrelatedConfig, dps: int | None = None) -> float:
     """Mandel Q = (Var N - <N>)/<N> of one mode of the pair, detected with
     efficiency eta; negative is sub-Poissonian.
 
-    Port A reads that mode alone, u = 1 and v = 0, at mu = 0 (43 digits unless
-    ``dps`` is given; phi and psi play no role): <N> = F(1, 0) and Var N - <N>
-    = F(2, 0) - F(1, 0)^2, so Q thins to eta Q.  A dark mode raises
-    ZeroMeanPhoton.  8 digits of Var N must be certified against the larger of
-    |Var N| and <N>, so an exact Q = 0 stays certified.
+    Port A reads that mode alone: the scene at mu = psi = phi = 0, where the
+    MZI gives u = 1 and v = 0 (43 digits unless ``dps`` is given), has
+    <N> = F(1, 0) and Var N - <N> = F(2, 0) - F(1, 0)^2, so Q thins to eta Q.
+    A dark mode raises ZeroMeanPhoton.  8 digits of Var N must be certified
+    against the larger of |Var N| and <N>, so an exact Q = 0 stays certified.
     """
     _require(cfg, CorrelatedConfig, dps)
-    coefficients = _port_coefficients(cfg.quantum, 0.0, 0.0, dps)
-    ports = opalg.PortMoments(coefficients, *_mzi_entries(0.0, coefficients.bits), cfg.eta, turn=1)
+    ports = _scene(replace(cfg, mu=0.0, psi=0.0, phi=0.0), dps=dps)
     mean = ports.entry(1, 0)
     if mean.man <= 0:
         raise ZeroMeanPhoton("Mandel Q undefined for zero mean photon number")

@@ -233,20 +233,15 @@ _STIRLING2 = [
     for n in range(17)
 ]
 
-_WEIGHTS = {}  # sorted items of a polynomial in N_a, N_b -> its normal-ordered weights
-
 
 def normal_ordered(poly: dict) -> tuple:
     """The sorted nonzero weights ((i, j), w) of F(i, j) in <poly(N_a, N_b)>,
     by Stirling numbers; ``poly`` maps (p, q) to the weight of N_a^p N_b^q."""
-    key = tuple(sorted(poly.items()))
-    if key not in _WEIGHTS:
-        weights = {}
-        for (p, q), c in key:
-            for i, j in product(range(p + 1), range(q + 1)):
-                weights[i, j] = weights.get((i, j), 0) + c * _STIRLING2[p][i] * _STIRLING2[q][j]
-        _WEIGHTS[key] = tuple(sorted((ij, w) for ij, w in weights.items() if w))
-    return _WEIGHTS[key]
+    weights = {}
+    for (p, q), c in poly.items():
+        for i, j in product(range(p + 1), range(q + 1)):
+            weights[i, j] = weights.get((i, j), 0) + c * _STIRLING2[p][i] * _STIRLING2[q][j]
+    return tuple(sorted((ij, w) for ij, w in weights.items() if w))
 
 
 def port_expectation(ports: PortMoments, poly: dict) -> Bounded:

@@ -5,7 +5,8 @@ Builds PASSV (photon-annihilated single-mode squeezed vacuum) and SPATSV
 finite seed-superposition representations, the mean-photon maps (ratios of
 integer polynomials in lam, evaluated exactly and rounded once) and the
 energy balancing of fixed-total-energy comparisons, whose root is the float
-nearest the exact one.  The constructors build Fock-space states, which
+nearest the exact one.  A spec's mode count, 1 or 2, picks its moment
+table and Fock state.  The constructors build Fock-space states, which
 only the oracle reads, so they import :mod:`photsub.fock` (and numpy) when
 called: a sweep never does.
 """
@@ -18,9 +19,9 @@ from math import comb, factorial, sqrt
 from struct import pack, unpack
 from typing import TYPE_CHECKING
 
-from .errors import NullState, OutOfRange, check
-from .moments import (
-    _binary, _horner, _vacuum_entry, passv_moment_table, ratio, spatsv_moment_table)
+from . import moments
+from .errors import NullState, OutOfRange, check, check_type
+from .moments import MomentTable, _binary, _horner, _vacuum_entry, ratio
 
 if TYPE_CHECKING:
     from .fock import FockState1, TwoModeDiagonalState
@@ -28,7 +29,7 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class _SubtractionSpec:
-    """Pre-subtraction energy, subtraction order and squeezing angle."""
+    """Pre-subtraction energy, subtraction order and squeezing angle of ``modes`` modes."""
 
     lam: float  # mean photons (per mode for a pair) before subtraction, sinh^2 r
     m: int = 0  # number of subtracted photons (from each mode of a pair)
@@ -43,15 +44,24 @@ class _SubtractionSpec:
 
         return float(np.arcsinh(np.sqrt(float(self.lam))))
 
+    def table(self) -> MomentTable:
+        """The exact moments of the subtracted state (:mod:`photsub.moments`)."""
+        table = moments.passv_moment_table if self.modes == 1 else moments.spatsv_moment_table
+        return table(self.lam, self.m, self.chi)
+
 
 @dataclass(frozen=True)
 class PassvSpec(_SubtractionSpec):
     """Single-mode subtraction spec: pre-subtraction energy, order, angle."""
 
+    modes = 1
+
 
 @dataclass(frozen=True)
 class SpatsvSpec(_SubtractionSpec):
     """Two-mode symmetric subtraction spec."""
+
+    modes = 2
 
 
 def passv(spec: PassvSpec, cutoff: int | None = None) -> FockState1:
@@ -59,9 +69,11 @@ def passv(spec: PassvSpec, cutoff: int | None = None) -> FockState1:
 
     ``cutoff`` bounds the squeezed vacuum before subtraction and is checked
     against its tail.  By default it is the least that leaves the subtracted
-    state a tail below ``fock.TAIL_TOL``, plus ``fock.CUTOFF_MARGIN``.
+    state a tail below ``fock.TAIL_TOL``, plus ``fock.CUTOFF_MARGIN``.  A
+    spec of the other scheme raises ValueError.
     """
-    return _subtracted(spec, cutoff, 1)
+    check_type("spec", spec, PassvSpec)
+    return _subtracted(spec, cutoff)
 
 
 def spatsv(spec: SpatsvSpec, cutoff: int | None = None) -> TwoModeDiagonalState:
@@ -70,14 +82,15 @@ def spatsv(spec: SpatsvSpec, cutoff: int | None = None) -> TwoModeDiagonalState:
     ``cutoff`` bounds the TSV before subtraction; the default is sized on
     the subtracted state, as in :func:`passv`.
     """
-    return _subtracted(spec, cutoff, 2)
+    check_type("spec", spec, SpatsvSpec)
+    return _subtracted(spec, cutoff)
 
 
-def _subtracted(spec: _SubtractionSpec, cutoff, power):
-    """a^m on each of the ``power`` modes of the squeezed vacuum (1) or TSV (2).
+def _subtracted(spec: _SubtractionSpec, cutoff):
+    """a^m on each of the spec's modes of the squeezed vacuum (one) or TSV (two).
 
     The default cutoff comes from filling the subtracted state: its level n
-    is the parent's amplitude at n + m, times ((n + m)!/n!)^(power/2), over
+    is the parent's amplitude at n + m, times ((n + m)!/n!)^(modes/2), over
     the square root of the norm of the state's own moment table.  The fill
     takes chi = 0, which leaves every level's mass as it is, so the cutoff
     depends on lam and m alone.
@@ -86,16 +99,16 @@ def _subtracted(spec: _SubtractionSpec, cutoff, power):
 
     check(cutoff=cutoff)
     m = spec.m
-    build, amplitude, squeezing, moment_table = (
-        (fock.squeezed_vacuum, fock._squeezed, spec.r, passv_moment_table) if power == 1 else
-        (fock.two_mode_squeezed_vacuum, fock._two_mode_squeezed, spec.lam, spatsv_moment_table))
+    build, amplitude, squeezing = (
+        (fock.squeezed_vacuum, fock._squeezed, spec.r) if spec.modes == 1 else
+        (fock.two_mode_squeezed_vacuum, fock._two_mode_squeezed, spec.lam))
     if cutoff is None:
-        table = moment_table(spec.lam, m)
+        table = spec.table()  # its norm does not depend on chi
         moment = ratio(table.norm, 1, -table.shift * table.norm_degree)
         if moment <= 0.0:  # a nonzero norm can underflow
             raise NullState("photon subtraction annihilated the state")
         parent, scale = amplitude(squeezing, 0.0), 1.0 / sqrt(moment)
-        filled = fock._filled(lambda n: parent(n + m) * fock._falling(n, m, power) * scale,
+        filled = fock._filled(lambda n: parent(n + m) * fock._falling(n, m, spec.modes) * scale,
                               mean=spec.lam)  # below the subtracted state's mean
         cutoff = len(filled) - 1 + m
     return fock.subtract_photons(build(squeezing, spec.chi, cutoff), m)[0]
@@ -150,6 +163,8 @@ def spatsv_seed(spec: SpatsvSpec) -> TwoModeDiagonalState:
 #: (kind, m) -> (P, Q), the integer coefficients (lowest power first, one
 #: length) of the mean-photon map P(lam)/Q(lam); a sweep uses a few orders
 _MAPS = {}
+#: kind -> the key of the first mode's photon number, in one mode or a pair
+_PHOTON_KEYS = {"single": (1, 1), "two_mode": (1, 1, 0, 0)}
 
 
 def _mean_photon_map(kind: str, m: int) -> tuple:
@@ -158,9 +173,9 @@ def _mean_photon_map(kind: str, m: int) -> tuple:
     to one length, their common power of lam divided out: P(0)/Q(0) is the
     lam = 0 limit (m mod 2 for PASSV, 0 for SPATSV)."""
     if (kind, m) not in _MAPS:
-        if kind not in ("single", "two_mode"):
+        if kind not in _PHOTON_KEYS:
             raise ValueError(f"unknown mean-photon map kind {kind!r}")
-        key = (1, 1) if kind == "single" else (1, 1, 0, 0)
+        key = _PHOTON_KEYS[kind]
         p, q = (_vacuum_entry(m, k)[1] for k in (key, (0,) * len(key)))
         q += [0] * (len(p) - len(q))
         while not (p[0] or q[0]):

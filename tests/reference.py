@@ -422,7 +422,7 @@ def mean_photons(state: FockState1) -> float:
 
 
 def mean_photons_per_mode(state: TwoModeDiagonalState) -> float:
-    p = np.abs(state.diag_amplitudes) ** 2
+    p = np.abs(state.amplitudes) ** 2
     return float(np.dot(np.arange(len(p)), p))
 
 
@@ -431,7 +431,7 @@ def overlap(a, b) -> complex:
     if isinstance(a, FockState1) and isinstance(b, FockState1):
         va, vb = a.amplitudes, b.amplitudes
     elif isinstance(a, TwoModeDiagonalState) and isinstance(b, TwoModeDiagonalState):
-        va, vb = a.diag_amplitudes, b.diag_amplitudes
+        va, vb = a.amplitudes, b.amplitudes
     else:
         raise ModeMismatch(f"cannot overlap {type(a).__name__} with {type(b).__name__}")
     n = max(len(va), len(vb))
@@ -488,7 +488,7 @@ def two_mode_squeeze_apply(
     kminus = diags(n, 1, format="csr", dtype=complex)
     z = r * np.exp(1j * chi)
     gen = z * kplus - np.conj(z) * kminus
-    out = _evolve(gen, state.diag_amplitudes, cutoff, "two_mode_squeeze_apply")
+    out = _evolve(gen, state.amplitudes, cutoff, "two_mode_squeeze_apply")
     return TwoModeDiagonalState(out).normalized()
 
 
@@ -513,7 +513,7 @@ def table_from_state(state, max_order: int = 4, modes=None) -> ReferenceTable:
         return ReferenceTable(modes, max_order, compute=entries.__getitem__)
     if isinstance(state, TwoModeDiagonalState):
         modes = (0, 1) if modes is None else tuple(modes)
-        d = state.diag_amplitudes
+        d = state.amplitudes
         entries = {}
         for p in range(max_order + 1):
             for q in range(max_order + 1 - p):
@@ -701,7 +701,7 @@ def oracle_output(scene: fock.OracleScene) -> np.ndarray:
     """
     alpha = np.sqrt(scene.mu) * np.exp(1j * scene.psi)
     q, u2 = scene.quantum, fock.mzi_unitary(scene.phi)
-    d = q.amplitudes if isinstance(q, FockState1) else q.diag_amplitudes
+    d = q.amplitudes
     dim = len(coherent_state(alpha).amplitudes) + len(d) - 1
     coh = np.array([fock._coherent(alpha)(n) for n in range(dim)])
     if isinstance(q, FockState1):

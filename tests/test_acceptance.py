@@ -271,7 +271,7 @@ def test_acceptance_12_property_suite():
             a = states.passv(PassvSpec(lam, m), cutoff=300).amplitudes
             if abs(np.linalg.norm(a) - 1.0) > 1e-12:
                 ok, detail = False, "normalization"
-            d = states.spatsv(SpatsvSpec(lam, m), cutoff=300).diag_amplitudes
+            d = states.spatsv(SpatsvSpec(lam, m), cutoff=300).amplitudes
             if abs(np.linalg.norm(d) - 1.0) > 1e-12:
                 ok, detail = False, "normalization"
     # Heisenberg bound on the subtracted states

@@ -182,7 +182,7 @@ def _has_nan(x) -> bool:
         x = list(x.values())
     if isinstance(x, (list, tuple)):
         return any(map(_has_nan, x))
-    fields = ("amplitudes", "diag_amplitudes", "joint", "moments", "entries", "rows", "value")
+    fields = ("amplitudes", "joint", "moments", "entries", "rows", "value")
     return any(_has_nan(getattr(x, name)) for name in fields if hasattr(x, name))
 
 

@@ -75,16 +75,34 @@ def _counted_amplitudes(monkeypatch, name) -> list:
 
 
 @pytest.mark.parametrize("build, arg, name", [
+    (fock.squeezed_vacuum, 6.0, "_squeezed"),
+    (fock.squeezed_vacuum, 6.1, "_squeezed"),
     (fock.squeezed_vacuum, 7.0, "_squeezed"),
     (fock.two_mode_squeezed_vacuum, 3e5, "_two_mode_squeezed"),
 ])
 def test_a_tail_past_the_level_limit_is_refused_before_any_fill(monkeypatch, build, arg, name):
     # mean photons below the 10^6-level limit, but a tail past it: refused
     # before any amplitude is formed, where it took ~1 s of filling to refuse
+    # (r = 6 and 6.1 leave tails of 7.1e-7 and 7.3e-6, about cosh^2 r times
+    # the mass of their first level past the limit)
     calls = _counted_amplitudes(monkeypatch, name)
     with pytest.raises(CutoffTooSmall):
         build(arg)
     assert calls == []
+
+
+@pytest.mark.parametrize("r", [0.05, 0.3, 1.0, 2.0, 3.0, 4.0, 5.0])
+def test_the_squeezed_vacuums_early_floor_lies_below_its_tail(monkeypatch, r):
+    # the early check refuses only what the fill refuses: its floor on the
+    # mass from level n on lies below that mass, summed level by level
+    floors, filled = [], fock._filled
+    monkeypatch.setattr(fock, "_filled", lambda *args: floors.append(args[3]) or filled(*args))
+    fock.squeezed_vacuum(r)
+    amplitude = fock._squeezed(r, 0.0)
+    masses = np.abs([amplitude(n) for n in range(2 * fock.squeezed_vacuum(r).cutoff)]) ** 2
+    tails = np.cumsum(masses[::-1])[::-1]  # the mass from level n on, within the sum's reach
+    levels = sorted({int(n) for n in np.geomspace(1, len(masses) // 2, 40)})
+    assert all(floors[0](n) <= tails[n] for n in levels)
 
 
 def test_a_tail_below_the_level_limit_still_fills():
@@ -100,7 +118,7 @@ def test_a_tail_below_the_level_limit_still_fills():
 def test_two_mode_squeezed_vacuum_thermal_marginal():
     lam = 0.8
     state = fock.two_mode_squeezed_vacuum(lam)
-    p = np.abs(state.diag_amplitudes) ** 2
+    p = np.abs(state.amplitudes) ** 2
     ratio = p[1:] / p[:-1]
     assert np.allclose(ratio, lam / (1.0 + lam), atol=1e-12)
     assert abs(mean_photons_per_mode(state) - lam) < 1e-10
@@ -201,7 +219,7 @@ def test_subtraction_ladder_matches_high_precision(m, two_mode):
     ones = np.ones(dim, dtype=complex)
     state = fock.TwoModeDiagonalState(ones) if two_mode else fock.FockState1(ones)
     out, norm = fock.subtract_photons(state, m)
-    ladder = norm * (out.diag_amplitudes if two_mode else out.amplitudes)
+    ladder = norm * out.amplitudes
     with mp.workdps(50):
         exact = [mp.factorial(n) / mp.factorial(n - m) for n in range(m, dim)]
         exact = np.array([float(x if two_mode else mp.sqrt(x)) for x in exact])
@@ -479,6 +497,6 @@ def test_correlated_oracle_memory_stays_a_small_multiple_of_the_gram_matrices():
     # twin-MZI tensor needs D^4 amplitudes
     q = states.spatsv(states.SpatsvSpec(0.2, 1))
     scene = fock.OracleScene(q, mu=1.0, psi=0.0, phi=0.7, eta=0.9)
-    rows = len(q.diag_amplitudes)
+    rows = len(q.amplitudes)
     dim = len(coherent_state(1.0).amplitudes) + rows - 1
     assert _traced_peak(scene) <= 5 * dim * rows**2 * 16

@@ -8,6 +8,7 @@ module-level function and class of the package has a caller in it, and only
 ``errors`` raises ValueError on a parameter's range or type."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -255,3 +256,69 @@ def test_the_cli_runs_presets_without_numpy_and_names_the_oracle_extra(tmp_path)
     oracle = _cli_without_numpy(tmp_path, "oracle-compare", "--config", "scene.cfg")
     assert oracle.returncode == 1
     assert "photsub[oracle]" in oracle.stderr and "Traceback" not in oracle.stderr
+
+
+#: the types that carry a scheme: the subtraction specs, the interferometer
+#: configs and the Fock states, each declaring its mode count or its spec
+_SCHEME_TYPES = {"_SubtractionSpec", "PassvSpec", "SpatsvSpec", "_Config", "SingleMziConfig",
+                 "CorrelatedConfig", "_FockState", "FockState1", "TwoModeDiagonalState"}
+_SCHEME_NAMES = {"single", "correlated"}
+#: (module, function) of the boundary checks that still name a scheme: the
+#: oracle's and subtract_photons' input checks, and the scheme-name
+#: validation of sweep configs and of the oracle comparison
+_BOUNDARY_CHECKS = {("fock.py", "subtract_photons"), ("fock.py", "oracle_interferometer"),
+                    ("experiments.py", "validate"), ("experiments.py", "oracle_compare")}
+
+
+def _scoped(tree):
+    """(name of the innermost enclosing function or None, node) for each node of ``tree``."""
+    stack = [(None, tree)]
+    while stack:
+        scope, node = stack.pop()
+        yield scope, node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        stack.extend((scope, child) for child in ast.iter_child_nodes(node))
+
+
+def test_no_module_forks_on_the_scheme():
+    # each spec and Fock state declares its mode count and each config its
+    # spec, so no module tests their types or compares a scheme name: only
+    # the refusals at the boundary do (errors.check_type, and the checks above)
+    forks = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text())):
+            if (path.name, scope) in _BOUNDARY_CHECKS:
+                continue
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("isinstance", "issubclass")):
+                tested = _named(node.args[1]) & _SCHEME_TYPES
+            elif isinstance(node, ast.Compare):
+                constants = {sub.value for sub in ast.walk(node) if isinstance(sub, ast.Constant)}
+                tested = (_named(node) & _SCHEME_TYPES) | (constants & _SCHEME_NAMES)
+            else:
+                continue
+            forks += [f"{path.name}:{node.lineno} {sorted(tested)}"] if tested else []
+    assert forks == []
+
+
+def test_each_scheme_is_a_declaration_on_one_shared_definition():
+    from dataclasses import fields
+    from math import pi
+
+    from photsub import fock, metrology, states
+
+    assert (states.PassvSpec.modes, states.SpatsvSpec.modes) == (1, 2)
+    assert (fock.FockState1.modes, fock.TwoModeDiagonalState.modes) == (1, 2)
+    single, correlated = metrology.SingleMziConfig, metrology.CorrelatedConfig
+    assert (single.spec, correlated.spec) == (states.PassvSpec, states.SpatsvSpec)
+    assert [f.name for f in fields(single)] == [f.name for f in fields(correlated)]
+    assert single.__post_init__ is correlated.__post_init__
+    assert correlated(states.SpatsvSpec(1.0), mu=1.0, phi=0.5).psi == pi / 2
+    assert single(states.PassvSpec(1.0), mu=1.0, phi=0.5).psi == 0.0
+    for name in ("cutoff", "normalized"):
+        assert getattr(fock.FockState1, name) is getattr(fock.TwoModeDiagonalState, name)
+    assert [f.name for f in fields(fock.FockState1)] == ["amplitudes"]
+    assert [f.name for f in fields(fock.TwoModeDiagonalState)] == ["amplitudes"]
+    # the mode count is read from the spec, not passed beside it
+    assert list(inspect.signature(states._subtracted).parameters) == ["spec", "cutoff"]

@@ -158,7 +158,7 @@ def test_joint_distribution_normalized_and_diagonal():
 @pytest.mark.parametrize("m", [0, 1, 3])
 def test_joint_distribution_matches_converged_fock_state(m):
     lam, n_max = 0.6, 8
-    fock_p = np.abs(states.spatsv(SpatsvSpec(lam, m), cutoff=300).diag_amplitudes) ** 2
+    fock_p = np.abs(states.spatsv(SpatsvSpec(lam, m), cutoff=300).amplitudes) ** 2
     exact = moments.joint_photon_distribution(lam, m, n_max)
     for k in range(n_max + 1):
         p = float(exact[k, k])

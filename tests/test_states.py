@@ -112,7 +112,7 @@ def test_two_mode_seed_squeezes_to_subtracted_state(m):
     spec = SpatsvSpec(lam, m)
     seed = states.spatsv_seed(spec)
     padded = np.zeros(200, dtype=complex)
-    padded[: len(seed.diag_amplitudes)] = seed.diag_amplitudes
+    padded[: len(seed.amplitudes)] = seed.amplitudes
     squeezed = two_mode_squeeze_apply(
         fock.TwoModeDiagonalState(padded), spec.r, spec.chi
     )
@@ -124,7 +124,7 @@ def test_two_mode_seed_m1_amplitudes():
     # at lam = 1 the single-subtraction seed is sqrt(2/3)|0,0> + sqrt(1/3)|1,1>
     seed = states.spatsv_seed(SpatsvSpec(1.0, 1))
     assert np.allclose(
-        np.abs(seed.diag_amplitudes), [np.sqrt(2 / 3), np.sqrt(1 / 3)], atol=1e-12
+        np.abs(seed.amplitudes), [np.sqrt(2 / 3), np.sqrt(1 / 3)], atol=1e-12
     )
 
 
@@ -314,17 +314,14 @@ def test_balance_round_trip_property(lam, m):
 def test_default_cutoff_keeps_the_subtracted_tail_contract(build, spec):
     # subtraction weighs level n by n!/(n-m)! (squared for the twin beam), so
     # a cutoff sized before subtraction leaves tails of 4.7e-9 to 3.4e-5 here
-    def amplitudes(state):
-        return state.amplitudes if build is states.passv else state.diag_amplitudes
-
-    kept = amplitudes(build(spec))
-    wide = amplitudes(build(spec, cutoff=600))
+    kept = build(spec).amplitudes
+    wide = build(spec, cutoff=600).amplitudes
     tail = 1.0 - float(np.sum(np.abs(wide[: len(kept)]) ** 2))
     assert tail < fock.TAIL_TOL
 
 
 def _levels(state) -> np.ndarray:
-    return state.amplitudes if isinstance(state, fock.FockState1) else state.diag_amplitudes
+    return state.amplitudes
 
 
 #: name -> build(mean photons, m, cutoff) of every state the oracle is fed
@@ -393,11 +390,10 @@ def test_default_cutoff_of_a_subtracted_state_is_free_of_chi(build, spec):
 def test_default_cutoff_ignores_the_ambient_mpmath_precision(ambient):
     # the cutoff weighs the tail against <a^dag^m a^m>: at 8 ambient digits
     # that moment, once read at the caller's precision, cut 32 levels to 26
-    for build, spec, attr in ((states.passv, PassvSpec(0.1, 2), "amplitudes"),
-                              (states.spatsv, SpatsvSpec(0.7, 3), "diag_amplitudes")):
-        want = getattr(build(spec), attr)
+    for build, spec in ((states.passv, PassvSpec(0.1, 2)), (states.spatsv, SpatsvSpec(0.7, 3))):
+        want = build(spec).amplitudes
         with mp.workdps(ambient):
-            got = getattr(build(spec), attr)
+            got = build(spec).amplitudes
         assert got.shape == want.shape and np.array_equal(got, want), build.__name__
 
 
@@ -406,4 +402,15 @@ def test_default_cutoff_ignores_the_ambient_mpmath_precision(ambient):
 )
 def test_default_cutoff_of_a_null_subtraction_raises(build, spec):
     with pytest.raises(NullState):
+        build(spec)
+
+
+@pytest.mark.parametrize("build, spec, expected", [
+    (states.passv, SpatsvSpec(0.5, 1), "PassvSpec"),
+    (states.spatsv, PassvSpec(0.5, 1), "SpatsvSpec"),
+], ids=["passv", "spatsv"])
+def test_a_constructor_refuses_the_other_schemes_spec(build, spec, expected):
+    # the spec's mode count picks the state, so the other scheme's spec
+    # would silently build the other scheme's state, as the configs refuse
+    with pytest.raises(ValueError, match=expected):
         build(spec)
