@@ -32,7 +32,7 @@ class MomentOrderMissing(PhotsubError):
 
 
 class PrecisionInsufficient(PhotsubError):
-    """Cancellation consumed too many digits for the working precision."""
+    """A figure's certified ball spans more than one float at the working precision."""
 
 
 class ZeroMeanPhoton(PhotsubError):
@@ -63,8 +63,8 @@ class UnknownPreset(PhotsubError):
     """No figure preset registered under the requested name."""
 
 
-# The input contract.  Its integer kinds are capped: working digits (the
-# largest default, at mu = float max, is 964), subtraction order (one SPATSV
+# The input contract.  Its integer kinds are capped: working digits (to which
+# a figure at the default precision doubles them), subtraction order (one SPATSV
 # uncertainty point takes 0.76 s at m = 200 and 3.3 s at m = 300 on a Xeon
 # core, as m^3.7) and Fock levels (the oracle's amplitude budget).
 MAX_DIGITS = 1000

@@ -20,8 +20,10 @@ bytes.
 
 Config files are flat ``key = value`` text; lists are comma-separated.  The
 full schema is documented in the README.  A config's ``digits`` is the one
-precision setting: the working digits of the read-out engine, ``mandel_q``
-too, and of the quadrature metrics.  No environment variable is read.
+precision setting: it fixes the working digits of every engine figure,
+which, unset, double from ``moments.START_DIGITS`` until the figure is
+correctly rounded (:func:`photsub.moments.retried`).  No environment
+variable is read.
 """
 
 from __future__ import annotations
@@ -87,9 +89,9 @@ class SweepConfig:
         for key, items in (("values", self.values), ("m", self.m_list), ("metric", self.metrics)):
             if not items:
                 problems.append(f"{key}: at least one required")
-        allowed = SINGLE_METRICS if self.scheme == "single" else CORRELATED_METRICS
-        problems += [f"metric: {met!r} not valid for scheme {self.scheme}"
-                     for met in self.metrics if met not in allowed]
+        if self.scheme in ("single", "correlated"):  # an unknown scheme has no metrics
+            problems += [f"metric: {met!r} not valid for scheme {self.scheme}"
+                         for met in self.metrics if met not in _METRICS[self.scheme]]
         # every number against the input contract, the axis values under the axis's name
         named = [(key, getattr(self, key)) for key in _FLOAT_KEYS if key != self.axis]
         named += [("m", m) for m in self.m_list] + [("digits", self.digits)]
@@ -167,26 +169,22 @@ def _snl(cfg, dps) -> float:
     return 1.0 / sqrt(n)
 
 
-#: the working digits of the quadrature metrics unless a config sets them
-DEFAULT_DIGITS = 35
-
-
 def _quadrature(build, n_key: tuple, pair_key: tuple):
     """The variance of a point's squeezed quadrature from two entries of its
     table ``build(spec)``: the photon number ``n_key`` and the pair
     correlation ``pair_key``.  The selection rules zero every mean and cross
     term, so Var = eta (n - Re pair) + 1/2; the two nearly cancel at strong
-    squeezing, so the sum is certified at the row's digits, else 35.
+    squeezing, so the sum is a certified ball, correctly rounded as every
+    engine figure is (:func:`photsub.moments.retried`).
     """
 
+    @moments.retried
     def metric(cfg, dps) -> float:
-        bits = moments.digits_to_bits(dps or DEFAULT_DIGITS)
+        bits = moments.digits_to_bits(dps)
         table = build(cfg.quantum)
         n, pair = table.fixed(n_key, bits), moments.fixed_times(table.fixed(pair_key, bits), -1)
         spread = moments.certified_sum([(moments.ONE, n), (moments.ONE, pair)], bits)
-        var = moments.thin(spread, cfg.eta, 1) + moments.Bounded(1, 0, -1)
-        moments.require_digits(var, "quadrature variance")
-        return var.value
+        return (moments.thin(spread, cfg.eta, 1) + moments.Bounded(1, 0, -1)).value
 
     return metric
 

@@ -21,19 +21,20 @@ weights formed once, at import, is folded once per scene family and is
 summed once per point, and the single slope and the correlated mixed
 derivative are closed forms whose phi-free terms the family forms once.
 Inputs, ``dps`` (the working digits) too, obey the one input contract,
-:data:`photsub.errors.PARAMETERS`.  Each figure comes with a certified
-error, and every variance but Mandel Q's is formed, and its digits checked,
-by :func:`_variance`.  Detection loss eta, a beamsplitter to vacuum on each
-read-out port, scales F(i, j) by eta^(i+j)
-(:func:`moments.thin`, the package's one loss law).  Each figure is formed
-in integers at the bits of its ``dps`` digits: an isqrt, then one int / int.
+:data:`photsub.errors.PARAMETERS`.  Each figure is a certified ball, every
+variance but Mandel Q's by :func:`_variance`, correctly rounded or else
+PrecisionInsufficient (:func:`moments.rounded`); unless ``dps`` fixes them,
+its digits double from ``moments.START_DIGITS`` until it rounds
+(:func:`moments.retried`).  Detection loss eta, a beamsplitter to vacuum on
+each read-out port, scales F(i, j) by eta^(i+j)
+(:func:`moments.thin`, the package's one loss law).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import acos, cos, isfinite, isqrt, log10, nextafter, pi, sqrt, ulp
+from math import acos, cos, isfinite, isqrt, nextafter, pi, sqrt, ulp
 
 from . import moments, opalg
 from .errors import (
@@ -114,11 +115,6 @@ def phi_for_tau(tau: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _working_digits(mu: float) -> int:
-    """Default working decimal digits of a scene with coherent power mu."""
-    return 40 + 3 * int(log10(mu + 10))
-
-
 def _mzi_entries(phi: float, bits: int) -> tuple:
     """x = c^2, y = s^2 and z = i cs at ``bits`` bits, c and s the cosine and
     sine of phi/2 (:func:`moments.cos_sin`), each within 2^-bits of its own
@@ -141,13 +137,13 @@ _MEMO_SIZE = 16
 @lru_cache(maxsize=_MEMO_SIZE)
 def _port_coefficients(spec, mu: float, psi: float, dps: int | None):
     """The port moments of a scene family at ``dps`` working digits, else at
-    40 + 3 log10(mu) for either scheme, compiled for their bits.
+    ``moments.START_DIGITS``, compiled for their bits.
 
     Everything but the phase and the loss, so one compilation serves every
     point of a phi or eta sweep.  The spec gives its input table, whose
     arity sets the port layout.
     """
-    bits = moments.digits_to_bits(dps or _working_digits(mu))
+    bits = moments.digits_to_bits(dps or moments.START_DIGITS)
     return opalg.PortCoefficients(spec.table(), mu, psi, bits)
 
 
@@ -170,51 +166,41 @@ _COVARIANCE = _times(_DIFFERENCE, _DIFFERENCE)  # C = (N_a - N_b)^2
 
 
 #: the F weights (:func:`opalg.normal_ordered`) of o and o^2 for each o
-#: whose variance a figure reads (the QFI's is 2 N_a), of the shot-noise
-#: scale <N_a> + <N_b> and of each read-out moment N_a^p N_b^q, formed once
+#: whose variance a figure reads (the QFI's is 2 N_a) and of each read-out
+#: moment N_a^p N_b^q, formed once
 _DIFFERENCE_WEIGHTS, _COVARIANCE_WEIGHTS, _QFI_WEIGHTS = (
     (opalg.normal_ordered(o), opalg.normal_ordered(_times(o, o)))
     for o in (_DIFFERENCE, _COVARIANCE, {(1, 0): 2}))
-_SUM_WEIGHTS = opalg.normal_ordered(_SUM)
 _READOUT_WEIGHTS = {(p, q): opalg.normal_ordered({(p, q): 1})
                     for p in range(5) for q in range(5 - p) if p + q}
 
 
 def _variance(ports: opalg.PortMoments, observable: tuple) -> moments.Bounded:
-    """Var o = <o^2> - <o>^2 of a read-out observable o, clipped at 0, from
-    the weights of o and o^2 in ``observable``.
-
-    Unless its certified error keeps 8 digits of the larger of |Var o| and
-    the shot-noise scale <N_a> + <N_b>, PrecisionInsufficient is raised.
-    """
+    """Var o = <o^2> - <o>^2 of a read-out observable o, from the weights of
+    o and o^2 in ``observable``: a ball that may reach below 0, where no
+    figure rounds to a negative float."""
     mean, square = observable
-    var = ports.expect(square) - ports.expect(mean).squared()
-    moments.require_digits(var, "variance", ports.expect(_SUM_WEIGHTS))
-    return var if var.man > 0 else moments.Bounded(0, var.err, var.exp)
+    return ports.expect(square) - ports.expect(mean).squared()
 
 
 def _nonzero(x: moments.Bounded, what: str) -> moments.Bounded:
-    """A derivative to divide by: Singular where it sums to exactly zero,
-    PrecisionInsufficient unless 8 digits are certified."""
+    """A derivative to divide by: Singular where it sums to exactly zero."""
     if not x.man:
         raise Singular(f"{what} vanishes at this working point")
-    moments.require_digits(x, what)
     return x
 
 
-def _root_over(var: moments.Bounded, den: moments.Bounded, factor: int = 1, exp: int = 0):
-    """sqrt(var) factor 2^exp / |den| as a float: the root an isqrt of at
-    least 70 bits, then one correctly rounded int / int."""
-    man, e = (var.man << 1, var.exp - 1) if var.exp % 2 else (var.man, var.exp)
-    t = max(0, 71 - man.bit_length() // 2)
-    root = isqrt(man << 2 * t)  # sqrt(man) 2^t, floored
-    return moments.ratio(root * factor, abs(den.man), e // 2 - t + exp - den.exp)
-
-
-def _require(cfg, scheme: type, dps) -> None:
-    """ValueError unless ``cfg`` is a ``scheme`` config and ``dps`` valid digits."""
-    check(dps=dps)
-    check_type("cfg", cfg, scheme)
+def _root_over(var: moments.Bounded, den: moments.Bounded, *scale: moments.Bounded) -> float:
+    """sqrt(var) scale / |den|, correctly rounded (:func:`moments.rounded`): the
+    root's ball ends at isqrts, 70 bits or more, of var's ends clipped at 0,
+    the lower floored and the upper raised, so it holds every root."""
+    low, high, e = var.man - var.err, var.man + var.err, var.exp
+    if e % 2:
+        low, high, e = low << 1, high << 1, e - 1
+    t = max(0, 71 - high.bit_length() // 2)
+    a, b = isqrt(max(low, 0) << 2 * t), isqrt(max(high, 0) << 2 * t)
+    b += b * b < high << 2 * t  # the roots times 2^t, rounded outward
+    return moments.rounded(moments.Bounded(a + b, b - a, e // 2 - t - 1), *scale, over=den)
 
 
 def _scene(cfg, dps: int | None = None) -> opalg.PortMoments:
@@ -225,22 +211,19 @@ def _scene(cfg, dps: int | None = None) -> opalg.PortMoments:
     return opalg.PortMoments(coefficients, x, y, z, cfg.eta)
 
 
+@moments.retried
 def readout_moments(cfg: SingleMziConfig | CorrelatedConfig, dps: int | None = None) -> dict:
     """Moments (p, q) -> <N_a^p N_b^q> of the two lossy read-out ports.
 
     p + q <= 2 per mode of the quantum input, 2 for a :class:`SingleMziConfig`
     and 4 for a :class:`CorrelatedConfig`: the orders its figures of merit
-    use.  These are the quantities the oracle comparison checks; a moment not
-    certified to 8 digits raises PrecisionInsufficient.
+    use.  These are the quantities the oracle comparison checks.
     """
-    check(dps=dps)
     out, ports = {}, _scene(cfg, dps=dps)
     for key, weights in _READOUT_WEIGHTS.items():
         if sum(key) <= 2 * cfg.quantum.modes:
             # combined from F(i, j), which every moment shares, not folded each
-            out[key] = sum(w * ports.entry(*ij) for ij, w in weights)
-            moments.require_digits(out[key], "read-out moment")
-            out[key] = out[key].value
+            out[key] = sum(w * ports.entry(*ij) for ij, w in weights).value
     return out
 
 
@@ -249,19 +232,21 @@ def readout_moments(cfg: SingleMziConfig | CorrelatedConfig, dps: int | None = N
 # ---------------------------------------------------------------------------
 
 
+@moments.retried
 def single_phase_uncertainty(cfg: SingleMziConfig, dps: int | None = None) -> float:
     """Uncertainty sqrt(Var o) / |d<o>/dphi| of the photon-number difference.
 
     The phase derivative eta (<n_q> - mu) sin(phi) is a closed form.  It cancels
-    where <n_q> nears mu: one that sums to zero raises Singular, and one not
-    certified to 8 digits PrecisionInsufficient.
+    where <n_q> nears mu: one that sums to zero raises Singular, and one
+    whose ball reaches 0 rounds to no one float.
     """
-    _require(cfg, SingleMziConfig, dps)
+    check_type("cfg", cfg, SingleMziConfig)
     ports = _scene(cfg, dps=dps)
     var = _variance(ports, _DIFFERENCE_WEIGHTS)
     return _root_over(var, _nonzero(ports.slope(), "read-out slope"))
 
 
+@moments.retried
 def qfi(cfg: SingleMziConfig, dps: int | None = None) -> float:
     """Quantum Fisher information 4 Var(n3) for the lossless pure inputs.
 
@@ -270,7 +255,7 @@ def qfi(cfg: SingleMziConfig, dps: int | None = None) -> float:
     modes a3 and a4 = (a_coh - a_quantum)/sqrt(2) are read as the two ports,
     so the QFI is Var(2 N_a) = 4 (F(2, 0) + F(1, 0) - F(1, 0)^2).
     """
-    _require(cfg, SingleMziConfig, dps)
+    check_type("cfg", cfg, SingleMziConfig)
     coefficients = _port_coefficients(cfg.quantum, cfg.mu, cfg.psi, dps)
     half = moments.fixed_times(moments.ONE, 1, 1)  # x = y = z = 1/2, exactly
     ports = opalg.PortMoments(coefficients, half, half, half, turn=1)
@@ -292,41 +277,40 @@ def cramer_rao_bound(fq: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+@moments.retried
 def nrf(cfg: CorrelatedConfig, dps: int | None = None) -> float:
     """Noise reduction factor Var(N5 - N7) / (<N5> + <N7>).
 
     Values below 1 flag non-classical photon-number correlation between the
     two read-out ports; a dark read-out (zero mean) raises ZeroMeanPhoton.
     """
-    _require(cfg, CorrelatedConfig, dps)
+    check_type("cfg", cfg, CorrelatedConfig)
     ports = _scene(cfg, dps=dps)
     mean_sum = opalg.port_expectation(ports, _SUM)
     if mean_sum.man <= 0:
         raise ZeroMeanPhoton("no photons reach the read-out ports")
-    var = _variance(ports, _DIFFERENCE_WEIGHTS)
-    return moments.ratio(var.man, mean_sum.man, var.exp - mean_sum.exp)
+    return moments.rounded(_variance(ports, _DIFFERENCE_WEIGHTS), over=mean_sum)
 
 
+@moments.retried
 def mandel_q(cfg: CorrelatedConfig, dps: int | None = None) -> float:
     """Mandel Q = (Var N - <N>)/<N> of one mode of the pair, detected with
     efficiency eta; negative is sub-Poissonian.
 
     Port A reads that mode alone: the scene at mu = psi = phi = 0, where the
-    MZI gives u = 1 and v = 0 (43 digits unless ``dps`` is given), has
-    <N> = F(1, 0) and Var N - <N> = F(2, 0) - F(1, 0)^2, so Q thins to eta Q.
-    A dark mode raises ZeroMeanPhoton.  8 digits of Var N must be certified
-    against the larger of |Var N| and <N>, so an exact Q = 0 stays certified.
+    MZI gives u = 1 and v = 0, has <N> = F(1, 0) and
+    Var N - <N> = F(2, 0) - F(1, 0)^2, so Q thins to eta Q.  A dark mode
+    raises ZeroMeanPhoton.
     """
-    _require(cfg, CorrelatedConfig, dps)
+    check_type("cfg", cfg, CorrelatedConfig)
     ports = _scene(replace(cfg, mu=0.0, psi=0.0, phi=0.0), dps=dps)
     mean = ports.entry(1, 0)
     if mean.man <= 0:
         raise ZeroMeanPhoton("Mandel Q undefined for zero mean photon number")
-    excess = ports.entry(2, 0) - mean.squared()
-    moments.require_digits(excess + mean, "photon-number variance", mean)
-    return moments.ratio(excess.man, mean.man, excess.exp - mean.exp)
+    return moments.rounded(ports.entry(2, 0) - mean.squared(), over=mean)
 
 
+@moments.retried
 def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> float:
     """Normalized covariance-measurement uncertainty U_m.
 
@@ -335,21 +319,19 @@ def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> flo
     derivative at the common working point.  Only <N5 N7> = F(1, 1) depends on both phases, so
     the mixed derivative is -2 d^2 F(1, 1) / dphi1 dphi2.  The result is
     divided by the coherent-only bound sqrt(2) / (eta mu cos^2(phi/2)), with
-    cos^2(phi/2) the port entries' x, so U = sqrt(Var C) eta mu x / |mixed|; a
-    working point without coherent light at the read-out (mu = 0, or
-    cos(phi/2) zero at float resolution: phi an odd multiple of pi) raises
-    Singular.  The mixed derivative is checked as the single slope is,
-    before Var C.
+    cos^2(phi/2) the port entries' x, so U = sqrt(Var C) eta mu x / |mixed|, x
+    with its radius; a working point without coherent light at the read-out
+    (mu = 0, or cos(phi/2) zero at float resolution: phi an odd multiple of
+    pi) raises Singular, as does a mixed derivative that sums to exactly 0.
     """
-    _require(cfg, CorrelatedConfig, dps)
+    check_type("cfg", cfg, CorrelatedConfig)
     if not cfg.mu or abs(cos(cfg.phi / 2.0)) <= ulp(cfg.phi):
         raise Singular("no coherent light reaches the read-out: mu = 0 or cos(phi/2) = 0")
     ports = _scene(cfg, dps=dps)
     mixed = _nonzero(-2 * ports.mixed(), "mixed phase derivative of <C>")
     var = _variance(ports, _COVARIANCE_WEIGHTS)
-    (eta, e1), (mu, e2) = moments.man_exp(cfg.eta), moments.man_exp(cfg.mu)
-    x = moments.certified_sum([(ports.x, moments.ONE)], ports.bits)  # its midpoint, exactly
-    return _root_over(var, mixed, eta * mu * x.man, e1 + e2 + x.exp)
+    x = moments.certified_sum([(ports.x, moments.ONE)], ports.bits)
+    return _root_over(var, mixed, cfg.eta * (cfg.mu * x))
 
 
 # ---------------------------------------------------------------------------

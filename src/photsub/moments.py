@@ -20,15 +20,18 @@ err 2^exp, and a :class:`Bounded` the real ball :func:`certified_sum`
 makes of their products, so a sum that cancels keeps its radius.
 Detection loss has one law, :func:`thin`, through which the read-out
 engine (:mod:`photsub.opalg`) and the quadrature metrics, two entries each,
-scale such sums of lossless moments.  Precision is a ``bits`` argument.
+scale such sums of lossless moments.  Precision is a ``bits`` argument, and
+a ball is a float only where it rounds to one (:func:`rounded`, :func:`retried`).
 """
 
 from __future__ import annotations
 
-from math import comb, factorial, floor, inf, isqrt
+from functools import wraps
+from math import comb, factorial, inf, isqrt
 
-from .errors import MomentOrderMissing, NullState, PrecisionInsufficient, check
+from .errors import MAX_DIGITS, MomentOrderMissing, NullState, PrecisionInsufficient, check
 
+START_DIGITS = 30  # the working digits of a figure whose caller gives none
 
 # ---------------------------------------------------------------------------
 # Fixed-point numbers and certified sums
@@ -41,10 +44,10 @@ def digits_to_bits(digits: int) -> int:
 
 
 def ratio(num: int, den: int, exp: int = 0) -> float:
-    """num/den 2^exp, den > 0, correctly rounded (int / int), +-inf past floats."""
+    """num/den 2^exp, den >= 0, correctly rounded (int / int), +-inf past floats or at 0."""
     try:
         return (num << exp) / den if exp >= 0 else num / (den << -exp)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return inf if num > 0 else -inf
 
 
@@ -62,10 +65,11 @@ def fixed_from(re: int, im: int, err: int, exp: int, bits: int) -> tuple:
     """(re + i im) 2^exp within err 2^exp as a fixed number (re, im, err, exp), a
     ball whose radius is absolute, in units of 2^exp, as in :class:`Bounded`:
     integer parts longer than ``bits`` bits are truncated to it (block floating
-    point), which adds 2 units, and an exact number that fits keeps radius 0."""
+    point), adding 2 units if it drops a nonzero bit, so an exact number stays exact."""
     shift = max(re.bit_length(), im.bit_length()) - bits
     if shift > 0:
-        return re >> shift, im >> shift, 2 - (-err >> shift), exp + shift
+        lost = 2 * bool((re | im) & (1 << shift) - 1)
+        return re >> shift, im >> shift, lost - (-err >> shift), exp + shift
     return re, im, err, exp
 
 
@@ -172,7 +176,7 @@ class Bounded:
 
     Sums, squares and integer or float (binary, so exact) multiples are
     exact, so combining certified sums loses nothing of their bounds.
-    ``value`` is the float nearest man 2^exp.
+    ``value`` is the float the whole ball rounds to (:func:`rounded`).
     """
 
     __slots__ = ("man", "err", "exp")
@@ -199,7 +203,42 @@ class Bounded:
     def squared(self):
         return Bounded(self.man**2, (2 * abs(self.man) + self.err) * self.err, 2 * self.exp)
 
-    value = property(lambda self: ratio(self.man, 1, self.exp))
+    value = property(lambda self: rounded(self))
+
+
+def rounded(*factors: Bounded, over: Bounded = Bounded(1, 0, 0)) -> float:
+    """The product of ``factors`` over |``over``|, correctly rounded: the one
+    float (0.0 for -0.0) it gives at every corner of the balls, an end
+    man -+ err of each, by :func:`ratio`, where an end of |``over``| at or
+    below 0 reads as infinite.  Each end moves the quotient one way, and so
+    does rounding to nearest, so the corners bound every value of the balls;
+    two floats raise PrecisionInsufficient.  This is the one precision rule."""
+    exp, nums, size = -over.exp, {1}, abs(over.man)
+    for b in factors:  # the product's ends
+        exp, nums = exp + b.exp, {n * end for n in nums for end in (b.man - b.err, b.man + b.err)}
+    values = {ratio(n, max(den, 0), exp) for n in nums for den in {size - over.err, size + over.err}}
+    if len(values) > 1:
+        raise PrecisionInsufficient(f"certified only between {min(values)} and {max(values)}")
+    return values.pop() + 0.0
+
+
+def retried(figure):
+    """``figure(cfg, dps)`` at the caller's ``dps``, checked first, else at
+    START_DIGITS and twice as many while it raises PrecisionInsufficient, up
+    to MAX_DIGITS (Ziv's strategy, A. Ziv, ACM TOMS 17(3), 1991)."""
+
+    @wraps(figure)
+    def evaluate(cfg, dps: int | None = None):
+        check(dps=dps)
+        digits = dps or START_DIGITS
+        while not dps and 2 * digits <= MAX_DIGITS:
+            try:
+                return figure(cfg, digits)
+            except PrecisionInsufficient:
+                digits *= 2
+        return figure(cfg, digits)
+
+    return evaluate
 
 
 def certified_sum(pairs, bits: int) -> Bounded:
@@ -208,7 +247,7 @@ def certified_sum(pairs, bits: int) -> Bounded:
     Each product carries the radius of :func:`fixed_mul`, also where its
     midpoint is 0; the products are summed exactly at the least exponent,
     and the sum is truncated once to ``bits`` bits (block floating point),
-    which adds a unit.  This is the package's one point sum.
+    which adds a unit if a nonzero bit drops.  This is the package's one point sum.
     """
     man = err = low = 0
     for (a, b, rx, ex), (c, d, ry, ey) in pairs:
@@ -220,7 +259,8 @@ def certified_sum(pairs, bits: int) -> Bounded:
             err += (abs(a) + abs(b)) * ry + (abs(c) + abs(d) + ry) * rx << e - low
     shift = max(man.bit_length(), err.bit_length()) - bits
     if shift > 0:
-        man, err, low = man >> shift, 1 - (-err >> shift), low + shift
+        lost = bool(man & (1 << shift) - 1)
+        man, err, low = man >> shift, lost - (-err >> shift), low + shift
     return Bounded(man, err, low)
 
 
@@ -236,27 +276,6 @@ def thin(x: Bounded, eta: float, n: int) -> Bounded:
     check(eta=eta)
     num, den = eta.as_integer_ratio()
     return Bounded(num**n * x.man, num**n * x.err, x.exp - n * (den.bit_length() - 1))
-
-
-def _decimal(man: int, exp: int) -> str:
-    """|man| 2^exp to 3 significant digits, also past the float range."""
-    digits = floor((abs(man).bit_length() + exp - 1) * 0.30103)  # log10 of it, or 1 below
-    lead = ratio(abs(man) * 10 ** max(-digits, 0), 10 ** max(digits, 0), exp)
-    lead, digits = (lead / 10, digits + 1) if lead >= 10 else (lead, digits)
-    return f"{lead:.3g}e{digits:+d}"
-
-
-def require_digits(x: Bounded, what: str, *sizes: Bounded) -> None:
-    """Raise PrecisionInsufficient unless the error of ``x`` certifies 8 digits
-    of the largest of |x| and the magnitudes ``sizes`` it is read against,
-    compared in integers.  This is the package's one digits-lost rule."""
-    low = min(b.exp for b in (x, *sizes))
-    size = max(abs(b.man) << (b.exp - low) for b in (x, *sizes))
-    if (x.err << (x.exp - low)) * 10**8 > size:
-        raise PrecisionInsufficient(
-            f"{what}: {_decimal(size, low)} known only to within {_decimal(x.err, x.exp)}, "
-            "fewer than 8 certified digits"
-        )
 
 
 def joint_photon_distribution(lam, m: int, n_max: int) -> dict:

@@ -1,0 +1,63 @@
+"""The one precision rule: every ``ok`` row is the exact value correctly
+rounded, at any user ``digits`` and at the default.
+
+A figure's certified ball must round to one float, else the row is flagged
+``precision``; the default doubles its working digits until the ball rounds.
+The check runs every metric of both schemes over a seeded sample of the
+scenes lam in {0.05, 2, 30}, m in {0, 2}, phi in {1e-8, 1e-4, 0.7, 3},
+mu in {0, 18, 1e4, 1e12, 1e16}, eta in {0.98, 1}, and over the twin-beam
+scene at lam = 30, m = 2, phi = 1e-8, mu = 1e4, eta = 1 where 16 digits
+once printed U_norm 6.21087705512e-08 as ``ok`` (the value is 7.11e-10).
+"""
+
+import dataclasses
+import itertools
+import random
+from math import pi
+
+import pytest
+
+from photsub.errors import MAX_DIGITS
+from photsub.experiments import CORRELATED_METRICS, SINGLE_METRICS, SweepConfig, run_sweep
+
+_GRID = dict(lam=(0.05, 2.0, 30.0), m=(0, 2), phi=(1e-8, 1e-4, 0.7, 3.0),
+             mu=(0.0, 18.0, 1e4, 1e12, 1e16), eta=(0.98, 1.0))
+_TWIN_BEAMS = dict(lam=30.0, m=2, phi=1e-8, mu=1e4, eta=1.0)
+
+
+def _scenes() -> list:
+    points = list(itertools.product(*_GRID.values()))
+    return [_TWIN_BEAMS] + [dict(zip(_GRID, p)) for p in random.Random(41).sample(points, 24)]
+
+
+def _sweep(scheme: str, scene: dict) -> SweepConfig:
+    metrics = SINGLE_METRICS if scheme == "single" else CORRELATED_METRICS
+    return SweepConfig(scheme=scheme, axis="phi", values=(scene["phi"],), m_list=(scene["m"],),
+                       metrics=metrics, lam=scene["lam"], mu=scene["mu"], psi=pi / 2,
+                       eta=scene["eta"])
+
+
+@pytest.mark.parametrize("scheme", ["single", "correlated"])
+def test_every_ok_row_is_the_150_digit_value_correctly_rounded(scheme):
+    for scene in _scenes():
+        sweep = _sweep(scheme, scene)
+        # an exact zero whose ball still straddles 0.0's rounding interval at
+        # 150 digits (the twin beams' nrf at mu = 0, m >= 1) is read at the cap
+        want = [ref if ref.flag != "precision" else
+                run_sweep(dataclasses.replace(sweep, metrics=(ref.metric,),
+                                              digits=MAX_DIGITS)).rows[0]
+                for ref in run_sweep(dataclasses.replace(sweep, digits=150)).rows]
+        for digits in (None, *range(16, 31)):
+            for row, ref in zip(run_sweep(dataclasses.replace(sweep, digits=digits)).rows, want):
+                if row.flag == "ok":
+                    assert (ref.flag, ref.value) == ("ok", row.value), (scene, digits, row)
+                else:
+                    assert row.flag in ("precision", ref.flag), (scene, digits, row)
+
+
+def test_the_twin_beam_scene_prints_its_150_digit_values_at_the_default_and_120_digits():
+    sweep = dataclasses.replace(_sweep("correlated", _TWIN_BEAMS), metrics=("U_norm", "nrf"))
+    for digits in (None, 120):
+        csv = run_sweep(dataclasses.replace(sweep, digits=digits)).to_csv().splitlines()
+        assert csv[-2:] == ["1e-08,2,U_norm,7.11095104599e-10,ok",
+                            "1e-08,2,nrf,3.84254732626e-17,ok"], digits

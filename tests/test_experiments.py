@@ -79,13 +79,25 @@ def test_csv_format_and_determinism():
 
 def test_config_validation_collects_problems():
     bad = SweepConfig(
-        scheme="weird", axis="nope", values=(), m_list=(-1,), metrics=("bogus",)
+        scheme="weird", axis="nope", values=(), m_list=(-1,), metrics=()
     )
     with pytest.raises(ConfigInvalid) as err:
         bad.validate()
     text = str(err.value)
     for fragment in ("scheme", "axis", "values", "m", "metric"):
         assert fragment in text
+
+
+def test_an_unknown_scheme_has_no_metric_to_report():
+    # the metrics were checked against the correlated table, which reported
+    # a second problem that only followed from the first
+    point = dict(axis="lam", values=(0.5,), m_list=(1,), metrics=("U",))
+    with pytest.raises(ConfigInvalid) as err:
+        SweepConfig(scheme="singel", **point).validate()
+    assert str(err.value) == "scheme: got 'singel', want single|correlated"
+    with pytest.raises(ConfigInvalid) as err:
+        SweepConfig(scheme="correlated", **point).validate()
+    assert str(err.value) == "metric: 'U' not valid for scheme correlated"
 
 
 @pytest.mark.parametrize("digits", [float("nan"), float("inf"), 20.5, 14])
@@ -635,28 +647,34 @@ def test_difference_quadrature_is_read_at_its_squeezed_angle(metric, table):
     ids=["U_norm", "single-U", "nrf", "single-U-slope"],
 )
 def test_user_digits_give_the_default_value_or_a_precision_flag(base):
+    # every ok row is the exact value correctly rounded, at any digits; the
+    # U_norm scene needs about 41 digits
     default = run_sweep(SweepConfig(**base)).rows[0]
     assert default.flag == "ok"
     flags = set()
-    for digits in range(16, 31):
+    for digits in range(16, 47):
         row = run_sweep(SweepConfig(**base, digits=digits)).rows[0]
         flags.add(row.flag)
         assert row.flag in ("ok", "precision"), digits
         if row.flag == "ok":
-            assert abs(row.value - default.value) < 1e-8 * default.value, digits
+            assert row.value == default.value, digits
     assert flags == {"ok", "precision"}
 
 
 @pytest.mark.parametrize("ambient", [8, 30])
 def test_the_ambient_mpmath_precision_changes_no_row(ambient):
     # mean photon numbers, balancing roots, phases, the joint distribution
-    # and the quadrature tables once ran at the caller's mpmath precision
+    # and the quadrature tables once ran at the caller's mpmath precision;
+    # var_y at lam = 1e16, which cancels through ~32 digits, is its 140-digit value
     with mp.workdps(ambient):
         for name in ("fig1b", "fig6", "fig8", "fig10b"):
             csv = run_preset(name).to_csv().encode("utf-8")
             assert hashlib.sha256(csv).hexdigest() == PRESET_SHA256[name], name
         rows = run_sweep(_small_config(values=(1e16,), m_list=(0,), metrics=("var_y",))).rows
-    assert [row.flag for row in rows] == ["precision"]
+    with mp.workdps(140):
+        table, bits = moments.passv_moment_table(1e16, 0), moments.digits_to_bits(140)
+        exact = reference.quadrature_variance(table, (mp.expj(-mp.pi / 2),), bits=bits)
+    assert [(row.flag, row.value) for row in rows] == [("ok", exact)]
 
 
 @pytest.mark.parametrize("mu", [1.0, 1e4, 1e8, 1e12, 1e16])
@@ -718,9 +736,9 @@ def test_var_y_far_squeezed_matches_the_closed_form():
 @pytest.mark.parametrize(
     "metric, lam, m, flag",
     [
-        ("var_y", 1e16, 0, "precision"),
-        ("quad_diff_var", 1e16, 0, "precision"),
-        ("quad_diff_var", 1e16, 2, "precision"),
+        ("var_y", 1e16, 0, "ok"),
+        ("quad_diff_var", 1e16, 0, "ok"),
+        ("quad_diff_var", 1e16, 2, "ok"),
         ("var_y", 1e12, 0, "ok"),
         ("quad_diff_var", 1e12, 0, "ok"),
         ("quad_diff_var", 1e12, 2, "ok"),
@@ -729,8 +747,9 @@ def test_var_y_far_squeezed_matches_the_closed_form():
     ],
 )
 def test_quadrature_variances_keep_eight_digits_or_flag(metric, lam, m, flag):
-    # the variances are read in dB, so their surviving digits are counted
-    # against |Var| itself: about 10 of 35 survive at lam = 1e12, 2 at 1e16
+    # the variances are read in dB, so their digits are counted against
+    # |Var| itself: at lam = 1e12 about 25 digits cancel, at 1e16 about 32,
+    # and the default doubles its digits until the row is correctly rounded
     import mpmath as mp
 
     from photsub import moments
@@ -751,16 +770,16 @@ def test_quadrature_variances_keep_eight_digits_or_flag(metric, lam, m, flag):
                 table = moments.spatsv_moment_table(lam, m)
                 c = 1 / mp.sqrt(2)
                 exact = reference.quadrature_variance(table, (c, -c), bits=bits)
-        assert abs(row.value - exact) <= 1e-8 * exact
+        assert row.value == exact
 
 
 def test_quadrature_rows_equal_the_general_bilinear_form_bit_for_bit():
     # the metrics read two table entries in closed form, the pair tables at
     # chi = 0; the reference contracts the whole coefficient vector over every
     # mean and pair, the difference quadrature rotated to chi/2 over the
-    # table at the scene's chi, at the same 35 digits
+    # table at the scene's chi, at 60 digits: both are correctly rounded
     rng = random.Random(33)
-    bits = moments.digits_to_bits(experiments.DEFAULT_DIGITS)
+    bits = moments.digits_to_bits(60)
     pair_tables = (moments.spatsv_moment_table, moments.spatsv_seed_moment_table)
     for _ in range(300):
         lam, m = 10 ** rng.uniform(-6, 6), rng.randrange(5)
@@ -769,7 +788,7 @@ def test_quadrature_rows_equal_the_general_bilinear_form_bit_for_bit():
         rows = run_sweep(SweepConfig(scheme="single", metrics=("var_y",), **point)).rows
         rows += run_sweep(SweepConfig(scheme="correlated", **point,
                                       metrics=("quad_diff_var", "quad_diff_var_seed"))).rows
-        with mp.workdps(60):
+        with mp.workdps(80):
             c = reference.fixed_exact(mp.expj(-mp.mpf(chi) / 2) / mp.sqrt(2), bits)
         single = moments.passv_moment_table(lam, m, chi=chi)
         want = [reference.quadrature_variance(single, (-1j,), eta, bits)] + [
@@ -782,8 +801,8 @@ def test_quadrature_rows_equal_the_general_bilinear_form_bit_for_bit():
 
 @pytest.mark.parametrize("metric, m", [("var_y", 0), ("quad_diff_var", 2)])
 def test_digits_rescue_a_precision_flagged_quadrature_variance(metric, m):
-    # at lam = 1e16 the variance keeps ~2 of the default 35 digits and is
-    # flagged; 80 working digits keep ~47 of them
+    # at lam = 1e16 about 32 digits cancel: a user's 35 working digits flag
+    # the row, which the default does not, and 80 give the 140-digit value
     import mpmath as mp
 
     from photsub import moments
@@ -792,7 +811,8 @@ def test_digits_rescue_a_precision_flagged_quadrature_variance(metric, m):
     sweep = SweepConfig(
         scheme=scheme, axis="lam", values=(1e16,), m_list=(m,), metrics=(metric,)
     )
-    assert run_sweep(sweep).rows[0].flag == "precision"
+    assert run_sweep(sweep).rows[0].flag == "ok"
+    assert run_sweep(dataclasses.replace(sweep, digits=35)).rows[0].flag == "precision"
     [row] = run_sweep(dataclasses.replace(sweep, digits=80)).rows
     with mp.workdps(140):
         bits = moments.digits_to_bits(140)
@@ -803,5 +823,4 @@ def test_digits_rescue_a_precision_flagged_quadrature_variance(metric, m):
             table = moments.spatsv_moment_table(1e16, m)
             c = 1 / mp.sqrt(2)
             exact = reference.quadrature_variance(table, (c, -c), bits=bits)
-    assert row.flag == "ok"
-    assert abs(row.value - exact) <= 1e-12 * exact
+    assert (row.flag, row.value) == ("ok", exact)

@@ -4,12 +4,15 @@ balanced or reading the exact tables, imports neither fractions nor decimal.
 With mpmath blocked, the package import, the presets (the 1 - tau axis too),
 balanced points and the oracle comparison all run; with numpy blocked, the
 CLI runs presets and its oracle comparison names the extra it needs.  Every
-module-level function and class of the package has a caller in it, and only
-``errors`` raises ValueError on a parameter's range or type."""
+module-level function and class of the package has a caller in it, only
+``errors`` raises ValueError on a parameter's range or type, one function
+constructs PrecisionInsufficient and only ``moments`` names a default
+working precision."""
 
 import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -300,6 +303,48 @@ def test_no_module_forks_on_the_scheme():
                 continue
             forks += [f"{path.name}:{node.lineno} {sorted(tested)}"] if tested else []
     assert forks == []
+
+
+def _bindings(node) -> list:
+    """(name, value) of each name ``node`` binds: an assignment, a def (to
+    itself) or a parameter's default; value None for a bare annotation."""
+    if isinstance(node, ast.Assign):
+        return [(t.id, node.value) for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [(node.target.id, node.value)]
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return []
+    args = node.args
+    positional = args.posonlyargs + args.args
+    defaulted = positional[len(positional) - len(args.defaults):]
+    return ([(node.name, node)] + [(a.arg, d) for a, d in zip(defaulted, args.defaults)]
+            + [(a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+
+def test_one_function_constructs_precision_insufficient_and_only_moments_sets_digits():
+    # one precision rule: a figure's ball rounds to one float or
+    # moments.rounded raises, and moments.retried doubles the digits from the
+    # one start value; a digits or dps name that another module binds to
+    # anything but None (a constant, a rule or a parameter's default) would
+    # be a second default precision, as the engine's 40 + 3 log10(mu + 10)
+    # and the quadrature metrics' 35 digits once were
+    from photsub import moments
+
+    constructing, defaults = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text())):
+            raised = node.exc if isinstance(node, ast.Raise) else None
+            if ((isinstance(node, ast.Call) and "PrecisionInsufficient" in _named(node.func))
+                    or (isinstance(raised, ast.Name) and raised.id == "PrecisionInsufficient")):
+                constructing.add(f"{path.name}:{scope}")
+            defaults += [f"{path.name}:{node.lineno} {name}" for name, value in _bindings(node)
+                         if path.name != "moments.py" and re.search("digits|dps", name, re.I)
+                         and name != "MAX_DIGITS"  # the input contract's cap
+                         and not (value is None or isinstance(value, ast.Constant)
+                                  and value.value is None)]
+    assert constructing == {"moments.py:rounded"}
+    assert defaults == []
+    assert isinstance(moments.START_DIGITS, int)
 
 
 def test_each_scheme_is_a_declaration_on_one_shared_definition():

@@ -229,6 +229,20 @@ def test_nrf_perfect_correlation():
     assert metrology.nrf(cfg) < 1e-12
 
 
+def test_perfect_correlation_is_an_exact_zero_at_m_0_and_reads_0_at_every_m():
+    # a truncation that drops only zero bits adds no radius, so the twin
+    # beams' Var(N5 - N7) at m = 0 is the exact ball (0, 0), which was one of
+    # radius ~2^-152; at m >= 1 the norm division rounds, and the ball about 0
+    # reads 0.0 once the retries fit it inside 0.0's rounding interval (the
+    # parent printed 2.8e-47 at lam = 0.5, m = 2)
+    for lam in (0.3, 0.5, 1.7, 2.0):
+        cfg = CorrelatedConfig(SpatsvSpec(lam, 0), mu=0.0, phi=0.0)
+        var = metrology._variance(metrology._scene(cfg), metrology._DIFFERENCE_WEIGHTS)
+        assert (var.man, var.err) == (0, 0), lam
+        for m in range(4):
+            assert metrology.nrf(CorrelatedConfig(SpatsvSpec(lam, m), mu=0.0, phi=0.0)) == 0.0
+
+
 def test_nrf_dark_readout_raises():
     with pytest.raises(ZeroMeanPhoton):
         metrology.nrf(CorrelatedConfig(SpatsvSpec(0.0, 0), mu=0.0, phi=0.0))
@@ -548,13 +562,14 @@ def test_the_dark_fringe_uncertainty_is_its_three_entry_form(lam, m, eta):
 def test_a_precision_flag_reads_magnitudes_past_the_float_range():
     # Var C near 1e796 once read "inf known only to within inf".  That scene,
     # lam = 1 at mu = 1e300, is now certified; lam = 1e80 still cancels Var C,
-    # near 1e728, through more than 30 digits
+    # near 1e728, through more than 30 digits, so U is certified only between
+    # two finite floats
     cfg = CorrelatedConfig(SpatsvSpec(1e80, 1), mu=1e300, phi=1.5707963)
     with pytest.raises(PrecisionInsufficient) as info:
         metrology.correlated_uncertainty(cfg, dps=30)
     message = str(info.value)
     assert "inf" not in message
-    assert re.match(r"variance: [\d.]+e\+7\d\d known only to within [\d.]+e\+7\d\d,", message)
+    assert re.fullmatch(r"certified only between 0\.0 and [\d.]+e\+\d\d", message)
 
 
 def test_correlated_uncertainty_flags_a_dark_detector():

@@ -70,6 +70,18 @@ def test_fixed_from_keeps_every_value_of_its_ball(ball, bits):
         assert got[2] <= 2 - (-x[2] >> (got[3] - x[3]))
 
 
+def test_a_truncation_that_drops_only_zero_bits_keeps_a_number_exact():
+    # 1/2 read at 156 bits once carried 2 units of radius, and a certified
+    # sum one; a dropped nonzero bit still adds them
+    re, im, err, exp = moments.spatsv_moment_table(0.5, 0).fixed((1, 1, 0, 0), 156)
+    assert (re * Fraction(2) ** exp, im, err) == (Fraction(1, 2), 0, 0)
+    for lost in (0, 1):
+        re, im, err, exp = moments.fixed_from(-3 << 50, (5 << 48) + lost, 0, -7, 8)
+        assert (re, im, err, exp) == (-3 << 6, 5 << 4, 2 * lost, 37)
+        one = moments.certified_sum([(moments.ONE, ((1 << 100) + lost, 0, 0, 0))], 10)
+        assert (one.man, one.err, one.exp) == (1 << 9, lost, 91)
+
+
 @given(balls(), balls(), BITS)
 def test_fixed_mul_holds_every_product(first, second, bits):
     (x, u), (y, v) = first, second
@@ -97,7 +109,9 @@ def test_exact_sum_holds_every_sum(summands):
         assert want == (0, 0) and all(not (w and x[2]) for w, (x, _) in summands)
     else:
         assert _holds(got, want)
-        assert got[2] == sum(abs(w) * x[2] << (x[3] - got[3]) for w, (x, _) in summands)
+        # an exact 0 summand counts for nothing, nor does its exponent
+        assert got[2] == sum(abs(w) * x[2] << (x[3] - got[3])
+                             for w, (x, _) in summands if x[0] or x[1] or x[2])
 
 
 @given(balls(), st.integers(1, 9))
