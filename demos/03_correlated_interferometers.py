@@ -84,9 +84,9 @@ for m, u in enumerate(us):
 # ---------------------------------------------------------------------------
 # High-precision regime: paper-scale coherent power.
 #
-# The engine carries ~76 decimal digits internally at mu = 1e12, so the
-# covariance pipeline survives the catastrophic cancellations of the
-# bright-beam limit.  The energy-balanced comparison shows a genuine
+# Each figure starts at 30 working digits and doubles them until its
+# certified ball rounds to one float, so the covariance pipeline survives
+# the catastrophic cancellations of the bright-beam limit at mu = 1e12.  The energy-balanced comparison shows a genuine
 # advantage of triple subtraction under heavy loss.
 # ---------------------------------------------------------------------------
 

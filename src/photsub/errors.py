@@ -63,11 +63,10 @@ class UnknownPreset(PhotsubError):
     """No figure preset registered under the requested name."""
 
 
-# The input contract.  Its integer kinds are capped: working digits (to which
-# a figure at the default precision doubles them), subtraction order (one SPATSV
-# uncertainty point takes 0.76 s at m = 200 and 3.3 s at m = 300 on a Xeon
-# core, as m^3.7) and Fock levels (the oracle's amplitude budget).
-MAX_DIGITS = 1000
+# The input contract.  Its integer kinds are capped: subtraction order (one
+# SPATSV uncertainty point takes 0.76 s at m = 200 and 3.3 s at m = 300 on a
+# Xeon core, as m^3.7) and Fock levels (the oracle's amplitude budget).  No
+# kind sets working digits: the engine picks its own (:func:`photsub.moments.retried`).
 MAX_ORDER = 200
 MAX_AMPLITUDES = 30_000_000
 _MAX = float_info.max  # a finite real lies within it either side
@@ -80,8 +79,6 @@ PARAMETERS = {
     **dict.fromkeys(("phi", "psi", "chi", "target_lam"), (-_MAX, _MAX, "finite", False, False)),
     "fq": (-inf, inf, "a real number", False, False),
     "m": (0, MAX_ORDER, "a nonnegative integer", True, False),
-    "dps": (1, MAX_DIGITS, "None or a positive integer", True, True),
-    "digits": (15, MAX_DIGITS, "an integer >= 15", True, True),
     **dict.fromkeys(("cutoff", "quantum_cutoff"),
                     (0, MAX_AMPLITUDES, "None or a nonnegative integer", True, True)),
     "n_max": (0, MAX_AMPLITUDES, "a nonnegative integer", True, False),

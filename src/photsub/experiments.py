@@ -15,15 +15,14 @@ builds its scene with the same constructor.
 CSV schema: a few ``#``-prefixed metadata lines, then the header
 ``swept_param,m,metric,value,flag``.  Rows are ordered by (axis index, m,
 metric); failed points carry an empty value and a non-``ok`` flag, so NaN is
-never emitted.  Identical config and precision always produce identical
-bytes.
+never emitted.  An identical config always produces identical bytes.
 
 Config files are flat ``key = value`` text; lists are comma-separated.  The
-full schema is documented in the README.  A config's ``digits`` is the one
-precision setting: it fixes the working digits of every engine figure,
-which, unset, double from ``moments.START_DIGITS`` until the figure is
-correctly rounded (:func:`photsub.moments.retried`).  No environment
-variable is read.
+full schema is documented in the README.  No key or environment variable
+sets the working precision: every engine figure doubles its digits from
+``moments.START_DIGITS`` until it is correctly rounded
+(:func:`photsub.moments.retried`), so the metadata line ``# digits=-`` is a
+constant, kept for the schema's sake.
 """
 
 from __future__ import annotations
@@ -77,7 +76,6 @@ class SweepConfig:
     eta: float = 1.0
     chi: float = 0.0
     balanced: bool = False
-    digits: int | None = None
     preset: str | None = None
 
     def validate(self) -> None:
@@ -94,7 +92,7 @@ class SweepConfig:
                          for met in self.metrics if met not in _METRICS[self.scheme]]
         # every number against the input contract, the axis values under the axis's name
         named = [(key, getattr(self, key)) for key in _FLOAT_KEYS if key != self.axis]
-        named += [("m", m) for m in self.m_list] + [("digits", self.digits)]
+        named += [("m", m) for m in self.m_list]
         named += [(self.axis, v) for v in self.values] if self.axis in AXES else []
         problems += [f"{name}: {want} required, got {value!r}"
                      for name, value in named if (want := problem(name, value))]
@@ -122,7 +120,7 @@ class SweepResult:
             f"# version=photsub-0.1.0",
             f"# scheme={self.config.scheme} axis={self.config.axis} "
             f"balanced={str(self.config.balanced).lower()}",
-            f"# digits={self.config.digits or '-'}",
+            "# digits=-",
             "swept_param,m,metric,value,flag",
         ]
         for row in self.rows:
@@ -157,12 +155,12 @@ def _scene(scheme: str, m: int, *, lam, mu, phi, psi, eta, chi=0.0, balanced=Fal
     return config(config.spec(lam, m, chi), mu=mu, phi=phi, psi=psi, eta=eta)
 
 
-def _mean_photons(cfg, dps=None) -> float:
+def _mean_photons(cfg) -> float:
     mean = states.passv_mean_photons if cfg.quantum.modes == 1 else states.spatsv_mean_photons
     return mean(cfg.quantum.lam, cfg.quantum.m)
 
 
-def _snl(cfg, dps) -> float:
+def _snl(cfg) -> float:
     n = cfg.eta * (cfg.mu + _mean_photons(cfg))
     if n <= 0:
         raise ZeroMeanPhoton("shot-noise reference undefined for a dark input")
@@ -179,8 +177,8 @@ def _quadrature(build, n_key: tuple, pair_key: tuple):
     """
 
     @moments.retried
-    def metric(cfg, dps) -> float:
-        bits = moments.digits_to_bits(dps)
+    def metric(cfg, digits: int) -> float:
+        bits = moments.digits_to_bits(digits)
         table = build(cfg.quantum)
         n, pair = table.fixed(n_key, bits), moments.fixed_times(table.fixed(pair_key, bits), -1)
         spread = moments.certified_sum([(moments.ONE, n), (moments.ONE, pair)], bits)
@@ -189,22 +187,22 @@ def _quadrature(build, n_key: tuple, pair_key: tuple):
     return metric
 
 
-#: each scheme's metrics: name -> evaluation on a point's config at dps digits
+#: each scheme's metrics: name -> its evaluation on a point's config
 _METRICS = {
     "single": {
-        "U": lambda c, dps: metrology.single_phase_uncertainty(c, dps=dps),
-        "qfi": lambda c, dps: metrology.qfi(c, dps=dps),
-        "crb": lambda c, dps: metrology.cramer_rao_bound(metrology.qfi(c, dps=dps)),
+        "U": metrology.single_phase_uncertainty,
+        "qfi": metrology.qfi,
+        "crb": lambda c: metrology.cramer_rao_bound(metrology.qfi(c)),
         "snl": _snl,
-        "qfi_classical": lambda c, dps: 2.0 * (c.mu + _mean_photons(c)),
+        "qfi_classical": lambda c: 2.0 * (c.mu + _mean_photons(c)),
         "var_y": _quadrature(lambda s: s.table(), (1, 1), (0, 2)),
         "mean_photons": _mean_photons,
     },
     "correlated": {
-        "U_norm": lambda c, dps: metrology.correlated_uncertainty(c, dps=dps),
-        "nrf": lambda c, dps: metrology.nrf(c, dps=dps),
+        "U_norm": metrology.correlated_uncertainty,
+        "nrf": metrology.nrf,
         "mean_photons": _mean_photons,
-        "mandel_q": lambda c, dps: metrology.mandel_q(c, dps=dps),
+        "mandel_q": metrology.mandel_q,
         # <a1 a2> carries e^{i chi}, and the difference quadrature is read at
         # its squeezed angle chi/2, whose e^{-i chi} cancels that phase
         # exactly: the variance does not depend on chi, so the pair tables
@@ -270,7 +268,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
                 result, row_flag = (
                     (None, flag) if scene is None
                     else (None, FLAG_SINGULAR) if metric == "U" and cfg.balanced and _flat(scene)
-                    else _flagged(metrics[metric], scene, cfg.digits)
+                    else _flagged(metrics[metric], scene)
                 )
                 rows.append(SweepRow(float(value), int(m), metric, result, row_flag))
     return SweepResult(cfg, tuple(rows))
@@ -478,16 +476,14 @@ def _reject_unknown_keys(data: dict, known: set) -> None:
         raise ConfigInvalid(f"unknown keys: {', '.join(unknown)}")
 
 
-_SWEEP_KEYS = {
-    "scheme", "axis", "values", "m", "metric", "balanced", "digits", *_FLOAT_KEYS
-}
+_SWEEP_KEYS = {"scheme", "axis", "values", "m", "metric", "balanced", *_FLOAT_KEYS}
 _ORACLE_KEYS = {"scheme", "lam", "m", "mu", "phi", "psi", "eta", "cutoff"}
 
 
 def sweep_config_from_file(path: str) -> SweepConfig:
     data = parse_config(path)
     if "preset" in data:
-        _reject_unknown_keys(data, {"preset", "digits"})
+        _reject_unknown_keys(data, {"preset"})
         name = data["preset"]
         if name == JOINT_DISTRIBUTION_PRESET:
             raise ConfigInvalid(
@@ -495,10 +491,7 @@ def sweep_config_from_file(path: str) -> SweepConfig:
             )
         if name not in PRESETS:
             raise ConfigInvalid(f"preset: unknown name {name!r}")
-        cfg = PRESETS[name]
-        if "digits" in data:
-            cfg = replace(cfg, digits=_number(data["digits"], integral=True))
-        return cfg
+        return PRESETS[name]
     _reject_unknown_keys(data, _SWEEP_KEYS)
     required = {"scheme", "axis", "values", "m", "metric"}
     missing = sorted(required - set(data))
@@ -511,9 +504,9 @@ def sweep_config_from_file(path: str) -> SweepConfig:
         "m_list": tuple(_number(v, integral=True) for v in data["m"].split(",") if v.strip()),
         "metrics": tuple(v.strip() for v in data["metric"].split(",") if v.strip()),
     }
-    for key in (*_FLOAT_KEYS, "digits"):
+    for key in _FLOAT_KEYS:
         if key in data:
-            kwargs[key] = _number(data[key], integral=key == "digits")
+            kwargs[key] = _number(data[key])
     if "balanced" in data:
         text = data["balanced"].lower()
         if text not in ("true", "false"):

@@ -20,12 +20,12 @@ every figure of merit is algebra on them: each observable it reads has its
 weights formed once, at import, is folded once per scene family and is
 summed once per point, and the single slope and the correlated mixed
 derivative are closed forms whose phi-free terms the family forms once.
-Inputs, ``dps`` (the working digits) too, obey the one input contract,
-:data:`photsub.errors.PARAMETERS`.  Each figure is a certified ball, every
-variance but Mandel Q's by :func:`_variance`, correctly rounded or else
-PrecisionInsufficient (:func:`moments.rounded`); unless ``dps`` fixes them,
-its digits double from ``moments.START_DIGITS`` until it rounds
-(:func:`moments.retried`).  Detection loss eta, a beamsplitter to vacuum on
+Inputs obey the one input contract, :data:`photsub.errors.PARAMETERS`.
+Each figure takes its config alone and is a certified ball, every variance
+but Mandel Q's by :func:`_variance`, correctly rounded or else
+PrecisionInsufficient (:func:`moments.rounded`): the engine picks its
+working digits, doubling them from ``moments.START_DIGITS`` until the figure
+rounds (:func:`moments.retried`).  Detection loss eta, a beamsplitter to vacuum on
 each read-out port, scales F(i, j) by eta^(i+j)
 (:func:`moments.thin`, the package's one loss law).
 """
@@ -135,15 +135,15 @@ _MEMO_SIZE = 16
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _port_coefficients(spec, mu: float, psi: float, dps: int | None):
-    """The port moments of a scene family at ``dps`` working digits, else at
-    ``moments.START_DIGITS``, compiled for their bits.
+def _port_coefficients(spec, mu: float, psi: float, digits: int):
+    """The port moments of a scene family at ``digits`` working digits,
+    compiled for their bits.
 
     Everything but the phase and the loss, so one compilation serves every
     point of a phi or eta sweep.  The spec gives its input table, whose
     arity sets the port layout.
     """
-    bits = moments.digits_to_bits(dps or moments.START_DIGITS)
+    bits = moments.digits_to_bits(digits)
     return opalg.PortCoefficients(spec.table(), mu, psi, bits)
 
 
@@ -166,11 +166,12 @@ _COVARIANCE = _times(_DIFFERENCE, _DIFFERENCE)  # C = (N_a - N_b)^2
 
 
 #: the F weights (:func:`opalg.normal_ordered`) of o and o^2 for each o
-#: whose variance a figure reads (the QFI's is 2 N_a) and of each read-out
-#: moment N_a^p N_b^q, formed once
+#: whose variance a figure reads (the QFI's is 2 N_a), of the nrf's mean
+#: N_a + N_b and of each read-out moment N_a^p N_b^q, formed once
 _DIFFERENCE_WEIGHTS, _COVARIANCE_WEIGHTS, _QFI_WEIGHTS = (
     (opalg.normal_ordered(o), opalg.normal_ordered(_times(o, o)))
     for o in (_DIFFERENCE, _COVARIANCE, {(1, 0): 2}))
+_SUM_WEIGHTS = opalg.normal_ordered(_SUM)
 _READOUT_WEIGHTS = {(p, q): opalg.normal_ordered({(p, q): 1})
                     for p in range(5) for q in range(5 - p) if p + q}
 
@@ -203,23 +204,23 @@ def _root_over(var: moments.Bounded, den: moments.Bounded, *scale: moments.Bound
     return moments.rounded(moments.Bounded(a + b, b - a, e // 2 - t - 1), *scale, over=den)
 
 
-def _scene(cfg, dps: int | None = None) -> opalg.PortMoments:
-    """The scene's port moments at its working precision (see
+def _scene(cfg, digits: int) -> opalg.PortMoments:
+    """The scene's port moments at ``digits`` working digits (see
     :func:`_port_coefficients`); the config's spec carries the scheme."""
-    coefficients = _port_coefficients(cfg.quantum, cfg.mu, cfg.psi, dps)
+    coefficients = _port_coefficients(cfg.quantum, cfg.mu, cfg.psi, digits)
     x, y, z = _mzi_entries(cfg.phi, coefficients.bits)
     return opalg.PortMoments(coefficients, x, y, z, cfg.eta)
 
 
 @moments.retried
-def readout_moments(cfg: SingleMziConfig | CorrelatedConfig, dps: int | None = None) -> dict:
+def readout_moments(cfg: SingleMziConfig | CorrelatedConfig, digits: int) -> dict:
     """Moments (p, q) -> <N_a^p N_b^q> of the two lossy read-out ports.
 
     p + q <= 2 per mode of the quantum input, 2 for a :class:`SingleMziConfig`
     and 4 for a :class:`CorrelatedConfig`: the orders its figures of merit
     use.  These are the quantities the oracle comparison checks.
     """
-    out, ports = {}, _scene(cfg, dps=dps)
+    out, ports = {}, _scene(cfg, digits)
     for key, weights in _READOUT_WEIGHTS.items():
         if sum(key) <= 2 * cfg.quantum.modes:
             # combined from F(i, j), which every moment shares, not folded each
@@ -233,7 +234,7 @@ def readout_moments(cfg: SingleMziConfig | CorrelatedConfig, dps: int | None = N
 
 
 @moments.retried
-def single_phase_uncertainty(cfg: SingleMziConfig, dps: int | None = None) -> float:
+def single_phase_uncertainty(cfg: SingleMziConfig, digits: int) -> float:
     """Uncertainty sqrt(Var o) / |d<o>/dphi| of the photon-number difference.
 
     The phase derivative eta (<n_q> - mu) sin(phi) is a closed form.  It cancels
@@ -241,13 +242,13 @@ def single_phase_uncertainty(cfg: SingleMziConfig, dps: int | None = None) -> fl
     whose ball reaches 0 rounds to no one float.
     """
     check_type("cfg", cfg, SingleMziConfig)
-    ports = _scene(cfg, dps=dps)
+    ports = _scene(cfg, digits)
     var = _variance(ports, _DIFFERENCE_WEIGHTS)
     return _root_over(var, _nonzero(ports.slope(), "read-out slope"))
 
 
 @moments.retried
-def qfi(cfg: SingleMziConfig, dps: int | None = None) -> float:
+def qfi(cfg: SingleMziConfig, digits: int) -> float:
     """Quantum Fisher information 4 Var(n3) for the lossless pure inputs.
 
     The phase generator is the photon number n3 of the internal mode
@@ -256,7 +257,7 @@ def qfi(cfg: SingleMziConfig, dps: int | None = None) -> float:
     so the QFI is Var(2 N_a) = 4 (F(2, 0) + F(1, 0) - F(1, 0)^2).
     """
     check_type("cfg", cfg, SingleMziConfig)
-    coefficients = _port_coefficients(cfg.quantum, cfg.mu, cfg.psi, dps)
+    coefficients = _port_coefficients(cfg.quantum, cfg.mu, cfg.psi, digits)
     half = moments.fixed_times(moments.ONE, 1, 1)  # x = y = z = 1/2, exactly
     ports = opalg.PortMoments(coefficients, half, half, half, turn=1)
     return _variance(ports, _QFI_WEIGHTS).value
@@ -278,22 +279,22 @@ def cramer_rao_bound(fq: float) -> float:
 
 
 @moments.retried
-def nrf(cfg: CorrelatedConfig, dps: int | None = None) -> float:
+def nrf(cfg: CorrelatedConfig, digits: int) -> float:
     """Noise reduction factor Var(N5 - N7) / (<N5> + <N7>).
 
     Values below 1 flag non-classical photon-number correlation between the
     two read-out ports; a dark read-out (zero mean) raises ZeroMeanPhoton.
     """
     check_type("cfg", cfg, CorrelatedConfig)
-    ports = _scene(cfg, dps=dps)
-    mean_sum = opalg.port_expectation(ports, _SUM)
+    ports = _scene(cfg, digits)
+    mean_sum = ports.expect(_SUM_WEIGHTS)
     if mean_sum.man <= 0:
         raise ZeroMeanPhoton("no photons reach the read-out ports")
     return moments.rounded(_variance(ports, _DIFFERENCE_WEIGHTS), over=mean_sum)
 
 
 @moments.retried
-def mandel_q(cfg: CorrelatedConfig, dps: int | None = None) -> float:
+def mandel_q(cfg: CorrelatedConfig, digits: int) -> float:
     """Mandel Q = (Var N - <N>)/<N> of one mode of the pair, detected with
     efficiency eta; negative is sub-Poissonian.
 
@@ -303,7 +304,7 @@ def mandel_q(cfg: CorrelatedConfig, dps: int | None = None) -> float:
     raises ZeroMeanPhoton.
     """
     check_type("cfg", cfg, CorrelatedConfig)
-    ports = _scene(replace(cfg, mu=0.0, psi=0.0, phi=0.0), dps=dps)
+    ports = _scene(replace(cfg, mu=0.0, psi=0.0, phi=0.0), digits)
     mean = ports.entry(1, 0)
     if mean.man <= 0:
         raise ZeroMeanPhoton("Mandel Q undefined for zero mean photon number")
@@ -311,7 +312,7 @@ def mandel_q(cfg: CorrelatedConfig, dps: int | None = None) -> float:
 
 
 @moments.retried
-def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> float:
+def correlated_uncertainty(cfg: CorrelatedConfig, digits: int) -> float:
     """Normalized covariance-measurement uncertainty U_m.
 
     The joint observable is C = (N5 - N7)^2; the raw uncertainty is
@@ -327,7 +328,7 @@ def correlated_uncertainty(cfg: CorrelatedConfig, dps: int | None = None) -> flo
     check_type("cfg", cfg, CorrelatedConfig)
     if not cfg.mu or abs(cos(cfg.phi / 2.0)) <= ulp(cfg.phi):
         raise Singular("no coherent light reaches the read-out: mu = 0 or cos(phi/2) = 0")
-    ports = _scene(cfg, dps=dps)
+    ports = _scene(cfg, digits)
     mixed = _nonzero(-2 * ports.mixed(), "mixed phase derivative of <C>")
     var = _variance(ports, _COVARIANCE_WEIGHTS)
     x = moments.certified_sum([(ports.x, moments.ONE)], ports.bits)

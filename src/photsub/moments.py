@@ -27,11 +27,13 @@ a ball is a float only where it rounds to one (:func:`rounded`, :func:`retried`)
 from __future__ import annotations
 
 from functools import wraps
+from inspect import signature
 from math import comb, factorial, inf, isqrt
 
-from .errors import MAX_DIGITS, MomentOrderMissing, NullState, PrecisionInsufficient, check
+from .errors import MomentOrderMissing, NullState, PrecisionInsufficient, check
 
-START_DIGITS = 30  # the working digits of a figure whose caller gives none
+START_DIGITS = 30  # the working digits of a figure's first attempt
+MAX_DIGITS = 1000  # of its last (:func:`retried`)
 
 # ---------------------------------------------------------------------------
 # Fixed-point numbers and certified sums
@@ -223,21 +225,25 @@ def rounded(*factors: Bounded, over: Bounded = Bounded(1, 0, 0)) -> float:
 
 
 def retried(figure):
-    """``figure(cfg, dps)`` at the caller's ``dps``, checked first, else at
-    START_DIGITS and twice as many while it raises PrecisionInsufficient, up
-    to MAX_DIGITS (Ziv's strategy, A. Ziv, ACM TOMS 17(3), 1991)."""
+    """The public figure ``evaluate(cfg)`` of ``figure(cfg, digits)``: at
+    START_DIGITS and twice as many while it raises PrecisionInsufficient, the
+    last attempt at MAX_DIGITS (Ziv's strategy, A. Ziv, ACM TOMS 17(3), 1991).
+    This is the one choice of working digits; ``evaluate.__wrapped__`` is
+    ``figure``, at the digits its caller gives."""
 
     @wraps(figure)
-    def evaluate(cfg, dps: int | None = None):
-        check(dps=dps)
-        digits = dps or START_DIGITS
-        while not dps and 2 * digits <= MAX_DIGITS:
+    def evaluate(cfg):
+        digits = START_DIGITS
+        while 2 * digits <= MAX_DIGITS:
             try:
                 return figure(cfg, digits)
             except PrecisionInsufficient:
                 digits *= 2
-        return figure(cfg, digits)
+        return figure(cfg, MAX_DIGITS)
 
+    figure_signature = signature(figure)
+    evaluate.__signature__ = figure_signature.replace(
+        parameters=tuple(figure_signature.parameters.values())[:1])
     return evaluate
 
 

@@ -242,8 +242,3 @@ def normal_ordered(poly: dict) -> tuple:
         for i, j in product(range(p + 1), range(q + 1)):
             weights[i, j] = weights.get((i, j), 0) + c * _STIRLING2[p][i] * _STIRLING2[q][j]
     return tuple(sorted((ij, w) for ij, w in weights.items() if w))
-
-
-def port_expectation(ports: PortMoments, poly: dict) -> Bounded:
-    """<poly(N_a, N_b)> as a :class:`Bounded`: one folded observable."""
-    return ports.expect(normal_ordered(poly))

@@ -41,3 +41,18 @@ def memos():
     """The memos a sweep reuses across points, emptied with the dict memos."""
     clear()
     return MEMOS
+
+
+@pytest.fixture
+def pin_digits(monkeypatch):
+    """``pin_digits(d)`` runs every engine figure at d working digits alone:
+    the first and the last attempt of :func:`photsub.moments.retried` are
+    pinned there, so a ball that does not round at d flags ``precision``;
+    ``pin_digits(None)`` restores the default's doubling."""
+    start, cap = moments.START_DIGITS, moments.MAX_DIGITS
+
+    def pin(digits):
+        monkeypatch.setattr(moments, "START_DIGITS", digits or start)
+        monkeypatch.setattr(moments, "MAX_DIGITS", digits or cap)
+
+    return pin

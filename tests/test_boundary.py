@@ -43,7 +43,7 @@ TEXTS = {"nan": "nan", "inf": "inf", "-1": "-1", "1.5": "1.5", "1e30": str(10**3
          "str": "half"}
 
 #: kind -> the labels of VALUES inside it: a finite real, one >= 0, one in
-#: [0, 1], an integer (order, digits, cutoff: none of the values is a valid
+#: [0, 1], an integer (order, cutoff: none of the values is a valid
 #: one), a preset name, the Fisher information (any real but nan; inf is
 #: OutOfRange), and a closed form's order, where every bad value is UnsupportedOrder
 REAL, NONNEGATIVE, UNIT, INTEGER, NAME, FISHER, CLOSED_ORDER = (
@@ -102,10 +102,11 @@ def _entries():
         yield (f"{name}_seed", lambda lam, m, chi, seed=seed, spec_cls=spec_cls:
                seed(spec_cls(lam, m, chi)), dict(lam=0.3, m=1, chi=0.0), dict(lam=NONNEGATIVE))
     yield "phi_for_tau", metrology.phi_for_tau, dict(tau=0.5), dict(tau=UNIT)
+    # a figure of merit takes its config alone, whose numbers the configs' rows check
     for name, cfg in (("single_phase_uncertainty", _SINGLE), ("qfi", _SINGLE), ("nrf", _PAIR),
                       ("correlated_uncertainty", _PAIR), ("mandel_q", _PAIR),
                       ("readout_moments", _PAIR)):
-        yield name, getattr(metrology, name), dict(cfg=cfg, dps=None), dict(dps=INTEGER)
+        yield name, getattr(metrology, name), dict(cfg=cfg), {}
     yield "cramer_rao_bound", metrology.cramer_rao_bound, dict(fq=2.0), dict(fq=FISHER)
     yield ("nrf_asymptotic", metrology.nrf_asymptotic, dict(m=1, tau=0.9, lam=0.01),
            dict(m=CLOSED_ORDER, tau=UNIT, lam=NONNEGATIVE))
@@ -133,7 +134,7 @@ def _entries():
                dict(lam=NONNEGATIVE, m=INTEGER, mu=NONNEGATIVE, phi=REAL, psi=REAL, eta=UNIT,
                     quantum_cutoff=INTEGER))
         yield (f"run_sweep[{scheme}]", _sweep, dict(scheme=scheme),
-               dict(lam=NONNEGATIVE, chi=REAL, **scene, m_list=INTEGER, digits=INTEGER,
+               dict(lam=NONNEGATIVE, chi=REAL, **scene, m_list=INTEGER,
                     values_lam=NONNEGATIVE,
                     values_mu=NONNEGATIVE, values_eta=UNIT, values_phi=REAL, values_psi=REAL,
                     values_chi=REAL, values_one_minus_tau=UNIT))
@@ -146,12 +147,11 @@ def _cli_entries():
         text = _SWEEP_TEXT[scheme]
         yield (f"sweep[{scheme}]", "sweep", text,
                dict(mu=NONNEGATIVE, psi=REAL, phi=REAL, eta=UNIT, chi=REAL, values=NONNEGATIVE,
-                    m=INTEGER, digits=INTEGER))
+                    m=INTEGER))
         yield (f"sweep[{scheme},mu-axis]", "sweep", text.replace("axis = lam", "axis = mu"),
                dict(lam=NONNEGATIVE))
         yield (f"oracle-compare[{scheme}]", "oracle-compare", f"scheme = {scheme}\nm = 1\n",
                dict(lam=NONNEGATIVE, mu=NONNEGATIVE, phi=REAL, psi=REAL, eta=UNIT, cutoff=INTEGER))
-    yield "sweep[preset]", "sweep", "preset = fig1b\n", dict(digits=INTEGER)
     yield "preset", "preset", None, dict(name=NAME)
 
 

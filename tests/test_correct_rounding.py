@@ -1,8 +1,10 @@
 """The one precision rule: every ``ok`` row is the exact value correctly
-rounded, at any user ``digits`` and at the default.
+rounded, at fixed working digits and at the default.
 
 A figure's certified ball must round to one float, else the row is flagged
 ``precision``; the default doubles its working digits until the ball rounds.
+Fixed digits d pin the default's first and last attempt to d (the
+``pin_digits`` fixture), so a sweep runs at d alone.
 The check runs every metric of both schemes over a seeded sample of the
 scenes lam in {0.05, 2, 30}, m in {0, 2}, phi in {1e-8, 1e-4, 0.7, 3},
 mu in {0, 18, 1e4, 1e12, 1e16}, eta in {0.98, 1}, and over the twin-beam
@@ -17,7 +19,7 @@ from math import pi
 
 import pytest
 
-from photsub.errors import MAX_DIGITS
+from photsub import moments
 from photsub.experiments import CORRELATED_METRICS, SINGLE_METRICS, SweepConfig, run_sweep
 
 _GRID = dict(lam=(0.05, 2.0, 30.0), m=(0, 2), phi=(1e-8, 1e-4, 0.7, 3.0),
@@ -37,27 +39,44 @@ def _sweep(scheme: str, scene: dict) -> SweepConfig:
                        eta=scene["eta"])
 
 
+def _rows(pin_digits, sweep, digits) -> tuple:
+    """The sweep's rows at ``digits`` working digits alone, None for the default."""
+    pin_digits(digits)
+    return run_sweep(sweep).rows
+
+
 @pytest.mark.parametrize("scheme", ["single", "correlated"])
-def test_every_ok_row_is_the_150_digit_value_correctly_rounded(scheme):
+def test_every_ok_row_is_the_150_digit_value_correctly_rounded(scheme, pin_digits):
+    cap = moments.MAX_DIGITS
     for scene in _scenes():
         sweep = _sweep(scheme, scene)
         # an exact zero whose ball still straddles 0.0's rounding interval at
         # 150 digits (the twin beams' nrf at mu = 0, m >= 1) is read at the cap
         want = [ref if ref.flag != "precision" else
-                run_sweep(dataclasses.replace(sweep, metrics=(ref.metric,),
-                                              digits=MAX_DIGITS)).rows[0]
-                for ref in run_sweep(dataclasses.replace(sweep, digits=150)).rows]
+                _rows(pin_digits, dataclasses.replace(sweep, metrics=(ref.metric,)), cap)[0]
+                for ref in _rows(pin_digits, sweep, 150)]
         for digits in (None, *range(16, 31)):
-            for row, ref in zip(run_sweep(dataclasses.replace(sweep, digits=digits)).rows, want):
+            for row, ref in zip(_rows(pin_digits, sweep, digits), want):
                 if row.flag == "ok":
                     assert (ref.flag, ref.value) == ("ok", row.value), (scene, digits, row)
                 else:
                     assert row.flag in ("precision", ref.flag), (scene, digits, row)
 
 
-def test_the_twin_beam_scene_prints_its_150_digit_values_at_the_default_and_120_digits():
+def test_the_twin_beam_scene_prints_its_150_digit_values_at_the_default_and_120_digits(
+        pin_digits):
     sweep = dataclasses.replace(_sweep("correlated", _TWIN_BEAMS), metrics=("U_norm", "nrf"))
     for digits in (None, 120):
-        csv = run_sweep(dataclasses.replace(sweep, digits=digits)).to_csv().splitlines()
+        pin_digits(digits)
+        csv = run_sweep(sweep).to_csv().splitlines()
         assert csv[-2:] == ["1e-08,2,U_norm,7.11095104599e-10,ok",
                             "1e-08,2,nrf,3.84254732626e-17,ok"], digits
+
+
+def test_the_twin_beam_scene_flags_both_figures_at_30_digits_alone(pin_digits):
+    # the default's first attempt does not round: only its doubling prints
+    # the rows above, and without it run_sweep maps PrecisionInsufficient
+    # to the precision flag
+    sweep = dataclasses.replace(_sweep("correlated", _TWIN_BEAMS), metrics=("U_norm", "nrf"))
+    assert [(row.metric, row.value, row.flag) for row in _rows(pin_digits, sweep, 30)] == [
+        ("U_norm", None, "precision"), ("nrf", None, "precision")]

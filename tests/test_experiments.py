@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import reference
-from photsub import experiments, moments
+from photsub import experiments, metrology, moments
 from photsub.errors import ConfigInvalid, MemoryBoundExceeded, UnknownPreset
 from photsub.experiments import (
     EXIT_CONFIG,
@@ -98,17 +99,6 @@ def test_an_unknown_scheme_has_no_metric_to_report():
     with pytest.raises(ConfigInvalid) as err:
         SweepConfig(scheme="correlated", **point).validate()
     assert str(err.value) == "metric: 'U' not valid for scheme correlated"
-
-
-@pytest.mark.parametrize("digits", [float("nan"), float("inf"), 20.5, 14])
-def test_digits_must_be_an_integer_of_at_least_15(digits):
-    # before, nan and inf passed validation and crashed the sweep, and 20.5
-    # ran and printed "# digits=20.5"
-    cfg = SweepConfig(scheme="single", axis="lam", values=(0.5,), m_list=(1,),
-                      metrics=("U",), digits=digits)
-    with pytest.raises(ConfigInvalid, match="digits: an integer >= 15 required"):
-        run_sweep(cfg)
-    dataclasses.replace(cfg, digits=15).validate()
 
 
 def test_preset_registry_complete():
@@ -328,21 +318,12 @@ def test_cli_oracle_compare_pass_and_numerical_failure(tmp_path, capsys):
 
 
 def test_digits_env_is_not_read(monkeypatch):
-    # a config's digits is the one precision setting
+    # the engine alone picks the working digits
     plain = run_sweep(_small_config()).to_csv()
     for env in ("30", "not-a-number"):
         monkeypatch.setenv("PHOTSUB_DIGITS", env)
         assert run_sweep(_small_config()).to_csv() == plain
     assert [f.name for f in dataclasses.fields(SweepResult)] == ["config", "rows"]
-
-
-def test_a_preset_config_sets_the_working_digits(tmp_path):
-    path = tmp_path / "fig5b.cfg"
-    path.write_text("preset = fig5b\ndigits = 40\n")
-    csv = run_sweep(sweep_config_from_file(str(path))).to_csv()
-    assert "# preset=fig5b\n" in csv and "# digits=40\n" in csv
-    digest = "a113738dc1d08c6b5b7d0a6d3e3a283734c65d57e6fc497f0694d483c3e49824"
-    assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == digest
 
 
 def test_no_ok_row_is_non_finite():
@@ -469,11 +450,32 @@ def test_sweep_config_rejects_unknown_keys(tmp_path, extra, unknown):
         sweep_config_from_file(path)
 
 
-def test_preset_config_accepts_only_digits(tmp_path):
-    ok = sweep_config_from_file(_write(tmp_path, "preset = fig1b\ndigits = 50\n"))
-    assert ok.digits == 50
+@pytest.mark.parametrize("text", [_SWEEP_TEXT["single"], "preset = fig1b\n"],
+                         ids=("sweep", "preset"))
+def test_no_config_sets_the_working_digits(tmp_path, text):
+    # the engine picks its own digits, so a config's digits key, which could
+    # only flag an ok row or repeat its value, is an unknown key
+    with pytest.raises(ConfigInvalid, match="unknown keys: digits"):
+        sweep_config_from_file(_write(tmp_path, text + "digits = 50\n"))
+    sweep_config_from_file(_write(tmp_path, text))
+
+
+def test_preset_config_accepts_no_other_key(tmp_path):
     with pytest.raises(ConfigInvalid, match="unknown keys: mu"):
         sweep_config_from_file(_write(tmp_path, "preset = fig1b\nmu = 5\n"))
+
+
+def test_no_public_figure_or_harness_call_takes_working_digits():
+    public = [(f"{module.__name__}.{name}", value)
+              for module in (metrology, experiments) for name, value in vars(module).items()
+              if callable(value) and not name.startswith("_")
+              and getattr(value, "__module__", None) == module.__name__]
+    assert len(public) > 20
+    for name, value in public:
+        assert not {"dps", "digits"} & set(inspect.signature(value).parameters), name
+    for name in ("readout_moments", "single_phase_uncertainty", "qfi", "nrf", "mandel_q",
+                 "correlated_uncertainty"):
+        assert list(inspect.signature(getattr(metrology, name)).parameters) == ["cfg"], name
 
 
 def test_oracle_config_rejects_unknown_keys(tmp_path, capsys):
@@ -646,14 +648,15 @@ def test_difference_quadrature_is_read_at_its_squeezed_angle(metric, table):
     ],
     ids=["U_norm", "single-U", "nrf", "single-U-slope"],
 )
-def test_user_digits_give_the_default_value_or_a_precision_flag(base):
-    # every ok row is the exact value correctly rounded, at any digits; the
-    # U_norm scene needs about 41 digits
+def test_user_digits_give_the_default_value_or_a_precision_flag(base, pin_digits):
+    # every ok row is the exact value correctly rounded, at any working
+    # digits; the U_norm scene needs about 41 digits
     default = run_sweep(SweepConfig(**base)).rows[0]
     assert default.flag == "ok"
     flags = set()
     for digits in range(16, 47):
-        row = run_sweep(SweepConfig(**base, digits=digits)).rows[0]
+        pin_digits(digits)
+        row = run_sweep(SweepConfig(**base)).rows[0]
         flags.add(row.flag)
         assert row.flag in ("ok", "precision"), digits
         if row.flag == "ok":
@@ -678,7 +681,7 @@ def test_the_ambient_mpmath_precision_changes_no_row(ambient):
 
 
 @pytest.mark.parametrize("mu", [1.0, 1e4, 1e8, 1e12, 1e16])
-def test_bright_single_scheme_is_exact_or_flagged(mu):
+def test_bright_single_scheme_is_exact_or_flagged(mu, pin_digits):
     # coherent light alone: U sqrt(mu) = 1 and F_Q = 2 mu exactly
     coherent = dict(scheme="single", axis="mu", values=(mu,), m_list=(0,),
                     metrics=("U", "qfi"), lam=0.0, phi=np.pi / 2)
@@ -690,7 +693,8 @@ def test_bright_single_scheme_is_exact_or_flagged(mu):
     # PASSV at the fringe slope, against the same scene at 80 digits
     passv = dict(coherent, m_list=(2,), lam=1.0, eta=0.98)
     rows = run_sweep(SweepConfig(**passv)).rows
-    fine = run_sweep(SweepConfig(**passv, digits=80)).rows
+    pin_digits(80)
+    fine = run_sweep(SweepConfig(**passv)).rows
     for row, ref in zip(rows, fine):
         assert row.flag == ref.flag == "ok"
         assert abs(row.value - ref.value) <= 1e-12 * ref.value, row
@@ -800,9 +804,9 @@ def test_quadrature_rows_equal_the_general_bilinear_form_bit_for_bit():
 
 
 @pytest.mark.parametrize("metric, m", [("var_y", 0), ("quad_diff_var", 2)])
-def test_digits_rescue_a_precision_flagged_quadrature_variance(metric, m):
-    # at lam = 1e16 about 32 digits cancel: a user's 35 working digits flag
-    # the row, which the default does not, and 80 give the 140-digit value
+def test_digits_rescue_a_precision_flagged_quadrature_variance(metric, m, pin_digits):
+    # at lam = 1e16 about 32 digits cancel: 35 working digits alone flag the
+    # row, which the default does not, and 80 give the 140-digit value
     import mpmath as mp
 
     from photsub import moments
@@ -812,8 +816,10 @@ def test_digits_rescue_a_precision_flagged_quadrature_variance(metric, m):
         scheme=scheme, axis="lam", values=(1e16,), m_list=(m,), metrics=(metric,)
     )
     assert run_sweep(sweep).rows[0].flag == "ok"
-    assert run_sweep(dataclasses.replace(sweep, digits=35)).rows[0].flag == "precision"
-    [row] = run_sweep(dataclasses.replace(sweep, digits=80)).rows
+    pin_digits(35)
+    assert run_sweep(sweep).rows[0].flag == "precision"
+    pin_digits(80)
+    [row] = run_sweep(sweep).rows
     with mp.workdps(140):
         bits = moments.digits_to_bits(140)
         if metric == "var_y":

@@ -43,17 +43,17 @@ def _observables(single: bool) -> list:
     return [metrology._SUM, metrology._DIFFERENCE, square, metrology._times(square, square)]
 
 
-def _reads(cfg, phase, dps) -> dict:
+def _reads(cfg, phase, digits) -> dict:
     """Every certified quantity the figures of merit of ``cfg`` read at ``phase``."""
     single = isinstance(cfg, SingleMziConfig)
-    coefficients = metrology._port_coefficients(cfg.quantum, cfg.mu, cfg.psi, dps)
+    coefficients = metrology._port_coefficients(cfg.quantum, cfg.mu, cfg.psi, digits)
     if phase == "qfi":  # the QFI's port entries u = v = 1/sqrt 2: x = y = z = 1/2
         half = moments.fixed_times(moments.ONE, 1, 1)
         ports = opalg.PortMoments(coefficients, half, half, half, turn=1)
     else:
         entries = metrology._mzi_entries(phase, coefficients.bits)
         ports = opalg.PortMoments(coefficients, *entries, cfg.eta)
-    out = {tuple(sorted(poly.items())): opalg.port_expectation(ports, poly)
+    out = {tuple(sorted(poly.items())): ports.expect(opalg.normal_ordered(poly))
            for poly in _observables(single)}
     order = 2 if single else 4
     out.update({(i, j): ports.entry(i, j)
@@ -71,17 +71,17 @@ def _bound(x: moments.Bounded):
     return mp.mpf(x.err) * mp.mpf(2) ** x.exp
 
 
-@pytest.mark.parametrize("dps", (None, 20), ids=("default", "digits20"))
+@pytest.mark.parametrize("digits", (moments.START_DIGITS, 20), ids=("default", "digits20"))
 @pytest.mark.parametrize("phase", PHASES)
 @pytest.mark.parametrize("scheme", sorted(SCENES))
-def test_every_read_lies_within_its_bound_of_the_120_digit_kernel(scheme, phase, dps):
+def test_every_read_lies_within_its_bound_of_the_120_digit_kernel(scheme, phase, digits):
     cfg = SCENES[scheme]
-    want, got = _reads(cfg, phase, REFERENCE_DPS), _reads(cfg, phase, dps)
+    want, got = _reads(cfg, phase, REFERENCE_DPS), _reads(cfg, phase, digits)
     assert set(got) == set(want) and len(got) >= 9
     with mp.workdps(2 * REFERENCE_DPS):
         for key, x in got.items():
             error = abs(_exact(x) - _exact(want[key]))
-            assert error <= _bound(x) + _bound(want[key]), (scheme, phase, dps, key)
+            assert error <= _bound(x) + _bound(want[key]), (scheme, phase, digits, key)
 
 
 @pytest.mark.parametrize("gap", (0, 5, -3))
@@ -116,7 +116,7 @@ def test_a_twin_beam_difference_cancels_to_zero_within_its_bound():
     # <n0> and <n1> of the pair are one integer fill, so the rows of
     # <N_a - N_b> cancel exactly, and keep the fill's radius
     cfg = CorrelatedConfig(SpatsvSpec(2.0, 2, 0.3), mu=1e12, phi=0.7, psi=pi / 2, eta=0.98)
-    ports = metrology._scene(cfg)
+    ports = metrology._scene(cfg, moments.START_DIGITS)
     weights = opalg.normal_ordered(metrology._DIFFERENCE)
     rows = ports.coefficients.fold(weights, ports.turn)
     mean = ports.expect(weights)

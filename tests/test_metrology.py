@@ -237,7 +237,8 @@ def test_perfect_correlation_is_an_exact_zero_at_m_0_and_reads_0_at_every_m():
     # parent printed 2.8e-47 at lam = 0.5, m = 2)
     for lam in (0.3, 0.5, 1.7, 2.0):
         cfg = CorrelatedConfig(SpatsvSpec(lam, 0), mu=0.0, phi=0.0)
-        var = metrology._variance(metrology._scene(cfg), metrology._DIFFERENCE_WEIGHTS)
+        var = metrology._variance(metrology._scene(cfg, moments.START_DIGITS),
+                                  metrology._DIFFERENCE_WEIGHTS)
         assert (var.man, var.err) == (0, 0), lam
         for m in range(4):
             assert metrology.nrf(CorrelatedConfig(SpatsvSpec(lam, m), mu=0.0, phi=0.0)) == 0.0
@@ -287,7 +288,7 @@ def test_mandel_q_thins_linearly(eta):
 def test_mandel_q_reads_the_pair_alone():
     # Q reads the pair at mu = 0, 43 digits: coherent light and phase play no role
     cfg = CorrelatedConfig(SpatsvSpec(0.4, 1), mu=1e6, phi=2.1, psi=0.3, eta=0.9)
-    assert metrology.mandel_q(cfg) == metrology.mandel_q(_pair(0.4, 1, 0.9), dps=43)
+    assert metrology.mandel_q(cfg) == metrology.mandel_q.__wrapped__(_pair(0.4, 1, 0.9), 43)
 
 
 @pytest.mark.parametrize("lam, eta", [(0.0, 1.0), (0.5, 0.0)])
@@ -508,36 +509,11 @@ def test_correlated_readout_moments_match_port_means():
 def test_readout_moments_flag_uncertified_digits(cfg):
     # 5 working digits cannot certify 8 of any moment: unguarded, they came
     # back silently wrong in the 7th digit (2.4412117 for 2.4412105)
-    exact = metrology.readout_moments(cfg, dps=60)
+    exact = metrology.readout_moments.__wrapped__(cfg, 60)
     for key, value in metrology.readout_moments(cfg).items():
         assert abs(value - exact[key]) <= 1e-8 * abs(exact[key]), key
     with pytest.raises(PrecisionInsufficient):
-        metrology.readout_moments(cfg, dps=5)
-
-
-_SINGLE, _PAIR = (SingleMziConfig(PassvSpec(0.5, 1), mu=2.0, phi=0.7),
-                  CorrelatedConfig(SpatsvSpec(0.3, 1), mu=2.0, phi=0.7))
-_TAKING_DIGITS = {
-    "readout_moments": (metrology.readout_moments, _PAIR),
-    "single_phase_uncertainty": (metrology.single_phase_uncertainty, _SINGLE),
-    "qfi": (metrology.qfi, _SINGLE),
-    "nrf": (metrology.nrf, _PAIR),
-    "mandel_q": (metrology.mandel_q, _PAIR),
-    "correlated_uncertainty": (metrology.correlated_uncertainty, _PAIR),
-}
-
-
-@pytest.mark.parametrize("dps", [0, -1, 1.5, math.nan, math.inf, "40"])
-@pytest.mark.parametrize("name", sorted(_TAKING_DIGITS))
-def test_working_digits_are_none_or_a_positive_integer(name, dps):
-    # before, inf raised OverflowError, nan a ValueError of int(), 0 ran at
-    # the default digits and 1.5 was accepted
-    figure, cfg = _TAKING_DIGITS[name]
-    with pytest.raises(ValueError, match="dps must be None or a positive integer"):
-        figure(cfg, dps=dps)
-    # refused before the family memo, which stays empty
-    assert metrology._port_coefficients.cache_info().currsize == 0
-    assert figure(cfg, dps=30) == pytest.approx(figure(cfg), rel=1e-12)
+        metrology.readout_moments.__wrapped__(cfg, 5)
 
 
 @pytest.mark.parametrize("eta", [0.8, 0.98])
@@ -549,7 +525,7 @@ def test_the_dark_fringe_uncertainty_is_its_three_entry_form(lam, m, eta):
     # plus the mixed derivative's, and 2^-52 for the root's floor (2^-70),
     # the final int / int (2^-53) and the 50-digit form
     cfg = CorrelatedConfig(SpatsvSpec(lam, m), mu=1e8, phi=0.0, psi=math.pi / 2, eta=eta)
-    ports = metrology._scene(cfg)
+    ports = metrology._scene(cfg, moments.START_DIGITS)
     var = metrology._variance(ports, metrology._COVARIANCE_WEIGHTS)
     mixed = ports.mixed()
     with mp.workdps(50):
@@ -566,7 +542,7 @@ def test_a_precision_flag_reads_magnitudes_past_the_float_range():
     # two finite floats
     cfg = CorrelatedConfig(SpatsvSpec(1e80, 1), mu=1e300, phi=1.5707963)
     with pytest.raises(PrecisionInsufficient) as info:
-        metrology.correlated_uncertainty(cfg, dps=30)
+        metrology.correlated_uncertainty.__wrapped__(cfg, 30)
     message = str(info.value)
     assert "inf" not in message
     assert re.fullmatch(r"certified only between 0\.0 and [\d.]+e\+\d\d", message)

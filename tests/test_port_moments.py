@@ -105,7 +105,7 @@ def test_port_moments_match_reference_contraction(scheme, seed):
                 # the ordinary moment <N_a^i N_b^j> through the Stirling transform
                 poly = multiply(_number_power(0, i), _number_power(1, j))
                 want, want_scale = contract(poly, images, tables)
-                got = opalg.port_expectation(ports, {(i, j): 1})
+                got = ports.expect(opalg.normal_ordered({(i, j): 1}))
                 _check(got, want, want_scale, i, j)
 
 

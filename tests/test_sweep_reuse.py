@@ -121,21 +121,20 @@ _SCENES = (
 
 
 def _values(cfg, digits) -> tuple:
-    """Port moments at working precision, and the public figures of merit."""
+    """Port moments at ``digits`` working digits, and the figures of merit
+    there, or the public figures for None and the moments at the default's
+    first attempt."""
     single = isinstance(cfg, SingleMziConfig)
-    ports = metrology._scene(cfg, dps=digits)
+    ports = metrology._scene(cfg, digits or moments.START_DIGITS)
     exact = tuple(
         (x.man, x.err, x.exp)
-        for x in [opalg.port_expectation(ports, {(p, q): 1})
+        for x in [ports.expect(opalg.normal_ordered({(p, q): 1}))
                   for p, q in ((1, 0), (1, 1), (2, 2)) if p + q <= (2 if single else 4)]
         + [ports.slope() if single else ports.mixed()]
     )
-    if single:
-        figures = (metrology.single_phase_uncertainty(cfg, dps=digits),
-                   metrology.qfi(cfg, dps=digits))
-    else:
-        figures = (metrology.correlated_uncertainty(cfg, dps=digits),
-                   metrology.nrf(cfg, dps=digits))
+    public = (metrology.single_phase_uncertainty, metrology.qfi) if single else (
+        metrology.correlated_uncertainty, metrology.nrf)
+    figures = tuple(f.__wrapped__(cfg, digits) if digits else f(cfg) for f in public)
     return exact, figures
 
 
