@@ -49,6 +49,8 @@ TEXTS = {"nan": "nan", "inf": "inf", "-1": "-1", "1.5": "1.5", "1e30": str(10**3
 REAL, NONNEGATIVE, UNIT, INTEGER, NAME, FISHER, CLOSED_ORDER = (
     {"-1", "1.5", "1e30"}, {"1.5", "1e30"}, set(), set(), set(), {"-1", "1.5", "1e30", "inf"},
     None)
+#: a retired config key (digits: the engine picks its own), refused at any value
+RETIRED = set()
 
 _PASSV, _SPATSV = PassvSpec(0.5, 1), SpatsvSpec(0.3, 1)
 _SINGLE = SingleMziConfig(_PASSV, mu=2.0, phi=0.7, eta=0.9)
@@ -147,11 +149,12 @@ def _cli_entries():
         text = _SWEEP_TEXT[scheme]
         yield (f"sweep[{scheme}]", "sweep", text,
                dict(mu=NONNEGATIVE, psi=REAL, phi=REAL, eta=UNIT, chi=REAL, values=NONNEGATIVE,
-                    m=INTEGER))
+                    m=INTEGER, digits=RETIRED))
         yield (f"sweep[{scheme},mu-axis]", "sweep", text.replace("axis = lam", "axis = mu"),
                dict(lam=NONNEGATIVE))
         yield (f"oracle-compare[{scheme}]", "oracle-compare", f"scheme = {scheme}\nm = 1\n",
                dict(lam=NONNEGATIVE, mu=NONNEGATIVE, phi=REAL, psi=REAL, eta=UNIT, cutoff=INTEGER))
+    yield "sweep[preset]", "sweep", "preset = fig1b\n", dict(digits=RETIRED)
     yield "preset", "preset", None, dict(name=NAME)
 
 

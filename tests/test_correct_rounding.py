@@ -5,9 +5,9 @@ A figure's certified ball must round to one float, else the row is flagged
 ``precision``; the default doubles its working digits until the ball rounds.
 Fixed digits d pin the default's first and last attempt to d (the
 ``pin_digits`` fixture), so a sweep runs at d alone.
-The check runs every metric of both schemes over a seeded sample of the
-scenes lam in {0.05, 2, 30}, m in {0, 2}, phi in {1e-8, 1e-4, 0.7, 3},
-mu in {0, 18, 1e4, 1e12, 1e16}, eta in {0.98, 1}, and over the twin-beam
+The check runs every metric of both schemes, one case a scene, over a seeded
+sample of the scenes lam in {0.05, 2, 30}, m in {0, 2}, phi in {1e-8, 1e-4,
+0.7, 3}, mu in {0, 18, 1e4, 1e12, 1e16}, eta in {0.98, 1}, and over the twin-beam
 scene at lam = 30, m = 2, phi = 1e-8, mu = 1e4, eta = 1 where 16 digits
 once printed U_norm 6.21087705512e-08 as ``ok`` (the value is 7.11e-10).
 """
@@ -27,9 +27,9 @@ _GRID = dict(lam=(0.05, 2.0, 30.0), m=(0, 2), phi=(1e-8, 1e-4, 0.7, 3.0),
 _TWIN_BEAMS = dict(lam=30.0, m=2, phi=1e-8, mu=1e4, eta=1.0)
 
 
-def _scenes() -> list:
-    points = list(itertools.product(*_GRID.values()))
-    return [_TWIN_BEAMS] + [dict(zip(_GRID, p)) for p in random.Random(41).sample(points, 24)]
+_SCENES = [_TWIN_BEAMS] + [dict(zip(_GRID, p)) for p in random.Random(41).sample(
+    list(itertools.product(*_GRID.values())), 24)]
+_SCENE_IDS = [",".join(f"{key}={value:g}" for key, value in scene.items()) for scene in _SCENES]
 
 
 def _sweep(scheme: str, scene: dict) -> SweepConfig:
@@ -45,22 +45,22 @@ def _rows(pin_digits, sweep, digits) -> tuple:
     return run_sweep(sweep).rows
 
 
+@pytest.mark.parametrize("scene", _SCENES, ids=_SCENE_IDS)
 @pytest.mark.parametrize("scheme", ["single", "correlated"])
-def test_every_ok_row_is_the_150_digit_value_correctly_rounded(scheme, pin_digits):
+def test_every_ok_row_is_the_150_digit_value_correctly_rounded(scheme, scene, pin_digits):
     cap = moments.MAX_DIGITS
-    for scene in _scenes():
-        sweep = _sweep(scheme, scene)
-        # an exact zero whose ball still straddles 0.0's rounding interval at
-        # 150 digits (the twin beams' nrf at mu = 0, m >= 1) is read at the cap
-        want = [ref if ref.flag != "precision" else
-                _rows(pin_digits, dataclasses.replace(sweep, metrics=(ref.metric,)), cap)[0]
-                for ref in _rows(pin_digits, sweep, 150)]
-        for digits in (None, *range(16, 31)):
-            for row, ref in zip(_rows(pin_digits, sweep, digits), want):
-                if row.flag == "ok":
-                    assert (ref.flag, ref.value) == ("ok", row.value), (scene, digits, row)
-                else:
-                    assert row.flag in ("precision", ref.flag), (scene, digits, row)
+    sweep = _sweep(scheme, scene)
+    # an exact zero whose ball still straddles 0.0's rounding interval at
+    # 150 digits (the twin beams' nrf at mu = 0, m >= 1) is read at the cap
+    want = [ref if ref.flag != "precision" else
+            _rows(pin_digits, dataclasses.replace(sweep, metrics=(ref.metric,)), cap)[0]
+            for ref in _rows(pin_digits, sweep, 150)]
+    for digits in (None, *range(16, 31)):
+        for row, ref in zip(_rows(pin_digits, sweep, digits), want):
+            if row.flag == "ok":
+                assert (ref.flag, ref.value) == ("ok", row.value), (digits, row)
+            else:
+                assert row.flag in ("precision", ref.flag), (digits, row)
 
 
 def test_the_twin_beam_scene_prints_its_150_digit_values_at_the_default_and_120_digits(

@@ -516,6 +516,31 @@ def test_readout_moments_flag_uncertified_digits(cfg):
         metrology.readout_moments.__wrapped__(cfg, 5)
 
 
+_SINGLE_SCENE, _PAIR_SCENE = (SingleMziConfig(PassvSpec(0.5, 1), mu=2.0, phi=0.7),
+                              CorrelatedConfig(SpatsvSpec(0.3, 1), mu=2.0, phi=0.7))
+_RETRIED = {"readout_moments": _PAIR_SCENE, "single_phase_uncertainty": _SINGLE_SCENE,
+            "qfi": _SINGLE_SCENE, "nrf": _PAIR_SCENE, "mandel_q": _PAIR_SCENE,
+            "correlated_uncertainty": _PAIR_SCENE}
+
+
+@pytest.mark.parametrize("digits", [5, 10, 15, 16, 20, 30, 60])
+@pytest.mark.parametrize("name", sorted(_RETRIED))
+def test_a_figure_at_fixed_digits_is_its_default_value_or_refused(name, digits):
+    # the one precision rule at each retried figure: a value is returned only
+    # where its ball rounds to one float, so fixed digits give the default's
+    # value bit for bit or PrecisionInsufficient; 10 digits (37 bits) are too
+    # few for a 53-bit float, and the default's first attempt (30) suffices here
+    figure, cfg = getattr(metrology, name), _RETRIED[name]
+    default = figure(cfg)
+    try:
+        value = figure.__wrapped__(cfg, digits)
+    except PrecisionInsufficient:
+        assert digits < moments.START_DIGITS
+    else:
+        assert digits > 10
+        assert value == default
+
+
 @pytest.mark.parametrize("eta", [0.8, 0.98])
 @pytest.mark.parametrize("m", range(5))
 @pytest.mark.parametrize("lam", [1e-4, 0.05, 2.0, 1e3])
