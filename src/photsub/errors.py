@@ -44,7 +44,7 @@ class Singular(PhotsubError):
 
 
 class OutOfRange(PhotsubError):
-    """A target value lies outside the range of the map being inverted."""
+    """A target outside the range of the map being inverted, or a value past floats."""
 
 
 class UnsupportedOrder(PhotsubError):

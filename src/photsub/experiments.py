@@ -182,7 +182,7 @@ def _quadrature(build, n_key: tuple, pair_key: tuple):
         table = build(cfg.quantum)
         n, pair = table.fixed(n_key, bits), moments.fixed_times(table.fixed(pair_key, bits), -1)
         spread = moments.certified_sum([(moments.ONE, n), (moments.ONE, pair)], bits)
-        return (moments.thin(spread, cfg.eta, 1) + moments.Bounded(1, 0, -1)).value
+        return (moments.thin(spread, cfg.eta) + moments.Bounded(1, 0, -1)).value
 
     return metric
 
@@ -638,18 +638,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.verb == "preset":
-            result = run_preset(args.name)
-            result.write(args.out)
-            print(f"wrote {len(result.rows)} rows to {args.out}")
-            return EXIT_OK
-        if args.verb == "sweep":
-            result = run_sweep(sweep_config_from_file(args.config))
-            if args.out:
-                result.write(args.out)
-                print(f"wrote {len(result.rows)} rows to {args.out}")
-            else:
+        if args.verb != "oracle-compare":
+            result = (run_preset(args.name) if args.verb == "preset" else
+                      run_sweep(sweep_config_from_file(args.config)))
+            if not args.out:
                 sys.stdout.write(result.to_csv())
+                return EXIT_OK
+            try:
+                result.write(args.out)
+            except OSError as exc:
+                raise ConfigInvalid(f"cannot write output {args.out!r}: {exc}") from exc
+            print(f"wrote {len(result.rows)} rows to {args.out}")
             return EXIT_OK
         comparison = oracle_compare_from_file(args.config)
         print(comparison.report())

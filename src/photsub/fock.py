@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import ceil, cosh, lgamma, log, prod, sinh, sqrt, tanh
+from math import ceil, cosh, ldexp, lgamma, log, prod, sinh, sqrt, tanh
 
 import numpy as np
 
 from .errors import (  # MAX_AMPLITUDES bounds the oracle's largest array, read at each call
-    MAX_AMPLITUDES, CutoffTooSmall, MemoryBoundExceeded, ModeMismatch, NullState, check)
+    MAX_AMPLITUDES, CutoffTooSmall, MemoryBoundExceeded, ModeMismatch, NullState, OutOfRange, check)
+from .moments import ratio
 
 TAIL_TOL = 1e-12
 NULL_THRESHOLD = 1e-300
@@ -137,9 +138,13 @@ def _two_mode_squeezed(lam: float, chi: float):
     return lambda n: sqrt(1.0 - x) * s**n
 
 
-def _falling(n: int, m: int, modes: int) -> float:
-    """((n + m)!/n!)^(modes/2): a^m takes |n + m> to this times |n> in each of ``modes`` modes."""
-    return float(prod(range(n + 1, n + m + 1))) ** (modes / 2)
+def _falling(n: int, m: int, modes: int, shift: int = 0) -> float:
+    """((n + m)!/n!)^(modes/2) 2^-shift: a^m takes |n + m> to ((n + m)!/n!)^(1/2) |n> per mode."""
+    p = prod(range(n + 1, n + m + 1))
+    if p.bit_length() * modes // 2 - shift > 1022:  # where the parent's amplitude underflows
+        raise OutOfRange(f"the a^{m} factor of level {n + m} passes the float range")
+    e = max(p.bit_length() - 1023, 0) & -2  # p 2^-e is a float, e even for the root
+    return ldexp(float(p >> e) ** (modes / 2), e * modes // 2 - shift)
 
 
 def squeezed_vacuum(r: float, chi: float = 0.0, cutoff: int | None = None) -> FockState1:
@@ -178,11 +183,13 @@ def subtract_photons(state, m: int):
     amps = state.amplitudes
     if len(amps) <= m:
         raise NullState(f"state has no support above level {m}")
-    new = amps[m:] * [_falling(n, m, state.modes) for n in range(len(amps) - m)]
+    top = prod(range(len(amps) - m, len(amps))).bit_length() * state.modes // 2
+    shift = max(0, top - 500)  # the factors below 2^500, so their squares sum in floats
+    new = amps[m:] * [_falling(n, m, state.modes, shift) for n in range(len(amps) - m)]
     norm = float(np.linalg.norm(new))
     if norm < NULL_THRESHOLD:
         raise NullState("photon subtraction annihilated the state")
-    return type(state)(new / norm), norm
+    return type(state)(new / norm), ratio(*norm.as_integer_ratio(), shift)
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,16 @@ phases phi1 = phi2 = phi.  The read-out ports and their moments
 F(i, j) = <A^dag^i A^i B^dag^j B^j> are those of :mod:`photsub.opalg`, and
 every figure of merit is algebra on them: each observable it reads has its
 weights formed once, at import, is folded once per scene family and is
-summed once per point, and the single slope and the correlated mixed
-derivative are closed forms whose phi-free terms the family forms once.
+summed once per point; the single slope is a map of its folded rows, and
+the correlated mixed derivative a closed form (:class:`opalg.PortMoments`).
 Inputs obey the one input contract, :data:`photsub.errors.PARAMETERS`.
 Each figure takes its config alone and is a certified ball, every variance
 but Mandel Q's by :func:`_variance`, correctly rounded or else
 PrecisionInsufficient (:func:`moments.rounded`): the engine picks its
 working digits, doubling them from ``moments.START_DIGITS`` until the figure
 rounds (:func:`moments.retried`).  Detection loss eta, a beamsplitter to vacuum on
-each read-out port, scales F(i, j) by eta^(i+j)
-(:func:`moments.thin`, the package's one loss law).
+each read-out port, scales F(i, j) by eta^(i+j), carried by each point's
+port entries alone (:func:`moments.thin`, the package's one loss law).
 """
 
 from __future__ import annotations
@@ -237,14 +237,14 @@ def readout_moments(cfg: SingleMziConfig | CorrelatedConfig, digits: int) -> dic
 def single_phase_uncertainty(cfg: SingleMziConfig, digits: int) -> float:
     """Uncertainty sqrt(Var o) / |d<o>/dphi| of the photon-number difference.
 
-    The phase derivative eta (<n_q> - mu) sin(phi) is a closed form.  It cancels
-    where <n_q> nears mu: one that sums to zero raises Singular, and one
-    whose ball reaches 0 rounds to no one float.
+    The phase derivative, eta (<n_q> - mu) sin(phi), is read from o's folded
+    rows.  It cancels where <n_q> nears mu: one that sums to zero raises
+    Singular, and one whose ball reaches 0 rounds to no one float.
     """
     check_type("cfg", cfg, SingleMziConfig)
     ports = _scene(cfg, digits)
     var = _variance(ports, _DIFFERENCE_WEIGHTS)
-    return _root_over(var, _nonzero(ports.slope(), "read-out slope"))
+    return _root_over(var, _nonzero(ports.slope(_DIFFERENCE_WEIGHTS[0]), "read-out slope"))
 
 
 @moments.retried
@@ -320,10 +320,10 @@ def correlated_uncertainty(cfg: CorrelatedConfig, digits: int) -> float:
     derivative at the common working point.  Only <N5 N7> = F(1, 1) depends on both phases, so
     the mixed derivative is -2 d^2 F(1, 1) / dphi1 dphi2.  The result is
     divided by the coherent-only bound sqrt(2) / (eta mu cos^2(phi/2)), with
-    cos^2(phi/2) the port entries' x, so U = sqrt(Var C) eta mu x / |mixed|, x
-    with its radius; a working point without coherent light at the read-out
-    (mu = 0, or cos(phi/2) zero at float resolution: phi an odd multiple of
-    pi) raises Singular, as does a mixed derivative that sums to exactly 0.
+    eta cos^2(phi/2) the point's lossy port entry X, so U = sqrt(Var C) mu X
+    / |mixed|, X with its radius; a working point without coherent light at the
+    read-out (mu = 0, or cos(phi/2) zero at float resolution: phi an odd multiple
+    of pi) raises Singular, as does a mixed derivative that sums to exactly 0.
     """
     check_type("cfg", cfg, CorrelatedConfig)
     if not cfg.mu or abs(cos(cfg.phi / 2.0)) <= ulp(cfg.phi):
@@ -331,8 +331,8 @@ def correlated_uncertainty(cfg: CorrelatedConfig, digits: int) -> float:
     ports = _scene(cfg, digits)
     mixed = _nonzero(-2 * ports.mixed(), "mixed phase derivative of <C>")
     var = _variance(ports, _COVARIANCE_WEIGHTS)
-    x = moments.certified_sum([(ports.x, moments.ONE)], ports.bits)
-    return _root_over(var, mixed, cfg.eta * (cfg.mu * x))
+    x = moments.certified_sum([(ports.lossy[0], moments.ONE)], ports.bits)
+    return _root_over(var, mixed, cfg.mu * x)
 
 
 # ---------------------------------------------------------------------------

@@ -270,18 +270,14 @@ def certified_sum(pairs, bits: int) -> Bounded:
     return Bounded(man, err, low)
 
 
-def thin(x: Bounded, eta: float, n: int) -> Bounded:
-    """``x``, a sum of normal-ordered moments (or products of them) of 2n
-    ladder operators each, detected with efficiency ``eta``: eta^n x.
-
-    Loss, a beamsplitter to vacuum, scales each ladder operator by sqrt(eta)
-    (Bernoulli thinning: eta1 then eta2 is eta1 eta2).  A binary eta, num
-    2^-shift, multiplies exactly, in one step by num^n 2^(-n shift), so ``x``
-    keeps its bound.  This is the one loss law.
-    """
+def thin(x: Bounded, eta: float) -> Bounded:
+    """``x``, a sum of normal-ordered moments of two ladder operators each,
+    detected with efficiency ``eta``: eta x, exact for a binary eta, so ``x``
+    keeps its bound.  Loss, a beamsplitter to vacuum, scales each ladder
+    operator by sqrt(eta) (Bernoulli thinning).  This is the one loss law."""
     check(eta=eta)
     num, den = eta.as_integer_ratio()
-    return Bounded(num**n * x.man, num**n * x.err, x.exp - n * (den.bit_length() - 1))
+    return Bounded(num * x.man, num * x.err, x.exp - (den.bit_length() - 1))
 
 
 def joint_photon_distribution(lam, m: int, n_max: int) -> dict:
@@ -458,11 +454,11 @@ class MomentTable:
         return complex(ratio(re, 1, exp), ratio(im, 1, exp))
 
 
-def passv_moment_table(lam, m: int, chi: float = 0.0, mode=0) -> MomentTable:
+def passv_moment_table(lam, m: int, chi: float = 0.0) -> MomentTable:
     """Exact PASSV moments <a^dag^p a^q>, lazily filled at the bits each
     read asks for: <a^dag^{p+m} a^{q+m}>_SSV / <a^dag^m a^m>_SSV.  At m = 0
     these are the squeezed vacuum's own moments."""
-    return MomentTable((mode,), _vacuum_entry, lam, m, chi)
+    return MomentTable((0,), _vacuum_entry, lam, m, chi)
 
 
 def spatsv_moment_table(lam, m: int, chi: float = 0.0) -> MomentTable:

@@ -21,9 +21,9 @@ sum (:meth:`PortMoments.expect`, :func:`photsub.moments.certified_sum`).  M's
 powers of x, y and z add up to n, so eta^n M(n, k) is M(n, k) of eta x,
 eta y and eta z: a point scales its entries by eta once, by the package's
 one loss law (:func:`photsub.moments.thin`).  Ordinary moments follow by
-Stirling numbers (:func:`normal_ordered`), and the phase derivatives the
-figures of merit divide by are closed forms (:meth:`PortMoments.slope`,
-:meth:`PortMoments.mixed`) whose phi-free terms the family forms once.
+Stirling numbers (:func:`normal_ordered`), a phase slope by a fixed integer
+map of the rows (:meth:`PortCoefficients.slope`), and the correlated mixed
+derivative, which the fold cannot give, by a closed form (:meth:`PortMoments.mixed`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from itertools import product
 from math import comb, factorial
 
 from .moments import (
-    ONE, Bounded, MomentTable, Phases, certified_sum, fixed_from, fixed_mul, fixed_times,
+    ONE, ZERO, Bounded, MomentTable, Phases, certified_sum, fixed_from, fixed_mul, fixed_times,
     man_exp, thin,
 )
 
@@ -134,12 +134,18 @@ class PortCoefficients:
             self._folds[weights, turn] = rows
         return rows
 
-    @cached_property
-    def gap(self):
-        """<n> - mu of the single scheme, one exact difference, or None where
-        it is an exact 0 (:func:`_exact_sum`): the phi-free part of
-        :meth:`PortMoments.slope`."""
-        return _exact_sum([(1, self.moment((1, 1))), (-1, self.displacement(1, 1))])
+    def slope(self, weights: tuple) -> list:
+        """[(n, k, D(n, k))] of d/dphi of the observable over ``weights``: at turn i, dx = iz,
+        dy = -iz, dz = i(x - y)/2 and z^2 = -xy send M(n, k) to +-i(k M(n, k-1) - (2n - k)
+        M(n, k+1))/2, + for even k, so D is an exact sum of fold rows (:func:`_exact_sum`)."""
+        if (weights, None) not in self._folds:  # the slope's rows, beside the fold's
+            g, rows = {(n, k): h for n, k, h in self.fold(weights)}, []
+            for n, k in sorted({(n, k + s) for n, k in g for s in (-1, 1) if 0 <= k + s <= 2 * n}):
+                up, down = (g.get((n, k + s), ZERO) for s in (1, -1))
+                d = _exact_sum([(k + 1, up), (k - 2 * n - 1, down)])
+                rows += [(n, k, fixed_times(d, 1j if k % 2 else -1j, 1))] if d else []
+            self._folds[weights, None] = rows
+        return self._folds[weights, None]
 
     @cached_property
     def mixed_terms(self) -> tuple:
@@ -155,18 +161,16 @@ class PortCoefficients:
 
 class PortMoments:
     """Observables of one scene, and its phase derivatives, as certified sums:
-    ``x`` = |u|^2, ``y`` = |v|^2 and ``z`` = conj(u) v = ``turn`` |uv| of its
-    port entries u, v, fixed-point numbers at the family's bits, and ``eta``
-    the detection efficiency.  The monomials read the entries times eta,
-    truncated to the bits (:func:`fixed_from` adds it to the radius); the phase
-    derivatives and ``x`` itself stay lossless."""
+    ``lossy`` holds eta x, eta y and eta z, x = |u|^2, y = |v|^2 and z = conj(u) v =
+    ``turn`` |uv| of its port entries u, v, fixed-point numbers at the family's
+    bits, and eta the detection efficiency: each scaled once and truncated to
+    the bits (:func:`fixed_from` adds it to the radius), the one loss every read takes."""
 
     def __init__(self, coefficients: PortCoefficients, x, y, z, eta: float = 1.0, turn=1j):
-        self.coefficients, self.eta, self.turn = coefficients, eta, turn
-        self.bits, self.x, self.y, self._z = coefficients.bits, x, y, z
-        scale = thin(Bounded(1, 0, 0), eta, 1)  # eta = man 2^exp, exactly
+        self.coefficients, self.turn, self.bits = coefficients, turn, coefficients.bits
+        scale = thin(Bounded(1, 0, 0), eta)  # eta = man 2^exp, exactly
         lossy = [fixed_from(*fixed_times(v, scale.man, -scale.exp), self.bits) for v in (x, y, z)]
-        self._powers, self._lossy_z = ([ONE, lossy[0]], [ONE, lossy[1]]), lossy[2]
+        self.lossy, self._powers = lossy, ([ONE, lossy[0]], [ONE, lossy[1]])
         self._monomials, self._values = {}, {}
 
     def _monomial(self, n: int, k: int) -> tuple:
@@ -180,7 +184,7 @@ class PortMoments:
                     powers.append(fixed_mul(powers[-1], powers[1], self.bits))
             x, y = self._powers[0][p], self._powers[1][q]
             m = fixed_mul(x, y, self.bits) if p and q else x if p else y
-            m = self._monomials[n, k] = fixed_mul(m, self._lossy_z, self.bits) if k % 2 else m
+            m = self._monomials[n, k] = fixed_mul(m, self.lossy[2], self.bits) if k % 2 else m
         return m
 
     def expect(self, weights: tuple) -> Bounded:
@@ -196,18 +200,13 @@ class PortMoments:
         """F(i, j)."""
         return self.expect((((i, j), 1),))
 
-    def slope(self) -> Bounded:
-        """d(F(1, 0) - F(0, 1))/dphi = eta (<n> - mu) sin phi of the single scheme.
-
-        The subtracted squeezed vacuum has definite photon-number parity, so
-        <a> = 0 and F(1, 0) - F(0, 1) = -eta (<n> - mu) cos phi, with
-        mu = |alpha|^2; sin phi = Re(-2i z).  <n> - mu is one exact difference
-        (:attr:`PortCoefficients.gap`), so <n> = mu gives an exact 0 at every
-        phase.
-        """
-        gap = self.coefficients.gap
-        pairs = [(gap, fixed_times(self._z, -2j))] if gap else []
-        return thin(certified_sum(pairs, self.bits), self.eta, 1)
+    def slope(self, weights: tuple) -> Bounded:
+        """d/dphi of sum w F(i, j) over ``weights`` at a common phase of the
+        Mach-Zehnder ports (:meth:`PortCoefficients.slope`), their turn 1j alone."""
+        if self.turn != 1j:
+            raise ValueError(f"unknown turn {self.turn!r} for a slope: want the Mach-Zehnder 1j")
+        rows = self.coefficients.slope(weights)
+        return certified_sum([(d, self._monomial(n, k)) for n, k, d in rows], self.bits)
 
     def mixed(self) -> Bounded:
         """d^2 F(1, 1)/dphi1 dphi2 of the correlated scheme at phi1 = phi2.
@@ -215,14 +214,13 @@ class PortMoments:
         Port A moves with phi1 and port B with phi2.  The pair populates only
         |n, n>, so <a0> = <a0^dag a1> = <n0 a1> = 0, which leaves
         eta^2 [xy <(n0 - mu)(n1 - mu)> - cos^2 phi Re(conj(alpha)^2 <a0 a1>)/2],
-        with xy = |uv|^2 = sin^2(phi)/4 and cos^2 phi = 1 - 4 xy; the terms
-        in the input moments are the family's (:attr:`PortCoefficients.mixed_terms`).
+        with xy = sin^2(phi)/4 and cos^2 phi = (x - y)^2: in the lossy X = eta x and
+        Y = eta y, XY sum terms - ((X^2 + Y^2)/2 - XY) pair, the family's terms
+        (:attr:`PortCoefficients.mixed_terms`) times the point's monomials.
         """
-        terms, pair = self.coefficients.mixed_terms
-        w = fixed_mul(self.x, self.y, self.bits)
-        pairs = [(w, term) for term in terms]
-        pairs += [(fixed_times(w, 2), pair), (fixed_times(ONE, -1, 1), pair)]
-        return thin(certified_sum(pairs, self.bits), self.eta, 2)
+        (terms, pair), xy = self.coefficients.mixed_terms, self._monomial(2, 2)
+        squares = [(fixed_times(self._monomial(2, k), -1, 1), pair) for k in (0, 4)]
+        return certified_sum([(xy, t) for t in terms] + [(xy, pair)] + squares, self.bits)
 
 
 #: Stirling numbers of the second kind S(n, k), N^n = sum_k S(n, k) a^dag^k a^k,

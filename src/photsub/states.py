@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, sqrt
+from math import comb, prod, sqrt
 from struct import pack, unpack
 from typing import TYPE_CHECKING
 
 from . import moments
-from .errors import NullState, OutOfRange, check, check_type
+from .errors import OutOfRange, check, check_type
 from .moments import MomentTable, _binary, _horner, _vacuum_entry, ratio
 
 if TYPE_CHECKING:
@@ -91,24 +91,24 @@ def _subtracted(spec: _SubtractionSpec, cutoff):
 
     The default cutoff comes from filling the subtracted state: its level n
     is the parent's amplitude at n + m, times ((n + m)!/n!)^(modes/2), over
-    the square root of the norm of the state's own moment table.  The fill
+    the square root of the norm of the state's own moment table, both scaled
+    exactly to stay floats (OutOfRange where the parent underflows).  The fill
     takes chi = 0, which leaves every level's mass as it is, so the cutoff
     depends on lam and m alone.
     """
     from . import fock
 
     check(cutoff=cutoff)
-    m = spec.m
+    m, modes = spec.m, spec.modes
     build, amplitude, squeezing = (
-        (fock.squeezed_vacuum, fock._squeezed, spec.r) if spec.modes == 1 else
+        (fock.squeezed_vacuum, fock._squeezed, spec.r) if modes == 1 else
         (fock.two_mode_squeezed_vacuum, fock._two_mode_squeezed, spec.lam))
     if cutoff is None:
         table = spec.table()  # its norm does not depend on chi
-        moment = ratio(table.norm, 1, -table.shift * table.norm_degree)
-        if moment <= 0.0:  # a nonzero norm can underflow
-            raise NullState("photon subtraction annihilated the state")
-        parent, scale = amplitude(squeezing, 0.0), 1.0 / sqrt(moment)
-        filled = fock._filled(lambda n: parent(n + m) * fock._falling(n, m, spec.modes) * scale,
+        exp = -table.shift * table.norm_degree  # the norm, over 4^shift in [1/2, 2), and
+        shift = (table.norm.bit_length() + exp) // 2  # the factors over 2^shift, exactly
+        parent, scale = amplitude(squeezing, 0.0), 1.0 / sqrt(ratio(table.norm, 1, exp - 2 * shift))
+        filled = fock._filled(lambda n: parent(n + m) * fock._falling(n, m, modes, shift) * scale,
                               mean=spec.lam)  # below the subtracted state's mean
         cutoff = len(filled) - 1 + m
     return fock.subtract_photons(build(squeezing, spec.chi, cutoff), m)[0]
@@ -118,12 +118,12 @@ def passv_seed(spec: PassvSpec) -> FockState1:
     """Seed superposition whose squeezing reproduces the PASSV state.
 
     Components |m - 2l>, l = 0..floor(m/2), with weights z^l/(l! sqrt((m-2l)!)),
-    z = e^{-i chi} sqrt((1+lam)/lam)/2, over |z|^floor(m/2) so that none
-    overflows as lam -> 0, where the seed tends to |m mod 2>.
+    z = e^{-i chi} sqrt((1+lam)/lam)/2, over |z|^floor(m/2)/floor(m/2)!, so that
+    none overflows as lam -> 0, where the seed tends to |m mod 2>, nor underflows.
     """
     import numpy as np
 
-    from .fock import FockState1
+    from .fock import FockState1, _falling
 
     m, lam, chi = spec.m, spec.lam, spec.chi
     if m == 0:
@@ -133,8 +133,8 @@ def passv_seed(spec: PassvSpec) -> FockState1:
     amps = np.zeros(m + 1, dtype=complex)
     r = 2.0 * sqrt(lam / (1.0 + lam))  # 1/|z|
     for l in range(m // 2 + 1):
-        amps[m - 2 * l] = np.exp(-1j * chi * l) * r ** (m // 2 - l) / (
-            factorial(l) * sqrt(factorial(m - 2 * l)))
+        amps[m - 2 * l] = np.exp(-1j * chi * l) * r ** (m // 2 - l) * (
+            prod(range(l + 1, m // 2 + 1)) / _falling(0, m - 2 * l, 1))  # / sqrt((m - 2l)!)
     return FockState1(amps).normalized()
 
 

@@ -172,15 +172,16 @@ def coherent_table(alpha, mode=0, max_order=10**6) -> ReferenceTable:
     return ReferenceTable((mode,), max_order, compute=compute)
 
 
-def apply_loss(table, eta) -> ReferenceTable:
+def apply_loss(table, eta, mode=None) -> ReferenceTable:
     """Bernoulli thinning: each entry scaled by eta^{(sum of exponents)/2}.
 
     The reference thinning, entry by entry at the entry's precision, that
     the production law :func:`photsub.moments.thin` is checked against.
+    ``mode`` relabels a one-mode table's mode for :func:`contract`.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    if eta == 1:
+    if eta == 1 and mode is None:
         return table
 
     factors = {0: 1}
@@ -192,7 +193,8 @@ def apply_loss(table, eta) -> ReferenceTable:
         return factors[total] * entry(table, key)
 
     # a production table has no order bound
-    return ReferenceTable(table.modes, getattr(table, "max_order", 10**6), compute=compute)
+    modes = table.modes if mode is None else (mode,)
+    return ReferenceTable(modes, getattr(table, "max_order", 10**6), compute=compute)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +352,14 @@ def bounded(x) -> moments.Bounded:
     return moments.certified_sum([(moments.ONE, fixed_exact(x, bits))], bits)
 
 
+def thinned(x: moments.Bounded, eta, n: int) -> moments.Bounded:
+    """eta^n ``x``, a sum of moments of 2n ladder operators each: ``x``
+    thinned n times by the production law :func:`photsub.moments.thin`."""
+    for _ in range(n):
+        x = moments.thin(x, eta)
+    return x
+
+
 def quadrature_variance(table, coeffs, eta: float = 1.0,
                         bits: int = moments.digits_to_bits(35)) -> float:
     """Var X of the quadrature X = sum_t (c_t a_t + conj(c_t) a_t^dag)/sqrt 2.
@@ -387,7 +397,7 @@ def quadrature_variance(table, coeffs, eta: float = 1.0,
             pairs.append((moments.fixed_mul(conj[s], ct, bits), read(2 * s, 2 * t + 1)))
     vacuum = moments.certified_sum(zip(coeffs, conj), bits)
     spread = moments.certified_sum(pairs, bits) - 2 * mean.squared()
-    return (moments.thin(spread, eta, 1) + 0.5 * vacuum).value
+    return (moments.thin(spread, eta) + 0.5 * vacuum).value
 
 
 def legendre_p(m: int, x):

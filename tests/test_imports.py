@@ -10,6 +10,7 @@ constructs PrecisionInsufficient and only ``moments`` names a default
 working precision."""
 
 import ast
+import importlib
 import inspect
 import os
 import re
@@ -17,6 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import conftest
 import photsub
 
 PACKAGE = Path(photsub.__file__).parent
@@ -367,3 +369,38 @@ def test_each_scheme_is_a_declaration_on_one_shared_definition():
     assert [f.name for f in fields(fock.TwoModeDiagonalState)] == ["amplitudes"]
     # the mode count is read from the spec, not passed beside it
     assert list(inspect.signature(states._subtracted).parameters) == ["spec", "cutoff"]
+
+
+def _module_memos() -> list:
+    """(module, name) of every module-level memo of the package: a name bound
+    to an empty dict literal, or a function decorated with a functools cache."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+                found += [(path.stem, target.id) for target in node.targets
+                          if isinstance(target, ast.Name) and not node.value.keys]
+            elif isinstance(node, ast.FunctionDef) and any(
+                    {"lru_cache", "cache"} & _named(d) for d in node.decorator_list):
+                found.append((path.stem, node.name))
+    return found
+
+
+def test_the_suite_clears_every_module_level_memo():
+    # each test starts from empty memos (tests/conftest.py), so a new memo
+    # must join conftest's list: a probe left in a dict, or a cache the list
+    # does not hold, fails here
+    memos = {(module, name): getattr(importlib.import_module(f"photsub.{module}"), name)
+             for module, name in _module_memos()}
+    assert len(memos) >= 6
+    probe = object()
+    for memo in memos.values():
+        if isinstance(memo, dict):
+            memo[probe] = None
+    conftest.clear()
+    left = [key for key, memo in memos.items()
+            if (probe in memo if isinstance(memo, dict) else memo not in conftest.MEMOS)]
+    for memo in memos.values():
+        if isinstance(memo, dict):
+            memo.pop(probe, None)
+    assert left == []

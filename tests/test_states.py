@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import reference
 from photsub import fock, moments, states
 from photsub.errors import CutoffTooSmall, NullState, OutOfRange
-from photsub.experiments import SweepConfig, run_sweep
+from photsub.experiments import SweepConfig, main, run_sweep
 from photsub.states import PassvSpec, SpatsvSpec
 from reference import (
     coherent_state,
@@ -414,3 +414,44 @@ def test_a_constructor_refuses_the_other_schemes_spec(build, spec, expected):
     # would silently build the other scheme's state, as the configs refuse
     with pytest.raises(ValueError, match=expected):
         build(spec)
+
+
+@pytest.mark.parametrize("build, spec", [
+    (states.passv, PassvSpec(1.0, 150)),
+    (states.passv, PassvSpec(50.0, 150)),
+    (states.spatsv, SpatsvSpec(0.5, 150)),
+    (states.passv_seed, PassvSpec(1.0, 171)),
+    (states.passv_seed, PassvSpec(1e-9, 200)),
+    (states.spatsv_seed, SpatsvSpec(1e-9, 200)),
+], ids=["passv-1-150", "passv-50-150", "spatsv-0.5-150", "seed-1-171", "seed-1e-9-200",
+        "pair-seed-1e-9-200"])
+def test_a_large_order_builds_a_unit_norm_state(build, spec):
+    # (n + m)!/n! and (m - 2l)! pass the float range from m = 171 on, and the
+    # subtracted norm from m of about 130 at lam = 1
+    amplitudes = build(spec).amplitudes
+    assert np.isfinite(amplitudes).all()
+    assert abs(np.linalg.norm(amplitudes) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("build, spec", [
+    (states.passv, PassvSpec(1e-9, 150)),
+    (states.spatsv, SpatsvSpec(1e-3, 200)),
+])
+def test_a_state_past_the_float_range_is_refused(build, spec):
+    # the squeezed parent's float amplitudes underflow where the state lives
+    with pytest.raises(OutOfRange):
+        build(spec)
+
+
+@pytest.mark.parametrize("n, m, modes", [(0, 5, 1), (7, 3, 2), (40, 100, 1), (10, 150, 2)])
+def test_the_falling_factor_is_the_float_of_today_where_it_fits(n, m, modes):
+    want = float(factorial(n + m) // factorial(n)) ** (modes / 2)
+    assert fock._falling(n, m, modes) == want
+    assert fock._falling(n, m, modes, 7) == want / 128
+
+
+def test_the_cli_compares_a_large_order_without_a_traceback(tmp_path, capsys):
+    config = tmp_path / "large.cfg"
+    config.write_text("scheme = single\nlam = 1\nm = 150\nmu = 1\nphi = 0.7\n")
+    assert main(["oracle-compare", "--config", str(config)]) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err

@@ -130,7 +130,7 @@ def _values(cfg, digits) -> tuple:
         (x.man, x.err, x.exp)
         for x in [ports.expect(opalg.normal_ordered({(p, q): 1}))
                   for p, q in ((1, 0), (1, 1), (2, 2)) if p + q <= (2 if single else 4)]
-        + [ports.slope() if single else ports.mixed()]
+        + [ports.slope(metrology._DIFFERENCE_WEIGHTS[0]) if single else ports.mixed()]
     )
     public = (metrology.single_phase_uncertainty, metrology.qfi) if single else (
         metrology.correlated_uncertainty, metrology.nrf)
