@@ -5,10 +5,14 @@ its mode count), photon subtraction, and a brute-force interferometer oracle
 used to validate the symbolic moment engine.  Each state is one amplitude function
 n -> <n|state>; one filler turns it into an array, by default up to the
 least level whose tail mass is below TAIL_TOL plus CUTOFF_MARGIN levels, and
-checks a given cutoff against the same tail.  The MZI turns the coherent
-port's displacement into one displacement of each output port around the
-closed-form image of |0> (x) |quantum>, their entries normalised Laguerre
-functions filled by a recurrence over the nq quantum levels.  The single
+checks a given cutoff, and before any fill a squeezed state's floor, against
+that tail.  The squeezing angle turns the filled real levels last
+(:meth:`_FockState.turned`).  Photon subtraction is one map of amplitude
+functions, a^m on each mode (:func:`_lowered`), filled once per state by
+:mod:`photsub.states`.  The MZI turns the coherent port's displacement into
+one displacement of each output port around the closed-form image of
+|0> (x) |quantum>, their entries normalised Laguerre functions filled by a
+recurrence over the nq quantum levels.  The single
 scheme's output is one D x D plane: O(D nq^2) work.  The twin MZIs'
 discarded coherent ports drop out of the read-out by the unitarity of their
 displacements, which leaves one nq x nq Gram matrix per read-out count.
@@ -30,13 +34,12 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import ceil, cosh, ldexp, lgamma, log, prod, sinh, sqrt, tanh
+from math import ceil, cosh, factorial, ldexp, lgamma, log, prod, sinh, sqrt, tanh
 
 import numpy as np
 
 from .errors import (  # MAX_AMPLITUDES bounds the oracle's largest array, read at each call
     MAX_AMPLITUDES, CutoffTooSmall, MemoryBoundExceeded, ModeMismatch, NullState, OutOfRange, check)
-from .moments import ratio
 
 TAIL_TOL = 1e-12
 NULL_THRESHOLD = 1e-300
@@ -59,6 +62,14 @@ class _FockState:
         if norm < NULL_THRESHOLD:
             raise NullState("cannot normalize a null state")
         return type(self)(self.amplitudes / norm)
+
+    def turned(self, chi: float, first: int = 0) -> "_FockState":
+        """Normalized, level n turned by e^{i chi floor((first + n) modes/2)}: the squeezing
+        angle chi of a parent whose level first + n it is, which moves no level's mass."""
+        amps = self.amplitudes
+        if chi:  # e^0 = 1 turns nothing
+            amps = amps * np.exp(1j * chi * ((np.arange(len(amps)) + first) * self.modes // 2))
+        return type(self)(amps).normalized()
 
 
 @dataclass(frozen=True)
@@ -111,85 +122,67 @@ def _coherent(alpha: complex):
     return lambda n: cmath.exp(complex(n * log_r - mu / 2 - lgamma(n + 1) / 2, n * theta))
 
 
-def _squeezed(r: float, chi: float):
-    """n -> <n|S(r e^{i chi})|0>: zero at odd n, and at n = 2k e^{i chi k} c_2k with
-
-        c_2k = c_{2k-2} tanh(r) sqrt((2k - 1)/(2k)),   c_0 = 1/sqrt(cosh r),
-
-    each real level computed once, in order, as it is first asked for, so the
-    level masses, and with them the default cutoff, do not depend on chi.
-    """
-    t = tanh(r)
-    even = []
+def _squeezed(r: float):
+    """(n -> <n|S(r)|0>, a floor on the mass from level n on).  The amplitude is zero at odd
+    n, and at n = 2k it is c_2k = c_{2k-2} tanh(r) sqrt((2k - 1)/(2k)), c_0 = 1/sqrt(cosh r),
+    each level computed once, in order, as it is first asked for.  Past the fill's level
+    limit, r < 99: the J = ceil(cosh^2 r) even levels 2k from n on, 2k <= n + 2J - 1,
+    each hold sech(r) tanh(r)^2k C(2k, k)/4^k >= sech(r) tanh(r)^(n+2J-1)/sqrt(2(n+2J-1)),
+    which the floor sums, where one level falls short of the tail by about cosh^2 r."""
+    t, j, even = tanh(r), ceil(cosh(min(r, 99)) ** 2), []
 
     def amplitude(n):
         while len(even) <= n // 2:
             k = len(even)
             even.append(even[-1] * t * sqrt((2 * k - 1) / (2 * k)) if k else 1.0 / sqrt(cosh(r)))
-        return 0j if n % 2 else even[n // 2] * cmath.exp(1j * chi * (n // 2))
+        return 0.0 if n % 2 else even[n // 2]
 
-    return amplitude
+    return amplitude, lambda n: j * t ** (n + 2 * j - 1) / (cosh(r) * sqrt(2 * (n + 2 * j - 1)))
 
 
-def _two_mode_squeezed(lam: float, chi: float):
-    """n -> <n,n|TSV> = sqrt(1 - x) (e^{i chi} sqrt x)^n, x = lam / (1 + lam)."""
+def _two_mode_squeezed(lam: float):
+    """(n -> <n,n|TSV> = sqrt(1 - x) x^(n/2), the mass from level n on x^n), x = lam/(1 + lam)."""
     x = lam / (1.0 + lam)
-    s = sqrt(x) * cmath.exp(1j * chi)
-    return lambda n: sqrt(1.0 - x) * s**n
+    c, s = sqrt(1.0 - x), sqrt(x)
+    return (lambda n: c * s**n), lambda n: x**n
 
 
-def _falling(n: int, m: int, modes: int, shift: int = 0) -> float:
-    """((n + m)!/n!)^(modes/2) 2^-shift: a^m takes |n + m> to ((n + m)!/n!)^(1/2) |n> per mode."""
-    p = prod(range(n + 1, n + m + 1))
-    if p.bit_length() * modes // 2 - shift > 1022:  # where the parent's amplitude underflows
-        raise OutOfRange(f"the a^{m} factor of level {n + m} passes the float range")
-    e = max(p.bit_length() - 1023, 0) & -2  # p 2^-e is a float, e even for the root
-    return ldexp(float(p >> e) ** (modes / 2), e * modes // 2 - shift)
+def _lowered(amplitude, m: int, modes: int, shift: int = 0):
+    """n -> amplitude(n + m) ((n + m)!/n!)^(modes/2) 2^-shift, a^m on each of ``modes`` modes:
+    p(n) = (n + m)!/n! steps exactly from the level last asked for, p(n) = p(n - 1)(n + m)/n,
+    rounded once per level; OutOfRange where its factor passes the float range."""
+    last, last_p = 0, factorial(m)  # the last n asked for, and its p
+
+    def lowered(n):
+        nonlocal last, last_p
+        k, p = (last, last_p) if n >= last else (0, factorial(m))
+        while k < n:
+            k += 1
+            p = p * (k + m) // k
+        last, last_p = n, p
+        if (bits := p.bit_length()) * modes // 2 - shift > 1022:  # where the parent underflows
+            raise OutOfRange(f"the a^{m} factor of level {n + m} passes the float range")
+        e = bits - 1023 & -2 if bits > 1023 else 0  # p 2^-e is a float, e even for the root
+        return amplitude(n + m) * ldexp(float(p >> e) ** (modes / 2), e * modes // 2 - shift)
+
+    return lowered
 
 
 def squeezed_vacuum(r: float, chi: float = 0.0, cutoff: int | None = None) -> FockState1:
     """Single-mode squeezed vacuum S(r e^{i chi})|0> with <N> = sinh^2 r, which the
-    fill's mean check reads at min(r, 99): past any level limit, and finite.  Past
-    it, r < 99: the J = ceil(cosh^2 r) even levels 2k from n on, 2k <= n + 2J - 1,
-    each hold sech(r) tanh(r)^2k C(2k, k)/4^k >= sech(r) tanh(r)^(n+2J-1)/sqrt(2(n+2J-1)),
-    which the floor sums, where one level falls short of the tail by about cosh^2 r."""
+    fill's mean check reads at min(r, 99): past any level limit, and finite."""
     check(r=r, chi=chi, cutoff=cutoff)
-    j = ceil(cosh(min(r, 99)) ** 2)
-    floor = lambda n: j * tanh(r) ** (n + 2 * j - 1) / (cosh(r) * sqrt(2 * (n + 2 * j - 1)))
-    return FockState1(_filled(_squeezed(r, chi), cutoff, sinh(min(r, 99)) ** 2, floor)).normalized()
+    amplitude, floor = _squeezed(r)
+    return FockState1(_filled(amplitude, cutoff, sinh(min(r, 99)) ** 2, floor)).turned(chi)
 
 
 def two_mode_squeezed_vacuum(
     lam: float, chi: float = 0.0, cutoff: int | None = None
 ) -> TwoModeDiagonalState:
-    """Two-mode squeezed vacuum with mean photons per mode lambda: the levels from
-    n on hold (lam/(1 + lam))^n, which the fill checks before it fills."""
+    """Two-mode squeezed vacuum with mean photons per mode lambda."""
     check(lam=lam, chi=chi, cutoff=cutoff)
-    return TwoModeDiagonalState(_filled(_two_mode_squeezed(lam, chi), cutoff, lam,
-                                        lambda n: (lam / (1.0 + lam)) ** n)).normalized()
-
-
-def subtract_photons(state, m: int):
-    """Apply a^m to each of the state's modes and renormalize.
-
-    Returns ``(new_state, norm)`` where ``norm`` is the pre-normalization norm
-    of the subtracted vector (the success amplitude).
-    """
-    check(m=m)
-    if m == 0:
-        return state, 1.0
-    if not isinstance(state, _FockState):
-        raise TypeError(f"unsupported state type {type(state)!r}")
-    amps = state.amplitudes
-    if len(amps) <= m:
-        raise NullState(f"state has no support above level {m}")
-    top = prod(range(len(amps) - m, len(amps))).bit_length() * state.modes // 2
-    shift = max(0, top - 500)  # the factors below 2^500, so their squares sum in floats
-    new = amps[m:] * [_falling(n, m, state.modes, shift) for n in range(len(amps) - m)]
-    norm = float(np.linalg.norm(new))
-    if norm < NULL_THRESHOLD:
-        raise NullState("photon subtraction annihilated the state")
-    return type(state)(new / norm), ratio(*norm.as_integer_ratio(), shift)
+    amplitude, floor = _two_mode_squeezed(lam)
+    return TwoModeDiagonalState(_filled(amplitude, cutoff, lam, floor)).turned(chi)
 
 
 # ---------------------------------------------------------------------------

@@ -136,14 +136,15 @@ class PortCoefficients:
 
     def slope(self, weights: tuple) -> list:
         """[(n, k, D(n, k))] of d/dphi of the observable over ``weights``: at turn i, dx = iz,
-        dy = -iz, dz = i(x - y)/2 and z^2 = -xy send M(n, k) to +-i(k M(n, k-1) - (2n - k)
-        M(n, k+1))/2, + for even k, so D is an exact sum of fold rows (:func:`_exact_sum`)."""
+        dy = -iz, dz = i(x - y)/2 and z^2 = -xy send M(n, k) to i(k M(n, k-1) - (2n - k)
+        M(n, k+1))/2 at odd k, the only k of D as :func:`_rows`' selection rules give every
+        fold row even k, so D is an exact sum of fold rows (:func:`_exact_sum`)."""
         if (weights, None) not in self._folds:  # the slope's rows, beside the fold's
             g, rows = {(n, k): h for n, k, h in self.fold(weights)}, []
             for n, k in sorted({(n, k + s) for n, k in g for s in (-1, 1) if 0 <= k + s <= 2 * n}):
                 up, down = (g.get((n, k + s), ZERO) for s in (1, -1))
                 d = _exact_sum([(k + 1, up), (k - 2 * n - 1, down)])
-                rows += [(n, k, fixed_times(d, 1j if k % 2 else -1j, 1))] if d else []
+                rows += [(n, k, fixed_times(d, 1j, 1))] if d else []
             self._folds[weights, None] = rows
         return self._folds[weights, None]
 

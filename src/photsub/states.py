@@ -8,14 +8,14 @@ energy balancing of fixed-total-energy comparisons, whose root is the float
 nearest the exact one.  A spec's mode count, 1 or 2, picks its moment
 table and Fock state.  The constructors build Fock-space states, which
 only the oracle reads, so they import :mod:`photsub.fock` (and numpy) when
-called: a sweep never does.
+called: a sweep never does.  PASSV and SPATSV are one fill of fock's a^m map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, prod, sqrt
+from math import comb, sqrt
 from struct import pack, unpack
 from typing import TYPE_CHECKING
 
@@ -87,31 +87,34 @@ def spatsv(spec: SpatsvSpec, cutoff: int | None = None) -> TwoModeDiagonalState:
 
 
 def _subtracted(spec: _SubtractionSpec, cutoff):
-    """a^m on each of the spec's modes of the squeezed vacuum (one) or TSV (two).
+    """a^m on each of the spec's modes of the squeezed vacuum (one) or TSV (two): level n
+    is the chi = 0 parent's at n + m, lowered (:func:`photsub.fock._lowered`) over the root
+    of the table's norm, both scaled exactly to stay floats.  By default their fill is the
+    state, refused first where the parent's tail floor from n + m passes the level limit
+    (a^m tilts the counts to higher n); a given cutoff bounds the parent, checked against
+    its tail.  chi turns the levels last (:meth:`photsub.fock._FockState.turned`)."""
+    import numpy as np
 
-    The default cutoff comes from filling the subtracted state: its level n
-    is the parent's amplitude at n + m, times ((n + m)!/n!)^(modes/2), over
-    the square root of the norm of the state's own moment table, both scaled
-    exactly to stay floats (OutOfRange where the parent underflows).  The fill
-    takes chi = 0, which leaves every level's mass as it is, so the cutoff
-    depends on lam and m alone.
-    """
     from . import fock
 
-    check(cutoff=cutoff)
     m, modes = spec.m, spec.modes
-    build, amplitude, squeezing = (
-        (fock.squeezed_vacuum, fock._squeezed, spec.r) if modes == 1 else
-        (fock.two_mode_squeezed_vacuum, fock._two_mode_squeezed, spec.lam))
-    if cutoff is None:
-        table = spec.table()  # its norm does not depend on chi
-        exp = -table.shift * table.norm_degree  # the norm, over 4^shift in [1/2, 2), and
-        shift = (table.norm.bit_length() + exp) // 2  # the factors over 2^shift, exactly
-        parent, scale = amplitude(squeezing, 0.0), 1.0 / sqrt(ratio(table.norm, 1, exp - 2 * shift))
-        filled = fock._filled(lambda n: parent(n + m) * fock._falling(n, m, modes, shift) * scale,
-                              mean=spec.lam)  # below the subtracted state's mean
-        cutoff = len(filled) - 1 + m
-    return fock.subtract_photons(build(squeezing, spec.chi, cutoff), m)[0]
+    state, build, parent, squeezing = (
+        (fock.FockState1, fock.squeezed_vacuum, fock._squeezed, spec.r) if modes == 1 else
+        (fock.TwoModeDiagonalState, fock.two_mode_squeezed_vacuum, fock._two_mode_squeezed,
+         spec.lam))
+    amplitude, floor = parent(squeezing)
+    if cutoff is not None:  # the parent's levels: the builder checks the cutoff, and its tail
+        amplitude = build(squeezing, 0.0, cutoff).amplitudes.tolist().__getitem__
+    table = spec.table()  # its norm does not depend on chi
+    exp = -table.shift * table.norm_degree  # the norm, over 4^shift in [1/2, 2), and
+    shift = (table.norm.bit_length() + exp) // 2  # the factors over 2^shift, exactly
+    scale = 1.0 / sqrt(ratio(table.norm, 1, exp - 2 * shift))
+    lowered = fock._lowered(amplitude, m, modes, shift)
+    if cutoff is None:  # the mean lies below the subtracted state's
+        amps = fock._filled(lambda n: lowered(n) * scale, None, spec.lam, lambda n: floor(n + m))
+    else:
+        amps = np.array(list(map(lowered, range(cutoff + 1 - m))), dtype=complex) * scale
+    return state(amps).turned(spec.chi, m)
 
 
 def passv_seed(spec: PassvSpec) -> FockState1:
@@ -123,18 +126,19 @@ def passv_seed(spec: PassvSpec) -> FockState1:
     """
     import numpy as np
 
-    from .fock import FockState1, _falling
+    from .fock import FockState1, _lowered
 
     m, lam, chi = spec.m, spec.lam, spec.chi
     if m == 0:
         return FockState1(np.array([1.0 + 0j]))
     if lam == 0:
         raise OutOfRange("seed representation is singular at lam = 0 for m > 0")
+    falling = lambda n, k, modes: _lowered(lambda _: 1.0, k, modes)(n)  # ((n + k)!/n!)^(modes/2)
     amps = np.zeros(m + 1, dtype=complex)
     r = 2.0 * sqrt(lam / (1.0 + lam))  # 1/|z|
     for l in range(m // 2 + 1):
         amps[m - 2 * l] = np.exp(-1j * chi * l) * r ** (m // 2 - l) * (
-            prod(range(l + 1, m // 2 + 1)) / _falling(0, m - 2 * l, 1))  # / sqrt((m - 2l)!)
+            falling(l, m // 2 - l, 2) / falling(0, m - 2 * l, 1))  # floor(m/2)!/l!/sqrt((m - 2l)!)
     return FockState1(amps).normalized()
 
 

@@ -125,8 +125,6 @@ def _entries():
            dict(r=NONNEGATIVE, chi=REAL, cutoff=INTEGER))
     yield ("two_mode_squeezed_vacuum", fock.two_mode_squeezed_vacuum, dict(lam=0.3),
            dict(lam=NONNEGATIVE, chi=REAL, cutoff=INTEGER))
-    yield ("subtract_photons", fock.subtract_photons,
-           dict(state=fock.squeezed_vacuum(0.3), m=1), dict(m=INTEGER))
     yield ("oracle_interferometer",
            lambda **kw: fock.oracle_interferometer(fock.OracleScene(**kw)),
            dict(quantum=fock.squeezed_vacuum(0.3), mu=1.0, psi=0.0, phi=0.7), scene)

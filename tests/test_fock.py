@@ -1,6 +1,7 @@
 """Truncated-Fock state construction and the brute-force interferometer oracle."""
 
 import tracemalloc
+from math import sinh
 
 import mpmath as mp
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photsub import experiments, fock
+from photsub import experiments, fock, states
 from photsub.errors import CutoffTooSmall, MemoryBoundExceeded, ModeMismatch, NullState
+from photsub.states import PassvSpec, SpatsvSpec
 from reference import (
     ancilla_joint,
     apply_dense_two_mode_unitary,
@@ -67,8 +69,8 @@ def _counted_amplitudes(monkeypatch, name) -> list:
     calls, build = [], getattr(fock, name)
 
     def counted(*args):
-        amplitude = build(*args)
-        return lambda n: calls.append(n) or amplitude(n)
+        amplitude, floor = build(*args)
+        return (lambda n: calls.append(n) or amplitude(n)), floor
 
     monkeypatch.setattr(fock, name, counted)
     return calls
@@ -79,27 +81,39 @@ def _counted_amplitudes(monkeypatch, name) -> list:
     (fock.squeezed_vacuum, 6.1, "_squeezed"),
     (fock.squeezed_vacuum, 7.0, "_squeezed"),
     (fock.two_mode_squeezed_vacuum, 3e5, "_two_mode_squeezed"),
+    (lambda lam: states.passv(PassvSpec(lam, 0)), sinh(6.0) ** 2, "_squeezed"),
+    (lambda lam: states.passv(PassvSpec(lam, 2)), sinh(6.0) ** 2, "_squeezed"),
+    (lambda lam: states.spatsv(SpatsvSpec(lam, 0)), 2e5, "_two_mode_squeezed"),
+    (lambda lam: states.spatsv(SpatsvSpec(lam, 1)), 2e5, "_two_mode_squeezed"),
 ])
 def test_a_tail_past_the_level_limit_is_refused_before_any_fill(monkeypatch, build, arg, name):
     # mean photons below the 10^6-level limit, but a tail past it: refused
     # before any amplitude is formed, where it took ~1 s of filling to refuse
     # (r = 6 and 6.1 leave tails of 7.1e-7 and 7.3e-6, about cosh^2 r times
-    # the mass of their first level past the limit)
+    # the mass of their first level past the limit); a subtracted state's
+    # default fill reads its parent's floor from level n + m on
     calls = _counted_amplitudes(monkeypatch, name)
     with pytest.raises(CutoffTooSmall):
         build(arg)
     assert calls == []
 
 
-@pytest.mark.parametrize("r", [0.05, 0.3, 1.0, 2.0, 3.0, 4.0, 5.0])
-def test_the_squeezed_vacuums_early_floor_lies_below_its_tail(monkeypatch, r):
+@pytest.mark.parametrize("build, arg", [
+    *(pytest.param(lambda r, cutoff=None: fock.squeezed_vacuum(r, 0.0, cutoff), r, id=str(r))
+      for r in [0.05, 0.3, 1.0, 2.0, 3.0, 4.0, 5.0]),
+    *(pytest.param(states.passv, PassvSpec(lam, m), id=f"passv-{lam}-{m}")
+      for lam, m in [(0.3, 1), (2.0, 3), (20.0, 2)]),
+    *(pytest.param(states.spatsv, SpatsvSpec(lam, m), id=f"spatsv-{lam}-{m}")
+      for lam, m in [(0.3, 1), (2.0, 3), (20.0, 2)]),
+])
+def test_the_squeezed_vacuums_early_floor_lies_below_its_tail(monkeypatch, build, arg):
     # the early check refuses only what the fill refuses: its floor on the
-    # mass from level n on lies below that mass, summed level by level
+    # mass from level n on lies below that mass, summed level by level; a
+    # subtracted state's is its parent's from n + m on, as a^m tilts the
+    # parent's counts by a weight that grows with the level
     floors, filled = [], fock._filled
     monkeypatch.setattr(fock, "_filled", lambda *args: floors.append(args[3]) or filled(*args))
-    fock.squeezed_vacuum(r)
-    amplitude = fock._squeezed(r, 0.0)
-    masses = np.abs([amplitude(n) for n in range(2 * fock.squeezed_vacuum(r).cutoff)]) ** 2
+    masses = np.abs(build(arg, 2 * build(arg).cutoff).amplitudes) ** 2
     tails = np.cumsum(masses[::-1])[::-1]  # the mass from level n on, within the sum's reach
     levels = sorted({int(n) for n in np.geomspace(1, len(masses) // 2, 40)})
     assert all(floors[0](n) <= tails[n] for n in levels)
@@ -110,7 +124,7 @@ def test_a_tail_below_the_level_limit_still_fills():
     # its default cutoff, and its tail contract at an explicit cutoff
     assert fock.squeezed_vacuum(5.0).cutoff == 281_459
     assert fock.two_mode_squeezed_vacuum(1e3).cutoff == len(
-        fock._filled(fock._two_mode_squeezed(1e3, 0.0))) - 1
+        fock._filled(fock._two_mode_squeezed(1e3)[0])) - 1
     with pytest.raises(CutoffTooSmall):
         fock.two_mode_squeezed_vacuum(1e3, cutoff=20_000)
 
@@ -125,18 +139,18 @@ def test_two_mode_squeezed_vacuum_thermal_marginal():
 
 
 def test_subtract_photons_from_vacuum_raises():
-    vac = fock.FockState1(np.array([1.0 + 0j]))
     with pytest.raises(NullState):
-        fock.subtract_photons(vac, 1)
+        states.passv(PassvSpec(0.0, 1), cutoff=5)
 
 
 def test_subtraction_norm_matches_factorial_moment():
     lam = 1.0
     r = float(np.arcsinh(np.sqrt(lam)))
     ssv = fock.squeezed_vacuum(r, cutoff=400)
-    _, norm = fock.subtract_photons(ssv, 2)
+    lowered = fock._lowered(ssv.amplitudes.__getitem__, 2, 1)
+    norm2 = sum(abs(lowered(n)) ** 2 for n in range(ssv.cutoff - 1))
     # norm^2 = <a^dag^2 a^2> = <n(n-1)> of the squeezed vacuum = lam(3 lam + 1)
-    assert abs(norm**2 - lam * (3 * lam + 1)) < 1e-9
+    assert abs(norm2 - lam * (3 * lam + 1)) < 1e-9
 
 
 def test_squeeze_apply_matches_direct_construction():
@@ -216,10 +230,8 @@ def test_coherent_amplitudes_match_high_precision(mu, psi):
 def test_subtraction_ladder_matches_high_precision(m, two_mode):
     # a^m |n> = sqrt(n!/(n-m)!) |n-m>, once per mode of a twin beam
     dim = 60
-    ones = np.ones(dim, dtype=complex)
-    state = fock.TwoModeDiagonalState(ones) if two_mode else fock.FockState1(ones)
-    out, norm = fock.subtract_photons(state, m)
-    ladder = norm * out.amplitudes
+    lowered = fock._lowered(lambda n: 1.0 + 0j, m, 2 if two_mode else 1)
+    ladder = np.array([lowered(n) for n in range(dim - m)])
     with mp.workdps(50):
         exact = [mp.factorial(n) / mp.factorial(n - m) for n in range(m, dim)]
         exact = np.array([float(x if two_mode else mp.sqrt(x)) for x in exact])

@@ -269,10 +269,10 @@ _SCHEME_TYPES = {"_SubtractionSpec", "PassvSpec", "SpatsvSpec", "_Config", "Sing
                  "CorrelatedConfig", "_FockState", "FockState1", "TwoModeDiagonalState"}
 _SCHEME_NAMES = {"single", "correlated"}
 #: (module, function) of the boundary checks that still name a scheme: the
-#: oracle's and subtract_photons' input checks, and the scheme-name
-#: validation of sweep configs and of the oracle comparison
-_BOUNDARY_CHECKS = {("fock.py", "subtract_photons"), ("fock.py", "oracle_interferometer"),
-                    ("experiments.py", "validate"), ("experiments.py", "oracle_compare")}
+#: oracle's input check, and the scheme-name validation of sweep configs and
+#: of the oracle comparison
+_BOUNDARY_CHECKS = {("fock.py", "oracle_interferometer"), ("experiments.py", "validate"),
+                    ("experiments.py", "oracle_compare")}
 
 
 def _scoped(tree):
@@ -289,10 +289,13 @@ def _scoped(tree):
 def test_no_module_forks_on_the_scheme():
     # each spec and Fock state declares its mode count and each config its
     # spec, so no module tests their types or compares a scheme name: only
-    # the refusals at the boundary do (errors.check_type, and the checks above)
-    forks = []
+    # the refusals at the boundary do (errors.check_type, and the checks above),
+    # each of which its module still defines
+    forks, defined = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         for scope, node in _scoped(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add((path.name, node.name))
             if (path.name, scope) in _BOUNDARY_CHECKS:
                 continue
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -305,6 +308,7 @@ def test_no_module_forks_on_the_scheme():
                 continue
             forks += [f"{path.name}:{node.lineno} {sorted(tested)}"] if tested else []
     assert forks == []
+    assert _BOUNDARY_CHECKS <= defined, f"stale: {sorted(_BOUNDARY_CHECKS - defined)}"
 
 
 def _bindings(node) -> list:

@@ -140,6 +140,18 @@ def test_single_slope_matches_the_reference_jet(scheme, observable, seed):
         assert abs(_exact(got) - mp.re(want.d1 + want.d2)) <= 1e-40 * want_scale
 
 
+@pytest.mark.parametrize("single", [True, False])
+@pytest.mark.parametrize("turn", [1, -1, 1j, -1j])
+def test_every_fold_row_has_even_k(single, turn):
+    # the selection rule that puts every slope row at odd k, where the map's
+    # sign is +: k = a + b is even for each pair the rule keeps
+    weights = [opalg.normal_ordered(o) for o in OBSERVABLES.values()] + [
+        w for pair in (metrology._DIFFERENCE_WEIGHTS, metrology._COVARIANCE_WEIGHTS,
+                       metrology._QFI_WEIGHTS) for w in pair]
+    weights += [metrology._SUM_WEIGHTS, *metrology._READOUT_WEIGHTS.values()]
+    assert [k for w in weights for (_, k), _ in opalg._rows(single, w, turn) if k % 2] == []
+
+
 @pytest.mark.parametrize("phi", [0.3, pi / 2, 2.9])
 def test_the_slope_is_an_exact_zero_where_the_mean_photons_balance(phi):
     # lam = mu = 100 at m = 0: <n> - mu cancels in integers, in every row

@@ -420,14 +420,17 @@ def test_a_constructor_refuses_the_other_schemes_spec(build, spec, expected):
     (states.passv, PassvSpec(1.0, 150)),
     (states.passv, PassvSpec(50.0, 150)),
     (states.spatsv, SpatsvSpec(0.5, 150)),
+    (states.spatsv, SpatsvSpec(1e-9, 50)),
+    (lambda spec: states.spatsv(spec, 60), SpatsvSpec(1e-9, 50)),
     (states.passv_seed, PassvSpec(1.0, 171)),
     (states.passv_seed, PassvSpec(1e-9, 200)),
     (states.spatsv_seed, SpatsvSpec(1e-9, 200)),
-], ids=["passv-1-150", "passv-50-150", "spatsv-0.5-150", "seed-1-171", "seed-1e-9-200",
-        "pair-seed-1e-9-200"])
+], ids=["passv-1-150", "passv-50-150", "spatsv-0.5-150", "spatsv-1e-9-50",
+        "spatsv-1e-9-50-cutoff-60", "seed-1-171", "seed-1e-9-200", "pair-seed-1e-9-200"])
 def test_a_large_order_builds_a_unit_norm_state(build, spec):
     # (n + m)!/n! and (m - 2l)! pass the float range from m = 171 on, and the
-    # subtracted norm from m of about 130 at lam = 1
+    # subtracted norm from m of about 130 at lam = 1; at lam = 1e-9 the unscaled
+    # lowered levels lie near 1e-160, whose squares are subnormal
     amplitudes = build(spec).amplitudes
     assert np.isfinite(amplitudes).all()
     assert abs(np.linalg.norm(amplitudes) - 1.0) < 1e-12
@@ -445,9 +448,12 @@ def test_a_state_past_the_float_range_is_refused(build, spec):
 
 @pytest.mark.parametrize("n, m, modes", [(0, 5, 1), (7, 3, 2), (40, 100, 1), (10, 150, 2)])
 def test_the_falling_factor_is_the_float_of_today_where_it_fits(n, m, modes):
-    want = float(factorial(n + m) // factorial(n)) ** (modes / 2)
-    assert fock._falling(n, m, modes) == want
-    assert fock._falling(n, m, modes, 7) == want / 128
+    # every level of a run, stepped from the last, and a restart at level 0
+    lowered, shifted = (fock._lowered(lambda _: 1.0, m, modes, shift) for shift in (0, 7))
+    for k in [*range(n + 1), 0]:
+        want = float(factorial(k + m) // factorial(k)) ** (modes / 2)
+        assert lowered(k) == want
+        assert shifted(k) == want / 128
 
 
 def test_the_cli_compares_a_large_order_without_a_traceback(tmp_path, capsys):
