@@ -11,11 +11,11 @@ that tail.  The squeezing angle turns the filled real levels last
 functions, a^m on each mode (:func:`_lowered`), filled once per state by
 :mod:`photsub.states`.  The MZI turns the coherent port's displacement into
 one displacement of each output port around the closed-form image of
-|0> (x) |quantum>, their entries normalised Laguerre functions filled by a
-recurrence over the nq quantum levels.  The single
-scheme's output is one D x D plane: O(D nq^2) work.  The twin MZIs'
-discarded coherent ports drop out of the read-out by the unitarity of their
-displacements, which leaves one nq x nq Gram matrix per read-out count.
+|0> (x) |quantum>: a real plane of normalised Laguerre functions, filled by a
+recurrence over the nq quantum levels, between phases that drop out of the
+read-out or ride on that image.  The single scheme's output is one D x D plane:
+O(D nq^2) work.  The twin MZIs' discarded ports drop out by the unitarity of
+their displacements, which leaves one real nq x nq Gram matrix per count.
 
 Conventions
 -----------
@@ -198,15 +198,15 @@ def _check_memory(shape):
         )
 
 
-def _displacements(betas, dim: int, cols: int) -> np.ndarray:
-    """<m|D(beta)|n> for each of ``betas``, over rows m < dim and columns n < cols <= dim.
+def _displacements(xs, log_fact: np.ndarray, cols: int) -> np.ndarray:
+    """<m|D(sqrt x)|n>, real, for each x of ``xs`` over rows m < dim = len(log_fact), log_fact[k]
+    = log k!, and columns n < cols <= dim; D(beta) = e^(i theta N) D(|beta|) e^(-i theta N).
 
     Along each diagonal a = |m - n| the entries are normalised Laguerre
-    functions of x = |beta|^2 (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)),
+    functions of x (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)),
 
         f_n(a) = sqrt(n! / (n + a)!) x^(a/2) e^(-x/2) L_n^(a)(x),
-        <n + a|D(beta)|n> = e^(i a arg beta) f_n(a),
-        <n|D(beta)|n + a> = (-e^(-i arg beta))^a f_n(a),
+        <n + a|D|n> = f_n(a),   <n|D|n + a> = (-1)^a f_n(a),
 
     filled from f_0(a) = e^(-x/2) x^(a/2) / sqrt(a!) by the three-term recurrence
 
@@ -214,30 +214,30 @@ def _displacements(betas, dim: int, cols: int) -> np.ndarray:
 
     Every f_n(a) is an entry of a unitary, so the recurrence stays bounded,
     where the column recursion D|n> = (a^dag - beta*) D|n-1> / sqrt(n) grows
-    without bound in floats.  beta = 0 gives the identity exactly.
+    without bound in floats.  x = 0 gives the identity exactly.
     """
-    betas = np.asarray(betas, dtype=complex)[:, None]
-    x = np.abs(betas) ** 2
-    a = np.arange(dim)
-    n = np.arange(1, cols)[:, None]
-    lin = 2 * n - 1 + a - x[:, None]  # lin[b, n - 1, a], one row per beta
-    back = np.sqrt((n - 1) * (n - 1 + a))
-    den = np.sqrt(n * (n + a))
-    f = np.empty((len(betas), cols, dim))
+    x = np.asarray(xs, dtype=float)[:, None]
+    planes, dim = len(x), len(log_fact)
+    a, n = np.arange(dim), np.arange(cols)[:, None, None]
+    root = np.sqrt(n * (n + a))
+    # f_n = lin f_{n-1} - back f_{n-2}, (-back, lin) = (-root[n - 1], 2n - 1 + a - x) / root[n]
+    coef = np.empty((cols - 1, 2, planes, dim))
+    coef[:, 0], coef[:, 1] = -root[:-1] / root[1:], (2 * n[1:] - 1 + a - x) / root[1:]
+    # f[0, n + 1] = f_n after a row f_{-1} = 0, f[1] = (-1)^a f[0] for above the diagonal;
     # f_0 in log space, which no x overflows; at x = 0 only f_0(0) = 1 is non-zero
+    f = np.zeros((2, cols + 1, planes, dim))
     log_x = np.log(x, out=np.zeros_like(x), where=x > 0)
-    log_fact = np.array([lgamma(k + 1) for k in range(dim)])
-    f[:, 0] = np.where(x > 0, np.exp((a * log_x - x - log_fact) / 2), a == 0)
-    before = np.zeros((len(betas), dim))
+    f[0, 1] = np.where(x > 0, np.exp((a * log_x - x - log_fact) / 2), a == 0)
+    level, terms = f[0], np.empty((2, planes, dim))
     for k in range(1, cols):
-        f[:, k] = (lin[:, k - 1] * f[:, k - 1] - back[k - 1] * before) / den[k - 1]
-        before = f[:, k - 1]
-    rows, columns = np.arange(dim)[:, None], np.arange(cols)
-    offset = rows - columns
-    # the phase of diagonal d = m - n, at index d + cols - 1
-    d = np.arange(1 - cols, dim)
-    phase = np.exp(1j * np.angle(betas) * d) * np.where((d < 0) & (d % 2 == 1), -1.0, 1.0)
-    return f[:, np.minimum(rows, columns), np.abs(offset)] * phase[:, offset + cols - 1]
+        np.multiply(coef[k - 1], level[k - 1:k + 1], out=terms)
+        np.add(*terms, out=level[k + 1])
+    level[1:, x[:, 0] == 0, 0] = 1.0  # f_n(0) at x = 0, which -back + lin need not round to
+    np.multiply(level, 1 - 2 * (a % 2), out=f[1])
+    # <m|D|n> of plane b is f[m < n, min(m, n) + 1, b, |m - n|], one flat index
+    rows, columns, step = a[:, None], a[:cols], planes * dim - 1
+    at = np.where(columns > rows, level.size + columns + rows * step, rows + columns * step)
+    return f.take(at + dim * np.arange(planes, 2 * planes)[:, None, None])
 
 
 def mzi_unitary(phi: float) -> np.ndarray:
@@ -247,14 +247,17 @@ def mzi_unitary(phi: float) -> np.ndarray:
     return np.array([[u, v], [v, u]])
 
 
-def _thinning(dim: int, eta: float) -> np.ndarray:
-    """mat[k, n] = C(n, k) eta^k (1 - eta)^(n - k) for counts k, n < dim, zero for k > n:
-    detection loss, a beamsplitter to vacuum, as read out in photon numbers."""
-    log_fact = np.array([lgamma(n + 1) for n in range(dim)])
-    k, n = np.ogrid[:dim, :dim]
-    lost = np.maximum(n - k, 0)
-    binom = np.exp(log_fact[n] - log_fact[k] - log_fact[lost])
-    return np.triu(binom * eta**k * (1.0 - eta) ** lost)
+def _thinning(log_fact: np.ndarray, eta: float) -> np.ndarray:
+    """mat[k, n] = C(n, k) eta^k (1 - eta)^(n - k) for counts k, n < len(log_fact), zero for
+    k > n (log_fact[j] = log j!): detection loss, a beamsplitter to vacuum, in photon numbers.
+    Each entry is one exp of its log, so no factor underflows alone where the entry does not."""
+    j = np.arange(len(log_fact))
+    with np.errstate(divide="ignore"):  # j log eta, j log(1 - eta), 0 at j = 0 also where -inf
+        kept, lost = np.multiply(j, np.log([[eta], [1 - eta]]), out=np.zeros((2, len(j))),
+                                 where=j > 0) - log_fact
+    # lost[n - k], and -inf below the diagonal (k > n), at the index n - k + len(j) - 1
+    lost = np.append(np.full(len(j) - 1, -np.inf), lost)[j - j[:, None] + len(j) - 1]
+    return np.exp(log_fact + kept[:, None] + lost)
 
 
 @dataclass(frozen=True)
@@ -288,8 +291,7 @@ class OracleResult:
 
 def _moments_from_joint(joint: np.ndarray) -> dict:
     powers = np.arange(5)[:, None]
-    na = np.arange(joint.shape[0], dtype=float) ** powers
-    nb = np.arange(joint.shape[1], dtype=float) ** powers
+    na, nb = (np.arange(size, dtype=float) ** powers for size in joint.shape)
     # every <N_a^p N_b^q> for p, q <= 4 as one product
     table = na @ joint @ nb.T
     return {(p, q): float(table[p, q]) for p in range(5) for q in range(5 - p)}
@@ -302,52 +304,49 @@ def oracle_interferometer(scene: OracleScene) -> OracleResult:
     joint capacity D = nc + nq - 1.  As the coherent port holds a displaced
     vacuum, U(|alpha> (x) |q>) = D_1(u00 alpha) D_2(u10 alpha) U(|0> (x) |q>),
     and U|0, j> = sum_p y[p, j-p] |p, j-p>, y[p, s] = sqrt(C(p+s, p)) u01^p u11^s.
-    A :class:`FockState1` gives the plane Da Y Db^T, read on both axes: Y
-    holds U(|0> (x) |q>) on the nq x nq corner and Da, Db are the two
-    displacements' first nq columns (the coherent state enters untruncated).
-    The twin-MZI input sum_n d_n |n, n> has output sum_n d_n psi_n (x) psi_n,
-    psi_n = U(|alpha> (x) |n>).  D_1 acts on each MZI's discarded coherent
-    port alone, so by its unitarity it drops out of
-    G_nk(a) = sum_c psi_n[c, a] conj(psi_k[c, a]), which is
-    sum_p y[p, n-p] conj(y[p, k-p]) Db[a, n-p] conj(Db[a, k-p]), and the
-    quantum-port joint is P(a, b) = sum_{n,k} d_n conj(d_k) G_nk(a) G_nk(b).
-    Only feasible for small coherent energy (mu <~ 10); the memory bound is
-    enforced on the largest array before it is allocated.
+    Of D_i = e^(i theta_i N) R_i e^(-i theta_i N) (:func:`_displacements`, first
+    nq columns: the coherent state enters untruncated) the read-out phase moves
+    no count, and the quantum one rides on y as w01 = u01 e^(-i theta_1) and
+    w11 = u11 e^(-i theta_2).  A :class:`FockState1` gives the plane R_1 Y R_2^T,
+    Y[p, s] = y[p, s] d_{p+s}, read on both axes.  Twin MZIs take sum_n d_n |n, n>
+    to sum_n d_n psi_n (x) psi_n, psi_n = U(|alpha> (x) |n>); D_1, on a discarded
+    port alone, drops out by its unitarity of G_nk(a) = sum_c psi_n[c, a]
+    conj(psi_k[c, a]) = sum_p y[p, n-p] conj(y[p, k-p]) R_2[a, n-p] R_2[a, k-p],
+    e^(i (n - k) arg w11) times a real matrix.  That phase on d_n twice makes
+    P(a, b) = sum_{n,k} d_n conj(d_k) G_nk(a) G_nk(b) a real product.  Only
+    feasible for small coherent energy (mu <~ 10); the memory bound is enforced
+    on the largest array before it is allocated.
     """
     alpha = sqrt(scene.mu) * np.exp(1j * scene.psi)
     q = scene.quantum
     if not isinstance(q, _FockState):
-        raise ModeMismatch(
-            "oracle needs a FockState1 (single MZI) or a TwoModeDiagonalState "
-            f"(twin MZIs) quantum input, got {type(q).__name__}"
-        )
+        raise ModeMismatch("oracle needs a FockState1 (single MZI) or a TwoModeDiagonalState "
+                           f"(twin MZIs) quantum input, got {type(q).__name__}")
     d, twin = q.amplitudes, q.modes == 2
     nq = len(d)
     dim = len(_filled(_coherent(alpha), mean=scene.mu)) + nq - 1
     _check_memory((dim, nq, nq) if twin else (dim, dim))
     u2 = mzi_unitary(scene.phi)
-    # Da and Db, or for twin MZIs Db alone: their Da drops out of the read-out
-    *da, db = _displacements(u2[int(twin):, 0] * alpha, dim, nq)
-    # y[p, s] = sqrt(C(p + s, p)) u01^p u11^s as products down each column:
-    # every partial product is such an amplitude, of modulus <= 1
-    p, s = np.ogrid[:nq, :nq]
-    y = u2[0, 1] * np.sqrt((p + s) / np.maximum(p, 1))
-    y[0] = u2[1, 1]
-    y[0, 0] = 1.0
-    y[0] = np.cumprod(y[0])
-    y = np.cumprod(y, axis=0)
+    # log k!, one table for f_0, the binomials, whose p + s reaches 2 nq - 2, and the thinning
+    log_fact = np.array(list(map(lgamma, range(1, max(dim, 2 * nq - 1) + 1))))
+    # R_1 and R_2, or for twin MZIs R_2 alone: their D_1 drops out of the read-out
+    betas = u2[int(twin):, 0] * alpha
+    *r1, r2 = _displacements(np.abs(betas) ** 2, log_fact[:dim], nq)
+    w01, w11 = u2[:, 1] * np.exp(-1j * np.angle(betas[[0, -1]]))  # twin MZIs read |w01| alone
+    n, p = np.arange(nq)[:, None], np.arange(nq)
+    root_binom = np.exp((log_fact[n + p] - log_fact[n] - log_fact[p]) / 2)
     if twin:
-        # v[a, n, p] = y[p, n - p] Db[a, n - p], g[a, n, k] = G_nk(a) = (v v^H)[a],
-        # then the (n, k) sum as one product
-        n, p = np.ogrid[:nq, :nq]
+        # v[a, n, p] = |y[p, n - p]| R_2[a, n - p], n >= p; G(a) = (v v^T)[a]; one (n, k) sum
         lag = np.maximum(n - p, 0)
-        v = (y[p, lag] * (n >= p)) * db[:, lag]
-        g = (v @ v.conj().transpose(0, 2, 1)).reshape(dim, -1)
-        joint = ((g * np.outer(d, d.conj()).ravel()) @ g.T).real
+        v = (root_binom * np.outer(abs(w01) ** p, abs(w11) ** p))[p, lag] * (n >= p) * r2[:, lag]
+        g = (v @ v.transpose(0, 2, 1).copy()).reshape(dim, -1)
+        turned = d * np.exp(2j * np.angle(w11) * p)
+        joint = (g * np.outer(turned, turned.conj()).real.ravel()) @ g.T
     else:
-        y = y * np.append(d, np.zeros(nq - 1))[p + s]
-        joint = np.abs(da[0] @ y @ db.T) ** 2
+        y = root_binom * np.outer(w01**p, w11**p) * np.append(d, np.zeros(nq - 1))[n + p]
+        plane = r1[0] @ (np.stack((y.real, y.imag)) @ r2.T)  # R_1 Y R_2^T, Re and Im
+        joint = np.add(*np.square(plane, out=plane))
     if scene.eta < 1.0:
-        thin = _thinning(dim, scene.eta)
+        thin = _thinning(log_fact[:dim], scene.eta)
         joint = thin @ joint @ thin.T
     return OracleResult(joint, _moments_from_joint(joint))

@@ -27,7 +27,7 @@ derivatives are checked against.
 """
 
 from fractions import Fraction
-from math import comb, factorial, prod, sqrt
+from math import comb, factorial, lgamma, prod, sqrt
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -683,6 +683,11 @@ def coherent_state(alpha: complex, cutoff: int | None = None) -> FockState1:
     return FockState1(fock._filled(fock._coherent(alpha), cutoff)).normalized()
 
 
+def log_factorials(size: int) -> np.ndarray:
+    """log k! for k < size, the table the oracle's helpers read."""
+    return np.array([lgamma(k + 1) for k in range(size)])
+
+
 def binomial_thinning(p: np.ndarray, eta: float, axis: int) -> np.ndarray:
     """Bernoulli-thin a photon-number distribution along one axis.
 
@@ -692,7 +697,7 @@ def binomial_thinning(p: np.ndarray, eta: float, axis: int) -> np.ndarray:
     with probability C(n, k) eta^k (1 - eta)^(n - k), the oracle's own
     thinning matrix.
     """
-    moved = np.moveaxis(p, axis, -1) @ fock._thinning(p.shape[axis], eta).T
+    moved = np.moveaxis(p, axis, -1) @ fock._thinning(log_factorials(p.shape[axis]), eta).T
     return np.moveaxis(moved, -1, axis)
 
 

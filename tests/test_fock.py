@@ -19,6 +19,7 @@ from reference import (
     binomial_thinning,
     coherent_state,
     fidelity,
+    log_factorials,
     loss_unitary,
     mean_photons,
     mean_photons_per_mode,
@@ -188,10 +189,12 @@ def test_thinning_preserves_poisson():
     assert np.allclose(thinned[:30], target[:30], atol=1e-10)
 
 
-@pytest.mark.parametrize("eta", [0.1, 0.5, 0.93])
-def test_thinning_matrix_is_the_binomial_pmf(eta):
-    # thinning the point mass at n gives column n: C(n, k) eta^k (1 - eta)^(n - k)
-    dim = 80
+@pytest.mark.parametrize(
+    "dim, eta", [(80, 0.1), (80, 0.5), (80, 0.93), (160, 0.0), (160, 1e-6), (160, 0.999)]
+)
+def test_thinning_matrix_is_the_binomial_pmf(dim, eta):
+    # thinning the point mass at n gives column n: C(n, k) eta^k (1 - eta)^(n - k); at dim
+    # 160, (1 - eta)^(n - k) (eta = 0.999) or eta^k (1e-6) underflows where the entry does not
     mat = binomial_thinning(np.eye(dim), eta, axis=0)
     with mp.workdps(30):
         e = mp.mpf(eta)
@@ -244,7 +247,9 @@ def test_displacement_matches_the_laguerre_closed_form(x):
     # with z = beta below the diagonal and -conj(beta) above it
     dim = 300
     beta = np.sqrt(x) * np.exp(0.7j)
-    disp = fock._displacements([beta], dim, dim)[0]
+    # the real plane of x between the phases e^(0.7i m) and e^(-0.7i n)
+    turn = np.exp(0.7j * np.subtract.outer(np.arange(dim), np.arange(dim)))
+    disp = turn * fock._displacements([x], log_factorials(dim), dim)[0]
     rng = np.random.default_rng(int(10 * x))
     rows = rng.integers(0, dim, 150)
     cols = np.clip(rows + rng.integers(-60, 61, 150), 0, dim - 1)
@@ -261,20 +266,22 @@ def test_displacement_matches_the_laguerre_closed_form(x):
 
 
 def test_displacement_by_zero_is_exactly_the_identity():
-    disp = fock._displacements([0.0, 0j], 40, 25)
+    disp = fock._displacements(np.abs([0.0, 0j]) ** 2, log_factorials(40), 25)
     assert np.array_equal(disp, np.broadcast_to(np.eye(40, 25), disp.shape))
 
 
 def test_displacement_columns_stay_unit_vectors_at_large_displacement():
     # at x = 1500, e^(-x/2) underflows and x^(a/2) / sqrt(a!) overflows on its own
-    disp = fock._displacements([np.sqrt(1500.0) * np.exp(0.3j)], 1900, 3)[0]
+    turn = np.exp(0.3j * np.subtract.outer(np.arange(1900), np.arange(3)))
+    disp = turn * fock._displacements([1500.0], log_factorials(1900), 3)[0]
     assert np.abs(np.linalg.norm(disp, axis=0) - 1.0).max() < 1e-12
 
 
 @pytest.mark.parametrize("modulus, angle", [(0.5, 0.0), (1.7, 2.1), (3.2, -0.4)])
 def test_displacement_column_zero_is_the_coherent_state(modulus, angle):
     beta = modulus * np.exp(1j * angle)
-    column = fock._displacements([beta], 80, 1)[0, :, 0]
+    plane = fock._displacements([modulus**2], log_factorials(80), 1)[0]
+    column = np.exp(1j * angle * np.arange(80)) * plane[:, 0]
     coherent = coherent_state(beta, cutoff=79).amplitudes
     assert np.abs(column - coherent).max() <= 1e-15
 
@@ -341,12 +348,18 @@ def test_oracle_correlated_port_means():
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
-@pytest.mark.parametrize("phi, psi", [(0.7, 0.3), (2.6, -1.2)])
-def test_oracle_correlated_joint_matches_the_output_tensor(m, phi, psi):
-    # the Gram matrices' G_nk sum against the twin-MZI tensor over all four axes
+@pytest.mark.parametrize(
+    "phi, psi, chi",
+    [(0.7, 0.3, 0.0), (2.6, -1.2, 0.0), (0.7, 0.3, 0.6), (0.0, 0.0, 0.0), (0.0, 2.3, 0.6),
+     (np.pi, 0.0, 0.6), (np.pi, 2.3, 0.0)],
+)
+def test_oracle_correlated_joint_matches_the_output_tensor(m, phi, psi, chi):
+    # the Gram matrices' G_nk sum against the twin-MZI tensor over all four axes; at
+    # phi = 0 and pi one port's displacement vanishes, and complex amplitudes (chi != 0)
+    # feel the sign of the phase moved onto d_n, which real ones do not
     from photsub import states
 
-    q = states.spatsv(states.SpatsvSpec(0.1, m))
+    q = states.spatsv(states.SpatsvSpec(0.1, m, chi))
     amps = oracle_output(fock.OracleScene(q, mu=0.5, psi=psi, phi=phi))
     for eta in (1.0, 0.85):
         scene = fock.OracleScene(q, mu=0.5, psi=psi, phi=phi, eta=eta)
@@ -356,8 +369,11 @@ def test_oracle_correlated_joint_matches_the_output_tensor(m, phi, psi):
 
 @pytest.mark.parametrize("eta", [1.0, 0.85])
 @pytest.mark.parametrize("m", [0, 2])
-def test_oracle_single_joint_is_the_output_plane(m, eta):
-    scene = _single_scene(0.4, m, 2.0, 0.9, eta=eta, psi=0.5)
+@pytest.mark.parametrize("phi", [0.9, 0.0, np.pi])
+@pytest.mark.parametrize("psi", [0.5, 0.0, 2.3])
+def test_oracle_single_joint_is_the_output_plane(m, eta, phi, psi):
+    # phi = 0 and pi leave one port undisplaced: the phases moved onto y keep their side
+    scene = _single_scene(0.4, m, 2.0, phi, eta=eta, psi=psi)
     joint = fock.oracle_interferometer(scene).joint
     assert np.abs(joint - readout_joint(oracle_output(scene), eta)).max() <= 1e-15
 
