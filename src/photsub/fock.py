@@ -32,9 +32,8 @@ a zero-mean-quadrature state in port 2.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from math import ceil, cosh, factorial, ldexp, lgamma, log, prod, sinh, sqrt, tanh
+from math import ceil, cosh, exp, factorial, ldexp, lgamma, log, prod, sinh, sqrt, tanh
 
 import numpy as np
 
@@ -110,16 +109,6 @@ def _filled(amplitude, cutoff: int | None = None, mean: float = 0.0,
     stop = len(amps) + CUTOFF_MARGIN if cutoff is None else cutoff + 1
     amps += map(amplitude, range(len(amps), stop))
     return np.array(amps, dtype=complex)
-
-
-def _coherent(alpha: complex):
-    """n -> <n|alpha> = e^{-|alpha|^2/2} alpha^n / sqrt(n!), in log space."""
-    if alpha == 0:
-        return lambda n: complex(n == 0)
-    log_r = log(abs(alpha))
-    theta = cmath.phase(alpha)
-    mu = abs(alpha) ** 2
-    return lambda n: cmath.exp(complex(n * log_r - mu / 2 - lgamma(n + 1) / 2, n * theta))
 
 
 def _squeezed(r: float):
@@ -324,7 +313,9 @@ def oracle_interferometer(scene: OracleScene) -> OracleResult:
                            f"(twin MZIs) quantum input, got {type(q).__name__}")
     d, twin = q.amplitudes, q.modes == 2
     nq = len(d)
-    dim = len(_filled(_coherent(alpha), mean=scene.mu)) + nq - 1
+    mu = scene.mu  # the coherent port's levels: those of its real amplitudes |<n|alpha>|
+    poisson = (lambda n: exp((n * log(mu) - mu - lgamma(n + 1)) / 2)) if mu else (lambda n: n == 0)
+    dim = len(_filled(poisson, mean=mu)) + nq - 1
     _check_memory((dim, nq, nq) if twin else (dim, dim))
     u2 = mzi_unitary(scene.phi)
     # log k!, one table for f_0, the binomials, whose p + s reaches 2 nq - 2, and the thinning

@@ -18,8 +18,9 @@ phases phi1 = phi2 = phi.  The read-out ports and their moments
 F(i, j) = <A^dag^i A^i B^dag^j B^j> are those of :mod:`photsub.opalg`, and
 every figure of merit is algebra on them: each observable it reads has its
 weights formed once, at import, is folded once per scene family and is
-summed once per point; the single slope is a map of its folded rows, and
-the correlated mixed derivative a closed form (:class:`opalg.PortMoments`).
+summed once per point, and so is each phase derivative it reads, the single
+slope or the correlated mixed derivative, an integer map of the observable's
+rows (:func:`opalg._rows`).
 Inputs obey the one input contract, :data:`photsub.errors.PARAMETERS`.
 Each figure takes its config alone and is a certified ball, every variance
 but Mandel Q's by :func:`_variance`, correctly rounded or else
@@ -244,7 +245,8 @@ def single_phase_uncertainty(cfg: SingleMziConfig, digits: int) -> float:
     check_type("cfg", cfg, SingleMziConfig)
     ports = _scene(cfg, digits)
     var = _variance(ports, _DIFFERENCE_WEIGHTS)
-    return _root_over(var, _nonzero(ports.slope(_DIFFERENCE_WEIGHTS[0]), "read-out slope"))
+    slope = ports.expect(_DIFFERENCE_WEIGHTS[0], "slope")
+    return _root_over(var, _nonzero(slope, "read-out slope"))
 
 
 @moments.retried
@@ -316,9 +318,8 @@ def correlated_uncertainty(cfg: CorrelatedConfig, digits: int) -> float:
     """Normalized covariance-measurement uncertainty U_m.
 
     The joint observable is C = (N5 - N7)^2; the raw uncertainty is
-    sqrt(2 Var C) / |d^2 <C> / dphi1 dphi2| with the closed-form mixed
-    derivative at the common working point.  Only <N5 N7> = F(1, 1) depends on both phases, so
-    the mixed derivative is -2 d^2 F(1, 1) / dphi1 dphi2.  The result is
+    sqrt(2 Var C) / |d^2 <C> / dphi1 dphi2|, the mixed derivative at the
+    common working point read from <C>'s mixed rows.  The result is
     divided by the coherent-only bound sqrt(2) / (eta mu cos^2(phi/2)), with
     eta cos^2(phi/2) the point's lossy port entry X, so U = sqrt(Var C) mu X
     / |mixed|, X with its radius; a working point without coherent light at the
@@ -329,7 +330,7 @@ def correlated_uncertainty(cfg: CorrelatedConfig, digits: int) -> float:
     if not cfg.mu or abs(cos(cfg.phi / 2.0)) <= ulp(cfg.phi):
         raise Singular("no coherent light reaches the read-out: mu = 0 or cos(phi/2) = 0")
     ports = _scene(cfg, digits)
-    mixed = _nonzero(-2 * ports.mixed(), "mixed phase derivative of <C>")
+    mixed = _nonzero(ports.expect(_COVARIANCE_WEIGHTS[0], "mixed"), "mixed phase derivative of <C>")
     var = _variance(ports, _COVARIANCE_WEIGHTS)
     x = moments.certified_sum([(ports.lossy[0], moments.ONE)], ports.bits)
     return _root_over(var, mixed, cfg.mu * x)

@@ -21,38 +21,68 @@ sum (:meth:`PortMoments.expect`, :func:`photsub.moments.certified_sum`).  M's
 powers of x, y and z add up to n, so eta^n M(n, k) is M(n, k) of eta x,
 eta y and eta z: a point scales its entries by eta once, by the package's
 one loss law (:func:`photsub.moments.thin`).  Ordinary moments follow by
-Stirling numbers (:func:`normal_ordered`), a phase slope by a fixed integer
-map of the rows (:meth:`PortCoefficients.slope`), and the correlated mixed
-derivative, which the fold cannot give, by a closed form (:meth:`PortMoments.mixed`).
+Stirling numbers (:func:`normal_ordered`), and each phase derivative by a
+fixed integer map of the lam-free rows (:func:`_rows`), folded and summed
+alike: the slope d/dphi of the merged rows, and the correlated mixed
+derivative d^2/dphi1 dphi2 of rows kept per port until the map has moved
+port A's k and then port B's.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from collections import Counter
 from itertools import product
 from math import comb, factorial
 
 from .moments import (
-    ONE, ZERO, Bounded, MomentTable, Phases, certified_sum, fixed_from, fixed_mul, fixed_times,
+    ONE, Bounded, MomentTable, Phases, certified_sum, fixed_from, fixed_mul, fixed_times,
     man_exp, thin,
 )
 
 _GUARD_BITS = 10  # kept over the working bits: ~1/1000 of its last unit per term
 
-_ROWS = {}  # (single, weights, turn) -> the lam-free rows of an observable
+_ROWS = {}  # (single, weights, turn, derivative) -> the lam-free rows of an observable
+
+#: each derivative's factor on its folded rows, i/2 per phase slope: (k, halvings)
+_FACTORS = {None: (1, 0), "slope": (1j, 1), "mixed": (-1, 2)}
 
 
-def _rows(single: bool, weights: tuple, turn) -> list:
-    """[((n, k), [(input key, m, m2, weight)])] of the observable sum w F(i, j)
-    over ``weights``: its pairs (K, K') with a <= b and k = a + b, less those
+def _sloped(rows: Counter, at: int) -> Counter:
+    """``rows``, weights keyed by (port key, (input key, m, m2)), under d/dphi of
+    the monomials M(n, k), (n, k) = port key[at:at + 2].  At turn i, dx = iz,
+    dy = -iz, dz = i(x - y)/2 and z^2 = -xy send M(n, k) to i(k M(n, k-1) -
+    (2n - k) M(n, k+1))/2 at even k and to minus that at odd k; this is the
+    even-k map, its i/2 left to the fold (:data:`_FACTORS`)."""
+    out = Counter()
+    for (key, term), w in rows.items():
+        n, k = key[at:at + 2]
+        for k2, c in ((k - 1, k), (k + 1, k - 2 * n)):
+            out[key[:at + 1] + (k2,) + key[at + 2:], term] += c * w
+    return out
+
+
+def _rows(single: bool, weights: tuple, turn, derivative=None) -> dict:
+    """{(n, k): [(input key, m, m2, weight)]} of the observable sum w F(i, j)
+    over ``weights``, or of its ``derivative`` at the Mach-Zehnder turn i:
+    "slope", d/dphi, or "mixed", d^2/dphi1 dphi2 of the correlated ports A and
+    B, at phi1 = phi2.  Its pairs (K, K') with a <= b and k = a + b, less those
     the selection rule zeroes, merged by (n, k) and then by (key, m, m2).  A
-    pair weighs w times its binomials, doubled where a < b, times
-    omega^(a-b) conj(omega)^(k mod 2) = conj(omega)^(2 ceil((b-a)/2)), a sign
-    for the Gaussian unit omega = ``turn``."""
-    if (single, weights, turn) not in _ROWS:
+    pair weighs w times its binomials, doubled where a < b, times omega^(a-b)
+    conj(omega)^(k mod 2) = conj(omega)^(2 ceil((b-a)/2)), a sign for the
+    Gaussian unit omega = ``turn``.  A correlated pair is first keyed per port,
+    (i, k_A, j, k_B), unsigned: its ports share conj(z)^d, d = (b - a)/2, and
+    so d's parity, whose odd-k sign the mixed map (:func:`_sloped` on A, then
+    on B) takes twice or not at all; the rows then merge to (n, k_A + k_B),
+    times z^2 = conj(omega)^2 xy where both k are odd."""
+    if (single, weights, turn, derivative) not in _ROWS:
         if turn not in (1, -1, 1j, -1j):
             raise ValueError(f"unknown turn {turn!r}: want a Gaussian unit")
-        sign, rows = round((turn.conjugate() ** 2).real), {}
+        # a one-mode family has one phase; every phase map is the Mach-Zehnder one
+        derivatives = [None] + (["slope"] + ["mixed"] * (not single)) * (turn == 1j)
+        if derivative not in derivatives:
+            raise ValueError(f"unknown derivative {derivative!r} of a {2 - single}-mode family"
+                             f" at turn {turn!r}: want one of {derivatives}")
+        sign, rows = round((turn.conjugate() ** 2).real), Counter()
         for (i, j), w in weights:
             n = i + j
             expansion = [(k, l, comb(i, k) * comb(j, l), (i - k if single else k) + l)
@@ -60,12 +90,23 @@ def _rows(single: bool, weights: tuple, turn) -> list:
             for (k, l, ck, a), (k2, l2, ck2, b) in product(expansion, repeat=2):
                 if a <= b and ((k + l - k2 - l2) % 2 == 0 if single else k - k2 == l - l2):
                     key = (k + l, k2 + l2) if single else (k, k2, l, l2)
-                    row, term = rows.setdefault((n, a + b), {}), (key, n - k - l, n - k2 - l2)
-                    weight = w * ck * ck2 * (1 + (a < b)) * sign ** ((b - a + 1) // 2)
-                    row[term] = row.get(term, 0) + weight
-        _ROWS[single, weights, turn] = [(nk, [(*term, w) for term, w in row.items() if w])
-                                        for nk, row in sorted(rows.items()) if any(row.values())]
-    return _ROWS[single, weights, turn]
+                    ports = (n, a + b) if single else (i, k + k2, j, l + l2)
+                    weight = w * ck * ck2 * (1 + (a < b)) * sign ** ((b - a + 1) // 2 * single)
+                    rows[ports, (key, n - k - l, n - k2 - l2)] += weight
+        if derivative == "mixed":
+            rows = _sloped(_sloped(rows, 0), 2)
+        if not single:
+            merged = Counter()
+            for ((i, k_a, j, k_b), term), w in rows.items():
+                merged[(i + j, k_a + k_b), term] += sign ** (k_a * k_b % 2) * w
+            rows = merged
+        if derivative == "slope":
+            rows = _sloped(rows, 0)
+        table = _ROWS[single, weights, turn, derivative] = {}
+        for (nk, term), w in sorted(rows.items()):
+            if w:
+                table.setdefault(nk, []).append((*term, w))
+    return _ROWS[single, weights, turn, derivative]
 
 
 def _exact_sum(summands):
@@ -114,15 +155,16 @@ class PortCoefficients:
             self._displacements[m, m2] = fixed_from(*phase, self.bits)
         return self._displacements[m, m2]
 
-    def fold(self, weights: tuple, turn=1j) -> list:
+    def fold(self, weights: tuple, turn=1j, derivative=None) -> list:
         """[(n, k, G(n, k))] of the observable sum w F(i, j) over ``weights``,
-        sorted ((i, j), w) pairs, for the port entries' unit ``turn``: each G
-        a :func:`_exact_sum` of displacement-entry products, each product
-        formed once per family."""
-        rows = self._folds.get((weights, turn))
+        sorted ((i, j), w) pairs, or of its ``derivative`` (:func:`_rows`), for
+        the port entries' unit ``turn``: each G a :func:`_exact_sum` of
+        displacement-entry products, each product formed once per family, times
+        the derivative's factor (:data:`_FACTORS`)."""
+        rows = self._folds.get((weights, turn, derivative))
         if rows is None:
             products, rows = self._products, []
-            for (n, k), row in _rows(self.single, weights, turn):
+            for (n, k), row in _rows(self.single, weights, turn, derivative).items():
                 summands = []
                 for key, m, m2, w in row:
                     if (key, m, m2) not in products:
@@ -130,34 +172,9 @@ class PortCoefficients:
                             self.displacement(m, m2), self.moment(key), self.bits)
                     summands.append((w, products[key, m, m2]))
                 g = _exact_sum(summands)
-                rows += [(n, k, g)] if g else []
-            self._folds[weights, turn] = rows
+                rows += [(n, k, fixed_times(g, *_FACTORS[derivative]))] if g else []
+            self._folds[weights, turn, derivative] = rows
         return rows
-
-    def slope(self, weights: tuple) -> list:
-        """[(n, k, D(n, k))] of d/dphi of the observable over ``weights``: at turn i, dx = iz,
-        dy = -iz, dz = i(x - y)/2 and z^2 = -xy send M(n, k) to i(k M(n, k-1) - (2n - k)
-        M(n, k+1))/2 at odd k, the only k of D as :func:`_rows`' selection rules give every
-        fold row even k, so D is an exact sum of fold rows (:func:`_exact_sum`)."""
-        if (weights, None) not in self._folds:  # the slope's rows, beside the fold's
-            g, rows = {(n, k): h for n, k, h in self.fold(weights)}, []
-            for n, k in sorted({(n, k + s) for n, k in g for s in (-1, 1) if 0 <= k + s <= 2 * n}):
-                up, down = (g.get((n, k + s), ZERO) for s in (1, -1))
-                d = _exact_sum([(k + 1, up), (k - 2 * n - 1, down)])
-                rows += [(n, k, fixed_times(d, 1j, 1))] if d else []
-            self._folds[weights, None] = rows
-        return self._folds[weights, None]
-
-    @cached_property
-    def mixed_terms(self) -> tuple:
-        """The phi-free parts of :meth:`PortMoments.mixed`: the four terms of
-        <(n0 - mu)(n1 - mu)>, <n0 n1>, mu^2, -mu <n0> and -mu <n1>, and
-        conj(alpha)^2 <a0 a1>."""
-        bits, minus_mu = self.bits, fixed_times(self.displacement(1, 1), -1)
-        return ([self.moment((1, 1, 1, 1)), self.displacement(2, 2),
-                 fixed_mul(minus_mu, self.moment((1, 1, 0, 0)), bits),
-                 fixed_mul(minus_mu, self.moment((0, 0, 1, 1)), bits)],
-                fixed_mul(self.displacement(2, 0), self.moment((0, 1, 0, 1)), bits))
 
 
 class PortMoments:
@@ -188,40 +205,19 @@ class PortMoments:
             m = self._monomials[n, k] = fixed_mul(m, self.lossy[2], self.bits) if k % 2 else m
         return m
 
-    def expect(self, weights: tuple) -> Bounded:
-        """sum w F(i, j) over ``weights``, sorted ((i, j), w) pairs, kept per point."""
-        value = self._values.get(weights)
+    def expect(self, weights: tuple, derivative=None) -> Bounded:
+        """sum w F(i, j) over ``weights``, sorted ((i, j), w) pairs, or its
+        ``derivative`` (:func:`_rows`), kept per point."""
+        value = self._values.get((weights, derivative))
         if value is None:
-            rows = self.coefficients.fold(weights, self.turn)
-            value = self._values[weights] = certified_sum(
+            rows = self.coefficients.fold(weights, self.turn, derivative)
+            value = self._values[weights, derivative] = certified_sum(
                 [(g, self._monomial(n, k)) for n, k, g in rows], self.bits)
         return value
 
     def entry(self, i: int, j: int) -> Bounded:
         """F(i, j)."""
         return self.expect((((i, j), 1),))
-
-    def slope(self, weights: tuple) -> Bounded:
-        """d/dphi of sum w F(i, j) over ``weights`` at a common phase of the
-        Mach-Zehnder ports (:meth:`PortCoefficients.slope`), their turn 1j alone."""
-        if self.turn != 1j:
-            raise ValueError(f"unknown turn {self.turn!r} for a slope: want the Mach-Zehnder 1j")
-        rows = self.coefficients.slope(weights)
-        return certified_sum([(d, self._monomial(n, k)) for n, k, d in rows], self.bits)
-
-    def mixed(self) -> Bounded:
-        """d^2 F(1, 1)/dphi1 dphi2 of the correlated scheme at phi1 = phi2.
-
-        Port A moves with phi1 and port B with phi2.  The pair populates only
-        |n, n>, so <a0> = <a0^dag a1> = <n0 a1> = 0, which leaves
-        eta^2 [xy <(n0 - mu)(n1 - mu)> - cos^2 phi Re(conj(alpha)^2 <a0 a1>)/2],
-        with xy = sin^2(phi)/4 and cos^2 phi = (x - y)^2: in the lossy X = eta x and
-        Y = eta y, XY sum terms - ((X^2 + Y^2)/2 - XY) pair, the family's terms
-        (:attr:`PortCoefficients.mixed_terms`) times the point's monomials.
-        """
-        (terms, pair), xy = self.coefficients.mixed_terms, self._monomial(2, 2)
-        squares = [(fixed_times(self._monomial(2, k), -1, 1), pair) for k in (0, 4)]
-        return certified_sum([(xy, t) for t in terms] + [(xy, pair)] + squares, self.bits)
 
 
 #: Stirling numbers of the second kind S(n, k), N^n = sum_k S(n, k) a^dag^k a^k,

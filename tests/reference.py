@@ -26,8 +26,9 @@ the port-moment kernel of :mod:`photsub.opalg` and its analytic
 derivatives are checked against.
 """
 
+import cmath
 from fractions import Fraction
-from math import comb, factorial, lgamma, prod, sqrt
+from math import comb, factorial, lgamma, log, prod, sqrt
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -677,10 +678,20 @@ def apply_on_axes(amps: np.ndarray, i: int, j: int, u2: np.ndarray) -> np.ndarra
     return np.moveaxis(out.reshape(moved.shape), (-2, -1), (i, j))
 
 
+def _coherent(alpha: complex):
+    """n -> <n|alpha> = e^{-|alpha|^2/2} alpha^n / sqrt(n!), in log space."""
+    if alpha == 0:
+        return lambda n: complex(n == 0)
+    log_r = log(abs(alpha))
+    theta = cmath.phase(alpha)
+    mu = abs(alpha) ** 2
+    return lambda n: cmath.exp(complex(n * log_r - mu / 2 - lgamma(n + 1) / 2, n * theta))
+
+
 def coherent_state(alpha: complex, cutoff: int | None = None) -> FockState1:
     """Coherent state |alpha>, amplitudes e^{-|a|^2/2} a^n / sqrt(n!), sized
     by the oracle's own filler."""
-    return FockState1(fock._filled(fock._coherent(alpha), cutoff)).normalized()
+    return FockState1(fock._filled(_coherent(alpha), cutoff)).normalized()
 
 
 def log_factorials(size: int) -> np.ndarray:
@@ -716,7 +727,7 @@ def oracle_output(scene: fock.OracleScene) -> np.ndarray:
     q, u2 = scene.quantum, fock.mzi_unitary(scene.phi)
     d = q.amplitudes
     dim = len(coherent_state(alpha).amplitudes) + len(d) - 1
-    coh = np.array([fock._coherent(alpha)(n) for n in range(dim)])
+    coh = np.array([_coherent(alpha)(n) for n in range(dim)])
     if isinstance(q, FockState1):
         fock._check_memory((dim, dim))
         return apply_on_axes(np.outer(coh, np.pad(d, (0, dim - len(d)))), 0, 1, u2)

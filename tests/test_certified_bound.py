@@ -30,9 +30,9 @@ def _reads(cfg, dps) -> dict:
     ports = metrology._scene(cfg, dps)
     out = {(i, j): ports.entry(i, j) for i in range(order + 1) for j in range(order + 1 - i)}
     if single:
-        out["slope"] = ports.slope(metrology._DIFFERENCE_WEIGHTS[0])
+        out["slope"] = ports.expect(metrology._DIFFERENCE_WEIGHTS[0], "slope")
     else:
-        out["mixed"] = ports.mixed()
+        out["mixed"] = ports.expect((((1, 1), 1),), "mixed")
     second = ports.expect(opalg.normal_ordered(metrology._times(poly, poly)))
     out["variance"] = second - ports.expect(opalg.normal_ordered(poly)).squared()
     return out

@@ -298,6 +298,15 @@ def test_oracle_single_conserves_photons():
     assert abs(res.moments[(1, 0)] + res.moments[(0, 1)] - 2.5) < 1e-9
 
 
+@pytest.mark.parametrize("mu", [0.0, 1e-6, 0.37, 2.0, 7.3, 10.0])
+def test_oracle_sizes_the_coherent_port_as_the_coherent_fill(mu):
+    # the oracle counts the levels of the real Poisson amplitudes |<n|alpha>|:
+    # the count of the complex coherent state's fill, which sets D = nc + nq - 1
+    scene = _single_scene(0.5, 1, mu, 0.8, psi=2.3)
+    nc = len(coherent_state(np.sqrt(mu) * np.exp(2.3j)).amplitudes)
+    assert fock.oracle_interferometer(scene).joint.shape == (nc + scene.quantum.cutoff,) * 2
+
+
 def test_oracle_single_difference_mean():
     mu, lam, phi = 3.0, 0.4, 1.1
     res = fock.oracle_interferometer(_single_scene(lam, 0, mu, phi))

@@ -59,8 +59,8 @@ def _reads(cfg, phase, digits) -> dict:
     out.update({(i, j): ports.entry(i, j)
                 for i in range(order + 1) for j in range(order + 1 - i)})
     if phase != "qfi":
-        out["derivative"] = (ports.slope(metrology._DIFFERENCE_WEIGHTS[0]) if single
-                             else ports.mixed())
+        out["derivative"] = (ports.expect(metrology._DIFFERENCE_WEIGHTS[0], "slope") if single
+                             else ports.expect((((1, 1), 1),), "mixed"))
     return out
 
 
@@ -142,11 +142,13 @@ def test_a_phase_sweep_folds_each_observable_once_per_family(monkeypatch):
         scheme="correlated", axis="phi", values=(1e-7, 1e-6, 1e-5, 1e-4), m_list=(1, 2),
         metrics=("U_norm", "nrf"), lam=2.0, mu=1e12, psi=pi / 2, eta=0.98)).rows
     assert len(rows) == 16 and all(row.flag == "ok" for row in rows)
-    # U_norm reads <C^2>, <C> and <N_a + N_b>; nrf adds <N_a - N_b>
-    # (C = (N_a - N_b)^2): four observables, each once for each of two m
-    weights = Counter(args[1] for args in folds)
-    assert len(weights) == 4
-    assert set(weights.values()) == {2}
+    # U_norm reads <C^2>, <C> and the mixed derivative of <C>; nrf adds
+    # <N_a - N_b> and <N_a + N_b> (C = (N_a - N_b)^2): five (observable,
+    # derivative) reads, each folded once for each of two m
+    reads = Counter((args[1], args[3]) for args in folds)
+    assert len(reads) == 5
+    assert (metrology._COVARIANCE_WEIGHTS[0], "mixed") in reads
+    assert set(reads.values()) == {2}
 
 
 def test_a_point_sums_each_observable_once(monkeypatch):

@@ -552,7 +552,7 @@ def test_the_dark_fringe_uncertainty_is_its_three_entry_form(lam, m, eta):
     cfg = CorrelatedConfig(SpatsvSpec(lam, m), mu=1e8, phi=0.0, psi=math.pi / 2, eta=eta)
     ports = metrology._scene(cfg, moments.START_DIGITS)
     var = metrology._variance(ports, metrology._COVARIANCE_WEIGHTS)
-    mixed = ports.mixed()
+    mixed = ports.expect(metrology._COVARIANCE_WEIGHTS[0], "mixed")
     with mp.workdps(50):
         want = dark_fringe_uncertainty(moments.spatsv_moment_table(lam, m), eta)
         tol = (mp.mpf(var.err) / (2 * var.man) + mp.mpf(mixed.err) / abs(mixed.man)

@@ -65,8 +65,8 @@ def test_two_mode_table_matches_fock(m):
         assert abs(a - b) < 1e-9 * max(1.0, abs(b))
 
 
-#: SPATSV keys of the moments the closed-form mixed derivative drops:
-#: <a0>, <a0^dag a1>, <n0 a1>, their conjugates and their mode mirrors
+#: SPATSV keys the selection rule zeroes (p - q != r - s), which no port row
+#: reads: <a0>, <a0^dag a1>, <n0 a1>, their conjugates and their mode mirrors
 _DROPPED = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0),
             (1, 0, 0, 1), (0, 1, 1, 0),
             (1, 1, 0, 1), (1, 1, 1, 0), (0, 1, 1, 1), (1, 0, 1, 1))

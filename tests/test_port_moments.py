@@ -4,8 +4,8 @@ Each scene is drawn from a seeded stream with chi != 0, psi off {0, pi/2}
 and eta < 1.  The reference contracts the same port observables through
 the interferometer images over the thinned input tables, with the phase
 derivatives carried as jets on u and v (slot 1 for phi, or phi1 and phi2
-for the two correlated ports); the kernel reads its phase slope from the
-folded rows and its mixed derivative from a closed form.
+for the two correlated ports); the kernel reads its phase slope and its
+mixed derivative from the same fold, each its integer map of the lam-free rows.
 """
 
 import random
@@ -17,7 +17,7 @@ import pytest
 from photsub import metrology, moments, opalg
 from photsub.errors import Singular
 from photsub.metrology import SingleMziConfig
-from photsub.states import PassvSpec
+from photsub.states import PassvSpec, SpatsvSpec
 from reference import (
     Jet,
     OperatorPolynomial,
@@ -135,7 +135,7 @@ def test_single_slope_matches_the_reference_jet(scheme, observable, seed):
         poly = sum(multiply(_number_power(0, p), _number_power(1, q)) * w
                    for (p, q), w in weights.items())
         want, want_scale = contract(poly, images, tables)
-        got = ports.slope(opalg.normal_ordered(weights))
+        got = ports.expect(opalg.normal_ordered(weights), "slope")
         want = Jet.lift(want)
         assert abs(_exact(got) - mp.re(want.d1 + want.d2)) <= 1e-40 * want_scale
 
@@ -143,13 +143,18 @@ def test_single_slope_matches_the_reference_jet(scheme, observable, seed):
 @pytest.mark.parametrize("single", [True, False])
 @pytest.mark.parametrize("turn", [1, -1, 1j, -1j])
 def test_every_fold_row_has_even_k(single, turn):
-    # the selection rule that puts every slope row at odd k, where the map's
-    # sign is +: k = a + b is even for each pair the rule keeps
+    # the selection rule that lets the slope map its rows by the even-k map
+    # alone: k = a + b is even for each pair the rule keeps, so every slope
+    # row lies at odd k, and every mixed row, two maps on, at even k again
     weights = [opalg.normal_ordered(o) for o in OBSERVABLES.values()] + [
         w for pair in (metrology._DIFFERENCE_WEIGHTS, metrology._COVARIANCE_WEIGHTS,
                        metrology._QFI_WEIGHTS) for w in pair]
     weights += [metrology._SUM_WEIGHTS, *metrology._READOUT_WEIGHTS.values()]
-    assert [k for w in weights for (_, k), _ in opalg._rows(single, w, turn) if k % 2] == []
+    assert [k for w in weights for _, k in opalg._rows(single, w, turn) if k % 2] == []
+    if turn == 1j:
+        for derivative, parity in [("slope", 1)] + [("mixed", 0)] * (not single):
+            assert {k % 2 for w in weights for _, k in opalg._rows(single, w, turn, derivative)
+                    } == {parity}
 
 
 @pytest.mark.parametrize("phi", [0.3, pi / 2, 2.9])
@@ -157,29 +162,58 @@ def test_the_slope_is_an_exact_zero_where_the_mean_photons_balance(phi):
     # lam = mu = 100 at m = 0: <n> - mu cancels in integers, in every row
     cfg = SingleMziConfig(PassvSpec(100.0, 0), mu=100.0, phi=phi)
     ports = metrology._scene(cfg, moments.START_DIGITS)
-    slope = ports.slope(metrology._DIFFERENCE_WEIGHTS[0])
+    slope = ports.expect(metrology._DIFFERENCE_WEIGHTS[0], "slope")
     assert (slope.man, slope.err) == (0, 0)
     with pytest.raises(Singular):
         metrology.single_phase_uncertainty(cfg)
 
 
 def test_a_slope_needs_the_mach_zehnder_turn():
-    coefficients = metrology._port_coefficients(PassvSpec(1.0, 1), 1.0, 0.0, 30)
+    # and so does the mixed derivative, which only a two-mode family has
     half = moments.fixed_times(moments.ONE, 1, 1)
-    ports = opalg.PortMoments(coefficients, half, half, half, turn=1)
-    with pytest.raises(ValueError, match="turn"):
-        ports.slope(metrology._DIFFERENCE_WEIGHTS[0])
+    for spec, derivative in ((PassvSpec(1.0, 1), "slope"), (SpatsvSpec(1.0, 1), "mixed")):
+        coefficients = metrology._port_coefficients(spec, 1.0, 0.0, 30)
+        ports = opalg.PortMoments(coefficients, half, half, half, turn=1)
+        with pytest.raises(ValueError, match="turn"):
+            ports.expect(metrology._DIFFERENCE_WEIGHTS[0], derivative)
 
 
+def test_a_one_mode_family_has_no_mixed_derivative():
+    # its pairs do not share one d between the ports, so per-port rows would
+    # be silently wrong: refused before any row is built or folded
+    cfg = SingleMziConfig(PassvSpec(1.0, 1), mu=1.0, phi=0.4)
+    ports = metrology._scene(cfg, moments.START_DIGITS)
+    weights = metrology._COVARIANCE_WEIGHTS[0]
+    with pytest.raises(ValueError, match="mixed"):
+        ports.expect(weights, "mixed")
+    assert (True, weights, 1j, "mixed") not in opalg._ROWS
+    assert (weights, 1j, "mixed") not in ports.coefficients._folds
+    with pytest.raises(ValueError, match="derivative"):
+        ports.expect(weights, "curvature")
+
+
+#: the observables whose mixed derivative is checked, as {(p, q): weight of
+#: N_a^p N_b^q}: F(1, 1) = <N_a N_b> and every one a correlated figure reads
+MIXED = {
+    "product": {(1, 1): 1},
+    "square": metrology._COVARIANCE,  # C = (N_a - N_b)^2
+    "fourth": metrology._times(metrology._COVARIANCE, metrology._COVARIANCE),  # C^2
+    "difference": metrology._DIFFERENCE,
+    "sum": metrology._SUM,
+}
+
+
+@pytest.mark.parametrize("observable", sorted(MIXED))
 @pytest.mark.parametrize("seed", range(3))
-def test_mixed_derivative_matches_the_reference_jet(seed):
+def test_mixed_derivative_matches_the_reference_jet(observable, seed):
     rng = random.Random(seed)
     with mp.workdps(DPS):
         ports, images, tables, _ = _scene("correlated", rng)
-        poly = OperatorPolynomial({mono((0, 1, 1), (1, 1, 1)): 1})
+        poly = sum(multiply(_number_power(0, p), _number_power(1, q)) * w
+                   for (p, q), w in MIXED[observable].items())
         want, want_scale = contract(poly, images, tables)
-        got = ports.mixed()
-        assert abs(_exact(got) - mp.re(want.d12)) <= 1e-40 * want_scale
+        got = ports.expect(opalg.normal_ordered(MIXED[observable]), "mixed")
+        assert abs(_exact(got) - mp.re(Jet.lift(want).d12)) <= 1e-40 * want_scale
 
 
 @pytest.mark.parametrize("scheme", ["single", "correlated"])

@@ -130,7 +130,8 @@ def _values(cfg, digits) -> tuple:
         (x.man, x.err, x.exp)
         for x in [ports.expect(opalg.normal_ordered({(p, q): 1}))
                   for p, q in ((1, 0), (1, 1), (2, 2)) if p + q <= (2 if single else 4)]
-        + [ports.slope(metrology._DIFFERENCE_WEIGHTS[0]) if single else ports.mixed()]
+        + [ports.expect(metrology._DIFFERENCE_WEIGHTS[0], "slope") if single
+           else ports.expect((((1, 1), 1),), "mixed")]
     )
     public = (metrology.single_phase_uncertainty, metrology.qfi) if single else (
         metrology.correlated_uncertainty, metrology.nrf)
