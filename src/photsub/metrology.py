@@ -18,9 +18,9 @@ phases phi1 = phi2 = phi.  The read-out ports and their moments
 F(i, j) = <A^dag^i A^i B^dag^j B^j> are those of :mod:`photsub.opalg`, and
 every figure of merit is algebra on them: each observable it reads has its
 weights formed once, at import, is folded once per scene family and is
-summed once per point, and so is each phase derivative it reads, the single
-slope or the correlated mixed derivative, an integer map of the observable's
-rows (:func:`opalg._rows`).
+summed once per family and point, one point per (phi, eta) shared by every
+order, and so is each phase derivative it reads, the single slope or the
+correlated mixed derivative, an integer map of the observable's rows.
 Inputs obey the one input contract, :data:`photsub.errors.PARAMETERS`.
 Each figure takes its config alone and is a certified ball, every variance
 but Mandel Q's by :func:`_variance`, correctly rounded or else
@@ -116,6 +116,13 @@ def phi_for_tau(tau: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+#: entries of each memo below: a sweep runs every order (at most 5 in a
+#: preset) at one axis value before the next, so this holds the orders of
+#: the last few points and stays flat for a long-lived caller
+_MEMO_SIZE = 16
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _mzi_entries(phi: float, bits: int) -> tuple:
     """x = c^2, y = s^2 and z = i cs at ``bits`` bits, c and s the cosine and
     sine of phi/2 (:func:`moments.cos_sin`), each within 2^-bits of its own
@@ -129,10 +136,10 @@ def _mzi_entries(phi: float, bits: int) -> tuple:
             moments.fixed_mul(c, moments.fixed_times(s, 1j), bits))
 
 
-#: entries of the memo below: a sweep runs every order (at most 5 in a
-#: preset) at one axis value before the next, so this holds the orders of
-#: the last few points and stays flat for a long-lived caller
-_MEMO_SIZE = 16
+@lru_cache(maxsize=_MEMO_SIZE)
+def _point(phi: float, eta: float, bits: int) -> opalg.PortPoint:
+    """The port entries at phi under loss eta, read by every order and figure there."""
+    return opalg.PortPoint(*_mzi_entries(phi, bits), bits, eta)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -209,8 +216,7 @@ def _scene(cfg, digits: int) -> opalg.PortMoments:
     """The scene's port moments at ``digits`` working digits (see
     :func:`_port_coefficients`); the config's spec carries the scheme."""
     coefficients = _port_coefficients(cfg.quantum, cfg.mu, cfg.psi, digits)
-    x, y, z = _mzi_entries(cfg.phi, coefficients.bits)
-    return opalg.PortMoments(coefficients, x, y, z, cfg.eta)
+    return opalg.PortMoments(coefficients, _point(cfg.phi, cfg.eta, coefficients.bits))
 
 
 @moments.retried
@@ -261,8 +267,8 @@ def qfi(cfg: SingleMziConfig, digits: int) -> float:
     check_type("cfg", cfg, SingleMziConfig)
     coefficients = _port_coefficients(cfg.quantum, cfg.mu, cfg.psi, digits)
     half = moments.fixed_times(moments.ONE, 1, 1)  # x = y = z = 1/2, exactly
-    ports = opalg.PortMoments(coefficients, half, half, half, turn=1)
-    return _variance(ports, _QFI_WEIGHTS).value
+    point = opalg.PortPoint(half, half, half, coefficients.bits, turn=1)
+    return _variance(opalg.PortMoments(coefficients, point), _QFI_WEIGHTS).value
 
 
 def cramer_rao_bound(fq: float) -> float:
@@ -332,7 +338,7 @@ def correlated_uncertainty(cfg: CorrelatedConfig, digits: int) -> float:
     ports = _scene(cfg, digits)
     mixed = _nonzero(ports.expect(_COVARIANCE_WEIGHTS[0], "mixed"), "mixed phase derivative of <C>")
     var = _variance(ports, _COVARIANCE_WEIGHTS)
-    x = moments.certified_sum([(ports.lossy[0], moments.ONE)], ports.bits)
+    x = moments.certified_sum([(ports.point.lossy[0], moments.ONE)], ports.bits)
     return _root_over(var, mixed, cfg.mu * x)
 
 

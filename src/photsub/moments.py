@@ -157,9 +157,11 @@ class Phases(dict):
         turns, bits = key
         if not (turns and self.n):
             return self.setdefault(key, ONE)
-        (c, ec), (s, es) = cos_sin(self.n * turns, self.shift, bits)
-        e = max(ec, es)
-        return self.setdefault(key, (c >> e - ec, s >> e - es, (1 << max(0, -bits - e)) + 1, e))
+        (c, ec), (s, es) = cos_sin(self.n * abs(turns), self.shift, bits)
+        e, radius = max(ec, es), (1 << max(0, -bits - max(ec, es))) + 1
+        for sign in (1, -1):  # cos_sin(-n) is exactly (cos, -sin): one call serves both
+            self[sign * abs(turns), bits] = c >> e - ec, sign * s >> e - es, radius, e
+        return self[key]
 
 
 def fixed_times(x: tuple, k, halvings: int = 0) -> tuple:
@@ -420,6 +422,7 @@ class MomentTable:
         if not self.norm:
             raise NullState("photon subtraction annihilates the vacuum")
         self.g2 = self.n * (self.n + (1 << self.shift))  # g^2 2^(2 shift)
+        self._roots = {}  # bits -> g 2^(shift + t) as (isqrt, 1 if inexact, t)
 
     def _entry(self, key: tuple) -> tuple:
         memo = (self.source, self.m, key)
@@ -442,11 +445,15 @@ class MomentTable:
         man, rest = divmod(num << k, self.norm) if k >= 0 else divmod(num, self.norm << -k)
         err, exp = int(rest > 0), self.shift * (self.norm_degree - degree) - k
         if odd:  # an exact 0 at lam = 0
-            t = max(0, bits + 2 - self.g2.bit_length() // 2)
-            g = isqrt(self.g2 << 2 * t)
-            off = int(g * g < self.g2 << 2 * t)
+            if bits not in self._roots:  # one isqrt per bits
+                t = max(0, bits + 2 - self.g2.bit_length() // 2)
+                g = isqrt(self.g2 << 2 * t)
+                self._roots[bits] = g, int(g * g < self.g2 << 2 * t), t
+            g, off, t = self._roots[bits]
             man, err, exp = man * g, man * off + (g + off) * err, exp - self.shift - t
-        return fixed_mul((man, 0, err, exp), self.phases[turns, bits + 2], bits)
+        phase = self.phases[turns, bits + 2]  # times ONE is a truncation alone
+        return fixed_from(man, 0, err, exp, bits) if phase is ONE else fixed_mul(
+            (man, 0, err, exp), phase, bits)
 
     def entry(self, key) -> complex:
         """Entry ``key`` as a complex float, for inspection."""

@@ -14,18 +14,18 @@ for the Mach-Zehnder entries u, v = (e^{i phi} +- 1)/2 and 1 for the QFI's
 u = v = 1/sqrt 2, a pair is omega^(a-b) x^(k/2) y^(n-k/2) for even
 k = a + b and omega^(a-b) conj(omega) z x^((k-1)/2) y^((2n-k-1)/2) for odd k.
 So an observable sum w F(i, j) under detection loss eta is
-sum_n sum_k G(n, k) eta^n M(n, k), with phase and loss in the monomials M
-alone: :class:`PortCoefficients` folds each row G once per family and
-observable, exactly, with its summands' radii, and a point is the one point
-sum (:meth:`PortMoments.expect`, :func:`photsub.moments.certified_sum`).  M's
-powers of x, y and z add up to n, so eta^n M(n, k) is M(n, k) of eta x,
-eta y and eta z: a point scales its entries by eta once, by the package's
-one loss law (:func:`photsub.moments.thin`).  Ordinary moments follow by
-Stirling numbers (:func:`normal_ordered`), and each phase derivative by a
-fixed integer map of the lam-free rows (:func:`_rows`), folded and summed
-alike: the slope d/dphi of the merged rows, and the correlated mixed
-derivative d^2/dphi1 dphi2 of rows kept per port until the map has moved
-port A's k and then port B's.
+sum_n sum_k G(n, k) eta^n M(n, k): :class:`PortCoefficients` folds each row G
+once per family and observable, exactly, with its summands' radii, from a
+flat plan built once per process (:func:`_plan`).  M's powers of x, y and z
+add up to n, so eta^n M(n, k) is M(n, k) of eta x, eta y and eta z: a
+:class:`PortPoint` scales its entries by eta once (:func:`photsub.moments.thin`,
+the one loss law) and keeps the monomials for every family read there, and
+a point is one certified sum of the two (:meth:`PortMoments.expect`).
+Ordinary moments follow by Stirling numbers (:func:`normal_ordered`), and
+each phase derivative by a fixed integer map of the lam-free rows
+(:func:`_rows`), folded and summed alike: the slope d/dphi of the merged
+rows, and the correlated mixed derivative d^2/dphi1 dphi2 of rows kept per
+port until the map has moved port A's k and then port B's.
 """
 
 from __future__ import annotations
@@ -41,10 +41,7 @@ from .moments import (
 
 _GUARD_BITS = 10  # kept over the working bits: ~1/1000 of its last unit per term
 
-_ROWS = {}  # (single, weights, turn, derivative) -> the lam-free rows of an observable
-
-#: each derivative's factor on its folded rows, i/2 per phase slope: (k, halvings)
-_FACTORS = {None: (1, 0), "slope": (1j, 1), "mixed": (-1, 2)}
+_PLANS = {}  # (single, weights, turn, derivative) -> the observable's fold plan
 
 
 def _sloped(rows: Counter, at: int) -> Counter:
@@ -52,7 +49,7 @@ def _sloped(rows: Counter, at: int) -> Counter:
     the monomials M(n, k), (n, k) = port key[at:at + 2].  At turn i, dx = iz,
     dy = -iz, dz = i(x - y)/2 and z^2 = -xy send M(n, k) to i(k M(n, k-1) -
     (2n - k) M(n, k+1))/2 at even k and to minus that at odd k; this is the
-    even-k map, its i/2 left to the fold (:data:`_FACTORS`)."""
+    even-k map, its i/2 left to the fold (:class:`_Plan`)."""
     out = Counter()
     for (key, term), w in rows.items():
         n, k = key[at:at + 2]
@@ -74,52 +71,74 @@ def _rows(single: bool, weights: tuple, turn, derivative=None) -> dict:
     so d's parity, whose odd-k sign the mixed map (:func:`_sloped` on A, then
     on B) takes twice or not at all; the rows then merge to (n, k_A + k_B),
     times z^2 = conj(omega)^2 xy where both k are odd."""
-    if (single, weights, turn, derivative) not in _ROWS:
-        if turn not in (1, -1, 1j, -1j):
-            raise ValueError(f"unknown turn {turn!r}: want a Gaussian unit")
-        # a one-mode family has one phase; every phase map is the Mach-Zehnder one
-        derivatives = [None] + (["slope"] + ["mixed"] * (not single)) * (turn == 1j)
-        if derivative not in derivatives:
-            raise ValueError(f"unknown derivative {derivative!r} of a {2 - single}-mode family"
-                             f" at turn {turn!r}: want one of {derivatives}")
-        sign, rows = round((turn.conjugate() ** 2).real), Counter()
-        for (i, j), w in weights:
-            n = i + j
-            expansion = [(k, l, comb(i, k) * comb(j, l), (i - k if single else k) + l)
-                         for k in range(i + 1) for l in range(j + 1)]
-            for (k, l, ck, a), (k2, l2, ck2, b) in product(expansion, repeat=2):
-                if a <= b and ((k + l - k2 - l2) % 2 == 0 if single else k - k2 == l - l2):
-                    key = (k + l, k2 + l2) if single else (k, k2, l, l2)
-                    ports = (n, a + b) if single else (i, k + k2, j, l + l2)
-                    weight = w * ck * ck2 * (1 + (a < b)) * sign ** ((b - a + 1) // 2 * single)
-                    rows[ports, (key, n - k - l, n - k2 - l2)] += weight
-        if derivative == "mixed":
-            rows = _sloped(_sloped(rows, 0), 2)
-        if not single:
-            merged = Counter()
-            for ((i, k_a, j, k_b), term), w in rows.items():
-                merged[(i + j, k_a + k_b), term] += sign ** (k_a * k_b % 2) * w
-            rows = merged
-        if derivative == "slope":
-            rows = _sloped(rows, 0)
-        table = _ROWS[single, weights, turn, derivative] = {}
-        for (nk, term), w in sorted(rows.items()):
-            if w:
-                table.setdefault(nk, []).append((*term, w))
-    return _ROWS[single, weights, turn, derivative]
+    if turn not in (1, -1, 1j, -1j):
+        raise ValueError(f"unknown turn {turn!r}: want a Gaussian unit")
+    # a one-mode family has one phase; every phase map is the Mach-Zehnder one
+    derivatives = [None] + (["slope"] + ["mixed"] * (not single)) * (turn == 1j)
+    if derivative not in derivatives:
+        raise ValueError(f"unknown derivative {derivative!r} of a {2 - single}-mode family"
+                         f" at turn {turn!r}: want one of {derivatives}")
+    sign, rows = round((turn.conjugate() ** 2).real), Counter()
+    for (i, j), w in weights:
+        n = i + j
+        expansion = [(k, l, comb(i, k) * comb(j, l), (i - k if single else k) + l)
+                     for k in range(i + 1) for l in range(j + 1)]
+        for (k, l, ck, a), (k2, l2, ck2, b) in product(expansion, repeat=2):
+            if a <= b and ((k + l - k2 - l2) % 2 == 0 if single else k - k2 == l - l2):
+                key = (k + l, k2 + l2) if single else (k, k2, l, l2)
+                ports = (n, a + b) if single else (i, k + k2, j, l + l2)
+                weight = w * ck * ck2 * (1 + (a < b)) * sign ** ((b - a + 1) // 2 * single)
+                rows[ports, (key, n - k - l, n - k2 - l2)] += weight
+    if derivative == "mixed":
+        rows = _sloped(_sloped(rows, 0), 2)
+    if not single:
+        merged = Counter()
+        for ((i, k_a, j, k_b), term), w in rows.items():
+            merged[(i + j, k_a + k_b), term] += sign ** (k_a * k_b % 2) * w
+        rows = merged
+    if derivative == "slope":
+        rows = _sloped(rows, 0)
+    table = {}
+    for (nk, term), w in sorted(rows.items()):
+        if w:
+            table.setdefault(nk, []).append((*term, w))
+    return table
+
+
+class _Plan:
+    """:func:`_rows` laid flat: ``products`` the (input key, m, m2) it reads,
+    ``rows`` (n, k, indices into them, weights), ``factor`` the derivative's
+    (k, halvings), i/2 per phase slope, or None.  Its identity keys the memos."""
+
+    __slots__ = ("products", "rows", "factor")
+
+    def __init__(self, rows: dict, derivative):
+        ids = {}
+        self.rows = [(n, k, [ids.setdefault(t[:3], len(ids)) for t in row], [t[3] for t in row])
+                     for (n, k), row in rows.items()]
+        self.products = list(ids)
+        self.factor = {"slope": (1j, 1), "mixed": (-1, 2)}.get(derivative)
+
+
+def _plan(single: bool, weights: tuple, turn, derivative=None) -> _Plan:
+    """The fold plan of :func:`_rows`' rows, built once per process."""
+    key = (single, weights, turn, derivative)
+    return _PLANS.get(key) or _PLANS.setdefault(key, _Plan(_rows(*key), derivative))
 
 
 def _exact_sum(summands):
     """sum w h over pairs of an integer w and a :func:`fixed_from` number h,
-    exactly, at the least exponent: its radius is sum |w| r, so a row that
-    cancels, to a 0 midpoint too, keeps its summands' radii; None where the
-    sum is an exact 0, which adds no error."""
-    terms = [(w, h) for w, h in summands if h[0] or h[1] or h[2]]
-    low = min((h[3] for _, h in terms), default=0)
-    re = im = err = 0
-    for w, (x, y, r, e) in terms:
-        re, im, err = (re + (w * x << e - low), im + (w * y << e - low),
-                       err + (abs(w) * r << e - low))
+    exactly, at the least exponent, in one pass: its radius is sum |w| r, so a
+    row that cancels, to a 0 midpoint too, keeps its summands' radii; None
+    where the sum is an exact 0, which adds no error."""
+    re, im, err, low = 0, 0, 0, None
+    for w, (x, y, r, e) in summands:
+        if x or y or r:
+            if low is None or e < low:
+                shift = 0 if low is None else low - e
+                re, im, err, low = re << shift, im << shift, err << shift, e
+            re, im, err = (re + (w * x << e - low), im + (w * y << e - low),
+                           err + (abs(w) * r << e - low))
     return (re, im, err, low) if re or im or err else None
 
 
@@ -155,64 +174,67 @@ class PortCoefficients:
             self._displacements[m, m2] = fixed_from(*phase, self.bits)
         return self._displacements[m, m2]
 
-    def fold(self, weights: tuple, turn=1j, derivative=None) -> list:
-        """[(n, k, G(n, k))] of the observable sum w F(i, j) over ``weights``,
-        sorted ((i, j), w) pairs, or of its ``derivative`` (:func:`_rows`), for
-        the port entries' unit ``turn``: each G a :func:`_exact_sum` of
-        displacement-entry products, each product formed once per family, times
-        the derivative's factor (:data:`_FACTORS`)."""
-        rows = self._folds.get((weights, turn, derivative))
+    def fold(self, plan: _Plan) -> list:
+        """[(n, k, G(n, k))] of the observable, or its derivative, of ``plan``
+        (:func:`_plan`), kept per plan: each G an :func:`_exact_sum` of
+        products formed once per family, times the derivative's factor."""
+        rows = self._folds.get(plan)
         if rows is None:
-            products, rows = self._products, []
-            for (n, k), row in _rows(self.single, weights, turn, derivative).items():
-                summands = []
-                for key, m, m2, w in row:
-                    if (key, m, m2) not in products:
-                        products[key, m, m2] = fixed_mul(
-                            self.displacement(m, m2), self.moment(key), self.bits)
-                    summands.append((w, products[key, m, m2]))
-                g = _exact_sum(summands)
-                rows += [(n, k, fixed_times(g, *_FACTORS[derivative]))] if g else []
-            self._folds[weights, turn, derivative] = rows
+            products, rows = [], []
+            for key, m, m2 in plan.products:
+                if (key, m, m2) not in self._products:
+                    self._products[key, m, m2] = fixed_mul(
+                        self.displacement(m, m2), self.moment(key), self.bits)
+                products.append(self._products[key, m, m2])
+            for n, k, ids, ws in plan.rows:
+                g = _exact_sum(zip(ws, map(products.__getitem__, ids)))
+                if g:
+                    rows.append((n, k, fixed_times(g, *plan.factor) if plan.factor else g))
+            self._folds[plan] = rows
         return rows
 
 
-class PortMoments:
-    """Observables of one scene, and its phase derivatives, as certified sums:
-    ``lossy`` holds eta x, eta y and eta z, x = |u|^2, y = |v|^2 and z = conj(u) v =
-    ``turn`` |uv| of its port entries u, v, fixed-point numbers at the family's
-    bits, and eta the detection efficiency: each scaled once and truncated to
-    the bits (:func:`fixed_from` adds it to the radius), the one loss every read takes."""
+class PortPoint(dict):
+    """(n, k) -> eta^n M(n, k) = (eta x)^(k//2) (eta y)^(n - (k+1)//2) (eta z)^(k mod 2)
+    at one working point, formed on first read for every family read there from
+    ``lossy``: eta x, eta y and eta z, x = |u|^2, y = |v|^2 and z = conj(u) v = ``turn`` |uv|
+    of the port entries, each scaled once by the efficiency eta and truncated to ``bits``."""
 
-    def __init__(self, coefficients: PortCoefficients, x, y, z, eta: float = 1.0, turn=1j):
-        self.coefficients, self.turn, self.bits = coefficients, turn, coefficients.bits
+    def __init__(self, x, y, z, bits: int, eta: float = 1.0, turn=1j):
+        self.bits, self.turn = bits, turn
         scale = thin(Bounded(1, 0, 0), eta)  # eta = man 2^exp, exactly
-        lossy = [fixed_from(*fixed_times(v, scale.man, -scale.exp), self.bits) for v in (x, y, z)]
-        self.lossy, self._powers = lossy, ([ONE, lossy[0]], [ONE, lossy[1]])
-        self._monomials, self._values = {}, {}
+        self.lossy = [fixed_from(*fixed_times(v, scale.man, -scale.exp), bits) for v in (x, y, z)]
+        self._powers = ([ONE, self.lossy[0]], [ONE, self.lossy[1]])
 
-    def _monomial(self, n: int, k: int) -> tuple:
-        """eta^n M(n, k) = (eta x)^(k//2) (eta y)^(n - (k+1)//2) (eta z)^(k mod 2),
-        kept per point."""
-        m = self._monomials.get((n, k))
-        if m is None:
-            p, q = k // 2, n - (k + 1) // 2
-            for powers, r in zip(self._powers, (p, q)):
-                while len(powers) <= r:
-                    powers.append(fixed_mul(powers[-1], powers[1], self.bits))
-            x, y = self._powers[0][p], self._powers[1][q]
-            m = fixed_mul(x, y, self.bits) if p and q else x if p else y
-            m = self._monomials[n, k] = fixed_mul(m, self.lossy[2], self.bits) if k % 2 else m
+    def __missing__(self, nk: tuple) -> tuple:
+        n, k = nk
+        p, q = k // 2, n - (k + 1) // 2
+        for powers, r in zip(self._powers, (p, q)):
+            while len(powers) <= r:
+                powers.append(fixed_mul(powers[-1], powers[1], self.bits))
+        x, y = self._powers[0][p], self._powers[1][q]
+        m = fixed_mul(x, y, self.bits) if p and q else x if p else y
+        self[nk] = m = fixed_mul(m, self.lossy[2], self.bits) if k % 2 else m
         return m
+
+
+class PortMoments:
+    """A family's observables, and their phase derivatives, at one :class:`PortPoint`:
+    certified sums of the family's rows against the point's monomials, kept per plan."""
+
+    def __init__(self, coefficients: PortCoefficients, point: PortPoint):
+        self.coefficients, self.point, self.bits = coefficients, point, coefficients.bits
+        self._values = {}
 
     def expect(self, weights: tuple, derivative=None) -> Bounded:
         """sum w F(i, j) over ``weights``, sorted ((i, j), w) pairs, or its
-        ``derivative`` (:func:`_rows`), kept per point."""
-        value = self._values.get((weights, derivative))
+        ``derivative`` (:func:`_rows`)."""
+        plan = _plan(self.coefficients.single, weights, self.point.turn, derivative)
+        value = self._values.get(plan)
         if value is None:
-            rows = self.coefficients.fold(weights, self.turn, derivative)
-            value = self._values[weights, derivative] = certified_sum(
-                [(g, self._monomial(n, k)) for n, k, g in rows], self.bits)
+            point = self.point
+            value = self._values[plan] = certified_sum(
+                [(g, point[n, k]) for n, k, g in self.coefficients.fold(plan)], self.bits)
         return value
 
     def entry(self, i: int, j: int) -> Bounded:

@@ -25,7 +25,7 @@ MEMOS = _memos()
 
 #: the dict memos, named here rather than found: a dict such as
 #: experiments._METRICS is a table, not a memo
-DICT_MEMOS = (opalg._ROWS, moments._ENTRIES, moments._PI, states._MAPS)
+DICT_MEMOS = (opalg._PLANS, moments._ENTRIES, moments._PI, states._MAPS)
 
 
 def clear() -> None:

@@ -19,7 +19,9 @@ linear quadrature over a table (:func:`quadrature_variance`, on numbers
 made fixed by :func:`fixed`) the reference for the two-entry quadrature
 metrics of :mod:`photsub.experiments`.  The dark-fringe U as a closed
 form in three SPATSV entries (:func:`dark_fringe_uncertainty`) checks the
-port engine's Var C and mixed derivative at phi = 0.  The general normal-ordered
+port engine's Var C and mixed derivative at phi = 0.  The port folds formed
+row by row (:func:`row_folds`), each entry, phase and product afresh, are
+the reference for the flat fold plans of :mod:`photsub.opalg`.  The general normal-ordered
 operator algebra at the end (:class:`OperatorPolynomial`, :func:`multiply`,
 :func:`contract`), with :class:`Jet` phase derivatives, is the reference
 the port-moment kernel of :mod:`photsub.opalg` and its analytic
@@ -28,7 +30,7 @@ derivatives are checked against.
 
 import cmath
 from fractions import Fraction
-from math import comb, factorial, lgamma, log, prod, sqrt
+from math import comb, factorial, isqrt, lgamma, log, prod, sqrt
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -322,6 +324,77 @@ def port_coefficients(table, mu, psi: float, bits: int) -> opalg.PortCoefficient
     coefficients = opalg.PortCoefficients(table, 0.0, psi, bits)
     coefficients._mu = man_exp_exact(mu)
     return coefficients
+
+
+def row_phase(phases: moments.Phases, turns: int, bits: int) -> tuple:
+    """e^{i turns x} of ``phases`` (its x = n 2^-shift) as :class:`photsub.moments.Phases`
+    gives it, from one :func:`photsub.moments.cos_sin` of n turns, of either sign."""
+    if not (turns and phases.n):
+        return moments.ONE
+    (c, ec), (s, es) = moments.cos_sin(phases.n * turns, phases.shift, bits)
+    e = max(ec, es)
+    return c >> e - ec, s >> e - es, (1 << max(0, -bits - e)) + 1, e
+
+
+def row_entry(table: moments.MomentTable, key: tuple, bits: int) -> tuple:
+    """The entry ``key`` of ``table`` as :meth:`photsub.moments.MomentTable.fixed`
+    gives it, formed afresh: floor(P 2^k / Q), g an isqrt, then the chi phase."""
+    turns, poly, odd, degree = table._entry(key)
+    if poly is None:
+        return moments.ZERO
+    num = moments._horner(poly, table.n, table.shift)
+    k = bits + 2 + table.norm.bit_length() - num.bit_length()
+    man, rest = divmod(num << k, table.norm) if k >= 0 else divmod(num, table.norm << -k)
+    err, exp = int(rest > 0), table.shift * (table.norm_degree - degree) - k
+    if odd:
+        t = max(0, bits + 2 - table.g2.bit_length() // 2)
+        g = isqrt(table.g2 << 2 * t)
+        off = int(g * g < table.g2 << 2 * t)
+        man, err, exp = man * g, man * off + (g + off) * err, exp - table.shift - t
+    return moments.fixed_mul((man, 0, err, exp), row_phase(table.phases, turns, bits + 2), bits)
+
+
+def _row_sum(summands):
+    """sum w h, exactly, at the least exponent of the summands that are not an
+    exact 0; None where the sum is an exact 0."""
+    terms = [(w, h) for w, h in summands if h[0] or h[1] or h[2]]
+    low = min((h[3] for _, h in terms), default=0)
+    re = im = err = 0
+    for w, (x, y, r, e) in terms:
+        re, im, err = (re + (w * x << e - low), im + (w * y << e - low),
+                       err + (abs(w) * r << e - low))
+    return (re, im, err, low) if re or im or err else None
+
+
+#: each derivative's factor on its folded rows, i/2 per phase slope: (k, halvings)
+_ROW_FACTORS = {None: (1, 0), "slope": (1j, 1), "mixed": (-1, 2)}
+
+
+def row_folds(family: opalg.PortCoefficients, reads) -> dict:
+    """{(weights, turn, derivative): [(n, k, G(n, k))]} of ``family`` for each
+    read, by the per-row loop over :func:`photsub.opalg._rows`: each
+    displacement-entry product formed afresh (once per call) from the
+    family's table, mu and psi, each row summed by :func:`_row_sum`, and
+    every row times its derivative's factor, 1 included.  The reference the
+    flat fold plans are checked against, tuple for tuple."""
+    bits, (man, exp), products, out = family.bits, family._mu, {}, {}
+    for weights, turn, derivative in reads:
+        rows = []
+        for (n, k), row in opalg._rows(family.single, weights, turn, derivative).items():
+            summands = []
+            for key, m, m2, w in row:
+                if (key, m, m2) not in products:
+                    power = (m + m2) // 2
+                    phase = row_phase(family._phases, m2 - m, bits + 2)
+                    shift = moments.fixed_from(
+                        *moments.fixed_times(phase, man**power, -exp * power), bits)
+                    products[key, m, m2] = moments.fixed_mul(
+                        shift, row_entry(family.table, key, bits), bits)
+                summands.append((w, products[key, m, m2]))
+            g = _row_sum(summands)
+            rows += [(n, k, moments.fixed_times(g, *_ROW_FACTORS[derivative]))] if g else []
+        out[weights, turn, derivative] = rows
+    return out
 
 
 def dark_fringe_uncertainty(table, eta):

@@ -14,7 +14,7 @@ import mpmath as mp
 import pytest
 
 from photsub import metrology, moments
-from reference import fixed_value
+from reference import fixed_value, row_phase
 
 BITS = (53, 54, 64, 100, 257, 600, 1000)
 #: near multiples of pi/2 sit the float multiples of pi/2 and pi - 1e-9
@@ -98,3 +98,19 @@ def test_mzi_entries_lie_within_their_radius(bits):
                 assert abs(fixed_value(got) - want) <= radius, (phi, bits)
                 assert radius <= 10 * mp.mpf(2) ** -bits * abs(want), (phi, bits)
     assert metrology._mzi_entries(0.0, bits) == (moments.ONE, moments.ZERO, moments.ZERO)
+
+
+def test_a_negative_turn_reads_the_cosine_and_sine_of_the_positive_one(monkeypatch):
+    # cos_sin(-n) is exactly (cos, -sin), so Phases forms -t from +t's one call,
+    # the sine negated before its shift: every tuple as one call of n t gives it
+    calls, cos_sin = [], moments.cos_sin
+    monkeypatch.setattr(moments, "cos_sin", lambda *a: calls.append(a) or cos_sin(*a))
+    rng = random.Random(20)
+    for x in [-0.7, 1.0, pi / 2] + [rng.uniform(-10, 10) for _ in range(40)]:
+        bits = rng.randrange(64, 501)
+        for first in (1, -1):  # either sign read first
+            phases, calls[:] = moments.Phases(x), []
+            turns = [sign * t for t in range(1, 9) for sign in (first, -first)]
+            got = [phases[t, bits] for t in turns]
+            assert len(calls) == 8
+            assert got == [row_phase(phases, t, bits) for t in turns], (x, bits)

@@ -9,6 +9,7 @@ to 0 keeps its radius through the point sum; a phase sweep folds each
 observable once per family.
 """
 
+import random
 from collections import Counter
 from math import pi
 
@@ -19,7 +20,7 @@ from photsub import metrology, moments, opalg
 from photsub.experiments import SweepConfig, run_sweep
 from photsub.metrology import CorrelatedConfig, SingleMziConfig
 from photsub.states import PassvSpec, SpatsvSpec
-from reference import fixed
+from reference import fixed, row_folds
 
 REFERENCE_DPS = 120
 
@@ -49,10 +50,11 @@ def _reads(cfg, phase, digits) -> dict:
     coefficients = metrology._port_coefficients(cfg.quantum, cfg.mu, cfg.psi, digits)
     if phase == "qfi":  # the QFI's port entries u = v = 1/sqrt 2: x = y = z = 1/2
         half = moments.fixed_times(moments.ONE, 1, 1)
-        ports = opalg.PortMoments(coefficients, half, half, half, turn=1)
+        point = opalg.PortPoint(half, half, half, coefficients.bits, turn=1)
     else:
-        entries = metrology._mzi_entries(phase, coefficients.bits)
-        ports = opalg.PortMoments(coefficients, *entries, cfg.eta)
+        point = opalg.PortPoint(*metrology._mzi_entries(phase, coefficients.bits),
+                                coefficients.bits, cfg.eta)
+    ports = opalg.PortMoments(coefficients, point)
     out = {tuple(sorted(poly.items())): ports.expect(opalg.normal_ordered(poly))
            for poly in _observables(single)}
     order = 2 if single else 4
@@ -62,6 +64,47 @@ def _reads(cfg, phase, digits) -> dict:
         out["derivative"] = (ports.expect(metrology._DIFFERENCE_WEIGHTS[0], "slope") if single
                              else ports.expect((((1, 1), 1),), "mixed"))
     return out
+
+
+def _figure_reads(single: bool) -> list:
+    """(weights, turn, derivative) of every fold a figure of merit or
+    :func:`photsub.metrology.readout_moments` reads in the scheme."""
+    order = 2 if single else 4
+    reads = [((((i, j), 1),), 1j, None) for i in range(order + 1) for j in range(order + 1 - i)]
+    pairs = ((metrology._DIFFERENCE_WEIGHTS,) if single else
+             (metrology._DIFFERENCE_WEIGHTS, metrology._COVARIANCE_WEIGHTS))
+    reads += [(w, 1j, None) for pair in pairs for w in pair]
+    if single:
+        reads += [(metrology._DIFFERENCE_WEIGHTS[0], 1j, "slope")]
+        reads += [(w, 1, None) for w in metrology._QFI_WEIGHTS]
+    else:
+        reads += [(metrology._SUM_WEIGHTS, 1j, None),
+                  (metrology._COVARIANCE_WEIGHTS[0], 1j, "mixed")]
+    return reads
+
+
+def test_the_flat_fold_gives_the_row_loop_s_rows_tuple_for_tuple():
+    # random families of both schemes, with lam = 0, mu = 0, chi != 0 and
+    # psi != 0 among them, at 30, 60 and 120 digits: every fold a figure
+    # reads equals the per-row loop's, each G and its radius bit for bit
+    rng, families, rows = random.Random(47), 0, 0
+    for draw in range(84):
+        single = draw % 2 == 0
+        m = 0 if draw % 7 == 0 else rng.randrange(5)
+        lam = 0.0 if draw % 7 == 0 else rng.choice((rng.uniform(0.01, 3), rng.uniform(3, 60)))
+        chi = rng.choice((0.0, rng.uniform(-3, 3)))
+        psi = rng.choice((0.0, pi / 2, rng.uniform(-3, 3)))
+        mu = rng.choice((0.0, rng.uniform(0.1, 10), 1e12, rng.uniform(1e2, 1e8)))
+        spec = (PassvSpec if single else SpatsvSpec)(lam, m, chi)
+        family = opalg.PortCoefficients(spec.table(), mu, psi,
+                                        moments.digits_to_bits(rng.choice((30, 60, 120))))
+        reads = _figure_reads(single)
+        want = row_folds(family, reads)
+        for read in reads:
+            assert family.fold(opalg._plan(single, *read)) == want[read], (spec, mu, psi, read)
+            rows += len(want[read])
+        families += 1
+    assert families >= 80 and rows >= 3000
 
 
 def _exact(x: moments.Bounded):
@@ -119,7 +162,7 @@ def test_a_twin_beam_difference_cancels_to_zero_within_its_bound():
     cfg = CorrelatedConfig(SpatsvSpec(2.0, 2, 0.3), mu=1e12, phi=0.7, psi=pi / 2, eta=0.98)
     ports = metrology._scene(cfg, moments.START_DIGITS)
     weights = opalg.normal_ordered(metrology._DIFFERENCE)
-    rows = ports.coefficients.fold(weights, ports.turn)
+    rows = ports.coefficients.fold(opalg._plan(False, weights, ports.point.turn))
     mean = ports.expect(weights)
     assert rows and all(g[0] == g[1] == 0 and g[2] > 0 for _, _, g in rows)
     assert mean.man == 0 and mean.err > 0
@@ -137,17 +180,24 @@ def _counted(monkeypatch, name) -> list:
 
 
 def test_a_phase_sweep_folds_each_observable_once_per_family(monkeypatch):
-    folds = _counted(monkeypatch, "_rows")  # called on a fold-memo miss only
+    folds, fold = [], opalg.PortCoefficients.fold
+
+    def counted(family, plan):
+        if plan not in family._folds:  # a fold-memo miss
+            folds.append((family, plan))
+        return fold(family, plan)
+
+    monkeypatch.setattr(opalg.PortCoefficients, "fold", counted)
     rows = run_sweep(SweepConfig(
         scheme="correlated", axis="phi", values=(1e-7, 1e-6, 1e-5, 1e-4), m_list=(1, 2),
         metrics=("U_norm", "nrf"), lam=2.0, mu=1e12, psi=pi / 2, eta=0.98)).rows
     assert len(rows) == 16 and all(row.flag == "ok" for row in rows)
     # U_norm reads <C^2>, <C> and the mixed derivative of <C>; nrf adds
     # <N_a - N_b> and <N_a + N_b> (C = (N_a - N_b)^2): five (observable,
-    # derivative) reads, each folded once for each of two m
-    reads = Counter((args[1], args[3]) for args in folds)
-    assert len(reads) == 5
-    assert (metrology._COVARIANCE_WEIGHTS[0], "mixed") in reads
+    # derivative) plans, each folded once for each of two m
+    reads = Counter(plan for _, plan in folds)
+    assert len(reads) == 5 and len({id(family) for family, _ in folds}) == 2
+    assert opalg._PLANS[False, metrology._COVARIANCE_WEIGHTS[0], 1j, "mixed"] in reads
     assert set(reads.values()) == {2}
 
 

@@ -53,7 +53,7 @@ def _kernel(quantum, mu, psi, phi, eta):
         coefficients = port_coefficients(quantum(), mu, psi, moments.digits_to_bits(DPS))
         x, y, z = (fixed_exact(w, coefficients.bits) for w in (abs(u) ** 2, abs(v) ** 2,
                                                                 mp.conj(u) * v))
-        return opalg.PortMoments(coefficients, x, y, z, eta)
+        return opalg.PortMoments(coefficients, opalg.PortPoint(x, y, z, coefficients.bits, eta))
 
 
 def _exact(x: moments.Bounded):
@@ -173,7 +173,8 @@ def test_a_slope_needs_the_mach_zehnder_turn():
     half = moments.fixed_times(moments.ONE, 1, 1)
     for spec, derivative in ((PassvSpec(1.0, 1), "slope"), (SpatsvSpec(1.0, 1), "mixed")):
         coefficients = metrology._port_coefficients(spec, 1.0, 0.0, 30)
-        ports = opalg.PortMoments(coefficients, half, half, half, turn=1)
+        point = opalg.PortPoint(half, half, half, coefficients.bits, turn=1)
+        ports = opalg.PortMoments(coefficients, point)
         with pytest.raises(ValueError, match="turn"):
             ports.expect(metrology._DIFFERENCE_WEIGHTS[0], derivative)
 
@@ -186,8 +187,8 @@ def test_a_one_mode_family_has_no_mixed_derivative():
     weights = metrology._COVARIANCE_WEIGHTS[0]
     with pytest.raises(ValueError, match="mixed"):
         ports.expect(weights, "mixed")
-    assert (True, weights, 1j, "mixed") not in opalg._ROWS
-    assert (weights, 1j, "mixed") not in ports.coefficients._folds
+    assert (True, weights, 1j, "mixed") not in opalg._PLANS
+    assert not ports.coefficients._folds
     with pytest.raises(ValueError, match="derivative"):
         ports.expect(weights, "curvature")
 

@@ -54,6 +54,24 @@ def test_phi_sweep_builds_one_input_table_per_order(monkeypatch):
     assert len(ports) == 3 * 2
 
 
+@pytest.mark.parametrize("axis", ("phi", "eta"))
+def test_every_order_at_a_working_point_reads_one_point(monkeypatch, memos, axis):
+    # the port entries are formed once per phi and their monomials once per
+    # (phi, eta), not once per order: each point's (n, k) once, all orders read it
+    formed, missing = [], opalg.PortPoint.__missing__
+
+    def counted(point, nk):
+        formed.append((id(point), nk))
+        return missing(point, nk)
+
+    monkeypatch.setattr(opalg.PortPoint, "__missing__", counted)
+    values = (1e-7, 1e-6, 1e-5) if axis == "phi" else (0.6, 0.8, 1.0)
+    assert len(_sweep(axis=axis, values=values, m_list=(0, 1, 2, 3))) == 12
+    assert metrology._mzi_entries.cache_info().misses == (3 if axis == "phi" else 1)
+    assert metrology._point.cache_info().misses == 3
+    assert len({point for point, _ in formed}) == 3 and len(set(formed)) == len(formed)
+
+
 def test_an_eta_sweep_equals_fresh_points(memos):
     etas = (0.6, 0.8, 1.0)
     rows = _sweep(axis="eta", values=etas)
@@ -155,10 +173,14 @@ def test_working_digits_are_part_of_every_memo_key(cfg, memos):
 
 
 def test_memos_stay_bounded(memos):
-    assert {metrology._port_coefficients, states._balance_root} <= set(memos)
+    assert {metrology._port_coefficients, metrology._mzi_entries, metrology._point,
+            states._balance_root} <= set(memos)
     values = tuple(0.5 + 0.25 * i for i in range(metrology._MEMO_SIZE + 4))
     run_sweep(SweepConfig(scheme="single", axis="lam", values=values, m_list=(1,),
                           metrics=("U", "qfi"), mu=100.0, balanced=True))
+    # the point memos key on phi, so a phase sweep drives them past their size
+    run_sweep(SweepConfig(scheme="single", axis="phi", values=values, m_list=(1,),
+                          metrics=("U",), mu=100.0))
     for memo in memos:
         info = memo.cache_info()
         assert info.misses > info.maxsize
@@ -172,7 +194,7 @@ def test_a_memoised_table_fills_at_its_own_digits():
     for digits in (50, 20):
         coefficients = metrology._port_coefficients(SpatsvSpec(2.0, 2), 1e12, pi / 2, digits)
         with mp.workdps(70 - digits):
-            coefficients.fold((((2, 2), 1),))
+            coefficients.fold(opalg._plan(False, (((2, 2), 1),), 1j))
             entry = coefficients.moment(key)
         assert entry == fresh.fixed(key, coefficients.bits)
         assert max(abs(entry[0]), abs(entry[1])).bit_length() == coefficients.bits
