@@ -422,7 +422,6 @@ class MomentTable:
         if not self.norm:
             raise NullState("photon subtraction annihilates the vacuum")
         self.g2 = self.n * (self.n + (1 << self.shift))  # g^2 2^(2 shift)
-        self._roots = {}  # bits -> g 2^(shift + t) as (isqrt, 1 if inexact, t)
 
     def _entry(self, key: tuple) -> tuple:
         memo = (self.source, self.m, key)
@@ -445,15 +444,11 @@ class MomentTable:
         man, rest = divmod(num << k, self.norm) if k >= 0 else divmod(num, self.norm << -k)
         err, exp = int(rest > 0), self.shift * (self.norm_degree - degree) - k
         if odd:  # an exact 0 at lam = 0
-            if bits not in self._roots:  # one isqrt per bits
-                t = max(0, bits + 2 - self.g2.bit_length() // 2)
-                g = isqrt(self.g2 << 2 * t)
-                self._roots[bits] = g, int(g * g < self.g2 << 2 * t), t
-            g, off, t = self._roots[bits]
+            t = max(0, bits + 2 - self.g2.bit_length() // 2)
+            g = isqrt(self.g2 << 2 * t)
+            off = int(g * g < self.g2 << 2 * t)
             man, err, exp = man * g, man * off + (g + off) * err, exp - self.shift - t
-        phase = self.phases[turns, bits + 2]  # times ONE is a truncation alone
-        return fixed_from(man, 0, err, exp, bits) if phase is ONE else fixed_mul(
-            (man, 0, err, exp), phase, bits)
+        return fixed_mul((man, 0, err, exp), self.phases[turns, bits + 2], bits)
 
     def entry(self, key) -> complex:
         """Entry ``key`` as a complex float, for inspection."""

@@ -43,13 +43,16 @@ _GUARD_BITS = 10  # kept over the working bits: ~1/1000 of its last unit per ter
 
 _PLANS = {}  # (single, weights, turn, derivative) -> the observable's fold plan
 
+#: each derivative's factor on its folded rows, i/2 per phase slope: (k, halvings)
+_FACTORS = {None: (1, 0), "slope": (1j, 1), "mixed": (-1, 2)}
+
 
 def _sloped(rows: Counter, at: int) -> Counter:
     """``rows``, weights keyed by (port key, (input key, m, m2)), under d/dphi of
     the monomials M(n, k), (n, k) = port key[at:at + 2].  At turn i, dx = iz,
     dy = -iz, dz = i(x - y)/2 and z^2 = -xy send M(n, k) to i(k M(n, k-1) -
     (2n - k) M(n, k+1))/2 at even k and to minus that at odd k; this is the
-    even-k map, its i/2 left to the fold (:class:`_Plan`)."""
+    even-k map, its i/2 left to the fold (:data:`_FACTORS`)."""
     out = Counter()
     for (key, term), w in rows.items():
         n, k = key[at:at + 2]
@@ -108,7 +111,7 @@ def _rows(single: bool, weights: tuple, turn, derivative=None) -> dict:
 class _Plan:
     """:func:`_rows` laid flat: ``products`` the (input key, m, m2) it reads,
     ``rows`` (n, k, indices into them, weights), ``factor`` the derivative's
-    (k, halvings), i/2 per phase slope, or None.  Its identity keys the memos."""
+    (:data:`_FACTORS`).  Its identity keys the memos."""
 
     __slots__ = ("products", "rows", "factor")
 
@@ -117,7 +120,7 @@ class _Plan:
         self.rows = [(n, k, [ids.setdefault(t[:3], len(ids)) for t in row], [t[3] for t in row])
                      for (n, k), row in rows.items()]
         self.products = list(ids)
-        self.factor = {"slope": (1j, 1), "mixed": (-1, 2)}.get(derivative)
+        self.factor = _FACTORS[derivative]
 
 
 def _plan(single: bool, weights: tuple, turn, derivative=None) -> _Plan:
@@ -189,7 +192,7 @@ class PortCoefficients:
             for n, k, ids, ws in plan.rows:
                 g = _exact_sum(zip(ws, map(products.__getitem__, ids)))
                 if g:
-                    rows.append((n, k, fixed_times(g, *plan.factor) if plan.factor else g))
+                    rows.append((n, k, fixed_times(g, *plan.factor)))
             self._folds[plan] = rows
         return rows
 
