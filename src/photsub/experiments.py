@@ -164,6 +164,8 @@ def _snl(cfg) -> float:
     n = cfg.eta * (cfg.mu + _mean_photons(cfg))
     if n <= 0:
         raise ZeroMeanPhoton("shot-noise reference undefined for a dark input")
+    if not isfinite(n):
+        raise OutOfRange(f"eta (mu + <n>) = {n} overflows a float")
     return 1.0 / sqrt(n)
 
 

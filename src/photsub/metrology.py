@@ -116,13 +116,7 @@ def phi_for_tau(tau: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-#: entries of each memo below: a sweep runs every order (at most 5 in a
-#: preset) at one axis value before the next, so this holds the orders of
-#: the last few points and stays flat for a long-lived caller
-_MEMO_SIZE = 16
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=moments.MEMO_SIZE)
 def _mzi_entries(phi: float, bits: int) -> tuple:
     """x = c^2, y = s^2 and z = i cs at ``bits`` bits, c and s the cosine and
     sine of phi/2 (:func:`moments.cos_sin`), each within 2^-bits of its own
@@ -136,13 +130,13 @@ def _mzi_entries(phi: float, bits: int) -> tuple:
             moments.fixed_mul(c, moments.fixed_times(s, 1j), bits))
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=moments.MEMO_SIZE)
 def _point(phi: float, eta: float, bits: int) -> opalg.PortPoint:
     """The port entries at phi under loss eta, read by every order and figure there."""
     return opalg.PortPoint(*_mzi_entries(phi, bits), bits, eta)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=moments.MEMO_SIZE)
 def _port_coefficients(spec, mu: float, psi: float, digits: int):
     """The port moments of a scene family at ``digits`` working digits,
     compiled for their bits.

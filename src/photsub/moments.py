@@ -10,9 +10,10 @@ integer polynomials and g^2 = lam (1 + lam): Wick pairing sums over the
 Gaussian (squeezed or two-mode squeezed) vacuum, integer terms (count, a, b)
 summed as count lam^a g^b, or the finite sums of the SPATSV seeds.
 This module alone turns Wick terms into polynomials: the mean-photon maps
-of :mod:`photsub.states` read these lam-free entries, and :func:`_horner`
-evaluates each exactly; a key the selection rule zeroes is an exact 0,
-and phases come from one integer cosine and sine (:func:`cos_sin`).
+of :mod:`photsub.states` read these lam-free entries (:func:`_lam_free`,
+one per process), and :func:`_horner` evaluates each exactly; a key the
+selection rule zeroes is an exact 0, and phases come from one integer
+cosine and sine (:func:`cos_sin`).
 
 Every number has one error model, an absolute radius: a fixed number
 (re, im, err, exp) is the ball of midpoint (re + i im) 2^exp and radius
@@ -26,7 +27,7 @@ a ball is a float only where it rounds to one (:func:`rounded`, :func:`retried`)
 
 from __future__ import annotations
 
-from functools import wraps
+from functools import cache, wraps
 from inspect import signature
 from math import comb, factorial, inf, isqrt
 
@@ -34,6 +35,11 @@ from .errors import MomentOrderMissing, NullState, PrecisionInsufficient, check
 
 START_DIGITS = 30  # the working digits of a figure's first attempt
 MAX_DIGITS = 1000  # of its last (:func:`retried`)
+#: entries of each per-point or per-family memo (an LRU): a sweep runs every
+#: order (at most 5 in a preset) at one axis value before the next, so this
+#: holds the orders of the last few points and stays flat for a long-lived
+#: caller; a process-constant table is an unbounded cache of finite keys
+MEMO_SIZE = 16
 
 # ---------------------------------------------------------------------------
 # Fixed-point numbers and certified sums
@@ -84,23 +90,19 @@ def fixed_mul(x: tuple, y: tuple, bits: int) -> tuple:
     return fixed_from(a * c - b * d, a * d + b * c, err, ex + ey, bits)
 
 
-_PI = {}  # bits -> pi 2^bits within 2, by Machin's formula
-
-
+@cache
 def _pi(bits: int) -> int:
     """pi 2^bits to within 2, from pi/4 = 4 atan(1/5) - atan(1/239): each
     series term floors once, and the guard bits hold those floors."""
-    if bits not in _PI:
-        guard = bits.bit_length() + 8
+    guard = bits.bit_length() + 8
 
-        def atan(x: int) -> int:  # atan(1/x) 2^(bits + guard)
-            total, term, k = 0, (1 << bits + guard) // x, 1
-            while term:
-                total, term, k = total + (-1) ** (k // 2) * (term // k), term // (x * x), k + 2
-            return total
+    def atan(x: int) -> int:  # atan(1/x) 2^(bits + guard)
+        total, term, k = 0, (1 << bits + guard) // x, 1
+        while term:
+            total, term, k = total + (-1) ** (k // 2) * (term // k), term // (x * x), k + 2
+        return total
 
-        _PI[bits] = (16 * atan(5) - 4 * atan(239)) >> guard
-    return _PI[bits]
+    return (16 * atan(5) - 4 * atan(239)) >> guard
 
 
 def _trim(man: int, exp: int, bits: int) -> tuple:  # to ``bits`` bits, toward 0
@@ -189,8 +191,8 @@ class Bounded:
         self.man, self.err, self.exp = man, err, exp
 
     def __add__(self, other):
-        if isinstance(other, int):  # the 0 that sum() starts from
-            return self
+        if isinstance(other, int):  # exactly; the 0 that sum() starts from leaves self as is
+            return Bounded(other, 0, 0) + self if other else self
         exp = min(self.exp, other.exp)
         a, b = self.exp - exp, other.exp - exp
         return Bounded((self.man << a) + (other.man << b), (self.err << a) + (other.err << b), exp)
@@ -375,9 +377,6 @@ def _binary(lam) -> tuple:
     return n, d.bit_length() - 1
 
 
-_ENTRIES = {}  # (source, m, key) -> lam-free (turns, polynomial, g parity, degree)
-
-
 def _vacuum_entry(m: int, key: tuple) -> tuple:
     """(turns, P or None, g parity) of the vacuum moment of key + m: of the
     squeezed vacuum for a one-mode key, of the TSV for a two-mode one."""
@@ -404,6 +403,14 @@ def _seed_entry(m: int, key: tuple) -> tuple:
     return -d, poly if any(poly) else None, d % 2
 
 
+@cache
+def _lam_free(source, m: int, key: tuple) -> tuple:
+    """(turns, P or None, g parity, degree of P) of ``source(m, key)``, P a
+    tuple: every table of that source and order shares it."""
+    turns, poly, odd = source(m, key)
+    return turns, poly and tuple(poly), odd if poly else 0, len(poly or ()) - 1
+
+
 class MomentTable:
     """Exact moments of one subsystem over ``modes``, any order: entry
     ``key`` is P(lam)/Q(lam) g^(b mod 2) e^{i chi turns} for the lam-free
@@ -417,18 +424,11 @@ class MomentTable:
         check(lam=lam, m=m, chi=chi)
         self.modes, self.source, self.m = tuple(modes), source, m
         self.n, self.shift = _binary(lam)
-        _, norm, _, self.norm_degree = self._entry((0,) * 2 * len(self.modes))
+        _, norm, _, self.norm_degree = _lam_free(source, m, (0,) * 2 * len(self.modes))
         self.norm, self.phases = _horner(norm, self.n, self.shift), Phases(chi)
         if not self.norm:
             raise NullState("photon subtraction annihilates the vacuum")
         self.g2 = self.n * (self.n + (1 << self.shift))  # g^2 2^(2 shift)
-
-    def _entry(self, key: tuple) -> tuple:
-        memo = (self.source, self.m, key)
-        if memo not in _ENTRIES:
-            turns, poly, odd = self.source(self.m, key)
-            _ENTRIES[memo] = turns, poly, odd if poly else 0, len(poly or ()) - 1
-        return _ENTRIES[memo]
 
     def fixed(self, key: tuple, bits: int) -> tuple:
         """The entry ``key`` as a :func:`fixed_from` number, in integers alone: the
@@ -436,7 +436,7 @@ class MomentTable:
         within a unit, 0 where exact, times the phase (:class:`Phases`)."""
         if len(key) != 2 * len(self.modes):
             raise MomentOrderMissing(f"key {key} does not match arity {len(self.modes)}")
-        turns, poly, odd, degree = self._entry(key)
+        turns, poly, odd, degree = _lam_free(self.source, self.m, key)
         if poly is None:
             return ZERO
         num = _horner(poly, self.n, self.shift)

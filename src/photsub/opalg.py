@@ -31,6 +31,7 @@ port until the map has moved port A's k and then port B's.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import product
 from math import comb, factorial
 
@@ -40,8 +41,6 @@ from .moments import (
 )
 
 _GUARD_BITS = 10  # kept over the working bits: ~1/1000 of its last unit per term
-
-_PLANS = {}  # (single, weights, turn, derivative) -> the observable's fold plan
 
 #: each derivative's factor on its folded rows, i/2 per phase slope: (k, halvings)
 _FACTORS = {None: (1, 0), "slope": (1j, 1), "mixed": (-1, 2)}
@@ -111,7 +110,7 @@ def _rows(single: bool, weights: tuple, turn, derivative=None) -> dict:
 class _Plan:
     """:func:`_rows` laid flat: ``products`` the (input key, m, m2) it reads,
     ``rows`` (n, k, indices into them, weights), ``factor`` the derivative's
-    (:data:`_FACTORS`).  Its identity keys the memos."""
+    (:data:`_FACTORS`).  Its identity keys a family's folds and a point's sums."""
 
     __slots__ = ("products", "rows", "factor")
 
@@ -123,10 +122,11 @@ class _Plan:
         self.factor = _FACTORS[derivative]
 
 
-def _plan(single: bool, weights: tuple, turn, derivative=None) -> _Plan:
-    """The fold plan of :func:`_rows`' rows, built once per process."""
-    key = (single, weights, turn, derivative)
-    return _PLANS.get(key) or _PLANS.setdefault(key, _Plan(_rows(*key), derivative))
+@cache
+def _plan(single: bool, weights: tuple, turn, derivative) -> _Plan:
+    """The fold plan of :func:`_rows`' rows, built once per process: ``derivative``
+    has no default, as the cache keys an omitted argument apart from its value."""
+    return _Plan(_rows(single, weights, turn, derivative), derivative)
 
 
 def _exact_sum(summands):

@@ -14,14 +14,14 @@ called: a sweep never does.  PASSV and SPATSV are one fill of fock's a^m map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb, sqrt
 from struct import pack, unpack
 from typing import TYPE_CHECKING
 
 from . import moments
 from .errors import OutOfRange, check, check_type
-from .moments import MomentTable, _binary, _horner, _vacuum_entry, ratio
+from .moments import MomentTable, _binary, _horner, _lam_free, _vacuum_entry, ratio
 
 if TYPE_CHECKING:
     from .fock import FockState1, TwoModeDiagonalState
@@ -164,28 +164,25 @@ def spatsv_seed(spec: SpatsvSpec) -> TwoModeDiagonalState:
 # Mean photon numbers and energy balancing
 # ---------------------------------------------------------------------------
 
-#: (kind, m) -> (P, Q), the integer coefficients (lowest power first, one
-#: length) of the mean-photon map P(lam)/Q(lam); a sweep uses a few orders
-_MAPS = {}
 #: kind -> the key of the first mode's photon number, in one mode or a pair
 _PHOTON_KEYS = {"single": (1, 1), "two_mode": (1, 1, 0, 0)}
 
 
+@cache
 def _mean_photon_map(kind: str, m: int) -> tuple:
-    """(P, Q): the lam-free vacuum entries (:func:`photsub.moments._vacuum_entry`)
-    of m + 1 and of m photons from the first mode, m from any second, padded
-    to one length, their common power of lam divided out: P(0)/Q(0) is the
-    lam = 0 limit (m mod 2 for PASSV, 0 for SPATSV)."""
-    if (kind, m) not in _MAPS:
-        if kind not in _PHOTON_KEYS:
-            raise ValueError(f"unknown mean-photon map kind {kind!r}")
-        key = _PHOTON_KEYS[kind]
-        p, q = (_vacuum_entry(m, k)[1] for k in (key, (0,) * len(key)))
-        q += [0] * (len(p) - len(q))
-        while not (p[0] or q[0]):
-            del p[0], q[0]
-        _MAPS[kind, m] = (tuple(p), tuple(q))
-    return _MAPS[kind, m]
+    """(P, Q), the integer coefficients (lowest power first, one length) of the
+    mean-photon map P(lam)/Q(lam): the lam-free vacuum entries
+    (:func:`photsub.moments._lam_free`) of m + 1 and of m photons from the
+    first mode, m from any second, padded to one length, their common power of
+    lam divided out: P(0)/Q(0) is the lam = 0 limit (m mod 2 for PASSV, 0 for SPATSV)."""
+    if kind not in _PHOTON_KEYS:
+        raise ValueError(f"unknown mean-photon map kind {kind!r}")
+    key = _PHOTON_KEYS[kind]
+    p, q = (list(_lam_free(_vacuum_entry, m, k)[1]) for k in (key, (0,) * len(key)))
+    q += [0] * (len(p) - len(q))
+    while not (p[0] or q[0]):
+        del p[0], q[0]
+    return tuple(p), tuple(q)
 
 
 def _at(pq: tuple, n: int, shift: int) -> tuple:
@@ -223,7 +220,7 @@ def balance_energy(target_lam: float, m: int, kind: str = "single") -> float:
     return _balance_root(target_lam, m, kind)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=moments.MEMO_SIZE)
 def _balance_root(target_lam: float, m: int, kind: str) -> float:
     pq, target = _mean_photon_map(kind, m), float(target_lam)
     tn, td = target.as_integer_ratio()

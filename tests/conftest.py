@@ -7,11 +7,12 @@ import inspect
 import pytest
 
 import photsub
-from photsub import moments, opalg, states
+from photsub import moments
 
 
 def _memos() -> tuple:
-    """Every functools.lru_cache memo at module level in photsub's modules."""
+    """Every functools cache (lru_cache or cache) at module level in photsub's
+    modules: the package keeps no other kind of memo."""
     found = []
     for _, module in inspect.getmembers(photsub, inspect.ismodule):
         if module.__name__.startswith("photsub."):
@@ -23,22 +24,16 @@ def _memos() -> tuple:
 
 MEMOS = _memos()
 
-#: the dict memos, named here rather than found: a dict such as
-#: experiments._METRICS is a table, not a memo
-DICT_MEMOS = (opalg._PLANS, moments._ENTRIES, moments._PI, states._MAPS)
-
 
 def clear() -> None:
     """Empty every memo of the package."""
     for memo in MEMOS:
         memo.cache_clear()
-    for memo in DICT_MEMOS:
-        memo.clear()
 
 
 @pytest.fixture(autouse=True)
 def memos():
-    """The memos a sweep reuses across points, emptied with the dict memos."""
+    """Every memo of the package, emptied."""
     clear()
     return MEMOS
 

@@ -339,7 +339,7 @@ def row_phase(phases: moments.Phases, turns: int, bits: int) -> tuple:
 def row_entry(table: moments.MomentTable, key: tuple, bits: int) -> tuple:
     """The entry ``key`` of ``table`` as :meth:`photsub.moments.MomentTable.fixed`
     gives it, formed afresh: floor(P 2^k / Q), g an isqrt, then the chi phase."""
-    turns, poly, odd, degree = table._entry(key)
+    turns, poly, odd, degree = moments._lam_free(table.source, table.m, key)
     if poly is None:
         return moments.ZERO
     num = moments._horner(poly, table.n, table.shift)

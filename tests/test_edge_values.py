@@ -19,14 +19,19 @@ EDGES = {
     "one_minus_tau": (0.0, 1.0),
 }
 METRICS = {"single": SINGLE_METRICS, "correlated": CORRELATED_METRICS}
+#: (axis, edge values, other fields) of each case: every axis at the default
+#: scene, and the largest lam beside the largest mu, where eta (mu + <n>)
+#: overflows a float at every order
+CASES = {**{axis: (axis, values, {}) for axis, values in EDGES.items()},
+         "lam_at_mu_1e308": ("lam", (1e308,), {"mu": 1e308})}
 
 
 @pytest.mark.parametrize("balanced", [False, True], ids=["unbalanced", "balanced"])
-@pytest.mark.parametrize("axis", EDGES)
+@pytest.mark.parametrize("axis, values, fields", CASES.values(), ids=CASES)
 @pytest.mark.parametrize("scheme", METRICS)
-def test_edge_values_give_finite_rows_or_flags(scheme, axis, balanced):
-    cfg = SweepConfig(scheme=scheme, axis=axis, values=EDGES[axis], m_list=(0, 1, 2, 3, 4),
-                      metrics=METRICS[scheme], balanced=balanced)
+def test_edge_values_give_finite_rows_or_flags(scheme, axis, values, fields, balanced):
+    cfg = SweepConfig(scheme=scheme, axis=axis, values=values, m_list=(0, 1, 2, 3, 4),
+                      metrics=METRICS[scheme], balanced=balanced, **fields)
     for row in run_sweep(cfg).rows:
         if row.flag == "ok":
             assert isfinite(row.value), row

@@ -162,7 +162,7 @@ def test_a_twin_beam_difference_cancels_to_zero_within_its_bound():
     cfg = CorrelatedConfig(SpatsvSpec(2.0, 2, 0.3), mu=1e12, phi=0.7, psi=pi / 2, eta=0.98)
     ports = metrology._scene(cfg, moments.START_DIGITS)
     weights = opalg.normal_ordered(metrology._DIFFERENCE)
-    rows = ports.coefficients.fold(opalg._plan(False, weights, ports.point.turn))
+    rows = ports.coefficients.fold(opalg._plan(False, weights, ports.point.turn, None))
     mean = ports.expect(weights)
     assert rows and all(g[0] == g[1] == 0 and g[2] > 0 for _, _, g in rows)
     assert mean.man == 0 and mean.err > 0
@@ -197,7 +197,7 @@ def test_a_phase_sweep_folds_each_observable_once_per_family(monkeypatch):
     # derivative) plans, each folded once for each of two m
     reads = Counter(plan for _, plan in folds)
     assert len(reads) == 5 and len({id(family) for family, _ in folds}) == 2
-    assert opalg._PLANS[False, metrology._COVARIANCE_WEIGHTS[0], 1j, "mixed"] in reads
+    assert opalg._plan(False, metrology._COVARIANCE_WEIGHTS[0], 1j, "mixed") in reads
     assert set(reads.values()) == {2}
 
 

@@ -391,9 +391,9 @@ def _module_memos() -> list:
 
 
 def test_the_suite_clears_every_module_level_memo():
-    # each test starts from empty memos (tests/conftest.py), so a new memo
-    # must join conftest's list: a probe left in a dict, or a cache the list
-    # does not hold, fails here
+    # each test starts from empty memos (tests/conftest.py), which conftest
+    # finds by type: a probe left in a dict, or a cache it does not find,
+    # fails here
     memos = {(module, name): getattr(importlib.import_module(f"photsub.{module}"), name)
              for module, name in _module_memos()}
     assert len(memos) >= 6

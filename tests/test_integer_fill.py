@@ -136,7 +136,7 @@ def test_a_compile_never_asks_for_a_zeroed_key(arity):
     order = 2 if arity == 1 else 4
     for i in range(order + 1):
         for j in range(order + 1 - i):
-            assert coefficients.fold(opalg._plan(arity == 1, (((i, j), 1),), 1j)), (i, j)
+            assert coefficients.fold(opalg._plan(arity == 1, (((i, j), 1),), 1j, None)), (i, j)
     want = reference.subtracted_table(table.modes, 0.3, 1, 8)
     assert len(requested) >= 5
     assert all(want.entry(key) != 0 for key in requested), requested
@@ -150,5 +150,5 @@ def test_an_mpf_mu_compiles_as_its_float():
     for arity in (1, 2):
         exact, other = (_coefficients(mu, 0.7, 128, arity) for mu in (37.25, mp.mpf(37.25)))
         for i, j in ((1, 0), (1, 1), (2, 0)):
-            plan = opalg._plan(arity == 1, (((i, j), 1),), 1j)
+            plan = opalg._plan(arity == 1, (((i, j), 1),), 1j, None)
             assert exact.fold(plan) == other.fold(plan), (arity, i, j)

@@ -4,8 +4,9 @@ against exact Fractions.
 A fixed number (re, im, err, exp) is the ball of midpoint (re + i im) 2^exp
 and radius err 2^exp.  For :func:`~photsub.moments.fixed_from`,
 :func:`~photsub.moments.fixed_mul`, :func:`~photsub.moments.fixed_times`,
-:func:`photsub.opalg._exact_sum` and :func:`~photsub.moments.certified_sum`,
-every exact value the inputs' balls hold maps into the result's ball, and
+:func:`photsub.opalg._exact_sum`, :func:`~photsub.moments.certified_sum`
+and a :class:`~photsub.moments.Bounded` plus or minus an integer, every
+exact value the inputs' balls hold maps into the result's ball, and
 exact inputs that fit the bits keep radius 0: also where a sum cancels to
 an exact 0, for terms whose midpoint is 0 but whose radius is not, and for
 mantissas of a few bits.
@@ -13,7 +14,7 @@ mantissas of a few bits.
 
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from photsub import moments, opalg
@@ -149,3 +150,18 @@ def test_a_zero_midpoint_adds_its_radius(ball, err, exp, bits, side):
     assert _real_sum_within(got, _times(edge, v)[0] + v[0])
     if y[:3] != (0, 0, 0):
         assert got.err > 0
+
+
+@given(MANTISSAS, RADII, EXPONENTS, st.one_of(SHORT, st.integers(-(2**70), 2**70)))
+@example(1, 0, 0, 1)
+def test_a_bounded_plus_an_integer_is_exact(man, err, exp, k):
+    # k moves the midpoint by exactly k and keeps the radius, on either
+    # side; 0, where sum() starts, gives back the ball itself
+    x = moments.Bounded(man, err, exp)
+    unit = Fraction(2) ** exp
+    for got, want in ((x + k, man * unit + k), (k + x, man * unit + k), (x - k, man * unit - k)):
+        scale = Fraction(2) ** got.exp
+        assert (got.man * scale, got.err * scale) == (want, err * unit)
+    assert x + 0 is x and 0 + x is x and sum([x]) is x
+    if (man, err, exp) == (1, 0, 0):
+        assert ((x + k).value, (x - k).value) == (float(1 + k), float(1 - k))

@@ -1,14 +1,18 @@
 """Reuse across sweep points: input tables, compiled port moments and
 balancing roots are built once per key, stay correct and stay bounded."""
 
+import importlib
+import pkgutil
 from math import pi
 
 import mpmath as mp
 import pytest
-from conftest import DICT_MEMOS, MEMOS, clear
+from conftest import MEMOS, clear
 
+import photsub
 from photsub import metrology, moments, opalg, states
-from photsub.experiments import SweepConfig, run_sweep
+from photsub.experiments import (
+    JOINT_DISTRIBUTION_PRESET, PRESETS, SweepConfig, run_preset, run_sweep)
 from photsub.metrology import CorrelatedConfig, SingleMziConfig
 from photsub.states import PassvSpec, SpatsvSpec
 
@@ -172,17 +176,26 @@ def test_working_digits_are_part_of_every_memo_key(cfg, memos):
     assert memoised[0][0] != memoised[1][0]
 
 
+#: the process-constant tables, the only unbounded memos: their keys are
+#: finite (orders up to 200, the figures' observables, pi's bit sizes)
+_PROCESS_TABLES = {moments._pi, moments._lam_free, opalg._plan, states._mean_photon_map}
+
+
 def test_memos_stay_bounded(memos):
-    assert {metrology._port_coefficients, metrology._mzi_entries, metrology._point,
-            states._balance_root} <= set(memos)
-    values = tuple(0.5 + 0.25 * i for i in range(metrology._MEMO_SIZE + 4))
+    bounded = {metrology._port_coefficients, metrology._mzi_entries, metrology._point,
+               states._balance_root}
+    assert bounded <= set(memos)
+    # a new unbounded memo has to join _PROCESS_TABLES, a visible decision
+    assert {memo for memo in memos if memo.cache_info().maxsize is None} == _PROCESS_TABLES
+    values = tuple(0.5 + 0.25 * i for i in range(moments.MEMO_SIZE + 4))
     run_sweep(SweepConfig(scheme="single", axis="lam", values=values, m_list=(1,),
                           metrics=("U", "qfi"), mu=100.0, balanced=True))
     # the point memos key on phi, so a phase sweep drives them past their size
     run_sweep(SweepConfig(scheme="single", axis="phi", values=values, m_list=(1,),
                           metrics=("U",), mu=100.0))
-    for memo in memos:
+    for memo in set(memos) - _PROCESS_TABLES:
         info = memo.cache_info()
+        assert info.maxsize == moments.MEMO_SIZE
         assert info.misses > info.maxsize
         assert info.currsize <= info.maxsize
 
@@ -194,14 +207,33 @@ def test_a_memoised_table_fills_at_its_own_digits():
     for digits in (50, 20):
         coefficients = metrology._port_coefficients(SpatsvSpec(2.0, 2), 1e12, pi / 2, digits)
         with mp.workdps(70 - digits):
-            coefficients.fold(opalg._plan(False, (((2, 2), 1),), 1j))
+            coefficients.fold(opalg._plan(False, (((2, 2), 1),), 1j, None))
             entry = coefficients.moment(key)
         assert entry == fresh.fixed(key, coefficients.bits)
         assert max(abs(entry[0]), abs(entry[1])).bit_length() == coefficients.bits
 
 
 def test_every_test_starts_with_the_memos_empty():
-    # the autouse fixture of conftest empties the lru memos and the named
-    # dict memos, which an earlier test's sweep filled
+    # the autouse fixture of conftest empties every memo it finds, the
+    # process tables among them, which an earlier test's sweep filled
+    assert _PROCESS_TABLES <= set(MEMOS)
     assert all(memo.cache_info().currsize == 0 for memo in MEMOS)
-    assert all(not memo for memo in DICT_MEMOS)
+
+
+def test_no_module_level_container_grows_over_the_presets():
+    # a memo is a functools cache, which conftest finds and empties: a dict,
+    # list or set at module level that a run fills would carry one test's
+    # state into the next
+    modules = [photsub] + [importlib.import_module(f"photsub.{info.name}")
+                           for info in pkgutil.iter_modules(photsub.__path__)]
+
+    def sizes() -> dict:
+        return {(module.__name__, name): len(value)
+                for module in modules for name, value in vars(module).items()
+                if isinstance(value, (dict, list, set)) and not name.startswith("__")}
+
+    before = sizes()
+    assert len(before) >= 10
+    for name in (*PRESETS, JOINT_DISTRIBUTION_PRESET):
+        run_preset(name)
+    assert sizes() == before
