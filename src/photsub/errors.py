@@ -18,10 +18,6 @@ class NullState(PhotsubError):
     """An operation annihilated the state (norm below the null threshold)."""
 
 
-class ModeMismatch(PhotsubError):
-    """Two states with incompatible mode counts were combined."""
-
-
 class MemoryBoundExceeded(PhotsubError):
     """A multimode tensor would exceed the configured amplitude budget."""
 

@@ -10,7 +10,7 @@ Each scheme has one metric table, mapping a metric name to its evaluation on
 a point's scene; ``SINGLE_METRICS`` and ``CORRELATED_METRICS`` are its keys.
 A sweep builds the scene (the balanced energy, the subtraction spec and the
 interferometer config) once per (axis value, m), and the oracle comparison
-builds its scene with the same constructor.
+builds its scene with the same constructor and hands it to both sides.
 
 CSV schema: a few ``#``-prefixed metadata lines, then the header
 ``swept_param,m,metric,value,flag``.  Rows are ordered by (axis index, m,
@@ -55,9 +55,8 @@ FLAG_OK = "ok"
 FLAG_SINGULAR = "singular"
 FLAG_OUT_OF_RANGE = "out_of_range"
 FLAG_PRECISION = "precision"
-#: scheme -> its config (which names its spec), balancing kind and oracle input
-_SCHEMES = {"single": (SingleMziConfig, "single", states.passv),
-            "correlated": (CorrelatedConfig, "two_mode", states.spatsv)}
+#: scheme -> its config (which names its spec) and balancing kind
+_SCHEMES = {"single": (SingleMziConfig, "single"), "correlated": (CorrelatedConfig, "two_mode")}
 
 
 @dataclass(frozen=True)
@@ -80,14 +79,14 @@ class SweepConfig:
 
     def validate(self) -> None:
         problems = []
-        if self.scheme not in ("single", "correlated"):
+        if self.scheme not in _SCHEMES:
             problems.append(f"scheme: got {self.scheme!r}, want single|correlated")
         if self.axis not in AXES:
             problems.append(f"axis: got {self.axis!r}, want one of {AXES}")
         for key, items in (("values", self.values), ("m", self.m_list), ("metric", self.metrics)):
             if not items:
                 problems.append(f"{key}: at least one required")
-        if self.scheme in ("single", "correlated"):  # an unknown scheme has no metrics
+        if self.scheme in _METRICS:  # an unknown scheme has no metrics
             problems += [f"metric: {met!r} not valid for scheme {self.scheme}"
                          for met in self.metrics if met not in _METRICS[self.scheme]]
         # every number against the input contract, the axis values under the axis's name
@@ -149,7 +148,7 @@ def _scene_params(cfg: SweepConfig, axis_value: float) -> dict:
 
 def _scene(scheme: str, m: int, *, lam, mu, phi, psi, eta, chi=0.0, balanced=False):
     """The interferometer config of one point, its energy balanced at most once."""
-    config, kind, _ = _SCHEMES[scheme]
+    config, kind = _SCHEMES[scheme]
     if balanced and m > 0:
         lam = balance_energy(lam, m, kind)
     return config(config.spec(lam, m, chi), mu=mu, phi=phi, psi=psi, eta=eta)
@@ -569,11 +568,12 @@ def oracle_compare(
 ) -> OracleComparison:
     """Compare engine read-out moments against the brute-force Fock oracle.
 
-    The engine side is :func:`photsub.metrology.readout_moments`, the same
-    scene construction every figure of merit uses.  Inputs outside the input
+    Both sides read one config, built as every figure of merit's is: the
+    engine by :func:`photsub.metrology.readout_moments`, the oracle by
+    :func:`photsub.fock.oracle_interferometer`.  Inputs outside the input
     contract raise ConfigInvalid, a scene too large MemoryBoundExceeded.
     """
-    if scheme not in ("single", "correlated"):
+    if scheme not in _SCHEMES:
         raise ConfigInvalid(f"scheme: got {scheme!r}, want single|correlated")
     try:
         check(quantum_cutoff=quantum_cutoff)
@@ -591,9 +591,7 @@ def oracle_compare(
     nq = _mean_photons(cfg) if quantum_cutoff is None else quantum_cutoff + 1 - m
     fock._check_memory((nq,) * (cfg.quantum.modes + 1))
     engine = metrology.readout_moments(cfg)
-    q = _SCHEMES[scheme][2](cfg.quantum, cutoff=quantum_cutoff)
-    scene = fock.OracleScene(q, mu=mu, psi=psi, phi=phi, eta=eta)
-    oracle = fock.oracle_interferometer(scene).moments
+    oracle = fock.oracle_interferometer(cfg, quantum_cutoff).moments
     entries = []
     for key in sorted(engine):
         eng, ora = float(engine[key]), float(oracle[key])

@@ -1,21 +1,23 @@
 """Truncated Fock-space numerics.
 
-Exact small-scale states (squeezed, two-mode squeezed: each class declares
-its mode count), photon subtraction, and a brute-force interferometer oracle
-used to validate the symbolic moment engine.  Each state is one amplitude function
-n -> <n|state>; one filler turns it into an array, by default up to the
-least level whose tail mass is below TAIL_TOL plus CUTOFF_MARGIN levels, and
-checks a given cutoff, and before any fill a squeezed state's floor, against
-that tail.  The squeezing angle turns the filled real levels last
-(:meth:`_FockState.turned`).  Photon subtraction is one map of amplitude
-functions, a^m on each mode (:func:`_lowered`), filled once per state by
-:mod:`photsub.states`.  The MZI turns the coherent port's displacement into
-one displacement of each output port around the closed-form image of
-|0> (x) |quantum>: a real plane of normalised Laguerre functions, filled by a
-recurrence over the nq quantum levels, between phases that drop out of the
-read-out or ride on that image.  The single scheme's output is one D x D plane:
-O(D nq^2) work.  The twin MZIs' discarded ports drop out by the unitarity of
-their displacements, which leaves one real nq x nq Gram matrix per count.
+Exact small-scale states (squeezed, two-mode squeezed: each class declares its
+mode count), photon subtraction, and a brute-force interferometer oracle used
+to validate the symbolic moment engine on its own scene, a config of
+:mod:`photsub.metrology` whose spec picks one MZI or twin MZIs.  Each state is
+one amplitude function n -> <n|state>; one filler turns it into an array, by
+default up to the least level whose tail mass is below TAIL_TOL plus
+CUTOFF_MARGIN levels, and checks a given cutoff, and before any fill a
+squeezed state's floor, against that tail.  The squeezing angle turns the
+filled real levels last (:meth:`_FockState.turned`).  Photon subtraction is
+one map of amplitude functions, a^m on each mode (:func:`_lowered`), filled
+once per state by :mod:`photsub.states`.  The MZI turns the coherent port's
+displacement into one displacement of each output port around the closed-form
+image of |0> (x) |quantum>: a real plane of normalised Laguerre functions,
+filled by a recurrence over the nq quantum levels, between phases that drop
+out of the read-out or ride on that image.  The single scheme's output is one
+D x D plane: O(D nq^2) work.  The twin MZIs' discarded ports drop out by the
+unitarity of their displacements, which leaves one real nq x nq Gram matrix
+per count.
 
 Conventions
 -----------
@@ -37,8 +39,9 @@ from math import ceil, cosh, exp, factorial, ldexp, lgamma, log, prod, sinh, sqr
 
 import numpy as np
 
+from . import states
 from .errors import (  # MAX_AMPLITUDES bounds the oracle's largest array, read at each call
-    MAX_AMPLITUDES, CutoffTooSmall, MemoryBoundExceeded, ModeMismatch, NullState, OutOfRange, check)
+    MAX_AMPLITUDES, CutoffTooSmall, MemoryBoundExceeded, NullState, OutOfRange, check)
 
 TAIL_TOL = 1e-12
 NULL_THRESHOLD = 1e-300
@@ -250,27 +253,6 @@ def _thinning(log_fact: np.ndarray, eta: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OracleScene:
-    """Scene for the brute-force interferometer oracle.
-
-    The input's ``modes`` picks the scheme: a :class:`FockState1` enters one
-    MZI beside the coherent state; a :class:`TwoModeDiagonalState` feeds twin
-    MZIs, each beside its own copy of the coherent state.  Every MZI runs at
-    ``phi``.  :data:`MAX_AMPLITUDES` bounds the oracle's largest array: the
-    D x D plane of one MZI, or the D Gram matrices, nq x nq, of twin MZIs.
-    """
-
-    quantum: object
-    mu: float
-    psi: float
-    phi: float
-    eta: float = 1.0
-
-    def __post_init__(self):
-        check(mu=self.mu, psi=self.psi, phi=self.phi, eta=self.eta)
-
-
-@dataclass(frozen=True)
 class OracleResult:
     """Read-out statistics from the oracle."""
 
@@ -286,8 +268,10 @@ def _moments_from_joint(joint: np.ndarray) -> dict:
     return {(p, q): float(table[p, q]) for p in range(5) for q in range(5 - p)}
 
 
-def oracle_interferometer(scene: OracleScene) -> OracleResult:
-    """Joint photon counts of the read-out ports, binomially thinned by eta.
+def oracle_interferometer(cfg, cutoff: int | None = None) -> OracleResult:
+    """Joint read-out counts, thinned by eta, of a ``SingleMziConfig`` or ``CorrelatedConfig``:
+    its spec's Fock state at ``cutoff`` (:func:`photsub.states._subtracted`), a PASSV beside
+    the coherent state in one MZI, or a SPATSV in twin MZIs, one copy of it in each.
 
     Each MZI, U = ``mzi_unitary(phi)``, works on photon counts below its
     joint capacity D = nc + nq - 1.  As the coherent port holds a displaced
@@ -296,32 +280,29 @@ def oracle_interferometer(scene: OracleScene) -> OracleResult:
     Of D_i = e^(i theta_i N) R_i e^(-i theta_i N) (:func:`_displacements`, first
     nq columns: the coherent state enters untruncated) the read-out phase moves
     no count, and the quantum one rides on y as w01 = u01 e^(-i theta_1) and
-    w11 = u11 e^(-i theta_2).  A :class:`FockState1` gives the plane R_1 Y R_2^T,
+    w11 = u11 e^(-i theta_2).  One MZI gives the plane R_1 Y R_2^T,
     Y[p, s] = y[p, s] d_{p+s}, read on both axes.  Twin MZIs take sum_n d_n |n, n>
     to sum_n d_n psi_n (x) psi_n, psi_n = U(|alpha> (x) |n>); D_1, on a discarded
     port alone, drops out by its unitarity of G_nk(a) = sum_c psi_n[c, a]
     conj(psi_k[c, a]) = sum_p y[p, n-p] conj(y[p, k-p]) R_2[a, n-p] R_2[a, k-p],
     e^(i (n - k) arg w11) times a real matrix.  That phase on d_n twice makes
     P(a, b) = sum_{n,k} d_n conj(d_k) G_nk(a) G_nk(b) a real product.  Only
-    feasible for small coherent energy (mu <~ 10); the memory bound is enforced
-    on the largest array before it is allocated.
+    feasible for small coherent energy (mu <~ 10): :data:`MAX_AMPLITUDES` bounds
+    the largest array, the D x D plane or the D Gram matrices, nq x nq, before
+    it is allocated.
     """
-    alpha = sqrt(scene.mu) * np.exp(1j * scene.psi)
-    q = scene.quantum
-    if not isinstance(q, _FockState):
-        raise ModeMismatch("oracle needs a FockState1 (single MZI) or a TwoModeDiagonalState "
-                           f"(twin MZIs) quantum input, got {type(q).__name__}")
+    q = states._subtracted(cfg.quantum, cutoff)
     d, twin = q.amplitudes, q.modes == 2
     nq = len(d)
-    mu = scene.mu  # the coherent port's levels: those of its real amplitudes |<n|alpha>|
+    mu = cfg.mu  # the coherent port's levels: those of its real amplitudes |<n|alpha>|
     poisson = (lambda n: exp((n * log(mu) - mu - lgamma(n + 1)) / 2)) if mu else (lambda n: n == 0)
     dim = len(_filled(poisson, mean=mu)) + nq - 1
     _check_memory((dim, nq, nq) if twin else (dim, dim))
-    u2 = mzi_unitary(scene.phi)
+    u2 = mzi_unitary(cfg.phi)
     # log k!, one table for f_0, the binomials, whose p + s reaches 2 nq - 2, and the thinning
     log_fact = np.array(list(map(lgamma, range(1, max(dim, 2 * nq - 1) + 1))))
     # R_1 and R_2, or for twin MZIs R_2 alone: their D_1 drops out of the read-out
-    betas = u2[int(twin):, 0] * alpha
+    betas = u2[int(twin):, 0] * (sqrt(mu) * np.exp(1j * cfg.psi))  # alpha's images
     *r1, r2 = _displacements(np.abs(betas) ** 2, log_fact[:dim], nq)
     w01, w11 = u2[:, 1] * np.exp(-1j * np.angle(betas[[0, -1]]))  # twin MZIs read |w01| alone
     n, p = np.arange(nq)[:, None], np.arange(nq)
@@ -337,7 +318,7 @@ def oracle_interferometer(scene: OracleScene) -> OracleResult:
         y = root_binom * np.outer(w01**p, w11**p) * np.append(d, np.zeros(nq - 1))[n + p]
         plane = r1[0] @ (np.stack((y.real, y.imag)) @ r2.T)  # R_1 Y R_2^T, Re and Im
         joint = np.add(*np.square(plane, out=plane))
-    if scene.eta < 1.0:
-        thin = _thinning(log_fact[:dim], scene.eta)
+    if cfg.eta < 1.0:
+        thin = _thinning(log_fact[:dim], cfg.eta)
         joint = thin @ joint @ thin.T
     return OracleResult(joint, _moments_from_joint(joint))

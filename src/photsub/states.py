@@ -20,7 +20,7 @@ from struct import pack, unpack
 from typing import TYPE_CHECKING
 
 from . import moments
-from .errors import OutOfRange, check, check_type
+from .errors import CutoffTooSmall, OutOfRange, check, check_type
 from .moments import MomentTable, _binary, _horner, _lam_free, _vacuum_entry, ratio
 
 if TYPE_CHECKING:
@@ -92,7 +92,8 @@ def _subtracted(spec: _SubtractionSpec, cutoff):
     of the table's norm, both scaled exactly to stay floats.  By default their fill is the
     state, refused first where the parent's tail floor from n + m passes the level limit
     (a^m tilts the counts to higher n); a given cutoff bounds the parent, checked against
-    its tail.  chi turns the levels last (:meth:`photsub.fock._FockState.turned`)."""
+    its tail, and one below m, which holds no level of the state, is CutoffTooSmall at
+    any lam > 0.  chi turns the levels last (:meth:`photsub.fock._FockState.turned`)."""
     import numpy as np
 
     from . import fock
@@ -106,6 +107,8 @@ def _subtracted(spec: _SubtractionSpec, cutoff):
     if cutoff is not None:  # the parent's levels: the builder checks the cutoff, and its tail
         amplitude = build(squeezing, 0.0, cutoff).amplitudes.tolist().__getitem__
     table = spec.table()  # its norm does not depend on chi
+    if cutoff is not None and cutoff < m:  # after the table, which refuses lam = 0 as null
+        raise CutoffTooSmall(f"a cutoff of {cutoff} holds no level of the a^{m} state")
     exp = -table.shift * table.norm_degree  # the norm, over 4^shift in [1/2, 2), and
     shift = (table.norm.bit_length() + exp) // 2  # the factors over 2^shift, exactly
     scale = 1.0 / sqrt(ratio(table.norm, 1, exp - 2 * shift))

@@ -39,8 +39,8 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
-from photsub import fock, moments, opalg
-from photsub.errors import CutoffTooSmall, ModeMismatch, MomentOrderMissing, PhotsubError
+from photsub import fock, moments, opalg, states
+from photsub.errors import CutoffTooSmall, MomentOrderMissing, PhotsubError
 from photsub.fock import CUTOFF_MARGIN, TAIL_TOL, FockState1, TwoModeDiagonalState
 
 
@@ -515,7 +515,7 @@ def overlap(a, b) -> complex:
     elif isinstance(a, TwoModeDiagonalState) and isinstance(b, TwoModeDiagonalState):
         va, vb = a.amplitudes, b.amplitudes
     else:
-        raise ModeMismatch(f"cannot overlap {type(a).__name__} with {type(b).__name__}")
+        raise TypeError(f"cannot overlap {type(a).__name__} with {type(b).__name__}")
     n = max(len(va), len(vb))
     pa = np.zeros(n, dtype=complex)
     pb = np.zeros(n, dtype=complex)
@@ -785,8 +785,10 @@ def binomial_thinning(p: np.ndarray, eta: float, axis: int) -> np.ndarray:
     return np.moveaxis(moved, -1, axis)
 
 
-def oracle_output(scene: fock.OracleScene) -> np.ndarray:
-    """Lossless output amplitudes of the oracle scene; axes 0 and 1 are read out.
+def oracle_output(cfg, cutoff=None) -> np.ndarray:
+    """Lossless output amplitudes of the oracle's scene ``cfg`` (a ``SingleMziConfig``
+    or ``CorrelatedConfig``, its spec's state filled at ``cutoff`` as the oracle
+    fills it); axes 0 and 1 are read out.
 
     Every mode is padded to the joint photon capacity of its MZI, and the
     coherent port holds the coherent state's exact amplitudes over that
@@ -796,8 +798,8 @@ def oracle_output(scene: fock.OracleScene) -> np.ndarray:
     sum_n d_n |n, n> beside two coherent states; MZI k mixes axes 2 + k and
     k, and its read-out port is the quantum axis.
     """
-    alpha = np.sqrt(scene.mu) * np.exp(1j * scene.psi)
-    q, u2 = scene.quantum, fock.mzi_unitary(scene.phi)
+    alpha = np.sqrt(cfg.mu) * np.exp(1j * cfg.psi)
+    q, u2 = states._subtracted(cfg.quantum, cutoff), fock.mzi_unitary(cfg.phi)
     d = q.amplitudes
     dim = len(coherent_state(alpha).amplitudes) + len(d) - 1
     coh = np.array([_coherent(alpha)(n) for n in range(dim)])
@@ -829,15 +831,15 @@ def loss_unitary(eta: float) -> np.ndarray:
     return np.array([[t, r], [-r, t]])
 
 
-def ancilla_joint(scene: fock.OracleScene) -> np.ndarray:
-    """Read-out joint of the oracle scene, loss by beamsplitters to vacuum ancillas.
+def ancilla_joint(cfg, cutoff=None) -> np.ndarray:
+    """Read-out joint of the oracle's scene ``cfg``, loss by beamsplitters to vacuum ancillas.
 
     Each read-out axis of :func:`oracle_output` meets its own vacuum ancilla
-    at transmission ``scene.eta``; ancillas and idle ports are then summed
+    at transmission ``cfg.eta``; ancillas and idle ports are then summed
     out.  :func:`photsub.fock.oracle_interferometer` reaches the same joint
     by binomial thinning.
     """
-    amps = oracle_output(scene)
+    amps = oracle_output(cfg, cutoff)
     probs = np.abs(amps) ** 2
     # trim negligible occupations first so the tensor with its two ancilla
     # axes stays within the amplitude budget
@@ -847,7 +849,7 @@ def ancilla_joint(scene: fock.OracleScene) -> np.ndarray:
     fock._check_memory(shape)
     big = np.zeros(shape, dtype=complex)
     big[..., 0, 0] = amps[tuple(slice(c) for c in keep)]
-    bs = loss_unitary(scene.eta)
+    bs = loss_unitary(cfg.eta)
     big = apply_on_axes(apply_on_axes(big, 0, nd, bs), 1, nd + 1, bs)
     probs2 = (np.abs(big) ** 2).sum(axis=tuple(range(2, nd + 2)))
     joint = np.zeros(probs.shape[:2])

@@ -226,13 +226,11 @@ def test_acceptance_11_oracle_equivalence():
     worst = 0.0
     for m in range(3):
         # single interferometer: second-order read-out moments
-        q1 = states.passv(PassvSpec(lam, m), cutoff=40)
-        scene1 = fock.OracleScene(q1, mu=mu, psi=psi, phi=phi)
-        joint1 = fock.oracle_interferometer(scene1).joint
+        scene1 = SingleMziConfig(PassvSpec(lam, m), mu=mu, phi=phi, psi=psi)
+        joint1 = fock.oracle_interferometer(scene1, cutoff=40).joint
         # correlated twin interferometers: fourth-order read-out moments
-        q2 = states.spatsv(SpatsvSpec(lam, m), cutoff=28)
-        scene2 = fock.OracleScene(q2, mu=mu, psi=psi, phi=phi)
-        joint2 = fock.oracle_interferometer(scene2).joint
+        scene2 = CorrelatedConfig(SpatsvSpec(lam, m), mu=mu, phi=phi, psi=psi)
+        joint2 = fock.oracle_interferometer(scene2, cutoff=28).joint
         for eta in (1.0, 0.8):
             eng1 = metrology.readout_moments(
                 SingleMziConfig(PassvSpec(lam, m), mu=mu, phi=phi, psi=psi, eta=eta)
@@ -247,16 +245,11 @@ def test_acceptance_11_oracle_equivalence():
                     worst = max(worst, rel(val, ora[key]))
     # loss-channel cross-check: an explicit vacuum-ancilla beamsplitter in
     # place of binomial thinning (reduced correlated scene for memory)
-    for cfg, build in (
-        (SingleMziConfig(PassvSpec(0.3, 1), mu=2.0, phi=phi, eta=0.8), states.passv),
-        (
-            CorrelatedConfig(SpatsvSpec(0.1, 1), mu=0.3, phi=phi, psi=psi, eta=0.8),
-            states.spatsv,
-        ),
+    for cfg in (
+        SingleMziConfig(PassvSpec(0.3, 1), mu=2.0, phi=phi, eta=0.8),
+        CorrelatedConfig(SpatsvSpec(0.1, 1), mu=0.3, phi=phi, psi=psi, eta=0.8),
     ):
-        q = build(cfg.quantum)
-        scene = fock.OracleScene(q, mu=cfg.mu, psi=cfg.psi, phi=cfg.phi, eta=cfg.eta)
-        ora = fock._moments_from_joint(ancilla_joint(scene))
+        ora = fock._moments_from_joint(ancilla_joint(cfg))
         for key, val in metrology.readout_moments(cfg).items():
             worst = max(worst, rel(val, ora[key]))
     ok = worst <= 1e-8

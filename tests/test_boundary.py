@@ -126,8 +126,8 @@ def _entries():
     yield ("two_mode_squeezed_vacuum", fock.two_mode_squeezed_vacuum, dict(lam=0.3),
            dict(lam=NONNEGATIVE, chi=REAL, cutoff=INTEGER))
     yield ("oracle_interferometer",
-           lambda **kw: fock.oracle_interferometer(fock.OracleScene(**kw)),
-           dict(quantum=fock.squeezed_vacuum(0.3), mu=1.0, psi=0.0, phi=0.7), scene)
+           lambda cutoff=None, **kw: fock.oracle_interferometer(SingleMziConfig(**kw), cutoff),
+           dict(quantum=PassvSpec(0.3), mu=1.0, psi=0.0, phi=0.7), dict(**scene, cutoff=INTEGER))
     for scheme in ("single", "correlated"):
         yield (f"oracle_compare[{scheme}]", experiments.oracle_compare,
                dict(scheme=scheme, lam=0.3, m=1, mu=1.0, phi=0.7, eta=0.9),

@@ -1,6 +1,7 @@
 """Truncated-Fock state construction and the brute-force interferometer oracle."""
 
 import tracemalloc
+from dataclasses import replace
 from math import sinh
 
 import mpmath as mp
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photsub import experiments, fock, states
-from photsub.errors import CutoffTooSmall, MemoryBoundExceeded, ModeMismatch, NullState
+from photsub.errors import CutoffTooSmall, MemoryBoundExceeded, NullState
+from photsub.metrology import CorrelatedConfig, SingleMziConfig
 from photsub.states import PassvSpec, SpatsvSpec
 from reference import (
     ancilla_joint,
@@ -287,10 +289,7 @@ def test_displacement_column_zero_is_the_coherent_state(modulus, angle):
 
 
 def _single_scene(lam, m, mu, phi, eta=1.0, psi=0.0):
-    from photsub import states
-
-    q = states.passv(states.PassvSpec(lam, m))
-    return fock.OracleScene(q, mu=mu, psi=psi, phi=phi, eta=eta)
+    return SingleMziConfig(PassvSpec(lam, m), mu=mu, phi=phi, psi=psi, eta=eta)
 
 
 def test_oracle_single_conserves_photons():
@@ -304,7 +303,8 @@ def test_oracle_sizes_the_coherent_port_as_the_coherent_fill(mu):
     # the count of the complex coherent state's fill, which sets D = nc + nq - 1
     scene = _single_scene(0.5, 1, mu, 0.8, psi=2.3)
     nc = len(coherent_state(np.sqrt(mu) * np.exp(2.3j)).amplitudes)
-    assert fock.oracle_interferometer(scene).joint.shape == (nc + scene.quantum.cutoff,) * 2
+    cutoff = states.passv(scene.quantum).cutoff
+    assert fock.oracle_interferometer(scene).joint.shape == (nc + cutoff,) * 2
 
 
 def test_oracle_single_difference_mean():
@@ -344,11 +344,8 @@ def test_joint_moments_match_the_per_power_sums():
 
 
 def test_oracle_correlated_port_means():
-    from photsub import states
-
     mu, lam, phi, eta = 2.0, 0.3, 0.7, 0.9
-    q = states.spatsv(states.SpatsvSpec(lam, 0))
-    scene = fock.OracleScene(q, mu=mu, psi=0.3, phi=phi, eta=eta)
+    scene = CorrelatedConfig(SpatsvSpec(lam, 0), mu=mu, psi=0.3, phi=phi, eta=eta)
     res = fock.oracle_interferometer(scene)
     tau = np.cos(phi / 2) ** 2
     expected = eta * ((1 - tau) * mu + tau * lam)
@@ -366,13 +363,10 @@ def test_oracle_correlated_joint_matches_the_output_tensor(m, phi, psi, chi):
     # the Gram matrices' G_nk sum against the twin-MZI tensor over all four axes; at
     # phi = 0 and pi one port's displacement vanishes, and complex amplitudes (chi != 0)
     # feel the sign of the phase moved onto d_n, which real ones do not
-    from photsub import states
-
-    q = states.spatsv(states.SpatsvSpec(0.1, m, chi))
-    amps = oracle_output(fock.OracleScene(q, mu=0.5, psi=psi, phi=phi))
+    scene = CorrelatedConfig(SpatsvSpec(0.1, m, chi), mu=0.5, psi=psi, phi=phi)
+    amps = oracle_output(scene)
     for eta in (1.0, 0.85):
-        scene = fock.OracleScene(q, mu=0.5, psi=psi, phi=phi, eta=eta)
-        joint = fock.oracle_interferometer(scene).joint
+        joint = fock.oracle_interferometer(replace(scene, eta=eta)).joint
         assert np.abs(joint - readout_joint(amps, eta)).max() < 1e-13
 
 
@@ -395,22 +389,17 @@ def test_oracle_matches_the_engine_where_a_displacement_vanishes(scheme, mu, phi
     assert cmp.worst <= experiments.ORACLE_TOLERANCE
 
 
-def test_oracle_rejects_wrong_state_kind():
-    from photsub import states
-
-    # a bare amplitude vector is neither input the oracle can place
-    q = states.passv(states.PassvSpec(0.3, 0)).amplitudes
-    scene = fock.OracleScene(q, mu=1.0, psi=0.0, phi=0.5)
-    with pytest.raises(ModeMismatch):
-        fock.oracle_interferometer(scene)
+@pytest.mark.parametrize("scheme", ["single", "correlated"])
+def test_oracle_compare_refuses_a_cutoff_below_m_at_any_lam(scheme):
+    # no level of the subtracted state fits, however little of the parent's mass it leaves
+    for lam in (1e-30, 0.3):
+        with pytest.raises(CutoffTooSmall):
+            experiments.oracle_compare(scheme, lam=lam, m=2, mu=1.0, phi=0.7, quantum_cutoff=1)
 
 
 def test_oracle_memory_bound(monkeypatch):
-    from photsub import states
-
     monkeypatch.setattr(fock, "MAX_AMPLITUDES", 10_000)
-    q = states.spatsv(states.SpatsvSpec(0.3, 0))
-    scene = fock.OracleScene(q, mu=9.0, psi=0.0, phi=0.5)
+    scene = CorrelatedConfig(SpatsvSpec(0.3, 0), mu=9.0, psi=0.0, phi=0.5)
     with pytest.raises(MemoryBoundExceeded):
         fock.oracle_interferometer(scene)
 
@@ -514,26 +503,22 @@ def _traced_peak(scene):
 
 
 def test_oracle_memory_stays_a_small_multiple_of_the_tensor():
-    from photsub import states
-
     # the single scheme at the oracle's documented limit mu = 10: the
     # displacement identity needs the D x D plane and D x nq displacement
     # matrices, where a dense plane matrix takes D^4 amplitudes (8.3 GB at
     # this D = 151)
-    q = states.passv(states.PassvSpec(1.0, 3))
-    scene = fock.OracleScene(q, mu=10.0, psi=0.0, phi=0.7)
+    scene = SingleMziConfig(PassvSpec(1.0, 3), mu=10.0, psi=0.0, phi=0.7)
+    q = states.passv(scene.quantum)
     dim = len(coherent_state(np.sqrt(10.0)).amplitudes) + len(q.amplitudes) - 1
     assert _traced_peak(scene) <= 10 * dim**2 * 16
 
 
 def test_correlated_oracle_memory_stays_a_small_multiple_of_the_gram_matrices():
-    from photsub import states
-
     # one nq x nq Gram matrix per read-out count, D of them: a few copies of
     # those (3.4 x here, about 3.1 x on larger scenes), where the four-axis
     # twin-MZI tensor needs D^4 amplitudes
-    q = states.spatsv(states.SpatsvSpec(0.2, 1))
-    scene = fock.OracleScene(q, mu=1.0, psi=0.0, phi=0.7, eta=0.9)
+    scene = CorrelatedConfig(SpatsvSpec(0.2, 1), mu=1.0, psi=0.0, phi=0.7, eta=0.9)
+    q = states.spatsv(scene.quantum)
     rows = len(q.amplitudes)
     dim = len(coherent_state(1.0).amplitudes) + rows - 1
     assert _traced_peak(scene) <= 5 * dim * rows**2 * 16

@@ -268,11 +268,10 @@ def test_the_cli_runs_presets_without_numpy_and_names_the_oracle_extra(tmp_path)
 _SCHEME_TYPES = {"_SubtractionSpec", "PassvSpec", "SpatsvSpec", "_Config", "SingleMziConfig",
                  "CorrelatedConfig", "_FockState", "FockState1", "TwoModeDiagonalState"}
 _SCHEME_NAMES = {"single", "correlated"}
-#: (module, function) of the boundary checks that still name a scheme: the
-#: oracle's input check, and the scheme-name validation of sweep configs and
-#: of the oracle comparison
-_BOUNDARY_CHECKS = {("fock.py", "oracle_interferometer"), ("experiments.py", "validate"),
-                    ("experiments.py", "oracle_compare")}
+#: (module, function) of the boundary checks that may name a scheme: none, as
+#: the oracle reads the engine's config and each scheme name is checked against
+#: the keys of experiments' scheme tables
+_BOUNDARY_CHECKS = set()
 
 
 def _scoped(tree):
@@ -288,9 +287,9 @@ def _scoped(tree):
 
 def test_no_module_forks_on_the_scheme():
     # each spec and Fock state declares its mode count and each config its
-    # spec, so no module tests their types or compares a scheme name: only
-    # the refusals at the boundary do (errors.check_type, and the checks above),
-    # each of which its module still defines
+    # spec, so no module tests their types or compares a scheme name, but for
+    # errors.check_type's refusal of the other scheme's spec; a check listed
+    # above would be exempt, and its module must still define it
     forks, defined = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         for scope, node in _scoped(ast.parse(path.read_text())):
@@ -371,8 +370,10 @@ def test_each_scheme_is_a_declaration_on_one_shared_definition():
         assert getattr(fock.FockState1, name) is getattr(fock.TwoModeDiagonalState, name)
     assert [f.name for f in fields(fock.FockState1)] == ["amplitudes"]
     assert [f.name for f in fields(fock.TwoModeDiagonalState)] == ["amplitudes"]
-    # the mode count is read from the spec, not passed beside it
+    # the mode count is read from the spec, not passed beside it, and the
+    # oracle reads the engine's own config
     assert list(inspect.signature(states._subtracted).parameters) == ["spec", "cutoff"]
+    assert list(inspect.signature(fock.oracle_interferometer).parameters) == ["cfg", "cutoff"]
 
 
 def _module_memos() -> list:

@@ -376,6 +376,15 @@ def test_a_cutoff_below_the_tail_contract_raises(name, energy):
         _BUILDS[name](energy, 0, least - 1)
 
 
+@pytest.mark.parametrize("lam", [1e-30, 0.3])
+@pytest.mark.parametrize("build, spec", [(states.passv, PassvSpec), (states.spatsv, SpatsvSpec)])
+def test_an_explicit_cutoff_below_m_is_too_small_at_any_lam(build, spec, lam):
+    # such a cutoff holds no level of the subtracted state; at lam = 1e-30 the
+    # parent fits in it, so its tail check cannot be what refuses it
+    with pytest.raises(CutoffTooSmall, match="holds no level" if lam < 0.1 else None):
+        build(spec(lam, 2), cutoff=1)
+
+
 @pytest.mark.parametrize(
     "build, spec", [(states.passv, PassvSpec(15.0, 5)), (states.spatsv, SpatsvSpec(12.0, 2))]
 )
