@@ -2,13 +2,13 @@
 Photon-subtracted squeezed states: construction and statistics
 ==============================================================
 
-Build single-mode and two-mode squeezed vacua, annihilate photons from
-them, and look at what subtraction does to the photon statistics: the mean
-energy jumps, the number distribution reshapes, and the two-mode marginal
-can even turn sub-Poissonian.
+Annihilate photons from single-mode and two-mode squeezed vacua and look,
+in exact arithmetic, at what subtraction does to the photon statistics: the
+mean energy jumps, the number distribution reshapes, and the two-mode
+marginal can even turn sub-Poissonian.
 """
 
-import numpy as np
+from math import sqrt
 
 from photsub import metrology, moments, states
 from photsub.metrology import CorrelatedConfig
@@ -46,11 +46,14 @@ for m in range(5):
 #
 # Every subtracted state equals a squeezed *finite* superposition of number
 # states.  The two-mode single-subtraction seed is a two-term superposition
-# of |0,0> and |1,1>; at lam = 1 the weights are sqrt(2/3) and sqrt(1/3).
+# c0|0,0> + c1|1,1>; at lam = 1 the weights are sqrt(2/3) and sqrt(1/3).  Its
+# exact moment table reads them back: <N_1> = |c1|^2 and <a b> = c0 c1.
 # ---------------------------------------------------------------------------
 
-seed = states.spatsv_seed(SpatsvSpec(1.0, 1))
-print("\ntwo-mode m=1 seed amplitudes at lam=1:", np.round(seed.amplitudes, 6))
+seed = moments.spatsv_seed_moment_table(1.0, 1)
+weight, pair = seed.entry((1, 1, 0, 0)).real, seed.entry((0, 1, 0, 1)).real
+print(f"\ntwo-mode m=1 seed at lam=1: |c1|^2 = <N_1> = {weight:.6f}, c0 c1 = <a b> = {pair:.6f}")
+print(f"  so |c0| = {sqrt(1 - weight):.6f} and |c1| = {sqrt(weight):.6f}")
 
 # ---------------------------------------------------------------------------
 # Sub-Poissonian marginals.

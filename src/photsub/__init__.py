@@ -3,10 +3,10 @@
 A toolkit for single- and correlated-interferometer
 phase estimation with photon-subtracted squeezed vacuum states:
 
-- ``fock``: truncated Fock-space state construction and a brute-force
-  interferometer oracle used to validate the analytic engine.
-- ``states``: subtracted-state constructors, seed representations,
-  exact mean photon numbers and the correctly rounded energy balancing.
+- ``fock``: the truncated Fock states of the subtracted-state specs and a
+  brute-force interferometer oracle used to validate the analytic engine.
+- ``states``: subtracted-state specs, exact mean photon numbers and the
+  correctly rounded energy balancing.
 - ``opalg``: the normal-ordered moments of the two read-out ports, with
   analytic phase derivatives, summed with certified error bounds.
 - ``moments``: exact cutoff-free moment tables for all input states.
@@ -18,8 +18,8 @@ phase estimation with photon-subtracted squeezed vacuum states:
 
 The figures of merit run on Python integers alone.  Only the Fock oracle
 uses numpy (the ``oracle`` extra), so ``fock`` is imported on first use
-(``photsub.fock``, or the oracle and the state constructors that call it),
-and a sweep never imports numpy.
+(``photsub.fock``, or the oracle comparison that calls it), and a sweep
+never imports numpy.
 """
 
 import importlib
@@ -42,12 +42,8 @@ from .states import (
     PassvSpec,
     SpatsvSpec,
     balance_energy,
-    passv,
     passv_mean_photons,
-    passv_seed,
-    spatsv,
     spatsv_mean_photons,
-    spatsv_seed,
 )
 
 __version__ = "0.1.0"

@@ -570,8 +570,9 @@ def oracle_compare(
 
     Both sides read one config, built as every figure of merit's is: the
     engine by :func:`photsub.metrology.readout_moments`, the oracle by
-    :func:`photsub.fock.oracle_interferometer`.  Inputs outside the input
-    contract raise ConfigInvalid, a scene too large MemoryBoundExceeded.
+    :func:`photsub.fock.oracle_interferometer`, first, so that its refusals
+    come before any engine work.  Inputs outside the input contract raise
+    ConfigInvalid, a scene too large MemoryBoundExceeded.
     """
     if scheme not in _SCHEMES:
         raise ConfigInvalid(f"scheme: got {scheme!r}, want single|correlated")
@@ -590,8 +591,8 @@ def oracle_compare(
     # gives more than the mean photons) make an array of nq^2 (one MZI) or nq^3 (twins)
     nq = _mean_photons(cfg) if quantum_cutoff is None else quantum_cutoff + 1 - m
     fock._check_memory((nq,) * (cfg.quantum.modes + 1))
-    engine = metrology.readout_moments(cfg)
     oracle = fock.oracle_interferometer(cfg, quantum_cutoff).moments
+    engine = metrology.readout_moments(cfg)
     entries = []
     for key in sorted(engine):
         eng, ora = float(engine[key]), float(oracle[key])

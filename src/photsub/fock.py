@@ -1,4 +1,4 @@
-"""Truncated Fock-space numerics.
+"""Truncated Fock-space numerics: the oracle that checks the exact engine.
 
 Exact small-scale states (squeezed, two-mode squeezed: each class declares its
 mode count), photon subtraction, and a brute-force interferometer oracle used
@@ -10,14 +10,14 @@ CUTOFF_MARGIN levels, and checks a given cutoff, and before any fill a
 squeezed state's floor, against that tail.  The squeezing angle turns the
 filled real levels last (:meth:`_FockState.turned`).  Photon subtraction is
 one map of amplitude functions, a^m on each mode (:func:`_lowered`), filled
-once per state by :mod:`photsub.states`.  The MZI turns the coherent port's
-displacement into one displacement of each output port around the closed-form
-image of |0> (x) |quantum>: a real plane of normalised Laguerre functions,
-filled by a recurrence over the nq quantum levels, between phases that drop
-out of the read-out or ride on that image.  The single scheme's output is one
-D x D plane: O(D nq^2) work.  The twin MZIs' discarded ports drop out by the
-unitarity of their displacements, which leaves one real nq x nq Gram matrix
-per count.
+once per :mod:`photsub.states` spec by :func:`subtracted`.  The MZI turns the
+coherent port's displacement into one displacement of each output port around
+the closed-form image of |0> (x) |quantum>: a real plane of normalised
+Laguerre functions, filled by a recurrence over the nq quantum levels, between
+phases that drop out of the read-out or ride on that image.  The single
+scheme's output is one D x D plane: O(D nq^2) work.  The twin MZIs' discarded
+ports drop out by the unitarity of their displacements, which leaves one real
+nq x nq Gram matrix per count.
 
 Conventions
 -----------
@@ -41,7 +41,8 @@ import numpy as np
 
 from . import states
 from .errors import (  # MAX_AMPLITUDES bounds the oracle's largest array, read at each call
-    MAX_AMPLITUDES, CutoffTooSmall, MemoryBoundExceeded, NullState, OutOfRange, check)
+    MAX_AMPLITUDES, CutoffTooSmall, MemoryBoundExceeded, NullState, OutOfRange, check, check_type)
+from .moments import ratio
 
 TAIL_TOL = 1e-12
 NULL_THRESHOLD = 1e-300
@@ -177,6 +178,36 @@ def two_mode_squeezed_vacuum(
     return TwoModeDiagonalState(_filled(amplitude, cutoff, lam, floor)).turned(chi)
 
 
+def subtracted(spec, cutoff: int | None = None) -> _FockState:
+    """The Fock state of a PassvSpec or SpatsvSpec (ValueError for anything else): a^m on each
+    of its modes of the squeezed vacuum (one) or TSV (two).  Level n is the chi = 0 parent's
+    at n + m, lowered (:func:`_lowered`) over the root of the table's norm, both scaled
+    exactly to stay floats.  By default their fill is the state, refused first where the
+    parent's tail floor from n + m passes the level limit (a^m tilts the counts to higher n);
+    a given cutoff bounds the parent, checked against its tail, and one below m, which holds
+    no level of the state, is CutoffTooSmall at any lam > 0.  chi turns the levels last."""
+    check_type("spec", spec, states._SubtractionSpec)
+    m, modes = spec.m, spec.modes
+    state, build, parent, squeezing = (
+        (FockState1, squeezed_vacuum, _squeezed, spec.r) if modes == 1 else
+        (TwoModeDiagonalState, two_mode_squeezed_vacuum, _two_mode_squeezed, spec.lam))
+    amplitude, floor = parent(squeezing)
+    if cutoff is not None:  # the parent's levels: the builder checks the cutoff, and its tail
+        amplitude = build(squeezing, 0.0, cutoff).amplitudes.tolist().__getitem__
+    table = spec.table()  # its norm does not depend on chi
+    if cutoff is not None and cutoff < m:  # after the table, which refuses lam = 0 as null
+        raise CutoffTooSmall(f"a cutoff of {cutoff} holds no level of the a^{m} state")
+    power = -table.shift * table.norm_degree  # the norm, over 4^shift in [1/2, 2), and
+    shift = (table.norm.bit_length() + power) // 2  # the factors over 2^shift, exactly
+    scale = 1.0 / sqrt(ratio(table.norm, 1, power - 2 * shift))
+    lowered = _lowered(amplitude, m, modes, shift)
+    if cutoff is None:  # the mean lies below the subtracted state's
+        amps = _filled(lambda n: lowered(n) * scale, None, spec.lam, lambda n: floor(n + m))
+    else:
+        amps = np.array(list(map(lowered, range(cutoff + 1 - m))), dtype=complex) * scale
+    return state(amps).turned(spec.chi, m)
+
+
 # ---------------------------------------------------------------------------
 # Brute-force interferometer oracle
 # ---------------------------------------------------------------------------
@@ -270,7 +301,7 @@ def _moments_from_joint(joint: np.ndarray) -> dict:
 
 def oracle_interferometer(cfg, cutoff: int | None = None) -> OracleResult:
     """Joint read-out counts, thinned by eta, of a ``SingleMziConfig`` or ``CorrelatedConfig``:
-    its spec's Fock state at ``cutoff`` (:func:`photsub.states._subtracted`), a PASSV beside
+    its spec's Fock state at ``cutoff`` (:func:`subtracted`), a PASSV beside
     the coherent state in one MZI, or a SPATSV in twin MZIs, one copy of it in each.
 
     Each MZI, U = ``mzi_unitary(phi)``, works on photon counts below its
@@ -291,7 +322,7 @@ def oracle_interferometer(cfg, cutoff: int | None = None) -> OracleResult:
     the largest array, the D x D plane or the D Gram matrices, nq x nq, before
     it is allocated.
     """
-    q = states._subtracted(cfg.quantum, cutoff)
+    q = subtracted(cfg.quantum, cutoff)
     d, twin = q.amplitudes, q.modes == 2
     nq = len(d)
     mu = cfg.mu  # the coherent port's levels: those of its real amplitudes |<n|alpha>|

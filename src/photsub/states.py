@@ -1,30 +1,26 @@
-"""Photon-subtracted squeezed state constructors and exact properties.
+"""Photon-subtracted squeezed state specs and their exact properties.
 
-Builds PASSV (photon-annihilated single-mode squeezed vacuum) and SPATSV
-(symmetrically photon-annihilated two-mode squeezed vacuum) states, their
-finite seed-superposition representations, the mean-photon maps (ratios of
-integer polynomials in lam, evaluated exactly and rounded once) and the
-energy balancing of fixed-total-energy comparisons, whose root is the float
-nearest the exact one.  A spec's mode count, 1 or 2, picks its moment
-table and Fock state.  The constructors build Fock-space states, which
-only the oracle reads, so they import :mod:`photsub.fock` (and numpy) when
-called: a sweep never does.  PASSV and SPATSV are one fill of fock's a^m map.
+A spec names a PASSV (photon-annihilated single-mode squeezed vacuum) or a
+SPATSV (symmetrically photon-annihilated two-mode squeezed vacuum) state by
+its pre-subtraction energy, subtraction order and squeezing angle; its mode
+count, 1 or 2, picks its exact moment table.  Here too are the mean-photon
+maps (ratios of integer polynomials in lam, evaluated exactly and rounded
+once) and the energy balancing of fixed-total-energy comparisons, whose root
+is the float nearest the exact one.  All of it is exact arithmetic on Python
+integers: the spec's truncated Fock state, which only the oracle reads, is
+built by :func:`photsub.fock.subtracted`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from math import comb, sqrt
+from math import asinh, sqrt
 from struct import pack, unpack
-from typing import TYPE_CHECKING
 
 from . import moments
-from .errors import CutoffTooSmall, OutOfRange, check, check_type
+from .errors import OutOfRange, check
 from .moments import MomentTable, _binary, _horner, _lam_free, _vacuum_entry, ratio
-
-if TYPE_CHECKING:
-    from .fock import FockState1, TwoModeDiagonalState
 
 
 @dataclass(frozen=True)
@@ -40,9 +36,7 @@ class _SubtractionSpec:
 
     @property
     def r(self) -> float:
-        import numpy as np
-
-        return float(np.arcsinh(np.sqrt(float(self.lam))))
+        return asinh(sqrt(self.lam))
 
     def table(self) -> MomentTable:
         """The exact moments of the subtracted state (:mod:`photsub.moments`)."""
@@ -62,105 +56,6 @@ class SpatsvSpec(_SubtractionSpec):
     """Two-mode symmetric subtraction spec."""
 
     modes = 2
-
-
-def passv(spec: PassvSpec, cutoff: int | None = None) -> FockState1:
-    """PASSV state: m-fold photon subtraction from squeezed vacuum.
-
-    ``cutoff`` bounds the squeezed vacuum before subtraction and is checked
-    against its tail.  By default it is the least that leaves the subtracted
-    state a tail below ``fock.TAIL_TOL``, plus ``fock.CUTOFF_MARGIN``.  A
-    spec of the other scheme raises ValueError.
-    """
-    check_type("spec", spec, PassvSpec)
-    return _subtracted(spec, cutoff)
-
-
-def spatsv(spec: SpatsvSpec, cutoff: int | None = None) -> TwoModeDiagonalState:
-    """SPATSV state: symmetric m-fold subtraction from two-mode squeezed vacuum.
-
-    ``cutoff`` bounds the TSV before subtraction; the default is sized on
-    the subtracted state, as in :func:`passv`.
-    """
-    check_type("spec", spec, SpatsvSpec)
-    return _subtracted(spec, cutoff)
-
-
-def _subtracted(spec: _SubtractionSpec, cutoff):
-    """a^m on each of the spec's modes of the squeezed vacuum (one) or TSV (two): level n
-    is the chi = 0 parent's at n + m, lowered (:func:`photsub.fock._lowered`) over the root
-    of the table's norm, both scaled exactly to stay floats.  By default their fill is the
-    state, refused first where the parent's tail floor from n + m passes the level limit
-    (a^m tilts the counts to higher n); a given cutoff bounds the parent, checked against
-    its tail, and one below m, which holds no level of the state, is CutoffTooSmall at
-    any lam > 0.  chi turns the levels last (:meth:`photsub.fock._FockState.turned`)."""
-    import numpy as np
-
-    from . import fock
-
-    m, modes = spec.m, spec.modes
-    state, build, parent, squeezing = (
-        (fock.FockState1, fock.squeezed_vacuum, fock._squeezed, spec.r) if modes == 1 else
-        (fock.TwoModeDiagonalState, fock.two_mode_squeezed_vacuum, fock._two_mode_squeezed,
-         spec.lam))
-    amplitude, floor = parent(squeezing)
-    if cutoff is not None:  # the parent's levels: the builder checks the cutoff, and its tail
-        amplitude = build(squeezing, 0.0, cutoff).amplitudes.tolist().__getitem__
-    table = spec.table()  # its norm does not depend on chi
-    if cutoff is not None and cutoff < m:  # after the table, which refuses lam = 0 as null
-        raise CutoffTooSmall(f"a cutoff of {cutoff} holds no level of the a^{m} state")
-    exp = -table.shift * table.norm_degree  # the norm, over 4^shift in [1/2, 2), and
-    shift = (table.norm.bit_length() + exp) // 2  # the factors over 2^shift, exactly
-    scale = 1.0 / sqrt(ratio(table.norm, 1, exp - 2 * shift))
-    lowered = fock._lowered(amplitude, m, modes, shift)
-    if cutoff is None:  # the mean lies below the subtracted state's
-        amps = fock._filled(lambda n: lowered(n) * scale, None, spec.lam, lambda n: floor(n + m))
-    else:
-        amps = np.array(list(map(lowered, range(cutoff + 1 - m))), dtype=complex) * scale
-    return state(amps).turned(spec.chi, m)
-
-
-def passv_seed(spec: PassvSpec) -> FockState1:
-    """Seed superposition whose squeezing reproduces the PASSV state.
-
-    Components |m - 2l>, l = 0..floor(m/2), with weights z^l/(l! sqrt((m-2l)!)),
-    z = e^{-i chi} sqrt((1+lam)/lam)/2, over |z|^floor(m/2)/floor(m/2)!, so that
-    none overflows as lam -> 0, where the seed tends to |m mod 2>, nor underflows.
-    """
-    import numpy as np
-
-    from .fock import FockState1, _lowered
-
-    m, lam, chi = spec.m, spec.lam, spec.chi
-    if m == 0:
-        return FockState1(np.array([1.0 + 0j]))
-    if lam == 0:
-        raise OutOfRange("seed representation is singular at lam = 0 for m > 0")
-    falling = lambda n, k, modes: _lowered(lambda _: 1.0, k, modes)(n)  # ((n + k)!/n!)^(modes/2)
-    amps = np.zeros(m + 1, dtype=complex)
-    r = 2.0 * sqrt(lam / (1.0 + lam))  # 1/|z|
-    for l in range(m // 2 + 1):
-        amps[m - 2 * l] = np.exp(-1j * chi * l) * r ** (m // 2 - l) * (
-            falling(l, m // 2 - l, 2) / falling(0, m - 2 * l, 1))  # floor(m/2)!/l!/sqrt((m - 2l)!)
-    return FockState1(amps).normalized()
-
-
-def spatsv_seed(spec: SpatsvSpec) -> TwoModeDiagonalState:
-    """Seed superposition sum_k C^m_k |k,k> whose two-mode squeezing gives SPATSV.
-
-    C^m_k is binomial-weighted: C(m,k) (lam/(1+lam))^{k/2} e^{i chi k}, with
-    overall normalization sqrt((1+lam)^m / P_m(2 lam + 1)).
-    """
-    import numpy as np
-
-    from .fock import TwoModeDiagonalState
-
-    m, lam, chi = spec.m, spec.lam, spec.chi
-    amps = np.zeros(m + 1, dtype=complex)
-    ratio = sqrt(lam / (1.0 + lam)) if lam > 0 else 0.0
-    for k in range(m + 1):
-        amps[k] = comb(m, k) * ratio**k * np.exp(1j * chi * k)
-    return TwoModeDiagonalState(amps).normalized()
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@
 Production code reads every moment from the exact, lazily filled tables in
 :mod:`photsub.moments`.  The float Fock-space routines here are independent
 ways to the same numbers: moments by direct summation over a truncated
-state, normalised coherent states, squeeze operators applied as matrix
-exponentials, overlaps and fidelities, passive two-mode maps as dense plane
+state, normalised coherent states, the seed superpositions of number
+states whose squeezing gives each subtracted state (:func:`passv_seed`,
+:func:`spatsv_seed`), squeeze operators applied as matrix exponentials,
+overlaps and fidelities, passive two-mode maps as dense plane
 matrices, the oracle's lossless output as one amplitude tensor, and
 detection loss as beamsplitters to vacuum ancillas or binomial thinning.
-The tests check the exact engine, the state constructors, the oracle's
+The tests check the exact engine, the state constructor, the oracle's
 output planes and Gram matrices and its thinning against them, and the
 photon-number block recursion that builds the output tensor against the
 dense plane matrices.  The Wick pairing sums formed entry by entry from
@@ -39,8 +41,8 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
-from photsub import fock, moments, opalg, states
-from photsub.errors import CutoffTooSmall, MomentOrderMissing, PhotsubError
+from photsub import fock, moments, opalg
+from photsub.errors import CutoffTooSmall, MomentOrderMissing, OutOfRange, PhotsubError
 from photsub.fock import CUTOFF_MARGIN, TAIL_TOL, FockState1, TwoModeDiagonalState
 
 
@@ -767,6 +769,43 @@ def coherent_state(alpha: complex, cutoff: int | None = None) -> FockState1:
     return FockState1(fock._filled(_coherent(alpha), cutoff)).normalized()
 
 
+def passv_seed(spec) -> FockState1:
+    """Seed superposition whose squeezing reproduces the PASSV state of ``spec``.
+
+    Components |m - 2l>, l = 0..floor(m/2), with weights z^l/(l! sqrt((m-2l)!)),
+    z = e^{-i chi} sqrt((1+lam)/lam)/2, over |z|^floor(m/2)/floor(m/2)!, so that
+    none overflows as lam -> 0, where the seed tends to |m mod 2>, nor underflows.
+    """
+    m, lam, chi = spec.m, spec.lam, spec.chi
+    if m == 0:
+        return FockState1(np.array([1.0 + 0j]))
+    if lam == 0:
+        raise OutOfRange("seed representation is singular at lam = 0 for m > 0")
+    # ((n + k)!/n!)^(modes/2)
+    falling = lambda n, k, modes: fock._lowered(lambda _: 1.0, k, modes)(n)
+    amps = np.zeros(m + 1, dtype=complex)
+    r = 2.0 * sqrt(lam / (1.0 + lam))  # 1/|z|
+    for l in range(m // 2 + 1):
+        amps[m - 2 * l] = np.exp(-1j * chi * l) * r ** (m // 2 - l) * (
+            falling(l, m // 2 - l, 2) / falling(0, m - 2 * l, 1))  # floor(m/2)!/l!/sqrt((m - 2l)!)
+    return FockState1(amps).normalized()
+
+
+def spatsv_seed(spec) -> TwoModeDiagonalState:
+    """Seed superposition sum_k C^m_k |k,k> whose two-mode squeezing gives the SPATSV
+    state of ``spec``.
+
+    C^m_k is binomial-weighted: C(m,k) (lam/(1+lam))^{k/2} e^{i chi k}, with
+    overall normalization sqrt((1+lam)^m / P_m(2 lam + 1)).
+    """
+    m, lam, chi = spec.m, spec.lam, spec.chi
+    amps = np.zeros(m + 1, dtype=complex)
+    ratio = sqrt(lam / (1.0 + lam)) if lam > 0 else 0.0
+    for k in range(m + 1):
+        amps[k] = comb(m, k) * ratio**k * np.exp(1j * chi * k)
+    return TwoModeDiagonalState(amps).normalized()
+
+
 def log_factorials(size: int) -> np.ndarray:
     """log k! for k < size, the table the oracle's helpers read."""
     return np.array([lgamma(k + 1) for k in range(size)])
@@ -799,7 +838,7 @@ def oracle_output(cfg, cutoff=None) -> np.ndarray:
     k, and its read-out port is the quantum axis.
     """
     alpha = np.sqrt(cfg.mu) * np.exp(1j * cfg.psi)
-    q, u2 = states._subtracted(cfg.quantum, cutoff), fock.mzi_unitary(cfg.phi)
+    q, u2 = fock.subtracted(cfg.quantum, cutoff), fock.mzi_unitary(cfg.phi)
     d = q.amplitudes
     dim = len(coherent_state(alpha).amplitudes) + len(d) - 1
     coh = np.array([_coherent(alpha)(n) for n in range(dim)])

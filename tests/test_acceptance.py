@@ -21,7 +21,9 @@ from reference import (
     bounded,
     fidelity,
     mean_photons,
+    passv_seed,
     quadrature_variance,
+    spatsv_seed,
     squeeze_apply,
     thinned,
     two_mode_squeeze_apply,
@@ -46,7 +48,7 @@ def test_acceptance_01_mean_photon_closed_forms():
     worst = 0.0
     for m, lam, expected in cases:
         closed = states.passv_mean_photons(lam, m)
-        numeric = mean_photons(states.passv(PassvSpec(lam, m), cutoff=300))
+        numeric = mean_photons(fock.subtracted(PassvSpec(lam, m), cutoff=300))
         worst = max(
             worst,
             abs(closed - expected) / expected,
@@ -61,17 +63,17 @@ def test_acceptance_02_seed_representation_equivalence():
     for lam in (0.1, 1.0, 5.0):
         for m in range(5):
             spec = PassvSpec(lam, m)
-            seed = states.passv_seed(spec)
+            seed = passv_seed(spec)
             squeezed = squeeze_apply(seed, spec.r, spec.chi, cutoff=500)
-            worst = min(worst, fidelity(squeezed, states.passv(spec, cutoff=500)))
+            worst = min(worst, fidelity(squeezed, fock.subtracted(spec, cutoff=500)))
         for m in range(4):
             spec2 = SpatsvSpec(lam, m)
-            seed2 = states.spatsv_seed(spec2)
+            seed2 = spatsv_seed(spec2)
             squeezed2 = two_mode_squeeze_apply(
                 seed2, spec2.r, spec2.chi, cutoff=300
             )
             worst = min(
-                worst, fidelity(squeezed2, states.spatsv(spec2, cutoff=300))
+                worst, fidelity(squeezed2, fock.subtracted(spec2, cutoff=300))
             )
     ok = worst >= 1 - 1e-12
     assert _report(2, "seed-representation-equivalence", ok, f"min fidelity 1-{1-worst:.1e}")
@@ -262,10 +264,10 @@ def test_acceptance_12_property_suite():
     # normalization of every constructed state
     for lam in (0.1, 1.0, 5.0):
         for m in range(4):
-            a = states.passv(PassvSpec(lam, m), cutoff=300).amplitudes
+            a = fock.subtracted(PassvSpec(lam, m), cutoff=300).amplitudes
             if abs(np.linalg.norm(a) - 1.0) > 1e-12:
                 ok, detail = False, "normalization"
-            d = states.spatsv(SpatsvSpec(lam, m), cutoff=300).amplitudes
+            d = fock.subtracted(SpatsvSpec(lam, m), cutoff=300).amplitudes
             if abs(np.linalg.norm(d) - 1.0) > 1e-12:
                 ok, detail = False, "normalization"
     # Heisenberg bound on the subtracted states

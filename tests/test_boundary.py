@@ -3,9 +3,10 @@
 Each numeric parameter of every callable in ``photsub.__all__``, of the
 moment-table builders, of ``fock``'s public constructors, of the sweep and
 oracle harness and of every CLI verb is given nan, inf, -1, 1.5, 10**30 and a
-str.  A value outside the parameter's kind must be refused: ValueError,
-ConfigInvalid or MemoryBoundExceeded, and from the CLI exit 1 with "config
-error" and no traceback.  A value inside it (1.5 or 10**30 for lam, say) may
+str, and so is the spec of ``fock.subtracted``, where none of them is one.  A
+value outside the parameter's kind must be refused: ValueError, ConfigInvalid
+or MemoryBoundExceeded, and from the CLI exit 1 with "config error" and no
+traceback.  A value inside it (1.5 or 10**30 for lam, say) may
 instead give a nan-free result or a documented package error (OutOfRange for a
 balancing target below the map's infimum, CutoffTooSmall for a state past the
 default cutoff's level limit, ...); a closed form's order outside 0..4 is
@@ -44,11 +45,12 @@ TEXTS = {"nan": "nan", "inf": "inf", "-1": "-1", "1.5": "1.5", "1e30": str(10**3
 
 #: kind -> the labels of VALUES inside it: a finite real, one >= 0, one in
 #: [0, 1], an integer (order, cutoff: none of the values is a valid
-#: one), a preset name, the Fisher information (any real but nan; inf is
-#: OutOfRange), and a closed form's order, where every bad value is UnsupportedOrder
-REAL, NONNEGATIVE, UNIT, INTEGER, NAME, FISHER, CLOSED_ORDER = (
-    {"-1", "1.5", "1e30"}, {"1.5", "1e30"}, set(), set(), set(), {"-1", "1.5", "1e30", "inf"},
-    None)
+#: one), a preset name, a subtraction spec, the Fisher information (any real
+#: but nan; inf is OutOfRange), and a closed form's order, where every bad
+#: value is UnsupportedOrder
+REAL, NONNEGATIVE, UNIT, INTEGER, NAME, SPEC, FISHER, CLOSED_ORDER = (
+    {"-1", "1.5", "1e30"}, {"1.5", "1e30"}, set(), set(), set(), set(),
+    {"-1", "1.5", "1e30", "inf"}, None)
 #: a retired config key (digits: the engine picks its own), refused at any value
 RETIRED = set()
 
@@ -95,14 +97,12 @@ def _entries():
     for kind in ("single", "two_mode"):
         yield (f"balance_energy[{kind}]", states.balance_energy,
                dict(target_lam=2.0, m=1, kind=kind), dict(target_lam=REAL, m=INTEGER))
-    for name, spec_cls in (("passv", PassvSpec), ("spatsv", SpatsvSpec)):
-        build = getattr(states, name)
-        yield name, build, dict(spec=spec_cls(0.3, 1), cutoff=30), dict(cutoff=INTEGER)
-        yield (f"{name}[spec]", lambda lam, m, build=build, spec_cls=spec_cls:
-               build(spec_cls(lam, m)), dict(lam=0.3, m=1), dict(lam=NONNEGATIVE))
-        seed = getattr(states, f"{name}_seed")
-        yield (f"{name}_seed", lambda lam, m, chi, seed=seed, spec_cls=spec_cls:
-               seed(spec_cls(lam, m, chi)), dict(lam=0.3, m=1, chi=0.0), dict(lam=NONNEGATIVE))
+    for spec_cls in (PassvSpec, SpatsvSpec):
+        name = spec_cls.__name__
+        yield (f"subtracted[{name}]", fock.subtracted, dict(spec=spec_cls(0.3, 1), cutoff=30),
+               dict(spec=SPEC, cutoff=INTEGER))
+        yield (f"subtracted[{name},lam]", lambda lam, m, spec_cls=spec_cls: fock.subtracted(
+            spec_cls(lam, m)), dict(lam=0.3, m=1), dict(lam=NONNEGATIVE))
     yield "phi_for_tau", metrology.phi_for_tau, dict(tau=0.5), dict(tau=UNIT)
     # a figure of merit takes its config alone, whose numbers the configs' rows check
     for name, cfg in (("single_phase_uncertainty", _SINGLE), ("qfi", _SINGLE), ("nrf", _PAIR),

@@ -425,11 +425,11 @@ def test_mandel_q_is_right_through_its_sign_change():
 
 
 def test_quad_diff_var_matches_converged_fock_value():
-    from photsub import moments, states
+    from photsub import fock
     from photsub.states import SpatsvSpec
     from reference import table_from_state
 
-    state = states.spatsv(SpatsvSpec(10.0, 3), cutoff=3000)
+    state = fock.subtracted(SpatsvSpec(10.0, 3), cutoff=3000)
     c = 2**-0.5
     fock_value = reference.quadrature_variance(table_from_state(state, max_order=2), (c, -c))
     row = _one_point("quad_diff_var")

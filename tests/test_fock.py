@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photsub import experiments, fock, states
+from photsub import experiments, fock, metrology
 from photsub.errors import CutoffTooSmall, MemoryBoundExceeded, NullState
 from photsub.metrology import CorrelatedConfig, SingleMziConfig
 from photsub.states import PassvSpec, SpatsvSpec
@@ -84,10 +84,10 @@ def _counted_amplitudes(monkeypatch, name) -> list:
     (fock.squeezed_vacuum, 6.1, "_squeezed"),
     (fock.squeezed_vacuum, 7.0, "_squeezed"),
     (fock.two_mode_squeezed_vacuum, 3e5, "_two_mode_squeezed"),
-    (lambda lam: states.passv(PassvSpec(lam, 0)), sinh(6.0) ** 2, "_squeezed"),
-    (lambda lam: states.passv(PassvSpec(lam, 2)), sinh(6.0) ** 2, "_squeezed"),
-    (lambda lam: states.spatsv(SpatsvSpec(lam, 0)), 2e5, "_two_mode_squeezed"),
-    (lambda lam: states.spatsv(SpatsvSpec(lam, 1)), 2e5, "_two_mode_squeezed"),
+    (lambda lam: fock.subtracted(PassvSpec(lam, 0)), sinh(6.0) ** 2, "_squeezed"),
+    (lambda lam: fock.subtracted(PassvSpec(lam, 2)), sinh(6.0) ** 2, "_squeezed"),
+    (lambda lam: fock.subtracted(SpatsvSpec(lam, 0)), 2e5, "_two_mode_squeezed"),
+    (lambda lam: fock.subtracted(SpatsvSpec(lam, 1)), 2e5, "_two_mode_squeezed"),
 ])
 def test_a_tail_past_the_level_limit_is_refused_before_any_fill(monkeypatch, build, arg, name):
     # mean photons below the 10^6-level limit, but a tail past it: refused
@@ -104,9 +104,9 @@ def test_a_tail_past_the_level_limit_is_refused_before_any_fill(monkeypatch, bui
 @pytest.mark.parametrize("build, arg", [
     *(pytest.param(lambda r, cutoff=None: fock.squeezed_vacuum(r, 0.0, cutoff), r, id=str(r))
       for r in [0.05, 0.3, 1.0, 2.0, 3.0, 4.0, 5.0]),
-    *(pytest.param(states.passv, PassvSpec(lam, m), id=f"passv-{lam}-{m}")
+    *(pytest.param(fock.subtracted, PassvSpec(lam, m), id=f"passv-{lam}-{m}")
       for lam, m in [(0.3, 1), (2.0, 3), (20.0, 2)]),
-    *(pytest.param(states.spatsv, SpatsvSpec(lam, m), id=f"spatsv-{lam}-{m}")
+    *(pytest.param(fock.subtracted, SpatsvSpec(lam, m), id=f"spatsv-{lam}-{m}")
       for lam, m in [(0.3, 1), (2.0, 3), (20.0, 2)]),
 ])
 def test_the_squeezed_vacuums_early_floor_lies_below_its_tail(monkeypatch, build, arg):
@@ -143,7 +143,7 @@ def test_two_mode_squeezed_vacuum_thermal_marginal():
 
 def test_subtract_photons_from_vacuum_raises():
     with pytest.raises(NullState):
-        states.passv(PassvSpec(0.0, 1), cutoff=5)
+        fock.subtracted(PassvSpec(0.0, 1), cutoff=5)
 
 
 def test_subtraction_norm_matches_factorial_moment():
@@ -303,7 +303,7 @@ def test_oracle_sizes_the_coherent_port_as_the_coherent_fill(mu):
     # the count of the complex coherent state's fill, which sets D = nc + nq - 1
     scene = _single_scene(0.5, 1, mu, 0.8, psi=2.3)
     nc = len(coherent_state(np.sqrt(mu) * np.exp(2.3j)).amplitudes)
-    cutoff = states.passv(scene.quantum).cutoff
+    cutoff = fock.subtracted(scene.quantum).cutoff
     assert fock.oracle_interferometer(scene).joint.shape == (nc + cutoff,) * 2
 
 
@@ -395,6 +395,16 @@ def test_oracle_compare_refuses_a_cutoff_below_m_at_any_lam(scheme):
     for lam in (1e-30, 0.3):
         with pytest.raises(CutoffTooSmall):
             experiments.oracle_compare(scheme, lam=lam, m=2, mu=1.0, phi=0.7, quantum_cutoff=1)
+
+
+def test_oracle_compare_refuses_a_cutoff_below_m_before_the_engine_runs(monkeypatch):
+    # the oracle runs first, so its refusal costs no engine read-out
+    def engine(cfg):
+        raise AssertionError("the engine ran before the oracle refused")
+
+    monkeypatch.setattr(metrology, "readout_moments", engine)
+    with pytest.raises(CutoffTooSmall):
+        experiments.oracle_compare("correlated", lam=0.3, m=4, mu=2.0, phi=0.7, quantum_cutoff=2)
 
 
 def test_oracle_memory_bound(monkeypatch):
@@ -508,7 +518,7 @@ def test_oracle_memory_stays_a_small_multiple_of_the_tensor():
     # matrices, where a dense plane matrix takes D^4 amplitudes (8.3 GB at
     # this D = 151)
     scene = SingleMziConfig(PassvSpec(1.0, 3), mu=10.0, psi=0.0, phi=0.7)
-    q = states.passv(scene.quantum)
+    q = fock.subtracted(scene.quantum)
     dim = len(coherent_state(np.sqrt(10.0)).amplitudes) + len(q.amplitudes) - 1
     assert _traced_peak(scene) <= 10 * dim**2 * 16
 
@@ -518,7 +528,7 @@ def test_correlated_oracle_memory_stays_a_small_multiple_of_the_gram_matrices():
     # those (3.4 x here, about 3.1 x on larger scenes), where the four-axis
     # twin-MZI tensor needs D^4 amplitudes
     scene = CorrelatedConfig(SpatsvSpec(0.2, 1), mu=1.0, psi=0.0, phi=0.7, eta=0.9)
-    q = states.spatsv(scene.quantum)
+    q = fock.subtracted(scene.quantum)
     rows = len(q.amplitudes)
     dim = len(coherent_state(1.0).amplitudes) + rows - 1
     assert _traced_peak(scene) <= 5 * dim * rows**2 * 16

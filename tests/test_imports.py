@@ -3,11 +3,12 @@ only the Fock oracle imports numpy (the ``oracle`` extra), and a sweep,
 balanced or reading the exact tables, imports neither fractions nor decimal.
 With mpmath blocked, the package import, the presets (the 1 - tau axis too),
 balanced points and the oracle comparison all run; with numpy blocked, the
-CLI runs presets and its oracle comparison names the extra it needs.  Every
-module-level function and class of the package has a caller in it, only
-``errors`` raises ValueError on a parameter's range or type, one function
-constructs PrecisionInsufficient and only ``moments`` names a default
-working precision."""
+CLI runs presets and its oracle comparison names the extra it needs.
+``states`` imports neither ``fock`` nor numpy, and no module imports one
+that imports it back.  Every module-level function and class of the package
+has a caller in it, only ``errors`` raises ValueError on a parameter's range
+or type, one function constructs PrecisionInsufficient and only ``moments``
+names a default working precision."""
 
 import ast
 import importlib
@@ -24,20 +25,50 @@ import photsub
 PACKAGE = Path(photsub.__file__).parent
 
 
-def _imported_roots(path: Path) -> set:
-    roots = set()
+def _imports(path: Path) -> set:
+    """Every module a package module imports, at its top or inside a function, by
+    its full name: a relative import resolved in the package (``from . import x``
+    and ``from .x import y`` are ``photsub.x``)."""
+    names = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
-            roots.update(alias.name.split(".")[0] for alias in node.names)
+            names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            roots.add(node.module.split(".")[0])
-    return roots
+            names.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            relative = [node.module] if node.module else [alias.name for alias in node.names]
+            names.update(f"{PACKAGE.name}.{name}" for name in relative)
+    return names
+
+
+def _imported_roots(path: Path) -> set:
+    return {name.split(".")[0] for name in _imports(path)}
 
 
 def test_no_module_imports_scipy():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 5
     assert [m.name for m in modules if "scipy" in _imported_roots(m)] == []
+
+
+def test_states_is_exact_arithmetic_and_no_module_imports_one_that_imports_it_back():
+    # the specs, mean-photon maps and balancing need no Fock state: fock
+    # imports states, never the other way, and no module reaches itself
+    # through the modules it imports, at their tops or in their functions
+    package = PACKAGE.name
+    graph = {f"{package}.{path.stem}": _imports(path) for path in PACKAGE.glob("*.py")}
+    assert f"{package}.fock" not in graph[f"{package}.states"]
+    assert "numpy" not in _imported_roots(PACKAGE / "states.py")
+    cycles = []
+    for module, imported in graph.items():
+        reached, stack = set(), list(imported)
+        while stack:
+            name = stack.pop()
+            if name in graph and name not in reached:
+                reached.add(name)
+                stack += graph[name]
+        cycles += [module] if module in reached else []
+    assert cycles == []
 
 
 def _named(node) -> set:
@@ -372,7 +403,7 @@ def test_each_scheme_is_a_declaration_on_one_shared_definition():
     assert [f.name for f in fields(fock.TwoModeDiagonalState)] == ["amplitudes"]
     # the mode count is read from the spec, not passed beside it, and the
     # oracle reads the engine's own config
-    assert list(inspect.signature(states._subtracted).parameters) == ["spec", "cutoff"]
+    assert list(inspect.signature(fock.subtracted).parameters) == ["spec", "cutoff"]
     assert list(inspect.signature(fock.oracle_interferometer).parameters) == ["cfg", "cutoff"]
 
 

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from photsub import fock, moments, states
+from photsub import fock, moments
 from photsub.errors import MomentOrderMissing
 from photsub.experiments import PRESETS
 from photsub.states import PassvSpec, SpatsvSpec
@@ -16,6 +16,7 @@ from reference import (
     coherent_table,
     fixed_value,
     quadrature_variance,
+    spatsv_seed,
     table_from_state,
     thinned,
     vacuum_table,
@@ -43,7 +44,7 @@ def test_vacuum_table_entries():
 @pytest.mark.parametrize("m", [0, 1, 2])
 @pytest.mark.parametrize("lam", [0.4, 2.0])
 def test_single_mode_table_matches_fock(lam, m):
-    state = states.passv(PassvSpec(lam, m), cutoff=300)
+    state = fock.subtracted(PassvSpec(lam, m), cutoff=300)
     num = table_from_state(state, max_order=4)
     exact = moments.passv_moment_table(lam, m)
     for p in range(3):
@@ -56,7 +57,7 @@ def test_single_mode_table_matches_fock(lam, m):
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_two_mode_table_matches_fock(m):
     lam = 0.6
-    state = states.spatsv(SpatsvSpec(lam, m), cutoff=200)
+    state = fock.subtracted(SpatsvSpec(lam, m), cutoff=200)
     num = table_from_state(state, max_order=4)
     exact = moments.spatsv_moment_table(lam, m)
     for key in [(1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1), (2, 2, 0, 0), (1, 0, 0, 1)]:
@@ -159,7 +160,7 @@ def test_joint_distribution_normalized_and_diagonal():
 @pytest.mark.parametrize("m", [0, 1, 3])
 def test_joint_distribution_matches_converged_fock_state(m):
     lam, n_max = 0.6, 8
-    fock_p = np.abs(states.spatsv(SpatsvSpec(lam, m), cutoff=300).amplitudes) ** 2
+    fock_p = np.abs(fock.subtracted(SpatsvSpec(lam, m), cutoff=300).amplitudes) ** 2
     exact = moments.joint_photon_distribution(lam, m, n_max)
     for k in range(n_max + 1):
         p = float(exact[k, k])
@@ -173,7 +174,7 @@ def test_seed_table_matches_fock_summation(m, chi):
     keys = [k for k in itertools.product(range(5), repeat=4) if sum(k) <= 4]
     for lam in PRESETS["fig5a"].values:
         exact = moments.spatsv_seed_moment_table(lam, m, chi=chi)
-        num = table_from_state(states.spatsv_seed(SpatsvSpec(lam, m, chi)), max_order=4)
+        num = table_from_state(spatsv_seed(SpatsvSpec(lam, m, chi)), max_order=4)
         for key in keys:
             a, b = complex(num.entry(key)), complex(exact.entry(key))
             assert abs(a - b) < 1e-12 * max(1.0, abs(b)), (lam, key)

@@ -4,8 +4,8 @@ against exact Fractions.
 A fixed number (re, im, err, exp) is the ball of midpoint (re + i im) 2^exp
 and radius err 2^exp.  For :func:`~photsub.moments.fixed_from`,
 :func:`~photsub.moments.fixed_mul`, :func:`~photsub.moments.fixed_times`,
-:func:`photsub.opalg._exact_sum`, :func:`~photsub.moments.certified_sum`
-and a :class:`~photsub.moments.Bounded` plus or minus an integer, every
+:func:`photsub.opalg._exact_sum`, :func:`~photsub.moments.certified_sum`,
+a :class:`~photsub.moments.Bounded` plus or minus an integer and its square, every
 exact value the inputs' balls hold maps into the result's ball, and
 exact inputs that fit the bits keep radius 0: also where a sum cancels to
 an exact 0, for terms whose midpoint is 0 but whose radius is not, and for
@@ -165,3 +165,13 @@ def test_a_bounded_plus_an_integer_is_exact(man, err, exp, k):
     assert x + 0 is x and 0 + x is x and sum([x]) is x
     if (man, err, exp) == (1, 0, 0):
         assert ((x + k).value, (x - k).value) == (float(1 + k), float(1 - k))
+
+
+@given(MANTISSAS, RADII, EXPONENTS, st.fractions(-1, 1))
+@example(1, 1, 0, Fraction(1))
+def test_a_bounded_squared_holds_every_square(man, err, exp, t):
+    # x = (man + t err) 2^exp is any value of the ball, its edges included;
+    # the square's ball must hold x^2, also where the ball straddles 0, as
+    # a variance subtracts the squared mean there
+    x = (man + t * err) * Fraction(2) ** exp
+    assert _real_sum_within(moments.Bounded(man, err, exp).squared(), x * x)

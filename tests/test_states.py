@@ -1,4 +1,4 @@
-"""Subtracted-state constructors, closed forms, seeds and energy balancing."""
+"""The subtracted-state constructor, closed forms, seeds and energy balancing."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -69,14 +69,14 @@ def test_single_mode_mean_photons_closed_forms_vs_fock(m, expected):
     lam = 0.8
     val = states.passv_mean_photons(lam, m)
     assert abs(val - expected(lam)) < 1e-12
-    numeric = mean_photons(states.passv(PassvSpec(lam, m), cutoff=300))
+    numeric = mean_photons(fock.subtracted(PassvSpec(lam, m), cutoff=300))
     assert abs(val - numeric) < 1e-9
 
 
 def test_single_mode_mean_photons_m4_vs_fock():
     lam = 0.6
     val = states.passv_mean_photons(lam, 4)
-    numeric = mean_photons(states.passv(PassvSpec(lam, 4), cutoff=400))
+    numeric = mean_photons(fock.subtracted(PassvSpec(lam, 4), cutoff=400))
     assert abs(val - numeric) < 1e-8
 
 
@@ -90,7 +90,7 @@ def test_single_mode_mean_photons_at_zero_energy():
 def test_two_mode_mean_photons_vs_fock(m):
     lam = 0.5
     val = states.spatsv_mean_photons(lam, m)
-    numeric = mean_photons_per_mode(states.spatsv(SpatsvSpec(lam, m), cutoff=300))
+    numeric = mean_photons_per_mode(fock.subtracted(SpatsvSpec(lam, m), cutoff=300))
     assert abs(val - numeric) < 1e-9
 
 
@@ -98,11 +98,11 @@ def test_two_mode_mean_photons_vs_fock(m):
 def test_single_seed_squeezes_to_subtracted_state(m):
     lam = 1.3
     spec = PassvSpec(lam, m)
-    seed = states.passv_seed(spec)
+    seed = reference.passv_seed(spec)
     padded = np.zeros(300, dtype=complex)
     padded[: len(seed.amplitudes)] = seed.amplitudes
     squeezed = squeeze_apply(fock.FockState1(padded), spec.r, spec.chi)
-    target = states.passv(spec, cutoff=300)
+    target = fock.subtracted(spec, cutoff=300)
     assert fidelity(squeezed, target) > 1 - 1e-12
 
 
@@ -110,19 +110,19 @@ def test_single_seed_squeezes_to_subtracted_state(m):
 def test_two_mode_seed_squeezes_to_subtracted_state(m):
     lam = 0.9
     spec = SpatsvSpec(lam, m)
-    seed = states.spatsv_seed(spec)
+    seed = reference.spatsv_seed(spec)
     padded = np.zeros(200, dtype=complex)
     padded[: len(seed.amplitudes)] = seed.amplitudes
     squeezed = two_mode_squeeze_apply(
         fock.TwoModeDiagonalState(padded), spec.r, spec.chi
     )
-    target = states.spatsv(spec, cutoff=200)
+    target = fock.subtracted(spec, cutoff=200)
     assert fidelity(squeezed, target) > 1 - 1e-12
 
 
 def test_two_mode_seed_m1_amplitudes():
     # at lam = 1 the single-subtraction seed is sqrt(2/3)|0,0> + sqrt(1/3)|1,1>
-    seed = states.spatsv_seed(SpatsvSpec(1.0, 1))
+    seed = reference.spatsv_seed(SpatsvSpec(1.0, 1))
     assert np.allclose(
         np.abs(seed.amplitudes), [np.sqrt(2 / 3), np.sqrt(1 / 3)], atol=1e-12
     )
@@ -133,7 +133,7 @@ def test_two_mode_seed_m1_amplitudes():
 def test_single_seed_tends_to_one_fock_level_as_lam_vanishes(lam, m):
     # the weights z^l, z = sqrt((1 + lam)/lam)/2, are finite, but their norm
     # overflowed and normalizing gave an all-zero seed
-    amps = states.passv_seed(PassvSpec(lam, m, 0.3)).amplitudes
+    amps = reference.passv_seed(PassvSpec(lam, m, 0.3)).amplitudes
     want = np.zeros(m + 1)
     want[m % 2] = 1.0
     assert abs(np.linalg.norm(amps) - 1.0) < 1e-15
@@ -150,13 +150,13 @@ def test_single_seed_weights_are_z_to_the_l(lam, m):
     for l in range(m // 2 + 1):
         want[m - 2 * l] = z**l / (factorial(l) * np.sqrt(factorial(m - 2 * l)))
     want /= np.linalg.norm(want)
-    got = states.passv_seed(PassvSpec(lam, m, chi)).amplitudes
+    got = reference.passv_seed(PassvSpec(lam, m, chi)).amplitudes
     assert np.max(np.abs(got - want)) < 1e-15
 
 
 def test_single_seed_rejects_zero_energy():
     with pytest.raises(OutOfRange):
-        states.passv_seed(PassvSpec(0.0, 2))
+        reference.passv_seed(PassvSpec(0.0, 2))
 
 
 def test_balance_energy_round_trip():
@@ -303,19 +303,13 @@ def test_balance_round_trip_property(lam, m):
 
 
 @pytest.mark.parametrize(
-    "build, spec",
-    [
-        (states.passv, PassvSpec(1.0, 3)),
-        (states.passv, PassvSpec(1.0, 5)),
-        (states.spatsv, SpatsvSpec(1.0, 3)),
-        (states.spatsv, SpatsvSpec(1.0, 5)),
-    ],
+    "spec", [PassvSpec(1.0, 3), PassvSpec(1.0, 5), SpatsvSpec(1.0, 3), SpatsvSpec(1.0, 5)]
 )
-def test_default_cutoff_keeps_the_subtracted_tail_contract(build, spec):
+def test_default_cutoff_keeps_the_subtracted_tail_contract(spec):
     # subtraction weighs level n by n!/(n-m)! (squared for the twin beam), so
     # a cutoff sized before subtraction leaves tails of 4.7e-9 to 3.4e-5 here
-    kept = build(spec).amplitudes
-    wide = build(spec, cutoff=600).amplitudes
+    kept = fock.subtracted(spec).amplitudes
+    wide = fock.subtracted(spec, cutoff=600).amplitudes
     tail = 1.0 - float(np.sum(np.abs(wide[: len(kept)]) ** 2))
     assert tail < fock.TAIL_TOL
 
@@ -329,8 +323,8 @@ _BUILDS = {
     "coherent": lambda mu, m, cut=None: coherent_state(np.sqrt(mu) * np.exp(0.6j), cut),
     "squeezed": lambda lam, m, cut=None: fock.squeezed_vacuum(PassvSpec(lam).r, 0.6, cut),
     "two_mode_squeezed": lambda lam, m, cut=None: fock.two_mode_squeezed_vacuum(lam, 0.6, cut),
-    "passv": lambda lam, m, cut=None: states.passv(PassvSpec(lam, m, 0.6), cut),
-    "spatsv": lambda lam, m, cut=None: states.spatsv(SpatsvSpec(lam, m, 0.6), cut),
+    "passv": lambda lam, m, cut=None: fock.subtracted(PassvSpec(lam, m, 0.6), cut),
+    "spatsv": lambda lam, m, cut=None: fock.subtracted(SpatsvSpec(lam, m, 0.6), cut),
 }
 
 
@@ -377,63 +371,48 @@ def test_a_cutoff_below_the_tail_contract_raises(name, energy):
 
 
 @pytest.mark.parametrize("lam", [1e-30, 0.3])
-@pytest.mark.parametrize("build, spec", [(states.passv, PassvSpec), (states.spatsv, SpatsvSpec)])
-def test_an_explicit_cutoff_below_m_is_too_small_at_any_lam(build, spec, lam):
+@pytest.mark.parametrize("spec", [PassvSpec, SpatsvSpec])
+def test_an_explicit_cutoff_below_m_is_too_small_at_any_lam(spec, lam):
     # such a cutoff holds no level of the subtracted state; at lam = 1e-30 the
     # parent fits in it, so its tail check cannot be what refuses it
     with pytest.raises(CutoffTooSmall, match="holds no level" if lam < 0.1 else None):
-        build(spec(lam, 2), cutoff=1)
+        fock.subtracted(spec(lam, 2), cutoff=1)
 
 
-@pytest.mark.parametrize(
-    "build, spec", [(states.passv, PassvSpec(15.0, 5)), (states.spatsv, SpatsvSpec(12.0, 2))]
-)
-def test_default_cutoff_of_a_subtracted_state_is_free_of_chi(build, spec):
+@pytest.mark.parametrize("spec", [PassvSpec(15.0, 5), SpatsvSpec(12.0, 2)])
+def test_default_cutoff_of_a_subtracted_state_is_free_of_chi(spec):
     # the squeezing angle leaves every level's mass as it is; at these two
     # states its rounding in complex amplitudes once moved the least level
-    lengths = {build(replace(spec, chi=chi)).cutoff for chi in (0.0, 0.7, 2.0)}
-    assert lengths == {build(spec).cutoff}
+    lengths = {fock.subtracted(replace(spec, chi=chi)).cutoff for chi in (0.0, 0.7, 2.0)}
+    assert lengths == {fock.subtracted(spec).cutoff}
 
 
 @pytest.mark.parametrize("ambient", [8, 30])
 def test_default_cutoff_ignores_the_ambient_mpmath_precision(ambient):
     # the cutoff weighs the tail against <a^dag^m a^m>: at 8 ambient digits
     # that moment, once read at the caller's precision, cut 32 levels to 26
-    for build, spec in ((states.passv, PassvSpec(0.1, 2)), (states.spatsv, SpatsvSpec(0.7, 3))):
-        want = build(spec).amplitudes
+    for spec in (PassvSpec(0.1, 2), SpatsvSpec(0.7, 3)):
+        want = fock.subtracted(spec).amplitudes
         with mp.workdps(ambient):
-            got = build(spec).amplitudes
-        assert got.shape == want.shape and np.array_equal(got, want), build.__name__
+            got = fock.subtracted(spec).amplitudes
+        assert got.shape == want.shape and np.array_equal(got, want), spec
 
 
-@pytest.mark.parametrize(
-    "build, spec", [(states.passv, PassvSpec(0.0, 2)), (states.spatsv, SpatsvSpec(0.0, 1))]
-)
-def test_default_cutoff_of_a_null_subtraction_raises(build, spec):
+@pytest.mark.parametrize("spec", [PassvSpec(0.0, 2), SpatsvSpec(0.0, 1)])
+def test_default_cutoff_of_a_null_subtraction_raises(spec):
     with pytest.raises(NullState):
-        build(spec)
-
-
-@pytest.mark.parametrize("build, spec, expected", [
-    (states.passv, SpatsvSpec(0.5, 1), "PassvSpec"),
-    (states.spatsv, PassvSpec(0.5, 1), "SpatsvSpec"),
-], ids=["passv", "spatsv"])
-def test_a_constructor_refuses_the_other_schemes_spec(build, spec, expected):
-    # the spec's mode count picks the state, so the other scheme's spec
-    # would silently build the other scheme's state, as the configs refuse
-    with pytest.raises(ValueError, match=expected):
-        build(spec)
+        fock.subtracted(spec)
 
 
 @pytest.mark.parametrize("build, spec", [
-    (states.passv, PassvSpec(1.0, 150)),
-    (states.passv, PassvSpec(50.0, 150)),
-    (states.spatsv, SpatsvSpec(0.5, 150)),
-    (states.spatsv, SpatsvSpec(1e-9, 50)),
-    (lambda spec: states.spatsv(spec, 60), SpatsvSpec(1e-9, 50)),
-    (states.passv_seed, PassvSpec(1.0, 171)),
-    (states.passv_seed, PassvSpec(1e-9, 200)),
-    (states.spatsv_seed, SpatsvSpec(1e-9, 200)),
+    (fock.subtracted, PassvSpec(1.0, 150)),
+    (fock.subtracted, PassvSpec(50.0, 150)),
+    (fock.subtracted, SpatsvSpec(0.5, 150)),
+    (fock.subtracted, SpatsvSpec(1e-9, 50)),
+    (lambda spec: fock.subtracted(spec, 60), SpatsvSpec(1e-9, 50)),
+    (reference.passv_seed, PassvSpec(1.0, 171)),
+    (reference.passv_seed, PassvSpec(1e-9, 200)),
+    (reference.spatsv_seed, SpatsvSpec(1e-9, 200)),
 ], ids=["passv-1-150", "passv-50-150", "spatsv-0.5-150", "spatsv-1e-9-50",
         "spatsv-1e-9-50-cutoff-60", "seed-1-171", "seed-1e-9-200", "pair-seed-1e-9-200"])
 def test_a_large_order_builds_a_unit_norm_state(build, spec):
@@ -445,14 +424,11 @@ def test_a_large_order_builds_a_unit_norm_state(build, spec):
     assert abs(np.linalg.norm(amplitudes) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("build, spec", [
-    (states.passv, PassvSpec(1e-9, 150)),
-    (states.spatsv, SpatsvSpec(1e-3, 200)),
-])
-def test_a_state_past_the_float_range_is_refused(build, spec):
+@pytest.mark.parametrize("spec", [PassvSpec(1e-9, 150), SpatsvSpec(1e-3, 200)])
+def test_a_state_past_the_float_range_is_refused(spec):
     # the squeezed parent's float amplitudes underflow where the state lives
     with pytest.raises(OutOfRange):
-        build(spec)
+        fock.subtracted(spec)
 
 
 @pytest.mark.parametrize("n, m, modes", [(0, 5, 1), (7, 3, 2), (40, 100, 1), (10, 150, 2)])
