@@ -26,7 +26,7 @@ from photsub.states import PassvSpec, SpatsvSpec
 print("mean photons of the m-subtracted squeezed vacuum")
 print(f"{'lam':>6} " + " ".join(f"{f'm={m}':>10}" for m in range(5)))
 for lam in (0.1, 1.0, 5.0):
-    row = [states.passv_mean_photons(lam, m) for m in range(5)]
+    row = [PassvSpec(lam, m).mean_photons for m in range(5)]
     print(f"{lam:>6.2f} " + " ".join(f"{v:>10.4f}" for v in row))
 
 # The same maps can be inverted: energy balancing finds the float nearest
@@ -36,7 +36,7 @@ target = 5.0
 print(f"\npre-subtraction energy giving mean photons = {target}")
 for m in range(5):
     try:
-        lam0 = states.balance_energy(target, m, "single")
+        lam0 = states.balance_energy(target, m, PassvSpec.modes)
         print(f"  m={m}: lam0 = {lam0:.6f}")
     except Exception as exc:
         print(f"  m={m}: infeasible ({exc})")

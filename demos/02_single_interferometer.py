@@ -41,7 +41,7 @@ for m in range(4):
     cfg = SingleMziConfig(PassvSpec(2.0, m), mu=MU, phi=PHI, eta=0.98)
     u = metrology.single_phase_uncertainty(cfg)
     f = metrology.qfi(SingleMziConfig(PassvSpec(2.0, m), mu=MU, phi=PHI))
-    print(f"{m:>3} {states.passv_mean_photons(2.0, m):>12.4f} {u:>10.5f}"
+    print(f"{m:>3} {PassvSpec(2.0, m).mean_photons:>12.4f} {u:>10.5f}"
           f" {f:>12.1f} {metrology.cramer_rao_bound(f):>11.5f}")
 
 # ---------------------------------------------------------------------------
@@ -57,7 +57,7 @@ print(f"\nenergy-balanced comparison at quantum energy {target}")
 print(f"{'m':>3} {'lam0':>10} {'U':>10} {'F_Q':>12}")
 for m in range(5):
     try:
-        lam0 = states.balance_energy(target, m, "single")
+        lam0 = states.balance_energy(target, m, PassvSpec.modes)
     except Exception:
         print(f"{m:>3} {'(infeasible)':>10}")
         continue
@@ -78,7 +78,7 @@ f0 = metrology.qfi(SingleMziConfig(PassvSpec(target, 0), mu=MU, phi=PHI, psi=np.
 print("\nbalanced QFI ratios at total energy 1e4")
 print(f"{'m':>3} {'F(m)/F(0)':>12} {'1/(2m+1)':>12}")
 for m in range(1, 5):
-    lam0 = states.balance_energy(target, m, "single")
+    lam0 = states.balance_energy(target, m, PassvSpec.modes)
     fm = metrology.qfi(
         SingleMziConfig(PassvSpec(lam0, m), mu=MU, phi=PHI, psi=np.pi / 2)
     )

@@ -96,7 +96,7 @@ target, mu, eta = 2.0, 1e12, 0.8
 u0 = metrology.correlated_uncertainty(
     CorrelatedConfig(SpatsvSpec(target, 0), mu=mu, phi=1e-8, psi=PSI, eta=eta)
 )
-lam3 = balance_energy(target, 3, "two_mode")
+lam3 = balance_energy(target, 3, SpatsvSpec.modes)
 u3 = metrology.correlated_uncertainty(
     CorrelatedConfig(SpatsvSpec(lam3, 3), mu=mu, phi=1e-8, psi=PSI, eta=eta)
 )

@@ -5,8 +5,9 @@ phase estimation with photon-subtracted squeezed vacuum states:
 
 - ``fock``: the truncated Fock states of the subtracted-state specs and a
   brute-force interferometer oracle used to validate the analytic engine.
-- ``states``: subtracted-state specs, exact mean photon numbers and the
-  correctly rounded energy balancing.
+- ``states``: subtracted-state specs, whose mode count keys their scheme:
+  the exact moment table, mean photon number and correctly rounded energy
+  balancing of each.
 - ``opalg``: the normal-ordered moments of the two read-out ports, with
   analytic phase derivatives, summed with certified error bounds.
 - ``moments``: exact cutoff-free moment tables for all input states.
@@ -38,13 +39,7 @@ from .metrology import (
     qfi,
     single_phase_uncertainty,
 )
-from .states import (
-    PassvSpec,
-    SpatsvSpec,
-    balance_energy,
-    passv_mean_photons,
-    spatsv_mean_photons,
-)
+from .states import PassvSpec, SpatsvSpec, balance_energy
 
 __version__ = "0.1.0"
 

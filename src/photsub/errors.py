@@ -101,7 +101,9 @@ def check(**values) -> None:
             raise ValueError(f"{name} must be {want}, got {value!r}")
 
 
-def check_type(name: str, value, kind: type) -> None:
-    """ValueError unless ``value`` is a ``kind``: a scene of the other scheme."""
+def check_type(name: str, value, kind) -> None:
+    """ValueError unless ``value`` is a ``kind``, a type or a tuple of them: a scene
+    of the other scheme."""
     if not isinstance(value, kind):
-        raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+        want = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ValueError(f"{name} must be a {want}, got {type(value).__name__}")

@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass, replace
 from math import inf, isfinite, nextafter, pi, sqrt
 
-from . import metrology, moments, states
+from . import metrology, moments
 from .errors import (
     ConfigInvalid,
     MemoryBoundExceeded,
@@ -55,8 +55,8 @@ FLAG_OK = "ok"
 FLAG_SINGULAR = "singular"
 FLAG_OUT_OF_RANGE = "out_of_range"
 FLAG_PRECISION = "precision"
-#: scheme -> its config (which names its spec) and balancing kind
-_SCHEMES = {"single": (SingleMziConfig, "single"), "correlated": (CorrelatedConfig, "two_mode")}
+#: scheme -> its config, which names its spec
+_SCHEMES = {"single": SingleMziConfig, "correlated": CorrelatedConfig}
 
 
 @dataclass(frozen=True)
@@ -148,19 +148,14 @@ def _scene_params(cfg: SweepConfig, axis_value: float) -> dict:
 
 def _scene(scheme: str, m: int, *, lam, mu, phi, psi, eta, chi=0.0, balanced=False):
     """The interferometer config of one point, its energy balanced at most once."""
-    config, kind = _SCHEMES[scheme]
+    config = _SCHEMES[scheme]
     if balanced and m > 0:
-        lam = balance_energy(lam, m, kind)
+        lam = balance_energy(lam, m, config.spec.modes)
     return config(config.spec(lam, m, chi), mu=mu, phi=phi, psi=psi, eta=eta)
 
 
-def _mean_photons(cfg) -> float:
-    mean = states.passv_mean_photons if cfg.quantum.modes == 1 else states.spatsv_mean_photons
-    return mean(cfg.quantum.lam, cfg.quantum.m)
-
-
 def _snl(cfg) -> float:
-    n = cfg.eta * (cfg.mu + _mean_photons(cfg))
+    n = cfg.eta * (cfg.mu + cfg.quantum.mean_photons)
     if n <= 0:
         raise ZeroMeanPhoton("shot-noise reference undefined for a dark input")
     if not isfinite(n):
@@ -195,14 +190,14 @@ _METRICS = {
         "qfi": metrology.qfi,
         "crb": lambda c: metrology.cramer_rao_bound(metrology.qfi(c)),
         "snl": _snl,
-        "qfi_classical": lambda c: 2.0 * (c.mu + _mean_photons(c)),
+        "qfi_classical": lambda c: 2.0 * (c.mu + c.quantum.mean_photons),
         "var_y": _quadrature(lambda s: s.table(), (1, 1), (0, 2)),
-        "mean_photons": _mean_photons,
+        "mean_photons": lambda c: c.quantum.mean_photons,
     },
     "correlated": {
         "U_norm": metrology.correlated_uncertainty,
         "nrf": metrology.nrf,
-        "mean_photons": _mean_photons,
+        "mean_photons": lambda c: c.quantum.mean_photons,
         "mandel_q": metrology.mandel_q,
         # <a1 a2> carries e^{i chi}, and the difference quadrature is read at
         # its squeezed angle chi/2, whose e^{-i chi} cancels that phase
@@ -244,9 +239,9 @@ def _flat(cfg: SingleMziConfig) -> bool:
     """Whether balancing left the read-out slope eta (<n> - mu) sin phi zero
     (m = 0: lam = mu) or only the rounding of the root (m > 0: mu between
     the mean photons at the floats either side of it)."""
-    lam, m = cfg.quantum.lam, cfg.quantum.m
-    ends = (lam, lam) if m == 0 else (nextafter(lam, 0.0), nextafter(lam, inf))
-    below, above = (states.passv_mean_photons(end, m) for end in ends)
+    lam = cfg.quantum.lam
+    ends = (lam, lam) if cfg.quantum.m == 0 else (nextafter(lam, 0.0), nextafter(lam, inf))
+    below, above = (replace(cfg.quantum, lam=end).mean_photons for end in ends)
     return below <= cfg.mu <= above
 
 
@@ -587,10 +582,6 @@ def oracle_compare(
         )
     from . import fock  # the oracle alone needs numpy
 
-    # before any fill: nq quantum levels (an explicit cutoff fixes them, a default one
-    # gives more than the mean photons) make an array of nq^2 (one MZI) or nq^3 (twins)
-    nq = _mean_photons(cfg) if quantum_cutoff is None else quantum_cutoff + 1 - m
-    fock._check_memory((nq,) * (cfg.quantum.modes + 1))
     oracle = fock.oracle_interferometer(cfg, quantum_cutoff).moments
     engine = metrology.readout_moments(cfg)
     entries = []

@@ -186,7 +186,7 @@ def subtracted(spec, cutoff: int | None = None) -> _FockState:
     parent's tail floor from n + m passes the level limit (a^m tilts the counts to higher n);
     a given cutoff bounds the parent, checked against its tail, and one below m, which holds
     no level of the state, is CutoffTooSmall at any lam > 0.  chi turns the levels last."""
-    check_type("spec", spec, states._SubtractionSpec)
+    check_type("spec", spec, (states.PassvSpec, states.SpatsvSpec))
     m, modes = spec.m, spec.modes
     state, build, parent, squeezing = (
         (FockState1, squeezed_vacuum, _squeezed, spec.r) if modes == 1 else
@@ -320,9 +320,13 @@ def oracle_interferometer(cfg, cutoff: int | None = None) -> OracleResult:
     P(a, b) = sum_{n,k} d_n conj(d_k) G_nk(a) G_nk(b) a real product.  Only
     feasible for small coherent energy (mu <~ 10): :data:`MAX_AMPLITUDES` bounds
     the largest array, the D x D plane or the D Gram matrices, nq x nq, before
-    it is allocated.
+    it is allocated, and its floor nq^2 or nq^3 before the state is filled.
     """
-    q = subtracted(cfg.quantum, cutoff)
+    check(cutoff=cutoff)
+    spec = cfg.quantum  # nq levels: an explicit cutoff fixes them, a default one passes the mean
+    nq = spec.mean_photons if cutoff is None else cutoff + 1 - spec.m
+    _check_memory((nq,) * (spec.modes + 1))  # nq^2 (one MZI) or nq^3 (twins), before any fill
+    q = subtracted(spec, cutoff)
     d, twin = q.amplitudes, q.modes == 2
     nq = len(d)
     mu = cfg.mu  # the coherent port's levels: those of its real amplitudes |<n|alpha>|

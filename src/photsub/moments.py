@@ -1,7 +1,8 @@
 """Moment tables for input subsystems, certified sums and field statistics.
 
 A :class:`MomentTable` maps normally-ordered moment indices to expectation
-values for one subsystem: ``(p, q)`` for a single mode meaning
+values for one subsystem, a subtracted state's (built by its spec,
+:mod:`photsub.states`) or a SPATSV seed's: ``(p, q)`` for a single mode meaning
 ``<a^dag^p a^q>``, or ``(p, q, r, s)`` for a mode pair meaning
 ``<a1^dag^p a1^q a2^dag^r a2^s>``.  Tables are filled lazily, entry by
 entry, in Python integers at the bits a reader asks for, without a Fock
@@ -296,7 +297,7 @@ def joint_photon_distribution(lam, m: int, n_max: int) -> dict:
     norm of the SPATSV table (which raises NullState where it is 0): one int / int.
     """
     check(n_max=n_max)
-    table = spatsv_moment_table(lam, m)
+    table = MomentTable((0, 1), _vacuum_entry, lam, m, 0.0)
     return {(k, k): ratio(table.n ** (k + m) * (factorial(k + m) // factorial(k)) ** 2,
                           ((1 << table.shift) + table.n) ** (k + m + 1) * table.norm,
                           table.shift * (table.norm_degree + 1)) for k in range(n_max + 1)}
@@ -454,19 +455,6 @@ class MomentTable:
         """Entry ``key`` as a complex float, for inspection."""
         re, im, _, exp = self.fixed(key, 64)
         return complex(ratio(re, 1, exp), ratio(im, 1, exp))
-
-
-def passv_moment_table(lam, m: int, chi: float = 0.0) -> MomentTable:
-    """Exact PASSV moments <a^dag^p a^q>, lazily filled at the bits each
-    read asks for: <a^dag^{p+m} a^{q+m}>_SSV / <a^dag^m a^m>_SSV.  At m = 0
-    these are the squeezed vacuum's own moments."""
-    return MomentTable((0,), _vacuum_entry, lam, m, chi)
-
-
-def spatsv_moment_table(lam, m: int, chi: float = 0.0) -> MomentTable:
-    """Exact SPATSV moments <a1^dag^p a1^q a2^dag^r a2^s>, lazily filled at
-    the bits each read asks for; at m = 0 the TSV's own."""
-    return MomentTable((0, 1), _vacuum_entry, lam, m, chi)
 
 
 def spatsv_seed_moment_table(lam, m: int, chi: float = 0.0) -> MomentTable:

@@ -2,13 +2,13 @@
 
 A spec names a PASSV (photon-annihilated single-mode squeezed vacuum) or a
 SPATSV (symmetrically photon-annihilated two-mode squeezed vacuum) state by
-its pre-subtraction energy, subtraction order and squeezing angle; its mode
-count, 1 or 2, picks its exact moment table.  Here too are the mean-photon
-maps (ratios of integer polynomials in lam, evaluated exactly and rounded
-once) and the energy balancing of fixed-total-energy comparisons, whose root
-is the float nearest the exact one.  All of it is exact arithmetic on Python
-integers: the spec's truncated Fock state, which only the oracle reads, is
-built by :func:`photsub.fock.subtracted`.
+its pre-subtraction energy, subtraction order and squeezing angle.  Its mode
+count, 1 or 2, is the one key of its scheme: it picks the exact moment table,
+the mean-photon map (a ratio of integer polynomials in lam, evaluated exactly
+and rounded once) and the map that the energy balancing of fixed-total-energy
+comparisons inverts, whose root is the float nearest the exact one.  All of
+it is exact arithmetic on Python integers: the spec's truncated Fock state,
+which only the oracle reads, is built by :func:`photsub.fock.subtracted`.
 """
 
 from __future__ import annotations
@@ -39,9 +39,15 @@ class _SubtractionSpec:
         return asinh(sqrt(self.lam))
 
     def table(self) -> MomentTable:
-        """The exact moments of the subtracted state (:mod:`photsub.moments`)."""
-        table = moments.passv_moment_table if self.modes == 1 else moments.spatsv_moment_table
-        return table(self.lam, self.m, self.chi)
+        """The exact moments of the subtracted state over its modes (:mod:`photsub.moments`)."""
+        return MomentTable(range(self.modes), _vacuum_entry, self.lam, self.m, self.chi)
+
+    @property
+    def mean_photons(self) -> float:
+        """Mean photons (per mode for a pair), correctly rounded: <a^dag^(m+1) a^(m+1)> /
+        <a^dag^m a^m> of the parent, a ratio of integer polynomials (3 lam + 1 for a
+        PASSV at m = 1) evaluated exactly at lam."""
+        return ratio(*_at(_mean_photon_map(self.modes, self.m), *_binary(self.lam)))
 
 
 @dataclass(frozen=True)
@@ -62,20 +68,18 @@ class SpatsvSpec(_SubtractionSpec):
 # Mean photon numbers and energy balancing
 # ---------------------------------------------------------------------------
 
-#: kind -> the key of the first mode's photon number, in one mode or a pair
-_PHOTON_KEYS = {"single": (1, 1), "two_mode": (1, 1, 0, 0)}
+#: mode count -> the key of the first mode's photon number, in one mode or a pair
+_PHOTON_KEYS = {1: (1, 1), 2: (1, 1, 0, 0)}
 
 
 @cache
-def _mean_photon_map(kind: str, m: int) -> tuple:
+def _mean_photon_map(modes: int, m: int) -> tuple:
     """(P, Q), the integer coefficients (lowest power first, one length) of the
     mean-photon map P(lam)/Q(lam): the lam-free vacuum entries
     (:func:`photsub.moments._lam_free`) of m + 1 and of m photons from the
     first mode, m from any second, padded to one length, their common power of
     lam divided out: P(0)/Q(0) is the lam = 0 limit (m mod 2 for PASSV, 0 for SPATSV)."""
-    if kind not in _PHOTON_KEYS:
-        raise ValueError(f"unknown mean-photon map kind {kind!r}")
-    key = _PHOTON_KEYS[kind]
+    key = _PHOTON_KEYS[modes]
     p, q = (list(_lam_free(_vacuum_entry, m, k)[1]) for k in (key, (0,) * len(key)))
     q += [0] * (len(p) - len(q))
     while not (p[0] or q[0]):
@@ -88,39 +92,25 @@ def _at(pq: tuple, n: int, shift: int) -> tuple:
     return _horner(pq[0], n, shift), _horner(pq[1], n, shift)
 
 
-def _mean_photons(kind: str, lam: float, m: int) -> float:
-    check(lam=lam, m=m)
-    return ratio(*_at(_mean_photon_map(kind, m), *_binary(lam)))
+def balance_energy(target_lam: float, m: int, modes: int) -> float:
+    """Invert the mean-photon map of a spec of ``modes`` modes: the float lam0
+    nearest the root of mean(lam0, m) = target_lam, correctly rounded
+    (:func:`_nearest_root`).
 
-
-def passv_mean_photons(lam: float, m: int) -> float:
-    """Mean photon number of the m-subtracted squeezed vacuum, correctly rounded:
-    <a^dag^(m+1) a^(m+1)> / <a^dag^m a^m> of the squeezed vacuum, a ratio of
-    integer polynomials (3 lam + 1 for m = 1) evaluated exactly at lam."""
-    return _mean_photons("single", lam, m)
-
-
-def spatsv_mean_photons(lam: float, m: int) -> float:
-    """Mean photons per mode of the symmetrically m-subtracted TSV, correctly rounded."""
-    return _mean_photons("two_mode", lam, m)
-
-
-def balance_energy(target_lam: float, m: int, kind: str = "single") -> float:
-    """Invert the mean-photon map: the float lam0 nearest the root of
-    mean(lam0, m) = target_lam, correctly rounded (:func:`_nearest_root`).
-
-    ``kind`` selects the single-mode (PASSV) or two-mode (SPATSV) map.
-    Raises ValueError for a target of inf or nan, and OutOfRange for one below
-    the map's value at lam = 0 (odd-m PASSV has mean >= 1 for every lam).
-    Roots are memoised by (target, m, kind): a sweep solves a shared one once.
+    Raises ValueError for a target of inf or nan or a mode count other than 1
+    (PASSV) or 2 (SPATSV), and OutOfRange for a target below the map's value
+    at lam = 0 (odd-m PASSV has mean >= 1 for every lam).  Roots are memoised
+    by (target, m, modes): a sweep solves a shared one once.
     """
     check(target_lam=target_lam, m=m)
-    return _balance_root(target_lam, m, kind)
+    if modes not in _PHOTON_KEYS:
+        raise ValueError(f"unknown mode count {modes!r}, want 1 or 2")
+    return _balance_root(target_lam, m, modes)
 
 
 @lru_cache(maxsize=moments.MEMO_SIZE)
-def _balance_root(target_lam: float, m: int, kind: str) -> float:
-    pq, target = _mean_photon_map(kind, m), float(target_lam)
+def _balance_root(target_lam: float, m: int, modes: int) -> float:
+    pq, target = _mean_photon_map(modes, m), float(target_lam)
     tn, td = target.as_integer_ratio()
     (p0, *_), (q0, *_) = pq
     if td * p0 > tn * q0:

@@ -259,9 +259,9 @@ def subtracted_table(modes, lam, m: int, max_order: int, chi: float = 0.0) -> Re
     )
 
 
-def mean_photons_exact(kind: str, lam, m: int) -> Fraction:
-    """The mean-photon map of the m-subtracted PASSV (``kind`` "single") or
-    SPATSV ("two_mode") at the rational ``lam``, exactly.
+def mean_photons_exact(modes: int, lam, m: int) -> Fraction:
+    """The mean-photon map of the m-subtracted PASSV (``modes`` 1) or
+    SPATSV (2) at the rational ``lam``, exactly.
 
     The ratio of the diagonal Wick pairing sums of m + 1 and of m photons
     from each mode, formed from scratch; on the diagonal g appears squared,
@@ -281,7 +281,7 @@ def mean_photons_exact(kind: str, lam, m: int) -> Fraction:
                    * lam ** (2 * k + r - p) * g2 ** (p - k)
                    for k in range(max(0, p - r), p + 1))
 
-    if kind == "single":
+    if modes == 1:
         return single(m + 1) / single(m)
     return pair(m + 1, m) / pair(m, m)
 

@@ -11,7 +11,7 @@ analysis of any such case.
 import numpy as np
 import pytest
 
-from photsub import fock, metrology, moments, states
+from photsub import fock, metrology, states
 from photsub.errors import OutOfRange
 from photsub.metrology import CorrelatedConfig, SingleMziConfig, phi_for_tau
 from photsub.states import PassvSpec, SpatsvSpec
@@ -47,7 +47,7 @@ def test_acceptance_01_mean_photon_closed_forms():
     ]
     worst = 0.0
     for m, lam, expected in cases:
-        closed = states.passv_mean_photons(lam, m)
+        closed = PassvSpec(lam, m).mean_photons
         numeric = mean_photons(fock.subtracted(PassvSpec(lam, m), cutoff=300))
         worst = max(
             worst,
@@ -86,7 +86,7 @@ def test_acceptance_03_qfi_asymptotic_ratios():
     f0 = metrology.qfi(SingleMziConfig(PassvSpec(target, 0), mu=mu, phi=np.pi / 2, psi=psi))
     worst = 0.0
     for m in range(1, 5):
-        lam0 = states.balance_energy(target, m, "single")
+        lam0 = states.balance_energy(target, m, 1)
         fm = metrology.qfi(
             SingleMziConfig(PassvSpec(lam0, m), mu=mu, phi=np.pi / 2, psi=psi)
         )
@@ -173,7 +173,7 @@ def test_acceptance_09_high_loss_balanced_advantage():
     u0 = metrology.correlated_uncertainty(
         CorrelatedConfig(SpatsvSpec(target, 0), mu=mu, phi=phi, eta=eta, psi=np.pi / 2)
     )
-    lam3 = states.balance_energy(target, 3, "two_mode")
+    lam3 = states.balance_energy(target, 3, 2)
     u3 = metrology.correlated_uncertainty(
         CorrelatedConfig(SpatsvSpec(lam3, 3), mu=mu, phi=phi, eta=eta, psi=np.pi / 2)
     )
@@ -194,7 +194,7 @@ def test_acceptance_10_energy_balancing_null_results():
         f0 = metrology.qfi(SingleMziConfig(PassvSpec(target, 0), mu=mu, phi=np.pi / 2))
         for m in range(1, 5):
             try:
-                lam0 = states.balance_energy(target, m, "single")
+                lam0 = states.balance_energy(target, m, 1)
             except OutOfRange:
                 continue  # balancing infeasible: no comparison point here
             um = metrology.single_phase_uncertainty(
@@ -272,13 +272,13 @@ def test_acceptance_12_property_suite():
                 ok, detail = False, "normalization"
     # Heisenberg bound on the subtracted states
     for m in range(4):
-        t = moments.passv_moment_table(0.7, m)
+        t = PassvSpec(0.7, m).table()
         vx = quadrature_variance(t, (1.0,))
         vy = quadrature_variance(t, (np.exp(-0.5j * np.pi),))
         if vx * vy < 0.25 - 1e-12:
             ok, detail = False, "heisenberg"
     # loss composition eta1 then eta2 == eta1*eta2
-    t = moments.passv_moment_table(1.1, 1)
+    t = PassvSpec(1.1, 1).table()
     for key in [(1, 1), (2, 2), (3, 3)]:
         x, n = bounded(t.entry(key)), sum(key) // 2
         once = thinned(thinned(x, 0.9, n), 0.6, n)

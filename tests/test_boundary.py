@@ -92,13 +92,14 @@ def _entries():
     yield "SpatsvSpec", SpatsvSpec, dict(lam=0.5, m=1), spec
     yield "SingleMziConfig", SingleMziConfig, dict(quantum=_PASSV, mu=2.0, phi=0.7), scene
     yield "CorrelatedConfig", CorrelatedConfig, dict(quantum=_SPATSV, mu=2.0, phi=0.7), scene
-    for name in ("passv_mean_photons", "spatsv_mean_photons"):
-        yield name, getattr(states, name), dict(lam=0.5, m=1), dict(lam=NONNEGATIVE, m=INTEGER)
-    for kind in ("single", "two_mode"):
-        yield (f"balance_energy[{kind}]", states.balance_energy,
-               dict(target_lam=2.0, m=1, kind=kind), dict(target_lam=REAL, m=INTEGER))
     for spec_cls in (PassvSpec, SpatsvSpec):
         name = spec_cls.__name__
+        yield (f"{name}.mean_photons", lambda spec_cls=spec_cls, **kw: spec_cls(**kw).mean_photons,
+               dict(lam=0.5, m=1), dict(lam=NONNEGATIVE, m=INTEGER))
+        yield (f"{name}.table", lambda spec_cls=spec_cls, **kw: spec_cls(**kw).table(),
+               dict(lam=0.5, m=1), spec)
+        yield (f"balance_energy[{name}]", states.balance_energy,
+               dict(target_lam=2.0, m=1, modes=spec_cls.modes), dict(target_lam=REAL, m=INTEGER))
         yield (f"subtracted[{name}]", fock.subtracted, dict(spec=spec_cls(0.3, 1), cutoff=30),
                dict(spec=SPEC, cutoff=INTEGER))
         yield (f"subtracted[{name},lam]", lambda lam, m, spec_cls=spec_cls: fock.subtracted(
@@ -117,8 +118,7 @@ def _entries():
                metrology.correlated_uncertainty_asymptotic,
                dict(regime=regime, m=1, lam=0.5, tau=0.9, eta=0.9),
                dict(m=CLOSED_ORDER, lam=NONNEGATIVE, tau=UNIT, eta=UNIT))
-    for name in ("passv_moment_table", "spatsv_moment_table", "spatsv_seed_moment_table"):
-        yield name, getattr(moments, name), dict(lam=0.5, m=1), spec
+    yield "spatsv_seed_moment_table", moments.spatsv_seed_moment_table, dict(lam=0.5, m=1), spec
     yield ("joint_photon_distribution", moments.joint_photon_distribution,
            dict(lam=0.5, m=1, n_max=3), dict(lam=NONNEGATIVE, m=INTEGER, n_max=INTEGER))
     yield ("squeezed_vacuum", fock.squeezed_vacuum, dict(r=0.3),

@@ -88,14 +88,14 @@ def _reference(cfg) -> dict:
     u1, v1 = _mzi(cfg.phi, 1)
     if single:
         images = {0: ({0: u1, 1: v1}, 0), 1: ({0: v1, 1: u1}, 0)}
-        quantum = moments.passv_moment_table(spec.lam, spec.m, chi=spec.chi)
+        quantum = spec.table()
         tables = [apply_loss(coherent_table(alpha, mode=0), eta),
                   apply_loss(quantum, eta, mode=1)]
     else:
         u2, v2 = _mzi(cfg.phi, 2)
         beta = alpha * mp.sqrt(eta)
         images = {0: ({0: u1}, v1 * beta), 1: ({1: u2}, v2 * beta)}
-        quantum = moments.spatsv_moment_table(spec.lam, spec.m, chi=spec.chi)
+        quantum = spec.table()
         tables = [apply_loss(quantum, eta)]
     order = 2 if single else 4
     out = {}

@@ -30,6 +30,7 @@ from photsub.experiments import (
     run_sweep,
     sweep_config_from_file,
 )
+from photsub.states import PassvSpec, SpatsvSpec
 from test_golden_rows import PRESET_SHA256
 
 
@@ -181,7 +182,7 @@ def test_fig5b_rows_match_a_40_digit_evaluation():
     for row in run_preset("fig5b").rows:
         assert row.flag == "ok"
         with mp.workdps(40):
-            table = moments.spatsv_moment_table(row.swept_value, row.m)
+            table = SpatsvSpec(row.swept_value, row.m).table()
             c = 1 / mp.sqrt(2)
             exact = reference.quadrature_variance(table, (c, -c), bits=moments.digits_to_bits(40))
         assert abs(row.value - exact) <= 1e-14 * exact, (row.swept_value, row.m)
@@ -395,7 +396,7 @@ def test_mandel_q_uses_exact_moments():
 def _mandel_q_120(lam, m, eta):
     """eta Q of the SPATSV marginal, at 120 digits straight from its table."""
     with mp.workdps(120):
-        table = moments.spatsv_moment_table(lam, m)
+        table = SpatsvSpec(lam, m).table()
         n, f2 = (mp.re(reference.entry(table, (k, k, 0, 0))) for k in (1, 2))
         return eta * (f2 - n * n) / n
 
@@ -613,9 +614,10 @@ def test_quad_diff_var_obeys_loss_law(metric):
 @pytest.mark.parametrize(
     "metric, table",
     [
-        ("quad_diff_var", moments.spatsv_moment_table),
+        ("quad_diff_var", lambda *args, **kwargs: SpatsvSpec(*args, **kwargs).table()),
         ("quad_diff_var_seed", moments.spatsv_seed_moment_table),
     ],
+    ids=("quad_diff_var", "quad_diff_var_seed"),
 )
 def test_difference_quadrature_is_read_at_its_squeezed_angle(metric, table):
     from reference import apply_loss
@@ -688,7 +690,7 @@ def test_the_ambient_mpmath_precision_changes_no_row(ambient):
             assert hashlib.sha256(csv).hexdigest() == PRESET_SHA256[name], name
         rows = run_sweep(_small_config(values=(1e16,), m_list=(0,), metrics=("var_y",))).rows
     with mp.workdps(140):
-        table, bits = moments.passv_moment_table(1e16, 0), moments.digits_to_bits(140)
+        table, bits = PassvSpec(1e16, 0).table(), moments.digits_to_bits(140)
         exact = reference.quadrature_variance(table, (mp.expj(-mp.pi / 2),), bits=bits)
     assert [(row.flag, row.value) for row in rows] == [("ok", exact)]
 
@@ -781,10 +783,10 @@ def test_quadrature_variances_keep_eight_digits_or_flag(metric, lam, m, flag):
         with mp.workdps(140):
             bits = moments.digits_to_bits(140)
             if metric == "var_y":
-                table = moments.passv_moment_table(lam, m)
+                table = PassvSpec(lam, m).table()
                 exact = reference.quadrature_variance(table, (mp.expj(-mp.pi / 2),), bits=bits)
             else:
-                table = moments.spatsv_moment_table(lam, m)
+                table = SpatsvSpec(lam, m).table()
                 c = 1 / mp.sqrt(2)
                 exact = reference.quadrature_variance(table, (c, -c), bits=bits)
         assert row.value == exact
@@ -797,7 +799,8 @@ def test_quadrature_rows_equal_the_general_bilinear_form_bit_for_bit():
     # table at the scene's chi, at 60 digits: both are correctly rounded
     rng = random.Random(33)
     bits = moments.digits_to_bits(60)
-    pair_tables = (moments.spatsv_moment_table, moments.spatsv_seed_moment_table)
+    pair_tables = (lambda *args, **kwargs: SpatsvSpec(*args, **kwargs).table(),
+                   moments.spatsv_seed_moment_table)
     for _ in range(300):
         lam, m = 10 ** rng.uniform(-6, 6), rng.randrange(5)
         chi, eta = rng.uniform(-4.0, 4.0), rng.uniform(0.0, 1.0)
@@ -807,7 +810,7 @@ def test_quadrature_rows_equal_the_general_bilinear_form_bit_for_bit():
                                       metrics=("quad_diff_var", "quad_diff_var_seed"))).rows
         with mp.workdps(80):
             c = reference.fixed_exact(mp.expj(-mp.mpf(chi) / 2) / mp.sqrt(2), bits)
-        single = moments.passv_moment_table(lam, m, chi=chi)
+        single = PassvSpec(lam, m, chi=chi).table()
         want = [reference.quadrature_variance(single, (-1j,), eta, bits)] + [
             reference.quadrature_variance(build(lam, m, chi=chi),
                                           (c, moments.fixed_times(c, -1)), eta, bits)
@@ -836,10 +839,10 @@ def test_digits_rescue_a_precision_flagged_quadrature_variance(metric, m, pin_di
     with mp.workdps(140):
         bits = moments.digits_to_bits(140)
         if metric == "var_y":
-            table = moments.passv_moment_table(1e16, m)
+            table = PassvSpec(1e16, m).table()
             exact = reference.quadrature_variance(table, (mp.expj(-mp.pi / 2),), bits=bits)
         else:
-            table = moments.spatsv_moment_table(1e16, m)
+            table = SpatsvSpec(1e16, m).table()
             c = 1 / mp.sqrt(2)
             exact = reference.quadrature_variance(table, (c, -c), bits=bits)
     assert (row.flag, row.value) == ("ok", exact)

@@ -414,6 +414,29 @@ def test_oracle_memory_bound(monkeypatch):
         fock.oracle_interferometer(scene)
 
 
+@pytest.mark.parametrize("scene, cutoff", [
+    (SingleMziConfig(PassvSpec(1e4, 1), mu=1.0, phi=0.5), None),
+    (CorrelatedConfig(SpatsvSpec(0.3, 1), mu=1.0, phi=0.5), 400),
+], ids=("single-default", "correlated-explicit"))
+def test_the_oracle_bounds_its_array_before_it_fills_the_state(monkeypatch, scene, cutoff):
+    # nq quantum levels make at least nq^2 (one MZI) or nq^3 (twins) amplitudes,
+    # nq past the mean photons or fixed by the cutoff: the oracle refuses on
+    # its own, not only behind the comparison harness
+    def no_fill(*args, **kwargs):
+        raise AssertionError("filled a Fock state")
+
+    monkeypatch.setattr(fock, "_filled", no_fill)
+    with pytest.raises(MemoryBoundExceeded):
+        fock.oracle_interferometer(scene, cutoff)
+
+
+@pytest.mark.parametrize("spec", [0.5, SingleMziConfig(PassvSpec(0.5), mu=1.0, phi=0.5)],
+                         ids=("float", "config"))
+def test_a_spec_refusal_names_the_public_spec_classes(spec):
+    with pytest.raises(ValueError, match="spec must be a PassvSpec or SpatsvSpec, got "):
+        fock.subtracted(spec)
+
+
 _MAPS = {
     "mzi": fock.mzi_unitary(0.7),
     "mzi_dark": fock.mzi_unitary(2.9),

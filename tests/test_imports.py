@@ -115,7 +115,7 @@ def test_only_moments_turns_wick_terms_into_polynomials():
 def test_only_errors_raises_a_value_error_on_a_parameter():
     # one input contract: every module reads errors.PARAMETERS through
     # errors.check, and raises ValueError itself only for a name that
-    # selects nothing (an unknown regime, map kind or turn)
+    # selects nothing (an unknown regime, mode count or turn)
     raising = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -405,6 +405,20 @@ def test_each_scheme_is_a_declaration_on_one_shared_definition():
     # oracle reads the engine's own config
     assert list(inspect.signature(fock.subtracted).parameters) == ["spec", "cutoff"]
     assert list(inspect.signature(fock.oracle_interferometer).parameters) == ["cfg", "cutoff"]
+    assert list(inspect.signature(states.balance_energy).parameters) == ["target_lam", "m", "modes"]
+
+
+def test_scheme_names_live_only_in_experiments():
+    # below the CLI's scheme names the spec's mode count is the one scheme key:
+    # no other module spells a scheme, and none a second vocabulary for it
+    held = sorted(
+        f"{path.name}:{node.lineno} {node.value!r}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and (
+            node.value == "two_mode"
+            or node.value in _SCHEME_NAMES and path.name != "experiments.py"))
+    assert held == []
 
 
 def _module_memos() -> list:

@@ -14,6 +14,7 @@ import pytest
 
 import reference
 from photsub import moments, opalg
+from photsub.states import PassvSpec, SpatsvSpec
 
 LAMS = (0.0, 1e-300, 0.3, 7.0, 1e200)
 BITS = (60, 61, 128, 255, 400)
@@ -51,12 +52,12 @@ def _assert_within_radius(got: tuple, want, what, units: int = 4) -> None:
 @pytest.mark.parametrize("m", range(4))
 @pytest.mark.parametrize("arity", (1, 2), ids=("single", "pair"))
 def test_integer_entries_lie_within_their_radius(arity, m, chi):
-    build = moments.passv_moment_table if arity == 1 else moments.spatsv_moment_table
+    spec = PassvSpec if arity == 1 else SpatsvSpec
     checked = 0
     for lam in LAMS:
         if m and not lam:
             continue  # the vacuum less a photon is no state
-        table = build(lam, m, chi=chi)
+        table = spec(lam, m, chi=chi).table()
         with mp.workprec(REFERENCE_PREC):
             want = reference.subtracted_table(table.modes, lam, m, 8, chi)
             for key in _keys(arity, 8):
@@ -69,8 +70,7 @@ def test_integer_entries_lie_within_their_radius(arity, m, chi):
 
 @pytest.mark.parametrize("arity", (1, 2), ids=("single", "pair"))
 def test_a_zeroed_key_is_an_exact_zero_without_arithmetic(arity, monkeypatch):
-    build = moments.passv_moment_table if arity == 1 else moments.spatsv_moment_table
-    table = build(0.3, 2, chi=0.4)
+    table = (PassvSpec if arity == 1 else SpatsvSpec)(0.3, 2, chi=0.4).table()
     want = reference.subtracted_table(table.modes, 0.3, 2, 8, 0.4)
     zeroed = [key for key in _keys(arity, 8) if want.entry(key) == 0]
     assert len(zeroed) > 10
@@ -90,8 +90,8 @@ def test_a_zeroed_key_is_an_exact_zero_without_arithmetic(arity, monkeypatch):
 
 
 def _coefficients(mu, psi, bits, arity=1):
-    build = moments.passv_moment_table if arity == 1 else moments.spatsv_moment_table
-    return opalg.PortCoefficients(build(0.3, 1), mu, psi, bits)
+    spec = PassvSpec if arity == 1 else SpatsvSpec
+    return opalg.PortCoefficients(spec(0.3, 1).table(), mu, psi, bits)
 
 
 @pytest.mark.parametrize("mu", (0.0, 1.0, 3.0, 0.1, 1e12, 2.5e-7))

@@ -212,7 +212,7 @@ def test_quadrature_variance_correspondence():
     cfg = SingleMziConfig(PassvSpec(lam, m), mu=mu, phi=np.pi / 2, eta=eta)
     u = metrology.single_phase_uncertainty(cfg)
     vy = quadrature_variance(
-        moments.passv_moment_table(lam, m), (np.exp(-0.5j * np.pi),)
+        PassvSpec(lam, m).table(), (np.exp(-0.5j * np.pi),)
     )
     predicted = np.sqrt(2 * (eta * vy + (1 - eta) / 2) / (eta * mu))
     assert abs(u - predicted) < 0.01 * predicted
@@ -554,7 +554,7 @@ def test_the_dark_fringe_uncertainty_is_its_three_entry_form(lam, m, eta):
     var = metrology._variance(ports, metrology._COVARIANCE_WEIGHTS)
     mixed = ports.expect(metrology._COVARIANCE_WEIGHTS[0], "mixed")
     with mp.workdps(50):
-        want = dark_fringe_uncertainty(moments.spatsv_moment_table(lam, m), eta)
+        want = dark_fringe_uncertainty(SpatsvSpec(lam, m).table(), eta)
         tol = (mp.mpf(var.err) / (2 * var.man) + mp.mpf(mixed.err) / abs(mixed.man)
                + mp.mpf(2) ** -52)
         assert abs(metrology.correlated_uncertainty(cfg) - want) <= tol * want

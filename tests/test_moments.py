@@ -46,7 +46,7 @@ def test_vacuum_table_entries():
 def test_single_mode_table_matches_fock(lam, m):
     state = fock.subtracted(PassvSpec(lam, m), cutoff=300)
     num = table_from_state(state, max_order=4)
-    exact = moments.passv_moment_table(lam, m)
+    exact = PassvSpec(lam, m).table()
     for p in range(3):
         for q in range(3):
             a = complex(num.entry((p, q)))
@@ -59,7 +59,7 @@ def test_two_mode_table_matches_fock(m):
     lam = 0.6
     state = fock.subtracted(SpatsvSpec(lam, m), cutoff=200)
     num = table_from_state(state, max_order=4)
-    exact = moments.spatsv_moment_table(lam, m)
+    exact = SpatsvSpec(lam, m).table()
     for key in [(1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1), (2, 2, 0, 0), (1, 0, 0, 1)]:
         a = complex(num.entry(key))
         b = complex(exact.entry(key))
@@ -79,12 +79,12 @@ def test_two_mode_selection_rule(m):
     # definite parity of a subtracted squeezed vacuum zeroes odd p - q
     rng = random.Random(m)
     lam, chi = rng.uniform(0.1, 3.0), rng.uniform(0.2, 3.0)
-    t = moments.spatsv_moment_table(lam, m, chi=chi)
+    t = SpatsvSpec(lam, m, chi=chi).table()
     for key in _DROPPED + ((2, 0, 1, 0),):
         assert t.entry(key) == 0, key
     assert abs(complex(t.entry((2, 0, 2, 0)))) > 0.0  # p-q = r-s = 2 survives
     assert abs(complex(t.entry((0, 1, 0, 1)))) > 0.0  # <a0 a1>, which the mixed derivative reads
-    single = moments.passv_moment_table(lam, m, chi=chi)
+    single = PassvSpec(lam, m, chi=chi).table()
     for p, q in itertools.product(range(9), repeat=2):
         if p + q <= 8 and (p - q) % 2:
             assert single.entry((p, q)) == 0, (p, q)
@@ -93,7 +93,7 @@ def test_two_mode_selection_rule(m):
 
 def test_loss_scales_normal_moments():
     lam, eta = 0.9, 0.55
-    t = moments.passv_moment_table(lam, 1)
+    t = PassvSpec(lam, 1).table()
     for p, q in [(1, 1), (2, 2), (2, 0)]:
         expected = complex(t.entry((p, q))) * eta ** ((p + q) / 2)
         lossy = thinned(bounded(t.entry((p, q))), eta, (p + q) // 2)
@@ -113,7 +113,7 @@ def test_loss_is_the_exact_product_by_eta():
 
 
 def test_loss_composition():
-    t = moments.passv_moment_table(1.3, 2)
+    t = PassvSpec(1.3, 2).table()
     for key in [(1, 1), (2, 2), (3, 3)]:
         x, n = bounded(t.entry(key)), sum(key) // 2
         once = thinned(thinned(x, 0.8, n), 0.7, n)
@@ -124,7 +124,7 @@ def test_loss_composition():
 def test_squeezed_vacuum_quadrature_variances():
     lam = 1.1
     r = float(np.arcsinh(np.sqrt(lam)))
-    t = moments.passv_moment_table(lam, 0)
+    t = PassvSpec(lam, 0).table()
     # chi = 0 squeezes Y and anti-squeezes X
     y, x = (np.exp(-0.5j * np.pi),), (1.0,)
     assert abs(quadrature_variance(t, y) - 0.5 * np.exp(-2 * r)) < 1e-10
@@ -133,7 +133,7 @@ def test_squeezed_vacuum_quadrature_variances():
 
 def test_quadrature_heisenberg_bound():
     for m in range(3):
-        t = moments.passv_moment_table(0.8, m)
+        t = PassvSpec(0.8, m).table()
         vx = quadrature_variance(t, (1.0,))
         vy = quadrature_variance(t, (np.exp(-0.5j * np.pi),))
         assert vx * vy >= 0.25 - 1e-12
@@ -143,7 +143,7 @@ def test_two_mode_difference_quadrature():
     # the TSV difference quadrature is squeezed from the vacuum level 0.5
     lam = 0.9
     r = float(np.arcsinh(np.sqrt(lam)))
-    t = moments.spatsv_moment_table(lam, 0)
+    t = SpatsvSpec(lam, 0).table()
     c = 2**-0.5
     assert abs(quadrature_variance(t, (c, -c)) - 0.5 * np.exp(-2 * r)) < 1e-10
     # the orthogonal angle is anti-squeezed
@@ -197,10 +197,10 @@ def test_moments_module_needs_no_fock_numerics():
 
 @pytest.mark.parametrize("m", [-1, 1.5, None])
 def test_a_table_of_a_bad_order_raises_at_construction(m):
-    # before, passv_moment_table(1.0, -1) built and failed on its first read,
+    # before, the PASSV table at (1.0, -1) built and failed on its first read,
     # and fig6 at m = -1 on an empty max()
-    for build in (moments.passv_moment_table, moments.spatsv_moment_table,
-                  moments.spatsv_seed_moment_table):
+    for build in (lambda lam, m: PassvSpec(lam, m).table(),
+                  lambda lam, m: SpatsvSpec(lam, m).table(), moments.spatsv_seed_moment_table):
         with pytest.raises(ValueError, match="m must be a nonnegative integer"):
             build(1.0, m)
     with pytest.raises(ValueError, match="m must be a nonnegative integer"):
@@ -211,16 +211,16 @@ def test_a_key_of_the_wrong_arity_raises():
     # a table fills any order on demand; only a key for another number of
     # modes lies outside it
     with pytest.raises(MomentOrderMissing):
-        moments.passv_moment_table(0.5, 0).entry((1, 1, 0, 0))
+        PassvSpec(0.5, 0).table().entry((1, 1, 0, 0))
     with pytest.raises(MomentOrderMissing):
-        moments.spatsv_moment_table(0.5, 1).entry((1, 1))
+        SpatsvSpec(0.5, 1).table().entry((1, 1))
 
 
 def test_bogoliubov_moments_match_fock():
     lam = 0.9
     state = fock.squeezed_vacuum(float(np.arcsinh(np.sqrt(lam))), cutoff=300)
     num = table_from_state(state, max_order=6)
-    vacuum = moments.passv_moment_table(lam, 0)  # m = 0: the squeezed vacuum itself
+    vacuum = PassvSpec(lam, 0).table()  # m = 0: the squeezed vacuum itself
     for p, q in [(1, 1), (2, 2), (2, 0), (3, 1), (3, 3)]:
         exact = complex(fixed_value(vacuum.fixed((p, q), 60)))
         assert abs(complex(num.entry((p, q))) - exact) < 1e-8 * max(1.0, abs(exact))
@@ -307,7 +307,7 @@ WICK_CHIS = [0, 0.3, -1.1]
 @pytest.mark.parametrize("lam", WICK_LAMS)
 def test_wick_sum_matches_word_applier_1m(lam, chi):
     # the m = 0 table, read in integers at the bits of 50 digits
-    vacuum, bits = moments.passv_moment_table(lam, 0, chi=chi), 170
+    vacuum, bits = PassvSpec(lam, 0, chi=chi).table(), 170
     with mp.workdps(50):
         for p, q in itertools.product(range(9), repeat=2):
             got = fixed_value(vacuum.fixed((p, q), bits))
@@ -317,7 +317,7 @@ def test_wick_sum_matches_word_applier_1m(lam, chi):
 @pytest.mark.parametrize("chi", WICK_CHIS)
 @pytest.mark.parametrize("lam", WICK_LAMS)
 def test_wick_sum_matches_word_applier_2m(lam, chi):
-    vacuum, bits = moments.spatsv_moment_table(lam, 0, chi=chi), 170
+    vacuum, bits = SpatsvSpec(lam, 0, chi=chi).table(), 170
     with mp.workdps(50):
         for p, q, r, s in itertools.product(range(9), repeat=4):
             got = fixed_value(vacuum.fixed((p, q, r, s), bits))

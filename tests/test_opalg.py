@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as opalg
-from photsub import moments
+from photsub.states import PassvSpec, SpatsvSpec
 from reference import (
     Jet,
     _abs_value,
@@ -209,7 +209,7 @@ def test_interferometer_difference_mean():
     diff = OperatorPolynomial.number(1) - OperatorPolynomial.number(0)
     sub = substitute(diff, bs)
     tables = [
-        moments.passv_moment_table(lam, 0),
+        PassvSpec(lam, 0).table(),
         coherent_table(np.sqrt(mu), mode=1),
     ]
     val = expect(sub, tables)
@@ -259,9 +259,9 @@ def _single_shape(rng):
     tables = [
         apply_loss(coherent_table(alpha, mode=0), eta),
         apply_loss(
-            moments.passv_moment_table(
+            PassvSpec(
                 rng.uniform(0.1, 2.0), rng.randrange(4), chi=rng.uniform(-1, 1)
-            ),
+            ).table(),
             eta,
             mode=1,
         ),
@@ -275,9 +275,9 @@ def _correlated_shape(rng):
     u2, v2 = _mzi(rng.uniform(1e-4, 1.0), 2)
     beta = mp.sqrt(rng.uniform(0.5, 4.0)) * mp.expj(rng.uniform(0, 3))
     images = {0: ({0: u1}, v1 * beta), 1: ({1: u2}, v2 * beta)}
-    table = moments.spatsv_moment_table(
+    table = SpatsvSpec(
         rng.uniform(0.1, 2.0), rng.randrange(4), chi=rng.uniform(-1, 1)
-    )
+    ).table()
     return images, [table]
 
 

@@ -69,20 +69,20 @@ def _scene(scheme, rng):
     phi = rng.uniform(0.1, 3.0)
     u1, v1 = _mzi(phi, 1)
     if scheme == "single":
-        ports = _kernel(lambda: moments.passv_moment_table(lam, m, chi=chi), mu, psi, phi, eta)
+        ports = _kernel(lambda: PassvSpec(lam, m, chi=chi).table(), mu, psi, phi, eta)
         images = {0: ({0: u1, 1: v1}, 0), 1: ({0: v1, 1: u1}, 0)}
         tables = [
             apply_loss(coherent_table(alpha, mode=0), mp.mpf(eta)),
-            apply_loss(moments.passv_moment_table(lam, m, chi=chi), mp.mpf(eta), mode=1),
+            apply_loss(PassvSpec(lam, m, chi=chi).table(), mp.mpf(eta), mode=1),
         ]
         return ports, images, tables, 2
     ports = _kernel(
-        lambda: moments.spatsv_moment_table(lam, m, chi=chi), mu, psi, phi, eta
+        lambda: SpatsvSpec(lam, m, chi=chi).table(), mu, psi, phi, eta
     )
     u2, v2 = _mzi(phi, 2)
     beta = alpha * mp.sqrt(eta)
     images = {0: ({0: u1}, v1 * beta), 1: ({1: u2}, v2 * beta)}
-    quantum = moments.spatsv_moment_table(lam, m, chi=chi)
+    quantum = SpatsvSpec(lam, m, chi=chi).table()
     tables = [apply_loss(quantum, mp.mpf(eta))]
     return ports, images, tables, 4
 
@@ -231,8 +231,8 @@ def test_loss_scales_port_moments_by_eta_to_the_order(scheme, seed):
 
         def quantum():
             if single:
-                return moments.passv_moment_table(lam, m, chi=chi)
-            return moments.spatsv_moment_table(lam, m, chi=chi)
+                return PassvSpec(lam, m, chi=chi).table()
+            return SpatsvSpec(lam, m, chi=chi).table()
 
         lossy = _kernel(quantum, mu, psi, phi, eta)
         # the same ports over thinned inputs: the quantum table and the

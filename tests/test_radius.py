@@ -18,6 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from photsub import moments, opalg
+from photsub.states import SpatsvSpec
 
 SHORT = st.integers(-8, 8)
 MANTISSAS = st.one_of(SHORT, st.integers(-(2**300), 2**300))
@@ -74,7 +75,7 @@ def test_fixed_from_keeps_every_value_of_its_ball(ball, bits):
 def test_a_truncation_that_drops_only_zero_bits_keeps_a_number_exact():
     # 1/2 read at 156 bits once carried 2 units of radius, and a certified
     # sum one; a dropped nonzero bit still adds them
-    re, im, err, exp = moments.spatsv_moment_table(0.5, 0).fixed((1, 1, 0, 0), 156)
+    re, im, err, exp = SpatsvSpec(0.5, 0).table().fixed((1, 1, 0, 0), 156)
     assert (re * Fraction(2) ** exp, im, err) == (Fraction(1, 2), 0, 0)
     for lost in (0, 1):
         re, im, err, exp = moments.fixed_from(-3 << 50, (5 << 48) + lost, 0, -7, 8)

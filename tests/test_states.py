@@ -39,7 +39,7 @@ def test_legendre_recurrence_values():
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6])
 def test_single_mode_norm_squared_matches_factorial_moment(lam, m):
     # the moment the default cutoff reads: the PASSV table's norm, one int / int
-    direct = _table_norm(moments.passv_moment_table(lam, m))
+    direct = _table_norm(PassvSpec(lam, m).table())
     assert abs(passv_norm_squared(lam, m) - direct) < 1e-10 * max(1.0, direct)
 
 
@@ -50,7 +50,7 @@ def _table_norm(table) -> float:
 @pytest.mark.parametrize("lam", [0.2, 1.0, 5.0])
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6])
 def test_two_mode_norm_squared_matches_factorial_moment(lam, m):
-    direct = _table_norm(moments.spatsv_moment_table(lam, m))
+    direct = _table_norm(SpatsvSpec(lam, m).table())
     assert abs(spatsv_norm_squared(lam, m) - direct) < 1e-10 * max(1.0, direct)
 
 
@@ -67,7 +67,7 @@ def test_two_mode_norm_squared_m1_closed_form():
 ])
 def test_single_mode_mean_photons_closed_forms_vs_fock(m, expected):
     lam = 0.8
-    val = states.passv_mean_photons(lam, m)
+    val = PassvSpec(lam, m).mean_photons
     assert abs(val - expected(lam)) < 1e-12
     numeric = mean_photons(fock.subtracted(PassvSpec(lam, m), cutoff=300))
     assert abs(val - numeric) < 1e-9
@@ -75,21 +75,21 @@ def test_single_mode_mean_photons_closed_forms_vs_fock(m, expected):
 
 def test_single_mode_mean_photons_m4_vs_fock():
     lam = 0.6
-    val = states.passv_mean_photons(lam, 4)
+    val = PassvSpec(lam, 4).mean_photons
     numeric = mean_photons(fock.subtracted(PassvSpec(lam, 4), cutoff=400))
     assert abs(val - numeric) < 1e-8
 
 
 def test_single_mode_mean_photons_at_zero_energy():
     # a^m on vacuum-limit squeezed vacuum leaves |0> (even m) or |1> (odd m)
-    assert states.passv_mean_photons(0.0, 4) == 0.0
-    assert states.passv_mean_photons(0.0, 5) == 1.0
+    assert PassvSpec(0.0, 4).mean_photons == 0.0
+    assert PassvSpec(0.0, 5).mean_photons == 1.0
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_two_mode_mean_photons_vs_fock(m):
     lam = 0.5
-    val = states.spatsv_mean_photons(lam, m)
+    val = SpatsvSpec(lam, m).mean_photons
     numeric = mean_photons_per_mode(fock.subtracted(SpatsvSpec(lam, m), cutoff=300))
     assert abs(val - numeric) < 1e-9
 
@@ -160,40 +160,44 @@ def test_single_seed_rejects_zero_energy():
 
 
 def test_balance_energy_round_trip():
-    for kind, mean in [
-        ("single", states.passv_mean_photons),
-        ("two_mode", states.spatsv_mean_photons),
-    ]:
+    for spec in (PassvSpec, SpatsvSpec):
         for m in range(1, 6):
             for target in (1.5, 7.5, 60.0, 1e3):
-                lam0 = states.balance_energy(target, m, kind)
-                assert abs(mean(lam0, m) - target) < 1e-12 * target
+                lam0 = states.balance_energy(target, m, spec.modes)
+                assert abs(spec(lam0, m).mean_photons - target) < 1e-12 * target
 
 
 def test_balance_energy_below_infimum():
     # odd-m single-mode subtracted states carry at least one photon
     with pytest.raises(OutOfRange):
-        states.balance_energy(0.5, 1, "single")
+        states.balance_energy(0.5, 1, 1)
 
 
-@pytest.mark.parametrize("kind", ["single", "two_mode"])
-def test_a_non_finite_balancing_target_is_a_value_error(kind):
+@pytest.mark.parametrize("spec", [PassvSpec, SpatsvSpec])
+def test_a_non_finite_balancing_target_is_a_value_error(spec):
     # a finite target below the infimum, negative ones too, is out of range;
     # inf and nan are no targets at all (inf raised OverflowError before)
     for target in (inf, -inf, float("nan")):
         with pytest.raises(ValueError, match="target_lam must be finite"):
-            states.balance_energy(target, 1, kind)
+            states.balance_energy(target, 1, spec.modes)
     with pytest.raises(OutOfRange):
-        states.balance_energy(-1.0, 1, kind)
+        states.balance_energy(-1.0, 1, spec.modes)
+
+
+@pytest.mark.parametrize("modes", [0, 3, "single", "two_mode", None])
+def test_balancing_refuses_a_mode_count_no_spec_has(modes):
+    # the spec's mode count is the one scheme key: no kind string names a map
+    with pytest.raises(ValueError, match="unknown mode count"):
+        states.balance_energy(2.0, 1, modes)
 
 
 @pytest.mark.parametrize("m", [1.5, None, float("nan"), inf])
 @pytest.mark.parametrize("call", [
-    lambda m: states.passv_mean_photons(0.5, m),
-    lambda m: states.spatsv_mean_photons(0.5, m),
-    lambda m: states.balance_energy(2.0, m, "single"),
-    lambda m: states.balance_energy(2.0, m, "two_mode"),
-], ids=["passv_mean_photons", "spatsv_mean_photons", "balance_single", "balance_two_mode"])
+    lambda m: PassvSpec(0.5, m).mean_photons,
+    lambda m: SpatsvSpec(0.5, m).mean_photons,
+    lambda m: states.balance_energy(2.0, m, 1),
+    lambda m: states.balance_energy(2.0, m, 2),
+], ids=["passv_mean_photons", "spatsv_mean_photons", "balance_passv", "balance_spatsv"])
 def test_a_mean_photon_map_of_a_bad_order_is_a_value_error(call, m):
     # the rule of the moment tables: before, each raised a bare TypeError
     with pytest.raises(ValueError, match="m must be a nonnegative integer"):
@@ -201,23 +205,23 @@ def test_a_mean_photon_map_of_a_bad_order_is_a_value_error(call, m):
 
 
 def _balancing_problems():
-    """(target, m, kind) over m 1-5, both maps, targets log-spread over
+    """(target, m, modes) over m 1-5, both maps, targets log-spread over
     1e-3 .. 1e3; odd-m PASSV only above its infimum of one photon."""
     for target in np.logspace(-3, 3, 25):
         for m in range(1, 6):
-            yield float(target), m, "two_mode"
+            yield float(target), m, 2
             if m % 2 == 0 or target > 1:
-                yield float(target), m, "single"
+                yield float(target), m, 1
 
 
-#: (target, m, kind) at the edges: just above an infimum, below 1e-14, at
+#: (target, m, modes) at the edges: just above an infimum, below 1e-14, at
 #: the extremes of the float range and where the root is exactly 0
 _EDGE_PROBLEMS = [
-    (1 + 2**-50, 1, "single"), (1 + 2**-50, 3, "single"), (1 + 2**-52, 5, "single"),
-    (1e-15, 2, "single"), (1e-15, 2, "two_mode"), (1e-300, 4, "single"),
-    (1e-300, 3, "two_mode"), (5e-324, 1, "two_mode"), (1e16, 3, "single"),
-    (1e17, 4, "two_mode"), (1e200, 2, "single"), (1e200, 5, "two_mode"),
-    (1.7e308, 1, "two_mode"), (1.0, 1, "single"), (0.0, 2, "single"), (0.0, 3, "two_mode"),
+    (1 + 2**-50, 1, 1), (1 + 2**-50, 3, 1), (1 + 2**-52, 5, 1),
+    (1e-15, 2, 1), (1e-15, 2, 2), (1e-300, 4, 1),
+    (1e-300, 3, 2), (5e-324, 1, 2), (1e16, 3, 1),
+    (1e17, 4, 2), (1e200, 2, 1), (1e200, 5, 2),
+    (1.7e308, 1, 2), (1.0, 1, 1), (0.0, 2, 1), (0.0, 3, 2),
 ]
 
 
@@ -229,19 +233,19 @@ def _midpoint(x: float, direction: float) -> Fraction:
 def test_balancing_roots_are_correctly_rounded(problems):
     # the exact map crosses the target between the midpoints around the root
     cases = list(_balancing_problems()) if problems == "grid" else _EDGE_PROBLEMS
-    for target, m, kind in cases:
-        root = states.balance_energy(target, m, kind)
-        assert reference.mean_photons_exact(kind, _midpoint(root, inf), m) >= target
+    for target, m, modes in cases:
+        root = states.balance_energy(target, m, modes)
+        assert reference.mean_photons_exact(modes, _midpoint(root, inf), m) >= target
         if root > 0:  # no lam < 0 competes with a root of 0
-            assert reference.mean_photons_exact(kind, _midpoint(root, 0.0), m) < target
+            assert reference.mean_photons_exact(modes, _midpoint(root, 0.0), m) < target
 
 
 def test_a_target_just_above_the_infimum_has_a_positive_root():
     # a tolerance on the map's value at 0 once returned 0 for every target
     # within 1e-14 of it: 1 + 2^-50 then fell below the odd-m infimum
-    assert states.balance_energy(1 + 2**-50, 1, "single") == 2.0**-50 / 3
+    assert states.balance_energy(1 + 2**-50, 1, 1) == 2.0**-50 / 3
     # the m = 2 pair map is 9 lam (1 + O(lam)) near 0
-    assert states.balance_energy(1e-15, 2, "two_mode") == pytest.approx(1e-15 / 9, rel=1e-14, abs=0)
+    assert states.balance_energy(1e-15, 2, 2) == pytest.approx(1e-15 / 9, rel=1e-14, abs=0)
     rows = run_sweep(SweepConfig(scheme="single", axis="lam", values=(1 + 2**-50,), m_list=(1,),
                                  metrics=("snl", "qfi"), balanced=True)).rows
     assert [row.flag for row in rows] == ["ok", "ok"]
@@ -274,15 +278,14 @@ def test_balancing_bounds_its_exact_evaluations(monkeypatch):
     assert max(counts[: len(list(_balancing_problems()))]) == 3
 
 
-@pytest.mark.parametrize(
-    "kind, name", [("single", "passv_mean_photons"), ("two_mode", "spatsv_mean_photons")]
-)
-def test_balancing_evaluates_the_mean_photon_map_once_per_point(monkeypatch, kind, name):
+@pytest.mark.parametrize("spec", [PassvSpec, SpatsvSpec])
+def test_balancing_evaluates_the_mean_photon_map_once_per_point(monkeypatch, spec):
     # the root reads the exact map, never the rounded public one, and no
     # point twice
     points = _exact_evaluations(monkeypatch)
-    monkeypatch.setattr(states, name, lambda lam, m: pytest.fail("rounded map read"))
-    states.balance_energy(7.5, 2, kind)
+    monkeypatch.setattr(states._SubtractionSpec, "mean_photons",
+                        property(lambda self: pytest.fail("rounded map read")))
+    states.balance_energy(7.5, 2, spec.modes)
     assert 2 <= len(points) <= 3
     assert len(points) == len(set(points))
 
@@ -291,14 +294,14 @@ def test_balancing_evaluates_the_mean_photon_map_once_per_point(monkeypatch, kin
 @settings(max_examples=40, deadline=None)
 def test_mean_photons_dominate_pre_subtraction_energy(lam, m):
     # subtraction never lowers the mean energy of a squeezed vacuum
-    assert states.passv_mean_photons(lam, m) >= lam - 1e-12
+    assert PassvSpec(lam, m).mean_photons >= lam - 1e-12
 
 
 @given(lam=st.floats(min_value=1e-3, max_value=20.0), m=st.integers(1, 3))
 @settings(max_examples=30, deadline=None)
 def test_balance_round_trip_property(lam, m):
-    target = states.passv_mean_photons(lam, m)
-    lam0 = states.balance_energy(target, m, "single")
+    target = PassvSpec(lam, m).mean_photons
+    lam0 = states.balance_energy(target, m, 1)
     assert abs(lam0 - lam) < 1e-7 * max(1.0, lam)
 
 

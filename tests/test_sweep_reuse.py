@@ -18,7 +18,7 @@ from photsub.states import PassvSpec, SpatsvSpec
 
 
 def _counted(monkeypatch, module, name) -> list:
-    """Count the calls of ``module.name``; returns the list of their args."""
+    """Count the calls of ``module.name`` (or a class's method); returns the list of their args."""
     calls = []
     fn = getattr(module, name)
 
@@ -40,7 +40,7 @@ def _sweep(**kwargs):
 
 def test_eta_sweep_builds_port_moments_once_per_order_and_jet(monkeypatch):
     compiled = _counted(monkeypatch, opalg, "PortCoefficients")
-    inputs = _counted(monkeypatch, moments, "spatsv_moment_table")
+    inputs = _counted(monkeypatch, SpatsvSpec, "table")
     _sweep(axis="eta", values=(0.6, 0.8, 1.0))
     # one compilation per m serves the values and the analytic derivatives
     assert len(compiled) == 2
@@ -50,7 +50,7 @@ def test_eta_sweep_builds_port_moments_once_per_order_and_jet(monkeypatch):
 def test_phi_sweep_builds_one_input_table_per_order(monkeypatch):
     compiled = _counted(monkeypatch, opalg, "PortCoefficients")
     ports = _counted(monkeypatch, opalg, "PortMoments")
-    inputs = _counted(monkeypatch, moments, "spatsv_moment_table")
+    inputs = _counted(monkeypatch, SpatsvSpec, "table")
     _sweep(axis="phi", values=(1e-7, 1e-6, 1e-5))
     assert len(inputs) == 2
     # the coefficients are compiled without phi: once per m, summed per point
@@ -203,7 +203,7 @@ def test_memos_stay_bounded(memos):
 def test_a_memoised_table_fills_at_its_own_digits():
     # each family reads its table at its own bits, whatever the caller's
     # mpmath precision, and families at other digits share no entry
-    key, fresh = (2, 2, 2, 2), moments.spatsv_moment_table(2.0, 2, chi=0.0)
+    key, fresh = (2, 2, 2, 2), SpatsvSpec(2.0, 2, chi=0.0).table()
     for digits in (50, 20):
         coefficients = metrology._port_coefficients(SpatsvSpec(2.0, 2), 1e12, pi / 2, digits)
         with mp.workdps(70 - digits):

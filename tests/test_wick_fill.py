@@ -17,7 +17,8 @@ import mpmath as mp
 import pytest
 
 import reference
-from photsub import moments, states
+from photsub import moments
+from photsub.states import PassvSpec, SpatsvSpec
 from reference import fixed_value
 
 WORKING_DIGITS = 40
@@ -28,8 +29,8 @@ def _keys(arity: int, order: int) -> list:
 
 
 def _table(arity: int, lam, m: int, chi):
-    build = moments.passv_moment_table if arity == 1 else moments.spatsv_moment_table
-    return build(lam, m, chi=chi)
+    spec = PassvSpec if arity == 1 else SpatsvSpec
+    return spec(lam, m, chi=chi).table()
 
 
 @pytest.mark.parametrize("m", range(4))
@@ -105,8 +106,7 @@ def test_diagonal_vacuum_moments_are_the_exact_rationals_floored_once():
     # over the norm 1 at m = 0, so the fill's one rounding floors it
     for lam in _LAMS:
         for arity, wick in ((1, moments._wick_terms_1m), (2, moments._wick_terms_2m)):
-            vacuum = moments.passv_moment_table if arity == 1 else moments.spatsv_moment_table
-            vacuum = vacuum(lam, 0)
+            vacuum = (PassvSpec if arity == 1 else SpatsvSpec)(lam, 0).table()
             for key in _keys(arity, 10):
                 if key[0::2] != key[1::2]:
                     continue
@@ -127,8 +127,7 @@ def test_vacuum_moments_lie_within_three_roundings_of_the_per_entry_sums(chi):
         for arity, reference_moment, wick in (
                 (1, reference.vacuum_moment_1m, moments._wick_terms_1m),
                 (2, reference.vacuum_moment_2m, moments._wick_terms_2m)):
-            vacuum = moments.passv_moment_table if arity == 1 else moments.spatsv_moment_table
-            vacuum = vacuum(lam, 0, chi=chi)
+            vacuum = (PassvSpec if arity == 1 else SpatsvSpec)(lam, 0, chi=chi).table()
             for key in _keys(arity, 10):
                 got = vacuum.fixed(key, bits)
                 with mp.workdps(100):
@@ -162,19 +161,19 @@ def test_the_mean_photon_entries_round_to_the_mean_photon_maps():
     for lam in _LAMS[1:] + (3.3e149, 5e299):
         for m in range(7):
             with mp.workdps(60 + 2 * max(0, int(log10(lam)))):
-                single = reference.entry(moments.passv_moment_table(lam, m), (1, 1))
-                pair = reference.entry(moments.spatsv_moment_table(lam, m), (1, 1, 0, 0))
-            assert float(single.real).hex() == states.passv_mean_photons(lam, m).hex(), (lam, m)
-            assert float(pair.real).hex() == states.spatsv_mean_photons(lam, m).hex(), (lam, m)
+                single = reference.entry(PassvSpec(lam, m).table(), (1, 1))
+                pair = reference.entry(SpatsvSpec(lam, m).table(), (1, 1, 0, 0))
+            assert float(single.real).hex() == PassvSpec(lam, m).mean_photons.hex(), (lam, m)
+            assert float(pair.real).hex() == SpatsvSpec(lam, m).mean_photons.hex(), (lam, m)
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda lam: moments.passv_moment_table(lam, 0),
-        lambda lam: moments.spatsv_moment_table(lam, 0),
-        lambda lam: moments.passv_moment_table(lam, 2),
-        lambda lam: moments.spatsv_moment_table(lam, 1),
+        lambda lam: PassvSpec(lam, 0).table(),
+        lambda lam: SpatsvSpec(lam, 0).table(),
+        lambda lam: PassvSpec(lam, 2).table(),
+        lambda lam: SpatsvSpec(lam, 1).table(),
         lambda lam: moments.spatsv_seed_moment_table(lam, 1),
     ],
     ids=("vacuum_1m", "vacuum_2m", "passv", "spatsv", "seed"),
@@ -192,16 +191,16 @@ def test_mean_photon_maps_are_bit_identical_to_the_per_entry_sums():
     # 3 lam + 1 (m = 1) at lam = 1e150 lies a tie away from a float, and the
     # + 1 that breaks the tie is lost (5 such points on this grid)
     grid = [(lam, m) for lam in _LAMS + (3.3e149, 5e299) for m in range(7)]
-    for kind, mean, vacuum_moment in (
-        ("single", states.passv_mean_photons, reference.vacuum_moment_1m),
-        ("two_mode", states.spatsv_mean_photons, reference.vacuum_moment_2m),
+    for spec, vacuum_moment in (
+        (PassvSpec, reference.vacuum_moment_1m),
+        (SpatsvSpec, reference.vacuum_moment_2m),
     ):
         for lam, m in grid:
             if lam == 0:
-                want = float(m % 2) if kind == "single" and m else 0.0
+                want = float(m % 2) if spec.modes == 1 and m else 0.0
             else:
-                key = [m + 1] * 2 + ([m] * 2 if kind == "two_mode" else [])
+                key = [m + 1] * 2 + [m] * 2 * (spec.modes - 1)
                 with mp.workdps(60 + 2 * max(0, int(log10(lam)))):
                     ratio = vacuum_moment(*key, lam) / vacuum_moment(*[m] * len(key), lam)
                 want = float(ratio.real)
-            assert mean(lam, m).hex() == want.hex(), (kind, lam, m)
+            assert spec(lam, m).mean_photons.hex() == want.hex(), (spec, lam, m)
