@@ -36,10 +36,12 @@ from .errors import MomentOrderMissing, NullState, PrecisionInsufficient, check
 
 START_DIGITS = 30  # the working digits of a figure's first attempt
 MAX_DIGITS = 1000  # of its last (:func:`retried`)
-#: entries of each per-point or per-family memo (an LRU): a sweep runs every
-#: order (at most 5 in a preset) at one axis value before the next, so this
-#: holds the orders of the last few points and stays flat for a long-lived
-#: caller; a process-constant table is an unbounded cache of finite keys
+#: entries of each per-point, per-family or per-coherent-state memo (an LRU,
+#: the last one the displacements every family at one (mu, psi, bits) reads):
+#: a sweep runs every order (at most 5 in a preset) at one axis value before
+#: the next, so this holds the orders of the last few points and stays flat
+#: for a long-lived caller; a process-constant table is an unbounded cache of
+#: finite keys
 MEMO_SIZE = 16
 
 # ---------------------------------------------------------------------------
@@ -430,11 +432,12 @@ class MomentTable:
         if not self.norm:
             raise NullState("photon subtraction annihilates the vacuum")
         self.g2 = self.n * (self.n + (1 << self.shift))  # g^2 2^(2 shift)
+        self._roots = {}  # bits -> g 2^(shift + t) as (isqrt, 1 if inexact, t)
 
     def fixed(self, key: tuple, bits: int) -> tuple:
         """The entry ``key`` as a :func:`fixed_from` number, in integers alone: the
-        ratio floor(P 2^k / Q) and g, an isqrt, each of bits + 1 bits or more and
-        within a unit, 0 where exact, times the phase (:class:`Phases`)."""
+        ratio floor(P 2^k / Q) and g, an isqrt taken once per bits, each of bits + 1
+        bits or more and within a unit, 0 where exact, times the phase (:class:`Phases`)."""
         if len(key) != 2 * len(self.modes):
             raise MomentOrderMissing(f"key {key} does not match arity {len(self.modes)}")
         turns, poly, odd, degree = _lam_free(self.source, self.m, key)
@@ -445,11 +448,15 @@ class MomentTable:
         man, rest = divmod(num << k, self.norm) if k >= 0 else divmod(num, self.norm << -k)
         err, exp = int(rest > 0), self.shift * (self.norm_degree - degree) - k
         if odd:  # an exact 0 at lam = 0
-            t = max(0, bits + 2 - self.g2.bit_length() // 2)
-            g = isqrt(self.g2 << 2 * t)
-            off = int(g * g < self.g2 << 2 * t)
+            if bits not in self._roots:  # one isqrt per bits
+                t = max(0, bits + 2 - self.g2.bit_length() // 2)
+                g = isqrt(self.g2 << 2 * t)
+                self._roots[bits] = g, int(g * g < self.g2 << 2 * t), t
+            g, off, t = self._roots[bits]
             man, err, exp = man * g, man * off + (g + off) * err, exp - self.shift - t
-        return fixed_mul((man, 0, err, exp), self.phases[turns, bits + 2], bits)
+        phase = self.phases[turns, bits + 2]  # times ONE is a truncation alone
+        return fixed_from(man, 0, err, exp, bits) if phase is ONE else fixed_mul(
+            (man, 0, err, exp), phase, bits)
 
     def entry(self, key) -> complex:
         """Entry ``key`` as a complex float, for inspection."""

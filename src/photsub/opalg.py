@@ -16,8 +16,10 @@ k = a + b and omega^(a-b) conj(omega) z x^((k-1)/2) y^((2n-k-1)/2) for odd k.
 So an observable sum w F(i, j) under detection loss eta is
 sum_n sum_k G(n, k) eta^n M(n, k): :class:`PortCoefficients` folds each row G
 once per family and observable, exactly, with its summands' radii, from a
-flat plan built once per process (:func:`_plan`).  M's powers of x, y and z
-add up to n, so eta^n M(n, k) is M(n, k) of eta x, eta y and eta z: a
+flat plan built once per process (:func:`_plan`) and the one block of
+displacements per (mu, psi, bits), which every family there reads
+(:data:`_displacements`).  M's powers of x, y and z add up to n, so
+eta^n M(n, k) is M(n, k) of eta x, eta y and eta z: a
 :class:`PortPoint` scales its entries by eta once (:func:`photsub.moments.thin`,
 the one loss law) and keeps the monomials for every family read there, and
 a point is one certified sum of the two (:meth:`PortMoments.expect`).
@@ -31,13 +33,13 @@ port until the map has moved port A's k and then port B's.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 from math import comb, factorial
 
 from .moments import (
-    ONE, Bounded, MomentTable, Phases, certified_sum, fixed_from, fixed_mul, fixed_times,
-    man_exp, thin,
+    MEMO_SIZE, ONE, Bounded, MomentTable, Phases, certified_sum, fixed_from, fixed_mul,
+    fixed_times, man_exp, thin,
 )
 
 _GUARD_BITS = 10  # kept over the working bits: ~1/1000 of its last unit per term
@@ -145,12 +147,34 @@ def _exact_sum(summands):
     return (re, im, err, low) if re or im or err else None
 
 
+class _Displacements(dict):
+    """(m, m2) -> conj(alpha)^m alpha^m2 = mu^((m + m2)/2) e^{i psi (m2 - m)} as a
+    fixed-point number, its radius the phase's times mu^((m + m2)/2): exact where
+    m = m2 and it fits in the ``bits``, formed on first read for every family and
+    plan at mean photons ``mu``, an exact (man, exp) pair, and phase ``psi``."""
+
+    def __init__(self, mu: tuple, psi: float, bits: int):
+        self.mu, self.phases, self.bits = mu, Phases(psi), bits
+
+    def __missing__(self, mm2: tuple) -> tuple:
+        (man, exp), (m, m2) = self.mu, mm2
+        k = (m + m2) // 2
+        phase = fixed_times(self.phases[m2 - m, self.bits + 2], man**k, -exp * k)
+        self[mm2] = shift = fixed_from(*phase, self.bits)
+        return shift
+
+
+#: the one displacement block per (mu, psi, bits), read by every family and plan there
+_displacements = lru_cache(maxsize=MEMO_SIZE)(_Displacements)
+
+
 class PortCoefficients:
     """The phi- and eta-free rows G of a scene family's port moments.
 
     The family is a lossless quantum input ``table``, whose arity (one mode
     or two) sets the scheme, and a coherent state of mean photons ``mu``,
-    a float read exactly, and phase ``psi``, at ``bits`` working bits.
+    a float read exactly, and phase ``psi``, at ``bits`` working bits, whose
+    displacements it reads from the block they key (:data:`_displacements`).
     The table keeps the selection rules of the subtracted squeezed vacua:
     <a^dag^p a^q> = 0 for odd p - q, <a1^dag^p a1^q a2^dag^r a2^s> = 0 unless
     p - q = r - s.
@@ -158,37 +182,25 @@ class PortCoefficients:
 
     def __init__(self, table: MomentTable, mu, psi: float, bits: int):
         self.table, self.bits, self.single = table, bits + _GUARD_BITS, len(table.modes) == 1
-        self._mu, self._phases = man_exp(mu), Phases(psi)
-        self._moments, self._displacements, self._products, self._folds = {}, {}, {}, {}
-
-    def moment(self, key: tuple) -> tuple:
-        """The input table's entry ``key`` as a fixed-point number, kept per key."""
-        if key not in self._moments:
-            self._moments[key] = self.table.fixed(key, self.bits)
-        return self._moments[key]
-
-    def displacement(self, m: int, m2: int) -> tuple:
-        """conj(alpha)^m alpha^m2 = mu^((m + m2)/2) e^{i psi (m2 - m)} as a
-        fixed-point number, its radius the phase's times mu^((m + m2)/2):
-        exact where m = m2 and it fits in the bits."""
-        if (m, m2) not in self._displacements:
-            (man, exp), k = self._mu, (m + m2) // 2
-            phase = fixed_times(self._phases[m2 - m, self.bits + 2], man**k, -exp * k)
-            self._displacements[m, m2] = fixed_from(*phase, self.bits)
-        return self._displacements[m, m2]
+        self.displacements = _displacements(man_exp(mu), psi, self.bits)
+        self._moments, self._products, self._folds = {}, {}, {}
 
     def fold(self, plan: _Plan) -> list:
         """[(n, k, G(n, k))] of the observable, or its derivative, of ``plan``
         (:func:`_plan`), kept per plan: each G an :func:`_exact_sum` of
-        products formed once per family, times the derivative's factor."""
+        displacement-entry products formed once per family, times the
+        derivative's factor."""
         rows = self._folds.get(plan)
         if rows is None:
-            products, rows = [], []
-            for key, m, m2 in plan.products:
-                if (key, m, m2) not in self._products:
-                    self._products[key, m, m2] = fixed_mul(
-                        self.displacement(m, m2), self.moment(key), self.bits)
-                products.append(self._products[key, m, m2])
+            bits, table, entries, shifts = self.bits, self.table, self._moments, self.displacements
+            formed, products, rows = self._products, [], []
+            for term in plan.products:
+                h = formed.get(term)
+                if h is None:
+                    key, m, m2 = term
+                    entry = entries.get(key) or entries.setdefault(key, table.fixed(key, bits))
+                    h = formed[term] = fixed_mul(shifts[m, m2], entry, bits)
+                products.append(h)
             for n, k, ids, ws in plan.rows:
                 g = _exact_sum(zip(ws, map(products.__getitem__, ids)))
                 if g:

@@ -324,7 +324,7 @@ def port_coefficients(table, mu, psi: float, bits: int) -> opalg.PortCoefficient
     """The :class:`photsub.opalg.PortCoefficients` of a family whose mean
     photons ``mu`` may be an mpmath real past a float's 53 bits, read exactly."""
     coefficients = opalg.PortCoefficients(table, 0.0, psi, bits)
-    coefficients._mu = man_exp_exact(mu)
+    coefficients.displacements = opalg._displacements(man_exp_exact(mu), psi, coefficients.bits)
     return coefficients
 
 
@@ -379,7 +379,7 @@ def row_folds(family: opalg.PortCoefficients, reads) -> dict:
     family's table, mu and psi, each row summed by :func:`_row_sum`, and
     every row times its derivative's factor, 1 included.  The reference the
     flat fold plans are checked against, tuple for tuple."""
-    bits, (man, exp), products, out = family.bits, family._mu, {}, {}
+    bits, (man, exp), products, out = family.bits, family.displacements.mu, {}, {}
     for weights, turn, derivative in reads:
         rows = []
         for (n, k), row in opalg._rows(family.single, weights, turn, derivative).items():
@@ -387,7 +387,7 @@ def row_folds(family: opalg.PortCoefficients, reads) -> dict:
             for key, m, m2, w in row:
                 if (key, m, m2) not in products:
                     power = (m + m2) // 2
-                    phase = row_phase(family._phases, m2 - m, bits + 2)
+                    phase = row_phase(family.displacements.phases, m2 - m, bits + 2)
                     shift = moments.fixed_from(
                         *moments.fixed_times(phase, man**power, -exp * power), bits)
                     products[key, m, m2] = moments.fixed_mul(

@@ -1,6 +1,6 @@
 """The integer forms of a family's inputs: table entries
 (:meth:`photsub.moments.MomentTable.fixed`) and coherent displacements
-(:meth:`photsub.opalg.PortCoefficients.displacement`).  Each lies within its
+(the shared block :func:`photsub.opalg._displacements`).  Each lies within its
 own radius, a few units of its last bit, of the per-entry values of
 :mod:`reference`, formed far beyond ``bits``; a key the selection rule zeroes
 is an exact 0, radius 0, that costs no arithmetic and that no compile asks
@@ -94,15 +94,20 @@ def _coefficients(mu, psi, bits, arity=1):
     return opalg.PortCoefficients(spec(0.3, 1).table(), mu, psi, bits)
 
 
+def _displacements(mu, psi, bits):
+    """The displacement block a family at (mu, psi, bits) reads."""
+    return _coefficients(mu, psi, bits).displacements
+
+
 @pytest.mark.parametrize("mu", (0.0, 1.0, 3.0, 0.1, 1e12, 2.5e-7))
 def test_diagonal_displacements_are_exact_powers_of_mu(mu):
     for bits in BITS:
-        coefficients = _coefficients(mu, 0.7, bits)
+        block = _displacements(mu, 0.7, bits)
         for m in range(5):
             exact = Fraction(mu) ** m
-            if exact and exact.numerator.bit_length() > coefficients.bits:
+            if exact and exact.numerator.bit_length() > block.bits:
                 continue  # does not fit: truncated, and its radius says so
-            re, im, err, exp = coefficients.displacement(m, m)
+            re, im, err, exp = block[m, m]
             assert (im, err) == (0, 0), (mu, m, bits)
             assert Fraction(re) * Fraction(2) ** exp == exact, (mu, m, bits)
 
@@ -111,15 +116,14 @@ def test_diagonal_displacements_are_exact_powers_of_mu(mu):
 @pytest.mark.parametrize("mu", (1.0, 0.1, 37.25, 1e12))
 def test_displacements_lie_within_their_radius(mu, psi):
     for bits in BITS:
-        coefficients = _coefficients(mu, psi, bits)
+        block = _displacements(mu, psi, bits)
         with mp.workprec(REFERENCE_PREC):
             alpha = mp.sqrt(mp.mpf(mu)) * mp.expj(mp.mpf(psi))
             for m, m2 in itertools.product(range(5), repeat=2):
                 if (m + m2) % 2:
                     continue  # no key the selection rule leaves reads these
                 want = mp.conj(alpha) ** m * alpha**m2
-                got = coefficients.displacement(m, m2)
-                _assert_within_radius(got, want, (mu, psi, m, m2, coefficients.bits))
+                _assert_within_radius(block[m, m2], want, (mu, psi, m, m2, block.bits))
 
 
 @pytest.mark.parametrize("arity", (1, 2), ids=("single", "pair"))

@@ -103,7 +103,7 @@ def test_alternating_phases_on_one_family_give_fresh_values(memos):
 
 #: the work of a family's derivative constants (they read input entries and
 #: displacements) and of the observables' weights (formed at import)
-_FAMILY_WORK = ((opalg.PortCoefficients, "moment"), (opalg.PortCoefficients, "displacement"),
+_FAMILY_WORK = ((moments.MomentTable, "fixed"), (opalg._Displacements, "__missing__"),
                 (opalg, "normal_ordered"), (metrology, "_times"))
 
 
@@ -126,6 +126,20 @@ def test_a_phase_point_forms_no_family_constant_or_weight(monkeypatch, memos, sw
     # six points read what one point reads: every read is per family
     assert counts[1] == counts[0]
     assert counts[0][2:] == [0, 0]
+
+
+def test_families_at_one_coherent_state_share_its_displacements(monkeypatch, memos):
+    # the displacements depend on (mu, psi, bits) alone: a second family
+    # there, another lam, forms no displacement and asks for no phase
+    _sweep(axis="phi", values=(1e-6,), m_list=(2,))
+    compiled = _counted(monkeypatch, opalg, "PortCoefficients")
+    phases = _counted(monkeypatch, moments, "cos_sin")
+    shifts = _counted(monkeypatch, opalg, "fixed_from")
+    _sweep(axis="phi", values=(1e-6,), m_list=(2,), lam=0.5)
+    assert len(compiled) == 1
+    assert phases == []
+    assert shifts == []
+    assert opalg._displacements.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
 def test_balanced_sweep_solves_each_root_once(monkeypatch):
@@ -183,7 +197,7 @@ _PROCESS_TABLES = {moments._pi, moments._lam_free, opalg._plan, states._mean_pho
 
 def test_memos_stay_bounded(memos):
     bounded = {metrology._port_coefficients, metrology._mzi_entries, metrology._point,
-               states._balance_root}
+               opalg._displacements, states._balance_root}
     assert bounded <= set(memos)
     # a new unbounded memo has to join _PROCESS_TABLES, a visible decision
     assert {memo for memo in memos if memo.cache_info().maxsize is None} == _PROCESS_TABLES
@@ -193,6 +207,9 @@ def test_memos_stay_bounded(memos):
     # the point memos key on phi, so a phase sweep drives them past their size
     run_sweep(SweepConfig(scheme="single", axis="phi", values=values, m_list=(1,),
                           metrics=("U",), mu=100.0))
+    # the displacement block keys on mu, so a mu sweep drives it past its size
+    run_sweep(SweepConfig(scheme="single", axis="mu", values=values, m_list=(1,),
+                          metrics=("U",)))
     for memo in set(memos) - _PROCESS_TABLES:
         info = memo.cache_info()
         assert info.maxsize == moments.MEMO_SIZE
@@ -208,7 +225,7 @@ def test_a_memoised_table_fills_at_its_own_digits():
         coefficients = metrology._port_coefficients(SpatsvSpec(2.0, 2), 1e12, pi / 2, digits)
         with mp.workdps(70 - digits):
             coefficients.fold(opalg._plan(False, (((2, 2), 1),), 1j, None))
-            entry = coefficients.moment(key)
+            entry = coefficients._moments[key]
         assert entry == fresh.fixed(key, coefficients.bits)
         assert max(abs(entry[0]), abs(entry[1])).bit_length() == coefficients.bits
 
