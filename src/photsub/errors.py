@@ -72,7 +72,7 @@ _MAX = float_info.max  # a finite real lies within it either side
 PARAMETERS = {
     **dict.fromkeys(("lam", "mu", "r"), (0.0, _MAX, "finite and >= 0", False, False)),
     **dict.fromkeys(("eta", "tau", "one_minus_tau"), (0.0, 1.0, "in [0, 1]", False, False)),
-    **dict.fromkeys(("phi", "psi", "chi", "target_lam"), (-_MAX, _MAX, "finite", False, False)),
+    **dict.fromkeys(("phi", "psi", "target_lam"), (-_MAX, _MAX, "finite", False, False)),
     "fq": (-inf, inf, "a real number", False, False),
     "m": (0, MAX_ORDER, "a nonnegative integer", True, False),
     **dict.fromkeys(("cutoff", "quantum_cutoff"),

@@ -50,7 +50,7 @@ from .errors import (
 from .metrology import CorrelatedConfig, SingleMziConfig, phi_for_tau
 from .states import balance_energy
 
-AXES = ("lam", "mu", "eta", "phi", "psi", "chi", "one_minus_tau")
+AXES = ("lam", "mu", "eta", "phi", "psi", "one_minus_tau")
 FLAG_OK = "ok"
 FLAG_SINGULAR = "singular"
 FLAG_OUT_OF_RANGE = "out_of_range"
@@ -73,7 +73,6 @@ class SweepConfig:
     psi: float = 0.0
     phi: float = pi / 2
     eta: float = 1.0
-    chi: float = 0.0
     balanced: bool = False
     preset: str | None = None
 
@@ -146,12 +145,12 @@ def _scene_params(cfg: SweepConfig, axis_value: float) -> dict:
     return p
 
 
-def _scene(scheme: str, m: int, *, lam, mu, phi, psi, eta, chi=0.0, balanced=False):
+def _scene(scheme: str, m: int, *, lam, mu, phi, psi, eta, balanced=False):
     """The interferometer config of one point, its energy balanced at most once."""
     config = _SCHEMES[scheme]
     if balanced and m > 0:
         lam = balance_energy(lam, m, config.spec.modes)
-    return config(config.spec(lam, m, chi), mu=mu, phi=phi, psi=psi, eta=eta)
+    return config(config.spec(lam, m), mu=mu, phi=phi, psi=psi, eta=eta)
 
 
 def _snl(cfg) -> float:
@@ -167,7 +166,7 @@ def _quadrature(build, n_key: tuple, pair_key: tuple):
     """The variance of a point's squeezed quadrature from two entries of its
     table ``build(spec)``: the photon number ``n_key`` and the pair
     correlation ``pair_key``.  The selection rules zero every mean and cross
-    term, so Var = eta (n - Re pair) + 1/2; the two nearly cancel at strong
+    term, so Var = eta (n - pair) + 1/2; the two nearly cancel at strong
     squeezing, so the sum is a certified ball, correctly rounded as every
     engine figure is (:func:`photsub.moments.retried`).
     """
@@ -199,12 +198,7 @@ _METRICS = {
         "nrf": metrology.nrf,
         "mean_photons": lambda c: c.quantum.mean_photons,
         "mandel_q": metrology.mandel_q,
-        # <a1 a2> carries e^{i chi}, and the difference quadrature is read at
-        # its squeezed angle chi/2, whose e^{-i chi} cancels that phase
-        # exactly: the variance does not depend on chi, so the pair tables
-        # are read at chi = 0
-        "quad_diff_var": _quadrature(
-            lambda s: replace(s, chi=0.0).table(), (1, 1, 0, 0), (0, 1, 0, 1)),
+        "quad_diff_var": _quadrature(lambda s: s.table(), (1, 1, 0, 0), (0, 1, 0, 1)),
         "quad_diff_var_seed": _quadrature(
             lambda s: moments.spatsv_seed_moment_table(s.lam, s.m), (1, 1, 0, 0), (0, 1, 0, 1)
         ),
@@ -433,13 +427,13 @@ def _joint_distribution_preset() -> SweepResult:
 # Config files
 # ---------------------------------------------------------------------------
 
-_FLOAT_KEYS = ("lam", "mu", "psi", "phi", "eta", "chi")
+_FLOAT_KEYS = ("lam", "mu", "psi", "phi", "eta")
 _NAMED_PHASES = {"pi/2": pi / 2, "pi": pi, "pi/4": pi / 4, "0": 0.0}
 
 
 def parse_config(path: str) -> dict:
-    """Read a flat key = value file; '#' starts a comment, commas make lists."""
-    data = {}
+    """Read a flat key = value file, each key once; '#' starts a comment, commas make lists."""
+    data, lines = {}, {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -451,8 +445,10 @@ def parse_config(path: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigInvalid(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        data[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in lines:
+            raise ConfigInvalid(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+        data[key], lines[key] = value, lineno
     return data
 
 

@@ -7,10 +7,10 @@ to validate the symbolic moment engine on its own scene, a config of
 one amplitude function n -> <n|state>; one filler turns it into an array, by
 default up to the least level whose tail mass is below TAIL_TOL plus
 CUTOFF_MARGIN levels, and checks a given cutoff, and before any fill a
-squeezed state's floor, against that tail.  The squeezing angle turns the
-filled real levels last (:meth:`_FockState.turned`).  Photon subtraction is
-one map of amplitude functions, a^m on each mode (:func:`_lowered`), filled
-once per :mod:`photsub.states` spec by :func:`subtracted`.  The MZI turns the
+squeezed state's floor, against that tail.  Every level is real: the one
+relative phase is the coherent port's.  Photon subtraction is one map of
+amplitude functions, a^m on each mode (:func:`_lowered`), filled once per
+:mod:`photsub.states` spec by :func:`subtracted`.  The MZI turns the
 coherent port's displacement into one displacement of each output port around
 the closed-form image of |0> (x) |quantum>: a real plane of normalised
 Laguerre functions, filled by a recurrence over the nq quantum levels, between
@@ -21,7 +21,7 @@ nq x nq Gram matrix per count.
 
 Conventions
 -----------
-Single-mode squeezing at chi=0 squeezes the Y = (a - a^dag)/(i sqrt 2)
+S(r) squeezes the Y = (a - a^dag)/(i sqrt 2)
 quadrature: Var(Y) = exp(-2r)/2.  Mean photon number of S(r)|0> is sinh^2(r).
 The 50:50 interferometer map is
 
@@ -65,14 +65,6 @@ class _FockState:
         if norm < NULL_THRESHOLD:
             raise NullState("cannot normalize a null state")
         return type(self)(self.amplitudes / norm)
-
-    def turned(self, chi: float, first: int = 0) -> "_FockState":
-        """Normalized, level n turned by e^{i chi floor((first + n) modes/2)}: the squeezing
-        angle chi of a parent whose level first + n it is, which moves no level's mass."""
-        amps = self.amplitudes
-        if chi:  # e^0 = 1 turns nothing
-            amps = amps * np.exp(1j * chi * ((np.arange(len(amps)) + first) * self.modes // 2))
-        return type(self)(amps).normalized()
 
 
 @dataclass(frozen=True)
@@ -161,31 +153,29 @@ def _lowered(amplitude, m: int, modes: int, shift: int = 0):
     return lowered
 
 
-def squeezed_vacuum(r: float, chi: float = 0.0, cutoff: int | None = None) -> FockState1:
-    """Single-mode squeezed vacuum S(r e^{i chi})|0> with <N> = sinh^2 r, which the
+def squeezed_vacuum(r: float, cutoff: int | None = None) -> FockState1:
+    """Single-mode squeezed vacuum S(r)|0> with <N> = sinh^2 r, which the
     fill's mean check reads at min(r, 99): past any level limit, and finite."""
-    check(r=r, chi=chi, cutoff=cutoff)
+    check(r=r, cutoff=cutoff)
     amplitude, floor = _squeezed(r)
-    return FockState1(_filled(amplitude, cutoff, sinh(min(r, 99)) ** 2, floor)).turned(chi)
+    return FockState1(_filled(amplitude, cutoff, sinh(min(r, 99)) ** 2, floor)).normalized()
 
 
-def two_mode_squeezed_vacuum(
-    lam: float, chi: float = 0.0, cutoff: int | None = None
-) -> TwoModeDiagonalState:
+def two_mode_squeezed_vacuum(lam: float, cutoff: int | None = None) -> TwoModeDiagonalState:
     """Two-mode squeezed vacuum with mean photons per mode lambda."""
-    check(lam=lam, chi=chi, cutoff=cutoff)
+    check(lam=lam, cutoff=cutoff)
     amplitude, floor = _two_mode_squeezed(lam)
-    return TwoModeDiagonalState(_filled(amplitude, cutoff, lam, floor)).turned(chi)
+    return TwoModeDiagonalState(_filled(amplitude, cutoff, lam, floor)).normalized()
 
 
 def subtracted(spec, cutoff: int | None = None) -> _FockState:
     """The Fock state of a PassvSpec or SpatsvSpec (ValueError for anything else): a^m on each
-    of its modes of the squeezed vacuum (one) or TSV (two).  Level n is the chi = 0 parent's
+    of its modes of the squeezed vacuum (one) or TSV (two).  Level n is the parent's
     at n + m, lowered (:func:`_lowered`) over the root of the table's norm, both scaled
     exactly to stay floats.  By default their fill is the state, refused first where the
     parent's tail floor from n + m passes the level limit (a^m tilts the counts to higher n);
     a given cutoff bounds the parent, checked against its tail, and one below m, which holds
-    no level of the state, is CutoffTooSmall at any lam > 0.  chi turns the levels last."""
+    no level of the state, is CutoffTooSmall at any lam > 0."""
     check_type("spec", spec, (states.PassvSpec, states.SpatsvSpec))
     m, modes = spec.m, spec.modes
     state, build, parent, squeezing = (
@@ -193,8 +183,8 @@ def subtracted(spec, cutoff: int | None = None) -> _FockState:
         (TwoModeDiagonalState, two_mode_squeezed_vacuum, _two_mode_squeezed, spec.lam))
     amplitude, floor = parent(squeezing)
     if cutoff is not None:  # the parent's levels: the builder checks the cutoff, and its tail
-        amplitude = build(squeezing, 0.0, cutoff).amplitudes.tolist().__getitem__
-    table = spec.table()  # its norm does not depend on chi
+        amplitude = build(squeezing, cutoff).amplitudes.tolist().__getitem__
+    table = spec.table()
     if cutoff is not None and cutoff < m:  # after the table, which refuses lam = 0 as null
         raise CutoffTooSmall(f"a cutoff of {cutoff} holds no level of the a^{m} state")
     power = -table.shift * table.norm_degree  # the norm, over 4^shift in [1/2, 2), and
@@ -205,7 +195,7 @@ def subtracted(spec, cutoff: int | None = None) -> _FockState:
         amps = _filled(lambda n: lowered(n) * scale, None, spec.lam, lambda n: floor(n + m))
     else:
         amps = np.array(list(map(lowered, range(cutoff + 1 - m))), dtype=complex) * scale
-    return state(amps).turned(spec.chi, m)
+    return state(amps).normalized()
 
 
 # ---------------------------------------------------------------------------

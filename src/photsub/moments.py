@@ -6,15 +6,15 @@ values for one subsystem, a subtracted state's (built by its spec,
 ``<a^dag^p a^q>``, or ``(p, q, r, s)`` for a mode pair meaning
 ``<a1^dag^p a1^q a2^dag^r a2^s>``.  Tables are filled lazily, entry by
 entry, in Python integers at the bits a reader asks for, without a Fock
-cutoff.  An entry is P(lam)/Q(lam) g^(b mod 2) e^{i chi turns}, P and Q
-integer polynomials and g^2 = lam (1 + lam): Wick pairing sums over the
+cutoff.  An entry is P(lam)/Q(lam) g^(b mod 2), P and Q integer
+polynomials and g^2 = lam (1 + lam): Wick pairing sums over the
 Gaussian (squeezed or two-mode squeezed) vacuum, integer terms (count, a, b)
 summed as count lam^a g^b, or the finite sums of the SPATSV seeds.
 This module alone turns Wick terms into polynomials: the mean-photon maps
 of :mod:`photsub.states` read these lam-free entries (:func:`_lam_free`,
 one per process), and :func:`_horner` evaluates each exactly; a key the
-selection rule zeroes is an exact 0, and phases come from one integer
-cosine and sine (:func:`cos_sin`).
+selection rule zeroes is an exact 0, and every entry is real: the one
+relative phase, psi, is the coherent state's (:func:`cos_sin`).
 
 Every number has one error model, an absolute radius: a fixed number
 (re, im, err, exp) is the ball of midpoint (re + i im) 2^exp and radius
@@ -299,7 +299,7 @@ def joint_photon_distribution(lam, m: int, n_max: int) -> dict:
     norm of the SPATSV table (which raises NullState where it is 0): one int / int.
     """
     check(n_max=n_max)
-    table = MomentTable((0, 1), _vacuum_entry, lam, m, 0.0)
+    table = MomentTable((0, 1), _vacuum_entry, lam, m)
     return {(k, k): ratio(table.n ** (k + m) * (factorial(k + m) // factorial(k)) ** 2,
                           ((1 << table.shift) + table.n) ** (k + m + 1) * table.norm,
                           table.shift * (table.norm_degree + 1)) for k in range(n_max + 1)}
@@ -310,49 +310,43 @@ def joint_photon_distribution(lam, m: int, n_max: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _wick_terms_1m(p: int, q: int) -> tuple:
+def _wick_terms_1m(p: int, q: int) -> list:
     """<a^dag^p a^q> on a squeezed vacuum as integer Wick terms.
 
     The state is Gaussian, so the moment is a Wick pairing sum of the
-    contractions <a^dag a> = lam and <a a> = g e^{i chi}, g = sqrt(lam (1 + lam)).
+    contractions <a^dag a> = lam and <a a> = g = sqrt(lam (1 + lam)).
     With k (a^dag, a) pairs, the other a^dag pair among themselves (i of
     those pairs) and so do the other a (j pairs), in
-    p! q! / (k! i! j! 2^(i+j)) ways.  Returns (turns, [(count, a, b)]) with
-    the moment e^{i chi turns} sum count lam^a g^b: every term is a
-    nonnegative real times the common phase, so the sum cannot cancel.  The
-    list is empty where the selection rule (p - q odd) makes the moment 0.
+    p! q! / (k! i! j! 2^(i+j)) ways.  Returns [(count, a, b)], the moment being
+    sum count lam^a g^b, whose nonnegative terms cannot cancel: empty where
+    the selection rule (p - q odd) makes the moment 0.
     """
-    if (p - q) % 2 != 0:
-        return 0, []
     terms = []
-    for k in range(p % 2, min(p, q) + 1, 2):
+    for k in range(p % 2, min(p, q) + 1, 2) if (p - q) % 2 == 0 else ():
         i, j = (p - k) // 2, (q - k) // 2
         count = factorial(p) * factorial(q) // (
             factorial(k) * factorial(i) * factorial(j) * 2 ** (i + j)
         )
         terms.append((count, k, i + j))
-    return (q - p) // 2, terms
+    return terms
 
 
-def _wick_terms_2m(p: int, q: int, r: int, s: int) -> tuple:
+def _wick_terms_2m(p: int, q: int, r: int, s: int) -> list:
     """<a1^dag^p a1^q a2^dag^r a2^s> on a TSV as integer Wick terms.
 
-    A Wick pairing sum of <a_j^dag a_j> = lam and <a1 a2> = g e^{i chi} over
-    k, the number of (a1^dag, a1) pairs: the other a1^dag pair with a2^dag,
-    the other a1 with a2, and the r - p + k (a2^dag, a2) left pair among
-    themselves, in p! q! r! s! / (k! (p-k)! (q-k)! (r-p+k)!) ways.  Returns
-    (turns, [(count, a, b)]) as :func:`_wick_terms_1m` does; the list is
-    empty where p - q != r - s.
+    A Wick pairing sum of <a_j^dag a_j> = lam and <a1 a2> = g over k, the
+    number of (a1^dag, a1) pairs: the other a1^dag pair with a2^dag, the
+    other a1 with a2, and the r - p + k (a2^dag, a2) left pair among
+    themselves, in p! q! r! s! / (k! (p-k)! (q-k)! (r-p+k)!) ways, as
+    :func:`_wick_terms_1m` returns them: empty where p - q != r - s.
     """
-    if p - q != r - s:
-        return 0, []
     terms = []
-    for k in range(max(0, p - r), min(p, q) + 1):
+    for k in range(max(0, p - r), min(p, q) + 1) if p - q == r - s else ():
         count = factorial(p) * factorial(q) * factorial(r) * factorial(s) // (
             factorial(k) * factorial(p - k) * factorial(q - k) * factorial(r - p + k)
         )
         terms.append((count, 2 * k + r - p, p + q - 2 * k))
-    return q - p, terms
+    return terms
 
 
 def _polynomial(terms: list) -> list:
@@ -381,16 +375,16 @@ def _binary(lam) -> tuple:
 
 
 def _vacuum_entry(m: int, key: tuple) -> tuple:
-    """(turns, P or None, g parity) of the vacuum moment of key + m: of the
-    squeezed vacuum for a one-mode key, of the TSV for a two-mode one."""
+    """(P or None, g parity) of the vacuum moment of key + m: of the squeezed
+    vacuum for a one-mode key, of the TSV for a two-mode one."""
     wick_terms = _wick_terms_1m if len(key) == 2 else _wick_terms_2m
-    turns, terms = wick_terms(*(k + m for k in key))
-    return turns, _polynomial(terms) if terms else None, terms and terms[0][2] % 2
+    terms = wick_terms(*(k + m for k in key))
+    return _polynomial(terms) if terms else None, terms and terms[0][2] % 2
 
 
 def _seed_entry(m: int, key: tuple) -> tuple:
-    """(turns, P or None, g parity) of a SPATSV seed moment, d = p - q:
-    e^{-i chi d} sum_n C(m,n+d) C(m,n) n!(n+d)!/((n-q)!(n-s)!) t^(e/2),
+    """(P or None, g parity) of a SPATSV seed moment, d = p - q:
+    sum_n C(m,n+d) C(m,n) n!(n+d)!/((n-q)!(n-s)!) t^(e/2),
     e = 2n + d, over sum_k C(m,k)^2 t^k (the P of key 0).  As t = lam/(1 + lam)
     and sqrt t = g/(1 + lam), a term times (1 + lam)^(m+1) is
     lam^(e//2) (1 + lam)^(m + 1 - ceil(e/2)) g^(e mod 2)."""
@@ -403,32 +397,32 @@ def _seed_entry(m: int, key: tuple) -> tuple:
         e = 2 * n + d
         for j in range(m + 2 - (e + 1) // 2):
             poly[e // 2 + j] += weight * comb(m + 1 - (e + 1) // 2, j)
-    return -d, poly if any(poly) else None, d % 2
+    return poly if any(poly) else None, d % 2
 
 
 @cache
 def _lam_free(source, m: int, key: tuple) -> tuple:
-    """(turns, P or None, g parity, degree of P) of ``source(m, key)``, P a
-    tuple: every table of that source and order shares it."""
-    turns, poly, odd = source(m, key)
-    return turns, poly and tuple(poly), odd if poly else 0, len(poly or ()) - 1
+    """(P or None, g parity, degree of P) of ``source(m, key)``, P a tuple:
+    every table of that source and order shares it."""
+    poly, odd = source(m, key)
+    return poly and tuple(poly), odd if poly else 0, len(poly or ()) - 1
 
 
 class MomentTable:
     """Exact moments of one subsystem over ``modes``, any order: entry
-    ``key`` is P(lam)/Q(lam) g^(b mod 2) e^{i chi turns} for the lam-free
-    (turns, P, g parity) of ``source(m, key)``, Q the P of the zero key and
-    g^2 = lam (1 + lam), formed lazily in integers at the bits a reader asks
-    for (:meth:`fixed`).  A zeroed key is an exact 0, with no arithmetic; a
-    zero norm raises NullState, and lam, m or chi outside the input contract
+    ``key`` is P(lam)/Q(lam) g^(b mod 2) for the lam-free (P, g parity) of
+    ``source(m, key)``, Q the P of the zero key and g^2 = lam (1 + lam),
+    formed lazily in integers at the bits a reader asks for (:meth:`fixed`).
+    Every entry is real.  A zeroed key is an exact 0, with no arithmetic; a
+    zero norm raises NullState, and lam or m outside the input contract
     ValueError, before any entry."""
 
-    def __init__(self, modes, source, lam, m: int, chi):
-        check(lam=lam, m=m, chi=chi)
+    def __init__(self, modes, source, lam, m: int):
+        check(lam=lam, m=m)
         self.modes, self.source, self.m = tuple(modes), source, m
         self.n, self.shift = _binary(lam)
-        _, norm, _, self.norm_degree = _lam_free(source, m, (0,) * 2 * len(self.modes))
-        self.norm, self.phases = _horner(norm, self.n, self.shift), Phases(chi)
+        norm, _, self.norm_degree = _lam_free(source, m, (0,) * 2 * len(self.modes))
+        self.norm = _horner(norm, self.n, self.shift)
         if not self.norm:
             raise NullState("photon subtraction annihilates the vacuum")
         self.g2 = self.n * (self.n + (1 << self.shift))  # g^2 2^(2 shift)
@@ -437,10 +431,10 @@ class MomentTable:
     def fixed(self, key: tuple, bits: int) -> tuple:
         """The entry ``key`` as a :func:`fixed_from` number, in integers alone: the
         ratio floor(P 2^k / Q) and g, an isqrt taken once per bits, each of bits + 1
-        bits or more and within a unit, 0 where exact, times the phase (:class:`Phases`)."""
+        bits or more and within a unit, 0 where exact."""
         if len(key) != 2 * len(self.modes):
             raise MomentOrderMissing(f"key {key} does not match arity {len(self.modes)}")
-        turns, poly, odd, degree = _lam_free(self.source, self.m, key)
+        poly, odd, degree = _lam_free(self.source, self.m, key)
         if poly is None:
             return ZERO
         num = _horner(poly, self.n, self.shift)
@@ -454,9 +448,7 @@ class MomentTable:
                 self._roots[bits] = g, int(g * g < self.g2 << 2 * t), t
             g, off, t = self._roots[bits]
             man, err, exp = man * g, man * off + (g + off) * err, exp - self.shift - t
-        phase = self.phases[turns, bits + 2]  # times ONE is a truncation alone
-        return fixed_from(man, 0, err, exp, bits) if phase is ONE else fixed_mul(
-            (man, 0, err, exp), phase, bits)
+        return fixed_from(man, 0, err, exp, bits)
 
     def entry(self, key) -> complex:
         """Entry ``key`` as a complex float, for inspection."""
@@ -464,8 +456,8 @@ class MomentTable:
         return complex(ratio(re, 1, exp), ratio(im, 1, exp))
 
 
-def spatsv_seed_moment_table(lam, m: int, chi: float = 0.0) -> MomentTable:
-    """Exact moments of the SPATSV seed sum_k C(m,k) t^{k/2} e^{i chi k} |k,k>,
+def spatsv_seed_moment_table(lam, m: int) -> MomentTable:
+    """Exact moments of the SPATSV seed sum_k C(m,k) t^{k/2} |k,k>,
     t = lam/(1 + lam): the seed has m + 1 amplitudes, so each moment is a
     finite sum (:func:`_seed_entry`), filled in integers as the Wick tables are."""
-    return MomentTable((0, 1), _seed_entry, lam, m, chi)
+    return MomentTable((0, 1), _seed_entry, lam, m)

@@ -2,7 +2,7 @@
 
 A spec names a PASSV (photon-annihilated single-mode squeezed vacuum) or a
 SPATSV (symmetrically photon-annihilated two-mode squeezed vacuum) state by
-its pre-subtraction energy, subtraction order and squeezing angle.  Its mode
+its pre-subtraction energy and subtraction order.  Its mode
 count, 1 or 2, is the one key of its scheme: it picks the exact moment table,
 the mean-photon map (a ratio of integer polynomials in lam, evaluated exactly
 and rounded once) and the map that the energy balancing of fixed-total-energy
@@ -25,14 +25,13 @@ from .moments import MomentTable, _binary, _horner, _lam_free, _vacuum_entry, ra
 
 @dataclass(frozen=True)
 class _SubtractionSpec:
-    """Pre-subtraction energy, subtraction order and squeezing angle of ``modes`` modes."""
+    """Pre-subtraction energy and subtraction order of ``modes`` modes."""
 
     lam: float  # mean photons (per mode for a pair) before subtraction, sinh^2 r
     m: int = 0  # number of subtracted photons (from each mode of a pair)
-    chi: float = 0.0  # squeezing angle
 
     def __post_init__(self):
-        check(lam=self.lam, m=self.m, chi=self.chi)
+        check(lam=self.lam, m=self.m)
 
     @property
     def r(self) -> float:
@@ -40,7 +39,7 @@ class _SubtractionSpec:
 
     def table(self) -> MomentTable:
         """The exact moments of the subtracted state over its modes (:mod:`photsub.moments`)."""
-        return MomentTable(range(self.modes), _vacuum_entry, self.lam, self.m, self.chi)
+        return MomentTable(range(self.modes), _vacuum_entry, self.lam, self.m)
 
     @property
     def mean_photons(self) -> float:
@@ -52,7 +51,7 @@ class _SubtractionSpec:
 
 @dataclass(frozen=True)
 class PassvSpec(_SubtractionSpec):
-    """Single-mode subtraction spec: pre-subtraction energy, order, angle."""
+    """Single-mode subtraction spec: pre-subtraction energy and order."""
 
     modes = 1
 
@@ -80,7 +79,7 @@ def _mean_photon_map(modes: int, m: int) -> tuple:
     first mode, m from any second, padded to one length, their common power of
     lam divided out: P(0)/Q(0) is the lam = 0 limit (m mod 2 for PASSV, 0 for SPATSV)."""
     key = _PHOTON_KEYS[modes]
-    p, q = (list(_lam_free(_vacuum_entry, m, k)[1]) for k in (key, (0,) * len(key)))
+    p, q = (list(_lam_free(_vacuum_entry, m, k)[0]) for k in (key, (0,) * len(key)))
     q += [0] * (len(p) - len(q))
     while not (p[0] or q[0]):
         del p[0], q[0]

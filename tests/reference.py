@@ -207,13 +207,13 @@ def apply_loss(table, eta, mode=None) -> ReferenceTable:
 # ---------------------------------------------------------------------------
 
 
-def vacuum_moment_1m(p: int, q: int, lam, chi: float = 0.0):
+def vacuum_moment_1m(p: int, q: int, lam):
     """<a^dag^p a^q> on a squeezed vacuum with mean photons lam.
 
-    The Wick pairing sum of <a^dag a> = lam and <a a> = sqrt(lam (1 + lam))
-    e^{i chi}, with k (a^dag, a) pairs and the other a^dag (i pairs) and a
-    (j pairs) paired among themselves, in p! q! / (k! i! j! 2^(i+j)) ways,
-    each entry formed from scratch (sqrt, phase, factorials and powers).
+    The Wick pairing sum of <a^dag a> = lam and <a a> = sqrt(lam (1 + lam)),
+    with k (a^dag, a) pairs and the other a^dag (i pairs) and a (j pairs)
+    paired among themselves, in p! q! / (k! i! j! 2^(i+j)) ways, each entry
+    formed from scratch (sqrt, factorials and powers).
     """
     if (p - q) % 2 != 0:
         return mp.mpc(0)
@@ -226,10 +226,10 @@ def vacuum_moment_1m(p: int, q: int, lam, chi: float = 0.0):
             factorial(k) * factorial(i) * factorial(j) * 2 ** (i + j)
         )
         total += pairings * lam**k * g ** (i + j)
-    return total * mp.exp(mp.mpc(0, chi)) ** ((q - p) // 2)
+    return total
 
 
-def vacuum_moment_2m(p: int, q: int, r: int, s: int, lam, chi: float = 0.0):
+def vacuum_moment_2m(p: int, q: int, r: int, s: int, lam):
     """<a1^dag^p a1^q a2^dag^r a2^s> on a TSV with mean photons/mode lam.
 
     The Wick pairing sum over k, the number of (a1^dag, a1) pairs, in
@@ -245,17 +245,17 @@ def vacuum_moment_2m(p: int, q: int, r: int, s: int, lam, chi: float = 0.0):
             factorial(k) * factorial(p - k) * factorial(q - k) * factorial(r - p + k)
         )
         total += pairings * lam ** (2 * k + r - p) * g ** (p + q - 2 * k)
-    return total * mp.exp(mp.mpc(0, chi)) ** (q - p)
+    return total
 
 
-def subtracted_table(modes, lam, m: int, max_order: int, chi: float = 0.0) -> ReferenceTable:
+def subtracted_table(modes, lam, m: int, max_order: int) -> ReferenceTable:
     """The moments of a squeezed vacuum (one mode) or TSV (two) less m
     photons from each mode, entry by entry: key k reads the vacuum moment of
     k + m over the norm, the moment of m, each summed on its own."""
     vacuum_moment = vacuum_moment_1m if len(modes) == 1 else vacuum_moment_2m
-    norm = vacuum_moment(*[m] * 2 * len(modes), lam, chi) if m else mp.mpf(1)
+    norm = vacuum_moment(*[m] * 2 * len(modes), lam) if m else mp.mpf(1)
     return ReferenceTable(
-        modes, max_order, lambda key: vacuum_moment(*(k + m for k in key), lam, chi) / norm
+        modes, max_order, lambda key: vacuum_moment(*(k + m for k in key), lam) / norm
     )
 
 
@@ -340,8 +340,8 @@ def row_phase(phases: moments.Phases, turns: int, bits: int) -> tuple:
 
 def row_entry(table: moments.MomentTable, key: tuple, bits: int) -> tuple:
     """The entry ``key`` of ``table`` as :meth:`photsub.moments.MomentTable.fixed`
-    gives it, formed afresh: floor(P 2^k / Q), g an isqrt, then the chi phase."""
-    turns, poly, odd, degree = moments._lam_free(table.source, table.m, key)
+    gives it, formed afresh: floor(P 2^k / Q), then g an isqrt."""
+    poly, odd, degree = moments._lam_free(table.source, table.m, key)
     if poly is None:
         return moments.ZERO
     num = moments._horner(poly, table.n, table.shift)
@@ -353,7 +353,7 @@ def row_entry(table: moments.MomentTable, key: tuple, bits: int) -> tuple:
         g = isqrt(table.g2 << 2 * t)
         off = int(g * g < table.g2 << 2 * t)
         man, err, exp = man * g, man * off + (g + off) * err, exp - table.shift - t
-    return moments.fixed_mul((man, 0, err, exp), row_phase(table.phases, turns, bits + 2), bits)
+    return moments.fixed_from(man, 0, err, exp, bits)
 
 
 def _row_sum(summands):
@@ -443,9 +443,9 @@ def quadrature_variance(table, coeffs, eta: float = 1.0,
     The general bilinear form, independent of the two-entry closed form the
     quadrature metrics of :mod:`photsub.experiments` read.  ``coeffs`` holds
     one c_t per mode of ``table``, a number or a :func:`fixed` number: (-1j,)
-    gives X_theta of one mode at theta = pi/2, and e^{-i chi/2} (1, -1)/sqrt 2
-    the squeezed difference quadrature of a pair whose <a1 a2> carries
-    e^{i chi}, normalized so vacuum sits at 0.5; ``eta`` is the detection
+    gives X_theta of one mode at theta = pi/2, and (1, -1)/sqrt 2 the
+    squeezed difference quadrature of a pair, normalized so vacuum sits at
+    0.5; ``eta`` is the detection
     efficiency.  Normal ordering gives Var X = eta S + sum |c_t|^2 / 2, with
     S = Re sum c_s c_t <a_s a_t> + sum conj(c_s) c_t <a_s^dag a_t>
     - 2 (Re sum c_t <a_t>)^2 over the lossless table, every mean and pair
@@ -546,23 +546,22 @@ def _evolve(gen, amplitudes, cutoff, name):
     return out
 
 
-def squeeze_apply(state: FockState1, r: float, chi: float = 0.0, cutoff: int | None = None) -> FockState1:
-    """Apply S(r e^{i chi}) = exp((z a^dag^2 - z* a^2)/2), z = r e^{i chi}."""
+def squeeze_apply(state: FockState1, r: float, cutoff: int | None = None) -> FockState1:
+    """Apply S(r) = exp(r (a^dag^2 - a^2)/2)."""
     if cutoff is None:
         base = fock.squeezed_vacuum(r).cutoff
         cutoff = max(2 * (base + state.cutoff + 10), 4 * state.cutoff + 20)
     a = diags(np.sqrt(np.arange(1, cutoff + 1)), 1, format="csr", dtype=complex)
     adag = a.T.tocsr()
-    z = r * np.exp(1j * chi)
-    gen = 0.5 * (z * (adag @ adag) - np.conj(z) * (a @ a))
+    gen = 0.5 * r * (adag @ adag - a @ a)
     out = _evolve(gen, state.amplitudes, cutoff, "squeeze_apply")
     return FockState1(out).normalized()
 
 
 def two_mode_squeeze_apply(
-    state: TwoModeDiagonalState, r: float, chi: float = 0.0, cutoff: int | None = None
+    state: TwoModeDiagonalState, r: float, cutoff: int | None = None
 ) -> TwoModeDiagonalState:
-    """Apply S_12 = exp(z a1^dag a2^dag - z* a1 a2) within the |n,n> subspace."""
+    """Apply S_12 = exp(r (a1^dag a2^dag - a1 a2)) within the |n,n> subspace."""
     if cutoff is None:
         base = fock.two_mode_squeezed_vacuum(np.sinh(r) ** 2).cutoff
         cutoff = max(2 * (base + state.cutoff + 10), 4 * state.cutoff + 20)
@@ -570,8 +569,7 @@ def two_mode_squeeze_apply(
     n = np.arange(1, cutoff + 1)
     kplus = diags(n, -1, format="csr", dtype=complex)
     kminus = diags(n, 1, format="csr", dtype=complex)
-    z = r * np.exp(1j * chi)
-    gen = z * kplus - np.conj(z) * kminus
+    gen = r * (kplus - kminus)
     out = _evolve(gen, state.amplitudes, cutoff, "two_mode_squeeze_apply")
     return TwoModeDiagonalState(out).normalized()
 
@@ -773,10 +771,10 @@ def passv_seed(spec) -> FockState1:
     """Seed superposition whose squeezing reproduces the PASSV state of ``spec``.
 
     Components |m - 2l>, l = 0..floor(m/2), with weights z^l/(l! sqrt((m-2l)!)),
-    z = e^{-i chi} sqrt((1+lam)/lam)/2, over |z|^floor(m/2)/floor(m/2)!, so that
-    none overflows as lam -> 0, where the seed tends to |m mod 2>, nor underflows.
+    z = sqrt((1+lam)/lam)/2, over z^floor(m/2)/floor(m/2)!, so that none
+    overflows as lam -> 0, where the seed tends to |m mod 2>, nor underflows.
     """
-    m, lam, chi = spec.m, spec.lam, spec.chi
+    m, lam = spec.m, spec.lam
     if m == 0:
         return FockState1(np.array([1.0 + 0j]))
     if lam == 0:
@@ -784,9 +782,9 @@ def passv_seed(spec) -> FockState1:
     # ((n + k)!/n!)^(modes/2)
     falling = lambda n, k, modes: fock._lowered(lambda _: 1.0, k, modes)(n)
     amps = np.zeros(m + 1, dtype=complex)
-    r = 2.0 * sqrt(lam / (1.0 + lam))  # 1/|z|
+    r = 2.0 * sqrt(lam / (1.0 + lam))  # 1/z
     for l in range(m // 2 + 1):
-        amps[m - 2 * l] = np.exp(-1j * chi * l) * r ** (m // 2 - l) * (
+        amps[m - 2 * l] = r ** (m // 2 - l) * (
             falling(l, m // 2 - l, 2) / falling(0, m - 2 * l, 1))  # floor(m/2)!/l!/sqrt((m - 2l)!)
     return FockState1(amps).normalized()
 
@@ -795,14 +793,14 @@ def spatsv_seed(spec) -> TwoModeDiagonalState:
     """Seed superposition sum_k C^m_k |k,k> whose two-mode squeezing gives the SPATSV
     state of ``spec``.
 
-    C^m_k is binomial-weighted: C(m,k) (lam/(1+lam))^{k/2} e^{i chi k}, with
+    C^m_k is binomial-weighted: C(m,k) (lam/(1+lam))^{k/2}, with
     overall normalization sqrt((1+lam)^m / P_m(2 lam + 1)).
     """
-    m, lam, chi = spec.m, spec.lam, spec.chi
+    m, lam = spec.m, spec.lam
     amps = np.zeros(m + 1, dtype=complex)
     ratio = sqrt(lam / (1.0 + lam)) if lam > 0 else 0.0
     for k in range(m + 1):
-        amps[k] = comb(m, k) * ratio**k * np.exp(1j * chi * k)
+        amps[k] = comb(m, k) * ratio**k
     return TwoModeDiagonalState(amps).normalized()
 
 

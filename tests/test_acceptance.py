@@ -64,14 +64,12 @@ def test_acceptance_02_seed_representation_equivalence():
         for m in range(5):
             spec = PassvSpec(lam, m)
             seed = passv_seed(spec)
-            squeezed = squeeze_apply(seed, spec.r, spec.chi, cutoff=500)
+            squeezed = squeeze_apply(seed, spec.r, cutoff=500)
             worst = min(worst, fidelity(squeezed, fock.subtracted(spec, cutoff=500)))
         for m in range(4):
             spec2 = SpatsvSpec(lam, m)
             seed2 = spatsv_seed(spec2)
-            squeezed2 = two_mode_squeeze_apply(
-                seed2, spec2.r, spec2.chi, cutoff=300
-            )
+            squeezed2 = two_mode_squeeze_apply(seed2, spec2.r, cutoff=300)
             worst = min(
                 worst, fidelity(squeezed2, fock.subtracted(spec2, cutoff=300))
             )

@@ -51,7 +51,8 @@ TEXTS = {"nan": "nan", "inf": "inf", "-1": "-1", "1.5": "1.5", "1e30": str(10**3
 REAL, NONNEGATIVE, UNIT, INTEGER, NAME, SPEC, FISHER, CLOSED_ORDER = (
     {"-1", "1.5", "1e30"}, {"1.5", "1e30"}, set(), set(), set(), set(),
     {"-1", "1.5", "1e30", "inf"}, None)
-#: a retired config key (digits: the engine picks its own), refused at any value
+#: a retired config key (digits: the engine picks its own; chi: psi is the one
+#: relative phase), refused at any value
 RETIRED = set()
 
 _PASSV, _SPATSV = PassvSpec(0.5, 1), SpatsvSpec(0.3, 1)
@@ -86,7 +87,7 @@ def _sweep(scheme, **fields):
 
 def _entries():
     """(name, call, base keyword arguments, {parameter: kind})."""
-    spec = dict(lam=NONNEGATIVE, m=INTEGER, chi=REAL)
+    spec = dict(lam=NONNEGATIVE, m=INTEGER)
     scene = dict(mu=NONNEGATIVE, phi=REAL, psi=REAL, eta=UNIT)
     yield "PassvSpec", PassvSpec, dict(lam=0.5, m=1), spec
     yield "SpatsvSpec", SpatsvSpec, dict(lam=0.5, m=1), spec
@@ -122,9 +123,9 @@ def _entries():
     yield ("joint_photon_distribution", moments.joint_photon_distribution,
            dict(lam=0.5, m=1, n_max=3), dict(lam=NONNEGATIVE, m=INTEGER, n_max=INTEGER))
     yield ("squeezed_vacuum", fock.squeezed_vacuum, dict(r=0.3),
-           dict(r=NONNEGATIVE, chi=REAL, cutoff=INTEGER))
+           dict(r=NONNEGATIVE, cutoff=INTEGER))
     yield ("two_mode_squeezed_vacuum", fock.two_mode_squeezed_vacuum, dict(lam=0.3),
-           dict(lam=NONNEGATIVE, chi=REAL, cutoff=INTEGER))
+           dict(lam=NONNEGATIVE, cutoff=INTEGER))
     yield ("oracle_interferometer",
            lambda cutoff=None, **kw: fock.oracle_interferometer(SingleMziConfig(**kw), cutoff),
            dict(quantum=PassvSpec(0.3), mu=1.0, psi=0.0, phi=0.7), dict(**scene, cutoff=INTEGER))
@@ -134,10 +135,9 @@ def _entries():
                dict(lam=NONNEGATIVE, m=INTEGER, mu=NONNEGATIVE, phi=REAL, psi=REAL, eta=UNIT,
                     quantum_cutoff=INTEGER))
         yield (f"run_sweep[{scheme}]", _sweep, dict(scheme=scheme),
-               dict(lam=NONNEGATIVE, chi=REAL, **scene, m_list=INTEGER,
-                    values_lam=NONNEGATIVE,
+               dict(lam=NONNEGATIVE, **scene, m_list=INTEGER, values_lam=NONNEGATIVE,
                     values_mu=NONNEGATIVE, values_eta=UNIT, values_phi=REAL, values_psi=REAL,
-                    values_chi=REAL, values_one_minus_tau=UNIT))
+                    values_one_minus_tau=UNIT))
 
 
 def _cli_entries():
@@ -146,8 +146,8 @@ def _cli_entries():
     for scheme in ("single", "correlated"):
         text = _SWEEP_TEXT[scheme]
         yield (f"sweep[{scheme}]", "sweep", text,
-               dict(mu=NONNEGATIVE, psi=REAL, phi=REAL, eta=UNIT, chi=REAL, values=NONNEGATIVE,
-                    m=INTEGER, digits=RETIRED))
+               dict(mu=NONNEGATIVE, psi=REAL, phi=REAL, eta=UNIT, chi=RETIRED,
+                    values=NONNEGATIVE, m=INTEGER, digits=RETIRED))
         yield (f"sweep[{scheme},mu-axis]", "sweep", text.replace("axis = lam", "axis = mu"),
                dict(lam=NONNEGATIVE))
         yield (f"oracle-compare[{scheme}]", "oracle-compare", f"scheme = {scheme}\nm = 1\n",
@@ -193,8 +193,9 @@ def _cli(verb, text, line, workdir) -> str:
     if text is None:
         argv = [verb, value, "--out", os.path.join(workdir, "out.csv")]
     else:
-        path = os.path.join(workdir, "case.cfg")
-        Path(path).write_text(f"{text}{key} = {value}\n")
+        path = os.path.join(workdir, "case.cfg")  # the line replaces one of its key
+        kept = [ln for ln in text.splitlines(keepends=True) if ln.partition("=")[0].strip() != key]
+        Path(path).write_text(f"{''.join(kept)}{key} = {value}\n")
         argv = [verb, "--config", path]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

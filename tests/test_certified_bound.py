@@ -114,12 +114,12 @@ def _reference(cfg) -> dict:
 
 def _seeded(scheme, seed):
     rng = random.Random(seed)
-    lam, m, chi = rng.uniform(0.05, 5.0), rng.randrange(4), rng.uniform(-1.0, 1.0)
+    lam, m = rng.uniform(0.05, 5.0), rng.randrange(4)
     scene = dict(mu=10 ** rng.uniform(0, 6), phi=rng.uniform(0.01, 3.0),
                  psi=rng.uniform(0.0, pi), eta=rng.uniform(0.5, 1.0))
     if scheme == "single":
-        return SingleMziConfig(PassvSpec(lam, m, chi), **scene)
-    return CorrelatedConfig(SpatsvSpec(lam, m, chi), **scene)
+        return SingleMziConfig(PassvSpec(lam, m), **scene)
+    return CorrelatedConfig(SpatsvSpec(lam, m), **scene)
 
 
 @pytest.mark.parametrize("scheme", ["single", "correlated"])

@@ -80,14 +80,16 @@ def test_csv_format_and_determinism():
 
 
 def test_config_validation_collects_problems():
-    bad = SweepConfig(
-        scheme="weird", axis="nope", values=(), m_list=(-1,), metrics=()
-    )
-    with pytest.raises(ConfigInvalid) as err:
-        bad.validate()
-    text = str(err.value)
-    for fragment in ("scheme", "axis", "values", "m", "metric"):
-        assert fragment in text
+    # chi is no axis: the coherent phase psi carries the one relative phase
+    for axis in ("nope", "chi"):
+        bad = SweepConfig(
+            scheme="weird", axis=axis, values=(), m_list=(-1,), metrics=()
+        )
+        with pytest.raises(ConfigInvalid) as err:
+            bad.validate()
+        text = str(err.value)
+        for fragment in ("scheme", f"axis: got {axis!r}", "values", "m", "metric"):
+            assert fragment in text
 
 
 def test_an_unknown_scheme_has_no_metric_to_report():
@@ -303,10 +305,16 @@ def test_cli_unknown_preset_exit_code(tmp_path):
     assert code == EXIT_CONFIG
 
 
-def test_cli_sweep_config_error(tmp_path):
+def test_cli_sweep_config_error(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("scheme = single\n")
     assert main(["sweep", "--config", str(cfg_path)]) == EXIT_CONFIG
+    # a key given twice is refused, not overwritten by its last value
+    cfg_path.write_text(_SWEEP_TEXT["single"] + "mu = 100\nmu = 1e300\n")
+    with pytest.raises(ConfigInvalid, match="7: key 'mu' repeats line 6"):
+        sweep_config_from_file(str(cfg_path))
+    assert main(["sweep", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "key 'mu' repeats line 6" in capsys.readouterr().err
 
 
 def test_cli_sweep_runs(tmp_path, capsys):
@@ -456,6 +464,8 @@ _SWEEP_TEXT = {
         ("cutof = 5\n", "cutof"),
         ("cutoff = 200\n", "cutoff"),
         ("mu = 5\nbogus = 1\n", "bogus"),
+        # psi carries the one relative phase
+        ("chi = 0.4\n", "chi"),
     ],
 )
 def test_sweep_config_rejects_unknown_keys(tmp_path, extra, unknown):
@@ -503,6 +513,12 @@ def test_oracle_config_rejects_unknown_keys(tmp_path, capsys):
             experiments.oracle_compare_from_file(path)
         assert main(["oracle-compare", "--config", path]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+    # a key given twice is refused, not overwritten by its last value
+    path = _write(tmp_path, "scheme = single\nlam = 0.3\nm = 1\nlam = 2\n")
+    with pytest.raises(ConfigInvalid, match="4: key 'lam' repeats line 2"):
+        experiments.oracle_compare_from_file(path)
+    assert main(["oracle-compare", "--config", path]) == EXIT_CONFIG
+    assert "key 'lam' repeats line 2" in capsys.readouterr().err
 
 
 def test_cli_oracle_compare_rejects_negative_cutoff(tmp_path, capsys):
@@ -519,7 +535,6 @@ def test_cli_oracle_compare_rejects_negative_cutoff(tmp_path, capsys):
         dict(axis="mu", values=(5.0,), lam=float("inf")),
         dict(phi=float("nan")),
         dict(psi=float("inf")),
-        dict(chi=float("nan")),
         dict(eta=float("nan")),
         dict(values=(0.5, float("nan"))),
         dict(axis="mu", values=(float("inf"),)),
@@ -528,7 +543,7 @@ def test_cli_oracle_compare_rejects_negative_cutoff(tmp_path, capsys):
         dict(m_list=(1.0,)),
     ],
     ids=[
-        "mu-nan", "lam-inf", "phi-nan", "psi-inf", "chi-nan", "eta-nan",
+        "mu-nan", "lam-inf", "phi-nan", "psi-inf", "eta-nan",
         "lam-axis-nan", "mu-axis-inf", "eta-axis-range", "tau-axis-nan", "m-float",
     ],
 )
@@ -609,35 +624,6 @@ def test_quad_diff_var_obeys_loss_law(metric):
         row = _one_point(metric, values=(0.7,), m_list=(1,), eta=eta)
         expected = eta * lossless + (1.0 - eta) / 2.0
         assert abs(row.value - expected) < 1e-12 * expected
-
-
-@pytest.mark.parametrize(
-    "metric, table",
-    [
-        ("quad_diff_var", lambda *args, **kwargs: SpatsvSpec(*args, **kwargs).table()),
-        ("quad_diff_var_seed", moments.spatsv_seed_moment_table),
-    ],
-    ids=("quad_diff_var", "quad_diff_var_seed"),
-)
-def test_difference_quadrature_is_read_at_its_squeezed_angle(metric, table):
-    from reference import apply_loss
-
-    # <a1 a2> carries e^{i chi}, so the difference quadrature is squeezed at
-    # chi/2: the row is the least variance over all angles, whatever chi is
-    rows = [
-        _one_point(metric, values=(0.6,), m_list=(1,), chi=chi, eta=0.9)
-        for chi in (0.0, 0.4, 1.0, -2.5)
-    ]
-    assert all(row.flag == "ok" for row in rows)
-    assert len({row.value for row in rows}) == 1
-    with mp.workdps(40):
-        lossy = apply_loss(table(0.6, 1, chi=1.0), mp.mpf(0.9))
-        scan = []
-        for k in range(629):
-            c = mp.expj(-mp.mpf(k) / 100) / mp.sqrt(2)
-            scan.append(reference.quadrature_variance(lossy, (c, -c)))
-    assert rows[0].value <= min(scan) + 1e-12
-    assert min(scan) - rows[0].value < 1e-3 * rows[0].value
 
 
 @pytest.mark.parametrize(
@@ -793,26 +779,25 @@ def test_quadrature_variances_keep_eight_digits_or_flag(metric, lam, m, flag):
 
 
 def test_quadrature_rows_equal_the_general_bilinear_form_bit_for_bit():
-    # the metrics read two table entries in closed form, the pair tables at
-    # chi = 0; the reference contracts the whole coefficient vector over every
-    # mean and pair, the difference quadrature rotated to chi/2 over the
-    # table at the scene's chi, at 60 digits: both are correctly rounded
+    # the metrics read two table entries in closed form; the reference
+    # contracts the whole coefficient vector over every mean and pair, at 60
+    # digits: both are correctly rounded
     rng = random.Random(33)
     bits = moments.digits_to_bits(60)
     pair_tables = (lambda *args, **kwargs: SpatsvSpec(*args, **kwargs).table(),
                    moments.spatsv_seed_moment_table)
     for _ in range(300):
         lam, m = 10 ** rng.uniform(-6, 6), rng.randrange(5)
-        chi, eta = rng.uniform(-4.0, 4.0), rng.uniform(0.0, 1.0)
-        point = dict(axis="lam", values=(lam,), m_list=(m,), chi=chi, eta=eta)
+        eta = rng.uniform(0.0, 1.0)
+        point = dict(axis="lam", values=(lam,), m_list=(m,), eta=eta)
         rows = run_sweep(SweepConfig(scheme="single", metrics=("var_y",), **point)).rows
         rows += run_sweep(SweepConfig(scheme="correlated", **point,
                                       metrics=("quad_diff_var", "quad_diff_var_seed"))).rows
         with mp.workdps(80):
-            c = reference.fixed_exact(mp.expj(-mp.mpf(chi) / 2) / mp.sqrt(2), bits)
-        single = PassvSpec(lam, m, chi=chi).table()
+            c = reference.fixed_exact(1 / mp.sqrt(2), bits)
+        single = PassvSpec(lam, m).table()
         want = [reference.quadrature_variance(single, (-1j,), eta, bits)] + [
-            reference.quadrature_variance(build(lam, m, chi=chi),
+            reference.quadrature_variance(build(lam, m),
                                           (c, moments.fixed_times(c, -1)), eta, bits)
             for build in pair_tables
         ]

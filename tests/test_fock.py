@@ -48,7 +48,7 @@ def test_squeezed_vacuum_mean_photons():
 
 
 def test_squeezed_vacuum_quadrature_direction():
-    # chi = 0 squeezes the Y = (a - a^dag)/(i sqrt 2) quadrature
+    # S(r) squeezes the Y = (a - a^dag)/(i sqrt 2) quadrature
     r = 0.6
     state = fock.squeezed_vacuum(r)
     a = state.amplitudes
@@ -57,14 +57,6 @@ def test_squeezed_vacuum_quadrature_direction():
     a_sq = float(np.real(np.sum(np.conj(a[:-2]) * a[2:] * np.sqrt((n[2:] - 1) * n[2:]))))
     var_y = 0.5 + mean_n - a_sq
     assert abs(var_y - 0.5 * np.exp(-2 * r)) < 1e-10
-
-
-def test_squeezed_vacuum_default_length_is_free_of_chi():
-    # at this lambda the tail lands near TAIL_TOL, where rounding of the
-    # levels' masses could move the least level with the squeezing angle
-    r = float(np.arcsinh(np.sqrt(7.3681)))
-    lengths = {len(fock.squeezed_vacuum(r, k * np.pi / 4).amplitudes) for k in range(8)}
-    assert len(lengths) == 1
 
 
 def _counted_amplitudes(monkeypatch, name) -> list:
@@ -102,7 +94,7 @@ def test_a_tail_past_the_level_limit_is_refused_before_any_fill(monkeypatch, bui
 
 
 @pytest.mark.parametrize("build, arg", [
-    *(pytest.param(lambda r, cutoff=None: fock.squeezed_vacuum(r, 0.0, cutoff), r, id=str(r))
+    *(pytest.param(lambda r, cutoff=None: fock.squeezed_vacuum(r, cutoff), r, id=str(r))
       for r in [0.05, 0.3, 1.0, 2.0, 3.0, 4.0, 5.0]),
     *(pytest.param(fock.subtracted, PassvSpec(lam, m), id=f"passv-{lam}-{m}")
       for lam, m in [(0.3, 1), (2.0, 3), (20.0, 2)]),
@@ -162,7 +154,7 @@ def test_squeeze_apply_matches_direct_construction():
     vac = fock.FockState1(np.zeros(dim, dtype=complex) + 0j)
     amps = vac.amplitudes.copy()
     amps[0] = 1.0
-    out = squeeze_apply(fock.FockState1(amps), r, 0.0)
+    out = squeeze_apply(fock.FockState1(amps), r)
     direct = fock.squeezed_vacuum(r)
     assert fidelity(out, direct) > 1 - 1e-12
 
@@ -355,15 +347,12 @@ def test_oracle_correlated_port_means():
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 @pytest.mark.parametrize(
-    "phi, psi, chi",
-    [(0.7, 0.3, 0.0), (2.6, -1.2, 0.0), (0.7, 0.3, 0.6), (0.0, 0.0, 0.0), (0.0, 2.3, 0.6),
-     (np.pi, 0.0, 0.6), (np.pi, 2.3, 0.0)],
+    "phi, psi", [(0.7, 0.3), (2.6, -1.2), (0.0, 0.0), (np.pi, 2.3)],
 )
-def test_oracle_correlated_joint_matches_the_output_tensor(m, phi, psi, chi):
+def test_oracle_correlated_joint_matches_the_output_tensor(m, phi, psi):
     # the Gram matrices' G_nk sum against the twin-MZI tensor over all four axes; at
-    # phi = 0 and pi one port's displacement vanishes, and complex amplitudes (chi != 0)
-    # feel the sign of the phase moved onto d_n, which real ones do not
-    scene = CorrelatedConfig(SpatsvSpec(0.1, m, chi), mu=0.5, psi=psi, phi=phi)
+    # phi = 0 and pi one port's displacement vanishes
+    scene = CorrelatedConfig(SpatsvSpec(0.1, m), mu=0.5, psi=psi, phi=phi)
     amps = oracle_output(scene)
     for eta in (1.0, 0.85):
         joint = fock.oracle_interferometer(replace(scene, eta=eta)).joint

@@ -28,8 +28,8 @@ REFERENCE_DPS = 120
 PHASES = (1e-9, pi / 2, pi - 1e-9, 2 * pi - 1e-6, -0.7, "qfi")
 
 SCENES = {
-    "single": SingleMziConfig(PassvSpec(1.3, 2, 0.4), mu=1e8, phi=0.0, psi=0.2, eta=0.9),
-    "correlated": CorrelatedConfig(SpatsvSpec(2.0, 2, 0.3), mu=1e12, phi=0.0, psi=pi / 2,
+    "single": SingleMziConfig(PassvSpec(1.3, 2), mu=1e8, phi=0.0, psi=0.2, eta=0.9),
+    "correlated": CorrelatedConfig(SpatsvSpec(2.0, 2), mu=1e12, phi=0.0, psi=pi / 2,
                                    eta=0.98),
 }
 
@@ -84,18 +84,17 @@ def _figure_reads(single: bool) -> list:
 
 
 def test_the_flat_fold_gives_the_row_loop_s_rows_tuple_for_tuple():
-    # random families of both schemes, with lam = 0, mu = 0, chi != 0 and
-    # psi != 0 among them, at 30, 60 and 120 digits: every fold a figure
+    # random families of both schemes, with lam = 0, mu = 0 and psi != 0
+    # among them, at 30, 60 and 120 digits: every fold a figure
     # reads equals the per-row loop's, each G and its radius bit for bit
     rng, families, rows = random.Random(47), 0, 0
     for draw in range(84):
         single = draw % 2 == 0
         m = 0 if draw % 7 == 0 else rng.randrange(5)
         lam = 0.0 if draw % 7 == 0 else rng.choice((rng.uniform(0.01, 3), rng.uniform(3, 60)))
-        chi = rng.choice((0.0, rng.uniform(-3, 3)))
         psi = rng.choice((0.0, pi / 2, rng.uniform(-3, 3)))
         mu = rng.choice((0.0, rng.uniform(0.1, 10), 1e12, rng.uniform(1e2, 1e8)))
-        spec = (PassvSpec if single else SpatsvSpec)(lam, m, chi)
+        spec = (PassvSpec if single else SpatsvSpec)(lam, m)
         family = opalg.PortCoefficients(spec.table(), mu, psi,
                                         moments.digits_to_bits(rng.choice((30, 60, 120))))
         reads = _figure_reads(single)
@@ -159,7 +158,7 @@ def test_exact_summands_that_cancel_give_an_exact_zero_row():
 def test_a_twin_beam_difference_cancels_to_zero_within_its_bound():
     # <n0> and <n1> of the pair are one integer fill, so the rows of
     # <N_a - N_b> cancel exactly, and keep the fill's radius
-    cfg = CorrelatedConfig(SpatsvSpec(2.0, 2, 0.3), mu=1e12, phi=0.7, psi=pi / 2, eta=0.98)
+    cfg = CorrelatedConfig(SpatsvSpec(2.0, 2), mu=1e12, phi=0.7, psi=pi / 2, eta=0.98)
     ports = metrology._scene(cfg, moments.START_DIGITS)
     weights = opalg.normal_ordered(metrology._DIFFERENCE)
     rows = ports.coefficients.fold(opalg._plan(False, weights, ports.point.turn, None))

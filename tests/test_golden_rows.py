@@ -113,7 +113,7 @@ GOLDEN = [
     ),
     (
         dict(scheme="correlated", axis="lam", values=(0.6,), m_list=(1,),
-             metrics=("quad_diff_var",), chi=0.4, eta=0.9),
+             metrics=("quad_diff_var",), eta=0.9),
         "0.6,1,quad_diff_var,0.120831217522,ok",
     ),
 ]

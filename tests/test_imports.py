@@ -421,6 +421,28 @@ def test_scheme_names_live_only_in_experiments():
     assert held == []
 
 
+def test_psi_is_the_one_relative_phase():
+    # a squeezing angle chi turns each entry as a psi shift of chi/2 (one mode)
+    # or chi (a pair) would: no input, function or dataclass takes it
+    from photsub import errors
+
+    assert "chi" not in errors.PARAMETERS
+    held = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            elif isinstance(node, ast.ClassDef) and any("dataclass" in _named(d)
+                                                        for d in node.decorator_list):
+                names = [field.target.id for field in node.body
+                         if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)]
+            else:
+                continue
+            held += [f"{path.name}:{node.lineno}" for name in names if name == "chi"]
+    assert held == []
+
+
 def _module_memos() -> list:
     """(module, name) of every module-level memo of the package: a name bound
     to an empty dict literal, or a function decorated with a functools cache."""

@@ -177,7 +177,7 @@ def test_dark_single_input_is_singular():
     ],
 )
 def test_a_spec_of_the_other_scheme_is_rejected(metric, config, spec, expected):
-    # the engine reads only lam, m and chi of a spec, so the other scheme's
+    # the engine reads only lam and m of a spec, so the other scheme's
     # spec would silently give the other scheme's state
     with pytest.raises(ValueError, match=expected):
         metric(config(spec(1.0, 1), mu=10.0, phi=1.0))
@@ -631,12 +631,11 @@ _SCHEMES = [
 @pytest.mark.parametrize("spec_cls", [PassvSpec, SpatsvSpec])
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(m=1.0), dict(m=-1), dict(lam=float("nan")), dict(lam=float("inf")),
-     dict(chi=float("nan"))],
-    ids=["m-float", "m-negative", "lam-nan", "lam-inf", "chi-nan"],
+    [dict(m=1.0), dict(m=-1), dict(lam=float("nan")), dict(lam=float("inf"))],
+    ids=["m-float", "m-negative", "lam-nan", "lam-inf"],
 )
 def test_spec_rejects_invalid_inputs(spec_cls, kwargs):
-    args = dict(lam=0.5, m=1, chi=0.0)
+    args = dict(lam=0.5, m=1)
     args.update(kwargs)
     with pytest.raises(ValueError):
         spec_cls(**args)

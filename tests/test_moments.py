@@ -78,13 +78,13 @@ def test_two_mode_selection_rule(m):
     # |n,n> support forces equal net ladder change in both modes, and the
     # definite parity of a subtracted squeezed vacuum zeroes odd p - q
     rng = random.Random(m)
-    lam, chi = rng.uniform(0.1, 3.0), rng.uniform(0.2, 3.0)
-    t = SpatsvSpec(lam, m, chi=chi).table()
+    lam = rng.uniform(0.1, 3.0)
+    t = SpatsvSpec(lam, m).table()
     for key in _DROPPED + ((2, 0, 1, 0),):
         assert t.entry(key) == 0, key
     assert abs(complex(t.entry((2, 0, 2, 0)))) > 0.0  # p-q = r-s = 2 survives
     assert abs(complex(t.entry((0, 1, 0, 1)))) > 0.0  # <a0 a1>, which the mixed derivative reads
-    single = PassvSpec(lam, m, chi=chi).table()
+    single = PassvSpec(lam, m).table()
     for p, q in itertools.product(range(9), repeat=2):
         if p + q <= 8 and (p - q) % 2:
             assert single.entry((p, q)) == 0, (p, q)
@@ -125,7 +125,7 @@ def test_squeezed_vacuum_quadrature_variances():
     lam = 1.1
     r = float(np.arcsinh(np.sqrt(lam)))
     t = PassvSpec(lam, 0).table()
-    # chi = 0 squeezes Y and anti-squeezes X
+    # S(r) squeezes Y and anti-squeezes X
     y, x = (np.exp(-0.5j * np.pi),), (1.0,)
     assert abs(quadrature_variance(t, y) - 0.5 * np.exp(-2 * r)) < 1e-10
     assert abs(quadrature_variance(t, x) - 0.5 * np.exp(2 * r)) < 1e-10
@@ -167,14 +167,13 @@ def test_joint_distribution_matches_converged_fock_state(m):
         assert abs(fock_p[k] - p) <= 1e-12 * p
 
 
-@pytest.mark.parametrize("chi", [0.0, 0.7])
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
-def test_seed_table_matches_fock_summation(m, chi):
+def test_seed_table_matches_fock_summation(m):
     # fig5a's lam grid; the reference sums over the float seed amplitudes
     keys = [k for k in itertools.product(range(5), repeat=4) if sum(k) <= 4]
     for lam in PRESETS["fig5a"].values:
-        exact = moments.spatsv_seed_moment_table(lam, m, chi=chi)
-        num = table_from_state(spatsv_seed(SpatsvSpec(lam, m, chi)), max_order=4)
+        exact = moments.spatsv_seed_moment_table(lam, m)
+        num = table_from_state(spatsv_seed(SpatsvSpec(lam, m)), max_order=4)
         for key in keys:
             a, b = complex(num.entry(key)), complex(exact.entry(key))
             assert abs(a - b) < 1e-12 * max(1.0, abs(b)), (lam, key)
@@ -274,20 +273,18 @@ def _apply_word_2m(word, dim):
     return state.get((0, 0), mp.mpc(0))
 
 
-def _word_moment_1m(p, q, lam, chi):
-    """<a^dag^p a^q> from S^dag a S = cosh(r) a + e^{i chi} sinh(r) a^dag."""
+def _word_moment_1m(p, q, lam):
+    """<a^dag^p a^q> from S^dag a S = cosh(r) a + sinh(r) a^dag."""
     c, s = mp.sqrt(1 + mp.mpf(lam)), mp.sqrt(mp.mpf(lam))
-    ph = mp.exp(mp.mpc(0, chi))
-    word = [(s * mp.conj(ph), c)] * p + [(c, s * ph)] * q
+    word = [(s, c)] * p + [(c, s)] * q
     return _apply_word_1m(word, p + q + 1)
 
 
-def _word_moment_2m(p, q, r, s, lam, chi):
-    """<a1^dag^p a1^q a2^dag^r a2^s> from S^dag a1 S = cosh a1 + e^{i chi} sinh a2^dag."""
+def _word_moment_2m(p, q, r, s, lam):
+    """<a1^dag^p a1^q a2^dag^r a2^s> from S^dag a1 S = cosh a1 + sinh a2^dag."""
     c, sh = mp.sqrt(1 + mp.mpf(lam)), mp.sqrt(mp.mpf(lam))
-    ph = mp.exp(mp.mpc(0, chi))
-    a1, a1d = (c, 0, 0, sh * ph), (0, c, sh * mp.conj(ph), 0)
-    a2, a2d = (0, sh * ph, c, 0), (sh * mp.conj(ph), 0, 0, c)
+    a1, a1d = (c, 0, 0, sh), (0, c, sh, 0)
+    a2, a2d = (0, sh, c, 0), (sh, 0, 0, c)
     word = [a1d] * p + [a2d] * r + [a1] * q + [a2] * s
     return _apply_word_2m(word, p + q + r + s + 1)
 
@@ -300,29 +297,26 @@ def _assert_close(got, ref, rel):
 
 
 WICK_LAMS = [0, 1e-3, 0.7, 37, 100]
-WICK_CHIS = [0, 0.3, -1.1]
 
 
-@pytest.mark.parametrize("chi", WICK_CHIS)
 @pytest.mark.parametrize("lam", WICK_LAMS)
-def test_wick_sum_matches_word_applier_1m(lam, chi):
+def test_wick_sum_matches_word_applier_1m(lam):
     # the m = 0 table, read in integers at the bits of 50 digits
-    vacuum, bits = PassvSpec(lam, 0, chi=chi).table(), 170
+    vacuum, bits = PassvSpec(lam, 0).table(), 170
     with mp.workdps(50):
         for p, q in itertools.product(range(9), repeat=2):
             got = fixed_value(vacuum.fixed((p, q), bits))
-            _assert_close(got, _word_moment_1m(p, q, lam, chi), mp.mpf("1e-40"))
+            _assert_close(got, _word_moment_1m(p, q, lam), mp.mpf("1e-40"))
 
 
-@pytest.mark.parametrize("chi", WICK_CHIS)
 @pytest.mark.parametrize("lam", WICK_LAMS)
-def test_wick_sum_matches_word_applier_2m(lam, chi):
-    vacuum, bits = SpatsvSpec(lam, 0, chi=chi).table(), 170
+def test_wick_sum_matches_word_applier_2m(lam):
+    vacuum, bits = SpatsvSpec(lam, 0).table(), 170
     with mp.workdps(50):
         for p, q, r, s in itertools.product(range(9), repeat=4):
             got = fixed_value(vacuum.fixed((p, q, r, s), bits))
             if p - q != r - s:
                 assert got == 0
                 continue
-            _assert_close(got, _word_moment_2m(p, q, r, s, lam, chi), mp.mpf("1e-40"))
+            _assert_close(got, _word_moment_2m(p, q, r, s, lam), mp.mpf("1e-40"))
 

@@ -259,9 +259,7 @@ def _single_shape(rng):
     tables = [
         apply_loss(coherent_table(alpha, mode=0), eta),
         apply_loss(
-            PassvSpec(
-                rng.uniform(0.1, 2.0), rng.randrange(4), chi=rng.uniform(-1, 1)
-            ).table(),
+            PassvSpec(rng.uniform(0.1, 2.0), rng.randrange(4)).table(),
             eta,
             mode=1,
         ),
@@ -275,9 +273,7 @@ def _correlated_shape(rng):
     u2, v2 = _mzi(rng.uniform(1e-4, 1.0), 2)
     beta = mp.sqrt(rng.uniform(0.5, 4.0)) * mp.expj(rng.uniform(0, 3))
     images = {0: ({0: u1}, v1 * beta), 1: ({1: u2}, v2 * beta)}
-    table = SpatsvSpec(
-        rng.uniform(0.1, 2.0), rng.randrange(4), chi=rng.uniform(-1, 1)
-    ).table()
+    table = SpatsvSpec(rng.uniform(0.1, 2.0), rng.randrange(4)).table()
     return images, [table]
 
 

@@ -1,7 +1,7 @@
 """The port-moment kernel against the general operator algebra of reference.py.
 
-Each scene is drawn from a seeded stream with chi != 0, psi off {0, pi/2}
-and eta < 1.  The reference contracts the same port observables through
+Each scene is drawn from a seeded stream with psi off {0, pi/2} and
+eta < 1.  The reference contracts the same port observables through
 the interferometer images over the thinned input tables, with the phase
 derivatives carried as jets on u and v (slot 1 for phi, or phi1 and phi2
 for the two correlated ports); the kernel reads its phase slope and its
@@ -65,24 +65,24 @@ def _scene(scheme, rng):
     mu, psi = rng.uniform(0.5, 4.0), rng.uniform(0.1, 1.4)
     alpha = mp.sqrt(mu) * mp.expj(psi)
     eta = rng.uniform(0.5, 0.95)
-    lam, m, chi = rng.uniform(0.1, 2.0), rng.randrange(4), rng.uniform(0.2, 1.0)
+    lam, m = rng.uniform(0.1, 2.0), rng.randrange(4)
     phi = rng.uniform(0.1, 3.0)
     u1, v1 = _mzi(phi, 1)
     if scheme == "single":
-        ports = _kernel(lambda: PassvSpec(lam, m, chi=chi).table(), mu, psi, phi, eta)
+        ports = _kernel(lambda: PassvSpec(lam, m).table(), mu, psi, phi, eta)
         images = {0: ({0: u1, 1: v1}, 0), 1: ({0: v1, 1: u1}, 0)}
         tables = [
             apply_loss(coherent_table(alpha, mode=0), mp.mpf(eta)),
-            apply_loss(PassvSpec(lam, m, chi=chi).table(), mp.mpf(eta), mode=1),
+            apply_loss(PassvSpec(lam, m).table(), mp.mpf(eta), mode=1),
         ]
         return ports, images, tables, 2
     ports = _kernel(
-        lambda: SpatsvSpec(lam, m, chi=chi).table(), mu, psi, phi, eta
+        lambda: SpatsvSpec(lam, m).table(), mu, psi, phi, eta
     )
     u2, v2 = _mzi(phi, 2)
     beta = alpha * mp.sqrt(eta)
     images = {0: ({0: u1}, v1 * beta), 1: ({1: u2}, v2 * beta)}
-    quantum = SpatsvSpec(lam, m, chi=chi).table()
+    quantum = SpatsvSpec(lam, m).table()
     tables = [apply_loss(quantum, mp.mpf(eta))]
     return ports, images, tables, 4
 
@@ -224,15 +224,15 @@ def test_loss_scales_port_moments_by_eta_to_the_order(scheme, seed):
     with mp.workdps(50):
         mu, psi = rng.uniform(0.5, 4.0), rng.uniform(0.1, 1.4)
         eta = rng.uniform(0.5, 0.95)
-        lam, m, chi = rng.uniform(0.1, 2.0), rng.randrange(4), rng.uniform(0.2, 1.0)
+        lam, m = rng.uniform(0.1, 2.0), rng.randrange(4)
         phi = rng.uniform(0.1, 3.0)
         single = scheme == "single"
         order = 2 if single else 4
 
         def quantum():
             if single:
-                return PassvSpec(lam, m, chi=chi).table()
-            return SpatsvSpec(lam, m, chi=chi).table()
+                return PassvSpec(lam, m).table()
+            return SpatsvSpec(lam, m).table()
 
         lossy = _kernel(quantum, mu, psi, phi, eta)
         # the same ports over thinned inputs: the quantum table and the

@@ -1,6 +1,5 @@
 """The subtracted-state constructor, closed forms, seeds and energy balancing."""
 
-from dataclasses import replace
 from fractions import Fraction
 from math import factorial, inf, nextafter
 
@@ -101,7 +100,7 @@ def test_single_seed_squeezes_to_subtracted_state(m):
     seed = reference.passv_seed(spec)
     padded = np.zeros(300, dtype=complex)
     padded[: len(seed.amplitudes)] = seed.amplitudes
-    squeezed = squeeze_apply(fock.FockState1(padded), spec.r, spec.chi)
+    squeezed = squeeze_apply(fock.FockState1(padded), spec.r)
     target = fock.subtracted(spec, cutoff=300)
     assert fidelity(squeezed, target) > 1 - 1e-12
 
@@ -113,9 +112,7 @@ def test_two_mode_seed_squeezes_to_subtracted_state(m):
     seed = reference.spatsv_seed(spec)
     padded = np.zeros(200, dtype=complex)
     padded[: len(seed.amplitudes)] = seed.amplitudes
-    squeezed = two_mode_squeeze_apply(
-        fock.TwoModeDiagonalState(padded), spec.r, spec.chi
-    )
+    squeezed = two_mode_squeeze_apply(fock.TwoModeDiagonalState(padded), spec.r)
     target = fock.subtracted(spec, cutoff=200)
     assert fidelity(squeezed, target) > 1 - 1e-12
 
@@ -133,7 +130,7 @@ def test_two_mode_seed_m1_amplitudes():
 def test_single_seed_tends_to_one_fock_level_as_lam_vanishes(lam, m):
     # the weights z^l, z = sqrt((1 + lam)/lam)/2, are finite, but their norm
     # overflowed and normalizing gave an all-zero seed
-    amps = reference.passv_seed(PassvSpec(lam, m, 0.3)).amplitudes
+    amps = reference.passv_seed(PassvSpec(lam, m)).amplitudes
     want = np.zeros(m + 1)
     want[m % 2] = 1.0
     assert abs(np.linalg.norm(amps) - 1.0) < 1e-15
@@ -143,14 +140,13 @@ def test_single_seed_tends_to_one_fock_level_as_lam_vanishes(lam, m):
 @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
 @pytest.mark.parametrize("m", range(7))
 def test_single_seed_weights_are_z_to_the_l(lam, m):
-    # |m - 2l> weighs z^l/(l! sqrt((m - 2l)!)), z = e^{-i chi} sqrt((1 + lam)/lam)/2
-    chi = 0.7
-    z = np.exp(-1j * chi) * 0.5 * np.sqrt((1.0 + lam) / lam)
+    # |m - 2l> weighs z^l/(l! sqrt((m - 2l)!)), z = sqrt((1 + lam)/lam)/2
+    z = 0.5 * np.sqrt((1.0 + lam) / lam)
     want = np.zeros(m + 1, dtype=complex)
     for l in range(m // 2 + 1):
         want[m - 2 * l] = z**l / (factorial(l) * np.sqrt(factorial(m - 2 * l)))
     want /= np.linalg.norm(want)
-    got = reference.passv_seed(PassvSpec(lam, m, chi)).amplitudes
+    got = reference.passv_seed(PassvSpec(lam, m)).amplitudes
     assert np.max(np.abs(got - want)) < 1e-15
 
 
@@ -324,10 +320,10 @@ def _levels(state) -> np.ndarray:
 #: name -> build(mean photons, m, cutoff) of every state the oracle is fed
 _BUILDS = {
     "coherent": lambda mu, m, cut=None: coherent_state(np.sqrt(mu) * np.exp(0.6j), cut),
-    "squeezed": lambda lam, m, cut=None: fock.squeezed_vacuum(PassvSpec(lam).r, 0.6, cut),
-    "two_mode_squeezed": lambda lam, m, cut=None: fock.two_mode_squeezed_vacuum(lam, 0.6, cut),
-    "passv": lambda lam, m, cut=None: fock.subtracted(PassvSpec(lam, m, 0.6), cut),
-    "spatsv": lambda lam, m, cut=None: fock.subtracted(SpatsvSpec(lam, m, 0.6), cut),
+    "squeezed": lambda lam, m, cut=None: fock.squeezed_vacuum(PassvSpec(lam).r, cut),
+    "two_mode_squeezed": lambda lam, m, cut=None: fock.two_mode_squeezed_vacuum(lam, cut),
+    "passv": lambda lam, m, cut=None: fock.subtracted(PassvSpec(lam, m), cut),
+    "spatsv": lambda lam, m, cut=None: fock.subtracted(SpatsvSpec(lam, m), cut),
 }
 
 
@@ -380,14 +376,6 @@ def test_an_explicit_cutoff_below_m_is_too_small_at_any_lam(spec, lam):
     # parent fits in it, so its tail check cannot be what refuses it
     with pytest.raises(CutoffTooSmall, match="holds no level" if lam < 0.1 else None):
         fock.subtracted(spec(lam, 2), cutoff=1)
-
-
-@pytest.mark.parametrize("spec", [PassvSpec(15.0, 5), SpatsvSpec(12.0, 2)])
-def test_default_cutoff_of_a_subtracted_state_is_free_of_chi(spec):
-    # the squeezing angle leaves every level's mass as it is; at these two
-    # states its rounding in complex amplitudes once moved the least level
-    lengths = {fock.subtracted(replace(spec, chi=chi)).cutoff for chi in (0.0, 0.7, 2.0)}
-    assert lengths == {fock.subtracted(spec).cutoff}
 
 
 @pytest.mark.parametrize("ambient", [8, 30])

@@ -220,7 +220,7 @@ def test_memos_stay_bounded(memos):
 def test_a_memoised_table_fills_at_its_own_digits():
     # each family reads its table at its own bits, whatever the caller's
     # mpmath precision, and families at other digits share no entry
-    key, fresh = (2, 2, 2, 2), SpatsvSpec(2.0, 2, chi=0.0).table()
+    key, fresh = (2, 2, 2, 2), SpatsvSpec(2.0, 2).table()
     for digits in (50, 20):
         coefficients = metrology._port_coefficients(SpatsvSpec(2.0, 2), 1e12, pi / 2, digits)
         with mp.workdps(70 - digits):

@@ -28,9 +28,9 @@ def _keys(arity: int, order: int) -> list:
     return [k for k in itertools.product(range(order + 1), repeat=2 * arity) if sum(k) <= order]
 
 
-def _table(arity: int, lam, m: int, chi):
+def _table(arity: int, lam, m: int):
     spec = PassvSpec if arity == 1 else SpatsvSpec
-    return spec(lam, m, chi=chi).table()
+    return spec(lam, m).table()
 
 
 @pytest.mark.parametrize("m", range(4))
@@ -41,10 +41,9 @@ def test_the_fill_agrees_with_the_per_entry_sums(arity, m):
     ulp = mp.mpf(2) ** -moments.digits_to_bits(WORKING_DIGITS)
     bits = moments.digits_to_bits(WORKING_DIGITS + 10)
     for lam in (10 ** rng.uniform(-3, 4), 10 ** rng.uniform(-3, 4)):
-        chi = rng.uniform(0.2, 3.0) * rng.choice((-1, 1))
         with mp.workdps(WORKING_DIGITS + 10):
-            fill = _table(arity, lam, m, chi)
-            want = reference.subtracted_table(fill.modes, lam, m, 8, chi)
+            fill = _table(arity, lam, m)
+            want = reference.subtracted_table(fill.modes, lam, m, 8)
             for key in _keys(arity, 8):
                 got, ref = fixed_value(fill.fixed(key, bits)), want.entry(key)
                 if ref == 0:
@@ -55,8 +54,8 @@ def test_the_fill_agrees_with_the_per_entry_sums(arity, m):
 
 @pytest.mark.parametrize("arity", (1, 2), ids=("single", "pair"))
 def test_a_key_the_selection_rule_zeroes_is_an_exact_zero(arity, monkeypatch):
-    table = _table(arity, 1.7, 2, 0.4)
-    want = reference.subtracted_table(table.modes, 1.7, 2, 8, 0.4)
+    table = _table(arity, 1.7, 2)
+    want = reference.subtracted_table(table.modes, 1.7, 2, 8)
     zeroed = [key for key in _keys(arity, 8) if want.entry(key) == 0]
     assert len(zeroed) > 10
     evaluations, horner = [], moments._horner
@@ -75,34 +74,17 @@ def test_a_key_the_selection_rule_zeroes_is_an_exact_zero(arity, monkeypatch):
     assert len(evaluations) == 1
 
 
-@pytest.mark.parametrize("arity", (1, 2), ids=("single", "pair"))
-def test_a_table_computes_each_phase_once(arity, monkeypatch):
-    calls, cos_sin = [], moments.cos_sin
-
-    def counted(*args):
-        calls.append(args)
-        return cos_sin(*args)
-
-    monkeypatch.setattr(moments, "cos_sin", counted)
-    table = _table(arity, 1.7, 2, 0.4)
-    # an entry's phase is e^{i chi (q - p)}, key = (p, q, ...), and the phases
-    # of q - p and p - q share one cosine and sine
-    turns = {key[1] - key[0] for key in _keys(arity, 8) if table.fixed(key, 100)[1] != 0}
-    assert len(turns) > 2 and len({abs(t) for t in turns}) < len(turns)
-    assert len(calls) == len({abs(t) for t in turns})
-
-
 _LAMS = (0.0, 1e-9, 0.05, 0.7, 2.0, 37.5, 1e4, 1e16, 1e150, 1e200)
 
 
 def _exact_vacuum_moment(wick: tuple, lam: float) -> Fraction:
-    """A diagonal vacuum moment (b even, no phase) at the binary lam, exactly."""
+    """A diagonal vacuum moment (b even) at the binary lam, exactly."""
     lam = Fraction(lam)
-    return sum(count * lam**a * (lam * (1 + lam)) ** (b // 2) for count, a, b in wick[1])
+    return sum(count * lam**a * (lam * (1 + lam)) ** (b // 2) for count, a, b in wick)
 
 
 def test_diagonal_vacuum_moments_are_the_exact_rationals_floored_once():
-    # on the diagonal at chi = 0 a moment is an integer polynomial in lam,
+    # on the diagonal a moment is an integer polynomial in lam,
     # over the norm 1 at m = 0, so the fill's one rounding floors it
     for lam in _LAMS:
         for arity, wick in ((1, moments._wick_terms_1m), (2, moments._wick_terms_2m)):
@@ -116,22 +98,21 @@ def test_diagonal_vacuum_moments_are_the_exact_rationals_floored_once():
                 assert exact - re * Fraction(2) ** exp <= err * Fraction(2) ** exp, (lam, key)
 
 
-@pytest.mark.parametrize("chi", (0.0, 0.7, -2.9))
-def test_vacuum_moments_lie_within_three_roundings_of_the_per_entry_sums(chi):
-    # the ratio, g and the phase round once each; fixed counts them in its
-    # radius, a few units, against the per-entry sums at 100 digits; an entry
-    # of radius 0 (no phase, even powers of g) is the exact rational, which
-    # those sums miss by about 1e-100
+def test_vacuum_moments_lie_within_three_roundings_of_the_per_entry_sums():
+    # the ratio and g round once each; fixed counts them in its radius, a few
+    # units, against the per-entry sums at 100 digits; an entry of radius 0
+    # (even powers of g) is the exact rational, which those sums miss by
+    # about 1e-100
     bits = 53
     for lam in _LAMS:
         for arity, reference_moment, wick in (
                 (1, reference.vacuum_moment_1m, moments._wick_terms_1m),
                 (2, reference.vacuum_moment_2m, moments._wick_terms_2m)):
-            vacuum = (PassvSpec if arity == 1 else SpatsvSpec)(lam, 0, chi=chi).table()
+            vacuum = (PassvSpec if arity == 1 else SpatsvSpec)(lam, 0).table()
             for key in _keys(arity, 10):
                 got = vacuum.fixed(key, bits)
                 with mp.workdps(100):
-                    want = reference_moment(*key, lam, chi)
+                    want = reference_moment(*key, lam)
                     if want == 0:
                         assert got[0] == 0 and got[1] == 0, (lam, key)
                     elif got[2] == 0:
@@ -145,7 +126,7 @@ def test_vacuum_moments_lie_within_three_roundings_of_the_per_entry_sums(chi):
 def test_a_table_reads_the_same_at_any_ambient_precision():
     # a table reads at the bits asked for, whatever mpmath's precision
     for arity in (1, 2):
-        low, high = (_table(arity, 3.7, 2, 0.9) for _ in range(2))
+        low, high = (_table(arity, 3.7, 2) for _ in range(2))
         for key in _keys(arity, 6):
             with mp.workdps(8):
                 a = low.fixed(key, 150)
