@@ -51,8 +51,8 @@ TEXTS = {"nan": "nan", "inf": "inf", "-1": "-1", "1.5": "1.5", "1e30": str(10**3
 REAL, NONNEGATIVE, UNIT, INTEGER, NAME, SPEC, FISHER, CLOSED_ORDER = (
     {"-1", "1.5", "1e30"}, {"1.5", "1e30"}, set(), set(), set(), set(),
     {"-1", "1.5", "1e30", "inf"}, None)
-#: a retired config key (digits: the engine picks its own; chi: psi is the one
-#: relative phase), refused at any value
+#: a retired config key or sweep axis (digits: the engine picks its own; chi:
+#: psi is the one relative phase), refused at any value
 RETIRED = set()
 
 _PASSV, _SPATSV = PassvSpec(0.5, 1), SpatsvSpec(0.3, 1)
@@ -129,6 +129,9 @@ def _entries():
     yield ("oracle_interferometer",
            lambda cutoff=None, **kw: fock.oracle_interferometer(SingleMziConfig(**kw), cutoff),
            dict(quantum=PassvSpec(0.3), mu=1.0, psi=0.0, phi=0.7), dict(**scene, cutoff=INTEGER))
+    yield ("oracle_interferometer[correlated]",
+           lambda cutoff=None, **kw: fock.oracle_interferometer(CorrelatedConfig(**kw), cutoff),
+           dict(quantum=SpatsvSpec(0.3), mu=1.0, psi=0.0, phi=0.7), dict(**scene, cutoff=INTEGER))
     for scheme in ("single", "correlated"):
         yield (f"oracle_compare[{scheme}]", experiments.oracle_compare,
                dict(scheme=scheme, lam=0.3, m=1, mu=1.0, phi=0.7, eta=0.9),
@@ -137,7 +140,7 @@ def _entries():
         yield (f"run_sweep[{scheme}]", _sweep, dict(scheme=scheme),
                dict(lam=NONNEGATIVE, **scene, m_list=INTEGER, values_lam=NONNEGATIVE,
                     values_mu=NONNEGATIVE, values_eta=UNIT, values_phi=REAL, values_psi=REAL,
-                    values_one_minus_tau=UNIT))
+                    values_one_minus_tau=UNIT, values_chi=RETIRED))
 
 
 def _cli_entries():
@@ -150,8 +153,11 @@ def _cli_entries():
                     values=NONNEGATIVE, m=INTEGER, digits=RETIRED))
         yield (f"sweep[{scheme},mu-axis]", "sweep", text.replace("axis = lam", "axis = mu"),
                dict(lam=NONNEGATIVE))
+        yield (f"sweep[{scheme},psi-axis]", "sweep", text.replace("axis = lam", "axis = psi"),
+               dict(values=REAL))
         yield (f"oracle-compare[{scheme}]", "oracle-compare", f"scheme = {scheme}\nm = 1\n",
-               dict(lam=NONNEGATIVE, mu=NONNEGATIVE, phi=REAL, psi=REAL, eta=UNIT, cutoff=INTEGER))
+               dict(lam=NONNEGATIVE, m=INTEGER, mu=NONNEGATIVE, phi=REAL, psi=REAL, eta=UNIT,
+                    cutoff=INTEGER))
     yield "sweep[preset]", "sweep", "preset = fig1b\n", dict(digits=RETIRED)
     yield "preset", "preset", None, dict(name=NAME)
 

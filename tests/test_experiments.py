@@ -627,6 +627,36 @@ def test_quad_diff_var_obeys_loss_law(metric):
 
 
 @pytest.mark.parametrize(
+    "metric, table",
+    [
+        ("quad_diff_var", lambda *args: SpatsvSpec(*args).table()),
+        ("quad_diff_var_seed", moments.spatsv_seed_moment_table),
+    ],
+    ids=("quad_diff_var", "quad_diff_var_seed"),
+)
+def test_difference_quadrature_is_read_at_its_squeezed_angle(metric, table):
+    from reference import apply_loss
+
+    # the squeezed light alone sets the difference quadrature, so no turn of the
+    # coherent phase psi moves the row, and the row is the least variance over
+    # all angles: var_y's angle is the squeezed one
+    rows = [
+        _one_point(metric, values=(0.6,), m_list=(1,), psi=psi, eta=0.9)
+        for psi in (0.0, 0.4, 1.0, -2.5)
+    ]
+    assert all(row.flag == "ok" for row in rows)
+    assert len({row.value for row in rows}) == 1
+    with mp.workdps(40):
+        lossy = apply_loss(table(0.6, 1), mp.mpf(0.9))
+        scan = []
+        for k in range(629):
+            c = mp.expj(-mp.mpf(k) / 100) / mp.sqrt(2)
+            scan.append(reference.quadrature_variance(lossy, (c, -c)))
+    assert rows[0].value <= min(scan) + 1e-12
+    assert min(scan) - rows[0].value < 1e-3 * rows[0].value
+
+
+@pytest.mark.parametrize(
     "base",
     [
         # the folded port sums cancel the twin beams' mu^2 terms exactly, so

@@ -347,16 +347,42 @@ def test_oracle_correlated_port_means():
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 @pytest.mark.parametrize(
-    "phi, psi", [(0.7, 0.3), (2.6, -1.2), (0.0, 0.0), (np.pi, 2.3)],
+    "phi, psi",
+    [(0.7, 0.3), (2.6, -1.2), (0.7, 0.0), (0.0, 0.0), (0.0, 2.0), (np.pi, -0.3), (np.pi, 2.3)],
 )
 def test_oracle_correlated_joint_matches_the_output_tensor(m, phi, psi):
     # the Gram matrices' G_nk sum against the twin-MZI tensor over all four axes; at
-    # phi = 0 and pi one port's displacement vanishes
+    # phi = 0 and pi one port's displacement vanishes, and psi turns the phase the
+    # oracle moves onto d_n
     scene = CorrelatedConfig(SpatsvSpec(0.1, m), mu=0.5, psi=psi, phi=phi)
     amps = oracle_output(scene)
     for eta in (1.0, 0.85):
         joint = fock.oracle_interferometer(replace(scene, eta=eta)).joint
         assert np.abs(joint - readout_joint(amps, eta)).max() < 1e-13
+
+
+@pytest.mark.parametrize("chi", [0.5, 1.25, 3.0])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("scheme", ["single", "correlated"])
+def test_a_squeezing_angle_is_a_psi_shift(monkeypatch, scheme, m, chi):
+    # squeezing at angle chi turns the state by e^{i chi N/2} (a^m moves only its
+    # global phase), |n, n> by e^{i chi n}; the interferometers conserve photons, so
+    # the turn passes to the coherent beam as psi -> psi - chi/2: the engine at the
+    # shifted psi reads the oracle fed the turned state
+    spec, config, turn = ((PassvSpec, SingleMziConfig, chi / 2) if scheme == "single" else
+                          (SpatsvSpec, CorrelatedConfig, chi))
+    subtracted = fock.subtracted
+
+    def turned(spec, cutoff=None):
+        state = subtracted(spec, cutoff)
+        return type(state)(state.amplitudes * np.exp(1j * turn * np.arange(state.cutoff + 1)))
+
+    scene = dict(mu=1.5, phi=0.7, eta=0.9)
+    monkeypatch.setattr(fock, "subtracted", turned)
+    oracle = fock.oracle_interferometer(config(spec(0.3, m), psi=0.75, **scene)).moments
+    engine = metrology.readout_moments(config(spec(0.3, m), psi=0.75 - chi / 2, **scene))
+    for key, value in engine.items():
+        assert experiments._rel_err(float(value), oracle[key]) <= experiments.ORACLE_TOLERANCE
 
 
 @pytest.mark.parametrize("eta", [1.0, 0.85])

@@ -167,15 +167,21 @@ def test_joint_distribution_matches_converged_fock_state(m):
         assert abs(fock_p[k] - p) <= 1e-12 * p
 
 
+@pytest.mark.parametrize("chi", [0.0, 0.7])
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
-def test_seed_table_matches_fock_summation(m):
-    # fig5a's lam grid; the reference sums over the float seed amplitudes
+def test_seed_table_matches_fock_summation(m, chi):
+    # fig5a's lam grid; the reference sums over the float seed amplitudes, turned
+    # as a squeezing angle chi turns them (|k, k> by e^{i chi k}), which turns an
+    # entry by e^{i chi (q - p)}: the psi shift of chi/2 that stands for the angle
     keys = [k for k in itertools.product(range(5), repeat=4) if sum(k) <= 4]
     for lam in PRESETS["fig5a"].values:
         exact = moments.spatsv_seed_moment_table(lam, m)
-        num = table_from_state(spatsv_seed(SpatsvSpec(lam, m)), max_order=4)
+        amps = spatsv_seed(SpatsvSpec(lam, m)).amplitudes
+        seed = fock.TwoModeDiagonalState(amps * np.exp(1j * chi * np.arange(len(amps))))
+        num = table_from_state(seed, max_order=4)
         for key in keys:
-            a, b = complex(num.entry(key)), complex(exact.entry(key))
+            a = complex(num.entry(key))
+            b = complex(exact.entry(key)) * np.exp(1j * chi * (key[1] - key[0]))
             assert abs(a - b) < 1e-12 * max(1.0, abs(b)), (lam, key)
 
 
@@ -273,18 +279,20 @@ def _apply_word_2m(word, dim):
     return state.get((0, 0), mp.mpc(0))
 
 
-def _word_moment_1m(p, q, lam):
-    """<a^dag^p a^q> from S^dag a S = cosh(r) a + sinh(r) a^dag."""
+def _word_moment_1m(p, q, lam, chi):
+    """<a^dag^p a^q> from S^dag a S = cosh(r) a + e^{i chi} sinh(r) a^dag."""
     c, s = mp.sqrt(1 + mp.mpf(lam)), mp.sqrt(mp.mpf(lam))
-    word = [(s, c)] * p + [(c, s)] * q
+    ph = mp.expj(chi)
+    word = [(s * mp.conj(ph), c)] * p + [(c, s * ph)] * q
     return _apply_word_1m(word, p + q + 1)
 
 
-def _word_moment_2m(p, q, r, s, lam):
-    """<a1^dag^p a1^q a2^dag^r a2^s> from S^dag a1 S = cosh a1 + sinh a2^dag."""
+def _word_moment_2m(p, q, r, s, lam, chi):
+    """<a1^dag^p a1^q a2^dag^r a2^s> from S^dag a1 S = cosh a1 + e^{i chi} sinh a2^dag."""
     c, sh = mp.sqrt(1 + mp.mpf(lam)), mp.sqrt(mp.mpf(lam))
-    a1, a1d = (c, 0, 0, sh), (0, c, sh, 0)
-    a2, a2d = (0, sh, c, 0), (sh, 0, 0, c)
+    ph = mp.expj(chi)
+    a1, a1d = (c, 0, 0, sh * ph), (0, c, sh * mp.conj(ph), 0)
+    a2, a2d = (0, sh * ph, c, 0), (sh * mp.conj(ph), 0, 0, c)
     word = [a1d] * p + [a2d] * r + [a1] * q + [a2] * s
     return _apply_word_2m(word, p + q + r + s + 1)
 
@@ -297,20 +305,26 @@ def _assert_close(got, ref, rel):
 
 
 WICK_LAMS = [0, 1e-3, 0.7, 37, 100]
+#: squeezing angles of the word applier: S(r e^{i chi}) = e^{i chi N/2} S(r) e^{-i chi N/2}
+#: turns <a^dag^p a^q> by e^{i chi (q - p)/2} of each mode, the psi shift of chi/2
+#: that stands for the angle
+WICK_CHIS = [0, 0.3, -1.1]
 
 
+@pytest.mark.parametrize("chi", WICK_CHIS)
 @pytest.mark.parametrize("lam", WICK_LAMS)
-def test_wick_sum_matches_word_applier_1m(lam):
+def test_wick_sum_matches_word_applier_1m(lam, chi):
     # the m = 0 table, read in integers at the bits of 50 digits
     vacuum, bits = PassvSpec(lam, 0).table(), 170
     with mp.workdps(50):
         for p, q in itertools.product(range(9), repeat=2):
-            got = fixed_value(vacuum.fixed((p, q), bits))
-            _assert_close(got, _word_moment_1m(p, q, lam), mp.mpf("1e-40"))
+            got = fixed_value(vacuum.fixed((p, q), bits)) * mp.expj(mp.mpf(chi) * (q - p) / 2)
+            _assert_close(got, _word_moment_1m(p, q, lam, chi), mp.mpf("1e-40"))
 
 
+@pytest.mark.parametrize("chi", WICK_CHIS)
 @pytest.mark.parametrize("lam", WICK_LAMS)
-def test_wick_sum_matches_word_applier_2m(lam):
+def test_wick_sum_matches_word_applier_2m(lam, chi):
     vacuum, bits = SpatsvSpec(lam, 0).table(), 170
     with mp.workdps(50):
         for p, q, r, s in itertools.product(range(9), repeat=4):
@@ -318,5 +332,6 @@ def test_wick_sum_matches_word_applier_2m(lam):
             if p - q != r - s:
                 assert got == 0
                 continue
-            _assert_close(got, _word_moment_2m(p, q, r, s, lam), mp.mpf("1e-40"))
+            got *= mp.expj(mp.mpf(chi) * (q - p))  # a turn of chi/2 on each mode
+            _assert_close(got, _word_moment_2m(p, q, r, s, lam, chi), mp.mpf("1e-40"))
 
