@@ -27,7 +27,6 @@ constant, kept for the schema's sake.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass, replace
 from math import inf, isfinite, nextafter, pi, sqrt
@@ -175,9 +174,8 @@ def _quadrature(build, n_key: tuple, pair_key: tuple):
     def metric(cfg, digits: int) -> float:
         bits = moments.digits_to_bits(digits)
         table = build(cfg.quantum)
-        n, pair = table.fixed(n_key, bits), moments.fixed_times(table.fixed(pair_key, bits), -1)
-        spread = moments.certified_sum([(moments.ONE, n), (moments.ONE, pair)], bits)
-        return (moments.thin(spread, cfg.eta) + moments.Bounded(1, 0, -1)).value
+        n, pair = (moments.Bounded(*table.fixed(key, bits)) for key in (n_key, pair_key))
+        return (moments.thin(n - pair, cfg.eta) + moments.Bounded(1, 0, -1)).value
 
     return metric
 
@@ -608,6 +606,8 @@ EXIT_NUMERICAL = 2
 
 
 def main(argv=None) -> int:
+    import argparse  # the CLI alone parses arguments: ``import photsub`` stays lean
+
     parser = argparse.ArgumentParser(
         prog="photsub",
         description="Phase-estimation sweeps with photon-subtracted squeezed light",

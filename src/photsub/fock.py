@@ -5,9 +5,10 @@ mode count), photon subtraction, and a brute-force interferometer oracle used
 to validate the symbolic moment engine on its own scene, a config of
 :mod:`photsub.metrology` whose spec picks one MZI or twin MZIs.  Each state is
 one amplitude function n -> <n|state>; one filler turns it into an array, by
-default up to the least level whose tail mass is below TAIL_TOL plus
+default up to the least level whose tail mass is below TAIL_TOL, and for a
+subtracted state whose n^4-weighted tail is below TAIL_TOL E[n^4], plus
 CUTOFF_MARGIN levels, and checks a given cutoff, and before any fill a
-squeezed state's floor, against that tail.  Every level is real: the one
+squeezed state's floor, against the mass tail.  Every level is real: the one
 relative phase is the coherent port's.  Photon subtraction is one map of
 amplitude functions, a^m on each mode (:func:`_lowered`), filled once per
 :mod:`photsub.states` spec by :func:`subtracted`.  The MZI turns the
@@ -82,26 +83,31 @@ class TwoModeDiagonalState(_FockState):
 
 
 def _filled(amplitude, cutoff: int | None = None, mean: float = 0.0,
-            floor=lambda n: 0.0) -> np.ndarray:
+            floor=lambda n: 0.0, fourth: float = 0.0) -> np.ndarray:
     """The amplitudes ``amplitude(n)`` of a unit-norm state for n = 0 .. cutoff.
 
     By default the cutoff is the least level whose tail mass is below
-    TAIL_TOL, plus CUTOFF_MARGIN, at most 10^6.  CutoffTooSmall is raised for
+    TAIL_TOL, and whose n^4-weighted tail, ``fourth`` = E[n^4] less the
+    filled levels' n^4 |amplitude|^2, is below TAIL_TOL ``fourth`` (none
+    where it is 0), plus CUTOFF_MARGIN, at most 10^6.  CutoffTooSmall is raised for
     a given ``cutoff`` that leaves a larger tail and, before any fill, for a
     ``mean`` photon number past the cutoff or that limit, or where
     ``floor(n)``, a lower bound on the mass from level n on, passes 1000
     TAIL_TOL past it: the fill, its float tail within 1e-12, refuses it too.
     """
     amps = []
-    tail = 1.0  # the tail as it shrinks rounds far finer than the mass near 1
+    tail, tail4 = 1.0, fourth  # the tails as they shrink round far finer than the sums
     limit = 1_000_000 if cutoff is None else cutoff
     if mean > limit or floor(limit + 1) > 1000 * TAIL_TOL:
         raise CutoffTooSmall(f"a state of {mean:.3g} mean photons needs more than {limit} levels")
-    while tail > TAIL_TOL:
-        if len(amps) > limit:
-            raise CutoffTooSmall(f"{len(amps)} levels leave tail mass {tail:.3e} > {TAIL_TOL}")
-        amps.append(amplitude(len(amps)))
-        tail -= abs(amps[-1]) ** 2
+    while tail > TAIL_TOL or tail4 > TAIL_TOL * fourth:
+        n = len(amps)
+        if n > limit:
+            raise CutoffTooSmall(f"{n} levels leave tail mass {tail:.3e} > {TAIL_TOL}"
+                                 f" or n^4-weighted tail {tail4:.3e} > {TAIL_TOL} E[n^4]")
+        amps.append(amplitude(n))
+        mass = abs(amps[-1]) ** 2
+        tail, tail4 = tail - mass, tail4 - n**4 * mass
     stop = len(amps) + CUTOFF_MARGIN if cutoff is None else cutoff + 1
     amps += map(amplitude, range(len(amps), stop))
     return np.array(amps, dtype=complex)
@@ -172,7 +178,11 @@ def subtracted(spec, cutoff: int | None = None) -> _FockState:
     """The Fock state of a PassvSpec or SpatsvSpec (ValueError for anything else): a^m on each
     of its modes of the squeezed vacuum (one) or TSV (two).  Level n is the parent's
     at n + m, lowered (:func:`_lowered`) over the root of the table's norm, both scaled
-    exactly to stay floats.  By default their fill is the state, refused first where the
+    exactly to stay floats.  By default their fill is the state, sized for the oracle's
+    read-out moments of order 4 in the counts: its n^4-weighted tail, against E[n^4] =
+    sum_k S(4, k) <a^dag^k a^k> of one mode, exact from the table (S the Stirling numbers
+    of the second kind), is at most TAIL_TOL E[n^4] (:func:`_filled`), where the mass rule
+    alone left 1.9e-8 of it at SpatsvSpec(10, 0).  It is refused first where the
     parent's tail floor from n + m passes the level limit (a^m tilts the counts to higher n);
     a given cutoff bounds the parent, checked against its tail, and one below m, which holds
     no level of the state, is CutoffTooSmall at any lam > 0."""
@@ -192,7 +202,10 @@ def subtracted(spec, cutoff: int | None = None) -> _FockState:
     scale = 1.0 / sqrt(ratio(table.norm, 1, power - 2 * shift))
     lowered = _lowered(amplitude, m, modes, shift)
     if cutoff is None:  # the mean lies below the subtracted state's
-        amps = _filled(lambda n: lowered(n) * scale, None, spec.lam, lambda n: floor(n + m))
+        fourth = sum(s * table.entry((k, k) + (0, 0) * (modes - 1))
+                     for k, s in zip(range(1, 5), (1, 7, 6, 1)))  # S(4, k)
+        amps = _filled(lambda n: lowered(n) * scale, None, spec.lam, lambda n: floor(n + m),
+                       fourth)
     else:
         amps = np.array(list(map(lowered, range(cutoff + 1 - m))), dtype=complex) * scale
     return state(amps).normalized()

@@ -118,16 +118,16 @@ def phi_for_tau(tau: float) -> float:
 
 @lru_cache(maxsize=moments.MEMO_SIZE)
 def _mzi_entries(phi: float, bits: int) -> tuple:
-    """x = c^2, y = s^2 and z = i cs at ``bits`` bits, c and s the cosine and
-    sine of phi/2 (:func:`moments.cos_sin`), each within 2^-bits of its own
-    size, so a radius of (|c| >> bits) + 2 units, or exact at phi = 0: the
-    Mach-Zehnder entries u = c^2 + i cs, v = -s^2 + i cs keep their relative
-    accuracy at any phase, where (e^{i phi} -+ 1)/2 would cancel."""
+    """x = c^2, y = s^2 and z/i = cs at ``bits`` bits, real fixed numbers, c and s
+    the cosine and sine of phi/2 (:func:`moments.cos_sin`), each within 2^-bits of
+    its own size, so a radius of (|c| >> bits) + 2 units, or exact at phi = 0: the
+    Mach-Zehnder entries u = c^2 + i cs, v = -s^2 + i cs, whose z = conj(u) v is
+    i cs (the turn i), keep their relative accuracy at any phase, where
+    (e^{i phi} -+ 1)/2 would cancel."""
     num, den = phi.as_integer_ratio()
-    c, s = (moments.fixed_from(man, 0, (abs(man) >> bits) + 2 if num else 0, exp, bits + 4)
+    c, s = (moments.fixed_from(man, (abs(man) >> bits) + 2 if num else 0, exp, bits + 4)
             for man, exp in moments.cos_sin(num, den.bit_length(), bits))  # phi/2
-    return (moments.fixed_mul(c, c, bits), moments.fixed_mul(s, s, bits),
-            moments.fixed_mul(c, moments.fixed_times(s, 1j), bits))
+    return tuple(moments.fixed_mul(a, b, bits) for a, b in ((c, c), (s, s), (c, s)))
 
 
 @lru_cache(maxsize=moments.MEMO_SIZE)
@@ -332,8 +332,7 @@ def correlated_uncertainty(cfg: CorrelatedConfig, digits: int) -> float:
     ports = _scene(cfg, digits)
     mixed = _nonzero(ports.expect(_COVARIANCE_WEIGHTS[0], "mixed"), "mixed phase derivative of <C>")
     var = _variance(ports, _COVARIANCE_WEIGHTS)
-    x = moments.certified_sum([(ports.point.lossy[0], moments.ONE)], ports.bits)
-    return _root_over(var, mixed, cfg.mu * x)
+    return _root_over(var, mixed, cfg.mu * moments.Bounded(*ports.point.lossy[0]))
 
 
 # ---------------------------------------------------------------------------

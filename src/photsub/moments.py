@@ -17,8 +17,10 @@ selection rule zeroes is an exact 0, and every entry is real: the one
 relative phase, psi, is the coherent state's (:func:`cos_sin`).
 
 Every number has one error model, an absolute radius: a fixed number
-(re, im, err, exp) is the ball of midpoint (re + i im) 2^exp and radius
-err 2^exp, and a :class:`Bounded` the real ball :func:`certified_sum`
+(man, err, exp) is the real ball of midpoint man 2^exp and radius err 2^exp,
+a complex one a pair of them (re, im) as in Arb (F. Johansson, IEEE Trans.
+Computers 66(8), 2017), met only in the coherent state's phases
+(:class:`Phases`), and a :class:`Bounded` the real ball :func:`certified_sum`
 makes of their products, so a sum that cancels keeps its radius.
 Detection loss has one law, :func:`thin`, through which the read-out
 engine (:mod:`photsub.opalg`) and the quadrature metrics, two entries each,
@@ -72,25 +74,23 @@ def man_exp(x) -> tuple:
     return n >> zeros, zeros + 1 - d.bit_length()
 
 
-def fixed_from(re: int, im: int, err: int, exp: int, bits: int) -> tuple:
-    """(re + i im) 2^exp within err 2^exp as a fixed number (re, im, err, exp), a
+def fixed_from(man: int, err: int, exp: int, bits: int) -> tuple:
+    """man 2^exp within err 2^exp as a fixed number (man, err, exp), a real
     ball whose radius is absolute, in units of 2^exp, as in :class:`Bounded`:
-    integer parts longer than ``bits`` bits are truncated to it (block floating
-    point), adding 2 units if it drops a nonzero bit, so an exact number stays exact."""
-    shift = max(re.bit_length(), im.bit_length()) - bits
+    a mantissa longer than ``bits`` bits is truncated to it (block floating
+    point), adding a unit if it drops a nonzero bit, so an exact number stays exact."""
+    shift = man.bit_length() - bits
     if shift > 0:
-        lost = 2 * bool((re | im) & (1 << shift) - 1)
-        return re >> shift, im >> shift, lost - (-err >> shift), exp + shift
-    return re, im, err, exp
+        return man >> shift, bool(man & (1 << shift) - 1) - (-err >> shift), exp + shift
+    return man, err, exp
 
 
 def fixed_mul(x: tuple, y: tuple, bits: int) -> tuple:
     """The product of two fixed numbers, truncated to ``bits`` bits: its radius
-    |x| r_y + |y| r_x + r_x r_y, each |re + i im| bounded by |re| + |im|."""
-    a, b, rx, ex = x
-    c, d, ry, ey = y
-    err = (abs(a) + abs(b)) * ry + (abs(c) + abs(d) + ry) * rx
-    return fixed_from(a * c - b * d, a * d + b * c, err, ex + ey, bits)
+    |x| r_y + |y| r_x + r_x r_y."""
+    a, rx, ex = x
+    c, ry, ey = y
+    return fixed_from(a * c, abs(a) * ry + (abs(c) + ry) * rx, ex + ey, bits)
 
 
 @cache
@@ -150,9 +150,9 @@ def cos_sin(n: int, shift: int, bits: int) -> tuple:
 
 
 class Phases(dict):
-    """(turns, bits) -> e^{i turns x} as a fixed number: cos and sin (:func:`cos_sin`)
-    at the larger's unit, within 2^-bits plus that unit of the unit phase, or
-    exactly 1, radius 0, where turns or x is 0."""
+    """(turns, bits) -> e^{i turns x} as a pair of fixed numbers, its cosine
+    and sine (:func:`cos_sin`), each at its own unit and within 2^-bits, or
+    exactly (1, 0) where turns or x is 0: a complex ball as two real ones."""
 
     def __init__(self, x: float):
         self.n, d = float(x).as_integer_ratio()
@@ -161,23 +161,21 @@ class Phases(dict):
     def __missing__(self, key):
         turns, bits = key
         if not (turns and self.n):
-            return self.setdefault(key, ONE)
+            return self.setdefault(key, (ONE, ZERO))
         (c, ec), (s, es) = cos_sin(self.n * abs(turns), self.shift, bits)
-        e, radius = max(ec, es), (1 << max(0, -bits - max(ec, es))) + 1
+        cos = c, 1 << max(0, -bits - ec), ec
         for sign in (1, -1):  # cos_sin(-n) is exactly (cos, -sin): one call serves both
-            self[sign * abs(turns), bits] = c >> e - ec, sign * s >> e - es, radius, e
+            self[sign * abs(turns), bits] = cos, (sign * s, 1 << max(0, -bits - es), es)
         return self[key]
 
 
-def fixed_times(x: tuple, k, halvings: int = 0) -> tuple:
-    """A fixed number times k 2^-halvings, exactly, its radius times |Re k| + |Im k|,
-    for a Gaussian integer ``k``: an int, or a complex with integer parts such as -2j."""
-    re, im, err, exp = x
-    kr, ki = int(k.real), int(k.imag)
-    return re * kr - im * ki, re * ki + im * kr, err * (abs(kr) + abs(ki)), exp - halvings
+def fixed_times(x: tuple, k: int, halvings: int = 0) -> tuple:
+    """A fixed number times the integer k 2^-halvings, exactly, its radius times |k|."""
+    man, err, exp = x
+    return man * k, err * abs(k), exp - halvings
 
 
-ONE, ZERO = (1, 0, 0, 0), (0, 0, 0, 0)  # the numbers 1 and 0 as fixed numbers, exactly
+ONE, ZERO = (1, 0, 0), (0, 0, 0)  # the numbers 1 and 0 as fixed numbers, exactly
 
 
 class Bounded:
@@ -221,11 +219,15 @@ def rounded(*factors: Bounded, over: Bounded = Bounded(1, 0, 0)) -> float:
     man -+ err of each, by :func:`ratio`, where an end of |``over``| at or
     below 0 reads as infinite.  Each end moves the quotient one way, and so
     does rounding to nearest, so the corners bound every value of the balls;
-    two floats raise PrecisionInsufficient.  This is the one precision rule."""
+    two floats raise PrecisionInsufficient.  This is the one precision rule.
+    For a fixed divisor :func:`ratio` is monotone in the numerator, its
+    infinities too, so four corners give the extremes of them all: the least
+    and the greatest end of the numerator, each over both ends of the divisor."""
     exp, nums, size = -over.exp, {1}, abs(over.man)
     for b in factors:  # the product's ends
         exp, nums = exp + b.exp, {n * end for n in nums for end in (b.man - b.err, b.man + b.err)}
-    values = {ratio(n, max(den, 0), exp) for n in nums for den in {size - over.err, size + over.err}}
+    values = {ratio(n, max(den, 0), exp) for n in {min(nums), max(nums)}
+              for den in {size - over.err, size + over.err}}
     if len(values) > 1:
         raise PrecisionInsufficient(f"certified only between {min(values)} and {max(values)}")
     return values.pop() + 0.0
@@ -255,7 +257,7 @@ def retried(figure):
 
 
 def certified_sum(pairs, bits: int) -> Bounded:
-    """Re sum x y over pairs of fixed numbers (:func:`fixed_from`), as a Bounded.
+    """sum x y over pairs of fixed numbers (:func:`fixed_from`), as a Bounded.
 
     Each product carries the radius of :func:`fixed_mul`, also where its
     midpoint is 0; the products are summed exactly at the least exponent,
@@ -263,13 +265,13 @@ def certified_sum(pairs, bits: int) -> Bounded:
     which adds a unit if a nonzero bit drops.  This is the package's one point sum.
     """
     man = err = low = 0
-    for (a, b, rx, ex), (c, d, ry, ey) in pairs:
-        if (a or b or rx) and (c or d or ry):
+    for (a, rx, ex), (c, ry, ey) in pairs:
+        if (a or rx) and (c or ry):
             e = ex + ey
             if e < low:
                 man, err, low = man << low - e, err << low - e, e
-            man += a * c - b * d << e - low
-            err += (abs(a) + abs(b)) * ry + (abs(c) + abs(d) + ry) * rx << e - low
+            man += a * c << e - low
+            err += abs(a) * ry + (abs(c) + ry) * rx << e - low
     shift = max(man.bit_length(), err.bit_length()) - bits
     if shift > 0:
         lost = bool(man & (1 << shift) - 1)
@@ -448,12 +450,12 @@ class MomentTable:
                 self._roots[bits] = g, int(g * g < self.g2 << 2 * t), t
             g, off, t = self._roots[bits]
             man, err, exp = man * g, man * off + (g + off) * err, exp - self.shift - t
-        return fixed_from(man, 0, err, exp, bits)
+        return fixed_from(man, err, exp, bits)
 
-    def entry(self, key) -> complex:
-        """Entry ``key`` as a complex float, for inspection."""
-        re, im, _, exp = self.fixed(key, 64)
-        return complex(ratio(re, 1, exp), ratio(im, 1, exp))
+    def entry(self, key) -> float:
+        """Entry ``key`` as a float: the midpoint of its 64-bit ball, rounded."""
+        man, _, exp = self.fixed(key, 64)
+        return ratio(man, 1, exp)
 
 
 def spatsv_seed_moment_table(lam, m: int) -> MomentTable:

@@ -18,11 +18,15 @@ sum_n sum_k G(n, k) eta^n M(n, k): :class:`PortCoefficients` folds each row G
 once per family and observable, exactly, with its summands' radii, from a
 flat plan built once per process (:func:`_plan`) and the one block of
 displacements per (mu, psi, bits), which every family there reads
-(:data:`_displacements`).  M's powers of x, y and z add up to n, so
-eta^n M(n, k) is M(n, k) of eta x, eta y and eta z: a
+(:data:`_displacements`).  The table's entries, x, y and z/omega are real,
+so every number past the displacement-entry product is a real ball: M is
+omega^(k mod 2) times a real monomial, and the sum, real, reads one part of
+each row, Re(kappa G) = +-Re G or +-Im G, kappa the derivative's factor's
+unit times omega^(k mod 2) (:class:`_Plan`).  M's powers of x, y and z add
+up to n, so eta^n M(n, k) is M(n, k) of eta x, eta y and eta z: a
 :class:`PortPoint` scales its entries by eta once (:func:`photsub.moments.thin`,
-the one loss law) and keeps the monomials for every family read there, and
-a point is one certified sum of the two (:meth:`PortMoments.expect`).
+the one loss law) and keeps the real monomials for every family read there,
+and a point is one certified sum of the two (:meth:`PortMoments.expect`).
 Ordinary moments follow by Stirling numbers (:func:`normal_ordered`), and
 each phase derivative by a fixed integer map of the lam-free rows
 (:func:`_rows`), folded and summed alike: the slope d/dphi of the merged
@@ -44,7 +48,7 @@ from .moments import (
 
 _GUARD_BITS = 10  # kept over the working bits: ~1/1000 of its last unit per term
 
-#: each derivative's factor on its folded rows, i/2 per phase slope: (k, halvings)
+#: each derivative's factor on its folded rows, i/2 per phase slope: (Gaussian unit, halvings)
 _FACTORS = {None: (1, 0), "slope": (1j, 1), "mixed": (-1, 2)}
 
 
@@ -110,48 +114,57 @@ def _rows(single: bool, weights: tuple, turn, derivative=None) -> dict:
 
 
 class _Plan:
-    """:func:`_rows` laid flat: ``products`` the (input key, m, m2) it reads,
-    ``rows`` (n, k, indices into them, weights), ``factor`` the derivative's
-    (:data:`_FACTORS`).  Its identity keys a family's folds and a point's sums."""
+    """:func:`_rows` laid flat for the one part of each row a point reads:
+    ``products`` the (input key, m, m2, part) it reads, the real (part 0) or
+    imaginary (1) part of a displacement-entry product, ``rows`` (n, k,
+    [(index into them, weight)]), and ``halvings`` the derivative's power of
+    1/2 (:data:`_FACTORS`).  The point's monomial is turn^(k mod 2) times a
+    real one (:class:`PortPoint`), so it reads Re(kappa G) of a row G(n, k),
+    kappa the derivative's Gaussian unit times turn^(k mod 2): +-Re G or
+    +-Im G, its sign in the weights.  Its identity keys a family's folds and
+    a point's sums."""
 
-    __slots__ = ("products", "rows", "factor")
+    __slots__ = ("products", "rows", "halvings")
 
-    def __init__(self, rows: dict, derivative):
-        ids = {}
-        self.rows = [(n, k, [ids.setdefault(t[:3], len(ids)) for t in row], [t[3] for t in row])
-                     for (n, k), row in rows.items()]
+    def __init__(self, rows: dict, turn, derivative):
+        unit, self.halvings = _FACTORS[derivative]
+        ids, self.rows = {}, []
+        for (n, k), row in rows.items():
+            kappa = complex(unit * turn ** (k % 2))
+            part, sign = (0, int(kappa.real)) if kappa.real else (1, -int(kappa.imag))
+            self.rows.append((n, k, [(ids.setdefault((*t[:3], part), len(ids)), sign * t[3])
+                                     for t in row]))
         self.products = list(ids)
-        self.factor = _FACTORS[derivative]
 
 
 @cache
 def _plan(single: bool, weights: tuple, turn, derivative) -> _Plan:
     """The fold plan of :func:`_rows`' rows, built once per process: ``derivative``
     has no default, as the cache keys an omitted argument apart from its value."""
-    return _Plan(_rows(single, weights, turn, derivative), derivative)
+    return _Plan(_rows(single, weights, turn, derivative), turn, derivative)
 
 
-def _exact_sum(summands):
-    """sum w h over pairs of an integer w and a :func:`fixed_from` number h,
-    exactly, at the least exponent, in one pass: its radius is sum |w| r, so a
-    row that cancels, to a 0 midpoint too, keeps its summands' radii; None
-    where the sum is an exact 0, which adds no error."""
-    re, im, err, low = 0, 0, 0, None
-    for w, (x, y, r, e) in summands:
-        if x or y or r:
+def _exact_sum(summands, halvings: int = 0):
+    """2^-halvings sum w h over pairs of an integer w and a :func:`fixed_from`
+    number h, exactly, at the least exponent, in one pass: its radius is
+    sum |w| r, so a row that cancels, to a 0 midpoint too, keeps its
+    summands' radii; None where the sum is an exact 0, which adds no error."""
+    man, err, low = 0, 0, None
+    for w, (x, r, e) in summands:
+        if x or r:
             if low is None or e < low:
                 shift = 0 if low is None else low - e
-                re, im, err, low = re << shift, im << shift, err << shift, e
-            re, im, err = (re + (w * x << e - low), im + (w * y << e - low),
-                           err + (abs(w) * r << e - low))
-    return (re, im, err, low) if re or im or err else None
+                man, err, low = man << shift, err << shift, e
+            man, err = man + (w * x << e - low), err + (abs(w) * r << e - low)
+    return (man, err, low - halvings) if man or err else None
 
 
 class _Displacements(dict):
-    """(m, m2) -> conj(alpha)^m alpha^m2 = mu^((m + m2)/2) e^{i psi (m2 - m)} as a
-    fixed-point number, its radius the phase's times mu^((m + m2)/2): exact where
-    m = m2 and it fits in the ``bits``, formed on first read for every family and
-    plan at mean photons ``mu``, an exact (man, exp) pair, and phase ``psi``."""
+    """(m, m2) -> conj(alpha)^m alpha^m2 = mu^((m + m2)/2) e^{i psi (m2 - m)} as its
+    real and imaginary parts, two fixed numbers, each with its phase part's radius
+    times mu^((m + m2)/2): exact where m = m2 and it fits in the ``bits``, formed
+    on first read for every family and plan at mean photons ``mu``, an exact
+    (man, exp) pair, and phase ``psi``."""
 
     def __init__(self, mu: tuple, psi: float, bits: int):
         self.mu, self.phases, self.bits = mu, Phases(psi), bits
@@ -159,9 +172,10 @@ class _Displacements(dict):
     def __missing__(self, mm2: tuple) -> tuple:
         (man, exp), (m, m2) = self.mu, mm2
         k = (m + m2) // 2
-        phase = fixed_times(self.phases[m2 - m, self.bits + 2], man**k, -exp * k)
-        self[mm2] = shift = fixed_from(*phase, self.bits)
-        return shift
+        power, bits = man**k, self.bits
+        self[mm2] = parts = tuple(fixed_from(*fixed_times(part, power, -exp * k), bits)
+                                  for part in self.phases[m2 - m, bits + 2])
+        return parts
 
 
 #: the one displacement block per (mu, psi, bits), read by every family and plan there
@@ -186,34 +200,41 @@ class PortCoefficients:
         self._moments, self._products, self._folds = {}, {}, {}
 
     def fold(self, plan: _Plan) -> list:
-        """[(n, k, G(n, k))] of the observable, or its derivative, of ``plan``
-        (:func:`_plan`), kept per plan: each G an :func:`_exact_sum` of
-        displacement-entry products formed once per family, times the
-        derivative's factor."""
+        """[(n, k, g)] of the observable, or its derivative, of ``plan`` (:func:`_plan`),
+        kept per plan: g = 2^-halvings Re(kappa G(n, k)), the one part of the row
+        the point reads (:class:`_Plan`), an :func:`_exact_sum` of the parts of
+        displacement-entry products, each formed once per family by one real product."""
         rows = self._folds.get(plan)
         if rows is None:
             bits, table, entries, shifts = self.bits, self.table, self._moments, self.displacements
-            formed, products, rows = self._products, [], []
+            formed, products, rows, halvings = self._products, [], [], plan.halvings
             for term in plan.products:
                 h = formed.get(term)
                 if h is None:
-                    key, m, m2 = term
+                    key, m, m2, part = term
                     entry = entries.get(key) or entries.setdefault(key, table.fixed(key, bits))
-                    h = formed[term] = fixed_mul(shifts[m, m2], entry, bits)
+                    h = formed[term] = fixed_mul(shifts[m, m2][part], entry, bits)
                 products.append(h)
-            for n, k, ids, ws in plan.rows:
-                g = _exact_sum(zip(ws, map(products.__getitem__, ids)))
+            for n, k, summands in plan.rows:
+                if len(summands) == 1:  # most rows: one product, weighed
+                    (i, w), = summands
+                    man, err, exp = products[i]
+                    g = (w * man, abs(w) * err, exp - halvings) if man or err else None
+                else:
+                    g = _exact_sum([(w, products[i]) for i, w in summands], halvings)
                 if g:
-                    rows.append((n, k, fixed_times(g, *plan.factor)))
+                    rows.append((n, k, g))
             self._folds[plan] = rows
         return rows
 
 
 class PortPoint(dict):
-    """(n, k) -> eta^n M(n, k) = (eta x)^(k//2) (eta y)^(n - (k+1)//2) (eta z)^(k mod 2)
-    at one working point, formed on first read for every family read there from
-    ``lossy``: eta x, eta y and eta z, x = |u|^2, y = |v|^2 and z = conj(u) v = ``turn`` |uv|
-    of the port entries, each scaled once by the efficiency eta and truncated to ``bits``."""
+    """(n, k) -> eta^n M(n, k) / turn^(k mod 2) = (eta x)^(k//2) (eta y)^(n - (k+1)//2)
+    (eta z)^(k mod 2), real, at one working point, formed on first read for every
+    family read there from ``lossy``: eta x, eta y and eta z, x = |u|^2, y = |v|^2 and
+    z = conj(u) v / ``turn`` of the port entries, three real fixed numbers, each scaled
+    once by the efficiency eta and truncated to ``bits``.  The turn the monomials
+    leave out is the fold's (:class:`_Plan`)."""
 
     def __init__(self, x, y, z, bits: int, eta: float = 1.0, turn=1j):
         self.bits, self.turn = bits, turn
@@ -223,13 +244,15 @@ class PortPoint(dict):
 
     def __missing__(self, nk: tuple) -> tuple:
         n, k = nk
-        p, q = k // 2, n - (k + 1) // 2
+        if k % 2:  # M(n, k) = M(n - 1, k - 1) z
+            self[nk] = m = fixed_mul(self[n - 1, k - 1], self.lossy[2], self.bits)
+            return m
+        p, q = k // 2, n - k // 2
         for powers, r in zip(self._powers, (p, q)):
             while len(powers) <= r:
                 powers.append(fixed_mul(powers[-1], powers[1], self.bits))
         x, y = self._powers[0][p], self._powers[1][q]
-        m = fixed_mul(x, y, self.bits) if p and q else x if p else y
-        self[nk] = m = fixed_mul(m, self.lossy[2], self.bits) if k % 2 else m
+        self[nk] = m = fixed_mul(x, y, self.bits) if p and q else x if p else y
         return m
 
 

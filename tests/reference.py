@@ -17,13 +17,18 @@ scratch (:func:`vacuum_moment_1m`, :func:`subtracted_table`) are the
 reference for the exact-polynomial fill of the production tables.  A whole
 moment table thinned entry by entry (:func:`apply_loss`) is the reference
 for the loss law :func:`photsub.moments.thin`, and the variance of any
-linear quadrature over a table (:func:`quadrature_variance`, on numbers
-made fixed by :func:`fixed`) the reference for the two-entry quadrature
-metrics of :mod:`photsub.experiments`.  The dark-fringe U as a closed
+linear quadrature over a table (:func:`quadrature_variance`, on complex
+numbers made fixed by :func:`complex_fixed` and summed by the reference's
+own complex sum, :func:`complex_sum`) the reference for the two-entry
+quadrature metrics of :mod:`photsub.experiments`.  The dark-fringe U as a closed
 form in three SPATSV entries (:func:`dark_fringe_uncertainty`) checks the
 port engine's Var C and mixed derivative at phi = 0.  The port folds formed
-row by row (:func:`row_folds`), each entry, phase and product afresh, are
-the reference for the flat fold plans of :mod:`photsub.opalg`.  The general normal-ordered
+row by row (:func:`row_folds`), each entry, phase and product afresh, as
+complex rows, are the reference for the flat fold plans of :mod:`photsub.opalg`,
+whose real rows are the part Re(kappa G) of them a point reads.  The
+precision rule read at every corner of the balls
+(:func:`rounded_at_every_corner`) is the reference for the four corners
+:func:`photsub.moments.rounded` reads.  The general normal-ordered
 operator algebra at the end (:class:`OperatorPolynomial`, :func:`multiply`,
 :func:`contract`), with :class:`Jet` phase derivatives, is the reference
 the port-moment kernel of :mod:`photsub.opalg` and its analytic
@@ -33,7 +38,6 @@ derivatives are checked against.
 import cmath
 from fractions import Fraction
 from math import comb, factorial, isqrt, lgamma, log, prod, sqrt
-from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -42,7 +46,8 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
 from photsub import fock, moments, opalg
-from photsub.errors import CutoffTooSmall, MomentOrderMissing, OutOfRange, PhotsubError
+from photsub.errors import (
+    CutoffTooSmall, MomentOrderMissing, OutOfRange, PhotsubError, PrecisionInsufficient)
 from photsub.fock import CUTOFF_MARGIN, TAIL_TOL, FockState1, TwoModeDiagonalState
 
 
@@ -136,7 +141,8 @@ def _accumulate(into: dict, key, c, largest: float) -> None:
 class ReferenceTable:
     """A moment table of given numbers, ``compute(key)``, with the interface
     of :class:`photsub.moments.MomentTable`: its entries as numbers
-    (``entry``) for the algebra here, as fixed-point numbers for the engine."""
+    (``entry``) for the algebra here, as real fixed-point numbers for the
+    engine, and as complex ones for the quadrature (:func:`complex_entry`)."""
 
     def __init__(self, modes, max_order, compute):
         self.modes, self.max_order, self._compute = tuple(modes), int(max_order), compute
@@ -147,7 +153,11 @@ class ReferenceTable:
         return self._compute(key)
 
     def fixed(self, key, bits: int) -> tuple:
-        return fixed_exact(self.entry(key), bits)
+        """A real entry as the engine reads one, a real fixed number."""
+        value = self.entry(key)
+        if value.imag:
+            raise ValueError(f"entry {key} is not real: {value}")
+        return fixed_exact(value.real, bits)
 
 
 def entry(table, key):
@@ -156,6 +166,15 @@ def entry(table, key):
     if isinstance(table, ReferenceTable):
         return table.entry(key)
     return fixed_value(table.fixed(key, mp.mp.prec + 8))
+
+
+def complex_entry(table, key, bits: int) -> tuple:
+    """Entry ``key`` as a complex fixed number (:func:`complex_fixed`): a
+    reference table's as it is, a production table's real entry with an
+    exact 0 imaginary part."""
+    if isinstance(table, ReferenceTable):
+        return complex_fixed(table.entry(key), bits)
+    return table.fixed(key, bits), moments.ZERO
 
 
 def vacuum_table(modes) -> ReferenceTable:
@@ -296,28 +315,61 @@ def man_exp_exact(x) -> tuple:
 
 
 def fixed(x, bits: int, err: int = 0) -> tuple:
-    """``x`` as a fixed number (re, im, err, exp) of :mod:`photsub.moments`.
+    """The real ``x`` as a fixed number (man, err, exp) of :mod:`photsub.moments`.
 
-    That is (re + i im) 2^exp with integer parts of ``bits`` bits, known to
-    within ``err`` units 2^exp, and 2 more where the parts were truncated
-    (each by under a unit).  ``x`` is read exactly
-    (:func:`photsub.moments.man_exp`), real or complex.
+    That is man 2^exp with a mantissa of ``bits`` bits, known to within
+    ``err`` units 2^exp, and one more where it was truncated (by under a
+    unit).  ``x`` is read exactly (:func:`photsub.moments.man_exp`).
     """
-    parts = [moments.man_exp(x.real), moments.man_exp(x.imag)]
-    exp = max((exp + man.bit_length() for man, exp in parts if man), default=0) - bits
-    re, im = (man << (e - exp) if e >= exp else man >> (exp - e) for man, e in parts)
-    cut = any(e < exp and man & ((1 << (exp - e)) - 1) for man, e in parts)
-    return moments.fixed_from(re, im, err + 2 * cut, exp, bits)
+    man, e = moments.man_exp(x)
+    exp = e + man.bit_length() - bits if man else -bits
+    if e >= exp:
+        return man << (e - exp), err, exp
+    return man >> (exp - e), err + bool(man & ((1 << (exp - e)) - 1)), exp
 
 
 def fixed_exact(x, bits: int, err: int = 0) -> tuple:
-    """:func:`fixed` of the exact value of ``x``, an mpmath or Python number,
-    real or complex: its parts, brought to one exponent, are read there as
-    the integers :func:`fixed` reads exactly."""
-    parts = [man_exp_exact(part) for part in (x.real, x.imag)]
-    low = min(exp for _, exp in parts)
-    re, im = (man << (exp - low) for man, exp in parts)
-    return moments.fixed_times(fixed(SimpleNamespace(real=re, imag=im), bits, err), 1, -low)
+    """:func:`fixed` of the exact value of the real ``x``, an mpmath or Python
+    number: its mantissa, read there as the integer :func:`fixed` reads exactly."""
+    man, exp = man_exp_exact(x)
+    return moments.fixed_times(fixed(man, bits, err), 1, -exp)
+
+
+def complex_fixed(x, bits: int, err: int = 0) -> tuple:
+    """``x``, an mpmath or Python number, real or complex, as a complex fixed
+    number: the pair (re, im) of the :func:`fixed_exact` numbers of its parts,
+    a complex ball as two real ones."""
+    return fixed_exact(x.real, bits, err), fixed_exact(x.imag, bits, err)
+
+
+def _negated(x: tuple) -> tuple:
+    return moments.fixed_times(x, -1)
+
+
+def _added(x: tuple, y: tuple, bits: int) -> tuple:
+    """x + y of two real fixed numbers, exactly at the lesser exponent, then
+    truncated to ``bits`` bits."""
+    low = min(x[2], y[2])
+    return moments.fixed_from((x[0] << x[2] - low) + (y[0] << y[2] - low),
+                              (x[1] << x[2] - low) + (y[1] << y[2] - low), low, bits)
+
+
+def complex_mul(x: tuple, y: tuple, bits: int) -> tuple:
+    """x y of two complex fixed numbers: (ac - bd, ad + bc) of the real products
+    of their parts (:func:`photsub.moments.fixed_mul`)."""
+    (a, b), (c, d) = x, y
+    mul = moments.fixed_mul
+    return (_added(mul(a, c, bits), _negated(mul(b, d, bits)), bits),
+            _added(mul(a, d, bits), mul(b, c, bits), bits))
+
+
+def complex_sum(pairs, bits: int) -> moments.Bounded:
+    """Re sum x y over pairs of complex fixed numbers, as a Bounded: each
+    Re(xy) = ac + (-b) d is two real pairs of :func:`photsub.moments.certified_sum`."""
+    real = []
+    for (a, b), (c, d) in pairs:
+        real += [(a, c), (_negated(b), d)]
+    return moments.certified_sum(real, bits)
 
 
 def port_coefficients(table, mu, psi: float, bits: int) -> opalg.PortCoefficients:
@@ -330,12 +382,13 @@ def port_coefficients(table, mu, psi: float, bits: int) -> opalg.PortCoefficient
 
 def row_phase(phases: moments.Phases, turns: int, bits: int) -> tuple:
     """e^{i turns x} of ``phases`` (its x = n 2^-shift) as :class:`photsub.moments.Phases`
-    gives it, from one :func:`photsub.moments.cos_sin` of n turns, of either sign."""
+    gives it, its cosine and sine as two real fixed numbers, from one
+    :func:`photsub.moments.cos_sin` of n turns, of either sign: each part within
+    2^-bits, its radius that in its own units, or one unit where they are coarser."""
     if not (turns and phases.n):
-        return moments.ONE
-    (c, ec), (s, es) = moments.cos_sin(phases.n * turns, phases.shift, bits)
-    e = max(ec, es)
-    return c >> e - ec, s >> e - es, (1 << max(0, -bits - e)) + 1, e
+        return moments.ONE, moments.ZERO
+    parts = moments.cos_sin(phases.n * turns, phases.shift, bits)
+    return tuple((man, 1 << max(0, -bits - e), e) for man, e in parts)
 
 
 def row_entry(table: moments.MomentTable, key: tuple, bits: int) -> tuple:
@@ -353,32 +406,43 @@ def row_entry(table: moments.MomentTable, key: tuple, bits: int) -> tuple:
         g = isqrt(table.g2 << 2 * t)
         off = int(g * g < table.g2 << 2 * t)
         man, err, exp = man * g, man * off + (g + off) * err, exp - table.shift - t
-    return moments.fixed_from(man, 0, err, exp, bits)
+    return moments.fixed_from(man, err, exp, bits)
 
 
 def _row_sum(summands):
-    """sum w h, exactly, at the least exponent of the summands that are not an
-    exact 0; None where the sum is an exact 0."""
-    terms = [(w, h) for w, h in summands if h[0] or h[1] or h[2]]
-    low = min((h[3] for _, h in terms), default=0)
-    re = im = err = 0
-    for w, (x, y, r, e) in terms:
-        re, im, err = (re + (w * x << e - low), im + (w * y << e - low),
-                       err + (abs(w) * r << e - low))
-    return (re, im, err, low) if re or im or err else None
+    """sum w h of real fixed numbers h, exactly, at the least exponent of the
+    summands that are not an exact 0; ZERO where the sum is an exact 0."""
+    terms = [(w, h) for w, h in summands if h[0] or h[1]]
+    low = min((h[2] for _, h in terms), default=0)
+    man = err = 0
+    for w, (x, r, e) in terms:
+        man, err = man + (w * x << e - low), err + (abs(w) * r << e - low)
+    return (man, err, low) if man or err else moments.ZERO
 
 
 #: each derivative's factor on its folded rows, i/2 per phase slope: (k, halvings)
 _ROW_FACTORS = {None: (1, 0), "slope": (1j, 1), "mixed": (-1, 2)}
 
 
+def unit_times(x: tuple, unit, halvings: int = 0) -> tuple:
+    """The complex fixed number ``x`` times a Gaussian unit 2^-halvings, exactly."""
+    (re, im), unit = x, complex(unit)
+    if unit.imag:
+        re, im = _negated(im), re
+    if unit.real < 0 or unit.imag < 0:
+        re, im = _negated(re), _negated(im)
+    return tuple(moments.fixed_times(part, 1, halvings) for part in (re, im))
+
+
 def row_folds(family: opalg.PortCoefficients, reads) -> dict:
     """{(weights, turn, derivative): [(n, k, G(n, k))]} of ``family`` for each
-    read, by the per-row loop over :func:`photsub.opalg._rows`: each
+    read, complex, by the per-row loop over :func:`photsub.opalg._rows`: each
     displacement-entry product formed afresh (once per call) from the
-    family's table, mu and psi, each row summed by :func:`_row_sum`, and
-    every row times its derivative's factor, 1 included.  The reference the
-    flat fold plans are checked against, tuple for tuple."""
+    family's table, mu and psi, a complex times a real fixed number, each
+    part of each row summed by :func:`_row_sum`, and every row times its
+    derivative's factor, 1 included; a row is kept where either part is not
+    an exact 0.  The reference the flat fold plans are checked against, part
+    for part."""
     bits, (man, exp), products, out = family.bits, family.displacements.mu, {}, {}
     for weights, turn, derivative in reads:
         rows = []
@@ -388,13 +452,14 @@ def row_folds(family: opalg.PortCoefficients, reads) -> dict:
                 if (key, m, m2) not in products:
                     power = (m + m2) // 2
                     phase = row_phase(family.displacements.phases, m2 - m, bits + 2)
-                    shift = moments.fixed_from(
-                        *moments.fixed_times(phase, man**power, -exp * power), bits)
-                    products[key, m, m2] = moments.fixed_mul(
-                        shift, row_entry(family.table, key, bits), bits)
+                    entry = row_entry(family.table, key, bits)
+                    products[key, m, m2] = tuple(moments.fixed_mul(moments.fixed_from(
+                        *moments.fixed_times(part, man**power, -exp * power), bits), entry, bits)
+                        for part in phase)
                 summands.append((w, products[key, m, m2]))
-            g = _row_sum(summands)
-            rows += [(n, k, moments.fixed_times(g, *_ROW_FACTORS[derivative]))] if g else []
+            g = tuple(_row_sum((w, h[part]) for w, h in summands) for part in (0, 1))
+            if g != (moments.ZERO, moments.ZERO):
+                rows.append((n, k, unit_times(g, *_ROW_FACTORS[derivative])))
         out[weights, turn, derivative] = rows
     return out
 
@@ -418,14 +483,29 @@ def dark_fringe_uncertainty(table, eta):
 
 def fixed_value(x: tuple):
     """The midpoint of a :func:`photsub.moments.fixed_from` number, exactly."""
-    re, im, _, exp = x
-    return mp.mpc(mp.mpf((re, exp)), mp.mpf((im, exp)))
+    man, _, exp = x
+    return mp.mpf((man, exp))
 
 
 def bounded(x) -> moments.Bounded:
-    """``x`` as a one-term certified sum at the working precision."""
+    """The real ``x`` as a one-term certified sum at the working precision."""
     bits = mp.mp.prec
     return moments.certified_sum([(moments.ONE, fixed_exact(x, bits))], bits)
+
+
+def rounded_at_every_corner(*factors: moments.Bounded,
+                            over: moments.Bounded = moments.Bounded(1, 0, 0)) -> float:
+    """:func:`photsub.moments.rounded` by its first rule: the quotient read at
+    every corner of the balls, each end of each factor with each end of
+    |``over``|, rather than at the numerator's extremes alone."""
+    exp, nums, size = -over.exp, {1}, abs(over.man)
+    for b in factors:
+        exp, nums = exp + b.exp, {n * end for n in nums for end in (b.man - b.err, b.man + b.err)}
+    values = {moments.ratio(n, max(den, 0), exp)
+              for n in nums for den in {size - over.err, size + over.err}}
+    if len(values) > 1:
+        raise PrecisionInsufficient(f"certified only between {min(values)} and {max(values)}")
+    return values.pop() + 0.0
 
 
 def thinned(x: moments.Bounded, eta, n: int) -> moments.Bounded:
@@ -442,7 +522,7 @@ def quadrature_variance(table, coeffs, eta: float = 1.0,
 
     The general bilinear form, independent of the two-entry closed form the
     quadrature metrics of :mod:`photsub.experiments` read.  ``coeffs`` holds
-    one c_t per mode of ``table``, a number or a :func:`fixed` number: (-1j,)
+    one c_t per mode of ``table``, a number or a :func:`complex_fixed` number: (-1j,)
     gives X_theta of one mode at theta = pi/2, and (1, -1)/sqrt 2 the
     squeezed difference quadrature of a pair, normalized so vacuum sits at
     0.5; ``eta`` is the detection
@@ -450,7 +530,7 @@ def quadrature_variance(table, coeffs, eta: float = 1.0,
     S = Re sum c_s c_t <a_s a_t> + sum conj(c_s) c_t <a_s^dag a_t>
     - 2 (Re sum c_t <a_t>)^2 over the lossless table, every mean and pair
     read from the table.  For strong squeezing the terms nearly cancel: they
-    are summed by :func:`photsub.moments.certified_sum` at ``bits`` working
+    are summed by :func:`complex_sum` at ``bits`` working
     bits, and Var X must round to one float (``Bounded.value``).
     """
     arity = len(table.modes)
@@ -458,21 +538,21 @@ def quadrature_variance(table, coeffs, eta: float = 1.0,
         raise MomentOrderMissing(f"{len(coeffs)} coefficients for {arity} modes")
     # a few roundings at the working precision formed a coefficient given as a
     # number, read exactly (an mpmath one too)
-    coeffs = [c if isinstance(c, tuple) else fixed_exact(c, bits, err=8) for c in coeffs]
-    conj = [(re, -im, *rest) for re, im, *rest in coeffs]
+    coeffs = [c if isinstance(c, tuple) else complex_fixed(c, bits, err=8) for c in coeffs]
+    conj = [(re, _negated(im)) for re, im in coeffs]
 
     def read(*slots):  # the entry that counts a_t^dag in slot 2t, a_t in slot 2t + 1
-        return table.fixed(tuple(slots.count(i) for i in range(2 * arity)), bits)
+        return complex_entry(table, tuple(slots.count(i) for i in range(2 * arity)), bits)
 
     # <X> = sqrt 2 Re sum c_t <a_t>, so <X>^2 = 2 (Re sum c_t <a_t>)^2
-    mean = moments.certified_sum(((c, read(2 * t + 1)) for t, c in enumerate(coeffs)), bits)
+    mean = complex_sum(((c, read(2 * t + 1)) for t, c in enumerate(coeffs)), bits)
     pairs = []
     for s, cs in enumerate(coeffs):
         for t, ct in enumerate(coeffs):
-            pairs.append((moments.fixed_mul(cs, ct, bits), read(2 * s + 1, 2 * t + 1)))
-            pairs.append((moments.fixed_mul(conj[s], ct, bits), read(2 * s, 2 * t + 1)))
-    vacuum = moments.certified_sum(zip(coeffs, conj), bits)
-    spread = moments.certified_sum(pairs, bits) - 2 * mean.squared()
+            pairs.append((complex_mul(cs, ct, bits), read(2 * s + 1, 2 * t + 1)))
+            pairs.append((complex_mul(conj[s], ct, bits), read(2 * s, 2 * t + 1)))
+    vacuum = complex_sum(zip(coeffs, conj), bits)
+    spread = complex_sum(pairs, bits) - 2 * mean.squared()
     return (moments.thin(spread, eta) + 0.5 * vacuum).value
 
 

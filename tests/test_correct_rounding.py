@@ -10,6 +10,8 @@ sample of the scenes lam in {0.05, 2, 30}, m in {0, 2}, phi in {1e-8, 1e-4,
 0.7, 3}, mu in {0, 18, 1e4, 1e12, 1e16}, eta in {0.98, 1}, and over the twin-beam
 scene at lam = 30, m = 2, phi = 1e-8, mu = 1e4, eta = 1 where 16 digits
 once printed U_norm 6.21087705512e-08 as ``ok`` (the value is 7.11e-10).
+The rule reads four corners of the balls; a property test checks it against
+every corner (:func:`reference.rounded_at_every_corner`).
 """
 
 import dataclasses
@@ -18,8 +20,12 @@ import random
 from math import pi
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import reference
 from photsub import moments
+from photsub.errors import PrecisionInsufficient
 from photsub.experiments import CORRELATED_METRICS, SINGLE_METRICS, SweepConfig, run_sweep
 
 _GRID = dict(lam=(0.05, 2.0, 30.0), m=(0, 2), phi=(1e-8, 1e-4, 0.7, 3.0),
@@ -80,3 +86,31 @@ def test_the_twin_beam_scene_flags_both_figures_at_30_digits_alone(pin_digits):
     sweep = dataclasses.replace(_sweep("correlated", _TWIN_BEAMS), metrics=("U_norm", "nrf"))
     assert [(row.metric, row.value, row.flag) for row in _rows(pin_digits, sweep, 30)] == [
         ("U_norm", None, "precision"), ("nrf", None, "precision")]
+
+
+_ENDS = st.one_of(st.integers(-8, 8), st.integers(-(2**120), 2**120))
+
+
+@st.composite
+def _balls(draw):
+    """A Bounded whose ends may straddle 0, meet at 0 or be a point."""
+    return moments.Bounded(draw(_ENDS), draw(st.one_of(st.integers(0, 3), st.integers(0, 2**100))),
+                           draw(st.integers(-300, 300)))
+
+
+def _outcome(rule, factors, over) -> tuple:
+    try:
+        return "value", rule(*factors, over=over)
+    except PrecisionInsufficient as exc:
+        return "raised", str(exc)
+
+
+@given(st.lists(_balls(), max_size=3), _balls())
+@example([moments.Bounded(3, 1, 0), moments.Bounded(-5, 7, 0)], moments.Bounded(2, 2, 0))
+@example([moments.Bounded(1, 0, 0)], moments.Bounded(0, 0, 0))
+def test_four_corners_round_as_every_corner(factors, over):
+    # the least and greatest numerator ends over both divisor ends give the
+    # float, or the PrecisionInsufficient message, that every corner gives:
+    # the quotient is monotone in the numerator, its infinities too
+    assert _outcome(moments.rounded, factors, over) == _outcome(
+        reference.rounded_at_every_corner, factors, over)

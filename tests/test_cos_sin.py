@@ -69,32 +69,34 @@ def test_machin_pi_lies_within_two_units():
 
 @pytest.mark.parametrize("bits", (53, 130, 400))
 def test_phases_lie_within_their_radius(bits):
-    # within 2^-bits of the unit phase plus a unit of the smaller part's
-    # truncation, or exactly 1, radius 0, at turns 0 or x 0
+    # the cosine and the sine, each a real ball, within 2^-bits of the unit
+    # phase, or less than a unit of their own, or exactly (1, 0), radius 0,
+    # at turns 0 or x 0
     for x in ANGLES:
         phases = moments.Phases(x)
         for turns in range(-16, 17):
-            c, s, err, e = phases[turns, bits]
-            assert (err == 0) == (not (turns and x)), (x, turns)
+            parts = phases[turns, bits]
+            assert len(parts) == 2
             with mp.workprec(2 * bits + 64):
-                want = mp.expj(mp.mpf(x) * turns)
-                got = mp.mpc(c, s) * mp.mpf(2) ** e
-                radius = err * mp.mpf(2) ** e
-                assert abs(got - want) <= radius, (x, turns, bits)
-                assert radius <= mp.mpf(2) ** -bits + mp.mpf(2) ** (e + 1), (x, turns, bits)
+                exact = mp.expj(mp.mpf(x) * turns)
+                for (man, err, e), want in zip(parts, (exact.real, exact.imag)):
+                    assert (err == 0) == (not (turns and x)), (x, turns)
+                    radius = err * mp.mpf(2) ** e
+                    assert abs(man * mp.mpf(2) ** e - want) <= radius, (x, turns, bits)
+                    assert radius <= mp.mpf(2) ** -bits + mp.mpf(2) ** e, (x, turns, bits)
 
 
 @pytest.mark.parametrize("bits", (60, 266, 700))
 def test_mzi_entries_lie_within_their_radius(bits):
-    # x = cos^2(phi/2), y = sin^2(phi/2) and z = i cos sin each to their own
-    # relative accuracy, where one of cos and sin nearly vanishes too; the
-    # entries at phi = 0 are exact
+    # x = cos^2(phi/2), y = sin^2(phi/2) and z/i = cos sin, real, each to
+    # their own relative accuracy, where one of cos and sin nearly vanishes
+    # too; the entries at phi = 0 are exact
     for phi in (1e-9, 1e-300, 0.7, pi / 2, pi - 1e-9, pi, 2 * pi - 1e-6, -2.5, 1e6):
         entries = metrology._mzi_entries(phi, bits)
         with mp.workprec(2 * bits + 64):
             c, s = mp.cos(mp.mpf(phi) / 2), mp.sin(mp.mpf(phi) / 2)
-            for got, want in zip(entries, (c * c, s * s, mp.mpc(0, c * s))):
-                radius = got[2] * mp.mpf(2) ** got[3]
+            for got, want in zip(entries, (c * c, s * s, c * s)):
+                radius = got[1] * mp.mpf(2) ** got[2]
                 assert abs(fixed_value(got) - want) <= radius, (phi, bits)
                 assert radius <= 10 * mp.mpf(2) ** -bits * abs(want), (phi, bits)
     assert metrology._mzi_entries(0.0, bits) == (moments.ONE, moments.ZERO, moments.ZERO)
@@ -102,7 +104,7 @@ def test_mzi_entries_lie_within_their_radius(bits):
 
 def test_a_negative_turn_reads_the_cosine_and_sine_of_the_positive_one(monkeypatch):
     # cos_sin(-n) is exactly (cos, -sin), so Phases forms -t from +t's one call,
-    # the sine negated before its shift: every tuple as one call of n t gives it
+    # the sine negated: every pair as one call of n t gives it
     calls, cos_sin = [], moments.cos_sin
     monkeypatch.setattr(moments, "cos_sin", lambda *a: calls.append(a) or cos_sin(*a))
     rng = random.Random(20)

@@ -241,6 +241,18 @@ def test_oracle_compare_default_cutoff_passes_after_subtraction():
     assert cmp.passed
 
 
+def test_the_default_fill_holds_the_order_8_moments_of_a_bright_twin_beam():
+    # the correlated read-out compares moments of order 8 in the ladder
+    # operators; the tail mass rule alone left 1.2e-8 (lam = 5) and 1.9e-8
+    # (lam = 10) of E[n^4] past the fill, FAILing the engine there.  Sized
+    # for n^4, lam = 5 passes, and lam = 10, which then needs 418 levels, a
+    # Gram tensor of 7.6e7 amplitudes, is refused as too large for the oracle
+    scene = dict(m=0, mu=0.5, phi=0.7, psi=np.pi / 2)
+    assert oracle_compare("correlated", lam=5.0, **scene).passed
+    with pytest.raises(MemoryBoundExceeded):
+        oracle_compare("correlated", lam=10.0, **scene)
+
+
 def test_oracle_compare_memory_bound():
     with pytest.raises(MemoryBoundExceeded):
         oracle_compare("single", lam=0.3, m=0, mu=100.0, phi=0.5)
@@ -824,11 +836,10 @@ def test_quadrature_rows_equal_the_general_bilinear_form_bit_for_bit():
         rows += run_sweep(SweepConfig(scheme="correlated", **point,
                                       metrics=("quad_diff_var", "quad_diff_var_seed"))).rows
         with mp.workdps(80):
-            c = reference.fixed_exact(1 / mp.sqrt(2), bits)
+            c = tuple(reference.complex_fixed(sign / mp.sqrt(2), bits) for sign in (1, -1))
         single = PassvSpec(lam, m).table()
         want = [reference.quadrature_variance(single, (-1j,), eta, bits)] + [
-            reference.quadrature_variance(build(lam, m),
-                                          (c, moments.fixed_times(c, -1)), eta, bits)
+            reference.quadrature_variance(build(lam, m), c, eta, bits)
             for build in pair_tables
         ]
         assert [(row.flag, row.value) for row in rows] == [("ok", w) for w in want], point

@@ -20,7 +20,7 @@ from photsub import metrology, moments, opalg
 from photsub.experiments import SweepConfig, run_sweep
 from photsub.metrology import CorrelatedConfig, SingleMziConfig
 from photsub.states import PassvSpec, SpatsvSpec
-from reference import fixed, row_folds
+from reference import fixed, row_folds, unit_times
 
 REFERENCE_DPS = 120
 
@@ -83,10 +83,18 @@ def _figure_reads(single: bool) -> list:
     return reads
 
 
+def _read_part(rows: list, turn) -> list:
+    """[(n, k, Re(turn^(k mod 2) G))] of complex rows G that already carry
+    their derivative's factor: the part a point reads, where it is not an exact 0."""
+    parts = [(n, k, unit_times(g, turn ** (k % 2))[0]) for n, k, g in rows]
+    return [(n, k, part) for n, k, part in parts if part[0] or part[1]]
+
+
 def test_the_flat_fold_gives_the_row_loop_s_rows_tuple_for_tuple():
     # random families of both schemes, with lam = 0, mu = 0 and psi != 0
     # among them, at 30, 60 and 120 digits: every fold a figure
-    # reads equals the per-row loop's, each G and its radius bit for bit
+    # reads equals the part Re(kappa G) of the per-row loop's complex rows
+    # the point reads, each and its radius bit for bit
     rng, families, rows = random.Random(47), 0, 0
     for draw in range(84):
         single = draw % 2 == 0
@@ -100,8 +108,9 @@ def test_the_flat_fold_gives_the_row_loop_s_rows_tuple_for_tuple():
         reads = _figure_reads(single)
         want = row_folds(family, reads)
         for read in reads:
-            assert family.fold(opalg._plan(single, *read)) == want[read], (spec, mu, psi, read)
-            rows += len(want[read])
+            got, turn = family.fold(opalg._plan(single, *read)), read[1]
+            assert got == _read_part(want[read], turn), (spec, mu, psi, read)
+            rows += len(got)
         families += 1
     assert families >= 80 and rows >= 3000
 
@@ -134,20 +143,20 @@ def test_a_cancelled_row_keeps_its_summands_radii_through_the_point_sum(gap):
     # summands', reaches the point's Bounded through certified_sum
     bits = 100
     third = fixed(mp.mpf(1) / 3, bits, err=1000)
-    other = moments.fixed_from(third[0] - gap, 0, 1000, third[3], bits)
+    other = moments.fixed_from(third[0] - gap, 1000, third[2], bits)
     row = opalg._exact_sum([(1, third), (-1, other)])
-    assert row == (gap, 0, 2 * third[2], third[3])
+    assert row == (gap, 2 * third[1], third[2])
     total = moments.certified_sum([(row, moments.ONE)], bits)
     with mp.workdps(60):
-        assert abs(_exact(total) - gap * mp.mpf(2) ** third[3]) <= _bound(total)
-        assert _bound(total) >= 2 * third[2] * mp.mpf(2) ** third[3]
+        assert abs(_exact(total) - gap * mp.mpf(2) ** third[2]) <= _bound(total)
+        assert _bound(total) >= 2 * third[1] * mp.mpf(2) ** third[2]
     if not gap:
         assert total.man == 0
 
 
 def test_exact_summands_that_cancel_give_an_exact_zero_row():
     # exact summands cancel to no row at all, and a point reads an exact 0
-    exact = moments.fixed_from(3, -1, 0, -4, 60)
+    exact = moments.fixed_from(-3, 0, -4, 60)
     assert opalg._exact_sum([(2, exact), (-1, moments.fixed_times(exact, 2))]) is None
     assert opalg._exact_sum([(5, moments.ZERO)]) is None
     total = moments.certified_sum([(exact, moments.ONE), (moments.fixed_times(exact, -1),
@@ -163,7 +172,7 @@ def test_a_twin_beam_difference_cancels_to_zero_within_its_bound():
     weights = opalg.normal_ordered(metrology._DIFFERENCE)
     rows = ports.coefficients.fold(opalg._plan(False, weights, ports.point.turn, None))
     mean = ports.expect(weights)
-    assert rows and all(g[0] == g[1] == 0 and g[2] > 0 for _, _, g in rows)
+    assert rows and all(g[0] == 0 and g[1] > 0 for _, _, g in rows)
     assert mean.man == 0 and mean.err > 0
 
 

@@ -197,6 +197,25 @@ def test_the_package_attribute_fock_imports_the_oracle():
     assert _fresh(_FOCK_BY_ATTRIBUTE) == ["False", "photsub.fock", "True"]
 
 
+_IMPORT_ALONE = """
+import sys
+import photsub
+
+print("argparse" in sys.modules)
+try:
+    photsub.experiments.main(["no-such-verb"])  # refused by the parser, to stderr
+except SystemExit:
+    pass
+print("argparse" in sys.modules)
+"""
+
+
+def test_importing_photsub_leaves_argparse_to_the_cli():
+    # only the CLI parses arguments, so it alone imports argparse; checked in
+    # a fresh interpreter, as pytest itself imports argparse
+    assert _fresh(_IMPORT_ALONE) == ["False", "True"]
+
+
 _BALANCED_POINTS = """
 import sys
 from photsub.experiments import SweepConfig, run_sweep

@@ -27,23 +27,17 @@ def _keys(arity: int, order: int) -> list:
     return [k for k in itertools.product(range(order + 1), repeat=2 * arity) if sum(k) <= order]
 
 
-def _value(x: tuple):
-    """The midpoint of a fixed-point number, exactly."""
-    re, im, _, exp = x
-    return mp.mpc(mp.mpf((re, exp)), mp.mpf((im, exp)))
-
-
-def _assert_within_radius(got: tuple, want, what, units: int = 4) -> None:
-    """``got`` within its radius of ``want``, a radius of at most ``units``
-    units 2^exp, or an exact 0."""
+def _assert_within_radius(got: tuple, want, what, units: int = 4, unit=None) -> None:
+    """The real fixed number ``got`` within its radius of ``want``, a radius
+    of at most ``units`` units 2^exp, or of ``unit`` where given, or an exact 0."""
     if want == 0:
-        assert got[:3] == (0, 0, 0), what
+        assert got[:2] == (0, 0), what
         return
-    _, _, err, exp = got
+    man, err, exp = got
     bits = what[-1]
-    assert max(abs(got[0]), abs(got[1])).bit_length() <= bits, what
-    assert err <= units, what
-    error = abs(_value(got) - want)
+    assert abs(man).bit_length() <= bits, what
+    assert err * mp.mpf(2) ** exp <= units * (mp.mpf(2) ** exp if unit is None else unit), what
+    error = abs(mp.mpf((man, exp)) - want)
     # the reference's own rounding: a few units 2^-REFERENCE_PREC
     assert error <= err * mp.mpf(2) ** exp + abs(want) * mp.mpf(2) ** (32 - REFERENCE_PREC), what
 
@@ -106,14 +100,16 @@ def test_diagonal_displacements_are_exact_powers_of_mu(mu):
             exact = Fraction(mu) ** m
             if exact and exact.numerator.bit_length() > block.bits:
                 continue  # does not fit: truncated, and its radius says so
-            re, im, err, exp = block[m, m]
-            assert (im, err) == (0, 0), (mu, m, bits)
+            (re, err, exp), im = block[m, m]
+            assert (im[:2], err) == ((0, 0), 0), (mu, m, bits)
             assert Fraction(re) * Fraction(2) ** exp == exact, (mu, m, bits)
 
 
 @pytest.mark.parametrize("psi", (0.0, 0.7, -2.3, 3.1))
 @pytest.mark.parametrize("mu", (1.0, 0.1, 37.25, 1e12))
 def test_displacements_lie_within_their_radius(mu, psi):
+    # each part a real ball, its radius a few units of the larger part's,
+    # as where the two shared one exponent
     for bits in BITS:
         block = _displacements(mu, psi, bits)
         with mp.workprec(REFERENCE_PREC):
@@ -121,8 +117,10 @@ def test_displacements_lie_within_their_radius(mu, psi):
             for m, m2 in itertools.product(range(5), repeat=2):
                 if (m + m2) % 2:
                     continue  # no key the selection rule leaves reads these
-                want = mp.conj(alpha) ** m * alpha**m2
-                _assert_within_radius(block[m, m2], want, (mu, psi, m, m2, block.bits))
+                want, parts = mp.conj(alpha) ** m * alpha**m2, block[m, m2]
+                unit = mp.mpf(2) ** max(exp for man, _, exp in parts if man)
+                for got, part in zip(parts, (want.real, want.imag)):
+                    _assert_within_radius(got, part, (mu, psi, m, m2, block.bits), unit=unit)
 
 
 @pytest.mark.parametrize("arity", (1, 2), ids=("single", "pair"))

@@ -51,8 +51,9 @@ def _kernel(quantum, mu, psi, phi, eta):
         e = mp.expj(phi)
         u, v = (e + 1) / 2, (e - 1) / 2
         coefficients = port_coefficients(quantum(), mu, psi, moments.digits_to_bits(DPS))
+        # z = conj(u) v = i cs, read as z/i, real, at the turn i
         x, y, z = (fixed_exact(w, coefficients.bits) for w in (abs(u) ** 2, abs(v) ** 2,
-                                                                mp.conj(u) * v))
+                                                                (mp.conj(u) * v).imag))
         return opalg.PortMoments(coefficients, opalg.PortPoint(x, y, z, coefficients.bits, eta))
 
 

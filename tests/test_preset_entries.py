@@ -6,10 +6,11 @@ keys are the ones their tables are read at: the products of the engine's
 fold plans (``opalg._plan(...).products``) and the quadratures' entries.
 Every spec is checked at every key of its arity, so the check follows the
 presets and the plans as they change.  Each Fock state is filled to twice
-its default cutoff plus 40 levels: the default stops at a tail mass of
-``fock.TAIL_TOL``, which a high-order entry weights by a power of the level,
-so the truncation alone moves an entry the presets read by up to about 2e-8
-(the order-8 (0, 0, 4, 4) of SpatsvSpec(10, 0))."""
+its default cutoff plus 40 levels.  The default stops where the n^4-weighted
+tail is below ``fock.TAIL_TOL`` E[n^4], so the truncation alone moves an
+entry the presets read by up to about 7e-13 (the order-8 (4, 4, 0, 0) of
+SpatsvSpec(10, 0)), close to REL_TOL; under the tail mass rule alone, which
+the fill kept before, that was 2e-8."""
 
 import pytest
 
@@ -49,7 +50,7 @@ def _preset_reads(monkeypatch) -> tuple:
         run_preset(name)
     monkeypatch.undo()
     # every product of every plan the presets folded is among the keys read
-    assert {(len(key) // 2, key) for plan in plans for key, _, _ in plan.products} <= {
+    assert {(len(key) // 2, key) for plan in plans for key, *_ in plan.products} <= {
         (arity, key) for arity, read in keys.items() for key in read}
     return (sorted(set(specs.values()), key=repr),
             {arity: sorted(read) for arity, read in keys.items()})
@@ -84,9 +85,10 @@ def test_every_entry_the_presets_read_matches_its_fock_sum(monkeypatch):
 @pytest.mark.parametrize("spec, key", [(states.PassvSpec(100.0, 0), (2, 2)),
                                        (states.SpatsvSpec(10.0, 3), (2, 2, 2, 2))],
                          ids=("passv", "spatsv"))
-def test_the_default_fill_is_too_short_for_the_presets_highest_entries(spec, key):
-    # the reason for the doubled cutoff: at the default fill the truncated
-    # tail alone moves an entry the presets read far past REL_TOL
+def test_the_default_fill_holds_the_presets_highest_entries(spec, key):
+    # the default fill bounds the n^4-weighted tail, so the truncation moves
+    # an entry the presets read by no more than REL_TOL; under the tail mass
+    # rule alone these deviated by over 100 REL_TOL
     exact = spec.table().entry(key)
     deviation = abs(_fock_entry(fock.subtracted(spec).amplitudes, key) - exact) / abs(exact)
-    assert deviation > 100 * REL_TOL
+    assert deviation <= REL_TOL

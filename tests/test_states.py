@@ -335,14 +335,24 @@ _BUILDS = {
 )
 def test_default_cutoff_is_the_least_level_of_the_tail_contract_plus_margin(name, m, energy):
     # against a build twice as wide (given cutoffs bound the state before
-    # subtraction): the kept levels leave a tail mass below TAIL_TOL even
+    # subtraction): the kept levels leave a tail mass below TAIL_TOL, and for
+    # a subtracted state an n^4-weighted tail below TAIL_TOL E[n^4], even
     # without their last CUTOFF_MARGIN levels, and without one more they do not
     build = _BUILDS[name]
     kept = _levels(build(energy, m))
     wide = _levels(build(energy, m, 2 * len(kept) + m))
-    tails = np.cumsum(np.abs(wide[::-1]) ** 2)[::-1]  # tails[n]: the mass of levels >= n
-    assert tails[len(kept) - fock.CUTOFF_MARGIN] < fock.TAIL_TOL
-    assert tails[len(kept) - fock.CUTOFF_MARGIN - 1] > fock.TAIL_TOL
+    mass = np.abs(wide) ** 2
+    tails = np.cumsum(mass[::-1])[::-1]  # tails[n]: the mass of levels >= n
+    fourth = np.arange(len(wide), dtype=float) ** 4 * mass
+    tails4 = np.cumsum(fourth[::-1])[::-1]  # and their n^4-weighted mass
+    weighted = name in ("passv", "spatsv")
+
+    def contract(n):
+        return tails[n] < fock.TAIL_TOL and (
+            not weighted or tails4[n] < fock.TAIL_TOL * tails4[0])
+
+    assert contract(len(kept) - fock.CUTOFF_MARGIN)
+    assert not contract(len(kept) - fock.CUTOFF_MARGIN - 1)
     assert np.max(np.abs(kept - wide[: len(kept)])) < 1e-11
 
 
