@@ -12,8 +12,7 @@ phase estimation with photon-subtracted squeezed vacuum states:
   analytic phase derivatives, summed with certified error bounds.
 - ``moments``: exact cutoff-free moment tables for all input states.
 - ``metrology``: phase uncertainty, quantum Fisher information, noise
-  reduction factor, correlated covariance uncertainty and Mandel Q, with all
-  asymptotic closed forms.
+  reduction factor, correlated covariance uncertainty and Mandel Q.
 - ``experiments``: figure presets, config-driven parameter sweeps and the
   engine-vs-oracle comparison harness (also exposed as the ``photsub`` CLI).
 
@@ -31,10 +30,8 @@ from .metrology import (
     CorrelatedConfig,
     SingleMziConfig,
     correlated_uncertainty,
-    correlated_uncertainty_asymptotic,
     cramer_rao_bound,
     nrf,
-    nrf_asymptotic,
     phi_for_tau,
     qfi,
     single_phase_uncertainty,

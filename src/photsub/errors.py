@@ -36,15 +36,11 @@ class ZeroMeanPhoton(PhotsubError):
 
 
 class Singular(PhotsubError):
-    """An uncertainty's denominator vanished, or its closed form diverges, at the working point."""
+    """An uncertainty's denominator vanished at the working point."""
 
 
 class OutOfRange(PhotsubError):
     """A target outside the range of the map being inverted, or a value past floats."""
-
-
-class UnsupportedOrder(PhotsubError):
-    """No closed form is available for this subtraction order."""
 
 
 class NonPositiveQfi(PhotsubError):

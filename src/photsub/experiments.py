@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, replace
-from math import inf, isfinite, nextafter, pi, sqrt
+from math import inf, isfinite, isnan, nan, nextafter, pi, sqrt
 
 from . import metrology, moments
 from .errors import (
@@ -522,7 +522,9 @@ class OracleComparison:
 
     @property
     def worst(self) -> float:
-        return max((e[3] for e in self.entries), default=0.0)
+        """The largest relative error, nan where any is: a nan fails the comparison."""
+        errors = [e[3] for e in self.entries]
+        return nan if any(map(isnan, errors)) else max(errors, default=0.0)
 
     @property
     def passed(self) -> bool:

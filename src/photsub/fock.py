@@ -314,7 +314,9 @@ def oracle_interferometer(cfg, cutoff: int | None = None) -> OracleResult:
     Of D_i = e^(i theta_i N) R_i e^(-i theta_i N) (:func:`_displacements`, first
     nq columns: the coherent state enters untruncated) the read-out phase moves
     no count, and the quantum one rides on y as w01 = u01 e^(-i theta_1) and
-    w11 = u11 e^(-i theta_2).  One MZI gives the plane R_1 Y R_2^T,
+    w11 = u11 e^(-i theta_2).  Each |y[p, s]| = sqrt(C(p+s, p)) |w01|^p |w11|^s is one
+    exp of its log sum: the root alone overflows past about 1,025 levels, where the
+    powers underflow.  One MZI gives the plane R_1 Y R_2^T,
     Y[p, s] = y[p, s] d_{p+s}, read on both axes.  Twin MZIs take sum_n d_n |n, n>
     to sum_n d_n psi_n (x) psi_n, psi_n = U(|alpha> (x) |n>); D_1, on a discarded
     port alone, drops out by its unitarity of G_nk(a) = sum_c psi_n[c, a]
@@ -342,18 +344,24 @@ def oracle_interferometer(cfg, cutoff: int | None = None) -> OracleResult:
     # R_1 and R_2, or for twin MZIs R_2 alone: their D_1 drops out of the read-out
     betas = u2[int(twin):, 0] * (sqrt(mu) * np.exp(1j * cfg.psi))  # alpha's images
     *r1, r2 = _displacements(np.abs(betas) ** 2, log_fact[:dim], nq)
-    w01, w11 = u2[:, 1] * np.exp(-1j * np.angle(betas[[0, -1]]))  # twin MZIs read |w01| alone
+    # (w01, w11) as a column; twin MZIs read |w01| alone
+    w = (u2[:, 1] * np.exp(-1j * np.angle(betas[[0, -1]])))[:, None]
     n, p = np.arange(nq)[:, None], np.arange(nq)
-    root_binom = np.exp((log_fact[n + p] - log_fact[n] - log_fact[p]) / 2)
+    # |y[a, b]| = sqrt(C(a + b, a)) |w01|^a |w11|^b, one exp of its log sum: no factor
+    # overflows or underflows alone, and a zero |w| gives 0^0 = 1 at a or b = 0
+    with np.errstate(divide="ignore"):  # log 0 = -inf, read only where a or b > 0
+        logs = np.multiply(p, np.log(abs(w)), out=np.zeros((2, nq)), where=p > 0)
+    size = np.exp((log_fact[n + p] - log_fact[n] - log_fact[p]) / 2 + logs[0][:, None] + logs[1])
     if twin:
         # v[a, n, p] = |y[p, n - p]| R_2[a, n - p], n >= p; G(a) = (v v^T)[a]; one (n, k) sum
         lag = np.maximum(n - p, 0)
-        v = (root_binom * np.outer(abs(w01) ** p, abs(w11) ** p))[p, lag] * (n >= p) * r2[:, lag]
+        v = size[p, lag] * (n >= p) * r2[:, lag]
         g = (v @ v.transpose(0, 2, 1).copy()).reshape(dim, -1)
-        turned = d * np.exp(2j * np.angle(w11) * p)
+        turned = d * np.exp(2j * np.angle(w[1]) * p)
         joint = (g * np.outer(turned, turned.conj()).real.ravel()) @ g.T
     else:
-        y = root_binom * np.outer(w01**p, w11**p) * np.append(d, np.zeros(nq - 1))[n + p]
+        turns = np.exp(1j * np.angle(w) * p)  # the phases of w01^a and w11^b
+        y = size * np.outer(*turns) * np.append(d, np.zeros(nq - 1))[n + p]
         plane = r1[0] @ (np.stack((y.real, y.imag)) @ r2.T)  # R_1 Y R_2^T, Re and Im
         joint = np.add(*np.square(plane, out=plane))
     if cfg.eta < 1.0:

@@ -4,11 +4,9 @@ Single Mach-Zehnder quantities (read-out difference uncertainty, quantum
 Fisher information, Cramer-Rao bound) and correlated-interferometer
 quantities (noise reduction factor, normalized covariance uncertainty, the
 Mandel Q of one mode of the pair), all evaluated exactly from the read-out
-ports' normal-ordered moments, plus the asymptotic closed forms used for
-cross-checks and regime analysis, each one expression in the order m <= 4.
-Each config names its spec, whose mode count the engine reads.  Each
-figure of merit takes only its own scheme's config and raises ValueError
-for the other's; :func:`readout_moments` serves both.
+ports' normal-ordered moments.  Each config names its spec, whose mode count
+the engine reads.  Each figure of merit takes only its own scheme's config
+and raises ValueError for the other's; :func:`readout_moments` serves both.
 
 Single scheme: the coherent state |alpha>, alpha = sqrt(mu) e^{i psi}, and
 the quantum (subtracted squeezed) state enter one Mach-Zehnder with internal
@@ -39,10 +37,8 @@ from math import acos, cos, isfinite, isqrt, nextafter, pi, sqrt, ulp
 
 from . import moments, opalg
 from .errors import (
-    NonPositiveQfi, OutOfRange, Singular, UnsupportedOrder, ZeroMeanPhoton, check, check_type)
+    NonPositiveQfi, OutOfRange, Singular, ZeroMeanPhoton, check, check_type)
 from .states import PassvSpec, SpatsvSpec
-
-SQRT2 = sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -333,62 +329,3 @@ def correlated_uncertainty(cfg: CorrelatedConfig, digits: int) -> float:
     mixed = _nonzero(ports.expect(_COVARIANCE_WEIGHTS[0], "mixed"), "mixed phase derivative of <C>")
     var = _variance(ports, _COVARIANCE_WEIGHTS)
     return _root_over(var, mixed, cfg.mu * moments.Bounded(*ports.point.lossy[0]))
-
-
-# ---------------------------------------------------------------------------
-# Asymptotic closed forms
-# ---------------------------------------------------------------------------
-
-
-def _check_closed_form(m, **values) -> None:
-    """UnsupportedOrder unless m is one of the paper's orders 0..4, then :func:`check`."""
-    if m not in range(5):
-        raise UnsupportedOrder(f"closed forms cover m = 0..4, got m={m}")
-    check(**values)
-
-
-def nrf_asymptotic(m: int, tau: float, lam: float) -> float:
-    """Small-energy noise reduction factor 1 - 2(m+1) tau (sqrt(lam) - (m+1) lam),
-    m = 0..4, to O(lam^(3/2))."""
-    _check_closed_form(m, tau=tau, lam=lam)
-    return 1.0 - 2 * (m + 1) * tau * (sqrt(lam) - (m + 1) * lam)
-
-
-CORRELATED_REGIMES = (
-    "low_lambda_bright",
-    "high_lambda_bright",
-    "dark_fringe_low_lambda",
-    "dark_fringe_high_lambda",
-)
-
-
-def correlated_uncertainty_asymptotic(
-    regime: str, m: int, *, lam: float = 0.0, tau: float = 1.0, eta: float = 1.0
-) -> float:
-    """Closed-form normalized uncertainty in the four asymptotic regimes, m = 0..4.
-
-    ``low_lambda_bright``: bright coherent beam, weak squeezing,
-    sqrt(2) [1 - eta tau (2(m+1) sqrt(lam) + lam (3/4 m(m+1) eta tau - 2(m+1)^2))]
-    to O(lam^(3/2)).  ``high_lambda_bright``: bright beam, strong squeezing
-    (order-independent).  ``dark_fringe_low_lambda`` /
-    ``dark_fringe_high_lambda``: quantum-light-dominated read-out near
-    phi = 0, limited by detection efficiency only; the high-lambda limit is
-    2 sqrt((4m + 5)/(2m + 1)) (1 - eta).  The two forms that divide by lam
-    or eta are Singular where it is 0.
-    """
-    _check_closed_form(m, lam=lam, tau=tau, eta=eta)
-    if regime == "low_lambda_bright":
-        te = tau * eta
-        inner = 2 * (m + 1) * sqrt(lam) + lam * (0.75 * m * (m + 1) * te - 2 * (m + 1) ** 2)
-        return SQRT2 * (1.0 - te * inner)
-    if regime == "high_lambda_bright":
-        if lam <= 0:
-            raise Singular("high_lambda_bright diverges at lam = 0")
-        return SQRT2 * (1.0 - tau * eta - tau * eta / (4.0 * lam))
-    if regime == "dark_fringe_low_lambda":
-        if eta <= 0:
-            raise Singular("dark_fringe_low_lambda diverges at eta = 0")
-        return SQRT2 * sqrt((1.0 - eta) / eta)
-    if regime == "dark_fringe_high_lambda":
-        return 2.0 * sqrt((4 * m + 5) / (2 * m + 1)) * (1.0 - eta)
-    raise ValueError(f"unknown regime {regime!r}; expected one of {CORRELATED_REGIMES}")

@@ -22,7 +22,10 @@ numbers made fixed by :func:`complex_fixed` and summed by the reference's
 own complex sum, :func:`complex_sum`) the reference for the two-entry
 quadrature metrics of :mod:`photsub.experiments`.  The dark-fringe U as a closed
 form in three SPATSV entries (:func:`dark_fringe_uncertainty`) checks the
-port engine's Var C and mixed derivative at phi = 0.  The port folds formed
+port engine's Var C and mixed derivative at phi = 0, and the paper's
+asymptotic laws, each one expression in the order m <= 4
+(:func:`nrf_asymptotic`, :func:`correlated_uncertainty_asymptotic`), are
+the limits the engine's NRF and U approach.  The port folds formed
 row by row (:func:`row_folds`), each entry, phase and product afresh, as
 complex rows, are the reference for the flat fold plans of :mod:`photsub.opalg`,
 whose real rows are the part Re(kappa G) of them a point reads.  The
@@ -47,7 +50,8 @@ from scipy.special import gammaln
 
 from photsub import fock, moments, opalg
 from photsub.errors import (
-    CutoffTooSmall, MomentOrderMissing, OutOfRange, PhotsubError, PrecisionInsufficient)
+    CutoffTooSmall, MomentOrderMissing, OutOfRange, PhotsubError, PrecisionInsufficient, Singular,
+    check)
 from photsub.fock import CUTOFF_MARGIN, TAIL_TOL, FockState1, TwoModeDiagonalState
 
 
@@ -479,6 +483,67 @@ def dark_fringe_uncertainty(table, eta):
     eta = mp.mpf(eta)
     p = eta * (1 - eta)
     return mp.sqrt(2 * p * (1 - 6 * p) * n + 12 * p**2 * n2 - 4 * p**2 * n**2) / (eta * pair)
+
+
+# ---------------------------------------------------------------------------
+# The paper's asymptotic closed forms
+# ---------------------------------------------------------------------------
+
+SQRT2 = sqrt(2.0)
+
+
+def _check_closed_form(m, **values) -> None:
+    """ValueError unless m is one of the paper's orders 0..4, then :func:`check`."""
+    if m not in range(5):
+        raise ValueError(f"closed forms cover m = 0..4, got m={m}")
+    check(**values)
+
+
+def nrf_asymptotic(m: int, tau: float, lam: float) -> float:
+    """Small-energy noise reduction factor 1 - 2(m+1) tau (sqrt(lam) - (m+1) lam),
+    m = 0..4, to O(lam^(3/2))."""
+    _check_closed_form(m, tau=tau, lam=lam)
+    return 1.0 - 2 * (m + 1) * tau * (sqrt(lam) - (m + 1) * lam)
+
+
+CORRELATED_REGIMES = (
+    "low_lambda_bright",
+    "high_lambda_bright",
+    "dark_fringe_low_lambda",
+    "dark_fringe_high_lambda",
+)
+
+
+def correlated_uncertainty_asymptotic(
+    regime: str, m: int, *, lam: float = 0.0, tau: float = 1.0, eta: float = 1.0
+) -> float:
+    """Closed-form normalized uncertainty in the four asymptotic regimes, m = 0..4.
+
+    ``low_lambda_bright``: bright coherent beam, weak squeezing,
+    sqrt(2) [1 - eta tau (2(m+1) sqrt(lam) + lam (3/4 m(m+1) eta tau - 2(m+1)^2))]
+    to O(lam^(3/2)).  ``high_lambda_bright``: bright beam, strong squeezing
+    (order-independent).  ``dark_fringe_low_lambda`` /
+    ``dark_fringe_high_lambda``: quantum-light-dominated read-out near
+    phi = 0, limited by detection efficiency only; the high-lambda limit is
+    2 sqrt((4m + 5)/(2m + 1)) (1 - eta).  The two forms that divide by lam
+    or eta are Singular where it is 0.
+    """
+    _check_closed_form(m, lam=lam, tau=tau, eta=eta)
+    if regime == "low_lambda_bright":
+        te = tau * eta
+        inner = 2 * (m + 1) * sqrt(lam) + lam * (0.75 * m * (m + 1) * te - 2 * (m + 1) ** 2)
+        return SQRT2 * (1.0 - te * inner)
+    if regime == "high_lambda_bright":
+        if lam <= 0:
+            raise Singular("high_lambda_bright diverges at lam = 0")
+        return SQRT2 * (1.0 - tau * eta - tau * eta / (4.0 * lam))
+    if regime == "dark_fringe_low_lambda":
+        if eta <= 0:
+            raise Singular("dark_fringe_low_lambda diverges at eta = 0")
+        return SQRT2 * sqrt((1.0 - eta) / eta)
+    if regime == "dark_fringe_high_lambda":
+        return 2.0 * sqrt((4 * m + 5) / (2 * m + 1)) * (1.0 - eta)
+    raise ValueError(f"unknown regime {regime!r}; expected one of {CORRELATED_REGIMES}")
 
 
 def fixed_value(x: tuple):

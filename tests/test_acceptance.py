@@ -21,6 +21,7 @@ from reference import (
     bounded,
     fidelity,
     mean_photons,
+    nrf_asymptotic,
     passv_seed,
     quadrature_variance,
     spatsv_seed,
@@ -126,7 +127,7 @@ def test_acceptance_06_nrf_small_lambda_asymptotics():
     for m in range(3):
         cfg = CorrelatedConfig(SpatsvSpec(lam, m), mu=1e6, phi=phi, psi=np.pi / 2)
         worst = max(
-            worst, abs(metrology.nrf(cfg) - metrology.nrf_asymptotic(m, tau, lam))
+            worst, abs(metrology.nrf(cfg) - nrf_asymptotic(m, tau, lam))
         )
     ok = worst <= 1e-2
     assert _report(6, "nrf-small-lambda-asymptotics", ok, f"worst abs err {worst:.2e}")

@@ -9,8 +9,7 @@ or MemoryBoundExceeded, and from the CLI exit 1 with "config error" and no
 traceback.  A value inside it (1.5 or 10**30 for lam, say) may
 instead give a nan-free result or a documented package error (OutOfRange for a
 balancing target below the map's infimum, CutoffTooSmall for a state past the
-default cutoff's level limit, ...); a closed form's order outside 0..4 is
-UnsupportedOrder.
+default cutoff's level limit, ...).
 
 A call that loops or allocates in proportion to a bad value is exactly what
 this looks for, so the calls run in one child interpreter with warnings as
@@ -45,12 +44,11 @@ TEXTS = {"nan": "nan", "inf": "inf", "-1": "-1", "1.5": "1.5", "1e30": str(10**3
 
 #: kind -> the labels of VALUES inside it: a finite real, one >= 0, one in
 #: [0, 1], an integer (order, cutoff: none of the values is a valid
-#: one), a preset name, a subtraction spec, the Fisher information (any real
-#: but nan; inf is OutOfRange), and a closed form's order, where every bad
-#: value is UnsupportedOrder
-REAL, NONNEGATIVE, UNIT, INTEGER, NAME, SPEC, FISHER, CLOSED_ORDER = (
+#: one), a preset name, a subtraction spec and the Fisher information (any
+#: real but nan; inf is OutOfRange)
+REAL, NONNEGATIVE, UNIT, INTEGER, NAME, SPEC, FISHER = (
     {"-1", "1.5", "1e30"}, {"1.5", "1e30"}, set(), set(), set(), set(),
-    {"-1", "1.5", "1e30", "inf"}, None)
+    {"-1", "1.5", "1e30", "inf"})
 #: a retired config key or sweep axis (digits: the engine picks its own; chi:
 #: psi is the one relative phase), refused at any value
 RETIRED = set()
@@ -112,13 +110,6 @@ def _entries():
                       ("readout_moments", _PAIR)):
         yield name, getattr(metrology, name), dict(cfg=cfg), {}
     yield "cramer_rao_bound", metrology.cramer_rao_bound, dict(fq=2.0), dict(fq=FISHER)
-    yield ("nrf_asymptotic", metrology.nrf_asymptotic, dict(m=1, tau=0.9, lam=0.01),
-           dict(m=CLOSED_ORDER, tau=UNIT, lam=NONNEGATIVE))
-    for regime in metrology.CORRELATED_REGIMES:
-        yield (f"correlated_uncertainty_asymptotic[{regime}]",
-               metrology.correlated_uncertainty_asymptotic,
-               dict(regime=regime, m=1, lam=0.5, tau=0.9, eta=0.9),
-               dict(m=CLOSED_ORDER, lam=NONNEGATIVE, tau=UNIT, eta=UNIT))
     yield "spatsv_seed_moment_table", moments.spatsv_seed_moment_table, dict(lam=0.5, m=1), spec
     yield ("joint_photon_distribution", moments.joint_photon_distribution,
            dict(lam=0.5, m=1, n_max=3), dict(lam=NONNEGATIVE, m=INTEGER, n_max=INTEGER))
@@ -275,9 +266,7 @@ def test_the_table_calls_every_public_callable():
 def test_a_value_is_right_or_refused(outcomes, case_id):
     call, _, kind, label = CASES[case_id]
     cli = not callable(call)
-    if kind is CLOSED_ORDER:
-        accepted = {"PhotsubError UnsupportedOrder"}
-    elif label in kind:  # a value inside the contract: a result or a package error
+    if label in kind:  # a value inside the contract: a result or a package error
         accepted = {"exit 0", "exit 2"} if cli else {"ok"}
         if not cli and outcomes[case_id].startswith("PhotsubError "):
             accepted.add(outcomes[case_id])

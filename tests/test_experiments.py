@@ -253,6 +253,24 @@ def test_the_default_fill_holds_the_order_8_moments_of_a_bright_twin_beam():
         oracle_compare("correlated", lam=10.0, **scene)
 
 
+@pytest.mark.parametrize("lam, m", [(11.0, 4), (20.0, 0)])
+def test_a_single_scene_past_1025_levels_has_finite_oracle_moments(lam, m):
+    # sqrt(C(a + b, a)) overflows once a + b passes about 2,050, where
+    # |w01|^a |w11|^b underflows: formed apart, their product was inf * 0 and
+    # every oracle moment nan, a FAIL that blamed the engine
+    cmp = oracle_compare("single", lam=lam, m=m, mu=2.0, phi=0.7)
+    assert cmp.passed, cmp.report()
+
+
+def test_a_nan_error_fails_the_comparison():
+    # max() skips a nan that is not first, which gave worst 0.0 and a PASS
+    entries = (("N^0 N^1", 1.0, 1.0, 0.0), ("N^0 N^2", 1.0, np.nan, np.nan))
+    cmp = experiments.OracleComparison("single", entries)
+    assert np.isnan(cmp.worst)
+    assert not cmp.passed
+    assert "FAIL" in cmp.report()
+
+
 def test_oracle_compare_memory_bound():
     with pytest.raises(MemoryBoundExceeded):
         oracle_compare("single", lam=0.3, m=0, mu=100.0, phi=0.5)

@@ -1,5 +1,7 @@
-"""Phase-estimation figures of merit: exact engine and asymptotic closed forms."""
+"""Phase-estimation figures of merit: the exact engine, and the asymptotic closed forms
+of :mod:`reference` it approaches."""
 
+import functools
 import math
 import random
 import re
@@ -17,13 +19,19 @@ from photsub.errors import (
     OutOfRange,
     PrecisionInsufficient,
     Singular,
-    UnsupportedOrder,
     ZeroMeanPhoton,
 )
 from photsub.experiments import PRESETS
 from photsub.metrology import CorrelatedConfig, SingleMziConfig, phi_for_tau
 from photsub.states import PassvSpec, SpatsvSpec
-from reference import dark_fringe_uncertainty, quadrature_variance
+from reference import (
+    CORRELATED_REGIMES,
+    correlated_uncertainty_asymptotic,
+    dark_fringe_uncertainty,
+    nrf_asymptotic,
+    quadrature_variance,
+)
+from test_boundary import NONNEGATIVE, VALUES
 
 SQRT2 = np.sqrt(2.0)
 
@@ -253,12 +261,12 @@ def test_nrf_dark_readout_raises():
 def test_nrf_matches_small_energy_expansion(m):
     lam, tau = 1e-4, 0.9
     cfg = CorrelatedConfig(SpatsvSpec(lam, m), mu=1e6, phi=phi_for_tau(tau))
-    assert abs(metrology.nrf(cfg) - metrology.nrf_asymptotic(m, tau, lam)) < 1e-4
+    assert abs(metrology.nrf(cfg) - nrf_asymptotic(m, tau, lam)) < 1e-4
 
 
 def test_nrf_asymptotic_unsupported_order():
-    with pytest.raises(UnsupportedOrder):
-        metrology.nrf_asymptotic(5, 0.9, 0.01)
+    with pytest.raises(ValueError):
+        nrf_asymptotic(5, 0.9, 0.01)
 
 
 def _pair(lam, m, eta=1.0):
@@ -310,7 +318,7 @@ def test_correlated_matches_low_energy_bright_expansion(m):
         SpatsvSpec(lam, m), mu=mu, phi=phi_for_tau(tau), eta=eta, psi=np.pi / 2
     )
     engine = metrology.correlated_uncertainty(cfg)
-    closed = metrology.correlated_uncertainty_asymptotic(
+    closed = correlated_uncertainty_asymptotic(
         "low_lambda_bright", m, lam=lam, tau=tau, eta=eta
     )
     assert abs(engine - closed) < 2e-4
@@ -322,7 +330,7 @@ def test_correlated_matches_high_energy_bright_expansion():
         SpatsvSpec(lam, 0), mu=1e8, phi=phi_for_tau(tau), eta=eta, psi=np.pi / 2
     )
     engine = metrology.correlated_uncertainty(cfg)
-    closed = metrology.correlated_uncertainty_asymptotic(
+    closed = correlated_uncertainty_asymptotic(
         "high_lambda_bright", 0, lam=lam, tau=tau, eta=eta
     )
     # the closed form drops O(1/lam^2) terms
@@ -331,7 +339,7 @@ def test_correlated_matches_high_energy_bright_expansion():
 
 def test_high_energy_bright_worked_value():
     # eta = 0.98, tau = 0.9, lam = 2: sqrt(2)(1 - 0.882 - 0.11025)
-    val = metrology.correlated_uncertainty_asymptotic(
+    val = correlated_uncertainty_asymptotic(
         "high_lambda_bright", 0, lam=2.0, tau=0.9, eta=0.98
     )
     assert abs(val - SQRT2 * (1.0 - 0.882 - 0.11025)) < 1e-12
@@ -339,11 +347,11 @@ def test_high_energy_bright_worked_value():
 
 def test_dark_fringe_closed_forms():
     eta = 0.98
-    low = metrology.correlated_uncertainty_asymptotic(
+    low = correlated_uncertainty_asymptotic(
         "dark_fringe_low_lambda", 0, eta=eta
     )
     assert abs(low - SQRT2 * np.sqrt((1 - eta) / eta)) < 1e-12
-    high = metrology.correlated_uncertainty_asymptotic(
+    high = correlated_uncertainty_asymptotic(
         "dark_fringe_high_lambda", 1, eta=eta
     )
     assert abs(high - 2 * np.sqrt(3.0) * (1 - eta)) < 1e-12
@@ -352,32 +360,32 @@ def test_dark_fringe_closed_forms():
 def test_asymptotic_eta_tau_symmetry():
     # the bright-beam expansions depend on eta and tau only through eta*tau
     for m in range(5):
-        a = metrology.correlated_uncertainty_asymptotic(
+        a = correlated_uncertainty_asymptotic(
             "low_lambda_bright", m, lam=1e-3, tau=0.9, eta=0.7
         )
-        b = metrology.correlated_uncertainty_asymptotic(
+        b = correlated_uncertainty_asymptotic(
             "low_lambda_bright", m, lam=1e-3, tau=0.7, eta=0.9
         )
         assert abs(a - b) < 1e-12
 
 
 def test_asymptotic_unsupported_order_and_regime():
-    with pytest.raises(UnsupportedOrder):
-        metrology.correlated_uncertainty_asymptotic("low_lambda_bright", 5, lam=0.1)
     with pytest.raises(ValueError):
-        metrology.correlated_uncertainty_asymptotic("no_such_regime", 0)
+        correlated_uncertainty_asymptotic("low_lambda_bright", 5, lam=0.1)
+    with pytest.raises(ValueError):
+        correlated_uncertainty_asymptotic("no_such_regime", 0)
 
 
 @pytest.mark.parametrize("m", [5, -1, 1.5])
 def test_closed_forms_cover_the_orders_0_to_4_only(m):
-    with pytest.raises(UnsupportedOrder):
-        metrology.nrf_asymptotic(m, 0.9, 0.01)
-    for regime in metrology.CORRELATED_REGIMES:
-        with pytest.raises(UnsupportedOrder):
-            metrology.correlated_uncertainty_asymptotic(regime, m, lam=0.1, tau=0.9, eta=0.9)
+    with pytest.raises(ValueError):
+        nrf_asymptotic(m, 0.9, 0.01)
+    for regime in CORRELATED_REGIMES:
+        with pytest.raises(ValueError):
+            correlated_uncertainty_asymptotic(regime, m, lam=0.1, tau=0.9, eta=0.9)
 
 
-_CORRELATED = metrology.correlated_uncertainty_asymptotic
+_CORRELATED = correlated_uncertainty_asymptotic
 
 
 @pytest.mark.parametrize("call, args, kwargs", [
@@ -387,17 +395,42 @@ _CORRELATED = metrology.correlated_uncertainty_asymptotic
     pytest.param(_CORRELATED, ("low_lambda_bright", 2), {"lam": -1.0}, id="lam-neg"),
     pytest.param(_CORRELATED, ("high_lambda_bright", 1), {"lam": 1.0, "tau": math.nan},
                  id="tau-nan"),
-    pytest.param(metrology.nrf_asymptotic, (1, 0.9, math.nan), {}, id="nrf-lam-nan"),
-    pytest.param(metrology.nrf_asymptotic, (1, 1.5, 0.01), {}, id="nrf-tau-1.5"),
-    pytest.param(metrology.nrf_asymptotic, (1, -0.5, 0.01), {}, id="nrf-tau-neg"),
-    pytest.param(metrology.nrf_asymptotic, (0, 0.9, -1.0), {}, id="nrf-lam-neg"),
-    pytest.param(metrology.nrf_asymptotic, (0, 0.9, math.inf), {}, id="nrf-lam-inf"),
+    pytest.param(nrf_asymptotic, (1, 0.9, math.nan), {}, id="nrf-lam-nan"),
+    pytest.param(nrf_asymptotic, (1, 1.5, 0.01), {}, id="nrf-tau-1.5"),
+    pytest.param(nrf_asymptotic, (1, -0.5, 0.01), {}, id="nrf-tau-neg"),
+    pytest.param(nrf_asymptotic, (0, 0.9, -1.0), {}, id="nrf-lam-neg"),
+    pytest.param(nrf_asymptotic, (0, 0.9, math.inf), {}, id="nrf-lam-inf"),
 ])
 def test_closed_forms_reject_inputs_outside_their_domain(call, args, kwargs):
     # unchecked, these gave a negative uncertainty, a nan, a value for
     # tau > 1, 0.0 at lam = inf or a bare math domain error
     with pytest.raises(ValueError, match="must"):
         call(*args, **kwargs)
+
+
+#: each closed form, by name, with the arguments its boundary values replace
+_CLOSED_FORMS = {
+    "nrf_asymptotic": (nrf_asymptotic, dict(m=1, tau=0.9, lam=0.01)),
+    **{f"correlated_uncertainty_asymptotic[{regime}]": (
+        functools.partial(correlated_uncertainty_asymptotic, regime),
+        dict(m=1, lam=0.5, tau=0.9, eta=0.9)) for regime in CORRELATED_REGIMES},
+}
+
+
+@pytest.mark.parametrize("label", sorted(VALUES))
+@pytest.mark.parametrize("name, param", [
+    (name, param) for name, (_, base) in _CLOSED_FORMS.items() for param in base])
+def test_a_closed_form_takes_the_boundary_values(name, param, label):
+    # the input contract's values of tests/test_boundary.py: an order is one
+    # of 0..4 and tau and eta lie in [0, 1], so each of them is ValueError
+    # there, and lam = 1.5 or 10^30, inside its kind, gives a finite value
+    call, base = _CLOSED_FORMS[name]
+    args = {**base, param: VALUES[label]}
+    if param == "lam" and label in NONNEGATIVE:
+        assert math.isfinite(call(**args))
+    else:
+        with pytest.raises(ValueError):
+            call(**args)
 
 
 def _old_nrf_asymptotic(m, tau, lam):
@@ -427,13 +460,13 @@ def test_closed_forms_reproduce_the_per_order_constants():
     for _ in range(2000):
         lam, tau, eta = 10 ** rng.uniform(-8, 1), rng.random(), rng.random()
         for m in range(3):
-            assert metrology.nrf_asymptotic(m, tau, lam) == _old_nrf_asymptotic(m, tau, lam)
+            assert nrf_asymptotic(m, tau, lam) == _old_nrf_asymptotic(m, tau, lam)
         for m in range(4):
-            new = metrology.correlated_uncertainty_asymptotic(
+            new = correlated_uncertainty_asymptotic(
                 "low_lambda_bright", m, lam=lam, tau=tau, eta=eta)
             old = _old_low_lambda_bright(m, lam, tau, eta)
             assert abs(new - old) <= 1e-15 * abs(old), (m, lam, tau, eta)
-            dark = metrology.correlated_uncertainty_asymptotic(
+            dark = correlated_uncertainty_asymptotic(
                 "dark_fringe_high_lambda", m, eta=eta)
             assert dark == 2.0 * _OLD_DARK_FRINGE_FACTORS[m] * (1.0 - eta)
 
@@ -447,15 +480,15 @@ def test_engine_approaches_each_closed_form_at_its_order(m):
     nrf_residual, u_residual, dark_deviation = [], [], []
     for lam in (1e-3, 1e-4):
         cfg = CorrelatedConfig(SpatsvSpec(lam, m), mu=1e6, phi=phi_for_tau(tau))
-        nrf_residual.append(abs(metrology.nrf(cfg) - metrology.nrf_asymptotic(m, tau, lam)))
+        nrf_residual.append(abs(metrology.nrf(cfg) - nrf_asymptotic(m, tau, lam)))
         cfg = CorrelatedConfig(
             SpatsvSpec(lam, m), mu=1e8, phi=phi_for_tau(tau), eta=0.95, psi=np.pi / 2)
-        closed = metrology.correlated_uncertainty_asymptotic(
+        closed = correlated_uncertainty_asymptotic(
             "low_lambda_bright", m, lam=lam, tau=tau, eta=0.95)
         u_residual.append(abs(metrology.correlated_uncertainty(cfg) - closed))
     for lam in (1e3, 1e4):
         cfg = CorrelatedConfig(SpatsvSpec(lam, m), mu=1e8, phi=1e-9, eta=0.98, psi=np.pi / 2)
-        closed = metrology.correlated_uncertainty_asymptotic(
+        closed = correlated_uncertainty_asymptotic(
             "dark_fringe_high_lambda", m, eta=0.98)
         dark_deviation.append(abs(metrology.correlated_uncertainty(cfg) / closed - 1.0))
     assert nrf_residual[1] <= nrf_residual[0] / 10, nrf_residual
